@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race check bench bench-mem bench-mem-baseline baseline bench-cluster bench-chaos chaos-smoke bench-slice slice-smoke bench-obs bench-live live-smoke bench-relay relay-smoke
+.PHONY: all build vet test race check bench bench-quick bench-compare bench-mem bench-mem-baseline baseline bench-cluster bench-chaos chaos-smoke bench-slice slice-smoke bench-obs bench-live live-smoke bench-relay relay-smoke
 
 all: check
 
@@ -25,12 +25,24 @@ check: build vet race
 bench:
 	$(GO) test -bench . -benchtime 1x ./...
 
+# The repository benchmark (BENCHMARK.json, bench/README.md) at smoke
+# size: every workload, inputs ÷ 50, every op checked. Seconds.
+bench-quick:
+	$(GO) run ./bench -quick
+
+# Gate report B against report A (both written by `go run ./bench -out`)
+# with the bounds BENCHMARK.json records: make bench-compare A=old.json B=new.json
+bench-compare:
+	$(GO) run ./bench -compare $(A) $(B)
+
 # Allocation gate: run the allocs-per-run pin tests, then re-measure the
 # memory sweep and diff it against the committed BENCH_memory.json
 # (fails on allocs/op or bytes/op growth beyond slack; see
-# internal/expt/mem.go for the tolerances).
+# internal/expt/mem.go for the tolerances). BenchmarkAssemble is the
+# commit path's 256k-op assembly, one iteration as a smoke.
 bench-mem:
-	$(GO) test -run 'AllocFree|AllocBound' ./internal/deposet ./internal/detect
+	$(GO) test -run 'AllocFree|AllocBound' ./internal/deposet ./internal/detect ./internal/node
+	$(GO) test -run '^$$' -bench 'BenchmarkAssemble$$' -benchtime 1x -benchmem ./internal/node
 	$(GO) run ./cmd/pcbench -compare BENCH_memory.json
 
 # Regenerate the committed parallel-engine baseline (internal/expt E10).

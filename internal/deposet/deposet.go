@@ -20,6 +20,7 @@ package deposet
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"predctl/internal/vclock"
 )
@@ -160,9 +161,19 @@ type Builder struct {
 	msgs    []Message
 	sendMsg [][]int
 	recvMsg [][]int
-	lets    []map[int]map[string]int // per process: state index → var updates
-	hasVars bool
-	err     error
+	// Variable updates: an append-only log per process, in state order
+	// (Let writes at the top state), over names interned at first Let.
+	nameID map[string]int32
+	names  []string
+	lets   [][]letUpdate
+	err    error
+}
+
+// letUpdate is one Let: variable name (builder-interned id) takes value
+// val from state k on.
+type letUpdate struct {
+	k, name int32
+	val     int
 }
 
 // NewBuilder starts a computation of n processes, each at its initial
@@ -176,13 +187,13 @@ func NewBuilder(n int) *Builder {
 		lens:    make([]int, n),
 		sendMsg: make([][]int, n),
 		recvMsg: make([][]int, n),
-		lets:    make([]map[int]map[string]int, n),
+		nameID:  make(map[string]int32),
+		lets:    make([][]letUpdate, n),
 	}
 	for p := 0; p < n; p++ {
 		b.lens[p] = 1
 		b.sendMsg[p] = []int{-1} // event index 0 unused
 		b.recvMsg[p] = []int{-1}
-		b.lets[p] = make(map[int]map[string]int)
 	}
 	return b
 }
@@ -191,6 +202,17 @@ func (b *Builder) checkProc(p int) {
 	if p < 0 || p >= b.n {
 		panic(fmt.Sprintf("deposet: process %d out of range [0,%d)", p, b.n))
 	}
+}
+
+// Reserve sizes the builder for events[p] further events on each
+// process p, sends of them sends in all: replaying a capture of known
+// length then regrows nothing. It changes no behaviour.
+func (b *Builder) Reserve(events []int, sends int) {
+	for p, k := range events {
+		b.sendMsg[p] = slices.Grow(b.sendMsg[p], k)
+		b.recvMsg[p] = slices.Grow(b.recvMsg[p], k)
+	}
+	b.msgs = slices.Grow(b.msgs, sends)
 }
 
 func (b *Builder) addEvent(p, send, recv int) StateID {
@@ -256,14 +278,13 @@ func (b *Builder) Transfer(p, q int) (send, recv StateID) {
 // at ⊥p.
 func (b *Builder) Let(p int, name string, value int) {
 	b.checkProc(p)
-	k := b.lens[p] - 1
-	m := b.lets[p][k]
-	if m == nil {
-		m = make(map[string]int)
-		b.lets[p][k] = m
+	id, ok := b.nameID[name]
+	if !ok {
+		id = int32(len(b.names))
+		b.nameID[name] = id
+		b.names = append(b.names, name)
 	}
-	m[name] = value
-	b.hasVars = true
+	b.lets[p] = append(b.lets[p], letUpdate{k: int32(b.lens[p] - 1), name: id, val: value})
 }
 
 func (b *Builder) fail(err error) {
@@ -306,8 +327,8 @@ func (b *Builder) build(workers int) (*Deposet, error) {
 	if err != nil {
 		return nil, err
 	}
-	if b.hasVars {
-		d.vars = varTableFromLets(b.lets, d.lens)
+	if len(b.names) > 0 {
+		d.vars = varTableFromLog(b.names, b.lets, d.lens)
 	}
 	return d, nil
 }

@@ -35,17 +35,6 @@ func (t *varTable) lookup(p, k int, name string) (int, bool) {
 	return sn.vals[slot], true
 }
 
-// clone returns a mutable copy of sn (or a fresh empty snapshot of the
-// given width when sn is nil).
-func (sn *varSnap) clone(width int) *varSnap {
-	next := &varSnap{vals: make([]int, width), set: make([]bool, width)}
-	if sn != nil {
-		copy(next.vals, sn.vals)
-		copy(next.set, sn.set)
-	}
-	return next
-}
-
 // equalMap reports whether sn represents exactly the variable bindings
 // of m under the table's interning.
 func (t *varTable) equalMap(sn *varSnap, m map[string]int) bool {
@@ -64,43 +53,63 @@ func (t *varTable) equalMap(sn *varSnap, m map[string]int) bool {
 	return count == len(m)
 }
 
-// varTableFromLets builds the table from a Builder's per-state update
-// maps: names are interned in one pass (sorted, so slot assignment is
-// deterministic), then each process's snapshots are constructed
-// copy-on-write — only states with updates allocate.
-func varTableFromLets(lets []map[int]map[string]int, lens []int) *varTable {
-	t := &varTable{index: make(map[string]int)}
-	for _, byState := range lets {
-		for _, upd := range byState {
-			for name := range upd {
-				if _, ok := t.index[name]; !ok {
-					t.index[name] = 0 // slot assigned below
-					t.names = append(t.names, name)
-				}
-			}
-		}
-	}
+// varTableFromLog builds the table from a Builder's update log in one
+// sweep: names take slots in sorted order (not the order the builder
+// met them in), then each process's log — already in state order — is
+// cut into one snapshot per updating state, copy-on-write from its
+// predecessor. Snapshots, their value and set rows and the per-state
+// pointer rows are each one slab: a fixed number of allocations however
+// long the log. Every log entry is for a state below lens[p].
+func varTableFromLog(names []string, log [][]letUpdate, lens []int) *varTable {
+	width := len(names)
+	t := &varTable{index: make(map[string]int, width), names: append([]string(nil), names...)}
 	sort.Strings(t.names)
 	for slot, name := range t.names {
 		t.index[name] = slot
 	}
-	width := len(t.names)
+	slotOf := make([]int, width) // builder name id → slot
+	for id, name := range names {
+		slotOf[id] = t.index[name]
+	}
+	updating, states := 0, 0
+	for p, ups := range log {
+		states += lens[p]
+		for i := range ups {
+			if i == 0 || ups[i].k != ups[i-1].k {
+				updating++
+			}
+		}
+	}
+	snaps := make([]varSnap, updating)
+	vals := make([]int, updating*width)
+	set := make([]bool, updating*width)
+	rows := make([]*varSnap, states)
 	t.snaps = make([][]*varSnap, len(lens))
 	for p, l := range lens {
-		rows := make([]*varSnap, l)
+		t.snaps[p], rows = rows[:l:l], rows[l:]
 		var cur *varSnap
-		for k := 0; k < l; k++ {
-			if upd := lets[p][k]; len(upd) > 0 {
-				cur = cur.clone(width)
-				for name, v := range upd {
-					slot := t.index[name]
-					cur.vals[slot] = v
-					cur.set[slot] = true
-				}
+		k, ups := 0, log[p]
+		for i := 0; i < len(ups); {
+			for ; k < int(ups[i].k); k++ {
+				t.snaps[p][k] = cur
 			}
-			rows[k] = cur
+			next := &snaps[0]
+			next.vals, next.set = vals[:width:width], set[:width:width]
+			snaps, vals, set = snaps[1:], vals[width:], set[width:]
+			if cur != nil {
+				copy(next.vals, cur.vals)
+				copy(next.set, cur.set)
+			}
+			for ; i < len(ups) && int(ups[i].k) == k; i++ {
+				slot := slotOf[ups[i].name]
+				next.vals[slot] = ups[i].val
+				next.set[slot] = true
+			}
+			cur = next
 		}
-		t.snaps[p] = rows
+		for ; k < l; k++ {
+			t.snaps[p][k] = cur
+		}
 	}
 	return t
 }

@@ -9,64 +9,121 @@ import (
 	"predctl/internal/wire"
 )
 
-// AssemblePrefix replays partially captured trace ops into the largest
-// causally closed prefix deposet they determine. It is internal/node's
-// assemble with the wedge condition inverted: mid-run, a receive whose
-// matching send has not been staged yet is not corruption — the send
-// is simply still buffered on another node — so the sweep stops that
-// process's cursor there instead of erroring, and everything after it
-// (causally later by program order) is left for the next prefix. Sends
-// with no matching receive become in-flight messages. The returned
-// consumed slice reports how many ops of each stream made the prefix.
-func AssemblePrefix(n int, opsByProc [][]wire.TraceOp) (*deposet.Deposet, []int, error) {
-	if len(opsByProc) != 2*n {
-		return nil, nil, fmt.Errorf("livedetect: prefix: %d op streams for %d processes", len(opsByProc), 2*n)
+// Assembler replays captured trace ops through a deposet.Builder: the
+// one implementation behind commit-time assembly, bundle reassembly and
+// the live prefix confirmation. Ops arrive bucketed by logical process
+// (apps 0..n-1, controllers n..2n-1) in per-process order; sends and
+// receives are matched by trace id in a topological sweep, a receive
+// waiting until its send has been replayed. Sends never received become
+// in-flight messages, like a sim trace cut at teardown.
+//
+// What an unmatched receive means is the caller's to say. Mid-run the
+// send is still buffered on another node, so a prefix Feed stops that
+// process there and leaves the rest (causally later) for the next
+// prefix; in a complete capture it is corruption, and a strict Feed
+// says where.
+//
+// The assembler is resumable: Feed may be called again with the same
+// streams grown at their tails. The result is the computation a single
+// pass builds; only its message numbering (replay order) may differ.
+type Assembler struct {
+	b      *deposet.Builder
+	cursor []int
+	sends  map[uint64]deposet.MsgHandle // trace id of every replayed send
+}
+
+// NewAssembler starts the assembly of an n-node capture.
+func NewAssembler(n int) *Assembler {
+	return &Assembler{b: deposet.NewBuilder(2 * n), cursor: make([]int, 2*n)}
+}
+
+// Feed advances every process as far as the streams allow. A later
+// call must pass streams that extend the earlier ones. Errors do not
+// name the caller; after one the assembler is unusable.
+func (a *Assembler) Feed(opsByProc [][]wire.TraceOp, strict bool) error {
+	if len(opsByProc) != len(a.cursor) {
+		return fmt.Errorf("%d op streams for %d processes", len(opsByProc), len(a.cursor))
 	}
-	b := deposet.NewBuilder(2 * n)
-	handles := make(map[uint64]deposet.MsgHandle)
-	cursor := make([]int, 2*n)
-	for {
-		progress := false
-		for p := 0; p < 2*n; p++ {
-		ops:
-			for cursor[p] < len(opsByProc[p]) {
-				op := opsByProc[p][cursor[p]]
+	// Count, then allocate: tables are sized by the ops staged, never by
+	// what an id off the wire claims.
+	pending, sends := make([]int, len(opsByProc)), 0
+	for p, ops := range opsByProc {
+		pending[p] = len(ops) - a.cursor[p]
+		for i := a.cursor[p]; i < len(ops); i++ {
+			if ops[i].Op == wire.TraceSend {
+				sends++
+			}
+		}
+	}
+	a.b.Reserve(pending, sends)
+	if a.sends == nil {
+		a.sends = make(map[uint64]deposet.MsgHandle, sends)
+	}
+	for progress := true; progress; {
+		progress = false
+		for p, ops := range opsByProc {
+			i := a.cursor[p]
+		run:
+			for ; i < len(ops); i++ {
+				op := &ops[i]
 				switch op.Op {
 				case wire.TraceInit, wire.TraceLet:
-					b.Let(p, op.Name, int(op.Value))
+					a.b.Let(p, op.Name, int(op.Value))
 				case wire.TraceStep:
-					b.Step(p)
+					a.b.Step(p)
 				case wire.TraceSet:
-					b.Step(p)
-					b.Let(p, op.Name, int(op.Value))
+					a.b.Step(p)
+					a.b.Let(p, op.Name, int(op.Value))
 				case wire.TraceSend:
-					_, h := b.Send(p)
-					if _, dup := handles[op.MsgID]; dup {
-						return nil, nil, fmt.Errorf("livedetect: prefix: duplicate trace id %#x", op.MsgID)
+					if _, dup := a.sends[op.MsgID]; dup {
+						return fmt.Errorf("duplicate trace id %#x", op.MsgID)
 					}
-					handles[op.MsgID] = h
+					_, a.sends[op.MsgID] = a.b.Send(p)
 				case wire.TraceRecv:
-					h, ok := handles[op.MsgID]
+					h, ok := a.sends[op.MsgID]
 					if !ok {
-						break ops // send not staged yet: prefix ends here for p
+						break run // matching send not replayed yet
 					}
-					b.Recv(p, h)
+					a.b.Recv(p, h)
 				default:
-					return nil, nil, fmt.Errorf("livedetect: prefix: unknown trace op %d", op.Op)
+					return fmt.Errorf("unknown trace op %d", op.Op)
 				}
-				cursor[p]++
+			}
+			if i > a.cursor[p] {
+				a.cursor[p] = i
 				progress = true
 			}
 		}
-		if !progress {
-			break
+	}
+	if strict {
+		for p, ops := range opsByProc {
+			if at := a.cursor[p]; at < len(ops) {
+				return fmt.Errorf("process %d wedged at op %d (recv of unknown message %#x)", p, at, ops[at].MsgID)
+			}
 		}
 	}
-	d, err := b.Build()
+	return nil
+}
+
+// Consumed reports how many ops of each stream have been replayed.
+func (a *Assembler) Consumed() []int { return a.cursor }
+
+// Build returns the deposet of everything replayed so far.
+func (a *Assembler) Build() (*deposet.Deposet, error) { return a.b.Build() }
+
+// AssemblePrefix replays partially captured trace ops into the largest
+// causally closed prefix deposet they determine: one prefix Feed of a
+// fresh Assembler. consumed reports how many ops of each stream made it.
+func AssemblePrefix(n int, opsByProc [][]wire.TraceOp) (*deposet.Deposet, []int, error) {
+	a := NewAssembler(n)
+	if err := a.Feed(opsByProc, false); err != nil {
+		return nil, nil, fmt.Errorf("livedetect: prefix: %w", err)
+	}
+	d, err := a.Build()
 	if err != nil {
 		return nil, nil, err
 	}
-	return d, cursor, nil
+	return d, a.Consumed(), nil
 }
 
 // ConfirmPrefix assembles the staged capture into its causally closed

@@ -24,37 +24,17 @@ func AssembleBundle(dir string) (*deposet.Deposet, *store.Manifest, error) {
 	if man.N < 1 {
 		return nil, nil, fmt.Errorf("node: bundle %s: manifest n=%d", dir, man.N)
 	}
-	opsByProc := make([][]wire.TraceOp, 2*man.N)
-	addOp := func(op wire.TraceOp) error {
-		p := int(op.Proc)
-		if p < 0 || p >= 2*man.N {
-			return fmt.Errorf("node: bundle %s: trace op for process %d of %d", dir, p, 2*man.N)
-		}
-		opsByProc[p] = append(opsByProc[p], op)
-		return nil
-	}
+	var ops procOps
 	if _, err := store.ReplayBundle(dir, func(rec wire.SegmentRecord, _ uint64, m wire.Msg) error {
-		if rec.Epoch != man.Epoch {
-			return nil
-		}
-		switch v := m.(type) {
-		case wire.Trace:
-			for _, op := range v.Ops {
-				if err := addOp(op); err != nil {
-					return err
-				}
-			}
-		case wire.TraceOpBatch:
-			for _, op := range v.Ops {
-				if err := addOp(op); err != nil {
-					return err
-				}
-			}
+		if rec.Epoch == man.Epoch {
+			stageFrame(man.N, m, &ops, nil)
 		}
 		return nil
 	}); err != nil {
 		return nil, nil, err
 	}
+	opsByProc := make([][]wire.TraceOp, 2*man.N)
+	ops.appendTo(opsByProc)
 	d, err := assemble(man.N, opsByProc)
 	if err != nil {
 		return nil, nil, err

@@ -5,6 +5,8 @@ import (
 	"sync"
 
 	"predctl/internal/deposet"
+	"predctl/internal/livedetect"
+	"predctl/internal/obs"
 	"predctl/internal/vclock"
 	"predctl/internal/wire"
 )
@@ -18,9 +20,10 @@ import (
 //
 // Each node appends deposet-building ops for its two logical processes
 // in their local event order and streams them to the coordinator in
-// wire.Trace batches; the coordinator replays all ops through a
-// deposet.Builder (assemble, below), matching sends to receives by the
-// globally unique TraceID minted at each send.
+// wire.Trace batches; the coordinator stages them by logical process
+// (procOps, below) and replays them through the one assembler
+// (livedetect.Assembler), matching sends to receives by the globally
+// unique TraceID minted at each send.
 
 // capture accumulates a node's trace ops between flushes. App and
 // controller goroutines append concurrently; per-process op order is
@@ -134,66 +137,92 @@ func (c *clock) observe(id int, other []int32) vclock.VC {
 	return s
 }
 
-// assemble replays captured trace ops through a deposet.Builder. Ops
-// arrive bucketed by logical process in per-process order; sends and
-// receives are matched by TraceID. Processing is a topological sweep:
-// a receive waits until the matching send has been replayed, which
-// must eventually happen in any causally consistent capture — if the
-// sweep wedges, the capture is corrupt and the error says where.
-// Sends with no matching receive become in-flight messages, exactly
-// like a sim trace cut at teardown.
+// procOps stages trace ops by logical process, in arrival order: the
+// per-process streams the assembler's cursors walk. It is also the one
+// place an op naming a process outside the run is dealt with — dropped
+// and counted — whether it came off a live stream, out of the trace
+// store or out of a sealed bundle.
+type procOps struct {
+	byProc  [][]wire.TraceOp // nil until the first op, then 2n streams
+	staged  int              // ops kept
+	dropped int              // ops naming a process outside [0, 2n)
+}
+
+// add stages one decoded frame's ops for an n-node run. Frames arrive
+// as runs of one process (the batch encoding groups them), so each run
+// is one append.
+func (s *procOps) add(n int, ops []wire.TraceOp) {
+	if s.byProc == nil && len(ops) > 0 {
+		s.byProc = make([][]wire.TraceOp, 2*n)
+	}
+	for len(ops) > 0 {
+		p, run := ops[0].Proc, 1
+		for run < len(ops) && ops[run].Proc == p {
+			run++
+		}
+		if p < 0 || int(p) >= len(s.byProc) {
+			s.dropped += run
+		} else {
+			s.byProc[p] = append(s.byProc[p], ops[:run]...)
+			s.staged += run
+		}
+		ops = ops[run:]
+	}
+}
+
+// stageFrame folds one capture frame into staging: trace ops into ops,
+// journal events onto events. Either may be nil when the caller has no
+// use for that half; a frame of another kind is ignored.
+func stageFrame(n int, m wire.Msg, ops *procOps, events *[]obs.Event) {
+	switch v := m.(type) {
+	case wire.Trace:
+		if ops != nil {
+			ops.add(n, v.Ops)
+		}
+	case wire.TraceOpBatch:
+		if ops != nil {
+			ops.add(n, v.Ops)
+		}
+	case wire.JournalEvent:
+		if events != nil {
+			*events = append(*events, toObsEvent(v))
+		}
+	case wire.JournalBatch:
+		for i := 0; events != nil && i < len(v.Events); i++ {
+			*events = append(*events, toObsEvent(v.Events[i]))
+		}
+	}
+}
+
+func toObsEvent(e wire.JournalEvent) obs.Event {
+	return obs.Event{
+		At: e.At, Proc: int(e.Proc), Kind: obs.Kind(e.Kind), Name: e.Name,
+		A: e.A, B: e.B, C: e.C, VC: e.VC,
+	}
+}
+
+// appendTo merges the staged streams into byProc (one slot per logical
+// process). A process staged by one source only — every process of a
+// well-formed run — is handed over without a copy: staging is
+// append-only, so elements below a stream's length never change, and
+// the clipped capacity keeps a later append out of the stager's room.
+func (s *procOps) appendTo(byProc [][]wire.TraceOp) {
+	for p, ops := range s.byProc {
+		if byProc[p] == nil {
+			byProc[p] = ops[:len(ops):len(ops)]
+		} else {
+			byProc[p] = append(byProc[p], ops...)
+		}
+	}
+}
+
+// assemble replays a complete capture into its deposet: the strict mode
+// of livedetect.Assembler, where a receive whose send never arrives
+// means the capture is corrupt and the error says where.
 func assemble(n int, opsByProc [][]wire.TraceOp) (*deposet.Deposet, error) {
-	if len(opsByProc) != 2*n {
-		return nil, fmt.Errorf("node: assemble: %d op streams for %d processes", len(opsByProc), 2*n)
+	a := livedetect.NewAssembler(n)
+	if err := a.Feed(opsByProc, true); err != nil {
+		return nil, fmt.Errorf("node: assemble: %w", err)
 	}
-	b := deposet.NewBuilder(2 * n)
-	handles := make(map[uint64]deposet.MsgHandle)
-	cursor := make([]int, 2*n)
-	for {
-		progress := false
-		for p := 0; p < 2*n; p++ {
-		ops:
-			for cursor[p] < len(opsByProc[p]) {
-				op := opsByProc[p][cursor[p]]
-				switch op.Op {
-				case wire.TraceInit:
-					b.Let(p, op.Name, int(op.Value))
-				case wire.TraceStep:
-					b.Step(p)
-				case wire.TraceLet:
-					b.Let(p, op.Name, int(op.Value))
-				case wire.TraceSet:
-					b.Step(p)
-					b.Let(p, op.Name, int(op.Value))
-				case wire.TraceSend:
-					_, h := b.Send(p)
-					if _, dup := handles[op.MsgID]; dup {
-						return nil, fmt.Errorf("node: assemble: duplicate trace id %#x", op.MsgID)
-					}
-					handles[op.MsgID] = h
-				case wire.TraceRecv:
-					h, ok := handles[op.MsgID]
-					if !ok {
-						break ops // matching send not replayed yet
-					}
-					b.Recv(p, h)
-				default:
-					return nil, fmt.Errorf("node: assemble: unknown trace op %d", op.Op)
-				}
-				cursor[p]++
-				progress = true
-			}
-		}
-		if !progress {
-			break
-		}
-	}
-	for p := 0; p < 2*n; p++ {
-		if cursor[p] < len(opsByProc[p]) {
-			op := opsByProc[p][cursor[p]]
-			return nil, fmt.Errorf("node: assemble: process %d wedged at op %d (recv of unknown message %#x)",
-				p, cursor[p], op.MsgID)
-		}
-	}
-	return b.Build()
+	return a.Build()
 }

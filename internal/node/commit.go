@@ -1,0 +1,171 @@
+package node
+
+import (
+	"cmp"
+	"fmt"
+	"slices"
+	"time"
+
+	"predctl/internal/obs"
+	"predctl/internal/wire"
+)
+
+// commit.go: the commit path, from the last bye to Wait returning the
+// observed computation. DESIGN.md "Commit path" has the stage budget.
+
+// staged is a snapshot of the sessions' staged capture at one epoch.
+type staged struct {
+	// byProc holds the trace ops by logical process. The streams alias
+	// session staging below their length and must not be written.
+	byProc  [][]wire.TraceOp
+	journal [][]obs.Event // one stream per session, in session order
+	cands   int
+}
+
+// collect snapshots what every session has staged for epoch e; wantOps
+// and wantJournal say which halves the caller needs. Sessions still at
+// an older epoch contribute nothing: their capture predates the
+// EpochMark that will void it. With a trace store the volume is on
+// disk, and each session's records stream back through the decode path
+// ingest uses, in append order — the order the session would have
+// staged them in, so the result equals RAM staging; the store's
+// per-origin index already reflects every epoch discard.
+func (c *Coordinator) collect(e uint32, wantOps, wantJournal bool) (staged, error) {
+	var out staged
+	if wantOps {
+		out.byProc = make([][]wire.TraceOp, 2*c.n)
+	}
+	dropped := 0
+	for _, st := range c.sessionsSorted() {
+		st.mu.Lock()
+		current := st.epoch == e
+		events := st.events[:len(st.events):len(st.events)]
+		if current && wantOps {
+			st.ops.appendTo(out.byProc)
+		}
+		cands, lost := st.cands, st.ops.dropped
+		st.mu.Unlock()
+		if !current {
+			continue
+		}
+		out.cands += cands
+		if c.store != nil {
+			var spilled procOps
+			ops, journal := &spilled, &events
+			if !wantOps {
+				ops = nil
+			}
+			if !wantJournal {
+				journal = nil
+			}
+			err := c.store.Replay(int32(st.id), func(_ uint64, m wire.Msg) error {
+				stageFrame(c.n, m, ops, journal)
+				return nil
+			})
+			if err != nil {
+				return staged{}, fmt.Errorf("node: coordinator: store replay for node %d: %w", st.id, err)
+			}
+			spilled.appendTo(out.byProc)
+			lost += spilled.dropped
+		}
+		dropped += lost
+		if wantJournal {
+			out.journal = append(out.journal, events)
+		}
+	}
+	if dropped > 0 {
+		c.logf("coordinator: %d trace ops for processes outside the run dropped", dropped)
+	}
+	return out, nil
+}
+
+// mergeJournal appends the events of streams to j in time order,
+// stably — ties keep stream order, then each stream's own: what a
+// stable sort of the concatenation gives. It sorts 16-byte references,
+// not the events, and needs no stream to be in time order itself (a
+// node stamps an event before it takes its journal lock). The invariant
+// checkers order by generation themselves; this is for human timelines.
+func mergeJournal(j *obs.Journal, streams [][]obs.Event) {
+	type ref struct {
+		at          int64
+		stream, idx int32
+	}
+	total := 0
+	for _, s := range streams {
+		total += len(s)
+	}
+	order := make([]ref, 0, total)
+	for s, events := range streams {
+		for i := range events {
+			order = append(order, ref{events[i].At, int32(s), int32(i)})
+		}
+	}
+	slices.SortStableFunc(order, func(a, b ref) int { return cmp.Compare(a.at, b.at) })
+	for _, r := range order {
+		j.Append(streams[r.stream][r.idx])
+	}
+}
+
+// Wait blocks until every node's capture stream completed (or timeout),
+// then assembles the run from the sessions' staging — final epoch only —
+// and merges their journals.
+func (c *Coordinator) Wait(timeout time.Duration) (*Result, error) {
+	select {
+	case <-c.allByes:
+	case <-time.After(timeout):
+		c.Close()
+		c.mu.Lock()
+		done, byes, epoch := c.doneCount, c.byeCount, c.epoch
+		c.mu.Unlock()
+		return nil, fmt.Errorf("node: coordinator timed out after %v (epoch %d, %d/%d done, %d/%d byes)",
+			timeout, epoch, done, c.n, byes, c.n)
+	}
+	// Deliberately no Close on success: a parked node whose Commit died
+	// with a broken stream redials and fetches it from the resume
+	// replay, which needs the listener alive. The owner's Close (or the
+	// harness's deferred one) tears everything down.
+
+	c.mu.Lock()
+	stats := append([]Stats(nil), c.stats...)
+	epoch, restarts := c.epoch, c.restarts
+	reexecs := c.reexecs
+	dets := append([]DetectionRecord(nil), c.detections...)
+	annots := append([]obs.Event(nil), c.annots...)
+	d := c.sealed
+	c.mu.Unlock()
+
+	// Every bye was counted at the cluster epoch, so every session is at
+	// it and the epoch filter selects the whole final capture.
+	got, err := c.collect(epoch, d == nil, true)
+	if err != nil {
+		return nil, err
+	}
+	// The journal merge and the assembly share no data: the merge runs
+	// beside the assembly and is joined before Wait returns either way.
+	merged := make(chan struct{})
+	go func() {
+		defer close(merged)
+		mergeJournal(c.journal, append(got.journal, annots))
+	}()
+	if d == nil {
+		c.assemblies.Inc()
+		d, err = assemble(c.n, got.byProc)
+	}
+	<-merged
+	if err != nil {
+		return nil, err
+	}
+	return &Result{
+		Deposet:    d,
+		Stats:      stats,
+		Candidates: got.cands,
+		Epoch:      epoch,
+		Restarts:   restarts,
+		Detections: dets,
+		LiveFired:  c.ld != nil && c.ld.Fired(),
+		ReExecs:    reexecs,
+		RootConns:  c.rootConns.Load(),
+		RootFrames: c.rootFrames.Load(),
+		RootBytes:  c.rootBytes.Load(),
+	}, nil
+}

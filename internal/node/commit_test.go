@@ -1,0 +1,305 @@
+package node
+
+import (
+	"bytes"
+	"math/rand"
+	"reflect"
+	"sort"
+	"testing"
+	"time"
+
+	"predctl/internal/obs"
+	"predctl/internal/store"
+	"predctl/internal/wire"
+)
+
+// commit_test.go pins the commit path: whichever route a capture takes
+// to its deposet — Wait's own strict assembly from RAM staging or from
+// the trace store, the live closing pass's handed-over deposet, or
+// AssembleBundle reading the sealed bundle back — the trace is the same
+// bytes, and a committed run assembles its capture exactly once.
+
+func commitAssemblies(reg *obs.Registry) int64 {
+	return reg.Counter("predctl_coord_commit_assemblies_total").Value()
+}
+
+func TestCommitPathEquivalence(t *testing.T) {
+	const n = 3
+	withReg := func(reg *obs.Registry) func(*CoordConfig) {
+		return func(c *CoordConfig) { c.Reg = reg }
+	}
+	// The scripted apps enter their critical sections concurrently, so
+	// with the checker lit the closing pass also confirms a detection
+	// and computes a strategy on the deposet it hands over.
+	lit := func(c *CoordConfig) {
+		c.Live = LiveConfig{Predicate: CSMutexPredicate(n), OnDetect: OnDetectNote}
+	}
+	bundle := func(dir string) []byte {
+		d, man, err := AssembleBundle(dir)
+		if err != nil {
+			t.Fatalf("AssembleBundle: %v", err)
+		}
+		if man.N != n {
+			t.Fatalf("bundle manifest n=%d, want %d", man.N, n)
+		}
+		return encodeTrace(t, &Result{Deposet: d})
+	}
+
+	flatReg := obs.NewRegistry()
+	flat, jFlat := runScripted(t, n, false, false, "", withReg(flatReg))
+	want := encodeTrace(t, flat)
+
+	treeDir, treeReg := t.TempDir(), obs.NewRegistry()
+	tree, _ := runScripted(t, n, true, false, treeDir, withReg(treeReg))
+
+	liveReg := obs.NewRegistry()
+	live, jLive := runScripted(t, n, false, false, "", withReg(liveReg), lit)
+
+	liveDir, liveTreeReg := t.TempDir(), obs.NewRegistry()
+	liveTree, _ := runScripted(t, n, true, false, liveDir, withReg(liveTreeReg), lit)
+
+	for name, got := range map[string][]byte{
+		"tree+store Wait":        encodeTrace(t, tree),
+		"tree+store bundle":      bundle(treeDir),
+		"live handover":          encodeTrace(t, live),
+		"live tree+store Wait":   encodeTrace(t, liveTree),
+		"live tree+store bundle": bundle(liveDir),
+	} {
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s: trace differs from the flat run's", name)
+		}
+	}
+	for name, reg := range map[string]*obs.Registry{
+		"flat": flatReg, "tree+store": treeReg, "live": liveReg, "live tree+store": liveTreeReg,
+	} {
+		if got := commitAssemblies(reg); got != 1 {
+			t.Errorf("%s: %d whole-capture assemblies on the commit path, want 1", name, got)
+		}
+	}
+	if !live.LiveFired || len(live.Detections) != 1 || !live.Detections[0].Final {
+		t.Errorf("lit scripted run: fired=%v detections=%+v, want one closing-pass detection",
+			live.LiveFired, live.Detections)
+	}
+	// The merged journal is the flat run's plus the detection's annotation.
+	var events []obs.Event
+	for _, e := range jLive.Events() {
+		if e.Name != obs.EvDetect {
+			e.Seq = uint64(len(events))
+			events = append(events, e)
+		}
+	}
+	if !reflect.DeepEqual(events, jFlat.Events()) {
+		t.Error("lit run's journal differs from the flat run's beyond the detection annotation")
+	}
+}
+
+// TestLiveRunAssemblesOnce is the same claim on real clusters: with the
+// checker lit on a violation-free run, the closing pass's assembly is
+// the only one — Wait returns its deposet — and that deposet is what
+// the sealed bundle reassembles to.
+func TestLiveRunAssemblesOnce(t *testing.T) {
+	const n, rounds = 4, 3
+	for _, relays := range []int{0, 2} {
+		dir := t.TempDir()
+		res, _, reg := runTestCluster(t, ClusterConfig{
+			N: n, Rounds: rounds, Think: 2 * time.Millisecond, CS: time.Millisecond,
+			Seed: 1998, Timeouts: testTimeouts(), Relays: relays, StoreDir: dir,
+			Live: LiveConfig{Predicate: CSMutexPredicate(n), OnDetect: OnDetectNote},
+		})
+		checkFullCapture(t, res, n, rounds)
+		if res.LiveFired {
+			t.Fatalf("relays=%d: live checker fired on a controlled run", relays)
+		}
+		if got := commitAssemblies(reg); got != 1 {
+			t.Errorf("relays=%d: %d whole-capture assemblies on the commit path, want 1", relays, got)
+		}
+		disk, _, err := AssembleBundle(dir)
+		if err != nil {
+			t.Fatalf("relays=%d: AssembleBundle: %v", relays, err)
+		}
+		if !bytes.Equal(encodeTrace(t, res), encodeTrace(t, &Result{Deposet: disk})) {
+			t.Errorf("relays=%d: handed-over trace differs from the bundle's", relays)
+		}
+	}
+}
+
+// TestAssembleErrors pins the strict mode's messages as callers of the
+// node package see them.
+func TestAssembleErrors(t *testing.T) {
+	for _, tc := range []struct {
+		ops  [][]wire.TraceOp
+		want string
+	}{
+		{[][]wire.TraceOp{{{Op: wire.TraceRecv, MsgID: 99}}, {}},
+			"node: assemble: process 0 wedged at op 0 (recv of unknown message 0x63)"},
+		{[][]wire.TraceOp{{{Op: wire.TraceSend, MsgID: 5}, {Op: wire.TraceSend, MsgID: 5}}, {}},
+			"node: assemble: duplicate trace id 0x5"},
+		{[][]wire.TraceOp{{{Op: 99}}, {}},
+			"node: assemble: unknown trace op 99"},
+		{[][]wire.TraceOp{{}},
+			"node: assemble: 1 op streams for 2 processes"},
+	} {
+		if _, err := assemble(1, tc.ops); err == nil || err.Error() != tc.want {
+			t.Errorf("error %v, want %q", err, tc.want)
+		}
+	}
+}
+
+// TestOutOfRangeProcDropped pins the one behaviour an op naming a
+// process outside the run gets — dropped and counted at staging — on
+// the live ingest path and on the bundle path alike.
+func TestOutOfRangeProcDropped(t *testing.T) {
+	frame := wire.TraceOpBatch{Ops: []wire.TraceOp{
+		{Op: wire.TraceStep, Proc: 0},
+		{Op: wire.TraceStep, Proc: 2}, // n=1: processes 0 and 1 only
+		{Op: wire.TraceStep, Proc: -1},
+		{Op: wire.TraceStep, Proc: 1},
+		{Op: wire.TraceStep, Proc: 1},
+	}}
+	var ops procOps
+	stageFrame(1, frame, &ops, nil)
+	if ops.staged != 3 || ops.dropped != 2 || len(ops.byProc[0]) != 1 || len(ops.byProc[1]) != 2 {
+		t.Fatalf("staged %d dropped %d streams %d/%d, want 3, 2, 1/2",
+			ops.staged, ops.dropped, len(ops.byProc[0]), len(ops.byProc[1]))
+	}
+
+	dir := t.TempDir()
+	st, err := store.Open(store.Config{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Append(0, 0, wire.Marshal(1, frame)[4:]); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Seal(1, 0); err != nil {
+		t.Fatal(err)
+	}
+	st.Close()
+	d, _, err := AssembleBundle(dir)
+	if err != nil {
+		t.Fatalf("AssembleBundle: %v", err)
+	}
+	if d.Len(0) != 2 || d.Len(1) != 3 {
+		t.Fatalf("bundle assembled %d/%d states, want 2/3", d.Len(0), d.Len(1))
+	}
+}
+
+// synthCapture is an n-node capture of about ops trace ops in the shape
+// the mutex workload produces: every round each app asks its controller
+// (request, grant), toggles cs and releases — eight states a round, as
+// in a real capture — and every handoffEvery rounds a controller passes
+// a token to its ring neighbour, so the sweep crosses node streams too.
+func synthCapture(n, ops int) [][]wire.TraceOp {
+	const perNodeRound, handoffEvery = 8, 16
+	streams := make([][]wire.TraceOp, 2*n)
+	minted := make([]uint64, 2*n)
+	send := func(p int) uint64 {
+		minted[p]++
+		id := uint64(p)<<40 | minted[p]
+		streams[p] = append(streams[p], wire.TraceOp{Op: wire.TraceSend, Proc: int32(p), MsgID: id})
+		return id
+	}
+	recv := func(p int, id uint64) {
+		streams[p] = append(streams[p], wire.TraceOp{Op: wire.TraceRecv, Proc: int32(p), MsgID: id})
+	}
+	for i := 0; i < n; i++ {
+		streams[i] = append(streams[i], wire.TraceOp{Op: wire.TraceInit, Proc: int32(i), Name: "cs"})
+	}
+	for round := 0; round*perNodeRound*n < ops; round++ {
+		for i := 0; i < n; i++ {
+			app, ctl := i, n+i
+			recv(ctl, send(app))
+			recv(app, send(ctl))
+			streams[app] = append(streams[app],
+				wire.TraceOp{Op: wire.TraceSet, Proc: int32(app), Name: "cs", Value: 1},
+				wire.TraceOp{Op: wire.TraceSet, Proc: int32(app), Name: "cs", Value: 0})
+			recv(ctl, send(app))
+			if round%handoffEvery == 0 {
+				recv(n+(i+1)%n, send(ctl))
+			}
+		}
+	}
+	return streams
+}
+
+// BenchmarkAssemble times the strict assembly of a 256k-op, n=8
+// capture: the single-threaded tail of Wait and of AssembleBundle.
+func BenchmarkAssemble(b *testing.B) {
+	const n = 8
+	streams := synthCapture(n, 256_000)
+	ops := 0
+	for _, s := range streams {
+		ops += len(s)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		d, err := assemble(n, streams)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if i == 0 && d.NumStates() < ops*3/4 {
+			b.Fatalf("%d states from %d ops", d.NumStates(), ops)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(ops), "ns/traceop")
+}
+
+// TestAssembleAllocBound keeps the assembly allocation-light: objects
+// allocated grow with the number of processes, with slices doubling and
+// with the send map's tables (one per ~thousand sends), never with the
+// number of ops — a map per state, a map entry per send grown one at a
+// time or a snapshot per update would each blow the bound by two orders
+// of magnitude.
+func TestAssembleAllocBound(t *testing.T) {
+	const n = 4
+	allocs := func(ops int) float64 {
+		streams := synthCapture(n, ops)
+		return testing.AllocsPerRun(3, func() {
+			if _, err := assemble(n, streams); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	small, large := allocs(2_000), allocs(20_000)
+	t.Logf("assemble allocates %.0f objects at 2k ops, %.0f at 20k", small, large)
+	if limit := float64(40*2*n + 64); large > limit {
+		t.Errorf("assembling 20k ops allocates %.0f objects, want at most %.0f", large, limit)
+	}
+	if large > small+64 {
+		t.Errorf("allocations grew from %.0f to %.0f objects with 10x the ops", small, large)
+	}
+}
+
+// TestMergeJournalIsStableSort checks the reference merge against the
+// definition: a stable sort by time of the streams' concatenation, on
+// streams with ties across and within them and with events out of
+// time order inside a stream.
+func TestMergeJournalIsStableSort(t *testing.T) {
+	r := rand.New(rand.NewSource(12))
+	for round := 0; round < 50; round++ {
+		streams := make([][]obs.Event, 1+r.Intn(6))
+		var want []obs.Event
+		for s := range streams {
+			at := int64(0)
+			for i := r.Intn(40); i > 0; i-- {
+				at += int64(r.Intn(3)) - int64(r.Intn(8)/7) // mostly rising, ties, a few steps back
+				streams[s] = append(streams[s], obs.Event{At: at, Proc: s, A: int64(len(streams[s]))})
+			}
+			want = append(want, streams[s]...)
+		}
+		sort.SliceStable(want, func(i, j int) bool { return want[i].At < want[j].At })
+		j := obs.NewJournal(512)
+		mergeJournal(j, streams)
+		got := j.Events()
+		for i := range got {
+			got[i].Seq = 0
+		}
+		if len(want) == 0 {
+			want = got
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("round %d: merged journal is not the stable sort of its streams", round)
+		}
+	}
+}

@@ -910,7 +910,7 @@ type nodeSession struct {
 	owner    *coordConn // the connection currently allowed to ingest
 	lastSeq  uint64     // highest contiguous sequence ingested
 	epoch    uint32     // the stream's current epoch (last EpochMark seen)
-	ops      []wire.TraceOp
+	ops      procOps    // staged by logical process at ingest
 	events   []obs.Event
 	cands    int
 
@@ -929,14 +929,14 @@ type nodeSession struct {
 func (s *nodeSession) resetLocked(lastSeq uint64) {
 	s.lastSeq = lastSeq
 	s.epoch = 0
-	s.ops, s.events, s.cands = nil, nil, 0
+	s.ops, s.events, s.cands = procOps{}, nil, 0
 }
 
 // discardEpochLocked drops the staged capture when the stream enters a
 // new epoch. Caller holds s.mu.
 func (s *nodeSession) discardEpochLocked(e uint32) {
 	s.epoch = e
-	s.ops, s.events, s.cands = nil, nil, 0
+	s.ops, s.events, s.cands = procOps{}, nil, 0
 }
 
 // coordConn wraps one node connection with write serialization:
@@ -998,6 +998,10 @@ type Coordinator struct {
 	violation predicate.Expr // ¬B, precomputed from Live.Predicate
 	detMeter  *obs.Counter
 
+	// assemblies counts whole-capture assemblies on the commit path (the
+	// closing live pass, Wait): one per committed run.
+	assemblies *obs.Counter
+
 	// store, when non-nil, takes capture volume (trace ops, journal
 	// events) off the heap: the raw frame bodies spill to the segmented
 	// on-disk trace store and are streamed back at assembly time.
@@ -1028,6 +1032,12 @@ type Coordinator struct {
 	byeCount   int
 	conns      map[int]*coordConn
 	annots     []obs.Event // cluster-level annotations (chaos, epoch bumps)
+	// sealed is the final-epoch deposet when the closing live pass
+	// already assembled it; Wait returns it instead of assembling again.
+	// Written at most once, in commitRun (shutdownMu held, committed
+	// set: no restart can void it) before allByes closes; read by Wait
+	// after. A Deposet is immutable, so the handover shares it.
+	sealed *deposet.Deposet
 
 	// shutdownMu serializes the run's terminal decisions — Shutdown
 	// broadcast, Commit broadcast, restart-on-rejoin, and the state
@@ -1073,6 +1083,7 @@ func NewCoordinator(cfg CoordConfig) (*Coordinator, error) {
 		ln:         ln,
 		journal:    cfg.Journal,
 		cands:      cfg.Reg.Counter("predctl_monitor_candidates_total", cfg.MetricLabels...),
+		assemblies: cfg.Reg.Counter("predctl_coord_commit_assemblies_total", cfg.MetricLabels...),
 		opt:        cfg.Timeouts.withDefaults(),
 		logf:       logf,
 		start:      start,
@@ -1141,119 +1152,6 @@ func (c *Coordinator) healthy() error {
 
 // Addr returns the coordinator's listen address.
 func (c *Coordinator) Addr() string { return c.ln.Addr().String() }
-
-// Wait blocks until every node's capture stream completed (or timeout),
-// then merges the per-session staging buffers — final epoch only — by
-// logical process and assembles the run.
-func (c *Coordinator) Wait(timeout time.Duration) (*Result, error) {
-	select {
-	case <-c.allByes:
-	case <-time.After(timeout):
-		c.Close()
-		c.mu.Lock()
-		done, byes, epoch := c.doneCount, c.byeCount, c.epoch
-		c.mu.Unlock()
-		return nil, fmt.Errorf("node: coordinator timed out after %v (epoch %d, %d/%d done, %d/%d byes)",
-			timeout, epoch, done, c.n, byes, c.n)
-	}
-	// Deliberately no Close on success: a parked node whose Commit died
-	// with a broken stream redials and fetches it from the resume
-	// replay, which needs the listener alive. The owner's Close (or the
-	// harness's deferred one) tears everything down.
-
-	c.mu.Lock()
-	sessions := make([]*nodeSession, 0, len(c.sessions))
-	for _, st := range c.sessions {
-		sessions = append(sessions, st)
-	}
-	stats := append([]Stats(nil), c.stats...)
-	epoch, restarts := c.epoch, c.restarts
-	reexecs := c.reexecs
-	dets := append([]DetectionRecord(nil), c.detections...)
-	annots := append([]obs.Event(nil), c.annots...)
-	c.mu.Unlock()
-	sort.Slice(sessions, func(i, j int) bool { return sessions[i].id < sessions[j].id })
-
-	byProc := make([][]wire.TraceOp, 2*c.n)
-	var events []obs.Event
-	candidates := 0
-	addOp := func(id int, op wire.TraceOp) {
-		p := int(op.Proc)
-		if p < 0 || p >= 2*c.n {
-			c.logf("coordinator: node %d: trace op for process %d dropped", id, p)
-			return
-		}
-		byProc[p] = append(byProc[p], op)
-	}
-	for _, st := range sessions {
-		st.mu.Lock()
-		for _, op := range st.ops {
-			addOp(st.id, op)
-		}
-		events = append(events, st.events...)
-		candidates += st.cands
-		st.mu.Unlock()
-		if c.store != nil {
-			// Spilled capture streams back from disk in append order —
-			// the stream order the session staged it in — so the merged
-			// result is identical to the in-RAM path.
-			err := c.store.Replay(int32(st.id), func(_ uint64, m wire.Msg) error {
-				switch v := m.(type) {
-				case wire.Trace:
-					for _, op := range v.Ops {
-						addOp(st.id, op)
-					}
-				case wire.TraceOpBatch:
-					for _, op := range v.Ops {
-						addOp(st.id, op)
-					}
-				case wire.JournalEvent:
-					events = append(events, obs.Event{
-						At: v.At, Proc: int(v.Proc), Kind: obs.Kind(v.Kind), Name: v.Name,
-						A: v.A, B: v.B, C: v.C, VC: v.VC,
-					})
-				case wire.JournalBatch:
-					for _, e := range v.Events {
-						events = append(events, obs.Event{
-							At: e.At, Proc: int(e.Proc), Kind: obs.Kind(e.Kind), Name: e.Name,
-							A: e.A, B: e.B, C: e.C, VC: e.VC,
-						})
-					}
-				}
-				return nil
-			})
-			if err != nil {
-				return nil, fmt.Errorf("node: coordinator: store replay for node %d: %w", st.id, err)
-			}
-		}
-	}
-	events = append(events, annots...)
-	// The merged journal is time-ordered across nodes (stably, so each
-	// node's own order survives ties); the invariant checkers order by
-	// generation themselves, this is for human timelines.
-	sort.SliceStable(events, func(i, j int) bool { return events[i].At < events[j].At })
-	for _, e := range events {
-		c.journal.Append(e)
-	}
-
-	d, err := assemble(c.n, byProc)
-	if err != nil {
-		return nil, err
-	}
-	return &Result{
-		Deposet:    d,
-		Stats:      stats,
-		Candidates: candidates,
-		Epoch:      epoch,
-		Restarts:   restarts,
-		Detections: dets,
-		LiveFired:  c.ld != nil && c.ld.Fired(),
-		ReExecs:    reexecs,
-		RootConns:  c.rootConns.Load(),
-		RootFrames: c.rootFrames.Load(),
-		RootBytes:  c.rootBytes.Load(),
-	}, nil
-}
 
 // Close shuts the coordinator's listener and connections down.
 func (c *Coordinator) Close() {
@@ -1679,41 +1577,12 @@ func (c *Coordinator) spillCapture(st *nodeSession, m wire.Msg, raw []byte) bool
 // execution.
 func (c *Coordinator) ingestStored(st *nodeSession, m wire.Msg, raw []byte) (ingestAction, uint32) {
 	switch v := m.(type) {
-	case wire.Trace:
+	case wire.Trace, wire.TraceOpBatch, wire.JournalEvent, wire.JournalBatch:
 		if c.spillCapture(st, m, raw) {
 			break
 		}
 		st.mu.Lock()
-		st.ops = append(st.ops, v.Ops...)
-		st.mu.Unlock()
-	case wire.TraceOpBatch:
-		if c.spillCapture(st, m, raw) {
-			break
-		}
-		st.mu.Lock()
-		st.ops = append(st.ops, v.Ops...)
-		st.mu.Unlock()
-	case wire.JournalEvent:
-		if c.spillCapture(st, m, raw) {
-			break
-		}
-		st.mu.Lock()
-		st.events = append(st.events, obs.Event{
-			At: v.At, Proc: int(v.Proc), Kind: obs.Kind(v.Kind), Name: v.Name,
-			A: v.A, B: v.B, C: v.C, VC: v.VC,
-		})
-		st.mu.Unlock()
-	case wire.JournalBatch:
-		if c.spillCapture(st, m, raw) {
-			break
-		}
-		st.mu.Lock()
-		for _, e := range v.Events {
-			st.events = append(st.events, obs.Event{
-				At: e.At, Proc: int(e.Proc), Kind: obs.Kind(e.Kind), Name: e.Name,
-				A: e.A, B: e.B, C: e.C, VC: e.VC,
-			})
-		}
+		stageFrame(c.n, m, &st.ops, &st.events)
 		st.mu.Unlock()
 	case wire.MetricsSnapshot:
 		st.mu.Lock()
@@ -1936,7 +1805,9 @@ func (c *Coordinator) Status() CoordStatus {
 			Metrics: obs.SumByName(toObsPoints(st.lastSnap)),
 		}
 		if !st.lastSnapAt.IsZero() {
-			row.LagMs = float64(now.Sub(st.lastSnapAt).Microseconds()) / 1e3
+			// Read under the lock, not against now: a snapshot ingested
+			// since Status began would read negative — "none yet".
+			row.LagMs = float64(time.Since(st.lastSnapAt).Microseconds()) / 1e3
 		}
 		st.mu.Unlock()
 		if st.id >= 0 && st.id < len(doneSeen) {
@@ -1947,7 +1818,7 @@ func (c *Coordinator) Status() CoordStatus {
 		}
 		s.Nodes = append(s.Nodes, row)
 	}
-	s.Relays = c.relayStatusRows(now)
+	s.Relays = c.relayStatusRows()
 	if c.store != nil {
 		s.StoreSegments, s.StoreBytes = c.store.Stats()
 	}
@@ -1996,51 +1867,6 @@ func (c *Coordinator) ingestCandidate(st *nodeSession, v wire.Candidate) bool {
 	})
 }
 
-// stagedOps snapshots every session's staged capture for epoch e,
-// grouped by logical process — the input to the live prefix
-// confirmation. Sessions still at an older epoch contribute nothing:
-// their ops predate the EpochMark that will void them. With a trace
-// store configured the volume lives on disk, so the snapshot streams
-// each live session's records back through the same decode path —
-// the store's per-origin index already reflects every epoch discard.
-func (c *Coordinator) stagedOps(e uint32) [][]wire.TraceOp {
-	byProc := make([][]wire.TraceOp, 2*c.n)
-	addOp := func(op wire.TraceOp) {
-		if p := int(op.Proc); p >= 0 && p < 2*c.n {
-			byProc[p] = append(byProc[p], op)
-		}
-	}
-	for _, st := range c.sessionsSorted() {
-		st.mu.Lock()
-		live := st.epoch == e
-		if live {
-			for _, op := range st.ops {
-				addOp(op)
-			}
-		}
-		st.mu.Unlock()
-		if live && c.store != nil {
-			err := c.store.Replay(int32(st.id), func(_ uint64, m wire.Msg) error {
-				switch v := m.(type) {
-				case wire.Trace:
-					for _, op := range v.Ops {
-						addOp(op)
-					}
-				case wire.TraceOpBatch:
-					for _, op := range v.Ops {
-						addOp(op)
-					}
-				}
-				return nil
-			})
-			if err != nil {
-				c.logf("coordinator: node %d: store replay: %v", st.id, err)
-			}
-		}
-	}
-	return byProc
-}
-
 // fireDetection runs the confirming stage after the streaming checker
 // triggered: assemble the staged capture's causally closed prefix and
 // decide possibly(¬B) on it for real. Like the other terminal
@@ -2070,10 +1896,30 @@ func (c *Coordinator) fireDetection(witness int) {
 // beyond the current prefix, so the trigger stays pending and later
 // candidates retry on the grown capture. Caller holds shutdownMu.
 func (c *Coordinator) confirmLocked(e uint32, witness int, final bool) {
-	d, _, err := livedetect.AssemblePrefix(c.n, c.stagedOps(e))
+	got, err := c.collect(e, true, false)
 	if err != nil {
 		c.logf("coordinator: live confirm: %v", err)
 		return
+	}
+	d, consumed, err := livedetect.AssemblePrefix(c.n, got.byProc)
+	if err != nil {
+		c.logf("coordinator: live confirm: %v", err)
+		return
+	}
+	if final {
+		// Every bye is in: unless the sweep stopped short (a corrupt
+		// capture, which Wait's strict assembly will report), d is the
+		// run's deposet and Wait need not build it again.
+		c.assemblies.Inc()
+		whole := true
+		for p, ops := range got.byProc {
+			whole = whole && consumed[p] == len(ops)
+		}
+		if whole {
+			c.mu.Lock()
+			c.sealed = d
+			c.mu.Unlock()
+		}
 	}
 	cut, found := detect.PossiblyGeneral(d, c.violation)
 	if !found {
@@ -2109,7 +1955,9 @@ func (c *Coordinator) confirmLocked(e uint32, witness int, final bool) {
 	}
 	c.mu.Unlock()
 	c.detMeter.Inc()
-	c.Annotate(obs.EvDetect, int64(rec.Node), int64(e))
+	// Stamped with the confirmation time, not now: the strategy above
+	// can take far longer than the detection did.
+	c.AnnotateAt(rec.AtNs, obs.EvDetect, int64(rec.Node), int64(e))
 	c.logf("coordinator: live detection: possibly(¬B) confirmed at epoch %d (witness node %d, cut %v)",
 		e, rec.Node, cut)
 	if canReExec {
@@ -2193,7 +2041,7 @@ func IngestBench(n int, journal *obs.Journal, bodies [][]byte) (int, error) {
 	for _, e := range st.events {
 		journal.Append(e)
 	}
-	return len(st.ops), nil
+	return st.ops.staged, nil
 }
 
 // IngestRelayBench replays pre-encoded RelayBatch frame bodies through
@@ -2225,7 +2073,7 @@ func IngestRelayBench(n int, journal *obs.Journal, bodies [][]byte) (int, error)
 	}
 	ops := 0
 	for _, st := range c.sessions {
-		ops += len(st.ops)
+		ops += st.ops.staged
 		for _, e := range st.events {
 			journal.Append(e)
 		}

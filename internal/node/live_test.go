@@ -59,11 +59,16 @@ func TestLiveDetectionPlantedViolation(t *testing.T) {
 			t.Errorf("node %d made %d requests in the final epoch, want %d", i, s.Requests, rounds)
 		}
 	}
-	// The detection survives in the merged journal's annotations.
+	// The detection survives in the merged journal's annotations,
+	// stamped with the moment it was confirmed — not with the end of the
+	// strategy computation that follows the confirmation.
 	found := 0
 	for _, e := range j.Events() {
 		if e.Name == obs.EvDetect {
 			found++
+			if e.At != first.AtNs {
+				t.Errorf("%s annotation at %d ns, detection record at %d ns", obs.EvDetect, e.At, first.AtNs)
+			}
 		}
 	}
 	if found != 1 {

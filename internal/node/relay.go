@@ -63,6 +63,12 @@ type Relay struct {
 	// stream alive and wg.Wait never returns.
 	conns map[net.Conn]struct{}
 
+	// flushMu makes dequeue → uplink enqueue one step. flush is entered
+	// by the flusher goroutine and by any handler staging a Hello; if
+	// two dequeued under pendMu and sent after releasing it, the later
+	// batch could reach the uplink first and the root's inner-sequence
+	// dedup would drop the earlier one's frames. Taken before pendMu.
+	flushMu   sync.Mutex
 	pendMu    sync.Mutex
 	pending   []relayPending
 	pendBytes int
@@ -605,6 +611,8 @@ func (r *Relay) flusher() {
 // tombstones) under the byte cap and sends them through the uplink's
 // session log — renumbered, resumable, metered.
 func (r *Relay) flush() {
+	r.flushMu.Lock()
+	defer r.flushMu.Unlock()
 	r.pendMu.Lock()
 	pend := r.pending
 	r.pending = nil

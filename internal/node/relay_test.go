@@ -12,6 +12,7 @@ import (
 	"net"
 	"path/filepath"
 	"reflect"
+	"sync"
 	"testing"
 	"time"
 
@@ -172,7 +173,7 @@ func scriptedFrames(n, id int) (first, second []wire.Msg) {
 // killRelay is set, the relay is killed and relaunched between the two
 // halves of the script, forcing every client through a session resume
 // and the root through a full-replay dedup.
-func runScripted(t *testing.T, n int, relays, killRelay bool, storeDir string) (*Result, *obs.Journal) {
+func runScripted(t *testing.T, n int, relays, killRelay bool, storeDir string, opts ...func(*CoordConfig)) (*Result, *obs.Journal) {
 	t.Helper()
 	j := obs.NewJournal(0)
 	var st *store.Store
@@ -184,10 +185,14 @@ func runScripted(t *testing.T, n int, relays, killRelay bool, storeDir string) (
 		}
 		defer st.Close()
 	}
-	coord, err := NewCoordinator(CoordConfig{
+	cfg := CoordConfig{
 		N: n, Addr: "127.0.0.1:0", Journal: j, Reg: obs.NewRegistry(),
 		Timeouts: chaosTimeouts(), Logf: t.Logf, Store: st,
-	})
+	}
+	for _, o := range opts {
+		o(&cfg)
+	}
+	coord, err := NewCoordinator(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -336,5 +341,110 @@ func TestStoreEquivalence(t *testing.T) {
 	}
 	if man.N != n || man.Epoch != 0 {
 		t.Fatalf("manifest %+v, want n=%d epoch=0", man, n)
+	}
+}
+
+// TestRelayFlushKeepsOriginOrder pins the relay's forwarding order
+// under concurrent flushes. Several child handlers stage capture frames
+// at once while Hellos — each of which flushes synchronously from the
+// staging goroutine — land between them and the flusher goroutine ticks
+// on its own: whatever the interleaving, the root must see every
+// origin's inner sequences strictly increasing with none missing, or
+// its replay-overlap dedup would drop the overtaken frames (the
+// cold-start "process N wedged" / lost-Done failures).
+func TestRelayFlushKeepsOriginOrder(t *testing.T) {
+	const origins, frames, helloEvery = 6, 1500, 25
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+
+	// A stand-in root: answer the RelayHello, then record the inner
+	// sequence of every relayed frame in arrival order.
+	type arrival struct {
+		origin int32
+		iseq   uint64
+	}
+	arrivals := make(chan arrival, origins*frames)
+	go func() {
+		conn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		br := bufReader(conn)
+		if _, m, err := wire.ReadFrame(br); err != nil {
+			t.Errorf("root: handshake: %v", err)
+			return
+		} else if _, ok := m.(wire.RelayHello); !ok {
+			t.Errorf("root: first frame %T, want RelayHello", m)
+			return
+		}
+		if err := wire.WriteFrame(conn, 0, wire.ResumeAck{}); err != nil {
+			t.Errorf("root: ack: %v", err)
+			return
+		}
+		for {
+			_, m, err := wire.ReadFrame(br)
+			if err != nil {
+				return // the relay closed its uplink
+			}
+			batch, ok := m.(wire.RelayBatch)
+			if !ok {
+				t.Errorf("root: got %T, want RelayBatch", m)
+				return
+			}
+			for _, f := range batch.Frames {
+				_, iseq, err := wire.PeekBody(f.Body)
+				if err != nil {
+					t.Errorf("root: %v", err)
+					return
+				}
+				arrivals <- arrival{f.Origin, iseq}
+			}
+		}
+	}()
+
+	rl, err := StartRelay(RelayConfig{
+		Index: 0, Relays: 1, N: origins, Upstream: ln.Addr().String(),
+		Addr: "127.0.0.1:0", Timeouts: testTimeouts(), Logf: t.Logf,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rl.Close()
+
+	var wg sync.WaitGroup
+	for o := 0; o < origins; o++ {
+		wg.Add(1)
+		go func(o int32) {
+			defer wg.Done()
+			for seq := uint64(1); seq <= frames; seq++ {
+				if seq%helloEvery == 1 {
+					body := wire.Marshal(seq, wire.Hello{From: o, N: origins})[4:]
+					rl.stage(o, wire.KindHello, body)
+					continue
+				}
+				body := wire.Marshal(seq, wire.TraceOpBatch{Ops: []wire.TraceOp{{Op: wire.TraceStep, Proc: o}}})[4:]
+				rl.stage(o, wire.KindTraceOpBatch, body)
+			}
+		}(int32(o))
+	}
+	wg.Wait()
+	rl.flush()
+
+	last := make([]uint64, origins)
+	deadline := time.After(20 * time.Second)
+	for got := 0; got < origins*frames; got++ {
+		select {
+		case a := <-arrivals:
+			if a.iseq != last[a.origin]+1 {
+				t.Fatalf("origin %d: inner sequence %d arrived after %d", a.origin, a.iseq, last[a.origin])
+			}
+			last[a.origin] = a.iseq
+		case <-deadline:
+			t.Fatalf("root received %d of %d frames", got, origins*frames)
+		}
 	}
 }

@@ -265,7 +265,7 @@ type CoordRelayStatus struct {
 }
 
 // relayStatusRows snapshots the relay table in index order.
-func (c *Coordinator) relayStatusRows(now time.Time) []CoordRelayStatus {
+func (c *Coordinator) relayStatusRows() []CoordRelayStatus {
 	c.mu.Lock()
 	relays := make([]*relaySession, 0, len(c.relays))
 	for _, rs := range c.relays {
@@ -282,7 +282,7 @@ func (c *Coordinator) relayStatusRows(now time.Time) []CoordRelayStatus {
 			LagMs: -1,
 		}
 		if !rs.lastAt.IsZero() {
-			row.LagMs = float64(now.Sub(rs.lastAt).Microseconds()) / 1e3
+			row.LagMs = float64(time.Since(rs.lastAt).Microseconds()) / 1e3
 		}
 		rs.mu.Unlock()
 		rows = append(rows, row)
