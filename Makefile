@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race check bench bench-quick bench-compare bench-mem bench-mem-baseline baseline bench-cluster bench-chaos chaos-smoke bench-slice slice-smoke bench-obs bench-live live-smoke bench-relay relay-smoke
+.PHONY: all build vet test race check loc bench bench-quick bench-compare bench-mem bench-mem-baseline baseline bench-cluster bench-chaos chaos-smoke bench-slice slice-smoke bench-obs bench-live live-smoke bench-relay relay-smoke
 
 all: check
 
@@ -21,6 +21,13 @@ race:
 	$(GO) test -race ./...
 
 check: build vet race
+
+# Non-test Go lines per package, bench/ excluded: the count a simplicity
+# PR quotes before and after.
+loc:
+	@for d in $$($(GO) list -f '{{.Dir}}' ./... | grep -v '/bench$$'); do \
+		printf '%6d .%s\n' "$$(ls $$d/*.go | grep -v _test.go | xargs cat | wc -l)" "$${d#$(CURDIR)}"; \
+	done | sort -k2 | awk '{n += $$1; print} END {printf "%6d total\n", n}'
 
 bench:
 	$(GO) test -bench . -benchtime 1x ./...
@@ -50,10 +57,10 @@ baseline:
 	$(GO) run ./cmd/pcbench -baseline BENCH_baseline.json
 
 # Regenerate the committed cluster baseline: real in-process clusters
-# over loopback TCP at 8..128 nodes flat (per-event vs batched capture
-# framing), 256/512 nodes flat vs a 2-level relay tree (plus an
-# on-disk trace-store row with bundle-reassembly verification), and
-# the coordinator ingest micro-benchmark in all three framings (see
+# over loopback TCP at 8..128 nodes flat, 256/512 nodes flat vs a
+# 2-level relay tree (plus an on-disk trace-store row with
+# bundle-reassembly verification), and the coordinator ingest
+# micro-benchmark, direct and relay-enveloped (see
 # internal/expt/cluster.go). Every run must end with the paper
 # invariants green.
 bench-cluster:

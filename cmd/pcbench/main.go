@@ -82,7 +82,7 @@ func main() {
 	seed := flag.Int64("seed", 1998, "workload seed")
 	baseline := flag.String("baseline", "", "write the parallel-engine baseline (E10 sweep) as JSON to this file and exit")
 	membaseline := flag.String("membaseline", "", "write the allocation baseline (allocs/op sweep) as JSON to this file and exit")
-	cluster := flag.String("cluster", "", "write the cluster baseline (loopback TCP sweep, per-event vs batched) as JSON to this file and exit")
+	cluster := flag.String("cluster", "", "write the cluster baseline (loopback TCP sweep, flat vs relay tree, plus the ingest micro-benchmark) as JSON to this file and exit")
 	chaos := flag.String("chaos", "", "run the crash/partition chaos soak, write its totals as JSON to this file and exit (nonzero on any lost capture or invariant violation)")
 	chaosN := flag.Int("chaos-n", 8, "chaos soak: cluster size per iteration")
 	chaosDur := flag.Duration("chaos-duration", 60*time.Second, "chaos soak: minimum wall time")

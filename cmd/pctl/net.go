@@ -125,7 +125,6 @@ func batchFlags(fs *flag.FlagSet) *node.Batching {
 	b := &node.Batching{}
 	fs.IntVar(&b.MaxItems, "batch-items", 0, "capture items per batch frame before an early flush (0 = default 128)")
 	fs.DurationVar(&b.Interval, "batch-interval", 0, "capture flush period (0 = default 2ms)")
-	fs.BoolVar(&b.PerEvent, "per-event", false, "disable capture batching: one frame per journal event / trace op / candidate")
 	return b
 }
 

@@ -17,12 +17,10 @@ import (
 )
 
 // cluster.go measures the networked runtime at scale: real in-process
-// clusters over loopback TCP at n ∈ {8, 32, 64, 128} nodes, run twice
-// each — once in per-event mode (the pre-batching wire behavior: one
-// TCP frame per journal event and per trace op) and once batched — and
-// a socket-free micro-benchmark of the coordinator's decode-and-stage
-// ingest path in both framings. cmd/pcbench -cluster serializes the
-// sweep to BENCH_cluster.json.
+// clusters over loopback TCP at n ∈ {8, 32, 64, 128} nodes flat, the
+// tree sizes flat vs relayed, and a socket-free micro-benchmark of the
+// coordinator's decode-and-stage ingest path, direct and relayed.
+// cmd/pcbench -cluster serializes the sweep to BENCH_cluster.json.
 
 // ClusterMeasurement is one cluster run's row. Coord* count the
 // capture-stream traffic (what batching targets); Mesh* the node↔node
@@ -32,7 +30,7 @@ import (
 // every capture stream, node→relay hops included).
 type ClusterMeasurement struct {
 	N    int    `json:"n"`
-	Mode string `json:"mode"` // "per-event" | "batched" | "tree" | "tree+store"
+	Mode string `json:"mode"` // "batched" | "tree" | "tree+store"
 	// Relays is the aggregation-tree width (0 = flat, every node dials
 	// the root directly).
 	Relays int `json:"relays,omitempty"`
@@ -72,9 +70,9 @@ type ClusterMeasurement struct {
 	InvariantsViolated int `json:"invariantsViolated"`
 }
 
-// IngestMeasurement is the coordinator ingest micro-benchmark: the same
-// logical capture items decoded and staged from per-event frames vs
-// batch frames, normalized per item.
+// IngestMeasurement is the coordinator ingest micro-benchmark: capture
+// items decoded and staged from batch frames, direct or relay-
+// enveloped, normalized per item.
 type IngestMeasurement struct {
 	Mode          string  `json:"mode"`
 	N             int     `json:"n"`
@@ -96,17 +94,12 @@ type ClusterBaseline struct {
 	Note       string `json:"note"`
 
 	Results []ClusterMeasurement `json:"results"`
-	// CoordFrameReduction maps "n=<N>" to per-event/batched coordinator
-	// frame counts — the frames-per-run win batching buys.
-	CoordFrameReduction map[string]float64 `json:"coordFrameReduction"`
 	// TreeConnReduction/TreeFrameReduction map "n=<N>" to flat/tree
 	// ratios of root connections and root-ingested frames — what the
 	// aggregation tree takes off the coordinator.
 	TreeConnReduction  map[string]float64  `json:"treeConnReduction,omitempty"`
 	TreeFrameReduction map[string]float64  `json:"treeFrameReduction,omitempty"`
 	Ingest             []IngestMeasurement `json:"ingest"`
-	// IngestAllocReduction is 1 − batched/per-event ingest allocs/item.
-	IngestAllocReduction float64 `json:"ingestAllocReduction"`
 }
 
 // clusterSizes is the sweep's node counts. 128 in-process nodes means a
@@ -166,7 +159,6 @@ const clusterFlush = 5 * time.Millisecond
 type clusterRun struct {
 	n, rounds, relays int
 	seed              int64
-	perEvent          bool
 	store             bool
 }
 
@@ -176,8 +168,6 @@ func (rc clusterRun) mode() string {
 		return "tree+store"
 	case rc.relays > 0:
 		return "tree"
-	case rc.perEvent:
-		return "per-event"
 	default:
 		return "batched"
 	}
@@ -216,7 +206,7 @@ func runClusterOnce(rc clusterRun) (ClusterMeasurement, error) {
 	cfg := node.ClusterConfig{
 		N: rc.n, Rounds: rc.rounds, Think: 500 * time.Microsecond, CS: 200 * time.Microsecond,
 		Seed: rc.seed, Faults: node.Faults{Delay: clusterDelay, Seed: rc.seed},
-		Batching: node.Batching{PerEvent: rc.perEvent, Interval: clusterFlush},
+		Batching: node.Batching{Interval: clusterFlush},
 		Relays:   rc.relays,
 		Journal:  j, Reg: reg,
 		WaitTimeout: clusterWait(rc.n),
@@ -313,9 +303,9 @@ func runClusterOnce(rc clusterRun) (ClusterMeasurement, error) {
 
 // ingestWorkload builds one synthetic node's capture traffic — items
 // trace ops plus items/4 journal events carrying n-component vector
-// clocks — encoded either per event or in 128-item batches, returning
-// decoded-ready frame bodies.
-func ingestWorkload(n, items int, perEvent bool) [][]byte {
+// clocks — encoded in 128-item batches, returning decoded-ready frame
+// bodies.
+func ingestWorkload(n, items int) [][]byte {
 	ops := make([]wire.TraceOp, items)
 	for i := range ops {
 		op := wire.TraceOp{Proc: int32(n + i%4)} // runs of equal proc, like a real capture
@@ -342,15 +332,6 @@ func ingestWorkload(n, items int, perEvent bool) [][]byte {
 	frame := func(m wire.Msg) {
 		seq++
 		bodies = append(bodies, wire.Marshal(seq, m)[4:])
-	}
-	if perEvent {
-		for _, op := range ops {
-			frame(wire.Trace{Ops: []wire.TraceOp{op}})
-		}
-		for _, e := range events {
-			frame(e)
-		}
-		return bodies
 	}
 	const batch = 128
 	for i := 0; i < len(ops); i += batch {
@@ -383,11 +364,11 @@ func relayWorkload(bodies [][]byte) [][]byte {
 
 // measureIngest benchmarks the coordinator's decode-and-stage path over
 // a workload, normalizing the runtime's allocation accounting per
-// capture item. Modes: "per-event" and "batched" feed the node framings
-// directly; "relayed" feeds the batched bodies re-wrapped in RelayBatch
-// envelopes through the relay ingest path.
+// capture item. Modes: "batched" feeds the node framing directly;
+// "relayed" feeds the same bodies re-wrapped in RelayBatch envelopes
+// through the relay ingest path.
 func measureIngest(n, items int, mode string) IngestMeasurement {
-	bodies := ingestWorkload(n, items, mode == "per-event")
+	bodies := ingestWorkload(n, items)
 	ingest := func(j *obs.Journal) (int, error) { return node.IngestBench(n, j, bodies) }
 	if mode == "relayed" {
 		bodies = relayWorkload(bodies)
@@ -417,9 +398,8 @@ func measureIngest(n, items int, mode string) IngestMeasurement {
 func clusterNote() string {
 	eff := node.Batching{Interval: clusterFlush}.WithDefaults()
 	def := node.Batching{}.WithDefaults()
-	return fmt.Sprintf("in-process clusters over loopback TCP, %v injected mesh delay; per-event mode "+
-		"replays the pre-batching wire behavior (one frame per journal event, trace op, and "+
-		"candidate), batched mode the JournalBatch/TraceOpBatch/CandidateBatch flush policy "+
+	return fmt.Sprintf("in-process clusters over loopback TCP, %v injected mesh delay; capture rides "+
+		"the JournalBatch/TraceOpBatch/CandidateBatch flush policy "+
 		"(≤%d items, %v bench interval vs the %v default); tree rows route capture through a "+
 		"2-level relay tree (relays column) and tree+store additionally spills staged capture "+
 		"to an on-disk segment store and re-assembles the trace from the sealed bundle; "+
@@ -429,43 +409,28 @@ func clusterNote() string {
 		clusterDelay, eff.MaxItems, eff.Interval, def.Interval)
 }
 
-// MeasureCluster runs the full sweep: every flat size in both framing
-// modes, the tree sizes flat vs relayed (plus the store row at the
-// largest), then the ingest micro-benchmark at n = 64 in all three
-// framings.
+// MeasureCluster runs the full sweep: every flat size, the tree sizes
+// flat vs relayed (plus the store row at the largest), then the ingest
+// micro-benchmark at n = 64, direct and relayed.
 func MeasureCluster(seed int64) (*ClusterBaseline, error) {
 	const rounds = 16
 	b := &ClusterBaseline{
-		Schema:              2,
-		GoVersion:           runtime.Version(),
-		NumCPU:              runtime.NumCPU(),
-		GOMAXPROCS:          runtime.GOMAXPROCS(0),
-		Seed:                seed,
-		Rounds:              rounds,
-		Note:                clusterNote(),
-		CoordFrameReduction: map[string]float64{},
-		TreeConnReduction:   map[string]float64{},
-		TreeFrameReduction:  map[string]float64{},
+		Schema:             3,
+		GoVersion:          runtime.Version(),
+		NumCPU:             runtime.NumCPU(),
+		GOMAXPROCS:         runtime.GOMAXPROCS(0),
+		Seed:               seed,
+		Rounds:             rounds,
+		Note:               clusterNote(),
+		TreeConnReduction:  map[string]float64{},
+		TreeFrameReduction: map[string]float64{},
 	}
-	perN := map[int][2]int64{} // n → [per-event frames, batched frames]
 	for _, n := range clusterSizes {
-		for _, perEvent := range []bool{true, false} {
-			m, err := runClusterOnce(clusterRun{n: n, rounds: rounds, seed: seed, perEvent: perEvent})
-			if err != nil {
-				return nil, err
-			}
-			b.Results = append(b.Results, m)
-			v := perN[n]
-			if perEvent {
-				v[0] = m.CoordFrames
-			} else {
-				v[1] = m.CoordFrames
-			}
-			perN[n] = v
+		m, err := runClusterOnce(clusterRun{n: n, rounds: rounds, seed: seed})
+		if err != nil {
+			return nil, err
 		}
-		if v := perN[n]; v[1] > 0 {
-			b.CoordFrameReduction[fmt.Sprintf("n=%d", n)] = float64(v[0]) / float64(v[1])
-		}
+		b.Results = append(b.Results, m)
 	}
 	for _, n := range treeSizes {
 		flat, err := runClusterOnce(clusterRun{n: n, rounds: treeRounds(n), seed: seed})
@@ -493,12 +458,9 @@ func MeasureCluster(seed int64) (*ClusterBaseline, error) {
 		}
 	}
 	const ingestItems = 4096
-	pe := measureIngest(64, ingestItems, "per-event")
-	ba := measureIngest(64, ingestItems, "batched")
-	rb := measureIngest(64, ingestItems, "relayed")
-	b.Ingest = []IngestMeasurement{pe, ba, rb}
-	if pe.AllocsPerItem > 0 {
-		b.IngestAllocReduction = 1 - ba.AllocsPerItem/pe.AllocsPerItem
+	b.Ingest = []IngestMeasurement{
+		measureIngest(64, ingestItems, "batched"),
+		measureIngest(64, ingestItems, "relayed"),
 	}
 	return b, nil
 }

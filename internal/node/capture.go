@@ -2,6 +2,7 @@ package node
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"predctl/internal/deposet"
@@ -214,6 +215,13 @@ func (s *procOps) appendTo(byProc [][]wire.TraceOp) {
 			byProc[p] = append(byProc[p], ops...)
 		}
 	}
+}
+
+// snapshot copies the stream headers, for a reader that appendTo's
+// after releasing the stager's lock; the ops themselves stay shared
+// (append-only, as above).
+func (s *procOps) snapshot() procOps {
+	return procOps{byProc: slices.Clone(s.byProc)}
 }
 
 // assemble replays a complete capture into its deposet: the strict mode

@@ -1,0 +1,721 @@
+package node
+
+import (
+	"bufio"
+	"errors"
+	"fmt"
+	"net"
+	"sync"
+	"sync/atomic"
+	"time"
+
+	"predctl/internal/obs"
+	"predctl/internal/wire"
+)
+
+// Batching is the size-or-interval flush policy for a node's
+// coordinator capture stream. Journal events and trace ops accumulate
+// on the node and are flushed as wire.JournalBatch / wire.TraceOpBatch
+// frames when MaxItems are pending or Interval elapses, whichever
+// comes first — hundreds of nodes each emitting thousands of capture
+// items must not mean one TCP frame (and one syscall at each end) per
+// item. Zero values take the defaults below.
+type Batching struct {
+	// MaxItems caps the items carried per batch frame and triggers an
+	// early flush when that many are pending. Default 128.
+	MaxItems int
+	// Interval is the flush period while below MaxItems; it bounds how
+	// stale the coordinator's view can go. Default 2ms.
+	Interval time.Duration
+	// SnapshotEvery emits a wire.MetricsSnapshot (a cumulative dump of
+	// the node's registry) every that-many flusher passes, riding the
+	// existing batching cadence — the coordinator's live merged registry
+	// and `pctl top` feed off it. Default 25 (≈ 50ms at the default 2ms
+	// interval); negative disables snapshot streaming.
+	SnapshotEvery int
+}
+
+// WithDefaults resolves unset fields to their defaults — the exact
+// policy a node's capture batcher runs, exported so tooling (bench
+// notes, CLI help) can describe the effective config instead of
+// hand-writing it.
+func (b Batching) WithDefaults() Batching { return b.withDefaults() }
+
+func (b Batching) withDefaults() Batching {
+	if b.MaxItems <= 0 {
+		b.MaxItems = 128
+	}
+	if b.Interval <= 0 {
+		b.Interval = 2 * time.Millisecond
+	}
+	if b.SnapshotEvery == 0 {
+		b.SnapshotEvery = 25
+	}
+	return b
+}
+
+// coordClient is a node's stream to the coordinator: Hello, then trace
+// batches, forwarded journal events, candidates, Done and bye frames
+// out; Shutdown, Restart and Commit in.
+//
+// The stream is a session, not a connection. Every sequenced frame is
+// retained in an in-memory session log (sent) for the life of the run,
+// so a broken connection is never a truncated capture: the session
+// goroutine redials with capped exponential backoff, offers
+// wire.Resume{Epoch}, and retransmits everything past the
+// coordinator's ResumeAck.Cum. Because the log is never pruned, even a
+// coordinator that crashed and restarted with no session state
+// (Cum = 0) gets the complete stream replayed. A write error of any
+// kind drops the connection immediately — the invariant is that the
+// bytes on the wire are always a prefix of the log, so the
+// coordinator's cumulative-sequence dedup can never see a gap.
+//
+// Capture traffic is batched: journal events and candidates buffer in
+// pendJournal / pendCands and trace ops stay in the node's capture
+// until the flusher goroutine drains all three on the Batching policy.
+// Control frames (Done, Shutdown bye) are latency-relevant and
+// once-per-epoch, so they bypass the batcher and write through
+// immediately.
+type coordClient struct {
+	id, n int
+	addr  string
+	opt   Timeouts
+	batch Batching
+	wm    wireMeters
+	logf  func(string, ...any)
+	parts *partitions
+
+	shutdownEv chan uint32   // latest Shutdown{Epoch} from the coordinator (latest wins)
+	restartCh  chan uint32   // latest Restart/ResumeAck epoch from the coordinator
+	controlled atomic.Bool   // a Detection/ReExec arrived: rogue behavior must stop
+	commitCh   chan struct{} // closed on the coordinator's Commit: the run is sealed
+	commitOnce sync.Once
+	quitOnce   sync.Once
+	quit       chan struct{} // closed by close(): stop the session goroutine
+	sessDone   chan struct{}
+
+	mu    sync.Mutex     // serializes stream writes; guards conn, sent, epoch
+	conn  net.Conn       // nil while disconnected (frames buffer in sent)
+	sent  []*wire.Buffer // session log: frame i carries seq i+1
+	epoch uint32
+
+	// flushMu serializes flush passes with epoch transitions, so no
+	// stale capture frame can land on the stream after the EpochMark
+	// that voids its epoch.
+	flushMu     sync.Mutex
+	pendMu      sync.Mutex
+	pendJournal []wire.JournalEvent
+	pendCands   []wire.Candidate
+
+	take      func() []wire.TraceOp // drains the node's capture; flushMu-guarded
+	kick      chan struct{}         // cap 1: a size threshold was crossed
+	flushing  bool                  // a flusher goroutine is running; flushMu-guarded
+	flushQuit chan struct{}
+	flushDone chan struct{}
+
+	// snap, when non-nil, dumps the node's registry for MetricsSnapshot
+	// streaming. Set once before the flusher starts; start anchors the
+	// snapshots' AtNs timestamps.
+	snap  func() []wire.MetricPoint
+	start time.Time
+
+	// Session-machinery hooks, set only by the relay's uplink (nil on a
+	// node's stream): mkResume replaces the Resume handshake frame,
+	// onMsg intercepts inbound frames before the node-oriented handling
+	// (return true to consume), and onResumeAck observes every resume
+	// handshake's ack. They let the relay reuse the session log,
+	// redial/backoff and retransmit machinery unchanged.
+	mkResume    func(epoch uint32) wire.Msg
+	onMsg       func(m wire.Msg) bool
+	onResumeAck func(ack wire.ResumeAck)
+}
+
+// newCoordClient builds a disconnected session; a node's dialCoord and
+// a relay's uplink each open it with their own handshake.
+func newCoordClient(addr string, id, n int, batch Batching, wm wireMeters, opt Timeouts, parts *partitions, logf func(string, ...any)) *coordClient {
+	return &coordClient{
+		id: id, n: n, addr: addr,
+		opt: opt, batch: batch.withDefaults(), wm: wm, logf: logf, parts: parts,
+		shutdownEv: make(chan uint32, 1),
+		restartCh:  make(chan uint32, 1),
+		commitCh:   make(chan struct{}),
+		quit:       make(chan struct{}),
+		sessDone:   make(chan struct{}),
+		kick:       make(chan struct{}, 1),
+	}
+}
+
+// dialCoord connects to the coordinator, retrying with capped
+// exponential backoff (the same policy as mesh redials) until
+// opt.CoordDeadline, so a coordinator that is slow to come up — or
+// restarting — is waited for rather than fataled on.
+func dialCoord(addr string, id, n int, batch Batching, wm wireMeters, opt Timeouts, parts *partitions, logf func(string, ...any)) (*coordClient, error) {
+	cc := newCoordClient(addr, id, n, batch, wm, opt, parts, logf)
+	conn, err := cc.dialOnce(wire.Hello{From: int32(id), N: int32(n)})
+	if err != nil {
+		return nil, fmt.Errorf("node %d: coordinator %s: %w", id, addr, err)
+	}
+	cc.conn = conn
+	go cc.session(conn, bufReader(conn))
+	return cc, nil
+}
+
+// dialOnce runs one dial campaign: dial until opt.CoordDeadline with
+// backoffDelay pacing, write the handshake frame, and return the
+// connection. A partition window severing this node's coordinator
+// stream pauses the campaign (the clock keeps running).
+func (cc *coordClient) dialOnce(handshake wire.Msg) (net.Conn, error) {
+	deadline := time.Now().Add(cc.opt.CoordDeadline)
+	fails := 0
+	var lastErr error
+	for {
+		select {
+		case <-cc.quit:
+			return nil, net.ErrClosed
+		default:
+		}
+		if time.Now().After(deadline) {
+			if lastErr == nil {
+				lastErr = errors.New("partitioned for the whole campaign")
+			}
+			return nil, fmt.Errorf("unreachable for %v: %w", cc.opt.CoordDeadline, lastErr)
+		}
+		if cc.parts.coordSevered(cc.id, time.Now()) {
+			cc.pause(backoffDelay(cc.opt, 0))
+			continue
+		}
+		conn, err := net.DialTimeout("tcp", cc.addr, cc.opt.DialTimeout)
+		if err != nil {
+			lastErr = err
+			cc.pause(backoffDelay(cc.opt, fails))
+			fails++
+			continue
+		}
+		if tc, ok := conn.(*net.TCPConn); ok {
+			tc.SetNoDelay(true)
+		}
+		conn.SetWriteDeadline(time.Now().Add(cc.opt.WriteTimeout))
+		if err := wire.WriteFrame(conn, 0, handshake); err != nil {
+			conn.Close()
+			lastErr = err
+			cc.pause(backoffDelay(cc.opt, fails))
+			fails++
+			continue
+		}
+		return conn, nil
+	}
+}
+
+// pause sleeps d or until close() interrupts.
+func (cc *coordClient) pause(d time.Duration) {
+	select {
+	case <-cc.quit:
+	case <-time.After(d):
+	}
+}
+
+// session is the stream's lifecycle goroutine: it reads the current
+// connection until it breaks, then resumes the session on a fresh one,
+// forever — until close() or a failed resume campaign. Only resume
+// failure is terminal: that is the hard, logged error that replaces
+// the old silent capture truncation.
+func (cc *coordClient) session(conn net.Conn, br *bufio.Reader) {
+	defer close(cc.sessDone)
+	for {
+		cc.readLoop(conn, br)
+		select {
+		case <-cc.quit:
+			return
+		default:
+		}
+		cc.dropConn(conn)
+		var err error
+		conn, br, err = cc.resume()
+		if err != nil {
+			select {
+			case <-cc.quit:
+			default:
+				// Terminal: nothing will ever install a connection again.
+				// The closed sessDone (this function's defer) is what wakes
+				// the epoch loop out of any wait.
+				cc.logf("node %d: coordinator session lost (%v); capture stream truncated", cc.id, err)
+			}
+			return
+		}
+	}
+}
+
+// readLoop consumes coordinator frames until the connection errors.
+// Idle-deadline renewals double as the partition probe: a severed
+// stream is torn down even when no capture traffic would touch it.
+func (cc *coordClient) readLoop(conn net.Conn, br *bufio.Reader) {
+	for {
+		conn.SetReadDeadline(time.Now().Add(cc.opt.IdleTimeout))
+		_, m, err := wire.ReadFrame(br)
+		if err != nil {
+			var ne net.Error
+			if errors.As(err, &ne) && ne.Timeout() {
+				if cc.parts.coordSevered(cc.id, time.Now()) {
+					return // sever: redial after the window heals
+				}
+				continue
+			}
+			select {
+			case <-cc.quit:
+			case <-cc.commitCh:
+				// Post-commit breaks are expected (the coordinator tears
+				// down once the run is sealed); don't spam the log.
+			default:
+				if !errors.Is(err, net.ErrClosed) {
+					cc.logf("node %d: coordinator stream: %v", cc.id, err)
+				}
+			}
+			return
+		}
+		if cc.onMsg != nil && cc.onMsg(m) {
+			continue
+		}
+		switch v := m.(type) {
+		case wire.Shutdown:
+			cc.pushShutdown(v.Epoch)
+		case wire.Commit:
+			cc.signalCommit()
+		case wire.Restart:
+			cc.pushRestart(v.Epoch)
+		case wire.Detection:
+			// The coordinator confirmed possibly(¬B): whatever this node
+			// does next happens under active debugging, so a planted rogue
+			// reverts to controlled behavior from here on.
+			cc.controlled.Store(true)
+		case wire.ReExec:
+			// A detection-triggered controlled re-execution: same epoch
+			// transition as a crash-recovery Restart, but the node also
+			// knows it runs under the detection's control strategy.
+			cc.controlled.Store(true)
+			cc.pushRestart(v.Epoch)
+		case wire.ResumeAck:
+			// Only expected during resume's handshake; a stray one is
+			// harmless.
+		default:
+			cc.logf("node %d: coordinator sent unexpected %T", cc.id, m)
+		}
+	}
+}
+
+// resume re-establishes the session: dial, offer Resume{Epoch}, read
+// ResumeAck, retransmit everything past Cum, and install the
+// connection — the retransmit and the install happen under cc.mu, so
+// concurrent sendItems cannot interleave a newer frame before the
+// backlog and the coordinator always sees a contiguous sequence.
+func (cc *coordClient) resume() (net.Conn, *bufio.Reader, error) {
+	cc.mu.Lock()
+	e := cc.epoch
+	cc.mu.Unlock()
+	handshake := wire.Msg(wire.Resume{From: int32(cc.id), N: int32(cc.n), Epoch: e})
+	if cc.mkResume != nil {
+		handshake = cc.mkResume(e)
+	}
+	conn, err := cc.dialOnce(handshake)
+	if err != nil {
+		return nil, nil, err
+	}
+	br := bufReader(conn)
+	conn.SetReadDeadline(time.Now().Add(cc.opt.DialTimeout))
+	_, m, err := wire.ReadFrame(br)
+	if err != nil {
+		conn.Close()
+		return nil, nil, fmt.Errorf("resume handshake: %w", err)
+	}
+	ack, ok := m.(wire.ResumeAck)
+	if !ok {
+		conn.Close()
+		return nil, nil, fmt.Errorf("resume handshake: got %T, want ResumeAck", m)
+	}
+	if cc.onResumeAck != nil {
+		cc.onResumeAck(ack)
+	}
+	if ack.Epoch != e {
+		// The coordinator knows a different epoch (a Restart we missed
+		// while disconnected, or a restarted coordinator rebuilding from
+		// our replay). The node's epoch loop sorts it out.
+		cc.pushRestart(ack.Epoch)
+	}
+	cc.mu.Lock()
+	defer cc.mu.Unlock()
+	cum := ack.Cum
+	if cum > uint64(len(cc.sent)) {
+		conn.Close()
+		return nil, nil, fmt.Errorf("resume: coordinator acked %d of %d frames", cum, len(cc.sent))
+	}
+	for _, b := range cc.sent[cum:] {
+		conn.SetWriteDeadline(time.Now().Add(cc.opt.WriteTimeout))
+		if _, err := conn.Write(b.B); err != nil {
+			conn.Close()
+			return nil, nil, fmt.Errorf("resume retransmit: %w", err)
+		}
+		cc.wm.bytes.Add(int64(len(b.B)))
+	}
+	if n := uint64(len(cc.sent)) - cum; n > 0 {
+		cc.wm.retx.Add(int64(n))
+	}
+	cc.conn = conn
+	return conn, br, nil
+}
+
+// dropConn closes conn and clears it if still installed.
+func (cc *coordClient) dropConn(conn net.Conn) {
+	cc.mu.Lock()
+	if cc.conn == conn {
+		cc.conn = nil
+	}
+	cc.mu.Unlock()
+	conn.Close()
+}
+
+func (cc *coordClient) signalCommit() {
+	cc.commitOnce.Do(func() { close(cc.commitCh) })
+}
+
+// pushLatest publishes e to a capacity-1 epoch channel, displacing any
+// unconsumed older value; only the newest matters.
+func pushLatest(ch chan uint32, e uint32) {
+	for {
+		select {
+		case ch <- e:
+			return
+		default:
+			select {
+			case <-ch:
+			default:
+			}
+		}
+	}
+}
+
+// pushRestart publishes the latest restart epoch to the node's epoch
+// loop.
+func (cc *coordClient) pushRestart(e uint32) { pushLatest(cc.restartCh, e) }
+
+// pushShutdown publishes the latest shutdown signal with the epoch it
+// belongs to: the epoch loop obeys it only if it still runs that
+// epoch — a Shutdown superseded by a Restart is stale, and obeying it
+// would make the node bye out of an execution the cluster is busy
+// re-running.
+func (cc *coordClient) pushShutdown(e uint32) { pushLatest(cc.shutdownEv, e) }
+
+// send writes one frame through the session log; a disconnected stream
+// buffers it for the resume replay.
+func (cc *coordClient) send(m wire.Msg) { cc.sendItems(m, 1) }
+
+// sendItems is send with the frame's capture-item count, feeding the
+// batch-size histogram (control frames observe 1, batch frames the
+// batch length — the distribution the cluster bench reports). The
+// frame is appended to the session log unconditionally; it is written
+// through only when a connection is up and no partition window severs
+// the stream, and any write error drops the connection so the wire
+// never carries a gapped sequence.
+func (cc *coordClient) sendItems(m wire.Msg, items int) {
+	b := wire.GetBuffer()
+	cc.mu.Lock()
+	seq := uint64(len(cc.sent)) + 1
+	b.B = wire.AppendFrame(b.B[:0], seq, m)
+	cc.sent = append(cc.sent, b)
+	cc.wm.frames.Inc()
+	cc.wm.batch.Observe(int64(items))
+	conn := cc.conn
+	if conn != nil && cc.parts.coordSevered(cc.id, time.Now()) {
+		cc.conn = nil
+		conn.Close()
+		conn = nil
+	}
+	if conn != nil {
+		conn.SetWriteDeadline(time.Now().Add(cc.opt.WriteTimeout))
+		if _, err := conn.Write(b.B); err != nil {
+			if !errors.Is(err, net.ErrClosed) {
+				cc.logf("node %d: coordinator write: %v", cc.id, err)
+			}
+			cc.conn = nil
+			conn.Close()
+		} else {
+			cc.wm.bytes.Add(int64(len(b.B)))
+		}
+	}
+	cc.mu.Unlock()
+}
+
+// sendJournal forwards one journal event into the pending batch
+// (kicking the flusher at the size threshold). Nil-safe like the
+// journal itself so instrumentation sites need no guards.
+func (cc *coordClient) sendJournal(e obs.Event) {
+	if cc == nil {
+		return
+	}
+	we := wire.JournalEvent{
+		At: e.At, Proc: int32(e.Proc), Kind: uint8(e.Kind), Name: e.Name,
+		A: e.A, B: e.B, C: e.C, VC: e.VC,
+	}
+	cc.pendMu.Lock()
+	cc.pendJournal = append(cc.pendJournal, we)
+	full := len(cc.pendJournal) >= cc.batch.MaxItems
+	cc.pendMu.Unlock()
+	if full {
+		cc.kickFlush()
+	}
+}
+
+// sendCandidate forwards one monitor candidate into the pending batch.
+// Candidates are consumed only at assembly time, so deferring them to
+// the next flush loses nothing; at one candidate per node per round
+// they would otherwise dominate the frame count.
+func (cc *coordClient) sendCandidate(v wire.Candidate) {
+	cc.pendMu.Lock()
+	cc.pendCands = append(cc.pendCands, v)
+	full := len(cc.pendCands) >= cc.batch.MaxItems
+	cc.pendMu.Unlock()
+	if full {
+		cc.kickFlush()
+	}
+}
+
+// kickFlush nudges the flusher ahead of its interval tick.
+func (cc *coordClient) kickFlush() {
+	select {
+	case cc.kick <- struct{}{}:
+	default:
+	}
+}
+
+// ensureFlusher points the flusher at an epoch's capture, starting a
+// goroutine if none is running — at the first epoch, and again after a
+// bye-phase stopFlusher when a late restart re-executes the workload
+// from the parked state.
+func (cc *coordClient) ensureFlusher(take func() []wire.TraceOp) {
+	cc.flushMu.Lock()
+	defer cc.flushMu.Unlock()
+	cc.take = take
+	if cc.flushing {
+		return
+	}
+	cc.flushing = true
+	cc.flushQuit = make(chan struct{})
+	cc.flushDone = make(chan struct{})
+	go cc.flusher(cc.flushQuit, cc.flushDone)
+}
+
+func (cc *coordClient) flusher(quit, done chan struct{}) {
+	defer close(done)
+	tick := time.NewTicker(cc.batch.Interval)
+	defer tick.Stop()
+	passes := 0
+	for {
+		select {
+		case <-quit:
+			return
+		case <-cc.kick:
+		case <-tick.C:
+		}
+		cc.flush()
+		passes++
+		if cc.batch.SnapshotEvery > 0 && passes%cc.batch.SnapshotEvery == 0 {
+			cc.sendSnapshot()
+		}
+	}
+}
+
+// sendSnapshot sequences one cumulative metrics dump onto the capture
+// stream. Snapshots ride the session log like every capture frame, so
+// resume replay re-delivers them — harmless, since applying a full
+// cumulative dump is idempotent.
+func (cc *coordClient) sendSnapshot() {
+	if cc.snap == nil {
+		return
+	}
+	pts := cc.snap()
+	if len(pts) == 0 {
+		return
+	}
+	cc.mu.Lock()
+	e := cc.epoch
+	cc.mu.Unlock()
+	cc.sendItems(wire.MetricsSnapshot{
+		Proc: int32(cc.id), Epoch: e,
+		AtNs: time.Since(cc.start).Nanoseconds(), Points: pts,
+	}, 1)
+}
+
+// toWirePoints converts a registry dump to its wire form for a
+// MetricsSnapshot frame.
+func toWirePoints(pts []obs.MetricPoint) []wire.MetricPoint {
+	if len(pts) == 0 {
+		return nil
+	}
+	out := make([]wire.MetricPoint, len(pts))
+	for i, p := range pts {
+		out[i] = wire.MetricPoint{Kind: uint8(p.Kind), Key: p.Key, Value: p.Value}
+	}
+	return out
+}
+
+// toObsPoints is the inverse, at the coordinator's ingest.
+func toObsPoints(pts []wire.MetricPoint) []obs.MetricPoint {
+	if len(pts) == 0 {
+		return nil
+	}
+	out := make([]obs.MetricPoint, len(pts))
+	for i, p := range pts {
+		out[i] = obs.MetricPoint{Kind: obs.MetricKind(p.Kind), Key: p.Key, Value: p.Value}
+	}
+	return out
+}
+
+// stopFlusher ends the flusher goroutine and drains everything still
+// pending, so the stream is complete before the final Done and bye. It
+// is idempotent and a no-op if ensureFlusher was never called. With
+// drain false (the crash path), pending capture is abandoned exactly
+// as a killed process would abandon it.
+func (cc *coordClient) stopFlusher(drain bool) {
+	cc.flushMu.Lock()
+	running := cc.flushing
+	cc.flushing = false
+	started := cc.take != nil
+	quit, done := cc.flushQuit, cc.flushDone
+	cc.flushMu.Unlock()
+	if running {
+		close(quit)
+		<-done
+	}
+	if started && drain {
+		cc.flush()
+		if cc.batch.SnapshotEvery > 0 {
+			// A closing snapshot, so even a run shorter than the snapshot
+			// cadence reports final per-node values.
+			cc.sendSnapshot()
+		}
+	}
+}
+
+// flush drains pending journal events and captured trace ops as batch
+// frames of at most MaxItems items each. Called from the flusher
+// goroutine and, once it has stopped, from stopFlusher. flushMu orders
+// whole passes against markEpoch's discard-and-mark.
+func (cc *coordClient) flush() {
+	cc.flushMu.Lock()
+	defer cc.flushMu.Unlock()
+	cc.pendMu.Lock()
+	events := cc.pendJournal
+	cands := cc.pendCands
+	cc.pendJournal, cc.pendCands = nil, nil
+	cc.pendMu.Unlock()
+	for len(events) > 0 {
+		n := min(len(events), cc.batch.MaxItems)
+		cc.sendItems(wire.JournalBatch{Events: events[:n]}, n)
+		events = events[n:]
+	}
+	// Trace ops flush before candidates: a candidate can trigger the
+	// coordinator's live prefix confirmation, and the confirmable prefix
+	// only contains states whose ops are already staged — ops first
+	// keeps the prefix as fresh as the candidate that probes it.
+	if cc.take != nil {
+		for ops := cc.take(); len(ops) > 0; {
+			n := min(len(ops), cc.batch.MaxItems)
+			cc.sendItems(wire.TraceOpBatch{Ops: ops[:n]}, n)
+			ops = ops[n:]
+		}
+	}
+	for len(cands) > 0 {
+		n := min(len(cands), cc.batch.MaxItems)
+		cc.sendItems(wire.CandidateBatch{Cands: cands[:n]}, n)
+		cands = cands[n:]
+	}
+}
+
+// markEpoch moves the stream to re-execution epoch e: everything the
+// abandoned epoch left pending (batched journal events, candidates,
+// undrained capture) is discarded, then an EpochMark is sequenced onto
+// the stream so the coordinator — live now or replaying the session
+// log after its own restart — discards that stream's staged capture at
+// exactly the same point. Holding flushMu across the transition
+// guarantees no old-epoch frame lands after the mark.
+func (cc *coordClient) markEpoch(e uint32) {
+	cc.flushMu.Lock()
+	defer cc.flushMu.Unlock()
+	cc.pendMu.Lock()
+	cc.pendJournal, cc.pendCands = nil, nil
+	cc.pendMu.Unlock()
+	if cc.take != nil {
+		cc.take() // drain and drop the dead epoch's capture
+	}
+	cc.mu.Lock()
+	cc.epoch = e
+	cc.mu.Unlock()
+	cc.sendItems(wire.EpochMark{Epoch: e}, 1)
+}
+
+// sentFrames reports the session log's length (frames ever sequenced).
+func (cc *coordClient) sentFrames() uint64 {
+	cc.mu.Lock()
+	defer cc.mu.Unlock()
+	return uint64(len(cc.sent))
+}
+
+// healthy reports the session's liveness for /healthz: terminal session
+// loss is the one condition that turns a node unhealthy while running.
+func (cc *coordClient) healthy() error {
+	select {
+	case <-cc.sessDone:
+		return errors.New("coordinator session lost")
+	default:
+		return nil
+	}
+}
+
+// drain blocks until the whole session log is on the wire or d
+// elapses. A live connection implies the wire carries the full log as
+// a prefix — sendItems writes through or drops the connection, and
+// resume installs a connection only after retransmitting the backlog —
+// so waiting for conn != nil after the last frame was appended is
+// waiting for that frame to be written. The shutdown path drains
+// before close so a bye buffered behind a partition window or a broken
+// stream is delivered by the resume machinery instead of dying with
+// the session.
+func (cc *coordClient) drain(d time.Duration) {
+	deadline := time.Now().Add(d)
+	for time.Now().Before(deadline) {
+		cc.mu.Lock()
+		live := cc.conn != nil
+		cc.mu.Unlock()
+		if live {
+			return
+		}
+		select {
+		case <-cc.quit:
+			return
+		case <-cc.sessDone:
+			// Terminal session loss (a failed resume campaign): nothing
+			// will ever install a connection again, and that failure has
+			// already been logged as the hard truncation error.
+			return
+		case <-time.After(time.Millisecond):
+		}
+	}
+	cc.logf("node %d: coordinator stream still down after %v; final frames may be lost", cc.id, d)
+}
+
+// close ends the session: the goroutine stops, the connection drops,
+// and the session log's buffers return to the pool.
+func (cc *coordClient) close() {
+	cc.quitOnce.Do(func() { close(cc.quit) })
+	cc.mu.Lock()
+	if cc.conn != nil {
+		cc.conn.Close()
+		cc.conn = nil
+	}
+	cc.mu.Unlock()
+	<-cc.sessDone
+	cc.mu.Lock()
+	for _, b := range cc.sent {
+		wire.PutBuffer(b)
+	}
+	cc.sent = nil
+	cc.mu.Unlock()
+}

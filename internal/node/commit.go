@@ -29,7 +29,9 @@ type staged struct {
 // disk, and each session's records stream back through the decode path
 // ingest uses, in append order — the order the session would have
 // staged them in, so the result equals RAM staging; the store's
-// per-origin index already reflects every epoch discard.
+// per-origin index already reflects every epoch discard. What a session
+// then still holds in RAM is the suffix staged after a failed spill
+// (spillCapture), and follows its disk prefix.
 func (c *Coordinator) collect(e uint32, wantOps, wantJournal bool) (staged, error) {
 	var out staged
 	if wantOps {
@@ -37,11 +39,19 @@ func (c *Coordinator) collect(e uint32, wantOps, wantJournal bool) (staged, erro
 	}
 	dropped := 0
 	for _, st := range c.sessionsSorted() {
+		// The RAM side is snapshotted before the disk is replayed: a spill
+		// failing in between then only shortens the prefix collected, where
+		// the other order would leave a hole in it.
+		var ram procOps
 		st.mu.Lock()
 		current := st.epoch == e
 		events := st.events[:len(st.events):len(st.events)]
-		if current && wantOps {
+		switch {
+		case !current || !wantOps:
+		case c.store == nil:
 			st.ops.appendTo(out.byProc)
+		default:
+			ram = st.ops.snapshot()
 		}
 		cands, lost := st.cands, st.ops.dropped
 		st.mu.Unlock()
@@ -51,7 +61,8 @@ func (c *Coordinator) collect(e uint32, wantOps, wantJournal bool) (staged, erro
 		out.cands += cands
 		if c.store != nil {
 			var spilled procOps
-			ops, journal := &spilled, &events
+			var disk []obs.Event
+			ops, journal := &spilled, &disk
 			if !wantOps {
 				ops = nil
 			}
@@ -66,6 +77,8 @@ func (c *Coordinator) collect(e uint32, wantOps, wantJournal bool) (staged, erro
 				return staged{}, fmt.Errorf("node: coordinator: store replay for node %d: %w", st.id, err)
 			}
 			spilled.appendTo(out.byProc)
+			ram.appendTo(out.byProc)
+			events = append(disk, events...)
 			lost += spilled.dropped
 		}
 		dropped += lost
@@ -113,12 +126,9 @@ func (c *Coordinator) Wait(timeout time.Duration) (*Result, error) {
 	select {
 	case <-c.allByes:
 	case <-time.After(timeout):
+		stall := c.stallReport()
 		c.Close()
-		c.mu.Lock()
-		done, byes, epoch := c.doneCount, c.byeCount, c.epoch
-		c.mu.Unlock()
-		return nil, fmt.Errorf("node: coordinator timed out after %v (epoch %d, %d/%d done, %d/%d byes)",
-			timeout, epoch, done, c.n, byes, c.n)
+		return nil, fmt.Errorf("node: coordinator timed out after %v (%s)", timeout, stall)
 	}
 	// Deliberately no Close on success: a parked node whose Commit died
 	// with a broken stream redials and fetches it from the resume

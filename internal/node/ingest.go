@@ -1,0 +1,288 @@
+package node
+
+import (
+	"fmt"
+	"strconv"
+	"time"
+
+	"predctl/internal/livedetect"
+	"predctl/internal/obs"
+	"predctl/internal/wire"
+)
+
+// nodeSession is the coordinator's per-node-id stream state: the
+// inbound stream (session.go) plus what it staged. Staged capture (ops,
+// events, candidates) belongs to the session's current epoch and is
+// discarded wholesale when an EpochMark announces a newer one, or a
+// relaunched node's Hello voids its dead incarnation's — the mechanism
+// that makes the final trace equal to a fault-free run of the final
+// epoch. The session lock, not the coordinator's, guards the hot ingest
+// path, preserving the no-global-serialization property the batched
+// ingest bench pins.
+type nodeSession struct {
+	id int
+	inbound
+
+	// Under inbound.mu:
+	epoch  uint32  // the stream's current epoch (last EpochMark seen)
+	ops    procOps // staged by logical process at ingest
+	events []obs.Event
+	cands  int
+	// degraded: a spill to the trace store failed, and the session
+	// stages in RAM from that frame on (see spillCapture). Sticky.
+	degraded bool
+
+	// Live-observability state: the node's latest cumulative metrics
+	// snapshot and when it arrived. Deliberately NOT cleared on epoch
+	// discard — the registry is cumulative across re-executions, so the
+	// dashboard keeps its history through a restart.
+	lastSnap   []wire.MetricPoint
+	lastSnapAt time.Time
+	snapEpoch  uint32
+}
+
+// discardEpochLocked drops the staged capture when the stream enters
+// epoch e (0: a relaunched node starting over). Caller holds s.mu.
+func (s *nodeSession) discardEpochLocked(e uint32) {
+	s.epoch = e
+	s.ops, s.events, s.cands = procOps{}, nil, 0
+}
+
+// ingestAction is what a frame's ingest obligates the caller to do
+// once every session lock is released.
+type ingestAction int
+
+const (
+	actNone     ingestAction = iota
+	actAllDone               // every Done for the returned epoch is in: broadcast Shutdown
+	actAllByes               // every bye for the returned epoch is in: commit the run
+	actDetected              // the live checker triggered: run the prefix confirmation
+)
+
+// spillCapture diverts one capture frame into the on-disk trace store
+// when spilling is on, reporting whether it did. raw is the frame's
+// wire body as read off the stream (nil when the caller only has the
+// decoded message, in which case the body is re-encoded — the bytes
+// are identical either way, which is what keeps disk-backed assembly
+// byte-equal to in-RAM staging).
+//
+// A failed append is loud but non-fatal: a full disk degrades to the
+// RAM memory profile instead of losing capture. The fallback is sticky
+// for the session — were a later frame to reach the disk again, it
+// would sit before this one in replay order — so a session's capture is
+// always a disk prefix followed by a RAM suffix, which is the order
+// collect hands it over in.
+func (c *Coordinator) spillCapture(st *nodeSession, m wire.Msg, raw []byte) bool {
+	if c.store == nil {
+		return false
+	}
+	st.mu.Lock()
+	e, degraded := st.epoch, st.degraded
+	st.mu.Unlock()
+	if degraded {
+		return false
+	}
+	if raw == nil {
+		raw = wire.AppendBody(nil, 0, m)
+	}
+	if err := c.store.Append(int32(st.id), e, raw); err != nil {
+		c.logf("coordinator: node %d: store spill: %v; staging in RAM from here on", st.id, err)
+		st.mu.Lock()
+		st.degraded = true
+		st.mu.Unlock()
+		c.spillFailed.Store(true)
+		return false
+	}
+	return true
+}
+
+// ingestStored folds one frame from a node's stream into the
+// coordinator state, reporting the completion action (if any) it
+// triggered and the epoch that action belongs to. Trace traffic — the
+// volume — lands in the session's own staging under the session lock
+// (or spills to the trace store when one is configured; raw carries
+// the frame's wire body so the spill needs no re-encode, nil when the
+// caller only has the decoded frame); only the rare coordination
+// frames (Done, Shutdown, EpochMark) touch c.mu.
+// Done and bye count toward completion only when the stream is at the
+// cluster epoch: a Done raced by a Restart belongs to a voided
+// execution.
+func (c *Coordinator) ingestStored(st *nodeSession, m wire.Msg, raw []byte) (ingestAction, uint32) {
+	switch v := m.(type) {
+	case wire.Trace, wire.TraceOpBatch, wire.JournalEvent, wire.JournalBatch:
+		if c.spillCapture(st, m, raw) {
+			break
+		}
+		st.mu.Lock()
+		stageFrame(c.n, m, &st.ops, &st.events)
+		st.mu.Unlock()
+	case wire.MetricsSnapshot:
+		st.mu.Lock()
+		st.lastSnap = v.Points
+		st.lastSnapAt = time.Now()
+		st.snapEpoch = v.Epoch
+		st.mu.Unlock()
+		// Cumulative set semantics make re-applied resume replays
+		// idempotent; the node label scopes series from nodes that
+		// don't already label themselves.
+		c.live.ApplySnapshot(toObsPoints(v.Points), obs.L("node", strconv.Itoa(st.id)))
+	case wire.Candidate:
+		if c.ingestCandidate(st, v) {
+			return actDetected, 0
+		}
+	case wire.CandidateBatch:
+		det := false
+		for _, cand := range v.Cands {
+			det = c.ingestCandidate(st, cand) || det
+		}
+		if det {
+			return actDetected, 0
+		}
+	case wire.EpochMark:
+		st.mu.Lock()
+		if v.Epoch > st.epoch {
+			st.discardEpochLocked(v.Epoch)
+			if c.store != nil {
+				// The store-side twin: the origin's spilled records belong
+				// to the voided epoch; drop their index entries.
+				c.store.Discard(int32(st.id))
+			}
+		}
+		st.mu.Unlock()
+		c.mu.Lock()
+		adopted := v.Epoch > c.epoch
+		if adopted {
+			// A mark above our epoch means we are the one missing state —
+			// a restarted coordinator rebuilding from session replays.
+			// Adopt it and recount completion from the replayed streams.
+			c.bumpEpochLocked(v.Epoch)
+		}
+		c.mu.Unlock()
+		if adopted && c.ld != nil {
+			// The checker's epoch follows the cluster epoch, including
+			// one adopted from a replayed stream.
+			c.ld.Reset(v.Epoch)
+		}
+	case wire.Done:
+		st.mu.Lock()
+		se := st.epoch
+		st.mu.Unlock()
+		c.mu.Lock()
+		if se != c.epoch {
+			c.mu.Unlock()
+			return actNone, 0
+		}
+		// A node reports Done twice at its final epoch — once when its
+		// application finishes, once with the closing tallies in its bye
+		// phase — so later reports overwrite, only the first counts.
+		c.stats[st.id] = Stats{
+			Requests:    int(v.Requests),
+			Handoffs:    int(v.Handoffs),
+			CtlMessages: int(v.CtlMessages),
+		}
+		for _, ns := range v.Responses {
+			c.stats[st.id].Responses = append(c.stats[st.id].Responses, time.Duration(ns))
+		}
+		first := !c.doneSeen[st.id]
+		if first {
+			c.doneSeen[st.id] = true
+			c.doneCount++
+		}
+		all := c.doneCount == c.n
+		e := c.epoch
+		c.mu.Unlock()
+		if first && all {
+			return actAllDone, e
+		}
+	case wire.Shutdown:
+		st.mu.Lock()
+		se := st.epoch
+		st.mu.Unlock()
+		c.mu.Lock()
+		all := false
+		e := c.epoch
+		if se == c.epoch && v.Epoch == c.epoch && !c.byeSeen[st.id] {
+			c.byeSeen[st.id] = true
+			c.byeCount++
+			all = c.byeCount == c.n
+		}
+		c.mu.Unlock()
+		if all {
+			return actAllByes, e
+		}
+	default:
+		c.logf("coordinator: node %d: unexpected %T", st.id, m)
+	}
+	return actNone, 0
+}
+
+// ingestCandidate stages one candidate report and, when live detection
+// is on, offers it to the incremental checker at the stream's epoch (so
+// an abandoned execution's stragglers are discarded, not believed). It
+// reports whether the caller owes a prefix-confirmation pass. The
+// candidate's journal event is emitted node-side (with a real
+// timestamp) rather than synthesized here.
+func (c *Coordinator) ingestCandidate(st *nodeSession, v wire.Candidate) bool {
+	c.cands.Inc()
+	st.mu.Lock()
+	st.cands++
+	e := st.epoch
+	st.mu.Unlock()
+	if c.ld == nil {
+		return false
+	}
+	return c.ld.Offer(e, livedetect.Interval{
+		Proc: int(v.Proc), LoIdx: v.LoIdx, HiIdx: v.HiIdx, Lo: v.Lo, Hi: v.Hi,
+	})
+}
+
+// IngestBench replays pre-encoded frame bodies through the
+// coordinator's decode-and-stage path — exactly what handleConn does
+// per frame, minus the socket and the gate — so the cluster bench can
+// measure ingest allocations per trace op without standing up a
+// listener. It returns the number of trace ops staged.
+func IngestBench(n int, journal *obs.Journal, bodies [][]byte) (int, error) {
+	return ingestBench(n, journal, bodies, func(c *Coordinator, m wire.Msg, body []byte) error {
+		c.ingestStored(c.session(0), m, body)
+		return nil
+	})
+}
+
+// IngestRelayBench replays pre-encoded RelayBatch frame bodies through
+// the root's relayed-ingest path — unpack, per-origin inner-sequence
+// gate, decode-and-stage — the socket-free twin of IngestBench for the
+// tree topology. It returns the number of trace ops staged across all
+// origins.
+func IngestRelayBench(n int, journal *obs.Journal, bodies [][]byte) (int, error) {
+	return ingestBench(n, journal, bodies, func(c *Coordinator, m wire.Msg, _ []byte) error {
+		if _, ok := m.(wire.RelayBatch); !ok {
+			return fmt.Errorf("node: relay ingest bench: %T, want RelayBatch", m)
+		}
+		c.unpackRelayed(c.relaySession(0), m)
+		return nil
+	})
+}
+
+// ingestBench feeds the decoded bodies to a listener-free coordinator,
+// then drains what it staged: journal events into journal, and the
+// count of trace ops.
+func ingestBench(n int, journal *obs.Journal, bodies [][]byte, feed func(*Coordinator, wire.Msg, []byte) error) (int, error) {
+	c := newCoordinator(n, journal, func(string, ...any) {})
+	for _, body := range bodies {
+		_, m, err := wire.DecodeBody(body)
+		if err == nil {
+			err = feed(c, m, body)
+		}
+		if err != nil {
+			return 0, err
+		}
+	}
+	ops := 0
+	for _, st := range c.sessions {
+		ops += st.ops.staged
+		for _, e := range st.events {
+			journal.Append(e)
+		}
+	}
+	return ops, nil
+}

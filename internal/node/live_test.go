@@ -83,19 +83,14 @@ func TestLiveDetectionPlantedViolation(t *testing.T) {
 // session's bare candidate counter, and fresh-epoch candidates are
 // believed again.
 func TestLiveCandidateEpochDiscard(t *testing.T) {
-	c := &Coordinator{
-		n: 2, logf: func(string, ...any) {},
-		sessions: map[int]*nodeSession{},
-		stats:    make([]Stats, 2),
-		doneSeen: make([]bool, 2), byeSeen: make([]bool, 2),
-		ld:        livedetect.New(2),
-		liveCfg:   LiveConfig{Predicate: CSMutexPredicate(2), OnDetect: OnDetectNote, MaxReExecs: 1},
-		violation: predicate.Not(CSMutexPredicate(2)),
-		detByNode: make([]int, 2),
-	}
-	st := &nodeSession{id: 0}
+	c := newCoordinator(2, nil, func(string, ...any) {})
+	c.ld = livedetect.New(2)
+	c.liveCfg = LiveConfig{Predicate: CSMutexPredicate(2), OnDetect: OnDetectNote, MaxReExecs: 1}
+	c.violation = predicate.Not(CSMutexPredicate(2))
+	c.detByNode = make([]int, 2)
+	st := c.session(0)
 	cand := wire.Candidate{Proc: 0, LoIdx: 1, HiIdx: 2, Lo: []int32{1, 0}, Hi: []int32{2, 0}}
-	if act, _ := c.ingest(st, wire.CandidateBatch{Cands: []wire.Candidate{cand}}); act != actNone {
+	if act, _ := c.ingestStored(st, wire.CandidateBatch{Cands: []wire.Candidate{cand}}, nil); act != actNone {
 		t.Fatalf("half a witness triggered action %v", act)
 	}
 	if st.cands != 1 || c.ld.Depth() != 1 {
@@ -106,7 +101,7 @@ func TestLiveCandidateEpochDiscard(t *testing.T) {
 	// while the stream still runs epoch 0: its stragglers are stale.
 	c.epoch = 1
 	c.ld.Reset(1)
-	if act, _ := c.ingest(st, wire.Candidate{Proc: 1, LoIdx: 1, HiIdx: 2, Lo: []int32{0, 1}, Hi: []int32{0, 2}}); act != actNone {
+	if act, _ := c.ingestStored(st, wire.Candidate{Proc: 1, LoIdx: 1, HiIdx: 2, Lo: []int32{0, 1}, Hi: []int32{0, 2}}, nil); act != actNone {
 		t.Fatalf("stale-epoch candidate triggered action %v", act)
 	}
 	if c.ld.Depth() != 0 {
@@ -118,7 +113,7 @@ func TestLiveCandidateEpochDiscard(t *testing.T) {
 
 	// The stream's EpochMark discards its staging — including the bare
 	// candidate counter — and re-arms it for the new epoch.
-	c.ingest(st, wire.EpochMark{Epoch: 1})
+	c.ingestStored(st, wire.EpochMark{Epoch: 1}, nil)
 	if st.cands != 0 {
 		t.Fatalf("EpochMark left st.cands = %d, want 0", st.cands)
 	}
@@ -127,8 +122,8 @@ func TestLiveCandidateEpochDiscard(t *testing.T) {
 	}
 	// Fresh-epoch candidates count and are believed: a concurrent pair
 	// completes the GW witness and demands confirmation.
-	c.ingest(st, wire.CandidateBatch{Cands: []wire.Candidate{cand}})
-	act, _ := c.ingest(st, wire.Candidate{Proc: 1, LoIdx: 1, HiIdx: 2, Lo: []int32{0, 1}, Hi: []int32{0, 2}})
+	c.ingestStored(st, wire.CandidateBatch{Cands: []wire.Candidate{cand}}, nil)
+	act, _ := c.ingestStored(st, wire.Candidate{Proc: 1, LoIdx: 1, HiIdx: 2, Lo: []int32{0, 1}, Hi: []int32{0, 2}}, nil)
 	if act != actDetected {
 		t.Fatalf("fresh-epoch witness produced action %v, want actDetected", act)
 	}

@@ -1,9 +1,9 @@
 package node
 
 import (
-	"errors"
 	"fmt"
 	"net"
+	"strconv"
 	"sync"
 	"time"
 
@@ -12,23 +12,16 @@ import (
 )
 
 // Relay is the middle tier of a hierarchical ingest tree: it terminates
-// the resumable capture streams of a subset of nodes exactly the way
-// the root coordinator would — sequence-checked ingest, session resume
-// with per-child cumulative acks, handshake replay of cached terminal
-// decisions — but instead of staging capture it re-batches the raw
-// frame bodies into sequence-renumbered wire.RelayBatch frames and
+// the resumable capture streams of a subset of nodes with the session
+// layer the root coordinator uses (session.go), so to a child a relay
+// looks exactly like a coordinator — but instead of staging capture it
+// re-batches the raw frame bodies into wire.RelayBatch frames and
 // forwards them to the root over one session. The root therefore
 // handles O(relays) connections instead of O(n), while resume and
-// epoch semantics compose across both hops:
-//
-//   - child → relay: the child's coordClient session machinery is
-//     untouched; the relay answers Resume with the child's cumulative
-//     inner sequence and replays cached Restart/Detection/Shutdown/
-//     Commit decisions, so a relay looks exactly like a coordinator.
-//   - relay → root: the relay's uplink IS a coordClient (the same
-//     session log, redial/backoff and retransmit code), with a
-//     RelayHello handshake and an intercept that fans every decision
-//     frame out to the children.
+// epoch semantics compose across both hops: the relay's uplink IS a
+// coordClient (the same session log, redial/backoff and retransmit
+// code), with a RelayHello handshake and an intercept that caches every
+// decision frame and fans it out to the children.
 //
 // A relay crash heals like a coordinator-stream sever: children redial
 // with backoff and offer Resume; the relaunched relay has no per-child
@@ -41,27 +34,20 @@ import (
 // capture frames of an origin are dropped when its EpochMark voids
 // them) and batch coalescing under a byte cap.
 type Relay struct {
-	cfg  RelayConfig
-	opt  Timeouts
-	ln   net.Listener
-	cc   *coordClient
-	logf func(string, ...any)
+	endpoint // the shared session layer's half: listener, connections, streams
+	cfg      RelayConfig
+	cc       *coordClient
 
-	// Cached upstream decisions, replayed to (re)connecting children —
-	// the relay-local mirror of the root's handshake replay state.
+	// decideMu is the relay's shutdownMu: caching an upstream decision
+	// plus fanning it out, and a child handshake's adoption plus decision
+	// replay, are atomic against each other — no fan-out can reach a
+	// resuming child ahead of its ResumeAck. Taken before mu.
+	decideMu sync.Mutex
+
 	mu        sync.Mutex
-	epoch     uint32
-	committed bool
-	shutdown  bool
-	detection *wire.Detection
+	dec       decisions // the root's decisions as last heard, replayed to (re)connecting children
 	children  map[int]*relayChild
 	contacted bool // a RelayHello reached the root at least once
-	closing   bool
-	// conns is every accepted downstream connection, owner or not —
-	// Close must reach conns mid-handshake and superseded readers too,
-	// or a child that registered after Close's snapshot keeps its
-	// stream alive and wg.Wait never returns.
-	conns map[net.Conn]struct{}
 
 	// flushMu makes dequeue → uplink enqueue one step. flush is entered
 	// by the flusher goroutine and by any handler staging a Hello; if
@@ -77,10 +63,7 @@ type Relay struct {
 	urgent      *time.Timer
 	urgentArmed bool
 
-	kick     chan struct{}
-	quit     chan struct{}
-	quitOnce sync.Once
-	wg       sync.WaitGroup
+	kick chan struct{}
 }
 
 // RelayConfig configures one relay.
@@ -108,10 +91,8 @@ type RelayConfig struct {
 // relayChild is the relay's per-node-id stream state: the downstream
 // mirror of the root's nodeSession, minus the staging.
 type relayChild struct {
-	id      int
-	mu      sync.Mutex
-	owner   *coordConn
-	lastSeq uint64
+	id int
+	inbound
 }
 
 // relayPending is one frame queued for the next upstream flush. A nil
@@ -148,55 +129,29 @@ const relayMaxPendFrames = 1024
 // children. The synchronous uplink handshake is what guarantees every
 // child handshake can be answered with the cluster's current epoch.
 func StartRelay(cfg RelayConfig) (*Relay, error) {
-	logf := cfg.Logf
-	if logf == nil {
-		logf = func(string, ...any) {}
-	}
 	if cfg.N < 2 || cfg.Relays < 1 || cfg.Index < 0 || cfg.Index >= cfg.Relays {
 		return nil, fmt.Errorf("node: relay %d/%d for n=%d: bad shape", cfg.Index, cfg.Relays, cfg.N)
 	}
-	ln := cfg.Listener
-	if ln == nil {
-		var err error
-		ln, err = net.Listen("tcp", cfg.Addr)
-		if err != nil {
-			return nil, fmt.Errorf("node: relay listen %s: %w", cfg.Addr, err)
-		}
-	}
-	reg := cfg.Reg
-	if reg == nil {
-		reg = obs.NewRegistry()
-	}
 	r := &Relay{
+		endpoint: newEndpoint("relay "+strconv.Itoa(cfg.Index), cfg.Timeouts.withDefaults(), cfg.Logf),
 		cfg:      cfg,
-		opt:      cfg.Timeouts.withDefaults(),
-		ln:       ln,
-		logf:     logf,
 		children: map[int]*relayChild{},
-		conns:    map[net.Conn]struct{}{},
 		urgent:   time.NewTimer(time.Hour),
 		kick:     make(chan struct{}, 1),
-		quit:     make(chan struct{}),
 	}
 	if !r.urgent.Stop() {
 		<-r.urgent.C
+	}
+	if err := r.listen(cfg.Listener, cfg.Addr); err != nil {
+		return nil, err
 	}
 	// The uplink flushes at twice the children's cadence: a relay
 	// aggregates an entire subtree, so one extra interval of staleness
 	// buys roughly double the child frames per upstream RelayBatch.
 	batch := cfg.Batching.withDefaults()
 	batch.Interval *= 2
-	wm := newWireMeters(reg, "uplink", cfg.MetricLabels)
-	cc := &coordClient{
-		id: -(cfg.Index + 1), n: cfg.N, addr: cfg.Upstream,
-		opt: r.opt, batch: batch, wm: wm, logf: logf,
-		shutdownEv: make(chan uint32, 1),
-		restartCh:  make(chan uint32, 1),
-		commitCh:   make(chan struct{}),
-		quit:       make(chan struct{}),
-		sessDone:   make(chan struct{}),
-		kick:       make(chan struct{}, 1),
-	}
+	wm := newWireMeters(cfg.Reg, "uplink", cfg.MetricLabels)
+	cc := newCoordClient(cfg.Upstream, -(cfg.Index + 1), cfg.N, batch, wm, r.opt, nil, r.logf)
 	cc.mkResume = r.mkResume
 	cc.onMsg = r.onUpstream
 	cc.onResumeAck = r.onResumeAck
@@ -206,32 +161,22 @@ func StartRelay(cfg RelayConfig) (*Relay, error) {
 	// RelayHello out, ResumeAck in, retransmit past Cum (nothing, yet).
 	conn, br, err := cc.resume()
 	if err != nil {
-		ln.Close()
+		r.ln.Close()
 		return nil, fmt.Errorf("node: relay %d: root %s: %w", cfg.Index, cfg.Upstream, err)
 	}
 	go cc.session(conn, br)
 
 	r.wg.Add(2)
-	go r.acceptLoop()
+	go r.acceptLoop(r.handleChild)
 	go r.flusher()
 	return r, nil
 }
-
-// Addr returns the relay's downstream listen address.
-func (r *Relay) Addr() string { return r.ln.Addr().String() }
 
 // Close tears the relay down abruptly: listener, children, uplink. A
 // chaos kill uses exactly this — no drain, no goodbye — and the tree
 // heals through the two resume hops.
 func (r *Relay) Close() {
-	r.quitOnce.Do(func() { close(r.quit) })
-	r.ln.Close()
-	r.mu.Lock()
-	r.closing = true
-	for conn := range r.conns {
-		conn.Close()
-	}
-	r.mu.Unlock()
+	r.stop()
 	r.cc.close()
 	r.wg.Wait()
 }
@@ -256,19 +201,20 @@ func (r *Relay) mkResume(epoch uint32) wire.Msg {
 // may have missed — a Restart decided while the uplink was down —
 // fans the catch-up out downstream.
 func (r *Relay) onResumeAck(ack wire.ResumeAck) {
-	r.mu.Lock()
-	r.contacted = true
-	bumped := ack.Epoch > r.epoch
-	if bumped {
-		r.epoch = ack.Epoch
-	}
-	conns := r.childConnsLocked()
-	r.mu.Unlock()
 	r.cc.mu.Lock()
 	r.cc.epoch = ack.Epoch
 	r.cc.mu.Unlock()
+	r.decideMu.Lock()
+	defer r.decideMu.Unlock()
+	r.mu.Lock()
+	r.contacted = true
+	bumped := ack.Epoch > r.dec.epoch
 	if bumped {
-		r.fanOut(conns, wire.Restart{Epoch: ack.Epoch}, "restart catch-up")
+		r.dec.epoch = ack.Epoch
+	}
+	r.mu.Unlock()
+	if bumped {
+		r.broadcast(wire.Restart{Epoch: ack.Epoch})
 	}
 }
 
@@ -276,25 +222,20 @@ func (r *Relay) onResumeAck(ack wire.ResumeAck) {
 // for handshake replay, fan it out to the children. Consumes
 // everything — the relay has no node-side epoch loop to feed.
 func (r *Relay) onUpstream(m wire.Msg) bool {
+	r.decideMu.Lock()
+	defer r.decideMu.Unlock()
 	r.mu.Lock()
 	switch v := m.(type) {
 	case wire.Shutdown:
-		r.shutdown = true
+		r.dec.shutdown = true
 	case wire.Commit:
-		r.committed = true
+		r.dec.committed = true
 	case wire.Restart:
-		if v.Epoch > r.epoch {
-			r.epoch = v.Epoch
-		}
-		r.shutdown = false
+		r.dec.epoch, r.dec.shutdown = max(r.dec.epoch, v.Epoch), false
 	case wire.ReExec:
-		if v.Epoch > r.epoch {
-			r.epoch = v.Epoch
-		}
-		r.shutdown = false
+		r.dec.epoch, r.dec.shutdown = max(r.dec.epoch, v.Epoch), false
 	case wire.Detection:
-		det := v
-		r.detection = &det
+		r.dec.detection = &v
 	case wire.ResumeAck:
 		// Handled in resume(); a stray one carries nothing to forward.
 		r.mu.Unlock()
@@ -304,71 +245,9 @@ func (r *Relay) onUpstream(m wire.Msg) bool {
 		r.logf("relay %d: root sent unexpected %T", r.cfg.Index, m)
 		return true
 	}
-	conns := r.childConnsLocked()
 	r.mu.Unlock()
-	r.fanOut(conns, m, fmt.Sprintf("%T", m))
+	r.broadcast(m)
 	return true
-}
-
-// childConnsLocked snapshots the downstream connections. Caller holds
-// r.mu.
-func (r *Relay) childConnsLocked() map[int]*coordConn {
-	conns := make(map[int]*coordConn, len(r.children))
-	for id, ch := range r.children {
-		ch.mu.Lock()
-		if ch.owner != nil {
-			conns[id] = ch.owner
-		}
-		ch.mu.Unlock()
-	}
-	return conns
-}
-
-// fanOut writes m to every child connection, closing any whose write
-// fails — the child's session resume replays the cached decision state
-// at the handshake, the same recovery the root's broadcast relies on.
-func (r *Relay) fanOut(conns map[int]*coordConn, m wire.Msg, what string) {
-	for id, conn := range conns {
-		if err := conn.writeFrame(r.opt, m); err != nil {
-			if !errors.Is(err, net.ErrClosed) {
-				r.logf("relay %d: node %d: %s write: %v", r.cfg.Index, id, what, err)
-			}
-			conn.Close()
-		}
-	}
-}
-
-func (r *Relay) acceptLoop() {
-	defer r.wg.Done()
-	for {
-		conn, err := r.ln.Accept()
-		if err != nil {
-			select {
-			case <-r.quit:
-			default:
-				r.logf("relay %d: accept: %v", r.cfg.Index, err)
-			}
-			return
-		}
-		r.mu.Lock()
-		if r.closing {
-			r.mu.Unlock()
-			conn.Close()
-			return
-		}
-		r.conns[conn] = struct{}{}
-		r.mu.Unlock()
-		r.wg.Add(1)
-		go func() {
-			defer r.wg.Done()
-			defer func() {
-				r.mu.Lock()
-				delete(r.conns, conn)
-				r.mu.Unlock()
-			}()
-			r.handleChild(conn)
-		}()
-	}
 }
 
 // child returns (creating if needed) the state for node id.
@@ -379,142 +258,59 @@ func (r *Relay) child(id int) *relayChild {
 	if ch == nil {
 		ch = &relayChild{id: id}
 		r.children[id] = ch
+		r.register(&ch.inbound)
 	}
 	return ch
 }
 
-// handleChild serves one child connection: the same handshake contract
-// handleNode implements at the root — Hello opens (and is forwarded so
-// the root owns the restart decision), Resume continues with a
-// cumulative ack and cached-decision replay — then sequence-checked
+// handleChild serves one child connection: the handshake contract the
+// root implements — Resume continues with a cumulative ack and the
+// cached decisions replayed; Hello opens, is answered from the cache,
+// and is forwarded so the root owns the restart decision (its
+// per-origin attached bit survives relay crashes) — then sequence-gated
 // pass-through of raw frame bodies into the forward queue.
-func (r *Relay) handleChild(rawConn net.Conn) {
-	conn := &coordConn{Conn: rawConn}
-	defer conn.Close()
-	br := bufReader(rawConn)
-	rawConn.SetReadDeadline(time.Now().Add(r.opt.DialTimeout))
-	body, err := wire.ReadRawBody(br)
+func (r *Relay) handleChild(raw net.Conn) {
+	conn, body, seq, first, err := r.open(raw)
 	if err != nil {
-		r.logf("relay %d: handshake: %v", r.cfg.Index, err)
 		return
 	}
-	seq, first, err := wire.DecodeBody(body)
-	if err != nil {
-		r.logf("relay %d: handshake: %v", r.cfg.Index, err)
+	id, fresh, ok := nodeHandshake(first, r.cfg.N)
+	if !ok {
+		r.logf("relay %d: bad handshake %#v", r.cfg.Index, first)
 		return
 	}
-
-	var ch *relayChild
-	switch h := first.(type) {
-	case wire.Hello:
-		if int(h.N) != r.cfg.N || h.From < 0 || int(h.From) >= r.cfg.N {
-			r.logf("relay %d: bad hello %#v", r.cfg.Index, first)
-			return
-		}
-		r.mu.Lock()
-		committed, epoch, det := r.committed, r.epoch, r.detection
-		r.mu.Unlock()
-		if committed {
-			// The run is sealed; a relaunched child gets the same
-			// Shutdown+Commit exit ramp the root would give it, and the
-			// Hello is not forwarded — there is no run left to restart.
-			conn.writeFrame(r.opt, wire.Shutdown{Epoch: epoch})
-			conn.writeFrame(r.opt, wire.Commit{})
-			r.logf("relay %d: node %d rejoined after commit; refused", r.cfg.Index, int(h.From))
-			return
-		}
-		ch = r.child(int(h.From))
-		ch.mu.Lock()
-		ch.owner = conn
-		ch.lastSeq = seq
-		ch.mu.Unlock()
-		// The root decides fresh-vs-rejoin (its per-origin attached bit
-		// survives relay crashes); the raw Hello is forwarded with the
-		// write-through frames so the decision is prompt.
-		r.stage(int32(h.From), wire.KindHello, body)
-		// Relay-local catch-up replaces the root's targeted writes: a
-		// child at an older epoch ignores nothing it shouldn't (nodes
-		// discard Restart at or below their own epoch), and a fresh
-		// late joiner starts the in-flight epoch instead of epoch 0.
-		if det != nil {
-			conn.writeFrame(r.opt, *det)
-		}
-		if epoch > 0 {
-			conn.writeFrame(r.opt, wire.Restart{Epoch: epoch})
-		}
-	case wire.Resume:
-		if int(h.N) != r.cfg.N || h.From < 0 || int(h.From) >= r.cfg.N {
-			r.logf("relay %d: bad resume %#v", r.cfg.Index, first)
-			return
-		}
-		ch = r.child(int(h.From))
-		ch.mu.Lock()
-		ch.owner = conn
-		cum := ch.lastSeq
-		ch.mu.Unlock()
-		r.mu.Lock()
-		epoch, det, shut, committed := r.epoch, r.detection, r.shutdown, r.committed
-		r.mu.Unlock()
-		err := conn.writeFrame(r.opt, wire.ResumeAck{Cum: cum, Epoch: epoch})
-		if err == nil && det != nil {
-			err = conn.writeFrame(r.opt, *det)
-		}
-		if err == nil && shut {
-			err = conn.writeFrame(r.opt, wire.Shutdown{Epoch: epoch})
-		}
-		if err == nil && committed {
-			err = conn.writeFrame(r.opt, wire.Commit{})
-		}
-		if err != nil {
-			r.logf("relay %d: node %d: resume: %v", r.cfg.Index, int(h.From), err)
-			return
-		}
+	conn.peer = "node " + strconv.Itoa(id)
+	ch := r.child(id)
+	r.decideMu.Lock()
+	r.mu.Lock()
+	d := r.dec
+	r.mu.Unlock()
+	switch {
+	case !fresh:
+		err = d.replay(conn, ch.adopt(conn, false, 0))
+	case d.committed:
+		// Not forwarded either: there is no run left to restart.
+		err = d.refuse(conn)
 	default:
-		r.logf("relay %d: first frame is %T, want Hello or Resume", r.cfg.Index, first)
+		// The cached catch-up stands in for the root's targeted writes.
+		ch.adopt(conn, true, seq)
+		err = d.catchUp(conn)
+	}
+	r.decideMu.Unlock()
+	if err != nil {
+		r.logf("relay %d: node %d: handshake: %v", r.cfg.Index, id, err)
 		return
 	}
-
-	for {
-		rawConn.SetReadDeadline(time.Now().Add(30 * time.Second))
-		body, err := wire.ReadRawBody(br)
-		if err != nil {
-			select {
-			case <-r.quit:
-			default:
-				if !errors.Is(err, net.ErrClosed) {
-					r.logf("relay %d: node %d stream: %v", r.cfg.Index, ch.id, err)
-				}
-			}
-			return
-		}
+	if fresh {
+		r.stage(int32(id), wire.KindHello, body)
+	}
+	r.serve(conn, nil, func(body []byte) error {
 		kind, seq, err := wire.PeekBody(body)
 		if err != nil {
-			r.logf("relay %d: node %d: %v", r.cfg.Index, ch.id, err)
-			return
+			return err
 		}
-		ch.mu.Lock()
-		if ch.owner != conn {
-			// Superseded mid-read, exactly as at the root: a newer
-			// connection owns the stream, and this one's buffered frames
-			// must not interleave with it.
-			ch.mu.Unlock()
-			return
-		}
-		switch {
-		case seq <= ch.lastSeq:
-			ch.mu.Unlock()
-			continue
-		case seq == ch.lastSeq+1:
-			ch.lastSeq = seq
-			ch.mu.Unlock()
-		default:
-			ch.mu.Unlock()
-			r.logf("relay %d: node %d: sequence gap (%d after %d); dropping connection for resume",
-				r.cfg.Index, ch.id, seq, ch.lastSeq)
-			return
-		}
-		r.stage(int32(ch.id), kind, body)
-	}
+		return ch.deliver(conn, seq, func() { r.stage(int32(id), kind, body) })
+	})
 }
 
 // stage queues one raw child frame body for the upstream flush,
@@ -597,7 +393,7 @@ func (r *Relay) flusher() {
 	defer t.Stop()
 	for {
 		select {
-		case <-r.quit:
+		case <-r.closed:
 			return
 		case <-r.kick:
 		case <-r.urgent.C:

@@ -9,9 +9,13 @@ package node
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
 	"net"
+	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -168,6 +172,140 @@ func scriptedFrames(n, id int) (first, second []wire.Msg) {
 	return first, second
 }
 
+// scripted is one scripted run: n capture streams through an optional
+// relay tier into a coordinator, driven step by step so a test can
+// break something between the steps.
+type scripted struct {
+	t       *testing.T
+	n       int
+	journal *obs.Journal
+	coord   *Coordinator
+	relay   *Relay // nil without a relay tier
+	clients []*coordClient
+}
+
+// startScripted brings up the coordinator (spilling to storeDir when
+// set) and, with relays, one relay in front of it. No client has dialed
+// yet.
+func startScripted(t *testing.T, n int, relays bool, storeDir string, opts ...func(*CoordConfig)) *scripted {
+	t.Helper()
+	s := &scripted{t: t, n: n, journal: obs.NewJournal(0)}
+	cfg := CoordConfig{
+		N: n, Addr: "127.0.0.1:0", Journal: s.journal, Reg: obs.NewRegistry(),
+		Timeouts: chaosTimeouts(), Logf: t.Logf,
+	}
+	if storeDir != "" {
+		st, err := store.Open(store.Config{Dir: storeDir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { st.Close() })
+		cfg.Store = st
+	}
+	for _, o := range opts {
+		o(&cfg)
+	}
+	var err error
+	if s.coord, err = NewCoordinator(cfg); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(s.coord.Close)
+	if relays {
+		s.relay, err = StartRelay(RelayConfig{
+			Index: 0, Relays: 1, N: n, Upstream: s.coord.Addr(),
+			Addr: "127.0.0.1:0", Timeouts: chaosTimeouts(), Logf: t.Logf,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { s.relay.Close() })
+	}
+	return s
+}
+
+// dial connects the n scripted clients (to the relay when there is one).
+func (s *scripted) dial() {
+	s.t.Helper()
+	addr := s.coord.Addr()
+	if s.relay != nil {
+		addr = s.relay.Addr()
+	}
+	opt := chaosTimeouts().withDefaults()
+	for i := 0; i < s.n; i++ {
+		cc, err := dialCoord(addr, i, s.n, Batching{}, newWireMeters(nil, "coord", nil), opt, nil, s.t.Logf)
+		if err != nil {
+			s.t.Fatalf("client %d: %v", i, err)
+		}
+		s.clients = append(s.clients, cc)
+		s.t.Cleanup(cc.close)
+	}
+}
+
+// send plays the first or second half of every listed client's script
+// (all clients when none is listed).
+func (s *scripted) send(second bool, ids ...int) {
+	if len(ids) == 0 {
+		for i := range s.clients {
+			ids = append(ids, i)
+		}
+	}
+	for _, i := range ids {
+		frames, tail := scriptedFrames(s.n, i)
+		if second {
+			frames = tail
+		}
+		for _, m := range frames {
+			s.clients[i].send(m)
+		}
+	}
+}
+
+// killRelay kills the relay abruptly and relaunches it on the same
+// address: the clients' session machinery resumes, the relaunched relay
+// acks Cum=0, and the full replays dedup at the root.
+func (s *scripted) killRelay() {
+	s.t.Helper()
+	addr := s.relay.Addr()
+	s.relay.Close()
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		s.t.Fatalf("relaunch relay listen: %v", err)
+	}
+	s.relay, err = StartRelay(RelayConfig{
+		Index: 0, Relays: 1, N: s.n, Upstream: s.coord.Addr(),
+		Listener: ln, Timeouts: chaosTimeouts(), Logf: s.t.Logf,
+	})
+	if err != nil {
+		s.t.Fatalf("relaunch relay: %v", err)
+	}
+}
+
+// finish runs the completion protocol — wait for the Shutdown broadcast,
+// echo it as the bye, wait for Commit — and returns what Wait assembles.
+func (s *scripted) finish() *Result {
+	s.t.Helper()
+	for i, cc := range s.clients {
+		select {
+		case e := <-cc.shutdownEv:
+			cc.send(wire.Shutdown{Epoch: e})
+		case <-time.After(10 * time.Second):
+			s.t.Fatalf("client %d: no Shutdown broadcast", i)
+		}
+	}
+	for i, cc := range s.clients {
+		select {
+		case <-cc.commitCh:
+		case <-time.After(10 * time.Second):
+			s.t.Fatalf("client %d: no Commit broadcast", i)
+		}
+	}
+	res, err := s.coord.Wait(30 * time.Second)
+	if err != nil {
+		s.t.Fatalf("wait: %v", err)
+	}
+	return res
+}
+
 // runScripted drives n scripted capture streams through an optional
 // relay tier into a coordinator and returns the assembled result. When
 // killRelay is set, the relay is killed and relaunched between the two
@@ -175,108 +313,16 @@ func scriptedFrames(n, id int) (first, second []wire.Msg) {
 // and the root through a full-replay dedup.
 func runScripted(t *testing.T, n int, relays, killRelay bool, storeDir string, opts ...func(*CoordConfig)) (*Result, *obs.Journal) {
 	t.Helper()
-	j := obs.NewJournal(0)
-	var st *store.Store
-	if storeDir != "" {
-		var err error
-		st, err = store.Open(store.Config{Dir: storeDir})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer st.Close()
-	}
-	cfg := CoordConfig{
-		N: n, Addr: "127.0.0.1:0", Journal: j, Reg: obs.NewRegistry(),
-		Timeouts: chaosTimeouts(), Logf: t.Logf, Store: st,
-	}
-	for _, o := range opts {
-		o(&cfg)
-	}
-	coord, err := NewCoordinator(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer coord.Close()
-
-	opt := chaosTimeouts().withDefaults()
-	addr := coord.Addr()
-	var rl *Relay
-	var relayAddr string
-	if relays {
-		rl, err = StartRelay(RelayConfig{
-			Index: 0, Relays: 1, N: n, Upstream: coord.Addr(),
-			Addr: "127.0.0.1:0", Timeouts: chaosTimeouts(), Logf: t.Logf,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		relayAddr = rl.Addr()
-		addr = relayAddr
-		defer func() { rl.Close() }()
-	}
-
-	ccs := make([]*coordClient, n)
-	for i := 0; i < n; i++ {
-		cc, err := dialCoord(addr, i, n, Batching{}, newWireMeters(nil, "coord", nil), opt, nil, t.Logf)
-		if err != nil {
-			t.Fatalf("client %d: %v", i, err)
-		}
-		ccs[i] = cc
-		defer cc.close()
-	}
-	for i, cc := range ccs {
-		first, _ := scriptedFrames(n, i)
-		for _, m := range first {
-			cc.send(m)
-		}
-	}
+	s := startScripted(t, n, relays, storeDir, opts...)
+	s.dial()
+	s.send(false)
 	if killRelay {
-		// Let the first halves drain upstream, then kill the relay
-		// abruptly and relaunch it on the same address: the clients'
-		// session machinery resumes, the relaunched relay acks Cum=0,
-		// and the full replays dedup at the root.
+		// Let the first halves drain upstream first.
 		time.Sleep(50 * time.Millisecond)
-		rl.Close()
-		ln, err := net.Listen("tcp", relayAddr)
-		if err != nil {
-			t.Fatalf("relaunch relay listen: %v", err)
-		}
-		rl, err = StartRelay(RelayConfig{
-			Index: 0, Relays: 1, N: n, Upstream: coord.Addr(),
-			Listener: ln, Timeouts: chaosTimeouts(), Logf: t.Logf,
-		})
-		if err != nil {
-			t.Fatalf("relaunch relay: %v", err)
-		}
+		s.killRelay()
 	}
-	for i, cc := range ccs {
-		_, second := scriptedFrames(n, i)
-		for _, m := range second {
-			cc.send(m)
-		}
-	}
-	// Completion protocol: wait for the Shutdown broadcast, echo it as
-	// the bye, wait for Commit.
-	for i, cc := range ccs {
-		select {
-		case e := <-cc.shutdownEv:
-			cc.send(wire.Shutdown{Epoch: e})
-		case <-time.After(10 * time.Second):
-			t.Fatalf("client %d: no Shutdown broadcast", i)
-		}
-	}
-	for i, cc := range ccs {
-		select {
-		case <-cc.commitCh:
-		case <-time.After(10 * time.Second):
-			t.Fatalf("client %d: no Commit broadcast", i)
-		}
-	}
-	res, err := coord.Wait(30 * time.Second)
-	if err != nil {
-		t.Fatalf("wait: %v", err)
-	}
-	return res, j
+	s.send(true)
+	return s.finish(), s.journal
 }
 
 func encodeTrace(t *testing.T, res *Result) []byte {
@@ -344,29 +390,23 @@ func TestStoreEquivalence(t *testing.T) {
 	}
 }
 
-// TestRelayFlushKeepsOriginOrder pins the relay's forwarding order
-// under concurrent flushes. Several child handlers stage capture frames
-// at once while Hellos — each of which flushes synchronously from the
-// staging goroutine — land between them and the flusher goroutine ticks
-// on its own: whatever the interleaving, the root must see every
-// origin's inner sequences strictly increasing with none missing, or
-// its replay-overlap dedup would drop the overtaken frames (the
-// cold-start "process N wedged" / lost-Done failures).
-func TestRelayFlushKeepsOriginOrder(t *testing.T) {
-	const origins, frames, helloEvery = 6, 1500, 25
+// arrival is one relayed inner frame as a stand-in root saw it.
+type arrival struct {
+	origin int32
+	iseq   uint64
+}
+
+// recordingRoot is a stand-in root for one relay: it answers the
+// RelayHello, then records the inner sequence of every relayed frame in
+// arrival order (capacity cap: the test's total).
+func recordingRoot(t *testing.T, cap int) (addr string, arrivals <-chan arrival) {
+	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ln.Close()
-
-	// A stand-in root: answer the RelayHello, then record the inner
-	// sequence of every relayed frame in arrival order.
-	type arrival struct {
-		origin int32
-		iseq   uint64
-	}
-	arrivals := make(chan arrival, origins*frames)
+	t.Cleanup(func() { ln.Close() })
+	out := make(chan arrival, cap)
 	go func() {
 		conn, err := ln.Accept()
 		if err != nil {
@@ -401,13 +441,27 @@ func TestRelayFlushKeepsOriginOrder(t *testing.T) {
 					t.Errorf("root: %v", err)
 					return
 				}
-				arrivals <- arrival{f.Origin, iseq}
+				out <- arrival{f.Origin, iseq}
 			}
 		}
 	}()
+	return ln.Addr().String(), out
+}
+
+// TestRelayFlushKeepsOriginOrder pins the relay's forwarding order
+// under concurrent flushes. Several child handlers stage capture frames
+// at once while Hellos — each of which flushes synchronously from the
+// staging goroutine — land between them and the flusher goroutine ticks
+// on its own: whatever the interleaving, the root must see every
+// origin's inner sequences strictly increasing with none missing, or
+// its replay-overlap dedup would drop the overtaken frames (the
+// cold-start "process N wedged" / lost-Done failures).
+func TestRelayFlushKeepsOriginOrder(t *testing.T) {
+	const origins, frames, helloEvery = 6, 1500, 25
+	upstream, arrivals := recordingRoot(t, origins*frames)
 
 	rl, err := StartRelay(RelayConfig{
-		Index: 0, Relays: 1, N: origins, Upstream: ln.Addr().String(),
+		Index: 0, Relays: 1, N: origins, Upstream: upstream,
 		Addr: "127.0.0.1:0", Timeouts: testTimeouts(), Logf: t.Logf,
 	})
 	if err != nil {
@@ -446,5 +500,176 @@ func TestRelayFlushKeepsOriginOrder(t *testing.T) {
 		case <-deadline:
 			t.Fatalf("root received %d of %d frames", got, origins*frames)
 		}
+	}
+}
+
+// TestRelaySupersedeKeepsInnerOrder supersedes a child connection
+// mid-stream, over and over: one scripted child with a session log of
+// numbered frames dials, streams, and is cut off by its own successor —
+// a Resume that reads the cumulative ack and retransmits from there
+// while the old connection's frames are still buffered at the relay.
+// The old connection's handler and the new one then race into the
+// forward queue; accept-and-stage being one step is what keeps them
+// apart. The root must see the inner sequences strictly increasing with
+// none missing (its dedup would silently drop an overtaken frame).
+func TestRelaySupersedeKeepsInnerOrder(t *testing.T) {
+	const frames, supersedes = 4000, 24
+	upstream, arrivals := recordingRoot(t, frames+1) // + the forwarded Hello
+	rl, err := StartRelay(RelayConfig{
+		Index: 0, Relays: 1, N: 2, Upstream: upstream,
+		Addr: "127.0.0.1:0", Timeouts: testTimeouts(), Logf: t.Logf,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rl.Close()
+
+	// stream opens one connection for origin 0 and writes the session
+	// log past the relay's ack until the log ends or the connection is
+	// superseded (the relay closes it).
+	var writers sync.WaitGroup
+	stream := func(handshake wire.Msg) {
+		conn, err := net.Dial("tcp", rl.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := wire.WriteFrame(conn, 0, handshake); err != nil {
+			t.Fatal(err)
+		}
+		var cum uint64
+		if _, resume := handshake.(wire.Resume); resume {
+			conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+			_, m, err := wire.ReadFrame(conn)
+			ack, ok := m.(wire.ResumeAck)
+			if err != nil || !ok {
+				t.Fatalf("resume handshake: %T, %v", m, err)
+			}
+			cum = ack.Cum
+		}
+		writers.Add(1)
+		go func() {
+			defer writers.Done()
+			defer conn.Close()
+			for seq := cum + 1; seq <= frames; seq++ {
+				m := wire.TraceOpBatch{Ops: []wire.TraceOp{{Op: wire.TraceStep, Proc: 0}}}
+				if wire.WriteFrame(conn, seq, m) != nil {
+					return // superseded
+				}
+			}
+		}()
+	}
+	stream(wire.Hello{From: 0, N: 2})
+	for i := 0; i < supersedes; i++ {
+		time.Sleep(time.Millisecond) // let the current connection get mid-stream
+		stream(wire.Resume{From: 0, N: 2})
+	}
+	writers.Wait()
+
+	last := uint64(0)
+	deadline := time.After(20 * time.Second)
+	for last < frames {
+		select {
+		case a := <-arrivals:
+			if a.iseq == 0 {
+				continue // the forwarded Hello
+			}
+			if a.iseq != last+1 {
+				t.Fatalf("inner sequence %d reached the uplink after %d", a.iseq, last)
+			}
+			last = a.iseq
+		case <-deadline:
+			t.Fatalf("root received inner sequences up to %d of %d", last, frames)
+		}
+	}
+}
+
+// flakyStore is a trace store whose appends fail: per origin, the
+// failAt-th append errors once (a transient fault — the next would
+// succeed). It records appends attempted after an origin's failure.
+type flakyStore struct {
+	spillStore
+	failAt int
+
+	mu      sync.Mutex
+	appends map[int32]int
+	after   int // appends attempted for an origin that already failed
+}
+
+func (f *flakyStore) Append(origin int32, epoch uint32, body []byte) error {
+	f.mu.Lock()
+	f.appends[origin]++
+	k := f.appends[origin]
+	if k > f.failAt {
+		f.after++
+	}
+	f.mu.Unlock()
+	if k == f.failAt {
+		return errors.New("flaky store: injected append failure")
+	}
+	return f.spillStore.Append(origin, epoch, body)
+}
+
+// TestSpillFailureKeepsOrder breaks the trace store mid-run: every
+// session's third append (the second half's trace ops) fails. The
+// session must stop spilling for good — a later frame on disk would
+// replay before the one held in RAM — collect must hand the disk prefix
+// over before the RAM suffix, so Wait still returns the trace
+// byte-identical to RAM staging, and the store must not be sealed: a
+// manifest would bless a bundle missing the RAM-held frames.
+func TestSpillFailureKeepsOrder(t *testing.T) {
+	const n = 3
+	ram, jRAM := runScripted(t, n, false, false, "")
+
+	dir := t.TempDir()
+	s := startScripted(t, n, false, dir)
+	flaky := &flakyStore{spillStore: s.coord.store, failAt: 3, appends: map[int32]int{}}
+	s.coord.store = flaky // before any client dials: no handler reads it yet
+	s.dial()
+	s.send(false)
+	s.send(true)
+	res := s.finish()
+
+	if !bytes.Equal(encodeTrace(t, res), encodeTrace(t, ram)) {
+		t.Error("trace after a failed spill differs from RAM staging")
+	}
+	if !reflect.DeepEqual(s.journal.Events(), jRAM.Events()) {
+		t.Error("journal after a failed spill differs from RAM staging")
+	}
+	if flaky.after != 0 {
+		t.Errorf("%d appends attempted for a session after its spill failed; the fallback must be sticky", flaky.after)
+	}
+	if len(flaky.appends) != n {
+		t.Errorf("appends seen for %d origins, want %d", len(flaky.appends), n)
+	}
+	if _, err := os.Stat(filepath.Join(dir, store.ManifestName)); !os.IsNotExist(err) {
+		t.Errorf("a run with RAM-held capture was sealed (stat MANIFEST: %v)", err)
+	}
+}
+
+// TestWaitTimeoutNamesTheStall: a run that cannot finish says who it is
+// waiting for. Node 1 streams the first half of its script and never
+// reports Done; the timeout must name it, with its last sequence.
+func TestWaitTimeoutNamesTheStall(t *testing.T) {
+	const n = 3
+	s := startScripted(t, n, false, "")
+	s.dial()
+	s.send(false)
+	s.send(true, 0, 2)
+	first, _ := scriptedFrames(n, 1)
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		if st := s.coord.Status(); st.Done == n-1 && len(st.Nodes) == n && st.Nodes[1].LastSeq == uint64(len(first)) {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("the coordinator never ingested the script: %+v", s.coord.Status())
+		}
+	}
+	_, err := s.coord.Wait(50 * time.Millisecond)
+	if err == nil {
+		t.Fatal("Wait returned a result for a run missing a Done")
+	}
+	want := fmt.Sprintf("node 1 [attached=true connected=true stream epoch 0, last seq %d, done=false bye=false]", len(first))
+	if msg := err.Error(); !strings.Contains(msg, want) || !strings.Contains(msg, "2/3 done") {
+		t.Fatalf("timeout error %q\nwant it to say 2/3 done and name %q", msg, want)
 	}
 }

@@ -1,0 +1,393 @@
+package node
+
+import (
+	"bufio"
+	"errors"
+	"fmt"
+	"net"
+	"sync"
+	"time"
+
+	"predctl/internal/wire"
+)
+
+// session.go: the server half of the resumable capture session. The
+// root terminates node streams and relay uplinks, a relay terminates
+// its children's streams; all three are one protocol — a handshake that
+// adopts the connection as the stream's owner and replays the run's
+// terminal decisions, then a read loop feeding a cumulative-sequence
+// gate — written once here. handleConn, handleRelay and
+// Relay.handleChild are role-specific glue over it.
+//
+// Lock inventory, root side, outermost first; a lock is only ever taken
+// while holding locks listed above it:
+//
+//	relaySession.ingestMu   one uplink's accept-and-unpack, held across
+//	                        a whole RelayBatch — above shutdownMu because
+//	                        a relayed Hello in the batch decides a restart
+//	Coordinator.shutdownMu  the terminal decisions (Shutdown, Commit,
+//	                        restart, re-execution) and every handshake's
+//	                        adoption + decision replay
+//	nodeSession.ingestMu    one node stream's accept-and-stage
+//	inbound.mu, Coordinator.mu, endpoint.connMu
+//	                        leaves: a session's owner, sequence and
+//	                        staging; the session tables, epoch and
+//	                        completion counts; the accepted connections.
+//	                        Never nested, never held across I/O
+//	coordConn.wmu           one connection's writes
+//
+// The store, the live checker and the journal lock internally and call
+// nothing back. A relay is the same shape one level down: decideMu (its
+// shutdownMu) → relayChild.ingestMu → inbound.mu / Relay.mu, then the
+// forward queue's flushMu → pendMu → the uplink client's locks.
+
+// streamReadDeadline bounds one wait for the next frame of an accepted
+// stream. Generous: peers stream continuously while alive, and a wedged
+// one should fail the run loudly, not hang it.
+const streamReadDeadline = 30 * time.Second
+
+// endpoint is what the root and a relay share as terminators of capture
+// streams: a name for the log, the timeouts, the listener with every
+// connection it accepted, and the streams those connections may own.
+type endpoint struct {
+	who  string
+	opt  Timeouts
+	logf func(string, ...any)
+	ln   net.Listener
+
+	closed   chan struct{} // teardown has begun: stream errors are no longer news
+	stopOnce sync.Once
+	wg       sync.WaitGroup // the accept loop and one handler per connection
+
+	connMu sync.Mutex
+	// conns is every accepted connection, owner or not: stop must reach
+	// conns mid-handshake and superseded readers too, or a peer that
+	// keeps sending keeps its handler — and wg.Wait — alive.
+	conns   map[net.Conn]struct{}
+	streams []*inbound // append-only: whom a broadcast may reach
+}
+
+func newEndpoint(who string, opt Timeouts, logf func(string, ...any)) endpoint {
+	if logf == nil {
+		logf = func(string, ...any) {}
+	}
+	return endpoint{who: who, opt: opt, logf: logf, closed: make(chan struct{}), conns: map[net.Conn]struct{}{}}
+}
+
+// listen binds the endpoint: to ln when the caller pre-bound one, else
+// to addr.
+func (ep *endpoint) listen(ln net.Listener, addr string) (err error) {
+	if ep.ln = ln; ln == nil {
+		if ep.ln, err = net.Listen("tcp", addr); err != nil {
+			return fmt.Errorf("node: %s listen %s: %w", ep.who, addr, err)
+		}
+	}
+	return nil
+}
+
+// Addr returns the address peers dial.
+func (ep *endpoint) Addr() string { return ep.ln.Addr().String() }
+
+// acceptLoop hands every accepted connection to handle on its own
+// goroutine, until stop.
+func (ep *endpoint) acceptLoop(handle func(net.Conn)) {
+	defer ep.wg.Done()
+	for {
+		conn, err := ep.ln.Accept()
+		if err != nil {
+			select {
+			case <-ep.closed:
+			default:
+				ep.logf("%s: accept: %v", ep.who, err)
+			}
+			return
+		}
+		ep.connMu.Lock()
+		select {
+		case <-ep.closed: // raced stop's sweep
+			ep.connMu.Unlock()
+			conn.Close()
+			return
+		default:
+		}
+		ep.conns[conn] = struct{}{}
+		ep.connMu.Unlock()
+		ep.wg.Add(1)
+		go func() {
+			defer ep.wg.Done()
+			handle(conn)
+			conn.Close()
+			ep.connMu.Lock()
+			delete(ep.conns, conn)
+			ep.connMu.Unlock()
+		}()
+	}
+}
+
+// stop begins teardown, abruptly: the listener and every accepted
+// connection close. The caller then waits on wg.
+func (ep *endpoint) stop() {
+	ep.stopOnce.Do(func() {
+		close(ep.closed)
+		ep.ln.Close()
+		ep.connMu.Lock()
+		for conn := range ep.conns {
+			conn.Close()
+		}
+		ep.connMu.Unlock()
+	})
+}
+
+// coordConn is one accepted stream connection. Writes are serialized:
+// a handshake reply from the handler races decision broadcasts from
+// other goroutines. A nil *coordConn stands for a relayed origin, whose
+// relay answers it from its own decision cache — writing to it is a
+// no-op.
+type coordConn struct {
+	net.Conn
+	br           *bufio.Reader
+	peer         string // "node 3", "relay 0": for the log, once the handshake names it
+	writeTimeout time.Duration
+	wmu          sync.Mutex
+}
+
+func (c *coordConn) writeFrame(m wire.Msg) error {
+	if c == nil {
+		return nil
+	}
+	c.wmu.Lock()
+	defer c.wmu.Unlock()
+	c.SetWriteDeadline(time.Now().Add(c.writeTimeout))
+	return wire.WriteFrame(c.Conn, 0, m)
+}
+
+// open wraps an accepted connection and reads its handshake frame, body
+// kept raw (a relay forwards a Hello verbatim).
+func (ep *endpoint) open(raw net.Conn) (conn *coordConn, body []byte, seq uint64, first wire.Msg, err error) {
+	conn = &coordConn{Conn: raw, br: bufReader(raw), writeTimeout: ep.opt.WriteTimeout}
+	raw.SetReadDeadline(time.Now().Add(ep.opt.DialTimeout))
+	if body, err = wire.ReadRawBody(conn.br); err == nil {
+		seq, first, err = wire.DecodeBody(body)
+	}
+	if err != nil {
+		ep.logf("%s: handshake: %v", ep.who, err)
+	}
+	return conn, body, seq, first, err
+}
+
+// nodeHandshake validates a node stream's opening frame for an n-node
+// run: Hello opens a fresh stream, Resume continues one.
+func nodeHandshake(first wire.Msg, n int) (id int, fresh, ok bool) {
+	var from, hn int32
+	switch h := first.(type) {
+	case wire.Hello:
+		from, hn, fresh = h.From, h.N, true
+	case wire.Resume:
+		from, hn = h.From, h.N
+	default:
+		return 0, false, false
+	}
+	return int(from), fresh, int(hn) == n && from >= 0 && int(from) < n
+}
+
+// serve reads conn's frames until the stream breaks or frame refuses
+// one, handing each raw body to frame — the role's glue, which decodes
+// what it needs and delivers through its session's gate. count, when
+// set, meters every body read (the root's ingest accounting).
+func (ep *endpoint) serve(conn *coordConn, count func(bodyLen int), frame func(body []byte) error) {
+	for {
+		conn.SetReadDeadline(time.Now().Add(streamReadDeadline))
+		body, err := wire.ReadRawBody(conn.br)
+		if err == nil {
+			if count != nil {
+				count(len(body))
+			}
+			err = frame(body)
+		}
+		if err == nil {
+			continue
+		}
+		select {
+		case <-ep.closed:
+		default:
+			if err != errSuperseded && !errors.Is(err, net.ErrClosed) {
+				ep.logf("%s: %s stream: %v", ep.who, conn.peer, err)
+			}
+		}
+		return
+	}
+}
+
+// broadcast writes m to every stream's live connection (at the root
+// that includes relay uplinks: a decision reaches relayed nodes through
+// their relay's fan-out), closing any whose write fails: the peer's
+// resume handshake then replays the decision state, so a failed write
+// becomes a reconnect-and-catch-up, not a silently missed decision.
+func (ep *endpoint) broadcast(m wire.Msg) {
+	ep.connMu.Lock()
+	streams := ep.streams
+	ep.connMu.Unlock()
+	for _, in := range streams {
+		in.mu.Lock()
+		conn := in.owner
+		in.mu.Unlock()
+		if err := conn.writeFrame(m); err != nil {
+			if !errors.Is(err, net.ErrClosed) {
+				ep.logf("%s: %s: %T write: %v", ep.who, conn.peer, m, err)
+			}
+			conn.Close()
+		}
+	}
+}
+
+// inbound is the receiving end of one resumable stream. It outlives any
+// one connection: a peer whose stream broke resumes it (the cumulative
+// sequence absorbs the replayed tail), a relaunched peer restarts it.
+type inbound struct {
+	// ingestMu makes accepting a frame and staging it one step, and
+	// adoption wait for it: a handler superseded mid-frame must not
+	// interleave its staging with the successor's, or the next hop sees
+	// frame k+1 before k and its duplicate check silently drops k.
+	ingestMu sync.Mutex
+
+	// mu guards the fields below and whatever the embedding session
+	// stages under it. Taken after ingestMu.
+	mu       sync.Mutex
+	owner    *coordConn // the connection currently allowed to deliver
+	lastSeq  uint64     // highest sequence accepted
+	attached bool       // a peer has handshaken for this stream before
+}
+
+// errSuperseded refuses a frame from a connection that no longer owns
+// its stream.
+var errSuperseded = errors.New("superseded by a newer connection")
+
+// deliver is the sequence gate: it runs fn — the staging of frame seq,
+// arrived on conn — if and only if the frame is new, as one step with
+// accepting it. A duplicate (the client retransmits everything past its
+// last ack) is dropped silently. A frame from a connection that lost
+// the stream is refused: what is still buffered on it would interleave
+// with — or, after a relaunch's sequence reset, masquerade as — the
+// successor's. A gap is refused too: inside a live TCP stream it can
+// only be corruption, and the resume replays from the last accepted
+// frame. A nil conn delivers a relayed inner frame: the relay's own
+// session vouches for the connection, and its coalescing (snapshot
+// folding, epoch discards) legally removes frames mid-stream, so only
+// monotonicity is required.
+func (in *inbound) deliver(conn *coordConn, seq uint64, fn func()) error {
+	in.ingestMu.Lock()
+	defer in.ingestMu.Unlock()
+	in.mu.Lock()
+	last := in.lastSeq
+	switch {
+	case conn != nil && in.owner != conn:
+		in.mu.Unlock()
+		return errSuperseded
+	case seq <= last:
+		in.mu.Unlock()
+		return nil
+	case conn != nil && seq != last+1:
+		in.mu.Unlock()
+		return fmt.Errorf("sequence gap (%d after %d); dropping connection for resume", seq, last)
+	}
+	in.lastSeq = seq
+	in.mu.Unlock()
+	fn()
+	return nil
+}
+
+// adopt makes conn the stream's owner once the frame its predecessor is
+// staging has landed, and returns the cumulative sequence to ack. fresh
+// restarts the numbering at seq: a Hello's own (the new process counts
+// from it), 0 for a relay process with a new session log.
+func (in *inbound) adopt(conn *coordConn, fresh bool, seq uint64) uint64 {
+	in.ingestMu.Lock()
+	defer in.ingestMu.Unlock()
+	return in.adoptLocked(conn, fresh, seq)
+}
+
+// adoptLocked is adopt under the caller's ingestMu. The superseded
+// connection is closed: its handler must not keep reading a dead stream.
+func (in *inbound) adoptLocked(conn *coordConn, fresh bool, seq uint64) uint64 {
+	in.mu.Lock()
+	defer in.mu.Unlock()
+	if old := in.owner; old != nil && old != conn {
+		old.Close()
+	}
+	in.owner, in.attached = conn, true
+	if fresh {
+		in.lastSeq = seq
+	}
+	return in.lastSeq
+}
+
+// register makes a new stream reachable by broadcasts.
+func (ep *endpoint) register(in *inbound) {
+	ep.connMu.Lock()
+	ep.streams = append(ep.streams, in)
+	ep.connMu.Unlock()
+}
+
+// decisions is the run's terminal decision state as a handshake must
+// present it: built from coordinator state under shutdownMu at the
+// root, cached from the uplink at a relay. A connection that was not
+// attached when a decision was broadcast learns it here.
+type decisions struct {
+	epoch     uint32
+	shutdown  bool            // Shutdown broadcast for epoch, byes pending
+	committed bool            // Commit broadcast: the run is sealed
+	detection *wire.Detection // latest detection that drove a re-execution
+}
+
+// detect tells conn the run is under active debugging, if it is: a
+// planted rogue reverts to controlled behavior on it.
+func (d decisions) detect(conn *coordConn) error {
+	if d.detection == nil {
+		return nil
+	}
+	return conn.writeFrame(*d.detection)
+}
+
+// replay answers a resume handshake: the cumulative ack (whose epoch
+// covers any Restart or ReExec missed while disconnected), then the
+// decisions still in force, in decision order — so the peer can bye,
+// and exit if the run is sealed.
+func (d decisions) replay(conn *coordConn, cum uint64) error {
+	err := conn.writeFrame(wire.ResumeAck{Cum: cum, Epoch: d.epoch})
+	if err == nil {
+		err = d.detect(conn)
+	}
+	if err == nil && d.shutdown {
+		err = conn.writeFrame(wire.Shutdown{Epoch: d.epoch})
+	}
+	if err == nil && d.committed {
+		err = conn.writeFrame(wire.Commit{})
+	}
+	return err
+}
+
+// catchUp answers a Hello that needs no restart decision: a node whose
+// first dial was held (a partition window) past a restart never heard
+// the broadcast and would run epoch 0 forever against peers at epoch e.
+// It has executed nothing, so the re-execution in flight stays valid;
+// it just starts late. A node at or past the epoch ignores the Restart.
+func (d decisions) catchUp(conn *coordConn) error {
+	err := d.detect(conn)
+	if err == nil && d.epoch > 0 {
+		err = conn.writeFrame(wire.Restart{Epoch: d.epoch})
+	}
+	return err
+}
+
+// errRefused ends the handshake of a relaunch that arrived after Commit.
+var errRefused = errors.New("rejoined after commit; refused")
+
+// refuse turns away a relaunch that arrived after Commit: Shutdown then
+// Commit, the exit ramp a parked node takes. There is no run left to
+// restart.
+func (d decisions) refuse(conn *coordConn) error {
+	if conn.writeFrame(wire.Shutdown{Epoch: d.epoch}) == nil {
+		conn.writeFrame(wire.Commit{})
+	}
+	return errRefused
+}

@@ -1,0 +1,192 @@
+package node
+
+import (
+	"errors"
+	"net"
+	"testing"
+	"time"
+
+	"predctl/internal/wire"
+)
+
+// session_test.go pins the shared inbound session layer: the sequence
+// gate's verdicts, and the one-step accept-and-stage that a superseding
+// connection must wait out.
+
+// pipeConn is a coordConn over an in-memory pipe: adoption closes the
+// connection it supersedes, so the gate tests need real ones.
+func pipeConn(t *testing.T) *coordConn {
+	t.Helper()
+	a, b := net.Pipe()
+	t.Cleanup(func() { a.Close(); b.Close() })
+	return &coordConn{Conn: a}
+}
+
+func TestInboundDeliverVerdicts(t *testing.T) {
+	conn := pipeConn(t)
+	for _, tc := range []struct {
+		name    string
+		relayed bool   // deliver with a nil conn: monotone mode
+		last    uint64 // the stream's state going in
+		seq     uint64
+		staged  bool // fn ran
+		refused bool // deliver returned an error: the connection is dropped
+	}{
+		{name: "next frame accepted", last: 4, seq: 5, staged: true},
+		{name: "duplicate dropped", last: 4, seq: 4},
+		{name: "older duplicate dropped", last: 4, seq: 1},
+		{name: "gap drops the connection", last: 4, seq: 6, refused: true},
+		{name: "relayed next frame accepted", relayed: true, last: 4, seq: 5, staged: true},
+		{name: "relayed duplicate dropped", relayed: true, last: 4, seq: 4},
+		{name: "relayed gap accepted", relayed: true, last: 4, seq: 9, staged: true},
+	} {
+		in := &inbound{}
+		in.adopt(conn, true, tc.last)
+		via := conn
+		if tc.relayed {
+			via = nil
+		}
+		staged := false
+		err := in.deliver(via, tc.seq, func() { staged = true })
+		if staged != tc.staged || (err != nil) != tc.refused {
+			t.Errorf("%s: staged=%v err=%v, want staged=%v refused=%v", tc.name, staged, err, tc.staged, tc.refused)
+		}
+		want := tc.last
+		if tc.staged {
+			want = tc.seq
+		}
+		if in.lastSeq != want {
+			t.Errorf("%s: lastSeq %d, want %d", tc.name, in.lastSeq, want)
+		}
+	}
+}
+
+// TestInboundAdoptResets pins the numbering across handshakes: a resume
+// keeps the cumulative sequence (and acks it), a fresh Hello restarts it
+// at the Hello's own sequence, a non-resume RelayHello at zero.
+func TestInboundAdoptResets(t *testing.T) {
+	in := &inbound{}
+	first, second, third := pipeConn(t), pipeConn(t), pipeConn(t)
+	if in.attached {
+		t.Fatal("a stream nobody handshook for is attached")
+	}
+	in.adopt(first, true, 1) // Hello carried sequence 1
+	for seq := uint64(2); seq <= 4; seq++ {
+		if err := in.deliver(first, seq, func() {}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if cum := in.adopt(second, false, 0); cum != 4 || !in.attached {
+		t.Fatalf("resume acked %d (attached=%v), want 4", cum, in.attached)
+	}
+	if err := in.deliver(first, 5, func() {}); !errors.Is(err, errSuperseded) {
+		t.Fatalf("superseded connection delivered: %v", err)
+	}
+	if cum := in.adopt(third, true, 0); cum != 0 {
+		t.Fatalf("fresh handshake acked %d, want 0", cum)
+	}
+	staged := false
+	if err := in.deliver(third, 1, func() { staged = true }); err != nil || !staged {
+		t.Fatalf("first frame after a reset: staged=%v err=%v", staged, err)
+	}
+}
+
+// TestInboundSupersedeWaitsForStaging is the drift defect the shared
+// gate removes (the relay copies bumped the sequence, unlocked, then
+// staged): a handler is parked inside deliver staging frame k while a
+// second connection adopts the stream and delivers k+1. The adoption
+// must wait for k to land, the staging order must be k, k+1, and the
+// superseded connection's next frame must be refused.
+func TestInboundSupersedeWaitsForStaging(t *testing.T) {
+	in := &inbound{}
+	old, succ := pipeConn(t), pipeConn(t)
+	in.adopt(old, true, 0)
+	const k = 1
+
+	var order []uint64 // written only inside deliver: the gate orders it
+	parked, release := make(chan struct{}), make(chan struct{})
+	oldDone := make(chan error, 1)
+	go func() {
+		oldDone <- in.deliver(old, k, func() {
+			close(parked)
+			<-release
+			order = append(order, k)
+		})
+	}()
+	<-parked
+
+	adopted := make(chan uint64, 1)
+	succDone := make(chan error, 1)
+	go func() {
+		cum := in.adopt(succ, false, 0)
+		adopted <- cum
+		succDone <- in.deliver(succ, cum+1, func() { order = append(order, cum+1) })
+	}()
+	select {
+	case cum := <-adopted:
+		t.Fatalf("adoption (cum %d) did not wait for frame %d to be staged", cum, k)
+	case <-time.After(50 * time.Millisecond):
+	}
+	close(release)
+	if err := <-oldDone; err != nil {
+		t.Fatalf("in-flight frame: %v", err)
+	}
+	if cum := <-adopted; cum != k {
+		t.Fatalf("adoption acked %d, want %d", cum, k)
+	}
+	if err := <-succDone; err != nil {
+		t.Fatalf("successor's frame: %v", err)
+	}
+	if len(order) != 2 || order[0] != k || order[1] != k+1 {
+		t.Fatalf("staging order %v, want [%d %d]", order, k, k+1)
+	}
+	if err := in.deliver(old, k+2, func() { t.Error("superseded connection staged a frame") }); !errors.Is(err, errSuperseded) {
+		t.Fatalf("superseded connection's next frame: %v, want errSuperseded", err)
+	}
+}
+
+// TestHandshakeNotOvertakenByBroadcast: a decision broadcast while a
+// Resume handshake is in progress must not reach the new connection
+// ahead of its ResumeAck — the client reads the ack first and treats
+// anything else as a failed resume, which ends its session for good.
+// Adoption and replay are one step under shutdownMu, so the broadcast
+// either misses the connection (and the replay carries the decision) or
+// follows the ack.
+func TestHandshakeNotOvertakenByBroadcast(t *testing.T) {
+	c, err := NewCoordinator(CoordConfig{N: 2, Addr: "127.0.0.1:0", Timeouts: testTimeouts(), Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	conn, err := net.Dial("tcp", c.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+
+	c.shutdownMu.Lock()
+	if err := wire.WriteFrame(conn, 0, wire.Resume{From: 0, N: 2}); err != nil {
+		t.Fatal(err)
+	}
+	// Give the handler time to read the Resume and reach the decision
+	// lock; too short a wait can only make the test pass vacuously.
+	time.Sleep(50 * time.Millisecond)
+	c.shutdown = true
+	c.broadcast(wire.Shutdown{})
+	c.shutdownMu.Unlock()
+
+	conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+	br := bufReader(conn)
+	_, first, err := wire.ReadFrame(br)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := first.(wire.ResumeAck); !ok {
+		t.Fatalf("first handshake reply is %T, want ResumeAck", first)
+	}
+	if _, second, err := wire.ReadFrame(br); err != nil {
+		t.Fatal(err)
+	} else if _, ok := second.(wire.Shutdown); !ok {
+		t.Fatalf("replayed decision is %T, want Shutdown", second)
+	}
+}
