@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race check loc bench bench-quick bench-compare bench-mem bench-mem-baseline baseline bench-cluster bench-chaos chaos-smoke bench-slice slice-smoke bench-obs bench-live live-smoke bench-relay relay-smoke
+.PHONY: all build vet test race check loc bench bench-quick bench-compare bench-mem bench-mem-baseline bench-cluster bench-chaos chaos-smoke bench-slice slice-smoke bench-obs bench-live live-smoke bench-relay relay-smoke
 
 all: check
 
@@ -52,10 +52,6 @@ bench-mem:
 	$(GO) test -run '^$$' -bench 'BenchmarkAssemble$$' -benchtime 1x -benchmem ./internal/node
 	$(GO) run ./cmd/pcbench -compare BENCH_memory.json
 
-# Regenerate the committed parallel-engine baseline (internal/expt E10).
-baseline:
-	$(GO) run ./cmd/pcbench -baseline BENCH_baseline.json
-
 # Regenerate the committed cluster baseline: real in-process clusters
 # over loopback TCP at 8..128 nodes flat, 256/512 nodes flat vs a
 # 2-level relay tree (plus an on-disk trace-store row with
@@ -74,9 +70,7 @@ bench-cluster:
 bench-relay relay-smoke:
 	$(GO) run ./cmd/pcbench -relay-smoke
 
-# Regenerate the committed allocation baseline. -pre embeds an earlier
-# sweep (measured on the pre-optimization tree) so the JSON records the
-# reduction; omit it to just re-measure.
+# Regenerate the committed allocation baseline.
 bench-mem-baseline:
 	$(GO) run ./cmd/pcbench -membaseline BENCH_memory.json
 
@@ -122,8 +116,8 @@ live-smoke:
 
 # Regenerate the committed computation-slicing baseline: slice-based
 # violation enumeration vs the exhaustive lattice walk, ns/op and states
-# explored at 1/2/4 workers, with the slice's answer cross-validated
-# against the exhaustive oracle on every enumerable workload (see
+# explored, with the slice's answer cross-validated against the
+# exhaustive oracle on every enumerable workload (see
 # internal/expt/slice.go).
 bench-slice:
 	$(GO) run ./cmd/pcbench -slice BENCH_slice.json

@@ -40,7 +40,7 @@ func BenchmarkE1SGSDReduction(b *testing.B) {
 			var explored int
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				_, stats, err := detect.SGSDWithStats(red.D, red.B, false)
+				_, stats, err := detect.SGSD(red.D, red.B, false)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -243,88 +243,21 @@ func BenchmarkE8ControlCNF(b *testing.B) {
 	}
 }
 
-// --- E10: parallel detection/control engine ---
-//
-// Worker counts resolve from GOMAXPROCS, so `go test -bench E10 -cpu 1,4`
-// produces the sequential and 4-worker variants of every target; the
-// committed BENCH_baseline.json records the same sweep via
-// `pcbench -baseline` (see internal/expt/e10.go).
+// --- E10: computation slicing ---
 
-func BenchmarkE10BuildParallel(b *testing.B) {
+func BenchmarkViolationsSliced(b *testing.B) {
 	b.ReportAllocs()
-	r := rand.New(rand.NewSource(10))
-	bld := deposet.RandomBuilder(r, deposet.DefaultGen(32, 16000))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := bld.BuildParallel(0); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkE10PossiblyPar(b *testing.B) {
-	b.ReportAllocs()
-	r := rand.New(rand.NewSource(10))
-	d := deposet.Random(r, deposet.DefaultGen(32, 16000))
-	truth := deposet.RandomTruth(r, d, 0.05)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		detect.PossiblyTruthPar(d, func(p, k int) bool { return truth[p][k] }, detect.Par{})
-	}
-}
-
-func BenchmarkE10DefinitelyPar(b *testing.B) {
-	b.ReportAllocs()
-	r := rand.New(rand.NewSource(10))
-	d := deposet.Random(r, deposet.DefaultGen(32, 16000))
-	truth := deposet.RandomTruth(r, d, 0.6)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		detect.DefinitelyTruthPar(d, func(p, k int) bool { return truth[p][k] }, detect.Par{})
-	}
-}
-
-func BenchmarkE10ViolationsPar(b *testing.B) {
-	b.ReportAllocs()
-	// Small lattice (33³ cuts); Cutoff 1 so the level-synchronous search
-	// still shards at whatever GOMAXPROCS the -cpu flag sets. Pinned to
-	// the exhaustive engine: AllViolationsPar itself now dispatches
-	// disjunctive queries to the slice (benchmarked below).
+	// ¬(∨ lp) is regular, so the dispatcher takes the violations from the
+	// computation slice (4,096 cuts) instead of walking the lattice
+	// (33³ = 35,937) — the states-explored gap is the whole point
+	// (BENCH_slice.json). The disjunction goes in as the normal form, the
+	// way predctl.Violations receives it; a run that fell off the slice
+	// path is timing the wrong algorithm and fails.
 	d, dj := e2Workload(3, 8)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		detect.AllViolationsExhaustivePar(d, dj, detect.Par{Cutoff: 1})
-	}
-}
-
-func BenchmarkE10ViolationsSliced(b *testing.B) {
-	b.ReportAllocs()
-	// Same workload through the dispatcher: ¬(∨ lp) is regular, so the
-	// violations come from the computation slice instead of the lattice
-	// walk — the states-explored gap is the whole point (BENCH_slice.json).
-	d, dj := e2Workload(3, 8)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		detect.AllViolationsPar(d, dj, detect.Par{Cutoff: 1})
-	}
-}
-
-func BenchmarkE10DetectBatch(b *testing.B) {
-	ds, qs, _ := batchWorkload(10, 16)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := DetectBatch(ds, qs, 0); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkE10ControlBatch(b *testing.B) {
-	ds, _, bs := batchWorkload(10, 16)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := ControlBatch(ds, bs, 0); err != nil {
-			b.Fatal(err)
+		if _, stats := detect.AllViolations(d, dj); !stats.Sliced {
+			b.Fatalf("violation enumeration left the slice path: %+v", stats)
 		}
 	}
 }

@@ -6,7 +6,6 @@
 //	pcbench                                # run every experiment
 //	pcbench e4 e6                          # run selected experiments
 //	pcbench -seed 42                       # change the workload seed
-//	pcbench -baseline BENCH_baseline.json  # record the parallel-engine baseline
 //	pcbench -membaseline BENCH_memory.json # record the allocation baseline
 //	pcbench -cluster BENCH_cluster.json    # record the networked-runtime sweep
 //	                                       # (real loopback clusters, 8..128 nodes
@@ -31,7 +30,7 @@
 //	                                       # -live-latency-runs scale it
 //	pcbench -slice BENCH_slice.json        # record the computation-slicing sweep:
 //	                                       # slice vs exhaustive violation enumeration,
-//	                                       # ns/op and states explored at 1/2/4 workers
+//	                                       # ns/op and states explored
 //	pcbench -slice-smoke                   # slice-vs-exhaustive cross-validation on
 //	                                       # seeded traces; exits 1 on any mismatch
 //	pcbench -relay-smoke                   # hierarchical-ingest smoke: 64 nodes
@@ -39,7 +38,6 @@
 //	                                       # relay killed mid-run; full capture,
 //	                                       # invariants, and live-verdict agreement
 //	                                       # required; exits 1 on any failure
-//	pcbench -membaseline X -pre OLD.json   # ... embedding OLD as the pre-change rows
 //	pcbench -compare BENCH_memory.json     # diff a fresh sweep against the file;
 //	                                       # exits 1 on allocs/op or ns/op regression
 //	pcbench -compare OLD.json NEW.json     # diff two recorded sweeps
@@ -80,7 +78,6 @@ func readMemBaseline(path string) *expt.MemBaseline {
 
 func main() {
 	seed := flag.Int64("seed", 1998, "workload seed")
-	baseline := flag.String("baseline", "", "write the parallel-engine baseline (E10 sweep) as JSON to this file and exit")
 	membaseline := flag.String("membaseline", "", "write the allocation baseline (allocs/op sweep) as JSON to this file and exit")
 	cluster := flag.String("cluster", "", "write the cluster baseline (loopback TCP sweep, flat vs relay tree, plus the ingest micro-benchmark) as JSON to this file and exit")
 	chaos := flag.String("chaos", "", "run the crash/partition chaos soak, write its totals as JSON to this file and exit (nonzero on any lost capture or invariant violation)")
@@ -95,7 +92,6 @@ func main() {
 	liveN := flag.Int("live-n", 32, "live bench: overhead cluster size")
 	liveReps := flag.Int("live-reps", 16, "live bench: repetitions per mode (min wall compared)")
 	liveLatRuns := flag.Int("live-latency-runs", 12, "live bench: planted-violation runs for the latency distribution")
-	pre := flag.String("pre", "", "with -membaseline: embed this earlier sweep as the pre-change rows and record reductions")
 	compare := flag.String("compare", "", "compare this baseline JSON against a fresh sweep (or a second file argument); exit 1 on regression")
 	sliceOut := flag.String("slice", "", "write the computation-slicing sweep (slice vs exhaustive detection) as JSON to this file and exit")
 	sliceSmoke := flag.Bool("slice-smoke", false, "cross-validate sliced detection against the exhaustive oracle on seeded traces; exit 1 on any mismatch")
@@ -167,17 +163,6 @@ func main() {
 		fmt.Printf("wrote %s\n", *sliceOut)
 		return
 	}
-	if *baseline != "" {
-		doc, err := expt.BaselineJSON(*seed)
-		if err != nil {
-			fatal(err)
-		}
-		if err := os.WriteFile(*baseline, doc, 0o644); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("wrote %s\n", *baseline)
-		return
-	}
 	if *chaos != "" {
 		doc, verdict, err := expt.ChaosJSON(expt.ChaosOptions{
 			Seed: *seed, N: *chaosN, Duration: *chaosDur,
@@ -229,11 +214,7 @@ func main() {
 		return
 	}
 	if *membaseline != "" {
-		var prev *expt.MemBaseline
-		if *pre != "" {
-			prev = readMemBaseline(*pre)
-		}
-		doc, err := expt.MemoryJSON(*seed, prev)
+		doc, err := expt.MemoryJSON(*seed)
 		if err != nil {
 			fatal(err)
 		}

@@ -338,7 +338,7 @@ func cmdSGSD(args []string) error {
 	if err != nil {
 		return err
 	}
-	seq, stats, err := detect.SGSDWithStats(d, dj.Expr(), *simultaneous)
+	seq, stats, err := detect.SGSD(d, dj.Expr(), *simultaneous)
 	if err != nil {
 		return err
 	}

@@ -30,7 +30,7 @@ func main() {
 	drawAvailability(d)
 
 	fmt.Println("\n--- Step 1: detect bug 1: \"all servers unavailable\" ---")
-	violations := detect.AllViolations(d, fg.Avail.Expr())
+	violations, _ := detect.AllViolations(d, fg.Avail.Expr())
 	fmt.Printf("bug 1 is possible at %d consistent global states:\n", len(violations))
 	names := []string{"G", "H"}
 	for i, v := range violations {

@@ -295,16 +295,7 @@ func (b *Builder) fail(err error) {
 
 // Build validates the computation and computes vector clocks. The builder
 // remains usable; Build may be called repeatedly as the computation grows.
-// Computations of at least ParallelClockCutoff total states have their
-// clocks constructed in process-sharded parallel passes across GOMAXPROCS
-// workers (see BuildParallel for explicit control); smaller ones use the
-// sequential fixpoint, which is faster at that scale.
 func (b *Builder) Build() (*Deposet, error) {
-	return b.build(clockWorkers(b.lens))
-}
-
-// build is Build with the clock-construction worker count resolved.
-func (b *Builder) build(workers int) (*Deposet, error) {
 	if b.err != nil {
 		return nil, b.err
 	}
@@ -318,13 +309,7 @@ func (b *Builder) build(workers int) (*Deposet, error) {
 		d.sendMsg[p] = append([]int(nil), b.sendMsg[p]...)
 		d.recvMsg[p] = append([]int(nil), b.recvMsg[p]...)
 	}
-	var err error
-	if workers > 1 {
-		err = d.computeClocksParallel(workers)
-	} else {
-		err = d.computeClocks()
-	}
-	if err != nil {
+	if err := d.computeClocks(); err != nil {
 		return nil, err
 	}
 	if len(b.names) > 0 {
@@ -346,12 +331,28 @@ func (b *Builder) MustBuild() *Deposet {
 // cyclic (the structure is not a valid deposet).
 var ErrCyclic = errors.New("deposet: causal precedence is cyclic")
 
+// initClockRows allocates the flat clock arena and seeds every ⊥p. Rows
+// other than ⊥ are written (predecessor copy + merge) before any read,
+// so only the ⊥ rows need the None fill.
+func (d *Deposet) initClockRows() (remaining int) {
+	n := len(d.lens)
+	d.clocks = vclock.NewArena(d.lens)
+	for p := 0; p < n; p++ {
+		row := d.clocks.Row(p, 0)
+		for i := range row {
+			row[i] = vclock.None
+		}
+		row[p] = 0
+		remaining += d.lens[p] - 1
+	}
+	return remaining
+}
+
 // computeClocks assigns the clock row of every state, processing events
 // in a causality-respecting order; it fails with ErrCyclic if none
 // exists. Rows are written in place in the arena — copy the predecessor
 // row, merge the message clock — so the whole construction performs no
-// per-event allocation. computeClocksParallel (parclock.go) is the
-// sharded variant for large computations.
+// per-event allocation.
 func (d *Deposet) computeClocks() error {
 	n := len(d.lens)
 	remaining := d.initClockRows()

@@ -2,6 +2,7 @@ package deposet
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -392,6 +393,36 @@ func TestFromRawDetectsCycle(t *testing.T) {
 	}
 	if _, err := FromRaw(raw); err != ErrCyclic {
 		t.Fatalf("err = %v, want ErrCyclic", err)
+	}
+}
+
+// The clocks of a trace far larger than the property tests build (≥16k
+// states) obey the clock recurrence row by row: a state's row is its
+// predecessor's, merged with the sender's pre-send row when its event is
+// a receive, with its own component set to its index.
+func TestBuildLargeTraceClockRecurrence(t *testing.T) {
+	d := Random(rand.New(rand.NewSource(7)), DefaultGen(8, 16384))
+	if d.NumStates() < 16384 {
+		t.Fatalf("trace has %d states, want ≥ 16384", d.NumStates())
+	}
+	n := d.NumProcs()
+	for p := 0; p < n; p++ {
+		bottom := vclock.New(n)
+		bottom[p] = 0
+		if got := d.Clock(StateID{p, 0}); !slices.Equal(got, bottom) {
+			t.Fatalf("clock(⊥%d) = %v, want %v", p, got, bottom)
+		}
+		for k := 1; k < d.Len(p); k++ {
+			want := d.Clock(StateID{p, k - 1}).Clone()
+			if mi := d.RecvAt(p, k); mi >= 0 {
+				m := d.Messages()[mi]
+				want.Merge(d.Clock(StateID{m.FromP, m.SendEvent - 1}))
+			}
+			want[p] = int32(k)
+			if got := d.Clock(StateID{p, k}); !slices.Equal(got, want) {
+				t.Fatalf("clock(%d,%d) = %v, want %v", p, k, got, want)
+			}
+		}
 	}
 }
 

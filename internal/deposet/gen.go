@@ -26,7 +26,7 @@ func Random(r *rand.Rand, cfg GenConfig) *Deposet {
 
 // RandomBuilder generates the same computation as Random but returns
 // the populated Builder, so one recorded construction can be built
-// repeatedly (e.g. sequentially and with several worker counts).
+// repeatedly (benchmarks time Build apart from the generation).
 func RandomBuilder(r *rand.Rand, cfg GenConfig) *Builder {
 	b := NewBuilder(cfg.Procs)
 	type flight struct {

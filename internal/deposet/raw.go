@@ -81,11 +81,7 @@ func FromRaw(r Raw) (*Deposet, error) {
 		}
 		d.recvMsg[m.ToP][m.RecvEvent] = i
 	}
-	if workers := clockWorkers(d.lens); workers > 1 {
-		if err := d.computeClocksParallel(workers); err != nil {
-			return nil, err
-		}
-	} else if err := d.computeClocks(); err != nil {
+	if err := d.computeClocks(); err != nil {
 		return nil, err
 	}
 	if r.Vars != nil {

@@ -8,15 +8,15 @@ import (
 	"predctl/internal/predicate"
 )
 
-// Detection on a mid-size trace below the parallel cutoff must stay
-// within a constant handful of allocations — the candidate cursor, the
-// wrapping closure and the witness cut — independent of trace size. The
+// Detection on a mid-size trace must stay within a constant handful of
+// allocations — the candidate cursor, the wrapping closure and the
+// witness cut — independent of trace size. The
 // pin is deliberately loose (≤ 4 per call) so it survives compiler
 // inlining changes while still catching a per-state or per-round
 // allocation creeping into the scan.
 func TestPossiblyConjunctiveAllocBound(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
-	d := deposet.Random(r, deposet.DefaultGen(8, 1200)) // below DefaultParCutoff
+	d := deposet.Random(r, deposet.DefaultGen(8, 1200))
 	cj := predicate.NewConjunction(8)
 	for p := 0; p < 8; p++ {
 		p := p
@@ -30,23 +30,5 @@ func TestPossiblyConjunctiveAllocBound(t *testing.T) {
 	}
 	if n > 4 {
 		t.Errorf("PossiblyConjunctive allocates %.1f per run, want ≤ 4", n)
-	}
-}
-
-// The forced-parallel scan may allocate its worker loop and result but
-// must not allocate per round or per state: the frontier scratch is
-// pooled and clock rows live in the arena. The bound scales only with
-// the worker count (goroutines, start channels), never with the trace.
-func TestPossiblyTruthParAllocBound(t *testing.T) {
-	r := rand.New(rand.NewSource(11))
-	d := deposet.Random(r, deposet.DefaultGen(8, 1200))
-	holds := func(p, k int) bool { return k >= d.Len(p)/2 }
-	var ok bool
-	n := testing.AllocsPerRun(50, func() { _, ok = PossiblyTruthPar(d, holds, Par{Workers: 4, Cutoff: 1}) })
-	if !ok {
-		t.Fatal("conjunction undetected; workload broken")
-	}
-	if n > 32 {
-		t.Errorf("PossiblyTruthPar allocates %.1f per run, want ≤ 32", n)
 	}
 }

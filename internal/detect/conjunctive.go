@@ -8,12 +8,16 @@
 //     global sequence pass through a state satisfying ∧qᵢ? This is the
 //     interval-overlap condition of the paper's Lemma 2, and with
 //     qᵢ = ¬lᵢ it decides infeasibility of disjunctive control.
-//   - PossiblyGeneral / AllViolations / SGSD: general predicates. Those
-//     in the regular fragment (predicate.IsRegular) dispatch to the
-//     computation slice (internal/slice) and run in polynomial time; the
-//     rest fall back to exhaustive lattice search (exponential — Lemma 1
-//     shows SGSD is NP-complete), which also serves as the
-//     cross-validation oracle (*Exhaustive variants in sliced.go).
+//   - PossiblyGeneral / DefinitelyGeneral / AllViolations / SGSD: general
+//     predicates. Those in the regular fragment (predicate.IsRegular)
+//     dispatch to the computation slice (internal/slice) and run in
+//     polynomial time; the rest fall back to exhaustive lattice search
+//     (exponential — Lemma 1 shows SGSD is NP-complete), which also
+//     serves as the cross-validation oracle (*Exhaustive, in sliced.go).
+//
+// Every question has one implementation. PossiblyTruth, DefinitelyTruth,
+// TruthIntervals and Overlaps (view.go) are the kernels, stated over any
+// causal view so the controlled computation runs them too.
 package detect
 
 import (
@@ -28,29 +32,9 @@ import (
 // process's conjunct) and, whenever two candidates are causally ordered,
 // advance the earlier one — it can never be part of a consistent cut with
 // the later one or any of its successors. Time O(n²·S) for S total
-// states; no lattice enumeration. Large computations (DefaultParCutoff
-// total states) run the worker-sharded variant transparently; see
-// PossiblyTruthPar.
+// states; no lattice enumeration.
 func PossiblyConjunctive(d *deposet.Deposet, cj *predicate.Conjunction) (deposet.Cut, bool) {
-	return PossiblyTruthPar(d, func(p, k int) bool { return cj.Holds(d, p, k) }, Par{})
-}
-
-// Overlaps evaluates the paper's overlap clause for the ordered pair of
-// intervals (Iᵢ, Iⱼ): "Iⱼ cannot be exited before Iᵢ is entered". In the
-// state-causality convention used here (s → t means "t reached implies s
-// exited"), the clause is
-//
-//	Iᵢ.lo = ⊥ᵢ  ∨  Iⱼ.hi = ⊤ⱼ  ∨  (i, lo_i−1) → (j, hi_j+1).
-//
-// Note the boundary-adjacent states: entering Iᵢ means exiting the state
-// before its lo, and exiting Iⱼ means reaching the state after its hi.
-// Reading the paper's "Iᵢ.lo → Iⱼ.hi" literally on the interval endpoint
-// states is subtly incomplete: a message sent from the state just before
-// lo_i and received just after hi_j forces the overlap but relates
-// (lo_i−1) to (hi_j+1), not lo_i to hi_j. See overlap_test.go for a
-// concrete computation distinguishing the two readings.
-func Overlaps(d *deposet.Deposet, ii, ij deposet.Interval) bool {
-	return OverlapsView(d, ii, ij)
+	return PossiblyTruth(d, func(p, k int) bool { return cj.Holds(d, p, k) })
 }
 
 // DefinitelyConjunctive reports whether every global sequence of d passes
@@ -62,10 +46,8 @@ func Overlaps(d *deposet.Deposet, ii, ij deposet.Interval) bool {
 // interval per process and, when a pair (i, j) falsifies the overlap
 // clause, advance j — interval Iⱼ can never overlap the current or any
 // later interval of i, because interval starts only move causally later.
-// Large computations run the worker-sharded variant transparently; see
-// DefinitelyTruthPar.
 func DefinitelyConjunctive(d *deposet.Deposet, cj *predicate.Conjunction) ([]deposet.Interval, bool) {
-	return DefinitelyTruthPar(d, func(p, k int) bool { return cj.Holds(d, p, k) }, Par{})
+	return DefinitelyTruth(d, func(p, k int) bool { return cj.Holds(d, p, k) })
 }
 
 // PossiblyGeneral reports whether some consistent global state satisfies
@@ -100,15 +82,16 @@ func DefinitelyGeneral(d *deposet.Deposet, b predicate.Expr) bool {
 
 // AllViolations returns every consistent global state where b is false —
 // the debugging view "where can the bug occur?" (paper §7 finds the cuts
-// G and H this way). When ¬b is in the regular fragment the violations
-// are exactly the cuts of ¬b's slice, enumerated without touching the
-// rest of the lattice and returned in (depth, lexicographic) order;
-// otherwise the full lattice is walked (exponential; see
-// AllViolationsExhaustive), with the predicate compiled to packed
-// per-state truth bits up front so per-cut evaluations are bit tests.
-func AllViolations(d *deposet.Deposet, b predicate.Expr) []deposet.Cut {
+// G and H this way) — and how the enumeration ran. When ¬b is in the
+// regular fragment the violations are exactly the cuts of ¬b's slice,
+// enumerated without touching the rest of the lattice and returned in
+// (depth, lexicographic) order; otherwise the full lattice is walked
+// (exponential; see AllViolationsExhaustive) in BFS discovery order.
+func AllViolations(d *deposet.Deposet, b predicate.Expr) ([]deposet.Cut, EnumStats) {
 	if sl, ok := violationSlice(d, b); ok {
-		return sl.Cuts(1)
+		cuts := sl.Cuts()
+		return cuts, EnumStats{Sliced: true, MetaEvents: sl.Stats().MetaEvents, StatesExplored: len(cuts)}
 	}
-	return AllViolationsExhaustive(d, b)
+	cuts, explored := walkViolations(d, b)
+	return cuts, EnumStats{StatesExplored: explored}
 }

@@ -197,7 +197,7 @@ func TestDefinitelyMatchesSGSDProperty(t *testing.T) {
 		truth := deposet.RandomTruth(r, d, 0.45)
 		cj := conjFromTruth(truth)
 		ivs, def := DefinitelyConjunctive(d, cj)
-		_, avoidable := SGSD(d, predicate.Not(cj.Expr()), false)
+		_, avoidable := sgsd(d, predicate.Not(cj.Expr()), false)
 		if def == avoidable {
 			return false
 		}
@@ -219,6 +219,16 @@ func TestDefinitelyMatchesSGSDProperty(t *testing.T) {
 	}
 }
 
+// sgsd runs SGSD where the process limit cannot be hit, returning the
+// sequence and whether one exists.
+func sgsd(d *deposet.Deposet, b predicate.Expr, simultaneous bool) (deposet.Sequence, bool) {
+	seq, _, err := SGSD(d, b, simultaneous)
+	if err != nil {
+		panic(err)
+	}
+	return seq, seq != nil
+}
+
 func TestSGSDSimultaneousVsSingleStep(t *testing.T) {
 	// XOR: P0 has x: 0→1, P1 has y: 1→0. B = x XOR y holds at ⊥ (0,1)
 	// and ⊤ (1,0) but at neither single-step intermediate.
@@ -234,7 +244,7 @@ func TestSGSDSimultaneousVsSingleStep(t *testing.T) {
 	y := predicate.LocalVarEq(1, "y", 1)
 	xor := predicate.Or(predicate.And(x, predicate.Not(y)), predicate.And(predicate.Not(x), y))
 
-	if seq, ok := SGSD(d, xor, true); !ok {
+	if seq, ok := sgsd(d, xor, true); !ok {
 		t.Fatal("simultaneous advance should satisfy XOR")
 	} else if err := d.ValidateSequence(seq); err != nil {
 		t.Fatalf("sequence invalid: %v", err)
@@ -245,7 +255,7 @@ func TestSGSDSimultaneousVsSingleStep(t *testing.T) {
 			}
 		}
 	}
-	if _, ok := SGSD(d, xor, false); ok {
+	if _, ok := sgsd(d, xor, false); ok {
 		t.Fatal("single-step advance cannot satisfy XOR here")
 	}
 }
@@ -253,10 +263,10 @@ func TestSGSDSimultaneousVsSingleStep(t *testing.T) {
 func TestSGSDBottomViolation(t *testing.T) {
 	d := line(t, 2, 2)
 	never := predicate.Const(false)
-	if _, ok := SGSD(d, never, true); ok {
+	seq, stats, err := SGSD(d, never, true)
+	if seq != nil {
 		t.Fatal("constant-false satisfiable?")
 	}
-	_, stats, err := SGSDWithStats(d, never, true)
 	if err != nil || stats.NodesExplored != 0 {
 		t.Fatalf("stats = %+v, err = %v", stats, err)
 	}
@@ -265,7 +275,7 @@ func TestSGSDBottomViolation(t *testing.T) {
 func TestSGSDAlwaysTrue(t *testing.T) {
 	r := rand.New(rand.NewSource(5))
 	d := deposet.Random(r, deposet.DefaultGen(3, 10))
-	seq, ok := SGSD(d, predicate.Const(true), false)
+	seq, ok := sgsd(d, predicate.Const(true), false)
 	if !ok {
 		t.Fatal("constant-true unsatisfiable?")
 	}
@@ -277,11 +287,11 @@ func TestSGSDAlwaysTrue(t *testing.T) {
 func TestSGSDProcLimit(t *testing.T) {
 	b := deposet.NewBuilder(MaxSGSDProcs + 1)
 	d := b.MustBuild()
-	if _, _, err := SGSDWithStats(d, predicate.Const(true), true); err == nil {
-		t.Fatal("expected process-limit error")
+	if seq, _, err := SGSD(d, predicate.Const(true), true); err == nil || seq != nil {
+		t.Fatalf("SGSD over the process limit = %v, %v; want an error", seq, err)
 	}
 	// Single-step mode has no such limit.
-	if _, ok := SGSD(d, predicate.Const(true), false); !ok {
+	if _, ok := sgsd(d, predicate.Const(true), false); !ok {
 		t.Fatal("single-step SGSD failed on wide system")
 	}
 }
@@ -297,11 +307,11 @@ func TestAllViolations(t *testing.T) {
 	d := line(t, 2, 2)
 	// b false exactly where both processes are at state 1.
 	b := predicate.Not(predicate.And(predicate.LocalAfter(0, 1), predicate.LocalAfter(1, 1)))
-	v := AllViolations(d, b)
+	v, _ := AllViolations(d, b)
 	if len(v) != 1 || !v[0].Equal(deposet.Cut{1, 1}) {
 		t.Fatalf("violations = %v", v)
 	}
-	if len(AllViolations(d, predicate.Const(true))) != 0 {
+	if v, _ := AllViolations(d, predicate.Const(true)); len(v) != 0 {
 		t.Fatal("constant-true has violations")
 	}
 }
@@ -314,8 +324,8 @@ func TestSGSDSingleImpliesSimultaneousProperty(t *testing.T) {
 		d := deposet.Random(r, deposet.DefaultGen(1+r.Intn(3), r.Intn(12)))
 		dj := predicate.DisjunctionFromTruth(deposet.RandomTruth(r, d, 0.7))
 		b := dj.Expr()
-		seq1, ok1 := SGSD(d, b, false)
-		_, ok2 := SGSD(d, b, true)
+		seq1, ok1 := sgsd(d, b, false)
+		_, ok2 := sgsd(d, b, true)
 		if ok1 && !ok2 {
 			return false
 		}

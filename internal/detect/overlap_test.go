@@ -58,7 +58,7 @@ func TestOverlapBoundaryReading(t *testing.T) {
 	if _, ok := DefinitelyConjunctive(d, cj); !ok {
 		t.Fatal("DefinitelyConjunctive should hold")
 	}
-	if _, avoidable := SGSD(d, notConj(cj), true); avoidable {
+	if _, avoidable := sgsd(d, notConj(cj), true); avoidable {
 		t.Fatal("no sequence should avoid the all-q cut")
 	}
 }
@@ -118,10 +118,10 @@ func TestDefinitelySimultaneityGap(t *testing.T) {
 	if _, ok := DefinitelyConjunctive(d, cj); !ok {
 		t.Fatal("interval overlap should hold")
 	}
-	if _, ok := SGSD(d, notConj(cj), false); ok {
+	if _, ok := sgsd(d, notConj(cj), false); ok {
 		t.Fatal("no interleaving should avoid the all-q cuts")
 	}
-	if _, ok := SGSD(d, notConj(cj), true); !ok {
+	if _, ok := sgsd(d, notConj(cj), true); !ok {
 		t.Fatal("a simultaneous-advance sequence should dodge the all-q cuts")
 	}
 }

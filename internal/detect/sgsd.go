@@ -21,7 +21,9 @@ const MaxSGSDProcs = 24
 
 // SGSD solves Satisfying Global Sequence Detection (paper §4): does d
 // have a global sequence every state of which satisfies b? If so it
-// returns one such sequence.
+// returns one such sequence, otherwise nil; the statistics report the
+// search effort either way. The only error is a simultaneous search over
+// more than MaxSGSDProcs processes.
 //
 // With simultaneous=true this is the paper's definition — a step may
 // advance any non-empty set of processes at once, which matters for
@@ -35,16 +37,7 @@ const MaxSGSDProcs = 24
 // at most once; worst-case exponential in both the lattice size and (for
 // simultaneous) the process count. Lemma 1: this problem is NP-complete,
 // so no materially better general algorithm is expected.
-func SGSD(d *deposet.Deposet, b predicate.Expr, simultaneous bool) (deposet.Sequence, bool) {
-	seq, _, err := SGSDWithStats(d, b, simultaneous)
-	if err != nil {
-		panic(err) // process-count limit; callers needing an error use SGSDWithStats
-	}
-	return seq, seq != nil
-}
-
-// SGSDWithStats is SGSD, also reporting search-effort statistics.
-func SGSDWithStats(d *deposet.Deposet, b predicate.Expr, simultaneous bool) (deposet.Sequence, SGSDStats, error) {
+func SGSD(d *deposet.Deposet, b predicate.Expr, simultaneous bool) (deposet.Sequence, SGSDStats, error) {
 	n := d.NumProcs()
 	var stats SGSDStats
 	if simultaneous && n > MaxSGSDProcs {
@@ -133,6 +126,6 @@ func SGSDWithStats(d *deposet.Deposet, b predicate.Expr, simultaneous bool) (dep
 // strategy cannot force simultaneous steps, so sequences requiring them
 // are unenforceable (see TestDefinitelySimultaneityGap).
 func Feasible(d *deposet.Deposet, b predicate.Expr) bool {
-	_, ok := SGSD(d, b, false)
-	return ok
+	seq, _, _ := SGSD(d, b, false) // single-step: no process limit, no error
+	return seq != nil
 }

@@ -38,44 +38,28 @@ func violationSlice(d *deposet.Deposet, b predicate.Expr) (*slice.Slice, bool) {
 	return slice.Compute(d, tab), true
 }
 
-// AllViolationsWithStats is AllViolationsPar, also reporting whether the
-// enumeration ran on the slice and how many states it explored.
-func AllViolationsWithStats(d *deposet.Deposet, b predicate.Expr, opts Par) ([]deposet.Cut, EnumStats) {
-	if sl, ok := violationSlice(d, b); ok {
-		cuts := sl.Cuts(opts.resolve(d.NumStates()))
-		return cuts, EnumStats{Sliced: true, MetaEvents: sl.Stats().MetaEvents, StatesExplored: len(cuts)}
-	}
-	var stats EnumStats
-	b = predicate.Compile(b, d)
-	var out []deposet.Cut
-	workers := opts.resolve(d.NumStates())
-	if workers == 1 {
-		d.ForEachConsistentCut(func(g deposet.Cut) bool {
-			stats.StatesExplored++
-			if !b.Eval(d, g) {
-				out = append(out, g.Clone())
-			}
-			return true
-		})
-		return out, stats
-	}
-	out = allViolationsLevelSync(d, b, opts, &stats)
-	return out, stats
-}
-
 // AllViolationsExhaustive enumerates the full lattice regardless of the
 // predicate's fragment — the cross-validation oracle for the sliced path
 // (and the only route for non-regular predicates). BFS discovery order.
 func AllViolationsExhaustive(d *deposet.Deposet, b predicate.Expr) []deposet.Cut {
+	cuts, _ := walkViolations(d, b)
+	return cuts
+}
+
+// walkViolations is the lattice walk behind AllViolationsExhaustive and
+// AllViolations' non-regular path, also counting the cuts it visited. The
+// predicate is compiled to packed per-state truth bits up front so the
+// per-cut evaluations are bit tests.
+func walkViolations(d *deposet.Deposet, b predicate.Expr) (out []deposet.Cut, explored int) {
 	b = predicate.Compile(b, d)
-	var out []deposet.Cut
 	d.ForEachConsistentCut(func(g deposet.Cut) bool {
+		explored++
 		if !b.Eval(d, g) {
 			out = append(out, g.Clone())
 		}
 		return true
 	})
-	return out
+	return out, explored
 }
 
 // PossiblyGeneralExhaustive is the lattice-walk oracle for
@@ -96,6 +80,6 @@ func PossiblyGeneralExhaustive(d *deposet.Deposet, b predicate.Expr) (deposet.Cu
 // DefinitelyGeneralExhaustive is the SGSD-search oracle for
 // DefinitelyGeneral.
 func DefinitelyGeneralExhaustive(d *deposet.Deposet, b predicate.Expr) bool {
-	_, avoidable := SGSD(d, predicate.Not(b), false)
-	return !avoidable
+	avoiding, _, _ := SGSD(d, predicate.Not(b), false) // single-step: no process limit, no error
+	return avoiding == nil
 }

@@ -45,8 +45,9 @@ func equalKeySets(a, b []deposet.Cut) bool {
 // Property (slicing cross-validation): for random small traces and
 // regular predicates, the sliced dispatcher's answers equal the
 // exhaustive lattice walk's — exact violation-set equality for
-// AllViolations at every worker count, and identical Possibly verdict
-// and witness.
+// AllViolations, with the disjunction passed as its expression or
+// directly as the normal form, and identical Possibly verdict and
+// witness.
 func TestSlicedMatchesExhaustiveProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
@@ -55,45 +56,45 @@ func TestSlicedMatchesExhaustiveProperty(t *testing.T) {
 		b := dj.Expr() // ¬b regular → violations of b are sliceable
 
 		want := AllViolationsExhaustive(d, b)
-		got, stats := AllViolationsWithStats(d, b, forcePar(1))
-		if !stats.Sliced {
-			t.Logf("seed %d: ¬disjunction did not slice", seed)
-			return false
-		}
-		if !equalKeySets(got, want) {
-			t.Logf("seed %d: sliced %d violations, exhaustive %d", seed, len(got), len(want))
-			return false
-		}
-		// Worker counts must agree byte-for-byte.
-		for _, w := range []int{2, 4} {
-			par := AllViolationsPar(d, b, forcePar(w))
-			if len(par) != len(got) {
+		for _, form := range []struct {
+			name string
+			b    predicate.Expr
+		}{{"Expr()", b}, {"*Disjunction", dj}} {
+			got, stats := AllViolations(d, form.b)
+			if !stats.Sliced {
+				t.Logf("seed %d: ¬disjunction as %s did not slice", seed, form.name)
 				return false
 			}
-			for i := range par {
-				if !par[i].Equal(got[i]) {
-					t.Logf("seed %d: workers=%d output diverges at %d", seed, w, i)
-					return false
-				}
+			if !equalKeySets(got, want) {
+				t.Logf("seed %d: as %s sliced %d violations, exhaustive %d", seed, form.name, len(got), len(want))
+				return false
+			}
+			// The slice explores only its own cuts — never more than the
+			// lattice the oracle walked.
+			if lattice := d.CountConsistentCuts(); stats.StatesExplored > lattice {
+				t.Logf("seed %d: explored %d > lattice %d", seed, stats.StatesExplored, lattice)
+				return false
 			}
 		}
-		// The slice explores only its own cuts — never more than the
-		// lattice the oracle walked.
-		if lattice := d.CountConsistentCuts(); stats.StatesExplored > lattice {
-			t.Logf("seed %d: explored %d > lattice %d", seed, stats.StatesExplored, lattice)
+
+		// Possibly on the regular side: same verdict, same (least) witness
+		// — for the negated disjunction and for a conjunction passed
+		// directly, which must reach the table path as its Expr() does.
+		cj := conjFromTruth(deposet.RandomTruth(r, d, 0.5))
+		if !predicate.IsRegular(cj) {
+			t.Logf("seed %d: *Conjunction not recognised as regular", seed)
 			return false
 		}
-
-		// Possibly on the regular side: same verdict, same (least) witness.
-		e := predicate.Not(b)
-		wantCut, wantOK := PossiblyGeneralExhaustive(d, e)
-		gotCut, gotOK := PossiblyGeneral(d, e)
-		if gotOK != wantOK || (wantOK && !gotCut.Equal(wantCut)) {
-			t.Logf("seed %d: possibly %v,%v want %v,%v", seed, gotCut, gotOK, wantCut, wantOK)
-			return false
+		for _, e := range []predicate.Expr{predicate.Not(b), predicate.Not(dj), cj} {
+			wantCut, wantOK := PossiblyGeneralExhaustive(d, e)
+			gotCut, gotOK := PossiblyGeneral(d, e)
+			if gotOK != wantOK || (wantOK && !gotCut.Equal(wantCut)) {
+				t.Logf("seed %d: possibly(%v) %v,%v want %v,%v", seed, e, gotCut, gotOK, wantCut, wantOK)
+				return false
+			}
 		}
 		// Definitely: slice single-step chain vs SGSD search.
-		if DefinitelyGeneral(d, e) != DefinitelyGeneralExhaustive(d, e) {
+		if e := predicate.Not(b); DefinitelyGeneral(d, e) != DefinitelyGeneralExhaustive(d, e) {
 			t.Logf("seed %d: definitely disagrees", seed)
 			return false
 		}
@@ -105,14 +106,16 @@ func TestSlicedMatchesExhaustiveProperty(t *testing.T) {
 }
 
 // Regression fixture: a non-regular predicate must refuse the slice path
-// and fall back to the exhaustive walk — same answers, Sliced=false.
+// and fall back to the exhaustive walk — same answers, Sliced=false —
+// while every regular shape on the same trace, the two normal forms
+// passed directly included, does slice.
 func TestNonRegularFallsBackExhaustive(t *testing.T) {
 	d := line(t, 3, 3)
 	b := xorExpr(predicate.LocalAfter(0, 1), predicate.LocalAfter(1, 1))
 	if predicate.IsRegular(b) || predicate.IsRegular(predicate.Not(b)) {
 		t.Fatal("fixture must be non-regular in both polarities")
 	}
-	got, stats := AllViolationsWithStats(d, b, forcePar(1))
+	got, stats := AllViolations(d, b)
 	if stats.Sliced {
 		t.Fatal("non-regular predicate took the slice path")
 	}
@@ -132,83 +135,31 @@ func TestNonRegularFallsBackExhaustive(t *testing.T) {
 		t.Fatalf("exhaustive path explored %d of %d lattice cuts",
 			stats.StatesExplored, d.CountConsistentCuts())
 	}
-	// And the parallel entry agrees as a set at any worker count.
-	if !equalKeySets(AllViolationsPar(d, b, forcePar(4)), want) {
-		t.Fatal("parallel fallback disagrees with oracle")
-	}
-	// A regular predicate on the same trace does slice.
-	_, rstats := AllViolationsWithStats(d, predicate.LocalAfter(0, 1), forcePar(1))
-	if !rstats.Sliced || rstats.MetaEvents == 0 {
-		t.Fatalf("regular predicate did not slice: %+v", rstats)
-	}
-}
 
-// Satellite guard: below DefaultParCutoff the default-policy dispatcher
-// must take the sequential path no matter the worker count — identical
-// allocs/op and, for the exhaustive fallback, the sequential BFS output
-// order (the forced level-sync path emits (depth, lex) order instead).
-func TestDefaultPolicySequentialBelowCutoff(t *testing.T) {
-	r := rand.New(rand.NewSource(17))
-	d := deposet.Random(r, deposet.DefaultGen(3, 60)) // ≈63 states ≪ DefaultParCutoff
-	if d.NumStates() >= DefaultParCutoff {
-		t.Fatal("trace unexpectedly above cutoff")
-	}
-	dj := predicate.DisjunctionFromTruth(deposet.RandomTruth(r, d, 0.5))
-	regular := dj.Expr()
-	nonRegular := xorExpr(predicate.LocalAfter(0, 2), predicate.LocalAfter(1, 2))
-
+	after := func(_ *deposet.Deposet, k int) bool { return k >= 1 }
+	dj := predicate.NewDisjunction(3).Add(0, "a", after).Add(1, "b", after)
+	cj := predicate.NewConjunction(3).Add(0, "a", after).Add(1, "b", after)
 	for _, tc := range []struct {
-		name string
-		b    predicate.Expr
-	}{{"sliced", regular}, {"exhaustive", nonRegular}} {
-		allocs := func(workers int) float64 {
-			return testing.AllocsPerRun(10, func() {
-				AllViolationsPar(d, tc.b, Par{Workers: workers})
-			})
+		name   string
+		b      predicate.Expr
+		sliced bool
+	}{
+		{"local", predicate.LocalAfter(0, 1), true},
+		{"disjunction Expr()", dj.Expr(), true},
+		{"*Disjunction", dj, true},
+		{"¬conjunction Expr()", predicate.Not(cj.Expr()), true},
+		{"¬*Conjunction", predicate.Not(cj), true},
+		// A conjunction's violations are a disjunction's cut set: not
+		// regular, in either spelling.
+		{"conjunction Expr()", cj.Expr(), false},
+		{"*Conjunction", cj, false},
+	} {
+		got, stats := AllViolations(d, tc.b)
+		if stats.Sliced != tc.sliced {
+			t.Errorf("%s: stats %+v, want Sliced=%v", tc.name, stats, tc.sliced)
 		}
-		a1 := allocs(1)
-		for _, w := range []int{2, 4, 8} {
-			if aw := allocs(w); aw != a1 {
-				t.Errorf("%s: allocs/op changed with workers: 1→%.0f, %d→%.0f",
-					tc.name, a1, w, aw)
-			}
+		if !equalKeySets(got, AllViolationsExhaustive(d, tc.b)) {
+			t.Errorf("%s: violations differ from the oracle", tc.name)
 		}
-	}
-
-	// Code-path check for the exhaustive fallback: the sequential walk
-	// emits BFS discovery order, the forced parallel walk (depth, lex)
-	// order. First make sure this trace distinguishes the two...
-	seqOrder := AllViolationsExhaustive(d, nonRegular)
-	parOrder := AllViolationsExhaustivePar(d, nonRegular, forcePar(4))
-	distinguishes := false
-	for i := range seqOrder {
-		if !seqOrder[i].Equal(parOrder[i]) {
-			distinguishes = true
-			break
-		}
-	}
-	if !distinguishes {
-		t.Fatal("fixture cannot distinguish sequential from parallel order; change the seed")
-	}
-	// ...then assert the default policy at 8 workers still walked
-	// sequentially.
-	got := AllViolationsPar(d, nonRegular, Par{Workers: 8})
-	for i := range got {
-		if !got[i].Equal(seqOrder[i]) {
-			t.Fatalf("default policy below cutoff took the parallel path (diverges at %d)", i)
-		}
-	}
-
-	// Same guard for the possibly/definitely scans: worker count must
-	// not change allocs/op below the cutoff.
-	truth := deposet.RandomTruth(r, d, 0.6)
-	holds := func(p, k int) bool { return truth[p][k] }
-	possiblyAllocs := func(workers int) float64 {
-		return testing.AllocsPerRun(10, func() {
-			PossiblyTruthPar(d, holds, Par{Workers: workers})
-		})
-	}
-	if a1, a8 := possiblyAllocs(1), possiblyAllocs(8); a1 != a8 {
-		t.Errorf("possibly: allocs/op changed with workers: 1→%.0f, 8→%.0f", a1, a8)
 	}
 }

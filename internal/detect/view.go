@@ -46,17 +46,31 @@ func PossiblyTruth(v deposet.View, holds HoldsFn) (deposet.Cut, bool) {
 	}
 }
 
-// OverlapsView is the overlap clause of Overlaps evaluated on any causal
-// view; see Overlaps for the clause and its boundary-adjacent reading.
-func OverlapsView(v deposet.View, ii, ij deposet.Interval) bool {
+// Overlaps evaluates, on any causal view, the paper's overlap clause for
+// the ordered pair of intervals (Iᵢ, Iⱼ): "Iⱼ cannot be exited before Iᵢ
+// is entered". In the state-causality convention used here (s → t means
+// "t reached implies s exited"), the clause is
+//
+//	Iᵢ.lo = ⊥ᵢ  ∨  Iⱼ.hi = ⊤ⱼ  ∨  (i, lo_i−1) → (j, hi_j+1).
+//
+// Note the boundary-adjacent states: entering Iᵢ means exiting the state
+// before its lo, and exiting Iⱼ means reaching the state after its hi.
+// Reading the paper's "Iᵢ.lo → Iⱼ.hi" literally on the interval endpoint
+// states is subtly incomplete: a message sent from the state just before
+// lo_i and received just after hi_j forces the overlap but relates
+// (lo_i−1) to (hi_j+1), not lo_i to hi_j. See overlap_test.go for a
+// concrete computation distinguishing the two readings.
+func Overlaps(v deposet.View, ii, ij deposet.Interval) bool {
 	if ii.Lo == 0 || ij.Hi == v.Len(ij.P)-1 {
 		return true
 	}
 	return v.HB(deposet.StateID{P: ii.P, K: ii.Lo - 1}, deposet.StateID{P: ij.P, K: ij.Hi + 1})
 }
 
-// truthIntervals returns the maximal runs where holds is true on p.
-func truthIntervals(v deposet.View, p int, holds HoldsFn) []deposet.Interval {
+// TruthIntervals returns the maximal runs where holds is true on process
+// p. The off-line controller extracts its false-intervals with it, by
+// negating its local predicates.
+func TruthIntervals(v deposet.View, p int, holds HoldsFn) []deposet.Interval {
 	var ivs []deposet.Interval
 	m := v.Len(p)
 	for k := 0; k < m; {
@@ -79,7 +93,7 @@ func DefinitelyTruth(v deposet.View, holds HoldsFn) ([]deposet.Interval, bool) {
 	n := v.NumProcs()
 	ivs := make([][]deposet.Interval, n)
 	for p := 0; p < n; p++ {
-		ivs[p] = truthIntervals(v, p, holds)
+		ivs[p] = TruthIntervals(v, p, holds)
 		if len(ivs[p]) == 0 {
 			return nil, false
 		}
@@ -90,7 +104,7 @@ func DefinitelyTruth(v deposet.View, holds HoldsFn) ([]deposet.Interval, bool) {
 	pairs:
 		for i := 0; i < n; i++ {
 			for j := 0; j < n; j++ {
-				if i == j || OverlapsView(v, ivs[i][cur[i]], ivs[j][cur[j]]) {
+				if i == j || Overlaps(v, ivs[i][cur[i]], ivs[j][cur[j]]) {
 					continue
 				}
 				cur[j]++

@@ -35,7 +35,7 @@ func E1(seed int64) *Table {
 		var explored int
 		var got bool
 		d := timeIt(func() {
-			seq, stats, serr := detect.SGSDWithStats(red.D, red.B, false)
+			seq, stats, serr := detect.SGSD(red.D, red.B, false)
 			if serr != nil {
 				panic(serr)
 			}

@@ -89,7 +89,7 @@ func E7() *Table {
 	if err != nil {
 		panic(err)
 	}
-	violations := detect.AllViolations(d, fg.Avail.Expr())
+	violations, _ := detect.AllViolations(d, fg.Avail.Expr())
 	stillConsistent := 0
 	for _, v := range violations {
 		if x.Consistent(v) {

@@ -103,38 +103,42 @@ func timeIt(fn func()) time.Duration {
 	return time.Since(start) / time.Duration(reps)
 }
 
-// All runs every experiment.
-func All(seed int64) []*Table {
-	return []*Table{
-		E1(seed), E2(seed), E3(seed), E4(seed),
-		E5(seed), E6(seed), E7(), E8(seed), E9(seed),
-		E10(seed),
-	}
+// experiments is the one id → constructor table behind All and ByID, in
+// presentation order.
+var experiments = []struct {
+	id  string
+	run func(seed int64) *Table
+}{
+	{"e1", E1}, {"e2", E2}, {"e3", E3}, {"e4", E4}, {"e5", E5}, {"e6", E6},
+	{"e7", func(int64) *Table { return E7() }},
+	{"e8", E8}, {"e9", E9}, {"e10", E10},
 }
 
-// ByID returns the experiment with the given id (e1..e10), or nil.
-func ByID(id string, seed int64) *Table {
-	switch strings.ToLower(id) {
-	case "e1":
-		return E1(seed)
-	case "e2":
-		return E2(seed)
-	case "e3":
-		return E3(seed)
-	case "e4":
-		return E4(seed)
-	case "e5":
-		return E5(seed)
-	case "e6":
-		return E6(seed)
-	case "e7":
-		return E7()
-	case "e8":
-		return E8(seed)
-	case "e9":
-		return E9(seed)
-	case "e10":
-		return E10(seed)
+// All runs every experiment.
+func All(seed int64) []*Table {
+	tables := make([]*Table, len(experiments))
+	for i, e := range experiments {
+		tables[i] = e.run(seed)
+	}
+	return tables
+}
+
+// lookup returns the constructor of the experiment with the given id
+// (e1..e10, case-insensitive), or nil.
+func lookup(id string) func(seed int64) *Table {
+	for _, e := range experiments {
+		if strings.EqualFold(e.id, id) {
+			return e.run
+		}
 	}
 	return nil
+}
+
+// ByID runs the experiment with the given id (e1..e10), or returns nil.
+func ByID(id string, seed int64) *Table {
+	run := lookup(id)
+	if run == nil {
+		return nil
+	}
+	return run(seed)
 }

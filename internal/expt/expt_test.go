@@ -13,8 +13,11 @@ func TestAllExperimentsRun(t *testing.T) {
 	if len(tables) != 10 {
 		t.Fatalf("experiments = %d, want 10", len(tables))
 	}
-	for _, tb := range tables {
-		if tb.ID == "" || tb.Title == "" || tb.Claim == "" {
+	for i, tb := range tables {
+		if !strings.EqualFold(tb.ID, experiments[i].id) {
+			t.Errorf("experiment %s rendered table %q", experiments[i].id, tb.ID)
+		}
+		if tb.Title == "" || tb.Claim == "" {
 			t.Errorf("%s: missing metadata", tb.ID)
 		}
 		if len(tb.Rows) == 0 {
@@ -32,14 +35,22 @@ func TestAllExperimentsRun(t *testing.T) {
 	}
 }
 
+// TestByID checks the id lookup — case-folding and unknown ids — without
+// re-running the experiments TestAllExperimentsRun already ran; one cheap
+// experiment goes end to end.
 func TestByID(t *testing.T) {
 	for _, id := range []string{"e1", "E3", "e7", "e9", "e10", "E10"} {
-		if ByID(id, 3) == nil {
-			t.Errorf("ByID(%q) = nil", id)
+		if lookup(id) == nil {
+			t.Errorf("lookup(%q) = nil", id)
 		}
 	}
-	if ByID("e42", 3) != nil {
-		t.Error("unknown id accepted")
+	for _, id := range []string{"e42", "", "e", "e100"} {
+		if lookup(id) != nil || ByID(id, 3) != nil {
+			t.Errorf("unknown id %q accepted", id)
+		}
+	}
+	if tb := ByID("E7", 3); tb == nil || tb.ID != "E7" {
+		t.Errorf("ByID(E7) = %v", tb)
 	}
 }
 

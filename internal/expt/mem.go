@@ -16,10 +16,10 @@ import (
 
 // mem.go measures the allocation behaviour of the hot paths the flat
 // clock arena targets: deposet construction, the detection scans, and
-// the off-line controller, all on fixed single-worker workloads so the
-// counts are deterministic across hosts (every trace sits below the
-// parallel cutoffs). cmd/pcbench -membaseline serializes the sweep to
-// BENCH_memory.json; -compare diffs two sweeps and fails on regression.
+// the off-line controller, all on fixed workloads so the counts are
+// deterministic across hosts. cmd/pcbench -membaseline serializes the
+// sweep to BENCH_memory.json; -compare diffs two sweeps and fails on
+// regression.
 
 // MemMeasurement is one row of the allocation sweep.
 type MemMeasurement struct {
@@ -40,11 +40,6 @@ type MemBaseline struct {
 	Seed       int64            `json:"seed"`
 	Note       string           `json:"note"`
 	Results    []MemMeasurement `json:"results"`
-	// PreChange, when present, holds the same rows measured on the same
-	// host before the flat-arena rework, and AllocReduction the per-row
-	// allocs/op reduction 1 − after/before.
-	PreChange      []MemMeasurement   `json:"preChange,omitempty"`
-	AllocReduction map[string]float64 `json:"allocReduction,omitempty"`
 }
 
 // measureMem benchmarks fn with the standard testing harness, so
@@ -96,9 +91,9 @@ func varsBuilder(r *rand.Rand, procs, events int) *deposet.Builder {
 	return b
 }
 
-// MeasureMemory runs the allocation sweep. Every workload stays under
-// the parallel cutoffs, so the measured code paths — and therefore the
-// allocation counts — are identical on any host.
+// MeasureMemory runs the allocation sweep. The measured code paths are
+// sequential and seeded, so the allocation counts are identical on any
+// host.
 func MeasureMemory(seed int64) *MemBaseline {
 	r := rand.New(rand.NewSource(seed))
 	b := &MemBaseline{
@@ -107,8 +102,8 @@ func MeasureMemory(seed int64) *MemBaseline {
 		NumCPU:     runtime.NumCPU(),
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
 		Seed:       seed,
-		Note: "single-worker workloads below the parallel cutoffs: allocs/op and " +
-			"bytes/op are deterministic per code version; nsPerOp depends on the host",
+		Note: "fixed seeded workloads: allocs/op and bytes/op are deterministic " +
+			"per code version; nsPerOp depends on the host",
 	}
 
 	bld := deposet.RandomBuilder(r, deposet.DefaultGen(16, 1800))
@@ -117,15 +112,10 @@ func MeasureMemory(seed int64) *MemBaseline {
 	truthHigh := deposet.RandomTruth(r, d, 0.3)
 	cjLow := conjFromTruth(truthLow)
 	cjHigh := conjFromTruth(truthHigh)
-	holdsLow := func(p, k int) bool { return truthLow[p][k] }
-	holdsHigh := func(p, k int) bool { return truthHigh[p][k] }
 	vb := varsBuilder(rand.New(rand.NewSource(seed+1)), 8, 1000)
 	cd, cdj := intervalWorkload(8, 32)
 	s := deposet.StateID{P: 0, K: d.Len(0) / 2}
 	t := deposet.StateID{P: d.NumProcs() - 1, K: d.Len(d.NumProcs()-1) - 1}
-	// Forced 4-worker sharding: the same code path on every host, so the
-	// parallel engine's per-round allocations are part of the record.
-	force := detect.Par{Workers: 4, Cutoff: 1}
 
 	b.Results = append(b.Results,
 		measureMem("deposet-build", 16, d.NumStates(), func() {
@@ -139,15 +129,9 @@ func MeasureMemory(seed int64) *MemBaseline {
 			}
 		}),
 		measureMem("detect-possibly", 16, d.NumStates(), func() {
-			detect.PossiblyTruthPar(d, holdsLow, force)
-		}),
-		measureMem("detect-possibly-seq", 16, d.NumStates(), func() {
 			detect.PossiblyConjunctive(d, cjLow)
 		}),
 		measureMem("detect-definitely", 16, d.NumStates(), func() {
-			detect.DefinitelyTruthPar(d, holdsHigh, force)
-		}),
-		measureMem("detect-definitely-seq", 16, d.NumStates(), func() {
 			detect.DefinitelyConjunctive(d, cjHigh)
 		}),
 		measureMem("offline-control n=8 p=32", 8, cd.NumStates(), func() {
@@ -170,25 +154,9 @@ func MeasureMemory(seed int64) *MemBaseline {
 	return b
 }
 
-// MemoryJSON renders the sweep as the committed BENCH_memory.json. A
-// non-nil pre baseline (the same sweep measured before a change) is
-// embedded with the per-row allocs/op reductions.
-func MemoryJSON(seed int64, pre *MemBaseline) ([]byte, error) {
-	cur := MeasureMemory(seed)
-	if pre != nil {
-		cur.PreChange = pre.Results
-		cur.AllocReduction = make(map[string]float64)
-		prev := make(map[string]MemMeasurement, len(pre.Results))
-		for _, m := range pre.Results {
-			prev[m.Name] = m
-		}
-		for _, m := range cur.Results {
-			if p, ok := prev[m.Name]; ok && p.AllocsPerOp > 0 {
-				cur.AllocReduction[m.Name] = 1 - float64(m.AllocsPerOp)/float64(p.AllocsPerOp)
-			}
-		}
-	}
-	doc, err := json.MarshalIndent(cur, "", "  ")
+// MemoryJSON renders the sweep as the committed BENCH_memory.json.
+func MemoryJSON(seed int64) ([]byte, error) {
+	doc, err := json.MarshalIndent(MeasureMemory(seed), "", "  ")
 	if err != nil {
 		return nil, err
 	}

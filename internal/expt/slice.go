@@ -14,11 +14,10 @@ import (
 	"predctl/internal/slice"
 )
 
-// The computation-slicing sweep: slice-based violation enumeration
-// against the exhaustive lattice walk, across trace sizes and worker
-// counts, recording both wall time and states explored. cmd/pcbench
-// -slice serializes it to BENCH_slice.json; the E10 table appends the
-// same rows.
+// The computation-slicing sweep (experiment E10): slice-based violation
+// enumeration against the exhaustive lattice walk across trace sizes,
+// recording both wall time and states explored. cmd/pcbench -slice
+// serializes it to BENCH_slice.json; E10 renders the same rows.
 
 // SliceMeasurement is one workload of the slicing sweep.
 type SliceMeasurement struct {
@@ -33,17 +32,13 @@ type SliceMeasurement struct {
 	MetaEvents  int `json:"metaEvents"`
 
 	// Identical reports the cross-validation verdict: the slice's
-	// violation set is byte-identical to the exhaustive walk's (after the
-	// walk's canonical (depth, lex) sort). Always checked when the
+	// violation set equals the exhaustive walk's. Always checked when the
 	// lattice is enumerable.
 	Identical bool `json:"identical"`
 
-	SliceNs            map[string]int64 `json:"sliceNsPerOp"`                // worker count → ns
-	ExhaustiveNs       map[string]int64 `json:"exhaustiveNsPerOp,omitempty"` // forced-cutoff oracle
-	SliceSpeedup4      float64          `json:"sliceSpeedup4"`
-	ExhaustiveSpeedup4 float64          `json:"exhaustiveSpeedup4,omitempty"`
-	// SliceGain1w = exhaustive 1w / slice 1w: the algorithmic win,
-	// independent of worker count.
+	SliceNs      int64 `json:"sliceNsPerOp"`
+	ExhaustiveNs int64 `json:"exhaustiveNsPerOp,omitempty"` // the oracle walk, timed once
+	// SliceGain1w = exhaustive / slice: the algorithmic win.
 	SliceGain1w float64 `json:"sliceGain1w,omitempty"`
 }
 
@@ -76,7 +71,7 @@ var sliceWorkloads = []sliceWorkload{
 	{"violations-dense n=6", 6, 90, 0.03, true},
 }
 
-// timeBest is timeIt stabilized for the slicing sweep's speedup ratios:
+// timeBest is timeIt stabilized for the slicing sweep's gain ratios:
 // minimum of three timings, the standard defense against scheduler noise
 // on a loaded host.
 func timeBest(fn func()) int64 {
@@ -89,21 +84,9 @@ func timeBest(fn func()) int64 {
 	return best.Nanoseconds()
 }
 
-// keysJoined renders a violation list order-sensitively (byte-identical
-// comparison across worker counts of one enumeration strategy).
-func keysJoined(cuts []deposet.Cut) string {
-	var b strings.Builder
-	for _, g := range cuts {
-		b.WriteString(g.Key())
-		b.WriteByte(';')
-	}
-	return b.String()
-}
-
-// keySet renders a violation list order-insensitively (set comparison
-// across strategies — the slice emits (depth, numeric-lex) order, the
-// level-synchronized walk (depth, key-string) order; same set, different
-// within-level order once a component reaches two digits).
+// keySet renders a violation list order-insensitively: the slice emits
+// (depth, lex) order, the exhaustive walk BFS discovery order — same
+// set, different order.
 func keySet(cuts []deposet.Cut) string {
 	keys := make([]string, len(cuts))
 	for i, g := range cuts {
@@ -117,7 +100,7 @@ func keySet(cuts []deposet.Cut) string {
 func MeasureSlice(seed int64) *SliceBaseline {
 	r := rand.New(rand.NewSource(seed))
 	b := &SliceBaseline{
-		Schema:     1,
+		Schema:     2,
 		GoVersion:  runtime.Version(),
 		NumCPU:     runtime.NumCPU(),
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
@@ -125,62 +108,31 @@ func MeasureSlice(seed int64) *SliceBaseline {
 		Note: "violation enumeration for B = ∨ lp (¬B regular): the sliced path " +
 			"(internal/slice) visits only the slice's cuts — every one a violation — " +
 			"where the exhaustive walk visits the whole lattice (sliceGain1w = " +
-			"exhaustive/slice at one worker). Worker rows force Cutoff: 1; the " +
-			"exhaustive walk pays per-level barriers and map merges (speedup4 < 1 " +
-			"on few cores), the slice splits its ideal forest into disjoint " +
-			"segments with no shared visited state, so extra workers cost nothing " +
-			"even when cores are scarce and the speedup tracks cores when they " +
-			"exist (numCPU above records what this run had)",
+			"exhaustive/slice). Both enumerations are sequential; the exhaustive " +
+			"walk is the cross-validation oracle and is timed once per workload",
 	}
-	force := func(w int) detect.Par { return detect.Par{Workers: w, Cutoff: 1} }
 
 	for _, wl := range sliceWorkloads {
 		d := deposet.Random(r, deposet.DefaultGen(wl.procs, wl.events))
 		dj := predicate.DisjunctionFromTruth(deposet.RandomTruth(r, d, wl.density))
-		bexpr := dj.Expr()
-		m := SliceMeasurement{
-			Name: wl.name, Procs: d.NumProcs(), States: d.NumStates(),
-			SliceNs: make(map[string]int64, len(ParWorkers)),
-		}
+		m := SliceMeasurement{Name: wl.name, Procs: d.NumProcs(), States: d.NumStates()}
 
-		cuts, stats := detect.AllViolationsWithStats(d, bexpr, force(1))
+		cuts, stats := detect.AllViolations(d, dj)
 		if !stats.Sliced {
 			panic("slice sweep workload did not slice")
 		}
 		m.SliceCuts = stats.StatesExplored
 		m.MetaEvents = stats.MetaEvents
+		m.SliceNs = timeBest(func() { detect.AllViolations(d, dj) })
 
 		if wl.oracle {
 			m.LatticeCuts = d.CountConsistentCuts()
-			oracle := detect.AllViolationsExhaustivePar(d, bexpr, force(4))
-			two := detect.AllViolationsExhaustivePar(d, bexpr, force(2))
-			m.Identical = keySet(cuts) == keySet(oracle) && keySet(cuts) == keySet(two)
-			m.ExhaustiveNs = make(map[string]int64, len(ParWorkers))
-			for _, w := range ParWorkers {
-				w := w
-				m.ExhaustiveNs[fmt.Sprint(w)] = timeBest(func() {
-					detect.AllViolationsExhaustivePar(d, bexpr, force(w))
-				})
+			var oracle []deposet.Cut
+			m.ExhaustiveNs = timeIt(func() { oracle = detect.AllViolationsExhaustive(d, dj) }).Nanoseconds()
+			m.Identical = keySet(cuts) == keySet(oracle)
+			if m.SliceNs > 0 {
+				m.SliceGain1w = float64(m.ExhaustiveNs) / float64(m.SliceNs)
 			}
-			if t4 := m.ExhaustiveNs["4"]; t4 > 0 {
-				m.ExhaustiveSpeedup4 = float64(m.ExhaustiveNs["1"]) / float64(t4)
-			}
-		} else {
-			// No oracle: the worker counts must still agree byte-for-byte.
-			m.Identical = keysJoined(cuts) == keysJoined(detect.AllViolationsPar(d, bexpr, force(4)))
-		}
-
-		for _, w := range ParWorkers {
-			w := w
-			m.SliceNs[fmt.Sprint(w)] = timeBest(func() {
-				detect.AllViolationsPar(d, bexpr, force(w))
-			})
-		}
-		if t4 := m.SliceNs["4"]; t4 > 0 {
-			m.SliceSpeedup4 = float64(m.SliceNs["1"]) / float64(t4)
-		}
-		if m.ExhaustiveNs != nil && m.SliceNs["1"] > 0 {
-			m.SliceGain1w = float64(m.ExhaustiveNs["1"]) / float64(m.SliceNs["1"])
 		}
 		b.Results = append(b.Results, m)
 	}
@@ -188,10 +140,10 @@ func MeasureSlice(seed int64) *SliceBaseline {
 	// Large-trace tractability row: n=32, ≈16k states — the lattice is
 	// astronomically beyond enumeration, but the polynomial slice paths
 	// (construction, possibly-witness, control feasibility) answer
-	// directly. Sequential and 4-worker construction must agree.
+	// directly.
 	big := deposet.Random(r, deposet.DefaultGen(32, 16000))
 	bigDj := predicate.DisjunctionFromTruth(deposet.RandomTruth(r, big, 0.9))
-	bigB := predicate.Not(bigDj.Expr()) // regular: ∧p ¬lp
+	bigB := predicate.Not(bigDj) // regular: ∧p ¬lp
 	tab, ok := predicate.RegularTable(bigB, big)
 	if !ok {
 		panic("big workload not regular")
@@ -199,13 +151,12 @@ func MeasureSlice(seed int64) *SliceBaseline {
 	m := SliceMeasurement{
 		Name:  "slice-control n=32 (lattice not enumerable)",
 		Procs: big.NumProcs(), States: big.NumStates(),
-		SliceNs: make(map[string]int64, len(ParWorkers)),
 	}
 	sl := slice.Compute(big, tab)
 	m.MetaEvents = sl.Stats().MetaEvents
 	_, chainFound, chainDecided := sl.SingleStepChain()
 	m.Identical = chainDecided
-	m.SliceNs["1"] = timeBest(func() {
+	m.SliceNs = timeBest(func() {
 		s := slice.Compute(big, tab)
 		if _, found, decided := s.SingleStepChain(); found != chainFound || decided != chainDecided {
 			panic("nondeterministic slice control")
@@ -220,10 +171,10 @@ func MeasureSlice(seed int64) *SliceBaseline {
 
 // SliceSmoke cross-validates the sliced dispatcher against the
 // exhaustive oracle on seeded mid-size traces — no timing, just the
-// equality verdict: for every workload the slice's violation set must be
-// byte-identical across worker counts 1/2/4 and set-identical to the
-// exhaustive lattice walk, and the slice must explore strictly fewer
-// states. Returns a summary line; a non-nil error is the CI gate.
+// equality verdict: for every workload the slice's violation set must
+// equal the exhaustive lattice walk's, and the slice must explore
+// strictly fewer states. Returns a summary line; a non-nil error is the
+// CI gate.
 func SliceSmoke(seed int64) (string, error) {
 	r := rand.New(rand.NewSource(seed))
 	traces, cuts := 0, 0
@@ -233,20 +184,14 @@ func SliceSmoke(seed int64) (string, error) {
 		}
 		d := deposet.Random(r, deposet.DefaultGen(wl.procs, wl.events))
 		dj := predicate.DisjunctionFromTruth(deposet.RandomTruth(r, d, wl.density))
-		bexpr := dj.Expr()
-		got, stats := detect.AllViolationsWithStats(d, bexpr, detect.Par{Workers: 1, Cutoff: 1})
+		got, stats := detect.AllViolations(d, dj)
 		if !stats.Sliced {
 			return "", fmt.Errorf("%s: did not take the slice path", wl.name)
 		}
-		want := detect.AllViolationsExhaustivePar(d, bexpr, detect.Par{Workers: 4, Cutoff: 1})
+		want := detect.AllViolationsExhaustive(d, dj)
 		if keySet(got) != keySet(want) {
 			return "", fmt.Errorf("%s: slice violations diverge from exhaustive oracle (%d vs %d cuts)",
 				wl.name, len(got), len(want))
-		}
-		for _, w := range []int{2, 4} {
-			if keysJoined(detect.AllViolationsPar(d, bexpr, detect.Par{Workers: w, Cutoff: 1})) != keysJoined(got) {
-				return "", fmt.Errorf("%s: worker count %d changes the violation set", wl.name, w)
-			}
 		}
 		if lattice := d.CountConsistentCuts(); stats.StatesExplored >= lattice {
 			return "", fmt.Errorf("%s: slice explored %d states, lattice only %d",
@@ -255,7 +200,7 @@ func SliceSmoke(seed int64) (string, error) {
 		traces++
 		cuts += len(got)
 	}
-	return fmt.Sprintf("slice smoke ok: %d traces, %d violations, slice == exhaustive at workers 1/2/4", traces, cuts), nil
+	return fmt.Sprintf("slice smoke ok: %d traces, %d violations, slice == exhaustive", traces, cuts), nil
 }
 
 // SliceBaselineJSON renders the sweep as the committed BENCH_slice.json.
@@ -267,33 +212,44 @@ func SliceBaselineJSON(seed int64) ([]byte, error) {
 	return append(doc, '\n'), nil
 }
 
-// SliceRows appends the slicing sweep to the E10 table.
-func SliceRows(t *Table, seed int64) {
+// E10 renders the slicing sweep as a pcbench table.
+func E10(seed int64) *Table {
+	t := &Table{
+		ID:    "E10",
+		Title: "computation slicing vs the exhaustive lattice walk",
+		Claim: "(beyond the paper) violations of a disjunctive B are the cuts of ¬B's slice; cf. Mittal & Garg in PAPERS.md",
+		Columns: []string{
+			"workload", "procs", "states", "lattice→slice cuts", "slice", "exhaustive", "gain", "identical",
+		},
+	}
 	base := MeasureSlice(seed)
 	for _, m := range base.Results {
-		lattice := "n/a"
+		lattice, exh, gain := "n/a", "-", "-"
 		if m.LatticeCuts > 0 {
 			lattice = fmt.Sprint(m.LatticeCuts)
-		}
-		exh1 := "-"
-		if m.ExhaustiveNs != nil {
-			exh1 = nsString(m.ExhaustiveNs["1"])
+			exh = nsString(m.ExhaustiveNs)
+			gain = fmt.Sprintf("%.1fx", m.SliceGain1w)
 		}
 		verdict := "≠"
 		if m.Identical {
 			verdict = "="
 		}
-		ns := func(w string) string {
-			if v, ok := m.SliceNs[w]; ok {
-				return nsString(v)
-			}
-			return "-"
-		}
-		t.Row("slice: "+m.Name, m.Procs, m.States,
-			fmt.Sprintf("%s→%d", lattice, m.SliceCuts),
-			ns("1"), ns("2"), ns("4"),
-			fmt.Sprintf("%.2fx vs exh %s %s", m.SliceSpeedup4, exh1, verdict))
+		t.Row(m.Name, m.Procs, m.States, fmt.Sprintf("%s→%d", lattice, m.SliceCuts),
+			nsString(m.SliceNs), exh, gain, verdict)
 	}
-	t.Note("slice rows: states column shows lattice→slice cuts explored; '=' marks the")
-	t.Note("byte-identical violation-set verdict against the exhaustive oracle")
+	t.Note("host: %d CPU(s), GOMAXPROCS=%d, %s", base.NumCPU, base.GOMAXPROCS, base.GoVersion)
+	t.Note("'=' marks the violation-set verdict against the exhaustive oracle (on the")
+	t.Note("n=32 row: the slice's control-feasibility answer was decided)")
+	return t
+}
+
+func nsString(ns int64) string {
+	switch {
+	case ns >= 1e6:
+		return fmt.Sprintf("%.2fms", float64(ns)/1e6)
+	case ns >= 1e3:
+		return fmt.Sprintf("%.1fµs", float64(ns)/1e3)
+	default:
+		return fmt.Sprintf("%dns", ns)
+	}
 }

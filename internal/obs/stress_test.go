@@ -14,15 +14,15 @@ import (
 
 // TestStressConcurrentInstrumentation runs many instrumented
 // online-control runs concurrently — per-run journals, one shared
-// registry — alongside DetectBatch under allocation-free spans, and
-// asserts the journals lost nothing and kept per-process order. Run
-// with -race (the Makefile check target does) this is the
+// registry — alongside conjunctive detection under an allocation-free
+// span, and asserts the journals lost nothing and kept per-process
+// order. Run with -race (the Makefile check target does) this is the
 // concurrency-soundness gate for the obs layer.
 func TestStressConcurrentInstrumentation(t *testing.T) {
 	reg := obs.NewRegistry()
 	const runs = 8
 	var wg sync.WaitGroup
-	errs := make(chan error, runs+1)
+	errs := make(chan error, runs)
 
 	for i := 0; i < runs; i++ {
 		i := i
@@ -82,8 +82,8 @@ func TestStressConcurrentInstrumentation(t *testing.T) {
 		}()
 	}
 
-	// DetectBatch runs concurrently with the protocol runs, inside
-	// wall-only spans on the same registry.
+	// Detection runs concurrently with the protocol runs, inside a
+	// wall-only span on the same registry.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
@@ -102,9 +102,10 @@ func TestStressConcurrentInstrumentation(t *testing.T) {
 			}
 			qs[k] = cj
 		}
-		reg.Span("stress_batch_detect", func() {
-			if _, err := predctl.DetectBatch(ds, qs, 4); err != nil {
-				errs <- err
+		reg.Span("stress_detect", func() {
+			for k, d := range ds {
+				predctl.Possibly(d, qs[k])
+				predctl.Definitely(d, qs[k])
 			}
 		})
 	}()
@@ -128,7 +129,7 @@ func TestStressConcurrentInstrumentation(t *testing.T) {
 	if want := int64(4 * 6 * runs); entries != want {
 		t.Fatalf("registry counted %d entries, want %d", entries, want)
 	}
-	if reg.SpanStats("stress_batch_detect").Count() != 1 {
-		t.Fatal("batch span not recorded")
+	if reg.SpanStats("stress_detect").Count() != 1 {
+		t.Fatal("detection span not recorded")
 	}
 }

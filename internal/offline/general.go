@@ -44,8 +44,11 @@ func ControlGeneral(d *deposet.Deposet, b predicate.Expr) (control.Relation, dep
 			return EnforceSequence(d, seq), seq, nil
 		}
 	}
-	seq, ok := detect.SGSD(d, b, false)
-	if !ok {
+	seq, _, err := detect.SGSD(d, b, false)
+	if err != nil {
+		return nil, nil, err
+	}
+	if seq == nil {
 		return nil, nil, ErrInfeasible
 	}
 	return EnforceSequence(d, seq), seq, nil

@@ -108,7 +108,7 @@ func TestControlCNFProperty(t *testing.T) {
 		case errors.Is(err, ErrInfeasible):
 			// At least one clause must be exhaustively infeasible.
 			for _, c := range clauses {
-				if _, ok := detect.SGSD(d, c.Expr(), false); !ok {
+				if !detect.Feasible(d, c.Expr()) {
 					return true
 				}
 			}

@@ -70,13 +70,6 @@ type Options struct {
 	// paper's §5 Evaluation argues for the concurrency-preserving
 	// default.
 	PreferLate bool
-	// Par configures the parallel engine for the per-process
-	// false-interval extraction and the infeasibility (Lemma 2) check.
-	// The zero value is the transparent default: GOMAXPROCS workers on
-	// large computations, sequential below the cutoff. The chain search
-	// itself stays sequential — it is a backtracking construction over
-	// one shared frontier.
-	Par detect.Par
 }
 
 // chain is the under-construction control strategy: a chain of true
@@ -138,7 +131,9 @@ func Control(d *deposet.Deposet, dj *predicate.Disjunction, opts Options) (*Resu
 	// falsity table; interval extraction here and the infeasibility check
 	// in giveUp both read the bits instead of re-calling the closures.
 	c.ft = dj.TruthTable(d).Invert()
-	detect.TruthIntervalsInto(c.ivs, d, opts.Par, c.ft.Holds)
+	for p := 0; p < n; p++ {
+		c.ivs[p] = detect.TruthIntervals(d, p, c.ft.Holds)
+	}
 	res := &Result{}
 
 	// Initial holder: any process true at ⊥.
@@ -159,7 +154,7 @@ func Control(d *deposet.Deposet, dj *predicate.Disjunction, opts Options) (*Resu
 	}
 
 	if !c.search(newMemo(), opts) {
-		return c.giveUp(d, dj, opts, res)
+		return c.giveUp(d, dj, res)
 	}
 	res.Relation = c.rel
 	res.Iterations = c.handoffs
@@ -441,8 +436,8 @@ func (c *chain) candidates(opts Options) []candidate {
 // giveUp resolves a stuck greedy: if the instance is genuinely
 // infeasible, report it with the overlap witness; otherwise fall back to
 // the exhaustive general controller (tracked in Result.Fallback).
-func (c *chain) giveUp(d *deposet.Deposet, dj *predicate.Disjunction, opts Options, res *Result) (*Result, error) {
-	witness, definitely := detect.DefinitelyTruthPar(d, c.ft.Holds, opts.Par)
+func (c *chain) giveUp(d *deposet.Deposet, dj *predicate.Disjunction, res *Result) (*Result, error) {
+	witness, definitely := detect.DefinitelyTruth(d, c.ft.Holds)
 	if definitely {
 		res.Witness = witness
 		return res, ErrInfeasible

@@ -136,7 +136,7 @@ func TestControlInfeasible(t *testing.T) {
 	}
 	for i := 0; i < 2; i++ {
 		for j := 0; j < 2; j++ {
-			if i != j && !detect.OverlapsView(d, res.Witness[i], res.Witness[j]) {
+			if i != j && !detect.Overlaps(d, res.Witness[i], res.Witness[j]) {
 				t.Fatalf("witness does not overlap: %v", res.Witness)
 			}
 		}
@@ -186,8 +186,7 @@ func TestControlWideProcessesRegression(t *testing.T) {
 // feasibleOracle decides controller existence exhaustively: some
 // interleaving satisfies the disjunction everywhere.
 func feasibleOracle(d *deposet.Deposet, dj *predicate.Disjunction) bool {
-	_, ok := detect.SGSD(d, dj.Expr(), false)
-	return ok
+	return detect.Feasible(d, dj.Expr())
 }
 
 // TestControlCorrectnessProperty is the central cross-validation: on
@@ -334,8 +333,8 @@ func TestEnforceSequencePinsCuts(t *testing.T) {
 	r := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 30; trial++ {
 		d := deposet.Random(r, deposet.DefaultGen(2+r.Intn(2), 3+r.Intn(8)))
-		seq, ok := detect.SGSD(d, predicate.Const(true), false)
-		if !ok {
+		seq, _, err := detect.SGSD(d, predicate.Const(true), false)
+		if err != nil || seq == nil {
 			t.Fatal("trivial SGSD failed")
 		}
 		rel := EnforceSequence(d, seq)
@@ -452,7 +451,7 @@ func TestControlGeneralRegularMatchesSGSD(t *testing.T) {
 		}
 
 		rel, seq, err := ControlGeneral(d, b)
-		_, wantOK := detect.SGSD(d, b, false)
+		wantOK := detect.Feasible(d, b)
 		if (err == nil) != wantOK {
 			t.Logf("seed %d: slice feasibility %v, SGSD %v", seed, err == nil, wantOK)
 			return false

@@ -17,9 +17,17 @@ import "predctl/internal/deposet"
 // i.e. B factors into one independent local condition per process. Every
 // conjunctive predicate is in the fragment; so is the negation of a
 // disjunctive one (De Morgan), which is how the detectors' "violations of
-// B = ∨ lp" queries become sliceable. A disjunction across two or more
+// B = ∨ lp" queries become sliceable. The two normal forms (*Conjunction,
+// *Disjunction) are read through their Expr(), so passing one directly is
+// the same as passing its expression. A disjunction across two or more
 // processes is NOT in the fragment (its cut set is generally not
 // min-closed) and is rejected.
+
+// normalForm is a predicate held in a structured form that also renders
+// itself as a plain expression tree: *Disjunction and *Conjunction. The
+// walks over expression trees here and in Compile read one through that
+// tree.
+type normalForm interface{ Expr() Expr }
 
 // regClause is one per-process factor of a regular predicate: a subtree
 // reading only process p, negated iff neg (the NNF polarity it was
@@ -49,6 +57,8 @@ func collectRegular(e Expr, neg bool, out *[]regClause, constFalse *bool) bool {
 		return true
 	case *notExpr:
 		return collectRegular(x.x, !neg, out, constFalse)
+	case normalForm:
+		return collectRegular(x.Expr(), neg, out, constFalse)
 	case *andExpr:
 		if neg { // ¬(a ∧ b) = ¬a ∨ ¬b: a disjunction
 			return clauseIfSingleProc(e, neg, out, constFalse)
@@ -111,6 +121,8 @@ func exprSpan(e Expr) (p int, multi, any bool) {
 		return 0, false, false
 	case *notExpr:
 		return exprSpan(x.x)
+	case normalForm:
+		return exprSpan(x.Expr())
 	case *andExpr:
 		return spanAll(x.xs)
 	case *orExpr:
@@ -145,6 +157,8 @@ func evalConstOnly(e Expr) (v, ok bool) {
 	case *notExpr:
 		v, ok = evalConstOnly(x.x)
 		return !v, ok
+	case normalForm:
+		return evalConstOnly(x.Expr())
 	case *andExpr:
 		for _, sub := range x.xs {
 			if v, ok = evalConstOnly(sub); !ok || !v {

@@ -18,6 +18,9 @@ func TestIsRegular(t *testing.T) {
 	l1 := LocalVarEq(1, "y", 1)
 	l1b := LocalVarEq(1, "y", 2)
 	compiled := Compile(Or(l0, l0b), d) // or of bitExpr leaves, one process
+	after := func(_ *deposet.Deposet, k int) bool { return k >= 1 }
+	dj := NewDisjunction(2).Add(0, "a", after).Add(1, "b", after)
+	cj := NewConjunction(2).Add(0, "a", after).Add(1, "b", after)
 
 	cases := []struct {
 		name string
@@ -41,8 +44,16 @@ func TestIsRegular(t *testing.T) {
 		{"const-only-or", Or(Const(false), Const(true)), true},
 		{"and-with-const", And(l0, Const(true), l1), true},
 		{"or-with-const-false", Or(l0, Const(false)), true},
+		// The normal forms passed as an Expr classify as their Expr().
+		{"conjunction-form", cj, true},
+		{"not-disjunction-form", Not(dj), true},
+		{"one-proc-disjunction-form", NewDisjunction(2).Add(1, "b", after), true},
+		{"empty-disjunction-form", NewDisjunction(2), true},
+		{"and-of-forms", And(cj, Not(dj), l0), true},
 
 		{"cross-proc-or", Or(l0, l1), false},
+		{"disjunction-form", dj, false},
+		{"not-conjunction-form", Not(cj), false},
 		{"not-conjunction", Not(And(l0, l1)), false}, // = l̄0 ∨ l̄1 across procs
 		{"conj-of-cross-disj", And(Or(l0, l1), l0b), false},
 		{"nested-conj-of-disj", And(l0, And(Or(l0b, l1), l1b)), false},

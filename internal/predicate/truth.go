@@ -155,6 +155,8 @@ func Compile(e Expr, d *deposet.Deposet) Expr {
 		return &orExpr{xs}
 	case *notExpr:
 		return &notExpr{Compile(x.x, d)}
+	case normalForm:
+		return Compile(x.Expr(), d)
 	default:
 		return e
 	}

@@ -137,8 +137,9 @@ func TestReductionEquivalenceProperty(t *testing.T) {
 			return false
 		}
 		for _, simultaneous := range []bool{false, true} {
-			seq, ok := detect.SGSD(red.D, red.B, simultaneous)
-			if ok != satisfiable {
+			seq, _, err := detect.SGSD(red.D, red.B, simultaneous)
+			ok := seq != nil
+			if err != nil || ok != satisfiable {
 				return false
 			}
 			if !ok {

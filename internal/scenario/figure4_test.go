@@ -33,7 +33,7 @@ func TestFigure4Walkthrough(t *testing.T) {
 
 	// Step 1: bug 1 — "all servers unavailable" — is possible at exactly
 	// the two cuts G and H.
-	violations := detect.AllViolations(d, fg.Avail.Expr())
+	violations, _ := detect.AllViolations(d, fg.Avail.Expr())
 	if len(violations) != 2 {
 		t.Fatalf("violations = %v, want exactly G and H", violations)
 	}

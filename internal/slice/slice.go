@@ -23,11 +23,8 @@ package slice
 
 import (
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"predctl/internal/deposet"
-	"predctl/internal/par"
 	"predctl/internal/predicate"
 )
 
@@ -330,25 +327,23 @@ func (s *Slice) Stats() Stats {
 	return st
 }
 
-// enumState is the reusable scratch of one ideal-enumeration walker.
+// enumState is the scratch of one ideal-enumeration walk.
 type enumState struct {
 	s    *Slice
 	c    []int32 // per process: chain elements currently in the ideal
 	g    deposet.Cut
 	undo []int32 // (process, old component) pairs for cut rollback
-	out  []deposet.Cut
-}
-
-func newEnumState(s *Slice) *enumState {
-	return &enumState{s: s, c: make([]int32, s.n), g: make(deposet.Cut, s.n)}
 }
 
 // dfs enumerates, in increasing-maxidx order, every ideal extending the
-// current one with meta-events of index > maxidx, emitting each ideal's
-// cut. Because the meta order is a linear extension, every ideal is
-// produced exactly once — no visited set, no cross-walker overlap.
-func (e *enumState) dfs(maxidx int) {
-	e.out = append(e.out, e.g.Clone())
+// current one with meta-events of index > maxidx, passing each ideal's
+// cut to f and stopping (returning false) as soon as f does. Because the
+// meta order is a linear extension, every ideal is produced exactly once
+// — no visited set.
+func (e *enumState) dfs(maxidx int, f func(deposet.Cut) bool) bool {
+	if !f(e.g) {
+		return false
+	}
 	s := e.s
 	for qi := maxidx + 1; qi < len(s.metas); qi++ {
 		q := &s.metas[qi]
@@ -372,7 +367,9 @@ func (e *enumState) dfs(maxidx int) {
 				e.g[p] = q.cut[p]
 			}
 		}
-		e.dfs(qi)
+		if !e.dfs(qi, f) {
+			return false
+		}
 		for p := 0; p < s.n; p++ {
 			if q.pos[p] >= 0 {
 				e.c[p] = q.pos[p]
@@ -383,115 +380,33 @@ func (e *enumState) dfs(maxidx int) {
 		}
 		e.undo = e.undo[:mark]
 	}
+	return true
 }
 
-// segment is one unexplored subtree of the enumeration forest, produced
-// by the breadth-first frontier expansion and consumed by one worker.
-type segment struct {
-	c      []int32
-	g      deposet.Cut
-	maxidx int
+// ForEachCut calls f for every cut of the slice in canonical forest
+// order (not depth order), stopping early if f returns false. The cut
+// passed to f is reused between calls; clone it to retain it.
+func (s *Slice) ForEachCut(f func(deposet.Cut) bool) {
+	if s.empty {
+		return
+	}
+	e := &enumState{s: s, c: make([]int32, s.n), g: s.bottom.Clone()}
+	e.dfs(-1, f)
 }
 
 // Cuts enumerates every cut of the slice, returned in (depth, lex)
-// order. workers follows the internal/par convention (0 = GOMAXPROCS);
-// with more than one worker the enumeration forest is split into
-// independent segments — disjoint by construction, so workers share no
-// visited state, take no locks on the hot path, and never synchronize
-// until the final deterministic merge. The output is identical at every
-// worker count. Work-optimality guard: a forest with fewer meta-events
-// than the segment target is too shallow to split profitably, so it is
-// walked sequentially no matter the worker count.
-func (s *Slice) Cuts(workers int) []deposet.Cut {
-	if s.empty {
-		return nil
-	}
-	workers = par.Workers(workers, len(s.metas)+1)
-	target := 8 * workers
-	if workers <= 1 || len(s.metas) < target {
-		e := newEnumState(s)
-		copy(e.g, s.bottom)
-		e.dfs(-1)
-		sortCuts(e.out)
-		return e.out
-	}
-
-	// Phase A: expand the forest breadth-first until there are enough
-	// independent subtrees to balance across workers. Cuts of expanded
-	// nodes are emitted here; each leftover node's subtree (itself
-	// included) becomes a segment.
-	root := segment{c: make([]int32, s.n), g: s.bottom.Clone(), maxidx: -1}
-	queue := []segment{root}
+// order.
+func (s *Slice) Cuts() []deposet.Cut {
 	var out []deposet.Cut
-	for len(queue) > 0 && len(queue) < target {
-		node := queue[0]
-		queue = queue[1:]
-		out = append(out, node.g.Clone())
-		for qi := node.maxidx + 1; qi < len(s.metas); qi++ {
-			q := &s.metas[qi]
-			addable := true
-			for p := 0; p < s.n; p++ {
-				if node.c[p] < q.need[p] {
-					addable = false
-					break
-				}
-			}
-			if !addable {
-				continue
-			}
-			child := segment{
-				c:      append([]int32(nil), node.c...),
-				g:      node.g.Clone(),
-				maxidx: qi,
-			}
-			for p := 0; p < s.n; p++ {
-				if q.pos[p] >= 0 {
-					child.c[p] = q.pos[p] + 1
-				}
-				if q.cut[p] > child.g[p] {
-					child.g[p] = q.cut[p]
-				}
-			}
-			queue = append(queue, child)
-		}
-	}
-
-	// Phase B: workers claim segments off an atomic counter and walk
-	// them with the same sequential kernel. Each worker accumulates all
-	// its segments into one buffer — the final (depth, lex) sort makes
-	// the merge order irrelevant, and segments are disjoint, so no cut is
-	// ever produced twice.
-	results := make([][]deposet.Cut, workers)
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			e := newEnumState(s)
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(queue) {
-					results[w] = e.out
-					return
-				}
-				seg := queue[i]
-				copy(e.c, seg.c)
-				copy(e.g, seg.g)
-				e.dfs(seg.maxidx)
-			}
-		}(w)
-	}
-	wg.Wait()
-	for _, r := range results {
-		out = append(out, r...)
-	}
+	s.ForEachCut(func(g deposet.Cut) bool {
+		out = append(out, g.Clone())
+		return true
+	})
 	sortCuts(out)
 	return out
 }
 
-// sortCuts orders cuts by (depth, lex) — the same canonical order
-// regardless of worker count or segment split.
+// sortCuts orders cuts by (depth, lex).
 func sortCuts(cuts []deposet.Cut) {
 	depths := make([]int32, len(cuts))
 	for i, g := range cuts {
@@ -523,59 +438,6 @@ func sortCuts(cuts []deposet.Cut) {
 		sorted[i] = cuts[j]
 	}
 	copy(cuts, sorted)
-}
-
-// ForEachCut calls f for every cut of the slice in canonical forest
-// order (not depth order), stopping early if f returns false. The cut
-// passed to f is reused between calls; clone it to retain it.
-func (s *Slice) ForEachCut(f func(deposet.Cut) bool) {
-	if s.empty {
-		return
-	}
-	e := newEnumState(s)
-	copy(e.g, s.bottom)
-	stop := false
-	var rec func(maxidx int)
-	rec = func(maxidx int) {
-		if stop || !f(e.g) {
-			stop = true
-			return
-		}
-		for qi := maxidx + 1; qi < len(s.metas) && !stop; qi++ {
-			q := &s.metas[qi]
-			addable := true
-			for p := 0; p < s.n; p++ {
-				if e.c[p] < q.need[p] {
-					addable = false
-					break
-				}
-			}
-			if !addable {
-				continue
-			}
-			mark := len(e.undo)
-			for p := 0; p < s.n; p++ {
-				if q.pos[p] >= 0 {
-					e.c[p] = q.pos[p] + 1
-				}
-				if q.cut[p] > e.g[p] {
-					e.undo = append(e.undo, int32(p), int32(e.g[p]))
-					e.g[p] = q.cut[p]
-				}
-			}
-			rec(qi)
-			for p := 0; p < s.n; p++ {
-				if q.pos[p] >= 0 {
-					e.c[p] = q.pos[p]
-				}
-			}
-			for i := len(e.undo) - 2; i >= mark; i -= 2 {
-				e.g[e.undo[i]] = int(e.undo[i+1])
-			}
-			e.undo = e.undo[:mark]
-		}
-	}
-	rec(-1)
 }
 
 // SingleStepChain decides, in polynomial time, whether the slice

@@ -146,21 +146,27 @@ func Definitely(d *Computation, q *Conjunction) ([]Interval, bool) {
 	return detect.DefinitelyConjunctive(d, q)
 }
 
-// Violations lists every consistent global state violating b
-// (exponential; for small computations under study). Computations above
-// the parallel-engine cutoff are enumerated level-synchronously across
-// GOMAXPROCS workers, in deterministic (depth, lexicographic) order;
-// smaller ones keep the sequential lattice walk.
+// Violations lists every consistent global state violating b. When ¬b
+// is in the regular fragment (a conjunction of per-process conditions —
+// so every disjunctive b, passed as a *Disjunction or as its Expr) the
+// violations are the cuts of ¬b's computation slice, in (depth,
+// lexicographic) order, at a cost polynomial in the trace plus the
+// answer; any other predicate walks the whole lattice (exponential; for
+// small computations under study) in breadth-first order.
 func Violations(d *Computation, b Predicate) []Cut {
-	return detect.AllViolationsPar(d, b, detect.Par{})
+	cuts, _ := detect.AllViolations(d, b)
+	return cuts
 }
 
 // SGSD searches for a global sequence satisfying b at every state
-// (NP-complete; exponential). simultaneous selects the paper's
-// simultaneous-advance semantics; false restricts to interleavings,
-// which is the controller-relevant notion.
-func SGSD(d *Computation, b Predicate, simultaneous bool) (Sequence, bool) {
-	return detect.SGSD(d, b, simultaneous)
+// (NP-complete; exponential), returning nil when there is none.
+// simultaneous selects the paper's simultaneous-advance semantics; false
+// restricts to interleavings, which is the controller-relevant notion.
+// The simultaneous search is limited to detect.MaxSGSDProcs processes
+// and reports a wider computation as an error.
+func SGSD(d *Computation, b Predicate, simultaneous bool) (Sequence, error) {
+	seq, _, err := detect.SGSD(d, b, simultaneous)
+	return seq, err
 }
 
 // Replay.

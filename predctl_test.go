@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"errors"
 	"testing"
+
+	"predctl/internal/predicate"
 )
 
 // TestQuickstartFlow exercises the whole public API surface the way the
@@ -91,8 +93,37 @@ func TestPredicateCombinators(t *testing.T) {
 	if v := Violations(d, after); len(v) != 1 {
 		t.Fatalf("violations = %v", v)
 	}
-	if _, ok := SGSD(d, Const(true), false); !ok {
-		t.Fatal("SGSD trivial failed")
+	if seq, err := SGSD(d, Const(true), false); err != nil || seq == nil {
+		t.Fatalf("SGSD trivial failed: %v, %v", seq, err)
+	}
+}
+
+// A disjunction handed to Violations as the normal form itself — not as
+// its Expr() — must still be enumerated on the computation slice. The
+// lattice here (31⁶ ≈ 9·10⁸ cuts, no messages) is beyond any exhaustive
+// walk, so an answer at all is the slice's; the IsRegular guard makes a
+// regression in recognising the form fail fast instead.
+func TestViolationsSlicesNormalForms(t *testing.T) {
+	const n, steps, bad = 6, 30, 5
+	b := NewBuilder(n)
+	for p := 0; p < n; p++ {
+		for k := 0; k < steps; k++ {
+			b.Step(p)
+		}
+	}
+	d := b.MustBuild()
+	dj := NewDisjunction(n)
+	for p := 0; p < n; p++ {
+		dj.Add(p, "ok", func(_ *Computation, k int) bool { return k != bad })
+	}
+	if !predicate.IsRegular(Not(dj)) || !predicate.IsRegular(Not(dj.Expr())) {
+		t.Fatal("¬disjunction not recognised as regular")
+	}
+	want := Cut{bad, bad, bad, bad, bad, bad}
+	for name, b := range map[string]Predicate{"*Disjunction": dj, "Expr()": dj.Expr()} {
+		if v := Violations(d, b); len(v) != 1 || !v[0].Equal(want) {
+			t.Errorf("%s: violations = %v, want [%v]", name, v, want)
+		}
 	}
 }
 

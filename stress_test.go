@@ -32,10 +32,7 @@ func TestStressOfflineCycle(t *testing.T) {
 		n := 1 + r.Intn(5)
 		d := deposet.Random(r, deposet.DefaultGen(n, r.Intn(24)))
 		dj := predicate.DisjunctionFromTruth(deposet.RandomTruth(r, d, 0.25+r.Float64()*0.6))
-		want := func() bool {
-			_, ok := detect.SGSD(d, dj.Expr(), false)
-			return ok
-		}()
+		want := detect.Feasible(d, dj.Expr())
 
 		res, err := offline.Control(d, dj, offline.Options{})
 		if errors.Is(err, offline.ErrInfeasible) {
@@ -46,7 +43,7 @@ func TestStressOfflineCycle(t *testing.T) {
 			// The witness must pairwise overlap.
 			for a := range res.Witness {
 				for b := range res.Witness {
-					if a != b && !detect.OverlapsView(d, res.Witness[a], res.Witness[b]) {
+					if a != b && !detect.Overlaps(d, res.Witness[a], res.Witness[b]) {
 						t.Fatalf("instance %d: witness does not overlap", i)
 					}
 				}
