@@ -46,10 +46,11 @@ bench-compare:
 # memory sweep and diff it against the committed BENCH_memory.json
 # (fails on allocs/op or bytes/op growth beyond slack; see
 # internal/expt/mem.go for the tolerances). BenchmarkAssemble is the
-# commit path's 256k-op assembly, one iteration as a smoke.
+# commit path's 256k-op assembly and BenchmarkDecode the offline
+# cycle's 250k-event trace file, one iteration each as a smoke.
 bench-mem:
-	$(GO) test -run 'AllocFree|AllocBound' ./internal/deposet ./internal/detect ./internal/node
-	$(GO) test -run '^$$' -bench 'BenchmarkAssemble$$' -benchtime 1x -benchmem ./internal/node
+	$(GO) test -run 'AllocFree|AllocBound' ./internal/deposet ./internal/detect ./internal/node ./internal/trace
+	$(GO) test -run '^$$' -bench 'BenchmarkAssemble$$|BenchmarkDecode$$' -benchtime 1x -benchmem ./internal/node ./internal/trace
 	$(GO) run ./cmd/pcbench -compare BENCH_memory.json
 
 # Regenerate the committed cluster baseline: real in-process clusters

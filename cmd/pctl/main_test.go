@@ -140,6 +140,21 @@ func TestCLIErrors(t *testing.T) {
 	if err := run([]string{"detect", "-pred", "/nope.json", "/also/nope.json"}); err == nil {
 		t.Error("missing files accepted")
 	}
+	// A trace file written twice over is two documents, not one.
+	twice := filepath.Join(t.TempDir(), "twice.json")
+	if err := run([]string{"gen", "-n", "2", "-events", "6", "-o", twice}); err != nil {
+		t.Fatal(err)
+	}
+	once, err := os.ReadFile(twice)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(twice, append(once, once...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := run([]string{"info", twice}); err == nil {
+		t.Error("doubly-written trace accepted")
+	}
 }
 
 // TestCLIBundle drives the tree-and-store path end to end: a cluster

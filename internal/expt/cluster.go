@@ -11,7 +11,6 @@ import (
 
 	"predctl/internal/node"
 	"predctl/internal/obs"
-	"predctl/internal/store"
 	"predctl/internal/trace"
 	"predctl/internal/wire"
 )
@@ -262,19 +261,15 @@ func runClusterOnce(rc clusterRun) (ClusterMeasurement, error) {
 		m.Handoffs += s.Handoffs
 	}
 	if rc.store {
-		man, verr := store.Verify(storeDir)
-		if verr != nil {
-			return m, fmt.Errorf("cluster n=%d %s: bundle: %w", rc.n, mode, verr)
+		// The whole point of the bundle: it verifies, and reassembling
+		// from disk reproduces the run's trace byte-for-byte.
+		d, man, aerr := node.AssembleBundle(storeDir)
+		if aerr != nil {
+			return m, fmt.Errorf("cluster n=%d %s: bundle: %w", rc.n, mode, aerr)
 		}
 		m.StoreSegments = len(man.Segments)
 		for _, sm := range man.Segments {
 			m.StoreBytes += sm.Bytes
-		}
-		// The whole point of the bundle: reassembling from disk must
-		// reproduce the run's trace byte-for-byte.
-		d, _, aerr := node.AssembleBundle(storeDir)
-		if aerr != nil {
-			return m, fmt.Errorf("cluster n=%d %s: bundle assembly: %w", rc.n, mode, aerr)
 		}
 		var live, disk bytes.Buffer
 		if err := trace.Encode(&live, res.Deposet, nil); err != nil {

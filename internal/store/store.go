@@ -380,16 +380,9 @@ func fileCRC(path string) (uint32, error) {
 // every record inside checksums and decodes. It returns the manifest on
 // success.
 func Verify(dir string) (*Manifest, error) {
-	buf, err := os.ReadFile(filepath.Join(dir, ManifestName))
+	man, err := readManifest(dir)
 	if err != nil {
-		return nil, fmt.Errorf("store: bundle: %w", err)
-	}
-	var man Manifest
-	if err := json.Unmarshal(buf, &man); err != nil {
-		return nil, fmt.Errorf("store: bundle manifest: %w", err)
-	}
-	if man.Schema != 1 {
-		return nil, fmt.Errorf("store: bundle manifest schema %d unsupported", man.Schema)
+		return nil, err
 	}
 	for _, sm := range man.Segments {
 		path := filepath.Join(dir, sm.Name)
@@ -422,6 +415,23 @@ func Verify(dir string) (*Manifest, error) {
 				sm.Name, records, sm.Records)
 		}
 	}
+	return man, nil
+}
+
+// readManifest parses a bundle's manifest and refuses a schema this
+// code does not read.
+func readManifest(dir string) (*Manifest, error) {
+	buf, err := os.ReadFile(filepath.Join(dir, ManifestName))
+	if err != nil {
+		return nil, fmt.Errorf("store: bundle: %w", err)
+	}
+	var man Manifest
+	if err := json.Unmarshal(buf, &man); err != nil {
+		return nil, fmt.Errorf("store: bundle manifest: %w", err)
+	}
+	if man.Schema != 1 {
+		return nil, fmt.Errorf("store: bundle manifest schema %d unsupported", man.Schema)
+	}
 	return &man, nil
 }
 
@@ -431,20 +441,16 @@ func Verify(dir string) (*Manifest, error) {
 // had dropped from the index — callers filter by SegmentRecord.Epoch
 // (the manifest's Epoch is the final one).
 func ReplayBundle(dir string, fn func(rec wire.SegmentRecord, seq uint64, m wire.Msg) error) (*Manifest, error) {
-	buf, err := os.ReadFile(filepath.Join(dir, ManifestName))
+	man, err := readManifest(dir)
 	if err != nil {
-		return nil, fmt.Errorf("store: bundle: %w", err)
-	}
-	var man Manifest
-	if err := json.Unmarshal(buf, &man); err != nil {
-		return nil, fmt.Errorf("store: bundle manifest: %w", err)
+		return nil, err
 	}
 	for _, sm := range man.Segments {
 		if err := replaySegment(filepath.Join(dir, sm.Name), fn); err != nil {
 			return nil, err
 		}
 	}
-	return &man, nil
+	return man, nil
 }
 
 // replaySegment scans one segment file sequentially, verifying and

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -180,5 +181,35 @@ func TestVerifyMissingSegment(t *testing.T) {
 	}
 	if _, err := Verify(dir); err == nil {
 		t.Fatal("Verify accepted a bundle with a missing segment")
+	}
+}
+
+// A bundle whose manifest declares a later schema is refused by both
+// readers, not replayed on the assumption it is schema 1.
+func TestFutureSchemaRejected(t *testing.T) {
+	dir, _ := sealSample(t)
+	path := filepath.Join(dir, ManifestName)
+	buf, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var man Manifest
+	if err := json.Unmarshal(buf, &man); err != nil {
+		t.Fatal(err)
+	}
+	man.Schema = 2
+	if buf, err = json.Marshal(man); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, buf, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Verify(dir); err == nil || !strings.Contains(err.Error(), "schema 2") {
+		t.Errorf("Verify on a schema-2 bundle: %v", err)
+	}
+	replayed := 0
+	_, err = ReplayBundle(dir, func(wire.SegmentRecord, uint64, wire.Msg) error { replayed++; return nil })
+	if err == nil || !strings.Contains(err.Error(), "schema 2") || replayed > 0 {
+		t.Errorf("ReplayBundle on a schema-2 bundle replayed %d records: %v", replayed, err)
 	}
 }

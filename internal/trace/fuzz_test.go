@@ -24,6 +24,8 @@ func FuzzDecode(f *testing.F) {
 	f.Add(`{"version":1,"lens":[2,2],"msgs":[{"from_p":0,"send_event":1,"to_p":1,"recv_event":1}]}`)
 	f.Add(`{`)
 	f.Add(`{"version":1,"lens":[0]}`)
+	f.Add(`{"version":1,"lens":[1]} garbage`)
+	f.Add(`{"version":1,"lens":[1]}{"version":1,"lens":[1]}`)
 	f.Fuzz(func(t *testing.T, s string) {
 		d, rel, err := Decode(strings.NewReader(s))
 		if err != nil {

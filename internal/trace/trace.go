@@ -5,9 +5,11 @@
 package trace
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
+	"os"
 
 	"predctl/internal/control"
 	"predctl/internal/deposet"
@@ -57,38 +59,95 @@ func Encode(w io.Writer, d *deposet.Deposet, rel control.Relation) error {
 	return enc.Encode(f)
 }
 
-// Decode reads a trace file back into a computation and control relation.
+// Decode reads a trace file back into a computation and control
+// relation. It reads r to its end: the file is one JSON document, and
+// anything but whitespace after it is an error. A document in the
+// canonical subset (see scanner) is decoded by the scanner; any other is
+// decoded by encoding/json, to the same result.
 func Decode(r io.Reader) (*deposet.Deposet, control.Relation, error) {
-	var f File
-	if err := json.NewDecoder(r).Decode(&f); err != nil {
+	data, err := readInput(r)
+	if err != nil {
 		return nil, nil, fmt.Errorf("trace: %w", err)
 	}
-	if f.Version != Version {
-		return nil, nil, fmt.Errorf("trace: unsupported version %d", f.Version)
+	f, ok := scan(data)
+	if !ok {
+		if f, err = decodeJSON(data); err != nil {
+			return nil, nil, err
+		}
 	}
-	raw := deposet.Raw{Lens: f.Lens, Vars: f.Vars}
+	return f.build()
+}
+
+// readInput reads all of r, into a buffer of exactly the input's size
+// where r can tell it: the input is megabytes, and io.ReadAll's doubling
+// allocates several times that.
+func readInput(r io.Reader) ([]byte, error) {
+	var size int64
+	switch r := r.(type) {
+	case interface{ Len() int }: // bytes.Reader, bytes.Buffer, strings.Reader: the unread part
+		size = int64(r.Len())
+	case *os.File:
+		if fi, err := r.Stat(); err == nil && fi.Mode().IsRegular() {
+			size = fi.Size()
+		}
+	}
+	if size <= 0 || size != int64(int(size)) {
+		return io.ReadAll(r)
+	}
+	buf := make([]byte, size)
+	n, err := io.ReadFull(r, buf)
+	if err == io.EOF || err == io.ErrUnexpectedEOF {
+		return buf[:n], nil // shorter than announced: a file read from the middle
+	}
+	if err != nil {
+		return nil, err
+	}
+	rest, err := io.ReadAll(r) // longer than announced: a file still being written
+	return append(buf, rest...), err
+}
+
+// decodeJSON is the reference decoder: encoding/json into File, then
+// the same shapes the scanner builds.
+func decodeJSON(data []byte) (decoded, error) {
+	var f File
+	dec := json.NewDecoder(bytes.NewReader(data))
+	if err := dec.Decode(&f); err != nil {
+		return decoded{}, fmt.Errorf("trace: %w", err)
+	}
+	end := int(dec.InputOffset())
+	if rest := bytes.TrimLeft(data[end:], " \t\r\n"); len(rest) > 0 {
+		return decoded{}, fmt.Errorf("trace: unexpected %q after the document, at offset %d", rest[0], len(data)-len(rest))
+	}
+	out := decoded{version: f.Version, raw: deposet.Raw{Lens: f.Lens, Vars: f.Vars}}
 	for _, m := range f.Msgs {
-		raw.Msgs = append(raw.Msgs, deposet.Message{
+		out.raw.Msgs = append(out.raw.Msgs, deposet.Message{
 			FromP: m.FromP, SendEvent: m.SendEvent, ToP: m.ToP, RecvEvent: m.RecvEvent,
 		})
 	}
-	d, err := deposet.FromRaw(raw)
-	if err != nil {
-		return nil, nil, err
-	}
-	var rel control.Relation
 	for _, e := range f.Control {
-		rel = append(rel, control.Edge{
+		out.rel = append(out.rel, control.Edge{
 			From: deposet.StateID{P: e.FromP, K: e.FromK},
 			To:   deposet.StateID{P: e.ToP, K: e.ToK},
 		})
 	}
-	if rel != nil {
-		if _, err := control.Extend(d, rel); err != nil {
+	return out, nil
+}
+
+// build validates what a decoder read.
+func (f decoded) build() (*deposet.Deposet, control.Relation, error) {
+	if f.version != Version {
+		return nil, nil, fmt.Errorf("trace: unsupported version %d", f.version)
+	}
+	d, err := deposet.FromRaw(f.raw)
+	if err != nil {
+		return nil, nil, err
+	}
+	if f.rel != nil {
+		if _, err := control.Extend(d, f.rel); err != nil {
 			return nil, nil, err
 		}
 	}
-	return d, rel, nil
+	return d, f.rel, nil
 }
 
 // LocalSpec describes one variable-based local predicate.

@@ -83,6 +83,8 @@ func TestDecodeRejects(t *testing.T) {
 		`{"version":99,"lens":[1]}`, // version
 		`{"version":1,"lens":[0]}`,  // invalid deposet
 		`{"version":1,"lens":[2,2],"control":[{"from_p":0,"from_k":1,"to_p":1,"to_k":0}]}`, // D1
+		`{"version":1,"lens":[1]} garbage`,                                                 // bytes after the document
+		`{"version":1,"lens":[1]}{"version":1,"lens":[1]}`,                                 // a file written twice
 	}
 	for _, c := range cases {
 		if _, _, err := Decode(strings.NewReader(c)); err == nil {

@@ -271,7 +271,9 @@ func EncodeTrace(w io.Writer, d *Computation, rel ControlRelation) error {
 	return trace.Encode(w, d, rel)
 }
 
-// DecodeTrace reads a computation and control relation from JSON.
+// DecodeTrace reads a computation and control relation from JSON. It
+// reads r to its end: the trace is one document, and anything but
+// whitespace after it is an error.
 func DecodeTrace(r io.Reader) (*Computation, ControlRelation, error) {
 	return trace.Decode(r)
 }
