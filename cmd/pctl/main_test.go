@@ -6,8 +6,11 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
+
+	"predctl/internal/deposet"
 )
 
 // run the CLI with stdout captured.
@@ -154,6 +157,19 @@ func TestCLIErrors(t *testing.T) {
 	}
 	if err := run([]string{"info", twice}); err == nil {
 		t.Error("doubly-written trace accepted")
+	}
+	// Sizes no run produced are an error naming the count and the limit,
+	// not a panic or an allocation of that size.
+	for _, lens := range []string{"9223372036854775807", "4000000000,4000000000"} {
+		huge := filepath.Join(t.TempDir(), "huge.json")
+		if err := os.WriteFile(huge, []byte(`{"version":1,"lens":[`+lens+`]}`), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		err := run([]string{"info", huge})
+		limit := strconv.Itoa(deposet.MaxStates)
+		if err == nil || !strings.Contains(err.Error(), strings.Split(lens, ",")[0]) || !strings.Contains(err.Error(), limit) {
+			t.Errorf("lens [%s]: error %v, want one naming the count and the limit %s", lens, err, limit)
+		}
 	}
 }
 

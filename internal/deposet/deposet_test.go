@@ -1,8 +1,11 @@
 package deposet
 
 import (
+	"math"
 	"math/rand"
 	"slices"
+	"strconv"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -373,11 +376,19 @@ func TestFromRawRejectsInvalid(t *testing.T) {
 		}}},
 		{"vars wrong procs", Raw{Lens: []int{1}, Vars: make([][]map[string]int, 2)}},
 		{"vars wrong len", Raw{Lens: []int{2}, Vars: [][]map[string]int{{nil}}}},
+		// Sizes only a hostile or damaged file claims: refused before
+		// anything is allocated for them.
+		{"one absurd len", Raw{Lens: []int{math.MaxInt}}},
+		{"lens absurd only in sum", Raw{Lens: []int{MaxStates/2 + 1, MaxStates / 2}}},
 	}
 	for _, c := range cases {
 		if _, err := FromRaw(c.raw); err == nil {
 			t.Errorf("%s: accepted", c.name)
 		}
+	}
+	_, err := FromRaw(Raw{Lens: []int{3, 4_000_000_000}})
+	if err == nil || !strings.Contains(err.Error(), "4000000000") || !strings.Contains(err.Error(), strconv.Itoa(MaxStates)) {
+		t.Errorf("oversize error does not name the count and the limit: %v", err)
 	}
 }
 

@@ -26,19 +26,31 @@ func (d *Deposet) Raw() Raw {
 	return r
 }
 
+// MaxStates is the most states (and so, at one state or more each, the
+// most processes) FromRaw accepts: sixteen times the 10⁶-state runs the
+// repository is sized against. Raw's counts come from a file, and every
+// table FromRaw builds is sized by them before a single event is read.
+const MaxStates = 1 << 24
+
 // FromRaw validates r and builds a deposet from it. Unlike the Builder,
 // raw input can describe invalid structures (double roles per event —
-// violating constraint D3 — dangling receives, or cyclic causality), all
-// of which are rejected.
+// violating constraint D3 — dangling receives, or cyclic causality) and
+// sizes past MaxStates, all of which are rejected.
 func FromRaw(r Raw) (*Deposet, error) {
 	n := len(r.Lens)
 	if n == 0 {
 		return nil, fmt.Errorf("deposet: no processes")
 	}
+	states := 0
 	for p, l := range r.Lens {
 		if l < 1 {
 			return nil, fmt.Errorf("deposet: process %d has %d states", p, l)
 		}
+		if l > MaxStates-states {
+			return nil, fmt.Errorf("deposet: process %d has %d states on top of %d so far: over the limit of %d",
+				p, l, states, MaxStates)
+		}
+		states += l
 	}
 	d := &Deposet{
 		lens:    append([]int(nil), r.Lens...),

@@ -18,10 +18,10 @@ import (
 // recovered by the coordinator's §8 controlled re-execution, so the
 // final trace of a chaotic run carries exactly the event counts of a
 // fault-free one, and the soak asserts precisely that, run after run.
-// cmd/pcbench -chaos serializes the totals to BENCH_chaos.json; the CI
-// smoke job runs a seconds-long slice of the same loop.
+// `pcbench chaos` serializes the totals to BENCH_chaos.json; `pcbench
+// chaos-smoke`, the CI job, runs a seconds-long slice of the same loop.
 
-// ChaosOptions parameterizes a soak.
+// ChaosOptions sizes a soak; cmd/pcbench holds the two values in use.
 type ChaosOptions struct {
 	Seed int64
 	// N is the cluster size per iteration.
@@ -36,22 +36,6 @@ type ChaosOptions struct {
 	// schedule alternates mesh and coordinator-stream windows, so about
 	// half of these sever capture streams.
 	MinPartitions int
-}
-
-func (o ChaosOptions) withDefaults() ChaosOptions {
-	if o.N <= 0 {
-		o.N = 8
-	}
-	if o.Duration <= 0 {
-		o.Duration = 60 * time.Second
-	}
-	if o.MinCrashes <= 0 {
-		o.MinCrashes = 100
-	}
-	if o.MinPartitions <= 0 {
-		o.MinPartitions = 12
-	}
-	return o
 }
 
 // chaosRounds is the per-iteration workload length: short enough that a
@@ -206,7 +190,6 @@ func chaosIteration(rng *rand.Rand, it int, o ChaosOptions, b *ChaosBaseline) er
 // crash/partition minimums are met. Any lost capture or invariant
 // violation fails the whole soak.
 func MeasureChaos(o ChaosOptions) (*ChaosBaseline, error) {
-	o = o.withDefaults()
 	b := &ChaosBaseline{
 		Schema:     1,
 		GoVersion:  runtime.Version(),

@@ -26,7 +26,7 @@ func e4Workload(n int, seed int64) kmutex.Workload {
 // handoff's response time lies in [2T, 2T + Emax]; all other entries are
 // immediate. Every number in the table is read back from the obs
 // metrics registry the protocol records into — the same series `pcbench
-// -metrics` dumps — and each run is checked against the paper's bounds
+// metrics` dumps — and each run is checked against the paper's bounds
 // (response window, single scapegoat chain) by the invariant checker.
 func E4(seed int64) *Table {
 	t := &Table{

@@ -9,7 +9,7 @@ import (
 
 // MetricsRegistry runs the instrumented on-line sweep — every k-mutex
 // protocol over the E4 workload grid — recording into one obs registry,
-// and returns it for a Prometheus dump (`pcbench -metrics`). Because it
+// and returns it for a Prometheus dump (`pcbench metrics`). Because it
 // reuses e4Workload verbatim, the scapegoat series it emits are exactly
 // the numbers the E4/E5 tables print.
 func MetricsRegistry(seed int64) (*obs.Registry, error) {

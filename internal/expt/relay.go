@@ -15,8 +15,8 @@ import (
 // paper invariants, the root's connection cut, and live-verdict
 // agreement with offline detection — plus a small planted-rogue tree
 // run so the firing path through relay re-batching is exercised too.
-// `make bench-relay` and the relay-smoke CI job run it via
-// cmd/pcbench -relay-smoke.
+// `make relay-smoke` and the CI job of that name run it via
+// `pcbench relay-smoke`.
 
 // relaySmokeN is the clean run's cluster size; large enough that the
 // tree actually aggregates (relaySmokeRelays children per relay).

@@ -16,7 +16,7 @@ import (
 
 // The computation-slicing sweep (experiment E10): slice-based violation
 // enumeration against the exhaustive lattice walk across trace sizes,
-// recording both wall time and states explored. cmd/pcbench -slice
+// recording both wall time and states explored. `pcbench slice`
 // serializes it to BENCH_slice.json; E10 renders the same rows.
 
 // SliceMeasurement is one workload of the slicing sweep.

@@ -336,7 +336,7 @@ func TestClusterCrashRestart(t *testing.T) {
 // TestChaosSoak is the -race soak: a seeded schedule of crashes plus a
 // mesh partition and a coordinator-stream partition, on top of the
 // probabilistic fault shim, and the run must still complete with zero
-// capture loss and the paper's invariants green. (pcbench -chaos runs
+// capture loss and the paper's invariants green. (`pcbench chaos` runs
 // the scaled-up version of this for 60s; this keeps the race detector
 // on the same code paths every CI run.)
 func TestChaosSoak(t *testing.T) {

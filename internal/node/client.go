@@ -35,12 +35,8 @@ type Batching struct {
 	SnapshotEvery int
 }
 
-// WithDefaults resolves unset fields to their defaults — the exact
-// policy a node's capture batcher runs, exported so tooling (bench
-// notes, CLI help) can describe the effective config instead of
-// hand-writing it.
-func (b Batching) WithDefaults() Batching { return b.withDefaults() }
-
+// withDefaults resolves unset fields to their defaults — the exact
+// policy a node's capture batcher runs.
 func (b Batching) withDefaults() Batching {
 	if b.MaxItems <= 0 {
 		b.MaxItems = 128

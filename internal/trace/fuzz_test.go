@@ -26,6 +26,8 @@ func FuzzDecode(f *testing.F) {
 	f.Add(`{"version":1,"lens":[0]}`)
 	f.Add(`{"version":1,"lens":[1]} garbage`)
 	f.Add(`{"version":1,"lens":[1]}{"version":1,"lens":[1]}`)
+	f.Add(`{"version":1,"lens":[9223372036854775807]}`)
+	f.Add(`{"version":1,"lens":[4000000000,4000000000]}`)
 	f.Fuzz(func(t *testing.T, s string) {
 		d, rel, err := Decode(strings.NewReader(s))
 		if err != nil {
