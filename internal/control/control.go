@@ -21,6 +21,7 @@ package control
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"predctl/internal/deposet"
 	"predctl/internal/vclock"
@@ -54,11 +55,66 @@ type Extended struct {
 // rejects out-of-range endpoints, sends after a final state (D2), receives
 // before an initial state (D1), and interference (cycles).
 func Extend(d *deposet.Deposet, rel Relation) (*Extended, error) {
-	n := d.NumProcs()
-	incoming := make([][][]deposet.StateID, n) // per process, per state: control senders
-	for p := 0; p < n; p++ {
-		incoming[p] = make([][]deposet.StateID, d.Len(p))
+	incoming, err := index(d, rel)
+	if err != nil {
+		return nil, err
 	}
+	n := d.NumProcs()
+	x := &Extended{d: d, edges: append(Relation(nil), rel...)}
+	lens := make([]int, n)
+	for p := 0; p < n; p++ {
+		lens[p] = d.Len(p)
+	}
+	x.vc = vclock.NewArena(lens)
+	for p := 0; p < n; p++ {
+		row := x.vc.Row(p, 0)
+		for i := range row {
+			row[i] = vclock.None
+		}
+		row[p] = 0
+	}
+	msgs := d.Messages()
+	err = schedule(d, incoming, func(p, e, recv int, in []Edge) {
+		v := x.vc.Row(p, e)
+		copy(v, x.vc.Row(p, e-1))
+		if recv >= 0 {
+			m := msgs[recv]
+			// Unlike in a plain deposet, the send event may carry
+			// extra dependencies here (a control edge can target
+			// its resulting state), so merge that state's full
+			// clock with the own-process component lowered.
+			v.MergeLowered(x.vc.Row(m.FromP, m.SendEvent), m.FromP, int32(m.SendEvent-1))
+		}
+		for _, c := range in {
+			// v implies c.From exited, not c.From.K+1 passed.
+			v.MergeLowered(x.vc.Row(c.From.P, c.From.K+1), c.From.P, int32(c.From.K))
+		}
+		v[p] = int32(e)
+	})
+	if err != nil {
+		return nil, err
+	}
+	return x, nil
+}
+
+// Check validates rel against d exactly as Extend does — the same
+// errors, in the same order, with the same texts — without computing
+// the extended clocks: for callers that only need to know the relation
+// is realizable.
+func Check(d *deposet.Deposet, rel Relation) error {
+	incoming, err := index(d, rel)
+	if err != nil {
+		return err
+	}
+	return schedule(d, incoming, nil)
+}
+
+// index checks every edge's endpoints (range, D1, D2) and returns, per
+// process, the edges into it sorted by target state — stable, so edges
+// into one state keep their order in rel.
+func index(d *deposet.Deposet, rel Relation) ([][]Edge, error) {
+	n := d.NumProcs()
+	incoming := make([][]Edge, n)
 	for _, e := range rel {
 		if e.From.P < 0 || e.From.P >= n || e.From.K < 0 || e.From.K >= d.Len(e.From.P) {
 			return nil, fmt.Errorf("control: edge %v: From out of range", e)
@@ -72,72 +128,68 @@ func Extend(d *deposet.Deposet, rel Relation) (*Extended, error) {
 		if e.To.K == 0 {
 			return nil, fmt.Errorf("control: edge %v: control message received before initial state (D1)", e)
 		}
-		incoming[e.To.P][e.To.K] = append(incoming[e.To.P][e.To.K], e.From)
+		incoming[e.To.P] = append(incoming[e.To.P], e)
 	}
+	for _, in := range incoming {
+		slices.SortStableFunc(in, func(a, b Edge) int { return a.To.K - b.To.K })
+	}
+	return incoming, nil
+}
 
-	x := &Extended{d: d, edges: append(Relation(nil), rel...)}
-	lens := make([]int, n)
+// schedule executes the controlled computation symbolically: every event
+// runs once its predecessors have — the previous event of its process,
+// the send of the message it receives, and the exit event of every
+// control edge into its state. visit, when non-nil, is called per event
+// in that order with the message it receives (−1 if none) and the control
+// edges into its state. If some event can never run, the relation
+// interferes with causal precedence.
+func schedule(d *deposet.Deposet, incoming [][]Edge, visit func(p, e, recv int, in []Edge)) error {
+	n := d.NumProcs()
 	remaining := 0
 	for p := 0; p < n; p++ {
-		lens[p] = d.Len(p)
 		remaining += d.Len(p) - 1
 	}
-	x.vc = vclock.NewArena(lens)
-	done := make([]int, n)
-	for p := 0; p < n; p++ {
-		row := x.vc.Row(p, 0)
-		for i := range row {
-			row[i] = vclock.None
-		}
-		row[p] = 0
-	}
+	done := make([]int, n)   // last event run, per process
+	cursor := make([]int, n) // first edge of incoming[p] whose target has not run
 	msgs := d.Messages()
 	for remaining > 0 {
 		progress := false
 		for p := 0; p < n; p++ {
+			in := incoming[p]
 		states:
 			for done[p] < d.Len(p)-1 {
 				e := done[p] + 1
-				mi := d.RecvAt(p, e)
-				if mi >= 0 {
+				recv := d.RecvAt(p, e)
+				if recv >= 0 {
 					// Receiving implies the send event happened, i.e. the
 					// sender reached state SendEvent (exited SendEvent−1).
-					if msgs[mi].SendEvent > done[msgs[mi].FromP] {
+					if msgs[recv].SendEvent > done[msgs[recv].FromP] {
 						break
 					}
 				}
-				for _, from := range incoming[p][e] {
-					// The exit event of `from` is event from.K+1; its
-					// resulting state must already be clocked.
-					if from.K+1 > done[from.P] {
+				lo := cursor[p]
+				hi := lo
+				for ; hi < len(in) && in[hi].To.K == e; hi++ {
+					// The exit event of From is event From.K+1; it must
+					// have run.
+					if from := in[hi].From; from.K+1 > done[from.P] {
 						break states
 					}
 				}
-				v := x.vc.Row(p, e)
-				copy(v, x.vc.Row(p, e-1))
-				if mi >= 0 {
-					m := msgs[mi]
-					// Unlike in a plain deposet, the send event may carry
-					// extra dependencies here (a control edge can target
-					// its resulting state), so merge that state's full
-					// clock with the own-process component lowered.
-					v.MergeLowered(x.vc.Row(m.FromP, m.SendEvent), m.FromP, int32(m.SendEvent-1))
+				if visit != nil {
+					visit(p, e, recv, in[lo:hi])
 				}
-				for _, from := range incoming[p][e] {
-					// v implies from exited, not from.K+1 passed.
-					v.MergeLowered(x.vc.Row(from.P, from.K+1), from.P, int32(from.K))
-				}
-				v[p] = int32(e)
+				cursor[p] = hi
 				done[p] = e
 				remaining--
 				progress = true
 			}
 		}
 		if !progress {
-			return nil, ErrInterference
+			return ErrInterference
 		}
 	}
-	return x, nil
+	return nil
 }
 
 // Underlying returns the uncontrolled computation.
@@ -256,6 +308,5 @@ func (x *Extended) CountConsistentCuts() int {
 
 // Interferes reports whether rel creates a causal cycle on d.
 func Interferes(d *deposet.Deposet, rel Relation) bool {
-	_, err := Extend(d, rel)
-	return errors.Is(err, ErrInterference)
+	return errors.Is(Check(d, rel), ErrInterference)
 }

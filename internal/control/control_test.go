@@ -338,3 +338,101 @@ func TestExitEventDeadlockDetected(t *testing.T) {
 		t.Fatal("edge not reflected in extended causality")
 	}
 }
+
+// sameVerdict fails unless Check and Extend return the same error for
+// rel on d: both nil, or errors.Is-equal on ErrInterference with the
+// same text.
+func sameVerdict(t *testing.T, name string, d *deposet.Deposet, rel Relation) error {
+	t.Helper()
+	_, xerr := Extend(d, rel)
+	cerr := Check(d, rel)
+	switch {
+	case (xerr == nil) != (cerr == nil):
+		t.Errorf("%s: Extend = %v, Check = %v", name, xerr, cerr)
+	case xerr != nil && (xerr.Error() != cerr.Error() ||
+		errors.Is(xerr, ErrInterference) != errors.Is(cerr, ErrInterference)):
+		t.Errorf("%s: Extend = %q, Check = %q", name, xerr, cerr)
+	}
+	return cerr
+}
+
+// Check is Extend without the clocks: on every relation the tests above
+// reject, and on the ones they accept, the two return the same error.
+func TestCheckMatchesExtend(t *testing.T) {
+	id := func(p, k int) deposet.StateID { return deposet.StateID{P: p, K: k} }
+	d := indep(t)
+
+	b := deposet.NewBuilder(2)
+	_, h := b.Send(0)
+	b.Step(0)
+	b.Step(0)
+	b.Recv(1, h)
+	b.Step(1)
+	withMessage := b.MustBuild()
+
+	b = deposet.NewBuilder(2)
+	_, h0 := b.Send(0)
+	_, h1 := b.Send(0)
+	b.Recv(1, h0)
+	b.Recv(1, h1)
+	exitIsReceive := b.MustBuild()
+
+	cases := []struct {
+		name   string
+		d      *deposet.Deposet
+		rel    Relation
+		reject bool
+	}{
+		{"empty", d, nil, false},
+		{"one edge", d, Relation{{id(0, 1), id(1, 1)}}, false},
+		{"from proc range", d, Relation{{id(9, 0), id(1, 1)}}, true},
+		{"from state range", d, Relation{{id(0, 9), id(1, 1)}}, true},
+		{"to proc range", d, Relation{{id(0, 0), id(9, 1)}}, true},
+		{"to state range", d, Relation{{id(0, 0), id(1, 9)}}, true},
+		{"send after top (D2)", d, Relation{{id(0, 2), id(1, 1)}}, true},
+		{"recv before bottom (D1)", d, Relation{{id(0, 0), id(1, 0)}}, true},
+		{"bad edge after a good one", d, Relation{{id(0, 1), id(1, 1)}, {id(0, 0), id(1, 0)}}, true},
+		{"2-cycle", d, Relation{{id(0, 1), id(1, 1)}, {id(1, 1), id(0, 1)}}, true},
+		{"backward within a process", withMessage, Relation{{id(0, 2), id(0, 1)}}, true},
+		{"2-cycle beside a message", withMessage, Relation{{id(1, 1), id(0, 1)}, {id(0, 1), id(1, 1)}}, true},
+		{"exit event is a blocked receive", exitIsReceive, Relation{{id(1, 1), id(0, 1)}}, true},
+		{"exit event one state later", exitIsReceive, Relation{{id(1, 0), id(0, 2)}}, false},
+	}
+	for _, c := range cases {
+		if err := sameVerdict(t, c.name, c.d, c.rel); (err != nil) != c.reject {
+			t.Errorf("%s: Check = %v, want rejection %v", c.name, err, c.reject)
+		}
+	}
+}
+
+// Property: on random relations — acyclic by construction, or arbitrary
+// state pairs, which mostly interfere or break D1/D2 — over random
+// deposets, Check and Extend agree.
+func TestCheckMatchesExtendProperty(t *testing.T) {
+	accepted, rejected := 0, 0
+	f := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		d := deposet.Random(r, deposet.DefaultGen(2+r.Intn(3), 4+r.Intn(30)))
+		rel := randomAcyclicRelation(r, d)
+		for extra := r.Intn(3); extra > 0; extra-- {
+			p, q := r.Intn(d.NumProcs()), r.Intn(d.NumProcs())
+			rel = append(rel, Edge{
+				deposet.StateID{P: p, K: r.Intn(d.Len(p))},
+				deposet.StateID{P: q, K: r.Intn(d.Len(q))},
+			})
+		}
+		r.Shuffle(len(rel), func(i, j int) { rel[i], rel[j] = rel[j], rel[i] })
+		if sameVerdict(t, "random", d, rel) == nil {
+			accepted++
+		} else {
+			rejected++
+		}
+		return !t.Failed()
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Error(err)
+	}
+	if accepted < 20 || rejected < 20 {
+		t.Errorf("%d relations accepted, %d rejected: the property is one-sided", accepted, rejected)
+	}
+}

@@ -56,7 +56,7 @@ func ControlCNF(d *deposet.Deposet, clauses []*predicate.Disjunction, opts Optio
 				}
 			}
 		}
-		if _, err := control.Extend(d, total.Relation); err != nil {
+		if err := control.Check(d, total.Relation); err != nil {
 			return nil, err
 		}
 		return total, nil

@@ -11,6 +11,7 @@ package replay
 
 import (
 	"fmt"
+	"slices"
 
 	"predctl/internal/control"
 	"predctl/internal/deposet"
@@ -44,23 +45,51 @@ type ctlPayload struct{ edge int }
 // Run replays d under rel. It validates the relation first (an
 // interfering relation would deadlock the replay by definition).
 func Run(d *deposet.Deposet, rel control.Relation, cfg Config) (*Result, error) {
-	if _, err := control.Extend(d, rel); err != nil {
+	if err := control.Check(d, rel); err != nil {
 		return nil, err
 	}
 	n := d.NumProcs()
+	msgs := d.Messages()
 
-	// Per process and event: control edges to receive before the event,
-	// and edges whose control message is sent right after it.
-	recvBefore := make([][][]int, n)
-	sendAfter := make([][][]int, n)
-	for p := 0; p < n; p++ {
-		recvBefore[p] = make([][]int, d.Len(p))
-		sendAfter[p] = make([][]int, d.Len(p))
-	}
+	// Per process: the control edges to receive before an event, by that
+	// event, and the edges whose control message is sent right after an
+	// event, by that event. The sorts are stable, so the edges of one
+	// event keep their order in rel.
+	recvBefore := make([][]int, n)
+	sendAfter := make([][]int, n)
 	for i, e := range rel {
-		recvBefore[e.To.P][e.To.K] = append(recvBefore[e.To.P][e.To.K], i)
-		sendAfter[e.From.P][e.From.K+1] = append(sendAfter[e.From.P][e.From.K+1], i)
+		recvBefore[e.To.P] = append(recvBefore[e.To.P], i)
+		sendAfter[e.From.P] = append(sendAfter[e.From.P], i)
 	}
+	for p := 0; p < n; p++ {
+		slices.SortStableFunc(recvBefore[p], func(a, b int) int { return rel[a].To.K - rel[b].To.K })
+		slices.SortStableFunc(sendAfter[p], func(a, b int) int { return rel[a].From.K - rel[b].From.K })
+	}
+
+	// The replay's size is known up to early arrivals: a process traces
+	// one event per original event, per control send and per control
+	// receive, and one more for an application message that arrives
+	// before its receive event is due.
+	events := make([]int, n)
+	sends := len(rel)
+	for p := 0; p < n; p++ {
+		events[p] = d.Len(p) - 1 + len(sendAfter[p]) + len(recvBefore[p])
+	}
+	for _, m := range msgs {
+		if m.Received() {
+			events[m.ToP]++
+			sends++
+		}
+	}
+
+	var vars [][]map[string]int // the original per-state snapshots, read once
+	if d.HasVars() {
+		vars = d.Raw().Vars
+	}
+	// Every message has one receiver and every edge one target process,
+	// so the processes share the two tables without sharing an entry.
+	appBuf := make([]bool, len(msgs))
+	ctlArrived := make([]bool, len(rel))
 
 	underlying := make([][]int, n)
 	k := sim.New(sim.Config{
@@ -70,6 +99,7 @@ func Run(d *deposet.Deposet, rel control.Relation, cfg Config) (*Result, error) 
 		Trace:     true,
 		MaxEvents: cfg.MaxEvents,
 	})
+	k.Reserve(events, sends)
 	bodies := make([]func(*sim.Proc), n)
 	for p := 0; p < n; p++ {
 		p := p
@@ -77,19 +107,23 @@ func Run(d *deposet.Deposet, rel control.Relation, cfg Config) (*Result, error) 
 			r := &replayer{
 				proc:       proc,
 				d:          d,
-				appBuf:     map[int]bool{},
-				ctlArrived: map[int]bool{},
-				underlying: []int{0}, // initial state
+				appBuf:     appBuf,
+				ctlArrived: ctlArrived,
+				underlying: append(make([]int, 0, 1+events[p]), 0), // initial state
 			}
+			if vars != nil {
+				r.vars = vars[p]
+			}
+			recv, send := recvBefore[p], sendAfter[p]
 			r.applyVars(0)
 			for e := 1; e < d.Len(p); e++ {
-				for _, id := range recvBefore[p][e] {
-					r.waitCtl(id)
+				for ; len(recv) > 0 && rel[recv[0]].To.K == e; recv = recv[1:] {
+					r.waitCtl(recv[0])
 				}
 				r.step(e)
 				r.applyVars(e)
-				for _, id := range sendAfter[p][e] {
-					proc.Send(rel[id].To.P, ctlPayload{edge: id})
+				for ; len(send) > 0 && rel[send[0]].From.K+1 == e; send = send[1:] {
+					proc.Send(rel[send[0]].To.P, ctlPayload{edge: send[0]})
 					r.noteEvent() // the control send is an extra event
 				}
 			}
@@ -113,8 +147,9 @@ func Run(d *deposet.Deposet, rel control.Relation, cfg Config) (*Result, error) 
 type replayer struct {
 	proc       *sim.Proc
 	d          *deposet.Deposet
-	appBuf     map[int]bool // original message ids received but not yet consumed
-	ctlArrived map[int]bool // control edge ids received
+	vars       []map[string]int // the process's original snapshots, by state; nil without variables
+	appBuf     []bool           // by original message id: received but not yet consumed
+	ctlArrived []bool           // by control edge id: received
 	underlying []int
 	cur        int // current logical original state index
 }
@@ -152,14 +187,10 @@ func (r *replayer) step(e int) {
 // applyVars copies the original state's variable snapshot onto the
 // current replayed state.
 func (r *replayer) applyVars(e int) {
-	if !r.d.HasVars() {
+	if r.vars == nil {
 		return
 	}
-	raw := r.d.Raw()
-	if raw.Vars[r.proc.ID()] == nil {
-		return
-	}
-	for name, v := range raw.Vars[r.proc.ID()][e] {
+	for name, v := range r.vars[e] {
 		r.proc.Let(name, v)
 	}
 }
@@ -189,7 +220,7 @@ func (r *replayer) waitApp(msg, e int) {
 	if r.appBuf[msg] {
 		// The message physically arrived earlier and was buffered; the
 		// logical receive is materialized as a local event.
-		delete(r.appBuf, msg)
+		r.appBuf[msg] = false
 		r.proc.Tick()
 		r.cur = e
 		r.noteEvent()

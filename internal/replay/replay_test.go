@@ -219,3 +219,52 @@ func TestReplayVerificationHasTeeth(t *testing.T) {
 		t.Fatalf("controlled replay still violates B at %v", cut)
 	}
 }
+
+// Replaying a computation with variables used to rebuild the whole
+// variable table (deposet.Raw) once per event: quadratic, 124 s for
+// 24,000 states. The table is read once per Run now; allocation —
+// unlike wall-clock time, the same on every host — must grow linearly
+// with the trace.
+func TestReplayWithVariablesIsLinear(t *testing.T) {
+	build := func(events int) *deposet.Deposet {
+		b := deposet.NewBuilder(2)
+		b.Let(0, "cs", 0)
+		b.Let(1, "cs", 0)
+		for e := 1; e <= events; e++ {
+			if e%10 == 0 {
+				b.Transfer(e/10%2, 1-e/10%2)
+			} else {
+				b.Step(0)
+				b.Step(1)
+			}
+			b.Let(0, "cs", e%2)
+			b.Let(1, "cs", e%3)
+		}
+		return b.MustBuild()
+	}
+	allocs := func(events int) float64 {
+		d := build(events)
+		if d.NumStates() < 2*events {
+			t.Fatalf("%d events built %d states", events, d.NumStates())
+		}
+		return testing.AllocsPerRun(1, func() {
+			res, err := Run(d, nil, Config{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for p := 0; p < 2; p++ {
+				last := deposet.StateID{P: p, K: res.Trace.D.Len(p) - 1}
+				got, _ := res.Trace.D.Var(last, "cs")
+				want, _ := d.Var(d.Top(p), "cs")
+				if res.Underlying[p][last.K] != d.Len(p)-1 || got != want {
+					t.Fatalf("process %d: replay ends at original state %d with cs = %d, want %d with %d",
+						p, res.Underlying[p][last.K], got, d.Len(p)-1, want)
+				}
+			}
+		})
+	}
+	small, large := allocs(10_000), allocs(20_000)
+	if large >= 3*small {
+		t.Errorf("replaying 2× the states allocates %.0f objects against %.0f: not linear", large, small)
+	}
+}

@@ -11,13 +11,21 @@
 // come from a seeded configuration, and identical configurations replay
 // identical executions. Every run can be traced into a deposet, closing
 // the loop with the off-line analyses.
+//
+// There is no kernel goroutine. The event loop (next) runs on whichever
+// goroutine is giving up the processor: it pops events until one makes a
+// process runnable, then either keeps running (the event was its own) or
+// hands the processor straight to that process. Exactly one goroutine is
+// ever between a receive on its resume channel and its next hand-off, and
+// only that goroutine touches kernel state, so the channel operations are
+// all the synchronization there is.
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"math/rand"
 	"runtime/debug"
+	"slices"
 	"sync"
 
 	"predctl/internal/deposet"
@@ -119,30 +127,71 @@ type event struct {
 	msg  *message // nil for wake-ups
 }
 
-type eventHeap []event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+// before orders events by (time, sequence). Sequence numbers are unique,
+// so the order is total and any correct heap pops the same sequence.
+func (e event) before(o event) bool {
+	if e.at != o.at {
+		return e.at < o.at
 	}
-	return h[i].seq < h[j].seq
+	return e.seq < o.seq
 }
-func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x any)   { *h = append(*h, x.(event)) }
-func (h *eventHeap) Pop() any     { old := *h; n := len(old); x := old[n-1]; *h = old[:n-1]; return x }
+
+// push adds ev to the kernel's binary min-heap.
+func (k *Kernel) push(ev event) {
+	h := append(k.events, ev)
+	i := len(h) - 1
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !ev.before(h[parent]) {
+			break
+		}
+		h[i] = h[parent]
+		i = parent
+	}
+	h[i] = ev
+	k.events = h
+}
+
+// pop removes and returns the earliest event of a non-empty heap.
+func (k *Kernel) pop() event {
+	h := k.events
+	top, last := h[0], h[len(h)-1]
+	h[len(h)-1] = event{} // drop the message reference
+	h = h[:len(h)-1]
+	i := 0
+	for {
+		child := 2*i + 1
+		if child >= len(h) {
+			break
+		}
+		if child+1 < len(h) && h[child+1].before(h[child]) {
+			child++
+		}
+		if !h[child].before(last) {
+			break
+		}
+		h[i] = h[child]
+		i = child
+	}
+	if len(h) > 0 {
+		h[i] = last
+	}
+	k.events = h
+	return top
+}
 
 // Kernel drives one simulation run.
 type Kernel struct {
 	cfg       Config
 	rng       *rand.Rand
-	events    eventHeap
+	events    []event // binary min-heap by (at, seq); see push and pop
 	seq       int
 	procs     []*Proc
 	stats     Stats
 	builder   *deposet.Builder
 	times     [][]Time
-	yields    chan int // proc id announcing it yielded (or finished)
+	idle      chan struct{} // the processor handed back to Run: nothing is runnable
+	overrun   bool          // next stopped at MaxEvents with events still queued
 	failMu    sync.Mutex
 	failure   error // first panic captured from a process; guarded by failMu
 	cancelled bool  // tear-down: blocked processes unwind via cancelPanic
@@ -169,7 +218,8 @@ func (k *Kernel) takeFailure() error {
 }
 
 // cancelPanic unwinds a process goroutine that is still blocked when the
-// run ends (deadlock tear-down), so runs never leak goroutines.
+// run ends (deadlock or event-budget tear-down), so runs never leak
+// goroutines.
 type cancelPanic struct{}
 
 // Proc is the handle a simulated process uses to interact with the world.
@@ -178,10 +228,12 @@ type Proc struct {
 	id     int
 	now    Time
 	status procStatus
-	avail  []*message // delivered, undelivered to the app yet (FIFO)
-	resume chan Time
+	// avail[head:] are the messages delivered but not yet taken by the
+	// application, in arrival order; the queue rewinds when it drains.
+	avail  []*message
+	head   int
+	resume chan struct{} // the processor handed to this process; see handOff
 	rng    *rand.Rand
-	reason string // what the process is blocked on, for diagnostics
 	daemon bool
 }
 
@@ -202,9 +254,9 @@ func New(cfg Config) *Kernel {
 		cfg.MaxEvents = 1e7
 	}
 	k := &Kernel{
-		cfg:    cfg,
-		rng:    rand.New(rand.NewSource(cfg.Seed)),
-		yields: make(chan int),
+		cfg:  cfg,
+		rng:  rand.New(rand.NewSource(cfg.Seed)),
+		idle: make(chan struct{}, 1),
 	}
 	if cfg.Trace {
 		k.builder = deposet.NewBuilder(cfg.Procs)
@@ -217,7 +269,7 @@ func New(cfg Config) *Kernel {
 		k.procs = append(k.procs, &Proc{
 			k:      k,
 			id:     i,
-			resume: make(chan Time),
+			resume: make(chan struct{}, 1),
 			rng:    rand.New(rand.NewSource(procSeed(cfg.Seed, i))),
 		})
 	}
@@ -238,9 +290,25 @@ func procSeed(seed int64, i int) int64 {
 	return int64(z ^ (z >> 31))
 }
 
+// Reserve sizes a tracing kernel for events[p] traced events on each
+// process p, sends of them sends in all, so a run of known length — a
+// replay — grows neither the trace builder nor the time table. It is a
+// capacity hint: it changes no behaviour, and does nothing without
+// Config.Trace.
+func (k *Kernel) Reserve(events []int, sends int) {
+	if k.builder == nil {
+		return
+	}
+	k.builder.Reserve(events, sends)
+	for p, n := range events {
+		k.times[p] = slices.Grow(k.times[p], n)
+	}
+}
+
 // Run executes the process bodies to completion and returns the trace
 // (nil unless Config.Trace) and statistics. It fails on deadlock, on a
-// process panic, or when MaxEvents is exceeded.
+// process panic, or when MaxEvents is exceeded; on every path, each
+// process goroutine has exited before Run returns.
 func (k *Kernel) Run(bodies ...func(*Proc)) (*Trace, error) {
 	if len(bodies) != k.cfg.Procs {
 		return nil, fmt.Errorf("sim: %d process bodies for %d processes", len(bodies), k.cfg.Procs)
@@ -248,7 +316,7 @@ func (k *Kernel) Run(bodies ...func(*Proc)) (*Trace, error) {
 	for i, body := range bodies {
 		p := k.procs[i]
 		body := body
-		heap.Push(&k.events, event{at: 0, seq: k.nextSeq(), proc: i})
+		k.push(event{at: 0, seq: k.nextSeq(), proc: i})
 		go func() {
 			defer func() {
 				if r := recover(); r != nil {
@@ -257,35 +325,25 @@ func (k *Kernel) Run(bodies ...func(*Proc)) (*Trace, error) {
 					}
 				}
 				p.status = done
-				k.yields <- p.id
+				if k.cancelled {
+					k.handOff(nil) // unwound: back to Run's tear-down
+					return
+				}
+				k.handOff(k.next())
 			}()
-			<-p.resume // wait for the kernel's first wake-up
-			p.status = running
-			body(p)
+			<-p.resume // the first wake-up, or the tear-down of a run that never got to it
+			if !k.cancelled {
+				body(p)
+			}
 		}()
 	}
-	for k.events.Len() > 0 {
-		if k.stats.Events >= k.cfg.MaxEvents {
-			return nil, fmt.Errorf("sim: exceeded %d events (runaway?)", k.cfg.MaxEvents)
-		}
-		ev := heap.Pop(&k.events).(event)
-		k.stats.Events++
-		p := k.procs[ev.proc]
-		if ev.msg != nil { // delivery
-			if p.status == done {
-				continue // receiver finished; message stays in flight
-			}
-			p.avail = append(p.avail, ev.msg)
-			if p.status == blockedRecv {
-				k.wake(p, ev.at)
-			}
-			continue
-		}
-		if p.status == done {
-			continue
-		}
-		k.wake(p, ev.at)
+	if p := k.next(); p != nil {
+		k.handOff(p)
+		<-k.idle
 	}
+	// Nothing is runnable: every process finished, or the rest are
+	// blocked for good, or the event budget is spent. Unwind whoever is
+	// left, one at a time.
 	var blocked []int
 	k.cancelled = true
 	for _, p := range k.procs {
@@ -293,9 +351,12 @@ func (k *Kernel) Run(bodies ...func(*Proc)) (*Trace, error) {
 			if !p.daemon {
 				blocked = append(blocked, p.id)
 			}
-			p.resume <- p.now // unwind via cancelPanic in yield
-			<-k.yields
+			k.handOff(p) // unwinds via cancelPanic
+			<-k.idle
 		}
+	}
+	if k.overrun {
+		return nil, fmt.Errorf("sim: exceeded %d events (runaway?)", k.cfg.MaxEvents)
 	}
 	if err := k.takeFailure(); err != nil {
 		return nil, err
@@ -313,34 +374,76 @@ func (k *Kernel) Run(bodies ...func(*Proc)) (*Trace, error) {
 	return &Trace{D: d, Times: k.times, Stats: k.stats}, nil
 }
 
-// wake resumes p at time t and blocks until it yields again.
-func (k *Kernel) wake(p *Proc, t Time) {
-	if t > p.now {
-		p.now = t
+// next is the kernel's event loop. It pops events in (time, sequence)
+// order — delivering messages, skipping finished processes — until one
+// makes a process runnable, and returns that process with its clock
+// advanced. It returns nil when no event is left or the event budget is
+// spent (overrun). The caller must hold the processor and must have
+// recorded its own status first: its own pending wake-up may be the very
+// next event.
+func (k *Kernel) next() *Proc {
+	for len(k.events) > 0 {
+		if k.stats.Events >= k.cfg.MaxEvents {
+			k.overrun = true
+			return nil
+		}
+		ev := k.pop()
+		k.stats.Events++
+		p := k.procs[ev.proc]
+		if p.status == done {
+			continue // a message to a finished receiver stays in flight
+		}
+		if ev.msg != nil {
+			p.avail = append(p.avail, ev.msg)
+			if p.status != blockedRecv {
+				continue
+			}
+		}
+		if ev.at > p.now {
+			p.now = ev.at
+		}
+		if p.now > k.stats.End {
+			k.stats.End = p.now
+		}
+		p.status = running
+		return p
 	}
-	if p.now > k.stats.End {
-		k.stats.End = p.now
+	return nil
+}
+
+// handOff passes the processor to p, or back to Run when p is nil. The
+// caller touches no kernel state afterwards until it is resumed. Both
+// channels hold one token, so the send never waits for the receiver to
+// park: at most one hand-off to any goroutine is outstanding.
+func (k *Kernel) handOff(p *Proc) {
+	if p == nil {
+		k.idle <- struct{}{}
+		return
 	}
-	p.status = running
-	p.resume <- p.now
-	<-k.yields
-	if p.now > k.stats.End {
-		k.stats.End = p.now
-	}
+	p.resume <- struct{}{}
 }
 
 func (k *Kernel) nextSeq() int { k.seq++; return k.seq }
 
-// yield suspends the calling process until the kernel wakes it.
-func (p *Proc) yield(status procStatus, reason string) {
+// yield gives up the processor until an event makes the process
+// runnable again. It runs the kernel loop itself: when the next runnable
+// process is the caller (a Work wake-up, a message to itself) it returns
+// without a goroutine switch.
+func (p *Proc) yield(status procStatus) {
+	k := p.k
+	if k.cancelled {
+		panic(cancelPanic{}) // a deferred call of an unwinding body blocked again
+	}
 	p.status = status
-	p.reason = reason
-	p.k.yields <- p.id
-	p.now = <-p.resume
-	if p.k.cancelled {
+	q := k.next()
+	if q == p {
+		return
+	}
+	k.handOff(q)
+	<-p.resume
+	if k.cancelled {
 		panic(cancelPanic{})
 	}
-	p.status = running
 }
 
 // ID returns the process index; N the number of processes.
@@ -391,7 +494,7 @@ func (p *Proc) Send(to int, payload any) {
 		j.Append(obs.Event{At: int64(p.now), Proc: p.id, Kind: obs.KindSend, A: int64(to), B: int64(m.seq)})
 	}
 	p.k.stats.Messages++
-	heap.Push(&p.k.events, event{at: m.arrival, seq: m.seq, proc: to, msg: m})
+	p.k.push(event{at: m.arrival, seq: m.seq, proc: to, msg: m})
 }
 
 // Recv blocks until a message is available and returns its sender and
@@ -399,18 +502,22 @@ func (p *Proc) Send(to int, payload any) {
 func (p *Proc) Recv() (from int, payload any) {
 	j := p.k.cfg.Journal
 	blocked := false
-	for len(p.avail) == 0 {
+	for p.head == len(p.avail) {
 		if j != nil && !blocked {
 			blocked = true
 			j.Append(obs.Event{At: int64(p.now), Proc: p.id, Kind: obs.KindBlock, Name: "recv"})
 		}
-		p.yield(blockedRecv, "recv")
+		p.yield(blockedRecv)
 	}
 	if blocked {
 		j.Append(obs.Event{At: int64(p.now), Proc: p.id, Kind: obs.KindUnblock})
 	}
-	m := p.avail[0]
-	p.avail = p.avail[1:]
+	m := p.avail[p.head]
+	p.avail[p.head] = nil
+	p.head++
+	if p.head == len(p.avail) {
+		p.avail, p.head = p.avail[:0], 0
+	}
 	if b := p.k.builder; b != nil {
 		b.Recv(p.id, m.handle)
 		p.k.times[p.id] = append(p.k.times[p.id], p.now)
@@ -423,7 +530,7 @@ func (p *Proc) Recv() (from int, payload any) {
 
 // TryRecv returns a message if one has already arrived.
 func (p *Proc) TryRecv() (from int, payload any, ok bool) {
-	if len(p.avail) == 0 {
+	if p.head == len(p.avail) {
 		return 0, nil, false
 	}
 	from, payload = p.Recv()
@@ -438,8 +545,8 @@ func (p *Proc) Work(d Time) {
 	if j := p.k.cfg.Journal; j != nil {
 		j.Append(obs.Event{At: int64(p.now), Proc: p.id, Kind: obs.KindWork, B: int64(d)})
 	}
-	heap.Push(&p.k.events, event{at: p.now + d, seq: p.k.nextSeq(), proc: p.id})
-	p.yield(ready, "work")
+	p.k.push(event{at: p.now + d, seq: p.k.nextSeq(), proc: p.id})
+	p.yield(ready)
 }
 
 // Tick records a local event in the trace without changing variables

@@ -2,12 +2,17 @@ package sim
 
 import (
 	"errors"
+	"fmt"
+	"hash/fnv"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"predctl/internal/deposet"
+	"predctl/internal/obs"
 )
 
 func TestPingPong(t *testing.T) {
@@ -123,15 +128,55 @@ func TestPanicSurfaces(t *testing.T) {
 	}
 }
 
+// An overrun is a tear-down like a deadlock: every body — spinning,
+// blocked in Recv, or never started — has unwound, its defers run, by
+// the time Run reports the spent budget.
 func TestMaxEventsGuard(t *testing.T) {
-	k := New(Config{Procs: 1, MaxEvents: 50})
-	_, err := k.Run(func(p *Proc) {
+	spin := func(p *Proc) {
 		for {
 			p.Work(1)
 		}
-	})
-	if err == nil || !strings.Contains(err.Error(), "exceeded") {
-		t.Fatalf("err = %v", err)
+	}
+	cases := []struct {
+		name      string
+		maxEvents int
+		bodies    []func(*Proc)
+		ran       int // bodies entered, each of which must have unwound
+	}{
+		{"one spinning", 50, []func(*Proc){spin}, 1},
+		{"one blocked in Recv", 50, []func(*Proc){spin, func(p *Proc) { p.Recv() }, spin}, 3},
+		{"two never started", 1, []func(*Proc){spin, spin, spin}, 1},
+	}
+	for _, c := range cases {
+		exited := make([]bool, len(c.bodies))
+		bodies := make([]func(*Proc), len(c.bodies))
+		for i, body := range c.bodies {
+			bodies[i] = func(p *Proc) {
+				defer func() { exited[p.ID()] = true }()
+				body(p)
+			}
+		}
+		before := runtime.NumGoroutine()
+		_, err := New(Config{Procs: len(bodies), MaxEvents: c.maxEvents}).Run(bodies...)
+		if err == nil || !strings.Contains(err.Error(), "exceeded") {
+			t.Fatalf("%s: err = %v", c.name, err)
+		}
+		ran := 0
+		for _, ok := range exited {
+			if ok {
+				ran++
+			}
+		}
+		if ran != c.ran {
+			t.Errorf("%s: %d bodies had unwound when Run returned, want %d (%v)", c.name, ran, c.ran, exited)
+		}
+		// Goroutines exit just after their last hand-off; give them a moment.
+		for try := 0; runtime.NumGoroutine() > before && try < 100; try++ {
+			time.Sleep(time.Millisecond)
+		}
+		if after := runtime.NumGoroutine(); after > before {
+			t.Errorf("%s: %d goroutines before the run, %d after", c.name, before, after)
+		}
 	}
 }
 
@@ -274,37 +319,43 @@ func TestNewPanicsOnZeroProcs(t *testing.T) {
 	New(Config{Procs: 0})
 }
 
+// randomWorkload is n process bodies drawing 12 steps each (send, try to
+// receive, work, set a variable) from their own seeded streams.
+func randomWorkload(n int) []func(*Proc) {
+	bodies := make([]func(*Proc), n)
+	for i := range bodies {
+		bodies[i] = func(p *Proc) {
+			r := p.Rand()
+			for step := 0; step < 12; step++ {
+				switch r.Intn(4) {
+				case 0:
+					to := r.Intn(p.N() - 1)
+					if to >= p.ID() {
+						to++
+					}
+					p.Send(to, step)
+				case 1:
+					if _, _, ok := p.TryRecv(); !ok {
+						p.Work(1)
+					}
+				case 2:
+					p.Work(Time(r.Intn(3)))
+				default:
+					p.Set("x", step)
+				}
+			}
+		}
+	}
+	return bodies
+}
+
 // Property: random workloads produce valid deposets whose message count
 // matches the statistics, and per-state times are monotone per process.
 func TestRandomWorkloadTraceProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		n := 2 + int(uint64(seed)%3)
 		k := New(Config{Procs: n, Delay: UniformDelay(1, 5), Seed: seed, Trace: true})
-		bodies := make([]func(*Proc), n)
-		for i := range bodies {
-			bodies[i] = func(p *Proc) {
-				r := p.Rand()
-				for step := 0; step < 12; step++ {
-					switch r.Intn(4) {
-					case 0:
-						to := r.Intn(p.N() - 1)
-						if to >= p.ID() {
-							to++
-						}
-						p.Send(to, step)
-					case 1:
-						if _, _, ok := p.TryRecv(); !ok {
-							p.Work(1)
-						}
-					case 2:
-						p.Work(Time(r.Intn(3)))
-					default:
-						p.Set("x", step)
-					}
-				}
-			}
-		}
-		tr, err := k.Run(bodies...)
+		tr, err := k.Run(randomWorkload(n)...)
 		if err != nil {
 			return false
 		}
@@ -325,5 +376,33 @@ func TestRandomWorkloadTraceProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestJournalOrderGolden pins the journal of one run of the random
+// workload: every send, receive, block, unblock, work step and
+// assignment with its virtual time, in append order. The hash was
+// recorded at the commit before the kernel's central loop became a
+// hand-off (PR 19); the kernel may change how processes are switched,
+// never the order in which anything happens.
+func TestJournalOrderGolden(t *testing.T) {
+	const want = 0xab65b5380a987a82
+	j := obs.NewJournal(0)
+	k := New(Config{Procs: 4, Delay: UniformDelay(1, 5), Seed: 1998, Journal: j})
+	tr, err := k.Run(randomWorkload(4)...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	events := j.Events()
+	if len(events) < 40 || j.Dropped() != 0 {
+		t.Fatalf("journal holds %d events, %d dropped", len(events), j.Dropped())
+	}
+	h := fnv.New64a()
+	for _, e := range events {
+		fmt.Fprintf(h, "%d %d %d %d %q %d %d %d\n", e.Seq, e.At, e.Proc, e.Kind, e.Name, e.A, e.B, e.C)
+	}
+	fmt.Fprintf(h, "%+v", tr.Stats)
+	if got := h.Sum64(); got != want {
+		t.Errorf("journal of %d events hashes to %#016x, want %#016x", len(events), got, uint64(want))
 	}
 }

@@ -143,7 +143,7 @@ func (f decoded) build() (*deposet.Deposet, control.Relation, error) {
 		return nil, nil, err
 	}
 	if f.rel != nil {
-		if _, err := control.Extend(d, f.rel); err != nil {
+		if err := control.Check(d, f.rel); err != nil {
 			return nil, nil, err
 		}
 	}
