@@ -204,14 +204,7 @@ func csPredicate(n int) trace.DisjunctionSpec {
 // merged journal and metrics.
 func clusterInvariants(j *obs.Journal, reg *obs.Registry, delay time.Duration) error {
 	var rep obs.Report
-	rep.CheckScapegoatChainNet(j)
-	if delay > 0 {
-		// Handoff grants pay two shimmed hops; the window floor is 2×
-		// the injected delay, the ceiling generous (wall clocks include
-		// retransmissions and scheduling).
-		rep.CheckResponsesWindow(reg.Histogram("predctl_response_handoff_ns"),
-			2*delay.Nanoseconds(), (60 * time.Second).Nanoseconds(), j)
-	}
+	rep.CheckNetRun(j, reg, delay)
 	if err := rep.Err(); err != nil {
 		return err
 	}

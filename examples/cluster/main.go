@@ -58,9 +58,7 @@ func main() {
 	// scapegoat chain, and every handoff response must have paid at
 	// least two shimmed network hops.
 	var rep obs.Report
-	rep.CheckScapegoatChainNet(j)
-	rep.CheckResponsesWindow(reg.Histogram("predctl_response_handoff_ns"),
-		2*(2*time.Millisecond).Nanoseconds(), (60 * time.Second).Nanoseconds(), j)
+	rep.CheckNetRun(j, reg, 2*time.Millisecond)
 	if err := rep.Err(); err != nil {
 		log.Fatalf("invariants: %v", err)
 	}

@@ -175,9 +175,7 @@ func chaosIteration(rng *rand.Rand, it int, o ChaosOptions, b *ChaosBaseline) er
 	}
 
 	var rep obs.Report
-	rep.CheckScapegoatChainNet(j)
-	rep.CheckResponsesWindow(reg.Histogram("predctl_response_handoff_ns"),
-		2*chaosDelay.Nanoseconds(), (60 * time.Second).Nanoseconds(), j)
+	rep.CheckNetRun(j, reg, chaosDelay)
 	b.InvariantsChecked += len(rep.Checked)
 	b.InvariantsViolated += len(rep.Violations)
 	if err := rep.Err(); err != nil {

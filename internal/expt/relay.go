@@ -73,9 +73,7 @@ func relaySmokeClean(seed int64) error {
 		return fmt.Errorf("clean tree run: checker fired on a violation-free workload")
 	}
 	var rep obs.Report
-	rep.CheckScapegoatChainNet(j)
-	rep.CheckResponsesWindow(reg.Histogram("predctl_response_handoff_ns"),
-		2*chaosDelay.Nanoseconds(), (60 * time.Second).Nanoseconds(), j)
+	rep.CheckNetRun(j, reg, chaosDelay)
 	if err := rep.Err(); err != nil {
 		return fmt.Errorf("clean tree run: %w", err)
 	}

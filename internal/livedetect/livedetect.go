@@ -72,6 +72,9 @@ func (c *Checker) reset(epoch uint32) {
 	c.epoch = epoch
 	c.queues = make([][]Interval, c.n)
 	c.lastHi = make([]int64, c.n)
+	for p := range c.lastHi {
+		c.lastHi[p] = -1 // an interval may end at state 0
+	}
 	c.triggered = false
 	c.confirmed = false
 	c.witness = nil
@@ -120,10 +123,10 @@ func (c *Checker) Offer(epoch uint32, iv Interval) bool {
 	return c.triggered
 }
 
-// advance runs the GW elimination loop (internal/monitor's advance):
-// drop any front interval that wholly precedes another queue's front;
-// trigger when every queue is non-empty and no drop applies. Caller
-// holds c.mu.
+// advance runs the GW elimination loop, the one copy internal/monitor's
+// sim checker and the coordinator both feed: drop any front interval
+// that wholly precedes another queue's front; trigger when every queue
+// is non-empty and no drop applies. Caller holds c.mu.
 func (c *Checker) advance() {
 	for {
 		for i := 0; i < c.n; i++ {

@@ -22,6 +22,7 @@ package monitor
 import (
 	"fmt"
 
+	"predctl/internal/livedetect"
 	"predctl/internal/obs"
 	"predctl/internal/sim"
 	"predctl/internal/vclock"
@@ -40,15 +41,7 @@ type envelope struct {
 	kind  payloadKind
 	vc    vclock.VC // sender's clock at send time (piggybacked)
 	inner any
-	cand  candidate
-}
-
-// candidate is one maximal true-interval of a local predicate.
-type candidate struct {
-	proc   int
-	lo, hi vclock.VC // clocks at the interval's first and last state
-	loIdx  int       // traced state index of the interval's first state
-	hiIdx  int
+	cand  livedetect.Interval // one maximal true-interval of a local predicate
 }
 
 // Detection is the checker's verdict.
@@ -57,16 +50,7 @@ type Detection struct {
 	// Intervals holds the pairwise-overlappable witness intervals (per
 	// process) when Found; LoIdx/HiIdx are traced state indices usable
 	// against the run's deposet.
-	Intervals []candidate
-}
-
-// LoCut returns the witness interval-start state indices per process.
-func (d *Detection) LoCut() []int {
-	cut := make([]int, len(d.Intervals))
-	for i, c := range d.Intervals {
-		cut[i] = c.loIdx
-	}
-	return cut
+	Intervals []livedetect.Interval
 }
 
 // Probe wraps an application process with a runtime vector clock and
@@ -78,9 +62,10 @@ type Probe struct {
 	vc      vclock.VC
 	m       monMeters
 
-	inTrue bool
-	lo     vclock.VC
-	loIdx  int
+	inTrue  bool
+	lo      vclock.VC
+	loIdx   int
+	emitted int // intervals reported so far
 }
 
 // monMeters is the monitor's resolved metric set (all nil without a
@@ -168,8 +153,15 @@ func (pr *Probe) SetLocal(truth bool) {
 }
 
 // emit sends the just-closed interval to the checker. hiIdx is the
-// traced index of the interval's last state.
+// traced index of the interval's last state; an untraced run has no
+// state indices, and the interval's ordinal stands in for both ends so
+// the checker's replay guard (HiIdx only grows) still sees progress.
 func (pr *Probe) emit(hiIdx int) {
+	loIdx := pr.loIdx
+	if loIdx < 0 {
+		loIdx, hiIdx = pr.emitted, pr.emitted
+	}
+	pr.emitted++
 	hi := pr.vc.Clone()
 	if j := pr.p.Journal(); j != nil {
 		// Candidate intervals are the monitor's protocol events; the
@@ -177,17 +169,13 @@ func (pr *Probe) emit(hiIdx int) {
 		// place runtime clocks are available to the trace.
 		j.Append(obs.Event{
 			At: int64(pr.p.Now()), Proc: pr.p.ID(), Kind: obs.KindControl,
-			Name: "monitor.candidate", A: int64(pr.loIdx), B: int64(hiIdx),
+			Name: "monitor.candidate", A: int64(loIdx), B: int64(hiIdx),
 			VC: []int32(hi),
 		})
 	}
 	pr.m.candidates.Inc()
-	pr.p.Send(pr.checker, envelope{kind: kindCandidate, cand: candidate{
-		proc:  pr.p.ID(),
-		lo:    pr.lo,
-		hi:    hi,
-		loIdx: pr.loIdx,
-		hiIdx: hiIdx,
+	pr.p.Send(pr.checker, envelope{kind: kindCandidate, cand: livedetect.Interval{
+		Proc: pr.p.ID(), LoIdx: int64(loIdx), HiIdx: int64(hiIdx), Lo: pr.lo, Hi: hi,
 	}})
 }
 
@@ -221,7 +209,7 @@ func RunObs(cfg sim.Config, reg *obs.Registry, labels []obs.Label, apps []func(*
 	// The checker relies on a process's done notice not overtaking its
 	// candidates; FIFO channels give exactly that.
 	cfg.FIFO = true
-	det := &Detection{}
+	chk := livedetect.New(n)
 	m := newMonMeters(reg, labels)
 	k := sim.New(cfg)
 	bodies := make([]func(*sim.Proc), n+1)
@@ -236,81 +224,39 @@ func RunObs(cfg sim.Config, reg *obs.Registry, labels []obs.Label, apps []func(*
 			pr.Close()
 		}
 	}
-	bodies[n] = func(p *sim.Proc) { runChecker(p, n, det, m) }
+	bodies[n] = func(p *sim.Proc) { runChecker(p, n, chk) }
 	tr, err := k.Run(bodies...)
+	det := &Detection{Intervals: chk.Witness()}
+	det.Found = det.Intervals != nil
+	_, dropped, _ := chk.Stats()
+	m.drops.Add(dropped)
 	if det.Found {
 		m.detected.Set(1)
 	}
 	return tr, det, err
 }
 
-// runChecker is the centralized Garg–Waldecker checker.
-func runChecker(p *sim.Proc, n int, det *Detection, m monMeters) {
-	queues := make([][]candidate, n)
-	done := make([]bool, n)
-	doneCount := 0
-	for doneCount < n && !det.Found {
-		from, raw := p.Recv()
+// runChecker is the centralized Garg–Waldecker checker: the sim
+// process that feeds livedetect's elimination loop, the same one the
+// cluster coordinator feeds from the wire.
+func runChecker(p *sim.Proc, n int, chk *livedetect.Checker) {
+	found := false
+	for done := 0; done < n && !found; {
+		_, raw := p.Recv()
 		env := raw.(envelope)
 		switch env.kind {
 		case kindCandidate:
-			queues[env.cand.proc] = append(queues[env.cand.proc], env.cand)
+			found = chk.Offer(0, env.cand)
 		case kindDone:
-			done[from] = true
-			doneCount++
+			done++
 		default:
 			panic(fmt.Sprintf("monitor: checker received %v", env.kind))
 		}
-		advance(queues, det, m.drops)
 	}
 	// Remaining messages are drained by the kernel; the checker's verdict
 	// is final once every process reported done or a witness was found.
 	p.Daemon()
 	for {
 		p.Recv()
-	}
-}
-
-// debugLog, when set by tests, receives checker decisions.
-var debugLog func(string, ...any)
-
-// advance runs the candidate-elimination loop: discard any interval that
-// wholly precedes another process's current interval; report when the
-// fronts are pairwise overlappable. drops counts eliminations.
-func advance(queues [][]candidate, det *Detection, drops *obs.Counter) {
-	n := len(queues)
-	for {
-		for i := 0; i < n; i++ {
-			if len(queues[i]) == 0 {
-				return // need more candidates before a verdict
-			}
-		}
-		dropped := false
-		for i := 0; i < n && !dropped; i++ {
-			for j := 0; j < n; j++ {
-				if i == j {
-					continue
-				}
-				// Iᵢ wholly precedes Iⱼ: Iᵢ's last state causally
-				// precedes Iⱼ's first.
-				if queues[j][0].lo[i] >= queues[i][0].hi[i] {
-					if debugLog != nil {
-						debugLog("drop P%d %+v because P%d lo=%v", i, queues[i][0], j, queues[j][0].lo)
-					}
-					queues[i] = queues[i][1:]
-					drops.Inc()
-					dropped = true
-					break
-				}
-			}
-		}
-		if !dropped {
-			det.Found = true
-			det.Intervals = make([]candidate, n)
-			for i := 0; i < n; i++ {
-				det.Intervals[i] = queues[i][0]
-			}
-			return
-		}
 	}
 }

@@ -1,11 +1,14 @@
 package monitor
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 
 	"predctl/internal/deposet"
 	"predctl/internal/detect"
+	"predctl/internal/livedetect"
+	"predctl/internal/obs"
 	"predctl/internal/sim"
 	"predctl/internal/vclock"
 )
@@ -117,11 +120,8 @@ func TestMonitorMatchesOfflineDetectionProperty(t *testing.T) {
 		for i := range apps {
 			apps[i] = phasedApp(5 + int(uint64(seed>>8)%6))
 		}
-		tr, det, err := Run(sim.Config{
-			Trace: true,
-			Seed:  seed,
-			Delay: sim.UniformDelay(1, 6),
-		}, apps)
+		cfg := sim.Config{Trace: true, Seed: seed, Delay: sim.UniformDelay(1, 6)}
+		tr, det, err := Run(cfg, apps)
 		if err != nil {
 			t.Logf("seed %d: %v", seed, err)
 			return false
@@ -131,14 +131,21 @@ func TestMonitorMatchesOfflineDetectionProperty(t *testing.T) {
 			t.Logf("seed %d: checker=%v offline=%v", seed, det.Found, want)
 			return false
 		}
+		// Tracing does not steer the run: the same seed untraced (no
+		// state indices to report) reaches the same verdict.
+		cfg.Trace = false
+		if _, bare, err := Run(cfg, apps); err != nil || bare.Found != want {
+			t.Logf("seed %d: untraced checker=%v (%v) offline=%v", seed, bare.Found, err, want)
+			return false
+		}
 		if det.Found {
 			// Witness intervals must be genuinely q-true in the trace.
 			for p, c := range det.Intervals {
-				for k := c.loIdx; k <= c.hiIdx; k++ {
+				for k := int(c.LoIdx); k <= int(c.HiIdx); k++ {
 					v, ok := tr.D.Var(deposet.StateID{P: p, K: k}, "q")
 					if !ok || v != 1 {
 						t.Logf("seed %d: witness P%d[%d..%d] not q-true at %d",
-							seed, p, c.loIdx, c.hiIdx, k)
+							seed, p, c.LoIdx, c.HiIdx, k)
 						return false
 					}
 				}
@@ -176,5 +183,144 @@ func TestProbeClockPiggyback(t *testing.T) {
 	}
 	if recvd[0] < sent[0]-0 || recvd[1] == 0 {
 		t.Fatalf("clock not merged: sent=%v recvd=%v", sent, recvd)
+	}
+}
+
+// candidate, refDetection and refAdvance are the checker this package
+// carried before runChecker fed livedetect.Checker: the elimination
+// loop verbatim, kept as the differential oracle.
+type candidate struct {
+	proc   int
+	lo, hi vclock.VC // clocks at the interval's first and last state
+	loIdx  int       // traced state index of the interval's first state
+	hiIdx  int
+}
+
+type refDetection struct {
+	Found     bool
+	Intervals []candidate
+}
+
+func refAdvance(queues [][]candidate, det *refDetection, drops *obs.Counter) {
+	n := len(queues)
+	for {
+		for i := 0; i < n; i++ {
+			if len(queues[i]) == 0 {
+				return // need more candidates before a verdict
+			}
+		}
+		dropped := false
+		for i := 0; i < n && !dropped; i++ {
+			for j := 0; j < n; j++ {
+				if i == j {
+					continue
+				}
+				// Iᵢ wholly precedes Iⱼ: Iᵢ's last state causally
+				// precedes Iⱼ's first.
+				if queues[j][0].lo[i] >= queues[i][0].hi[i] {
+					queues[i] = queues[i][1:]
+					drops.Inc()
+					dropped = true
+					break
+				}
+			}
+		}
+		if !dropped {
+			det.Found = true
+			det.Intervals = make([]candidate, n)
+			for i := 0; i < n; i++ {
+				det.Intervals[i] = queues[i][0]
+			}
+			return
+		}
+	}
+}
+
+// randomStream is a seeded candidate stream over n processes in arrival
+// order: per process the state indices and the own clock component only
+// grow (an interval may be a single state, lo = hi, and may end at
+// state 0); foreign components are drawn from a window around the
+// sender's progress, so wholly-preceding, overlapping and tied
+// (lo[i] == hi[i]) pairs all occur. silent, when ≥ 0, never reports.
+func randomStream(r *rand.Rand, n, silent int) []candidate {
+	own := make([]int32, n)
+	idx := make([]int, n)
+	var out []candidate
+	for k := r.Intn(6 * n); k > 0; k-- {
+		p := r.Intn(n)
+		if p == silent {
+			continue
+		}
+		lo, hi := vclock.New(n), vclock.New(n)
+		for q := range lo {
+			lo[q] = int32(r.Intn(int(own[q]) + 2))
+			hi[q] = lo[q] + int32(r.Intn(2))
+		}
+		lo[p] = own[p] + int32(r.Intn(2))
+		hi[p] = lo[p] + int32(r.Intn(3))
+		own[p] = hi[p]
+		c := candidate{proc: p, lo: lo, hi: hi, loIdx: idx[p]}
+		c.hiIdx = c.loIdx + r.Intn(3)
+		idx[p] = c.hiIdx + 1
+		out = append(out, c)
+	}
+	return out
+}
+
+// TestCheckerMatchesReferenceAdvance drives seeded random candidate
+// streams through the deleted monitor.advance (above) and through the
+// livedetect.Checker runChecker now feeds, one candidate at a time as
+// the checker process receives them: same verdict, same witness, same
+// number of eliminations.
+func TestCheckerMatchesReferenceAdvance(t *testing.T) {
+	const streams = 2000
+	found := 0
+	for seed := int64(0); seed < streams; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		n := 2 + r.Intn(4)
+		silent := -1
+		if r.Intn(5) == 0 {
+			silent = r.Intn(n)
+		}
+		stream := randomStream(r, n, silent)
+
+		queues := make([][]candidate, n)
+		var want refDetection
+		drops := obs.NewRegistry().Counter("drops")
+		chk := livedetect.New(n)
+		for _, c := range stream {
+			queues[c.proc] = append(queues[c.proc], c)
+			refAdvance(queues, &want, drops)
+			got := chk.Offer(0, livedetect.Interval{
+				Proc: c.proc, LoIdx: int64(c.loIdx), HiIdx: int64(c.hiIdx), Lo: c.lo, Hi: c.hi,
+			})
+			if got != want.Found {
+				t.Fatalf("seed %d: after %+v checker=%v reference=%v", seed, c, got, want.Found)
+			}
+			if got {
+				break // runChecker stops at the first witness, as the reference loop did
+			}
+		}
+		wit := chk.Witness()
+		if (wit != nil) != want.Found {
+			t.Fatalf("seed %d: witness %v, reference found=%v", seed, wit, want.Found)
+		}
+		for p, iv := range wit {
+			if w := want.Intervals[p]; iv.Proc != w.proc || int(iv.LoIdx) != w.loIdx || int(iv.HiIdx) != w.hiIdx {
+				t.Fatalf("seed %d: witness P%d = %+v, reference %+v", seed, p, iv, w)
+			}
+		}
+		if _, dropped, stale := chk.Stats(); dropped != drops.Value() || stale != 0 {
+			t.Fatalf("seed %d: checker dropped %d (stale %d), reference %d", seed, dropped, stale, drops.Value())
+		}
+		if want.Found {
+			found++
+			if silent >= 0 {
+				t.Fatalf("seed %d: witness with P%d silent", seed, silent)
+			}
+		}
+	}
+	if found < streams/10 || found > streams*9/10 {
+		t.Fatalf("%d of %d streams found a witness: the generator no longer exercises both verdicts", found, streams)
 	}
 }

@@ -11,6 +11,10 @@ package node
 import (
 	"bufio"
 	"net"
+	"os"
+	"path/filepath"
+	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -367,5 +371,37 @@ func TestChaosSoak(t *testing.T) {
 	rep.CheckScapegoatChainNet(j)
 	if err := rep.Err(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestClusterRejectsOutOfRangeTargets: a crash schedule or rogue list
+// naming a node or relay the cluster does not have is refused before
+// anything is bound or started — the store directory is not even
+// created.
+func TestClusterRejectsOutOfRangeTargets(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		cfg  ClusterConfig
+		want string
+	}{
+		{"node crash", ClusterConfig{Crashes: []Crash{{Node: 3}}}, "crash schedule targets node 3 of 3"},
+		{"negative node crash", ClusterConfig{Crashes: []Crash{{Node: 1}, {Node: -1}}}, "crash schedule targets node -1 of 3"},
+		{"relay crash", ClusterConfig{Relays: 2, RelayCrashes: []Crash{{Node: 2}}}, "relay crash schedule targets relay 2 of 2"},
+		{"relay crash without relays", ClusterConfig{RelayCrashes: []Crash{{Node: 0}}}, "relay crash schedule targets relay 0 of 0"},
+		{"rogue", ClusterConfig{Rogues: []int{0, 7}}, "rogue list targets node 7 of 3"},
+	} {
+		before := runtime.NumGoroutine()
+		tc.cfg.N = 3
+		tc.cfg.StoreDir = filepath.Join(t.TempDir(), "store")
+		_, err := RunCluster(tc.cfg)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: error %v, want %q", tc.name, err, tc.want)
+		}
+		if _, serr := os.Stat(tc.cfg.StoreDir); !os.IsNotExist(serr) {
+			t.Errorf("%s: store directory exists (%v): the run started before the check", tc.name, serr)
+		}
+		if after := runtime.NumGoroutine(); after > before {
+			t.Errorf("%s: %d goroutines before, %d after a refused run", tc.name, before, after)
+		}
 	}
 }

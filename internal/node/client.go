@@ -180,19 +180,8 @@ func (cc *coordClient) dialOnce(handshake wire.Msg) (net.Conn, error) {
 			cc.pause(backoffDelay(cc.opt, 0))
 			continue
 		}
-		conn, err := net.DialTimeout("tcp", cc.addr, cc.opt.DialTimeout)
+		conn, err := dialHandshake(cc.addr, handshake, cc.opt)
 		if err != nil {
-			lastErr = err
-			cc.pause(backoffDelay(cc.opt, fails))
-			fails++
-			continue
-		}
-		if tc, ok := conn.(*net.TCPConn); ok {
-			tc.SetNoDelay(true)
-		}
-		conn.SetWriteDeadline(time.Now().Add(cc.opt.WriteTimeout))
-		if err := wire.WriteFrame(conn, 0, handshake); err != nil {
-			conn.Close()
 			lastErr = err
 			cc.pause(backoffDelay(cc.opt, fails))
 			fails++

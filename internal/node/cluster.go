@@ -126,6 +126,9 @@ func RunCluster(cfg ClusterConfig) (*Result, error) {
 	if cfg.N < 2 {
 		return nil, fmt.Errorf("node: cluster needs n ≥ 2, got %d", cfg.N)
 	}
+	if err := checkTargets(&cfg); err != nil {
+		return nil, err
+	}
 	if cfg.Rounds <= 0 {
 		cfg.Rounds = 3
 	}
@@ -220,11 +223,6 @@ func RunCluster(cfg ClusterConfig) (*Result, error) {
 				Logf:         cfg.Logf,
 			}
 		}
-		for _, cr := range cfg.RelayCrashes {
-			if cr.Node < 0 || cr.Node >= cfg.Relays {
-				return nil, fmt.Errorf("node: relay crash schedule targets relay %d of %d", cr.Node, cfg.Relays)
-			}
-		}
 		relays := make([]*Relay, cfg.Relays)
 		for i := range relays {
 			rl, err := StartRelay(relayCfg(i, relayLns[i]))
@@ -236,29 +234,14 @@ func RunCluster(cfg ClusterConfig) (*Result, error) {
 			}
 			relays[i] = rl
 		}
-		relayCrashCh := make([]chan struct{}, cfg.Relays)
-		for i := range relayCrashCh {
-			relayCrashCh[i] = make(chan struct{}, len(cfg.RelayCrashes))
-		}
-		for _, cr := range cfg.RelayCrashes {
-			relayWG.Add(1)
-			go func(cr Crash) {
-				defer relayWG.Done()
-				select {
-				case <-time.After(time.Until(start.Add(cr.At))):
-					coord.Annotate(obs.EvChaosCrash, int64(-(cr.Node + 1)), 0)
-					relayCrashCh[cr.Node] <- struct{}{}
-				case <-stopRelays:
-				}
-			}(cr)
-		}
+		relayCrashCh := scheduleCrashes(coord, cfg.RelayCrashes, cfg.Relays,
+			func(idx int) int64 { return int64(-(idx + 1)) }, stopRelays, &relayWG)
 		for i := range relays {
 			relayWG.Add(1)
 			go func(idx int) {
 				defer relayWG.Done()
 				rl := relays[idx]
-				down := crashDowntime(cfg.RelayCrashes, idx)
-				deaths := 0
+				stayDown := downtimes(cfg.RelayCrashes, idx)
 				for {
 					select {
 					case <-stopRelays:
@@ -270,10 +253,7 @@ func RunCluster(cfg ClusterConfig) (*Result, error) {
 						// address; the relaunched relay acks Cum=0 and the
 						// root dedups the full replays.
 						rl.Close()
-						if deaths < len(down) && down[deaths] > 0 {
-							time.Sleep(down[deaths])
-						}
-						deaths++
+						stayDown()
 						ln, lerr := relisten(relayAddrs[idx], stopRelays)
 						if lerr != nil {
 							return
@@ -312,37 +292,12 @@ func RunCluster(cfg ClusterConfig) (*Result, error) {
 		coord.AnnotateAt((p.Start + p.Dur).Nanoseconds(), obs.EvPartitionHeal, a, b)
 	}
 
-	// Crash plumbing: one buffered signal channel per node (so a kill
-	// never blocks the scheduler) and a stop flag that quiets the
-	// relaunch loops once the coordinator has its result.
-	crashCh := make([]chan struct{}, cfg.N)
-	for _, cr := range cfg.Crashes {
-		if cr.Node < 0 || cr.Node >= cfg.N {
-			return nil, fmt.Errorf("node: crash schedule targets node %d of %d", cr.Node, cfg.N)
-		}
-	}
-	for _, r := range cfg.Rogues {
-		if r < 0 || r >= cfg.N {
-			return nil, fmt.Errorf("node: rogue list targets node %d of %d", r, cfg.N)
-		}
-	}
-	for i := range crashCh {
-		crashCh[i] = make(chan struct{}, len(cfg.Crashes))
-	}
+	// stop quiets the crash scheduler and the relaunch loops once the
+	// coordinator has its result.
 	stop := make(chan struct{})
 	var schedWG sync.WaitGroup
-	for _, cr := range cfg.Crashes {
-		schedWG.Add(1)
-		go func(cr Crash) {
-			defer schedWG.Done()
-			select {
-			case <-time.After(time.Until(start.Add(cr.At))):
-				coord.Annotate(obs.EvChaosCrash, int64(cr.Node), 0)
-				crashCh[cr.Node] <- struct{}{}
-			case <-stop:
-			}
-		}(cr)
-	}
+	crashCh := scheduleCrashes(coord, cfg.Crashes, cfg.N,
+		func(id int) int64 { return int64(id) }, stop, &schedWG)
 
 	var wg sync.WaitGroup
 	errs := make([]error, cfg.N)
@@ -379,8 +334,7 @@ func RunCluster(cfg ClusterConfig) (*Result, error) {
 			if cfg.NodeHTTP {
 				nodeCfg.HTTPAddr = "127.0.0.1:0"
 			}
-			down := crashDowntime(cfg.Crashes, i)
-			deaths := 0
+			stayDown := downtimes(cfg.Crashes, i)
 			for {
 				_, err := Run(nodeCfg)
 				if !errors.Is(err, ErrCrashed) {
@@ -398,10 +352,7 @@ func RunCluster(cfg ClusterConfig) (*Result, error) {
 				// its transport, so rebind the same address (retrying
 				// briefly around lingering sockets) and run again. The
 				// fresh Hello makes the coordinator order the restart.
-				if deaths < len(down) && down[deaths] > 0 {
-					time.Sleep(down[deaths])
-				}
-				deaths++
+				stayDown()
 				select {
 				case <-stop:
 					return
@@ -457,15 +408,69 @@ func RunCluster(cfg ClusterConfig) (*Result, error) {
 	return res, werr
 }
 
-// crashDowntime extracts node i's scheduled downtimes in kill order.
-func crashDowntime(crashes []Crash, node int) []time.Duration {
-	var out []time.Duration
-	for _, cr := range crashes {
-		if cr.Node == node {
-			out = append(out, cr.Down)
+// checkTargets rejects a crash schedule or rogue list that names a node
+// or relay the cluster does not have, before anything is bound or
+// started.
+func checkTargets(cfg *ClusterConfig) error {
+	for _, cr := range cfg.Crashes {
+		if cr.Node < 0 || cr.Node >= cfg.N {
+			return fmt.Errorf("node: crash schedule targets node %d of %d", cr.Node, cfg.N)
 		}
 	}
-	return out
+	for _, cr := range cfg.RelayCrashes {
+		if cr.Node < 0 || cr.Node >= cfg.Relays {
+			return fmt.Errorf("node: relay crash schedule targets relay %d of %d", cr.Node, cfg.Relays)
+		}
+	}
+	for _, r := range cfg.Rogues {
+		if r < 0 || r >= cfg.N {
+			return fmt.Errorf("node: rogue list targets node %d of %d", r, cfg.N)
+		}
+	}
+	return nil
+}
+
+// scheduleCrashes runs a range-checked kill schedule against `targets`
+// nodes or relays: one goroutine per entry sleeps to the run's start+At,
+// annotates the kill as annotID(target) and signals the target's
+// channel — buffered to the schedule's length, so a kill never blocks
+// the scheduler — or gives up at stop.
+func scheduleCrashes(coord *Coordinator, crashes []Crash, targets int, annotID func(target int) int64, stop <-chan struct{}, wg *sync.WaitGroup) []chan struct{} {
+	chs := make([]chan struct{}, targets)
+	for i := range chs {
+		chs[i] = make(chan struct{}, len(crashes))
+	}
+	for _, cr := range crashes {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			select {
+			case <-time.After(time.Until(coord.start.Add(cr.At))):
+				coord.Annotate(obs.EvChaosCrash, annotID(cr.Node), 0)
+				chs[cr.Node] <- struct{}{}
+			case <-stop:
+			}
+		}()
+	}
+	return chs
+}
+
+// downtimes returns a function that sleeps out target's next scheduled
+// downtime, in schedule order; kills beyond the schedule relaunch at
+// once.
+func downtimes(crashes []Crash, target int) func() {
+	var down []time.Duration
+	for _, cr := range crashes {
+		if cr.Node == target {
+			down = append(down, cr.Down)
+		}
+	}
+	return func() {
+		if len(down) > 0 {
+			time.Sleep(down[0])
+			down = down[1:]
+		}
+	}
 }
 
 // relisten rebinds a relaunched node's listen address, retrying while

@@ -31,7 +31,7 @@ type staged struct {
 // staged them in, so the result equals RAM staging; the store's
 // per-origin index already reflects every epoch discard. What a session
 // then still holds in RAM is the suffix staged after a failed spill
-// (spillCapture), and follows its disk prefix.
+// (stageCapture), and follows its disk prefix.
 func (c *Coordinator) collect(e uint32, wantOps, wantJournal bool) (staged, error) {
 	var out staged
 	if wantOps {

@@ -318,9 +318,9 @@ func (c *Coordinator) handleConn(raw net.Conn) {
 		c.handleRelay(conn, h)
 		return
 	}
-	id, fresh, ok := nodeHandshake(first, c.n)
-	if !ok {
-		c.logf("coordinator: bad handshake %#v", first)
+	id, _, fresh, err := nodeHandshake(first, c.n)
+	if err != nil {
+		c.logf("coordinator: bad handshake: %v", err)
 		return
 	}
 	conn.peer = "node " + strconv.Itoa(id)

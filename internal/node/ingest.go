@@ -29,8 +29,13 @@ type nodeSession struct {
 	events []obs.Event
 	cands  int
 	// degraded: a spill to the trace store failed, and the session
-	// stages in RAM from that frame on (see spillCapture). Sticky.
+	// stages in RAM from that frame on (see stageCapture). Sticky.
 	degraded bool
+	// byed: the stream's bye was counted at the cluster epoch, so its
+	// capture is closed — what Commit seals is what Wait assembles.
+	// late counts the capture frames refused since.
+	byed bool
+	late int
 
 	// Live-observability state: the node's latest cumulative metrics
 	// snapshot and when it arrived. Deliberately NOT cleared on epoch
@@ -46,6 +51,7 @@ type nodeSession struct {
 func (s *nodeSession) discardEpochLocked(e uint32) {
 	s.epoch = e
 	s.ops, s.events, s.cands = procOps{}, nil, 0
+	s.byed, s.late = false, 0
 }
 
 // ingestAction is what a frame's ingest obligates the caller to do
@@ -59,12 +65,15 @@ const (
 	actDetected              // the live checker triggered: run the prefix confirmation
 )
 
-// spillCapture diverts one capture frame into the on-disk trace store
-// when spilling is on, reporting whether it did. raw is the frame's
+// stageCapture lands one capture frame in the session's staging: the
+// on-disk trace store when spilling is on, else RAM. raw is the frame's
 // wire body as read off the stream (nil when the caller only has the
 // decoded message, in which case the body is re-encoded — the bytes
 // are identical either way, which is what keeps disk-backed assembly
-// byte-equal to in-RAM staging).
+// byte-equal to in-RAM staging). A frame that follows the stream's
+// counted bye is refused: the capture ended there on the node's side
+// too, and a straggler landing after the seal would be in Wait's
+// deposet but not under the manifest.
 //
 // A failed append is loud but non-fatal: a full disk degrades to the
 // RAM memory profile instead of losing capture. The fallback is sticky
@@ -72,28 +81,35 @@ const (
 // would sit before this one in replay order — so a session's capture is
 // always a disk prefix followed by a RAM suffix, which is the order
 // collect hands it over in.
-func (c *Coordinator) spillCapture(st *nodeSession, m wire.Msg, raw []byte) bool {
-	if c.store == nil {
-		return false
-	}
+func (c *Coordinator) stageCapture(st *nodeSession, m wire.Msg, raw []byte) {
 	st.mu.Lock()
-	e, degraded := st.epoch, st.degraded
-	st.mu.Unlock()
-	if degraded {
-		return false
+	e := st.epoch
+	switch {
+	case st.byed:
+		st.late++
+		first := st.late == 1
+		st.mu.Unlock()
+		if first {
+			c.logf("coordinator: node %d: %T after its bye at epoch %d; capture is closed, dropping", st.id, m, e)
+		}
+		return
+	case c.store == nil || st.degraded:
+		stageFrame(c.n, m, &st.ops, &st.events)
+		st.mu.Unlock()
+		return
 	}
+	st.mu.Unlock()
 	if raw == nil {
 		raw = wire.AppendBody(nil, 0, m)
 	}
 	if err := c.store.Append(int32(st.id), e, raw); err != nil {
 		c.logf("coordinator: node %d: store spill: %v; staging in RAM from here on", st.id, err)
+		c.spillFailed.Store(true)
 		st.mu.Lock()
 		st.degraded = true
+		stageFrame(c.n, m, &st.ops, &st.events)
 		st.mu.Unlock()
-		c.spillFailed.Store(true)
-		return false
 	}
-	return true
 }
 
 // ingestStored folds one frame from a node's stream into the
@@ -110,12 +126,7 @@ func (c *Coordinator) spillCapture(st *nodeSession, m wire.Msg, raw []byte) bool
 func (c *Coordinator) ingestStored(st *nodeSession, m wire.Msg, raw []byte) (ingestAction, uint32) {
 	switch v := m.(type) {
 	case wire.Trace, wire.TraceOpBatch, wire.JournalEvent, wire.JournalBatch:
-		if c.spillCapture(st, m, raw) {
-			break
-		}
-		st.mu.Lock()
-		stageFrame(c.n, m, &st.ops, &st.events)
-		st.mu.Unlock()
+		c.stageCapture(st, m, raw)
 	case wire.MetricsSnapshot:
 		st.mu.Lock()
 		st.lastSnap = v.Points
@@ -201,12 +212,21 @@ func (c *Coordinator) ingestStored(st *nodeSession, m wire.Msg, raw []byte) (ing
 		c.mu.Lock()
 		all := false
 		e := c.epoch
-		if se == c.epoch && v.Epoch == c.epoch && !c.byeSeen[st.id] {
+		counted := se == c.epoch && v.Epoch == c.epoch && !c.byeSeen[st.id]
+		if counted {
 			c.byeSeen[st.id] = true
 			c.byeCount++
 			all = c.byeCount == c.n
 		}
 		c.mu.Unlock()
+		if counted {
+			// The stream's frames reach here one at a time (the gate's
+			// ingestMu), so no capture frame slips between the count and
+			// the flag.
+			st.mu.Lock()
+			st.byed = true
+			st.mu.Unlock()
+		}
 		if all {
 			return actAllByes, e
 		}

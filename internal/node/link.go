@@ -157,6 +157,25 @@ func backoffDelay(opt Timeouts, fails int) time.Duration {
 	return d
 }
 
+// dialHandshake is one connection attempt, shared by the mesh links and
+// the coordinator stream (each paces its own retries): dial, disable
+// Nagle, write the handshake frame under the write deadline.
+func dialHandshake(addr string, hs wire.Msg, opt Timeouts) (net.Conn, error) {
+	c, err := net.DialTimeout("tcp", addr, opt.DialTimeout)
+	if err != nil {
+		return nil, err
+	}
+	if tc, ok := c.(*net.TCPConn); ok {
+		tc.SetNoDelay(true)
+	}
+	c.SetWriteDeadline(time.Now().Add(opt.WriteTimeout))
+	if err := wire.WriteFrame(c, 0, hs); err != nil {
+		c.Close()
+		return nil, err
+	}
+	return c, nil
+}
+
 func newLink(from, to, n int, addr string, faults Faults, parts *partitions, epoch *atomic.Uint32, opt Timeouts, wm wireMeters, logf func(string, ...any)) *link {
 	l := &link{
 		from: from, to: to, addr: addr, n: n,
@@ -460,7 +479,7 @@ func (l *link) ensureConn(epoch uint32) net.Conn {
 		l.conn.Close()
 		l.conn = nil
 	}
-	if l.epochNow() != epoch {
+	if l.epoch.Load() != epoch {
 		return nil
 	}
 	if time.Now().Before(l.nextDial) {
@@ -469,28 +488,16 @@ func (l *link) ensureConn(epoch uint32) net.Conn {
 	if l.parts.meshSevered(l.from, l.to, time.Now()) {
 		return nil
 	}
-	c, err := net.DialTimeout("tcp", l.addr, l.opt.DialTimeout)
-	if err != nil {
-		l.nextDial = time.Now().Add(backoffDelay(l.opt, l.dialFails))
-		if l.dialFails < 30 {
-			l.dialFails++
-		}
-		return nil
-	}
-	if tc, ok := c.(*net.TCPConn); ok {
-		tc.SetNoDelay(true)
-	}
-	// Handshake; the unacknowledged tail is replayed by the next RTO
-	// pass, and the peer's dedup makes the replay harmless. A rejected
-	// epoch (peer not yet restarted, or we are behind) surfaces as the
-	// peer closing the connection; the next dial retries.
+	// The unacknowledged tail is replayed by the next RTO pass, and the
+	// peer's dedup makes the replay harmless. A rejected epoch (peer not
+	// yet restarted, or we are behind) surfaces as the peer closing the
+	// connection; the next dial retries.
 	var hs wire.Msg = wire.Hello{From: int32(l.from), N: int32(l.n)}
 	if epoch > 0 {
 		hs = wire.Resume{From: int32(l.from), N: int32(l.n), Epoch: epoch}
 	}
-	c.SetWriteDeadline(time.Now().Add(l.opt.WriteTimeout))
-	if _, err := c.Write(wire.Marshal(0, hs)); err != nil {
-		c.Close()
+	c, err := dialHandshake(l.addr, hs, l.opt)
+	if err != nil {
 		l.nextDial = time.Now().Add(backoffDelay(l.opt, l.dialFails))
 		if l.dialFails < 30 {
 			l.dialFails++
@@ -502,15 +509,6 @@ func (l *link) ensureConn(epoch uint32) net.Conn {
 	l.conn = c
 	l.connEpoch = epoch
 	return c
-}
-
-// epochNow is the transport's current re-execution epoch; 0 when the
-// link runs standalone (tests) or the run never restarted.
-func (l *link) epochNow() uint32 {
-	if l.epoch == nil {
-		return 0
-	}
-	return l.epoch.Load()
 }
 
 // bufReader sizes the per-connection read buffer.

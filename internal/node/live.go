@@ -3,6 +3,7 @@ package node
 import (
 	"time"
 
+	"predctl/internal/control"
 	"predctl/internal/deposet"
 	"predctl/internal/detect"
 	"predctl/internal/livedetect"
@@ -159,7 +160,7 @@ func (c *Coordinator) confirmLocked(e uint32, witness int, final bool) {
 	// find one (¬B may be uncontrollable) downgrades the response to a
 	// plain uncontrolled re-execution, it does not suppress the
 	// detection.
-	if rel, _, err := offline.ControlGeneral(d, c.liveCfg.Predicate); err == nil {
+	if rel, err := liveStrategy(d, c.liveCfg.Predicate); err == nil {
 		rec.StrategyEdges = len(rel)
 	} else {
 		c.logf("coordinator: live detection: no control strategy: %v", err)
@@ -181,6 +182,23 @@ func (c *Coordinator) confirmLocked(e uint32, witness int, final bool) {
 	if canReExec {
 		c.reexecClusterLocked(rec)
 	}
+}
+
+// liveStrategy synthesizes the control relation that keeps b true on d.
+// A disjunctive b — every live workload's ∨(csᵢ = 0) — gets the paper's
+// Figure 2 chain, O(n²p) and at most n(p+1) edges; only a predicate
+// outside that class reaches the general controller, whose exhaustive
+// search is the problem Theorem 1 proves NP-hard.
+func liveStrategy(d *deposet.Deposet, b predicate.Expr) (control.Relation, error) {
+	if dj, ok := predicate.AsDisjunction(b, d.NumProcs()); ok {
+		res, err := offline.Control(d, dj, offline.Options{})
+		if err != nil {
+			return nil, err
+		}
+		return res.Relation, nil
+	}
+	rel, _, err := offline.ControlGeneral(d, b)
+	return rel, err
 }
 
 // reexecClusterLocked is restartClusterLocked's detection-triggered

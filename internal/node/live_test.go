@@ -5,9 +5,12 @@ import (
 	"testing"
 	"time"
 
+	"predctl/internal/control"
+	"predctl/internal/deposet"
 	"predctl/internal/detect"
 	"predctl/internal/livedetect"
 	"predctl/internal/obs"
+	"predctl/internal/offline"
 	"predctl/internal/predicate"
 	"predctl/internal/wire"
 )
@@ -191,5 +194,117 @@ func TestLiveVerdictMatchesOffline(t *testing.T) {
 					seed, cfg.Rogues, res.Epoch, res.LiveFired, offline)
 			}
 		})
+	}
+}
+
+// roguePrefix hand-builds the capture of n nodes mid-run, node 0 a
+// planted rogue: its app flips cs without asking; every other app asks
+// its co-located controller (mayFalse → grant, then nowTrue) around each
+// critical section. No handoff crosses nodes, so the nodes run
+// concurrently and every app can be inside its section at once. The
+// streams are cut where a prefix would cut them: the last app is still
+// in its section, and the last nowTrue is sent but not yet received.
+func roguePrefix(n, rounds int) [][]wire.TraceOp {
+	byProc := make([][]wire.TraceOp, 2*n)
+	for node := 0; node < n; node++ {
+		app, ctl := int32(node), int32(n+node)
+		next := map[int32]uint64{}
+		msg := func(from, to int32) {
+			next[from]++
+			id := uint64(from)<<40 | next[from]
+			byProc[from] = append(byProc[from], wire.TraceOp{Op: wire.TraceSend, Proc: from, MsgID: id})
+			byProc[to] = append(byProc[to], wire.TraceOp{Op: wire.TraceRecv, Proc: to, MsgID: id})
+		}
+		set := func(v int64) {
+			byProc[app] = append(byProc[app], wire.TraceOp{Op: wire.TraceSet, Proc: app, Name: "cs", Value: v})
+		}
+		byProc[app] = append(byProc[app], wire.TraceOp{Op: wire.TraceInit, Proc: app, Name: "cs", Value: 0})
+		for r := 0; r < rounds; r++ {
+			if node > 0 {
+				msg(app, ctl)
+				msg(ctl, app)
+			}
+			set(1)
+			if node == n-1 && r == rounds-1 {
+				break // still inside at the cut
+			}
+			set(0)
+			if node > 0 {
+				msg(app, ctl)
+			}
+		}
+	}
+	last := 2*n - 2 // a controller that has not yet seen its app's final nowTrue
+	byProc[last] = byProc[last][:len(byProc[last])-1]
+	return byProc
+}
+
+// TestLiveStrategyIsFigure2OnDisjunction: the strategy a confirmed live
+// detection records for B = ∨(csᵢ = 0) is the paper's Figure 2 chain —
+// offline.Control's relation, at most n(p+1) edges, valid for the prefix
+// — and computing it never enters the exhaustive SGSD search, which
+// evaluates B at every consistent cut it visits where the chain reads
+// each local once per state.
+func TestLiveStrategyIsFigure2OnDisjunction(t *testing.T) {
+	for _, n := range []int{3, 4, 6} {
+		const rounds = 5
+		byProc := roguePrefix(n, rounds)
+		d, _, err := livedetect.AssemblePrefix(n, byProc)
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		// B with counting locals: the work the strategy spends reading it.
+		evals := 0
+		xs := make([]predicate.Expr, n)
+		for i := range xs {
+			xs[i] = predicate.Local(i, "cs=0", func(d *deposet.Deposet, k int) bool {
+				evals++
+				v, ok := d.Var(deposet.StateID{P: i, K: k}, "cs")
+				return ok && v == 0
+			})
+		}
+		rel, err := liveStrategy(d, predicate.Or(xs...))
+		if err != nil {
+			t.Fatalf("n=%d: %v", n, err)
+		}
+		if evals > 4*d.NumStates() {
+			t.Errorf("n=%d: B's locals read %d times for %d states: an exhaustive search, not the Figure 2 chain", n, evals, d.NumStates())
+		}
+		dj, ok := predicate.AsDisjunction(CSMutexPredicate(n), d.NumProcs())
+		if !ok {
+			t.Fatalf("n=%d: the cluster's own predicate is not recognised as a disjunction", n)
+		}
+		want, err := offline.Control(d, dj, offline.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(rel) != len(want.Relation) || len(rel) == 0 || len(rel) > n*(rounds+1) {
+			t.Errorf("n=%d: %d strategy edges, Figure 2 gives %d, bound n(p+1) = %d", n, len(rel), len(want.Relation), n*(rounds+1))
+		}
+		if err := control.Check(d, rel); err != nil {
+			t.Errorf("n=%d: strategy is not a valid control relation: %v", n, err)
+		}
+
+		// The same prefix through the coordinator's confirmation: the
+		// recorded detection carries that strategy's size.
+		c := newCoordinator(n, nil, func(string, ...any) {})
+		c.ld = livedetect.New(n)
+		c.liveCfg = LiveConfig{Predicate: CSMutexPredicate(n), OnDetect: OnDetectNote, MaxReExecs: 1}
+		c.violation = predicate.Not(CSMutexPredicate(n))
+		c.detByNode = make([]int, n)
+		for p, ops := range byProc {
+			c.ingestStored(c.session(p%n), wire.TraceOpBatch{Ops: ops}, nil)
+		}
+		c.ld.ForceTrigger(0)
+		c.shutdownMu.Lock()
+		c.confirmLocked(0, -1, false)
+		c.shutdownMu.Unlock()
+		if len(c.detections) != 1 {
+			t.Fatalf("n=%d: %d detections recorded on a prefix where every app can be in its section", n, len(c.detections))
+		}
+		if got := c.detections[0].StrategyEdges; got != len(want.Relation) {
+			t.Errorf("n=%d: detection records %d strategy edges, Figure 2 gives %d", n, got, len(want.Relation))
+		}
 	}
 }

@@ -365,12 +365,15 @@ func Run(cfg Config) (*Stats, error) {
 			}
 		case epochShutdown:
 			tr.Close()
-			cc.stopFlusher(true)
 			if !out.byed {
 				// Terminal session loss before the bye phase: the bye
 				// dance is unreachable, but buffer the closing frames
 				// anyway — if the loss was close()-vs-teardown noise they
-				// still make it out.
+				// still make it out. After a bye there is no second flush:
+				// the capture ended with it, and what the parked controller
+				// received since (a peer's last protocol message) would
+				// reach the root after the seal.
+				cc.stopFlusher(true)
 				cc.send(nd.doneFrame())
 				cc.send(wire.Shutdown{Epoch: nd.epoch})
 			}

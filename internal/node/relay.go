@@ -274,9 +274,9 @@ func (r *Relay) handleChild(raw net.Conn) {
 	if err != nil {
 		return
 	}
-	id, fresh, ok := nodeHandshake(first, r.cfg.N)
-	if !ok {
-		r.logf("relay %d: bad handshake %#v", r.cfg.Index, first)
+	id, _, fresh, err := nodeHandshake(first, r.cfg.N)
+	if err != nil {
+		r.logf("relay %d: bad handshake: %v", r.cfg.Index, err)
 		return
 	}
 	conn.peer = "node " + strconv.Itoa(id)

@@ -46,9 +46,10 @@ import (
 // one should fail the run loudly, not hang it.
 const streamReadDeadline = 30 * time.Second
 
-// endpoint is what the root and a relay share as terminators of capture
-// streams: a name for the log, the timeouts, the listener with every
-// connection it accepted, and the streams those connections may own.
+// endpoint is what the root, a relay and a node's mesh Transport share
+// as terminators of streams: a name for the log, the timeouts, the
+// listener with every connection it accepted, and (capture only) the
+// streams those connections may own.
 type endpoint struct {
 	who  string
 	opt  Timeouts
@@ -130,12 +131,19 @@ func (ep *endpoint) stop() {
 	ep.stopOnce.Do(func() {
 		close(ep.closed)
 		ep.ln.Close()
-		ep.connMu.Lock()
-		for conn := range ep.conns {
-			conn.Close()
-		}
-		ep.connMu.Unlock()
+		ep.dropConns()
 	})
+}
+
+// dropConns closes every accepted connection and keeps listening: the
+// mesh's epoch reset, after which each peer redials and handshakes
+// afresh.
+func (ep *endpoint) dropConns() {
+	ep.connMu.Lock()
+	for conn := range ep.conns {
+		conn.Close()
+	}
+	ep.connMu.Unlock()
 }
 
 // coordConn is one accepted stream connection. Writes are serialized:
@@ -176,18 +184,25 @@ func (ep *endpoint) open(raw net.Conn) (conn *coordConn, body []byte, seq uint64
 }
 
 // nodeHandshake validates a node stream's opening frame for an n-node
-// run: Hello opens a fresh stream, Resume continues one.
-func nodeHandshake(first wire.Msg, n int) (id int, fresh, ok bool) {
+// run: Hello opens a fresh stream (epoch 0 on the mesh), Resume
+// continues one at its epoch.
+func nodeHandshake(first wire.Msg, n int) (id int, epoch uint32, fresh bool, err error) {
 	var from, hn int32
 	switch h := first.(type) {
 	case wire.Hello:
 		from, hn, fresh = h.From, h.N, true
 	case wire.Resume:
-		from, hn = h.From, h.N
+		from, hn, epoch = h.From, h.N, h.Epoch
 	default:
-		return 0, false, false
+		return 0, 0, false, fmt.Errorf("first frame is %T, want Hello or Resume", first)
 	}
-	return int(from), fresh, int(hn) == n && from >= 0 && int(from) < n
+	if int(hn) != n {
+		return 0, 0, false, fmt.Errorf("peer believes cluster size %d, ours is %d", hn, n)
+	}
+	if from < 0 || int(from) >= n {
+		return 0, 0, false, fmt.Errorf("invalid peer id %d", from)
+	}
+	return int(from), epoch, fresh, nil
 }
 
 // serve reads conn's frames until the stream breaks or frame refuses

@@ -1,10 +1,10 @@
 package node
 
 import (
-	"bufio"
 	"errors"
 	"fmt"
 	"net"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -19,12 +19,12 @@ import (
 // invariants the sim kernel gave the controller for free, now earned
 // with sequence numbers, dedup and reordering buffers over real TCP.
 type Transport struct {
+	endpoint // the shared session layer's half: listener and accepted connections
+
 	id    int
 	n     int
-	ln    net.Listener
 	links []*link // by peer id; nil at self
 	rs    []*recvState
-	logf  func(string, ...any)
 
 	// epoch is the controlled re-execution epoch (paper §8): bumped by
 	// Reset when the coordinator orders a restart after a crash. Links
@@ -39,11 +39,6 @@ type Transport struct {
 	badPeer *obs.Counter
 
 	recvCh chan Recv
-	done   chan struct{}
-	wg     sync.WaitGroup
-
-	connMu sync.Mutex
-	conns  map[net.Conn]struct{}
 }
 
 // Recv is one delivered protocol message. Epoch is the re-execution
@@ -101,29 +96,17 @@ func NewTransport(cfg TransportConfig) (*Transport, error) {
 	if len(cfg.Addrs) != cfg.N {
 		return nil, fmt.Errorf("node: %d addresses for %d nodes", len(cfg.Addrs), cfg.N)
 	}
-	logf := cfg.Logf
-	if logf == nil {
-		logf = func(string, ...any) {}
-	}
-	ln := cfg.Listener
-	if ln == nil {
-		var err error
-		ln, err = net.Listen("tcp", cfg.Addrs[cfg.ID])
-		if err != nil {
-			return nil, fmt.Errorf("node: listen %s: %w", cfg.Addrs[cfg.ID], err)
-		}
-	}
 	opt := cfg.Timeouts.withDefaults()
 	t := &Transport{
-		id:     cfg.ID,
-		n:      cfg.N,
-		ln:     ln,
-		links:  make([]*link, cfg.N),
-		rs:     make([]*recvState, cfg.N),
-		logf:   logf,
-		recvCh: make(chan Recv, 256),
-		done:   make(chan struct{}),
-		conns:  map[net.Conn]struct{}{},
+		endpoint: newEndpoint("node "+strconv.Itoa(cfg.ID), opt, cfg.Logf),
+		id:       cfg.ID,
+		n:        cfg.N,
+		links:    make([]*link, cfg.N),
+		rs:       make([]*recvState, cfg.N),
+		recvCh:   make(chan Recv, 256),
+	}
+	if err := t.listen(cfg.Listener, cfg.Addrs[cfg.ID]); err != nil {
+		return nil, err
 	}
 	t.badPeer = cfg.Reg.Counter("predctl_send_invalid_peer_total", cfg.MetricLabels...)
 	wm := newWireMeters(cfg.Reg, "mesh", cfg.MetricLabels)
@@ -132,11 +115,11 @@ func NewTransport(cfg TransportConfig) (*Transport, error) {
 		if p == cfg.ID {
 			continue
 		}
-		t.links[p] = newLink(cfg.ID, p, cfg.N, cfg.Addrs[p], cfg.Faults, parts, &t.epoch, opt, wm, logf)
+		t.links[p] = newLink(cfg.ID, p, cfg.N, cfg.Addrs[p], cfg.Faults, parts, &t.epoch, opt, wm, t.logf)
 		t.rs[p] = &recvState{next: 1, buf: map[uint64]wire.Msg{}}
 	}
 	t.wg.Add(1)
-	go t.acceptLoop(opt)
+	go t.acceptLoop(t.handleConn)
 	return t, nil
 }
 
@@ -155,9 +138,6 @@ func (t *Transport) Send(to int, m wire.Msg) error {
 	return nil
 }
 
-// Epoch is the transport's current re-execution epoch.
-func (t *Transport) Epoch() uint32 { return t.epoch.Load() }
-
 // Reset moves the mesh to re-execution epoch e (paper §8 controlled
 // re-execution after a crash): in-flight traffic from the abandoned
 // execution is discarded, sequence spaces restart on both halves, and
@@ -169,11 +149,7 @@ func (t *Transport) Reset(e uint32) {
 	// Close inbound streams first: a stale peer writing into an old
 	// connection must fail fast and redial with its (eventually bumped)
 	// epoch rather than feed the old execution's frames to deliver.
-	t.connMu.Lock()
-	for c := range t.conns {
-		c.Close()
-	}
-	t.connMu.Unlock()
+	t.dropConns()
 	for p, rs := range t.rs {
 		if rs == nil {
 			continue
@@ -181,9 +157,7 @@ func (t *Transport) Reset(e uint32) {
 		rs.mu.Lock()
 		rs.next = 1
 		rs.epoch = e
-		for k := range rs.buf {
-			delete(rs.buf, k)
-		}
+		clear(rs.buf)
 		rs.mu.Unlock()
 		t.links[p].reset(e)
 	}
@@ -195,18 +169,7 @@ func (t *Transport) RecvCh() <-chan Recv { return t.recvCh }
 
 // Close tears the endpoint down: listener, inbound connections, links.
 func (t *Transport) Close() {
-	select {
-	case <-t.done:
-		return
-	default:
-		close(t.done)
-	}
-	t.ln.Close()
-	t.connMu.Lock()
-	for c := range t.conns {
-		c.Close()
-	}
-	t.connMu.Unlock()
+	t.stop()
 	for _, l := range t.links {
 		if l != nil {
 			l.close()
@@ -215,56 +178,39 @@ func (t *Transport) Close() {
 	t.wg.Wait()
 }
 
-func (t *Transport) acceptLoop(opt Timeouts) {
-	defer t.wg.Done()
-	for {
-		conn, err := t.ln.Accept()
-		if err != nil {
-			select {
-			case <-t.done:
-			default:
-				t.logf("node %d: accept: %v", t.id, err)
-			}
-			return
-		}
-		t.connMu.Lock()
-		t.conns[conn] = struct{}{}
-		t.connMu.Unlock()
-		t.wg.Add(1)
-		go func() {
-			defer t.wg.Done()
-			t.handleConn(conn, opt)
-			t.connMu.Lock()
-			delete(t.conns, conn)
-			t.connMu.Unlock()
-			conn.Close()
-		}()
-	}
-}
-
 // handleConn serves one inbound stream: handshake, then demultiplex
 // frames until the peer goes away (it will reconnect and the persistent
 // per-peer recvState keeps dedup working across connections). The
 // stream is pinned to the epoch it handshook at; after a Reset, the
 // per-frame epoch check inside deliver drops anything still in flight
 // and the connection is closed by Reset itself.
-func (t *Transport) handleConn(conn net.Conn, opt Timeouts) {
-	br := bufReader(conn)
-	from, epoch, err := t.handshake(br, conn, opt)
+func (t *Transport) handleConn(raw net.Conn) {
+	conn, _, _, first, err := t.open(raw)
+	if err != nil {
+		return
+	}
+	// Hello opens an epoch-0 stream, Resume one at an explicit epoch. On
+	// top of the node handshake the mesh refuses its own id and any epoch
+	// but its current one: a peer still executing a discarded epoch, or
+	// one that restarted ahead of us, redials once the Restart broadcast
+	// brings both sides level.
+	from, epoch, _, err := nodeHandshake(first, t.n)
+	if err == nil && from == t.id {
+		err = fmt.Errorf("invalid peer id %d", from)
+	}
+	if cur := t.epoch.Load(); err == nil && epoch != cur {
+		err = fmt.Errorf("peer %d at epoch %d, ours is %d", from, epoch, cur)
+	}
 	if err != nil {
 		t.logf("node %d: inbound handshake: %v", t.id, err)
 		return
 	}
+	raw.SetReadDeadline(time.Time{}) // the handshake's; an idle mesh link is not an error
 	for {
-		conn.SetReadDeadline(time.Now().Add(opt.IdleTimeout))
-		seq, m, err := wire.ReadFrame(br)
+		seq, m, err := wire.ReadFrame(conn.br)
 		if err != nil {
-			var ne net.Error
-			if errors.As(err, &ne) && ne.Timeout() {
-				continue // idle link: renew the deadline and keep reading
-			}
 			select {
-			case <-t.done:
+			case <-t.closed:
 			default:
 				if !errors.Is(err, net.ErrClosed) {
 					t.logf("node %d: read from %d: %v", t.id, from, err)
@@ -279,40 +225,6 @@ func (t *Transport) handleConn(conn net.Conn, opt Timeouts) {
 			t.deliver(from, epoch, seq, m)
 		}
 	}
-}
-
-// handshake validates an inbound stream's opening frame: Hello opens an
-// epoch-0 stream (the common case, and what pre-epoch peers send);
-// Resume opens a stream at an explicit epoch. The epoch must match this
-// transport's current one exactly — a peer still executing a discarded
-// epoch, or one that restarted ahead of us, is rejected and will redial
-// once the Restart broadcast brings both sides level.
-func (t *Transport) handshake(br *bufio.Reader, conn net.Conn, opt Timeouts) (int, uint32, error) {
-	conn.SetReadDeadline(time.Now().Add(opt.DialTimeout))
-	_, m, err := wire.ReadFrame(br)
-	if err != nil {
-		return 0, 0, err
-	}
-	var from, n int32
-	var epoch uint32
-	switch h := m.(type) {
-	case wire.Hello:
-		from, n = h.From, h.N
-	case wire.Resume:
-		from, n, epoch = h.From, h.N, h.Epoch
-	default:
-		return 0, 0, fmt.Errorf("first frame is %T, want Hello or Resume", m)
-	}
-	if int(n) != t.n {
-		return 0, 0, fmt.Errorf("peer believes cluster size %d, ours is %d", n, t.n)
-	}
-	if from < 0 || int(from) >= t.n || int(from) == t.id {
-		return 0, 0, fmt.Errorf("invalid peer id %d", from)
-	}
-	if cur := t.epoch.Load(); epoch != cur {
-		return 0, 0, fmt.Errorf("peer %d at epoch %d, ours is %d", from, epoch, cur)
-	}
-	return int(from), epoch, nil
 }
 
 // deliver runs the receive half of the reliable link: acknowledge,
@@ -357,7 +269,7 @@ func (t *Transport) deliver(from int, epoch uint32, seq uint64, m wire.Msg) {
 	for _, rm := range ready {
 		select {
 		case t.recvCh <- Recv{From: from, Epoch: epoch, Msg: rm}:
-		case <-t.done:
+		case <-t.closed:
 			return
 		}
 	}

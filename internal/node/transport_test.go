@@ -1,8 +1,13 @@
 package node
 
 import (
+	"fmt"
+	"io"
 	"net"
 	"reflect"
+	"runtime"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -189,5 +194,153 @@ func TestAssemble(t *testing.T) {
 	}
 	if _, err := assemble(1, dup); err == nil {
 		t.Fatal("assemble accepted duplicate trace ids")
+	}
+}
+
+// logSink collects a component's log lines for assertions.
+type logSink struct {
+	mu    sync.Mutex
+	lines []string
+}
+
+func (s *logSink) logf(format string, args ...any) {
+	s.mu.Lock()
+	s.lines = append(s.lines, fmt.Sprintf(format, args...))
+	s.mu.Unlock()
+}
+
+func (s *logSink) contains(text string) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, l := range s.lines {
+		if strings.Contains(l, text) {
+			return true
+		}
+	}
+	return false
+}
+
+// newAcceptor starts node 0 of an n-node mesh whose peers are played by
+// the test over raw sockets.
+func newAcceptor(t *testing.T, n int) (*Transport, *logSink) {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addrs := make([]string, n)
+	for i := range addrs {
+		addrs[i] = ln.Addr().String() // never dialed: node 0 sends nothing
+	}
+	sink := &logSink{}
+	tr, err := NewTransport(TransportConfig{ID: 0, N: n, Addrs: addrs, Listener: ln, Timeouts: testTimeouts(), Logf: sink.logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(tr.Close)
+	return tr, sink
+}
+
+// dialRaw opens a stream to tr and writes frames (seq 0, 1, 2, …).
+func dialRaw(t *testing.T, tr *Transport, frames ...wire.Msg) net.Conn {
+	t.Helper()
+	c, err := net.Dial("tcp", tr.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { c.Close() })
+	for seq, m := range frames {
+		if err := wire.WriteFrame(c, uint64(seq), m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return c
+}
+
+// awaitClosed fails unless the peer closes c within the deadline.
+func awaitClosed(t *testing.T, c net.Conn, what string) {
+	t.Helper()
+	c.SetReadDeadline(time.Now().Add(10 * time.Second))
+	if _, err := io.Copy(io.Discard, c); err != nil && strings.Contains(err.Error(), "timeout") {
+		t.Fatalf("%s: stream still open", what)
+	}
+}
+
+// TestTransportHandshakeRejects pins what the mesh acceptor refuses and
+// the reason it logs: the shared node handshake's checks (frame kind,
+// cluster size, id range) and the two only the mesh has (not our own
+// id, exactly our epoch).
+func TestTransportHandshakeRejects(t *testing.T) {
+	tr, sink := newAcceptor(t, 3)
+	tr.Reset(2)
+	for _, tc := range []struct {
+		name  string
+		first wire.Msg
+		want  string
+	}{
+		{"wrong N", wire.Resume{From: 1, N: 4, Epoch: 2}, "peer believes cluster size 4, ours is 3"},
+		{"own id", wire.Resume{From: 0, N: 3, Epoch: 2}, "invalid peer id 0"},
+		{"id past the mesh", wire.Resume{From: 3, N: 3, Epoch: 2}, "invalid peer id 3"},
+		{"negative id", wire.Resume{From: -1, N: 3, Epoch: 2}, "invalid peer id -1"},
+		{"stale epoch", wire.Resume{From: 1, N: 3, Epoch: 1}, "peer 1 at epoch 1, ours is 2"},
+		{"Hello is epoch 0", wire.Hello{From: 2, N: 3}, "peer 2 at epoch 0, ours is 2"},
+		{"future epoch", wire.Resume{From: 1, N: 3, Epoch: 3}, "peer 1 at epoch 3, ours is 2"},
+		{"not a handshake", wire.Ctl{From: 1, To: 0}, "first frame is wire.Ctl, want Hello or Resume"},
+	} {
+		awaitClosed(t, dialRaw(t, tr, tc.first), tc.name)
+		if !sink.contains(tc.want) {
+			t.Errorf("%s: log lacks %q; got %q", tc.name, tc.want, sink.lines)
+		}
+	}
+	// The acceptor is still serving: a well-formed stream delivers.
+	dialRaw(t, tr, wire.Resume{From: 1, N: 3, Epoch: 2}, wire.Ctl{From: 1, To: 0, TraceID: 7})
+	if r := drain(t, tr, 1)[0]; r.From != 1 || r.Epoch != 2 || r.Msg.(wire.Ctl).TraceID != 7 {
+		t.Fatalf("delivered %+v", r)
+	}
+}
+
+// TestTransportResetClosesInboundKeepsListening: Reset tears down every
+// accepted stream — the peers must re-handshake at the new epoch — and
+// the listener goes on accepting.
+func TestTransportResetClosesInboundKeepsListening(t *testing.T) {
+	tr, _ := newAcceptor(t, 4)
+	var conns []net.Conn
+	for id := int32(1); id <= 3; id++ {
+		conns = append(conns, dialRaw(t, tr, wire.Hello{From: id, N: 4}, wire.Ctl{From: id, To: 0}))
+	}
+	drain(t, tr, 3) // all three are accepted, handshaken and reading
+	tr.Reset(1)
+	for i, c := range conns {
+		awaitClosed(t, c, fmt.Sprintf("inbound stream %d after Reset", i+1))
+	}
+	dialRaw(t, tr, wire.Resume{From: 2, N: 4, Epoch: 1}, wire.Ctl{From: 2, To: 0, TraceID: 9})
+	if r := drain(t, tr, 1)[0]; r.From != 2 || r.Epoch != 1 || r.Msg.(wire.Ctl).TraceID != 9 {
+		t.Fatalf("after Reset delivered %+v", r)
+	}
+}
+
+// TestTransportCloseTwiceLeavesNoGoroutine: Close with streams still
+// attached, twice, returns with the accept loop, every stream handler
+// and every link writer gone.
+func TestTransportCloseTwiceLeavesNoGoroutine(t *testing.T) {
+	before := runtime.NumGoroutine()
+	tr, _ := newAcceptor(t, 4)
+	for id := int32(1); id <= 3; id++ {
+		dialRaw(t, tr, wire.Hello{From: id, N: 4}, wire.Ctl{From: id, To: 0})
+	}
+	drain(t, tr, 3)
+	tr.Close()
+	tr.Close()
+	// Close joined them all, but a goroutine that has run its last defer
+	// is counted until the scheduler retires it: give that a moment.
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<16)
+			t.Fatalf("%d goroutines before NewTransport, %d after Close:\n%s", before, runtime.NumGoroutine(), buf[:runtime.Stack(buf, true)])
+		}
+	}
+	if c, err := net.DialTimeout("tcp", tr.Addr(), time.Second); err == nil {
+		c.Close()
+		t.Fatal("listener still accepting after Close")
 	}
 }

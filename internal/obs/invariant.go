@@ -3,6 +3,7 @@ package obs
 import (
 	"fmt"
 	"strings"
+	"time"
 )
 
 // invariant.go turns the paper's analytic evaluation into live,
@@ -253,6 +254,20 @@ func (r *Report) CheckScapegoatChainNet(j *Journal) {
 			return
 		}
 		holder = e.A
+	}
+}
+
+// CheckNetRun runs the paper-bound checks a networked run admits, on
+// its merged journal and its metrics: one unforked scapegoat chain and,
+// when the fault shim injected a per-hop delay, every handoff response
+// inside [2×delay, 60 s] — a handoff grant pays two shimmed hops, and
+// the ceiling is generous because wall clocks include retransmissions
+// and scheduling.
+func (r *Report) CheckNetRun(j *Journal, reg *Registry, delay time.Duration) {
+	r.CheckScapegoatChainNet(j)
+	if delay > 0 {
+		r.CheckResponsesWindow(reg.Histogram("predctl_response_handoff_ns"),
+			2*delay.Nanoseconds(), (60 * time.Second).Nanoseconds(), j)
 	}
 }
 

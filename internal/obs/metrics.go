@@ -195,15 +195,11 @@ type Registry struct {
 	gauges  map[string]*Gauge
 	fgauges map[string]*FloatGauge
 	hists   map[string]*Histogram
-	spans   map[string]*SpanStats
 	// parent and extra are set on child registries (see Child): every
 	// series carries the extra labels, and int instruments tee their
 	// updates into the matching parent series.
 	parent *Registry
 	extra  []Label
-	// TrackAllocs enables allocation accounting in Span (serialized,
-	// coarse; meant for the single-threaded experiment harness).
-	TrackAllocs bool
 }
 
 // NewRegistry returns an empty registry.
@@ -213,7 +209,6 @@ func NewRegistry() *Registry {
 		gauges:  map[string]*Gauge{},
 		fgauges: map[string]*FloatGauge{},
 		hists:   map[string]*Histogram{},
-		spans:   map[string]*SpanStats{},
 	}
 }
 
@@ -390,10 +385,6 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 	for k, h := range r.hists {
 		hists[k] = h
 	}
-	spans := make(map[string]*SpanStats, len(r.spans))
-	for k, s := range r.spans {
-		spans[k] = s
-	}
 	r.mu.Unlock()
 
 	var b strings.Builder
@@ -437,21 +428,6 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		fmt.Fprintf(&b, "%s_sum%s %d\n", name, labels, h.Sum())
 		fmt.Fprintf(&b, "%s_count%s %d\n", name, labels, h.Count())
 		fmt.Fprintf(&b, "%s_max%s %d\n", name, labels, h.Max())
-	}
-	for _, k := range sortedKeys(spans) {
-		name, labels := splitKey(k)
-		s := spans[k]
-		count, wall, allocs, bytes := s.snapshot()
-		emitType(name+"_seconds_total", "counter")
-		fmt.Fprintf(&b, "%s_seconds_total%s %.9f\n", name, labels, float64(wall)/1e9)
-		emitType(name+"_calls_total", "counter")
-		fmt.Fprintf(&b, "%s_calls_total%s %d\n", name, labels, count)
-		if allocs > 0 || bytes > 0 {
-			emitType(name+"_allocs_total", "counter")
-			fmt.Fprintf(&b, "%s_allocs_total%s %d\n", name, labels, allocs)
-			emitType(name+"_alloc_bytes_total", "counter")
-			fmt.Fprintf(&b, "%s_alloc_bytes_total%s %d\n", name, labels, bytes)
-		}
 	}
 	_, err := io.WriteString(w, b.String())
 	return err

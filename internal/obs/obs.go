@@ -13,9 +13,9 @@
 //     ring-buffered Journal; chrome.go exports it as Chrome trace_event
 //     JSON for chrome://tracing / Perfetto, timeline.go as a
 //     human-readable timeline.
-//   - Protocol metrics (metrics.go, span.go): typed counters,
-//     histograms, gauges and phase spans in a Registry, dumped in
-//     Prometheus text exposition format. The online controller, the
+//   - Protocol metrics (metrics.go): typed counters, histograms and
+//     gauges in a Registry, dumped in Prometheus text exposition
+//     format. The online controller, the
 //     monitor, and the kmutex baselines record into a Registry, and
 //     internal/expt derives its reported tables from the same registry
 //     — no private tallies to drift.

@@ -2,7 +2,6 @@ package obs
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -29,8 +28,8 @@ type MetricPoint struct {
 }
 
 // Snapshot dumps every counter, gauge and histogram as cumulative
-// points, deterministically ordered. Float gauges and spans are
-// excluded (scrape-local). Safe to call concurrently with updates.
+// points, deterministically ordered. Float gauges are excluded
+// (scrape-local). Safe to call concurrently with updates.
 func (r *Registry) Snapshot() []MetricPoint {
 	if r == nil {
 		return nil
@@ -188,15 +187,4 @@ func SumByName(points []MetricPoint) map[string]int64 {
 		out[name] += p.Value
 	}
 	return out
-}
-
-// SortPoints orders points by key then kind — a deterministic order for
-// golden fixtures and tests.
-func SortPoints(pts []MetricPoint) {
-	sort.Slice(pts, func(i, j int) bool {
-		if pts[i].Key != pts[j].Key {
-			return pts[i].Key < pts[j].Key
-		}
-		return pts[i].Kind < pts[j].Kind
-	})
 }

@@ -110,10 +110,6 @@ func NewMachine(id, n int, scapegoat, localTrue, broadcast bool, h Host) *Machin
 // anti-token.
 func (m *Machine) Scapegoat() bool { return m.scapegoat }
 
-// Generation returns the anti-token generation this controller last
-// held (meaningful while Scapegoat).
-func (m *Machine) Generation() uint64 { return m.gen }
-
 // OnMayFalse handles the co-located application asking to let its
 // local predicate go false.
 func (m *Machine) OnMayFalse() {

@@ -29,12 +29,6 @@ func NewTruthTable(lens []int) *TruthTable {
 	return t
 }
 
-// NumProcs returns the number of processes the table ranges over.
-func (t *TruthTable) NumProcs() int { return len(t.lens) }
-
-// Len returns the number of states of process p.
-func (t *TruthTable) Len(p int) int { return t.lens[p] }
-
 // Set records the truth value at state (p, k).
 func (t *TruthTable) Set(p, k int, v bool) {
 	i := t.off[p] + k
@@ -50,11 +44,6 @@ func (t *TruthTable) Holds(p, k int) bool {
 	i := t.off[p] + k
 	return t.bits[i>>6]>>(i&63)&1 != 0
 }
-
-// NotHolds reports the negated truth value at state (p, k). It exists so
-// a table of B's locals can be passed directly where ¬B is needed
-// (method values: t.NotHolds).
-func (t *TruthTable) NotHolds(p, k int) bool { return !t.Holds(p, k) }
 
 // Invert returns a new table with every state's truth value negated.
 func (t *TruthTable) Invert() *TruthTable {

@@ -29,9 +29,6 @@ func NewArena(lens []int) *Arena {
 	return &Arena{n: n, off: off, data: make([]int32, total*n)}
 }
 
-// N returns the number of components per clock (the process count).
-func (a *Arena) N() int { return a.n }
-
 // Row returns the clock of state (p, k) as a VC aliasing the arena. The
 // slice is capacity-capped so an append can never bleed into the next
 // row. Mutating it mutates the arena.

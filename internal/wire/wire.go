@@ -982,17 +982,6 @@ func PeekBody(body []byte) (kind byte, seq uint64, err error) {
 	return kind, seq, nil
 }
 
-// AppendRawFrame appends one complete frame — length prefix plus an
-// already-encoded body — to dst. It is the pass-through counterpart of
-// AppendFrame for forwarding paths that hold raw bodies.
-func AppendRawFrame(dst, body []byte) []byte {
-	start := len(dst)
-	dst = append(dst, 0, 0, 0, 0)
-	dst = append(dst, body...)
-	binary.BigEndian.PutUint32(dst[start:start+4], uint32(len(dst)-start-4))
-	return dst
-}
-
 // WriteFrame writes one complete frame to w.
 func WriteFrame(w io.Writer, seq uint64, m Msg) error {
 	_, err := w.Write(Marshal(seq, m))
