@@ -124,7 +124,7 @@ func parseNodeList(s string) ([]int, error) {
 func batchFlags(fs *flag.FlagSet) *node.Batching {
 	b := &node.Batching{}
 	fs.IntVar(&b.MaxItems, "batch-items", 0, "capture items per batch frame before an early flush (0 = default 128)")
-	fs.DurationVar(&b.Interval, "batch-interval", 0, "capture flush period (0 = default 2ms)")
+	fs.DurationVar(&b.Interval, "batch-interval", 0, "flush period for capture volume; candidates and completion frames do not wait for it (0 = default 2ms)")
 	return b
 }
 

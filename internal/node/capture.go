@@ -33,6 +33,7 @@ import (
 type capture struct {
 	mu       sync.Mutex
 	enabled  bool
+	app      int32 // the application's logical process; every other op is the controller's
 	ops      []wire.TraceOp
 	appState int    // app-process traced state index (0 = ⊥)
 	nextMsg  uint64 // per-node message counter for TraceIDs
@@ -54,28 +55,16 @@ func (c *capture) msgID(proc int) uint64 {
 	return uint64(proc)<<40 | c.nextMsg
 }
 
-func (c *capture) append(op wire.TraceOp) {
-	if !c.enabled {
-		return
-	}
-	c.mu.Lock()
-	c.ops = append(c.ops, op)
-	n := len(c.ops)
-	c.mu.Unlock()
-	if c.kick != nil && n >= c.kickAt {
-		c.kick()
-	}
-}
-
-// appendApp appends an op for the app process and returns the app's
-// new traced state index (Init does not advance it).
-func (c *capture) appendApp(op wire.TraceOp) int {
+// append buffers one op and returns the app's traced state index after
+// it: an app op other than Init and Let advances it, a controller op
+// leaves it alone.
+func (c *capture) append(op wire.TraceOp) int {
 	if !c.enabled {
 		return -1
 	}
 	c.mu.Lock()
 	c.ops = append(c.ops, op)
-	if op.Op != wire.TraceInit && op.Op != wire.TraceLet {
+	if op.Proc == c.app && op.Op != wire.TraceInit && op.Op != wire.TraceLet {
 		c.appState++
 	}
 	s := c.appState
@@ -87,11 +76,13 @@ func (c *capture) appendApp(op wire.TraceOp) int {
 	return s
 }
 
-// take removes and returns the buffered ops.
-func (c *capture) take() []wire.TraceOp {
+// take swaps the buffered ops for spare — emptied, its capacity kept,
+// so the buffer a pass has finished with is the one the next pass's
+// appends fill — and returns them.
+func (c *capture) take(spare []wire.TraceOp) []wire.TraceOp {
 	c.mu.Lock()
 	ops := c.ops
-	c.ops = nil
+	c.ops = spare[:0]
 	c.mu.Unlock()
 	return ops
 }

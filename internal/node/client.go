@@ -24,8 +24,10 @@ type Batching struct {
 	// MaxItems caps the items carried per batch frame and triggers an
 	// early flush when that many are pending. Default 128.
 	MaxItems int
-	// Interval is the flush period while below MaxItems; it bounds how
-	// stale the coordinator's view can go. Default 2ms.
+	// Interval is the flush period for capture volume (trace ops, journal
+	// events) while below MaxItems. Nothing anyone waits on waits for it:
+	// a candidate kicks the flusher, and Done, bye and EpochMark write
+	// through. Default 2ms.
 	Interval time.Duration
 	// SnapshotEvery emits a wire.MetricsSnapshot (a cumulative dump of
 	// the node's registry) every that-many flusher passes, riding the
@@ -68,8 +70,11 @@ func (b Batching) withDefaults() Batching {
 //
 // Capture traffic is batched: journal events and candidates buffer in
 // pendJournal / pendCands and trace ops stay in the node's capture
-// until the flusher goroutine drains all three on the Batching policy.
-// Control frames (Done, Shutdown bye) are latency-relevant and
+// until the flusher goroutine drains all three in one pass — on the
+// Batching policy for volume, at once when a candidate arrives (the
+// coordinator's live checker is waiting on it). A pass sequences its
+// frames onto the log and puts them on the wire with one vectored
+// write. Control frames (Done, Shutdown bye) are latency-relevant and
 // once-per-epoch, so they bypass the batcher and write through
 // immediately.
 type coordClient struct {
@@ -90,10 +95,16 @@ type coordClient struct {
 	quit       chan struct{} // closed by close(): stop the session goroutine
 	sessDone   chan struct{}
 
-	mu    sync.Mutex     // serializes stream writes; guards conn, sent, epoch
+	mu    sync.Mutex     // serializes stream writes; guards conn, sent, wrote, iov, iovW, writes, epoch
 	conn  net.Conn       // nil while disconnected (frames buffer in sent)
 	sent  []*wire.Buffer // session log: frame i carries seq i+1
-	epoch uint32
+	wrote int            // sent[:wrote] went out on conn (written, or replayed by the resume that installed it)
+	iov   net.Buffers    // writeFrames' scratch: the frames of one vectored write
+	iovW  net.Buffers    // the header WriteTo consumes (a field, so taking its address allocates nothing)
+	// writes counts vectored writes issued — one per pass, one per
+	// retransmit chunk — for the tests that pin "one write per pass".
+	writes int
+	epoch  uint32
 
 	// flushMu serializes flush passes with epoch transitions, so no
 	// stale capture frame can land on the stream after the EpochMark
@@ -103,9 +114,17 @@ type coordClient struct {
 	pendJournal []wire.JournalEvent
 	pendCands   []wire.Candidate
 
-	take      func() []wire.TraceOp // drains the node's capture; flushMu-guarded
-	kick      chan struct{}         // cap 1: a size threshold was crossed
-	flushing  bool                  // a flusher goroutine is running; flushMu-guarded
+	// The pending buffers are double-buffered: a pass swaps each for its
+	// emptied spare, encodes what it took, and keeps the cleared slice as
+	// the next pass's spare, so steady state grows nothing. The spares
+	// and take are flushMu-guarded.
+	spareJournal []wire.JournalEvent
+	spareCands   []wire.Candidate
+	spareOps     []wire.TraceOp
+
+	take      func(spare []wire.TraceOp) []wire.TraceOp // swaps out the node's capture
+	kick      chan struct{}                             // cap 1: a candidate is pending, or a size threshold was crossed
+	flushing  bool                                      // a flusher goroutine is running; flushMu-guarded
 	flushQuit chan struct{}
 	flushDone chan struct{}
 
@@ -290,8 +309,12 @@ func (cc *coordClient) readLoop(conn net.Conn, br *bufio.Reader) {
 // resume re-establishes the session: dial, offer Resume{Epoch}, read
 // ResumeAck, retransmit everything past Cum, and install the
 // connection — the retransmit and the install happen under cc.mu, so
-// concurrent sendItems cannot interleave a newer frame before the
-// backlog and the coordinator always sees a contiguous sequence.
+// a concurrent pass cannot interleave a newer frame before the backlog
+// and the coordinator always sees a contiguous sequence. The replay
+// covers every frame logged so far, written or not, so installing the
+// connection also marks the whole log written: a pass that logged
+// frames before the install and writes after it must not send them a
+// second time.
 func (cc *coordClient) resume() (net.Conn, *bufio.Reader, error) {
 	cc.mu.Lock()
 	e := cc.epoch
@@ -332,19 +355,45 @@ func (cc *coordClient) resume() (net.Conn, *bufio.Reader, error) {
 		conn.Close()
 		return nil, nil, fmt.Errorf("resume: coordinator acked %d of %d frames", cum, len(cc.sent))
 	}
-	for _, b := range cc.sent[cum:] {
-		conn.SetWriteDeadline(time.Now().Add(cc.opt.WriteTimeout))
-		if _, err := conn.Write(b.B); err != nil {
-			conn.Close()
-			return nil, nil, fmt.Errorf("resume retransmit: %w", err)
-		}
-		cc.wm.bytes.Add(int64(len(b.B)))
+	if err := cc.writeFrames(conn, cc.sent[cum:]); err != nil {
+		conn.Close()
+		return nil, nil, fmt.Errorf("resume retransmit: %w", err)
 	}
 	if n := uint64(len(cc.sent)) - cum; n > 0 {
 		cc.wm.retx.Add(int64(n))
 	}
-	cc.conn = conn
+	cc.conn, cc.wrote = conn, len(cc.sent)
 	return conn, br, nil
+}
+
+// writeChunk bounds one vectored write: a pass is far below it, and a
+// resume replay of a long log renews its write deadline every that-many
+// frames instead of staking the whole backlog on one.
+const writeChunk = 512
+
+// writeFrames puts frames on conn in order, one vectored write (writev
+// on a TCP connection) per writeChunk of them. Caller holds cc.mu.
+func (cc *coordClient) writeFrames(conn net.Conn, frames []*wire.Buffer) error {
+	for len(frames) > 0 {
+		n := min(len(frames), writeChunk)
+		cc.iov = cc.iov[:0]
+		bytes := 0
+		for _, b := range frames[:n] {
+			cc.iov = append(cc.iov, b.B)
+			bytes += len(b.B)
+		}
+		// WriteTo consumes the header it is called on; iov keeps the
+		// backing array for the next write.
+		cc.iovW = cc.iov
+		conn.SetWriteDeadline(time.Now().Add(cc.opt.WriteTimeout))
+		cc.writes++
+		if _, err := cc.iovW.WriteTo(conn); err != nil {
+			return err
+		}
+		cc.wm.bytes.Add(int64(bytes))
+		frames = frames[n:]
+	}
+	return nil
 }
 
 // dropConn closes conn and clears it if still installed.
@@ -390,16 +439,17 @@ func (cc *coordClient) pushShutdown(e uint32) { pushLatest(cc.shutdownEv, e) }
 
 // send writes one frame through the session log; a disconnected stream
 // buffers it for the resume replay.
-func (cc *coordClient) send(m wire.Msg) { cc.sendItems(m, 1) }
+func (cc *coordClient) send(m wire.Msg) {
+	cc.logItems(m, 1)
+	cc.writeLogged()
+}
 
-// sendItems is send with the frame's capture-item count, feeding the
-// batch-size histogram (control frames observe 1, batch frames the
-// batch length — the distribution the cluster bench reports). The
-// frame is appended to the session log unconditionally; it is written
-// through only when a connection is up and no partition window severs
-// the stream, and any write error drops the connection so the wire
-// never carries a gapped sequence.
-func (cc *coordClient) sendItems(m wire.Msg, items int) {
+// logItems sequences one frame onto the session log without writing it,
+// with the frame's capture-item count feeding the batch-size histogram
+// (control frames observe 1, batch frames the batch length — the
+// distribution the cluster bench reports). The frame is encoded here,
+// so the caller's items are free for reuse when it returns.
+func (cc *coordClient) logItems(m wire.Msg, items int) {
 	b := wire.GetBuffer()
 	cc.mu.Lock()
 	seq := uint64(len(cc.sent)) + 1
@@ -407,25 +457,40 @@ func (cc *coordClient) sendItems(m wire.Msg, items int) {
 	cc.sent = append(cc.sent, b)
 	cc.wm.frames.Inc()
 	cc.wm.batch.Observe(int64(items))
+	cc.mu.Unlock()
+}
+
+// writeLogged puts every logged frame not yet on the wire there, in one
+// vectored write — whoever calls it, so the wire always carries a
+// prefix of the log. With the connection down, or severed by a
+// partition window, it writes nothing: the resume replay delivers the
+// whole log past the coordinator's ack, these frames included. Any
+// write error drops the connection, so the wire never carries a gapped
+// sequence.
+func (cc *coordClient) writeLogged() {
+	cc.mu.Lock()
+	defer cc.mu.Unlock()
 	conn := cc.conn
-	if conn != nil && cc.parts.coordSevered(cc.id, time.Now()) {
+	if conn == nil {
+		return
+	}
+	if cc.parts.coordSevered(cc.id, time.Now()) {
 		cc.conn = nil
 		conn.Close()
-		conn = nil
+		return
 	}
-	if conn != nil {
-		conn.SetWriteDeadline(time.Now().Add(cc.opt.WriteTimeout))
-		if _, err := conn.Write(b.B); err != nil {
-			if !errors.Is(err, net.ErrClosed) {
-				cc.logf("node %d: coordinator write: %v", cc.id, err)
-			}
-			cc.conn = nil
-			conn.Close()
-		} else {
-			cc.wm.bytes.Add(int64(len(b.B)))
+	if cc.wrote == len(cc.sent) {
+		return
+	}
+	if err := cc.writeFrames(conn, cc.sent[cc.wrote:]); err != nil {
+		if !errors.Is(err, net.ErrClosed) {
+			cc.logf("node %d: coordinator write: %v", cc.id, err)
 		}
+		cc.conn = nil
+		conn.Close()
+		return
 	}
-	cc.mu.Unlock()
+	cc.wrote = len(cc.sent)
 }
 
 // sendJournal forwards one journal event into the pending batch
@@ -448,21 +513,21 @@ func (cc *coordClient) sendJournal(e obs.Event) {
 	}
 }
 
-// sendCandidate forwards one monitor candidate into the pending batch.
-// Candidates are consumed only at assembly time, so deferring them to
-// the next flush loses nothing; at one candidate per node per round
-// they would otherwise dominate the frame count.
+// sendCandidate forwards one monitor candidate into the pending batch
+// and kicks the flusher: the coordinator's live checker is waiting on
+// it, so it does not wait for the tick. The pass it starts carries
+// journal → ops → candidates, so the prefix the candidate probes is as
+// fresh as the candidate. Under load the kicks coalesce (the channel
+// holds one) and a pass carries whatever accumulated while the previous
+// one was on the wire, so candidates never mean a frame each.
 func (cc *coordClient) sendCandidate(v wire.Candidate) {
 	cc.pendMu.Lock()
 	cc.pendCands = append(cc.pendCands, v)
-	full := len(cc.pendCands) >= cc.batch.MaxItems
 	cc.pendMu.Unlock()
-	if full {
-		cc.kickFlush()
-	}
+	cc.kickFlush()
 }
 
-// kickFlush nudges the flusher ahead of its interval tick.
+// kickFlush starts a flusher pass ahead of the interval tick.
 func (cc *coordClient) kickFlush() {
 	select {
 	case cc.kick <- struct{}{}:
@@ -474,7 +539,7 @@ func (cc *coordClient) kickFlush() {
 // goroutine if none is running — at the first epoch, and again after a
 // bye-phase stopFlusher when a late restart re-executes the workload
 // from the parked state.
-func (cc *coordClient) ensureFlusher(take func() []wire.TraceOp) {
+func (cc *coordClient) ensureFlusher(take func(spare []wire.TraceOp) []wire.TraceOp) {
 	cc.flushMu.Lock()
 	defer cc.flushMu.Unlock()
 	cc.take = take
@@ -522,10 +587,10 @@ func (cc *coordClient) sendSnapshot() {
 	cc.mu.Lock()
 	e := cc.epoch
 	cc.mu.Unlock()
-	cc.sendItems(wire.MetricsSnapshot{
+	cc.send(wire.MetricsSnapshot{
 		Proc: int32(cc.id), Epoch: e,
 		AtNs: time.Since(cc.start).Nanoseconds(), Points: pts,
-	}, 1)
+	})
 }
 
 // toWirePoints converts a registry dump to its wire form for a
@@ -579,39 +644,53 @@ func (cc *coordClient) stopFlusher(drain bool) {
 	}
 }
 
-// flush drains pending journal events and captured trace ops as batch
-// frames of at most MaxItems items each. Called from the flusher
-// goroutine and, once it has stopped, from stopFlusher. flushMu orders
-// whole passes against markEpoch's discard-and-mark.
+// flush is one pass: it swaps out the pending journal events, the
+// node's captured trace ops and the pending candidates, sequences them
+// onto the session log as batch frames of at most MaxItems items each,
+// and puts the pass on the wire with one vectored write. Called from
+// the flusher goroutine and, once it has stopped, from stopFlusher.
+// flushMu orders whole passes against markEpoch's discard-and-mark.
 func (cc *coordClient) flush() {
 	cc.flushMu.Lock()
 	defer cc.flushMu.Unlock()
 	cc.pendMu.Lock()
-	events := cc.pendJournal
-	cands := cc.pendCands
-	cc.pendJournal, cc.pendCands = nil, nil
+	events, cands := cc.pendJournal, cc.pendCands
+	cc.pendJournal, cc.pendCands = cc.spareJournal, cc.spareCands
 	cc.pendMu.Unlock()
-	for len(events) > 0 {
-		n := min(len(events), cc.batch.MaxItems)
-		cc.sendItems(wire.JournalBatch{Events: events[:n]}, n)
-		events = events[n:]
-	}
+	logBatches(cc, events, func(b []wire.JournalEvent) wire.Msg { return wire.JournalBatch{Events: b} })
 	// Trace ops flush before candidates: a candidate can trigger the
 	// coordinator's live prefix confirmation, and the confirmable prefix
 	// only contains states whose ops are already staged — ops first
 	// keeps the prefix as fresh as the candidate that probes it.
 	if cc.take != nil {
-		for ops := cc.take(); len(ops) > 0; {
-			n := min(len(ops), cc.batch.MaxItems)
-			cc.sendItems(wire.TraceOpBatch{Ops: ops[:n]}, n)
-			ops = ops[n:]
-		}
+		ops := cc.take(cc.spareOps)
+		logBatches(cc, ops, func(b []wire.TraceOp) wire.Msg { return wire.TraceOpBatch{Ops: b} })
+		cc.spareOps = recycle(ops)
 	}
-	for len(cands) > 0 {
-		n := min(len(cands), cc.batch.MaxItems)
-		cc.sendItems(wire.CandidateBatch{Cands: cands[:n]}, n)
-		cands = cands[n:]
+	logBatches(cc, cands, func(b []wire.Candidate) wire.Msg { return wire.CandidateBatch{Cands: b} })
+	cc.writeLogged()
+	// Every frame above was encoded as it was logged, so nothing refers
+	// to the taken slices any more.
+	cc.spareJournal, cc.spareCands = recycle(events), recycle(cands)
+}
+
+// logBatches sequences items onto the session log as frames of at most
+// MaxItems each.
+func logBatches[T any](cc *coordClient, items []T, frame func([]T) wire.Msg) {
+	for len(items) > 0 {
+		n := min(len(items), cc.batch.MaxItems)
+		cc.logItems(frame(items[:n]), n)
+		items = items[n:]
 	}
+}
+
+// recycle empties a slice whose items a pass has encoded (or an epoch
+// has voided) for use as the next swap's spare. The items are cleared,
+// not just cut off: a recycled buffer must never show an old item — or
+// pin its clock — under a new length.
+func recycle[T any](s []T) []T {
+	clear(s)
+	return s[:0]
 }
 
 // markEpoch moves the stream to re-execution epoch e: everything the
@@ -625,15 +704,16 @@ func (cc *coordClient) markEpoch(e uint32) {
 	cc.flushMu.Lock()
 	defer cc.flushMu.Unlock()
 	cc.pendMu.Lock()
-	cc.pendJournal, cc.pendCands = nil, nil
+	cc.pendJournal, cc.pendCands = recycle(cc.pendJournal), recycle(cc.pendCands)
 	cc.pendMu.Unlock()
 	if cc.take != nil {
-		cc.take() // drain and drop the dead epoch's capture
+		// Drain and drop the dead epoch's capture.
+		cc.spareOps = recycle(cc.take(cc.spareOps))
 	}
 	cc.mu.Lock()
 	cc.epoch = e
 	cc.mu.Unlock()
-	cc.sendItems(wire.EpochMark{Epoch: e}, 1)
+	cc.send(wire.EpochMark{Epoch: e})
 }
 
 // sentFrames reports the session log's length (frames ever sequenced).
@@ -655,19 +735,18 @@ func (cc *coordClient) healthy() error {
 }
 
 // drain blocks until the whole session log is on the wire or d
-// elapses. A live connection implies the wire carries the full log as
-// a prefix — sendItems writes through or drops the connection, and
-// resume installs a connection only after retransmitting the backlog —
-// so waiting for conn != nil after the last frame was appended is
-// waiting for that frame to be written. The shutdown path drains
-// before close so a bye buffered behind a partition window or a broken
-// stream is delivered by the resume machinery instead of dying with
-// the session.
+// elapses. A live connection carries sent[:wrote] — writeLogged writes
+// through or drops the connection, and resume installs a connection
+// only after retransmitting the backlog — so waiting for a connection
+// with nothing unwritten after the last frame was sent is waiting for
+// that frame to be written. The shutdown path drains before close so a
+// bye buffered behind a partition window or a broken stream is
+// delivered by the resume machinery instead of dying with the session.
 func (cc *coordClient) drain(d time.Duration) {
 	deadline := time.Now().Add(d)
 	for time.Now().Before(deadline) {
 		cc.mu.Lock()
-		live := cc.conn != nil
+		live := cc.conn != nil && cc.wrote == len(cc.sent)
 		cc.mu.Unlock()
 		if live {
 			return

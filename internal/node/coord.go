@@ -185,6 +185,10 @@ type Coordinator struct {
 
 	allByes chan struct{}
 	byeOnce sync.Once
+
+	// ingestHook, when a test sets it (before any stream attaches), sees
+	// every frame as ingestStored is about to fold it in.
+	ingestHook func(st *nodeSession, m wire.Msg)
 }
 
 // spillStore is what the coordinator uses of the trace store

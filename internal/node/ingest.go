@@ -124,6 +124,9 @@ func (c *Coordinator) stageCapture(st *nodeSession, m wire.Msg, raw []byte) {
 // cluster epoch: a Done raced by a Restart belongs to a voided
 // execution.
 func (c *Coordinator) ingestStored(st *nodeSession, m wire.Msg, raw []byte) (ingestAction, uint32) {
+	if c.ingestHook != nil {
+		c.ingestHook(st, m)
+	}
 	switch v := m.(type) {
 	case wire.Trace, wire.TraceOpBatch, wire.JournalEvent, wire.JournalBatch:
 		c.stageCapture(st, m, raw)

@@ -438,7 +438,7 @@ func newNodeState(cfg Config, epoch uint32, tr *Transport, cc *coordClient, star
 	return &node{
 		cfg: cfg, epoch: epoch, app: cfg.ID, ctl: cfg.N + cfg.ID,
 		tr: tr, cc: cc,
-		cap:       &capture{enabled: true},
+		cap:       &capture{enabled: true, app: int32(cfg.ID)},
 		clk:       newClock(cfg.N, cfg.ID),
 		rng:       rand.New(rand.NewSource(cfg.Seed + int64(cfg.ID)*7919)),
 		m:         newMeters(cfg.Reg, cfg.MetricLabels),
@@ -666,7 +666,7 @@ func (h *nodeHost) PickTarget() int {
 func (nd *node) application() {
 	defer close(nd.appExited)
 	rng := rand.New(rand.NewSource(nd.cfg.Seed + int64(nd.cfg.ID)*104729 + 1))
-	nd.cap.appendApp(wire.TraceOp{Op: wire.TraceInit, Proc: int32(nd.app), Name: "cs", Value: 0})
+	nd.cap.append(wire.TraceOp{Op: wire.TraceInit, Proc: int32(nd.app), Name: "cs", Value: 0})
 	for r := 0; r < nd.cfg.Rounds; r++ {
 		nd.sleepThink(rng)
 
@@ -682,7 +682,7 @@ func (nd *node) application() {
 			// never come once the epoch is abandoned.
 			begin := time.Now()
 			id := nd.cap.msgID(nd.app)
-			nd.cap.appendApp(wire.TraceOp{Op: wire.TraceSend, Proc: int32(nd.app), MsgID: id})
+			nd.cap.append(wire.TraceOp{Op: wire.TraceSend, Proc: int32(nd.app), MsgID: id})
 			select {
 			case nd.ctlIn <- localInput{kind: locMayFalse, id: id}:
 			case <-nd.abort:
@@ -694,7 +694,7 @@ func (nd *node) application() {
 			case <-nd.abort:
 				return
 			}
-			nd.cap.appendApp(wire.TraceOp{Op: wire.TraceRecv, Proc: int32(nd.app), MsgID: g.id})
+			nd.cap.append(wire.TraceOp{Op: wire.TraceRecv, Proc: int32(nd.app), MsgID: g.id})
 			d := time.Since(begin)
 			nd.statsMu.Lock()
 			nd.stats.Requests++
@@ -708,11 +708,11 @@ func (nd *node) application() {
 		}
 
 		// Critical section: cs=1 is the false-interval of ¬cs.
-		loIdx := nd.cap.appendApp(wire.TraceOp{Op: wire.TraceSet, Proc: int32(nd.app), Name: "cs", Value: 1})
+		loIdx := nd.cap.append(wire.TraceOp{Op: wire.TraceSet, Proc: int32(nd.app), Name: "cs", Value: 1})
 		lo := nd.clk.tick(nd.cfg.ID)
 		nd.journalCtl(nd.app, obs.KindSet, "cs", 1, 0, 0, nil)
 		time.Sleep(nd.cfg.CS)
-		hiIdx := nd.cap.appendApp(wire.TraceOp{Op: wire.TraceSet, Proc: int32(nd.app), Name: "cs", Value: 0})
+		hiIdx := nd.cap.append(wire.TraceOp{Op: wire.TraceSet, Proc: int32(nd.app), Name: "cs", Value: 0})
 		hi := nd.clk.tick(nd.cfg.ID)
 		nd.journalCtl(nd.app, obs.KindSet, "cs", 0, 0, 0, nil)
 		nd.cc.sendCandidate(wire.Candidate{
@@ -726,7 +726,7 @@ func (nd *node) application() {
 		if !rogue {
 			// NowTrue: the local predicate holds again (A2 at the end).
 			tid := nd.cap.msgID(nd.app)
-			nd.cap.appendApp(wire.TraceOp{Op: wire.TraceSend, Proc: int32(nd.app), MsgID: tid})
+			nd.cap.append(wire.TraceOp{Op: wire.TraceSend, Proc: int32(nd.app), MsgID: tid})
 			select {
 			case nd.ctlIn <- localInput{kind: locNowTrue, id: tid}:
 			case <-nd.abort:

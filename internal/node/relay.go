@@ -326,7 +326,13 @@ func (r *Relay) handleChild(raw net.Conn) {
 //
 // Completion-latency frames (Done, bye, EpochMark) flush within
 // relayControlFlush rather than riding the full batch cadence; capture
-// volume rides the interval. Hello flushes synchronously — see below.
+// volume rides the interval. A candidate kicks the flusher outright: the
+// child flushed it ahead of its own tick because the root's live checker
+// is waiting on it, and it must not pick up a timer here. The pass takes
+// everything queued ahead of it along, so the candidate still arrives
+// behind the ops it probes; when candidates come faster than passes the
+// kicks coalesce and each pass carries what gathered during the last.
+// Hello flushes synchronously — see below.
 func (r *Relay) stage(origin int32, kind byte, body []byte) {
 	writeThrough := false
 	switch kind {
@@ -359,6 +365,7 @@ func (r *Relay) stage(origin int32, kind byte, body []byte) {
 	r.pending = append(r.pending, relayPending{origin: origin, kind: kind, body: body})
 	r.pendBytes += len(body)
 	full := r.pendBytes >= maxRelayBatchBytes || len(r.pending) >= relayMaxPendFrames
+	kick := full || kind == wire.KindCandidate || kind == wire.KindCandidateBatch
 	if writeThrough && kind != wire.KindHello && !full && !r.urgentArmed {
 		// Don't flush synchronously: open a short window so the control
 		// wave — every child's Done lands in the same workload tail —
@@ -377,7 +384,7 @@ func (r *Relay) stage(origin int32, kind byte, body []byte) {
 		r.flush()
 		return
 	}
-	if full {
+	if kick {
 		select {
 		case r.kick <- struct{}{}:
 		default:
@@ -405,7 +412,8 @@ func (r *Relay) flusher() {
 
 // flush drains the pending queue into RelayBatch frames (skipping
 // tombstones) under the byte cap and sends them through the uplink's
-// session log — renumbered, resumable, metered.
+// session log — renumbered, resumable, metered — with one write for the
+// pass.
 func (r *Relay) flush() {
 	r.flushMu.Lock()
 	defer r.flushMu.Unlock()
@@ -428,7 +436,7 @@ func (r *Relay) flush() {
 	bytes := 0
 	send := func() {
 		if len(frames) > 0 {
-			r.cc.sendItems(wire.RelayBatch{Frames: frames}, len(frames))
+			r.cc.logItems(wire.RelayBatch{Frames: frames}, len(frames))
 			frames, bytes = nil, 0
 		}
 	}
@@ -443,4 +451,5 @@ func (r *Relay) flush() {
 		}
 	}
 	send()
+	r.cc.writeLogged()
 }

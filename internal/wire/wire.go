@@ -245,9 +245,10 @@ type TraceOpBatch struct {
 }
 
 // CandidateBatch carries many monitor candidate reports in one frame —
-// like JournalBatch, flushed by the node's capture batcher. Candidates
-// are consumed only when the run is assembled, so nothing is lost by
-// deferring them to the next flush.
+// like JournalBatch, flushed by the node's capture batcher. The
+// coordinator's live checker consumes candidates as they arrive, so a
+// candidate starts a flush pass instead of waiting for the next one;
+// the batch holds those that gathered while the last pass was written.
 type CandidateBatch struct {
 	Cands []Candidate
 }
