@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race check loc bench bench-quick bench-compare bench-mem bench-chaos chaos-smoke bench-slice slice-smoke live-smoke bench-relay relay-smoke examples
+.PHONY: all build vet test race check loc loc-check bench bench-quick bench-compare bench-mem bench-chaos chaos-smoke bench-slice slice-smoke live-smoke bench-relay relay-smoke examples
 
 all: check
 
@@ -28,6 +28,18 @@ loc:
 	@for d in $$($(GO) list -f '{{.Dir}}' ./... | grep -v '/bench$$'); do \
 		printf '%6d .%s\n' "$$(ls $$d/*.go | grep -v _test.go | xargs cat | wc -l)" "$${d#$(CURDIR)}"; \
 	done | sort -k2 | awk '{n += $$1; print} END {printf "%6d total\n", n}'
+
+# The most `make loc` may total. A change that grows the code raises
+# this number in its own diff, where a reviewer sees it; one that shrinks
+# it lowers the number to its result.
+LOC_MAX := 20507
+
+loc-check:
+	@total=$$($(MAKE) -s loc | awk '$$2 == "total" {print $$1}'); \
+	if [ "$$total" -gt $(LOC_MAX) ]; then \
+		echo "make loc totals $$total non-test lines, over the ceiling of $(LOC_MAX) (LOC_MAX in the Makefile)"; exit 1; \
+	fi; \
+	echo "make loc: $$total of at most $(LOC_MAX)"
 
 bench:
 	$(GO) test -bench . -benchtime 1x ./...

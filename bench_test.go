@@ -148,7 +148,7 @@ func benchOnline(b *testing.B, broadcast bool) {
 					b.Fatal(err)
 				}
 				msgsPerEntry = m.MessagesPerEntry()
-				maxResp = m.MaxResponse()
+				maxResp = m.Responses.Max()
 			}
 			b.ReportMetric(msgsPerEntry, "msgs/entry")
 			b.ReportMetric(float64(maxResp), "max-resp")

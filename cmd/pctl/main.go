@@ -98,6 +98,9 @@ func loadTrace(path string) (*deposet.Deposet, control.Relation, error) {
 }
 
 func loadPredicate(path string, n int) (*predicate.Disjunction, error) {
+	if path == "" {
+		return nil, errors.New("-pred is required")
+	}
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err

@@ -158,6 +158,28 @@ func TestCLIErrors(t *testing.T) {
 	if err := run([]string{"info", twice}); err == nil {
 		t.Error("doubly-written trace accepted")
 	}
+	// A predicate file with two locals for one process is an error naming
+	// the process on every command that reads one, and a missing -pred
+	// says so rather than failing to open "".
+	single := filepath.Join(t.TempDir(), "once.json")
+	if err := os.WriteFile(single, once, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	dup := filepath.Join(t.TempDir(), "dup.json")
+	if err := os.WriteFile(dup, []byte(`{"locals":[{"p":0,"var":"a","op":"true"},{"p":0,"var":"b","op":"true"}]}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, cmd := range []string{"detect", "control", "replay", "sgsd"} {
+		if err := run([]string{cmd, "-pred", dup, single}); err == nil || !strings.Contains(err.Error(), "process 0") {
+			t.Errorf("%s with two locals on process 0: error %v, want one naming the process", cmd, err)
+		}
+		if cmd == "replay" {
+			continue // -pred is optional there
+		}
+		if err := run([]string{cmd, single}); err == nil || !strings.Contains(err.Error(), "-pred is required") {
+			t.Errorf("%s without -pred: error %v", cmd, err)
+		}
+	}
 	// Sizes no run produced are an error naming the count and the limit,
 	// not a panic or an allocation of that size.
 	for _, lens := range []string{"9223372036854775807", "4000000000,4000000000"} {

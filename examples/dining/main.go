@@ -96,5 +96,5 @@ func main() {
 	fmt.Printf("meals: %d, scapegoat handoffs: %d, control messages: %d (2 per handoff)\n",
 		stats.Requests, stats.Handoffs, stats.CtlMessages)
 	fmt.Printf("handoff latency: mean %.1f, max %d (bounded by 2T+Emax)\n",
-		stats.MeanResponse(), stats.MaxResponse())
+		stats.Responses.Mean(), stats.Responses.Max())
 }

@@ -33,7 +33,7 @@ func main() {
 			log.Fatalf("%s: %v", name, err)
 		}
 		fmt.Printf("%-22s %10d %12.2f %10.1f %10d\n",
-			name, m.CtlMessages, m.MessagesPerEntry(), m.MeanResponse(), m.MaxResponse())
+			name, m.CtlMessages, m.MessagesPerEntry(), m.Responses.Mean(), m.Responses.Max())
 	}
 
 	_, m, err := kmutex.RunUncontrolled(w)

@@ -13,9 +13,8 @@ import (
 	"predctl/internal/control"
 	"predctl/internal/deposet"
 	"predctl/internal/detect"
-	"predctl/internal/offline"
 	"predctl/internal/online"
-	"predctl/internal/replay"
+	"predctl/internal/predicate"
 	"predctl/internal/scenario"
 )
 
@@ -41,57 +40,32 @@ func main() {
 		fmt.Printf("  %s = %v\n", name, v)
 	}
 
-	fmt.Println("\n--- Step 2: control C1 with B = avail0 ∨ avail1 ∨ avail2 ---")
-	res1, err := offline.Control(d, fg.Avail, offline.Options{})
+	c2, c3, c4, err := fg.Derive()
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("off-line controller adds %d control message(s):\n", len(res1.Relation))
-	for _, e := range res1.Relation {
+
+	fmt.Println("\n--- Step 2: control C1 with B = avail0 ∨ avail1 ∨ avail2 ---")
+	fmt.Printf("off-line controller adds %d control message(s):\n", len(c2.Relation))
+	for _, e := range c2.Relation {
 		fmt.Printf("  %v   (server %d waits before state %d until server %d passed state %d)\n",
 			e, e.To.P, e.To.K, e.From.P, e.From.K)
 	}
-	c2, err := replay.Run(d, res1.Relation, replay.Config{Seed: 1})
-	if err != nil {
-		log.Fatal(err)
-	}
 	fmt.Println("replayed under control → computation C2")
-	report(c2.Trace.D, "bug 1", holds(fg.Bug1On(c2.Underlying), c2.Trace.D))
-	report(c2.Trace.D, "bug 2 (e and f co-occur)", holds(fg.Bug2On(c2.Underlying), c2.Trace.D))
+	report(c2.D, "bug 1", fg.Bug1On(c2.Underlying))
+	report(c2.D, "bug 2 (e and f co-occur)", fg.Bug2On(c2.Underlying))
 
 	fmt.Println("\n--- Step 3: control C2 with \"e must happen before f\" ---")
 	fmt.Printf("e = %v (server 2 leaves maintenance), f = %v (server 0 enters it)\n", fg.E, fg.F)
-	res3, err := offline.Control(c2.Trace.D, fg.EBeforeFMapped(c2.Underlying), offline.Options{})
-	if err != nil {
-		log.Fatal(err)
-	}
-	c3, err := replay.Run(c2.Trace.D, res3.Relation, replay.Config{Seed: 2})
-	if err != nil {
-		log.Fatal(err)
-	}
-	composed := make([][]int, 3)
-	for p := range composed {
-		for _, k := range c3.Underlying[p] {
-			composed[p] = append(composed[p], c2.Underlying[p][k])
-		}
-	}
 	fmt.Println("replayed → computation C3")
-	report(c3.Trace.D, "bug 2", holds(fg.Bug2On(composed), c3.Trace.D))
+	report(c3.D, "bug 2", fg.Bug2On(c3.Underlying))
 
 	fmt.Println("\n--- Step 4: suspect bug 2 caused bug 1 — apply the fix to C1 ---")
-	res4, err := offline.Control(d, fg.EBeforeF, offline.Options{})
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("controller for \"e before f\" on C1: %v\n", res4.Relation)
-	c4, err := replay.Run(d, res4.Relation, replay.Config{Seed: 3})
-	if err != nil {
-		log.Fatal(err)
-	}
+	fmt.Printf("controller for \"e before f\" on C1: %v\n", c4.Relation)
 	fmt.Println("replayed → computation C4")
-	report(c4.Trace.D, "bug 2", holds(fg.Bug2On(c4.Underlying), c4.Trace.D))
-	report(c4.Trace.D, "bug 1", holds(fg.Bug1On(c4.Underlying), c4.Trace.D))
-	x, err := control.Extend(d, res4.Relation)
+	report(c4.D, "bug 2", fg.Bug2On(c4.Underlying))
+	report(c4.D, "bug 1", fg.Bug1On(c4.Underlying))
+	x, err := control.Extend(d, c4.Relation)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -145,15 +119,8 @@ func main() {
 	fmt.Println("\nactive debugging cycle complete.")
 }
 
-// holds adapts a conjunction to a HoldsFn over the given computation.
-func holds(cj interface {
-	Holds(d *deposet.Deposet, p, k int) bool
-}, d *deposet.Deposet) detect.HoldsFn {
-	return func(p, k int) bool { return cj.Holds(d, p, k) }
-}
-
-func report(d *deposet.Deposet, name string, h detect.HoldsFn) {
-	if cut, ok := detect.PossiblyTruth(d, h); ok {
+func report(d *deposet.Deposet, name string, bug *predicate.Conjunction) {
+	if cut, ok := detect.PossiblyConjunctive(d, bug); ok {
 		fmt.Printf("  %-26s possible, e.g. at %v\n", name+":", cut)
 	} else {
 		fmt.Printf("  %-26s impossible ✓\n", name+":")

@@ -24,7 +24,6 @@ import (
 	"slices"
 
 	"predctl/internal/deposet"
-	"predctl/internal/vclock"
 )
 
 // Edge is one tuple of the control relation: From ⟶C To.
@@ -44,12 +43,17 @@ type Relation []Edge
 var ErrInterference = errors.New("control: relation interferes with causal precedence")
 
 // Extended is a controlled deposet: the underlying computation plus a
-// non-interfering control relation, with extended causality →C computed.
+// non-interfering control relation. It is a computation in its own right
+// — the embedded order is the extended causality →C, so precedence,
+// consistent cuts, the lattice walk and global sequences are the
+// deposet's own, and it satisfies deposet.View for the detectors.
 type Extended struct {
+	deposet.Order
 	d     *deposet.Deposet
 	edges Relation
-	vc    *vclock.Arena // extended clocks, flat arena, same convention as deposet
 }
+
+var _ deposet.View = (*Extended)(nil)
 
 // Extend validates rel against d and computes extended causality. It
 // rejects out-of-range endpoints, sends after a final state (D2), receives
@@ -59,35 +63,22 @@ func Extend(d *deposet.Deposet, rel Relation) (*Extended, error) {
 	if err != nil {
 		return nil, err
 	}
-	n := d.NumProcs()
-	x := &Extended{d: d, edges: append(Relation(nil), rel...)}
-	lens := make([]int, n)
-	for p := 0; p < n; p++ {
-		lens[p] = d.Len(p)
-	}
-	x.vc = vclock.NewArena(lens)
-	for p := 0; p < n; p++ {
-		row := x.vc.Row(p, 0)
-		for i := range row {
-			row[i] = vclock.None
-		}
-		row[p] = 0
-	}
+	x := &Extended{Order: d.Blank(), d: d, edges: append(Relation(nil), rel...)}
 	msgs := d.Messages()
 	err = schedule(d, incoming, func(p, e, recv int, in []Edge) {
-		v := x.vc.Row(p, e)
-		copy(v, x.vc.Row(p, e-1))
+		v := x.Clock(deposet.StateID{P: p, K: e})
+		copy(v, x.Clock(deposet.StateID{P: p, K: e - 1}))
 		if recv >= 0 {
 			m := msgs[recv]
 			// Unlike in a plain deposet, the send event may carry
 			// extra dependencies here (a control edge can target
 			// its resulting state), so merge that state's full
 			// clock with the own-process component lowered.
-			v.MergeLowered(x.vc.Row(m.FromP, m.SendEvent), m.FromP, int32(m.SendEvent-1))
+			v.MergeLowered(x.Clock(deposet.StateID{P: m.FromP, K: m.SendEvent}), m.FromP, int32(m.SendEvent-1))
 		}
 		for _, c := range in {
 			// v implies c.From exited, not c.From.K+1 passed.
-			v.MergeLowered(x.vc.Row(c.From.P, c.From.K+1), c.From.P, int32(c.From.K))
+			v.MergeLowered(x.Clock(deposet.StateID{P: c.From.P, K: c.From.K + 1}), c.From.P, int32(c.From.K))
 		}
 		v[p] = int32(e)
 	})
@@ -195,116 +186,8 @@ func schedule(d *deposet.Deposet, incoming [][]Edge, visit func(p, e, recv int, 
 // Underlying returns the uncontrolled computation.
 func (x *Extended) Underlying() *deposet.Deposet { return x.d }
 
-// NumProcs and Len delegate to the underlying computation, letting an
-// Extended satisfy deposet.View so the detection algorithms can verify
-// controlled computations directly.
-func (x *Extended) NumProcs() int { return x.d.NumProcs() }
-func (x *Extended) Len(p int) int { return x.d.Len(p) }
-
-var _ deposet.View = (*Extended)(nil)
-
 // Edges returns the control relation. Callers must not modify it.
 func (x *Extended) Edges() Relation { return x.edges }
-
-// Clock returns the extended vector clock of state s. The returned
-// slice aliases the clock arena; callers must not modify it.
-func (x *Extended) Clock(s deposet.StateID) vclock.VC { return x.vc.Row(s.P, s.K) }
-
-// HB reports s →C t under extended causality.
-func (x *Extended) HB(s, t deposet.StateID) bool {
-	if s.P == t.P {
-		return s.K < t.K
-	}
-	return x.vc.Component(t.P, t.K, s.P) >= int32(s.K)
-}
-
-// Concurrent reports s ∥ t under extended causality.
-func (x *Extended) Concurrent(s, t deposet.StateID) bool {
-	return s != t && !x.HB(s, t) && !x.HB(t, s)
-}
-
-// Consistent reports whether g is a consistent global state of the
-// controlled computation. Every such cut is also consistent in the
-// underlying computation (control only removes behaviours).
-func (x *Extended) Consistent(g deposet.Cut) bool {
-	n := x.d.NumProcs()
-	for j := 0; j < n; j++ {
-		v := x.vc.Row(j, g[j])
-		for i := 0; i < n; i++ {
-			if i != j && int(v[i]) >= g[i] {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// ForEachConsistentCut enumerates the consistent global states of the
-// controlled computation in BFS lattice order; see the deposet analogue.
-func (x *Extended) ForEachConsistentCut(f func(deposet.Cut) bool) {
-	n := x.d.NumProcs()
-	start := x.d.BottomCut()
-	if !x.Consistent(start) {
-		return
-	}
-	seen := map[string]bool{start.Key(): true}
-	queue := []deposet.Cut{start}
-	for len(queue) > 0 {
-		g := queue[0]
-		queue = queue[1:]
-		if !f(g) {
-			return
-		}
-		for p := 0; p < n; p++ {
-			if g[p]+1 >= x.d.Len(p) {
-				continue
-			}
-			h := g.Clone()
-			h[p]++
-			if key := h.Key(); !seen[key] && x.Consistent(h) {
-				seen[key] = true
-				queue = append(queue, h)
-			}
-		}
-	}
-}
-
-// SomeSequence returns one global sequence of the controlled computation
-// — the paper's "simulating a run of the strategy" (§4): a satisfying
-// control strategy yields a satisfying global sequence this way. A valid
-// controlled deposet always has one; single-step, smallest process first.
-func (x *Extended) SomeSequence() deposet.Sequence {
-	g := x.d.BottomCut()
-	seq := deposet.Sequence{g.Clone()}
-	top := x.d.TopCut()
-	for !g.Equal(top) {
-		advanced := false
-		for p := range g {
-			if g[p] < top[p] {
-				g[p]++
-				if x.Consistent(g) {
-					seq = append(seq, g.Clone())
-					advanced = true
-					break
-				}
-				g[p]--
-			}
-		}
-		if !advanced {
-			// Cannot happen when the relation does not interfere.
-			panic("control: stuck constructing a global sequence of a controlled deposet")
-		}
-	}
-	return seq
-}
-
-// CountConsistentCuts returns the number of consistent global states of
-// the controlled computation.
-func (x *Extended) CountConsistentCuts() int {
-	c := 0
-	x.ForEachConsistentCut(func(deposet.Cut) bool { c++; return true })
-	return c
-}
 
 // Interferes reports whether rel creates a causal cycle on d.
 func Interferes(d *deposet.Deposet, rel Relation) bool {

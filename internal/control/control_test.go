@@ -177,10 +177,13 @@ func randomAcyclicRelation(r *rand.Rand, d *deposet.Deposet) Relation {
 	return rel
 }
 
-// Property: the consistent cuts of a controlled deposet are a subset of
-// the consistent cuts of the underlying deposet (paper §3: "the set of
-// global sequences in the controlled deposet is a subset of the set of
-// global sequences in the original deposet").
+// Property: a controlled deposet is the underlying lattice filtered by →C
+// — its consistent cuts are exactly the underlying consistent cuts whose
+// frontier states →C leaves pairwise unordered (so a subset: paper §3,
+// "the set of global sequences in the controlled deposet is a subset of
+// the set of global sequences in the original deposet"), the walk visits
+// each once, the count is their number, and SomeSequence is a global
+// sequence under →C.
 func TestControlledSubsetProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
@@ -191,17 +194,61 @@ func TestControlledSubsetProperty(t *testing.T) {
 			// Random relation construction should be acyclic by design.
 			return !errors.Is(err, ErrInterference)
 		}
-		ok := true
-		x.ForEachConsistentCut(func(g deposet.Cut) bool {
-			if !d.Consistent(g) {
-				ok = false
+		unordered := func(g deposet.Cut) bool {
+			for i := range g {
+				for j := range g {
+					if i != j && x.HB(deposet.StateID{P: i, K: g[i]}, deposet.StateID{P: j, K: g[j]}) {
+						return false
+					}
+				}
+			}
+			return true
+		}
+		// Consistent, on every in-range cut, consistent below or not.
+		g := d.BottomCut()
+		for {
+			if x.Consistent(g) != unordered(g) {
+				t.Logf("seed %d: Consistent(%v) = %v", seed, g, x.Consistent(g))
 				return false
+			}
+			p := 0
+			for ; p < len(g) && g[p] == d.Len(p)-1; p++ {
+				g[p] = 0
+			}
+			if p == len(g) {
+				break
+			}
+			g[p]++
+		}
+		// The walk, against the underlying walk filtered.
+		want := map[string]bool{}
+		d.ForEachConsistentCut(func(g deposet.Cut) bool {
+			if unordered(g) {
+				want[g.Key()] = true
 			}
 			return true
 		})
-		return ok
+		got, stray := map[string]bool{}, false
+		x.ForEachConsistentCut(func(g deposet.Cut) bool {
+			if got[g.Key()] || !want[g.Key()] {
+				t.Logf("seed %d: walk visits %v (again: %v)", seed, g, got[g.Key()])
+				stray = true
+			}
+			got[g.Key()] = true
+			return !stray
+		})
+		if stray || len(got) != len(want) || x.CountConsistentCuts() != len(want) {
+			t.Logf("seed %d: walk %d cuts, count %d, filtered lattice %d", seed, len(got), x.CountConsistentCuts(), len(want))
+			return false
+		}
+		seq := x.SomeSequence()
+		if err := x.ValidateSequence(seq); err != nil {
+			t.Logf("seed %d: SomeSequence under →C: %v", seed, err)
+			return false
+		}
+		return d.ValidateSequence(seq) == nil
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
 	}
 }

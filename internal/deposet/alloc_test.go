@@ -2,6 +2,7 @@ package deposet
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 )
 
@@ -49,4 +50,26 @@ func TestConsistentAllocFree(t *testing.T) {
 		t.Errorf("Consistent allocates %.1f per run, want 0", n)
 	}
 	_ = sink
+}
+
+// FromRaw rejects a bad message table before it allocates any clock row:
+// at 16 processes and 2²⁰ states the event tables are 16 MiB and the
+// arena alone would be 64 MiB, so the one is paid and the other is not.
+func TestFromRawAllocBoundOnBadMessage(t *testing.T) {
+	const procs, states = 16, 1 << 20
+	raw := Raw{Lens: make([]int, procs)}
+	for p := range raw.Lens {
+		raw.Lens[p] = states / procs
+	}
+	raw.Msgs = []Message{{FromP: 0, SendEvent: 1, ToP: 1, RecvEvent: states}} // receive event out of range
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := FromRaw(raw)
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("out-of-range receive event accepted")
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 64<<20 {
+		t.Errorf("FromRaw allocated %d MiB before rejecting the message table, want under the arena's 64", got>>20)
+	}
 }

@@ -55,24 +55,24 @@ func (g Cut) Key() string {
 func (g Cut) String() string { return "⟨" + g.Key() + "⟩" }
 
 // BottomCut returns the initial global state ⊥ = (⊥0, …, ⊥n-1).
-func (d *Deposet) BottomCut() Cut { return make(Cut, d.NumProcs()) }
+func (o *Order) BottomCut() Cut { return make(Cut, o.NumProcs()) }
 
 // TopCut returns the final global state ⊤.
-func (d *Deposet) TopCut() Cut {
-	g := make(Cut, d.NumProcs())
+func (o *Order) TopCut() Cut {
+	g := make(Cut, o.NumProcs())
 	for p := range g {
-		g[p] = d.lens[p] - 1
+		g[p] = o.lens[p] - 1
 	}
 	return g
 }
 
 // InRange reports whether g selects a valid state on every process.
-func (d *Deposet) InRange(g Cut) bool {
-	if len(g) != d.NumProcs() {
+func (o *Order) InRange(g Cut) bool {
+	if len(g) != o.NumProcs() {
 		return false
 	}
 	for p, k := range g {
-		if k < 0 || k >= d.lens[p] {
+		if k < 0 || k >= o.lens[p] {
 			return false
 		}
 	}
@@ -80,13 +80,15 @@ func (d *Deposet) InRange(g Cut) bool {
 }
 
 // Consistent reports whether the global state g is consistent: its
-// frontier states are pairwise concurrent. Using the vector-clock
+// frontier states are pairwise concurrent in o. Using the vector-clock
 // convention, g is consistent iff for all i ≠ j, vc[j][g[j]][i] < g[i]
-// (no frontier state causally precedes another).
-func (d *Deposet) Consistent(g Cut) bool {
-	n := d.NumProcs()
+// (no frontier state precedes another). A cut consistent under a
+// controlled computation's →C is consistent under its → too: control
+// only removes behaviours.
+func (o *Order) Consistent(g Cut) bool {
+	n := o.NumProcs()
 	for j := 0; j < n; j++ {
-		v := d.clocks.Row(j, g[j])
+		v := o.clocks.Row(j, g[j])
 		for i := 0; i < n; i++ {
 			if i != j && int(v[i]) >= g[i] {
 				return false
@@ -97,7 +99,7 @@ func (d *Deposet) Consistent(g Cut) bool {
 }
 
 // States returns the frontier states selected by g.
-func (d *Deposet) States(g Cut) []StateID {
+func (o *Order) States(g Cut) []StateID {
 	ss := make([]StateID, len(g))
 	for p, k := range g {
 		ss[p] = StateID{p, k}
@@ -110,11 +112,11 @@ func (d *Deposet) States(g Cut) []StateID {
 // Enumeration stops early if f returns false. The number of consistent
 // cuts can be exponential in n; this is intended for small computations
 // (exhaustive verification, debugging).
-func (d *Deposet) ForEachConsistentCut(f func(Cut) bool) {
-	n := d.NumProcs()
-	start := d.BottomCut()
-	if !d.Consistent(start) {
-		// ⊥ is always consistent in a valid deposet; defensive.
+func (o *Order) ForEachConsistentCut(f func(Cut) bool) {
+	n := o.NumProcs()
+	start := o.BottomCut()
+	if !o.Consistent(start) {
+		// ⊥ is always consistent in an acyclic order; defensive.
 		return
 	}
 	seen := map[string]bool{start.Key(): true}
@@ -126,12 +128,12 @@ func (d *Deposet) ForEachConsistentCut(f func(Cut) bool) {
 			return
 		}
 		for p := 0; p < n; p++ {
-			if g[p]+1 >= d.lens[p] {
+			if g[p]+1 >= o.lens[p] {
 				continue
 			}
 			h := g.Clone()
 			h[p]++
-			if key := h.Key(); !seen[key] && d.Consistent(h) {
+			if key := h.Key(); !seen[key] && o.Consistent(h) {
 				seen[key] = true
 				queue = append(queue, h)
 			}
@@ -139,10 +141,10 @@ func (d *Deposet) ForEachConsistentCut(f func(Cut) bool) {
 	}
 }
 
-// CountConsistentCuts returns the size of the lattice Gc.
-func (d *Deposet) CountConsistentCuts() int {
+// CountConsistentCuts returns the size of the lattice of consistent cuts.
+func (o *Order) CountConsistentCuts() int {
 	c := 0
-	d.ForEachConsistentCut(func(Cut) bool { c++; return true })
+	o.ForEachConsistentCut(func(Cut) bool { c++; return true })
 	return c
 }
 
@@ -152,22 +154,22 @@ func (d *Deposet) CountConsistentCuts() int {
 // the model but never produced by this package's searches).
 type Sequence []Cut
 
-// ValidateSequence checks that seq is a global sequence of d.
-func (d *Deposet) ValidateSequence(seq Sequence) error {
+// ValidateSequence checks that seq is a global sequence of o.
+func (o *Order) ValidateSequence(seq Sequence) error {
 	if len(seq) == 0 {
 		return fmt.Errorf("deposet: empty sequence")
 	}
-	if !seq[0].Equal(d.BottomCut()) {
+	if !seq[0].Equal(o.BottomCut()) {
 		return fmt.Errorf("deposet: sequence starts at %v, not ⊥", seq[0])
 	}
-	if !seq[len(seq)-1].Equal(d.TopCut()) {
+	if !seq[len(seq)-1].Equal(o.TopCut()) {
 		return fmt.Errorf("deposet: sequence ends at %v, not ⊤", seq[len(seq)-1])
 	}
 	for i, g := range seq {
-		if !d.InRange(g) {
+		if !o.InRange(g) {
 			return fmt.Errorf("deposet: step %d out of range: %v", i, g)
 		}
-		if !d.Consistent(g) {
+		if !o.Consistent(g) {
 			return fmt.Errorf("deposet: step %d inconsistent: %v", i, g)
 		}
 		if i == 0 {
@@ -184,19 +186,21 @@ func (d *Deposet) ValidateSequence(seq Sequence) error {
 	return nil
 }
 
-// SomeSequence returns one global sequence of d (advancing a single
-// process per step, chosen smallest-first). A valid deposet always has
-// one. Useful as a linearization and in tests.
-func (d *Deposet) SomeSequence() Sequence {
-	g := d.BottomCut()
+// SomeSequence returns one global sequence of o (advancing a single
+// process per step, chosen smallest-first); an acyclic order always has
+// one. On a plain computation it is a linearization; on a controlled one
+// it is the paper's "simulating a run of the strategy" (§4) — a
+// satisfying control strategy yields a satisfying global sequence.
+func (o *Order) SomeSequence() Sequence {
+	g := o.BottomCut()
 	seq := Sequence{g.Clone()}
-	top := d.TopCut()
+	top := o.TopCut()
 	for !g.Equal(top) {
 		advanced := false
 		for p := range g {
 			if g[p] < top[p] {
 				g[p]++
-				if d.Consistent(g) {
+				if o.Consistent(g) {
 					seq = append(seq, g.Clone())
 					advanced = true
 					break
@@ -205,7 +209,7 @@ func (d *Deposet) SomeSequence() Sequence {
 			}
 		}
 		if !advanced {
-			// Cannot happen in a valid deposet; avoid an infinite loop.
+			// Cannot happen in an acyclic order; avoid an infinite loop.
 			panic("deposet: stuck constructing a global sequence")
 		}
 	}

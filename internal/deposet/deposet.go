@@ -21,8 +21,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-
-	"predctl/internal/vclock"
 )
 
 // StateID identifies a local state: process P, state index K (0 = ⊥).
@@ -66,13 +64,9 @@ type View interface {
 // Deposet is an immutable distributed computation. Construct one with a
 // Builder; the zero value is not usable.
 type Deposet struct {
-	lens []int     // number of states per process
-	msgs []Message // all messages, in send order
+	Order // causal precedence →: local order plus the messages' ⇝
 
-	// clocks is the flat clock arena: the vector clock of state (p,k) is
-	// the contiguous row clocks.Row(p, k), with clocks.Component(p, k, q)
-	// the largest j with (q,j) →= (p,k), or vclock.None.
-	clocks *vclock.Arena
+	msgs []Message // all messages, in send order
 
 	// sendMsg[p][e] / recvMsg[p][e] give the message index for event e of
 	// process p (1-based; index 0 unused), or -1.
@@ -82,21 +76,6 @@ type Deposet struct {
 	// vars holds the interned, copy-on-write variable snapshots; nil when
 	// the computation carries no variables.
 	vars *varTable
-}
-
-// NumProcs returns the number of processes n.
-func (d *Deposet) NumProcs() int { return len(d.lens) }
-
-// Len returns the number of local states of process p (≥ 1).
-func (d *Deposet) Len(p int) int { return d.lens[p] }
-
-// NumStates returns the total number of local states across all processes.
-func (d *Deposet) NumStates() int {
-	t := 0
-	for _, l := range d.lens {
-		t += l
-	}
-	return t
 }
 
 // Messages returns the message list. The caller must not modify it.
@@ -109,36 +88,6 @@ func (d *Deposet) SendAt(p, e int) int { return d.sendMsg[p][e] }
 // RecvAt returns the index into Messages of the message received by event
 // e of process p, or -1.
 func (d *Deposet) RecvAt(p, e int) int { return d.recvMsg[p][e] }
-
-// Clock returns the vector clock of state s, aliasing the clock arena.
-// The caller must not modify it.
-func (d *Deposet) Clock(s StateID) vclock.VC { return d.clocks.Row(s.P, s.K) }
-
-// Bottom returns ⊥p, Top returns ⊤p.
-func (d *Deposet) Bottom(p int) StateID { return StateID{p, 0} }
-func (d *Deposet) Top(p int) StateID    { return StateID{p, d.lens[p] - 1} }
-
-// IsBottom and IsTop report whether s is the initial or final state of its
-// process.
-func (d *Deposet) IsBottom(s StateID) bool { return s.K == 0 }
-func (d *Deposet) IsTop(s StateID) bool    { return s.K == d.lens[s.P]-1 }
-
-// HB reports whether s causally precedes t (s → t, strict): a single
-// indexed load from the clock arena.
-func (d *Deposet) HB(s, t StateID) bool {
-	if s.P == t.P {
-		return s.K < t.K
-	}
-	return d.clocks.Component(t.P, t.K, s.P) >= int32(s.K)
-}
-
-// HBeq reports s → t or s == t.
-func (d *Deposet) HBeq(s, t StateID) bool { return s == t || d.HB(s, t) }
-
-// Concurrent reports s ∥ t: neither s → t nor t → s and s ≠ t.
-func (d *Deposet) Concurrent(s, t StateID) bool {
-	return s != t && !d.HB(s, t) && !d.HB(t, s)
-}
 
 // Var returns the value of a state variable at s, if the computation
 // carries variables and the variable is set there.
@@ -300,7 +249,7 @@ func (b *Builder) Build() (*Deposet, error) {
 		return nil, b.err
 	}
 	d := &Deposet{
-		lens:    append([]int(nil), b.lens...),
+		Order:   Order{lens: append([]int(nil), b.lens...)},
 		msgs:    append([]Message(nil), b.msgs...),
 		sendMsg: make([][]int, b.n),
 		recvMsg: make([][]int, b.n),
@@ -331,31 +280,17 @@ func (b *Builder) MustBuild() *Deposet {
 // cyclic (the structure is not a valid deposet).
 var ErrCyclic = errors.New("deposet: causal precedence is cyclic")
 
-// initClockRows allocates the flat clock arena and seeds every ⊥p. Rows
-// other than ⊥ are written (predecessor copy + merge) before any read,
-// so only the ⊥ rows need the None fill.
-func (d *Deposet) initClockRows() (remaining int) {
-	n := len(d.lens)
-	d.clocks = vclock.NewArena(d.lens)
-	for p := 0; p < n; p++ {
-		row := d.clocks.Row(p, 0)
-		for i := range row {
-			row[i] = vclock.None
-		}
-		row[p] = 0
-		remaining += d.lens[p] - 1
-	}
-	return remaining
-}
-
 // computeClocks assigns the clock row of every state, processing events
 // in a causality-respecting order; it fails with ErrCyclic if none
 // exists. Rows are written in place in the arena — copy the predecessor
 // row, merge the message clock — so the whole construction performs no
-// per-event allocation.
+// per-event allocation. The arena (n × states int32) is allocated here
+// and not by the caller, so FromRaw has rejected a bad message table
+// before paying for it.
 func (d *Deposet) computeClocks() error {
 	n := len(d.lens)
-	remaining := d.initClockRows()
+	d.Order = newOrder(d.lens)
+	remaining := d.NumStates() - n
 	done := make([]int, n) // highest state index already clocked
 	for remaining > 0 {
 		progress := false

@@ -226,7 +226,7 @@ func TestFalseIntervals(t *testing.T) {
 	}
 	d := b.MustBuild() // 7 states
 	truth := []bool{true, false, false, true, false, true, true}
-	ivs := d.FalseIntervals(0, func(k int) bool { return truth[k] })
+	ivs := TruthIntervals(d, 0, func(_, k int) bool { return !truth[k] })
 	want := []Interval{{0, 1, 2}, {0, 4, 4}}
 	if len(ivs) != len(want) {
 		t.Fatalf("intervals = %v, want %v", ivs, want)
@@ -242,13 +242,10 @@ func TestFalseIntervals(t *testing.T) {
 	if ivs[1].LoState() != (StateID{0, 4}) || ivs[1].HiState() != (StateID{0, 4}) {
 		t.Error("endpoint states wrong")
 	}
-	if d.TrueEverywhere(0, func(k int) bool { return truth[k] }) {
-		t.Error("TrueEverywhere false positive")
+	if none := TruthIntervals(d, 0, func(int, int) bool { return false }); none != nil {
+		t.Errorf("all-true predicate has false-intervals %v", none)
 	}
-	if !d.TrueEverywhere(0, func(int) bool { return true }) {
-		t.Error("TrueEverywhere false negative")
-	}
-	allFalse := d.FalseIntervals(0, func(int) bool { return false })
+	allFalse := TruthIntervals(d, 0, func(int, int) bool { return true })
 	if len(allFalse) != 1 || allFalse[0] != (Interval{0, 0, 6}) {
 		t.Errorf("all-false intervals = %v", allFalse)
 	}

@@ -3,9 +3,10 @@ package deposet
 import "fmt"
 
 // Interval is a maximal run of consecutive states of one process on which
-// some local condition is false (a "false-interval" in the paper's
-// terminology, written I with endpoints I.lo and I.hi). Lo and Hi are
-// inclusive state indices; Lo == Hi is a single-state interval.
+// some local condition has one truth value (where it is false, a
+// "false-interval" in the paper's terminology, written I with endpoints
+// I.lo and I.hi). Lo and Hi are inclusive state indices; Lo == Hi is a
+// single-state interval.
 type Interval struct {
 	P  int
 	Lo int
@@ -21,32 +22,23 @@ func (iv Interval) HiState() StateID { return StateID{iv.P, iv.Hi} }
 // Contains reports whether state index k lies in the interval.
 func (iv Interval) Contains(k int) bool { return iv.Lo <= k && k <= iv.Hi }
 
-// FalseIntervals returns the maximal false-intervals of process p with
-// respect to the local condition holds (holds(k) is the truth of the local
-// predicate at state (p,k)), in increasing order.
-func (d *Deposet) FalseIntervals(p int, holds func(k int) bool) []Interval {
+// TruthIntervals returns the maximal runs of consecutive states of
+// process p on which holds is true, in increasing order. It is the one
+// interval scan: a local predicate's false-intervals are the runs of its
+// negation.
+func TruthIntervals(v View, p int, holds func(p, k int) bool) []Interval {
 	var ivs []Interval
-	m := d.lens[p]
+	m := v.Len(p)
 	for k := 0; k < m; {
-		if holds(k) {
+		if !holds(p, k) {
 			k++
 			continue
 		}
 		lo := k
-		for k < m && !holds(k) {
+		for k < m && holds(p, k) {
 			k++
 		}
 		ivs = append(ivs, Interval{P: p, Lo: lo, Hi: k - 1})
 	}
 	return ivs
-}
-
-// TrueEverywhere reports whether holds is true at every state of p.
-func (d *Deposet) TrueEverywhere(p int, holds func(k int) bool) bool {
-	for k := 0; k < d.lens[p]; k++ {
-		if !holds(k) {
-			return false
-		}
-	}
-	return true
 }

@@ -53,7 +53,7 @@ func FromRaw(r Raw) (*Deposet, error) {
 		states += l
 	}
 	d := &Deposet{
-		lens:    append([]int(nil), r.Lens...),
+		Order:   Order{lens: append([]int(nil), r.Lens...)},
 		msgs:    append([]Message(nil), r.Msgs...),
 		sendMsg: make([][]int, n),
 		recvMsg: make([][]int, n),

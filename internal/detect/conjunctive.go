@@ -15,9 +15,9 @@
 //     (exponential — Lemma 1 shows SGSD is NP-complete), which also
 //     serves as the cross-validation oracle (*Exhaustive, in sliced.go).
 //
-// Every question has one implementation. PossiblyTruth, DefinitelyTruth,
-// TruthIntervals and Overlaps (view.go) are the kernels, stated over any
-// causal view so the controlled computation runs them too.
+// Every question has one implementation. PossiblyTruth, DefinitelyTruth
+// and Overlaps (view.go) are the kernels, stated over any causal view so
+// the controlled computation runs them too.
 package detect
 
 import (

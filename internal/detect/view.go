@@ -67,33 +67,13 @@ func Overlaps(v deposet.View, ii, ij deposet.Interval) bool {
 	return v.HB(deposet.StateID{P: ii.P, K: ii.Lo - 1}, deposet.StateID{P: ij.P, K: ij.Hi + 1})
 }
 
-// TruthIntervals returns the maximal runs where holds is true on process
-// p. The off-line controller extracts its false-intervals with it, by
-// negating its local predicates.
-func TruthIntervals(v deposet.View, p int, holds HoldsFn) []deposet.Interval {
-	var ivs []deposet.Interval
-	m := v.Len(p)
-	for k := 0; k < m; {
-		if !holds(p, k) {
-			k++
-			continue
-		}
-		lo := k
-		for k < m && holds(p, k) {
-			k++
-		}
-		ivs = append(ivs, deposet.Interval{P: p, Lo: lo, Hi: k - 1})
-	}
-	return ivs
-}
-
 // DefinitelyTruth is DefinitelyConjunctive generalized over any causal
 // view with the conjuncts given as a truth function.
 func DefinitelyTruth(v deposet.View, holds HoldsFn) ([]deposet.Interval, bool) {
 	n := v.NumProcs()
 	ivs := make([][]deposet.Interval, n)
 	for p := 0; p < n; p++ {
-		ivs[p] = TruthIntervals(v, p, holds)
+		ivs[p] = deposet.TruthIntervals(v, p, holds)
 		if len(ivs[p]) == 0 {
 			return nil, false
 		}

@@ -35,7 +35,7 @@ func E6(seed int64) *Table {
 			}
 			t.Row(n, rr.name, m.CtlMessages,
 				fmt.Sprintf("%.3f", m.MessagesPerEntry()),
-				fmt.Sprintf("%.1f", m.MeanResponse()), m.MaxResponse())
+				fmt.Sprintf("%.1f", m.Responses.Mean()), m.Responses.Max())
 		}
 	}
 	t.Note("central pays 3 messages on every entry; the token family pays ~n per")

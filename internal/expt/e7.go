@@ -6,8 +6,7 @@ import (
 	"predctl/internal/control"
 	"predctl/internal/deposet"
 	"predctl/internal/detect"
-	"predctl/internal/offline"
-	"predctl/internal/replay"
+	"predctl/internal/predicate"
 	"predctl/internal/scenario"
 )
 
@@ -28,64 +27,26 @@ func E7() *Table {
 		panic(err)
 	}
 	d := fg.C1
-	h := func(cj interface {
-		Holds(*deposet.Deposet, int, int) bool
-	}, dd *deposet.Deposet) detect.HoldsFn {
-		return func(p, k int) bool { return cj.Holds(dd, p, k) }
-	}
-	possible := func(dd *deposet.Deposet, fn detect.HoldsFn) string {
-		if cut, ok := detect.PossiblyTruth(dd, fn); ok {
+	possible := func(dd *deposet.Deposet, bug *predicate.Conjunction) string {
+		if cut, ok := detect.PossiblyConjunctive(dd, bug); ok {
 			return fmt.Sprintf("yes (%v)", cut)
 		}
 		return "no"
 	}
+	c2, c3, c4, err := fg.Derive()
+	if err != nil {
+		panic(err)
+	}
+	t.Row("C1", "observed trace", 0, possible(d, fg.Bug1On(nil)), possible(d, fg.Bug2On(nil)))
+	row := func(name, derivation string, c *scenario.Derived) {
+		t.Row(name, derivation, len(c.Relation),
+			possible(c.D, fg.Bug1On(c.Underlying)), possible(c.D, fg.Bug2On(c.Underlying)))
+	}
+	row("C2", "C1 + control(∨ avail)", c2)
+	row("C3", "C2 + control(e before f)", c3)
+	row("C4", "C1 + control(e before f)", c4)
 
-	t.Row("C1", "observed trace", 0,
-		possible(d, h(fg.Bug1On(nil), d)), possible(d, h(fg.Bug2On(nil), d)))
-
-	res1, err := offline.Control(d, fg.Avail, offline.Options{})
-	if err != nil {
-		panic(err)
-	}
-	c2, err := replay.Run(d, res1.Relation, replay.Config{Seed: 1})
-	if err != nil {
-		panic(err)
-	}
-	t.Row("C2", "C1 + control(∨ avail)", len(res1.Relation),
-		possible(c2.Trace.D, h(fg.Bug1On(c2.Underlying), c2.Trace.D)),
-		possible(c2.Trace.D, h(fg.Bug2On(c2.Underlying), c2.Trace.D)))
-
-	res3, err := offline.Control(c2.Trace.D, fg.EBeforeFMapped(c2.Underlying), offline.Options{})
-	if err != nil {
-		panic(err)
-	}
-	c3, err := replay.Run(c2.Trace.D, res3.Relation, replay.Config{Seed: 2})
-	if err != nil {
-		panic(err)
-	}
-	composed := make([][]int, 3)
-	for p := range composed {
-		for _, k := range c3.Underlying[p] {
-			composed[p] = append(composed[p], c2.Underlying[p][k])
-		}
-	}
-	t.Row("C3", "C2 + control(e before f)", len(res3.Relation),
-		possible(c3.Trace.D, h(fg.Bug1On(composed), c3.Trace.D)),
-		possible(c3.Trace.D, h(fg.Bug2On(composed), c3.Trace.D)))
-
-	res4, err := offline.Control(d, fg.EBeforeF, offline.Options{})
-	if err != nil {
-		panic(err)
-	}
-	c4, err := replay.Run(d, res4.Relation, replay.Config{Seed: 3})
-	if err != nil {
-		panic(err)
-	}
-	t.Row("C4", "C1 + control(e before f)", len(res4.Relation),
-		possible(c4.Trace.D, h(fg.Bug1On(c4.Underlying), c4.Trace.D)),
-		possible(c4.Trace.D, h(fg.Bug2On(c4.Underlying), c4.Trace.D)))
-
-	x, err := control.Extend(d, res4.Relation)
+	x, err := control.Extend(d, c4.Relation)
 	if err != nil {
 		panic(err)
 	}

@@ -93,33 +93,10 @@ func (w Workload) k() int {
 
 // Metrics aggregates protocol overhead for one run.
 type Metrics struct {
-	CtlMessages int        // protocol messages (excludes zero-delay local hops)
-	Entries     int        // critical-section entries
-	Responses   []sim.Time // request → entry latency per entry
-	End         sim.Time   // completion time of the run
-}
-
-// MaxResponse returns the largest request latency.
-func (m *Metrics) MaxResponse() sim.Time {
-	var x sim.Time
-	for _, r := range m.Responses {
-		if r > x {
-			x = r
-		}
-	}
-	return x
-}
-
-// MeanResponse returns the average request latency.
-func (m *Metrics) MeanResponse() float64 {
-	if len(m.Responses) == 0 {
-		return 0
-	}
-	var t sim.Time
-	for _, r := range m.Responses {
-		t += r
-	}
-	return float64(t) / float64(len(m.Responses))
+	CtlMessages int           // protocol messages (excludes zero-delay local hops)
+	Entries     int           // critical-section entries
+	Responses   sim.Latencies // request → entry latency per entry
+	End         sim.Time      // completion time of the run
 }
 
 // MessagesPerEntry is the paper's headline overhead metric.

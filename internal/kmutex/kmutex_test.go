@@ -156,14 +156,14 @@ func TestMetricsHelpers(t *testing.T) {
 	if m.MessagesPerEntry() != 2.5 {
 		t.Error("MessagesPerEntry wrong")
 	}
-	if m.MaxResponse() != 6 {
+	if m.Responses.Max() != 6 {
 		t.Error("MaxResponse wrong")
 	}
-	if got := m.MeanResponse(); got < 2.6 || got > 2.7 {
+	if got := m.Responses.Mean(); got < 2.6 || got > 2.7 {
 		t.Errorf("MeanResponse = %v", got)
 	}
 	empty := &Metrics{}
-	if empty.MessagesPerEntry() != 0 || empty.MeanResponse() != 0 {
+	if empty.MessagesPerEntry() != 0 || empty.Responses.Mean() != 0 {
 		t.Error("empty metrics wrong")
 	}
 }

@@ -110,7 +110,7 @@ func TestDialCoordWaitsForSlowCoordinator(t *testing.T) {
 
 	opt := chaosTimeouts().withDefaults()
 	begin := time.Now()
-	cc, err := dialCoord(addr, 0, 2, Batching{}, newWireMeters(nil, "coord", nil), opt, nil, t.Logf)
+	cc, err := dialCoord(addr, 0, 2, Batching{}, newWireMeters(nil, "coord"), opt, nil, t.Logf)
 	if err != nil {
 		t.Fatalf("dialCoord gave up on a slow coordinator: %v", err)
 	}
@@ -145,7 +145,7 @@ func TestDialCoordDeadline(t *testing.T) {
 	opt.CoordDeadline = 100 * time.Millisecond
 	opt = opt.withDefaults()
 	begin := time.Now()
-	if _, err := dialCoord(addr, 0, 2, Batching{}, newWireMeters(nil, "coord", nil), opt, nil, t.Logf); err == nil {
+	if _, err := dialCoord(addr, 0, 2, Batching{}, newWireMeters(nil, "coord"), opt, nil, t.Logf); err == nil {
 		t.Fatal("dialCoord reached a dead address")
 	}
 	if waited := time.Since(begin); waited > 2*time.Second {
@@ -166,7 +166,7 @@ func TestCoordClientResumesAfterStreamBreak(t *testing.T) {
 	defer ln.Close()
 
 	opt := chaosTimeouts().withDefaults()
-	cc, err := dialCoord(ln.Addr().String(), 1, 3, Batching{}, newWireMeters(nil, "coord", nil), opt, nil, t.Logf)
+	cc, err := dialCoord(ln.Addr().String(), 1, 3, Batching{}, newWireMeters(nil, "coord"), opt, nil, t.Logf)
 	if err != nil {
 		t.Fatalf("dialCoord: %v", err)
 	}
@@ -289,7 +289,7 @@ func TestClusterCoordPartitionResume(t *testing.T) {
 	checkFullCapture(t, res, n, rounds)
 	checkControlled(t, res.Deposet, n)
 	var rep obs.Report
-	rep.CheckScapegoatChainNet(j)
+	rep.CheckScapegoatChain(j)
 	if err := rep.Err(); err != nil {
 		t.Fatal(err)
 	}
@@ -331,7 +331,7 @@ func TestClusterCrashRestart(t *testing.T) {
 	}
 
 	var rep obs.Report
-	rep.CheckScapegoatChainNet(j)
+	rep.CheckScapegoatChain(j)
 	if err := rep.Err(); err != nil {
 		t.Fatal(err)
 	}
@@ -368,7 +368,7 @@ func TestChaosSoak(t *testing.T) {
 	checkFullCapture(t, res, n, rounds)
 	checkControlled(t, res.Deposet, n)
 	var rep obs.Report
-	rep.CheckScapegoatChainNet(j)
+	rep.CheckScapegoatChain(j)
 	if err := rep.Err(); err != nil {
 		t.Fatal(err)
 	}

@@ -42,10 +42,9 @@ type ClusterConfig struct {
 	Batching Batching
 	// Journal receives the coordinator's merged cluster journal (nodes'
 	// control events and candidates). May be nil.
-	Journal      *obs.Journal
-	Reg          *obs.Registry
-	MetricLabels []obs.Label
-	Logf         func(string, ...any)
+	Journal *obs.Journal
+	Reg     *obs.Registry
+	Logf    func(string, ...any)
 	// WaitTimeout bounds the whole run; 0 means a generous default.
 	WaitTimeout time.Duration
 	// Crashes is the node kill/relaunch schedule (chaos runs). Each
@@ -169,7 +168,7 @@ func RunCluster(cfg ClusterConfig) (*Result, error) {
 	if cfg.StoreDir != "" {
 		var err error
 		st, err = store.Open(store.Config{
-			Dir: cfg.StoreDir, Reg: cfg.Reg, MetricLabels: cfg.MetricLabels,
+			Dir: cfg.StoreDir, Reg: cfg.Reg,
 		})
 		if err != nil {
 			for _, l := range listeners {
@@ -181,7 +180,7 @@ func RunCluster(cfg ClusterConfig) (*Result, error) {
 	}
 	coord, err := NewCoordinator(CoordConfig{
 		N: cfg.N, Addr: "127.0.0.1:0",
-		Journal: cfg.Journal, Reg: cfg.Reg, MetricLabels: cfg.MetricLabels,
+		Journal: cfg.Journal, Reg: cfg.Reg,
 		Timeouts: cfg.Timeouts, Logf: cfg.Logf,
 		HTTPAddr: cfg.HTTPAddr, HTTPListener: cfg.HTTPListener,
 		Start: start, Live: cfg.Live, Store: st,
@@ -218,9 +217,8 @@ func RunCluster(cfg ClusterConfig) (*Result, error) {
 				Index: idx, Relays: cfg.Relays, N: cfg.N,
 				Upstream: coord.Addr(), Listener: ln,
 				Batching: cfg.Batching, Timeouts: cfg.Timeouts,
-				Reg:          cfg.Reg.Child(obs.L("relay", strconv.Itoa(idx))),
-				MetricLabels: cfg.MetricLabels,
-				Logf:         cfg.Logf,
+				Reg:  cfg.Reg.Child(obs.L("relay", strconv.Itoa(idx))),
+				Logf: cfg.Logf,
 			}
 		}
 		relays := make([]*Relay, cfg.Relays)
@@ -322,9 +320,8 @@ func RunCluster(cfg ClusterConfig) (*Result, error) {
 				// Each node writes through a node-labelled child registry:
 				// its snapshots carry per-node series while updates tee to
 				// the shared aggregates callers already read.
-				Reg:          cfg.Reg.Child(obs.L("node", strconv.Itoa(i))),
-				MetricLabels: cfg.MetricLabels,
-				Logf:         cfg.Logf, Start: start, Crash: crashCh[i],
+				Reg:  cfg.Reg.Child(obs.L("node", strconv.Itoa(i))),
+				Logf: cfg.Logf, Start: start, Crash: crashCh[i],
 			}
 			for _, r := range cfg.Rogues {
 				if r == i {

@@ -24,11 +24,10 @@ type CoordConfig struct {
 	Listener net.Listener // optional pre-bound listener
 	// Journal receives the merged cluster journal: every control event
 	// forwarded by every node, plus candidate reports. May be nil.
-	Journal      *obs.Journal
-	Reg          *obs.Registry
-	MetricLabels []obs.Label
-	Timeouts     Timeouts
-	Logf         func(string, ...any)
+	Journal  *obs.Journal
+	Reg      *obs.Registry
+	Timeouts Timeouts
+	Logf     func(string, ...any)
 	// HTTPAddr, when non-empty (or HTTPListener non-nil), opts into the
 	// introspection server: /metrics serves the coordinator's live
 	// merged registry (every node's streamed snapshots plus per-node
@@ -232,8 +231,8 @@ func NewCoordinator(cfg CoordConfig) (*Coordinator, error) {
 	if c.start = cfg.Start; c.start.IsZero() {
 		c.start = time.Now()
 	}
-	c.cands = cfg.Reg.Counter("predctl_monitor_candidates_total", cfg.MetricLabels...)
-	c.assemblies = cfg.Reg.Counter("predctl_coord_commit_assemblies_total", cfg.MetricLabels...)
+	c.cands = cfg.Reg.Counter("predctl_monitor_candidates_total")
+	c.assemblies = cfg.Reg.Counter("predctl_coord_commit_assemblies_total")
 	if cfg.Store != nil {
 		c.store = cfg.Store
 	}
@@ -252,7 +251,7 @@ func NewCoordinator(cfg CoordConfig) (*Coordinator, error) {
 		c.liveCfg = lc
 		c.violation = predicate.Not(lc.Predicate)
 		c.ld = livedetect.New(cfg.N)
-		c.detMeter = cfg.Reg.Counter("predctl_live_detections_total", cfg.MetricLabels...)
+		c.detMeter = cfg.Reg.Counter("predctl_live_detections_total")
 		c.detByNode = make([]int, cfg.N)
 	}
 	if cfg.HTTPAddr != "" || cfg.HTTPListener != nil {

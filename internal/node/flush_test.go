@@ -209,7 +209,7 @@ func TestFlushOpsBeforeCandidates(t *testing.T) {
 // looseClient is a coordClient that never connected: frames only ever
 // reach its session log, which is what the pass tests read back.
 func looseClient(b Batching) (*coordClient, *capture) {
-	cc := newCoordClient("", 0, 2, b, newWireMeters(nil, "coord", nil), Timeouts{}.withDefaults(), nil, func(string, ...any) {})
+	cc := newCoordClient("", 0, 2, b, newWireMeters(nil, "coord"), Timeouts{}.withDefaults(), nil, func(string, ...any) {})
 	c := &capture{enabled: true, app: 0}
 	c.kick, c.kickAt = cc.kickFlush, cc.batch.MaxItems
 	return cc, c
@@ -535,7 +535,7 @@ func TestFlushPassIsOneWrite(t *testing.T) {
 	root := newFakeRoot(t)
 	opt := chaosTimeouts().withDefaults()
 	cc, err := dialCoord(root.ln.Addr().String(), 1, 3, Batching{Interval: time.Hour, SnapshotEvery: -1},
-		newWireMeters(nil, "coord", nil), opt, nil, t.Logf)
+		newWireMeters(nil, "coord"), opt, nil, t.Logf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -601,7 +601,7 @@ func TestFlushSeverMidPass(t *testing.T) {
 	window := Partition{Start: 150 * time.Millisecond, Dur: 60 * time.Millisecond, A: []int{1}, B: []int{1}, Coord: true}
 	parts := newPartitions(Faults{Partitions: []Partition{window}}, start)
 	cc, err := dialCoord(root.ln.Addr().String(), 1, 3, Batching{Interval: time.Hour, SnapshotEvery: -1},
-		newWireMeters(reg, "coord", nil), opt, parts, t.Logf)
+		newWireMeters(reg, "coord"), opt, parts, t.Logf)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -100,13 +100,13 @@ type wireMeters struct {
 
 // newWireMeters resolves the wire metrics for one stream ("mesh" for
 // node↔node links, "coord" for the capture stream).
-func newWireMeters(reg *obs.Registry, stream string, labels []obs.Label) wireMeters {
-	ls := append(append([]obs.Label{}, labels...), obs.L("stream", stream))
+func newWireMeters(reg *obs.Registry, stream string) wireMeters {
+	l := obs.L("stream", stream)
 	return wireMeters{
-		frames: reg.Counter("predctl_wire_frames_total", ls...),
-		bytes:  reg.Counter("predctl_wire_bytes_total", ls...),
-		batch:  reg.Histogram("predctl_wire_batch_size", ls...),
-		retx:   reg.Counter("predctl_wire_retransmits_total", ls...),
+		frames: reg.Counter("predctl_wire_frames_total", l),
+		bytes:  reg.Counter("predctl_wire_bytes_total", l),
+		batch:  reg.Histogram("predctl_wire_batch_size", l),
+		retx:   reg.Counter("predctl_wire_retransmits_total", l),
 	}
 }
 

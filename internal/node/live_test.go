@@ -52,7 +52,7 @@ func TestLiveDetectionPlantedViolation(t *testing.T) {
 	}
 	checkControlled(t, res.Deposet, n)
 	var rep obs.Report
-	rep.CheckScapegoatChainNet(j)
+	rep.CheckScapegoatChain(j)
 	if err := rep.Err(); err != nil {
 		t.Fatal(err)
 	}

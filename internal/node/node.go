@@ -78,11 +78,9 @@ type Config struct {
 	// control events (the coordinator gets them too, via the capture
 	// stream).
 	Journal *obs.Journal
-	// Reg, when non-nil, receives the node's protocol metrics, labeled
-	// with MetricLabels.
-	Reg          *obs.Registry
-	MetricLabels []obs.Label
-	Logf         func(string, ...any)
+	// Reg, when non-nil, receives the node's protocol metrics.
+	Reg  *obs.Registry
+	Logf func(string, ...any)
 	// Start is the run epoch journal timestamps are relative to; the
 	// zero value means "now". Clusters share one epoch so the merged
 	// journal's timestamps are comparable (and partition windows line
@@ -133,14 +131,14 @@ type meters struct {
 	respHandoff *obs.Histogram
 }
 
-func newMeters(reg *obs.Registry, labels []obs.Label) meters {
+func newMeters(reg *obs.Registry) meters {
 	return meters{
-		ctl:         reg.Counter("predctl_ctl_messages_total", labels...),
-		handoffs:    reg.Counter("predctl_handoffs_total", labels...),
-		cancels:     reg.Counter("predctl_broadcast_cancels_total", labels...),
-		requests:    reg.Counter("predctl_requests_total", labels...),
-		resp:        reg.Histogram("predctl_response_ns", labels...),
-		respHandoff: reg.Histogram("predctl_response_handoff_ns", labels...),
+		ctl:         reg.Counter("predctl_ctl_messages_total"),
+		handoffs:    reg.Counter("predctl_handoffs_total"),
+		cancels:     reg.Counter("predctl_broadcast_cancels_total"),
+		requests:    reg.Counter("predctl_requests_total"),
+		resp:        reg.Histogram("predctl_response_ns"),
+		respHandoff: reg.Histogram("predctl_response_handoff_ns"),
 	}
 }
 
@@ -246,7 +244,7 @@ func Run(cfg Config) (*Stats, error) {
 	opt := cfg.Timeouts.withDefaults()
 	batch := cfg.Batching.withDefaults()
 	parts := newPartitions(cfg.Faults, start)
-	cwm := newWireMeters(cfg.Reg, "coord", cfg.MetricLabels)
+	cwm := newWireMeters(cfg.Reg, "coord")
 	cc, err := dialCoord(cfg.Coord, cfg.ID, cfg.N, batch, cwm, opt, parts, logf)
 	if err != nil {
 		return nil, err
@@ -261,7 +259,7 @@ func Run(cfg Config) (*Stats, error) {
 	tr, err := NewTransport(TransportConfig{
 		ID: cfg.ID, N: cfg.N, Addrs: cfg.Addrs, Listener: cfg.Listener,
 		Faults: cfg.Faults, Timeouts: cfg.Timeouts,
-		Reg: cfg.Reg, MetricLabels: cfg.MetricLabels, Logf: logf,
+		Reg: cfg.Reg, Logf: logf,
 		Start: start,
 	})
 	if err != nil {
@@ -441,7 +439,7 @@ func newNodeState(cfg Config, epoch uint32, tr *Transport, cc *coordClient, star
 		cap:       &capture{enabled: true, app: int32(cfg.ID)},
 		clk:       newClock(cfg.N, cfg.ID),
 		rng:       rand.New(rand.NewSource(cfg.Seed + int64(cfg.ID)*7919)),
-		m:         newMeters(cfg.Reg, cfg.MetricLabels),
+		m:         newMeters(cfg.Reg),
 		start:     start,
 		logf:      logf,
 		journal:   cfg.Journal,

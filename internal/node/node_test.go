@@ -68,7 +68,7 @@ func TestClusterNoFaults(t *testing.T) {
 	checkControlled(t, d, n)
 
 	var rep obs.Report
-	rep.CheckScapegoatChainNet(j)
+	rep.CheckScapegoatChain(j)
 	if err := rep.Err(); err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +127,7 @@ func TestClusterBroadcast(t *testing.T) {
 	})
 	checkControlled(t, res.Deposet, n)
 	var rep obs.Report
-	rep.CheckScapegoatChainNet(j)
+	rep.CheckScapegoatChain(j)
 	if err := rep.Err(); err != nil {
 		t.Fatal(err)
 	}

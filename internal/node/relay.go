@@ -83,9 +83,8 @@ type RelayConfig struct {
 	Batching Batching
 	Timeouts Timeouts
 	// Reg receives the relay's wire meters (uplink stream).
-	Reg          *obs.Registry
-	MetricLabels []obs.Label
-	Logf         func(string, ...any)
+	Reg  *obs.Registry
+	Logf func(string, ...any)
 }
 
 // relayChild is the relay's per-node-id stream state: the downstream
@@ -150,7 +149,7 @@ func StartRelay(cfg RelayConfig) (*Relay, error) {
 	// buys roughly double the child frames per upstream RelayBatch.
 	batch := cfg.Batching.withDefaults()
 	batch.Interval *= 2
-	wm := newWireMeters(cfg.Reg, "uplink", cfg.MetricLabels)
+	wm := newWireMeters(cfg.Reg, "uplink")
 	cc := newCoordClient(cfg.Upstream, -(cfg.Index + 1), cfg.N, batch, wm, r.opt, nil, r.logf)
 	cc.mkResume = r.mkResume
 	cc.onMsg = r.onUpstream

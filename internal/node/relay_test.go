@@ -35,7 +35,7 @@ func TestClusterTree(t *testing.T) {
 	checkFullCapture(t, res, n, rounds)
 	checkControlled(t, res.Deposet, n)
 	var rep obs.Report
-	rep.CheckScapegoatChainNet(j)
+	rep.CheckScapegoatChain(j)
 	if err := rep.Err(); err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +67,7 @@ func TestClusterTreeRelayCrash(t *testing.T) {
 	checkFullCapture(t, res, n, rounds)
 	checkControlled(t, res.Deposet, n)
 	var rep obs.Report
-	rep.CheckScapegoatChainNet(j)
+	rep.CheckScapegoatChain(j)
 	if err := rep.Err(); err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +95,7 @@ func TestClusterTreeChaosSoak(t *testing.T) {
 	checkFullCapture(t, res, n, rounds)
 	checkControlled(t, res.Deposet, n)
 	var rep obs.Report
-	rep.CheckScapegoatChainNet(j)
+	rep.CheckScapegoatChain(j)
 	if err := rep.Err(); err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +115,7 @@ func TestClusterTreeStoreBundle(t *testing.T) {
 	checkFullCapture(t, res, n, rounds)
 	checkControlled(t, res.Deposet, n)
 	var rep obs.Report
-	rep.CheckScapegoatChainNet(j)
+	rep.CheckScapegoatChain(j)
 	if err := rep.Err(); err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +232,7 @@ func (s *scripted) dial() {
 	}
 	opt := chaosTimeouts().withDefaults()
 	for i := 0; i < s.n; i++ {
-		cc, err := dialCoord(addr, i, s.n, Batching{}, newWireMeters(nil, "coord", nil), opt, nil, s.t.Logf)
+		cc, err := dialCoord(addr, i, s.n, Batching{}, newWireMeters(nil, "coord"), opt, nil, s.t.Logf)
 		if err != nil {
 			s.t.Fatalf("client %d: %v", i, err)
 		}

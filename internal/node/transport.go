@@ -76,10 +76,9 @@ type TransportConfig struct {
 	Timeouts Timeouts
 	// Reg, when non-nil, receives the mesh's wire metrics
 	// (predctl_wire_frames_total, _bytes_total, _batch_size with
-	// stream="mesh"), labeled with MetricLabels.
-	Reg          *obs.Registry
-	MetricLabels []obs.Label
-	Logf         func(string, ...any)
+	// stream="mesh").
+	Reg  *obs.Registry
+	Logf func(string, ...any)
 	// Start anchors the Faults.Partitions schedule; zero means "now".
 	// Cluster runs share one instant so every node agrees on window
 	// boundaries.
@@ -108,8 +107,8 @@ func NewTransport(cfg TransportConfig) (*Transport, error) {
 	if err := t.listen(cfg.Listener, cfg.Addrs[cfg.ID]); err != nil {
 		return nil, err
 	}
-	t.badPeer = cfg.Reg.Counter("predctl_send_invalid_peer_total", cfg.MetricLabels...)
-	wm := newWireMeters(cfg.Reg, "mesh", cfg.MetricLabels)
+	t.badPeer = cfg.Reg.Counter("predctl_send_invalid_peer_total")
+	wm := newWireMeters(cfg.Reg, "mesh")
 	parts := newPartitions(cfg.Faults, cfg.Start)
 	for p := 0; p < cfg.N; p++ {
 		if p == cfg.ID {

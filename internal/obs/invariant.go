@@ -141,61 +141,20 @@ func (r *Report) CheckResponsesWindow(hist *Histogram, lo, hi int64, journalCtx 
 }
 
 // CheckScapegoatChain asserts the anti-token uniqueness invariant on
-// the journal's control events: exactly one EvScapegoatInit, and every
-// EvScapegoatAcquire names the current holder as the releaser. When the
-// journal wrapped (Dropped > 0) the check is skipped — the chain's
-// prefix is gone, so absence of evidence is not evidence.
+// the journal's control events: exactly one EvScapegoatInit and one
+// unforked chain of EvScapegoatAcquire from it. A journal merged from
+// concurrently-running nodes appends in arrival order, not acquisition
+// order, so acquisitions are ordered by the anti-token generation each
+// one piggybacks (Event.C; the simulated host journals it too): the
+// generations present must be exactly 1..K — a duplicate generation is
+// two controllers both believing they took the same anti-token (a
+// forked chain), a gap is a transfer nobody journaled — and generation g
+// must name generation g−1's acquirer as its releaser (g=1 names the
+// initial holder). When the journal wrapped (Dropped > 0) the check is
+// skipped — the chain's prefix is gone, so absence of evidence is not
+// evidence.
 func (r *Report) CheckScapegoatChain(j *Journal) {
 	const inv = "single scapegoat chain"
-	if j.Dropped() > 0 {
-		return
-	}
-	r.checked(inv)
-	holder := int64(-1)
-	seen := false
-	for _, e := range j.Events() {
-		if e.Kind != KindControl {
-			continue
-		}
-		switch e.Name {
-		case EvScapegoatInit:
-			if seen {
-				r.violate(inv, fmt.Sprintf("second scapegoat.init for P%d (holder was P%d)", e.A, holder),
-					j.Slice(sat(e.Seq, 6), e.Seq))
-				return
-			}
-			seen = true
-			holder = e.A
-		case EvScapegoatAcquire:
-			if !seen {
-				r.violate(inv, fmt.Sprintf("acquire by P%d before any scapegoat.init", e.A),
-					j.Slice(sat(e.Seq, 6), e.Seq))
-				return
-			}
-			if e.B != holder {
-				r.violate(inv,
-					fmt.Sprintf("P%d acquired the anti-token from P%d, but the holder was P%d (forked chain)",
-						e.A, e.B, holder),
-					j.Slice(sat(e.Seq, 6), e.Seq))
-				return
-			}
-			holder = e.A
-		}
-	}
-}
-
-// CheckScapegoatChainNet asserts the single-chain invariant on a
-// journal merged from concurrently-running nodes, where append order is
-// arrival order, not acquisition order. It therefore orders
-// acquisitions by the anti-token generation each one piggybacks
-// (Event.C): the generations present must be exactly 1..K — a
-// duplicate generation is two controllers both believing they took the
-// same anti-token (a forked chain), a gap is a transfer nobody
-// journaled — and generation g must name generation g−1's acquirer as
-// its releaser (g=1 names the initial holder). Skipped, like
-// CheckScapegoatChain, when the journal wrapped.
-func (r *Report) CheckScapegoatChainNet(j *Journal) {
-	const inv = "single scapegoat chain (generation-ordered)"
 	if j.Dropped() > 0 {
 		return
 	}
@@ -264,7 +223,7 @@ func (r *Report) CheckScapegoatChainNet(j *Journal) {
 // the ceiling is generous because wall clocks include retransmissions
 // and scheduling.
 func (r *Report) CheckNetRun(j *Journal, reg *Registry, delay time.Duration) {
-	r.CheckScapegoatChainNet(j)
+	r.CheckScapegoatChain(j)
 	if delay > 0 {
 		r.CheckResponsesWindow(reg.Histogram("predctl_response_handoff_ns"),
 			2*delay.Nanoseconds(), (60 * time.Second).Nanoseconds(), j)

@@ -176,10 +176,12 @@ func chainJournal(events ...Event) *Journal {
 }
 
 func TestCheckScapegoatChain(t *testing.T) {
+	// Appended out of acquisition order, as a merged journal may be: the
+	// generation (C) orders the chain, not the position.
 	good := chainJournal(
+		Event{Name: EvScapegoatAcquire, A: 1, B: 0, C: 2},
 		Event{Name: EvScapegoatInit, A: 2},
-		Event{Name: EvScapegoatAcquire, A: 0, B: 2},
-		Event{Name: EvScapegoatAcquire, A: 1, B: 0},
+		Event{Name: EvScapegoatAcquire, A: 0, B: 2, C: 1},
 	)
 	var ok Report
 	ok.CheckScapegoatChain(good)
@@ -192,8 +194,8 @@ func TestCheckScapegoatChain(t *testing.T) {
 
 	forked := chainJournal(
 		Event{Name: EvScapegoatInit, A: 2},
-		Event{Name: EvScapegoatAcquire, A: 0, B: 2},
-		Event{Name: EvScapegoatAcquire, A: 1, B: 2}, // 2 is no longer the holder
+		Event{Name: EvScapegoatAcquire, A: 0, B: 2, C: 1},
+		Event{Name: EvScapegoatAcquire, A: 1, B: 2, C: 2}, // 2 is no longer the holder
 	)
 	var bad Report
 	bad.CheckScapegoatChain(forked)
@@ -204,10 +206,28 @@ func TestCheckScapegoatChain(t *testing.T) {
 		t.Fatal("violation carries no journal slice")
 	}
 
-	var noInit Report
-	noInit.CheckScapegoatChain(chainJournal(Event{Name: EvScapegoatAcquire, A: 1, B: 0}))
-	if noInit.Ok() {
-		t.Fatal("acquire before init not flagged")
+	for name, j := range map[string]*Journal{
+		"acquire before init": chainJournal(Event{Name: EvScapegoatAcquire, A: 1, B: 0, C: 1}),
+		"second init": chainJournal(
+			Event{Name: EvScapegoatInit, A: 2},
+			Event{Name: EvScapegoatInit, A: 0}),
+		// Two controllers both took anti-token generation 1: only the
+		// generation order can see it when each names the true holder.
+		"duplicate generation": chainJournal(
+			Event{Name: EvScapegoatInit, A: 2},
+			Event{Name: EvScapegoatAcquire, A: 0, B: 2, C: 1},
+			Event{Name: EvScapegoatAcquire, A: 1, B: 2, C: 1}),
+		// Generation 2's transfer was journaled by nobody.
+		"generation gap": chainJournal(
+			Event{Name: EvScapegoatInit, A: 2},
+			Event{Name: EvScapegoatAcquire, A: 0, B: 2, C: 1},
+			Event{Name: EvScapegoatAcquire, A: 1, B: 0, C: 3}),
+	} {
+		var rep Report
+		rep.CheckScapegoatChain(j)
+		if rep.Ok() {
+			t.Errorf("%s not flagged", name)
+		}
 	}
 
 	// A wrapped journal lost the chain prefix: the check must skip, not
@@ -215,8 +235,8 @@ func TestCheckScapegoatChain(t *testing.T) {
 	wrapped := NewJournal(2)
 	for _, e := range []Event{
 		{Kind: KindControl, Name: EvScapegoatInit, A: 0},
-		{Kind: KindControl, Name: EvScapegoatAcquire, A: 1, B: 0},
-		{Kind: KindControl, Name: EvScapegoatAcquire, A: 2, B: 1},
+		{Kind: KindControl, Name: EvScapegoatAcquire, A: 1, B: 0, C: 1},
+		{Kind: KindControl, Name: EvScapegoatAcquire, A: 2, B: 1, C: 2},
 	} {
 		wrapped.Append(e)
 	}

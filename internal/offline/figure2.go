@@ -5,6 +5,7 @@ import (
 
 	"predctl/internal/control"
 	"predctl/internal/deposet"
+	"predctl/internal/detect"
 	"predctl/internal/predicate"
 )
 
@@ -94,18 +95,13 @@ func newLoopState(d *deposet.Deposet, dj *predicate.Disjunction) *loopState {
 	st := &loopState{
 		d:        d,
 		n:        n,
-		ivs:      make([][]deposet.Interval, n),
 		ptr:      make([]int, n),
 		g:        make([]int, n),
 		cross2:   make([][]bool, n),
 		outCount: make([]int, n),
 	}
-	// One evaluation of each local per state, packed; the interval scans
-	// below read bits.
-	bt := dj.TruthTable(d)
+	_, st.ivs = falseIntervals(d, dj)
 	for p := 0; p < n; p++ {
-		p := p
-		st.ivs[p] = d.FalseIntervals(p, func(k int) bool { return bt.Holds(p, k) })
 		st.cross2[p] = make([]bool, n)
 	}
 	for p := 0; p < n; p++ {
@@ -146,16 +142,12 @@ func (st *loopState) next(p int) deposet.StateID {
 	return deposet.StateID{P: p, K: iv.Lo}
 }
 
-// crossable is the paper's crossable(N(i), N(j)) with the boundary-
-// adjacent causal reading (see detect.Overlaps): N(j) can be fully
+// crossable is the paper's crossable(N(i), N(j)): N(j) can be fully
 // crossed before N(i) is entered iff entering N(i) is not forced by
-// exiting N(j).
+// exiting N(j) — the negation of Lemma 2's overlap clause, in the
+// boundary-adjacent causal reading detect.Overlaps documents.
 func (st *loopState) crossable(i, j int) bool {
-	ni, nj := st.ivs[i][st.ptr[i]], st.ivs[j][st.ptr[j]]
-	if ni.Lo == 0 || nj.Hi == st.d.Len(j)-1 {
-		return false
-	}
-	return !st.d.HB(deposet.StateID{P: i, K: ni.Lo - 1}, deposet.StateID{P: j, K: nj.Hi + 1})
+	return !detect.Overlaps(st.d, st.ivs[i][st.ptr[i]], st.ivs[j][st.ptr[j]])
 }
 
 // refreshPairs recomputes the crossability of every pair involving p

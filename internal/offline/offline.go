@@ -119,21 +119,7 @@ func Control(d *deposet.Deposet, dj *predicate.Disjunction, opts Options) (*Resu
 			dj.NumProcs(), d.NumProcs())
 	}
 	n := d.NumProcs()
-	c := &chain{
-		d:        d,
-		n:        n,
-		ivs:      make([][]deposet.Interval, n),
-		g:        d.BottomCut(),
-		minEntry: make([]int, n),
-		holder:   -1,
-	}
-	// The locals are evaluated exactly once per state into a packed
-	// falsity table; interval extraction here and the infeasibility check
-	// in giveUp both read the bits instead of re-calling the closures.
-	c.ft = dj.TruthTable(d).Invert()
-	for p := 0; p < n; p++ {
-		c.ivs[p] = detect.TruthIntervals(d, p, c.ft.Holds)
-	}
+	c := newChain(d, dj)
 	res := &Result{}
 
 	// Initial holder: any process true at ⊥.
@@ -159,6 +145,27 @@ func Control(d *deposet.Deposet, dj *predicate.Disjunction, opts Options) (*Resu
 	res.Relation = c.rel
 	res.Iterations = c.handoffs
 	return res, nil
+}
+
+func newChain(d *deposet.Deposet, dj *predicate.Disjunction) *chain {
+	n := d.NumProcs()
+	c := &chain{d: d, n: n, g: d.BottomCut(), minEntry: make([]int, n), holder: -1}
+	c.ft, c.ivs = falseIntervals(d, dj)
+	return c
+}
+
+// falseIntervals evaluates dj's locals exactly once per state into a
+// packed falsity table, Holds(p,k) = ¬lp(p,k), and scans every process's
+// false-intervals out of it: the input of both engines. Whatever reads
+// the locals afterwards (giveUp's infeasibility check) reads the bits
+// instead of re-calling the closures.
+func falseIntervals(d *deposet.Deposet, dj *predicate.Disjunction) (*predicate.TruthTable, [][]deposet.Interval) {
+	ft := dj.TruthTable(d).Invert()
+	ivs := make([][]deposet.Interval, d.NumProcs())
+	for p := range ivs {
+		ivs[p] = deposet.TruthIntervals(d, p, ft.Holds)
+	}
+	return ft, ivs
 }
 
 // snapshot captures the mutable chain state for backtracking. Ordinary

@@ -3,6 +3,7 @@ package offline
 import (
 	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -280,13 +281,40 @@ func TestControlMessageComplexityProperty(t *testing.T) {
 		}
 		total := 0
 		for p := 0; p < d.NumProcs(); p++ {
-			p := p
-			total += len(d.FalseIntervals(p, func(k int) bool { return dj.Holds(d, p, k) }))
+			total += len(deposet.TruthIntervals(d, p, func(p, k int) bool { return !dj.Holds(d, p, k) }))
 		}
 		return res.Iterations <= total+d.NumProcs() && len(res.Relation) <= res.Iterations
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestEnginesSeeTheSameIntervals: the chain engine and the Figure 2
+// transcription start from identical false-interval lists — the maximal
+// runs of ¬lp, here recomputed state by state from the locals.
+func TestEnginesSeeTheSameIntervals(t *testing.T) {
+	for seed := int64(0); seed < 100; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		d := deposet.Random(r, deposet.DefaultGen(1+r.Intn(5), r.Intn(60)))
+		dj := predicate.DisjunctionFromTruth(deposet.RandomTruth(r, d, 0.5))
+		chainIvs, fig2Ivs := newChain(d, dj).ivs, newLoopState(d, dj).ivs
+		for p := 0; p < d.NumProcs(); p++ {
+			var want []deposet.Interval
+			for k := 0; k < d.Len(p); k++ {
+				switch {
+				case dj.Holds(d, p, k):
+				case len(want) > 0 && want[len(want)-1].Hi == k-1:
+					want[len(want)-1].Hi = k
+				default:
+					want = append(want, deposet.Interval{P: p, Lo: k, Hi: k})
+				}
+			}
+			if !slices.Equal(chainIvs[p], want) || !slices.Equal(fig2Ivs[p], want) {
+				t.Fatalf("seed %d, P%d: Control sees %v, ControlFigure2 sees %v, the locals say %v",
+					seed, p, chainIvs[p], fig2Ivs[p], want)
+			}
+		}
 	}
 }
 

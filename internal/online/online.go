@@ -82,33 +82,10 @@ var ctlKind = map[kind]MsgKind{
 // Stats aggregates a run's control overhead. All fields are written
 // under the simulator's single-active-process discipline.
 type Stats struct {
-	CtlMessages int        // req + ack messages between controllers
-	Handoffs    int        // scapegoat role transfers
-	Requests    int        // RequestFalse calls
-	Responses   []sim.Time // per-request latency (0 for non-scapegoats)
-}
-
-// MaxResponse returns the largest observed request latency.
-func (s *Stats) MaxResponse() sim.Time {
-	var m sim.Time
-	for _, r := range s.Responses {
-		if r > m {
-			m = r
-		}
-	}
-	return m
-}
-
-// MeanResponse returns the average request latency.
-func (s *Stats) MeanResponse() float64 {
-	if len(s.Responses) == 0 {
-		return 0
-	}
-	var t sim.Time
-	for _, r := range s.Responses {
-		t += r
-	}
-	return float64(t) / float64(len(s.Responses))
+	CtlMessages int           // req + ack messages between controllers
+	Handoffs    int           // scapegoat role transfers
+	Requests    int           // RequestFalse calls
+	Responses   sim.Latencies // per-request latency (0 for non-scapegoats)
 }
 
 // Config parameterizes a controlled system.

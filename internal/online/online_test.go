@@ -113,8 +113,8 @@ func TestResponseTimeBounds(t *testing.T) {
 	if !sawHandoff {
 		t.Error("no handoff observed; workload too light to be meaningful")
 	}
-	if stats.MaxResponse() > 2*T+E {
-		t.Errorf("max response %d > 2T+Emax", stats.MaxResponse())
+	if stats.Responses.Max() > 2*T+E {
+		t.Errorf("max response %d > 2T+Emax", stats.Responses.Max())
 	}
 }
 
@@ -193,7 +193,7 @@ func TestDeterminism(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return stats.CtlMessages, stats.MaxResponse()
+		return stats.CtlMessages, stats.Responses.Max()
 	}
 	m1, r1 := run()
 	m2, r2 := run()
@@ -204,14 +204,14 @@ func TestDeterminism(t *testing.T) {
 
 func TestStatsHelpers(t *testing.T) {
 	s := &Stats{Responses: []sim.Time{0, 10, 4}}
-	if s.MaxResponse() != 10 {
+	if s.Responses.Max() != 10 {
 		t.Error("MaxResponse wrong")
 	}
-	if got := s.MeanResponse(); got < 4.6 || got > 4.7 {
+	if got := s.Responses.Mean(); got < 4.6 || got > 4.7 {
 		t.Errorf("MeanResponse = %v", got)
 	}
 	empty := &Stats{}
-	if empty.MaxResponse() != 0 || empty.MeanResponse() != 0 {
+	if empty.Responses.Max() != 0 || empty.Responses.Mean() != 0 {
 		t.Error("empty stats wrong")
 	}
 }

@@ -7,95 +7,219 @@ import (
 	"predctl/internal/deposet"
 )
 
+// form is the per-process normal form behind Disjunction and
+// Conjunction: at most one local predicate per process, joined by one
+// connective. The connective is named by its identity element — false
+// under ∨, true under ∧ — which is what a process without a local
+// contributes and what the form evaluates to unless some local says
+// otherwise; every other difference between the two forms follows.
+type form struct {
+	unit   bool
+	locals []LocalFn // indexed by process; nil means the constant unit
+	names  []string
+}
+
+func newForm(n int, unit bool) form {
+	return form{unit: unit, locals: make([]LocalFn, n), names: make([]string, n)}
+}
+
+// Set sets the local predicate of process p, or reports why it cannot: p
+// out of range, or p already has one (two locals of one process are a
+// single local predicate and should be expressed as one).
+func (f *form) Set(p int, name string, fn LocalFn) error {
+	if p < 0 || p >= len(f.locals) {
+		return fmt.Errorf("predicate: process %d out of range [0,%d)", p, len(f.locals))
+	}
+	if f.locals[p] != nil {
+		return fmt.Errorf("predicate: process %d already has a local predicate", p)
+	}
+	f.locals[p], f.names[p] = fn, name
+	return nil
+}
+
+// add is Set for callers whose arguments are program text, not input.
+func (f *form) add(p int, name string, fn LocalFn) {
+	if err := f.Set(p, name, fn); err != nil {
+		panic(err)
+	}
+}
+
+// NumProcs returns the number of processes the form ranges over.
+func (f *form) NumProcs() int { return len(f.locals) }
+
+// HasLocal reports whether process p contributes a local predicate.
+func (f *form) HasLocal(p int) bool { return f.locals[p] != nil }
+
+// Holds evaluates the local predicate of process p at state (p, k);
+// a process without one is constant false in a disjunction and constant
+// true in a conjunction.
+func (f *form) Holds(d *deposet.Deposet, p, k int) bool {
+	if f.locals[p] == nil {
+		return f.unit
+	}
+	return f.locals[p](d, k)
+}
+
+// Eval evaluates the form at global state g.
+func (f *form) Eval(d *deposet.Deposet, g deposet.Cut) bool {
+	for p := range f.locals {
+		if f.Holds(d, p, g[p]) != f.unit {
+			return !f.unit
+		}
+	}
+	return f.unit
+}
+
+// Expr returns the form as a general predicate expression.
+func (f *form) Expr() Expr {
+	var xs []Expr
+	for p, fn := range f.locals {
+		if fn != nil {
+			xs = append(xs, Local(p, f.names[p], fn))
+		}
+	}
+	if f.unit {
+		return And(xs...)
+	}
+	return Or(xs...)
+}
+
+func (f *form) String() string {
+	var parts []string
+	for p, fn := range f.locals {
+		if fn != nil {
+			parts = append(parts, fmt.Sprintf("%s@P%d", f.names[p], p))
+		}
+	}
+	if len(parts) == 0 {
+		return fmt.Sprint(f.unit)
+	}
+	if f.unit {
+		return strings.Join(parts, " ∧ ")
+	}
+	return strings.Join(parts, " ∨ ")
+}
+
+// Truth materializes the per-state truth table of the form's locals on
+// d: Truth[p][k] = Holds(d, p, k).
+func (f *form) Truth(d *deposet.Deposet) [][]bool {
+	t := make([][]bool, len(f.locals))
+	for p := range t {
+		t[p] = make([]bool, d.Len(p))
+		for k := range t[p] {
+			t[p][k] = f.Holds(d, p, k)
+		}
+	}
+	return t
+}
+
+// TruthTable materializes the packed truth table of the form's locals on
+// d: Holds(p, k) = f.Holds(d, p, k), so a process without a local is
+// all-false in a disjunction's table and all-true in a conjunction's.
+func (f *form) TruthTable(d *deposet.Deposet) *TruthTable {
+	lens := make([]int, len(f.locals))
+	for p := range lens {
+		lens[p] = d.Len(p)
+	}
+	t := NewTruthTable(lens)
+	for p, fn := range f.locals {
+		if fn == nil && !f.unit {
+			continue
+		}
+		for k := 0; k < lens[p]; k++ {
+			if fn == nil || fn(d, k) {
+				t.Set(p, k, true)
+			}
+		}
+	}
+	return t
+}
+
+// collect fills f from an expression built of Local leaves (each process
+// at most once) under arbitrary nesting of f's own connective and its
+// identity constant; anything else — the other connective, Not, the
+// other constant, two locals on one process, which the caller should
+// merge explicitly — is refused.
+func (f *form) collect(e Expr) bool {
+	var xs []Expr
+	switch x := e.(type) {
+	case *localExpr:
+		return f.Set(x.p, x.name, x.fn) == nil
+	case *constExpr:
+		return x.v == f.unit
+	case *orExpr:
+		if f.unit {
+			return false
+		}
+		xs = x.xs
+	case *andExpr:
+		if !f.unit {
+			return false
+		}
+		xs = x.xs
+	default:
+		return false
+	}
+	for _, sub := range xs {
+		if !f.collect(sub) {
+			return false
+		}
+	}
+	return true
+}
+
 // Disjunction is a predicate in the paper's disjunctive form
 // B = l1 ∨ l2 ∨ … ∨ ln, with at most one local predicate per process.
 // Processes without a local predicate contribute the constant false (they
 // can never discharge B). This is the class the off-line and on-line
 // control algorithms accept.
-type Disjunction struct {
-	n      int
-	locals []LocalFn // indexed by process; nil means constant false
-	names  []string
-}
+type Disjunction struct{ form }
+
+// Conjunction is a predicate of the form q1 ∧ q2 ∧ … ∧ qn with at most
+// one local predicate per process; processes without a conjunct are
+// constant true. This is the class accepted by the detection algorithms
+// (possibly/definitely). The negation of a disjunctive predicate is a
+// conjunction, which is how control and detection meet: a deposet
+// satisfies B = ∨ li iff ¬possibly(∧ ¬li).
+type Conjunction struct{ form }
 
 // NewDisjunction starts an empty disjunction over n processes (constant
 // false until locals are added).
-func NewDisjunction(n int) *Disjunction {
-	return &Disjunction{n: n, locals: make([]LocalFn, n), names: make([]string, n)}
-}
+func NewDisjunction(n int) *Disjunction { return &Disjunction{newForm(n, false)} }
 
-// Add sets the local predicate (disjunct) of process p. At most one local
-// per process; adding a second panics, since l ∨ l' of one process is a
-// single local predicate and should be expressed as one.
+// NewConjunction starts an empty conjunction over n processes (constant
+// true until conjuncts are added).
+func NewConjunction(n int) *Conjunction { return &Conjunction{newForm(n, true)} }
+
+// Add sets the local predicate (disjunct) of process p, and panics where
+// Set returns an error.
 func (dj *Disjunction) Add(p int, name string, fn LocalFn) *Disjunction {
-	if dj.locals[p] != nil {
-		panic(fmt.Sprintf("predicate: process %d already has a disjunct", p))
-	}
-	dj.locals[p] = fn
-	dj.names[p] = name
+	dj.add(p, name, fn)
 	return dj
 }
 
-// NumProcs returns the number of processes the disjunction ranges over.
-func (dj *Disjunction) NumProcs() int { return dj.n }
-
-// HasLocal reports whether process p contributes a disjunct.
-func (dj *Disjunction) HasLocal(p int) bool { return dj.locals[p] != nil }
-
-// Holds evaluates the local predicate lp at state (p, k); processes
-// without a disjunct are always false.
-func (dj *Disjunction) Holds(d *deposet.Deposet, p, k int) bool {
-	if dj.locals[p] == nil {
-		return false
-	}
-	return dj.locals[p](d, k)
+// Add sets the conjunct of process p, and panics where Set returns an
+// error.
+func (cj *Conjunction) Add(p int, name string, fn LocalFn) *Conjunction {
+	cj.add(p, name, fn)
+	return cj
 }
 
-// Eval evaluates the disjunction at global state g.
-func (dj *Disjunction) Eval(d *deposet.Deposet, g deposet.Cut) bool {
-	for p := 0; p < dj.n; p++ {
-		if dj.Holds(d, p, g[p]) {
-			return true
-		}
-	}
-	return false
+// AsDisjunction recognizes expressions of the form l1 ∨ … ∨ lk (arbitrary
+// nesting of Or over Local leaves, each process at most once) over n
+// processes. It returns false for anything else.
+func AsDisjunction(e Expr, n int) (*Disjunction, bool) {
+	dj := NewDisjunction(n)
+	return dj, dj.collect(e)
 }
 
-// Expr returns the disjunction as a general predicate expression.
-func (dj *Disjunction) Expr() Expr {
-	var xs []Expr
-	for p := 0; p < dj.n; p++ {
-		if dj.locals[p] != nil {
-			xs = append(xs, Local(p, dj.names[p], dj.locals[p]))
-		}
-	}
-	return Or(xs...)
-}
-
-func (dj *Disjunction) String() string {
-	var parts []string
-	for p := 0; p < dj.n; p++ {
-		if dj.locals[p] != nil {
-			parts = append(parts, fmt.Sprintf("%s@P%d", dj.names[p], p))
-		}
-	}
-	if len(parts) == 0 {
-		return "false"
-	}
-	return strings.Join(parts, " ∨ ")
-}
-
-// Truth materializes the per-state truth table of the disjunction's
-// locals on d: Truth[p][k] = lp(p, k).
-func (dj *Disjunction) Truth(d *deposet.Deposet) [][]bool {
-	t := make([][]bool, dj.n)
-	for p := 0; p < dj.n; p++ {
-		t[p] = make([]bool, d.Len(p))
-		for k := range t[p] {
-			t[p][k] = dj.Holds(d, p, k)
-		}
-	}
-	return t
+// AsConjunction recognizes expressions of the form q1 ∧ … ∧ qk
+// (arbitrary nesting of And over Local leaves, each process at most
+// once) over n processes — the detectable class. It returns false for
+// anything else.
+func AsConjunction(e Expr, n int) (*Conjunction, bool) {
+	cj := NewConjunction(n)
+	return cj, cj.collect(e)
 }
 
 // DisjunctionFromTruth builds a disjunction directly from a truth table
@@ -111,162 +235,17 @@ func DisjunctionFromTruth(truth [][]bool) *Disjunction {
 	return dj
 }
 
-// AsDisjunction recognizes expressions of the form l1 ∨ … ∨ lk (arbitrary
-// nesting of Or over Local leaves, each process at most once) over n
-// processes. It returns false for anything else — including And, Not, and
-// two locals on one process (which would need merging the caller should
-// do explicitly).
-func AsDisjunction(e Expr, n int) (*Disjunction, bool) {
-	dj := NewDisjunction(n)
-	ok := collectDisjuncts(e, dj)
-	return dj, ok
-}
-
-func collectDisjuncts(e Expr, dj *Disjunction) bool {
-	switch x := e.(type) {
-	case *localExpr:
-		if x.p < 0 || x.p >= dj.n || dj.locals[x.p] != nil {
-			return false
-		}
-		dj.locals[x.p] = x.fn
-		dj.names[x.p] = x.name
-		return true
-	case *orExpr:
-		for _, sub := range x.xs {
-			if !collectDisjuncts(sub, dj) {
-				return false
-			}
-		}
-		return true
-	case *constExpr:
-		// false is the identity of ∨; true is not disjunctive-with-locals.
-		return !x.v
-	default:
-		return false
-	}
-}
-
-// AsConjunction recognizes expressions of the form q1 ∧ … ∧ qk
-// (arbitrary nesting of And over Local leaves, each process at most
-// once) over n processes — the detectable class. It returns false for
-// anything else.
-func AsConjunction(e Expr, n int) (*Conjunction, bool) {
-	cj := NewConjunction(n)
-	ok := collectConjuncts(e, cj)
-	return cj, ok
-}
-
-func collectConjuncts(e Expr, cj *Conjunction) bool {
-	switch x := e.(type) {
-	case *localExpr:
-		if x.p < 0 || x.p >= cj.n || cj.locals[x.p] != nil {
-			return false
-		}
-		cj.locals[x.p] = x.fn
-		cj.names[x.p] = x.name
-		return true
-	case *andExpr:
-		for _, sub := range x.xs {
-			if !collectConjuncts(sub, cj) {
-				return false
-			}
-		}
-		return true
-	case *constExpr:
-		// true is the identity of ∧; false is not conjunctive-with-locals.
-		return x.v
-	default:
-		return false
-	}
-}
-
-// Conjunction is a predicate of the form q1 ∧ q2 ∧ … ∧ qn with at most
-// one local predicate per process; processes without a conjunct are
-// constant true. This is the class accepted by the detection algorithms
-// (possibly/definitely). The negation of a disjunctive predicate is a
-// conjunction, which is how control and detection meet: a deposet
-// satisfies B = ∨ li iff ¬possibly(∧ ¬li).
-type Conjunction struct {
-	n      int
-	locals []LocalFn // nil means constant true
-	names  []string
-}
-
-// NewConjunction starts an empty conjunction over n processes (constant
-// true until conjuncts are added).
-func NewConjunction(n int) *Conjunction {
-	return &Conjunction{n: n, locals: make([]LocalFn, n), names: make([]string, n)}
-}
-
-// Add sets the conjunct of process p.
-func (cj *Conjunction) Add(p int, name string, fn LocalFn) *Conjunction {
-	if cj.locals[p] != nil {
-		panic(fmt.Sprintf("predicate: process %d already has a conjunct", p))
-	}
-	cj.locals[p] = fn
-	cj.names[p] = name
-	return cj
-}
-
-// NumProcs returns the number of processes the conjunction ranges over.
-func (cj *Conjunction) NumProcs() int { return cj.n }
-
-// Holds evaluates the conjunct qp at state (p, k); processes without a
-// conjunct are always true.
-func (cj *Conjunction) Holds(d *deposet.Deposet, p, k int) bool {
-	if cj.locals[p] == nil {
-		return true
-	}
-	return cj.locals[p](d, k)
-}
-
-// Eval evaluates the conjunction at global state g.
-func (cj *Conjunction) Eval(d *deposet.Deposet, g deposet.Cut) bool {
-	for p := 0; p < cj.n; p++ {
-		if !cj.Holds(d, p, g[p]) {
-			return false
-		}
-	}
-	return true
-}
-
-// Expr returns the conjunction as a general predicate expression.
-func (cj *Conjunction) Expr() Expr {
-	var xs []Expr
-	for p := 0; p < cj.n; p++ {
-		if cj.locals[p] != nil {
-			xs = append(xs, Local(p, cj.names[p], cj.locals[p]))
-		}
-	}
-	return And(xs...)
-}
-
-func (cj *Conjunction) String() string {
-	var parts []string
-	for p := 0; p < cj.n; p++ {
-		if cj.locals[p] != nil {
-			parts = append(parts, fmt.Sprintf("%s@P%d", cj.names[p], p))
-		}
-	}
-	if len(parts) == 0 {
-		return "true"
-	}
-	return strings.Join(parts, " ∧ ")
-}
-
 // Negate returns the conjunction ∧p ¬lp of a disjunction ∨p lp. Processes
 // without a disjunct (constant false) become constant-true conjuncts...
 // which is exactly "¬false". Used to hand B's complement to the detectors.
 func (dj *Disjunction) Negate() *Conjunction {
-	cj := NewConjunction(dj.n)
-	for p := 0; p < dj.n; p++ {
-		fn := dj.locals[p]
+	cj := NewConjunction(dj.NumProcs())
+	for p, fn := range dj.locals {
 		if fn == nil {
 			continue // ¬false = true = absent conjunct
 		}
-		f := fn
 		cj.Add(p, "¬"+dj.names[p], func(d *deposet.Deposet, k int) bool {
-			return !f(d, k)
+			return !fn(d, k)
 		})
 	}
 	return cj

@@ -266,6 +266,73 @@ func TestNegateComplementProperty(t *testing.T) {
 	}
 }
 
+// The two normal forms are one form under two connectives: on random
+// truth tables with some processes left without a local, negation
+// commutes with tabulation, and each form round-trips through its
+// expression into itself and into nothing else.
+func TestNormalFormDuality(t *testing.T) {
+	sameTable := func(d *deposet.Deposet, a, b *TruthTable) bool {
+		for p := 0; p < d.NumProcs(); p++ {
+			for k := 0; k < d.Len(p); k++ {
+				if a.Holds(p, k) != b.Holds(p, k) {
+					return false
+				}
+			}
+		}
+		return true
+	}
+	f := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		d := deposet.Random(r, deposet.DefaultGen(1+r.Intn(4), r.Intn(16)))
+		n := d.NumProcs()
+		dj := NewDisjunction(n)
+		for p, tp := range deposet.RandomTruth(r, d, 0.5) {
+			if r.Intn(3) > 0 {
+				dj.Add(p, "l", func(_ *deposet.Deposet, k int) bool { return tp[k] })
+			}
+		}
+		cj := dj.Negate()
+		if !sameTable(d, cj.TruthTable(d), dj.TruthTable(d).Invert()) {
+			t.Logf("seed %d: ¬ does not commute with TruthTable", seed)
+			return false
+		}
+		dj2, ok := AsDisjunction(dj.Expr(), n)
+		if !ok || dj2.String() != dj.String() || !sameTable(d, dj2.TruthTable(d), dj.TruthTable(d)) {
+			t.Logf("seed %d: %v does not round-trip (%v, %v)", seed, dj, dj2, ok)
+			return false
+		}
+		cj2, ok := AsConjunction(cj.Expr(), n)
+		if !ok || cj2.String() != cj.String() || !sameTable(d, cj2.TruthTable(d), cj.TruthTable(d)) {
+			t.Logf("seed %d: %v does not round-trip (%v, %v)", seed, cj, cj2, ok)
+			return false
+		}
+		// And into nothing else: the other connective's node is refused
+		// even around a single local.
+		_, djAsCj := AsConjunction(dj.Expr(), n)
+		_, cjAsDj := AsDisjunction(cj.Expr(), n)
+		return !djAsCj && !cjAsDj
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+		t.Error(err)
+	}
+
+	a, b, c := Local(0, "a", nilFn), Local(1, "b", nilFn), Local(2, "c", nilFn)
+	for _, mixed := range []Expr{Or(And(a, b), c), And(Or(a, b), c)} {
+		if _, ok := AsDisjunction(mixed, 3); ok {
+			t.Errorf("AsDisjunction accepted %v", mixed)
+		}
+		if _, ok := AsConjunction(mixed, 3); ok {
+			t.Errorf("AsConjunction accepted %v", mixed)
+		}
+	}
+	if got := NewDisjunction(2).String(); got != "false" {
+		t.Errorf("empty disjunction prints %q", got)
+	}
+	if got := NewConjunction(2).String(); got != "true" {
+		t.Errorf("empty conjunction prints %q", got)
+	}
+}
+
 func TestNegateSkipsMissingLocals(t *testing.T) {
 	d := twoProc(t)
 	dj := NewDisjunction(2)

@@ -54,49 +54,6 @@ func (t *TruthTable) Invert() *TruthTable {
 	return u
 }
 
-// TruthTable materializes the packed truth table of the disjunction's
-// locals on d: Holds(p, k) = lp(p, k). Processes without a disjunct are
-// all-false, matching Disjunction.Holds.
-func (dj *Disjunction) TruthTable(d *deposet.Deposet) *TruthTable {
-	lens := make([]int, dj.n)
-	for p := range lens {
-		lens[p] = d.Len(p)
-	}
-	t := NewTruthTable(lens)
-	for p := 0; p < dj.n; p++ {
-		fn := dj.locals[p]
-		if fn == nil {
-			continue
-		}
-		for k := 0; k < lens[p]; k++ {
-			if fn(d, k) {
-				t.Set(p, k, true)
-			}
-		}
-	}
-	return t
-}
-
-// TruthTable materializes the packed truth table of the conjunction's
-// conjuncts on d: Holds(p, k) = qp(p, k). Processes without a conjunct
-// are all-true, matching Conjunction.Holds.
-func (cj *Conjunction) TruthTable(d *deposet.Deposet) *TruthTable {
-	lens := make([]int, cj.n)
-	for p := range lens {
-		lens[p] = d.Len(p)
-	}
-	t := NewTruthTable(lens)
-	for p := 0; p < cj.n; p++ {
-		fn := cj.locals[p]
-		for k := 0; k < lens[p]; k++ {
-			if fn == nil || fn(d, k) {
-				t.Set(p, k, true)
-			}
-		}
-	}
-	return t
-}
-
 // bitExpr is a compiled local predicate: its truth over every state of
 // its process, packed. Eval is a load, a shift and a mask.
 type bitExpr struct {

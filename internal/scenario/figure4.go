@@ -7,8 +7,11 @@
 package scenario
 
 import (
+	"predctl/internal/control"
 	"predctl/internal/deposet"
+	"predctl/internal/offline"
 	"predctl/internal/predicate"
+	"predctl/internal/replay"
 )
 
 // Figure4 is the reconstructed computation C1 plus the predicates the
@@ -38,12 +41,61 @@ type Figure4 struct {
 func (fg *Figure4) Windows() []deposet.Interval {
 	var w []deposet.Interval
 	for p := 0; p < fg.C1.NumProcs(); p++ {
-		p := p
-		w = append(w, fg.C1.FalseIntervals(p, func(k int) bool {
-			return fg.availAt(p, k)
+		w = append(w, deposet.TruthIntervals(fg.C1, p, func(p, k int) bool {
+			return !fg.availAt(p, k)
 		})...)
 	}
 	return w
+}
+
+// Derived is a computation of the walkthrough: its parent replayed under
+// the off-line controller's relation for some predicate.
+type Derived struct {
+	Relation control.Relation // the control imposed on the parent
+	D        *deposet.Deposet // the replay
+	// Underlying maps D back to C1: state (p,k) of D is C1's state
+	// (p, Underlying[p][k]), the argument Bug1On and Bug2On take.
+	Underlying [][]int
+}
+
+// derive controls parent with dj and replays it; via, when non-nil, maps
+// parent's states to C1's.
+func derive(parent *deposet.Deposet, dj *predicate.Disjunction, seed int64, via [][]int) (*Derived, error) {
+	res, err := offline.Control(parent, dj, offline.Options{})
+	if err != nil {
+		return nil, err
+	}
+	r, err := replay.Run(parent, res.Relation, replay.Config{Seed: seed})
+	if err != nil {
+		return nil, err
+	}
+	c := &Derived{Relation: res.Relation, D: r.Trace.D, Underlying: r.Underlying}
+	if via != nil {
+		c.Underlying = make([][]int, len(via))
+		for p := range via {
+			for _, k := range r.Underlying[p] {
+				c.Underlying[p] = append(c.Underlying[p], via[p][k])
+			}
+		}
+	}
+	return c, nil
+}
+
+// Derive runs the §7 cycle on C1: C2 is C1 controlled with B = ∨ avail
+// (bug 1 gone, bug 2 still possible), C3 is C2 controlled with "e before
+// f", and C4 is C1 controlled with "e before f" alone — where both bugs
+// are gone, which is the walkthrough's inference that bug 2 causes bug 1.
+func (fg *Figure4) Derive() (c2, c3, c4 *Derived, err error) {
+	if c2, err = derive(fg.C1, fg.Avail, 1, nil); err != nil {
+		return nil, nil, nil, err
+	}
+	if c3, err = derive(c2.D, fg.EBeforeFMapped(c2.Underlying), 2, c2.Underlying); err != nil {
+		return nil, nil, nil, err
+	}
+	if c4, err = derive(fg.C1, fg.EBeforeF, 3, nil); err != nil {
+		return nil, nil, nil, err
+	}
+	return c2, c3, c4, nil
 }
 
 func (fg *Figure4) availAt(p, k int) bool {

@@ -6,9 +6,7 @@ import (
 	"predctl/internal/control"
 	"predctl/internal/deposet"
 	"predctl/internal/detect"
-	"predctl/internal/offline"
 	"predctl/internal/online"
-	"predctl/internal/replay"
 	"predctl/internal/sim"
 )
 
@@ -50,61 +48,35 @@ func TestFigure4Walkthrough(t *testing.T) {
 	}
 
 	// Step 2: off-line control with B = ∨ avail gives C2.
-	res1, err := offline.Control(d, fg.Avail, offline.Options{})
+	c2, c3, c4, err := fg.Derive()
 	if err != nil {
 		t.Fatal(err)
 	}
-	c2, err := replay.Run(d, res1.Relation, replay.Config{Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cut, ok := detect.PossiblyTruth(c2.Trace.D, holds(fg.Bug1On(c2.Underlying), c2.Trace.D)); ok {
+	if cut, ok := detect.PossiblyConjunctive(c2.D, fg.Bug1On(c2.Underlying)); ok {
 		t.Fatalf("bug1 still possible in C2 at %v", cut)
 	}
 
 	// Step 3: bug 2 — e and f at the same time — is still possible in C2.
-	if _, ok := detect.PossiblyTruth(c2.Trace.D, holds(fg.Bug2On(c2.Underlying), c2.Trace.D)); !ok {
+	if _, ok := detect.PossiblyConjunctive(c2.D, fg.Bug2On(c2.Underlying)); !ok {
 		t.Fatal("bug2 must be possible in C2")
 	}
 
-	// Step 4: control C2 with "e before f" to get C3.
-	res3, err := offline.Control(c2.Trace.D, fg.EBeforeFMapped(c2.Underlying), offline.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c3, err := replay.Run(c2.Trace.D, res3.Relation, replay.Config{Seed: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Compose the two underlying mappings to reach C1 indices.
-	composed := make([][]int, 3)
-	for p := range composed {
-		for _, k := range c3.Underlying[p] {
-			composed[p] = append(composed[p], c2.Underlying[p][k])
-		}
-	}
-	if cut, ok := detect.PossiblyTruth(c3.Trace.D, holds(fg.Bug2On(composed), c3.Trace.D)); ok {
+	// Step 4: control C2 with "e before f" to get C3, whose Underlying
+	// composes the two replays' mappings to reach C1 indices.
+	if cut, ok := detect.PossiblyConjunctive(c3.D, fg.Bug2On(c3.Underlying)); ok {
 		t.Fatalf("bug2 still possible in C3 at %v", cut)
 	}
 
 	// Step 5: the key inference — applying the bug-2 fix directly to C1
 	// (computation C4) eliminates bug 1 as well, so bug 2 caused bug 1.
-	res4, err := offline.Control(d, fg.EBeforeF, offline.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c4, err := replay.Run(d, res4.Relation, replay.Config{Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cut, ok := detect.PossiblyTruth(c4.Trace.D, holds(fg.Bug2On(c4.Underlying), c4.Trace.D)); ok {
+	if cut, ok := detect.PossiblyConjunctive(c4.D, fg.Bug2On(c4.Underlying)); ok {
 		t.Fatalf("bug2 possible in C4 at %v", cut)
 	}
-	if cut, ok := detect.PossiblyTruth(c4.Trace.D, holds(fg.Bug1On(c4.Underlying), c4.Trace.D)); ok {
+	if cut, ok := detect.PossiblyConjunctive(c4.D, fg.Bug1On(c4.Underlying)); ok {
 		t.Fatalf("bug1 possible in C4 at %v", cut)
 	}
 	// And in the extended-deposet view, G and H are no longer consistent.
-	x, err := control.Extend(d, res4.Relation)
+	x, err := control.Extend(d, c4.Relation)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,14 +125,6 @@ func TestFigure4Walkthrough(t *testing.T) {
 	}); ok {
 		t.Fatalf("online run allowed f before e at %v", cut)
 	}
-}
-
-// holds adapts a conjunction over C1-mapped indices to a HoldsFn on the
-// derived computation.
-func holds(cj interface {
-	Holds(d *deposet.Deposet, p, k int) bool
-}, d *deposet.Deposet) detect.HoldsFn {
-	return func(p, k int) bool { return cj.Holds(d, p, k) }
 }
 
 func TestFigure4OnlineViolationWithoutControl(t *testing.T) {

@@ -35,6 +35,30 @@ import (
 // Time is virtual time, in abstract units.
 type Time int64
 
+// Latencies is a run's per-request latency record, with the two
+// summaries the protocol tables print.
+type Latencies []Time
+
+// Max returns the largest latency, 0 if there are none.
+func (l Latencies) Max() Time {
+	if len(l) == 0 {
+		return 0
+	}
+	return slices.Max(l)
+}
+
+// Mean returns the average latency, 0 if there are none.
+func (l Latencies) Mean() float64 {
+	if len(l) == 0 {
+		return 0
+	}
+	var t Time
+	for _, r := range l {
+		t += r
+	}
+	return float64(t) / float64(len(l))
+}
+
 // DelayFn computes the in-flight delay of a message. It must be
 // deterministic given the rng.
 type DelayFn func(from, to int, r *rand.Rand) Time

@@ -59,8 +59,7 @@ type Config struct {
 	SegmentBytes int64
 	// Reg, when non-nil, receives the predctl_store_segment_bytes and
 	// predctl_store_segments_total gauges.
-	Reg          *obs.Registry
-	MetricLabels []obs.Label
+	Reg *obs.Registry
 }
 
 // recRef locates one live record: segment ordinal, body offset, body
@@ -117,8 +116,8 @@ func Open(cfg Config) (*Store, error) {
 		index:    map[int32][]recRef{},
 	}
 	if cfg.Reg != nil {
-		s.gBytes = cfg.Reg.Gauge("predctl_store_segment_bytes", cfg.MetricLabels...)
-		s.gSegs = cfg.Reg.Gauge("predctl_store_segments_total", cfg.MetricLabels...)
+		s.gBytes = cfg.Reg.Gauge("predctl_store_segment_bytes")
+		s.gSegs = cfg.Reg.Gauge("predctl_store_segments_total")
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -179,23 +179,25 @@ func EncodeDisjunction(w io.Writer, s DisjunctionSpec) error {
 	return enc.Encode(s)
 }
 
-// Compile turns the spec into an evaluatable disjunction over n processes.
+// Compile turns the spec into an evaluatable disjunction over n
+// processes. A spec is bytes from disk: a local naming a process outside
+// [0, n), or a second local for one process, is an error naming the
+// process.
 func (s DisjunctionSpec) Compile(n int) (*predicate.Disjunction, error) {
 	dj := predicate.NewDisjunction(n)
 	for _, l := range s.Locals {
-		if l.P < 0 || l.P >= n {
-			return nil, fmt.Errorf("trace: predicate names process %d of %d", l.P, n)
-		}
 		cmp, err := compare(l.Op)
 		if err != nil {
 			return nil, err
 		}
-		l := l
 		name := fmt.Sprintf("%s %s %d", l.Var, l.Op, l.Value)
-		dj.Add(l.P, name, func(d *deposet.Deposet, k int) bool {
+		err = dj.Set(l.P, name, func(d *deposet.Deposet, k int) bool {
 			v, ok := d.Var(deposet.StateID{P: l.P, K: k}, l.Var)
 			return ok && cmp(v, l.Value)
 		})
+		if err != nil {
+			return nil, fmt.Errorf("trace: predicate spec: %w", err)
+		}
 	}
 	return dj, nil
 }

@@ -128,6 +128,11 @@ func TestPredicateSpecErrors(t *testing.T) {
 	if _, err := (DisjunctionSpec{Locals: []LocalSpec{{P: 0, Op: "weird"}}}).Compile(2); err == nil {
 		t.Error("bad op accepted")
 	}
+	// Two locals for one process: an error naming it, not Add's panic.
+	twice := DisjunctionSpec{Locals: []LocalSpec{{P: 1, Var: "x", Op: "true"}, {P: 1, Var: "y", Op: "true"}}}
+	if _, err := twice.Compile(2); err == nil || !strings.Contains(err.Error(), "process 1") {
+		t.Errorf("two locals on process 1: error %v, want one naming the process", err)
+	}
 	if _, err := DecodeDisjunction(strings.NewReader("{")); err == nil {
 		t.Error("malformed predicate accepted")
 	}
