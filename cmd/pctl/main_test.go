@@ -169,9 +169,26 @@ func TestCLIErrors(t *testing.T) {
 	if err := os.WriteFile(dup, []byte(`{"locals":[{"p":0,"var":"a","op":"true"},{"p":0,"var":"b","op":"true"}]}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
+	// A misspelt key is an error naming it, not the empty predicate
+	// B = false, and so is a predicate file written twice.
+	local := `{"p":0,"var":"ok","op":"eq","value":1}`
+	typo := filepath.Join(t.TempDir(), "typo.json")
+	if err := os.WriteFile(typo, []byte(`{"local":[`+local+`]}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	doubled := filepath.Join(t.TempDir(), "doubled.json")
+	if err := os.WriteFile(doubled, []byte(`{"locals":[`+local+`]}`+"\n"+`{"locals":[`+local+`]}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	for _, cmd := range []string{"detect", "control", "replay", "sgsd"} {
 		if err := run([]string{cmd, "-pred", dup, single}); err == nil || !strings.Contains(err.Error(), "process 0") {
 			t.Errorf("%s with two locals on process 0: error %v, want one naming the process", cmd, err)
+		}
+		if err := run([]string{cmd, "-pred", typo, single}); err == nil || !strings.Contains(err.Error(), `"local"`) {
+			t.Errorf("%s with a misspelt key: error %v, want one naming it", cmd, err)
+		}
+		if err := run([]string{cmd, "-pred", doubled, single}); err == nil || !strings.Contains(err.Error(), "after the document") {
+			t.Errorf("%s with a predicate file written twice: error %v", cmd, err)
 		}
 		if cmd == "replay" {
 			continue // -pred is optional there

@@ -52,6 +52,25 @@ func TestConsistentAllocFree(t *testing.T) {
 	_ = sink
 }
 
+// VarsAt is what Encode and the replay walk once per state.
+func TestVarsAtAllocFree(t *testing.T) {
+	b := NewBuilder(2)
+	b.Let(0, "cs", 1)
+	b.Step(0)
+	b.Let(0, "req", 2)
+	d := b.MustBuild()
+	var sink int
+	if n := testing.AllocsPerRun(100, func() {
+		for k := 0; k < d.Len(0); k++ {
+			names, vals, _ := d.VarsAt(StateID{P: 0, K: k})
+			sink += len(names) + len(vals)
+		}
+	}); n != 0 {
+		t.Errorf("VarsAt allocates %.1f per run, want 0", n)
+	}
+	_ = sink
+}
+
 // FromRaw rejects a bad message table before it allocates any clock row:
 // at 16 processes and 2²⁰ states the event tables are 16 MiB and the
 // arena alone would be 64 MiB, so the one is paid and the other is not.

@@ -101,6 +101,20 @@ func (d *Deposet) Var(s StateID, name string) (int, bool) {
 // HasVars reports whether the computation carries state variables.
 func (d *Deposet) HasVars() bool { return d.vars != nil }
 
+// VarsAt returns the variables at s by slot: names is every variable in
+// sorted order, the same at every state, and vals[i] is names[i]'s value
+// where set[i]. vals and set are nil where no variable is set, all three
+// without variables. The caller must not modify them.
+func (d *Deposet) VarsAt(s StateID) (names []string, vals []int, set []bool) {
+	if d.vars == nil {
+		return nil, nil, nil
+	}
+	if sn := d.vars.snaps[s.P][s.K]; sn != nil {
+		vals, set = sn.vals, sn.set
+	}
+	return d.vars.names, vals, set
+}
+
 // A Builder assembles a deposet event by event. All methods panic on
 // out-of-range process indices; semantic errors (double receive, receive
 // of an unsent message, causal cycles) are reported by Build.

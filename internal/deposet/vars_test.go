@@ -2,7 +2,9 @@ package deposet
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -60,6 +62,18 @@ func TestVarTableFromLogMatchesMapReference(t *testing.T) {
 							t.Fatalf("seed %d step %d: Var((%d,%d), %q) = %d, %v; reference %d, %v",
 								seed, step, p, k, name, got, ok, w, wok)
 						}
+					}
+					// VarsAt walks the same bindings, in name order.
+					slots, vals, set := d.VarsAt(StateID{P: p, K: k})
+					got := map[string]int{}
+					for slot, ok := range set {
+						if ok {
+							got[slots[slot]] = vals[slot]
+						}
+					}
+					if !slices.IsSorted(slots) || !maps.Equal(got, want) {
+						t.Fatalf("seed %d step %d: VarsAt((%d,%d)) = %q %v %v; reference %v",
+							seed, step, p, k, slots, vals, set, want)
 					}
 				}
 			}

@@ -82,10 +82,6 @@ func Run(d *deposet.Deposet, rel control.Relation, cfg Config) (*Result, error) 
 		}
 	}
 
-	var vars [][]map[string]int // the original per-state snapshots, read once
-	if d.HasVars() {
-		vars = d.Raw().Vars
-	}
 	// Every message has one receiver and every edge one target process,
 	// so the processes share the two tables without sharing an entry.
 	appBuf := make([]bool, len(msgs))
@@ -110,9 +106,6 @@ func Run(d *deposet.Deposet, rel control.Relation, cfg Config) (*Result, error) 
 				appBuf:     appBuf,
 				ctlArrived: ctlArrived,
 				underlying: append(make([]int, 0, 1+events[p]), 0), // initial state
-			}
-			if vars != nil {
-				r.vars = vars[p]
 			}
 			recv, send := recvBefore[p], sendAfter[p]
 			r.applyVars(0)
@@ -147,9 +140,8 @@ func Run(d *deposet.Deposet, rel control.Relation, cfg Config) (*Result, error) 
 type replayer struct {
 	proc       *sim.Proc
 	d          *deposet.Deposet
-	vars       []map[string]int // the process's original snapshots, by state; nil without variables
-	appBuf     []bool           // by original message id: received but not yet consumed
-	ctlArrived []bool           // by control edge id: received
+	appBuf     []bool // by original message id: received but not yet consumed
+	ctlArrived []bool // by control edge id: received
 	underlying []int
 	cur        int // current logical original state index
 }
@@ -184,14 +176,14 @@ func (r *replayer) step(e int) {
 	}
 }
 
-// applyVars copies the original state's variable snapshot onto the
-// current replayed state.
+// applyVars copies the original state's variables, in name order, onto
+// the current replayed state.
 func (r *replayer) applyVars(e int) {
-	if r.vars == nil {
-		return
-	}
-	for name, v := range r.vars[e] {
-		r.proc.Let(name, v)
+	names, vals, set := r.d.VarsAt(deposet.StateID{P: r.proc.ID(), K: e})
+	for slot, ok := range set {
+		if ok {
+			r.proc.Let(names[slot], vals[slot])
+		}
 	}
 }
 

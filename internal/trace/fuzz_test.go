@@ -49,6 +49,10 @@ func FuzzDecodeDisjunction(f *testing.F) {
 	f.Add(`{"locals":[{"p":0,"var":"x","op":"eq","value":1}]}`)
 	f.Add(`{"locals":[{"p":9,"var":"x","op":"weird"}]}`)
 	f.Add(`{"locals":null}`)
+	f.Add(`{"local":[{"p":0,"var":"ok","op":"eq","value":1}]}`)
+	f.Add(`{"locals":[{"p":0,"vr":"ok","op":"eq","value":1}]}`)
+	f.Add(`{"locals":[]}{"locals":[]}`)
+	f.Add(`{"locals":[]} garbage`)
 	f.Fuzz(func(t *testing.T, s string) {
 		spec, err := DecodeDisjunction(strings.NewReader(s))
 		if err != nil {

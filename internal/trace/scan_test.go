@@ -123,22 +123,20 @@ func viaJSON(data []byte) (*deposet.Deposet, control.Relation, error) {
 }
 
 // outcome renders a Decode result for comparison: the error, or the
-// deposet and relation as Encode writes them.
+// deposet and relation as Encode writes them — which must be the bytes
+// encoding/json writes.
 func outcome(t testing.TB, d *deposet.Deposet, rel control.Relation, err error) string {
 	if err != nil {
 		return "error: " + err.Error()
 	}
-	var buf bytes.Buffer
-	if err := Encode(&buf, d, rel); err != nil {
-		t.Fatalf("accepted trace failed to encode: %v", err)
-	}
-	return buf.String()
+	return string(checkEncodeMatchesJSON(t, d, rel))
 }
 
 // checkMatchesJSON holds one input to the scanner's contract: what it
 // accepts, encoding/json accepts and reads to the same Raw and relation
 // (nil-ness included), and Decode's outcome is the reference's either
-// way. It reports whether the scanner accepted.
+// way. Whatever Decode accepts, Encode writes as encoding/json does. It
+// reports whether the scanner accepted.
 func checkMatchesJSON(t testing.TB, in string) bool {
 	data := []byte(in)
 	got, ok := scan(data)
@@ -193,8 +191,8 @@ func TestDecodeCases(t *testing.T) {
 	}
 }
 
-// FuzzDecodeMatchesJSON is the differential test of the scanner against
-// encoding/json.
+// FuzzDecodeMatchesJSON is the differential test of the scanner, and of
+// Encode on what Decode accepts, against encoding/json.
 func FuzzDecodeMatchesJSON(f *testing.F) {
 	for _, c := range decodeCases {
 		f.Add(c.in)

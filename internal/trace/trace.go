@@ -44,21 +44,6 @@ type Edge struct {
 	ToK   int `json:"to_k"`
 }
 
-// Encode writes d (and an optional control relation) as JSON.
-func Encode(w io.Writer, d *deposet.Deposet, rel control.Relation) error {
-	raw := d.Raw()
-	f := File{Version: Version, Lens: raw.Lens, Vars: raw.Vars}
-	for _, m := range raw.Msgs {
-		f.Msgs = append(f.Msgs, Message{m.FromP, m.SendEvent, m.ToP, m.RecvEvent})
-	}
-	for _, e := range rel {
-		f.Control = append(f.Control, Edge{e.From.P, e.From.K, e.To.P, e.To.K})
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", " ")
-	return enc.Encode(f)
-}
-
 // Decode reads a trace file back into a computation and control
 // relation. It reads r to its end: the file is one JSON document, and
 // anything but whitespace after it is an error. A document in the
@@ -110,13 +95,8 @@ func readInput(r io.Reader) ([]byte, error) {
 // the same shapes the scanner builds.
 func decodeJSON(data []byte) (decoded, error) {
 	var f File
-	dec := json.NewDecoder(bytes.NewReader(data))
-	if err := dec.Decode(&f); err != nil {
+	if err := decodeOne(json.NewDecoder(bytes.NewReader(data)), data, &f); err != nil {
 		return decoded{}, fmt.Errorf("trace: %w", err)
-	}
-	end := int(dec.InputOffset())
-	if rest := bytes.TrimLeft(data[end:], " \t\r\n"); len(rest) > 0 {
-		return decoded{}, fmt.Errorf("trace: unexpected %q after the document, at offset %d", rest[0], len(data)-len(rest))
 	}
 	out := decoded{version: f.Version, raw: deposet.Raw{Lens: f.Lens, Vars: f.Vars}}
 	for _, m := range f.Msgs {
@@ -131,6 +111,19 @@ func decodeJSON(data []byte) (decoded, error) {
 		})
 	}
 	return out, nil
+}
+
+// decodeOne decodes into v, with dec, the document data holds: anything
+// but whitespace after it is an error naming the offset.
+func decodeOne(dec *json.Decoder, data []byte, v any) error {
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	end := int(dec.InputOffset())
+	if rest := bytes.TrimLeft(data[end:], " \t\r\n"); len(rest) > 0 {
+		return fmt.Errorf("unexpected %q after the document, at offset %d", rest[0], len(data)-len(rest))
+	}
+	return nil
 }
 
 // build validates what a decoder read.
@@ -163,11 +156,19 @@ type DisjunctionSpec struct {
 	Locals []LocalSpec `json:"locals"`
 }
 
-// DecodeDisjunction reads a predicate spec.
+// DecodeDisjunction reads a predicate spec: one JSON document, with
+// nothing but whitespace after it and no field the spec has no place for
+// (a misspelt "locals" would otherwise read as B = false).
 func DecodeDisjunction(r io.Reader) (DisjunctionSpec, error) {
 	var s DisjunctionSpec
-	if err := json.NewDecoder(r).Decode(&s); err != nil {
-		return s, fmt.Errorf("trace: predicate: %w", err)
+	data, err := io.ReadAll(r)
+	if err == nil {
+		dec := json.NewDecoder(bytes.NewReader(data))
+		dec.DisallowUnknownFields()
+		err = decodeOne(dec, data, &s)
+	}
+	if err != nil {
+		return DisjunctionSpec{}, fmt.Errorf("trace: predicate: %w", err)
 	}
 	return s, nil
 }

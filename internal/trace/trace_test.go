@@ -138,6 +138,28 @@ func TestPredicateSpecErrors(t *testing.T) {
 	}
 }
 
+// TestPredicateSpecStrict checks that a typo in a predicate file, or a
+// file written twice, is an error naming the field or the offset, not an
+// empty predicate.
+func TestPredicateSpecStrict(t *testing.T) {
+	local := `{"p":0,"var":"ok","op":"eq","value":1}`
+	cases := map[string]string{
+		`{"local":[` + local + `]}`:                   `"local"`,
+		`{"locals":[{"p":0,"vr":"ok","op":"eq"}]}`:    `"vr"`,
+		`{"locals":[` + local + `]}{"locals":[]}`:     "offset 51",
+		`{"locals":[` + local + `]}` + "\n garbage\n": "offset 53",
+	}
+	for in, want := range cases {
+		if _, err := DecodeDisjunction(strings.NewReader(in)); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: error %v, want one naming %s", in, err, want)
+		}
+	}
+	spec, err := DecodeDisjunction(strings.NewReader(`{"locals":[` + local + `]}` + "\n"))
+	if err != nil || len(spec.Locals) != 1 {
+		t.Errorf("one document and a newline: %+v, %v", spec, err)
+	}
+}
+
 func TestCompareOps(t *testing.T) {
 	cases := map[string][3]bool{ // results for (1,2), (2,2), (3,2)
 		"eq": {false, true, false},
