@@ -17,12 +17,10 @@ import (
 	"predctl/internal/monitor"
 	"predctl/internal/offline"
 	"predctl/internal/predicate"
-	"predctl/internal/reduce"
 	"predctl/internal/replay"
 	"predctl/internal/sat"
 	"predctl/internal/scenario"
 	"predctl/internal/sim"
-	"predctl/internal/snapshot"
 	"predctl/internal/vclock"
 )
 
@@ -354,37 +352,6 @@ func BenchmarkReplay(b *testing.B) {
 	}
 }
 
-func BenchmarkSnapshot(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		col := snapshot.NewCollector()
-		k := sim.New(sim.Config{Procs: 6, FIFO: true, Seed: int64(i), Delay: sim.UniformDelay(1, 6)})
-		bodies := make([]func(*sim.Proc), 6)
-		for j := range bodies {
-			j := j
-			bodies[j] = func(p *sim.Proc) {
-				node := snapshot.NewNode(p, col, func() any { return j })
-				if j == 0 {
-					node.Initiate()
-				}
-				for round := 0; round < 10; round++ {
-					node.Send((j+1)%6, round)
-					if _, _, ok := node.TryRecv(); !ok {
-						p.Work(2)
-					}
-				}
-				for {
-					if _, _, ok := node.RecvOrDone(); !ok {
-						break
-					}
-				}
-			}
-		}
-		if _, err := k.Run(bodies...); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkMonitorDetection(b *testing.B) {
 	apps := make([]func(*monitor.Probe), 6)
 	for i := range apps {
@@ -403,14 +370,5 @@ func BenchmarkMonitorDetection(b *testing.B) {
 		if _, _, err := monitor.Run(sim.Config{Seed: int64(i)}, apps); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-func BenchmarkReduceAnalyze(b *testing.B) {
-	r := rand.New(rand.NewSource(4))
-	d := deposet.Random(r, deposet.DefaultGen(8, 2000))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		reduce.Analyze(d)
 	}
 }

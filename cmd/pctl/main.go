@@ -10,7 +10,6 @@
 //	pctl control -pred pred.json -o controlled.json trace.json
 //	pctl replay  -pred pred.json [-seed 3] controlled.json
 //	pctl sgsd    -pred pred.json trace.json
-//	pctl reduce  trace.json
 //	pctl trace   -n 3 -rounds 4 -o run-chrome.json
 //	pctl cluster -n 5 -drop 0.2 -delay 2ms -o run.json -pred-o pred.json
 //	pctl cluster -n 32 -http 127.0.0.1:7070 -trace-o cluster-chrome.json
@@ -42,7 +41,6 @@ import (
 	"predctl/internal/obs"
 	"predctl/internal/offline"
 	"predctl/internal/predicate"
-	"predctl/internal/reduce"
 	"predctl/internal/replay"
 	"predctl/internal/sim"
 	"predctl/internal/trace"
@@ -57,7 +55,7 @@ func main() {
 
 func run(args []string) error {
 	if len(args) == 0 {
-		return errors.New("usage: pctl <gen|info|detect|control|replay|sgsd|reduce|trace|cluster|node|top|bundle> [flags] [trace.json]")
+		return errors.New("usage: pctl <gen|info|detect|control|replay|sgsd|trace|cluster|node|top|bundle> [flags] [trace.json]")
 	}
 	switch args[0] {
 	case "gen":
@@ -72,8 +70,6 @@ func run(args []string) error {
 		return cmdReplay(args[1:])
 	case "sgsd":
 		return cmdSGSD(args[1:])
-	case "reduce":
-		return cmdReduce(args[1:])
 	case "trace":
 		return cmdTrace(args[1:])
 	case "cluster":
@@ -138,6 +134,14 @@ func cmdGen(args []string) error {
 	varDensity := fs.Float64("density", 0.6, "probability a state has ok=1")
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	switch {
+	case *n < 1:
+		return fmt.Errorf("gen: -n must be at least 1, got %d", *n)
+	case *events < 0:
+		return fmt.Errorf("gen: -events must not be negative, got %d", *events)
+	case !(*varDensity >= 0 && *varDensity <= 1):
+		return fmt.Errorf("gen: -density must be in [0, 1], got %g", *varDensity)
 	}
 	r := rand.New(rand.NewSource(*seed))
 	d := deposet.Random(r, deposet.DefaultGen(*n, *events))
@@ -429,27 +433,5 @@ func cmdTrace(args []string) error {
 		return err
 	}
 	fmt.Printf("invariants ok: %d checked, 0 violated\n", len(rep.Checked))
-	return nil
-}
-
-func cmdReduce(args []string) error {
-	fs := flag.NewFlagSet("reduce", flag.ContinueOnError)
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	path, err := traceArg(fs)
-	if err != nil {
-		return err
-	}
-	d, _, err := loadTrace(path)
-	if err != nil {
-		return err
-	}
-	rep := reduce.Analyze(d)
-	fmt.Printf("receives: %d, racing: %d (%.0f%% of bindings must be traced)\n",
-		rep.Receives, len(rep.Races), 100*rep.RacingFraction())
-	for _, r := range rep.Races {
-		fmt.Printf("  receive %v took message %d; alternatives %v\n", r.Recv, r.Msg, r.Alternatives)
-	}
 	return nil
 }

@@ -89,7 +89,7 @@ func TestCLIEndToEnd(t *testing.T) {
 // and the usage block.
 func TestCLIDispatch(t *testing.T) {
 	subcommands := []string{
-		"gen", "info", "detect", "control", "replay", "sgsd", "reduce",
+		"gen", "info", "detect", "control", "replay", "sgsd",
 		"trace", "cluster", "node",
 		"bundle verify", "bundle export", "bundle trace",
 	}
@@ -268,14 +268,23 @@ func TestCLIBundle(t *testing.T) {
 	}
 }
 
-func TestCLIReduce(t *testing.T) {
-	dir := t.TempDir()
-	trace := filepath.Join(dir, "t.json")
-	if _, err := runCLI(t, "gen", "-n", "3", "-events", "30", "-seed", "2", "-o", trace); err != nil {
-		t.Fatal(err)
+// TestCLIGenRejectsBadFlags: a size or density no trace can have is a
+// one-line error naming the flag, with nothing written, not a panic.
+func TestCLIGenRejectsBadFlags(t *testing.T) {
+	out := filepath.Join(t.TempDir(), "t.json")
+	for _, c := range []struct{ flag, value string }{
+		{"-n", "0"}, {"-n", "-2"}, {"-events", "-4"},
+		{"-density", "-0.1"}, {"-density", "1.5"}, {"-density", "NaN"},
+	} {
+		err := run([]string{"gen", c.flag, c.value, "-o", out})
+		if err == nil || !strings.Contains(err.Error(), c.flag+" ") {
+			t.Errorf("gen %s %s: error %v, want one naming %s", c.flag, c.value, err, c.flag)
+		}
+		if _, statErr := os.Stat(out); statErr == nil {
+			t.Fatalf("gen %s %s wrote %s", c.flag, c.value, out)
+		}
 	}
-	out, err := runCLI(t, "reduce", trace)
-	if err != nil || !strings.Contains(out, "racing:") {
-		t.Fatalf("reduce: %v\n%s", err, out)
+	if err := run([]string{"gen", "-n", "1", "-events", "0", "-density", "1", "-o", out}); err != nil {
+		t.Errorf("gen -n 1 -events 0 -density 1: %v", err)
 	}
 }

@@ -1,5 +1,6 @@
-// Quickstart: the observe → detect → control → replay cycle in a dozen
-// calls against the public API.
+// Quickstart: the observe → detect → control → replay cycle against the
+// public API, on the paper's first example predicate — two-process
+// mutual exclusion ¬cs0 ∨ ¬cs1.
 //
 //	go run ./examples/quickstart
 package main
@@ -12,39 +13,42 @@ import (
 )
 
 func main() {
-	// Observe: a traced computation of two servers, each with an
-	// availability gap. (In practice this would come from a traced run —
-	// see examples/mutex — or a JSON trace file.)
-	b := predctl.NewBuilder(2)
-	b.Let(0, "avail", 1)
-	b.Let(1, "avail", 1)
-	b.Step(0)
-	b.Let(0, "avail", 0) // server 0 down
-	b.Step(0)
-	b.Let(0, "avail", 1)
-	b.Step(1)
-	b.Let(1, "avail", 0) // server 1 down
-	b.Step(1)
-	b.Let(1, "avail", 1)
-	d := b.MustBuild()
+	// Observe: simulate two processes that enter a critical section with
+	// no synchronization at all, and trace the run.
+	k := predctl.NewSim(predctl.SimConfig{Procs: 2, Seed: 9, Trace: true})
+	body := func(p *predctl.Proc) {
+		p.Init("cs", 0)
+		for round := 0; round < 3; round++ {
+			p.Work(predctl.Time(p.Rand().Intn(15)))
+			p.Set("cs", 1) // enter critical section (no lock!)
+			p.Work(10)
+			p.Set("cs", 0)
+		}
+	}
+	tr, err := k.Run(body, body)
+	if err != nil {
+		log.Fatal(err)
+	}
+	d := tr.D
+	fmt.Printf("traced %d states, %d critical sections per process\n", d.NumStates(), 3)
 
-	// Specify: B = "at least one server available".
+	// Specify: B = ¬cs0 ∨ ¬cs1, at most one process in its critical section.
 	B := predctl.NewDisjunction(2)
 	for p := 0; p < 2; p++ {
 		p := p
-		B.Add(p, "avail", func(dd *predctl.Computation, k int) bool {
-			v, ok := dd.Var(predctl.StateID{P: p, K: k}, "avail")
-			return ok && v == 1
+		B.Add(p, "¬cs", func(dd *predctl.Computation, kk int) bool {
+			v, ok := dd.Var(predctl.StateID{P: p, K: kk}, "cs")
+			return !ok || v == 0
 		})
 	}
 
 	// Detect: is the bug ¬B possible? (Garg–Waldecker detection.)
-	if cut, ok := predctl.Possibly(d, B.Negate()); ok {
-		fmt.Printf("bug detected: no server available is possible, e.g. at cut %v\n", cut)
-	} else {
-		fmt.Println("trace already satisfies B everywhere")
+	cut, racy := predctl.Possibly(d, B.Negate())
+	if !racy {
+		fmt.Println("this trace happens to be race-free; rerun with another seed")
 		return
 	}
+	fmt.Printf("race detected: both in CS possible, e.g. at %v\n", cut)
 
 	// Control: synthesize the control messages that make every replay
 	// satisfy B.
@@ -52,18 +56,23 @@ func main() {
 	if err != nil {
 		log.Fatalf("control: %v", err)
 	}
-	fmt.Printf("controller: %d control message(s)\n", len(res.Relation))
+	fmt.Printf("controller: %d control message(s) — the paper's bound is one per critical section\n",
+		len(res.Relation))
 	for _, e := range res.Relation {
 		fmt.Printf("  block %v until %v is passed\n", e.To, e.From)
 	}
 
-	// Replay: re-execute under the controller (random delays) and verify.
-	rr, err := predctl.Replay(d, res.Relation, predctl.ReplayConfig{Seed: 42})
-	if err != nil {
-		log.Fatalf("replay: %v", err)
+	// Replay under several delay regimes and verify: mutual exclusion
+	// must hold in every one of them, because the control is causal, not
+	// temporal.
+	for seed := int64(0); seed < 5; seed++ {
+		rr, err := predctl.Replay(d, res.Relation, predctl.ReplayConfig{Seed: seed})
+		if err != nil {
+			log.Fatalf("replay: %v", err)
+		}
+		if vcut, ok := predctl.VerifyReplay(rr, d, B); !ok {
+			log.Fatalf("replay %d violated mutual exclusion at %v", seed, vcut)
+		}
 	}
-	if cut, ok := predctl.VerifyReplay(rr, d, B); !ok {
-		log.Fatalf("verification failed at %v", cut)
-	}
-	fmt.Println("controlled replay verified: every consistent global state satisfies B")
+	fmt.Println("5 controlled replays verified: mutual exclusion enforced in all of them")
 }

@@ -98,15 +98,6 @@ func (o *Order) Consistent(g Cut) bool {
 	return true
 }
 
-// States returns the frontier states selected by g.
-func (o *Order) States(g Cut) []StateID {
-	ss := make([]StateID, len(g))
-	for p, k := range g {
-		ss[p] = StateID{p, k}
-	}
-	return ss
-}
-
 // ForEachConsistentCut enumerates every consistent global state exactly
 // once, in breadth-first lattice order starting at ⊥, calling f for each.
 // Enumeration stops early if f returns false. The number of consistent

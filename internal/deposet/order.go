@@ -59,14 +59,11 @@ func (o *Order) NumStates() int {
 // Only the code constructing the order may write to it.
 func (o *Order) Clock(s StateID) vclock.VC { return o.clocks.Row(s.P, s.K) }
 
-// Bottom returns ⊥p, Top returns ⊤p.
-func (o *Order) Bottom(p int) StateID { return StateID{p, 0} }
-func (o *Order) Top(p int) StateID    { return StateID{p, o.lens[p] - 1} }
+// Top returns ⊤p, the final state of process p.
+func (o *Order) Top(p int) StateID { return StateID{p, o.lens[p] - 1} }
 
-// IsBottom and IsTop report whether s is the initial or final state of its
-// process.
-func (o *Order) IsBottom(s StateID) bool { return s.K == 0 }
-func (o *Order) IsTop(s StateID) bool    { return s.K == o.lens[s.P]-1 }
+// IsTop reports whether s is the final state of its process.
+func (o *Order) IsTop(s StateID) bool { return s.K == o.lens[s.P]-1 }
 
 // HB reports whether s precedes t in the order (strict): a single
 // indexed load from the clock arena.
@@ -76,9 +73,6 @@ func (o *Order) HB(s, t StateID) bool {
 	}
 	return o.clocks.Component(t.P, t.K, s.P) >= int32(s.K)
 }
-
-// HBeq reports s before t or s == t.
-func (o *Order) HBeq(s, t StateID) bool { return s == t || o.HB(s, t) }
 
 // Concurrent reports s ∥ t: neither precedes the other and s ≠ t.
 func (o *Order) Concurrent(s, t StateID) bool {

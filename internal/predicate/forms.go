@@ -100,19 +100,6 @@ func (f *form) String() string {
 	return strings.Join(parts, " ∨ ")
 }
 
-// Truth materializes the per-state truth table of the form's locals on
-// d: Truth[p][k] = Holds(d, p, k).
-func (f *form) Truth(d *deposet.Deposet) [][]bool {
-	t := make([][]bool, len(f.locals))
-	for p := range t {
-		t[p] = make([]bool, d.Len(p))
-		for k := range t[p] {
-			t[p][k] = f.Holds(d, p, k)
-		}
-	}
-	return t
-}
-
 // TruthTable materializes the packed truth table of the form's locals on
 // d: Holds(p, k) = f.Holds(d, p, k), so a process without a local is
 // all-false in a disjunction's table and all-true in a conjunction's.

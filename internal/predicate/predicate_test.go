@@ -124,16 +124,16 @@ func TestDisjunction(t *testing.T) {
 	if !dj.Eval(d, deposet.Cut{2, 0}) || dj.Eval(d, deposet.Cut{1, 2}) {
 		t.Error("Eval wrong")
 	}
-	truth := dj.Truth(d)
+	truth := dj.TruthTable(d)
 	want0 := []bool{false, false, true}
 	for k, w := range want0 {
-		if truth[0][k] != w {
-			t.Errorf("truth[0][%d] = %v, want %v", k, truth[0][k], w)
+		if truth.Holds(0, k) != w {
+			t.Errorf("truth(0, %d) = %v, want %v", k, truth.Holds(0, k), w)
 		}
 	}
-	for k := range truth[1] {
-		if truth[1][k] {
-			t.Errorf("truth[1][%d] should be false", k)
+	for k := 0; k < d.Len(1); k++ {
+		if truth.Holds(1, k) {
+			t.Errorf("truth(1, %d) should be false", k)
 		}
 	}
 	if got := dj.String(); got != "x=2@P0" {

@@ -91,8 +91,8 @@ type Config struct {
 	Trace bool // record the computation as a deposet
 	// FIFO forces per-channel FIFO delivery: messages between one ordered
 	// pair of processes arrive in send order even when the delay function
-	// says otherwise (required by, e.g., the Chandy–Lamport snapshot
-	// algorithm). Messages from different senders still interleave freely.
+	// says otherwise (the monitor's checker relies on it). Messages from
+	// different senders still interleave freely.
 	FIFO bool
 	// MaxEvents caps kernel events as a runaway guard; 0 means 10^7.
 	MaxEvents int

@@ -105,6 +105,43 @@ func TestRecvOrderIsArrivalOrder(t *testing.T) {
 	}
 }
 
+func TestFIFOChannelOrdering(t *testing.T) {
+	// Adversarial decreasing delays: without FIFO the later message would
+	// overtake (see TestRecvOrderIsArrivalOrder); with FIFO it may
+	// not.
+	step := 0
+	k := New(Config{
+		Procs: 2,
+		FIFO:  true,
+		Delay: func(from, to int, _ *rand.Rand) Time {
+			step++
+			if step == 1 {
+				return 10
+			}
+			return 2
+		},
+	})
+	var got []string
+	_, err := k.Run(
+		func(p *Proc) {
+			p.Send(1, "first")
+			p.Send(1, "second")
+		},
+		func(p *Proc) {
+			for i := 0; i < 2; i++ {
+				_, v := p.Recv()
+				got = append(got, v.(string))
+			}
+		},
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got[0] != "first" || got[1] != "second" {
+		t.Fatalf("FIFO violated: %v", got)
+	}
+}
+
 func TestDeadlockDetected(t *testing.T) {
 	k := New(Config{Procs: 2})
 	_, err := k.Run(

@@ -70,69 +70,6 @@ func (v VC) MergeLowered(o VC, q int, lowered int32) {
 	}
 }
 
-// Ordering is the result of comparing two vector clocks.
-type Ordering int
-
-// The four possible relations between two vector clocks.
-const (
-	Equal Ordering = iota
-	Before
-	After
-	Concurrent
-)
-
-func (o Ordering) String() string {
-	switch o {
-	case Equal:
-		return "equal"
-	case Before:
-		return "before"
-	case After:
-		return "after"
-	case Concurrent:
-		return "concurrent"
-	}
-	return fmt.Sprintf("Ordering(%d)", int(o))
-}
-
-// Compare returns the relation of v to o in the component-wise partial
-// order: Before means v < o (every component ≤, at least one <).
-func (v VC) Compare(o VC) Ordering {
-	if len(v) != len(o) {
-		panic(fmt.Sprintf("vclock: compare length mismatch %d vs %d", len(v), len(o)))
-	}
-	le, ge := true, true
-	for i := range v {
-		switch {
-		case v[i] < o[i]:
-			ge = false
-		case v[i] > o[i]:
-			le = false
-		}
-	}
-	switch {
-	case le && ge:
-		return Equal
-	case le:
-		return Before
-	case ge:
-		return After
-	}
-	return Concurrent
-}
-
-// Less reports whether v < o in the component-wise partial order.
-func (v VC) Less(o VC) bool { return v.Compare(o) == Before }
-
-// LessEq reports whether v ≤ o in the component-wise partial order.
-func (v VC) LessEq(o VC) bool {
-	c := v.Compare(o)
-	return c == Before || c == Equal
-}
-
-// Concurrent reports whether neither v ≤ o nor o ≤ v.
-func (v VC) ConcurrentWith(o VC) bool { return v.Compare(o) == Concurrent }
-
 // String renders the clock as [a b c], with None shown as "-".
 func (v VC) String() string {
 	var b strings.Builder

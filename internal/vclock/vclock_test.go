@@ -2,6 +2,7 @@ package vclock
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -48,54 +49,15 @@ func TestMergeLengthMismatchPanics(t *testing.T) {
 	v.Merge(VC{1, 2})
 }
 
-func TestCompareLengthMismatchPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic on length mismatch")
-		}
-	}()
-	VC{1}.Compare(VC{1, 2})
-}
-
-func TestCompare(t *testing.T) {
-	cases := []struct {
-		a, b VC
-		want Ordering
-	}{
-		{VC{0, 0}, VC{0, 0}, Equal},
-		{VC{0, 1}, VC{1, 1}, Before},
-		{VC{2, 1}, VC{1, 1}, After},
-		{VC{0, 2}, VC{2, 0}, Concurrent},
-		{VC{None, 0}, VC{0, 0}, Before},
-		{VC{None}, VC{None}, Equal},
+func TestMergeLowered(t *testing.T) {
+	v := VC{1, 5, None}
+	o := VC{3, 7, 0}
+	v.MergeLowered(o, 1, 2)
+	if want := (VC{3, 5, 0}); !slices.Equal(v, want) {
+		t.Errorf("MergeLowered = %v, want %v", v, want)
 	}
-	for _, c := range cases {
-		if got := c.a.Compare(c.b); got != c.want {
-			t.Errorf("%v.Compare(%v) = %v, want %v", c.a, c.b, got, c.want)
-		}
-	}
-}
-
-func TestLessAndLessEq(t *testing.T) {
-	a, b := VC{0, 0}, VC{1, 0}
-	if !a.Less(b) || b.Less(a) {
-		t.Error("Less misordered")
-	}
-	if !a.LessEq(a) {
-		t.Error("LessEq not reflexive")
-	}
-	if !a.LessEq(b) || b.LessEq(a) {
-		t.Error("LessEq misordered")
-	}
-}
-
-func TestConcurrentWith(t *testing.T) {
-	a, b := VC{0, 2}, VC{2, 0}
-	if !a.ConcurrentWith(b) || !b.ConcurrentWith(a) {
-		t.Error("expected concurrency")
-	}
-	if a.ConcurrentWith(a) {
-		t.Error("a concurrent with itself")
+	if want := (VC{3, 7, 0}); !slices.Equal(o, want) {
+		t.Errorf("MergeLowered changed its argument to %v", o)
 	}
 }
 
@@ -103,12 +65,6 @@ func TestString(t *testing.T) {
 	v := VC{None, 0, 12}
 	if got, want := v.String(), "[- 0 12]"; got != want {
 		t.Errorf("String() = %q, want %q", got, want)
-	}
-	if got, want := Concurrent.String(), "concurrent"; got != want {
-		t.Errorf("Ordering.String() = %q, want %q", got, want)
-	}
-	if got, want := Ordering(42).String(), "Ordering(42)"; got != want {
-		t.Errorf("Ordering.String() = %q, want %q", got, want)
 	}
 }
 
@@ -120,29 +76,6 @@ func randVC(r *rand.Rand, n int) VC {
 	return v
 }
 
-// Property: Compare is antisymmetric — swapping the arguments swaps
-// Before/After and preserves Equal/Concurrent.
-func TestCompareAntisymmetryProperty(t *testing.T) {
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		a, b := randVC(r, 4), randVC(r, 4)
-		x, y := a.Compare(b), b.Compare(a)
-		switch x {
-		case Equal:
-			return y == Equal
-		case Before:
-			return y == After
-		case After:
-			return y == Before
-		default:
-			return y == Concurrent
-		}
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
 // Property: Merge computes a least upper bound — both inputs are ≤ the
 // result, and the result is ≤ any other upper bound.
 func TestMergeLUBProperty(t *testing.T) {
@@ -151,16 +84,18 @@ func TestMergeLUBProperty(t *testing.T) {
 		a, b := randVC(r, 5), randVC(r, 5)
 		m := a.Clone()
 		m.Merge(b)
-		if !a.LessEq(m) || !b.LessEq(m) {
-			return false
-		}
-		// Any upper bound u of a and b dominates m.
+		// Any upper bound u of a and b dominates m, component-wise.
 		u := a.Clone()
 		u.Merge(b)
 		for i := range u {
 			u[i] += int32(r.Intn(3))
 		}
-		return m.LessEq(u)
+		for i := range m {
+			if a[i] > m[i] || b[i] > m[i] || m[i] > u[i] {
+				return false
+			}
+		}
+		return true
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -177,7 +112,7 @@ func TestMergeAlgebraProperty(t *testing.T) {
 		ab.Merge(b)
 		ba := b.Clone()
 		ba.Merge(a)
-		if ab.Compare(ba) != Equal {
+		if !slices.Equal(ab, ba) {
 			return false
 		}
 
@@ -187,13 +122,13 @@ func TestMergeAlgebraProperty(t *testing.T) {
 		bc.Merge(c)
 		abc2 := a.Clone()
 		abc2.Merge(bc)
-		if abc1.Compare(abc2) != Equal {
+		if !slices.Equal(abc1, abc2) {
 			return false
 		}
 
 		aa := a.Clone()
 		aa.Merge(a)
-		return aa.Compare(a) == Equal
+		return slices.Equal(aa, a)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

@@ -39,10 +39,8 @@ import (
 	"predctl/internal/offline"
 	"predctl/internal/online"
 	"predctl/internal/predicate"
-	"predctl/internal/reduce"
 	"predctl/internal/replay"
 	"predctl/internal/sim"
-	"predctl/internal/snapshot"
 	"predctl/internal/trace"
 )
 
@@ -189,13 +187,6 @@ func VerifyReplay(res *ReplayResult, d *Computation, b *Disjunction) (Cut, bool)
 	return replay.VerifyDisjunction(res, d, b)
 }
 
-// TraceReport summarizes optimal tracing for replay (Netzer–Miller):
-// which receive bindings race and must be recorded.
-type TraceReport = reduce.Report
-
-// AnalyzeRaces computes the racing receives of a computation.
-func AnalyzeRaces(d *Computation) *TraceReport { return reduce.Analyze(d) }
-
 // Simulation and on-line control.
 type (
 	// SimConfig configures the deterministic simulator.
@@ -239,22 +230,6 @@ type (
 // extra process.
 func MonitorRun(cfg SimConfig, apps []func(*Probe)) (*SimTrace, *Detection, error) {
 	return monitor.Run(cfg, apps)
-}
-
-// Distributed snapshots (Chandy–Lamport; requires SimConfig.FIFO).
-type (
-	// SnapshotNode wraps a simulated process with snapshot participation.
-	SnapshotNode = snapshot.Node
-	// SnapshotCollector accumulates one snapshot's records.
-	SnapshotCollector = snapshot.Collector
-)
-
-// NewSnapshotCollector returns an empty snapshot collector.
-func NewSnapshotCollector() *SnapshotCollector { return snapshot.NewCollector() }
-
-// NewSnapshotNode wraps p for snapshot participation.
-func NewSnapshotNode(p *Proc, c *SnapshotCollector, state func() any) *SnapshotNode {
-	return snapshot.NewNode(p, c, state)
 }
 
 // OnlineRun executes application bodies under on-line predicate control

@@ -212,41 +212,3 @@ func TestMonitorFacade(t *testing.T) {
 		t.Fatal("overlap not detected")
 	}
 }
-
-func TestSnapshotFacade(t *testing.T) {
-	col := NewSnapshotCollector()
-	k := NewSim(SimConfig{Procs: 2, FIFO: true, Trace: true, Delay: ConstantDelay(3)})
-	mk := func(init bool) func(*Proc) {
-		return func(p *Proc) {
-			x := 10
-			n := NewSnapshotNode(p, col, func() any { return x })
-			if init && p.ID() == 0 {
-				n.Initiate()
-			}
-			for {
-				_, _, ok := n.RecvOrDone()
-				if !ok {
-					break
-				}
-			}
-		}
-	}
-	if _, err := k.Run(mk(true), mk(false)); err != nil {
-		t.Fatal(err)
-	}
-	if len(col.Records) != 2 {
-		t.Fatalf("records = %d", len(col.Records))
-	}
-}
-
-func TestAnalyzeRacesFacade(t *testing.T) {
-	b := NewBuilder(3)
-	_, h0 := b.Send(0)
-	_, h1 := b.Send(1)
-	b.Recv(2, h0)
-	b.Recv(2, h1)
-	rep := AnalyzeRaces(b.MustBuild())
-	if rep.Receives != 2 || len(rep.Races) != 1 {
-		t.Fatalf("report = %+v", rep)
-	}
-}
