@@ -9,6 +9,7 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"predctl/internal/deposet"
 )
@@ -265,6 +266,26 @@ func TestCLIBundle(t *testing.T) {
 	}
 	if _, err := runCLI(t, "bundle", "verify", bundleDir); err == nil {
 		t.Fatal("bundle verify accepted a corrupted segment")
+	}
+}
+
+// TestCLIClusterRejectsBadTargets: a scapegoat outside the cluster or a
+// negative relay count is a one-line error naming the flag, returned
+// before anything runs — not a two-minute hang, not a silently flat run.
+func TestCLIClusterRejectsBadTargets(t *testing.T) {
+	for _, c := range []struct{ flag, value, want string }{
+		{"-scapegoat", "5", "scapegoat 5"},
+		{"-scapegoat", "-1", "scapegoat -1"},
+		{"-relays", "-2", "relays -2"},
+	} {
+		begin := time.Now()
+		err := run([]string{"cluster", "-n", "3", c.flag, c.value})
+		if err == nil || !strings.Contains(err.Error(), c.want) || strings.Contains(err.Error(), "\n") {
+			t.Errorf("cluster %s %s: error %v, want one line naming %q", c.flag, c.value, err, c.want)
+		}
+		if took := time.Since(begin); took > time.Second {
+			t.Errorf("cluster %s %s: refused after %v", c.flag, c.value, took)
+		}
 	}
 }
 

@@ -120,13 +120,13 @@ func TestDialCoordWaitsForSlowCoordinator(t *testing.T) {
 	}
 	conn := <-accepted
 	defer conn.Close()
-	_, m, err := wire.ReadFrame(bufio.NewReader(conn))
+	seq, m, err := wire.ReadFrame(bufio.NewReader(conn))
 	if err != nil {
 		t.Fatalf("read handshake: %v", err)
 	}
 	h, ok := m.(wire.Hello)
-	if !ok || h.From != 0 || h.N != 2 {
-		t.Fatalf("handshake = %#v, want Hello{From:0, N:2}", m)
+	if !ok || seq != 1 || h.From != 0 || h.N != 2 || h.Inc == 0 {
+		t.Fatalf("handshake = seq %d %#v, want frame 1 Hello{From:0, N:2} with an incarnation", seq, m)
 	}
 }
 
@@ -177,18 +177,18 @@ func TestCoordClientResumesAfterStreamBreak(t *testing.T) {
 		t.Fatalf("accept: %v", err)
 	}
 	br1 := bufio.NewReader(c1)
-	if _, m, err := wire.ReadFrame(br1); err != nil {
+	if seq, m, err := wire.ReadFrame(br1); err != nil {
 		t.Fatalf("read Hello: %v", err)
-	} else if _, ok := m.(wire.Hello); !ok {
-		t.Fatalf("first frame %T, want Hello", m)
+	} else if _, ok := m.(wire.Hello); !ok || seq != 1 {
+		t.Fatalf("first frame seq %d %T, want Hello as frame 1", seq, m)
 	}
 
 	// One frame delivered on the healthy stream.
 	cc.send(wire.Done{Proc: 1, Requests: 4})
-	if seq, m, err := wire.ReadFrame(br1); err != nil || seq != 1 {
-		t.Fatalf("frame 1: seq=%d err=%v", seq, err)
+	if seq, m, err := wire.ReadFrame(br1); err != nil || seq != 2 {
+		t.Fatalf("frame 2: seq=%d err=%v", seq, err)
 	} else if d := m.(wire.Done); d.Requests != 4 {
-		t.Fatalf("frame 1 = %#v", d)
+		t.Fatalf("frame 2 = %#v", d)
 	}
 
 	// Break the stream, then queue a frame while disconnected.
@@ -214,7 +214,7 @@ func TestCoordClientResumesAfterStreamBreak(t *testing.T) {
 	if err := wire.WriteFrame(c2, 0, wire.ResumeAck{Cum: 0, Epoch: 0}); err != nil {
 		t.Fatalf("write ResumeAck: %v", err)
 	}
-	wantSeqs := []uint64{1, 2}
+	wantSeqs := []uint64{1, 2, 3}
 	for _, want := range wantSeqs {
 		seq, _, err := wire.ReadFrame(br2)
 		if err != nil {
@@ -226,7 +226,7 @@ func TestCoordClientResumesAfterStreamBreak(t *testing.T) {
 	}
 	// New traffic continues the sequence on the resumed connection.
 	cc.send(wire.Done{Proc: 1, Requests: 5})
-	if seq, _, err := wire.ReadFrame(br2); err != nil || seq != 3 {
+	if seq, _, err := wire.ReadFrame(br2); err != nil || seq != 4 {
 		t.Fatalf("post-resume frame: seq=%d err=%v", seq, err)
 	}
 	select {
@@ -374,16 +374,21 @@ func TestChaosSoak(t *testing.T) {
 	}
 }
 
-// TestClusterRejectsOutOfRangeTargets: a crash schedule or rogue list
-// naming a node or relay the cluster does not have is refused before
-// anything is bound or started — the store directory is not even
-// created.
+// TestClusterRejectsOutOfRangeTargets: a scapegoat, relay count, crash
+// schedule or rogue list naming a node or relay the cluster does not
+// have is refused at once, before anything is bound or started — the
+// store directory is not even created. An unchecked scapegoat used to
+// fail every node's Run before it dialed, which surfaced only at the
+// two-minute WaitTimeout.
 func TestClusterRejectsOutOfRangeTargets(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		cfg  ClusterConfig
 		want string
 	}{
+		{"scapegoat", ClusterConfig{Scapegoat: 5}, "scapegoat 5 is not a node of 3"},
+		{"negative scapegoat", ClusterConfig{Scapegoat: -1}, "scapegoat -1 is not a node of 3"},
+		{"negative relays", ClusterConfig{Relays: -2}, "relays -2 is negative"},
 		{"node crash", ClusterConfig{Crashes: []Crash{{Node: 3}}}, "crash schedule targets node 3 of 3"},
 		{"negative node crash", ClusterConfig{Crashes: []Crash{{Node: 1}, {Node: -1}}}, "crash schedule targets node -1 of 3"},
 		{"relay crash", ClusterConfig{Relays: 2, RelayCrashes: []Crash{{Node: 2}}}, "relay crash schedule targets relay 2 of 2"},
@@ -393,9 +398,13 @@ func TestClusterRejectsOutOfRangeTargets(t *testing.T) {
 		before := runtime.NumGoroutine()
 		tc.cfg.N = 3
 		tc.cfg.StoreDir = filepath.Join(t.TempDir(), "store")
+		begin := time.Now()
 		_, err := RunCluster(tc.cfg)
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: error %v, want %q", tc.name, err, tc.want)
+		}
+		if took := time.Since(begin); took > time.Second {
+			t.Errorf("%s: refused after %v, want < 1s", tc.name, took)
 		}
 		if _, serr := os.Stat(tc.cfg.StoreDir); !os.IsNotExist(serr) {
 			t.Errorf("%s: store directory exists (%v): the run started before the check", tc.name, serr)

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"errors"
 	"fmt"
+	"math/rand/v2"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -163,23 +164,28 @@ func newCoordClient(addr string, id, n int, batch Batching, wm wireMeters, opt T
 // dialCoord connects to the coordinator, retrying with capped
 // exponential backoff (the same policy as mesh redials) until
 // opt.CoordDeadline, so a coordinator that is slow to come up — or
-// restarting — is waited for rather than fataled on.
+// restarting — is waited for rather than fataled on. The Hello is frame
+// 1 of the session log, written as the first dial's handshake: a resume
+// replays it like any frame, so a relay that dies holding it loses
+// nothing. Its Inc, drawn here once per process, is what tells the root
+// a relaunch from that replay.
 func dialCoord(addr string, id, n int, batch Batching, wm wireMeters, opt Timeouts, parts *partitions, logf func(string, ...any)) (*coordClient, error) {
 	cc := newCoordClient(addr, id, n, batch, wm, opt, parts, logf)
-	conn, err := cc.dialOnce(wire.Hello{From: int32(id), N: int32(n)})
+	cc.logItems(wire.Hello{From: int32(id), N: int32(n), Inc: rand.Uint64() | 1}, 1)
+	conn, err := cc.dialOnce(cc.sent[0].B)
 	if err != nil {
 		return nil, fmt.Errorf("node %d: coordinator %s: %w", id, addr, err)
 	}
-	cc.conn = conn
+	cc.conn, cc.wrote = conn, 1
 	go cc.session(conn, bufReader(conn))
 	return cc, nil
 }
 
 // dialOnce runs one dial campaign: dial until opt.CoordDeadline with
-// backoffDelay pacing, write the handshake frame, and return the
-// connection. A partition window severing this node's coordinator
+// backoffDelay pacing, write the encoded handshake frame, and return
+// the connection. A partition window severing this node's coordinator
 // stream pauses the campaign (the clock keeps running).
-func (cc *coordClient) dialOnce(handshake wire.Msg) (net.Conn, error) {
+func (cc *coordClient) dialOnce(handshake []byte) (net.Conn, error) {
 	deadline := time.Now().Add(cc.opt.CoordDeadline)
 	fails := 0
 	var lastErr error
@@ -323,7 +329,7 @@ func (cc *coordClient) resume() (net.Conn, *bufio.Reader, error) {
 	if cc.mkResume != nil {
 		handshake = cc.mkResume(e)
 	}
-	conn, err := cc.dialOnce(handshake)
+	conn, err := cc.dialOnce(wire.Marshal(0, handshake))
 	if err != nil {
 		return nil, nil, err
 	}

@@ -405,10 +405,16 @@ func RunCluster(cfg ClusterConfig) (*Result, error) {
 	return res, werr
 }
 
-// checkTargets rejects a crash schedule or rogue list that names a node
-// or relay the cluster does not have, before anything is bound or
-// started.
+// checkTargets rejects a scapegoat, relay count, crash schedule or
+// rogue list that names a node or relay the cluster does not have,
+// before anything is bound or started.
 func checkTargets(cfg *ClusterConfig) error {
+	if cfg.Scapegoat < 0 || cfg.Scapegoat >= cfg.N {
+		return fmt.Errorf("node: scapegoat %d is not a node of %d", cfg.Scapegoat, cfg.N)
+	}
+	if cfg.Relays < 0 {
+		return fmt.Errorf("node: relays %d is negative", cfg.Relays)
+	}
 	for _, cr := range cfg.Crashes {
 		if cr.Node < 0 || cr.Node >= cfg.N {
 			return fmt.Errorf("node: crash schedule targets node %d of %d", cr.Node, cfg.N)

@@ -101,8 +101,8 @@ type Result struct {
 // same Shutdown+Commit exit ramp.
 //
 // Failure handling is the paper's §8 controlled re-execution, global
-// form: when a crashed node relaunches (a second Hello for a known
-// id), the coordinator bumps the cluster epoch and broadcasts
+// form: when a crashed node relaunches (a Hello of a new incarnation
+// for a known id), the coordinator bumps the cluster epoch and broadcasts
 // Restart{epoch} — every node aborts, resets its mesh, discards its
 // local capture and deterministically re-executes from scratch. Each
 // stream's EpochMark then discards that stream's staged capture, so
@@ -307,12 +307,12 @@ func (c *Coordinator) session(id int) *nodeSession {
 	return st
 }
 
-// handleConn serves one accepted connection: the handshake — Hello for
-// a fresh session or a crashed node's rejoin, Resume to continue one,
-// RelayHello for a relay uplink — then sequence-gated ingest into the
-// session's staging.
+// handleConn serves one accepted connection: the handshake — Resume to
+// continue a session, RelayHello for a relay uplink, or a Hello, which
+// is simply the stream's first frame — then sequence-gated ingest into
+// the session's staging.
 func (c *Coordinator) handleConn(raw net.Conn) {
-	conn, _, seq, first, err := c.open(raw)
+	conn, body, _, first, err := c.open(raw)
 	if err != nil {
 		return
 	}
@@ -328,8 +328,13 @@ func (c *Coordinator) handleConn(raw net.Conn) {
 	}
 	conn.peer = "node " + strconv.Itoa(id)
 	st := c.session(id)
+	frame := func(body []byte) error {
+		act, epoch, err := c.ingest(st, conn, body)
+		c.perform(act, epoch, id)
+		return err
+	}
 	if fresh {
-		err = c.hello(st, conn, seq)
+		err = frame(body)
 	} else {
 		c.shutdownMu.Lock()
 		err = c.decisionsLocked().replay(conn, st.adopt(conn, false, 0))
@@ -339,17 +344,27 @@ func (c *Coordinator) handleConn(raw net.Conn) {
 		c.logf("coordinator: node %d: handshake: %v", id, err)
 		return
 	}
-	c.serve(conn, c.countFrame, func(body []byte) error {
-		seq, m, err := wire.DecodeBody(body)
-		if err != nil {
-			return err
+	c.serve(conn, c.countFrame, frame)
+}
+
+// ingest is the one per-origin frame path, for a node's own connection
+// and for a relay-forwarded frame (nil conn) alike. A Hello goes to the
+// Hello decision, which takes it unless it names the incarnation
+// already on record — a resume replaying frame 1 — and everything else
+// goes through the session's gate into ingestStored. The caller
+// performs what the frame obligated once its own locks are released.
+func (c *Coordinator) ingest(st *nodeSession, conn *coordConn, body []byte) (act ingestAction, epoch uint32, err error) {
+	seq, m, err := wire.DecodeBody(body)
+	if err != nil {
+		return actNone, 0, err
+	}
+	if h, ok := m.(wire.Hello); ok {
+		if decided, err := c.hello(st, conn, seq, h.Inc); decided {
+			return actNone, 0, err
 		}
-		var act ingestAction
-		var epoch uint32
-		err = st.deliver(conn, seq, func() { act, epoch = c.ingestStored(st, m, body) })
-		c.perform(act, epoch, id)
-		return err
-	})
+	}
+	err = st.deliver(conn, seq, func() { act, epoch = c.ingestStored(st, m, body) })
+	return act, epoch, err
 }
 
 // countFrame is the root's ingest accounting: one frame and its bytes
@@ -378,23 +393,31 @@ func (c *Coordinator) perform(act ingestAction, epoch uint32, witness int) {
 // hello runs the Hello decision for node st — arrived on conn, or, with
 // a nil conn, forwarded by a relay (which answers its child from its
 // own decision cache; the decision stays the root's, whose per-origin
-// attached bit survives relay crashes). A first Hello opens the
-// session. A second is a relaunched process: it has no session to
-// resume, its old incarnation's stream state is void, and — until
-// Commit — the cluster restarts, even between the Shutdown broadcast
-// and the last bye: the "completed" execution is re-run, because
-// refusing the relaunch would strand the byes the dead incarnation
-// never sent. After Commit the staged capture is (being) assembled: the
-// session is left untouched and the relaunch told to stand down.
-func (c *Coordinator) hello(st *nodeSession, conn *coordConn, seq uint64) error {
+// incarnation record survives relay crashes). It reports whether it
+// decided: a Hello of the incarnation on record is a resume replaying
+// frame 1, left to the gate. A first incarnation opens the session. A
+// different one is a relaunched process: it has no session to resume,
+// its old incarnation's stream state is void, and — until Commit — the
+// cluster restarts, even between the Shutdown broadcast and the last
+// bye: the "completed" execution is re-run, because refusing the
+// relaunch would strand the byes the dead incarnation never sent. After
+// Commit the staged capture is (being) assembled: the session is left
+// untouched and the relaunch told to stand down.
+func (c *Coordinator) hello(st *nodeSession, conn *coordConn, seq, inc uint64) (decided bool, err error) {
 	c.shutdownMu.Lock()
 	defer c.shutdownMu.Unlock()
 	d := c.decisionsLocked()
 	st.ingestMu.Lock()
 	st.mu.Lock()
-	rejoin := st.attached
+	if st.inc == inc {
+		st.mu.Unlock()
+		st.ingestMu.Unlock()
+		return false, nil
+	}
+	rejoin := st.inc != 0
 	refused := rejoin && d.committed
 	if !refused {
+		st.inc = inc
 		st.discardEpochLocked(0)
 	}
 	st.mu.Unlock()
@@ -407,17 +430,17 @@ func (c *Coordinator) hello(st *nodeSession, conn *coordConn, seq uint64) error 
 	st.ingestMu.Unlock()
 	switch {
 	case refused:
-		return d.refuse(conn)
+		return true, d.refuse(conn)
 	case rejoin:
 		// The Restart reaches conn with everyone else's, by the
 		// broadcast; the Detection broadcast it missed does not.
 		err := d.detect(conn)
 		c.restartClusterLocked(st.id)
-		return err
+		return true, err
 	case d.epoch > 0 && conn != nil:
 		c.logf("coordinator: node %d joined late; catching up to epoch %d", st.id, d.epoch)
 	}
-	return d.catchUp(conn)
+	return true, d.catchUp(conn)
 }
 
 // decisionsLocked snapshots the decision state a handshake replays.

@@ -59,7 +59,7 @@ func runSynthNode(t *testing.T, addr string, i, n int) {
 			t.Errorf("node %d: write: %v", i, err)
 		}
 	}
-	send(wire.Hello{From: int32(i), N: int32(n)})
+	send(wire.Hello{From: int32(i), N: int32(n), Inc: uint64(i) + 1})
 
 	appOps, ctlOps := synthNodeOps(i, n)
 	// Interleave the two logical processes' streams and chop them into

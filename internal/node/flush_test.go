@@ -553,7 +553,7 @@ func TestFlushPassIsOneWrite(t *testing.T) {
 	if got := cc.writeCount() - writes; got != 1 {
 		t.Errorf("the pass issued %d writes, want 1", got)
 	}
-	if seqs := c1.readSeqs(t, 5); !slices.Equal(seqs, []uint64{1, 2, 3, 4, 5}) {
+	if seqs := c1.readSeqs(t, 5); !slices.Equal(seqs, []uint64{2, 3, 4, 5, 6}) { // behind the Hello, frame 1
 		t.Errorf("the root read sequences %v", seqs)
 	}
 
@@ -609,10 +609,10 @@ func TestFlushSeverMidPass(t *testing.T) {
 	c := &capture{enabled: true, app: 1}
 	c1 := root.accept()
 
-	// Frames 1 and 2 go out on the healthy stream.
+	// Frames 2 and 3 go out on the healthy stream, behind the Hello.
 	cc.send(wire.Done{Proc: 1})
 	cc.send(wire.Done{Proc: 1})
-	if seqs := c1.readSeqs(t, 2); !slices.Equal(seqs, []uint64{1, 2}) {
+	if seqs := c1.readSeqs(t, 2); !slices.Equal(seqs, []uint64{2, 3}) {
 		t.Fatalf("healthy stream carried %v", seqs)
 	}
 
@@ -623,8 +623,8 @@ func TestFlushSeverMidPass(t *testing.T) {
 		time.Sleep(time.Until(start.Add(window.Start + 5*time.Millisecond)))
 		cc.send(wire.Done{Proc: 1}) // finds the stream severed, drops it
 		c2 := root.accept()         // the resume, once the window heals
-		replayed = int(cc.sentFrames()) - 2
-		if err := wire.WriteFrame(c2, 0, wire.ResumeAck{Cum: 2}); err != nil {
+		replayed = int(cc.sentFrames()) - 3
+		if err := wire.WriteFrame(c2, 0, wire.ResumeAck{Cum: 3}); err != nil {
 			t.Error(err)
 		}
 		// Wait for the install, so the rest of the pass meets a live
@@ -644,18 +644,18 @@ func TestFlushSeverMidPass(t *testing.T) {
 	cc.flush() // 2 journal frames, [sever, Done, resume], 2 ops frames, 1 candidates frame
 
 	total := int(cc.sentFrames())
-	if total != 2+2+1+2+1 {
-		t.Fatalf("the log holds %d frames, want 8", total)
+	if total != 1+2+2+1+2+1 {
+		t.Fatalf("the log holds %d frames, want 9", total)
 	}
 	// The old connection carried nothing new before it was dropped.
 	if extra := c1.readSeqs(t, 0); len(extra) != 0 {
 		t.Errorf("the severed connection still carried %v", extra)
 	}
 	c2 := <-resumed
-	seqs := c2.readSeqs(t, total-2)
+	seqs := c2.readSeqs(t, total-3)
 	for i, seq := range seqs {
-		if seq != uint64(i+3) {
-			t.Fatalf("after the resume the root read %v, want 3..%d exactly once each", seqs, total)
+		if seq != uint64(i+4) {
+			t.Fatalf("after the resume the root read %v, want 4..%d exactly once each", seqs, total)
 		}
 	}
 	// Nothing follows: a second copy of a replayed frame would.

@@ -24,6 +24,7 @@ type nodeSession struct {
 	inbound
 
 	// Under inbound.mu:
+	inc    uint64  // the process incarnation whose Hello opened the session; 0 before one
 	epoch  uint32  // the stream's current epoch (last EpochMark seen)
 	ops    procOps // staged by logical process at ingest
 	events []obs.Event

@@ -159,8 +159,8 @@ func backoffDelay(opt Timeouts, fails int) time.Duration {
 
 // dialHandshake is one connection attempt, shared by the mesh links and
 // the coordinator stream (each paces its own retries): dial, disable
-// Nagle, write the handshake frame under the write deadline.
-func dialHandshake(addr string, hs wire.Msg, opt Timeouts) (net.Conn, error) {
+// Nagle, write the encoded handshake frame under the write deadline.
+func dialHandshake(addr string, frame []byte, opt Timeouts) (net.Conn, error) {
 	c, err := net.DialTimeout("tcp", addr, opt.DialTimeout)
 	if err != nil {
 		return nil, err
@@ -169,7 +169,7 @@ func dialHandshake(addr string, hs wire.Msg, opt Timeouts) (net.Conn, error) {
 		tc.SetNoDelay(true)
 	}
 	c.SetWriteDeadline(time.Now().Add(opt.WriteTimeout))
-	if err := wire.WriteFrame(c, 0, hs); err != nil {
+	if _, err := c.Write(frame); err != nil {
 		c.Close()
 		return nil, err
 	}
@@ -496,7 +496,7 @@ func (l *link) ensureConn(epoch uint32) net.Conn {
 	if epoch > 0 {
 		hs = wire.Resume{From: int32(l.from), N: int32(l.n), Epoch: epoch}
 	}
-	c, err := dialHandshake(l.addr, hs, l.opt)
+	c, err := dialHandshake(l.addr, wire.Marshal(0, hs), l.opt)
 	if err != nil {
 		l.nextDial = time.Now().Add(backoffDelay(l.opt, l.dialFails))
 		if l.dialFails < 30 {

@@ -315,12 +315,12 @@ func Run(cfg Config) (*Stats, error) {
 			cc.close()
 			return nil, fmt.Errorf("node %d: coordinator session lost before the rejoin restart", cfg.ID)
 		case <-time.After(opt.CoordDeadline):
-			// The rejoin Hello rides the dial handshake, not the session
-			// log, so a coordinator/relay that dies between consuming it
-			// and acting on it loses it — and a session resume cannot
-			// replay it. An undecided hold this long means exactly that:
-			// abandon the incarnation and relaunch with a fresh Hello. A
-			// duplicate Hello at worst orders one redundant restart.
+			// The hold's deadline, as every wait has one. A relay or
+			// stream that dies holding the rejoin Hello is healed by the
+			// resume replay (the Hello is frame 1 of the session log), not
+			// by this; an undecided hold this long means a root gone or
+			// wedged. Abandon the incarnation and relaunch: a fresh Hello
+			// at worst orders one redundant restart.
 			logf("node %d: no rejoin decision within %v; relaunching with a fresh hello", cfg.ID, opt.CoordDeadline)
 			tr.Close()
 			cc.close()

@@ -26,13 +26,12 @@ import (
 // A relay crash heals like a coordinator-stream sever: children redial
 // with backoff and offer Resume; the relaunched relay has no per-child
 // state, acks Cum=0, and the children replay their entire session logs
-// — the root's per-origin inner-sequence dedup absorbs the overlap.
+// — Hellos included, since a node's Hello is frame 1 of its log — and
+// the root's per-origin inner-sequence dedup absorbs the overlap.
 //
-// The relay also performs the staging merges ingest does today, before
-// bytes ever reach the root: metrics-snapshot folding (only the newest
-// pending snapshot per origin survives), epoch discards (pending
-// capture frames of an origin are dropped when its EpochMark voids
-// them) and batch coalescing under a byte cap.
+// Batching is the relay's only policy: it forwards every frame it
+// accepts, in order, and the root alone decides rejoins, epoch
+// discards and snapshots.
 type Relay struct {
 	endpoint // the shared session layer's half: listener, connections, streams
 	cfg      RelayConfig
@@ -49,19 +48,11 @@ type Relay struct {
 	children  map[int]*relayChild
 	contacted bool // a RelayHello reached the root at least once
 
-	// flushMu makes dequeue → uplink enqueue one step. flush is entered
-	// by the flusher goroutine and by any handler staging a Hello; if
-	// two dequeued under pendMu and sent after releasing it, the later
-	// batch could reach the uplink first and the root's inner-sequence
-	// dedup would drop the earlier one's frames. Taken before pendMu.
-	flushMu   sync.Mutex
+	// The forward queue. Only the flusher goroutine dequeues it, so the
+	// batches reach the uplink in queue order.
 	pendMu    sync.Mutex
-	pending   []relayPending
+	pending   []wire.RelayFrame
 	pendBytes int
-	// urgent is the control-kind coalescing timer; urgentArmed (under
-	// pendMu) keeps one window open at a time.
-	urgent      *time.Timer
-	urgentArmed bool
 
 	kick chan struct{}
 }
@@ -94,26 +85,9 @@ type relayChild struct {
 	inbound
 }
 
-// relayPending is one frame queued for the next upstream flush. A nil
-// body is a tombstone — the slot was voided by snapshot folding or an
-// epoch discard and is skipped at flush.
-type relayPending struct {
-	origin int32
-	kind   byte
-	body   []byte
-}
-
 // maxRelayBatchBytes caps one RelayBatch's payload, comfortably under
 // wire.MaxFrame with envelope overhead to spare.
 const maxRelayBatchBytes = 512 << 10
-
-// relayControlFlush is the urgent-coalescing window for completion-
-// latency kinds (Hello, Done, bye, EpochMark): long enough that a wave
-// of them from many children — every child sends Done within the same
-// workload tail — folds into a few upstream frames instead of one
-// frame each, short enough to be invisible next to the dial timeout
-// and the capture interval it undercuts.
-const relayControlFlush = time.Millisecond
 
 // relayMaxPendFrames is the early-kick threshold on queued child
 // frames. A relay item is a whole child frame (itself a batch of up to
@@ -135,11 +109,7 @@ func StartRelay(cfg RelayConfig) (*Relay, error) {
 		endpoint: newEndpoint("relay "+strconv.Itoa(cfg.Index), cfg.Timeouts.withDefaults(), cfg.Logf),
 		cfg:      cfg,
 		children: map[int]*relayChild{},
-		urgent:   time.NewTimer(time.Hour),
 		kick:     make(chan struct{}, 1),
-	}
-	if !r.urgent.Stop() {
-		<-r.urgent.C
 	}
 	if err := r.listen(cfg.Listener, cfg.Addr); err != nil {
 		return nil, err
@@ -264,10 +234,11 @@ func (r *Relay) child(id int) *relayChild {
 
 // handleChild serves one child connection: the handshake contract the
 // root implements — Resume continues with a cumulative ack and the
-// cached decisions replayed; Hello opens, is answered from the cache,
-// and is forwarded so the root owns the restart decision (its
-// per-origin attached bit survives relay crashes) — then sequence-gated
-// pass-through of raw frame bodies into the forward queue.
+// cached decisions replayed; Hello opens and is answered from the cache
+// — then sequence-gated pass-through of raw frame bodies into the
+// forward queue. A Hello is forwarded like any frame: it is frame 1 of
+// the child's session log, and the root owns the restart decision (its
+// per-origin incarnation record survives relay crashes).
 func (r *Relay) handleChild(raw net.Conn) {
 	conn, body, seq, first, err := r.open(raw)
 	if err != nil {
@@ -291,17 +262,19 @@ func (r *Relay) handleChild(raw net.Conn) {
 		// Not forwarded either: there is no run left to restart.
 		err = d.refuse(conn)
 	default:
-		// The cached catch-up stands in for the root's targeted writes.
-		ch.adopt(conn, true, seq)
+		// Staged with the adoption, so a successor connection's frames
+		// queue behind it. The cached catch-up stands in for the root's
+		// targeted writes.
+		ch.ingestMu.Lock()
+		ch.adoptLocked(conn, true, seq)
+		r.stage(int32(id), wire.KindHello, body)
+		ch.ingestMu.Unlock()
 		err = d.catchUp(conn)
 	}
 	r.decideMu.Unlock()
 	if err != nil {
 		r.logf("relay %d: node %d: handshake: %v", r.cfg.Index, id, err)
 		return
-	}
-	if fresh {
-		r.stage(int32(id), wire.KindHello, body)
 	}
 	r.serve(conn, nil, func(body []byte) error {
 		kind, seq, err := wire.PeekBody(body)
@@ -312,76 +285,23 @@ func (r *Relay) handleChild(raw net.Conn) {
 	})
 }
 
-// stage queues one raw child frame body for the upstream flush,
-// applying the relay-side merges:
-//
-//   - MetricsSnapshot folding: cumulative set semantics mean only the
-//     newest pending snapshot per origin matters; the older one is
-//     tombstoned (never replaced in place — the new frame's higher
-//     inner seq must stay behind it in forward order).
-//   - Epoch discard: an EpochMark voids the origin's pending capture
-//     frames, so they are tombstoned instead of forwarded — the root
-//     would discard them on the mark anyway. Control frames survive.
-//
-// Completion-latency frames (Done, bye, EpochMark) flush within
-// relayControlFlush rather than riding the full batch cadence; capture
-// volume rides the interval. A candidate kicks the flusher outright: the
-// child flushed it ahead of its own tick because the root's live checker
-// is waiting on it, and it must not pick up a timer here. The pass takes
-// everything queued ahead of it along, so the candidate still arrives
-// behind the ops it probes; when candidates come faster than passes the
-// kicks coalesce and each pass carries what gathered during the last.
-// Hello flushes synchronously — see below.
+// stage queues one raw child frame body for the upstream flush. Capture
+// volume rides the batching interval; a frame someone waits on kicks
+// the flusher instead — a candidate (the root's live checker), a Hello
+// (a rejoin decision), Done, bye and EpochMark (completion). The pass
+// takes everything queued ahead of it along, so a frame still arrives
+// behind its origin's earlier ones; when kicks come faster than passes
+// they coalesce, and each pass carries what gathered during the last.
 func (r *Relay) stage(origin int32, kind byte, body []byte) {
-	writeThrough := false
-	switch kind {
-	case wire.KindHello, wire.KindDone, wire.KindShutdown, wire.KindEpochMark:
-		writeThrough = true
-	}
 	r.pendMu.Lock()
-	switch kind {
-	case wire.KindMetricsSnapshot:
-		for i := range r.pending {
-			if r.pending[i].origin == origin && r.pending[i].kind == wire.KindMetricsSnapshot && r.pending[i].body != nil {
-				r.pendBytes -= len(r.pending[i].body)
-				r.pending[i].body = nil
-			}
-		}
-	case wire.KindEpochMark:
-		for i := range r.pending {
-			if r.pending[i].origin != origin || r.pending[i].body == nil {
-				continue
-			}
-			switch r.pending[i].kind {
-			case wire.KindTrace, wire.KindTraceOpBatch, wire.KindJournalEvent,
-				wire.KindJournalBatch, wire.KindCandidate, wire.KindCandidateBatch,
-				wire.KindMetricsSnapshot:
-				r.pendBytes -= len(r.pending[i].body)
-				r.pending[i].body = nil
-			}
-		}
-	}
-	r.pending = append(r.pending, relayPending{origin: origin, kind: kind, body: body})
+	r.pending = append(r.pending, wire.RelayFrame{Origin: origin, Body: body})
 	r.pendBytes += len(body)
-	full := r.pendBytes >= maxRelayBatchBytes || len(r.pending) >= relayMaxPendFrames
-	kick := full || kind == wire.KindCandidate || kind == wire.KindCandidateBatch
-	if writeThrough && kind != wire.KindHello && !full && !r.urgentArmed {
-		// Don't flush synchronously: open a short window so the control
-		// wave — every child's Done lands in the same workload tail —
-		// coalesces before the uplink write.
-		r.urgentArmed = true
-		r.urgent.Reset(relayControlFlush)
-	}
+	kick := r.pendBytes >= maxRelayBatchBytes || len(r.pending) >= relayMaxPendFrames
 	r.pendMu.Unlock()
-	if kind == wire.KindHello {
-		// Hello is the one frame that lives outside the child's session
-		// log (it is the dial handshake, so a session resume never
-		// replays it): every instant it sits staged here is a window
-		// where this relay's death silently unregisters the child — or
-		// swallows a crashed node's rejoin, wedging its WaitRestart hold.
-		// Push it upstream now; Hellos are far too rare to batch.
-		r.flush()
-		return
+	switch kind {
+	case wire.KindCandidate, wire.KindCandidateBatch, wire.KindHello,
+		wire.KindDone, wire.KindShutdown, wire.KindEpochMark:
+		kick = true
 	}
 	if kick {
 		select {
@@ -392,7 +312,8 @@ func (r *Relay) stage(origin int32, kind byte, body []byte) {
 }
 
 // flusher paces the upstream flush on the batching interval, the same
-// size-or-interval policy the node-side capture batcher uses.
+// size-or-interval policy the node-side capture batcher uses. It is
+// flush's only caller.
 func (r *Relay) flusher() {
 	defer r.wg.Done()
 	t := time.NewTicker(r.cc.batch.Interval)
@@ -402,53 +323,31 @@ func (r *Relay) flusher() {
 		case <-r.closed:
 			return
 		case <-r.kick:
-		case <-r.urgent.C:
 		case <-t.C:
 		}
 		r.flush()
 	}
 }
 
-// flush drains the pending queue into RelayBatch frames (skipping
-// tombstones) under the byte cap and sends them through the uplink's
-// session log — renumbered, resumable, metered — with one write for the
-// pass.
+// flush drains the pending queue into RelayBatch frames under the byte
+// cap and sends them through the uplink's session log — renumbered,
+// resumable, metered — with one write for the pass.
 func (r *Relay) flush() {
-	r.flushMu.Lock()
-	defer r.flushMu.Unlock()
 	r.pendMu.Lock()
 	pend := r.pending
-	r.pending = nil
-	r.pendBytes = 0
-	if r.urgentArmed {
-		// Any flush satisfies an open control window; stop the timer so
-		// a stale fire doesn't wake the flusher for nothing (a drained
-		// timer channel is left as-is — the extra empty flush is free).
-		r.urgentArmed = false
-		r.urgent.Stop()
-	}
+	r.pending, r.pendBytes = nil, 0
 	r.pendMu.Unlock()
 	if len(pend) == 0 {
 		return
 	}
-	var frames []wire.RelayFrame
-	bytes := 0
-	send := func() {
-		if len(frames) > 0 {
-			r.cc.logItems(wire.RelayBatch{Frames: frames}, len(frames))
-			frames, bytes = nil, 0
+	for len(pend) > 0 {
+		n, bytes := 0, 0
+		for n < len(pend) && bytes < maxRelayBatchBytes {
+			bytes += len(pend[n].Body)
+			n++
 		}
+		r.cc.logItems(wire.RelayBatch{Frames: pend[:n]}, n)
+		pend = pend[n:]
 	}
-	for _, p := range pend {
-		if p.body == nil {
-			continue
-		}
-		frames = append(frames, wire.RelayFrame{Origin: p.origin, Body: p.body})
-		bytes += len(p.body)
-		if bytes >= maxRelayBatchBytes {
-			send()
-		}
-	}
-	send()
 	r.cc.writeLogged()
 }

@@ -17,6 +17,7 @@ import (
 	"reflect"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -272,7 +273,7 @@ func (s *scripted) killRelay() {
 		s.t.Fatalf("relaunch relay listen: %v", err)
 	}
 	s.relay, err = StartRelay(RelayConfig{
-		Index: 0, Relays: 1, N: s.n, Upstream: s.coord.Addr(),
+		Index: 0, Relays: 1, N: s.n, Upstream: s.relay.cfg.Upstream,
 		Listener: ln, Timeouts: chaosTimeouts(), Logf: s.t.Logf,
 	})
 	if err != nil {
@@ -449,13 +450,14 @@ func recordingRoot(t *testing.T, cap int) (addr string, arrivals <-chan arrival)
 }
 
 // TestRelayFlushKeepsOriginOrder pins the relay's forwarding order
-// under concurrent flushes. Several child handlers stage capture frames
-// at once while Hellos — each of which flushes synchronously from the
-// staging goroutine — land between them and the flusher goroutine ticks
-// on its own: whatever the interleaving, the root must see every
-// origin's inner sequences strictly increasing with none missing, or
-// its replay-overlap dedup would drop the overtaken frames (the
-// cold-start "process N wedged" / lost-Done failures).
+// under concurrent staging. Six child handlers stage frames at once,
+// Hellos among them (each kicks the flusher, as candidates and
+// completion frames do), while the flusher goroutine — flush's only
+// caller — passes on its ticks and kicks: whatever the interleaving,
+// the root must see every origin's inner sequences strictly increasing
+// with none missing, or its replay-overlap dedup would drop the
+// overtaken frames (the cold-start "process N wedged" / lost-Done
+// failures).
 func TestRelayFlushKeepsOriginOrder(t *testing.T) {
 	const origins, frames, helloEvery = 6, 1500, 25
 	upstream, arrivals := recordingRoot(t, origins*frames)
@@ -476,7 +478,7 @@ func TestRelayFlushKeepsOriginOrder(t *testing.T) {
 			defer wg.Done()
 			for seq := uint64(1); seq <= frames; seq++ {
 				if seq%helloEvery == 1 {
-					body := wire.Marshal(seq, wire.Hello{From: o, N: origins})[4:]
+					body := wire.Marshal(seq, wire.Hello{From: o, N: origins, Inc: seq})[4:]
 					rl.stage(o, wire.KindHello, body)
 					continue
 				}
@@ -486,7 +488,6 @@ func TestRelayFlushKeepsOriginOrder(t *testing.T) {
 		}(int32(o))
 	}
 	wg.Wait()
-	rl.flush()
 
 	last := make([]uint64, origins)
 	deadline := time.After(20 * time.Second)
@@ -501,6 +502,142 @@ func TestRelayFlushKeepsOriginOrder(t *testing.T) {
 			t.Fatalf("root received %d of %d frames", got, origins*frames)
 		}
 	}
+}
+
+// holeProxy forwards every accepted TCP connection to a target.
+// blackhole makes the connections open at that moment swallow what they
+// read, both ways, without closing; connections accepted later forward.
+type holeProxy struct {
+	ln    net.Listener
+	mu    sync.Mutex
+	holes []*atomic.Bool
+}
+
+func startHoleProxy(t *testing.T, target string) *holeProxy {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	p := &holeProxy{ln: ln}
+	go func() {
+		for {
+			in, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			out, err := net.Dial("tcp", target)
+			if err != nil {
+				in.Close()
+				continue
+			}
+			hole := new(atomic.Bool)
+			p.mu.Lock()
+			p.holes = append(p.holes, hole)
+			p.mu.Unlock()
+			go pipeUnlessHole(out, in, hole)
+			go pipeUnlessHole(in, out, hole)
+		}
+	}()
+	return p
+}
+
+func pipeUnlessHole(dst, src net.Conn, hole *atomic.Bool) {
+	defer dst.Close()
+	defer src.Close()
+	buf := make([]byte, 32<<10)
+	for {
+		n, err := src.Read(buf)
+		if err != nil {
+			return
+		}
+		if hole.Load() {
+			continue
+		}
+		if _, err := dst.Write(buf[:n]); err != nil {
+			return
+		}
+	}
+}
+
+func (p *holeProxy) blackhole() {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for _, h := range p.holes {
+		h.Store(true)
+	}
+}
+
+// TestRejoinHelloSurvivesRelayDeath is the lost-rejoin regression: a
+// relaunched node's Hello reaches its relay, the relay's uplink carries
+// it into a black hole, and the relay dies before the root sees it. The
+// Hello is frame 1 of the node's session log, so the resume against the
+// relaunched relay replays it: the root must order the restart at once
+// — no dial campaign's deadline involved — and the new incarnation's
+// frames must stage rather than dedup against the dead incarnation's
+// sequence numbers.
+func TestRejoinHelloSurvivesRelayDeath(t *testing.T) {
+	const n = 3
+	s := startScripted(t, n, false, "")
+	px := startHoleProxy(t, s.coord.Addr())
+	var err error
+	s.relay, err = StartRelay(RelayConfig{
+		Index: 0, Relays: 1, N: n, Upstream: px.ln.Addr().String(),
+		Addr: "127.0.0.1:0", Timeouts: chaosTimeouts(), Logf: t.Logf,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { s.relay.Close() })
+	await := func(what string, within time.Duration, ok func(CoordStatus) bool) {
+		t.Helper()
+		for deadline := time.Now().Add(within); !ok(s.coord.Status()); time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s: not within %v: %s", what, within, s.coord.stallReport())
+			}
+		}
+	}
+	s.dial()
+	s.send(false)
+	logged := s.clients[1].sentFrames()
+	await("the first half of node 1's script", 10*time.Second, func(st CoordStatus) bool {
+		return len(st.Nodes) == n && st.Nodes[1].LastSeq == logged
+	})
+
+	// Node 1 crashes and relaunches; its Hello goes up into the hole.
+	px.blackhole()
+	s.clients[1].close()
+	up := s.relay.cc
+	before := up.sentFrames()
+	opt := chaosTimeouts()
+	opt.CoordDeadline = 30 * time.Second
+	cc, err := dialCoord(s.relay.Addr(), 1, n, Batching{}, newWireMeters(nil, "coord"), opt.withDefaults(), nil, t.Logf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(cc.close)
+	s.clients[1] = cc
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		up.mu.Lock()
+		forwarded := len(up.sent) > int(before) && up.wrote == len(up.sent)
+		up.mu.Unlock()
+		if forwarded {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the relay never wrote the rejoin Hello to its uplink")
+		}
+	}
+
+	// The relay dies with the Hello; its relaunch dials the proxy anew,
+	// and that connection forwards.
+	s.killRelay()
+	await("the rejoin restart", 5*time.Second, func(st CoordStatus) bool { return st.Restarts == 1 })
+	cc.markEpoch(1)
+	await("the new incarnation's EpochMark staged", 5*time.Second, func(st CoordStatus) bool {
+		return st.Nodes[1].Epoch == 1 && st.Nodes[1].LastSeq == cc.sentFrames()
+	})
 }
 
 // TestRelaySupersedeKeepsInnerOrder supersedes a child connection
@@ -656,8 +793,9 @@ func TestWaitTimeoutNamesTheStall(t *testing.T) {
 	s.send(false)
 	s.send(true, 0, 2)
 	first, _ := scriptedFrames(n, 1)
+	last := len(first) + 1 // behind the Hello, frame 1
 	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
-		if st := s.coord.Status(); st.Done == n-1 && len(st.Nodes) == n && st.Nodes[1].LastSeq == uint64(len(first)) {
+		if st := s.coord.Status(); st.Done == n-1 && len(st.Nodes) == n && st.Nodes[1].LastSeq == uint64(last) {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -668,7 +806,7 @@ func TestWaitTimeoutNamesTheStall(t *testing.T) {
 	if err == nil {
 		t.Fatal("Wait returned a result for a run missing a Done")
 	}
-	want := fmt.Sprintf("node 1 [attached=true connected=true stream epoch 0, last seq %d, done=false bye=false]", len(first))
+	want := fmt.Sprintf("node 1 [attached=true connected=true stream epoch 0, last seq %d, done=false bye=false]", last)
 	if msg := err.Error(); !strings.Contains(msg, want) || !strings.Contains(msg, "2/3 done") {
 		t.Fatalf("timeout error %q\nwant it to say 2/3 done and name %q", msg, want)
 	}

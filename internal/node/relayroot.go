@@ -99,39 +99,21 @@ func (c *Coordinator) unpackRelayed(rs *relaySession, m wire.Msg) (owed []func()
 	}
 	rs.mu.Unlock()
 	for _, f := range batch.Frames {
-		if act, e := c.ingestRelayed(rs, f); act != actNone {
-			owed = append(owed, func() { c.perform(act, e, int(f.Origin)) })
+		origin := int(f.Origin)
+		if origin < 0 || origin >= c.n {
+			c.logf("coordinator: relay %d: frame for unknown origin %d", rs.index, origin)
+			continue
+		}
+		// Relayed mode: no owning connection. A duplicate — a relaunched
+		// relay acked Cum=0 and the child retransmitted its whole session
+		// log — is dropped by the origin's gate.
+		act, e, err := c.ingest(c.session(origin), nil, f.Body)
+		if err != nil {
+			c.logf("coordinator: relay %d: origin %d: %v", rs.index, origin, err)
+		}
+		if act != actNone {
+			owed = append(owed, func() { c.perform(act, e, origin) })
 		}
 	}
 	return owed
-}
-
-// ingestRelayed unpacks one relayed inner frame into its origin's
-// session through the session's gate, relayed mode: no owning
-// connection, and the inner sequence may jump forward (see deliver). A
-// duplicate — a relaunched relay acked Cum=0 and the child retransmitted
-// its whole session log — is dropped before it is decoded.
-func (c *Coordinator) ingestRelayed(rs *relaySession, f wire.RelayFrame) (act ingestAction, epoch uint32) {
-	origin := int(f.Origin)
-	if origin < 0 || origin >= c.n {
-		c.logf("coordinator: relay %d: frame for unknown origin %d", rs.index, origin)
-		return actNone, 0
-	}
-	kind, iseq, err := wire.PeekBody(f.Body)
-	if err == nil && kind == wire.KindHello {
-		// Not gated: a Hello restarts the origin's numbering.
-		err = c.hello(c.session(origin), nil, iseq)
-	} else if err == nil {
-		st := c.session(origin)
-		st.deliver(nil, iseq, func() {
-			var m wire.Msg
-			if _, m, err = wire.DecodeBody(f.Body); err == nil {
-				act, epoch = c.ingestStored(st, m, f.Body)
-			}
-		})
-	}
-	if err != nil {
-		c.logf("coordinator: relay %d: origin %d: %v", rs.index, origin, err)
-	}
-	return act, epoch
 }

@@ -39,7 +39,7 @@ import (
 // The store, the live checker and the journal lock internally and call
 // nothing back. A relay is the same shape one level down: decideMu (its
 // shutdownMu) → relayChild.ingestMu → inbound.mu / Relay.mu, then the
-// forward queue's flushMu → pendMu → the uplink client's locks.
+// forward queue's pendMu, then the uplink client's locks.
 
 // streamReadDeadline bounds one wait for the next frame of an accepted
 // stream. Generous: peers stream continuously while alive, and a wedged
@@ -286,9 +286,10 @@ var errSuperseded = errors.New("superseded by a newer connection")
 // successor's. A gap is refused too: inside a live TCP stream it can
 // only be corruption, and the resume replays from the last accepted
 // frame. A nil conn delivers a relayed inner frame: the relay's own
-// session vouches for the connection, and its coalescing (snapshot
-// folding, epoch discards) legally removes frames mid-stream, so only
-// monotonicity is required.
+// session vouches for the connection, so only monotonicity is required.
+// A relay forwards every frame it accepts, but IngestRelayBench feeds a
+// sealed bundle's records — capture frames only — whose sequences have
+// gaps where the control frames were.
 func (in *inbound) deliver(conn *coordConn, seq uint64, fn func()) error {
 	in.ingestMu.Lock()
 	defer in.ingestMu.Unlock()

@@ -132,10 +132,16 @@ func (k CtlKind) String() string {
 
 // Hello opens every connection: it names the dialing node and the
 // cluster size, so the accepting side can reject mismatched clusters
-// and index its per-peer receive state.
+// and index its per-peer receive state. On a coordinator stream it is
+// also sequenced frame 1 of the session log, and Inc names the dialing
+// process incarnation: non-zero, drawn once per process, so the root
+// can tell a relaunched node from a resume replaying the same Hello.
+// Inc is an optional trailing field (omitted when zero), so mesh Hellos
+// stay byte-identical to the committed v1 fixtures.
 type Hello struct {
-	From int32 // dialing node id (coordinator uses -1)
-	N    int32 // cluster size the dialer believes in
+	From int32  // dialing node id (coordinator uses -1)
+	N    int32  // cluster size the dialer believes in
+	Inc  uint64 // coordinator streams: the process incarnation
 }
 
 // LinkAck is the reliable link's cumulative acknowledgement: every
@@ -496,6 +502,9 @@ func AppendBody(dst []byte, seq uint64, m Msg) []byte {
 	case Hello:
 		dst = appendVarint(dst, int64(v.From))
 		dst = appendVarint(dst, int64(v.N))
+		if v.Inc != 0 {
+			dst = appendUvarint(dst, v.Inc)
+		}
 	case LinkAck:
 		dst = appendUvarint(dst, v.Cum)
 	case Ctl:
@@ -801,7 +810,11 @@ func DecodeBody(body []byte) (seq uint64, m Msg, err error) {
 	seq = d.uvarint()
 	switch kind {
 	case kindHello:
-		m = Hello{From: d.i32(), N: d.i32()}
+		v := Hello{From: d.i32(), N: d.i32()}
+		if d.off < len(d.b) {
+			v.Inc = d.uvarint()
+		}
+		m = v
 	case kindLinkAck:
 		m = LinkAck{Cum: d.uvarint()}
 	case kindCtl:

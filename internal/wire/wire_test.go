@@ -12,7 +12,8 @@ import (
 func sampleMsgs() []Msg {
 	return []Msg{
 		Hello{From: 3, N: 5},
-		Hello{From: -1, N: 8}, // coordinator handshake
+		Hello{From: -1, N: 8},              // coordinator handshake
+		Hello{From: 2, N: 4, Inc: 1 << 40}, // a coordinator stream's frame 1
 		LinkAck{Cum: 0},
 		LinkAck{Cum: 1<<63 + 17},
 		Ctl{Kind: CtlReq, From: 0, To: 4, Gen: 7, TraceID: 1 << 40, VC: []int32{-1, 0, 12}},
@@ -145,6 +146,23 @@ func TestDecodeErrors(t *testing.T) {
 		if tc.want != nil && !errors.Is(err, tc.want) {
 			t.Errorf("%s: got %v, want %v", tc.name, err, tc.want)
 		}
+	}
+}
+
+// TestHelloInc pins Hello's optional trailing incarnation: absent when
+// zero, so a mesh Hello is the bytes it always was, and a body cut off
+// inside it is truncated, not a Hello with a smaller Inc.
+func TestHelloInc(t *testing.T) {
+	// Version, kind, seq 5, zigzag From 3, zigzag N 5.
+	if got, want := AppendBody(nil, 5, Hello{From: 3, N: 5}), []byte{Version, kindHello, 5, 6, 10}; !bytes.Equal(got, want) {
+		t.Fatalf("Hello{Inc: 0} encodes as %x, want %x", got, want)
+	}
+	body := AppendBody(nil, 1, Hello{From: 1, N: 4, Inc: 1 << 40})
+	if _, m, err := DecodeBody(body); err != nil || m != (Hello{From: 1, N: 4, Inc: 1 << 40}) {
+		t.Fatalf("round trip: %#v, %v", m, err)
+	}
+	if _, _, err := DecodeBody(body[:len(body)-1]); !errors.Is(err, ErrTruncated) {
+		t.Fatalf("Hello cut inside Inc: got %v, want ErrTruncated", err)
 	}
 }
 
