@@ -32,7 +32,7 @@ loc:
 # The most `make loc` may total. A change that grows the code raises
 # this number in its own diff, where a reviewer sees it; one that shrinks
 # it lowers the number to its result.
-LOC_MAX := 19923
+LOC_MAX := 19957
 
 loc-check:
 	@total=$$($(MAKE) -s loc | awk '$$2 == "total" {print $$1}'); \
@@ -61,7 +61,7 @@ bench-compare:
 # number itself is alloc_bytes_per_event in BENCHMARK.json, bound 10% on
 # every workload.
 bench-mem:
-	$(GO) test -run 'AllocFree|AllocBound' ./internal/deposet ./internal/detect ./internal/node ./internal/trace
+	$(GO) test -run 'AllocFree|AllocBound' ./internal/deposet ./internal/detect ./internal/node ./internal/offline ./internal/trace
 	$(GO) test -run '^$$' -bench 'BenchmarkAssemble$$|BenchmarkDecode$$|BenchmarkEncode$$' -benchtime 1x -benchmem ./internal/node ./internal/trace
 
 # Hierarchical-ingest gate: 64 nodes through a 2-level relay tree with

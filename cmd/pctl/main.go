@@ -295,6 +295,9 @@ func cmdReplay(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if *maxDelay < 1 {
+		return fmt.Errorf("replay: -maxdelay must be at least 1, got %d", *maxDelay)
+	}
 	path, err := traceArg(fs)
 	if err != nil {
 		return err
@@ -318,10 +321,9 @@ func cmdReplay(args []string) error {
 			return err
 		}
 		if cut, ok := replay.VerifyDisjunction(res, d, dj); !ok {
-			fmt.Printf("VERIFY FAILED: B violated at replayed cut %v\n", cut)
-		} else {
-			fmt.Println("verified: every consistent cut of the replay satisfies B")
+			return fmt.Errorf("replay: VERIFY FAILED: B violated at replayed cut %v", cut)
 		}
+		fmt.Println("verified: every consistent cut of the replay satisfies B")
 	}
 	return nil
 }

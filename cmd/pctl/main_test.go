@@ -289,6 +289,34 @@ func TestCLIClusterRejectsBadTargets(t *testing.T) {
 	}
 }
 
+// TestCLIReplayFailures: a delay bound no replay can draw from is a
+// one-line error naming the flag, not a panic, and a replay that
+// violates B is an error, so the exit status says what the output does.
+func TestCLIReplayFailures(t *testing.T) {
+	dir := t.TempDir()
+	trace := filepath.Join(dir, "t.json")
+	pred := filepath.Join(dir, "p.json")
+	if err := os.WriteFile(pred, []byte(`{"locals":[
+		{"p":0,"var":"ok","op":"eq","value":1},
+		{"p":1,"var":"ok","op":"eq","value":1},
+		{"p":2,"var":"ok","op":"eq","value":1}]}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if out, err := runCLI(t, "gen", "-n", "3", "-events", "24", "-density", "0.3", "-o", trace); err != nil {
+		t.Fatalf("gen: %v\n%s", err, out)
+	}
+	for _, c := range []struct{ flag, value, want string }{
+		{"-maxdelay", "0", "-maxdelay "},
+		{"-maxdelay", "-5", "-maxdelay "},
+		{"-pred", pred, "VERIFY FAILED"},
+	} {
+		out, err := runCLI(t, "replay", c.flag, c.value, trace)
+		if err == nil || !strings.Contains(err.Error(), c.want) || strings.Contains(err.Error(), "\n") {
+			t.Errorf("replay %s %s: error %v, want one line naming %q\n%s", c.flag, c.value, err, c.want, out)
+		}
+	}
+}
+
 // TestCLIGenRejectsBadFlags: a size or density no trace can have is a
 // one-line error naming the flag, with nothing written, not a panic.
 func TestCLIGenRejectsBadFlags(t *testing.T) {

@@ -21,6 +21,7 @@ package offline
 import (
 	"errors"
 	"fmt"
+	"iter"
 	"math/rand"
 	"sort"
 
@@ -111,30 +112,23 @@ type chain struct {
 // Handoff choices are explored depth-first, earliest admissible entries
 // first (preserving concurrency; see Options.PreferLate for the
 // ablation) with restarts as a last resort; dead states are memoized, so
-// the common case is a straight greedy run (O(n²p·log p)) and
-// pathological instances degrade gracefully instead of failing.
+// the common case is a straight greedy run and pathological instances
+// degrade gracefully instead of failing. Candidates are built on demand,
+// so a greedy handoff costs O(n·log p) — one first-entry lookup per
+// process until one is admissible, plus the O(n) snapshot and frontier
+// update — and the run O(n²p·log p) over its n(p+1) handoffs.
 func Control(d *deposet.Deposet, dj *predicate.Disjunction, opts Options) (*Result, error) {
 	if dj.NumProcs() != d.NumProcs() {
 		return nil, fmt.Errorf("offline: predicate ranges over %d processes, computation has %d",
 			dj.NumProcs(), d.NumProcs())
 	}
-	n := d.NumProcs()
 	c := newChain(d, dj)
 	res := &Result{}
-
-	// Initial holder: any process true at ⊥.
-	for p := 0; p < n; p++ {
-		if len(c.ivs[p]) == 0 || c.ivs[p][0].Lo != 0 {
-			c.holder = p
-			c.hEnd = c.segmentEnd(p, 0)
-			break
-		}
-	}
 	if c.holder == -1 {
 		// Every process is false at ⊥: the initial state itself violates
 		// B, and the first intervals overlap pairwise via their ⊥ clause.
-		for p := 0; p < n; p++ {
-			res.Witness = append(res.Witness, c.ivs[p][0])
+		for _, ivs := range c.ivs {
+			res.Witness = append(res.Witness, ivs[0])
 		}
 		return res, ErrInfeasible
 	}
@@ -147,10 +141,18 @@ func Control(d *deposet.Deposet, dj *predicate.Disjunction, opts Options) (*Resu
 	return res, nil
 }
 
+// newChain starts the chain at ⊥ with the first process true there as
+// its holder; holder is -1 when none is.
 func newChain(d *deposet.Deposet, dj *predicate.Disjunction) *chain {
 	n := d.NumProcs()
 	c := &chain{d: d, n: n, g: d.BottomCut(), minEntry: make([]int, n), holder: -1}
 	c.ft, c.ivs = falseIntervals(d, dj)
+	for p := 0; p < n; p++ {
+		if len(c.ivs[p]) == 0 || c.ivs[p][0].Lo != 0 {
+			c.holder, c.hEnd = p, c.segmentEnd(p, 0)
+			break
+		}
+	}
 	return c
 }
 
@@ -311,7 +313,7 @@ func (c *chain) search(failed *memo, opts Options) bool {
 	if failed.dead(c) {
 		return false
 	}
-	for _, cand := range c.candidates(opts) {
+	for cand := range c.candidates(opts) {
 		s := c.save(cand.y == 0)
 		c.apply(cand.p, cand.y)
 		if c.search(failed, opts) {
@@ -367,77 +369,107 @@ func (c *chain) entryAfter(p, from int) (int, bool) {
 // at state y.
 type candidate struct{ p, y int }
 
-// candidates enumerates the admissible handoffs from the current state:
-// for each process p ≠ holder, every true-segment entry y with
+// entries is one process's admissible entries in ascending order: first,
+// then the state after each false-interval in later. first < 0 marks a
+// process with none; later is valid once sized.
+type entries struct {
+	p, first int
+	later    []deposet.Interval
+	sized    bool
+}
+
+// at returns the entry of rank r: ascending, or descending when late.
+func (e *entries) at(r int, late bool) (int, bool) {
+	n := 1 + len(e.later)
+	if e.first < 0 || r >= n {
+		return 0, false
+	}
+	if late {
+		r = n - 1 - r
+	}
+	if r == 0 {
+		return e.first, true
+	}
+	return e.later[r-1].Hi + 1, true
+}
+
+// candidates yields the admissible handoffs from the current state: for
+// each process p ≠ holder, every true-segment entry y with
 // y ≥ max(g[p], minEntry[p]) and ¬ blockState → (p, y). The block test
 // is monotone in y, so each process contributes a prefix of its entries,
 // located by binary search.
 //
 // Order encodes the search heuristic: earliest entries first,
-// round-robin across processes. An early entry keeps the chain close to
-// the computation — one short synchronization per interval, maximizing
-// the concurrency the paper's §5 Evaluation calls for — while later
-// entries (which serialize more) remain available to the backtracking
-// search when the greedy path dead-ends.
-func (c *chain) candidates(opts Options) []candidate {
-	order := make([]int, 0, c.n-1)
-	for p := 0; p < c.n; p++ {
-		if p != c.holder {
-			order = append(order, p)
-		}
-	}
-	if opts.Rand != nil {
-		opts.Rand.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
-	}
-	block := deposet.StateID{P: c.holder, K: c.hEnd - 1}
-	perProc := make([][]candidate, 0, len(order))
-	maxLen := 0
-	for _, p := range order {
-		from := c.g[p]
-		if c.minEntry[p] > from {
-			from = c.minEntry[p]
-		}
-		first, found := c.entryAfter(p, from)
-		if !found || c.d.HB(block, deposet.StateID{P: p, K: first}) {
-			continue
-		}
-		list := []candidate{{p, first}}
-		// Post-interval entries after `first`, admissible prefix.
-		ivs := c.ivs[p]
-		lo := sort.Search(len(ivs), func(i int) bool { return ivs[i].Hi+1 > first })
-		span := ivs[lo:]
-		adm := sort.Search(len(span), func(i int) bool {
-			yy := span[i].Hi + 1
-			return yy >= c.d.Len(p) || c.d.HB(block, deposet.StateID{P: p, K: yy})
-		})
-		for i := 0; i < adm; i++ { // ascending
-			list = append(list, candidate{p, span[i].Hi + 1})
-		}
-		if opts.PreferLate {
-			for i, j := 0, len(list)-1; i < j; i, j = i+1, j-1 {
-				list[i], list[j] = list[j], list[i]
+// round-robin across processes — rank 0 of every process in turn, then
+// rank 1, and so on — with restarts (y = 0, which discard the chain
+// built so far) last. An early entry keeps the chain close to the
+// computation — one short synchronization per interval, maximizing the
+// concurrency the paper's §5 Evaluation calls for — while later entries
+// (which serialize more) remain available to the backtracking search
+// when the greedy path dead-ends.
+//
+// The sequence is produced on demand, because the greedy path takes the
+// first candidate almost always: a process's first entry is looked up
+// when its rank-0 turn comes, its admissible prefix only when rank 1 is
+// asked for (up front under PreferLate, which yields the last entry
+// first). Lazy reads see the state an eager enumeration would: search
+// restores g, minEntry, holder and hEnd before it asks for the next
+// candidate, and block is fixed when the enumeration starts.
+func (c *chain) candidates(opts Options) iter.Seq[candidate] {
+	return func(yield func(candidate) bool) {
+		procs := make([]entries, 0, c.n-1)
+		for p := 0; p < c.n; p++ {
+			if p != c.holder {
+				procs = append(procs, entries{p: p})
 			}
 		}
-		perProc = append(perProc, list)
-		if len(list) > maxLen {
-			maxLen = len(list)
+		if opts.Rand != nil {
+			opts.Rand.Shuffle(len(procs), func(i, j int) { procs[i], procs[j] = procs[j], procs[i] })
 		}
-	}
-	var out, restarts []candidate
-	for rank := 0; rank < maxLen; rank++ {
-		for _, list := range perProc {
-			if rank < len(list) {
-				if list[rank].y == 0 {
-					// A restart discards the chain built so far; keep it
-					// available but as a last resort.
-					restarts = append(restarts, list[rank])
-				} else {
-					out = append(out, list[rank])
+		block := deposet.StateID{P: c.holder, K: c.hEnd - 1}
+		// Two sweeps rank by rank: the entries, then the restarts.
+		for _, restarts := range [2]bool{false, true} {
+			for r, more := 0, true; more; r++ {
+				more = false
+				for i := range procs {
+					e := &procs[i]
+					if r == 0 && !restarts {
+						e.first = c.firstEntry(e.p, block)
+					}
+					if e.first >= 0 && !e.sized && (r > 0 || opts.PreferLate) {
+						e.later, e.sized = c.laterEntries(e.p, e.first, block), true
+					}
+					y, ok := e.at(r, opts.PreferLate)
+					more = more || ok
+					if ok && (y == 0) == restarts && !yield(candidate{e.p, y}) {
+						return
+					}
 				}
 			}
 		}
 	}
-	return append(out, restarts...)
+}
+
+// firstEntry returns p's earliest entry y ≥ max(g[p], minEntry[p]) if
+// it is admissible (¬ block → (p, y)), else -1.
+func (c *chain) firstEntry(p int, block deposet.StateID) int {
+	first, found := c.entryAfter(p, max(c.g[p], c.minEntry[p]))
+	if !found || c.d.HB(block, deposet.StateID{P: p, K: first}) {
+		return -1
+	}
+	return first
+}
+
+// laterEntries returns the false-intervals after first whose successor
+// states are admissible entries of p: a prefix, by monotonicity of HB.
+func (c *chain) laterEntries(p, first int, block deposet.StateID) []deposet.Interval {
+	ivs := c.ivs[p]
+	span := ivs[sort.Search(len(ivs), func(i int) bool { return ivs[i].Hi+1 > first }):]
+	adm := sort.Search(len(span), func(i int) bool {
+		y := span[i].Hi + 1
+		return y >= c.d.Len(p) || c.d.HB(block, deposet.StateID{P: p, K: y})
+	})
+	return span[:adm]
 }
 
 // giveUp resolves a stuck greedy: if the instance is genuinely
