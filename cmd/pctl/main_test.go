@@ -12,6 +12,8 @@ import (
 	"time"
 
 	"predctl/internal/deposet"
+	"predctl/internal/store"
+	"predctl/internal/wire"
 )
 
 // run the CLI with stdout captured.
@@ -266,6 +268,47 @@ func TestCLIBundle(t *testing.T) {
 	}
 	if _, err := runCLI(t, "bundle", "verify", bundleDir); err == nil {
 		t.Fatal("bundle verify accepted a corrupted segment")
+	}
+}
+
+// TestCLIBundleForgedN: a manifest whose n claims more nodes than the
+// bundle holds records is refused by every bundle command with an
+// error naming n — not an out-of-memory crash in export, which sized
+// its per-process table by it.
+func TestCLIBundleForgedN(t *testing.T) {
+	dir := t.TempDir()
+	st, err := store.Open(store.Config{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for id := int32(0); id < 2; id++ {
+		init := wire.TraceOpBatch{Ops: []wire.TraceOp{{Op: wire.TraceInit, Proc: id, Name: "cs"}, {Op: wire.TraceInit, Proc: 2 + id, Name: "cs"}}}
+		if err := st.Append(id, 0, wire.AppendBody(nil, 1, init)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := st.Seal(2, 0); err != nil {
+		t.Fatal(err)
+	}
+	if out, err := runCLI(t, "bundle", "export", "-o", filepath.Join(t.TempDir(), "t.json"), dir); err != nil {
+		t.Fatalf("bundle export of the honest bundle: %v\n%s", err, out)
+	}
+	path := filepath.Join(dir, store.ManifestName)
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	forged := strings.Replace(string(raw), `"n": 2,`, `"n": 1099511627776,`, 1)
+	if forged == string(raw) {
+		t.Fatalf("manifest has no n to forge:\n%s", raw)
+	}
+	if err := os.WriteFile(path, []byte(forged), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, cmd := range []string{"verify", "export", "trace"} {
+		if _, err := runCLI(t, "bundle", cmd, dir); err == nil || !strings.Contains(err.Error(), "n=1099511627776") {
+			t.Errorf("bundle %s on a forged n: %v, want an error naming n", cmd, err)
+		}
 	}
 }
 

@@ -12,10 +12,9 @@ import (
 // final-epoch deposet — the disk-backed twin of the coordinator's
 // commit-time assembly, consumable by `pctl replay`/`pctl trace` and
 // any offline pass long after the run's process is gone. Segments are
-// append-only, so a bundle can hold records from voided epochs
-// (controlled re-executions discard them from the live index, not from
-// disk); the manifest's sealed epoch filters them out, exactly as the
-// coordinator's staging held only final-epoch capture.
+// append-only, so a bundle can hold records from epochs a controlled
+// re-execution voided; the manifest's sealed epoch filters them out, as
+// the coordinator's own collect does.
 func AssembleBundle(dir string) (*deposet.Deposet, *store.Manifest, error) {
 	man, err := store.Verify(dir)
 	if err != nil {

@@ -10,6 +10,7 @@ package node
 
 import (
 	"bufio"
+	"bytes"
 	"net"
 	"os"
 	"path/filepath"
@@ -19,6 +20,7 @@ import (
 	"time"
 
 	"predctl/internal/obs"
+	"predctl/internal/store"
 	"predctl/internal/wire"
 )
 
@@ -334,6 +336,46 @@ func TestClusterCrashRestart(t *testing.T) {
 	rep.CheckScapegoatChain(j)
 	if err := rep.Err(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestClusterCrashRestartBundle is TestClusterCrashRestart's schedule
+// with capture spilling to the trace store: the controlled re-execution
+// through the store. The bundle keeps the voided execution's records,
+// and still reassembles to exactly the deposet Wait returned.
+func TestClusterCrashRestartBundle(t *testing.T) {
+	const n, rounds = 3, 3
+	dir := t.TempDir()
+	res, _, _ := runTestCluster(t, ClusterConfig{
+		N: n, Rounds: rounds, Think: 3 * time.Millisecond, CS: time.Millisecond,
+		Seed: 1998, Timeouts: chaosTimeouts(), StoreDir: dir,
+		Crashes: []Crash{{At: 5 * time.Millisecond, Node: 1, Down: 5 * time.Millisecond}},
+	})
+	if res.Restarts < 1 || res.Epoch < 1 {
+		t.Fatalf("crash schedule completed at epoch %d after %d restarts, want ≥ 1 each", res.Epoch, res.Restarts)
+	}
+	checkFullCapture(t, res, n, rounds)
+	d, man, err := AssembleBundle(dir)
+	if err != nil {
+		t.Fatalf("AssembleBundle: %v", err)
+	}
+	if man.Epoch != res.Epoch {
+		t.Fatalf("bundle sealed at epoch %d, the run completed at %d", man.Epoch, res.Epoch)
+	}
+	if !bytes.Equal(encodeTrace(t, &Result{Deposet: d}), encodeTrace(t, res)) {
+		t.Error("bundle trace differs from Wait's")
+	}
+	voided := 0
+	if _, err := store.ReplayBundle(dir, func(rec wire.SegmentRecord, _ uint64, _ wire.Msg) error {
+		if rec.Epoch != man.Epoch {
+			voided++
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if voided == 0 {
+		t.Error("the bundle holds no record of the voided execution; the epoch filter went untested")
 	}
 }
 

@@ -22,69 +22,85 @@ type staged struct {
 	cands   int
 }
 
+// sessionStaging is one session's part of a collect: the capture the
+// store replays for it (disk), then what it holds in RAM.
+type sessionStaging struct {
+	disk, ram             procOps
+	diskEvents, ramEvents []obs.Event
+	lost                  int
+}
+
 // collect snapshots what every session has staged for epoch e; wantOps
 // and wantJournal say which halves the caller needs. Sessions still at
 // an older epoch contribute nothing: their capture predates the
 // EpochMark that will void it. With a trace store the volume is on
-// disk, and each session's records stream back through the decode path
-// ingest uses, in append order — the order the session would have
-// staged them in, so the result equals RAM staging; the store's
-// per-origin index already reflects every epoch discard. What a session
-// then still holds in RAM is the suffix staged after a failed spill
-// (stageCapture), and follows its disk prefix.
+// disk, and one replay of epoch e streams every session's records back
+// through the decode path ingest uses, in append order — the order each
+// session would have staged them in, so the result equals RAM staging;
+// the epoch filter leaves out every record an epoch discard voided
+// (discardEpochLocked says why). What a session then still holds in RAM
+// is the suffix staged after a failed spill (stageCapture), and follows
+// its disk prefix.
 func (c *Coordinator) collect(e uint32, wantOps, wantJournal bool) (staged, error) {
 	var out staged
 	if wantOps {
 		out.byProc = make([][]wire.TraceOp, 2*c.n)
 	}
-	dropped := 0
+	// The RAM side is snapshotted before the disk is replayed: a spill
+	// failing in between then only shortens the prefix collected, where
+	// the other order would leave a hole in it.
+	var parts []*sessionStaging
+	byOrigin := map[int32]*sessionStaging{}
 	for _, st := range c.sessionsSorted() {
-		// The RAM side is snapshotted before the disk is replayed: a spill
-		// failing in between then only shortens the prefix collected, where
-		// the other order would leave a hole in it.
-		var ram procOps
 		st.mu.Lock()
-		current := st.epoch == e
-		events := st.events[:len(st.events):len(st.events)]
+		if st.epoch != e {
+			st.mu.Unlock()
+			continue
+		}
+		p := &sessionStaging{ramEvents: st.events[:len(st.events):len(st.events)], lost: st.ops.dropped}
 		switch {
-		case !current || !wantOps:
+		case !wantOps:
 		case c.store == nil:
 			st.ops.appendTo(out.byProc)
 		default:
-			ram = st.ops.snapshot()
+			p.ram = st.ops.snapshot()
 		}
-		cands, lost := st.cands, st.ops.dropped
+		out.cands += st.cands
 		st.mu.Unlock()
-		if !current {
+		parts = append(parts, p)
+		byOrigin[int32(st.id)] = p
+	}
+	if c.store != nil {
+		err := c.store.Replay(e, func(rec wire.SegmentRecord, _ uint64, m wire.Msg) error {
+			if p := byOrigin[rec.Origin]; p != nil {
+				ops, journal := &p.disk, &p.diskEvents
+				if !wantOps {
+					ops = nil
+				}
+				if !wantJournal {
+					journal = nil
+				}
+				stageFrame(c.n, m, ops, journal)
+			}
+			return nil
+		})
+		if err != nil {
+			return staged{}, fmt.Errorf("node: coordinator: store replay at epoch %d: %w", e, err)
+		}
+	}
+	dropped := 0
+	for _, p := range parts {
+		p.disk.appendTo(out.byProc)
+		p.ram.appendTo(out.byProc)
+		dropped += p.lost + p.disk.dropped
+		if !wantJournal {
 			continue
 		}
-		out.cands += cands
+		events := p.ramEvents
 		if c.store != nil {
-			var spilled procOps
-			var disk []obs.Event
-			ops, journal := &spilled, &disk
-			if !wantOps {
-				ops = nil
-			}
-			if !wantJournal {
-				journal = nil
-			}
-			err := c.store.Replay(int32(st.id), func(_ uint64, m wire.Msg) error {
-				stageFrame(c.n, m, ops, journal)
-				return nil
-			})
-			if err != nil {
-				return staged{}, fmt.Errorf("node: coordinator: store replay for node %d: %w", st.id, err)
-			}
-			spilled.appendTo(out.byProc)
-			ram.appendTo(out.byProc)
-			events = append(disk, events...)
-			lost += spilled.dropped
+			events = append(p.diskEvents, events...)
 		}
-		dropped += lost
-		if wantJournal {
-			out.journal = append(out.journal, events)
-		}
+		out.journal = append(out.journal, events)
 	}
 	if dropped > 0 {
 		c.logf("coordinator: %d trace ops for processes outside the run dropped", dropped)

@@ -340,6 +340,99 @@ func TestBundleEqualsWait(t *testing.T) {
 	}
 }
 
+// TestStoreFollowsEveryDiscard drives a RAM-staging coordinator and one
+// spilling to a store of 128-byte segments through the same relayed
+// (nil-conn) frame sequence, every phase's capture tagged with its own
+// value: first Hellos; a relaunch Hello from node 1 (the cluster
+// restarts at epoch 1) while both nodes still capture at epoch 0;
+// EpochMark{1} from both; then EpochMark{2}, which the coordinator
+// adopts, first from node 0 and then node 1. After every step, collect
+// at the cluster epoch must hand over the same staging from both, and
+// only the current phase's capture: each discard RAM staging makes, the
+// store's epoch filter makes too.
+func TestStoreFollowsEveryDiscard(t *testing.T) {
+	const n = 2
+	dir := t.TempDir()
+	disk, err := store.Open(store.Config{Dir: dir, SegmentBytes: 128})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer disk.Close()
+	coords := []*Coordinator{newCoordinator(n, nil, t.Logf), newCoordinator(n, nil, t.Logf)}
+	coords[1].store = disk
+	seqs := make([]uint64, n)
+	send := func(id int, m wire.Msg) {
+		t.Helper()
+		if _, ok := m.(wire.Hello); ok {
+			seqs[id] = 0 // a new process numbers its log afresh
+		}
+		seqs[id]++
+		for _, c := range coords {
+			if _, _, err := c.ingest(c.session(id), nil, wire.AppendBody(nil, seqs[id], m)); err != nil {
+				t.Fatalf("node %d: %T: %v", id, m, err)
+			}
+		}
+	}
+	capture := func(id int, tag int64) {
+		send(id, wire.TraceOpBatch{Ops: []wire.TraceOp{
+			{Op: wire.TraceSet, Proc: int32(id), Name: "phase", Value: tag},
+			{Op: wire.TraceSet, Proc: int32(n + id), Name: "phase", Value: tag},
+		}})
+		send(id, wire.JournalBatch{Events: []wire.JournalEvent{{At: 10*tag + int64(id), Proc: int32(id), Name: "phase", A: tag}}})
+	}
+	check := func(step string, tag int64, sessions int) {
+		t.Helper()
+		var got [2]staged
+		for i, c := range coords {
+			c.mu.Lock()
+			e := c.epoch
+			c.mu.Unlock()
+			var err error
+			if got[i], err = c.collect(e, true, true); err != nil {
+				t.Fatalf("%s: collect at epoch %d: %v", step, e, err)
+			}
+		}
+		if !reflect.DeepEqual(got[0], got[1]) {
+			t.Fatalf("%s: the store hands over %+v, RAM staging %+v", step, got[1], got[0])
+		}
+		ops := 0
+		for _, stream := range got[0].byProc {
+			for _, op := range stream {
+				if ops++; op.Value != tag {
+					t.Fatalf("%s: collected an op of phase %d, want only phase %d", step, op.Value, tag)
+				}
+			}
+		}
+		if ops != 2*sessions || len(got[0].journal) != sessions {
+			t.Fatalf("%s: collected %d ops in %d journals, want %d sessions' worth", step, ops, len(got[0].journal), sessions)
+		}
+	}
+
+	for id := 0; id < n; id++ {
+		send(id, wire.Hello{From: int32(id), N: n, Inc: 1})
+		capture(id, 1)
+	}
+	check("first Hellos", 1, n)
+	send(1, wire.Hello{From: 1, N: n, Inc: 2})
+	capture(0, 2)
+	capture(1, 2)
+	check("relaunch", 2, 0) // epoch 1, which neither stream has entered
+	for id := 0; id < n; id++ {
+		send(id, wire.EpochMark{Epoch: 1})
+		capture(id, 3)
+	}
+	check("EpochMark{1}", 3, n)
+	send(0, wire.EpochMark{Epoch: 2})
+	capture(0, 4)
+	check("adopted EpochMark{2}", 4, 1)
+	send(1, wire.EpochMark{Epoch: 2})
+	capture(1, 4)
+	check("EpochMark{2}", 4, n)
+	if segs, _ := disk.Stats(); segs < 4 {
+		t.Fatalf("the store rotated into %d segments, want the replay to cross several", segs)
+	}
+}
+
 // countingStore counts the frames a coordinator spills.
 type countingStore struct {
 	spillStore
@@ -347,7 +440,6 @@ type countingStore struct {
 }
 
 func (s *countingStore) Append(int32, uint32, []byte) error { s.appends++; return nil }
-func (s *countingStore) Discard(int32)                      {}
 
 // TestCaptureEndsAtBye is TestBundleEqualsWait's race without sockets:
 // once a stream's bye is counted, a capture frame that follows it is

@@ -194,8 +194,7 @@ type Coordinator struct {
 // (*store.Store in production; tests substitute one that fails).
 type spillStore interface {
 	Append(origin int32, epoch uint32, body []byte) error
-	Discard(origin int32)
-	Replay(origin int32, fn func(seq uint64, m wire.Msg) error) error
+	Replay(epoch uint32, fn func(rec wire.SegmentRecord, seq uint64, m wire.Msg) error) error
 	Seal(n int, epoch uint32) error
 	Stats() (segments int, bytes int64)
 }
@@ -422,9 +421,6 @@ func (c *Coordinator) hello(st *nodeSession, conn *coordConn, seq, inc uint64) (
 	}
 	st.mu.Unlock()
 	if !refused {
-		if c.store != nil {
-			c.store.Discard(int32(st.id))
-		}
 		st.adoptLocked(conn, true, seq)
 	}
 	st.ingestMu.Unlock()

@@ -48,7 +48,12 @@ type nodeSession struct {
 }
 
 // discardEpochLocked drops the staged capture when the stream enters
-// epoch e (0: a relaunched node starting over). Caller holds s.mu.
+// epoch e (0: a relaunched node starting over). Capture spilled to the
+// trace store needs no discard: each record carries the epoch it was
+// staged at, and collect reads one epoch, which every discard leaves
+// behind for good — an EpochMark moves the stream to a later epoch, and
+// a relaunch is followed by the cluster's epoch bump (a relaunch after
+// Commit is refused and discards nothing). Caller holds s.mu.
 func (s *nodeSession) discardEpochLocked(e uint32) {
 	s.epoch = e
 	s.ops, s.events, s.cands = procOps{}, nil, 0
@@ -157,11 +162,6 @@ func (c *Coordinator) ingestStored(st *nodeSession, m wire.Msg, raw []byte) (ing
 		st.mu.Lock()
 		if v.Epoch > st.epoch {
 			st.discardEpochLocked(v.Epoch)
-			if c.store != nil {
-				// The store-side twin: the origin's spilled records belong
-				// to the voided epoch; drop their index entries.
-				c.store.Discard(int32(st.id))
-			}
 		}
 		st.mu.Unlock()
 		c.mu.Lock()

@@ -783,6 +783,34 @@ func TestSpillFailureKeepsOrder(t *testing.T) {
 	}
 }
 
+// TestSpillBlockedRotation breaks a real store: a directory holds the
+// second segment's name, so once the first segment has a record every
+// append fails at rotation. Each session falls back to RAM at its
+// failed frame, and that frame must be in RAM only — Wait returns the
+// trace byte-identical to RAM staging, with no frame staged twice.
+func TestSpillBlockedRotation(t *testing.T) {
+	const n = 3
+	ram, jRAM := runScripted(t, n, false, false, "")
+
+	dir := t.TempDir()
+	if err := os.Mkdir(filepath.Join(dir, "seg-000001.pcseg"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	st, err := store.Open(store.Config{Dir: dir, SegmentBytes: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { st.Close() })
+	disk, jDisk := runScripted(t, n, false, false, "", func(c *CoordConfig) { c.Store = st })
+
+	if !bytes.Equal(encodeTrace(t, disk), encodeTrace(t, ram)) {
+		t.Error("trace after a blocked rotation differs from RAM staging")
+	}
+	if !reflect.DeepEqual(jDisk.Events(), jRAM.Events()) {
+		t.Error("journal after a blocked rotation differs from RAM staging")
+	}
+}
+
 // TestWaitTimeoutNamesTheStall: a run that cannot finish says who it is
 // waiting for. Node 1 streams the first half of its script and never
 // reports Done; the timeout must name it, with its last sequence.

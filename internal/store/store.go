@@ -1,11 +1,11 @@
 // Package store is the coordinator's segmented on-disk trace store:
 // staged capture frames appended to checksummed, size-rotated segment
-// files with an in-memory index of live offsets, so a million-event run
-// never holds its deposet in RAM. The unit of storage is one capture
-// frame body (the same version|kind|seq|payload bytes the wire carried)
-// wrapped in a wire.SegmentRecord tagging origin and epoch — replay is
-// the very decode path live ingest uses, so a trace assembled from disk
-// is byte-identical to one assembled from the in-RAM staging.
+// files, so a million-event run never holds its deposet in RAM. The
+// unit of storage is one capture frame body (the same
+// version|kind|seq|payload bytes the wire carried) wrapped in a
+// wire.SegmentRecord tagging origin and epoch — replay is the very
+// decode path live ingest uses, so a trace assembled from disk is
+// byte-identical to one assembled from the in-RAM staging.
 //
 // Segment file layout:
 //
@@ -13,13 +13,14 @@
 //	record*: [u32 big-endian length][u32 big-endian CRC-32 (IEEE) of body][body]
 //	body = wire frame body of a SegmentRecord
 //
-// Epoch discards (§8 controlled re-execution voiding a partial
-// execution) drop index entries, not bytes: dead records stay in their
-// segments until the run ends, which keeps the write path append-only.
-// Seal writes a MANIFEST.json over the segments — name, size, CRC —
-// turning the directory into a self-contained capture bundle that
-// `pctl bundle verify` can check and `pctl bundle trace` can reassemble
-// air-gapped.
+// The store is read one way: a sequential scan of the segments that
+// yields the records of one epoch. §8 controlled re-execution voids a
+// partial execution by moving the cluster to a later epoch, so the
+// voided records stay in their segments, never read again, and the
+// write path stays append-only. Seal writes a MANIFEST.json over the
+// segments — name, size, CRC — turning the directory into a
+// self-contained capture bundle that `pctl bundle verify` can check and
+// `pctl bundle trace` can reassemble air-gapped.
 package store
 
 import (
@@ -31,7 +32,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"sort"
 	"sync"
 
 	"predctl/internal/obs"
@@ -62,14 +62,6 @@ type Config struct {
 	Reg *obs.Registry
 }
 
-// recRef locates one live record: segment ordinal, body offset, body
-// length.
-type recRef struct {
-	seg int
-	off int64
-	n   int32
-}
-
 // segment is one on-disk segment file's write-side state.
 type segment struct {
 	name    string
@@ -79,19 +71,16 @@ type segment struct {
 	records int
 }
 
-// Store is a segmented append-only record log with a per-origin index
-// of live records. Safe for concurrent use.
+// Store is a segmented append-only record log. Safe for concurrent use.
 type Store struct {
 	dir      string
 	segBytes int64
 
-	mu       sync.Mutex
-	segs     []*segment
-	cur      *segment
-	index    map[int32][]recRef
-	recSeq   uint64 // monotonic record counter (the SegmentRecord frame seq)
-	sealed   bool
-	appended int64 // total record bodies appended, bytes
+	mu     sync.Mutex
+	segs   []*segment
+	cur    *segment
+	recSeq uint64 // monotonic record counter (the SegmentRecord frame seq)
+	sealed bool
 
 	gBytes *obs.Gauge
 	gSegs  *obs.Gauge
@@ -110,11 +99,7 @@ func Open(cfg Config) (*Store, error) {
 	if segBytes <= 0 {
 		segBytes = DefaultSegmentBytes
 	}
-	s := &Store{
-		dir:      cfg.Dir,
-		segBytes: segBytes,
-		index:    map[int32][]recRef{},
-	}
+	s := &Store{dir: cfg.Dir, segBytes: segBytes}
 	if cfg.Reg != nil {
 		s.gBytes = cfg.Reg.Gauge("predctl_store_segment_bytes")
 		s.gSegs = cfg.Reg.Gauge("predctl_store_segments_total")
@@ -156,13 +141,20 @@ func (s *Store) rotateLocked() error {
 }
 
 // Append spills one capture frame body for origin at epoch. The body is
-// wrapped in a wire.SegmentRecord, checksummed, appended to the active
-// segment and indexed as live.
+// wrapped in a wire.SegmentRecord, checksummed and appended to the
+// active segment. A full segment is rotated before the write, not after
+// it, so an Append that fails has written nothing: its caller may stage
+// the frame elsewhere without the trace holding it twice.
 func (s *Store) Append(origin int32, epoch uint32, body []byte) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.sealed {
 		return fmt.Errorf("store: append after seal")
+	}
+	if s.cur.records > 0 && s.cur.size >= s.segBytes {
+		if err := s.rotateLocked(); err != nil {
+			return err
+		}
 	}
 	s.recSeq++
 	rec := wire.AppendBody(nil, s.recSeq, wire.SegmentRecord{Origin: origin, Epoch: epoch, Body: body})
@@ -176,17 +168,10 @@ func (s *Store) Append(origin int32, epoch uint32, body []byte) error {
 	if _, err := seg.w.Write(rec); err != nil {
 		return fmt.Errorf("store: %s: %w", seg.name, err)
 	}
-	s.index[origin] = append(s.index[origin], recRef{
-		seg: len(s.segs) - 1, off: seg.size + recordOverhead, n: int32(len(rec)),
-	})
 	seg.size += recordOverhead + int64(len(rec))
 	seg.records++
-	s.appended += int64(len(rec))
 	if s.gBytes != nil {
 		s.gBytes.Set(s.totalBytesLocked())
-	}
-	if seg.size >= s.segBytes {
-		return s.rotateLocked()
 	}
 	return nil
 }
@@ -199,28 +184,6 @@ func (s *Store) totalBytesLocked() int64 {
 	return total
 }
 
-// Discard drops every live record for origin from the index — the
-// store-side twin of the coordinator's epoch discard (an EpochMark
-// voided the origin's staged capture) and of a relaunched node's
-// session reset. Bytes stay on disk; only the index forgets them.
-func (s *Store) Discard(origin int32) {
-	s.mu.Lock()
-	delete(s.index, origin)
-	s.mu.Unlock()
-}
-
-// Origins returns the origins with live records, ascending.
-func (s *Store) Origins() []int32 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]int32, 0, len(s.index))
-	for o := range s.index {
-		out = append(out, o)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
 // Stats reports segment count and total on-disk bytes.
 func (s *Store) Stats() (segments int, bytes int64) {
 	s.mu.Lock()
@@ -228,67 +191,34 @@ func (s *Store) Stats() (segments int, bytes int64) {
 	return len(s.segs), s.totalBytesLocked()
 }
 
-// Replay streams origin's live records, in append order, decoded back
-// into wire messages. Each record's checksum is verified before decode;
-// a mismatch aborts with a corruption error naming the segment and
-// offset rather than yielding a garbled frame.
-func (s *Store) Replay(origin int32, fn func(seq uint64, m wire.Msg) error) error {
+// Replay streams the records appended at epoch, in append order across
+// all origins, each decoded back into its wire message. It reads what
+// was appended before it was called: every segment is scanned up to
+// the size it had then, so a concurrent Append never exposes half a
+// record. Each record's checksum is verified before decode; a mismatch
+// aborts with a corruption error naming the segment and offset rather
+// than yielding a garbled frame.
+func (s *Store) Replay(epoch uint32, fn func(rec wire.SegmentRecord, seq uint64, m wire.Msg) error) error {
 	s.mu.Lock()
-	refs := append([]recRef(nil), s.index[origin]...)
-	names := make([]string, len(s.segs))
+	segs := make([]segment, len(s.segs))
 	for i, seg := range s.segs {
-		names[i] = seg.name
-		if s.sealed {
-			continue // writers already flushed and closed
+		if !s.sealed { // a sealed store's writers are flushed and closed
+			if err := seg.w.Flush(); err != nil {
+				s.mu.Unlock()
+				return fmt.Errorf("store: flush %s: %w", seg.name, err)
+			}
 		}
-		if err := seg.w.Flush(); err != nil {
-			s.mu.Unlock()
-			return fmt.Errorf("store: flush %s: %w", seg.name, err)
-		}
+		segs[i] = segment{name: seg.name, size: seg.size}
 	}
 	s.mu.Unlock()
-
-	files := map[int]*os.File{}
-	defer func() {
-		for _, f := range files {
-			f.Close()
-		}
-	}()
-	for _, ref := range refs {
-		f := files[ref.seg]
-		if f == nil {
-			var err error
-			f, err = os.Open(filepath.Join(s.dir, names[ref.seg]))
-			if err != nil {
-				return fmt.Errorf("store: %w", err)
+	for _, seg := range segs {
+		err := replaySegment(filepath.Join(s.dir, seg.name), seg.size, func(rec wire.SegmentRecord, seq uint64, m wire.Msg) error {
+			if rec.Epoch != epoch {
+				return nil
 			}
-			files[ref.seg] = f
-		}
-		rec := make([]byte, ref.n)
-		if _, err := f.ReadAt(rec, ref.off); err != nil {
-			return fmt.Errorf("store: %s@%d: %w", names[ref.seg], ref.off, err)
-		}
-		var hdr [recordOverhead]byte
-		if _, err := f.ReadAt(hdr[:], ref.off-recordOverhead); err != nil {
-			return fmt.Errorf("store: %s@%d: %w", names[ref.seg], ref.off, err)
-		}
-		if got, want := crc32.ChecksumIEEE(rec), binary.BigEndian.Uint32(hdr[4:8]); got != want {
-			return fmt.Errorf("store: %s@%d: checksum mismatch (got %08x, want %08x): segment corrupt",
-				names[ref.seg], ref.off, got, want)
-		}
-		_, m, err := wire.DecodeBody(rec)
+			return fn(rec, seq, m)
+		})
 		if err != nil {
-			return fmt.Errorf("store: %s@%d: %w", names[ref.seg], ref.off, err)
-		}
-		sr, ok := m.(wire.SegmentRecord)
-		if !ok {
-			return fmt.Errorf("store: %s@%d: record is %T, want SegmentRecord", names[ref.seg], ref.off, m)
-		}
-		seq, inner, err := wire.DecodeBody(sr.Body)
-		if err != nil {
-			return fmt.Errorf("store: %s@%d: inner frame: %w", names[ref.seg], ref.off, err)
-		}
-		if err := fn(seq, inner); err != nil {
 			return err
 		}
 	}
@@ -375,14 +305,18 @@ func fileCRC(path string) (uint32, error) {
 }
 
 // Verify checks a sealed bundle: the manifest parses, every listed
-// segment exists with the recorded size and whole-file checksum, and
-// every record inside checksums and decodes. It returns the manifest on
-// success.
+// segment exists with the recorded size and whole-file checksum, every
+// record inside checksums and decodes, and the cluster size is one the
+// records can hold — every node of a sealed run spills at least its
+// TraceInit, so a manifest claiming more nodes than records is forged,
+// and a reader sizing its tables by it would be the one to pay. It
+// returns the manifest on success.
 func Verify(dir string) (*Manifest, error) {
 	man, err := readManifest(dir)
 	if err != nil {
 		return nil, err
 	}
+	total := 0
 	for _, sm := range man.Segments {
 		path := filepath.Join(dir, sm.Name)
 		fi, err := os.Stat(path)
@@ -402,7 +336,7 @@ func Verify(dir string) (*Manifest, error) {
 				sm.Name, crc, sm.CRC32)
 		}
 		records := 0
-		err = replaySegment(path, func(wire.SegmentRecord, uint64, wire.Msg) error {
+		err = replaySegment(path, sm.Bytes, func(wire.SegmentRecord, uint64, wire.Msg) error {
 			records++
 			return nil
 		})
@@ -413,6 +347,10 @@ func Verify(dir string) (*Manifest, error) {
 			return nil, fmt.Errorf("store: bundle: %s holds %d records, manifest says %d",
 				sm.Name, records, sm.Records)
 		}
+		total += records
+	}
+	if man.N > total {
+		return nil, fmt.Errorf("store: bundle: manifest n=%d exceeds the %d records it holds", man.N, total)
 	}
 	return man, nil
 }
@@ -435,9 +373,8 @@ func readManifest(dir string) (*Manifest, error) {
 }
 
 // ReplayBundle streams every record of a sealed bundle, segment by
-// segment in manifest order, with each record's checksum verified. Note
-// this yields all records, including ones a live run's epoch discards
-// had dropped from the index — callers filter by SegmentRecord.Epoch
+// segment in manifest order, with each record's checksum verified. It
+// yields every epoch's records — callers filter by SegmentRecord.Epoch
 // (the manifest's Epoch is the final one).
 func ReplayBundle(dir string, fn func(rec wire.SegmentRecord, seq uint64, m wire.Msg) error) (*Manifest, error) {
 	man, err := readManifest(dir)
@@ -445,22 +382,24 @@ func ReplayBundle(dir string, fn func(rec wire.SegmentRecord, seq uint64, m wire
 		return nil, err
 	}
 	for _, sm := range man.Segments {
-		if err := replaySegment(filepath.Join(dir, sm.Name), fn); err != nil {
+		if err := replaySegment(filepath.Join(dir, sm.Name), sm.Bytes, fn); err != nil {
 			return nil, err
 		}
 	}
 	return man, nil
 }
 
-// replaySegment scans one segment file sequentially, verifying and
-// decoding every record.
-func replaySegment(path string, fn func(rec wire.SegmentRecord, seq uint64, m wire.Msg) error) error {
+// replaySegment scans the first size bytes of one segment file
+// sequentially, verifying and decoding every record. A record running
+// past size (or past the frame limit) is refused before its buffer is
+// allocated.
+func replaySegment(path string, size int64, fn func(rec wire.SegmentRecord, seq uint64, m wire.Msg) error) error {
 	f, err := os.Open(path)
 	if err != nil {
 		return fmt.Errorf("store: %w", err)
 	}
 	defer f.Close()
-	br := bufio.NewReaderSize(f, 64<<10)
+	br := bufio.NewReaderSize(io.LimitReader(f, size), 64<<10)
 	got := make([]byte, len(magic))
 	if _, err := io.ReadFull(br, got); err != nil || string(got) != string(magic) {
 		return fmt.Errorf("store: %s: not a segment file", path)
@@ -475,8 +414,8 @@ func replaySegment(path string, fn func(rec wire.SegmentRecord, seq uint64, m wi
 			return fmt.Errorf("store: %s@%d: %w", path, off, err)
 		}
 		n := binary.BigEndian.Uint32(hdr[0:4])
-		if n > wire.MaxFrame+64 {
-			return fmt.Errorf("store: %s@%d: record length %d exceeds frame limit", path, off, n)
+		if n > wire.MaxFrame+64 || int64(n) > size-off-recordOverhead {
+			return fmt.Errorf("store: %s@%d: record length %d exceeds the frame limit or the segment", path, off, n)
 		}
 		rec := make([]byte, n)
 		if _, err := io.ReadFull(br, rec); err != nil {
@@ -486,7 +425,7 @@ func replaySegment(path string, fn func(rec wire.SegmentRecord, seq uint64, m wi
 			return fmt.Errorf("store: %s@%d: checksum mismatch (got %08x, want %08x): segment corrupt",
 				path, off, got, want)
 		}
-		seqRec, m, err := wire.DecodeBody(rec)
+		_, m, err := wire.DecodeBody(rec)
 		if err != nil {
 			return fmt.Errorf("store: %s@%d: %w", path, off, err)
 		}
@@ -498,7 +437,6 @@ func replaySegment(path string, fn func(rec wire.SegmentRecord, seq uint64, m wi
 		if err != nil {
 			return fmt.Errorf("store: %s@%d: inner frame: %w", path, off, err)
 		}
-		_ = seqRec
 		if err := fn(sr, seq, inner); err != nil {
 			return err
 		}

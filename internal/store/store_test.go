@@ -2,16 +2,20 @@ package store
 
 import (
 	"encoding/json"
+	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime/metrics"
+	"slices"
 	"strings"
 	"testing"
 
 	"predctl/internal/wire"
 )
 
-func body(t *testing.T, seq uint64, m wire.Msg) []byte {
+func body(t testing.TB, seq uint64, m wire.Msg) []byte {
 	t.Helper()
 	return wire.AppendBody(nil, seq, m)
 }
@@ -36,7 +40,10 @@ func TestAppendReplayRoundTrip(t *testing.T) {
 	}
 	var got []wire.Msg
 	var seqs []uint64
-	err = s.Replay(0, func(seq uint64, m wire.Msg) error {
+	err = s.Replay(0, func(rec wire.SegmentRecord, seq uint64, m wire.Msg) error {
+		if rec.Origin != 0 {
+			t.Errorf("epoch 0 replays a record of origin %d", rec.Origin)
+		}
 		got = append(got, m)
 		seqs = append(seqs, seq)
 		return nil
@@ -50,11 +57,21 @@ func TestAppendReplayRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(seqs, []uint64{1, 2, 3}) {
 		t.Fatalf("inner seqs %v, want [1 2 3]", seqs)
 	}
-	if origins := s.Origins(); !reflect.DeepEqual(origins, []int32{0, 3}) {
-		t.Fatalf("origins %v, want [0 3]", origins)
+	var origins []int32
+	if err := s.Replay(1, func(rec wire.SegmentRecord, _ uint64, _ wire.Msg) error {
+		origins = append(origins, rec.Origin)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(origins, []int32{3}) {
+		t.Fatalf("epoch 1 replays origins %v, want [3]", origins)
 	}
 }
 
+// An epoch discard voids a node's records by moving on to a later
+// epoch: the voided records stay on disk, and a replay of the new epoch
+// does not yield them.
 func TestDiscardDropsLiveRecords(t *testing.T) {
 	s, err := Open(Config{Dir: t.TempDir()})
 	if err != nil {
@@ -63,12 +80,11 @@ func TestDiscardDropsLiveRecords(t *testing.T) {
 	if err := s.Append(1, 0, body(t, 1, wire.JournalEvent{At: 1, Proc: 1})); err != nil {
 		t.Fatal(err)
 	}
-	s.Discard(1)
 	if err := s.Append(1, 1, body(t, 1, wire.JournalEvent{At: 2, Proc: 1})); err != nil {
 		t.Fatal(err)
 	}
 	var got []wire.Msg
-	if err := s.Replay(1, func(_ uint64, m wire.Msg) error { got = append(got, m); return nil }); err != nil {
+	if err := s.Replay(1, func(_ wire.SegmentRecord, _ uint64, m wire.Msg) error { got = append(got, m); return nil }); err != nil {
 		t.Fatal(err)
 	}
 	if len(got) != 1 || got[0].(wire.JournalEvent).At != 2 {
@@ -92,15 +108,60 @@ func TestSegmentRotation(t *testing.T) {
 		t.Fatalf("expected rotation past 256 bytes, got %d segments (%d bytes)", segs, bytes)
 	}
 	n := 0
-	if err := s.Replay(0, func(uint64, wire.Msg) error { n++; return nil }); err != nil {
+	if err := s.Replay(0, func(wire.SegmentRecord, uint64, wire.Msg) error { n++; return nil }); err != nil {
 		t.Fatal(err)
 	}
 	if n != 50 {
 		t.Fatalf("replayed %d records across segments, want 50", n)
 	}
+	// A segment is rotated when the next record arrives, so none is
+	// left empty behind the last.
+	if err := s.Seal(1, 0); err != nil {
+		t.Fatal(err)
+	}
+	man, err := Verify(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sm := range man.Segments {
+		if sm.Records == 0 {
+			t.Errorf("segment %s holds no records", sm.Name)
+		}
+	}
 }
 
-func sealSample(t *testing.T) (string, *Store) {
+// An Append that errs has written nothing. With the next segment's name
+// taken by a directory, every rotation fails; only the appends that
+// returned nil may replay, or a caller staging the refused frame
+// elsewhere holds it twice.
+func TestFailedAppendLeavesNothing(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.Mkdir(filepath.Join(dir, segName(1)), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	s, err := Open(Config{Dir: dir, SegmentBytes: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ok := 0
+	for i := 0; i < 4; i++ {
+		if s.Append(0, 0, body(t, uint64(i+1), wire.JournalEvent{At: int64(i)})) == nil {
+			ok++
+		}
+	}
+	if ok == 4 {
+		t.Fatal("every append succeeded; the blocked rotation never failed")
+	}
+	n := 0
+	if err := s.Replay(0, func(wire.SegmentRecord, uint64, wire.Msg) error { n++; return nil }); err != nil {
+		t.Fatal(err)
+	}
+	if n != ok {
+		t.Fatalf("%d of 4 appends succeeded, yet %d records replay", ok, n)
+	}
+}
+
+func sealSample(t testing.TB) (string, *Store) {
 	t.Helper()
 	dir := t.TempDir()
 	s, err := Open(Config{Dir: dir, SegmentBytes: 512})
@@ -188,6 +249,20 @@ func TestVerifyMissingSegment(t *testing.T) {
 // readers, not replayed on the assumption it is schema 1.
 func TestFutureSchemaRejected(t *testing.T) {
 	dir, _ := sealSample(t)
+	editManifest(t, dir, func(man *Manifest) { man.Schema = 2 })
+	if _, err := Verify(dir); err == nil || !strings.Contains(err.Error(), "schema 2") {
+		t.Errorf("Verify on a schema-2 bundle: %v", err)
+	}
+	replayed := 0
+	_, err := ReplayBundle(dir, func(wire.SegmentRecord, uint64, wire.Msg) error { replayed++; return nil })
+	if err == nil || !strings.Contains(err.Error(), "schema 2") || replayed > 0 {
+		t.Errorf("ReplayBundle on a schema-2 bundle replayed %d records: %v", replayed, err)
+	}
+}
+
+// editManifest rewrites a sealed bundle's manifest through edit.
+func editManifest(t *testing.T, dir string, edit func(*Manifest)) {
+	t.Helper()
 	path := filepath.Join(dir, ManifestName)
 	buf, err := os.ReadFile(path)
 	if err != nil {
@@ -197,19 +272,72 @@ func TestFutureSchemaRejected(t *testing.T) {
 	if err := json.Unmarshal(buf, &man); err != nil {
 		t.Fatal(err)
 	}
-	man.Schema = 2
+	edit(&man)
 	if buf, err = json.Marshal(man); err != nil {
 		t.Fatal(err)
 	}
 	if err := os.WriteFile(path, buf, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Verify(dir); err == nil || !strings.Contains(err.Error(), "schema 2") {
-		t.Errorf("Verify on a schema-2 bundle: %v", err)
+}
+
+// A manifest claiming more nodes than the bundle holds records is
+// forged — every node spills at least its TraceInit — and Verify
+// refuses it, naming n, before a reader sizes a table by it.
+func TestVerifyRefusesForgedN(t *testing.T) {
+	for _, n := range []int{41, 1 << 40} {
+		dir, _ := sealSample(t) // 40 records
+		editManifest(t, dir, func(man *Manifest) { man.N = n })
+		want := fmt.Sprintf("n=%d", n)
+		if _, err := Verify(dir); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("Verify with manifest n=%d: %v, want an error naming %s", n, err, want)
+		}
 	}
-	replayed := 0
-	_, err = ReplayBundle(dir, func(wire.SegmentRecord, uint64, wire.Msg) error { replayed++; return nil })
-	if err == nil || !strings.Contains(err.Error(), "schema 2") || replayed > 0 {
-		t.Errorf("ReplayBundle on a schema-2 bundle replayed %d records: %v", replayed, err)
+	dir, _ := sealSample(t)
+	editManifest(t, dir, func(man *Manifest) { man.N = 40 })
+	if _, err := Verify(dir); err != nil {
+		t.Errorf("Verify with one record per node: %v", err)
 	}
+}
+
+// FuzzReplaySegment holds the segment reader to its contract on bytes
+// from disk: it never panics, and a record header's claimed length
+// never costs more than the file holds — what it allocates stays a
+// small multiple of the input, however large the claim.
+func FuzzReplaySegment(f *testing.F) {
+	dir, _ := sealSample(f)
+	man, err := Verify(dir)
+	if err != nil {
+		f.Fatal(err)
+	}
+	seg, err := os.ReadFile(filepath.Join(dir, man.Segments[0].Name))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(seg)
+	f.Add(seg[:len(seg)-3])
+	f.Add(append(slices.Clone(magic), 0x00, 0x10, 0x00, 0x00, 0, 0, 0, 0)) // claims a 1 MiB record
+	f.Add(append(slices.Clone(magic), 0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0))
+	f.Add([]byte{})
+	path := filepath.Join(f.TempDir(), "seg") // one file per worker process
+	heap := []metrics.Sample{{Name: "/gc/heap/allocs:bytes"}}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		// The heap counter is process-wide: take the lesser of two runs,
+		// so first-call set-up and the fuzz worker's own traffic do not
+		// count against the reader.
+		grew := uint64(math.MaxUint64)
+		for range 2 {
+			metrics.Read(heap)
+			before := heap[0].Value.Uint64()
+			replaySegment(path, int64(len(data)), func(wire.SegmentRecord, uint64, wire.Msg) error { return nil })
+			metrics.Read(heap)
+			grew = min(grew, heap[0].Value.Uint64()-before)
+		}
+		if limit := uint64(256<<10 + 64*len(data)); grew > limit {
+			t.Fatalf("replaying %d bytes allocated %d, over %d", len(data), grew, limit)
+		}
+	})
 }
