@@ -384,6 +384,9 @@ func cmdTrace(args []string) error {
 	if fs.NArg() != 0 {
 		return errors.New("trace takes no trace-file argument: it generates its own run")
 	}
+	if *rounds < 1 {
+		return fmt.Errorf("trace: -rounds must be at least 1, got %d", *rounds)
+	}
 
 	j := obs.NewJournal(0)
 	reg := obs.NewRegistry()

@@ -380,3 +380,30 @@ func TestCLIGenRejectsBadFlags(t *testing.T) {
 		t.Errorf("gen -n 1 -events 0 -density 1: %v", err)
 	}
 }
+
+// TestCLIRejectsBadRounds: -rounds means critical sections per process
+// in every command that takes it, so none can run fewer than one. Each
+// refuses before it binds anything, with a one-line error naming the
+// flag, and prints nothing.
+func TestCLIRejectsBadRounds(t *testing.T) {
+	for _, args := range [][]string{
+		{"cluster", "-rounds", "0"},
+		{"cluster", "-rounds", "-3"},
+		{"node", "-coord", "127.0.0.1:0", "-rounds", "0"},
+		{"node", "-id", "-1", "-coord", "127.0.0.1:0", "-wait", "1ms", "-rounds", "0"},
+		{"trace", "-rounds", "0"},
+		{"trace", "-rounds", "-1"},
+	} {
+		begin := time.Now()
+		out, err := runCLI(t, args...)
+		if err == nil || !strings.Contains(err.Error(), "-rounds ") || strings.Contains(err.Error(), "\n") {
+			t.Errorf("%s: error %v, want one line naming -rounds", strings.Join(args, " "), err)
+		}
+		if out != "" {
+			t.Errorf("%s printed %q before refusing", strings.Join(args, " "), out)
+		}
+		if took := time.Since(begin); took > time.Second {
+			t.Errorf("%s: refused after %v", strings.Join(args, " "), took)
+		}
+	}
+}

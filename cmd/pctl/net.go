@@ -249,6 +249,9 @@ func cmdCluster(args []string) error {
 	if fs.NArg() != 0 {
 		return errors.New("cluster takes no trace-file argument: it generates its own run")
 	}
+	if *rounds < 1 {
+		return fmt.Errorf("cluster: -rounds must be at least 1, got %d", *rounds)
+	}
 	live, err := liveConfig(*livePred, *onDetect, *maxReExecs, *n)
 	if err != nil {
 		return err
@@ -375,6 +378,9 @@ func cmdNode(args []string) error {
 	}
 	if *coord == "" {
 		return errors.New("node: -coord is required")
+	}
+	if *rounds < 1 {
+		return fmt.Errorf("node: -rounds must be at least 1, got %d", *rounds)
 	}
 
 	if *id < 0 {

@@ -32,7 +32,6 @@ import (
 // event order the deposet needs.
 type capture struct {
 	mu       sync.Mutex
-	enabled  bool
 	app      int32 // the application's logical process; every other op is the controller's
 	ops      []wire.TraceOp
 	appState int    // app-process traced state index (0 = ⊥)
@@ -59,9 +58,6 @@ func (c *capture) msgID(proc int) uint64 {
 // it: an app op other than Init and Let advances it, a controller op
 // leaves it alone.
 func (c *capture) append(op wire.TraceOp) int {
-	if !c.enabled {
-		return -1
-	}
 	c.mu.Lock()
 	c.ops = append(c.ops, op)
 	if op.Proc == c.app && op.Op != wire.TraceInit && op.Op != wire.TraceLet {

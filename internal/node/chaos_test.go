@@ -231,12 +231,11 @@ func TestCoordClientResumesAfterStreamBreak(t *testing.T) {
 	if seq, _, err := wire.ReadFrame(br2); err != nil || seq != 4 {
 		t.Fatalf("post-resume frame: seq=%d err=%v", seq, err)
 	}
-	select {
-	case <-cc.shutdownEv:
+	switch d := cc.decisions(); {
+	case d.shutdown:
 		t.Fatal("stream break was treated as Shutdown")
-	case <-cc.commitCh:
+	case d.committed:
 		t.Fatal("stream break was treated as Commit")
-	default:
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 	"math/rand/v2"
 	"net"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"predctl/internal/obs"
@@ -55,7 +54,8 @@ func (b Batching) withDefaults() Batching {
 
 // coordClient is a node's stream to the coordinator: Hello, then trace
 // batches, forwarded journal events, candidates, Done and bye frames
-// out; Shutdown, Restart and Commit in.
+// out; the root's decisions — Shutdown, Restart, Commit — in, folded
+// into one decisions value.
 //
 // The stream is a session, not a connection. Every sequenced frame is
 // retained in an in-memory session log (sent) for the life of the run,
@@ -87,14 +87,16 @@ type coordClient struct {
 	logf  func(string, ...any)
 	parts *partitions
 
-	shutdownEv chan uint32   // latest Shutdown{Epoch} from the coordinator (latest wins)
-	restartCh  chan uint32   // latest Restart/ResumeAck epoch from the coordinator
-	controlled atomic.Bool   // a Detection/ReExec arrived: rogue behavior must stop
-	commitCh   chan struct{} // closed on the coordinator's Commit: the run is sealed
-	commitOnce sync.Once
-	quitOnce   sync.Once
-	quit       chan struct{} // closed by close(): stop the session goroutine
-	sessDone   chan struct{}
+	// decMu guards dec: the root's decisions as this client has folded
+	// them (fold), the state the root's handshakes replay. decCh (cap 1)
+	// wakes the node's epoch loop after every fold. A relay's child
+	// handshakes read dec under decMu, its decision lock.
+	decMu    sync.Mutex
+	dec      decisions
+	decCh    chan struct{}
+	quitOnce sync.Once
+	quit     chan struct{} // closed by close(): stop the session goroutine
+	sessDone chan struct{}
 
 	mu    sync.Mutex     // serializes stream writes; guards conn, sent, wrote, iov, iovW, writes, epoch
 	conn  net.Conn       // nil while disconnected (frames buffer in sent)
@@ -136,14 +138,12 @@ type coordClient struct {
 	start time.Time
 
 	// Session-machinery hooks, set only by the relay's uplink (nil on a
-	// node's stream): mkResume replaces the Resume handshake frame,
-	// onMsg intercepts inbound frames before the node-oriented handling
-	// (return true to consume), and onResumeAck observes every resume
-	// handshake's ack. They let the relay reuse the session log,
+	// node's stream): mkResume replaces the Resume handshake frame, and
+	// fanOut sees every folded frame, under decMu, with the epoch held
+	// before it. They let the relay reuse the session log,
 	// redial/backoff and retransmit machinery unchanged.
-	mkResume    func(epoch uint32) wire.Msg
-	onMsg       func(m wire.Msg) bool
-	onResumeAck func(ack wire.ResumeAck)
+	mkResume func() wire.Msg
+	fanOut   func(m wire.Msg, was uint32)
 }
 
 // newCoordClient builds a disconnected session; a node's dialCoord and
@@ -152,12 +152,10 @@ func newCoordClient(addr string, id, n int, batch Batching, wm wireMeters, opt T
 	return &coordClient{
 		id: id, n: n, addr: addr,
 		opt: opt, batch: batch.withDefaults(), wm: wm, logf: logf, parts: parts,
-		shutdownEv: make(chan uint32, 1),
-		restartCh:  make(chan uint32, 1),
-		commitCh:   make(chan struct{}),
-		quit:       make(chan struct{}),
-		sessDone:   make(chan struct{}),
-		kick:       make(chan struct{}, 1),
+		decCh:    make(chan struct{}, 1),
+		quit:     make(chan struct{}),
+		sessDone: make(chan struct{}),
+		kick:     make(chan struct{}, 1),
 	}
 }
 
@@ -272,48 +270,66 @@ func (cc *coordClient) readLoop(conn net.Conn, br *bufio.Reader) {
 			}
 			select {
 			case <-cc.quit:
-			case <-cc.commitCh:
+			default:
 				// Post-commit breaks are expected (the coordinator tears
 				// down once the run is sealed); don't spam the log.
-			default:
-				if !errors.Is(err, net.ErrClosed) {
+				if !cc.decisions().committed && !errors.Is(err, net.ErrClosed) {
 					cc.logf("node %d: coordinator stream: %v", cc.id, err)
 				}
 			}
 			return
 		}
-		if cc.onMsg != nil && cc.onMsg(m) {
-			continue
-		}
-		switch v := m.(type) {
-		case wire.Shutdown:
-			cc.pushShutdown(v.Epoch)
-		case wire.Commit:
-			cc.signalCommit()
-		case wire.Restart:
-			cc.pushRestart(v.Epoch)
-		case wire.Detection:
-			// The coordinator confirmed possibly(¬B): whatever this node
-			// does next happens under active debugging, so a planted rogue
-			// reverts to controlled behavior from here on.
-			cc.controlled.Store(true)
-		case wire.ReExec:
-			// A detection-triggered controlled re-execution: same epoch
-			// transition as a crash-recovery Restart, but the node also
-			// knows it runs under the detection's control strategy.
-			cc.controlled.Store(true)
-			cc.pushRestart(v.Epoch)
-		case wire.ResumeAck:
-			// Only expected during resume's handshake; a stray one is
-			// harmless.
-		default:
-			cc.logf("node %d: coordinator sent unexpected %T", cc.id, m)
-		}
+		cc.fold(m)
 	}
 }
 
+// fold applies one root frame to the client's decision state — the
+// inverse of decisions.replay, so a client ends up holding what the
+// root's handshakes would replay to it — then fans it out (at a relay)
+// and wakes the epoch loop. Restart, ReExec and a ResumeAck only ever
+// advance the epoch; a Shutdown counts for the epoch it names, so one a
+// restart raced past is void. A Detection puts the run under active
+// debugging: a planted rogue reverts to controlled behavior from here on.
+func (cc *coordClient) fold(m wire.Msg) {
+	cc.decMu.Lock()
+	defer cc.decMu.Unlock()
+	was := cc.dec.epoch
+	switch v := m.(type) {
+	case wire.Restart:
+		cc.dec.advance(v.Epoch)
+	case wire.ReExec:
+		cc.dec.advance(v.Epoch)
+	case wire.ResumeAck:
+		cc.dec.advance(v.Epoch)
+	case wire.Shutdown:
+		cc.dec.shutdown = cc.dec.shutdown || v.Epoch == cc.dec.epoch
+	case wire.Commit:
+		cc.dec.committed = true
+	case wire.Detection:
+		cc.dec.detection = &v
+	default:
+		cc.logf("node %d: coordinator sent unexpected %T", cc.id, m)
+		return
+	}
+	if cc.fanOut != nil {
+		cc.fanOut(m, was)
+	}
+	select {
+	case cc.decCh <- struct{}{}:
+	default:
+	}
+}
+
+// decisions returns the decision state folded so far.
+func (cc *coordClient) decisions() decisions {
+	cc.decMu.Lock()
+	defer cc.decMu.Unlock()
+	return cc.dec
+}
+
 // resume re-establishes the session: dial, offer Resume{Epoch}, read
-// ResumeAck, retransmit everything past Cum, and install the
+// and fold ResumeAck (its epoch covers a Restart missed while
+// disconnected), retransmit everything past Cum, and install the
 // connection — the retransmit and the install happen under cc.mu, so
 // a concurrent pass cannot interleave a newer frame before the backlog
 // and the coordinator always sees a contiguous sequence. The replay
@@ -323,11 +339,10 @@ func (cc *coordClient) readLoop(conn net.Conn, br *bufio.Reader) {
 // second time.
 func (cc *coordClient) resume() (net.Conn, *bufio.Reader, error) {
 	cc.mu.Lock()
-	e := cc.epoch
+	handshake := wire.Msg(wire.Resume{From: int32(cc.id), N: int32(cc.n), Epoch: cc.epoch})
 	cc.mu.Unlock()
-	handshake := wire.Msg(wire.Resume{From: int32(cc.id), N: int32(cc.n), Epoch: e})
 	if cc.mkResume != nil {
-		handshake = cc.mkResume(e)
+		handshake = cc.mkResume()
 	}
 	conn, err := cc.dialOnce(wire.Marshal(0, handshake))
 	if err != nil {
@@ -345,15 +360,7 @@ func (cc *coordClient) resume() (net.Conn, *bufio.Reader, error) {
 		conn.Close()
 		return nil, nil, fmt.Errorf("resume handshake: got %T, want ResumeAck", m)
 	}
-	if cc.onResumeAck != nil {
-		cc.onResumeAck(ack)
-	}
-	if ack.Epoch != e {
-		// The coordinator knows a different epoch (a Restart we missed
-		// while disconnected, or a restarted coordinator rebuilding from
-		// our replay). The node's epoch loop sorts it out.
-		cc.pushRestart(ack.Epoch)
-	}
+	cc.fold(ack)
 	cc.mu.Lock()
 	defer cc.mu.Unlock()
 	cum := ack.Cum
@@ -411,37 +418,6 @@ func (cc *coordClient) dropConn(conn net.Conn) {
 	cc.mu.Unlock()
 	conn.Close()
 }
-
-func (cc *coordClient) signalCommit() {
-	cc.commitOnce.Do(func() { close(cc.commitCh) })
-}
-
-// pushLatest publishes e to a capacity-1 epoch channel, displacing any
-// unconsumed older value; only the newest matters.
-func pushLatest(ch chan uint32, e uint32) {
-	for {
-		select {
-		case ch <- e:
-			return
-		default:
-			select {
-			case <-ch:
-			default:
-			}
-		}
-	}
-}
-
-// pushRestart publishes the latest restart epoch to the node's epoch
-// loop.
-func (cc *coordClient) pushRestart(e uint32) { pushLatest(cc.restartCh, e) }
-
-// pushShutdown publishes the latest shutdown signal with the epoch it
-// belongs to: the epoch loop obeys it only if it still runs that
-// epoch — a Shutdown superseded by a Restart is stale, and obeying it
-// would make the node bye out of an execution the cluster is busy
-// re-running.
-func (cc *coordClient) pushShutdown(e uint32) { pushLatest(cc.shutdownEv, e) }
 
 // send writes one frame through the session log; a disconnected stream
 // buffers it for the resume replay.

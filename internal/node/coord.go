@@ -391,7 +391,7 @@ func (c *Coordinator) perform(act ingestAction, epoch uint32, witness int) {
 
 // hello runs the Hello decision for node st — arrived on conn, or, with
 // a nil conn, forwarded by a relay (which answers its child from its
-// own decision cache; the decision stays the root's, whose per-origin
+// uplink's folded decisions; the decision stays the root's, whose per-origin
 // incarnation record survives relay crashes). It reports whether it
 // decided: a Hello of the incarnation on record is a resume replaying
 // frame 1, left to the gate. A first incarnation opens the session. A

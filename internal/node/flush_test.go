@@ -210,7 +210,7 @@ func TestFlushOpsBeforeCandidates(t *testing.T) {
 // reach its session log, which is what the pass tests read back.
 func looseClient(b Batching) (*coordClient, *capture) {
 	cc := newCoordClient("", 0, 2, b, newWireMeters(nil, "coord"), Timeouts{}.withDefaults(), nil, func(string, ...any) {})
-	c := &capture{enabled: true, app: 0}
+	c := &capture{app: 0}
 	c.kick, c.kickAt = cc.kickFlush, cc.batch.MaxItems
 	return cc, c
 }
@@ -540,7 +540,7 @@ func TestFlushPassIsOneWrite(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cc.close()
-	c := &capture{enabled: true, app: 1}
+	c := &capture{app: 1}
 	cc.take = c.take
 	c1 := root.accept()
 
@@ -606,7 +606,7 @@ func TestFlushSeverMidPass(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cc.close()
-	c := &capture{enabled: true, app: 1}
+	c := &capture{app: 1}
 	c1 := root.accept()
 
 	// Frames 2 and 3 go out on the healthy stream, behind the Hello.

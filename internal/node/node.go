@@ -295,41 +295,47 @@ func Run(cfg Config) (*Stats, error) {
 		// incarnation. The coordinator always answers a pre-commit
 		// rejoin Hello with a restart, so wait for that decision and
 		// start clean at the fresh epoch.
-		select {
-		case e := <-cc.restartCh:
-			tr.Reset(e)
-			cc.markEpoch(e)
-			epoch = e
-			// After markEpoch, so the event lands in (and survives
-			// with) the fresh epoch rather than the discarded one.
-			journalRestart(cfg, cc, start, e)
-		case <-cc.commitCh:
+		deadline := time.After(opt.CoordDeadline)
+		d := cc.decisions()
+		for !d.committed && d.epoch == 0 {
+			select {
+			case <-cc.decCh:
+				d = cc.decisions()
+			case <-cc.sessDone:
+				tr.Close()
+				cc.close()
+				return nil, fmt.Errorf("node %d: coordinator session lost before the rejoin restart", cfg.ID)
+			case <-deadline:
+				// The hold's deadline, as every wait has one. A relay or
+				// stream that dies holding the rejoin Hello is healed by the
+				// resume replay (the Hello is frame 1 of the session log), not
+				// by this; an undecided hold this long means a root gone or
+				// wedged. Abandon the incarnation and relaunch: a fresh Hello
+				// at worst orders one redundant restart.
+				logf("node %d: no rejoin decision within %v; relaunching with a fresh hello", cfg.ID, opt.CoordDeadline)
+				tr.Close()
+				cc.close()
+				return nil, ErrCrashed
+			case <-cfg.Crash:
+				tr.Close()
+				cc.close()
+				return nil, ErrCrashed
+			}
+		}
+		if d.committed {
 			// Rejoined after the run was sealed: nothing to re-execute,
 			// nothing to contribute. Stand down.
 			logf("node %d: rejoin refused (run committed); standing down", cfg.ID)
 			tr.Close()
 			cc.close()
 			return &Stats{}, nil
-		case <-cc.sessDone:
-			tr.Close()
-			cc.close()
-			return nil, fmt.Errorf("node %d: coordinator session lost before the rejoin restart", cfg.ID)
-		case <-time.After(opt.CoordDeadline):
-			// The hold's deadline, as every wait has one. A relay or
-			// stream that dies holding the rejoin Hello is healed by the
-			// resume replay (the Hello is frame 1 of the session log), not
-			// by this; an undecided hold this long means a root gone or
-			// wedged. Abandon the incarnation and relaunch: a fresh Hello
-			// at worst orders one redundant restart.
-			logf("node %d: no rejoin decision within %v; relaunching with a fresh hello", cfg.ID, opt.CoordDeadline)
-			tr.Close()
-			cc.close()
-			return nil, ErrCrashed
-		case <-cfg.Crash:
-			tr.Close()
-			cc.close()
-			return nil, ErrCrashed
 		}
+		tr.Reset(d.epoch)
+		cc.markEpoch(d.epoch)
+		epoch = d.epoch
+		// After markEpoch, so the event lands in (and survives with) the
+		// fresh epoch rather than the discarded one.
+		journalRestart(cfg, cc, start, epoch)
 	}
 	for {
 		nd := newNodeState(cfg, epoch, tr, cc, start, logf)
@@ -354,13 +360,6 @@ func Run(cfg Config) (*Stats, error) {
 			cc.markEpoch(out.epoch)
 			epoch = out.epoch
 			journalRestart(cfg, cc, start, out.epoch)
-			// A Shutdown this restart superseded may still sit unread in
-			// the event buffer (the reader pushed it before the Restart);
-			// drop it so the new epoch can't mistake it for its own.
-			select {
-			case <-cc.shutdownEv:
-			default:
-			}
 		case epochShutdown:
 			tr.Close()
 			if !out.byed {
@@ -436,7 +435,7 @@ func newNodeState(cfg Config, epoch uint32, tr *Transport, cc *coordClient, star
 	return &node{
 		cfg: cfg, epoch: epoch, app: cfg.ID, ctl: cfg.N + cfg.ID,
 		tr: tr, cc: cc,
-		cap:       &capture{enabled: true, app: int32(cfg.ID)},
+		cap:       &capture{app: int32(cfg.ID)},
 		clk:       newClock(cfg.N, cfg.ID),
 		rng:       rand.New(rand.NewSource(cfg.Seed + int64(cfg.ID)*7919)),
 		m:         newMeters(cfg.Reg),
@@ -485,6 +484,26 @@ func (nd *node) runEpoch() epochOutcome {
 	appDone := nd.appDone
 	byed := false
 	for {
+		// The folded decisions are read on entry too: a wake consumed by
+		// the previous epoch may have carried this one's news.
+		switch d := nd.cc.decisions(); {
+		case d.committed:
+			// The coordinator sealed the run: every node's bye arrived.
+			return epochOutcome{kind: epochShutdown, byed: byed}
+		case d.epoch > nd.epoch:
+			return epochOutcome{kind: epochRestart, epoch: d.epoch}
+		case d.shutdown && d.epoch == nd.epoch && !byed:
+			// The coordinator believes this epoch is complete. Bye:
+			// final-flush the capture, send the complete tallies and the
+			// epoch-tagged bye — then PARK. The transport stays up and the
+			// session stays resident until the coordinator's Commit, so a
+			// straggler crash-rejoin can still restart the cluster and
+			// this node re-executes instead of having already left.
+			byed = true
+			nd.cc.stopFlusher(true)
+			nd.cc.send(nd.doneFrame())
+			nd.cc.send(wire.Shutdown{Epoch: nd.epoch})
+		}
 		select {
 		case <-appDone:
 			// App finished: report Done (responses are complete; the
@@ -492,34 +511,11 @@ func (nd *node) runEpoch() epochOutcome {
 			// until shutdown — and the flusher keeps streaming capture).
 			appDone = nil
 			nd.cc.send(nd.doneFrame())
-		case e := <-nd.cc.shutdownEv:
-			// The coordinator believes this epoch is complete. Obey only
-			// if we still run it — a Shutdown for a voided epoch (a
-			// restart raced past it) is stale and must be ignored, or a
-			// node quits an execution the rest of the cluster is redoing.
-			if e != nd.epoch || byed {
-				continue
-			}
-			byed = true
-			// Bye: final-flush the capture, send the complete tallies and
-			// the epoch-tagged bye — then PARK. The transport stays up and
-			// the session stays resident until the coordinator's Commit,
-			// so a straggler crash-rejoin can still restart the cluster
-			// and this node re-executes instead of having already left.
-			nd.cc.stopFlusher(true)
-			nd.cc.send(nd.doneFrame())
-			nd.cc.send(wire.Shutdown{Epoch: nd.epoch})
-		case <-nd.cc.commitCh:
-			// The coordinator sealed the run: every node's bye arrived.
-			return epochOutcome{kind: epochShutdown, byed: byed}
+		case <-nd.cc.decCh:
 		case <-nd.cc.sessDone:
 			// Terminal session loss: the resume loop gave up. No Commit
 			// can arrive; exit with whatever this node has.
 			return epochOutcome{kind: epochShutdown, byed: byed}
-		case e := <-nd.cc.restartCh:
-			if e > nd.epoch {
-				return epochOutcome{kind: epochRestart, epoch: e}
-			}
 		case <-nd.cfg.Crash:
 			return epochOutcome{kind: epochCrashed}
 		}
@@ -673,7 +669,7 @@ func (nd *node) application() {
 		// the node back under control. Its controller keeps believing the
 		// local predicate is true, which is exactly the planted violation
 		// the live checker exists to catch.
-		rogue := nd.cfg.Rogue && !nd.cc.controlled.Load()
+		rogue := nd.cfg.Rogue && nd.cc.decisions().detection == nil
 		if !rogue {
 			// RequestFalse: mayFalse to the controller, block on the grant.
 			// Both local hops abort cleanly on restart/crash — the grant may

@@ -20,8 +20,9 @@ import (
 // handles O(relays) connections instead of O(n), while resume and
 // epoch semantics compose across both hops: the relay's uplink IS a
 // coordClient (the same session log, redial/backoff and retransmit
-// code), with a RelayHello handshake and an intercept that caches every
-// decision frame and fans it out to the children.
+// code), with a RelayHello handshake. The uplink folds the root's
+// decisions like any client; the relay only fans each folded frame out
+// to the children and answers their handshakes from the fold.
 //
 // A relay crash heals like a coordinator-stream sever: children redial
 // with backoff and offer Resume; the relaunched relay has no per-child
@@ -35,18 +36,14 @@ import (
 type Relay struct {
 	endpoint // the shared session layer's half: listener, connections, streams
 	cfg      RelayConfig
-	cc       *coordClient
+	// cc is the uplink. Its decMu is the relay's shutdownMu: folding a
+	// root decision plus fanning it out, and a child handshake's adoption
+	// plus decision replay, are atomic against each other — no fan-out
+	// can reach a resuming child ahead of its ResumeAck.
+	cc *coordClient
 
-	// decideMu is the relay's shutdownMu: caching an upstream decision
-	// plus fanning it out, and a child handshake's adoption plus decision
-	// replay, are atomic against each other — no fan-out can reach a
-	// resuming child ahead of its ResumeAck. Taken before mu.
-	decideMu sync.Mutex
-
-	mu        sync.Mutex
-	dec       decisions // the root's decisions as last heard, replayed to (re)connecting children
-	children  map[int]*relayChild
-	contacted bool // a RelayHello reached the root at least once
+	mu       sync.Mutex
+	children map[int]*relayChild
 
 	// The forward queue. Only the flusher goroutine dequeues it, so the
 	// batches reach the uplink in queue order.
@@ -121,9 +118,7 @@ func StartRelay(cfg RelayConfig) (*Relay, error) {
 	batch.Interval *= 2
 	wm := newWireMeters(cfg.Reg, "uplink")
 	cc := newCoordClient(cfg.Upstream, -(cfg.Index + 1), cfg.N, batch, wm, r.opt, nil, r.logf)
-	cc.mkResume = r.mkResume
-	cc.onMsg = r.onUpstream
-	cc.onResumeAck = r.onResumeAck
+	cc.mkResume, cc.fanOut = r.mkResume, r.fanOut
 	r.cc = cc
 
 	// First contact runs the same resume path every later redial runs:
@@ -150,73 +145,31 @@ func (r *Relay) Close() {
 	r.wg.Wait()
 }
 
-// mkResume builds the uplink handshake. Resume=false (a fresh relay
-// process) tells the root to reset the outer session numbering while
-// keeping every per-origin inner session — the difference between a
-// relay relaunch (children keep their capture logs) and a node
-// relaunch (its log died with it).
-func (r *Relay) mkResume(epoch uint32) wire.Msg {
-	r.mu.Lock()
-	resumed := r.contacted
-	r.mu.Unlock()
+// mkResume builds the uplink handshake. Resume=false tells the root to
+// reset the outer session numbering while keeping every per-origin
+// inner session — the difference between a relay relaunch (children
+// keep their capture logs) and a node relaunch (its log died with it).
+// A fresh relay process has an empty uplink log, and an empty log with
+// nothing accepted is all a reset can reset.
+func (r *Relay) mkResume() wire.Msg {
 	return wire.RelayHello{
 		Relay: int32(r.cfg.Index), Relays: int32(r.cfg.Relays), N: int32(r.cfg.N),
-		Resume: resumed, Epoch: epoch,
+		Resume: r.cc.sentFrames() > 0, Epoch: r.cc.decisions().epoch,
 	}
 }
 
-// onResumeAck observes every uplink handshake: it initializes (or
-// refreshes) the cached cluster epoch, and on an epoch the children
-// may have missed — a Restart decided while the uplink was down —
-// fans the catch-up out downstream.
-func (r *Relay) onResumeAck(ack wire.ResumeAck) {
-	r.cc.mu.Lock()
-	r.cc.epoch = ack.Epoch
-	r.cc.mu.Unlock()
-	r.decideMu.Lock()
-	defer r.decideMu.Unlock()
-	r.mu.Lock()
-	r.contacted = true
-	bumped := ack.Epoch > r.dec.epoch
-	if bumped {
-		r.dec.epoch = ack.Epoch
+// fanOut forwards every root frame the uplink folds to the children,
+// under the uplink's decMu. The uplink's own ResumeAck goes on only if
+// it advanced the epoch — a Restart decided while the uplink was down —
+// and then as that Restart.
+func (r *Relay) fanOut(m wire.Msg, was uint32) {
+	if ack, ok := m.(wire.ResumeAck); ok {
+		if ack.Epoch <= was {
+			return
+		}
+		m = wire.Restart{Epoch: ack.Epoch}
 	}
-	r.mu.Unlock()
-	if bumped {
-		r.broadcast(wire.Restart{Epoch: ack.Epoch})
-	}
-}
-
-// onUpstream intercepts every frame the root sends: cache the decision
-// for handshake replay, fan it out to the children. Consumes
-// everything — the relay has no node-side epoch loop to feed.
-func (r *Relay) onUpstream(m wire.Msg) bool {
-	r.decideMu.Lock()
-	defer r.decideMu.Unlock()
-	r.mu.Lock()
-	switch v := m.(type) {
-	case wire.Shutdown:
-		r.dec.shutdown = true
-	case wire.Commit:
-		r.dec.committed = true
-	case wire.Restart:
-		r.dec.epoch, r.dec.shutdown = max(r.dec.epoch, v.Epoch), false
-	case wire.ReExec:
-		r.dec.epoch, r.dec.shutdown = max(r.dec.epoch, v.Epoch), false
-	case wire.Detection:
-		r.dec.detection = &v
-	case wire.ResumeAck:
-		// Handled in resume(); a stray one carries nothing to forward.
-		r.mu.Unlock()
-		return true
-	default:
-		r.mu.Unlock()
-		r.logf("relay %d: root sent unexpected %T", r.cfg.Index, m)
-		return true
-	}
-	r.mu.Unlock()
 	r.broadcast(m)
-	return true
 }
 
 // child returns (creating if needed) the state for node id.
@@ -234,8 +187,8 @@ func (r *Relay) child(id int) *relayChild {
 
 // handleChild serves one child connection: the handshake contract the
 // root implements — Resume continues with a cumulative ack and the
-// cached decisions replayed; Hello opens and is answered from the cache
-// — then sequence-gated pass-through of raw frame bodies into the
+// uplink's folded decisions replayed; Hello opens and is answered from
+// them — then sequence-gated pass-through of raw frame bodies into the
 // forward queue. A Hello is forwarded like any frame: it is frame 1 of
 // the child's session log, and the root owns the restart decision (its
 // per-origin incarnation record survives relay crashes).
@@ -251,10 +204,8 @@ func (r *Relay) handleChild(raw net.Conn) {
 	}
 	conn.peer = "node " + strconv.Itoa(id)
 	ch := r.child(id)
-	r.decideMu.Lock()
-	r.mu.Lock()
-	d := r.dec
-	r.mu.Unlock()
+	r.cc.decMu.Lock()
+	d := r.cc.dec
 	switch {
 	case !fresh:
 		err = d.replay(conn, ch.adopt(conn, false, 0))
@@ -263,7 +214,7 @@ func (r *Relay) handleChild(raw net.Conn) {
 		err = d.refuse(conn)
 	default:
 		// Staged with the adoption, so a successor connection's frames
-		// queue behind it. The cached catch-up stands in for the root's
+		// queue behind it. The folded catch-up stands in for the root's
 		// targeted writes.
 		ch.ingestMu.Lock()
 		ch.adoptLocked(conn, true, seq)
@@ -271,7 +222,7 @@ func (r *Relay) handleChild(raw net.Conn) {
 		ch.ingestMu.Unlock()
 		err = d.catchUp(conn)
 	}
-	r.decideMu.Unlock()
+	r.cc.decMu.Unlock()
 	if err != nil {
 		r.logf("relay %d: node %d: handshake: %v", r.cfg.Index, id, err)
 		return

@@ -286,17 +286,14 @@ func (s *scripted) killRelay() {
 func (s *scripted) finish() *Result {
 	s.t.Helper()
 	for i, cc := range s.clients {
-		select {
-		case e := <-cc.shutdownEv:
-			cc.send(wire.Shutdown{Epoch: e})
-		case <-time.After(10 * time.Second):
+		d, ok := awaitDecisions(cc, func(d decisions) bool { return d.shutdown })
+		if !ok {
 			s.t.Fatalf("client %d: no Shutdown broadcast", i)
 		}
+		cc.send(wire.Shutdown{Epoch: d.epoch})
 	}
 	for i, cc := range s.clients {
-		select {
-		case <-cc.commitCh:
-		case <-time.After(10 * time.Second):
+		if _, ok := awaitDecisions(cc, func(d decisions) bool { return d.committed }); !ok {
 			s.t.Fatalf("client %d: no Commit broadcast", i)
 		}
 	}
@@ -305,6 +302,22 @@ func (s *scripted) finish() *Result {
 		s.t.Fatalf("wait: %v", err)
 	}
 	return res
+}
+
+// awaitDecisions waits up to 10 s for cc's folded decisions to satisfy
+// ok, waking on each fold; nothing else reads a scripted client's wakes.
+func awaitDecisions(cc *coordClient, ok func(decisions) bool) (decisions, bool) {
+	timeout := time.After(10 * time.Second)
+	for {
+		if d := cc.decisions(); ok(d) {
+			return d, true
+		}
+		select {
+		case <-cc.decCh:
+		case <-timeout:
+			return decisions{}, false
+		}
+	}
 }
 
 // runScripted drives n scripted capture streams through an optional

@@ -37,9 +37,10 @@ import (
 //	coordConn.wmu           one connection's writes
 //
 // The store, the live checker and the journal lock internally and call
-// nothing back. A relay is the same shape one level down: decideMu (its
-// shutdownMu) → relayChild.ingestMu → inbound.mu / Relay.mu, then the
-// forward queue's pendMu, then the uplink client's locks.
+// nothing back. A relay is the same shape one level down: the uplink
+// client's decMu (its shutdownMu) → relayChild.ingestMu → inbound.mu /
+// Relay.mu, then the forward queue's pendMu, then the uplink client's
+// other locks.
 
 // streamReadDeadline bounds one wait for the next frame of an accepted
 // stream. Generous: peers stream continuously while alive, and a wedged
@@ -149,8 +150,8 @@ func (ep *endpoint) dropConns() {
 // coordConn is one accepted stream connection. Writes are serialized:
 // a handshake reply from the handler races decision broadcasts from
 // other goroutines. A nil *coordConn stands for a relayed origin, whose
-// relay answers it from its own decision cache — writing to it is a
-// no-op.
+// relay answers it from its uplink's folded decisions — writing to it
+// is a no-op.
 type coordConn struct {
 	net.Conn
 	br           *bufio.Reader
@@ -346,13 +347,22 @@ func (ep *endpoint) register(in *inbound) {
 
 // decisions is the run's terminal decision state as a handshake must
 // present it: built from coordinator state under shutdownMu at the
-// root, cached from the uplink at a relay. A connection that was not
-// attached when a decision was broadcast learns it here.
+// root, folded from the root's frames by every client of it (a node's
+// epoch loop and a relay's handshakes read the fold). A connection
+// that was not attached when a decision was broadcast learns it here.
 type decisions struct {
 	epoch     uint32
 	shutdown  bool            // Shutdown broadcast for epoch, byes pending
 	committed bool            // Commit broadcast: the run is sealed
 	detection *wire.Detection // latest detection that drove a re-execution
+}
+
+// advance moves the state to epoch e if e is newer. A Shutdown pending
+// for the epoch it leaves is void: that execution is being re-run.
+func (d *decisions) advance(e uint32) {
+	if e > d.epoch {
+		d.epoch, d.shutdown = e, false
+	}
 }
 
 // detect tells conn the run is under active debugging, if it is: a

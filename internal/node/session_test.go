@@ -3,6 +3,7 @@ package node
 import (
 	"errors"
 	"net"
+	"reflect"
 	"testing"
 	"time"
 
@@ -188,5 +189,110 @@ func TestHandshakeNotOvertakenByBroadcast(t *testing.T) {
 		t.Fatal(err)
 	} else if _, ok := second.(wire.Shutdown); !ok {
 		t.Fatalf("replayed decision is %T, want Shutdown", second)
+	}
+}
+
+// TestRelayHandshakeNotOvertakenByFanOut is the relay's twin of
+// TestHandshakeNotOvertakenByBroadcast: a child's adoption and replay,
+// and the fan-out of a root decision the uplink folds, are each one step
+// under the uplink's decMu, so the child reads its ResumeAck first.
+func TestRelayHandshakeNotOvertakenByFanOut(t *testing.T) {
+	c, err := NewCoordinator(CoordConfig{N: 2, Addr: "127.0.0.1:0", Timeouts: testTimeouts(), Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	r, err := StartRelay(RelayConfig{Index: 0, Relays: 1, N: 2, Upstream: c.Addr(), Addr: "127.0.0.1:0", Timeouts: testTimeouts(), Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	conn, err := net.Dial("tcp", r.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+
+	r.cc.decMu.Lock()
+	if err := wire.WriteFrame(conn, 0, wire.Resume{From: 0, N: 2}); err != nil {
+		t.Fatal(err)
+	}
+	// Give the child handler time to reach the decision lock; too short
+	// a wait can only make the test pass vacuously.
+	time.Sleep(50 * time.Millisecond)
+	// What fold does with the root's Shutdown, under the lock it holds.
+	r.cc.dec.shutdown = true
+	r.fanOut(wire.Shutdown{}, 0)
+	r.cc.decMu.Unlock()
+
+	conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+	br := bufReader(conn)
+	if _, first, err := wire.ReadFrame(br); err != nil {
+		t.Fatal(err)
+	} else if _, ok := first.(wire.ResumeAck); !ok {
+		t.Fatalf("first handshake reply is %T, want ResumeAck", first)
+	}
+	if _, second, err := wire.ReadFrame(br); err != nil {
+		t.Fatal(err)
+	} else if _, ok := second.(wire.Shutdown); !ok {
+		t.Fatalf("replayed decision is %T, want Shutdown", second)
+	}
+}
+
+// TestFoldInvertsReplay: a client that folds what a resume handshake
+// replays holds the state the root replayed, for every decisions value
+// the root can build. A Shutdown naming another epoch and an older
+// Restart, ReExec or ResumeAck change nothing, and advancing the epoch
+// voids a pending Shutdown.
+func TestFoldInvertsReplay(t *testing.T) {
+	fresh := func() *coordClient {
+		return newCoordClient("", 0, 2, Batching{}, newWireMeters(nil, "coord"), Timeouts{}, nil, t.Logf)
+	}
+	det := &wire.Detection{Epoch: 1, Node: 1, AtNs: 7, Cut: []int64{3, 0, 4, 1}}
+	for epoch := uint32(0); epoch <= 2; epoch++ {
+		for _, shutdown := range []bool{false, true} {
+			for _, committed := range []bool{false, true} {
+				for _, detection := range []*wire.Detection{nil, det} {
+					d := decisions{epoch: epoch, shutdown: shutdown, committed: committed, detection: detection}
+					a, b := net.Pipe()
+					go func() {
+						d.replay(&coordConn{Conn: a, writeTimeout: time.Second}, 9)
+						a.Close()
+					}()
+					cc := fresh()
+					br := bufReader(b)
+					for {
+						_, m, err := wire.ReadFrame(br)
+						if err != nil {
+							break
+						}
+						cc.fold(m)
+					}
+					b.Close()
+					if got := cc.decisions(); !reflect.DeepEqual(got, d) {
+						t.Fatalf("fold(replay(%+v)) = %+v", d, got)
+					}
+					stale := []wire.Msg{wire.Shutdown{Epoch: epoch + 1}}
+					if epoch > 0 {
+						stale = append(stale, wire.Shutdown{Epoch: epoch - 1},
+							wire.Restart{Epoch: epoch - 1}, wire.ReExec{Epoch: epoch - 1}, wire.ResumeAck{Epoch: epoch - 1})
+					}
+					for _, m := range stale {
+						cc.fold(m)
+						if got := cc.decisions(); !reflect.DeepEqual(got, d) {
+							t.Fatalf("%+v: folding %T%+v changed it to %+v", d, m, m, got)
+						}
+					}
+				}
+			}
+		}
+	}
+	for _, m := range []wire.Msg{wire.Restart{Epoch: 2}, wire.ReExec{Epoch: 2}, wire.ResumeAck{Epoch: 2}} {
+		cc := fresh()
+		cc.dec = decisions{epoch: 1, shutdown: true}
+		cc.fold(m)
+		if got, want := cc.decisions(), (decisions{epoch: 2}); got != want {
+			t.Errorf("folding %T%+v over a pending Shutdown: %+v, want %+v", m, m, got, want)
+		}
 	}
 }
