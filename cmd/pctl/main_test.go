@@ -216,10 +216,10 @@ func TestCLIErrors(t *testing.T) {
 }
 
 // TestCLIBundle drives the tree-and-store path end to end: a cluster
-// run through relays with capture spilled to disk, then the sealed
-// bundle verified, exported back to trace JSON, rendered as a Chrome
-// trace, and fed through `pctl detect` — the offline loop working from
-// disk instead of the live capture.
+// run through relays with capture written through to disk, then the
+// sealed bundle verified, exported back to trace JSON, rendered as a
+// Chrome trace, and fed through `pctl detect` — the offline loop
+// working from disk instead of the live capture.
 func TestCLIBundle(t *testing.T) {
 	dir := t.TempDir()
 	bundleDir := filepath.Join(dir, "bundle")
@@ -268,6 +268,27 @@ func TestCLIBundle(t *testing.T) {
 	}
 	if _, err := runCLI(t, "bundle", "verify", bundleDir); err == nil {
 		t.Fatal("bundle verify accepted a corrupted segment")
+	}
+}
+
+// TestCLIClusterUnsealedBundle: a run whose trace store failed (a
+// directory holds the second segment's name, so rotation fails) leaves
+// the store unsealed, and the CLI must say so rather than report a
+// bundle that `pctl bundle verify` cannot open.
+func TestCLIClusterUnsealedBundle(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.Mkdir(filepath.Join(dir, "seg-000001.pcseg"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	out, err := runCLI(t, "cluster", "-n", "8", "-rounds", "4000", "-think", "0", "-cs", "0", "-store-dir", dir)
+	if _, statErr := os.Stat(filepath.Join(dir, store.ManifestName)); statErr == nil {
+		t.Fatal("the store was sealed: the blocked rotation never failed")
+	}
+	if strings.Contains(out, "bundle: sealed") {
+		t.Errorf("reported an unsealed bundle as sealed:\n%s", out)
+	}
+	if err == nil || !strings.Contains(err.Error(), dir) || !strings.Contains(err.Error(), "not sealed") {
+		t.Errorf("error %v, want one naming %s and saying it was not sealed", err, dir)
 	}
 }
 

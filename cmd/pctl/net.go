@@ -12,12 +12,14 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"time"
 
 	"predctl/internal/node"
 	"predctl/internal/obs"
+	"predctl/internal/store"
 	"predctl/internal/trace"
 )
 
@@ -233,7 +235,7 @@ func cmdCluster(args []string) error {
 	livePred, onDetect, maxReExecs := liveFlags(fs)
 	rogueList := fs.String("rogues", "", "colon-separated ids of planted rogue nodes that enter the CS without permission (`1:2`; pair with -live-predicate to catch them)")
 	relays := fs.Int("relays", 0, "shard coordinator ingest into a 2-level aggregation tree of this many relays (0 = flat, every node dials the root)")
-	storeDir := fs.String("store-dir", "", "spill staged capture to an on-disk segment store here; the commit seals it into a verifiable bundle (pctl bundle)")
+	storeDir := fs.String("store-dir", "", "write staged capture through to an on-disk segment store here (the run still stages in RAM); the commit seals it into a verifiable bundle (pctl bundle)")
 	var crashes crashFlag
 	fs.Var(&crashes, "crash", "kill and relaunch a node, `at=30ms,node=1[,down=5ms]` (repeatable; recovery is a controlled re-execution)")
 	var relayCrashes crashFlag
@@ -306,6 +308,11 @@ func cmdCluster(args []string) error {
 	fmt.Printf("captured: %d processes (%d apps + %d controllers), %d states, %d messages\n",
 		d.NumProcs(), *n, *n, d.NumStates(), len(d.Messages()))
 	if *storeDir != "" {
+		// The coordinator leaves the store unsealed when it cannot vouch
+		// for it (a failed append); the run itself is whole.
+		if _, err := os.Stat(filepath.Join(*storeDir, store.ManifestName)); err != nil {
+			return fmt.Errorf("cluster: bundle at %s was not sealed: the trace store failed during the run", *storeDir)
+		}
 		fmt.Printf("bundle: sealed at %s (pctl bundle verify %s)\n", *storeDir, *storeDir)
 	}
 

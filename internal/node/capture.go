@@ -2,7 +2,6 @@ package node
 
 import (
 	"fmt"
-	"slices"
 	"sync"
 
 	"predctl/internal/deposet"
@@ -128,8 +127,8 @@ func (c *clock) observe(id int, other []int32) vclock.VC {
 // procOps stages trace ops by logical process, in arrival order: the
 // per-process streams the assembler's cursors walk. It is also the one
 // place an op naming a process outside the run is dealt with — dropped
-// and counted — whether it came off a live stream, out of the trace
-// store or out of a sealed bundle.
+// and counted — whether it came off a live stream or out of a sealed
+// bundle.
 type procOps struct {
 	byProc  [][]wire.TraceOp // nil until the first op, then 2n streams
 	staged  int              // ops kept
@@ -159,18 +158,14 @@ func (s *procOps) add(n int, ops []wire.TraceOp) {
 }
 
 // stageFrame folds one capture frame into staging: trace ops into ops,
-// journal events onto events. Either may be nil when the caller has no
-// use for that half; a frame of another kind is ignored.
+// journal events onto events. events may be nil when the caller has no
+// use for the journal; a frame of another kind is ignored.
 func stageFrame(n int, m wire.Msg, ops *procOps, events *[]obs.Event) {
 	switch v := m.(type) {
 	case wire.Trace:
-		if ops != nil {
-			ops.add(n, v.Ops)
-		}
+		ops.add(n, v.Ops)
 	case wire.TraceOpBatch:
-		if ops != nil {
-			ops.add(n, v.Ops)
-		}
+		ops.add(n, v.Ops)
 	case wire.JournalEvent:
 		if events != nil {
 			*events = append(*events, toObsEvent(v))
@@ -202,13 +197,6 @@ func (s *procOps) appendTo(byProc [][]wire.TraceOp) {
 			byProc[p] = append(byProc[p], ops...)
 		}
 	}
-}
-
-// snapshot copies the stream headers, for a reader that appendTo's
-// after releasing the stager's lock; the ops themselves stay shared
-// (append-only, as above).
-func (s *procOps) snapshot() procOps {
-	return procOps{byProc: slices.Clone(s.byProc)}
 }
 
 // assemble replays a complete capture into its deposet: the strict mode

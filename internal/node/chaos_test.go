@@ -239,6 +239,56 @@ func TestCoordClientResumesAfterStreamBreak(t *testing.T) {
 	}
 }
 
+// TestCloseDuringResume: close must not wait on a resume it overtook.
+// The fake root accepts the Resume and holds the ResumeAck until close
+// has begun, then acks and keeps the connection open — a connection the
+// resume installed after close had run would be read by nobody's
+// deadline but the peer's, and close would wait for it.
+func TestCloseDuringResume(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("listen: %v", err)
+	}
+	defer ln.Close()
+
+	opt := chaosTimeouts().withDefaults()
+	cc, err := dialCoord(ln.Addr().String(), 1, 3, Batching{}, newWireMeters(nil, "coord"), opt, nil, t.Logf)
+	if err != nil {
+		t.Fatalf("dialCoord: %v", err)
+	}
+	c1, err := ln.Accept()
+	if err != nil {
+		t.Fatalf("accept: %v", err)
+	}
+	c1.Close() // break the stream: the client resumes
+
+	c2, err := ln.Accept()
+	if err != nil {
+		t.Fatalf("accept resume: %v", err)
+	}
+	defer c2.Close()
+	if _, m, err := wire.ReadFrame(bufio.NewReader(c2)); err != nil {
+		t.Fatalf("read Resume: %v", err)
+	} else if _, ok := m.(wire.Resume); !ok {
+		t.Fatalf("resume handshake = %T, want Resume", m)
+	}
+
+	closed := make(chan struct{})
+	go func() {
+		cc.close()
+		close(closed)
+	}()
+	<-cc.quit
+	if err := wire.WriteFrame(c2, 0, wire.ResumeAck{Cum: 0, Epoch: 0}); err != nil {
+		t.Fatalf("write ResumeAck: %v", err)
+	}
+	select {
+	case <-closed:
+	case <-time.After(3 * time.Second):
+		t.Fatal("close still waiting 3 s after the resume it overtook was acked")
+	}
+}
+
 // appEvents is the deterministic trace length of one application
 // process: TraceInit plus, per round, mayFalse send, grant recv,
 // cs=1, cs=0 and nowTrue send.

@@ -336,7 +336,8 @@ func (cc *coordClient) decisions() decisions {
 // covers every frame logged so far, written or not, so installing the
 // connection also marks the whole log written: a pass that logged
 // frames before the install and writes after it must not send them a
-// second time.
+// second time. A resume that close overtook installs nothing: close
+// only drops the connection installed when it runs.
 func (cc *coordClient) resume() (net.Conn, *bufio.Reader, error) {
 	cc.mu.Lock()
 	handshake := wire.Msg(wire.Resume{From: int32(cc.id), N: int32(cc.n), Epoch: cc.epoch})
@@ -363,6 +364,14 @@ func (cc *coordClient) resume() (net.Conn, *bufio.Reader, error) {
 	cc.fold(ack)
 	cc.mu.Lock()
 	defer cc.mu.Unlock()
+	select {
+	case <-cc.quit:
+		// close has begun and has already dropped whatever was installed:
+		// a connection installed now would outlive it.
+		conn.Close()
+		return nil, nil, net.ErrClosed
+	default:
+	}
 	cum := ack.Cum
 	if cum > uint64(len(cc.sent)) {
 		conn.Close()

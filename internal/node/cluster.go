@@ -82,9 +82,10 @@ type ClusterConfig struct {
 	// per-origin dedup absorbs the replayed overlap — a relay kill
 	// heals like a coordinator-stream sever, with no epoch restart.
 	RelayCrashes []Crash
-	// StoreDir, when non-empty, spills the coordinator's staged capture
-	// to a segmented on-disk trace store in that directory (created if
-	// missing) and seals it into a capture bundle at commit.
+	// StoreDir, when non-empty, writes the coordinator's staged capture
+	// through to a segmented on-disk trace store in that directory
+	// (created if missing) and seals it into a capture bundle at commit.
+	// Staging stays in RAM either way.
 	StoreDir string
 }
 

@@ -22,90 +22,26 @@ type staged struct {
 	cands   int
 }
 
-// sessionStaging is one session's part of a collect: the capture the
-// store replays for it (disk), then what it holds in RAM.
-type sessionStaging struct {
-	disk, ram             procOps
-	diskEvents, ramEvents []obs.Event
-	lost                  int
-}
-
-// collect snapshots what every session has staged for epoch e; wantOps
-// and wantJournal say which halves the caller needs. Sessions still at
-// an older epoch contribute nothing: their capture predates the
-// EpochMark that will void it. With a trace store the volume is on
-// disk, and one replay of epoch e streams every session's records back
-// through the decode path ingest uses, in append order — the order each
-// session would have staged them in, so the result equals RAM staging;
-// the epoch filter leaves out every record an epoch discard voided
-// (discardEpochLocked says why). What a session then still holds in RAM
-// is the suffix staged after a failed spill (stageCapture), and follows
-// its disk prefix.
-func (c *Coordinator) collect(e uint32, wantOps, wantJournal bool) (staged, error) {
-	var out staged
-	if wantOps {
-		out.byProc = make([][]wire.TraceOp, 2*c.n)
-	}
-	// The RAM side is snapshotted before the disk is replayed: a spill
-	// failing in between then only shortens the prefix collected, where
-	// the other order would leave a hole in it.
-	var parts []*sessionStaging
-	byOrigin := map[int32]*sessionStaging{}
+// collect snapshots what every session has staged for epoch e.
+// Sessions still at an older epoch contribute nothing: their capture
+// predates the EpochMark that will void it.
+func (c *Coordinator) collect(e uint32) staged {
+	out := staged{byProc: make([][]wire.TraceOp, 2*c.n)}
+	dropped := 0
 	for _, st := range c.sessionsSorted() {
 		st.mu.Lock()
-		if st.epoch != e {
-			st.mu.Unlock()
-			continue
-		}
-		p := &sessionStaging{ramEvents: st.events[:len(st.events):len(st.events)], lost: st.ops.dropped}
-		switch {
-		case !wantOps:
-		case c.store == nil:
+		if st.epoch == e {
 			st.ops.appendTo(out.byProc)
-		default:
-			p.ram = st.ops.snapshot()
+			out.journal = append(out.journal, st.events[:len(st.events):len(st.events)])
+			out.cands += st.cands
+			dropped += st.ops.dropped
 		}
-		out.cands += st.cands
 		st.mu.Unlock()
-		parts = append(parts, p)
-		byOrigin[int32(st.id)] = p
-	}
-	if c.store != nil {
-		err := c.store.Replay(e, func(rec wire.SegmentRecord, _ uint64, m wire.Msg) error {
-			if p := byOrigin[rec.Origin]; p != nil {
-				ops, journal := &p.disk, &p.diskEvents
-				if !wantOps {
-					ops = nil
-				}
-				if !wantJournal {
-					journal = nil
-				}
-				stageFrame(c.n, m, ops, journal)
-			}
-			return nil
-		})
-		if err != nil {
-			return staged{}, fmt.Errorf("node: coordinator: store replay at epoch %d: %w", e, err)
-		}
-	}
-	dropped := 0
-	for _, p := range parts {
-		p.disk.appendTo(out.byProc)
-		p.ram.appendTo(out.byProc)
-		dropped += p.lost + p.disk.dropped
-		if !wantJournal {
-			continue
-		}
-		events := p.ramEvents
-		if c.store != nil {
-			events = append(p.diskEvents, events...)
-		}
-		out.journal = append(out.journal, events)
 	}
 	if dropped > 0 {
 		c.logf("coordinator: %d trace ops for processes outside the run dropped", dropped)
 	}
-	return out, nil
+	return out
 }
 
 // mergeJournal appends the events of streams to j in time order,
@@ -162,10 +98,7 @@ func (c *Coordinator) Wait(timeout time.Duration) (*Result, error) {
 
 	// Every bye was counted at the cluster epoch, so every session is at
 	// it and the epoch filter selects the whole final capture.
-	got, err := c.collect(epoch, d == nil, true)
-	if err != nil {
-		return nil, err
-	}
+	got := c.collect(epoch)
 	// The journal merge and the assembly share no data: the merge runs
 	// beside the assembly and is joined before Wait returns either way.
 	merged := make(chan struct{})
@@ -173,6 +106,7 @@ func (c *Coordinator) Wait(timeout time.Duration) (*Result, error) {
 		defer close(merged)
 		mergeJournal(c.journal, append(got.journal, annots))
 	}()
+	var err error
 	if d == nil {
 		c.assemblies.Inc()
 		d, err = assemble(c.n, got.byProc)

@@ -2,10 +2,13 @@ package node
 
 import (
 	"bytes"
+	"errors"
+	"maps"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"sort"
 	"strconv"
 	"testing"
@@ -17,10 +20,10 @@ import (
 )
 
 // commit_test.go pins the commit path: whichever route a capture takes
-// to its deposet — Wait's own strict assembly from RAM staging or from
-// the trace store, the live closing pass's handed-over deposet, or
-// AssembleBundle reading the sealed bundle back — the trace is the same
-// bytes, and a committed run assembles its capture exactly once.
+// to its deposet — Wait's own strict assembly from RAM staging, the
+// live closing pass's handed-over deposet, or AssembleBundle reading
+// the sealed bundle back — the trace is the same bytes, and a committed
+// run assembles its capture exactly once.
 
 func commitAssemblies(reg *obs.Registry) int64 {
 	return reg.Counter("predctl_coord_commit_assemblies_total").Value()
@@ -340,38 +343,41 @@ func TestBundleEqualsWait(t *testing.T) {
 	}
 }
 
-// TestStoreFollowsEveryDiscard drives a RAM-staging coordinator and one
-// spilling to a store of 128-byte segments through the same relayed
-// (nil-conn) frame sequence, every phase's capture tagged with its own
-// value: first Hellos; a relaunch Hello from node 1 (the cluster
-// restarts at epoch 1) while both nodes still capture at epoch 0;
-// EpochMark{1} from both; then EpochMark{2}, which the coordinator
-// adopts, first from node 0 and then node 1. After every step, collect
-// at the cluster epoch must hand over the same staging from both, and
-// only the current phase's capture: each discard RAM staging makes, the
-// store's epoch filter makes too.
+// TestStoreFollowsEveryDiscard drives a RAM-staging coordinator
+// through a relayed (nil-conn) frame sequence, every phase's capture
+// tagged with its own value: first Hellos; a relaunch Hello from node 1
+// (the cluster restarts at epoch 1) while both nodes still capture at
+// epoch 0; EpochMark{1} from both; then EpochMark{2}, which the
+// coordinator adopts, first from node 0 and then node 1. After every
+// step, the script so far is replayed into a fresh coordinator writing
+// through to a store of 128-byte segments, sealed at its epoch: the
+// bundle must hold exactly what collect hands over at the cluster epoch,
+// and only the current phase's capture — each discard RAM staging
+// makes, the bundle's epoch filter makes too.
 func TestStoreFollowsEveryDiscard(t *testing.T) {
 	const n = 2
-	dir := t.TempDir()
-	disk, err := store.Open(store.Config{Dir: dir, SegmentBytes: 128})
-	if err != nil {
-		t.Fatal(err)
+	ram := newCoordinator(n, nil, t.Logf)
+	type frame struct {
+		id   int
+		body []byte
 	}
-	defer disk.Close()
-	coords := []*Coordinator{newCoordinator(n, nil, t.Logf), newCoordinator(n, nil, t.Logf)}
-	coords[1].store = disk
+	var script []frame
 	seqs := make([]uint64, n)
+	ingest := func(c *Coordinator, f frame) {
+		t.Helper()
+		if _, _, err := c.ingest(c.session(f.id), nil, f.body); err != nil {
+			t.Fatalf("node %d: %v", f.id, err)
+		}
+	}
 	send := func(id int, m wire.Msg) {
 		t.Helper()
 		if _, ok := m.(wire.Hello); ok {
 			seqs[id] = 0 // a new process numbers its log afresh
 		}
 		seqs[id]++
-		for _, c := range coords {
-			if _, _, err := c.ingest(c.session(id), nil, wire.AppendBody(nil, seqs[id], m)); err != nil {
-				t.Fatalf("node %d: %T: %v", id, m, err)
-			}
-		}
+		f := frame{id, wire.AppendBody(nil, seqs[id], m)}
+		script = append(script, f)
+		ingest(ram, f)
 	}
 	capture := func(id int, tag int64) {
 		send(id, wire.TraceOpBatch{Ops: []wire.TraceOp{
@@ -380,31 +386,46 @@ func TestStoreFollowsEveryDiscard(t *testing.T) {
 		}})
 		send(id, wire.JournalBatch{Events: []wire.JournalEvent{{At: 10*tag + int64(id), Proc: int32(id), Name: "phase", A: tag}}})
 	}
+	segs := 0
 	check := func(step string, tag int64, sessions int) {
 		t.Helper()
-		var got [2]staged
-		for i, c := range coords {
-			c.mu.Lock()
-			e := c.epoch
-			c.mu.Unlock()
-			var err error
-			if got[i], err = c.collect(e, true, true); err != nil {
-				t.Fatalf("%s: collect at epoch %d: %v", step, e, err)
-			}
+		ram.mu.Lock()
+		e := ram.epoch
+		ram.mu.Unlock()
+		want := ram.collect(e)
+
+		dir := t.TempDir()
+		disk, err := store.Open(store.Config{Dir: dir, SegmentBytes: 128})
+		if err != nil {
+			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(got[0], got[1]) {
-			t.Fatalf("%s: the store hands over %+v, RAM staging %+v", step, got[1], got[0])
+		defer disk.Close()
+		c := newCoordinator(n, nil, t.Logf)
+		c.store = disk
+		for _, f := range script {
+			ingest(c, f)
+		}
+		c.mu.Lock()
+		sealAt := c.epoch
+		c.mu.Unlock()
+		if err := disk.Seal(n, sealAt); err != nil {
+			t.Fatal(err)
+		}
+		segs, _ = disk.Stats()
+		got := bundleStaged(t, dir)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: the bundle holds %+v, staging %+v", step, got, want)
 		}
 		ops := 0
-		for _, stream := range got[0].byProc {
+		for _, stream := range want.byProc {
 			for _, op := range stream {
 				if ops++; op.Value != tag {
 					t.Fatalf("%s: collected an op of phase %d, want only phase %d", step, op.Value, tag)
 				}
 			}
 		}
-		if ops != 2*sessions || len(got[0].journal) != sessions {
-			t.Fatalf("%s: collected %d ops in %d journals, want %d sessions' worth", step, ops, len(got[0].journal), sessions)
+		if ops != 2*sessions || len(want.journal) != sessions {
+			t.Fatalf("%s: collected %d ops in %d journals, want %d sessions' worth", step, ops, len(want.journal), sessions)
 		}
 	}
 
@@ -428,48 +449,104 @@ func TestStoreFollowsEveryDiscard(t *testing.T) {
 	send(1, wire.EpochMark{Epoch: 2})
 	capture(1, 4)
 	check("EpochMark{2}", 4, n)
-	if segs, _ := disk.Stats(); segs < 4 {
+	if segs < 4 {
 		t.Fatalf("the store rotated into %d segments, want the replay to cross several", segs)
 	}
 }
 
-// countingStore counts the frames a coordinator spills.
-type countingStore struct {
-	spillStore
-	appends int
+// bundleStaged reads a sealed bundle back as collect hands staging
+// over: the manifest epoch's records, staged per origin, the origins
+// in order.
+func bundleStaged(t *testing.T, dir string) staged {
+	t.Helper()
+	man, err := store.Verify(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type origin struct {
+		ops    procOps
+		events []obs.Event
+	}
+	byOrigin := map[int32]*origin{}
+	if _, err := store.ReplayBundle(dir, func(rec wire.SegmentRecord, _ uint64, m wire.Msg) error {
+		if rec.Epoch != man.Epoch {
+			return nil
+		}
+		o := byOrigin[rec.Origin]
+		if o == nil {
+			o = &origin{}
+			byOrigin[rec.Origin] = o
+		}
+		stageFrame(man.N, m, &o.ops, &o.events)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	out := staged{byProc: make([][]wire.TraceOp, 2*man.N)}
+	for _, id := range slices.Sorted(maps.Keys(byOrigin)) {
+		byOrigin[id].ops.appendTo(out.byProc)
+		out.journal = append(out.journal, byOrigin[id].events)
+	}
+	return out
 }
 
-func (s *countingStore) Append(int32, uint32, []byte) error { s.appends++; return nil }
+// countingStore counts the frames a coordinator appends, by epoch, and
+// its seals. The first append for origin failFor fails (-1: none does).
+type countingStore struct {
+	spillStore
+	appends map[uint32]int
+	failFor int32
+	seals   int
+}
+
+func newCountingStore(failFor int32) *countingStore {
+	return &countingStore{appends: map[uint32]int{}, failFor: failFor}
+}
+
+func (s *countingStore) Append(origin int32, epoch uint32, _ []byte) error {
+	if origin == s.failFor {
+		s.failFor = -1
+		return errors.New("counting store: injected append failure")
+	}
+	s.appends[epoch]++
+	return nil
+}
+
+func (s *countingStore) Seal(int, uint32) error { s.seals++; return nil }
 
 // TestCaptureEndsAtBye is TestBundleEqualsWait's race without sockets:
 // once a stream's bye is counted, a capture frame that follows it is
-// neither staged nor spilled (and is reported once); a bye that does
+// neither staged nor appended (and is reported once); a bye that does
 // not count — wrong epoch — closes nothing, and the stream's next epoch
-// captures again.
+// captures again. With a store, every staged frame is appended.
 func TestCaptureEndsAtBye(t *testing.T) {
 	batch := wire.TraceOpBatch{Ops: []wire.TraceOp{{Op: wire.TraceSet, Proc: 0, Name: "cs", Value: 1}}}
 	for _, spill := range []bool{false, true} {
 		var sink logSink
 		c := newCoordinator(2, nil, sink.logf)
-		disk := &countingStore{}
+		disk := newCountingStore(-1)
 		if spill {
 			c.store = disk
 		}
 		st := c.session(0)
-		kept := func() int { return st.ops.staged + disk.appends }
+		// check counts the frames staged at the stream's epoch and those
+		// appended at it: with spilling on, the two must match.
+		check := func(when string, want int) {
+			t.Helper()
+			staged, appended := st.ops.staged+len(st.events), disk.appends[st.epoch]
+			if staged != want || spill && appended != want || !spill && appended != 0 {
+				t.Fatalf("spill=%v: %s: %d frames staged and %d appended, want %d", spill, when, staged, appended, want)
+			}
+		}
 
 		c.ingestStored(st, batch, nil)
 		c.ingestStored(st, wire.Shutdown{Epoch: 1}, nil) // not the cluster epoch: not a bye
 		c.ingestStored(st, batch, nil)
-		if kept() != 2 {
-			t.Fatalf("spill=%v: %d frames kept before the bye, want 2", spill, kept())
-		}
+		check("before the bye", 2)
 		c.ingestStored(st, wire.Shutdown{Epoch: 0}, nil)
 		c.ingestStored(st, batch, nil)
 		c.ingestStored(st, wire.JournalBatch{Events: []wire.JournalEvent{{Name: "late"}}}, nil)
-		if kept() != 2 || len(st.events) != 0 {
-			t.Fatalf("spill=%v: %d frames and %d events kept, want the 2 from before the bye", spill, kept(), len(st.events))
-		}
+		check("after the bye", 2)
 		if !sink.contains("after its bye") || len(sink.lines) != 1 {
 			t.Fatalf("spill=%v: log %q, want the refusal reported once", spill, sink.lines)
 		}
@@ -477,8 +554,54 @@ func TestCaptureEndsAtBye(t *testing.T) {
 		// A restart voids the bye with the rest of the epoch.
 		c.ingestStored(st, wire.EpochMark{Epoch: 1}, nil)
 		c.ingestStored(st, batch, nil)
-		if spill && disk.appends != 3 || !spill && st.ops.staged != 1 {
-			t.Fatalf("spill=%v: epoch 1 captured nothing (staged %d, spilled %d)", spill, st.ops.staged, disk.appends)
+		check("at epoch 1", 1)
+	}
+}
+
+// TestFailedAppendStopsTheStore: one failed append stops the store for
+// every session, not only for the one whose frame it lost — the store
+// then has a hole, so nothing after it may land there — and commitRun
+// leaves it unsealed. Staging in RAM carries on whole.
+func TestFailedAppendStopsTheStore(t *testing.T) {
+	batch := func(id int) wire.TraceOpBatch {
+		return wire.TraceOpBatch{Ops: []wire.TraceOp{{Op: wire.TraceSet, Proc: int32(id), Name: "cs", Value: 1}}}
+	}
+	var sink logSink
+	c := newCoordinator(2, nil, sink.logf)
+	disk := newCountingStore(0)
+	c.store = disk
+	sessions := []*nodeSession{c.session(0), c.session(1)}
+
+	c.ingestStored(sessions[1], batch(1), nil) // appended
+	c.ingestStored(sessions[0], batch(0), nil) // the append fails
+	c.ingestStored(sessions[1], batch(1), nil) // staged, not appended
+	c.ingestStored(sessions[0], batch(0), nil)
+	for _, st := range sessions {
+		if st.ops.staged != 2 {
+			t.Fatalf("node %d staged %d frames, want 2", st.id, st.ops.staged)
 		}
+	}
+	if disk.appends[0] != 1 {
+		t.Fatalf("%d frames appended, want only the one before the failure", disk.appends[0])
+	}
+	if !sink.contains("store append") || len(sink.lines) != 1 {
+		t.Fatalf("log %q, want the failure reported once", sink.lines)
+	}
+
+	// Finish the run: every Done, then every bye.
+	for _, m := range []wire.Msg{wire.Done{}, wire.Shutdown{Epoch: 0}} {
+		for _, st := range sessions {
+			if act, e := c.ingestStored(st, m, nil); act != actNone {
+				c.perform(act, e, st.id)
+			}
+		}
+	}
+	select {
+	case <-c.allByes:
+	default:
+		t.Fatal("the run did not commit")
+	}
+	if disk.seals != 0 {
+		t.Fatal("commitRun sealed a store that missed a frame")
 	}
 }

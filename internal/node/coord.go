@@ -42,11 +42,10 @@ type CoordConfig struct {
 	// Live opts the coordinator into online detection of possibly(¬B)
 	// while the run streams. Zero value (nil Predicate) disables it.
 	Live LiveConfig
-	// Store, when non-nil, spills staged capture (trace ops, journal
-	// events) to the segmented on-disk trace store instead of holding it
-	// in RAM; assembly and the live prefix pass replay from disk. The
-	// coordinator seals the store into a capture bundle at commit; the
-	// caller owns Open/Close.
+	// Store, when non-nil, receives every staged capture frame (trace
+	// ops, journal events) as it is staged in RAM — a write-through copy
+	// that nothing reads during the run. The coordinator seals it into
+	// a capture bundle at commit; the caller owns Open/Close.
 	Store *store.Store
 }
 
@@ -134,13 +133,10 @@ type Coordinator struct {
 	// closing live pass, Wait): one per committed run.
 	assemblies *obs.Counter
 
-	// store, when non-nil, takes capture volume (trace ops, journal
-	// events) off the heap: the raw frame bodies spill to the segmented
-	// on-disk trace store and are streamed back at assembly time.
-	// Coordination state (epochs, completion, candidates, snapshots)
-	// stays in RAM.
+	// store, when non-nil, gets the raw body of every staged capture
+	// frame (stageCapture) and is sealed into the bundle at commit.
 	store       spillStore
-	spillFailed atomic.Bool // some session fell back to RAM staging
+	spillFailed atomic.Bool // an append failed: no more appends, no seal
 
 	// Root-side ingest accounting for the tree-vs-flat bench: frames
 	// and payload bytes read off accepted streams, and handshakes that
@@ -191,10 +187,10 @@ type Coordinator struct {
 }
 
 // spillStore is what the coordinator uses of the trace store
-// (*store.Store in production; tests substitute one that fails).
+// (*store.Store in production; tests substitute one that fails). It
+// writes and seals; the bundle is read only once sealed.
 type spillStore interface {
 	Append(origin int32, epoch uint32, body []byte) error
-	Replay(epoch uint32, fn func(rec wire.SegmentRecord, seq uint64, m wire.Msg) error) error
 	Seal(n int, epoch uint32) error
 	Stats() (segments int, bytes int64)
 }
@@ -563,13 +559,12 @@ func (c *Coordinator) commitRun(e uint32) {
 	// seal is already set, and shutdownMu is held throughout).
 	c.finalLiveLocked(e)
 	if c.store != nil {
-		// Seal after the closing live pass (which still replays from the
-		// store) but before Wait is released: the directory is a complete,
+		// Seal before Wait is released: the directory is a complete,
 		// verifiable capture bundle the moment the run result exists —
-		// unless a failed spill left part of the capture in RAM only, in
-		// which case a manifest would bless a bundle that is not the run.
+		// unless an append failed, in which case a manifest would bless a
+		// bundle that is not the run.
 		if c.spillFailed.Load() {
-			c.logf("coordinator: store not sealed: part of the capture is in RAM only after a failed spill")
+			c.logf("coordinator: store not sealed: an append failed, so the store does not hold the whole capture")
 		} else if err := c.store.Seal(c.n, e); err != nil {
 			c.logf("coordinator: store seal: %v", err)
 		}

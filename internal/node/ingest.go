@@ -29,9 +29,6 @@ type nodeSession struct {
 	ops    procOps // staged by logical process at ingest
 	events []obs.Event
 	cands  int
-	// degraded: a spill to the trace store failed, and the session
-	// stages in RAM from that frame on (see stageCapture). Sticky.
-	degraded bool
 	// byed: the stream's bye was counted at the cluster epoch, so its
 	// capture is closed — what Commit seals is what Wait assembles.
 	// late counts the capture frames refused since.
@@ -48,12 +45,13 @@ type nodeSession struct {
 }
 
 // discardEpochLocked drops the staged capture when the stream enters
-// epoch e (0: a relaunched node starting over). Capture spilled to the
-// trace store needs no discard: each record carries the epoch it was
-// staged at, and collect reads one epoch, which every discard leaves
-// behind for good — an EpochMark moves the stream to a later epoch, and
-// a relaunch is followed by the cluster's epoch bump (a relaunch after
-// Commit is refused and discards nothing). Caller holds s.mu.
+// epoch e (0: a relaunched node starting over). Capture written through
+// to the trace store needs no discard: each record carries the epoch it
+// was staged at, and the bundle is read at its sealed epoch, which every
+// discard leaves behind for good — an EpochMark moves the stream to a
+// later epoch, and a relaunch is followed by the cluster's epoch bump (a
+// relaunch after Commit is refused and discards nothing). Caller holds
+// s.mu.
 func (s *nodeSession) discardEpochLocked(e uint32) {
 	s.epoch = e
 	s.ops, s.events, s.cands = procOps{}, nil, 0
@@ -71,27 +69,25 @@ const (
 	actDetected              // the live checker triggered: run the prefix confirmation
 )
 
-// stageCapture lands one capture frame in the session's staging: the
-// on-disk trace store when spilling is on, else RAM. raw is the frame's
-// wire body as read off the stream (nil when the caller only has the
-// decoded message, in which case the body is re-encoded — the bytes
-// are identical either way, which is what keeps disk-backed assembly
-// byte-equal to in-RAM staging). A frame that follows the stream's
-// counted bye is refused: the capture ended there on the node's side
-// too, and a straggler landing after the seal would be in Wait's
-// deposet but not under the manifest.
+// stageCapture lands one capture frame in the session's staging and,
+// with a trace store, writes it through to the store for the bundle.
+// raw is the frame's wire body as read off the stream (nil when the
+// caller only has the decoded message, in which case the body is
+// re-encoded — the bytes are identical either way, which is what keeps
+// the sealed bundle byte-equal to in-RAM staging). The caller holds the
+// session's ingestMu, so the store sees each origin's frames in staging
+// order. A frame that follows the stream's counted bye is refused: the
+// capture ended there on the node's side too, and a straggler landing
+// after the seal would be in Wait's deposet but not under the manifest.
 //
-// A failed append is loud but non-fatal: a full disk degrades to the
-// RAM memory profile instead of losing capture. The fallback is sticky
-// for the session — were a later frame to reach the disk again, it
-// would sit before this one in replay order — so a session's capture is
-// always a disk prefix followed by a RAM suffix, which is the order
-// collect hands it over in.
+// A failed append is loud but non-fatal: staging is whole without the
+// store, so the run goes on, every later append is skipped — for every
+// session — and commitRun leaves the store unsealed rather than bless a
+// bundle with a hole in it.
 func (c *Coordinator) stageCapture(st *nodeSession, m wire.Msg, raw []byte) {
 	st.mu.Lock()
 	e := st.epoch
-	switch {
-	case st.byed:
+	if st.byed {
 		st.late++
 		first := st.late == 1
 		st.mu.Unlock()
@@ -99,22 +95,17 @@ func (c *Coordinator) stageCapture(st *nodeSession, m wire.Msg, raw []byte) {
 			c.logf("coordinator: node %d: %T after its bye at epoch %d; capture is closed, dropping", st.id, m, e)
 		}
 		return
-	case c.store == nil || st.degraded:
-		stageFrame(c.n, m, &st.ops, &st.events)
-		st.mu.Unlock()
+	}
+	stageFrame(c.n, m, &st.ops, &st.events)
+	st.mu.Unlock()
+	if c.store == nil || c.spillFailed.Load() {
 		return
 	}
-	st.mu.Unlock()
 	if raw == nil {
 		raw = wire.AppendBody(nil, 0, m)
 	}
-	if err := c.store.Append(int32(st.id), e, raw); err != nil {
-		c.logf("coordinator: node %d: store spill: %v; staging in RAM from here on", st.id, err)
-		c.spillFailed.Store(true)
-		st.mu.Lock()
-		st.degraded = true
-		stageFrame(c.n, m, &st.ops, &st.events)
-		st.mu.Unlock()
+	if err := c.store.Append(int32(st.id), e, raw); err != nil && !c.spillFailed.Swap(true) {
+		c.logf("coordinator: node %d: store append: %v; no further appends, the store will not be sealed", st.id, err)
 	}
 }
 
@@ -122,8 +113,8 @@ func (c *Coordinator) stageCapture(st *nodeSession, m wire.Msg, raw []byte) {
 // coordinator state, reporting the completion action (if any) it
 // triggered and the epoch that action belongs to. Trace traffic — the
 // volume — lands in the session's own staging under the session lock
-// (or spills to the trace store when one is configured; raw carries
-// the frame's wire body so the spill needs no re-encode, nil when the
+// (and in the trace store when one is configured; raw carries the
+// frame's wire body so the append needs no re-encode, nil when the
 // caller only has the decoded frame); only the rare coordination
 // frames (Done, Shutdown, EpochMark) touch c.mu.
 // Done and bye count toward completion only when the stream is at the

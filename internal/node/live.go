@@ -115,11 +115,7 @@ func (c *Coordinator) fireDetection(witness int) {
 // beyond the current prefix, so the trigger stays pending and later
 // candidates retry on the grown capture. Caller holds shutdownMu.
 func (c *Coordinator) confirmLocked(e uint32, witness int, final bool) {
-	got, err := c.collect(e, true, false)
-	if err != nil {
-		c.logf("coordinator: live confirm: %v", err)
-		return
-	}
+	got := c.collect(e)
 	d, consumed, err := livedetect.AssemblePrefix(c.n, got.byProc)
 	if err != nil {
 		c.logf("coordinator: live confirm: %v", err)

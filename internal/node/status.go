@@ -70,7 +70,7 @@ type CoordStatus struct {
 	// through an aggregation tree (empty for a flat topology).
 	Relays []CoordRelayStatus `json:"relays,omitempty"`
 	// StoreSegments / StoreBytes report the trace store's footprint
-	// when capture spills to disk (both zero without a store).
+	// when capture is written through to disk (both zero without a store).
 	StoreSegments int   `json:"store_segments,omitempty"`
 	StoreBytes    int64 `json:"store_bytes,omitempty"`
 }

@@ -1,11 +1,12 @@
 // Package store is the coordinator's segmented on-disk trace store:
-// staged capture frames appended to checksummed, size-rotated segment
-// files, so a million-event run never holds its deposet in RAM. The
-// unit of storage is one capture frame body (the same
-// version|kind|seq|payload bytes the wire carried) wrapped in a
-// wire.SegmentRecord tagging origin and epoch — replay is the very
-// decode path live ingest uses, so a trace assembled from disk is
-// byte-identical to one assembled from the in-RAM staging.
+// every capture frame the coordinator stages in RAM is also appended
+// to checksummed, size-rotated segment files, so the run outlives its
+// process as a capture bundle. The store is write-only while the run
+// goes on; it is read once sealed. The unit of storage is one capture
+// frame body (the same version|kind|seq|payload bytes the wire carried)
+// wrapped in a wire.SegmentRecord tagging origin and epoch — replay is
+// the very decode path live ingest uses, so a trace assembled from the
+// bundle is byte-identical to one assembled from the in-RAM staging.
 //
 // Segment file layout:
 //
@@ -13,9 +14,9 @@
 //	record*: [u32 big-endian length][u32 big-endian CRC-32 (IEEE) of body][body]
 //	body = wire frame body of a SegmentRecord
 //
-// The store is read one way: a sequential scan of the segments that
-// yields the records of one epoch. §8 controlled re-execution voids a
-// partial execution by moving the cluster to a later epoch, so the
+// A bundle is read one way: a sequential scan of its segments, which
+// readers filter to the sealed epoch. §8 controlled re-execution voids
+// a partial execution by moving the cluster to a later epoch, so the
 // voided records stay in their segments, never read again, and the
 // write path stays append-only. Seal writes a MANIFEST.json over the
 // segments — name, size, CRC — turning the directory into a
@@ -140,11 +141,10 @@ func (s *Store) rotateLocked() error {
 	return nil
 }
 
-// Append spills one capture frame body for origin at epoch. The body is
+// Append writes one capture frame body for origin at epoch. The body is
 // wrapped in a wire.SegmentRecord, checksummed and appended to the
 // active segment. A full segment is rotated before the write, not after
-// it, so an Append that fails has written nothing: its caller may stage
-// the frame elsewhere without the trace holding it twice.
+// it, so an Append whose rotation fails has written nothing.
 func (s *Store) Append(origin int32, epoch uint32, body []byte) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -189,40 +189,6 @@ func (s *Store) Stats() (segments int, bytes int64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return len(s.segs), s.totalBytesLocked()
-}
-
-// Replay streams the records appended at epoch, in append order across
-// all origins, each decoded back into its wire message. It reads what
-// was appended before it was called: every segment is scanned up to
-// the size it had then, so a concurrent Append never exposes half a
-// record. Each record's checksum is verified before decode; a mismatch
-// aborts with a corruption error naming the segment and offset rather
-// than yielding a garbled frame.
-func (s *Store) Replay(epoch uint32, fn func(rec wire.SegmentRecord, seq uint64, m wire.Msg) error) error {
-	s.mu.Lock()
-	segs := make([]segment, len(s.segs))
-	for i, seg := range s.segs {
-		if !s.sealed { // a sealed store's writers are flushed and closed
-			if err := seg.w.Flush(); err != nil {
-				s.mu.Unlock()
-				return fmt.Errorf("store: flush %s: %w", seg.name, err)
-			}
-		}
-		segs[i] = segment{name: seg.name, size: seg.size}
-	}
-	s.mu.Unlock()
-	for _, seg := range segs {
-		err := replaySegment(filepath.Join(s.dir, seg.name), seg.size, func(rec wire.SegmentRecord, seq uint64, m wire.Msg) error {
-			if rec.Epoch != epoch {
-				return nil
-			}
-			return fn(rec, seq, m)
-		})
-		if err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // Manifest is the bundle's index document: the segments that make up
@@ -307,7 +273,7 @@ func fileCRC(path string) (uint32, error) {
 // Verify checks a sealed bundle: the manifest parses, every listed
 // segment exists with the recorded size and whole-file checksum, every
 // record inside checksums and decodes, and the cluster size is one the
-// records can hold — every node of a sealed run spills at least its
+// records can hold — every node of a sealed run appends at least its
 // TraceInit, so a manifest claiming more nodes than records is forged,
 // and a reader sizing its tables by it would be the one to pay. It
 // returns the manifest on success.

@@ -20,8 +20,23 @@ func body(t testing.TB, seq uint64, m wire.Msg) []byte {
 	return wire.AppendBody(nil, seq, m)
 }
 
+// replayEpoch streams the records of one epoch out of the sealed bundle
+// in dir, filtered as the bundle's readers filter them.
+func replayEpoch(t testing.TB, dir string, epoch uint32, fn func(rec wire.SegmentRecord, seq uint64, m wire.Msg)) {
+	t.Helper()
+	if _, err := ReplayBundle(dir, func(rec wire.SegmentRecord, seq uint64, m wire.Msg) error {
+		if rec.Epoch == epoch {
+			fn(rec, seq, m)
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestAppendReplayRoundTrip(t *testing.T) {
-	s, err := Open(Config{Dir: t.TempDir()})
+	dir := t.TempDir()
+	s, err := Open(Config{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,19 +53,18 @@ func TestAppendReplayRoundTrip(t *testing.T) {
 	if err := s.Append(3, 1, body(t, 1, wire.JournalEvent{At: 9, Proc: 3, Kind: 1})); err != nil {
 		t.Fatal(err)
 	}
+	if err := s.Seal(1, 1); err != nil {
+		t.Fatal(err)
+	}
 	var got []wire.Msg
 	var seqs []uint64
-	err = s.Replay(0, func(rec wire.SegmentRecord, seq uint64, m wire.Msg) error {
+	replayEpoch(t, dir, 0, func(rec wire.SegmentRecord, seq uint64, m wire.Msg) {
 		if rec.Origin != 0 {
 			t.Errorf("epoch 0 replays a record of origin %d", rec.Origin)
 		}
 		got = append(got, m)
 		seqs = append(seqs, seq)
-		return nil
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("replayed %#v, want %#v", got, want)
 	}
@@ -58,12 +72,9 @@ func TestAppendReplayRoundTrip(t *testing.T) {
 		t.Fatalf("inner seqs %v, want [1 2 3]", seqs)
 	}
 	var origins []int32
-	if err := s.Replay(1, func(rec wire.SegmentRecord, _ uint64, _ wire.Msg) error {
+	replayEpoch(t, dir, 1, func(rec wire.SegmentRecord, _ uint64, _ wire.Msg) {
 		origins = append(origins, rec.Origin)
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
+	})
 	if !reflect.DeepEqual(origins, []int32{3}) {
 		t.Fatalf("epoch 1 replays origins %v, want [3]", origins)
 	}
@@ -73,7 +84,8 @@ func TestAppendReplayRoundTrip(t *testing.T) {
 // epoch: the voided records stay on disk, and a replay of the new epoch
 // does not yield them.
 func TestDiscardDropsLiveRecords(t *testing.T) {
-	s, err := Open(Config{Dir: t.TempDir()})
+	dir := t.TempDir()
+	s, err := Open(Config{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,10 +95,11 @@ func TestDiscardDropsLiveRecords(t *testing.T) {
 	if err := s.Append(1, 1, body(t, 1, wire.JournalEvent{At: 2, Proc: 1})); err != nil {
 		t.Fatal(err)
 	}
-	var got []wire.Msg
-	if err := s.Replay(1, func(_ wire.SegmentRecord, _ uint64, m wire.Msg) error { got = append(got, m); return nil }); err != nil {
+	if err := s.Seal(1, 1); err != nil {
 		t.Fatal(err)
 	}
+	var got []wire.Msg
+	replayEpoch(t, dir, 1, func(_ wire.SegmentRecord, _ uint64, m wire.Msg) { got = append(got, m) })
 	if len(got) != 1 || got[0].(wire.JournalEvent).At != 2 {
 		t.Fatalf("after discard, replay yields %#v; want only the post-discard record", got)
 	}
@@ -107,18 +120,16 @@ func TestSegmentRotation(t *testing.T) {
 	if segs < 2 {
 		t.Fatalf("expected rotation past 256 bytes, got %d segments (%d bytes)", segs, bytes)
 	}
-	n := 0
-	if err := s.Replay(0, func(wire.SegmentRecord, uint64, wire.Msg) error { n++; return nil }); err != nil {
+	if err := s.Seal(1, 0); err != nil {
 		t.Fatal(err)
 	}
+	n := 0
+	replayEpoch(t, dir, 0, func(wire.SegmentRecord, uint64, wire.Msg) { n++ })
 	if n != 50 {
 		t.Fatalf("replayed %d records across segments, want 50", n)
 	}
 	// A segment is rotated when the next record arrives, so none is
 	// left empty behind the last.
-	if err := s.Seal(1, 0); err != nil {
-		t.Fatal(err)
-	}
 	man, err := Verify(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -132,8 +143,7 @@ func TestSegmentRotation(t *testing.T) {
 
 // An Append that errs has written nothing. With the next segment's name
 // taken by a directory, every rotation fails; only the appends that
-// returned nil may replay, or a caller staging the refused frame
-// elsewhere holds it twice.
+// returned nil may replay from the sealed bundle.
 func TestFailedAppendLeavesNothing(t *testing.T) {
 	dir := t.TempDir()
 	if err := os.Mkdir(filepath.Join(dir, segName(1)), 0o755); err != nil {
@@ -152,10 +162,11 @@ func TestFailedAppendLeavesNothing(t *testing.T) {
 	if ok == 4 {
 		t.Fatal("every append succeeded; the blocked rotation never failed")
 	}
-	n := 0
-	if err := s.Replay(0, func(wire.SegmentRecord, uint64, wire.Msg) error { n++; return nil }); err != nil {
+	if err := s.Seal(1, 0); err != nil {
 		t.Fatal(err)
 	}
+	n := 0
+	replayEpoch(t, dir, 0, func(wire.SegmentRecord, uint64, wire.Msg) { n++ })
 	if n != ok {
 		t.Fatalf("%d of 4 appends succeeded, yet %d records replay", ok, n)
 	}

@@ -1015,7 +1015,7 @@ func ReadFrame(r io.Reader) (seq uint64, m Msg, err error) {
 
 // ReadRawBody reads one frame from r and returns its raw body bytes
 // without decoding the payload. Relays and the root's ingest loop read
-// this way so a body can be forwarded or spilled to the trace store
+// this way so a body can be forwarded or written to the trace store
 // verbatim; io.EOF is returned verbatim on a clean frame boundary.
 func ReadRawBody(r io.Reader) ([]byte, error) {
 	var hdr [4]byte
