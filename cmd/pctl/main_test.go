@@ -276,19 +276,35 @@ func TestCLIBundle(t *testing.T) {
 // the store unsealed, and the CLI must say so rather than report a
 // bundle that `pctl bundle verify` cannot open.
 func TestCLIClusterUnsealedBundle(t *testing.T) {
-	dir := t.TempDir()
-	if err := os.Mkdir(filepath.Join(dir, "seg-000001.pcseg"), 0o755); err != nil {
-		t.Fatal(err)
+	cluster := func(dir string) (string, error) {
+		return runCLI(t, "cluster", "-n", "8", "-rounds", "4000", "-think", "0", "-cs", "0", "-store-dir", dir)
 	}
-	out, err := runCLI(t, "cluster", "-n", "8", "-rounds", "4000", "-think", "0", "-cs", "0", "-store-dir", dir)
-	if _, statErr := os.Stat(filepath.Join(dir, store.ManifestName)); statErr == nil {
-		t.Fatal("the store was sealed: the blocked rotation never failed")
-	}
-	if strings.Contains(out, "bundle: sealed") {
-		t.Errorf("reported an unsealed bundle as sealed:\n%s", out)
-	}
-	if err == nil || !strings.Contains(err.Error(), dir) || !strings.Contains(err.Error(), "not sealed") {
-		t.Errorf("error %v, want one naming %s and saying it was not sealed", err, dir)
+	for _, reused := range []bool{false, true} {
+		dir := t.TempDir()
+		block := filepath.Join(dir, "seg-000001.pcseg")
+		if reused {
+			// A sealed first run into the same directory: its manifest
+			// must not speak for the second run's segments.
+			if out, err := cluster(dir); err != nil {
+				t.Fatalf("first run: %v\n%s", err, out)
+			}
+			if err := os.RemoveAll(block); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := os.Mkdir(block, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		out, err := cluster(dir)
+		if _, statErr := os.Stat(filepath.Join(dir, store.ManifestName)); statErr == nil {
+			t.Fatalf("reused=%v: the directory holds a manifest: the blocked rotation never failed, or an earlier run's survived", reused)
+		}
+		if strings.Contains(out, "bundle: sealed") {
+			t.Errorf("reused=%v: reported an unsealed bundle as sealed:\n%s", reused, out)
+		}
+		if err == nil || !strings.Contains(err.Error(), dir) || !strings.Contains(err.Error(), "not sealed") {
+			t.Errorf("reused=%v: error %v, want one naming %s and saying it was not sealed", reused, err, dir)
+		}
 	}
 }
 
@@ -425,6 +441,34 @@ func TestCLIRejectsBadRounds(t *testing.T) {
 		}
 		if took := time.Since(begin); took > time.Second {
 			t.Errorf("%s: refused after %v", strings.Join(args, " "), took)
+		}
+	}
+}
+
+// TestCLIRejectsBadFaults: a fault schedule that can never deliver (or
+// sever anything) is refused with a one-line error naming the flag,
+// before anything binds — at the cluster and at a lone node alike. A
+// -drop 1 cluster used to print nothing and stall for 150 s.
+func TestCLIRejectsBadFaults(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		flag string
+	}{
+		{[]string{"cluster", "-n", "3", "-rounds", "1", "-drop", "1"}, "drop 1"},
+		{[]string{"cluster", "-n", "3", "-delay", "-1ms"}, "delay -1ms"},
+		{[]string{"cluster", "-n", "3", "-partition", "start=1ms,dur=5ms,a=7"}, "partition 0: node 7"},
+		{[]string{"node", "-n", "2", "-addrs", "127.0.0.1:0,127.0.0.1:0", "-coord", "127.0.0.1:0", "-drop", "1"}, "drop 1"},
+	} {
+		begin := time.Now()
+		out, err := runCLI(t, tc.args...)
+		if err == nil || !strings.Contains(err.Error(), tc.flag) || strings.Contains(err.Error(), "\n") {
+			t.Errorf("%s: error %v, want one line naming %q", strings.Join(tc.args, " "), err, tc.flag)
+		}
+		if out != "" {
+			t.Errorf("%s printed %q before refusing", strings.Join(tc.args, " "), out)
+		}
+		if took := time.Since(begin); took > time.Second {
+			t.Errorf("%s: refused after %v", strings.Join(tc.args, " "), took)
 		}
 	}
 }

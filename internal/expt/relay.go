@@ -14,7 +14,7 @@ import (
 // at n = 64 with a relay killed mid-run, gated on full capture, the
 // paper invariants, the root's connection cut, and live-verdict
 // agreement with offline detection — plus a small planted-rogue tree
-// run so the firing path through relay re-batching is exercised too.
+// run so the firing path through the relay hop is exercised too.
 // `make relay-smoke` and the CI job of that name run it via
 // `pcbench relay-smoke`.
 
@@ -81,7 +81,7 @@ func relaySmokeClean(seed int64) error {
 }
 
 // relaySmokeRogue plants rogues in a small tree cluster: the candidates
-// that complete the checker's witness arrive re-batched through relays,
+// that complete the checker's witness arrive forwarded through relays,
 // and the mid-run verdict must still match offline detection (and fire).
 // ¬B is "all n in the CS at once", so n−1 rogues plus the legitimate
 // holder make the violation reachable.

@@ -467,10 +467,11 @@ func TestChaosSoak(t *testing.T) {
 
 // TestClusterRejectsOutOfRangeTargets: a scapegoat, relay count, crash
 // schedule or rogue list naming a node or relay the cluster does not
-// have is refused at once, before anything is bound or started — the
-// store directory is not even created. An unchecked scapegoat used to
-// fail every node's Run before it dialed, which surfaced only at the
-// two-minute WaitTimeout.
+// have, and a fault schedule the shim cannot run, are refused at once,
+// before anything is bound or started — the store directory is not
+// even created. An unchecked scapegoat used to fail every node's Run
+// before it dialed, which surfaced only at the two-minute WaitTimeout;
+// a Drop of 1 stalled the run for as long.
 func TestClusterRejectsOutOfRangeTargets(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -485,6 +486,16 @@ func TestClusterRejectsOutOfRangeTargets(t *testing.T) {
 		{"relay crash", ClusterConfig{Relays: 2, RelayCrashes: []Crash{{Node: 2}}}, "relay crash schedule targets relay 2 of 2"},
 		{"relay crash without relays", ClusterConfig{RelayCrashes: []Crash{{Node: 0}}}, "relay crash schedule targets relay 0 of 0"},
 		{"rogue", ClusterConfig{Rogues: []int{0, 7}}, "rogue list targets node 7 of 3"},
+		{"drop 1", ClusterConfig{Faults: Faults{Drop: 1}}, "drop 1 is outside [0, 1)"},
+		{"negative drop", ClusterConfig{Faults: Faults{Drop: -0.5}}, "drop -0.5 is outside [0, 1)"},
+		{"dup", ClusterConfig{Faults: Faults{Dup: 1.5}}, "dup 1.5 is outside [0, 1]"},
+		{"negative delay", ClusterConfig{Faults: Faults{Delay: -time.Millisecond}}, "delay -1ms is negative"},
+		{"negative jitter", ClusterConfig{Faults: Faults{Jitter: -time.Millisecond}}, "jitter -1ms is negative"},
+		{"partition start", ClusterConfig{Faults: Faults{Partitions: []Partition{{Start: -time.Millisecond, Dur: time.Millisecond, A: []int{0}}}}}, "partition 0: start -1ms is negative"},
+		{"partition dur", ClusterConfig{Faults: Faults{Partitions: []Partition{{Dur: time.Millisecond, A: []int{0}}, {A: []int{0}}}}}, "partition 1: dur 0s is not positive"},
+		{"partition without a", ClusterConfig{Faults: Faults{Partitions: []Partition{{Dur: time.Millisecond}}}}, "partition 0: a is empty"},
+		{"partition a", ClusterConfig{Faults: Faults{Partitions: []Partition{{Dur: time.Millisecond, A: []int{7}}}}}, "partition 0: node 7 is not one of 3"},
+		{"partition b", ClusterConfig{Faults: Faults{Partitions: []Partition{{Dur: time.Millisecond, A: []int{0}, B: []int{1, -1}}}}}, "partition 0: node -1 is not one of 3"},
 	} {
 		before := runtime.NumGoroutine()
 		tc.cfg.N = 3

@@ -72,8 +72,9 @@ type ClusterConfig struct {
 	// Relays > 0 shards coordinator ingest into a 2-level aggregation
 	// tree: that many relay processes each terminate the capture
 	// streams of the nodes assigned to them (node i → relay i mod
-	// Relays) and forward re-batched relay frames upstream, so the root
-	// handles O(Relays) connections instead of O(N). Nodes are
+	// Relays) and write each accepted frame through upstream, so the
+	// root handles O(Relays) connections instead of O(N) — its frames
+	// stay those of a flat cluster. Nodes are
 	// oblivious — their coordinator address is simply their relay's.
 	Relays int
 	// RelayCrashes kills relays mid-run (Crash.Node is the relay
@@ -216,8 +217,7 @@ func RunCluster(cfg ClusterConfig) (*Result, error) {
 		relayCfg := func(idx int, ln net.Listener) RelayConfig {
 			return RelayConfig{
 				Index: idx, Relays: cfg.Relays, N: cfg.N,
-				Upstream: coord.Addr(), Listener: ln,
-				Batching: cfg.Batching, Timeouts: cfg.Timeouts,
+				Upstream: coord.Addr(), Listener: ln, Timeouts: cfg.Timeouts,
 				Reg:  cfg.Reg.Child(obs.L("relay", strconv.Itoa(idx))),
 				Logf: cfg.Logf,
 			}
@@ -407,8 +407,9 @@ func RunCluster(cfg ClusterConfig) (*Result, error) {
 }
 
 // checkTargets rejects a scapegoat, relay count, crash schedule or
-// rogue list that names a node or relay the cluster does not have,
-// before anything is bound or started.
+// rogue list that names a node or relay the cluster does not have, and
+// a fault schedule the shim cannot run (Faults.check), before anything
+// is bound or started.
 func checkTargets(cfg *ClusterConfig) error {
 	if cfg.Scapegoat < 0 || cfg.Scapegoat >= cfg.N {
 		return fmt.Errorf("node: scapegoat %d is not a node of %d", cfg.Scapegoat, cfg.N)
@@ -431,7 +432,7 @@ func checkTargets(cfg *ClusterConfig) error {
 			return fmt.Errorf("node: rogue list targets node %d of %d", r, cfg.N)
 		}
 	}
-	return nil
+	return cfg.Faults.check(cfg.N)
 }
 
 // scheduleCrashes runs a range-checked kill schedule against `targets`

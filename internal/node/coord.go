@@ -80,8 +80,8 @@ type Result struct {
 	// RootConns counts stream handshakes the coordinator accepted
 	// (Hello, Resume, RelayHello); RootFrames / RootBytes the frames
 	// and payload bytes it read off accepted streams. With a relay tree
-	// these measure the root's actual ingest load — O(relays) instead
-	// of O(n) — which is what the cluster bench's tree rows report.
+	// connections are O(relays) instead of O(n), while frames are those
+	// of a flat cluster: a relay forwards each child frame as its own.
 	RootConns  int64
 	RootFrames int64
 	RootBytes  int64

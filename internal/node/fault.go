@@ -1,7 +1,9 @@
 package node
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"time"
 )
 
@@ -80,6 +82,37 @@ func contains(s []int, v int) bool {
 		}
 	}
 	return false
+}
+
+// check refuses a schedule the shim cannot run on an n-node cluster: a
+// Drop of 1 never delivers, a partition naming no node of the cluster
+// severs nothing, and a negative knob would silently read as unset.
+func (f Faults) check(n int) error {
+	switch {
+	case !(f.Drop >= 0 && f.Drop < 1):
+		return fmt.Errorf("node: faults: drop %v is outside [0, 1)", f.Drop)
+	case !(f.Dup >= 0 && f.Dup <= 1):
+		return fmt.Errorf("node: faults: dup %v is outside [0, 1]", f.Dup)
+	case f.Delay < 0:
+		return fmt.Errorf("node: faults: delay %v is negative", f.Delay)
+	case f.Jitter < 0:
+		return fmt.Errorf("node: faults: jitter %v is negative", f.Jitter)
+	}
+	for i, p := range f.Partitions {
+		ids := slices.Concat(p.A, p.B)
+		out := slices.IndexFunc(ids, func(id int) bool { return id < 0 || id >= n })
+		switch {
+		case p.Start < 0:
+			return fmt.Errorf("node: partition %d: start %v is negative", i, p.Start)
+		case p.Dur <= 0:
+			return fmt.Errorf("node: partition %d: dur %v is not positive", i, p.Dur)
+		case len(p.A) == 0:
+			return fmt.Errorf("node: partition %d: a is empty", i)
+		case out >= 0:
+			return fmt.Errorf("node: partition %d: node %d is not one of %d", i, ids[out], n)
+		}
+	}
+	return nil
 }
 
 // enabled reports whether the shim would ever perturb a write.

@@ -38,7 +38,7 @@ func candidateToVerdict(res *Result, j *obs.Journal) (time.Duration, bool) {
 
 // TestCandidateDoesNotWaitForTick: no timer sits between a witness
 // candidate and its verdict, at a node or at a relay. With the flush
-// interval at five seconds (ten on a relay's uplink) a planted-rogue
+// interval at five seconds (a relay writes through) a planted-rogue
 // run must still be confirmed mid-run, well inside 100 ms of the
 // candidate (where a candidate waits for a tick, this one waits for the
 // end of the run) — and must still drain and commit, since the closing

@@ -178,7 +178,7 @@ func TestLiveVerdictMatchesOffline(t *testing.T) {
 		}
 		// A third of the runs go through a 2-level aggregation tree —
 		// the live checker must reach the same verdict when candidates
-		// arrive re-batched through relays — and some of those also
+		// arrive forwarded through relays — and some of those also
 		// kill a relay mid-run (heals like a stream sever, no restart).
 		if seed%3 == 0 {
 			cfg.Relays = 2

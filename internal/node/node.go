@@ -233,6 +233,9 @@ func Run(cfg Config) (*Stats, error) {
 	if cfg.Coord == "" {
 		return nil, fmt.Errorf("node: a coordinator address is required")
 	}
+	if err := cfg.Faults.check(cfg.N); err != nil {
+		return nil, err
+	}
 	logf := cfg.Logf
 	if logf == nil {
 		logf = func(string, ...any) {}

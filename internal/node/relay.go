@@ -5,7 +5,6 @@ import (
 	"net"
 	"strconv"
 	"sync"
-	"time"
 
 	"predctl/internal/obs"
 	"predctl/internal/wire"
@@ -15,8 +14,8 @@ import (
 // the resumable capture streams of a subset of nodes with the session
 // layer the root coordinator uses (session.go), so to a child a relay
 // looks exactly like a coordinator — but instead of staging capture it
-// re-batches the raw frame bodies into wire.RelayBatch frames and
-// forwards them to the root over one session. The root therefore
+// writes each accepted raw frame body through to the root, wrapped as a
+// one-frame wire.RelayBatch, over one session. The root therefore
 // handles O(relays) connections instead of O(n), while resume and
 // epoch semantics compose across both hops: the relay's uplink IS a
 // coordClient (the same session log, redial/backoff and retransmit
@@ -30,9 +29,9 @@ import (
 // — Hellos included, since a node's Hello is frame 1 of its log — and
 // the root's per-origin inner-sequence dedup absorbs the overlap.
 //
-// Batching is the relay's only policy: it forwards every frame it
-// accepts, in order, and the root alone decides rejoins, epoch
-// discards and snapshots.
+// The relay has no policy: it forwards every frame it accepts, in
+// order, and the root alone decides rejoins, epoch discards and
+// snapshots.
 type Relay struct {
 	endpoint // the shared session layer's half: listener, connections, streams
 	cfg      RelayConfig
@@ -42,16 +41,10 @@ type Relay struct {
 	// can reach a resuming child ahead of its ResumeAck.
 	cc *coordClient
 
+	// children holds each child's stream: the downstream mirror of the
+	// root's nodeSession, minus the staging.
 	mu       sync.Mutex
-	children map[int]*relayChild
-
-	// The forward queue. Only the flusher goroutine dequeues it, so the
-	// batches reach the uplink in queue order.
-	pendMu    sync.Mutex
-	pending   []wire.RelayFrame
-	pendBytes int
-
-	kick chan struct{}
+	children map[int]*inbound
 }
 
 // RelayConfig configures one relay.
@@ -67,32 +60,11 @@ type RelayConfig struct {
 	// Listener is non-nil it is used directly (Addr ignored).
 	Addr     string
 	Listener net.Listener
-	// Batching paces the upstream flush (withDefaults applied).
-	Batching Batching
 	Timeouts Timeouts
 	// Reg receives the relay's wire meters (uplink stream).
 	Reg  *obs.Registry
 	Logf func(string, ...any)
 }
-
-// relayChild is the relay's per-node-id stream state: the downstream
-// mirror of the root's nodeSession, minus the staging.
-type relayChild struct {
-	id int
-	inbound
-}
-
-// maxRelayBatchBytes caps one RelayBatch's payload, comfortably under
-// wire.MaxFrame with envelope overhead to spare.
-const maxRelayBatchBytes = 512 << 10
-
-// relayMaxPendFrames is the early-kick threshold on queued child
-// frames. A relay item is a whole child frame (itself a batch of up to
-// Batching.MaxItems capture items), so the node-level item cap would
-// kick mid-interval on every busy subtree and shred the upstream
-// coalescing; pendBytes against maxRelayBatchBytes is the real memory
-// guard, this only backstops pathological tiny-frame floods.
-const relayMaxPendFrames = 1024
 
 // StartRelay establishes the upstream session (blocking until the root
 // answers or the coordinator deadline passes), then begins accepting
@@ -105,19 +77,12 @@ func StartRelay(cfg RelayConfig) (*Relay, error) {
 	r := &Relay{
 		endpoint: newEndpoint("relay "+strconv.Itoa(cfg.Index), cfg.Timeouts.withDefaults(), cfg.Logf),
 		cfg:      cfg,
-		children: map[int]*relayChild{},
-		kick:     make(chan struct{}, 1),
+		children: map[int]*inbound{},
 	}
 	if err := r.listen(cfg.Listener, cfg.Addr); err != nil {
 		return nil, err
 	}
-	// The uplink flushes at twice the children's cadence: a relay
-	// aggregates an entire subtree, so one extra interval of staleness
-	// buys roughly double the child frames per upstream RelayBatch.
-	batch := cfg.Batching.withDefaults()
-	batch.Interval *= 2
-	wm := newWireMeters(cfg.Reg, "uplink")
-	cc := newCoordClient(cfg.Upstream, -(cfg.Index + 1), cfg.N, batch, wm, r.opt, nil, r.logf)
+	cc := newCoordClient(cfg.Upstream, -(cfg.Index + 1), cfg.N, Batching{}, newWireMeters(cfg.Reg, "uplink"), r.opt, nil, r.logf)
 	cc.mkResume, cc.fanOut = r.mkResume, r.fanOut
 	r.cc = cc
 
@@ -130,9 +95,8 @@ func StartRelay(cfg RelayConfig) (*Relay, error) {
 	}
 	go cc.session(conn, br)
 
-	r.wg.Add(2)
+	r.wg.Add(1)
 	go r.acceptLoop(r.handleChild)
-	go r.flusher()
 	return r, nil
 }
 
@@ -172,15 +136,15 @@ func (r *Relay) fanOut(m wire.Msg, was uint32) {
 	r.broadcast(m)
 }
 
-// child returns (creating if needed) the state for node id.
-func (r *Relay) child(id int) *relayChild {
+// child returns (creating if needed) the stream of node id.
+func (r *Relay) child(id int) *inbound {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	ch := r.children[id]
 	if ch == nil {
-		ch = &relayChild{id: id}
+		ch = &inbound{}
 		r.children[id] = ch
-		r.register(&ch.inbound)
+		r.register(ch)
 	}
 	return ch
 }
@@ -188,10 +152,12 @@ func (r *Relay) child(id int) *relayChild {
 // handleChild serves one child connection: the handshake contract the
 // root implements — Resume continues with a cumulative ack and the
 // uplink's folded decisions replayed; Hello opens and is answered from
-// them — then sequence-gated pass-through of raw frame bodies into the
-// forward queue. A Hello is forwarded like any frame: it is frame 1 of
-// the child's session log, and the root owns the restart decision (its
-// per-origin incarnation record survives relay crashes).
+// them — then sequence-gated write-through of raw frame bodies onto the
+// uplink. A Hello is forwarded like any frame: it is frame 1 of the
+// child's session log, and the root owns the restart decision (its
+// per-origin incarnation record survives relay crashes). The Hello is
+// sequenced after decMu is released, as the lock order has it
+// (session.go): a fold never waits behind an uplink write.
 func (r *Relay) handleChild(raw net.Conn) {
 	conn, body, seq, first, err := r.open(raw)
 	if err != nil {
@@ -204,101 +170,47 @@ func (r *Relay) handleChild(raw net.Conn) {
 	}
 	conn.peer = "node " + strconv.Itoa(id)
 	ch := r.child(id)
+	ch.ingestMu.Lock()
 	r.cc.decMu.Lock()
 	d := r.cc.dec
 	switch {
 	case !fresh:
-		err = d.replay(conn, ch.adopt(conn, false, 0))
+		err = d.replay(conn, ch.adoptLocked(conn, false, 0))
 	case d.committed:
 		// Not forwarded either: there is no run left to restart.
 		err = d.refuse(conn)
 	default:
-		// Staged with the adoption, so a successor connection's frames
-		// queue behind it. The folded catch-up stands in for the root's
-		// targeted writes.
-		ch.ingestMu.Lock()
+		// The folded catch-up stands in for the root's targeted writes.
 		ch.adoptLocked(conn, true, seq)
-		r.stage(int32(id), wire.KindHello, body)
-		ch.ingestMu.Unlock()
 		err = d.catchUp(conn)
 	}
 	r.cc.decMu.Unlock()
+	if fresh && !d.committed {
+		// Sequenced before ingestMu is released, so a successor
+		// connection's frames queue behind it.
+		r.stage(int32(id), body)
+	}
+	ch.ingestMu.Unlock()
+	r.cc.writeLogged()
 	if err != nil {
 		r.logf("relay %d: node %d: handshake: %v", r.cfg.Index, id, err)
 		return
 	}
 	r.serve(conn, nil, func(body []byte) error {
-		kind, seq, err := wire.PeekBody(body)
+		_, seq, err := wire.PeekBody(body)
 		if err != nil {
 			return err
 		}
-		return ch.deliver(conn, seq, func() { r.stage(int32(id), kind, body) })
+		err = ch.deliver(conn, seq, func() { r.stage(int32(id), body) })
+		r.cc.writeLogged()
+		return err
 	})
 }
 
-// stage queues one raw child frame body for the upstream flush. Capture
-// volume rides the batching interval; a frame someone waits on kicks
-// the flusher instead — a candidate (the root's live checker), a Hello
-// (a rejoin decision), Done, bye and EpochMark (completion). The pass
-// takes everything queued ahead of it along, so a frame still arrives
-// behind its origin's earlier ones; when kicks come faster than passes
-// they coalesce, and each pass carries what gathered during the last.
-func (r *Relay) stage(origin int32, kind byte, body []byte) {
-	r.pendMu.Lock()
-	r.pending = append(r.pending, wire.RelayFrame{Origin: origin, Body: body})
-	r.pendBytes += len(body)
-	kick := r.pendBytes >= maxRelayBatchBytes || len(r.pending) >= relayMaxPendFrames
-	r.pendMu.Unlock()
-	switch kind {
-	case wire.KindCandidate, wire.KindCandidateBatch, wire.KindHello,
-		wire.KindDone, wire.KindShutdown, wire.KindEpochMark:
-		kick = true
-	}
-	if kick {
-		select {
-		case r.kick <- struct{}{}:
-		default:
-		}
-	}
-}
-
-// flusher paces the upstream flush on the batching interval, the same
-// size-or-interval policy the node-side capture batcher uses. It is
-// flush's only caller.
-func (r *Relay) flusher() {
-	defer r.wg.Done()
-	t := time.NewTicker(r.cc.batch.Interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-r.closed:
-			return
-		case <-r.kick:
-		case <-t.C:
-		}
-		r.flush()
-	}
-}
-
-// flush drains the pending queue into RelayBatch frames under the byte
-// cap and sends them through the uplink's session log — renumbered,
-// resumable, metered — with one write for the pass.
-func (r *Relay) flush() {
-	r.pendMu.Lock()
-	pend := r.pending
-	r.pending, r.pendBytes = nil, 0
-	r.pendMu.Unlock()
-	if len(pend) == 0 {
-		return
-	}
-	for len(pend) > 0 {
-		n, bytes := 0, 0
-		for n < len(pend) && bytes < maxRelayBatchBytes {
-			bytes += len(pend[n].Body)
-			n++
-		}
-		r.cc.logItems(wire.RelayBatch{Frames: pend[:n]}, n)
-		pend = pend[n:]
-	}
-	r.cc.writeLogged()
+// stage sequences one raw child frame body onto the uplink's session
+// log — renumbered, resumable, metered — under the child's ingestMu, so
+// an origin's frames keep their order. The caller writes the log out
+// once its locks are released.
+func (r *Relay) stage(origin int32, body []byte) {
+	r.cc.logItems(wire.RelayBatch{Frames: []wire.RelayFrame{{Origin: origin, Body: body}}}, 1)
 }

@@ -462,16 +462,14 @@ func recordingRoot(t *testing.T, cap int) (addr string, arrivals <-chan arrival)
 	return ln.Addr().String(), out
 }
 
-// TestRelayFlushKeepsOriginOrder pins the relay's forwarding order
-// under concurrent staging. Six child handlers stage frames at once,
-// Hellos among them (each kicks the flusher, as candidates and
-// completion frames do), while the flusher goroutine — flush's only
-// caller — passes on its ticks and kicks: whatever the interleaving,
-// the root must see every origin's inner sequences strictly increasing
-// with none missing, or its replay-overlap dedup would drop the
-// overtaken frames (the cold-start "process N wedged" / lost-Done
-// failures).
-func TestRelayFlushKeepsOriginOrder(t *testing.T) {
+// TestRelayForwardKeepsOriginOrder pins the relay's forwarding order
+// under concurrent write-through. Six child handlers each sequence
+// frames onto the uplink log and write it out at once, Hellos among
+// them: whatever the interleaving, the root must see every origin's
+// inner sequences strictly increasing with none missing, or its
+// replay-overlap dedup would drop the overtaken frames (the cold-start
+// "process N wedged" / lost-Done failures).
+func TestRelayForwardKeepsOriginOrder(t *testing.T) {
 	const origins, frames, helloEvery = 6, 1500, 25
 	upstream, arrivals := recordingRoot(t, origins*frames)
 
@@ -490,13 +488,14 @@ func TestRelayFlushKeepsOriginOrder(t *testing.T) {
 		go func(o int32) {
 			defer wg.Done()
 			for seq := uint64(1); seq <= frames; seq++ {
+				var body []byte
 				if seq%helloEvery == 1 {
-					body := wire.Marshal(seq, wire.Hello{From: o, N: origins, Inc: seq})[4:]
-					rl.stage(o, wire.KindHello, body)
-					continue
+					body = wire.Marshal(seq, wire.Hello{From: o, N: origins, Inc: seq})[4:]
+				} else {
+					body = wire.Marshal(seq, wire.TraceOpBatch{Ops: []wire.TraceOp{{Op: wire.TraceStep, Proc: o}}})[4:]
 				}
-				body := wire.Marshal(seq, wire.TraceOpBatch{Ops: []wire.TraceOp{{Op: wire.TraceStep, Proc: o}}})[4:]
-				rl.stage(o, wire.KindTraceOpBatch, body)
+				rl.stage(o, body)
+				rl.cc.writeLogged()
 			}
 		}(int32(o))
 	}
@@ -658,8 +657,8 @@ func TestRejoinHelloSurvivesRelayDeath(t *testing.T) {
 // numbered frames dials, streams, and is cut off by its own successor —
 // a Resume that reads the cumulative ack and retransmits from there
 // while the old connection's frames are still buffered at the relay.
-// The old connection's handler and the new one then race into the
-// forward queue; accept-and-stage being one step is what keeps them
+// The old connection's handler and the new one then race onto the
+// uplink's log; accept-and-stage being one step is what keeps them
 // apart. The root must see the inner sequences strictly increasing with
 // none missing (its dedup would silently drop an overtaken frame).
 func TestRelaySupersedeKeepsInnerOrder(t *testing.T) {

@@ -37,10 +37,11 @@ import (
 //	coordConn.wmu           one connection's writes
 //
 // The store, the live checker and the journal lock internally and call
-// nothing back. A relay is the same shape one level down: the uplink
-// client's decMu (its shutdownMu) → relayChild.ingestMu → inbound.mu /
-// Relay.mu, then the forward queue's pendMu, then the uplink client's
-// other locks.
+// nothing back. A relay is the same shape one level down: a child's
+// inbound.ingestMu → the uplink client's decMu (its shutdownMu) →
+// inbound.mu / Relay.mu. The uplink's mu, held across every uplink
+// write, is taken under ingestMu (to sequence a child frame onto the
+// log) and never under decMu, so a fold never waits behind a write.
 
 // streamReadDeadline bounds one wait for the next frame of an accepted
 // stream. Generous: peers stream continuously while alive, and a wedged

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"net"
 	"reflect"
+	"sync"
 	"testing"
 	"time"
 
@@ -236,6 +237,80 @@ func TestRelayHandshakeNotOvertakenByFanOut(t *testing.T) {
 		t.Fatal(err)
 	} else if _, ok := second.(wire.Shutdown); !ok {
 		t.Fatalf("replayed decision is %T, want Shutdown", second)
+	}
+}
+
+// TestRelayFoldNotBlockedByUplinkWrite: a child handler that waits on
+// the uplink log — behind a write stuck on a slow root — must not hold
+// the uplink's decMu while it waits, or the relay stops folding the
+// root's decisions and no child hears them. The test holds the uplink's
+// mu as such a write would, opens a child whose Hello must be sequenced
+// onto the log, and requires the fold of a Shutdown to return and fan
+// out to an already resumed child.
+func TestRelayFoldNotBlockedByUplinkWrite(t *testing.T) {
+	c, err := NewCoordinator(CoordConfig{N: 2, Addr: "127.0.0.1:0", Timeouts: testTimeouts(), Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	r, err := StartRelay(RelayConfig{Index: 0, Relays: 1, N: 2, Upstream: c.Addr(), Addr: "127.0.0.1:0", Timeouts: testTimeouts(), Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	dial := func(hs wire.Msg) net.Conn {
+		conn, err := net.Dial("tcp", r.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { conn.Close() })
+		if err := wire.WriteFrame(conn, 0, hs); err != nil {
+			t.Fatal(err)
+		}
+		return conn
+	}
+	resumed := dial(wire.Resume{From: 0, N: 2})
+	resumed.SetReadDeadline(time.Now().Add(10 * time.Second))
+	br := bufReader(resumed)
+	if _, m, err := wire.ReadFrame(br); err != nil {
+		t.Fatal(err)
+	} else if _, ok := m.(wire.ResumeAck); !ok {
+		t.Fatalf("handshake reply is %T, want ResumeAck", m)
+	}
+
+	r.cc.mu.Lock() // what a write stuck on the uplink holds
+	unlock := sync.OnceFunc(r.cc.mu.Unlock)
+	defer unlock()
+	// Adoption happens under decMu: once it shows, the handler holds
+	// decMu or has let it go, and from there it blocks on the log.
+	dial(wire.Hello{From: 1, N: 2, Inc: 1})
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		ch := r.child(1)
+		ch.mu.Lock()
+		adopted := ch.owner != nil
+		ch.mu.Unlock()
+		if adopted {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the relay never adopted the second child")
+		}
+	}
+	folded := make(chan struct{})
+	go func() {
+		r.cc.fold(wire.Shutdown{})
+		close(folded)
+	}()
+	select {
+	case <-folded:
+	case <-time.After(2 * time.Second):
+		t.Fatal("the fold waited behind the uplink write")
+	}
+	unlock()
+	if _, m, err := wire.ReadFrame(br); err != nil {
+		t.Fatal(err)
+	} else if _, ok := m.(wire.Shutdown); !ok {
+		t.Fatalf("fanned-out decision is %T, want Shutdown", m)
 	}
 }
 

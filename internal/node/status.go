@@ -161,7 +161,8 @@ type CoordRelayStatus struct {
 	// has forwarded.
 	FanIn int `json:"fan_in"`
 	// Frames counts forwarded RelayBatch frames, Items the inner frames
-	// re-batched into them.
+	// packed into them: equal to Frames unless a sender batches (a relay
+	// writes one child frame per RelayBatch).
 	Frames uint64 `json:"frames"`
 	Items  uint64 `json:"items"`
 	// LastSeq is the uplink's highest contiguous outer sequence.

@@ -88,12 +88,16 @@ type Store struct {
 }
 
 // Open creates (or reuses) the segment directory and starts the first
-// segment.
+// segment. A manifest an earlier run left in a reused directory is
+// removed first: the directory only ever holds one its own run sealed.
 func Open(cfg Config) (*Store, error) {
 	if cfg.Dir == "" {
 		return nil, fmt.Errorf("store: empty directory")
 	}
 	if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
+		return nil, fmt.Errorf("store: %w", err)
+	}
+	if err := os.Remove(filepath.Join(cfg.Dir, ManifestName)); err != nil && !os.IsNotExist(err) {
 		return nil, fmt.Errorf("store: %w", err)
 	}
 	segBytes := cfg.SegmentBytes

@@ -214,6 +214,23 @@ func TestSealVerifyBundle(t *testing.T) {
 	}
 }
 
+// TestReopenDropsOldManifest: a directory reused by a run that never
+// seals must not keep the manifest of the run before — it would bless
+// segments the new run has overwritten.
+func TestReopenDropsOldManifest(t *testing.T) {
+	dir, _ := sealSample(t)
+	s, err := Open(Config{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(filepath.Join(dir, ManifestName)); !os.IsNotExist(err) {
+		t.Fatalf("an unsealed reopen left the earlier run's manifest (stat: %v)", err)
+	}
+}
+
 // A single flipped byte inside a segment must surface as a checksum
 // rejection with a clear error — never as a silently garbled deposet.
 func TestCorruptionRejected(t *testing.T) {

@@ -405,9 +405,10 @@ type RelayFrame struct {
 	Body   []byte
 }
 
-// RelayBatch is the relay's re-batched upstream frame: many child
-// frames from many origins packed into one sequenced frame on the
-// relay→root session. The outer seq (renumbered by the relay) drives
+// RelayBatch is the relay's upstream frame: child frames packed into
+// one sequenced frame on the relay→root session — one frame as a relay
+// writes it through, many from many origins as a bundle ingest feeds
+// them. The outer seq (renumbered by the relay) drives
 // session resume on the relay hop; the inner per-origin seqs survive
 // inside the bodies, so resume/epoch semantics compose across both
 // hops.
