@@ -283,31 +283,14 @@ func (cc *coordClient) readLoop(conn net.Conn, br *bufio.Reader) {
 	}
 }
 
-// fold applies one root frame to the client's decision state — the
-// inverse of decisions.replay, so a client ends up holding what the
-// root's handshakes would replay to it — then fans it out (at a relay)
-// and wakes the epoch loop. Restart, ReExec and a ResumeAck only ever
-// advance the epoch; a Shutdown counts for the epoch it names, so one a
-// restart raced past is void. A Detection puts the run under active
-// debugging: a planted rogue reverts to controlled behavior from here on.
+// fold applies one root frame to the client's decision state
+// (decisions.fold), then fans it out (at a relay) and wakes the epoch
+// loop.
 func (cc *coordClient) fold(m wire.Msg) {
 	cc.decMu.Lock()
 	defer cc.decMu.Unlock()
 	was := cc.dec.epoch
-	switch v := m.(type) {
-	case wire.Restart:
-		cc.dec.advance(v.Epoch)
-	case wire.ReExec:
-		cc.dec.advance(v.Epoch)
-	case wire.ResumeAck:
-		cc.dec.advance(v.Epoch)
-	case wire.Shutdown:
-		cc.dec.shutdown = cc.dec.shutdown || v.Epoch == cc.dec.epoch
-	case wire.Commit:
-		cc.dec.committed = true
-	case wire.Detection:
-		cc.dec.detection = &v
-	default:
+	if !cc.dec.fold(m) {
 		cc.logf("node %d: coordinator sent unexpected %T", cc.id, m)
 		return
 	}

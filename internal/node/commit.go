@@ -89,7 +89,7 @@ func (c *Coordinator) Wait(timeout time.Duration) (*Result, error) {
 
 	c.mu.Lock()
 	stats := append([]Stats(nil), c.stats...)
-	epoch, restarts := c.epoch, c.restarts
+	epoch, restarts := c.dec.epoch, c.restarts
 	reexecs := c.reexecs
 	dets := append([]DetectionRecord(nil), c.detections...)
 	annots := append([]obs.Event(nil), c.annots...)

@@ -390,7 +390,7 @@ func TestStoreFollowsEveryDiscard(t *testing.T) {
 	check := func(step string, tag int64, sessions int) {
 		t.Helper()
 		ram.mu.Lock()
-		e := ram.epoch
+		e := ram.dec.epoch
 		ram.mu.Unlock()
 		want := ram.collect(e)
 
@@ -406,7 +406,7 @@ func TestStoreFollowsEveryDiscard(t *testing.T) {
 			ingest(c, f)
 		}
 		c.mu.Lock()
-		sealAt := c.epoch
+		sealAt := c.dec.epoch
 		c.mu.Unlock()
 		if err := disk.Seal(n, sealAt); err != nil {
 			t.Fatal(err)

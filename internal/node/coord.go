@@ -149,7 +149,7 @@ type Coordinator struct {
 	sessions   map[int]*nodeSession
 	relays     map[int]*relaySession
 	stats      []Stats
-	epoch      uint32 // cluster re-execution epoch
+	dec        decisions // the run's decisions, written by decide (session.go has the rule)
 	restarts   int
 	reexecs    int               // detection-triggered re-executions
 	detections []DetectionRecord // confirmed live detections, all epochs
@@ -161,22 +161,20 @@ type Coordinator struct {
 	annots     []obs.Event // cluster-level annotations (chaos, epoch bumps)
 	// sealed is the final-epoch deposet when the closing live pass
 	// already assembled it; Wait returns it instead of assembling again.
-	// Written at most once, in commitRun (shutdownMu held, committed
-	// set: no restart can void it) before allByes closes; read by Wait
+	// Written at most once, in commitRun (shutdownMu held, Commit
+	// decided: no restart can void it) before allByes closes; read by Wait
 	// after. A Deposet is immutable, so the handover shares it.
 	sealed *deposet.Deposet
 
-	// shutdownMu serializes the run's terminal decisions — Shutdown
-	// broadcast, Commit broadcast, restart-on-rejoin — and every
-	// handshake (adopting the connection plus replaying the decision
-	// state to it) against each other. Combined with the per-connection
-	// write lock, every node observes those decisions in decision order:
-	// a Shutdown can never overtake the Restart that voided it, and no
-	// broadcast can reach a resuming connection ahead of its ResumeAck.
-	// session.go has the lock order.
+	// shutdownMu serializes the run's decisions — each from the check
+	// that validates it through decide's broadcast — and every handshake
+	// (adopting the connection plus replaying the decisions to it)
+	// against each other. Combined with the per-connection write lock,
+	// every node observes the decisions in decision order: a Shutdown
+	// can never overtake the Restart that voided it, and no broadcast can
+	// reach a resuming connection ahead of its ResumeAck. session.go has
+	// the lock order.
 	shutdownMu sync.Mutex
-	shutdown   bool // Shutdown broadcast for the current epoch, byes pending
-	committed  bool // Commit broadcast: the run is sealed, no more restarts
 
 	allByes chan struct{}
 	byeOnce sync.Once
@@ -332,7 +330,7 @@ func (c *Coordinator) handleConn(raw net.Conn) {
 		err = frame(body)
 	} else {
 		c.shutdownMu.Lock()
-		err = c.decisionsLocked().replay(conn, st.adopt(conn, false, 0))
+		err = c.decisions().replay(conn, st.adopt(conn, false, 0))
 		c.shutdownMu.Unlock()
 	}
 	if err != nil {
@@ -401,7 +399,7 @@ func (c *Coordinator) perform(act ingestAction, epoch uint32, witness int) {
 func (c *Coordinator) hello(st *nodeSession, conn *coordConn, seq, inc uint64) (decided bool, err error) {
 	c.shutdownMu.Lock()
 	defer c.shutdownMu.Unlock()
-	d := c.decisionsLocked()
+	d := c.decisions()
 	st.ingestMu.Lock()
 	st.mu.Lock()
 	if st.inc == inc {
@@ -424,10 +422,17 @@ func (c *Coordinator) hello(st *nodeSession, conn *coordConn, seq, inc uint64) (
 	case refused:
 		return true, d.refuse(conn)
 	case rejoin:
-		// The Restart reaches conn with everyone else's, by the
-		// broadcast; the Detection broadcast it missed does not.
+		// The §8 controlled re-execution: the Restart reaches conn with
+		// everyone else's, by the broadcast; the Detection broadcast it
+		// missed does not.
 		err := d.detect(conn)
-		c.restartClusterLocked(st.id)
+		c.mu.Lock()
+		c.restarts++
+		e := c.dec.epoch + 1
+		c.mu.Unlock()
+		c.logf("coordinator: node %d rejoined; restarting cluster at epoch %d", st.id, e)
+		c.Annotate(obs.EvEpochRestart, int64(st.id), int64(e))
+		c.decide(wire.Restart{Epoch: e})
 		return true, err
 	case d.epoch > 0 && conn != nil:
 		c.logf("coordinator: node %d joined late; catching up to epoch %d", st.id, d.epoch)
@@ -435,53 +440,45 @@ func (c *Coordinator) hello(st *nodeSession, conn *coordConn, seq, inc uint64) (
 	return true, d.catchUp(conn)
 }
 
-// decisionsLocked snapshots the decision state a handshake replays.
-// Caller holds shutdownMu.
-func (c *Coordinator) decisionsLocked() decisions {
-	d := decisions{shutdown: c.shutdown, committed: c.committed}
+// decisions returns the run's decisions, as a handshake replays them.
+func (c *Coordinator) decisions() decisions {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	d.epoch = c.epoch
-	for i := len(c.detections) - 1; i >= 0; i-- {
-		if c.detections[i].ReExec {
-			det := c.detections[i].frame()
-			d.detection = &det
-			break
-		}
-	}
-	return d
+	return c.dec
 }
 
-// bumpEpochLocked moves the cluster to epoch e and voids the completion
-// progress of the abandoned execution. Caller holds c.mu, and resets
-// the live checker once it is released: the abandoned epoch's
-// candidates must not seed a detection in the new one.
-func (c *Coordinator) bumpEpochLocked(e uint32) {
-	c.epoch = e
+// decide takes the decisions ms: it folds them into c.dec, then
+// broadcasts them, both in order. If they move the epoch, the fold has
+// voided a pending Shutdown (its byes can now never come), and decide
+// voids the abandoned execution's completion progress with it. The
+// caller holds shutdownMu from the check that made ms valid through
+// here, so every node sees the decisions in decision order.
+func (c *Coordinator) decide(ms ...wire.Msg) {
+	c.mu.Lock()
+	was := c.dec.epoch
+	for _, m := range ms {
+		c.dec.fold(m)
+	}
+	if c.dec.epoch != was {
+		c.newEpochLocked()
+	}
+	c.mu.Unlock()
+	for _, m := range ms {
+		c.broadcast(m)
+	}
+}
+
+// newEpochLocked voids the completion progress of the execution the
+// cluster just left for c.dec.epoch, and re-arms the live checker at it:
+// the abandoned epoch's candidates must not seed a detection in the new
+// one. Caller holds c.mu.
+func (c *Coordinator) newEpochLocked() {
 	c.doneCount, c.byeCount = 0, 0
 	clear(c.doneSeen)
 	clear(c.byeSeen)
-}
-
-// restartClusterLocked runs the §8 controlled re-execution decision
-// after node id relaunched: bump the epoch, void the completion
-// progress of the abandoned execution — including a pending Shutdown,
-// whose byes can now never complete — and order every node to restart.
-// The caller holds shutdownMu, which serializes this decision against
-// Shutdown/Commit broadcasts and resume replays.
-func (c *Coordinator) restartClusterLocked(id int) {
-	c.shutdown = false
-	c.mu.Lock()
-	c.restarts++
-	e := c.epoch + 1
-	c.bumpEpochLocked(e)
-	c.mu.Unlock()
 	if c.ld != nil {
-		c.ld.Reset(e)
+		c.ld.Reset(c.dec.epoch)
 	}
-	c.logf("coordinator: node %d rejoined; restarting cluster at epoch %d", id, e)
-	c.Annotate(obs.EvEpochRestart, int64(id), int64(e))
-	c.broadcast(wire.Restart{Epoch: e})
 }
 
 // Annotate records a cluster-level instant event — a chaos injection,
@@ -517,17 +514,12 @@ func (c *Coordinator) AnnotateAt(atNs int64, name string, a, b int64) {
 func (c *Coordinator) broadcastShutdown(e uint32) {
 	c.shutdownMu.Lock()
 	defer c.shutdownMu.Unlock()
-	if c.shutdown || c.committed {
-		return
-	}
 	c.mu.Lock()
-	valid := c.epoch == e && c.doneCount == c.n
+	valid := !c.dec.shutdown && !c.dec.committed && c.dec.epoch == e && c.doneCount == c.n
 	c.mu.Unlock()
-	if !valid {
-		return
+	if valid {
+		c.decide(wire.Shutdown{Epoch: e})
 	}
-	c.shutdown = true
-	c.broadcast(wire.Shutdown{Epoch: e})
 }
 
 // commitRun seals the run at epoch e once every bye is in and the
@@ -538,17 +530,13 @@ func (c *Coordinator) broadcastShutdown(e uint32) {
 func (c *Coordinator) commitRun(e uint32) {
 	c.shutdownMu.Lock()
 	defer c.shutdownMu.Unlock()
-	if c.committed || !c.shutdown {
-		return
-	}
 	c.mu.Lock()
-	valid := c.epoch == e && c.byeCount == c.n
+	valid := c.dec.shutdown && !c.dec.committed && c.dec.epoch == e && c.byeCount == c.n
 	c.mu.Unlock()
 	if !valid {
 		return
 	}
-	c.committed = true
-	c.broadcast(wire.Commit{})
+	c.decide(wire.Commit{})
 	// Closing live pass after the Commit goes out but before allByes
 	// releases Wait: every bye is in, so the staged capture is the
 	// complete final-epoch trace, and one last confirmation makes the

@@ -156,25 +156,22 @@ func (c *Coordinator) ingestStored(st *nodeSession, m wire.Msg, raw []byte) (ing
 		}
 		st.mu.Unlock()
 		c.mu.Lock()
-		adopted := v.Epoch > c.epoch
-		if adopted {
+		if v.Epoch > c.dec.epoch {
 			// A mark above our epoch means we are the one missing state —
 			// a restarted coordinator rebuilding from session replays.
-			// Adopt it and recount completion from the replayed streams.
-			c.bumpEpochLocked(v.Epoch)
+			// Adopt it (voiding a Shutdown pending for the epoch left) and
+			// recount completion from the replayed streams. Nothing is
+			// broadcast: the streams are already there.
+			c.dec.advance(v.Epoch)
+			c.newEpochLocked()
 		}
 		c.mu.Unlock()
-		if adopted && c.ld != nil {
-			// The checker's epoch follows the cluster epoch, including
-			// one adopted from a replayed stream.
-			c.ld.Reset(v.Epoch)
-		}
 	case wire.Done:
 		st.mu.Lock()
 		se := st.epoch
 		st.mu.Unlock()
 		c.mu.Lock()
-		if se != c.epoch {
+		if se != c.dec.epoch {
 			c.mu.Unlock()
 			return actNone, 0
 		}
@@ -195,7 +192,7 @@ func (c *Coordinator) ingestStored(st *nodeSession, m wire.Msg, raw []byte) (ing
 			c.doneCount++
 		}
 		all := c.doneCount == c.n
-		e := c.epoch
+		e := c.dec.epoch
 		c.mu.Unlock()
 		if first && all {
 			return actAllDone, e
@@ -206,8 +203,8 @@ func (c *Coordinator) ingestStored(st *nodeSession, m wire.Msg, raw []byte) (ing
 		st.mu.Unlock()
 		c.mu.Lock()
 		all := false
-		e := c.epoch
-		counted := se == c.epoch && v.Epoch == c.epoch && !c.byeSeen[st.id]
+		e := c.dec.epoch
+		counted := se == c.dec.epoch && v.Epoch == c.dec.epoch && !c.byeSeen[st.id]
 		if counted {
 			c.byeSeen[st.id] = true
 			c.byeCount++

@@ -97,14 +97,14 @@ func (r DetectionRecord) frame() wire.Detection {
 func (c *Coordinator) fireDetection(witness int) {
 	c.shutdownMu.Lock()
 	defer c.shutdownMu.Unlock()
-	if c.ld == nil || c.committed {
+	if c.ld == nil {
 		return
 	}
 	c.mu.Lock()
-	e := c.epoch
+	e, committed := c.dec.epoch, c.dec.committed
 	c.mu.Unlock()
-	if !c.ld.Pending(e) {
-		return // superseded by a restart, or already confirmed
+	if committed || !c.ld.Pending(e) {
+		return // sealed, superseded by a restart, or already confirmed
 	}
 	c.confirmLocked(e, witness, false)
 }
@@ -197,25 +197,21 @@ func liveStrategy(d *deposet.Deposet, b predicate.Expr) (control.Relation, error
 	return rel, err
 }
 
-// reexecClusterLocked is restartClusterLocked's detection-triggered
+// reexecClusterLocked is the rejoin restart's detection-triggered
 // twin — the paper's active-debugging response, driven automatically:
 // void the epoch the violation was observed in, announce the detection
 // (Detection frame, so every node knows it now runs under control) and
 // order the §8 controlled re-execution (ReExec frame, which nodes
 // treat as a Restart). Caller holds shutdownMu.
 func (c *Coordinator) reexecClusterLocked(rec DetectionRecord) {
-	c.shutdown = false
 	c.mu.Lock()
 	c.reexecs++
-	ne := c.epoch + 1
-	c.bumpEpochLocked(ne)
+	ne := c.dec.epoch + 1
 	c.mu.Unlock()
-	c.ld.Reset(ne)
 	c.logf("coordinator: detection at epoch %d: controlled re-execution at epoch %d (%d strategy edges)",
 		rec.Epoch, ne, rec.StrategyEdges)
 	c.Annotate(obs.EvEpochReExec, int64(rec.Node), int64(ne))
-	c.broadcast(rec.frame())
-	c.broadcast(wire.ReExec{Epoch: ne, Edges: uint32(rec.StrategyEdges)})
+	c.decide(rec.frame(), wire.ReExec{Epoch: ne, Edges: uint32(rec.StrategyEdges)})
 }
 
 // finalLiveLocked is the commit-time closing pass: force the trigger

@@ -102,8 +102,7 @@ func TestLiveCandidateEpochDiscard(t *testing.T) {
 
 	// A restart decision moves the cluster (and checker) to epoch 1
 	// while the stream still runs epoch 0: its stragglers are stale.
-	c.epoch = 1
-	c.ld.Reset(1)
+	c.decide(wire.Restart{Epoch: 1})
 	if act, _ := c.ingestStored(st, wire.Candidate{Proc: 1, LoIdx: 1, HiIdx: 2, Lo: []int32{0, 1}, Hi: []int32{0, 2}}, nil); act != actNone {
 		t.Fatalf("stale-epoch candidate triggered action %v", act)
 	}

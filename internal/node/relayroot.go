@@ -57,7 +57,7 @@ func (c *Coordinator) handleRelay(conn *coordConn, h wire.RelayHello) {
 	// inner sequence.
 	rs.ingestMu.Lock()
 	c.shutdownMu.Lock()
-	err := c.decisionsLocked().replay(conn, rs.adoptLocked(conn, !h.Resume, 0))
+	err := c.decisions().replay(conn, rs.adoptLocked(conn, !h.Resume, 0))
 	c.shutdownMu.Unlock()
 	rs.ingestMu.Unlock()
 	if err != nil {

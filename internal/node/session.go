@@ -25,23 +25,27 @@ import (
 //	relaySession.ingestMu   one uplink's accept-and-unpack, held across
 //	                        a whole RelayBatch — above shutdownMu because
 //	                        a relayed Hello in the batch decides a restart
-//	Coordinator.shutdownMu  the terminal decisions (Shutdown, Commit,
-//	                        restart, re-execution) and every handshake's
-//	                        adoption + decision replay
+//	Coordinator.shutdownMu  each decision (Shutdown, Commit, restart,
+//	                        re-execution) from its check through its
+//	                        broadcast, and every handshake's adoption +
+//	                        decision replay
 //	nodeSession.ingestMu    one node stream's accept-and-stage
 //	inbound.mu, Coordinator.mu, endpoint.connMu
 //	                        leaves: a session's owner, sequence and
-//	                        staging; the session tables, epoch and
+//	                        staging; the session tables, decisions and
 //	                        completion counts; the accepted connections.
 //	                        Never nested, never held across I/O
 //	coordConn.wmu           one connection's writes
 //
-// The store, the live checker and the journal lock internally and call
-// nothing back. A relay is the same shape one level down: a child's
-// inbound.ingestMu → the uplink client's decMu (its shutdownMu) →
-// inbound.mu / Relay.mu. The uplink's mu, held across every uplink
-// write, is taken under ingestMu (to sequence a child frame onto the
-// log) and never under decMu, so a fold never waits behind a write.
+// c.dec is written only by decide, with both shutdownMu and c.mu held,
+// and by an EpochMark adoption, which broadcasts nothing; so reading it
+// takes c.mu alone, and Status takes no decision lock. The store, the
+// live checker and the journal lock internally and call nothing back.
+// A relay is the same shape one level down: a child's inbound.ingestMu
+// → the uplink client's decMu (its shutdownMu) → inbound.mu / Relay.mu.
+// The uplink's mu, held across every uplink write, is taken under
+// ingestMu (to sequence a child frame onto the log) and never under
+// decMu, so a fold never waits behind a write.
 
 // streamReadDeadline bounds one wait for the next frame of an accepted
 // stream. Generous: peers stream continuously while alive, and a wedged
@@ -347,10 +351,11 @@ func (ep *endpoint) register(in *inbound) {
 }
 
 // decisions is the run's terminal decision state as a handshake must
-// present it: built from coordinator state under shutdownMu at the
-// root, folded from the root's frames by every client of it (a node's
-// epoch loop and a relay's handshakes read the fold). A connection
-// that was not attached when a decision was broadcast learns it here.
+// present it, folded from the decision frames: by the root from each
+// frame it decides (Coordinator.decide), by every client of the root
+// from each frame it receives (a node's epoch loop and a relay's
+// handshakes read the fold). A connection that was not attached when a
+// decision was broadcast learns it here.
 type decisions struct {
 	epoch     uint32
 	shutdown  bool            // Shutdown broadcast for epoch, byes pending
@@ -364,6 +369,32 @@ func (d *decisions) advance(e uint32) {
 	if e > d.epoch {
 		d.epoch, d.shutdown = e, false
 	}
+}
+
+// fold applies one decision frame — the inverse of replay, so a client
+// ends up holding what the root's handshakes would replay to it — and
+// reports whether m was one. Restart, ReExec and a ResumeAck only ever
+// advance the epoch; a Shutdown counts for the epoch it names, so one a
+// restart raced past is void. A Detection puts the run under active
+// debugging: a planted rogue reverts to controlled behavior from here on.
+func (d *decisions) fold(m wire.Msg) bool {
+	switch v := m.(type) {
+	case wire.Restart:
+		d.advance(v.Epoch)
+	case wire.ReExec:
+		d.advance(v.Epoch)
+	case wire.ResumeAck:
+		d.advance(v.Epoch)
+	case wire.Shutdown:
+		d.shutdown = d.shutdown || v.Epoch == d.epoch
+	case wire.Commit:
+		d.committed = true
+	case wire.Detection:
+		d.detection = &v
+	default:
+		return false
+	}
+	return true
 }
 
 // detect tells conn the run is under active debugging, if it is: a

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"net"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -173,8 +174,7 @@ func TestHandshakeNotOvertakenByBroadcast(t *testing.T) {
 	// Give the handler time to read the Resume and reach the decision
 	// lock; too short a wait can only make the test pass vacuously.
 	time.Sleep(50 * time.Millisecond)
-	c.shutdown = true
-	c.broadcast(wire.Shutdown{})
+	c.decide(wire.Shutdown{})
 	c.shutdownMu.Unlock()
 
 	conn.SetReadDeadline(time.Now().Add(10 * time.Second))
@@ -314,15 +314,12 @@ func TestRelayFoldNotBlockedByUplinkWrite(t *testing.T) {
 	}
 }
 
-// TestFoldInvertsReplay: a client that folds what a resume handshake
-// replays holds the state the root replayed, for every decisions value
-// the root can build. A Shutdown naming another epoch and an older
-// Restart, ReExec or ResumeAck change nothing, and advancing the epoch
-// voids a pending Shutdown.
+// TestFoldInvertsReplay: folding what a resume handshake replays
+// yields the state the root replayed, for every decisions value the
+// root can build. A Shutdown naming another epoch and an older Restart,
+// ReExec or ResumeAck change nothing, and advancing the epoch voids a
+// pending Shutdown.
 func TestFoldInvertsReplay(t *testing.T) {
-	fresh := func() *coordClient {
-		return newCoordClient("", 0, 2, Batching{}, newWireMeters(nil, "coord"), Timeouts{}, nil, t.Logf)
-	}
 	det := &wire.Detection{Epoch: 1, Node: 1, AtNs: 7, Cut: []int64{3, 0, 4, 1}}
 	for epoch := uint32(0); epoch <= 2; epoch++ {
 		for _, shutdown := range []bool{false, true} {
@@ -334,17 +331,19 @@ func TestFoldInvertsReplay(t *testing.T) {
 						d.replay(&coordConn{Conn: a, writeTimeout: time.Second}, 9)
 						a.Close()
 					}()
-					cc := fresh()
+					var got decisions
 					br := bufReader(b)
 					for {
 						_, m, err := wire.ReadFrame(br)
 						if err != nil {
 							break
 						}
-						cc.fold(m)
+						if !got.fold(m) {
+							t.Fatalf("replay sent %T, not a decision", m)
+						}
 					}
 					b.Close()
-					if got := cc.decisions(); !reflect.DeepEqual(got, d) {
+					if !reflect.DeepEqual(got, d) {
 						t.Fatalf("fold(replay(%+v)) = %+v", d, got)
 					}
 					stale := []wire.Msg{wire.Shutdown{Epoch: epoch + 1}}
@@ -353,8 +352,8 @@ func TestFoldInvertsReplay(t *testing.T) {
 							wire.Restart{Epoch: epoch - 1}, wire.ReExec{Epoch: epoch - 1}, wire.ResumeAck{Epoch: epoch - 1})
 					}
 					for _, m := range stale {
-						cc.fold(m)
-						if got := cc.decisions(); !reflect.DeepEqual(got, d) {
+						got.fold(m)
+						if !reflect.DeepEqual(got, d) {
 							t.Fatalf("%+v: folding %T%+v changed it to %+v", d, m, m, got)
 						}
 					}
@@ -363,11 +362,160 @@ func TestFoldInvertsReplay(t *testing.T) {
 		}
 	}
 	for _, m := range []wire.Msg{wire.Restart{Epoch: 2}, wire.ReExec{Epoch: 2}, wire.ResumeAck{Epoch: 2}} {
-		cc := fresh()
-		cc.dec = decisions{epoch: 1, shutdown: true}
-		cc.fold(m)
-		if got, want := cc.decisions(), (decisions{epoch: 2}); got != want {
+		got := decisions{epoch: 1, shutdown: true}
+		got.fold(m)
+		if want := (decisions{epoch: 2}); got != want {
 			t.Errorf("folding %T%+v over a pending Shutdown: %+v, want %+v", m, m, got, want)
 		}
+	}
+}
+
+// rootScript drives a listener-free n-node coordinator frame by frame,
+// as handleConn does: ingest, then perform what the frame obligated.
+// Node 0's stream is owned by one end of a net.Pipe; every other node
+// is relayed (a nil connection, whose writes go nowhere).
+type rootScript struct {
+	t    *testing.T
+	c    *Coordinator
+	conn *coordConn
+	seqs []uint64
+	got  chan []wire.Msg
+}
+
+func newRootScript(t *testing.T, n int) *rootScript {
+	a, b := net.Pipe()
+	r := &rootScript{t: t, c: newCoordinator(n, nil, t.Logf), seqs: make([]uint64, n), got: make(chan []wire.Msg),
+		conn: &coordConn{Conn: a, writeTimeout: 10 * time.Second}}
+	t.Cleanup(func() { a.Close(); b.Close() })
+	go func() {
+		var frames []wire.Msg
+		br := bufReader(b)
+		for {
+			_, m, err := wire.ReadFrame(br)
+			if err != nil {
+				close(r.got)
+				return
+			}
+			if _, fence := m.(wire.EpochMark); fence {
+				r.got <- slices.Clone(frames)
+			} else {
+				frames = append(frames, m)
+			}
+		}
+	}()
+	return r
+}
+
+// send feeds node id's next frame; a Hello starts a new process, with
+// incarnation inc and a log numbered afresh.
+func (r *rootScript) send(id int, m wire.Msg) {
+	r.t.Helper()
+	if _, ok := m.(wire.Hello); ok {
+		r.seqs[id] = 0
+	}
+	r.seqs[id]++
+	conn := r.conn
+	if id != 0 {
+		conn = nil
+	}
+	act, e, err := r.c.ingest(r.c.session(id), conn, wire.AppendBody(nil, r.seqs[id], m))
+	if err != nil {
+		r.t.Fatalf("node %d: %T: %v", id, m, err)
+	}
+	r.c.perform(act, e, id)
+}
+
+// all sends m from every node in turn.
+func (r *rootScript) all(m wire.Msg) {
+	r.t.Helper()
+	for id := range r.seqs {
+		r.send(id, m)
+	}
+}
+
+// received writes a fence behind whatever the root has written to node
+// 0 and returns every frame before it.
+func (r *rootScript) received() []wire.Msg {
+	r.t.Helper()
+	if err := r.conn.writeFrame(wire.EpochMark{}); err != nil {
+		r.t.Fatal(err)
+	}
+	return <-r.got
+}
+
+// TestRootFoldsWhatItBroadcasts: the root changes its decisions only by
+// the frames it broadcasts. After every step of a run with a rejoin
+// restart, folding everything node 0's stream received into a zero
+// decisions value gives the root's own.
+func TestRootFoldsWhatItBroadcasts(t *testing.T) {
+	r := newRootScript(t, 2)
+	check := func(step string, want decisions) {
+		t.Helper()
+		var got decisions
+		for _, m := range r.received() {
+			if !got.fold(m) {
+				t.Fatalf("after %s: node 0 was sent %T, not a decision", step, m)
+			}
+		}
+		if root := r.c.decisions(); !reflect.DeepEqual(got, root) {
+			t.Fatalf("after %s: node 0 folded %+v, the root holds %+v", step, got, root)
+		}
+		if got != want {
+			t.Fatalf("after %s: the root holds %+v, want %+v", step, got, want)
+		}
+	}
+	r.send(0, wire.Hello{From: 0, N: 2, Inc: 1})
+	r.send(1, wire.Hello{From: 1, N: 2, Inc: 1})
+	check("the Hellos", decisions{})
+	r.all(wire.Done{})
+	check("every Done", decisions{shutdown: true})
+	r.send(1, wire.Hello{From: 1, N: 2, Inc: 2})
+	check("a relaunch", decisions{epoch: 1})
+	r.all(wire.EpochMark{Epoch: 1})
+	check("the EpochMarks", decisions{epoch: 1})
+	r.all(wire.Done{})
+	check("every Done at epoch 1", decisions{epoch: 1, shutdown: true})
+	r.all(wire.Shutdown{Epoch: 1})
+	check("every bye", decisions{epoch: 1, shutdown: true, committed: true})
+}
+
+// TestAdoptedEpochVoidsShutdown: an EpochMark above the root's epoch is
+// adopted, and a Shutdown pending for the epoch left is void with it —
+// else the root believes the new epoch shut down, and its Shutdown is
+// never broadcast while every node waits for it.
+func TestAdoptedEpochVoidsShutdown(t *testing.T) {
+	r := newRootScript(t, 2)
+	r.send(0, wire.Hello{From: 0, N: 2, Inc: 1})
+	r.send(1, wire.Hello{From: 1, N: 2, Inc: 1})
+	r.all(wire.Done{})
+	r.send(0, wire.EpochMark{Epoch: 1})
+	if s := r.c.Status(); s.Epoch != 1 || s.Shutdown {
+		t.Fatalf("after the adoption: epoch %d, shutdown %t; want 1, false", s.Epoch, s.Shutdown)
+	}
+	r.send(1, wire.EpochMark{Epoch: 1})
+	r.all(wire.Done{})
+	got := r.received()
+	if want := []wire.Msg{wire.Shutdown{Epoch: 0}, wire.Shutdown{Epoch: 1}}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("node 0 was sent %+v, want %+v", got, want)
+	}
+	if got, want := r.c.decisions(), (decisions{epoch: 1, shutdown: true}); got != want {
+		t.Fatalf("the root holds %+v, want %+v", got, want)
+	}
+}
+
+// TestStatusNotBlockedByDecision: the status document — /statusz, pctl
+// top, Wait's stall report — reads the decisions without the decision
+// lock, so a decision that holds it (a live confirm, the commit's
+// closing pass and seal) does not hold up the tool meant to diagnose it.
+func TestStatusNotBlockedByDecision(t *testing.T) {
+	c := newCoordinator(2, nil, t.Logf)
+	c.shutdownMu.Lock()
+	defer c.shutdownMu.Unlock()
+	done := make(chan CoordStatus, 1)
+	go func() { done <- c.Status() }()
+	select {
+	case <-done:
+	case <-time.After(2 * time.Second):
+		t.Fatal("Status waited on the decision lock")
 	}
 }

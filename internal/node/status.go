@@ -105,7 +105,8 @@ func (c *Coordinator) Status() CoordStatus {
 	now := time.Now()
 	c.mu.Lock()
 	s := CoordStatus{
-		N: c.n, Epoch: c.epoch, Restarts: c.restarts,
+		N: c.n, Epoch: c.dec.epoch, Restarts: c.restarts,
+		Shutdown: c.dec.shutdown, Committed: c.dec.committed,
 		Done: c.doneCount, Byes: c.byeCount,
 		UptimeMs:   now.Sub(c.start).Milliseconds(),
 		Live:       c.ld != nil,
@@ -119,9 +120,6 @@ func (c *Coordinator) Status() CoordStatus {
 	if c.ld != nil {
 		s.LiveFired = c.ld.Fired()
 	}
-	c.shutdownMu.Lock()
-	s.Shutdown, s.Committed = c.shutdown, c.committed
-	c.shutdownMu.Unlock()
 	for _, st := range c.sessionsSorted() {
 		st.mu.Lock()
 		row := CoordNodeStatus{
