@@ -92,6 +92,6 @@ func AllViolations(d *deposet.Deposet, b predicate.Expr) ([]deposet.Cut, EnumSta
 		cuts := sl.Cuts()
 		return cuts, EnumStats{Sliced: true, MetaEvents: sl.Stats().MetaEvents, StatesExplored: len(cuts)}
 	}
-	cuts, explored := walkViolations(d, b)
+	cuts, explored := AllViolationsExhaustive(d, b)
 	return cuts, EnumStats{StatesExplored: explored}
 }

@@ -40,26 +40,20 @@ func violationSlice(d *deposet.Deposet, b predicate.Expr) (*slice.Slice, bool) {
 
 // AllViolationsExhaustive enumerates the full lattice regardless of the
 // predicate's fragment — the cross-validation oracle for the sliced path
-// (and the only route for non-regular predicates). BFS discovery order.
-func AllViolationsExhaustive(d *deposet.Deposet, b predicate.Expr) []deposet.Cut {
-	cuts, _ := walkViolations(d, b)
-	return cuts
-}
-
-// walkViolations is the lattice walk behind AllViolationsExhaustive and
-// AllViolations' non-regular path, also counting the cuts it visited. The
-// predicate is compiled to packed per-state truth bits up front so the
-// per-cut evaluations are bit tests.
-func walkViolations(d *deposet.Deposet, b predicate.Expr) (out []deposet.Cut, explored int) {
+// (and AllViolations' route for non-regular predicates) — in BFS
+// discovery order, also counting the cuts it visited: the lattice's
+// size. The predicate is compiled to packed per-state truth bits up
+// front so the per-cut evaluations are bit tests.
+func AllViolationsExhaustive(d *deposet.Deposet, b predicate.Expr) (out []deposet.Cut, lattice int) {
 	b = predicate.Compile(b, d)
 	d.ForEachConsistentCut(func(g deposet.Cut) bool {
-		explored++
+		lattice++
 		if !b.Eval(d, g) {
 			out = append(out, g.Clone())
 		}
 		return true
 	})
-	return out, explored
+	return out, lattice
 }
 
 // PossiblyGeneralExhaustive is the lattice-walk oracle for

@@ -126,9 +126,8 @@ func MeasureSlice(seed int64) *SliceBaseline {
 		m.SliceNs = timeBest(func() { detect.AllViolations(d, dj) })
 
 		if wl.oracle {
-			m.LatticeCuts = d.CountConsistentCuts()
 			var oracle []deposet.Cut
-			m.ExhaustiveNs = timeIt(func() { oracle = detect.AllViolationsExhaustive(d, dj) }).Nanoseconds()
+			m.ExhaustiveNs = timeIt(func() { oracle, m.LatticeCuts = detect.AllViolationsExhaustive(d, dj) }).Nanoseconds()
 			m.Identical = keySet(cuts) == keySet(oracle)
 			if m.SliceNs > 0 {
 				m.SliceGain1w = float64(m.ExhaustiveNs) / float64(m.SliceNs)
@@ -188,12 +187,12 @@ func SliceSmoke(seed int64) (string, error) {
 		if !stats.Sliced {
 			return "", fmt.Errorf("%s: did not take the slice path", wl.name)
 		}
-		want := detect.AllViolationsExhaustive(d, dj)
+		want, lattice := detect.AllViolationsExhaustive(d, dj)
 		if keySet(got) != keySet(want) {
 			return "", fmt.Errorf("%s: slice violations diverge from exhaustive oracle (%d vs %d cuts)",
 				wl.name, len(got), len(want))
 		}
-		if lattice := d.CountConsistentCuts(); stats.StatesExplored >= lattice {
+		if stats.StatesExplored >= lattice {
 			return "", fmt.Errorf("%s: slice explored %d states, lattice only %d",
 				wl.name, stats.StatesExplored, lattice)
 		}

@@ -139,11 +139,11 @@ type coordClient struct {
 
 	// Session-machinery hooks, set only by the relay's uplink (nil on a
 	// node's stream): mkResume replaces the Resume handshake frame, and
-	// fanOut sees every folded frame, under decMu, with the epoch held
-	// before it. They let the relay reuse the session log,
-	// redial/backoff and retransmit machinery unchanged.
+	// fanOut sees every folded frame, under decMu. They let the relay
+	// reuse the session log, redial/backoff and retransmit machinery
+	// unchanged.
 	mkResume func() wire.Msg
-	fanOut   func(m wire.Msg, was uint32)
+	fanOut   func(m wire.Msg)
 }
 
 // newCoordClient builds a disconnected session; a node's dialCoord and
@@ -289,13 +289,12 @@ func (cc *coordClient) readLoop(conn net.Conn, br *bufio.Reader) {
 func (cc *coordClient) fold(m wire.Msg) {
 	cc.decMu.Lock()
 	defer cc.decMu.Unlock()
-	was := cc.dec.epoch
 	if !cc.dec.fold(m) {
 		cc.logf("node %d: coordinator sent unexpected %T", cc.id, m)
 		return
 	}
 	if cc.fanOut != nil {
-		cc.fanOut(m, was)
+		cc.fanOut(m)
 	}
 	select {
 	case cc.decCh <- struct{}{}:

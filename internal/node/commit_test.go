@@ -365,7 +365,7 @@ func TestStoreFollowsEveryDiscard(t *testing.T) {
 	seqs := make([]uint64, n)
 	ingest := func(c *Coordinator, f frame) {
 		t.Helper()
-		if _, _, err := c.ingest(c.session(f.id), nil, f.body); err != nil {
+		if _, _, err := c.ingest(c.session(f.id), nil, nil, f.body); err != nil {
 			t.Fatalf("node %d: %v", f.id, err)
 		}
 	}

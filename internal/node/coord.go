@@ -322,7 +322,7 @@ func (c *Coordinator) handleConn(raw net.Conn) {
 	conn.peer = "node " + strconv.Itoa(id)
 	st := c.session(id)
 	frame := func(body []byte) error {
-		act, epoch, err := c.ingest(st, conn, body)
+		act, epoch, err := c.ingest(st, conn, conn, body)
 		c.perform(act, epoch, id)
 		return err
 	}
@@ -341,22 +341,23 @@ func (c *Coordinator) handleConn(raw net.Conn) {
 }
 
 // ingest is the one per-origin frame path, for a node's own connection
-// and for a relay-forwarded frame (nil conn) alike. A Hello goes to the
-// Hello decision, which takes it unless it names the incarnation
+// and for a relay-forwarded frame alike: owner is the gate's (nil when
+// relayed), answer the connection the frame came on. A Hello goes to
+// the Hello decision, which takes it unless it names the incarnation
 // already on record — a resume replaying frame 1 — and everything else
 // goes through the session's gate into ingestStored. The caller
 // performs what the frame obligated once its own locks are released.
-func (c *Coordinator) ingest(st *nodeSession, conn *coordConn, body []byte) (act ingestAction, epoch uint32, err error) {
+func (c *Coordinator) ingest(st *nodeSession, owner, answer *coordConn, body []byte) (act ingestAction, epoch uint32, err error) {
 	seq, m, err := wire.DecodeBody(body)
 	if err != nil {
 		return actNone, 0, err
 	}
 	if h, ok := m.(wire.Hello); ok {
-		if decided, err := c.hello(st, conn, seq, h.Inc); decided {
+		if decided, err := c.hello(st, owner, answer, seq, h.Inc); decided {
 			return actNone, 0, err
 		}
 	}
-	err = st.deliver(conn, seq, func() { act, epoch = c.ingestStored(st, m, body) })
+	err = st.deliver(owner, seq, func() { act, epoch = c.ingestStored(st, m, body) })
 	return act, epoch, err
 }
 
@@ -383,20 +384,20 @@ func (c *Coordinator) perform(act ingestAction, epoch uint32, witness int) {
 	}
 }
 
-// hello runs the Hello decision for node st — arrived on conn, or, with
-// a nil conn, forwarded by a relay (which answers its child from its
-// uplink's folded decisions; the decision stays the root's, whose per-origin
-// incarnation record survives relay crashes). It reports whether it
-// decided: a Hello of the incarnation on record is a resume replaying
-// frame 1, left to the gate. A first incarnation opens the session. A
-// different one is a relaunched process: it has no session to resume,
-// its old incarnation's stream state is void, and — until Commit — the
-// cluster restarts, even between the Shutdown broadcast and the last
-// bye: the "completed" execution is re-run, because refusing the
-// relaunch would strand the byes the dead incarnation never sent. After
-// Commit the staged capture is (being) assembled: the session is left
-// untouched and the relaunch told to stand down.
-func (c *Coordinator) hello(st *nodeSession, conn *coordConn, seq, inc uint64) (decided bool, err error) {
+// hello runs the Hello decision for node st, whose per-origin
+// incarnation record survives relay crashes: owner becomes the gate's,
+// and the answer goes to answer, the connection the Hello came on (a
+// relay's uplink fans it out). It reports whether it decided: a Hello
+// of the incarnation on record is a resume replaying frame 1, left to
+// the gate. A first incarnation opens the session. A different one is a
+// relaunched process: it has no session to resume, its old
+// incarnation's stream state is void, and — until Commit — the cluster
+// restarts, even between the Shutdown broadcast and the last bye: the
+// "completed" execution is re-run, because refusing the relaunch would
+// strand the byes the dead incarnation never sent. After Commit the
+// staged capture is (being) assembled: the session is left untouched
+// and the relaunch told to stand down.
+func (c *Coordinator) hello(st *nodeSession, owner, answer *coordConn, seq, inc uint64) (decided bool, err error) {
 	c.shutdownMu.Lock()
 	defer c.shutdownMu.Unlock()
 	d := c.decisions()
@@ -415,17 +416,17 @@ func (c *Coordinator) hello(st *nodeSession, conn *coordConn, seq, inc uint64) (
 	}
 	st.mu.Unlock()
 	if !refused {
-		st.adoptLocked(conn, true, seq)
+		st.adoptLocked(owner, true, seq)
 	}
 	st.ingestMu.Unlock()
 	switch {
 	case refused:
-		return true, d.refuse(conn)
+		return true, d.refuse(answer)
 	case rejoin:
-		// The §8 controlled re-execution: the Restart reaches conn with
-		// everyone else's, by the broadcast; the Detection broadcast it
-		// missed does not.
-		err := d.detect(conn)
+		// The §8 controlled re-execution: the Restart reaches the
+		// relaunch with everyone else's, by the broadcast; the Detection
+		// broadcast it missed does not.
+		err := d.detect(answer)
 		c.mu.Lock()
 		c.restarts++
 		e := c.dec.epoch + 1
@@ -434,10 +435,10 @@ func (c *Coordinator) hello(st *nodeSession, conn *coordConn, seq, inc uint64) (
 		c.Annotate(obs.EvEpochRestart, int64(st.id), int64(e))
 		c.decide(wire.Restart{Epoch: e})
 		return true, err
-	case d.epoch > 0 && conn != nil:
+	case d.epoch > 0:
 		c.logf("coordinator: node %d joined late; catching up to epoch %d", st.id, d.epoch)
 	}
-	return true, d.catchUp(conn)
+	return true, d.catchUp(answer)
 }
 
 // decisions returns the run's decisions, as a handshake replays them.

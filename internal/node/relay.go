@@ -21,7 +21,8 @@ import (
 // coordClient (the same session log, redial/backoff and retransmit
 // code), with a RelayHello handshake. The uplink folds the root's
 // decisions like any client; the relay only fans each folded frame out
-// to the children and answers their handshakes from the fold.
+// to the children and answers their Resumes from the fold; a child's
+// Hello gets the root's answer, down the uplink.
 //
 // A relay crash heals like a coordinator-stream sever: children redial
 // with backoff and offer Resume; the relaunched relay has no per-child
@@ -36,7 +37,7 @@ type Relay struct {
 	endpoint // the shared session layer's half: listener, connections, streams
 	cfg      RelayConfig
 	// cc is the uplink. Its decMu is the relay's shutdownMu: folding a
-	// root decision plus fanning it out, and a child handshake's adoption
+	// root decision plus fanning it out, and a child Resume's adoption
 	// plus decision replay, are atomic against each other — no fan-out
 	// can reach a resuming child ahead of its ResumeAck.
 	cc *coordClient
@@ -69,7 +70,7 @@ type RelayConfig struct {
 // StartRelay establishes the upstream session (blocking until the root
 // answers or the coordinator deadline passes), then begins accepting
 // children. The synchronous uplink handshake is what guarantees every
-// child handshake can be answered with the cluster's current epoch.
+// child's ResumeAck carries the cluster's current epoch.
 func StartRelay(cfg RelayConfig) (*Relay, error) {
 	if cfg.N < 2 || cfg.Relays < 1 || cfg.Index < 0 || cfg.Index >= cfg.Relays {
 		return nil, fmt.Errorf("node: relay %d/%d for n=%d: bad shape", cfg.Index, cfg.Relays, cfg.N)
@@ -123,12 +124,12 @@ func (r *Relay) mkResume() wire.Msg {
 }
 
 // fanOut forwards every root frame the uplink folds to the children,
-// under the uplink's decMu. The uplink's own ResumeAck goes on only if
-// it advanced the epoch — a Restart decided while the uplink was down —
-// and then as that Restart.
-func (r *Relay) fanOut(m wire.Msg, was uint32) {
+// under the uplink's decMu. The uplink's own ResumeAck past epoch 0
+// goes on as that epoch's Restart: a Restart, or a Hello's catch-up,
+// may have died with the broken uplink.
+func (r *Relay) fanOut(m wire.Msg) {
 	if ack, ok := m.(wire.ResumeAck); ok {
-		if ack.Epoch <= was {
+		if ack.Epoch == 0 {
 			return
 		}
 		m = wire.Restart{Epoch: ack.Epoch}
@@ -151,13 +152,14 @@ func (r *Relay) child(id int) *inbound {
 
 // handleChild serves one child connection: the handshake contract the
 // root implements — Resume continues with a cumulative ack and the
-// uplink's folded decisions replayed; Hello opens and is answered from
-// them — then sequence-gated write-through of raw frame bodies onto the
-// uplink. A Hello is forwarded like any frame: it is frame 1 of the
-// child's session log, and the root owns the restart decision (its
-// per-origin incarnation record survives relay crashes). The Hello is
-// sequenced after decMu is released, as the lock order has it
-// (session.go): a fold never waits behind an uplink write.
+// uplink's folded decisions replayed; Hello opens — then sequence-gated
+// write-through of raw frame bodies onto the uplink. A Hello is
+// forwarded like any frame, and answered by the root alone: it is frame
+// 1 of the child's session log, and the root's per-origin incarnation
+// record, which survives relay crashes, tells a relaunch from a first
+// join. A Resume's adoption and replay are one step under decMu; a
+// Hello is sequenced onto the uplink without it, as the lock order has
+// it (session.go): a fold never waits behind an uplink write.
 func (r *Relay) handleChild(raw net.Conn) {
 	conn, body, seq, first, err := r.open(raw)
 	if err != nil {
@@ -171,24 +173,15 @@ func (r *Relay) handleChild(raw net.Conn) {
 	conn.peer = "node " + strconv.Itoa(id)
 	ch := r.child(id)
 	ch.ingestMu.Lock()
-	r.cc.decMu.Lock()
-	d := r.cc.dec
-	switch {
-	case !fresh:
-		err = d.replay(conn, ch.adoptLocked(conn, false, 0))
-	case d.committed:
-		// Not forwarded either: there is no run left to restart.
-		err = d.refuse(conn)
-	default:
-		// The folded catch-up stands in for the root's targeted writes.
-		ch.adoptLocked(conn, true, seq)
-		err = d.catchUp(conn)
-	}
-	r.cc.decMu.Unlock()
-	if fresh && !d.committed {
+	if fresh {
 		// Sequenced before ingestMu is released, so a successor
 		// connection's frames queue behind it.
+		ch.adoptLocked(conn, true, seq)
 		r.stage(int32(id), body)
+	} else {
+		r.cc.decMu.Lock()
+		err = r.cc.dec.replay(conn, ch.adoptLocked(conn, false, 0))
+		r.cc.decMu.Unlock()
 	}
 	ch.ingestMu.Unlock()
 	r.cc.writeLogged()

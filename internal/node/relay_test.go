@@ -652,6 +652,20 @@ func TestRejoinHelloSurvivesRelayDeath(t *testing.T) {
 	})
 }
 
+// TestRelayFanInCountsOnlyRunOrigins: a relay's fan-in counts the
+// origins the root took frames for. A frame naming an origin outside
+// the run is dropped, and counts for nothing: otherwise bytes off the
+// network would inflate /statusz and grow the origin set without bound.
+func TestRelayFanInCountsOnlyRunOrigins(t *testing.T) {
+	c := newCoordinator(2, nil, t.Logf)
+	body := wire.AppendBody(nil, 1, wire.TraceOpBatch{Ops: []wire.TraceOp{{Op: wire.TraceStep, Proc: 0}}})
+	batch := wire.RelayBatch{Frames: []wire.RelayFrame{{Origin: 7, Body: body}, {Origin: -3, Body: body}, {Origin: 1, Body: body}}}
+	c.unpackRelayed(c.relaySession(0), nil, batch)
+	if got := c.Status().Relays[0].FanIn; got != 1 {
+		t.Fatalf("fan-in %d, want 1: only origin 1 is in the run", got)
+	}
+}
+
 // TestRelaySupersedeKeepsInnerOrder supersedes a child connection
 // mid-stream, over and over: one scripted child with a session log of
 // numbered frames dials, streams, and is cut off by its own successor —

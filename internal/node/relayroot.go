@@ -73,7 +73,7 @@ func (c *Coordinator) handleRelay(conn *coordConn, h wire.RelayHello) {
 		// must not interleave its batches' inner frames with this one's —
 		// and what the inner frames obligated runs after its release.
 		var owed []func()
-		err = rs.deliver(conn, seq, func() { owed = c.unpackRelayed(rs, m) })
+		err = rs.deliver(conn, seq, func() { owed = c.unpackRelayed(rs, conn, m) })
 		for _, perform := range owed {
 			perform()
 		}
@@ -81,10 +81,10 @@ func (c *Coordinator) handleRelay(conn *coordConn, h wire.RelayHello) {
 	})
 }
 
-// unpackRelayed folds one accepted uplink frame into the origins'
-// sessions, returning what the inner frames obligated (see perform).
-// Caller holds rs.ingestMu: it is deliver's staging step.
-func (c *Coordinator) unpackRelayed(rs *relaySession, m wire.Msg) (owed []func()) {
+// unpackRelayed folds one accepted uplink frame, delivered on uplink,
+// into the origins' sessions, returning what the inner frames obligated
+// (see perform). Caller holds rs.ingestMu: it is deliver's staging step.
+func (c *Coordinator) unpackRelayed(rs *relaySession, uplink *coordConn, m wire.Msg) (owed []func()) {
 	batch, ok := m.(wire.RelayBatch)
 	if !ok {
 		c.logf("coordinator: relay %d: unexpected %T", rs.index, m)
@@ -94,9 +94,6 @@ func (c *Coordinator) unpackRelayed(rs *relaySession, m wire.Msg) (owed []func()
 	rs.frames++
 	rs.items += uint64(len(batch.Frames))
 	rs.lastAt = time.Now()
-	for _, f := range batch.Frames {
-		rs.origins[int(f.Origin)] = true
-	}
 	rs.mu.Unlock()
 	for _, f := range batch.Frames {
 		origin := int(f.Origin)
@@ -104,10 +101,14 @@ func (c *Coordinator) unpackRelayed(rs *relaySession, m wire.Msg) (owed []func()
 			c.logf("coordinator: relay %d: frame for unknown origin %d", rs.index, origin)
 			continue
 		}
-		// Relayed mode: no owning connection. A duplicate — a relaunched
-		// relay acked Cum=0 and the child retransmitted its whole session
-		// log — is dropped by the origin's gate.
-		act, e, err := c.ingest(c.session(origin), nil, f.Body)
+		rs.mu.Lock()
+		rs.origins[origin] = true
+		rs.mu.Unlock()
+		// Relayed mode: no owning connection, a Hello answered on the
+		// uplink. A duplicate — a relaunched relay acked Cum=0 and the
+		// child retransmitted its whole session log — is dropped by the
+		// origin's gate.
+		act, e, err := c.ingest(c.session(origin), nil, uplink, f.Body)
 		if err != nil {
 			c.logf("coordinator: relay %d: origin %d: %v", rs.index, origin, err)
 		}

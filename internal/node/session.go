@@ -24,7 +24,7 @@ import (
 //
 //	relaySession.ingestMu   one uplink's accept-and-unpack, held across
 //	                        a whole RelayBatch — above shutdownMu because
-//	                        a relayed Hello in the batch decides a restart
+//	                        a relayed Hello in the batch is decided there
 //	Coordinator.shutdownMu  each decision (Shutdown, Commit, restart,
 //	                        re-execution) from its check through its
 //	                        broadcast, and every handshake's adoption +
@@ -154,9 +154,9 @@ func (ep *endpoint) dropConns() {
 
 // coordConn is one accepted stream connection. Writes are serialized:
 // a handshake reply from the handler races decision broadcasts from
-// other goroutines. A nil *coordConn stands for a relayed origin, whose
-// relay answers it from its uplink's folded decisions — writing to it
-// is a no-op.
+// other goroutines. A nil *coordConn owns a relayed origin's stream
+// (its relay's uplink carries what the root writes), or stands for an
+// ingest bench's socket: writing to it is a no-op.
 type coordConn struct {
 	net.Conn
 	br           *bufio.Reader
@@ -353,7 +353,7 @@ func (ep *endpoint) register(in *inbound) {
 // decisions is the run's terminal decision state as a handshake must
 // present it, folded from the decision frames: by the root from each
 // frame it decides (Coordinator.decide), by every client of the root
-// from each frame it receives (a node's epoch loop and a relay's
+// from each frame it receives (a node's epoch loop and a relay's Resume
 // handshakes read the fold). A connection that was not attached when a
 // decision was broadcast learns it here.
 type decisions struct {

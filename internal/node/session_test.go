@@ -1,6 +1,7 @@
 package node
 
 import (
+	"bufio"
 	"errors"
 	"net"
 	"reflect"
@@ -223,7 +224,7 @@ func TestRelayHandshakeNotOvertakenByFanOut(t *testing.T) {
 	time.Sleep(50 * time.Millisecond)
 	// What fold does with the root's Shutdown, under the lock it holds.
 	r.cc.dec.shutdown = true
-	r.fanOut(wire.Shutdown{}, 0)
+	r.fanOut(wire.Shutdown{})
 	r.cc.decMu.Unlock()
 
 	conn.SetReadDeadline(time.Now().Add(10 * time.Second))
@@ -281,8 +282,8 @@ func TestRelayFoldNotBlockedByUplinkWrite(t *testing.T) {
 	r.cc.mu.Lock() // what a write stuck on the uplink holds
 	unlock := sync.OnceFunc(r.cc.mu.Unlock)
 	defer unlock()
-	// Adoption happens under decMu: once it shows, the handler holds
-	// decMu or has let it go, and from there it blocks on the log.
+	// Adoption comes before the Hello is sequenced: once it shows, the
+	// handler is about to block on the log.
 	dial(wire.Hello{From: 1, N: 2, Inc: 1})
 	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
 		ch := r.child(1)
@@ -418,7 +419,7 @@ func (r *rootScript) send(id int, m wire.Msg) {
 	if id != 0 {
 		conn = nil
 	}
-	act, e, err := r.c.ingest(r.c.session(id), conn, wire.AppendBody(nil, r.seqs[id], m))
+	act, e, err := r.c.ingest(r.c.session(id), conn, conn, wire.AppendBody(nil, r.seqs[id], m))
 	if err != nil {
 		r.t.Fatalf("node %d: %T: %v", id, m, err)
 	}
@@ -517,5 +518,195 @@ func TestStatusNotBlockedByDecision(t *testing.T) {
 	case <-done:
 	case <-time.After(2 * time.Second):
 		t.Fatal("Status waited on the decision lock")
+	}
+}
+
+// rawNode is one node process speaking the capture protocol by hand.
+type rawNode struct {
+	t    *testing.T
+	conn net.Conn
+	br   *bufio.Reader
+	seq  uint64
+}
+
+// helloNode starts incarnation inc of node id of an n-node cluster, on
+// the root or relay at addr.
+func helloNode(t *testing.T, addr string, n, id int, inc uint64) *rawNode {
+	t.Helper()
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { conn.Close() })
+	p := &rawNode{t: t, conn: conn, br: bufReader(conn)}
+	p.send(wire.Hello{From: int32(id), N: int32(n), Inc: inc})
+	return p
+}
+
+func (p *rawNode) send(m wire.Msg) {
+	p.t.Helper()
+	p.seq++
+	if err := wire.WriteFrame(p.conn, p.seq, m); err != nil {
+		p.t.Fatal(err)
+	}
+}
+
+// next reads the next frame the node was sent.
+func (p *rawNode) next() wire.Msg {
+	p.t.Helper()
+	p.conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+	_, m, err := wire.ReadFrame(p.br)
+	if err != nil {
+		p.t.Fatal(err)
+	}
+	return m
+}
+
+// until reads up to want, past any Restart: behind a relay, the root's
+// answer to one node's Hello fans out to every child.
+func (p *rawNode) until(want wire.Msg) {
+	p.t.Helper()
+	for {
+		m := p.next()
+		if m == want {
+			return
+		}
+		if _, ok := m.(wire.Restart); !ok {
+			p.t.Fatalf("read %#v waiting for %#v", m, want)
+		}
+	}
+}
+
+// TestHelloAnswers: every answer to a Hello reaches the node first,
+// whether it dialed the root or one relay in front of it — the rejoin's
+// Restart by the broadcast, the catch-up Restart to a late first join,
+// and the refusal after Commit. The root alone decides each: behind a
+// relay, a relaunch at epoch 1 must read Restart{2}, not the Restart{1}
+// its own Hello is about to void.
+func TestHelloAnswers(t *testing.T) {
+	const n = 3
+	for _, tc := range []struct {
+		name    string
+		relayed bool
+	}{{"direct", false}, {"relayed", true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			c, err := NewCoordinator(CoordConfig{N: n, Addr: "127.0.0.1:0", Timeouts: testTimeouts(), Logf: t.Logf})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			addr := c.Addr()
+			if tc.relayed {
+				r, err := StartRelay(RelayConfig{Index: 0, Relays: 1, N: n, Upstream: addr, Addr: "127.0.0.1:0", Timeouts: testTimeouts(), Logf: t.Logf})
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer r.Close()
+				addr = r.Addr()
+			}
+			hello := func(id int, inc uint64) *rawNode { return helloNode(t, addr, n, id, inc) }
+			// opened waits for the root to take incarnation inc of node id.
+			opened := func(id int, inc uint64) {
+				st := c.session(id)
+				for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+					st.mu.Lock()
+					got := st.inc
+					st.mu.Unlock()
+					if got == inc {
+						return
+					}
+					if time.Now().After(deadline) {
+						t.Fatalf("the root never took node %d's Hello of incarnation %d", id, inc)
+					}
+				}
+			}
+			first := func(who string, p *rawNode, want wire.Msg) {
+				t.Helper()
+				if m := p.next(); m != want {
+					t.Fatalf("%s read %#v first, want %#v", who, m, want)
+				}
+			}
+
+			p0 := hello(0, 1)
+			hello(1, 1)
+			opened(0, 1)
+			opened(1, 1)
+			hello(1, 2)
+			first("node 0, after node 1's relaunch,", p0, wire.Restart{Epoch: 1})
+			p2 := hello(2, 1)
+			first("node 2's late first join", p2, wire.Restart{Epoch: 1})
+			p1 := hello(1, 3)
+			first("node 1's relaunch at epoch 1", p1, wire.Restart{Epoch: 2})
+
+			live := []*rawNode{p0, p1, p2}
+			for _, p := range live {
+				p.send(wire.EpochMark{Epoch: 2})
+				p.send(wire.Done{})
+			}
+			for _, p := range live {
+				p.until(wire.Shutdown{Epoch: 2})
+				p.send(wire.Shutdown{Epoch: 2})
+			}
+			for _, p := range live {
+				p.until(wire.Commit{})
+			}
+			late := hello(1, 4)
+			first("node 1's relaunch after Commit", late, wire.Shutdown{Epoch: 2})
+			if m := late.next(); m != (wire.Commit{}) {
+				t.Fatalf("node 1's relaunch after Commit read %#v second, want Commit", m)
+			}
+			if s := c.Status(); s.Restarts != 2 || s.Epoch != 2 {
+				t.Fatalf("after the refusal: %d restarts at epoch %d, want 2 at 2", s.Restarts, s.Epoch)
+			}
+		})
+	}
+}
+
+// TestHelloAnswersSurviveUplinkBreak: the root's catch-up answer to a
+// relayed late first join dies with the uplink that was to carry it,
+// and still reaches the node. The relay's resume acks the root's
+// epoch, which the relay already holds; that ack fans out as the
+// epoch's Restart, and the late joiner does not run at epoch 0 forever
+// against peers at epoch 1.
+func TestHelloAnswersSurviveUplinkBreak(t *testing.T) {
+	const n = 3
+	c, err := NewCoordinator(CoordConfig{N: n, Addr: "127.0.0.1:0", Timeouts: testTimeouts(), Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	r, err := StartRelay(RelayConfig{Index: 0, Relays: 1, N: n, Upstream: c.Addr(), Addr: "127.0.0.1:0", Timeouts: testTimeouts(), Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	hello := func(id int, inc uint64) *rawNode { return helloNode(t, r.Addr(), n, id, inc) }
+	// forwarded waits for the root to accept the uplink's frame seq.
+	forwarded := func(seq uint64) {
+		for deadline := time.Now().Add(10 * time.Second); c.Status().Relays[0].LastSeq < seq; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("the root never accepted uplink frame %d", seq)
+			}
+		}
+	}
+	p0 := hello(0, 1)
+	hello(1, 1)
+	forwarded(2)
+	hello(1, 2)
+	if m := p0.next(); m != (wire.Restart{Epoch: 1}) {
+		t.Fatalf("node 0 read %#v after node 1's relaunch, want Restart{1}", m)
+	}
+
+	// Hold the root's Hello decision until the uplink that carried the
+	// Hello is gone: its answer then goes to a dead connection.
+	c.shutdownMu.Lock()
+	p2 := hello(2, 1)
+	forwarded(4)
+	r.cc.mu.Lock()
+	r.cc.conn.Close()
+	r.cc.mu.Unlock()
+	c.shutdownMu.Unlock()
+	if m := p2.next(); m != (wire.Restart{Epoch: 1}) {
+		t.Fatalf("node 2's late first join read %#v first, want Restart{1}", m)
 	}
 }
