@@ -32,7 +32,7 @@ loc:
 # The most `make loc` may total. A change that grows the code raises
 # this number in its own diff, where a reviewer sees it; one that shrinks
 # it lowers the number to its result.
-LOC_MAX := 19667
+LOC_MAX := 19686
 
 loc-check:
 	@total=$$($(MAKE) -s loc | awk '$$2 == "total" {print $$1}'); \
@@ -54,14 +54,16 @@ bench-quick:
 bench-compare:
 	$(GO) run ./bench -compare $(A) $(B)
 
-# Allocation gate: the allocs-per-run pin tests, then BenchmarkAssemble
+# Allocation gate: the allocs-per-run pin tests (the flush pass's
+# steady-state reuse among them, whose bound the race detector skips),
+# then BenchmarkAssemble
 # (the commit path's 256k-op assembly), BenchmarkDecode and
 # BenchmarkEncode (the offline cycle's 250k-event trace file read and
 # written), one iteration each as a smoke. The
 # number itself is alloc_bytes_per_event in BENCHMARK.json, bound 10% on
 # every workload.
 bench-mem:
-	$(GO) test -run 'AllocFree|AllocBound' ./internal/deposet ./internal/detect ./internal/node ./internal/offline ./internal/trace
+	$(GO) test -run 'AllocFree|AllocBound|SteadyStateReuse' ./internal/deposet ./internal/detect ./internal/node ./internal/offline ./internal/trace
 	$(GO) test -run '^$$' -bench 'BenchmarkAssemble$$|BenchmarkDecode$$|BenchmarkEncode$$' -benchtime 1x -benchmem ./internal/node ./internal/trace
 
 # Hierarchical-ingest gate: 64 nodes through a 2-level relay tree with

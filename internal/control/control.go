@@ -63,24 +63,24 @@ func Extend(d *deposet.Deposet, rel Relation) (*Extended, error) {
 	if err != nil {
 		return nil, err
 	}
-	x := &Extended{Order: d.Blank(), d: d, edges: append(Relation(nil), rel...)}
+	// A state →C changes beyond its own component is one a message or a
+	// control edge enters: at most d's rows plus one per edge.
+	x := &Extended{Order: d.Blank(len(rel)), d: d, edges: append(Relation(nil), rel...)}
 	msgs := d.Messages()
 	err = schedule(d, incoming, func(p, e, recv int, in []Edge) {
-		v := x.Clock(deposet.StateID{P: p, K: e})
-		copy(v, x.Clock(deposet.StateID{P: p, K: e - 1}))
+		v := x.Enter(deposet.StateID{P: p, K: e}, recv >= 0 || len(in) > 0)
 		if recv >= 0 {
 			m := msgs[recv]
 			// Unlike in a plain deposet, the send event may carry
 			// extra dependencies here (a control edge can target
 			// its resulting state), so merge that state's full
 			// clock with the own-process component lowered.
-			v.MergeLowered(x.Clock(deposet.StateID{P: m.FromP, K: m.SendEvent}), m.FromP, int32(m.SendEvent-1))
+			v.MergeLowered(x.Deps(deposet.StateID{P: m.FromP, K: m.SendEvent}), m.FromP, int32(m.SendEvent-1))
 		}
 		for _, c := range in {
 			// v implies c.From exited, not c.From.K+1 passed.
-			v.MergeLowered(x.Clock(deposet.StateID{P: c.From.P, K: c.From.K + 1}), c.From.P, int32(c.From.K))
+			v.MergeLowered(x.Deps(deposet.StateID{P: c.From.P, K: c.From.K + 1}), c.From.P, int32(c.From.K))
 		}
-		v[p] = int32(e)
 	})
 	if err != nil {
 		return nil, err

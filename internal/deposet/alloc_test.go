@@ -4,12 +4,14 @@ import (
 	"math/rand"
 	"runtime"
 	"testing"
+
+	"predctl/internal/vclock"
 )
 
-// The causality hot paths must stay allocation-free: HB is one arena
-// load and a compare, Clock is offset arithmetic returning an alias into
-// the flat clock arena. These pins fail if either ever grows a per-call
-// allocation (a clock clone, a boxed return, …).
+// The causality hot paths must stay allocation-free: HB is an anchor
+// lookup, a row load and a compare, Clock writes into the caller's
+// buffer, Consistent reads the rows in place. These pins fail if any
+// ever grows a per-call allocation (a clock clone, a boxed return, …).
 
 func TestHBAllocFree(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
@@ -30,9 +32,10 @@ func TestClockAllocFree(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	d := Random(r, DefaultGen(8, 400))
 	s := StateID{P: 3, K: d.Len(3) / 2}
+	buf := make(vclock.VC, d.NumProcs())
 	var sink int32
 	if n := testing.AllocsPerRun(100, func() {
-		sink = d.Clock(s)[5]
+		sink = d.Clock(s, buf)[5]
 	}); n != 0 {
 		t.Errorf("Clock allocates %.1f per run, want 0", n)
 	}
@@ -71,9 +74,10 @@ func TestVarsAtAllocFree(t *testing.T) {
 	_ = sink
 }
 
-// FromRaw rejects a bad message table before it allocates any clock row:
-// at 16 processes and 2²⁰ states the event tables are 16 MiB and the
-// arena alone would be 64 MiB, so the one is paid and the other is not.
+// FromRaw rejects a bad message table before it allocates any clock
+// storage: at 16 processes and 2²⁰ states the event tables are 16 MiB
+// and the clocks' per-state anchor index alone would be 4 MiB more, so
+// the one is paid and the other is not.
 func TestFromRawAllocBoundOnBadMessage(t *testing.T) {
 	const procs, states = 16, 1 << 20
 	raw := Raw{Lens: make([]int, procs)}
@@ -88,7 +92,7 @@ func TestFromRawAllocBoundOnBadMessage(t *testing.T) {
 	if err == nil {
 		t.Fatal("out-of-range receive event accepted")
 	}
-	if got := after.TotalAlloc - before.TotalAlloc; got >= 64<<20 {
-		t.Errorf("FromRaw allocated %d MiB before rejecting the message table, want under the arena's 64", got>>20)
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 20<<20 {
+		t.Errorf("FromRaw allocated %d MiB before rejecting the message table, want under the 16 of its event tables plus the 4 of the anchor index", got>>20)
 	}
 }

@@ -88,7 +88,7 @@ func (o *Order) InRange(g Cut) bool {
 func (o *Order) Consistent(g Cut) bool {
 	n := o.NumProcs()
 	for j := 0; j < n; j++ {
-		v := o.clocks.Row(j, g[j])
+		v := o.Deps(StateID{j, g[j]})
 		for i := 0; i < n; i++ {
 			if i != j && int(v[i]) >= g[i] {
 				return false

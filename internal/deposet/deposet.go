@@ -294,16 +294,23 @@ func (b *Builder) MustBuild() *Deposet {
 // cyclic (the structure is not a valid deposet).
 var ErrCyclic = errors.New("deposet: causal precedence is cyclic")
 
-// computeClocks assigns the clock row of every state, processing events
-// in a causality-respecting order; it fails with ErrCyclic if none
-// exists. Rows are written in place in the arena — copy the predecessor
-// row, merge the message clock — so the whole construction performs no
-// per-event allocation. The arena (n × states int32) is allocated here
-// and not by the caller, so FromRaw has rejected a bad message table
-// before paying for it.
+// computeClocks clocks every state, processing events in a
+// causality-respecting order; it fails with ErrCyclic if none exists.
+// Only a receive changes a state's clock beyond its own component, so
+// only the n ⊥ states and the states receives enter get a row (copy the
+// predecessor's, merge the sender's), and the rows are sized once, up
+// front: the construction performs no per-event allocation. They are
+// allocated here and not by the caller, so FromRaw has rejected a bad
+// message table before paying for them.
 func (d *Deposet) computeClocks() error {
 	n := len(d.lens)
-	d.Order = newOrder(d.lens)
+	rows := n // one per ⊥, one per receive
+	for _, m := range d.msgs {
+		if m.Received() {
+			rows++
+		}
+	}
+	d.Order = newOrder(d.lens, rows)
 	remaining := d.NumStates() - n
 	done := make([]int, n) // highest state index already clocked
 	for remaining > 0 {
@@ -319,13 +326,13 @@ func (d *Deposet) computeClocks() error {
 						break // sender state not clocked yet
 					}
 				}
-				row := d.clocks.Row(p, e)
-				copy(row, d.clocks.Row(p, e-1))
-				if mi >= 0 {
+				if row := d.Enter(StateID{p, e}, mi >= 0); row != nil {
 					m := d.msgs[mi]
-					row.Merge(d.clocks.Row(m.FromP, m.SendEvent-1))
+					row.Merge(d.Deps(StateID{m.FromP, m.SendEvent - 1}))
+					// The sender's row is its anchor's, whose own
+					// component may be below the sending state's.
+					row[m.FromP] = max(row[m.FromP], int32(m.SendEvent-1))
 				}
-				row[p] = int32(e)
 				done[p] = e
 				remaining--
 				progress = true

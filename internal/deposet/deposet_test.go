@@ -83,11 +83,11 @@ func TestHappenedBefore(t *testing.T) {
 func TestClockConvention(t *testing.T) {
 	d := chainPair(t)
 	// State (1,2) knows P0 up to state 0 (the state before the send).
-	v := d.Clock(StateID{1, 2})
+	v := d.Clock(StateID{1, 2}, nil)
 	if v[0] != 0 || v[1] != 2 {
 		t.Fatalf("Clock(1,2) = %v", v)
 	}
-	if v0 := d.Clock(StateID{1, 1}); v0[0] != vclock.None {
+	if v0 := d.Clock(StateID{1, 1}, nil); v0[0] != vclock.None {
 		t.Fatalf("Clock(1,1)[0] = %d, want None", v0[0])
 	}
 }
@@ -341,7 +341,7 @@ func TestFromRawRoundTrip(t *testing.T) {
 		for p := 0; p < d.NumProcs(); p++ {
 			for k := 0; k < d.Len(p); k++ {
 				s := StateID{p, k}
-				if !slices.Equal(d.Clock(s), d2.Clock(s)) {
+				if !slices.Equal(d.Clock(s, nil), d2.Clock(s, nil)) {
 					t.Fatalf("clock mismatch at %v", s)
 				}
 			}
@@ -414,17 +414,17 @@ func TestBuildLargeTraceClockRecurrence(t *testing.T) {
 	for p := 0; p < n; p++ {
 		bottom := vclock.New(n)
 		bottom[p] = 0
-		if got := d.Clock(StateID{p, 0}); !slices.Equal(got, bottom) {
+		if got := d.Clock(StateID{p, 0}, nil); !slices.Equal(got, bottom) {
 			t.Fatalf("clock(⊥%d) = %v, want %v", p, got, bottom)
 		}
 		for k := 1; k < d.Len(p); k++ {
-			want := d.Clock(StateID{p, k - 1}).Clone()
+			want := d.Clock(StateID{p, k - 1}, nil)
 			if mi := d.RecvAt(p, k); mi >= 0 {
 				m := d.Messages()[mi]
-				want.Merge(d.Clock(StateID{m.FromP, m.SendEvent - 1}))
+				want.Merge(d.Clock(StateID{m.FromP, m.SendEvent - 1}, nil))
 			}
 			want[p] = int32(k)
-			if got := d.Clock(StateID{p, k}); !slices.Equal(got, want) {
+			if got := d.Clock(StateID{p, k}, nil); !slices.Equal(got, want) {
 				t.Fatalf("clock(%d,%d) = %v, want %v", p, k, got, want)
 			}
 		}
@@ -446,7 +446,7 @@ func TestHBPartialOrderProperty(t *testing.T) {
 				return false
 			}
 			// HB ≡ the component-wise clock order: ≤ everywhere, not equal.
-			cs, cu := d.Clock(s), d.Clock(u)
+			cs, cu := d.Clock(s, nil), d.Clock(u, nil)
 			less := !slices.Equal(cs, cu)
 			for i := range cs {
 				less = less && cs[i] <= cu[i]

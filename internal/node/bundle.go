@@ -1,8 +1,6 @@
 package node
 
 import (
-	"fmt"
-
 	"predctl/internal/deposet"
 	"predctl/internal/store"
 	"predctl/internal/wire"
@@ -19,9 +17,6 @@ func AssembleBundle(dir string) (*deposet.Deposet, *store.Manifest, error) {
 	man, err := store.Verify(dir)
 	if err != nil {
 		return nil, nil, err
-	}
-	if man.N < 1 {
-		return nil, nil, fmt.Errorf("node: bundle %s: manifest n=%d", dir, man.N)
 	}
 	var ops procOps
 	if _, err := store.ReplayBundle(dir, func(rec wire.SegmentRecord, _ uint64, m wire.Msg) error {

@@ -290,7 +290,7 @@ func (c *chain) apply(h2, y int) {
 		})
 	}
 	c.minEntry[c.holder] = c.intervalAt(c.holder, c.hEnd).Hi + 1
-	clock := c.d.Clock(deposet.StateID{P: h2, K: y})
+	clock := c.d.Deps(deposet.StateID{P: h2, K: y})
 	for i := 0; i < c.n; i++ {
 		if v := int(clock[i]) + 1; i != h2 && v > c.g[i] {
 			c.g[i] = v

@@ -153,7 +153,7 @@ func (c *computer) leastFix(g deposet.Cut) bool {
 			}
 		}
 		for j := 0; j < n; j++ {
-			row := d.Clock(deposet.StateID{P: j, K: g[j]})
+			row := d.Deps(deposet.StateID{P: j, K: g[j]})
 			for i := 0; i < n; i++ {
 				if i != j && int(row[i]) >= g[i] {
 					// Frontier state (j, g[j]) causally dominates (i, g[i]):
@@ -194,7 +194,7 @@ func (c *computer) greatestFix(g deposet.Cut) bool {
 					continue
 				}
 				// Need clock(j, g[j])[i] < g[i]: lower j below the dependency.
-				for g[j] >= 0 && int(d.Clock(deposet.StateID{P: j, K: g[j]})[i]) >= g[i] {
+				for g[j] >= 0 && int(d.Deps(deposet.StateID{P: j, K: g[j]})[i]) >= g[i] {
 					g[j]--
 					changed = true
 				}

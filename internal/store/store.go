@@ -33,6 +33,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 
 	"predctl/internal/obs"
@@ -279,8 +280,9 @@ func fileCRC(path string) (uint32, error) {
 // record inside checksums and decodes, and the cluster size is one the
 // records can hold — every node of a sealed run appends at least its
 // TraceInit, so a manifest claiming more nodes than records is forged,
-// and a reader sizing its tables by it would be the one to pay. It
-// returns the manifest on success.
+// and a reader sizing its tables by it would be the one to pay. Each
+// segment is read once: the record scan feeds the whole-file checksum.
+// It returns the manifest on success.
 func Verify(dir string) (*Manifest, error) {
 	man, err := readManifest(dir)
 	if err != nil {
@@ -297,21 +299,17 @@ func Verify(dir string) (*Manifest, error) {
 			return nil, fmt.Errorf("store: bundle: %s is %d bytes, manifest says %d",
 				sm.Name, fi.Size(), sm.Bytes)
 		}
-		crc, err := fileCRC(path)
+		records := 0
+		crc, err := replaySegment(path, sm.Bytes, func(wire.SegmentRecord, uint64, wire.Msg) error {
+			records++
+			return nil
+		})
 		if err != nil {
 			return nil, err
 		}
 		if crc != sm.CRC32 {
 			return nil, fmt.Errorf("store: bundle: %s checksum %08x, manifest says %08x: segment corrupt",
 				sm.Name, crc, sm.CRC32)
-		}
-		records := 0
-		err = replaySegment(path, sm.Bytes, func(wire.SegmentRecord, uint64, wire.Msg) error {
-			records++
-			return nil
-		})
-		if err != nil {
-			return nil, err
 		}
 		if records != sm.Records {
 			return nil, fmt.Errorf("store: bundle: %s holds %d records, manifest says %d",
@@ -326,7 +324,8 @@ func Verify(dir string) (*Manifest, error) {
 }
 
 // readManifest parses a bundle's manifest and refuses a schema this
-// code does not read.
+// code does not read, a cluster of no nodes, and a segment named
+// anywhere but in the bundle's own directory.
 func readManifest(dir string) (*Manifest, error) {
 	buf, err := os.ReadFile(filepath.Join(dir, ManifestName))
 	if err != nil {
@@ -338,6 +337,14 @@ func readManifest(dir string) (*Manifest, error) {
 	}
 	if man.Schema != 1 {
 		return nil, fmt.Errorf("store: bundle manifest schema %d unsupported", man.Schema)
+	}
+	if man.N < 1 {
+		return nil, fmt.Errorf("store: bundle manifest: n=%d, want at least 1", man.N)
+	}
+	for _, sm := range man.Segments {
+		if name := sm.Name; name == "." || name == ".." || filepath.Base(name) != name || strings.ContainsRune(name, '/') {
+			return nil, fmt.Errorf("store: bundle manifest: segment %q is not a file name in the bundle", name)
+		}
 	}
 	return &man, nil
 }
@@ -352,7 +359,7 @@ func ReplayBundle(dir string, fn func(rec wire.SegmentRecord, seq uint64, m wire
 		return nil, err
 	}
 	for _, sm := range man.Segments {
-		if err := replaySegment(filepath.Join(dir, sm.Name), sm.Bytes, fn); err != nil {
+		if _, err := replaySegment(filepath.Join(dir, sm.Name), sm.Bytes, fn); err != nil {
 			return nil, err
 		}
 	}
@@ -360,55 +367,56 @@ func ReplayBundle(dir string, fn func(rec wire.SegmentRecord, seq uint64, m wire
 }
 
 // replaySegment scans the first size bytes of one segment file
-// sequentially, verifying and decoding every record. A record running
-// past size (or past the frame limit) is refused before its buffer is
-// allocated.
-func replaySegment(path string, size int64, fn func(rec wire.SegmentRecord, seq uint64, m wire.Msg) error) error {
+// sequentially, verifying and decoding every record, and returns the
+// CRC-32 of the bytes it scanned. A record running past size (or past
+// the frame limit) is refused before its buffer is allocated.
+func replaySegment(path string, size int64, fn func(rec wire.SegmentRecord, seq uint64, m wire.Msg) error) (uint32, error) {
 	f, err := os.Open(path)
 	if err != nil {
-		return fmt.Errorf("store: %w", err)
+		return 0, fmt.Errorf("store: %w", err)
 	}
 	defer f.Close()
-	br := bufio.NewReaderSize(io.LimitReader(f, size), 64<<10)
+	h := crc32.NewIEEE()
+	br := bufio.NewReaderSize(io.TeeReader(io.LimitReader(f, size), h), 64<<10)
 	got := make([]byte, len(magic))
 	if _, err := io.ReadFull(br, got); err != nil || string(got) != string(magic) {
-		return fmt.Errorf("store: %s: not a segment file", path)
+		return 0, fmt.Errorf("store: %s: not a segment file", path)
 	}
 	off := int64(len(magic))
 	for {
 		var hdr [recordOverhead]byte
 		if _, err := io.ReadFull(br, hdr[:]); err != nil {
 			if err == io.EOF {
-				return nil
+				return h.Sum32(), nil
 			}
-			return fmt.Errorf("store: %s@%d: %w", path, off, err)
+			return 0, fmt.Errorf("store: %s@%d: %w", path, off, err)
 		}
 		n := binary.BigEndian.Uint32(hdr[0:4])
 		if n > wire.MaxFrame+64 || int64(n) > size-off-recordOverhead {
-			return fmt.Errorf("store: %s@%d: record length %d exceeds the frame limit or the segment", path, off, n)
+			return 0, fmt.Errorf("store: %s@%d: record length %d exceeds the frame limit or the segment", path, off, n)
 		}
 		rec := make([]byte, n)
 		if _, err := io.ReadFull(br, rec); err != nil {
-			return fmt.Errorf("store: %s@%d: %w", path, off, err)
+			return 0, fmt.Errorf("store: %s@%d: %w", path, off, err)
 		}
 		if got, want := crc32.ChecksumIEEE(rec), binary.BigEndian.Uint32(hdr[4:8]); got != want {
-			return fmt.Errorf("store: %s@%d: checksum mismatch (got %08x, want %08x): segment corrupt",
+			return 0, fmt.Errorf("store: %s@%d: checksum mismatch (got %08x, want %08x): segment corrupt",
 				path, off, got, want)
 		}
 		_, m, err := wire.DecodeBody(rec)
 		if err != nil {
-			return fmt.Errorf("store: %s@%d: %w", path, off, err)
+			return 0, fmt.Errorf("store: %s@%d: %w", path, off, err)
 		}
 		sr, ok := m.(wire.SegmentRecord)
 		if !ok {
-			return fmt.Errorf("store: %s@%d: record is %T, want SegmentRecord", path, off, m)
+			return 0, fmt.Errorf("store: %s@%d: record is %T, want SegmentRecord", path, off, m)
 		}
 		seq, inner, err := wire.DecodeBody(sr.Body)
 		if err != nil {
-			return fmt.Errorf("store: %s@%d: inner frame: %w", path, off, err)
+			return 0, fmt.Errorf("store: %s@%d: inner frame: %w", path, off, err)
 		}
 		if err := fn(sr, seq, inner); err != nil {
-			return err
+			return 0, err
 		}
 		off += recordOverhead + int64(n)
 	}

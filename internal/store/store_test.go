@@ -313,18 +313,66 @@ func editManifest(t *testing.T, dir string, edit func(*Manifest)) {
 // forged — every node spills at least its TraceInit — and Verify
 // refuses it, naming n, before a reader sizes a table by it.
 func TestVerifyRefusesForgedN(t *testing.T) {
-	for _, n := range []int{41, 1 << 40} {
+	for _, n := range []int{41, 1 << 40, 0, -3} {
 		dir, _ := sealSample(t) // 40 records
 		editManifest(t, dir, func(man *Manifest) { man.N = n })
 		want := fmt.Sprintf("n=%d", n)
 		if _, err := Verify(dir); err == nil || !strings.Contains(err.Error(), want) {
 			t.Errorf("Verify with manifest n=%d: %v, want an error naming %s", n, err, want)
 		}
+		if n > 0 {
+			continue
+		}
+		replayed := 0
+		_, err := ReplayBundle(dir, func(wire.SegmentRecord, uint64, wire.Msg) error { replayed++; return nil })
+		if err == nil || !strings.Contains(err.Error(), want) || replayed > 0 {
+			t.Errorf("ReplayBundle with manifest n=%d replayed %d records: %v, want an error naming %s", n, replayed, err, want)
+		}
 	}
 	dir, _ := sealSample(t)
 	editManifest(t, dir, func(man *Manifest) { man.N = 40 })
 	if _, err := Verify(dir); err != nil {
 		t.Errorf("Verify with one record per node: %v", err)
+	}
+}
+
+// A manifest names segments inside its own bundle only: a name with a
+// path in it is refused by both readers before they open any segment,
+// even where a valid segment waits at the path it names.
+func TestManifestNamesOnlyItsOwnSegments(t *testing.T) {
+	for _, bad := range []string{"../x.pcseg", "sub/x.pcseg", "abs"} {
+		dir, _ := sealSample(t)
+		man, err := Verify(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(man.Segments) < 2 {
+			t.Fatalf("sample bundle has %d segments, want 2 or more", len(man.Segments))
+		}
+		name := bad
+		if bad == "abs" {
+			name = filepath.Join(t.TempDir(), "x.pcseg")
+		}
+		target := name
+		if !filepath.IsAbs(target) {
+			target = filepath.Join(dir, name)
+		}
+		if err := os.MkdirAll(filepath.Dir(target), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		last := len(man.Segments) - 1
+		if err := os.Rename(filepath.Join(dir, man.Segments[last].Name), target); err != nil {
+			t.Fatal(err)
+		}
+		editManifest(t, dir, func(man *Manifest) { man.Segments[last].Name = name })
+		if _, err := Verify(dir); err == nil || !strings.Contains(err.Error(), "not a file name") {
+			t.Errorf("Verify with segment %q: %v", name, err)
+		}
+		replayed := 0
+		_, err = ReplayBundle(dir, func(wire.SegmentRecord, uint64, wire.Msg) error { replayed++; return nil })
+		if err == nil || !strings.Contains(err.Error(), "not a file name") || replayed > 0 {
+			t.Errorf("ReplayBundle with segment %q replayed %d records: %v", name, replayed, err)
+		}
 	}
 }
 

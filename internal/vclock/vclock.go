@@ -7,8 +7,9 @@
 // comparison, which the predicate-control algorithms rely on.
 //
 // Components are int32: state indices are bounded far below 2³¹ in
-// practice, and the narrower type halves the footprint of the flat clock
-// Arena that backs whole computations.
+// practice, and the narrower type halves the footprint of the clock rows
+// a whole computation stores (deposet.Order keeps one per state that a
+// receive or control edge enters).
 package vclock
 
 import (
@@ -20,7 +21,7 @@ import (
 const None = -1
 
 // VC is a vector clock with one component per process. A VC may own its
-// storage (New) or alias one row of an Arena (Arena.Row).
+// storage (New) or alias one stored row of a computation's clocks.
 type VC []int32
 
 // New returns a vector clock of n components, all None.
