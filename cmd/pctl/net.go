@@ -181,7 +181,7 @@ func printDetections(res *node.Result) {
 	for _, det := range res.Detections {
 		when := "mid-run"
 		if det.Final {
-			when = "closing pass"
+			when = "closing verdict"
 		}
 		act := "noted"
 		if det.ReExec {

@@ -103,7 +103,7 @@ func timeIt(fn func()) time.Duration {
 	return time.Since(start) / time.Duration(reps)
 }
 
-// experiments is the one id → constructor table behind All and ByID, in
+// experiments is the one id → constructor table behind ByID, in
 // presentation order.
 var experiments = []struct {
 	id  string
@@ -112,15 +112,6 @@ var experiments = []struct {
 	{"e1", E1}, {"e2", E2}, {"e3", E3}, {"e4", E4}, {"e5", E5}, {"e6", E6},
 	{"e7", func(int64) *Table { return E7() }},
 	{"e8", E8}, {"e9", E9}, {"e10", E10},
-}
-
-// All runs every experiment.
-func All(seed int64) []*Table {
-	tables := make([]*Table, len(experiments))
-	for i, e := range experiments {
-		tables[i] = e.run(seed)
-	}
-	return tables
 }
 
 // lookup returns the constructor of the experiment with the given id

@@ -6,16 +6,28 @@ import (
 	"testing"
 )
 
+// quickSlice is E10's sweep at smoke size: one workload of each kind.
+var quickSlice = []sliceWorkload{
+	{"violations-sparse n=4", 4, 56, 0.55, true},
+	{"slice-control n=8", 8, 400, 0.9, false},
+}
+
 // TestAllExperimentsRun smoke-tests every experiment end to end and
-// checks the structural invariants of the rendered tables.
+// checks the structural invariants of the rendered tables. E10 renders
+// a quick sweep: its full one (pcbench e10, BENCH_slice.json) would be
+// nearly all of this package's test time, for the same table shape.
 func TestAllExperimentsRun(t *testing.T) {
-	tables := All(7)
-	if len(tables) != 10 {
-		t.Fatalf("experiments = %d, want 10", len(tables))
+	if len(experiments) != 10 {
+		t.Fatalf("experiments = %d, want 10", len(experiments))
 	}
-	for i, tb := range tables {
-		if !strings.EqualFold(tb.ID, experiments[i].id) {
-			t.Errorf("experiment %s rendered table %q", experiments[i].id, tb.ID)
+	for _, e := range experiments {
+		run := e.run
+		if e.id == "e10" {
+			run = func(seed int64) *Table { return sliceTable(measureSlice(seed, quickSlice)) }
+		}
+		tb := run(7)
+		if !strings.EqualFold(tb.ID, e.id) {
+			t.Errorf("experiment %s rendered table %q", e.id, tb.ID)
 		}
 		if tb.Title == "" || tb.Claim == "" {
 			t.Errorf("%s: missing metadata", tb.ID)

@@ -54,7 +54,9 @@ type SliceBaseline struct {
 }
 
 // sliceWorkload generates a trace and a disjunctive predicate whose
-// violations (the cuts of the regular ¬B) the sweep enumerates.
+// violations (the cuts of the regular ¬B) the sweep enumerates — or,
+// past the exhaustive oracle's reach, whose slice it builds and
+// controls.
 type sliceWorkload struct {
 	name    string
 	procs   int
@@ -69,6 +71,11 @@ var sliceWorkloads = []sliceWorkload{
 	{"violations-sparse n=6", 6, 90, 0.45, true},
 	{"violations-dense n=5", 5, 96, 0.04, true},
 	{"violations-dense n=6", 6, 90, 0.03, true},
+	// Large-trace tractability row: ≈16k states — the lattice is
+	// astronomically beyond enumeration, but the polynomial slice paths
+	// (construction, possibly-witness, control feasibility) answer
+	// directly.
+	{"slice-control n=32 (lattice not enumerable)", 32, 16000, 0.9, false},
 }
 
 // timeBest is timeIt stabilized for the slicing sweep's gain ratios:
@@ -97,7 +104,9 @@ func keySet(cuts []deposet.Cut) string {
 }
 
 // MeasureSlice runs the slicing sweep.
-func MeasureSlice(seed int64) *SliceBaseline {
+func MeasureSlice(seed int64) *SliceBaseline { return measureSlice(seed, sliceWorkloads) }
+
+func measureSlice(seed int64, workloads []sliceWorkload) *SliceBaseline {
 	r := rand.New(rand.NewSource(seed))
 	b := &SliceBaseline{
 		Schema:     2,
@@ -112,60 +121,61 @@ func MeasureSlice(seed int64) *SliceBaseline {
 			"walk is the cross-validation oracle and is timed once per workload",
 	}
 
-	for _, wl := range sliceWorkloads {
+	for _, wl := range workloads {
 		d := deposet.Random(r, deposet.DefaultGen(wl.procs, wl.events))
 		dj := predicate.DisjunctionFromTruth(deposet.RandomTruth(r, d, wl.density))
 		m := SliceMeasurement{Name: wl.name, Procs: d.NumProcs(), States: d.NumStates()}
-
-		cuts, stats := detect.AllViolations(d, dj)
-		if !stats.Sliced {
-			panic("slice sweep workload did not slice")
-		}
-		m.SliceCuts = stats.StatesExplored
-		m.MetaEvents = stats.MetaEvents
-		m.SliceNs = timeBest(func() { detect.AllViolations(d, dj) })
-
 		if wl.oracle {
-			var oracle []deposet.Cut
-			m.ExhaustiveNs = timeIt(func() { oracle, m.LatticeCuts = detect.AllViolationsExhaustive(d, dj) }).Nanoseconds()
-			m.Identical = keySet(cuts) == keySet(oracle)
-			if m.SliceNs > 0 {
-				m.SliceGain1w = float64(m.ExhaustiveNs) / float64(m.SliceNs)
-			}
+			measureEnumeration(&m, d, dj)
+		} else {
+			measureControl(&m, d, dj)
 		}
 		b.Results = append(b.Results, m)
 	}
+	return b
+}
 
-	// Large-trace tractability row: n=32, ≈16k states — the lattice is
-	// astronomically beyond enumeration, but the polynomial slice paths
-	// (construction, possibly-witness, control feasibility) answer
-	// directly.
-	big := deposet.Random(r, deposet.DefaultGen(32, 16000))
-	bigDj := predicate.DisjunctionFromTruth(deposet.RandomTruth(r, big, 0.9))
-	bigB := predicate.Not(bigDj) // regular: ∧p ¬lp
-	tab, ok := predicate.RegularTable(bigB, big)
+// measureEnumeration times the sliced violation enumeration and checks
+// it against the exhaustive lattice walk.
+func measureEnumeration(m *SliceMeasurement, d *deposet.Deposet, dj *predicate.Disjunction) {
+	cuts, stats := detect.AllViolations(d, dj)
+	if !stats.Sliced {
+		panic("slice sweep workload did not slice")
+	}
+	m.SliceCuts = stats.StatesExplored
+	m.MetaEvents = stats.MetaEvents
+	m.SliceNs = timeBest(func() { detect.AllViolations(d, dj) })
+
+	var oracle []deposet.Cut
+	m.ExhaustiveNs = timeIt(func() { oracle, m.LatticeCuts = detect.AllViolationsExhaustive(d, dj) }).Nanoseconds()
+	m.Identical = keySet(cuts) == keySet(oracle)
+	if m.SliceNs > 0 {
+		m.SliceGain1w = float64(m.ExhaustiveNs) / float64(m.SliceNs)
+	}
+}
+
+// measureControl times the slice's construction, control feasibility
+// and possibly-witness on a trace whose lattice is not enumerable;
+// Identical reports that control feasibility was decided.
+func measureControl(m *SliceMeasurement, d *deposet.Deposet, dj *predicate.Disjunction) {
+	b := predicate.Not(dj) // regular: ∧p ¬lp
+	tab, ok := predicate.RegularTable(b, d)
 	if !ok {
-		panic("big workload not regular")
+		panic("slice-control workload not regular")
 	}
-	m := SliceMeasurement{
-		Name:  "slice-control n=32 (lattice not enumerable)",
-		Procs: big.NumProcs(), States: big.NumStates(),
-	}
-	sl := slice.Compute(big, tab)
+	sl := slice.Compute(d, tab)
 	m.MetaEvents = sl.Stats().MetaEvents
 	_, chainFound, chainDecided := sl.SingleStepChain()
 	m.Identical = chainDecided
 	m.SliceNs = timeBest(func() {
-		s := slice.Compute(big, tab)
+		s := slice.Compute(d, tab)
 		if _, found, decided := s.SingleStepChain(); found != chainFound || decided != chainDecided {
 			panic("nondeterministic slice control")
 		}
-		if _, ok := detect.PossiblyGeneral(big, bigB); ok != !s.Empty() {
+		if _, ok := detect.PossiblyGeneral(d, b); ok != !s.Empty() {
 			panic("possibly disagrees with slice emptiness")
 		}
 	})
-	b.Results = append(b.Results, m)
-	return b
 }
 
 // SliceSmoke cross-validates the sliced dispatcher against the
@@ -212,7 +222,9 @@ func SliceBaselineJSON(seed int64) ([]byte, error) {
 }
 
 // E10 renders the slicing sweep as a pcbench table.
-func E10(seed int64) *Table {
+func E10(seed int64) *Table { return sliceTable(MeasureSlice(seed)) }
+
+func sliceTable(base *SliceBaseline) *Table {
 	t := &Table{
 		ID:    "E10",
 		Title: "computation slicing vs the exhaustive lattice walk",
@@ -221,7 +233,6 @@ func E10(seed int64) *Table {
 			"workload", "procs", "states", "lattice→slice cuts", "slice", "exhaustive", "gain", "identical",
 		},
 	}
-	base := MeasureSlice(seed)
 	for _, m := range base.Results {
 		lattice, exh, gain := "n/a", "-", "-"
 		if m.LatticeCuts > 0 {

@@ -17,13 +17,18 @@
 // verdict. The confirming stage therefore re-decides on the captured
 // trace itself: AssemblePrefix replays the staged capture ops into the
 // largest causally closed prefix deposet and detect.PossiblyGeneral —
-// which routes the regular ¬B through the internal/slice machinery —
-// either finds a consistent cut or defers. A consistent cut of a
-// prefix is a consistent cut of the full computation (consistency only
-// constrains the causal past), so a confirmed detection is sound
-// mid-run; and because the final prefix is the whole trace, a closing
-// confirmation pass makes the live verdict coincide exactly with the
-// offline one.
+// which tabulates a regular ¬B per state and runs the Garg–Waldecker
+// fixpoint (detect.PossiblyTruth) on it, no lattice walk — either finds
+// a consistent cut or defers. A consistent cut of a prefix is a
+// consistent cut of the full computation (consistency only constrains
+// the causal past), so a confirmed detection is sound mid-run; and
+// because the final prefix is the whole trace, the coordinator's
+// closing verdict on the committed capture makes the live verdict
+// coincide exactly with the offline one.
+//
+// The coordinator computes each verdict with no decision lock held and
+// lands it as one decision; Confirm is the step that keeps one verdict
+// per epoch when two confirmers race.
 //
 // The checker is epoch-aware (offers tagged with a superseded epoch
 // are discarded, Reset re-arms it for the re-execution) and
@@ -185,19 +190,6 @@ func (c *Checker) Confirm(epoch uint32) bool {
 	return true
 }
 
-// ForceTrigger arms the pending-trigger state without GW evidence; the
-// commit-time closing pass uses it so the final full-trace check runs
-// even when the conservative streaming stage never fired.
-func (c *Checker) ForceTrigger(epoch uint32) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.epoch != epoch || c.confirmed {
-		return false
-	}
-	c.triggered = true
-	return true
-}
-
 // Epoch returns the epoch the checker is armed for.
 func (c *Checker) Epoch() uint32 {
 	c.mu.Lock()
@@ -213,7 +205,8 @@ func (c *Checker) Fired() bool {
 }
 
 // Trigger returns the interval whose arrival completed the GW witness,
-// and whether one exists (a ForceTrigger'd checker has none). The
+// and whether one exists (none before a trigger: a closing verdict may
+// find a cut the streaming stage never saw). The
 // coordinator uses it to attribute detection latency to the candidate
 // send that made the violation observable.
 func (c *Checker) Trigger() (Interval, bool) {

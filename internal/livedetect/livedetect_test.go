@@ -80,16 +80,6 @@ func TestCheckerEpochDiscardAndReplayDedup(t *testing.T) {
 	}
 }
 
-func TestCheckerForceTrigger(t *testing.T) {
-	c := New(2)
-	if c.ForceTrigger(3) {
-		t.Fatal("force-trigger for a foreign epoch must refuse")
-	}
-	if !c.ForceTrigger(0) || !c.Pending(0) {
-		t.Fatal("force-trigger must arm the pending state")
-	}
-}
-
 // prefix op-stream helpers.
 func initOp(p int) wire.TraceOp { return wire.TraceOp{Op: wire.TraceInit, Proc: int32(p), Name: "cs"} }
 func set(p, v int) wire.TraceOp {

@@ -72,8 +72,10 @@ func mergeJournal(j *obs.Journal, streams [][]obs.Event) {
 }
 
 // Wait blocks until every node's capture stream completed (or timeout),
-// then assembles the run from the sessions' staging — final epoch only —
-// and merges their journals.
+// then assembles the run from the sessions' staging — final epoch only,
+// once — and merges their journals. With the checker lit and no
+// detection confirmed for the final epoch, it takes the closing verdict
+// on the deposet it assembled, before it snapshots the detections.
 func (c *Coordinator) Wait(timeout time.Duration) (*Result, error) {
 	select {
 	case <-c.allByes:
@@ -87,43 +89,57 @@ func (c *Coordinator) Wait(timeout time.Duration) (*Result, error) {
 	// replay, which needs the listener alive. The owner's Close (or the
 	// harness's deferred one) tears everything down.
 
+	// Commit is decided: the epoch no longer moves, and a mid-run
+	// verdict that lost the race to Commit is dropped, so only the
+	// closing verdict below still adds a detection.
 	c.mu.Lock()
-	stats := append([]Stats(nil), c.stats...)
-	epoch, restarts := c.dec.epoch, c.restarts
-	reexecs := c.reexecs
-	dets := append([]DetectionRecord(nil), c.detections...)
-	annots := append([]obs.Event(nil), c.annots...)
-	d := c.sealed
+	epoch := c.dec.epoch
 	c.mu.Unlock()
-
 	// Every bye was counted at the cluster epoch, so every session is at
 	// it and the epoch filter selects the whole final capture.
 	got := c.collect(epoch)
-	// The journal merge and the assembly share no data: the merge runs
-	// beside the assembly and is joined before Wait returns either way.
+	// The journal merge shares no data with the assembly and runs beside
+	// it — unless the checker is lit: then it follows the closing
+	// verdict, whose annotation it carries in time order.
 	merged := make(chan struct{})
-	go func() {
+	merge := func() {
 		defer close(merged)
+		c.mu.Lock()
+		annots := append([]obs.Event(nil), c.annots...)
+		c.mu.Unlock()
 		mergeJournal(c.journal, append(got.journal, annots))
-	}()
-	var err error
-	if d == nil {
-		c.assemblies.Inc()
-		d, err = assemble(c.n, got.byProc)
+	}
+	if c.ld == nil {
+		go merge()
+	}
+	c.assemblies.Inc()
+	d, err := assemble(c.n, got.byProc)
+	if c.ld != nil {
+		// The closing verdict, when the final epoch has no confirmed
+		// detection: the live verdict then coincides exactly with the
+		// offline decision on the assembled trace — the streaming stage's
+		// conservatism (node-level clocks over-approximate causality) can
+		// cost immediacy, never a detection.
+		if err == nil && !c.ld.Fired() {
+			c.confirm(d, epoch, -1, true)
+		}
+		merge()
 	}
 	<-merged
 	if err != nil {
 		return nil, err
 	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	return &Result{
 		Deposet:    d,
-		Stats:      stats,
+		Stats:      append([]Stats(nil), c.stats...),
 		Candidates: got.cands,
 		Epoch:      epoch,
-		Restarts:   restarts,
-		Detections: dets,
+		Restarts:   c.restarts,
+		Detections: append([]DetectionRecord(nil), c.detections...),
 		LiveFired:  c.ld != nil && c.ld.Fired(),
-		ReExecs:    reexecs,
+		ReExecs:    c.reexecs,
 		RootConns:  c.rootConns.Load(),
 		RootFrames: c.rootFrames.Load(),
 		RootBytes:  c.rootBytes.Load(),

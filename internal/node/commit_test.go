@@ -20,10 +20,11 @@ import (
 )
 
 // commit_test.go pins the commit path: whichever route a capture takes
-// to its deposet — Wait's own strict assembly from RAM staging, the
-// live closing pass's handed-over deposet, or AssembleBundle reading
-// the sealed bundle back — the trace is the same bytes, and a committed
-// run assembles its capture exactly once.
+// to its deposet — Wait's own strict assembly from RAM staging, dark or
+// with the live checker taking its closing verdict on that same
+// deposet, or AssembleBundle reading the sealed bundle back — the trace
+// is the same bytes, and a committed run assembles its capture exactly
+// once.
 
 func commitAssemblies(reg *obs.Registry) int64 {
 	return reg.Counter("predctl_coord_commit_assemblies_total").Value()
@@ -35,8 +36,8 @@ func TestCommitPathEquivalence(t *testing.T) {
 		return func(c *CoordConfig) { c.Reg = reg }
 	}
 	// The scripted apps enter their critical sections concurrently, so
-	// with the checker lit the closing pass also confirms a detection
-	// and computes a strategy on the deposet it hands over.
+	// with the checker lit the closing verdict also confirms a detection
+	// and computes a strategy on the deposet Wait assembled.
 	lit := func(c *CoordConfig) {
 		c.Live = LiveConfig{Predicate: CSMutexPredicate(n), OnDetect: OnDetectNote}
 	}
@@ -67,7 +68,7 @@ func TestCommitPathEquivalence(t *testing.T) {
 	for name, got := range map[string][]byte{
 		"tree+store Wait":        encodeTrace(t, tree),
 		"tree+store bundle":      bundle(treeDir),
-		"live handover":          encodeTrace(t, live),
+		"live Wait":              encodeTrace(t, live),
 		"live tree+store Wait":   encodeTrace(t, liveTree),
 		"live tree+store bundle": bundle(liveDir),
 	} {
@@ -83,7 +84,7 @@ func TestCommitPathEquivalence(t *testing.T) {
 		}
 	}
 	if !live.LiveFired || len(live.Detections) != 1 || !live.Detections[0].Final {
-		t.Errorf("lit scripted run: fired=%v detections=%+v, want one closing-pass detection",
+		t.Errorf("lit scripted run: fired=%v detections=%+v, want one closing-verdict detection",
 			live.LiveFired, live.Detections)
 	}
 	// The merged journal is the flat run's plus the detection's annotation.
@@ -100,9 +101,9 @@ func TestCommitPathEquivalence(t *testing.T) {
 }
 
 // TestLiveRunAssemblesOnce is the same claim on real clusters: with the
-// checker lit on a violation-free run, the closing pass's assembly is
-// the only one — Wait returns its deposet — and that deposet is what
-// the sealed bundle reassembles to.
+// checker lit on a violation-free run, Wait's assembly is the only one
+// on the commit path — the closing verdict is taken on the deposet Wait
+// returns — and that deposet is what the sealed bundle reassembles to.
 func TestLiveRunAssemblesOnce(t *testing.T) {
 	const n, rounds = 4, 3
 	for _, relays := range []int{0, 2} {
@@ -124,7 +125,7 @@ func TestLiveRunAssemblesOnce(t *testing.T) {
 			t.Fatalf("relays=%d: AssembleBundle: %v", relays, err)
 		}
 		if !bytes.Equal(encodeTrace(t, res), encodeTrace(t, &Result{Deposet: disk})) {
-			t.Errorf("relays=%d: handed-over trace differs from the bundle's", relays)
+			t.Errorf("relays=%d: Wait's trace differs from the bundle's", relays)
 		}
 	}
 }

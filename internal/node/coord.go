@@ -123,14 +123,15 @@ type Coordinator struct {
 
 	// Live online detection (nil ld when CoordConfig.Live is off):
 	// every ingested candidate feeds ld; a trigger runs the prefix
-	// confirmation, a confirmation fires the OnDetect response.
+	// verdict off the decision lock, and land records a found cut and
+	// takes the OnDetect response as one decision.
 	ld        *livedetect.Checker
 	liveCfg   LiveConfig
 	violation predicate.Expr // ¬B, precomputed from Live.Predicate
 	detMeter  *obs.Counter
 
-	// assemblies counts whole-capture assemblies on the commit path (the
-	// closing live pass, Wait): one per committed run.
+	// assemblies counts whole-capture assemblies on the commit path —
+	// Wait's, which the closing verdict reuses: one per committed run.
 	assemblies *obs.Counter
 
 	// store, when non-nil, gets the raw body of every staged capture
@@ -151,29 +152,24 @@ type Coordinator struct {
 	stats      []Stats
 	dec        decisions // the run's decisions, written by decide (session.go has the rule)
 	restarts   int
-	reexecs    int               // detection-triggered re-executions
-	detections []DetectionRecord // confirmed live detections, all epochs
-	detByNode  []int             // confirmed detections per witness node
+	reexecs    int               // detection-triggered re-executions (written by land)
+	detections []DetectionRecord // confirmed live detections, all epochs (written by land)
+	detByNode  []int             // confirmed detections per witness node (written by land)
 	doneSeen   []bool
 	byeSeen    []bool
 	doneCount  int
 	byeCount   int
 	annots     []obs.Event // cluster-level annotations (chaos, epoch bumps)
-	// sealed is the final-epoch deposet when the closing live pass
-	// already assembled it; Wait returns it instead of assembling again.
-	// Written at most once, in commitRun (shutdownMu held, Commit
-	// decided: no restart can void it) before allByes closes; read by Wait
-	// after. A Deposet is immutable, so the handover shares it.
-	sealed *deposet.Deposet
 
 	// shutdownMu serializes the run's decisions — each from the check
 	// that validates it through decide's broadcast — and every handshake
 	// (adopting the connection plus replaying the decisions to it)
-	// against each other. Combined with the per-connection write lock,
-	// every node observes the decisions in decision order: a Shutdown
-	// can never overtake the Restart that voided it, and no broadcast can
-	// reach a resuming connection ahead of its ResumeAck. session.go has
-	// the lock order.
+	// against each other, and nothing else: no assembly, detection or
+	// strategy runs under it. Combined with the per-connection write
+	// lock, every node observes the decisions in decision order: a
+	// Shutdown can never overtake the Restart that voided it, and no
+	// broadcast can reach a resuming connection ahead of its ResumeAck.
+	// session.go has the lock order.
 	shutdownMu sync.Mutex
 
 	allByes chan struct{}
@@ -526,8 +522,9 @@ func (c *Coordinator) broadcastShutdown(e uint32) {
 // commitRun seals the run at epoch e once every bye is in and the
 // decision survives revalidation (a rejoin after the last bye restarts
 // the cluster instead — until this commit, a completed execution is
-// still voidable). After it, no restart is possible, parked nodes may
-// exit, and Wait assembles the capture.
+// still voidable). After it, no restart is possible and no mid-run
+// verdict lands, parked nodes may exit, and Wait assembles the capture
+// (and, with the checker lit, takes the closing verdict on it).
 func (c *Coordinator) commitRun(e uint32) {
 	c.shutdownMu.Lock()
 	defer c.shutdownMu.Unlock()
@@ -538,15 +535,6 @@ func (c *Coordinator) commitRun(e uint32) {
 		return
 	}
 	c.decide(wire.Commit{})
-	// Closing live pass after the Commit goes out but before allByes
-	// releases Wait: every bye is in, so the staged capture is the
-	// complete final-epoch trace, and one last confirmation makes the
-	// live verdict coincide with offline detection on the assembled
-	// run. Running it after the broadcast overlaps the confirm with the
-	// nodes' teardown; the record can't be observed partially because
-	// Wait blocks on allByes below (and no restart can void it — the
-	// seal is already set, and shutdownMu is held throughout).
-	c.finalLiveLocked(e)
 	if c.store != nil {
 		// Seal before Wait is released: the directory is a complete,
 		// verifiable capture bundle the moment the run result exists —

@@ -98,7 +98,7 @@ func TestCandidateDoesNotWaitForTick(t *testing.T) {
 			t.Logf("5 s interval: candidate → verdict %v", lat)
 			// Drained and committed: every candidate and every state of the
 			// run arrived (a rogue round is 2 states, a controlled one 8),
-			// and the closing pass agrees with the mid-run verdict.
+			// and the closing verdict agrees with the mid-run one.
 			if want := tc.n * rounds; res.Candidates != want {
 				t.Errorf("%d candidates staged, want %d", res.Candidates, want)
 			}

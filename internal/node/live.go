@@ -58,9 +58,10 @@ type DetectionRecord struct {
 	// Epoch is the execution epoch the detection fired in.
 	Epoch uint32 `json:"epoch"`
 	// Node is the node whose candidate completed the streaming witness,
-	// or -1 when only the commit-time closing pass found the cut.
+	// or -1 when only Wait's closing verdict found the cut.
 	Node int `json:"node"`
-	// AtNs is when the confirmation landed, relative to the run start.
+	// AtNs is when the consistent cut was found, relative to the run
+	// start (before the strategy is computed).
 	AtNs int64 `json:"at_ns"`
 	// Cut is the confirmed consistent cut — one consumed-state index per
 	// logical process (apps 0..n-1, controllers n..2n-1).
@@ -73,8 +74,8 @@ type DetectionRecord struct {
 	// control strategy computed on the confirmed prefix (0 when the
 	// off-line algorithm found none or failed).
 	StrategyEdges int `json:"strategy_edges"`
-	// Final marks a detection found only by the commit-time closing
-	// pass rather than strictly mid-run.
+	// Final marks a detection found only by Wait's closing verdict on
+	// the committed capture rather than strictly mid-run.
 	Final bool `json:"final"`
 	// ReExec marks a detection that triggered a controlled
 	// re-execution.
@@ -87,61 +88,38 @@ func (r DetectionRecord) frame() wire.Detection {
 }
 
 // fireDetection runs the confirming stage after the streaming checker
-// triggered: assemble the staged capture's causally closed prefix and
-// decide possibly(¬B) on it for real. Like the other terminal
-// decisions it runs under shutdownMu and revalidates — a trigger a
-// concurrent restart just voided dies here instead of firing into the
-// wrong epoch. witness is the node whose frame carried the triggering
-// candidate (display attribution only; the record prefers the
-// checker's own triggering interval).
+// triggered: assemble the current epoch's staged capture into its
+// causally closed prefix and confirm on it. witness is the node whose
+// frame carried the triggering candidate (display attribution only;
+// the record prefers the checker's own triggering interval).
 func (c *Coordinator) fireDetection(witness int) {
-	c.shutdownMu.Lock()
-	defer c.shutdownMu.Unlock()
-	if c.ld == nil {
-		return
-	}
 	c.mu.Lock()
 	e, committed := c.dec.epoch, c.dec.committed
 	c.mu.Unlock()
 	if committed || !c.ld.Pending(e) {
 		return // sealed, superseded by a restart, or already confirmed
 	}
-	c.confirmLocked(e, witness, false)
-}
-
-// confirmLocked decides possibly(¬B) on epoch e's captured prefix and,
-// when a consistent cut is found, records the detection and fires the
-// OnDetect response. A not-found is not a verdict — the cut may lie
-// beyond the current prefix, so the trigger stays pending and later
-// candidates retry on the grown capture. Caller holds shutdownMu.
-func (c *Coordinator) confirmLocked(e uint32, witness int, final bool) {
-	got := c.collect(e)
-	d, consumed, err := livedetect.AssemblePrefix(c.n, got.byProc)
+	d, _, err := livedetect.AssemblePrefix(c.n, c.collect(e).byProc)
 	if err != nil {
 		c.logf("coordinator: live confirm: %v", err)
 		return
 	}
-	if final {
-		// Every bye is in: unless the sweep stopped short (a corrupt
-		// capture, which Wait's strict assembly will report), d is the
-		// run's deposet and Wait need not build it again.
-		c.assemblies.Inc()
-		whole := true
-		for p, ops := range got.byProc {
-			whole = whole && consumed[p] == len(ops)
-		}
-		if whole {
-			c.mu.Lock()
-			c.sealed = d
-			c.mu.Unlock()
-		}
-	}
+	c.confirm(d, e, witness, false)
+}
+
+// confirm takes the verdict possibly(¬B) on d — epoch e's captured
+// prefix, or with final the whole committed capture Wait assembled —
+// and lands a found cut as a detection. The verdict and its strategy
+// are computed with no decision lock held, so a slow predicate holds up
+// no handshake and no decision; two ingest goroutines may compute one
+// epoch's verdict at once, and land keeps one. A not-found mid-run is
+// not a verdict — the cut may lie beyond the current prefix, so the
+// trigger stays pending and later candidates retry on the grown
+// capture.
+func (c *Coordinator) confirm(d *deposet.Deposet, e uint32, witness int, final bool) {
 	cut, found := detect.PossiblyGeneral(d, c.violation)
 	if !found {
 		return
-	}
-	if !c.ld.Confirm(e) {
-		return // a concurrent confirmer won, or the epoch moved on
 	}
 	rec := DetectionRecord{
 		Epoch: e, Node: witness, AtNs: time.Since(c.start).Nanoseconds(),
@@ -161,23 +139,57 @@ func (c *Coordinator) confirmLocked(e uint32, witness int, final bool) {
 	} else {
 		c.logf("coordinator: live detection: no control strategy: %v", err)
 	}
+	c.land(rec)
+}
+
+// land records the detection rec and takes the response it calls for,
+// as one decision under shutdownMu: it is the only writer of
+// c.detections, c.detByNode and c.reexecs. It revalidates first: a
+// mid-run verdict must still precede Commit and a final one follow it,
+// and the checker, which is armed for the cluster's epoch
+// (newEpochLocked), must confirm rec's — which fails if a restart
+// voided it or a concurrent confirmer won. A mid-run verdict that
+// Commit overtook is dropped; Wait's closing verdict takes over.
+//
+// In OnDetectReExec mode a mid-run detection gets the rejoin restart's
+// detection-triggered twin — the paper's active-debugging response,
+// driven automatically: void the epoch the violation was observed in,
+// announce the detection (Detection frame, so every node knows it now
+// runs under control) and order the §8 controlled re-execution (ReExec
+// frame, which nodes treat as a Restart).
+func (c *Coordinator) land(rec DetectionRecord) {
+	c.shutdownMu.Lock()
+	defer c.shutdownMu.Unlock()
 	c.mu.Lock()
-	canReExec := !final && c.liveCfg.OnDetect == OnDetectReExec && c.reexecs < c.liveCfg.MaxReExecs
-	rec.ReExec = canReExec
+	committed := c.dec.committed
+	c.mu.Unlock()
+	if committed != rec.Final || !c.ld.Confirm(rec.Epoch) {
+		return
+	}
+	c.mu.Lock()
+	rec.ReExec = !rec.Final && c.liveCfg.OnDetect == OnDetectReExec && c.reexecs < c.liveCfg.MaxReExecs
+	if rec.ReExec {
+		c.reexecs++
+	}
 	c.detections = append(c.detections, rec)
 	if rec.Node >= 0 && rec.Node < len(c.detByNode) {
 		c.detByNode[rec.Node]++
 	}
 	c.mu.Unlock()
 	c.detMeter.Inc()
-	// Stamped with the confirmation time, not now: the strategy above
-	// can take far longer than the detection did.
-	c.AnnotateAt(rec.AtNs, obs.EvDetect, int64(rec.Node), int64(e))
+	// Stamped when the cut was found, not now: the strategy can take far
+	// longer than the detection did.
+	c.AnnotateAt(rec.AtNs, obs.EvDetect, int64(rec.Node), int64(rec.Epoch))
 	c.logf("coordinator: live detection: possibly(¬B) confirmed at epoch %d (witness node %d, cut %v)",
-		e, rec.Node, cut)
-	if canReExec {
-		c.reexecClusterLocked(rec)
+		rec.Epoch, rec.Node, rec.Cut)
+	if !rec.ReExec {
+		return
 	}
+	ne := rec.Epoch + 1
+	c.logf("coordinator: detection at epoch %d: controlled re-execution at epoch %d (%d strategy edges)",
+		rec.Epoch, ne, rec.StrategyEdges)
+	c.Annotate(obs.EvEpochReExec, int64(rec.Node), int64(ne))
+	c.decide(rec.frame(), wire.ReExec{Epoch: ne, Edges: uint32(rec.StrategyEdges)})
 }
 
 // liveStrategy synthesizes the control relation that keeps b true on d.
@@ -195,39 +207,6 @@ func liveStrategy(d *deposet.Deposet, b predicate.Expr) (control.Relation, error
 	}
 	rel, _, err := offline.ControlGeneral(d, b)
 	return rel, err
-}
-
-// reexecClusterLocked is the rejoin restart's detection-triggered
-// twin — the paper's active-debugging response, driven automatically:
-// void the epoch the violation was observed in, announce the detection
-// (Detection frame, so every node knows it now runs under control) and
-// order the §8 controlled re-execution (ReExec frame, which nodes
-// treat as a Restart). Caller holds shutdownMu.
-func (c *Coordinator) reexecClusterLocked(rec DetectionRecord) {
-	c.mu.Lock()
-	c.reexecs++
-	ne := c.dec.epoch + 1
-	c.mu.Unlock()
-	c.logf("coordinator: detection at epoch %d: controlled re-execution at epoch %d (%d strategy edges)",
-		rec.Epoch, ne, rec.StrategyEdges)
-	c.Annotate(obs.EvEpochReExec, int64(rec.Node), int64(ne))
-	c.decide(rec.frame(), wire.ReExec{Epoch: ne, Edges: uint32(rec.StrategyEdges)})
-}
-
-// finalLiveLocked is the commit-time closing pass: force the trigger
-// and confirm once more on the complete final-epoch capture, so the
-// live verdict coincides exactly with the offline decision on the
-// assembled trace — the streaming stage's conservatism (node-level
-// clocks over-approximate causality) cannot cost a detection, only
-// immediacy. The run is complete, so the pass never re-executes.
-// Caller holds shutdownMu.
-func (c *Coordinator) finalLiveLocked(e uint32) {
-	if c.ld == nil {
-		return
-	}
-	if c.ld.ForceTrigger(e) {
-		c.confirmLocked(e, -1, true)
-	}
 }
 
 func cutToInt64(cut deposet.Cut) []int64 {

@@ -2,6 +2,11 @@ package node
 
 import (
 	"fmt"
+	"net"
+	"reflect"
+	"slices"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -32,7 +37,7 @@ func TestLiveDetectionPlantedViolation(t *testing.T) {
 	}
 	first := res.Detections[0]
 	if first.Final {
-		t.Fatal("detection only fired in the closing pass, not mid-run")
+		t.Fatal("detection only fired in the closing verdict, not mid-run")
 	}
 	if !first.ReExec || res.ReExecs != 1 {
 		t.Fatalf("detection did not drive a re-execution: %+v (reexecs %d)", first, res.ReExecs)
@@ -238,12 +243,31 @@ func roguePrefix(n, rounds int) [][]wire.TraceOp {
 	return byProc
 }
 
+// triggerLive offers one candidate per node of c, pairwise concurrent,
+// so the streaming checker triggers on the last, and returns the
+// action that obligates: the mid-run verdict on what c has staged.
+func triggerLive(t *testing.T, c *Coordinator) ingestAction {
+	t.Helper()
+	var act ingestAction
+	for p := 0; p < c.n; p++ {
+		lo, hi := make([]int32, c.n), make([]int32, c.n)
+		lo[p], hi[p] = 1, 2
+		act, _ = c.ingestStored(c.session(p), wire.Candidate{Proc: int32(p), LoIdx: 1, HiIdx: 2, Lo: lo, Hi: hi}, nil)
+	}
+	if act != actDetected {
+		t.Fatalf("%d concurrent candidates produced action %v, want actDetected", c.n, act)
+	}
+	return act
+}
+
 // TestLiveStrategyIsFigure2OnDisjunction: the strategy a confirmed live
 // detection records for B = ∨(csᵢ = 0) is the paper's Figure 2 chain —
 // offline.Control's relation, at most n(p+1) edges, valid for the prefix
 // — and computing it never enters the exhaustive SGSD search, which
 // evaluates B at every consistent cut it visits where the chain reads
-// each local once per state.
+// each local once per state. The confirm is no lattice walk either:
+// possibly(¬B) factors into a per-state table and the Garg–Waldecker
+// fixpoint, which reads each local a bounded number of times per state.
 func TestLiveStrategyIsFigure2OnDisjunction(t *testing.T) {
 	for _, n := range []int{3, 4, 6} {
 		const rounds = 5
@@ -270,6 +294,13 @@ func TestLiveStrategyIsFigure2OnDisjunction(t *testing.T) {
 		if evals > 4*d.NumStates() {
 			t.Errorf("n=%d: B's locals read %d times for %d states: an exhaustive search, not the Figure 2 chain", n, evals, d.NumStates())
 		}
+		evals = 0
+		if _, found := detect.PossiblyGeneral(d, predicate.Not(predicate.Or(xs...))); !found {
+			t.Fatalf("n=%d: the confirm finds no cut on a prefix where every app can be in its section", n)
+		}
+		if evals > 4*d.NumStates() {
+			t.Errorf("n=%d: the confirm read B's locals %d times for %d states: a lattice walk, not the Garg–Waldecker fixpoint", n, evals, d.NumStates())
+		}
 		dj, ok := predicate.AsDisjunction(CSMutexPredicate(n), d.NumProcs())
 		if !ok {
 			t.Fatalf("n=%d: the cluster's own predicate is not recognised as a disjunction", n)
@@ -285,7 +316,7 @@ func TestLiveStrategyIsFigure2OnDisjunction(t *testing.T) {
 			t.Errorf("n=%d: strategy is not a valid control relation: %v", n, err)
 		}
 
-		// The same prefix through the coordinator's confirmation: the
+		// The same prefix through the coordinator's mid-run verdict: the
 		// recorded detection carries that strategy's size.
 		c := newCoordinator(n, nil, func(string, ...any) {})
 		c.ld = livedetect.New(n)
@@ -295,15 +326,206 @@ func TestLiveStrategyIsFigure2OnDisjunction(t *testing.T) {
 		for p, ops := range byProc {
 			c.ingestStored(c.session(p%n), wire.TraceOpBatch{Ops: ops}, nil)
 		}
-		c.ld.ForceTrigger(0)
-		c.shutdownMu.Lock()
-		c.confirmLocked(0, -1, false)
-		c.shutdownMu.Unlock()
+		c.perform(triggerLive(t, c), 0, n-1)
 		if len(c.detections) != 1 {
 			t.Fatalf("n=%d: %d detections recorded on a prefix where every app can be in its section", n, len(c.detections))
 		}
 		if got := c.detections[0].StrategyEdges; got != len(want.Relation) {
 			t.Errorf("n=%d: detection records %d strategy edges, Figure 2 gives %d", n, got, len(want.Relation))
 		}
+	}
+}
+
+// slowGate holds every evaluation of a predicate's locals while it is
+// shut, and reports the first one.
+type slowGate struct {
+	entered, release chan struct{}
+	enter, open      sync.Once
+}
+
+func newSlowGate() *slowGate {
+	return &slowGate{entered: make(chan struct{}), release: make(chan struct{})}
+}
+
+func (g *slowGate) wait() {
+	g.enter.Do(func() { close(g.entered) })
+	<-g.release
+}
+
+func (g *slowGate) openUp() { g.open.Do(func() { close(g.release) }) }
+
+// TestSlowVerdictBlocksNoHandshake: the live verdict — prefix assembly,
+// possibly(¬B), the strategy — runs with no decision lock held, so a
+// predicate that takes its time holds up neither a node's resume
+// handshake nor a relaunch's restart decision. The verdict then lands
+// as one decision, revalidated: two confirmers of one trigger record
+// exactly one detection, a verdict on an epoch a restart voided
+// meanwhile records nothing and broadcasts no ReExec, and one that
+// Commit overtook records nothing either — Wait's closing verdict
+// records the detection instead.
+func TestSlowVerdictBlocksNoHandshake(t *testing.T) {
+	const n, rounds = 3, 2
+	var gate atomic.Pointer[slowGate]
+	xs := make([]predicate.Expr, n)
+	for i := range xs {
+		xs[i] = predicate.Local(i, "cs=0", func(d *deposet.Deposet, k int) bool {
+			gate.Load().wait()
+			v, ok := d.Var(deposet.StateID{P: i, K: k}, "cs")
+			return ok && v == 0
+		})
+	}
+	c, err := NewCoordinator(CoordConfig{N: n, Addr: "127.0.0.1:0", Timeouts: testTimeouts(), Logf: t.Logf,
+		Live: LiveConfig{Predicate: predicate.Or(xs...)}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(c.Close) // after every gate's cleanup has opened it
+	shut := func() *slowGate {
+		g := newSlowGate()
+		gate.Store(g)
+		t.Cleanup(g.openUp)
+		return g
+	}
+	within := func(ch <-chan struct{}, what string) {
+		t.Helper()
+		select {
+		case <-ch:
+		case <-time.After(5 * time.Second):
+			t.Fatalf("timed out waiting for %s", what)
+		}
+	}
+	// verdict stages the rogue prefix at the current epoch, triggers the
+	// checker on it and runs the mid-run verdict from k ingest
+	// goroutines at once; the channel closes when all have returned.
+	verdict := func(k int) <-chan struct{} {
+		for p, ops := range roguePrefix(n, rounds) {
+			c.ingestStored(c.session(p%n), wire.TraceOpBatch{Ops: ops}, nil)
+		}
+		act := triggerLive(t, c)
+		var wg sync.WaitGroup
+		for w := 0; w < k; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				c.perform(act, 0, w)
+			}()
+		}
+		done := make(chan struct{})
+		go func() { wg.Wait(); close(done) }()
+		return done
+	}
+	recorded := func() ([]DetectionRecord, int) {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		return slices.Clone(c.detections), c.reexecs
+	}
+
+	for id := 0; id < n; id++ {
+		helloNode(t, c.Addr(), n, id, 1)
+	}
+	for id, deadline := 0, time.Now().Add(10*time.Second); id < n; time.Sleep(time.Millisecond) {
+		st := c.session(id)
+		st.mu.Lock()
+		if st.inc == 1 {
+			id++
+		}
+		st.mu.Unlock()
+		if time.Now().After(deadline) {
+			t.Fatalf("the root never took node %d's Hello", id)
+		}
+	}
+
+	// Epoch 0: two confirmers hold the verdict while node 0 resumes.
+	g := shut()
+	done := verdict(2)
+	within(g.entered, "the verdict to evaluate B")
+	conn, err := net.Dial("tcp", c.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { conn.Close() })
+	if err := wire.WriteFrame(conn, 0, wire.Resume{From: 0, N: n}); err != nil {
+		t.Fatal(err)
+	}
+	node0 := &rawNode{t: t, conn: conn, br: bufReader(conn)}
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if _, m, err := wire.ReadFrame(node0.br); err != nil {
+		t.Fatalf("node 0's resume got no answer while the verdict ran: %v", err)
+	} else if _, ok := m.(wire.ResumeAck); !ok {
+		t.Fatalf("node 0's resume read %#v, want ResumeAck", m)
+	}
+	g.openUp()
+	within(done, "the verdicts to land")
+	dets, reexecs := recorded()
+	if len(dets) != 1 || dets[0].Epoch != 0 || !dets[0].ReExec || reexecs != 1 {
+		t.Fatalf("after two confirmers at epoch 0: detections %+v, %d re-executions; want one that re-executes", dets, reexecs)
+	}
+	if m := node0.next(); !reflect.DeepEqual(m, dets[0].frame()) {
+		t.Fatalf("node 0 read %#v after the verdict, want its Detection %#v", m, dets[0].frame())
+	}
+	if m, ok := node0.next().(wire.ReExec); !ok || m.Epoch != 1 {
+		t.Fatalf("node 0 read %#v after the Detection, want ReExec{1}", m)
+	}
+
+	// Epoch 1: a relaunch's restart decision lands while the verdict on
+	// epoch 1 is held; the verdict then finds its epoch gone.
+	g = shut()
+	for p := 0; p < n; p++ {
+		c.ingestStored(c.session(p), wire.EpochMark{Epoch: 1}, nil)
+	}
+	done = verdict(1)
+	within(g.entered, "the epoch-1 verdict to evaluate B")
+	relaunch := helloNode(t, c.Addr(), n, 2, 2)
+	relaunch.conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if _, m, err := wire.ReadFrame(relaunch.br); err != nil {
+		t.Fatalf("node 2's relaunch got no answer while the verdict ran: %v", err)
+	} else if _, ok := m.(wire.Detection); !ok {
+		t.Fatalf("node 2's relaunch read %#v first, want the Detection it missed", m)
+	}
+	if m := relaunch.next(); !reflect.DeepEqual(m, wire.Restart{Epoch: 2}) {
+		t.Fatalf("node 2's relaunch read %#v, want Restart{2}", m)
+	}
+	g.openUp()
+	within(done, "the voided verdict to return")
+	if dets, reexecs := recorded(); len(dets) != 1 || reexecs != 1 {
+		t.Fatalf("a verdict on a voided epoch landed: detections %+v, %d re-executions", dets, reexecs)
+	}
+	fence := wire.EpochMark{Epoch: 99}
+	c.broadcast(fence)
+	var got []wire.Msg
+	for m := node0.next(); !reflect.DeepEqual(m, fence); m = node0.next() {
+		got = append(got, m)
+	}
+	if want := []wire.Msg{wire.Restart{Epoch: 2}}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("node 0 was sent %#v after the re-execution, want only %#v", got, want)
+	}
+
+	// Epoch 2: the run commits while the verdict on it is held.
+	g = shut()
+	for p := 0; p < n; p++ {
+		c.ingestStored(c.session(p), wire.EpochMark{Epoch: 2}, nil)
+	}
+	done = verdict(1)
+	within(g.entered, "the epoch-2 verdict to evaluate B")
+	for _, m := range []wire.Msg{wire.Done{}, wire.Shutdown{Epoch: 2}} {
+		for p := 0; p < n; p++ {
+			act, e := c.ingestStored(c.session(p), m, nil)
+			c.perform(act, e, p)
+		}
+	}
+	if !c.decisions().committed {
+		t.Fatal("the run did not commit while the verdict was held")
+	}
+	g.openUp()
+	within(done, "the overtaken verdict to return")
+	if dets, _ := recorded(); len(dets) != 1 {
+		t.Fatalf("a mid-run verdict landed after Commit: detections %+v", dets)
+	}
+	res, err := c.Wait(5 * time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Detections) != 2 || !res.Detections[1].Final || res.Detections[1].Epoch != 2 || !res.LiveFired {
+		t.Fatalf("after Commit: detections %+v, fired %t; want the closing verdict's at epoch 2", res.Detections, res.LiveFired)
 	}
 }

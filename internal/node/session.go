@@ -25,10 +25,13 @@ import (
 //	relaySession.ingestMu   one uplink's accept-and-unpack, held across
 //	                        a whole RelayBatch — above shutdownMu because
 //	                        a relayed Hello in the batch is decided there
-//	Coordinator.shutdownMu  each decision (Shutdown, Commit, restart,
-//	                        re-execution) from its check through its
-//	                        broadcast, and every handshake's adoption +
-//	                        decision replay
+//	Coordinator.shutdownMu  each decision (Shutdown, Commit, restart, a
+//	                        live detection and its re-execution) from its
+//	                        check through its broadcast, and every
+//	                        handshake's adoption + decision replay — and
+//	                        nothing else: no assembly, detection or
+//	                        strategy runs under it (a live verdict is
+//	                        computed before land takes it)
 //	nodeSession.ingestMu    one node stream's accept-and-stage
 //	inbound.mu, Coordinator.mu, endpoint.connMu
 //	                        leaves: a session's owner, sequence and

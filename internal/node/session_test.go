@@ -506,8 +506,9 @@ func TestAdoptedEpochVoidsShutdown(t *testing.T) {
 
 // TestStatusNotBlockedByDecision: the status document — /statusz, pctl
 // top, Wait's stall report — reads the decisions without the decision
-// lock, so a decision that holds it (a live confirm, the commit's
-// closing pass and seal) does not hold up the tool meant to diagnose it.
+// lock, so a decision that holds it (the commit's store seal, a
+// broadcast to a slow peer) does not hold up the tool meant to diagnose
+// it.
 func TestStatusNotBlockedByDecision(t *testing.T) {
 	c := newCoordinator(2, nil, t.Logf)
 	c.shutdownMu.Lock()

@@ -45,7 +45,7 @@ const (
 	EvCandidate = "monitor.candidate"
 	// EvDetect marks a live possibly(¬B) detection confirmed on the
 	// captured prefix; A is the node whose candidate completed the
-	// witness (-1 for the commit-time closing pass), B the epoch it
+	// witness (-1 for the commit-time closing verdict), B the epoch it
 	// fired in.
 	EvDetect = "detect.fired"
 	// EvEpochReExec marks a detection-triggered controlled
