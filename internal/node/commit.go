@@ -84,10 +84,17 @@ func (c *Coordinator) Wait(timeout time.Duration) (*Result, error) {
 		c.Close()
 		return nil, fmt.Errorf("node: coordinator timed out after %v (%s)", timeout, stall)
 	}
-	// Deliberately no Close on success: a parked node whose Commit died
-	// with a broken stream redials and fetches it from the resume
-	// replay, which needs the listener alive. The owner's Close (or the
-	// harness's deferred one) tears everything down.
+	// The Commit is queued to every connection: let the writers put it
+	// on the wire before an owner that closes the coordinator once Wait
+	// returns can cut it off. No lock is held; a stalled peer holds this
+	// up for at most the write timeout. Deliberately no Close on
+	// success: a parked node whose Commit died with a broken stream
+	// redials and fetches it from the resume replay, which needs the
+	// listener alive. The owner's Close (or the harness's deferred one)
+	// tears everything down.
+	for _, conn := range c.owners() {
+		conn.flush()
+	}
 
 	// Commit is decided: the epoch no longer moves, and a mid-run
 	// verdict that lost the race to Commit is dropped, so only the

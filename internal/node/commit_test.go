@@ -366,7 +366,7 @@ func TestStoreFollowsEveryDiscard(t *testing.T) {
 	seqs := make([]uint64, n)
 	ingest := func(c *Coordinator, f frame) {
 		t.Helper()
-		if _, _, err := c.ingest(c.session(f.id), nil, nil, f.body); err != nil {
+		if _, err := c.ingest(c.session(f.id), nil, nil, f.body); err != nil {
 			t.Fatalf("node %d: %v", f.id, err)
 		}
 	}
@@ -561,8 +561,8 @@ func TestCaptureEndsAtBye(t *testing.T) {
 
 // TestFailedAppendStopsTheStore: one failed append stops the store for
 // every session, not only for the one whose frame it lost — the store
-// then has a hole, so nothing after it may land there — and commitRun
-// leaves it unsealed. Staging in RAM carries on whole.
+// then has a hole, so nothing after it may land there — and seal leaves
+// it unsealed. Staging in RAM carries on whole.
 func TestFailedAppendStopsTheStore(t *testing.T) {
 	batch := func(id int) wire.TraceOpBatch {
 		return wire.TraceOpBatch{Ops: []wire.TraceOp{{Op: wire.TraceSet, Proc: int32(id), Name: "cs", Value: 1}}}
@@ -592,9 +592,7 @@ func TestFailedAppendStopsTheStore(t *testing.T) {
 	// Finish the run: every Done, then every bye.
 	for _, m := range []wire.Msg{wire.Done{}, wire.Shutdown{Epoch: 0}} {
 		for _, st := range sessions {
-			if act, e := c.ingestStored(st, m, nil); act != actNone {
-				c.perform(act, e, st.id)
-			}
+			c.ingestStored(st, m, nil)
 		}
 	}
 	select {
@@ -603,6 +601,6 @@ func TestFailedAppendStopsTheStore(t *testing.T) {
 		t.Fatal("the run did not commit")
 	}
 	if disk.seals != 0 {
-		t.Fatal("commitRun sealed a store that missed a frame")
+		t.Fatal("the commit sealed a store that missed a frame")
 	}
 }

@@ -107,6 +107,13 @@ type Result struct {
 // stream's EpochMark then discards that stream's staged capture, so
 // what Wait assembles is exactly the final epoch: a trace
 // indistinguishable from a fault-free run.
+//
+// Each decision is one step under c.mu, taken where the frame that makes
+// it is counted: the last Done at the epoch decides Shutdown, the last
+// bye Commit, a relaunch's Hello a Restart, and a landed live verdict
+// Detection + ReExec. The step folds the frames into c.dec and queues
+// them to every connection; writers put them on the wire with no lock
+// held, so a peer that stops reading delays nobody else.
 type Coordinator struct {
 	endpoint // the shared session layer's half: listener, connections, streams
 	n        int
@@ -146,7 +153,7 @@ type Coordinator struct {
 	rootBytes  atomic.Int64
 	rootConns  atomic.Int64
 
-	mu         sync.Mutex
+	mu         sync.Mutex // the decision lock (session.go has the order)
 	sessions   map[int]*nodeSession
 	relays     map[int]*relaySession
 	stats      []Stats
@@ -161,19 +168,9 @@ type Coordinator struct {
 	byeCount   int
 	annots     []obs.Event // cluster-level annotations (chaos, epoch bumps)
 
-	// shutdownMu serializes the run's decisions — each from the check
-	// that validates it through decide's broadcast — and every handshake
-	// (adopting the connection plus replaying the decisions to it)
-	// against each other, and nothing else: no assembly, detection or
-	// strategy runs under it. Combined with the per-connection write
-	// lock, every node observes the decisions in decision order: a
-	// Shutdown can never overtake the Restart that voided it, and no
-	// broadcast can reach a resuming connection ahead of its ResumeAck.
-	// session.go has the lock order.
-	shutdownMu sync.Mutex
-
+	// allByes is closed once Commit is decided and the store sealed:
+	// Wait's release.
 	allByes chan struct{}
-	byeOnce sync.Once
 
 	// ingestHook, when a test sets it (before any stream attaches), sees
 	// every frame as ingestStored is about to fold it in.
@@ -194,7 +191,7 @@ type spillStore interface {
 // ingest benches drive directly.
 func newCoordinator(n int, journal *obs.Journal, logf func(string, ...any)) *Coordinator {
 	return &Coordinator{
-		endpoint: newEndpoint("coordinator", Timeouts{}, logf),
+		endpoint: newEndpoint("coordinator", Timeouts{}.withDefaults(), logf),
 		n:        n,
 		journal:  journal,
 		live:     obs.NewRegistry(),
@@ -318,22 +315,35 @@ func (c *Coordinator) handleConn(raw net.Conn) {
 	conn.peer = "node " + strconv.Itoa(id)
 	st := c.session(id)
 	frame := func(body []byte) error {
-		act, epoch, err := c.ingest(st, conn, conn, body)
-		c.perform(act, epoch, id)
+		detected, err := c.ingest(st, conn, conn, body)
+		if detected {
+			c.fireDetection(id)
+		}
 		return err
 	}
 	if fresh {
 		err = frame(body)
 	} else {
-		c.shutdownMu.Lock()
-		err = c.decisions().replay(conn, st.adopt(conn, false, 0))
-		c.shutdownMu.Unlock()
+		c.handshake(&st.inbound, conn, false)
 	}
 	if err != nil {
 		c.logf("coordinator: node %d: handshake: %v", id, err)
+		conn.flush()
 		return
 	}
 	c.serve(conn, c.countFrame, frame)
+}
+
+// handshake adopts conn as in's owner and queues the decision replay
+// to it, as one step under the decision lock: a decision taken meanwhile
+// either reached the old owner and is in the replay, or follows the
+// ResumeAck. fresh restarts the stream's numbering (adoptLocked).
+func (c *Coordinator) handshake(in *inbound, conn *coordConn, fresh bool) {
+	in.ingestMu.Lock()
+	defer in.ingestMu.Unlock()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.dec.replay(conn, in.adoptLocked(conn, fresh, 0))
 }
 
 // ingest is the one per-origin frame path, for a node's own connection
@@ -341,20 +351,21 @@ func (c *Coordinator) handleConn(raw net.Conn) {
 // relayed), answer the connection the frame came on. A Hello goes to
 // the Hello decision, which takes it unless it names the incarnation
 // already on record — a resume replaying frame 1 — and everything else
-// goes through the session's gate into ingestStored. The caller
-// performs what the frame obligated once its own locks are released.
-func (c *Coordinator) ingest(st *nodeSession, owner, answer *coordConn, body []byte) (act ingestAction, epoch uint32, err error) {
+// goes through the session's gate into ingestStored. It reports whether
+// the live checker triggered: the caller runs the verdict once its own
+// locks are released.
+func (c *Coordinator) ingest(st *nodeSession, owner, answer *coordConn, body []byte) (detected bool, err error) {
 	seq, m, err := wire.DecodeBody(body)
 	if err != nil {
-		return actNone, 0, err
+		return false, err
 	}
 	if h, ok := m.(wire.Hello); ok {
 		if decided, err := c.hello(st, owner, answer, seq, h.Inc); decided {
-			return actNone, 0, err
+			return false, err
 		}
 	}
-	err = st.deliver(owner, seq, func() { act, epoch = c.ingestStored(st, m, body) })
-	return act, epoch, err
+	err = st.deliver(owner, seq, func() { detected = c.ingestStored(st, m, body) })
+	return detected, err
 }
 
 // countFrame is the root's ingest accounting: one frame and its bytes
@@ -364,94 +375,67 @@ func (c *Coordinator) countFrame(bodyLen int) {
 	c.rootBytes.Add(int64(bodyLen + 4))
 }
 
-// perform runs what a frame's ingest obligated, after every session
-// lock is released (the decisions take shutdownMu, which handshakes
-// take before a session's ingest lock). Each revalidates against the
-// current epoch: one a concurrent rejoin just voided dies there instead
-// of racing onto the wire.
-func (c *Coordinator) perform(act ingestAction, epoch uint32, witness int) {
-	switch act {
-	case actAllDone:
-		c.broadcastShutdown(epoch)
-	case actAllByes:
-		c.commitRun(epoch)
-	case actDetected:
-		c.fireDetection(witness)
-	}
-}
-
 // hello runs the Hello decision for node st, whose per-origin
 // incarnation record survives relay crashes: owner becomes the gate's,
-// and the answer goes to answer, the connection the Hello came on (a
-// relay's uplink fans it out). It reports whether it decided: a Hello
-// of the incarnation on record is a resume replaying frame 1, left to
-// the gate. A first incarnation opens the session. A different one is a
-// relaunched process: it has no session to resume, its old
+// and the answer is queued to answer, the connection the Hello came on
+// (a relay's uplink fans it out). It reports whether it decided: a
+// Hello of the incarnation on record is a resume replaying frame 1,
+// left to the gate. A first incarnation opens the session. A different
+// one is a relaunched process: it has no session to resume, its old
 // incarnation's stream state is void, and — until Commit — the cluster
 // restarts, even between the Shutdown broadcast and the last bye: the
 // "completed" execution is re-run, because refusing the relaunch would
 // strand the byes the dead incarnation never sent. After Commit the
 // staged capture is (being) assembled: the session is left untouched
-// and the relaunch told to stand down.
+// and the relaunch told to stand down. The adoption, the answer and the
+// restart are one step under the session's ingestMu and the decision
+// lock, so the answer is ordered with every decision.
 func (c *Coordinator) hello(st *nodeSession, owner, answer *coordConn, seq, inc uint64) (decided bool, err error) {
-	c.shutdownMu.Lock()
-	defer c.shutdownMu.Unlock()
-	d := c.decisions()
 	st.ingestMu.Lock()
+	defer st.ingestMu.Unlock()
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	st.mu.Lock()
-	if st.inc == inc {
-		st.mu.Unlock()
-		st.ingestMu.Unlock()
-		return false, nil
-	}
-	rejoin := st.inc != 0
-	refused := rejoin && d.committed
-	if !refused {
+	known, rejoin := st.inc == inc, st.inc != 0
+	refused := rejoin && c.dec.committed
+	if !known && !refused {
 		st.inc = inc
 		st.discardEpochLocked(0)
 	}
 	st.mu.Unlock()
-	if !refused {
-		st.adoptLocked(owner, true, seq)
-	}
-	st.ingestMu.Unlock()
 	switch {
+	case known:
+		return false, nil
 	case refused:
-		return true, d.refuse(answer)
-	case rejoin:
-		// The §8 controlled re-execution: the Restart reaches the
-		// relaunch with everyone else's, by the broadcast; the Detection
-		// broadcast it missed does not.
-		err := d.detect(answer)
-		c.mu.Lock()
-		c.restarts++
-		e := c.dec.epoch + 1
-		c.mu.Unlock()
-		c.logf("coordinator: node %d rejoined; restarting cluster at epoch %d", st.id, e)
-		c.Annotate(obs.EvEpochRestart, int64(st.id), int64(e))
-		c.decide(wire.Restart{Epoch: e})
-		return true, err
-	case d.epoch > 0:
-		c.logf("coordinator: node %d joined late; catching up to epoch %d", st.id, d.epoch)
+		return true, c.dec.refuse(answer)
 	}
-	return true, d.catchUp(answer)
+	st.adoptLocked(owner, true, seq)
+	if !rejoin {
+		if c.dec.epoch > 0 {
+			c.logf("coordinator: node %d joined late; catching up to epoch %d", st.id, c.dec.epoch)
+		}
+		c.dec.catchUp(answer)
+		return true, nil
+	}
+	// The §8 controlled re-execution: the Restart reaches the relaunch
+	// with everyone else's, by the broadcast; the Detection broadcast it
+	// missed does not.
+	c.dec.detect(answer)
+	c.restarts++
+	e := c.dec.epoch + 1
+	c.logf("coordinator: node %d rejoined; restarting cluster at epoch %d", st.id, e)
+	c.annotateLocked(time.Since(c.start).Nanoseconds(), obs.EvEpochRestart, int64(st.id), int64(e))
+	c.decide(wire.Restart{Epoch: e})
+	return true, nil
 }
 
-// decisions returns the run's decisions, as a handshake replays them.
-func (c *Coordinator) decisions() decisions {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.dec
-}
-
-// decide takes the decisions ms: it folds them into c.dec, then
-// broadcasts them, both in order. If they move the epoch, the fold has
-// voided a pending Shutdown (its byes can now never come), and decide
-// voids the abandoned execution's completion progress with it. The
-// caller holds shutdownMu from the check that made ms valid through
-// here, so every node sees the decisions in decision order.
+// decide takes the decisions ms: it folds them into c.dec, then queues
+// them to every stream's connection, both in order. If they move the
+// epoch, the fold has voided a pending Shutdown (its byes can now never
+// come), and decide voids the abandoned execution's completion progress
+// with it. The caller holds c.mu from the check that made ms valid
+// through here, so every node sees the decisions in decision order.
 func (c *Coordinator) decide(ms ...wire.Msg) {
-	c.mu.Lock()
 	was := c.dec.epoch
 	for _, m := range ms {
 		c.dec.fold(m)
@@ -459,10 +443,7 @@ func (c *Coordinator) decide(ms ...wire.Msg) {
 	if c.dec.epoch != was {
 		c.newEpochLocked()
 	}
-	c.mu.Unlock()
-	for _, m := range ms {
-		c.broadcast(m)
-	}
+	c.broadcast(ms...)
 }
 
 // newEpochLocked voids the completion progress of the execution the
@@ -491,60 +472,33 @@ func (c *Coordinator) Annotate(name string, a, b int64) {
 // relative to the run start) — for events whose schedule is known a
 // priori, like partition windows.
 func (c *Coordinator) AnnotateAt(atNs int64, name string, a, b int64) {
-	e := obs.Event{
+	c.mu.Lock()
+	c.annotateLocked(atNs, name, a, b)
+	c.mu.Unlock()
+}
+
+// annotateLocked is AnnotateAt under the caller's c.mu.
+func (c *Coordinator) annotateLocked(atNs int64, name string, a, b int64) {
+	c.annots = append(c.annots, obs.Event{
 		At: atNs, Proc: -1,
 		Kind: obs.KindControl, Name: name, A: a, B: b,
-	}
-	c.mu.Lock()
-	c.annots = append(c.annots, e)
-	c.mu.Unlock()
+	})
 }
 
-// broadcastShutdown tells every node the execution at epoch e is
-// complete — once the decision survives revalidation. A crashed-node
-// rejoin can land between the last Done being counted and this call
-// taking shutdownMu; the restart voided epoch e, and the stale
-// decision must die here rather than race its Restart onto the wire
-// (the node side latches whichever arrives first, so a raced Shutdown
-// would strand part of the cluster in its bye phase while the rest
-// re-executes — the 2/4-done hang).
-func (c *Coordinator) broadcastShutdown(e uint32) {
-	c.shutdownMu.Lock()
-	defer c.shutdownMu.Unlock()
-	c.mu.Lock()
-	valid := !c.dec.shutdown && !c.dec.committed && c.dec.epoch == e && c.doneCount == c.n
-	c.mu.Unlock()
-	if valid {
-		c.decide(wire.Shutdown{Epoch: e})
-	}
-}
-
-// commitRun seals the run at epoch e once every bye is in and the
-// decision survives revalidation (a rejoin after the last bye restarts
-// the cluster instead — until this commit, a completed execution is
-// still voidable). After it, no restart is possible and no mid-run
-// verdict lands, parked nodes may exit, and Wait assembles the capture
-// (and, with the checker lit, takes the closing verdict on it).
-func (c *Coordinator) commitRun(e uint32) {
-	c.shutdownMu.Lock()
-	defer c.shutdownMu.Unlock()
-	c.mu.Lock()
-	valid := c.dec.shutdown && !c.dec.committed && c.dec.epoch == e && c.byeCount == c.n
-	c.mu.Unlock()
-	if !valid {
-		return
-	}
-	c.decide(wire.Commit{})
+// seal ends the run once Commit at epoch e is decided: the store is
+// sealed, then Wait is released. The ingest step that decided Commit
+// calls it after releasing c.mu — exactly once, since Commit is decided
+// once — so the directory is a complete, verifiable capture bundle the
+// moment the run result exists, and Status answers meanwhile. An append
+// that failed leaves the store unsealed: a manifest would bless a bundle
+// that is not the run.
+func (c *Coordinator) seal(e uint32) {
 	if c.store != nil {
-		// Seal before Wait is released: the directory is a complete,
-		// verifiable capture bundle the moment the run result exists —
-		// unless an append failed, in which case a manifest would bless a
-		// bundle that is not the run.
 		if c.spillFailed.Load() {
 			c.logf("coordinator: store not sealed: an append failed, so the store does not hold the whole capture")
 		} else if err := c.store.Seal(c.n, e); err != nil {
 			c.logf("coordinator: store seal: %v", err)
 		}
 	}
-	c.byeOnce.Do(func() { close(c.allByes) })
+	close(c.allByes)
 }

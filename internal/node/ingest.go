@@ -58,17 +58,6 @@ func (s *nodeSession) discardEpochLocked(e uint32) {
 	s.byed, s.late = false, 0
 }
 
-// ingestAction is what a frame's ingest obligates the caller to do
-// once every session lock is released.
-type ingestAction int
-
-const (
-	actNone     ingestAction = iota
-	actAllDone               // every Done for the returned epoch is in: broadcast Shutdown
-	actAllByes               // every bye for the returned epoch is in: commit the run
-	actDetected              // the live checker triggered: run the prefix confirmation
-)
-
 // stageCapture lands one capture frame in the session's staging and,
 // with a trace store, writes it through to the store for the bundle.
 // raw is the frame's wire body as read off the stream (nil when the
@@ -82,7 +71,7 @@ const (
 //
 // A failed append is loud but non-fatal: staging is whole without the
 // store, so the run goes on, every later append is skipped — for every
-// session — and commitRun leaves the store unsealed rather than bless a
+// session — and seal leaves the store unsealed rather than bless a
 // bundle with a hole in it.
 func (c *Coordinator) stageCapture(st *nodeSession, m wire.Msg, raw []byte) {
 	st.mu.Lock()
@@ -110,17 +99,18 @@ func (c *Coordinator) stageCapture(st *nodeSession, m wire.Msg, raw []byte) {
 }
 
 // ingestStored folds one frame from a node's stream into the
-// coordinator state, reporting the completion action (if any) it
-// triggered and the epoch that action belongs to. Trace traffic — the
-// volume — lands in the session's own staging under the session lock
-// (and in the trace store when one is configured; raw carries the
-// frame's wire body so the append needs no re-encode, nil when the
-// caller only has the decoded frame); only the rare coordination
-// frames (Done, Shutdown, EpochMark) touch c.mu.
-// Done and bye count toward completion only when the stream is at the
-// cluster epoch: a Done raced by a Restart belongs to a voided
-// execution.
-func (c *Coordinator) ingestStored(st *nodeSession, m wire.Msg, raw []byte) (ingestAction, uint32) {
+// coordinator state and reports whether the live checker triggered: the
+// caller owes the prefix verdict once its locks are released. Trace
+// traffic — the volume — lands in the session's own staging under the
+// session lock (and in the trace store when one is configured; raw
+// carries the frame's wire body so the append needs no re-encode, nil
+// when the caller only has the decoded frame); only the rare
+// coordination frames (Done, Shutdown, EpochMark) take the decision
+// lock, and the Done or bye that completes the epoch decides there:
+// Shutdown, or Commit, which this call then seals. Done and bye count
+// toward completion only when the stream is at the cluster epoch: a Done
+// raced by a Restart belongs to a voided execution.
+func (c *Coordinator) ingestStored(st *nodeSession, m wire.Msg, raw []byte) (detected bool) {
 	if c.ingestHook != nil {
 		c.ingestHook(st, m)
 	}
@@ -138,16 +128,10 @@ func (c *Coordinator) ingestStored(st *nodeSession, m wire.Msg, raw []byte) (ing
 		// don't already label themselves.
 		c.live.ApplySnapshot(toObsPoints(v.Points), obs.L("node", strconv.Itoa(st.id)))
 	case wire.Candidate:
-		if c.ingestCandidate(st, v) {
-			return actDetected, 0
-		}
+		return c.ingestCandidate(st, v)
 	case wire.CandidateBatch:
-		det := false
 		for _, cand := range v.Cands {
-			det = c.ingestCandidate(st, cand) || det
-		}
-		if det {
-			return actDetected, 0
+			detected = c.ingestCandidate(st, cand) || detected
 		}
 	case wire.EpochMark:
 		st.mu.Lock()
@@ -167,13 +151,10 @@ func (c *Coordinator) ingestStored(st *nodeSession, m wire.Msg, raw []byte) (ing
 		}
 		c.mu.Unlock()
 	case wire.Done:
-		st.mu.Lock()
-		se := st.epoch
-		st.mu.Unlock()
 		c.mu.Lock()
-		if se != c.dec.epoch {
-			c.mu.Unlock()
-			return actNone, 0
+		defer c.mu.Unlock()
+		if st.epochNow() != c.dec.epoch {
+			return false
 		}
 		// A node reports Done twice at its final epoch — once when its
 		// application finishes, once with the closing tallies in its bye
@@ -186,46 +167,51 @@ func (c *Coordinator) ingestStored(st *nodeSession, m wire.Msg, raw []byte) (ing
 		for _, ns := range v.Responses {
 			c.stats[st.id].Responses = append(c.stats[st.id].Responses, time.Duration(ns))
 		}
-		first := !c.doneSeen[st.id]
-		if first {
+		if !c.doneSeen[st.id] {
 			c.doneSeen[st.id] = true
-			c.doneCount++
-		}
-		all := c.doneCount == c.n
-		e := c.dec.epoch
-		c.mu.Unlock()
-		if first && all {
-			return actAllDone, e
+			if c.doneCount++; c.doneCount == c.n {
+				c.decide(wire.Shutdown{Epoch: c.dec.epoch})
+			}
 		}
 	case wire.Shutdown:
-		st.mu.Lock()
-		se := st.epoch
-		st.mu.Unlock()
 		c.mu.Lock()
-		all := false
 		e := c.dec.epoch
-		counted := se == c.dec.epoch && v.Epoch == c.dec.epoch && !c.byeSeen[st.id]
-		if counted {
-			c.byeSeen[st.id] = true
-			c.byeCount++
-			all = c.byeCount == c.n
+		if st.epochNow() != e || v.Epoch != e || c.byeSeen[st.id] {
+			c.mu.Unlock()
+			return false
+		}
+		c.byeSeen[st.id] = true
+		c.byeCount++
+		// The stream's frames reach here one at a time (the gate's
+		// ingestMu), so no capture frame slips between the count and the
+		// flag.
+		st.mu.Lock()
+		st.byed = true
+		st.mu.Unlock()
+		// A completed execution is voidable until Commit: a rejoin after
+		// the last bye restarts the cluster instead. After it no restart
+		// is possible and no mid-run verdict lands, parked nodes may
+		// exit, and Wait assembles the capture (and, with the checker
+		// lit, takes the closing verdict on it).
+		commit := c.byeCount == c.n && c.dec.shutdown
+		if commit {
+			c.decide(wire.Commit{})
 		}
 		c.mu.Unlock()
-		if counted {
-			// The stream's frames reach here one at a time (the gate's
-			// ingestMu), so no capture frame slips between the count and
-			// the flag.
-			st.mu.Lock()
-			st.byed = true
-			st.mu.Unlock()
-		}
-		if all {
-			return actAllByes, e
+		if commit {
+			c.seal(e)
 		}
 	default:
 		c.logf("coordinator: node %d: unexpected %T", st.id, m)
 	}
-	return actNone, 0
+	return detected
+}
+
+// epochNow is the stream's epoch.
+func (s *nodeSession) epochNow() uint32 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.epoch
 }
 
 // ingestCandidate stages one candidate report and, when live detection

@@ -143,13 +143,13 @@ func (c *Coordinator) confirm(d *deposet.Deposet, e uint32, witness int, final b
 }
 
 // land records the detection rec and takes the response it calls for,
-// as one decision under shutdownMu: it is the only writer of
-// c.detections, c.detByNode and c.reexecs. It revalidates first: a
-// mid-run verdict must still precede Commit and a final one follow it,
-// and the checker, which is armed for the cluster's epoch
-// (newEpochLocked), must confirm rec's — which fails if a restart
-// voided it or a concurrent confirmer won. A mid-run verdict that
-// Commit overtook is dropped; Wait's closing verdict takes over.
+// as one decision under c.mu: it is the only writer of c.detections,
+// c.detByNode and c.reexecs. It revalidates first: a mid-run verdict
+// must still precede Commit and a final one follow it, and the checker,
+// which is armed for the cluster's epoch (newEpochLocked), must confirm
+// rec's — which fails if a restart voided it or a concurrent confirmer
+// won. A mid-run verdict that Commit overtook is dropped; Wait's closing
+// verdict takes over.
 //
 // In OnDetectReExec mode a mid-run detection gets the rejoin restart's
 // detection-triggered twin — the paper's active-debugging response,
@@ -158,15 +158,11 @@ func (c *Coordinator) confirm(d *deposet.Deposet, e uint32, witness int, final b
 // runs under control) and order the §8 controlled re-execution (ReExec
 // frame, which nodes treat as a Restart).
 func (c *Coordinator) land(rec DetectionRecord) {
-	c.shutdownMu.Lock()
-	defer c.shutdownMu.Unlock()
 	c.mu.Lock()
-	committed := c.dec.committed
-	c.mu.Unlock()
-	if committed != rec.Final || !c.ld.Confirm(rec.Epoch) {
+	defer c.mu.Unlock()
+	if c.dec.committed != rec.Final || !c.ld.Confirm(rec.Epoch) {
 		return
 	}
-	c.mu.Lock()
 	rec.ReExec = !rec.Final && c.liveCfg.OnDetect == OnDetectReExec && c.reexecs < c.liveCfg.MaxReExecs
 	if rec.ReExec {
 		c.reexecs++
@@ -175,11 +171,10 @@ func (c *Coordinator) land(rec DetectionRecord) {
 	if rec.Node >= 0 && rec.Node < len(c.detByNode) {
 		c.detByNode[rec.Node]++
 	}
-	c.mu.Unlock()
 	c.detMeter.Inc()
 	// Stamped when the cut was found, not now: the strategy can take far
 	// longer than the detection did.
-	c.AnnotateAt(rec.AtNs, obs.EvDetect, int64(rec.Node), int64(rec.Epoch))
+	c.annotateLocked(rec.AtNs, obs.EvDetect, int64(rec.Node), int64(rec.Epoch))
 	c.logf("coordinator: live detection: possibly(¬B) confirmed at epoch %d (witness node %d, cut %v)",
 		rec.Epoch, rec.Node, rec.Cut)
 	if !rec.ReExec {
@@ -188,7 +183,7 @@ func (c *Coordinator) land(rec DetectionRecord) {
 	ne := rec.Epoch + 1
 	c.logf("coordinator: detection at epoch %d: controlled re-execution at epoch %d (%d strategy edges)",
 		rec.Epoch, ne, rec.StrategyEdges)
-	c.Annotate(obs.EvEpochReExec, int64(rec.Node), int64(ne))
+	c.annotateLocked(time.Since(c.start).Nanoseconds(), obs.EvEpochReExec, int64(rec.Node), int64(ne))
 	c.decide(rec.frame(), wire.ReExec{Epoch: ne, Edges: uint32(rec.StrategyEdges)})
 }
 

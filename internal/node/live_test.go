@@ -98,8 +98,8 @@ func TestLiveCandidateEpochDiscard(t *testing.T) {
 	c.detByNode = make([]int, 2)
 	st := c.session(0)
 	cand := wire.Candidate{Proc: 0, LoIdx: 1, HiIdx: 2, Lo: []int32{1, 0}, Hi: []int32{2, 0}}
-	if act, _ := c.ingestStored(st, wire.CandidateBatch{Cands: []wire.Candidate{cand}}, nil); act != actNone {
-		t.Fatalf("half a witness triggered action %v", act)
+	if c.ingestStored(st, wire.CandidateBatch{Cands: []wire.Candidate{cand}}, nil) {
+		t.Fatal("half a witness triggered the checker")
 	}
 	if st.cands != 1 || c.ld.Depth() != 1 {
 		t.Fatalf("staged cands=%d depth=%d, want 1 and 1", st.cands, c.ld.Depth())
@@ -107,9 +107,11 @@ func TestLiveCandidateEpochDiscard(t *testing.T) {
 
 	// A restart decision moves the cluster (and checker) to epoch 1
 	// while the stream still runs epoch 0: its stragglers are stale.
+	c.mu.Lock()
 	c.decide(wire.Restart{Epoch: 1})
-	if act, _ := c.ingestStored(st, wire.Candidate{Proc: 1, LoIdx: 1, HiIdx: 2, Lo: []int32{0, 1}, Hi: []int32{0, 2}}, nil); act != actNone {
-		t.Fatalf("stale-epoch candidate triggered action %v", act)
+	c.mu.Unlock()
+	if c.ingestStored(st, wire.Candidate{Proc: 1, LoIdx: 1, HiIdx: 2, Lo: []int32{0, 1}, Hi: []int32{0, 2}}, nil) {
+		t.Fatal("stale-epoch candidate triggered the checker")
 	}
 	if c.ld.Depth() != 0 {
 		t.Fatalf("stale-epoch candidate leaked into the checker (depth %d)", c.ld.Depth())
@@ -130,9 +132,8 @@ func TestLiveCandidateEpochDiscard(t *testing.T) {
 	// Fresh-epoch candidates count and are believed: a concurrent pair
 	// completes the GW witness and demands confirmation.
 	c.ingestStored(st, wire.CandidateBatch{Cands: []wire.Candidate{cand}}, nil)
-	act, _ := c.ingestStored(st, wire.Candidate{Proc: 1, LoIdx: 1, HiIdx: 2, Lo: []int32{0, 1}, Hi: []int32{0, 2}}, nil)
-	if act != actDetected {
-		t.Fatalf("fresh-epoch witness produced action %v, want actDetected", act)
+	if !c.ingestStored(st, wire.Candidate{Proc: 1, LoIdx: 1, HiIdx: 2, Lo: []int32{0, 1}, Hi: []int32{0, 2}}, nil) {
+		t.Fatal("fresh-epoch witness did not trigger the checker")
 	}
 	if st.cands != 2 {
 		t.Fatalf("fresh-epoch cands = %d, want 2", st.cands)
@@ -244,20 +245,19 @@ func roguePrefix(n, rounds int) [][]wire.TraceOp {
 }
 
 // triggerLive offers one candidate per node of c, pairwise concurrent,
-// so the streaming checker triggers on the last, and returns the
-// action that obligates: the mid-run verdict on what c has staged.
-func triggerLive(t *testing.T, c *Coordinator) ingestAction {
+// so the streaming checker triggers on the last, which obligates the
+// mid-run verdict (fireDetection) on what c has staged.
+func triggerLive(t *testing.T, c *Coordinator) {
 	t.Helper()
-	var act ingestAction
+	detected := false
 	for p := 0; p < c.n; p++ {
 		lo, hi := make([]int32, c.n), make([]int32, c.n)
 		lo[p], hi[p] = 1, 2
-		act, _ = c.ingestStored(c.session(p), wire.Candidate{Proc: int32(p), LoIdx: 1, HiIdx: 2, Lo: lo, Hi: hi}, nil)
+		detected = c.ingestStored(c.session(p), wire.Candidate{Proc: int32(p), LoIdx: 1, HiIdx: 2, Lo: lo, Hi: hi}, nil)
 	}
-	if act != actDetected {
-		t.Fatalf("%d concurrent candidates produced action %v, want actDetected", c.n, act)
+	if !detected {
+		t.Fatalf("%d concurrent candidates did not trigger the checker", c.n)
 	}
-	return act
 }
 
 // TestLiveStrategyIsFigure2OnDisjunction: the strategy a confirmed live
@@ -326,7 +326,8 @@ func TestLiveStrategyIsFigure2OnDisjunction(t *testing.T) {
 		for p, ops := range byProc {
 			c.ingestStored(c.session(p%n), wire.TraceOpBatch{Ops: ops}, nil)
 		}
-		c.perform(triggerLive(t, c), 0, n-1)
+		triggerLive(t, c)
+		c.fireDetection(n - 1)
 		if len(c.detections) != 1 {
 			t.Fatalf("n=%d: %d detections recorded on a prefix where every app can be in its section", n, len(c.detections))
 		}
@@ -401,13 +402,13 @@ func TestSlowVerdictBlocksNoHandshake(t *testing.T) {
 		for p, ops := range roguePrefix(n, rounds) {
 			c.ingestStored(c.session(p%n), wire.TraceOpBatch{Ops: ops}, nil)
 		}
-		act := triggerLive(t, c)
+		triggerLive(t, c)
 		var wg sync.WaitGroup
 		for w := 0; w < k; w++ {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				c.perform(act, 0, w)
+				c.fireDetection(w)
 			}()
 		}
 		done := make(chan struct{})
@@ -509,8 +510,7 @@ func TestSlowVerdictBlocksNoHandshake(t *testing.T) {
 	within(g.entered, "the epoch-2 verdict to evaluate B")
 	for _, m := range []wire.Msg{wire.Done{}, wire.Shutdown{Epoch: 2}} {
 		for p := 0; p < n; p++ {
-			act, e := c.ingestStored(c.session(p), m, nil)
-			c.perform(act, e, p)
+			c.ingestStored(c.session(p), m, nil)
 		}
 	}
 	if !c.decisions().committed {

@@ -36,10 +36,12 @@ import (
 type Relay struct {
 	endpoint // the shared session layer's half: listener, connections, streams
 	cfg      RelayConfig
-	// cc is the uplink. Its decMu is the relay's shutdownMu: folding a
-	// root decision plus fanning it out, and a child Resume's adoption
-	// plus decision replay, are atomic against each other — no fan-out
-	// can reach a resuming child ahead of its ResumeAck.
+	// cc is the uplink. Its decMu is the relay's decision lock: folding
+	// a root decision plus queueing it to every child, and a child
+	// Resume's adoption plus queueing the decision replay, are atomic
+	// against each other — no fan-out can reach a resuming child ahead
+	// of its ResumeAck. Nothing is written under it: each child's
+	// connection writes its own queue (session.go, coordConn).
 	cc *coordClient
 
 	// children holds each child's stream: the downstream mirror of the
@@ -123,7 +125,7 @@ func (r *Relay) mkResume() wire.Msg {
 	}
 }
 
-// fanOut forwards every root frame the uplink folds to the children,
+// fanOut queues every root frame the uplink folds to the children,
 // under the uplink's decMu. The uplink's own ResumeAck past epoch 0
 // goes on as that epoch's Restart: a Restart, or a Hello's catch-up,
 // may have died with the broken uplink.
@@ -180,15 +182,11 @@ func (r *Relay) handleChild(raw net.Conn) {
 		r.stage(int32(id), body)
 	} else {
 		r.cc.decMu.Lock()
-		err = r.cc.dec.replay(conn, ch.adoptLocked(conn, false, 0))
+		r.cc.dec.replay(conn, ch.adoptLocked(conn, false, 0))
 		r.cc.decMu.Unlock()
 	}
 	ch.ingestMu.Unlock()
 	r.cc.writeLogged()
-	if err != nil {
-		r.logf("relay %d: node %d: handshake: %v", r.cfg.Index, id, err)
-		return
-	}
 	r.serve(conn, nil, func(body []byte) error {
 		_, seq, err := wire.PeekBody(body)
 		if err != nil {

@@ -49,21 +49,11 @@ func (c *Coordinator) handleRelay(conn *coordConn, h wire.RelayHello) {
 	}
 	conn.peer = "relay " + strconv.Itoa(int(h.Relay))
 	rs := c.relaySession(int(h.Relay))
-	// The relay's ingest lock goes first: a batch in flight may hold it
-	// while taking shutdownMu for a relayed Hello. A fresh relay process
-	// (Resume unset) starts a new uplink session log, so the outer
-	// numbering resets; the per-origin inner sessions are untouched — the
-	// children kept their capture logs, and their full replays dedup by
-	// inner sequence.
-	rs.ingestMu.Lock()
-	c.shutdownMu.Lock()
-	err := c.decisions().replay(conn, rs.adoptLocked(conn, !h.Resume, 0))
-	c.shutdownMu.Unlock()
-	rs.ingestMu.Unlock()
-	if err != nil {
-		c.logf("coordinator: %s: handshake: %v", conn.peer, err)
-		return
-	}
+	// A fresh relay process (Resume unset) starts a new uplink session
+	// log, so the outer numbering resets; the per-origin inner sessions
+	// are untouched — the children kept their capture logs, and their
+	// full replays dedup by inner sequence.
+	c.handshake(&rs.inbound, conn, !h.Resume)
 	c.serve(conn, c.countFrame, func(body []byte) error {
 		seq, m, err := wire.DecodeBody(body)
 		if err != nil {
@@ -71,20 +61,21 @@ func (c *Coordinator) handleRelay(conn *coordConn, h wire.RelayHello) {
 		}
 		// The gate is held across the whole unpack — a superseding uplink
 		// must not interleave its batches' inner frames with this one's —
-		// and what the inner frames obligated runs after its release.
-		var owed []func()
-		err = rs.deliver(conn, seq, func() { owed = c.unpackRelayed(rs, conn, m) })
-		for _, perform := range owed {
-			perform()
+		// and the verdicts the inner frames triggered run after its release.
+		var witnesses []int
+		err = rs.deliver(conn, seq, func() { witnesses = c.unpackRelayed(rs, conn, m) })
+		for _, w := range witnesses {
+			c.fireDetection(w)
 		}
 		return err
 	})
 }
 
 // unpackRelayed folds one accepted uplink frame, delivered on uplink,
-// into the origins' sessions, returning what the inner frames obligated
-// (see perform). Caller holds rs.ingestMu: it is deliver's staging step.
-func (c *Coordinator) unpackRelayed(rs *relaySession, uplink *coordConn, m wire.Msg) (owed []func()) {
+// into the origins' sessions, returning the origins whose frames
+// triggered the live checker. Caller holds rs.ingestMu: it is deliver's
+// staging step.
+func (c *Coordinator) unpackRelayed(rs *relaySession, uplink *coordConn, m wire.Msg) (witnesses []int) {
 	batch, ok := m.(wire.RelayBatch)
 	if !ok {
 		c.logf("coordinator: relay %d: unexpected %T", rs.index, m)
@@ -108,13 +99,13 @@ func (c *Coordinator) unpackRelayed(rs *relaySession, uplink *coordConn, m wire.
 		// uplink. A duplicate — a relaunched relay acked Cum=0 and the
 		// child retransmitted its whole session log — is dropped by the
 		// origin's gate.
-		act, e, err := c.ingest(c.session(origin), nil, uplink, f.Body)
+		detected, err := c.ingest(c.session(origin), nil, uplink, f.Body)
 		if err != nil {
 			c.logf("coordinator: relay %d: origin %d: %v", rs.index, origin, err)
 		}
-		if act != actNone {
-			owed = append(owed, func() { c.perform(act, e, origin) })
+		if detected {
+			witnesses = append(witnesses, origin)
 		}
 	}
-	return owed
+	return witnesses
 }

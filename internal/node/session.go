@@ -20,35 +20,38 @@ import (
 // Relay.handleChild are role-specific glue over it.
 //
 // Lock inventory, root side, outermost first; a lock is only ever taken
-// while holding locks listed above it:
+// while holding locks listed above it, and none is held while a frame is
+// on the wire — only a connection's writer writes, holding none:
 //
 //	relaySession.ingestMu   one uplink's accept-and-unpack, held across
-//	                        a whole RelayBatch — above shutdownMu because
-//	                        a relayed Hello in the batch is decided there
-//	Coordinator.shutdownMu  each decision (Shutdown, Commit, restart, a
-//	                        live detection and its re-execution) from its
-//	                        check through its broadcast, and every
-//	                        handshake's adoption + decision replay — and
-//	                        nothing else: no assembly, detection or
-//	                        strategy runs under it (a live verdict is
-//	                        computed before land takes it)
-//	nodeSession.ingestMu    one node stream's accept-and-stage
-//	inbound.mu, Coordinator.mu, endpoint.connMu
-//	                        leaves: a session's owner, sequence and
-//	                        staging; the session tables, decisions and
-//	                        completion counts; the accepted connections.
-//	                        Never nested, never held across I/O
-//	coordConn.wmu           one connection's writes
+//	                        a whole RelayBatch, whose relayed Hellos,
+//	                        Dones and byes are decided inside it
+//	nodeSession.ingestMu    one node stream's accept-and-stage; a
+//	                        handshake adopts the stream under it
+//	Coordinator.mu          the decision lock: c.dec, the session tables,
+//	                        the completion counts and the detections.
+//	                        A decision (decide) folds its frames and
+//	                        queues them to every owner under it, and a
+//	                        handshake adopts its connection and queues
+//	                        the replay under it, so every peer sees the
+//	                        decisions in decision order. No assembly,
+//	                        detection, strategy or store seal runs
+//	                        under it (a live verdict is computed before
+//	                        land takes it)
+//	inbound.mu, endpoint.connMu
+//	                        a session's owner, sequence and staging; the
+//	                        accepted connections and the streams
+//	coordConn.wmu           one connection's queue
 //
-// c.dec is written only by decide, with both shutdownMu and c.mu held,
-// and by an EpochMark adoption, which broadcasts nothing; so reading it
-// takes c.mu alone, and Status takes no decision lock. The store, the
-// live checker and the journal lock internally and call nothing back.
-// A relay is the same shape one level down: a child's inbound.ingestMu
-// → the uplink client's decMu (its shutdownMu) → inbound.mu / Relay.mu.
-// The uplink's mu, held across every uplink write, is taken under
-// ingestMu (to sequence a child frame onto the log) and never under
-// decMu, so a fold never waits behind a write.
+// c.dec is written only under c.mu, by decide and by an EpochMark
+// adoption, which broadcasts nothing; Status reads it there. The store,
+// the live checker and the journal lock internally and call nothing
+// back. A relay is the same shape one level down: a child's
+// inbound.ingestMu → the uplink client's decMu (its decision lock) →
+// inbound.mu / Relay.mu / endpoint.connMu → coordConn.wmu. The uplink's
+// mu, held across every uplink write, is taken under ingestMu (to
+// sequence a child frame onto the log) and never under decMu, so a fold
+// never waits behind a write.
 
 // streamReadDeadline bounds one wait for the next frame of an accepted
 // stream. Generous: peers stream continuously while alive, and a wedged
@@ -155,33 +158,94 @@ func (ep *endpoint) dropConns() {
 	ep.connMu.Unlock()
 }
 
-// coordConn is one accepted stream connection. Writes are serialized:
-// a handshake reply from the handler races decision broadcasts from
-// other goroutines. A nil *coordConn owns a relayed origin's stream
-// (its relay's uplink carries what the root writes), or stands for an
-// ingest bench's socket: writing to it is a no-op.
+// coordConn is one accepted stream connection. What the endpoint tells
+// the peer — handshake answers, decisions — is queued by send and
+// written, in order, by the connection's one writer, so no sender waits
+// on the peer: one that stops reading delays only its own connection.
+// A nil *coordConn owns a relayed origin's stream (its relay's uplink
+// carries what the root sends), or stands for an ingest bench's socket:
+// sending to it is a no-op.
 type coordConn struct {
 	net.Conn
-	br           *bufio.Reader
-	peer         string // "node 3", "relay 0": for the log, once the handshake names it
-	writeTimeout time.Duration
-	wmu          sync.Mutex
+	br   *bufio.Reader
+	peer string    // "node 3", "relay 0": for the log, once the handshake names it
+	ep   *endpoint // the owner: the writer's timeout, log and WaitGroup
+
+	wmu     sync.Mutex
+	out     []wire.Msg    // queued, not yet taken by the writer
+	writing chan struct{} // non-nil while a writer runs, closed as it exits
 }
 
-func (c *coordConn) writeFrame(m wire.Msg) error {
+// send queues ms behind everything sent to the connection before, and
+// starts the writer if none is running.
+func (c *coordConn) send(ms ...wire.Msg) {
 	if c == nil {
-		return nil
+		return
 	}
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
-	c.SetWriteDeadline(time.Now().Add(c.writeTimeout))
-	return wire.WriteFrame(c.Conn, 0, m)
+	c.out = append(c.out, ms...)
+	if c.writing == nil {
+		c.writing = make(chan struct{})
+		c.ep.wg.Add(1)
+		go c.write(c.writing)
+	}
+}
+
+// write is the connection's writer: it writes what is queued, in order,
+// one write per batch under the write deadline, until the queue is
+// empty. A failed write closes the connection: the peer's resume
+// handshake then replays the decisions, so a failed write becomes a
+// reconnect-and-catch-up, not a silently missed decision. The
+// endpoint's WaitGroup counts the writer, and its stop closes the
+// connection under a write stuck on a stalled peer.
+func (c *coordConn) write(done chan struct{}) {
+	defer c.ep.wg.Done()
+	defer close(done)
+	var buf []byte
+	for {
+		c.wmu.Lock()
+		ms := c.out
+		c.out = nil
+		if len(ms) == 0 {
+			c.writing = nil
+			c.wmu.Unlock()
+			return
+		}
+		c.wmu.Unlock()
+		buf = buf[:0]
+		for _, m := range ms {
+			buf = wire.AppendFrame(buf, 0, m)
+		}
+		c.SetWriteDeadline(time.Now().Add(c.ep.opt.WriteTimeout))
+		if _, err := c.Write(buf); err != nil {
+			if !errors.Is(err, net.ErrClosed) {
+				c.ep.logf("%s: %s: write: %v", c.ep.who, c.peer, err)
+			}
+			c.Close()
+		}
+	}
+}
+
+// flush waits until what was queued so far is written, or failed: a
+// handler that ends its handshake closes its connection behind what it
+// sent, not ahead of it, and Wait returns with the Commit written.
+func (c *coordConn) flush() {
+	if c == nil {
+		return
+	}
+	c.wmu.Lock()
+	writing := c.writing
+	c.wmu.Unlock()
+	if writing != nil {
+		<-writing
+	}
 }
 
 // open wraps an accepted connection and reads its handshake frame, body
 // kept raw (a relay forwards a Hello verbatim).
 func (ep *endpoint) open(raw net.Conn) (conn *coordConn, body []byte, seq uint64, first wire.Msg, err error) {
-	conn = &coordConn{Conn: raw, br: bufReader(raw), writeTimeout: ep.opt.WriteTimeout}
+	conn = &coordConn{Conn: raw, br: bufReader(raw), ep: ep}
 	raw.SetReadDeadline(time.Now().Add(ep.opt.DialTimeout))
 	if body, err = wire.ReadRawBody(conn.br); err == nil {
 		seq, first, err = wire.DecodeBody(body)
@@ -242,25 +306,26 @@ func (ep *endpoint) serve(conn *coordConn, count func(bodyLen int), frame func(b
 	}
 }
 
-// broadcast writes m to every stream's live connection (at the root
-// that includes relay uplinks: a decision reaches relayed nodes through
-// their relay's fan-out), closing any whose write fails: the peer's
-// resume handshake then replays the decision state, so a failed write
-// becomes a reconnect-and-catch-up, not a silently missed decision.
-func (ep *endpoint) broadcast(m wire.Msg) {
+// owners returns every stream's live connection, nil for a stream no
+// connection owns (at the root that includes relay uplinks: a decision
+// reaches relayed nodes through their relay's fan-out).
+func (ep *endpoint) owners() []*coordConn {
 	ep.connMu.Lock()
 	streams := ep.streams
 	ep.connMu.Unlock()
-	for _, in := range streams {
+	conns := make([]*coordConn, len(streams))
+	for i, in := range streams {
 		in.mu.Lock()
-		conn := in.owner
+		conns[i] = in.owner
 		in.mu.Unlock()
-		if err := conn.writeFrame(m); err != nil {
-			if !errors.Is(err, net.ErrClosed) {
-				ep.logf("%s: %s: %T write: %v", ep.who, conn.peer, m, err)
-			}
-			conn.Close()
-		}
+	}
+	return conns
+}
+
+// broadcast queues ms to every stream's live connection.
+func (ep *endpoint) broadcast(ms ...wire.Msg) {
+	for _, conn := range ep.owners() {
+		conn.send(ms...)
 	}
 }
 
@@ -321,18 +386,12 @@ func (in *inbound) deliver(conn *coordConn, seq uint64, fn func()) error {
 	return nil
 }
 
-// adopt makes conn the stream's owner once the frame its predecessor is
-// staging has landed, and returns the cumulative sequence to ack. fresh
-// restarts the numbering at seq: a Hello's own (the new process counts
-// from it), 0 for a relay process with a new session log.
-func (in *inbound) adopt(conn *coordConn, fresh bool, seq uint64) uint64 {
-	in.ingestMu.Lock()
-	defer in.ingestMu.Unlock()
-	return in.adoptLocked(conn, fresh, seq)
-}
-
-// adoptLocked is adopt under the caller's ingestMu. The superseded
-// connection is closed: its handler must not keep reading a dead stream.
+// adoptLocked makes conn the stream's owner and returns the cumulative
+// sequence to ack. The caller holds ingestMu, so the frame a predecessor
+// is staging has landed. fresh restarts the numbering at seq: a Hello's
+// own (the new process counts from it), 0 for a relay process with a
+// new session log. The superseded connection is closed: its handler
+// must not keep reading a dead stream.
 func (in *inbound) adoptLocked(conn *coordConn, fresh bool, seq uint64) uint64 {
 	in.mu.Lock()
 	defer in.mu.Unlock()
@@ -402,29 +461,25 @@ func (d *decisions) fold(m wire.Msg) bool {
 
 // detect tells conn the run is under active debugging, if it is: a
 // planted rogue reverts to controlled behavior on it.
-func (d decisions) detect(conn *coordConn) error {
-	if d.detection == nil {
-		return nil
+func (d decisions) detect(conn *coordConn) {
+	if d.detection != nil {
+		conn.send(*d.detection)
 	}
-	return conn.writeFrame(*d.detection)
 }
 
 // replay answers a resume handshake: the cumulative ack (whose epoch
 // covers any Restart or ReExec missed while disconnected), then the
 // decisions still in force, in decision order — so the peer can bye,
 // and exit if the run is sealed.
-func (d decisions) replay(conn *coordConn, cum uint64) error {
-	err := conn.writeFrame(wire.ResumeAck{Cum: cum, Epoch: d.epoch})
-	if err == nil {
-		err = d.detect(conn)
+func (d decisions) replay(conn *coordConn, cum uint64) {
+	conn.send(wire.ResumeAck{Cum: cum, Epoch: d.epoch})
+	d.detect(conn)
+	if d.shutdown {
+		conn.send(wire.Shutdown{Epoch: d.epoch})
 	}
-	if err == nil && d.shutdown {
-		err = conn.writeFrame(wire.Shutdown{Epoch: d.epoch})
+	if d.committed {
+		conn.send(wire.Commit{})
 	}
-	if err == nil && d.committed {
-		err = conn.writeFrame(wire.Commit{})
-	}
-	return err
 }
 
 // catchUp answers a Hello that needs no restart decision: a node whose
@@ -432,12 +487,11 @@ func (d decisions) replay(conn *coordConn, cum uint64) error {
 // the broadcast and would run epoch 0 forever against peers at epoch e.
 // It has executed nothing, so the re-execution in flight stays valid;
 // it just starts late. A node at or past the epoch ignores the Restart.
-func (d decisions) catchUp(conn *coordConn) error {
-	err := d.detect(conn)
-	if err == nil && d.epoch > 0 {
-		err = conn.writeFrame(wire.Restart{Epoch: d.epoch})
+func (d decisions) catchUp(conn *coordConn) {
+	d.detect(conn)
+	if d.epoch > 0 {
+		conn.send(wire.Restart{Epoch: d.epoch})
 	}
-	return err
 }
 
 // errRefused ends the handshake of a relaunch that arrived after Commit.
@@ -447,8 +501,6 @@ var errRefused = errors.New("rejoined after commit; refused")
 // Commit, the exit ramp a parked node takes. There is no run left to
 // restart.
 func (d decisions) refuse(conn *coordConn) error {
-	if conn.writeFrame(wire.Shutdown{Epoch: d.epoch}) == nil {
-		conn.writeFrame(wire.Commit{})
-	}
+	conn.send(wire.Shutdown{Epoch: d.epoch}, wire.Commit{})
 	return errRefused
 }

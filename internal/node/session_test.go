@@ -3,6 +3,8 @@ package node
 import (
 	"bufio"
 	"errors"
+	"fmt"
+	"math/rand"
 	"net"
 	"reflect"
 	"slices"
@@ -26,6 +28,14 @@ func pipeConn(t *testing.T) *coordConn {
 	return &coordConn{Conn: a}
 }
 
+// adopt is a handshake's adoption: adoptLocked under the stream's
+// ingestMu.
+func adopt(in *inbound, conn *coordConn, fresh bool, seq uint64) uint64 {
+	in.ingestMu.Lock()
+	defer in.ingestMu.Unlock()
+	return in.adoptLocked(conn, fresh, seq)
+}
+
 func TestInboundDeliverVerdicts(t *testing.T) {
 	conn := pipeConn(t)
 	for _, tc := range []struct {
@@ -45,7 +55,7 @@ func TestInboundDeliverVerdicts(t *testing.T) {
 		{name: "relayed gap accepted", relayed: true, last: 4, seq: 9, staged: true},
 	} {
 		in := &inbound{}
-		in.adopt(conn, true, tc.last)
+		adopt(in, conn, true, tc.last)
 		via := conn
 		if tc.relayed {
 			via = nil
@@ -74,19 +84,19 @@ func TestInboundAdoptResets(t *testing.T) {
 	if in.attached {
 		t.Fatal("a stream nobody handshook for is attached")
 	}
-	in.adopt(first, true, 1) // Hello carried sequence 1
+	adopt(in, first, true, 1) // Hello carried sequence 1
 	for seq := uint64(2); seq <= 4; seq++ {
 		if err := in.deliver(first, seq, func() {}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if cum := in.adopt(second, false, 0); cum != 4 || !in.attached {
+	if cum := adopt(in, second, false, 0); cum != 4 || !in.attached {
 		t.Fatalf("resume acked %d (attached=%v), want 4", cum, in.attached)
 	}
 	if err := in.deliver(first, 5, func() {}); !errors.Is(err, errSuperseded) {
 		t.Fatalf("superseded connection delivered: %v", err)
 	}
-	if cum := in.adopt(third, true, 0); cum != 0 {
+	if cum := adopt(in, third, true, 0); cum != 0 {
 		t.Fatalf("fresh handshake acked %d, want 0", cum)
 	}
 	staged := false
@@ -104,7 +114,7 @@ func TestInboundAdoptResets(t *testing.T) {
 func TestInboundSupersedeWaitsForStaging(t *testing.T) {
 	in := &inbound{}
 	old, succ := pipeConn(t), pipeConn(t)
-	in.adopt(old, true, 0)
+	adopt(in, old, true, 0)
 	const k = 1
 
 	var order []uint64 // written only inside deliver: the gate orders it
@@ -122,7 +132,7 @@ func TestInboundSupersedeWaitsForStaging(t *testing.T) {
 	adopted := make(chan uint64, 1)
 	succDone := make(chan error, 1)
 	go func() {
-		cum := in.adopt(succ, false, 0)
+		cum := adopt(in, succ, false, 0)
 		adopted <- cum
 		succDone <- in.deliver(succ, cum+1, func() { order = append(order, cum+1) })
 	}()
@@ -153,9 +163,9 @@ func TestInboundSupersedeWaitsForStaging(t *testing.T) {
 // Resume handshake is in progress must not reach the new connection
 // ahead of its ResumeAck — the client reads the ack first and treats
 // anything else as a failed resume, which ends its session for good.
-// Adoption and replay are one step under shutdownMu, so the broadcast
-// either misses the connection (and the replay carries the decision) or
-// follows the ack.
+// Adoption and replay are one step under the session's ingestMu and the
+// decision lock, so the broadcast either misses the connection (and the
+// replay carries the decision) or follows the ack.
 func TestHandshakeNotOvertakenByBroadcast(t *testing.T) {
 	c, err := NewCoordinator(CoordConfig{N: 2, Addr: "127.0.0.1:0", Timeouts: testTimeouts(), Logf: t.Logf})
 	if err != nil {
@@ -168,15 +178,18 @@ func TestHandshakeNotOvertakenByBroadcast(t *testing.T) {
 	}
 	defer conn.Close()
 
-	c.shutdownMu.Lock()
+	st := c.session(0)
+	st.ingestMu.Lock()
 	if err := wire.WriteFrame(conn, 0, wire.Resume{From: 0, N: 2}); err != nil {
 		t.Fatal(err)
 	}
-	// Give the handler time to read the Resume and reach the decision
+	// Give the handler time to read the Resume and reach the session's
 	// lock; too short a wait can only make the test pass vacuously.
 	time.Sleep(50 * time.Millisecond)
+	c.mu.Lock()
 	c.decide(wire.Shutdown{})
-	c.shutdownMu.Unlock()
+	c.mu.Unlock()
+	st.ingestMu.Unlock()
 
 	conn.SetReadDeadline(time.Now().Add(10 * time.Second))
 	br := bufReader(conn)
@@ -321,6 +334,7 @@ func TestRelayFoldNotBlockedByUplinkWrite(t *testing.T) {
 // ReExec or ResumeAck change nothing, and advancing the epoch voids a
 // pending Shutdown.
 func TestFoldInvertsReplay(t *testing.T) {
+	ep := testEndpoint(t)
 	det := &wire.Detection{Epoch: 1, Node: 1, AtNs: 7, Cut: []int64{3, 0, 4, 1}}
 	for epoch := uint32(0); epoch <= 2; epoch++ {
 		for _, shutdown := range []bool{false, true} {
@@ -329,7 +343,9 @@ func TestFoldInvertsReplay(t *testing.T) {
 					d := decisions{epoch: epoch, shutdown: shutdown, committed: committed, detection: detection}
 					a, b := net.Pipe()
 					go func() {
-						d.replay(&coordConn{Conn: a, writeTimeout: time.Second}, 9)
+						conn := &coordConn{Conn: a, ep: ep}
+						d.replay(conn, 9)
+						conn.flush()
 						a.Close()
 					}()
 					var got decisions
@@ -371,10 +387,24 @@ func TestFoldInvertsReplay(t *testing.T) {
 	}
 }
 
+// testEndpoint is an endpoint for hand-built coordConns: it gives their
+// writers a timeout, a log and a WaitGroup.
+func testEndpoint(t *testing.T) *endpoint {
+	ep := newEndpoint("test", Timeouts{}.withDefaults(), t.Logf)
+	return &ep
+}
+
+// decisions returns the root's decisions, as a handshake replays them.
+func (c *Coordinator) decisions() decisions {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.dec
+}
+
 // rootScript drives a listener-free n-node coordinator frame by frame,
-// as handleConn does: ingest, then perform what the frame obligated.
-// Node 0's stream is owned by one end of a net.Pipe; every other node
-// is relayed (a nil connection, whose writes go nowhere).
+// as handleConn does. Node 0's stream is owned by one end of a
+// net.Pipe; every other node is relayed (a nil connection, whose sends
+// go nowhere).
 type rootScript struct {
 	t    *testing.T
 	c    *Coordinator
@@ -384,27 +414,33 @@ type rootScript struct {
 }
 
 func newRootScript(t *testing.T, n int) *rootScript {
+	r := &rootScript{t: t, c: newCoordinator(n, nil, t.Logf), seqs: make([]uint64, n)}
+	r.dial()
+	return r
+}
+
+// dial gives node 0 a fresh pipe, whose far end a goroutine reads.
+func (r *rootScript) dial() {
 	a, b := net.Pipe()
-	r := &rootScript{t: t, c: newCoordinator(n, nil, t.Logf), seqs: make([]uint64, n), got: make(chan []wire.Msg),
-		conn: &coordConn{Conn: a, writeTimeout: 10 * time.Second}}
-	t.Cleanup(func() { a.Close(); b.Close() })
+	r.t.Cleanup(func() { a.Close(); b.Close() })
+	got := make(chan []wire.Msg)
+	r.conn, r.got = &coordConn{Conn: a, ep: &r.c.endpoint}, got
 	go func() {
 		var frames []wire.Msg
 		br := bufReader(b)
 		for {
 			_, m, err := wire.ReadFrame(br)
 			if err != nil {
-				close(r.got)
+				close(got)
 				return
 			}
 			if _, fence := m.(wire.EpochMark); fence {
-				r.got <- slices.Clone(frames)
+				got <- slices.Clone(frames)
 			} else {
 				frames = append(frames, m)
 			}
 		}
 	}()
-	return r
 }
 
 // send feeds node id's next frame; a Hello starts a new process, with
@@ -419,11 +455,9 @@ func (r *rootScript) send(id int, m wire.Msg) {
 	if id != 0 {
 		conn = nil
 	}
-	act, e, err := r.c.ingest(r.c.session(id), conn, conn, wire.AppendBody(nil, r.seqs[id], m))
-	if err != nil {
+	if _, err := r.c.ingest(r.c.session(id), conn, conn, wire.AppendBody(nil, r.seqs[id], m)); err != nil {
 		r.t.Fatalf("node %d: %T: %v", id, m, err)
 	}
-	r.c.perform(act, e, id)
 }
 
 // all sends m from every node in turn.
@@ -434,13 +468,11 @@ func (r *rootScript) all(m wire.Msg) {
 	}
 }
 
-// received writes a fence behind whatever the root has written to node
-// 0 and returns every frame before it.
+// received queues a fence behind whatever the root has sent node 0's
+// connection and returns every frame the connection carried before it.
 func (r *rootScript) received() []wire.Msg {
 	r.t.Helper()
-	if err := r.conn.writeFrame(wire.EpochMark{}); err != nil {
-		r.t.Fatal(err)
-	}
+	r.conn.send(wire.EpochMark{})
 	return <-r.got
 }
 
@@ -504,21 +536,180 @@ func TestAdoptedEpochVoidsShutdown(t *testing.T) {
 	}
 }
 
+// TestRootFoldsWhatItBroadcastsRandom is TestRootFoldsWhatItBroadcasts
+// over seeded random scripts at n = 2..3: first Hellos, relaunches,
+// Dones, byes (a straggler's among them), EpochMarks, and node 0
+// resuming on a fresh pipe. After every step node 0's fold of what it
+// was sent is the root's decisions; every Shutdown it was sent names
+// the root's epoch and follows every node's Done there; a Commit
+// follows every node's counted bye there; and once every node's Done
+// (bye) at the root's epoch is in, node 0 has that epoch's Shutdown
+// (Commit).
+func TestRootFoldsWhatItBroadcastsRandom(t *testing.T) {
+	const scripts, steps = 300, 60
+	commits, restarts := 0, 0
+	for seed := int64(0); seed < scripts; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		n := 2 + int(seed%2)
+		r := newRootScript(t, n)
+		incs := make([]uint64, n)    // each node's latest incarnation; 0 before its first Hello
+		streams := make([]uint32, n) // each node's stream epoch
+		// doneAt and byeAt hold the root's epoch at each node's last Done
+		// and bye that counts there, -1 for none.
+		doneAt, byeAt := make([]int64, n), make([]int64, n)
+		for i := range doneAt {
+			doneAt[i], byeAt[i] = -1, -1
+		}
+		var got decisions // node 0's fold
+		seen := 0         // frames of node 0's current pipe folded so far
+		step, what := 0, ""
+		fail := func(format string, args ...any) {
+			t.Helper()
+			t.Fatalf("seed %d, n=%d, step %d (%s): %s", seed, n, step, what, fmt.Sprintf(format, args...))
+		}
+		check := func() {
+			t.Helper()
+			frames := r.received()
+			root := r.c.decisions()
+			for _, m := range frames[seen:] {
+				if !got.fold(m) {
+					fail("node 0 was sent %T, not a decision", m)
+				}
+				switch v := m.(type) {
+				case wire.Shutdown:
+					if v.Epoch != root.epoch {
+						fail("node 0 was sent Shutdown{%d} at epoch %d", v.Epoch, root.epoch)
+					}
+					if i := slices.IndexFunc(doneAt, func(e int64) bool { return e != int64(root.epoch) }); i >= 0 {
+						fail("Shutdown{%d} before node %d's Done there", v.Epoch, i)
+					}
+				case wire.Commit:
+					if i := slices.IndexFunc(byeAt, func(e int64) bool { return e != int64(root.epoch) }); i >= 0 {
+						fail("Commit at epoch %d before node %d's bye there", root.epoch, i)
+					}
+				}
+			}
+			seen = len(frames)
+			if incs[0] == 0 {
+				return // node 0 has no stream to be sent anything on
+			}
+			if !reflect.DeepEqual(got, root) {
+				fail("node 0 folded %+v, the root holds %+v", got, root)
+			}
+			allAt := func(at []int64) bool {
+				return !slices.ContainsFunc(at, func(e int64) bool { return e != int64(root.epoch) })
+			}
+			if allAt(doneAt) && !got.shutdown {
+				fail("every Done at epoch %d is in, and node 0 has no Shutdown", root.epoch)
+			}
+			if allAt(byeAt) && !got.committed {
+				fail("every bye at epoch %d is in, and node 0 has no Commit", root.epoch)
+			}
+		}
+		for ; step < steps; step++ {
+			root := r.c.decisions()
+			id := rng.Intn(n)
+			switch k := rng.Intn(16); {
+			case k == 0 && incs[0] != 0:
+				what = "node 0 resumes"
+				r.dial()
+				seen = 0
+				r.c.handshake(&r.c.session(0).inbound, r.conn, false)
+			case incs[id] == 0 || k == 1:
+				what = fmt.Sprintf("node %d's Hello of incarnation %d", id, incs[id]+1)
+				incs[id]++
+				hello := wire.Hello{From: int32(id), N: int32(n), Inc: incs[id]}
+				if root.committed {
+					conn := r.conn
+					if id != 0 {
+						conn = nil
+					}
+					if _, err := r.c.ingest(r.c.session(id), conn, conn, wire.AppendBody(nil, 1, hello)); err != errRefused {
+						fail("a relaunch after Commit: %v, want it refused", err)
+					}
+					break
+				}
+				if incs[id] > 1 {
+					restarts++
+				}
+				r.send(id, hello)
+				streams[id], doneAt[id], byeAt[id] = 0, -1, -1
+			case k < 7:
+				what = fmt.Sprintf("node %d's Done at stream epoch %d", id, streams[id])
+				r.send(id, wire.Done{})
+				if streams[id] == root.epoch {
+					doneAt[id] = int64(root.epoch)
+				}
+			case k < 12:
+				// A node byes once the Shutdown of its stream's epoch is
+				// out; a straggler's bye names an epoch it is not at.
+				bye := wire.Shutdown{Epoch: streams[id] + 1}
+				if root.shutdown && streams[id] == root.epoch {
+					bye.Epoch = root.epoch
+					byeAt[id] = int64(root.epoch)
+				}
+				what = fmt.Sprintf("node %d's bye %+v at stream epoch %d", id, bye, streams[id])
+				r.send(id, bye)
+			default:
+				streams[id] = root.epoch
+				what = fmt.Sprintf("node %d's EpochMark{%d}", id, streams[id])
+				r.send(id, wire.EpochMark{Epoch: streams[id]})
+			}
+			check()
+			if root.committed {
+				commits++
+				break // the step after Commit was a refused relaunch or a resume
+			}
+		}
+	}
+	t.Logf("%d scripts of up to %d steps at n = 2..3: %d committed, %d relaunch restarts", scripts, steps, commits, restarts)
+}
+
+// sealGate is a store whose Seal waits until release is closed.
+type sealGate struct {
+	spillStore
+	entered, release chan struct{}
+}
+
+func (s *sealGate) Seal(int, uint32) error {
+	close(s.entered)
+	<-s.release
+	return nil
+}
+
+func (s *sealGate) Stats() (int, int64) { return 0, 0 }
+
 // TestStatusNotBlockedByDecision: the status document — /statusz, pctl
-// top, Wait's stall report — reads the decisions without the decision
-// lock, so a decision that holds it (the commit's store seal, a
-// broadcast to a slow peer) does not hold up the tool meant to diagnose
-// it.
+// top, Wait's stall report — reads the decisions under the decision
+// lock, which no decision holds across its slow part: the commit's
+// store seal runs after the lock is released, so a seal that hangs does
+// not hold up the tool meant to diagnose it.
 func TestStatusNotBlockedByDecision(t *testing.T) {
 	c := newCoordinator(2, nil, t.Logf)
-	c.shutdownMu.Lock()
-	defer c.shutdownMu.Unlock()
+	disk := &sealGate{entered: make(chan struct{}), release: make(chan struct{})}
+	c.store = disk
+	defer close(disk.release)
+	go func() {
+		for _, m := range []wire.Msg{wire.Done{}, wire.Shutdown{}} {
+			for id := 0; id < 2; id++ {
+				c.ingestStored(c.session(id), m, nil)
+			}
+		}
+	}()
+	select {
+	case <-disk.entered:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the run never reached its store seal")
+	}
 	done := make(chan CoordStatus, 1)
 	go func() { done <- c.Status() }()
 	select {
-	case <-done:
+	case s := <-done:
+		if !s.Committed {
+			t.Fatalf("Status during the seal: %+v, want the run committed", s)
+		}
 	case <-time.After(2 * time.Second):
-		t.Fatal("Status waited on the decision lock")
+		t.Fatal("Status waited on the commit's store seal")
 	}
 }
 
@@ -700,13 +891,14 @@ func TestHelloAnswersSurviveUplinkBreak(t *testing.T) {
 
 	// Hold the root's Hello decision until the uplink that carried the
 	// Hello is gone: its answer then goes to a dead connection.
-	c.shutdownMu.Lock()
+	st := c.session(2)
+	st.ingestMu.Lock()
 	p2 := hello(2, 1)
 	forwarded(4)
 	r.cc.mu.Lock()
 	r.cc.conn.Close()
 	r.cc.mu.Unlock()
-	c.shutdownMu.Unlock()
+	st.ingestMu.Unlock()
 	if m := p2.next(); m != (wire.Restart{Epoch: 1}) {
 		t.Fatalf("node 2's late first join read %#v first, want Restart{1}", m)
 	}
