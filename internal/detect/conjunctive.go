@@ -1,28 +1,31 @@
 // Package detect implements the predicate-detection algorithms the
-// active-debugging cycle relies on (paper §§1–2, 7):
+// active-debugging cycle relies on (paper §§1–2, 4, 7). Each question
+// has one entry point:
 //
-//   - PossiblyConjunctive: weak conjunctive predicates — does some
-//     consistent global state satisfy q1 ∧ … ∧ qn? (Garg–Waldecker.)
-//     Detecting a *bug* "all servers unavailable" is possibly(∧ ¬availᵢ).
-//   - DefinitelyConjunctive: strong conjunctive predicates — does every
-//     global sequence pass through a state satisfying ∧qᵢ? This is the
-//     interval-overlap condition of the paper's Lemma 2, and with
-//     qᵢ = ¬lᵢ it decides infeasibility of disjunctive control.
-//   - PossiblyGeneral / DefinitelyGeneral / AllViolations / SGSD: general
-//     predicates. Those in the regular fragment (predicate.IsRegular)
-//     dispatch to the computation slice (internal/slice) and run in
-//     polynomial time; the rest fall back to exhaustive lattice search
-//     (exponential — Lemma 1 shows SGSD is NP-complete), which also
-//     serves as the cross-validation oracle (*Exhaustive, in sliced.go).
+//   - possibly — does some consistent global state satisfy B?
+//     PossiblyConjunctive for a conjunction q1 ∧ … ∧ qn (Garg–Waldecker),
+//     PossiblyGeneral for any predicate. Detecting a *bug* "all servers
+//     unavailable" is possibly(∧ ¬availᵢ).
+//   - definitely — does every global sequence pass through a B-state?
+//     DefinitelyConjunctive: the interval-overlap condition of the
+//     paper's Lemma 2; with qᵢ = ¬lᵢ it decides infeasibility of
+//     disjunctive control.
+//   - every violating cut — AllViolations.
+//   - a satisfying global sequence — SGSD (§4; NP-complete by Lemma 1).
 //
-// Every question has one implementation. PossiblyTruth, DefinitelyTruth
-// and Overlaps (view.go) are the kernels, stated over any causal view so
-// the controlled computation runs them too.
+// A general predicate in the regular fragment (predicate.RegularTable
+// factors it) is decided in polynomial time: PossiblyGeneral on its
+// per-process table, AllViolations on ¬B's computation slice. The rest
+// walk the lattice, which is exponential; AllViolationsExhaustive is
+// that walk, and the tests' oracle. PossiblyTruth, DefinitelyTruth and
+// Overlaps (view.go) are the kernels, stated over any causal view so the
+// controlled computation runs them too.
 package detect
 
 import (
 	"predctl/internal/deposet"
 	"predctl/internal/predicate"
+	"predctl/internal/slice"
 )
 
 // PossiblyConjunctive reports whether some consistent global state of d
@@ -55,40 +58,26 @@ func DefinitelyConjunctive(d *deposet.Deposet, cj *predicate.Conjunction) ([]dep
 // a per-process truth table (predicate.RegularTable) and run the
 // Garg–Waldecker fixpoint — polynomial, and the witness it finds is the
 // satisfying set's unique least cut, the same cut the exhaustive
-// breadth-first walk reports first. Everything else enumerates the
-// lattice (exponential in n; see PossiblyGeneralExhaustive).
+// breadth-first walk reports first. Everything else walks the lattice
+// breadth-first (exponential in n) and reports the first satisfying cut.
 func PossiblyGeneral(d *deposet.Deposet, b predicate.Expr) (deposet.Cut, bool) {
 	if tab, ok := predicate.RegularTable(b, d); ok {
 		return PossiblyTruth(d, tab.Holds)
 	}
-	return PossiblyGeneralExhaustive(d, b)
-}
-
-// DefinitelyGeneral reports whether every interleaving of d passes
-// through a state satisfying an arbitrary predicate b — equivalently,
-// whether no single-step sequence through ¬b-cuts crosses the lattice.
-// When ¬b is regular the question is answered on its slice in polynomial
-// time (slice.SingleStepChain); otherwise by exhaustive search for an
-// avoiding interleaving (¬SGSD(¬b); exponential — for conjunctive
-// predicates prefer DefinitelyConjunctive).
-func DefinitelyGeneral(d *deposet.Deposet, b predicate.Expr) bool {
-	if sl, ok := violationSlice(d, b); ok {
-		if _, avoidable, decided := sl.SingleStepChain(); decided {
-			return !avoidable
-		}
-	}
-	return DefinitelyGeneralExhaustive(d, b)
+	return possiblyExhaustive(d, b)
 }
 
 // AllViolations returns every consistent global state where b is false —
 // the debugging view "where can the bug occur?" (paper §7 finds the cuts
 // G and H this way) — and how the enumeration ran. When ¬b is in the
-// regular fragment the violations are exactly the cuts of ¬b's slice,
-// enumerated without touching the rest of the lattice and returned in
-// (depth, lexicographic) order; otherwise the full lattice is walked
-// (exponential; see AllViolationsExhaustive) in BFS discovery order.
+// regular fragment the violations are exactly the cuts of ¬b's slice
+// (internal/slice), enumerated without touching the rest of the lattice
+// and returned in (depth, lexicographic) order; otherwise the full
+// lattice is walked (exponential; see AllViolationsExhaustive) in BFS
+// discovery order.
 func AllViolations(d *deposet.Deposet, b predicate.Expr) ([]deposet.Cut, EnumStats) {
-	if sl, ok := violationSlice(d, b); ok {
+	if tab, ok := predicate.RegularTable(predicate.Not(b), d); ok {
+		sl := slice.Compute(d, tab)
 		cuts := sl.Cuts()
 		return cuts, EnumStats{Sliced: true, MetaEvents: sl.Stats().MetaEvents, StatesExplored: len(cuts)}
 	}

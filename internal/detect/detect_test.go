@@ -95,7 +95,7 @@ func TestPossiblyMatchesExhaustiveProperty(t *testing.T) {
 		truth := deposet.RandomTruth(r, d, 0.4)
 		cj := conjFromTruth(truth)
 		cut, got := PossiblyConjunctive(d, cj)
-		_, want := PossiblyGeneral(d, cj.Expr())
+		_, want := possiblyExhaustive(d, cj.Expr())
 		if got != want {
 			return false
 		}
@@ -298,8 +298,11 @@ func TestSGSDProcLimit(t *testing.T) {
 
 func TestFeasible(t *testing.T) {
 	d := line(t, 2, 2)
-	if !Feasible(d, predicate.Const(true)) || Feasible(d, predicate.Const(false)) {
-		t.Fatal("Feasible wrong")
+	if _, ok := sgsd(d, predicate.Const(true), false); !ok {
+		t.Fatal("constant true infeasible")
+	}
+	if _, ok := sgsd(d, predicate.Const(false), false); ok {
+		t.Fatal("constant false feasible")
 	}
 }
 
@@ -349,19 +352,4 @@ func TestSGSDSingleImpliesSimultaneousProperty(t *testing.T) {
 // notConj returns ¬(∧q) as an expression.
 func notConj(cj *predicate.Conjunction) predicate.Expr {
 	return predicate.Not(cj.Expr())
-}
-
-// Property: DefinitelyGeneral agrees with DefinitelyConjunctive when the
-// predicate is conjunctive.
-func TestDefinitelyGeneralMatchesConjunctiveProperty(t *testing.T) {
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		d := deposet.Random(r, deposet.DefaultGen(1+r.Intn(3), r.Intn(12)))
-		cj := conjFromTruth(deposet.RandomTruth(r, d, 0.5))
-		_, want := DefinitelyConjunctive(d, cj)
-		return DefinitelyGeneral(d, cj.Expr()) == want
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
-		t.Error(err)
-	}
 }

@@ -118,14 +118,3 @@ func SGSD(d *deposet.Deposet, b predicate.Expr, simultaneous bool) (deposet.Sequ
 	}
 	return nil, stats, nil
 }
-
-// Feasible reports whether b is feasible for d (some global sequence
-// satisfies b — the negation of the paper's "B is infeasible for S"),
-// under single-step (interleaving) sequence semantics. This is the
-// feasibility notion that coincides with controller existence: a control
-// strategy cannot force simultaneous steps, so sequences requiring them
-// are unenforceable (see TestDefinitelySimultaneityGap).
-func Feasible(d *deposet.Deposet, b predicate.Expr) bool {
-	seq, _, _ := SGSD(d, b, false) // single-step: no process limit, no error
-	return seq != nil
-}

@@ -3,15 +3,11 @@ package detect
 import (
 	"predctl/internal/deposet"
 	"predctl/internal/predicate"
-	"predctl/internal/slice"
 )
 
-// This file is the slicing dispatch layer: detection entry points taking
-// a general predicate.Expr first try to factor it (or its negation) into
-// the regular fragment (predicate.RegularTable) and run on the
-// computation slice — polynomial in the trace — keeping the exhaustive
-// lattice walk as the fallback for non-regular predicates and as the
-// cross-validation oracle (the *Exhaustive variants).
+// The exhaustive lattice walks: the route for predicates outside the
+// regular fragment, and AllViolationsExhaustive also the oracle the
+// slice path is tested against.
 
 // EnumStats reports how a violation enumeration ran: whether the regular
 // fragment admitted slicing, and how much of the cut space was touched.
@@ -26,16 +22,6 @@ type EnumStats struct {
 	// the slice's cuts — all of which are answers — on the sliced path,
 	// the entire lattice on the exhaustive path.
 	StatesExplored int
-}
-
-// violationSlice factors ¬b and computes its slice: the slice's cuts are
-// exactly the violations of b.
-func violationSlice(d *deposet.Deposet, b predicate.Expr) (*slice.Slice, bool) {
-	tab, ok := predicate.RegularTable(predicate.Not(b), d)
-	if !ok {
-		return nil, false
-	}
-	return slice.Compute(d, tab), true
 }
 
 // AllViolationsExhaustive enumerates the full lattice regardless of the
@@ -56,9 +42,9 @@ func AllViolationsExhaustive(d *deposet.Deposet, b predicate.Expr) (out []depose
 	return out, lattice
 }
 
-// PossiblyGeneralExhaustive is the lattice-walk oracle for
-// PossiblyGeneral: first satisfying cut in BFS order.
-func PossiblyGeneralExhaustive(d *deposet.Deposet, b predicate.Expr) (deposet.Cut, bool) {
+// possiblyExhaustive is PossiblyGeneral's route for a predicate outside
+// the regular fragment: the first satisfying cut in BFS order.
+func possiblyExhaustive(d *deposet.Deposet, b predicate.Expr) (deposet.Cut, bool) {
 	b = predicate.Compile(b, d)
 	var witness deposet.Cut
 	d.ForEachConsistentCut(func(g deposet.Cut) bool {
@@ -69,11 +55,4 @@ func PossiblyGeneralExhaustive(d *deposet.Deposet, b predicate.Expr) (deposet.Cu
 		return true
 	})
 	return witness, witness != nil
-}
-
-// DefinitelyGeneralExhaustive is the SGSD-search oracle for
-// DefinitelyGeneral.
-func DefinitelyGeneralExhaustive(d *deposet.Deposet, b predicate.Expr) bool {
-	avoiding, _, _ := SGSD(d, predicate.Not(b), false) // single-step: no process limit, no error
-	return avoiding == nil
 }

@@ -81,22 +81,17 @@ func TestSlicedMatchesExhaustiveProperty(t *testing.T) {
 		// — for the negated disjunction and for a conjunction passed
 		// directly, which must reach the table path as its Expr() does.
 		cj := conjFromTruth(deposet.RandomTruth(r, d, 0.5))
-		if !predicate.IsRegular(cj) {
+		if _, ok := predicate.RegularTable(cj, d); !ok {
 			t.Logf("seed %d: *Conjunction not recognised as regular", seed)
 			return false
 		}
 		for _, e := range []predicate.Expr{predicate.Not(b), predicate.Not(dj), cj} {
-			wantCut, wantOK := PossiblyGeneralExhaustive(d, e)
+			wantCut, wantOK := possiblyExhaustive(d, e)
 			gotCut, gotOK := PossiblyGeneral(d, e)
 			if gotOK != wantOK || (wantOK && !gotCut.Equal(wantCut)) {
 				t.Logf("seed %d: possibly(%v) %v,%v want %v,%v", seed, e, gotCut, gotOK, wantCut, wantOK)
 				return false
 			}
-		}
-		// Definitely: slice single-step chain vs SGSD search.
-		if e := predicate.Not(b); DefinitelyGeneral(d, e) != DefinitelyGeneralExhaustive(d, e) {
-			t.Logf("seed %d: definitely disagrees", seed)
-			return false
 		}
 		return true
 	}
@@ -108,12 +103,20 @@ func TestSlicedMatchesExhaustiveProperty(t *testing.T) {
 // Regression fixture: a non-regular predicate must refuse the slice path
 // and fall back to the exhaustive walk — same answers, Sliced=false —
 // while every regular shape on the same trace, the two normal forms
-// passed directly included, does slice.
+// passed directly included, does slice. PossiblyGeneral on it, in either
+// polarity, reports the first satisfying cut of the breadth-first walk.
 func TestNonRegularFallsBackExhaustive(t *testing.T) {
 	d := line(t, 3, 3)
 	b := xorExpr(predicate.LocalAfter(0, 1), predicate.LocalAfter(1, 1))
-	if predicate.IsRegular(b) || predicate.IsRegular(predicate.Not(b)) {
-		t.Fatal("fixture must be non-regular in both polarities")
+	for _, e := range []predicate.Expr{b, predicate.Not(b)} {
+		if _, ok := predicate.RegularTable(e, d); ok {
+			t.Fatalf("fixture %v must be non-regular", e)
+		}
+		viol, _ := AllViolationsExhaustive(d, predicate.Not(e))
+		got, ok := PossiblyGeneral(d, e)
+		if len(viol) == 0 || !ok || !got.Equal(viol[0]) {
+			t.Fatalf("possibly(%v) = %v,%v; first cut of ¬(%v)'s violations %v", e, got, ok, e, viol)
+		}
 	}
 	got, stats := AllViolations(d, b)
 	if stats.Sliced {

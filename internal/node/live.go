@@ -190,8 +190,9 @@ func (c *Coordinator) land(rec DetectionRecord) {
 // liveStrategy synthesizes the control relation that keeps b true on d.
 // A disjunctive b — every live workload's ∨(csᵢ = 0) — gets the paper's
 // Figure 2 chain, O(n²p) and at most n(p+1) edges; only a predicate
-// outside that class reaches the general controller, whose exhaustive
-// search is the problem Theorem 1 proves NP-hard.
+// outside that class reaches the general controller, which decides a
+// regular b on its computation slice in polynomial time and any other b
+// by the search Theorem 1 proves NP-hard.
 func liveStrategy(d *deposet.Deposet, b predicate.Expr) (control.Relation, error) {
 	if dj, ok := predicate.AsDisjunction(b, d.NumProcs()); ok {
 		res, err := offline.Control(d, dj, offline.Options{})

@@ -41,7 +41,7 @@ func ControlGeneral(d *deposet.Deposet, b predicate.Expr) (control.Relation, dep
 			if !found {
 				return nil, nil, ErrInfeasible
 			}
-			return EnforceSequence(d, seq), seq, nil
+			return enforceSequence(d, seq), seq, nil
 		}
 	}
 	seq, _, err := detect.SGSD(d, b, false)
@@ -51,13 +51,13 @@ func ControlGeneral(d *deposet.Deposet, b predicate.Expr) (control.Relation, dep
 	if seq == nil {
 		return nil, nil, ErrInfeasible
 	}
-	return EnforceSequence(d, seq), seq, nil
+	return enforceSequence(d, seq), seq, nil
 }
 
-// EnforceSequence emits a control relation whose controlled computation
+// enforceSequence emits a control relation whose controlled computation
 // admits exactly the given single-step global sequence (and stutters of
 // it). The sequence must be valid for d.
-func EnforceSequence(d *deposet.Deposet, seq deposet.Sequence) control.Relation {
+func enforceSequence(d *deposet.Deposet, seq deposet.Sequence) control.Relation {
 	var rel control.Relation
 	// latest[q] tracks the highest G[q]−1 already used as a From for each
 	// (q, p) pair, to skip implied edges.

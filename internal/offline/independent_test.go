@@ -108,7 +108,7 @@ func TestControlCNFProperty(t *testing.T) {
 		case errors.Is(err, ErrInfeasible):
 			// At least one clause must be exhaustively infeasible.
 			for _, c := range clauses {
-				if !detect.Feasible(d, c.Expr()) {
+				if seq, _, _ := detect.SGSD(d, c.Expr(), false); seq == nil {
 					return true
 				}
 			}

@@ -13,9 +13,10 @@
 // anchors every link to an explicitly constructed linearization, making
 // interference (runtime deadlock) impossible by construction; see
 // ControlFigure2 for the literal pseudocode and the gap this closes.
-// ControlGeneral (general.go) handles arbitrary predicates by exhaustive
-// search — exponential, as it must be: Theorem 1 shows the general
-// problem is NP-hard.
+// ControlGeneral (general.go) handles arbitrary predicates: one in the
+// regular fragment is decided on its computation slice in polynomial
+// time; any other by a satisfying-global-sequence search, exponential as
+// it must be — Theorem 1 shows the general problem is NP-hard.
 package offline
 
 import (

@@ -185,9 +185,10 @@ func TestControlWideProcessesRegression(t *testing.T) {
 }
 
 // feasibleOracle decides controller existence exhaustively: some
-// interleaving satisfies the disjunction everywhere.
+// interleaving satisfies the disjunction everywhere (single-step SGSD).
 func feasibleOracle(d *deposet.Deposet, dj *predicate.Disjunction) bool {
-	return detect.Feasible(d, dj.Expr())
+	seq, _, _ := detect.SGSD(d, dj.Expr(), false) // single-step: no process limit, no error
+	return seq != nil
 }
 
 // TestControlCorrectnessProperty is the central cross-validation: on
@@ -365,7 +366,7 @@ func TestEnforceSequencePinsCuts(t *testing.T) {
 		if err != nil || seq == nil {
 			t.Fatal("trivial SGSD failed")
 		}
-		rel := EnforceSequence(d, seq)
+		rel := enforceSequence(d, seq)
 		x, err := control.Extend(d, rel)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
@@ -474,12 +475,13 @@ func TestControlGeneralRegularMatchesSGSD(t *testing.T) {
 		d := deposet.Random(r, deposet.DefaultGen(1+r.Intn(3), r.Intn(12)))
 		dj := predicate.DisjunctionFromTruth(deposet.RandomTruth(r, d, 0.4+0.5*r.Float64()))
 		b := predicate.Not(dj.Expr()) // ∧p ¬lp: regular
-		if !predicate.IsRegular(b) {
+		if _, ok := predicate.RegularTable(b, d); !ok {
 			return false
 		}
 
 		rel, seq, err := ControlGeneral(d, b)
-		wantOK := detect.Feasible(d, b)
+		want, _, _ := detect.SGSD(d, b, false)
+		wantOK := want != nil
 		if (err == nil) != wantOK {
 			t.Logf("seed %d: slice feasibility %v, SGSD %v", seed, err == nil, wantOK)
 			return false

@@ -122,39 +122,6 @@ func (f *form) TruthTable(d *deposet.Deposet) *TruthTable {
 	return t
 }
 
-// collect fills f from an expression built of Local leaves (each process
-// at most once) under arbitrary nesting of f's own connective and its
-// identity constant; anything else — the other connective, Not, the
-// other constant, two locals on one process, which the caller should
-// merge explicitly — is refused.
-func (f *form) collect(e Expr) bool {
-	var xs []Expr
-	switch x := e.(type) {
-	case *localExpr:
-		return f.Set(x.p, x.name, x.fn) == nil
-	case *constExpr:
-		return x.v == f.unit
-	case *orExpr:
-		if f.unit {
-			return false
-		}
-		xs = x.xs
-	case *andExpr:
-		if !f.unit {
-			return false
-		}
-		xs = x.xs
-	default:
-		return false
-	}
-	for _, sub := range xs {
-		if !f.collect(sub) {
-			return false
-		}
-	}
-	return true
-}
-
 // Disjunction is a predicate in the paper's disjunctive form
 // B = l1 ∨ l2 ∨ … ∨ ln, with at most one local predicate per process.
 // Processes without a local predicate contribute the constant false (they
@@ -200,13 +167,26 @@ func AsDisjunction(e Expr, n int) (*Disjunction, bool) {
 	return dj, dj.collect(e)
 }
 
-// AsConjunction recognizes expressions of the form q1 ∧ … ∧ qk
-// (arbitrary nesting of And over Local leaves, each process at most
-// once) over n processes — the detectable class. It returns false for
-// anything else.
-func AsConjunction(e Expr, n int) (*Conjunction, bool) {
-	cj := NewConjunction(n)
-	return cj, cj.collect(e)
+// collect fills dj from an expression built of Local leaves (each
+// process at most once) under arbitrary nesting of Or and constant
+// false; anything else — And, Not, constant true, two locals on one
+// process, which the caller should merge explicitly — is refused.
+func (dj *Disjunction) collect(e Expr) bool {
+	switch x := e.(type) {
+	case *localExpr:
+		return dj.Set(x.p, x.name, x.fn) == nil
+	case *constExpr:
+		return !x.v
+	case *orExpr:
+		for _, sub := range x.xs {
+			if !dj.collect(sub) {
+				return false
+			}
+		}
+		return true
+	default:
+		return false
+	}
 }
 
 // DisjunctionFromTruth builds a disjunction directly from a truth table

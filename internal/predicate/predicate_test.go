@@ -268,8 +268,9 @@ func TestNegateComplementProperty(t *testing.T) {
 
 // The two normal forms are one form under two connectives: on random
 // truth tables with some processes left without a local, negation
-// commutes with tabulation, and each form round-trips through its
-// expression into itself and into nothing else.
+// commutes with tabulation, a disjunction round-trips through its
+// expression into itself, and a conjunction's expression is not taken
+// for a disjunction.
 func TestNormalFormDuality(t *testing.T) {
 	sameTable := func(d *deposet.Deposet, a, b *TruthTable) bool {
 		for p := 0; p < d.NumProcs(); p++ {
@@ -301,16 +302,10 @@ func TestNormalFormDuality(t *testing.T) {
 			t.Logf("seed %d: %v does not round-trip (%v, %v)", seed, dj, dj2, ok)
 			return false
 		}
-		cj2, ok := AsConjunction(cj.Expr(), n)
-		if !ok || cj2.String() != cj.String() || !sameTable(d, cj2.TruthTable(d), cj.TruthTable(d)) {
-			t.Logf("seed %d: %v does not round-trip (%v, %v)", seed, cj, cj2, ok)
-			return false
-		}
 		// And into nothing else: the other connective's node is refused
 		// even around a single local.
-		_, djAsCj := AsConjunction(dj.Expr(), n)
 		_, cjAsDj := AsDisjunction(cj.Expr(), n)
-		return !djAsCj && !cjAsDj
+		return !cjAsDj
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
@@ -320,9 +315,6 @@ func TestNormalFormDuality(t *testing.T) {
 	for _, mixed := range []Expr{Or(And(a, b), c), And(Or(a, b), c)} {
 		if _, ok := AsDisjunction(mixed, 3); ok {
 			t.Errorf("AsDisjunction accepted %v", mixed)
-		}
-		if _, ok := AsConjunction(mixed, 3); ok {
-			t.Errorf("AsConjunction accepted %v", mixed)
 		}
 	}
 	if got := NewDisjunction(2).String(); got != "false" {
@@ -344,37 +336,5 @@ func TestNegateSkipsMissingLocals(t *testing.T) {
 	}
 	if !cj.Holds(d, 0, 0) {
 		t.Error("¬never should hold")
-	}
-}
-
-func TestAsConjunction(t *testing.T) {
-	a := Local(0, "a", nilFn)
-	b := Local(1, "b", nilFn)
-	if _, ok := AsConjunction(And(a, b), 2); !ok {
-		t.Error("flat and rejected")
-	}
-	if _, ok := AsConjunction(And(a, And(b)), 2); !ok {
-		t.Error("nested and rejected")
-	}
-	if _, ok := AsConjunction(a, 2); !ok {
-		t.Error("single local rejected")
-	}
-	if _, ok := AsConjunction(And(a, Const(true)), 2); !ok {
-		t.Error("and with true rejected")
-	}
-	if _, ok := AsConjunction(And(a, Const(false)), 2); ok {
-		t.Error("and with false accepted")
-	}
-	if _, ok := AsConjunction(Or(a, b), 2); ok {
-		t.Error("or accepted")
-	}
-	if _, ok := AsConjunction(Not(a), 2); ok {
-		t.Error("not accepted")
-	}
-	if _, ok := AsConjunction(And(a, Local(0, "a2", nilFn)), 2); ok {
-		t.Error("two locals on one process accepted")
-	}
-	if _, ok := AsConjunction(Local(9, "z", nilFn), 2); ok {
-		t.Error("out-of-range process accepted")
 	}
 }

@@ -178,16 +178,6 @@ func evalConstOnly(e Expr) (v, ok bool) {
 	}
 }
 
-// IsRegular reports whether e is in the syntactic regular fragment: after
-// pushing negations inward, a conjunction of clauses each reading at most
-// one process. Regular predicates admit computation slicing; everything
-// else takes the exhaustive-enumeration path.
-func IsRegular(e Expr) bool {
-	var out []regClause
-	var constFalse bool
-	return collectRegular(e, false, &out, &constFalse)
-}
-
 // RegularTable factors a regular predicate over d into its per-state
 // truth table: Holds(p, k) is the conjunction of e's process-p clauses at
 // state (p, k), and e itself holds at a cut g iff Holds(p, g[p]) for

@@ -6,9 +6,10 @@ import (
 	"predctl/internal/deposet"
 )
 
-// TestIsRegular drives the classifier over every Expr form: Local, And,
-// Or, Not, Const, compiled bitExpr leaves, and the Disjunction /
-// Conjunction recognized forms — including the nested
+// TestIsRegular drives the regular-fragment classifier (RegularTable's
+// ok) over every Expr form: Local, And, Or, Not, Const, compiled bitExpr
+// leaves, and the Disjunction / Conjunction recognized forms — including
+// the nested
 // conjunction-of-disjunction shapes that must be rejected because a
 // cross-process disjunction is not min-closed.
 func TestIsRegular(t *testing.T) {
@@ -61,8 +62,8 @@ func TestIsRegular(t *testing.T) {
 		{"deep-neg-flip", Not(And(Not(l0), Not(l1))), false}, // = l0 ∨ l1
 	}
 	for _, c := range cases {
-		if got := IsRegular(c.e); got != c.want {
-			t.Errorf("IsRegular(%s) [%s] = %v, want %v", c.e, c.name, got, c.want)
+		if _, got := RegularTable(c.e, d); got != c.want {
+			t.Errorf("RegularTable(%s) [%s] ok = %v, want %v", c.e, c.name, got, c.want)
 		}
 	}
 }
@@ -71,9 +72,10 @@ func TestIsRegular(t *testing.T) {
 // classifier rejects it even though it is semantically constant true
 // (and hence regular): the fragment is syntactic. Pin that choice.
 func TestIsRegularSyntacticNotSemantic(t *testing.T) {
+	d := twoProc(t)
 	l0 := LocalVarEq(0, "x", 1)
 	l1 := LocalVarEq(1, "y", 1)
-	if IsRegular(Or(l0, l1, Const(true))) {
+	if _, ok := RegularTable(Or(l0, l1, Const(true)), d); ok {
 		t.Fatal("multi-process Or must be rejected even when semantically constant")
 	}
 }

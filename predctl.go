@@ -18,7 +18,9 @@
 //   - Detection: Possibly / Definitely for conjunctive predicates and
 //     the (NP-complete) satisfying-global-sequence search SGSD.
 //   - Off-line control: Control for disjunctive predicates (polynomial),
-//     ControlGeneral for arbitrary predicates (exponential, provably so).
+//     ControlGeneral for arbitrary predicates (polynomial on the
+//     computation slice when B is regular, otherwise an exponential
+//     search — the general problem is NP-hard).
 //   - Controlled replay: Replay re-executes a trace with the control
 //     messages enforced, under arbitrary message delays.
 //   - On-line control: OnlineRun maintains a disjunctive predicate over
@@ -116,8 +118,10 @@ func Control(d *Computation, b *Disjunction) (*ControlResult, error) {
 	return offline.Control(d, b, offline.Options{})
 }
 
-// ControlGeneral solves off-line control for an arbitrary predicate by
-// exhaustive search (the problem is NP-hard in general).
+// ControlGeneral solves off-line control for an arbitrary predicate: on
+// the computation slice in polynomial time when b is regular, otherwise
+// by satisfying-global-sequence search (the problem is NP-hard in
+// general).
 func ControlGeneral(d *Computation, b Predicate) (ControlRelation, Sequence, error) {
 	return offline.ControlGeneral(d, b)
 }

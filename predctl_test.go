@@ -101,8 +101,9 @@ func TestPredicateCombinators(t *testing.T) {
 // A disjunction handed to Violations as the normal form itself — not as
 // its Expr() — must still be enumerated on the computation slice. The
 // lattice here (31⁶ ≈ 9·10⁸ cuts, no messages) is beyond any exhaustive
-// walk, so an answer at all is the slice's; the IsRegular guard makes a
-// regression in recognising the form fail fast instead.
+// walk, so an answer at all is the slice's; checking that RegularTable
+// factors ¬dj makes a regression in recognising the form fail fast
+// instead.
 func TestViolationsSlicesNormalForms(t *testing.T) {
 	const n, steps, bad = 6, 30, 5
 	b := NewBuilder(n)
@@ -116,8 +117,10 @@ func TestViolationsSlicesNormalForms(t *testing.T) {
 	for p := 0; p < n; p++ {
 		dj.Add(p, "ok", func(_ *Computation, k int) bool { return k != bad })
 	}
-	if !predicate.IsRegular(Not(dj)) || !predicate.IsRegular(Not(dj.Expr())) {
-		t.Fatal("¬disjunction not recognised as regular")
+	for _, e := range []Predicate{Not(dj), Not(dj.Expr())} {
+		if _, ok := predicate.RegularTable(e, d); !ok {
+			t.Fatal("¬disjunction not recognised as regular")
+		}
 	}
 	want := Cut{bad, bad, bad, bad, bad, bad}
 	for name, b := range map[string]Predicate{"*Disjunction": dj, "Expr()": dj.Expr()} {
