@@ -481,6 +481,7 @@ func TestClusterRejectsOutOfRangeTargets(t *testing.T) {
 		{"scapegoat", ClusterConfig{Scapegoat: 5}, "scapegoat 5 is not a node of 3"},
 		{"negative scapegoat", ClusterConfig{Scapegoat: -1}, "scapegoat -1 is not a node of 3"},
 		{"negative relays", ClusterConfig{Relays: -2}, "relays -2 is negative"},
+		{"more relays than nodes", ClusterConfig{Relays: 4}, "relays 4 exceed the 3 nodes"},
 		{"node crash", ClusterConfig{Crashes: []Crash{{Node: 3}}}, "crash schedule targets node 3 of 3"},
 		{"negative node crash", ClusterConfig{Crashes: []Crash{{Node: 1}, {Node: -1}}}, "crash schedule targets node -1 of 3"},
 		{"relay crash", ClusterConfig{Relays: 2, RelayCrashes: []Crash{{Node: 2}}}, "relay crash schedule targets relay 2 of 2"},

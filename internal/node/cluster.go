@@ -69,13 +69,13 @@ type ClusterConfig struct {
 	// broadcast puts them back under control — the planted violation
 	// live detection demos catch.
 	Rogues []int
-	// Relays > 0 shards coordinator ingest into a 2-level aggregation
-	// tree: that many relay processes each terminate the capture
-	// streams of the nodes assigned to them (node i → relay i mod
-	// Relays) and write each accepted frame through upstream, so the
+	// Relays > 0 (at most N) shards coordinator ingest into a 2-level
+	// aggregation tree: that many relay processes each terminate the
+	// capture streams of the nodes assigned to them (node i → relay i
+	// mod Relays) and write each accepted frame through upstream, so the
 	// root handles O(Relays) connections instead of O(N) — its frames
-	// stay those of a flat cluster. Nodes are
-	// oblivious — their coordinator address is simply their relay's.
+	// stay those of a flat cluster. Nodes are oblivious — their
+	// coordinator address is simply their relay's.
 	Relays int
 	// RelayCrashes kills relays mid-run (Crash.Node is the relay
 	// index): the relay's listener and uplink drop abruptly, children
@@ -416,6 +416,8 @@ func checkTargets(cfg *ClusterConfig) error {
 	}
 	if cfg.Relays < 0 {
 		return fmt.Errorf("node: relays %d is negative", cfg.Relays)
+	} else if cfg.Relays > cfg.N {
+		return fmt.Errorf("node: relays %d exceed the %d nodes", cfg.Relays, cfg.N)
 	}
 	for _, cr := range cfg.Crashes {
 		if cr.Node < 0 || cr.Node >= cfg.N {
@@ -451,7 +453,7 @@ func scheduleCrashes(coord *Coordinator, crashes []Crash, targets int, annotID f
 			defer wg.Done()
 			select {
 			case <-time.After(time.Until(coord.start.Add(cr.At))):
-				coord.Annotate(obs.EvChaosCrash, annotID(cr.Node), 0)
+				coord.AnnotateAt(coord.sinceStart(), obs.EvChaosCrash, annotID(cr.Node), 0)
 				chs[cr.Node] <- struct{}{}
 			case <-stop:
 			}

@@ -28,7 +28,7 @@ type staged struct {
 func (c *Coordinator) collect(e uint32) staged {
 	out := staged{byProc: make([][]wire.TraceOp, 2*c.n)}
 	dropped := 0
-	for _, st := range c.sessionsSorted() {
+	for _, st := range c.sessions {
 		st.mu.Lock()
 		if st.epoch == e {
 			st.ops.appendTo(out.byProc)
@@ -100,7 +100,7 @@ func (c *Coordinator) Wait(timeout time.Duration) (*Result, error) {
 	// verdict that lost the race to Commit is dropped, so only the
 	// closing verdict below still adds a detection.
 	c.mu.Lock()
-	epoch := c.dec.epoch
+	epoch := c.core.dec.epoch
 	c.mu.Unlock()
 	// Every bye was counted at the cluster epoch, so every session is at
 	// it and the epoch filter selects the whole final capture.
@@ -112,7 +112,7 @@ func (c *Coordinator) Wait(timeout time.Duration) (*Result, error) {
 	merge := func() {
 		defer close(merged)
 		c.mu.Lock()
-		annots := append([]obs.Event(nil), c.annots...)
+		annots := slices.Clone(c.core.annots)
 		c.mu.Unlock()
 		mergeJournal(c.journal, append(got.journal, annots))
 	}
@@ -140,13 +140,13 @@ func (c *Coordinator) Wait(timeout time.Duration) (*Result, error) {
 	defer c.mu.Unlock()
 	return &Result{
 		Deposet:    d,
-		Stats:      append([]Stats(nil), c.stats...),
+		Stats:      slices.Clone(c.core.stats),
 		Candidates: got.cands,
 		Epoch:      epoch,
-		Restarts:   c.restarts,
-		Detections: append([]DetectionRecord(nil), c.detections...),
+		Restarts:   c.core.restarts,
+		Detections: slices.Clone(c.core.detections),
 		LiveFired:  c.ld != nil && c.ld.Fired(),
-		ReExecs:    c.reexecs,
+		ReExecs:    c.core.reexecs,
 		RootConns:  c.rootConns.Load(),
 		RootFrames: c.rootFrames.Load(),
 		RootBytes:  c.rootBytes.Load(),

@@ -366,7 +366,7 @@ func TestStoreFollowsEveryDiscard(t *testing.T) {
 	seqs := make([]uint64, n)
 	ingest := func(c *Coordinator, f frame) {
 		t.Helper()
-		if _, err := c.ingest(c.session(f.id), nil, nil, f.body); err != nil {
+		if _, err := c.ingest(c.sessions[f.id], nil, nil, f.body); err != nil {
 			t.Fatalf("node %d: %v", f.id, err)
 		}
 	}
@@ -391,7 +391,7 @@ func TestStoreFollowsEveryDiscard(t *testing.T) {
 	check := func(step string, tag int64, sessions int) {
 		t.Helper()
 		ram.mu.Lock()
-		e := ram.dec.epoch
+		e := ram.core.dec.epoch
 		ram.mu.Unlock()
 		want := ram.collect(e)
 
@@ -407,7 +407,7 @@ func TestStoreFollowsEveryDiscard(t *testing.T) {
 			ingest(c, f)
 		}
 		c.mu.Lock()
-		sealAt := c.dec.epoch
+		sealAt := c.core.dec.epoch
 		c.mu.Unlock()
 		if err := disk.Seal(n, sealAt); err != nil {
 			t.Fatal(err)
@@ -529,7 +529,7 @@ func TestCaptureEndsAtBye(t *testing.T) {
 		if spill {
 			c.store = disk
 		}
-		st := c.session(0)
+		st := c.sessions[0]
 		// check counts the frames staged at the stream's epoch and those
 		// appended at it: with spilling on, the two must match.
 		check := func(when string, want int) {
@@ -571,7 +571,7 @@ func TestFailedAppendStopsTheStore(t *testing.T) {
 	c := newCoordinator(2, nil, sink.logf)
 	disk := newCountingStore(0)
 	c.store = disk
-	sessions := []*nodeSession{c.session(0), c.session(1)}
+	sessions := []*nodeSession{c.sessions[0], c.sessions[1]}
 
 	c.ingestStored(sessions[1], batch(1), nil) // appended
 	c.ingestStored(sessions[0], batch(0), nil) // the append fails

@@ -1,6 +1,7 @@
 package node
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"net"
@@ -88,32 +89,13 @@ type Result struct {
 }
 
 // Coordinator collects the capture streams of a node cluster and
-// reassembles them into a deposet trace plus a merged journal.
-// Protocol flow: nodes connect and stream; after all N report Done at
-// the current epoch the coordinator broadcasts Shutdown{epoch}; each
-// node final-flushes, echoes Shutdown as its bye, and parks; when
-// every bye is in, the coordinator broadcasts Commit — the run is
-// sealed, parked nodes exit, and Wait assembles the trace. The park is
-// what makes shutdown crash-safe: a node killed between the Shutdown
-// broadcast and its bye rejoins and triggers a restart (the epoch was
-// still voidable), while after Commit a rejoin is refused with the
-// same Shutdown+Commit exit ramp.
-//
-// Failure handling is the paper's §8 controlled re-execution, global
-// form: when a crashed node relaunches (a Hello of a new incarnation
-// for a known id), the coordinator bumps the cluster epoch and broadcasts
-// Restart{epoch} — every node aborts, resets its mesh, discards its
-// local capture and deterministically re-executes from scratch. Each
-// stream's EpochMark then discards that stream's staged capture, so
-// what Wait assembles is exactly the final epoch: a trace
-// indistinguishable from a fault-free run.
-//
-// Each decision is one step under c.mu, taken where the frame that makes
-// it is counted: the last Done at the epoch decides Shutdown, the last
-// bye Commit, a relaunch's Hello a Restart, and a landed live verdict
-// Detection + ReExec. The step folds the frames into c.dec and queues
-// them to every connection; writers put them on the wire with no lock
-// held, so a peer that stops reading delays nobody else.
+// reassembles them into a deposet trace plus a merged journal. Its
+// decisions are the rootCore's (core.go); around the core it owns the
+// sockets, the per-session staging and the store. Each stream's
+// EpochMark discards that stream's staged capture, so what Wait
+// assembles is exactly the final epoch, and writers put what the core
+// decided on the wire with no lock held, so a peer that stops reading
+// delays nobody else.
 type Coordinator struct {
 	endpoint // the shared session layer's half: listener, connections, streams
 	n        int
@@ -130,10 +112,9 @@ type Coordinator struct {
 
 	// Live online detection (nil ld when CoordConfig.Live is off):
 	// every ingested candidate feeds ld; a trigger runs the prefix
-	// verdict off the decision lock, and land records a found cut and
-	// takes the OnDetect response as one decision.
+	// verdict off the decision lock, and the core's land records a found
+	// cut and takes the OnDetect response as one decision.
 	ld        *livedetect.Checker
-	liveCfg   LiveConfig
 	violation predicate.Expr // ¬B, precomputed from Live.Predicate
 	detMeter  *obs.Counter
 
@@ -153,20 +134,13 @@ type Coordinator struct {
 	rootBytes  atomic.Int64
 	rootConns  atomic.Int64
 
-	mu         sync.Mutex // the decision lock (session.go has the order)
-	sessions   map[int]*nodeSession
-	relays     map[int]*relaySession
-	stats      []Stats
-	dec        decisions // the run's decisions, written by decide (session.go has the rule)
-	restarts   int
-	reexecs    int               // detection-triggered re-executions (written by land)
-	detections []DetectionRecord // confirmed live detections, all epochs (written by land)
-	detByNode  []int             // confirmed detections per witness node (written by land)
-	doneSeen   []bool
-	byeSeen    []bool
-	doneCount  int
-	byeCount   int
-	annots     []obs.Event // cluster-level annotations (chaos, epoch bumps)
+	// sessions is the node session table, one per node id, fixed at
+	// construction: reading it takes no lock.
+	sessions []*nodeSession
+
+	mu     sync.Mutex      // the decision lock (session.go has the order)
+	core   rootCore        // every root decision and the state it reads
+	relays []*relaySession // by relay index, created by its first RelayHello
 
 	// allByes is closed once Commit is decided and the store sealed:
 	// Wait's release.
@@ -186,22 +160,25 @@ type spillStore interface {
 	Stats() (segments int, bytes int64)
 }
 
-// newCoordinator builds the listener-free core — session tables and
-// completion state — that NewCoordinator wires to a socket and the
-// ingest benches drive directly.
+// newCoordinator builds the listener-free coordinator — the session
+// table and the decision core — that NewCoordinator wires to a socket
+// and the ingest benches drive directly.
 func newCoordinator(n int, journal *obs.Journal, logf func(string, ...any)) *Coordinator {
-	return &Coordinator{
+	c := &Coordinator{
 		endpoint: newEndpoint("coordinator", Timeouts{}.withDefaults(), logf),
 		n:        n,
 		journal:  journal,
 		live:     obs.NewRegistry(),
-		sessions: map[int]*nodeSession{},
-		relays:   map[int]*relaySession{},
-		stats:    make([]Stats, n),
-		doneSeen: make([]bool, n),
-		byeSeen:  make([]bool, n),
+		sessions: make([]*nodeSession, n),
+		relays:   make([]*relaySession, n),
 		allByes:  make(chan struct{}),
 	}
+	c.core = newRootCore(n, c.logf)
+	for id := range c.sessions {
+		c.sessions[id] = &nodeSession{id: id}
+		c.register(&c.sessions[id].inbound)
+	}
+	return c
 }
 
 // NewCoordinator starts a coordinator for an n-node cluster.
@@ -223,22 +200,11 @@ func NewCoordinator(cfg CoordConfig) (*Coordinator, error) {
 		c.store = cfg.Store
 	}
 	if cfg.Live.Predicate != nil {
-		lc := cfg.Live
-		if lc.OnDetect == "" {
-			lc.OnDetect = OnDetectReExec
-		}
-		if lc.OnDetect != OnDetectReExec && lc.OnDetect != OnDetectNote {
+		if err := c.light(cfg.Live); err != nil {
 			c.ln.Close()
-			return nil, fmt.Errorf("node: coordinator: unknown OnDetect mode %q", lc.OnDetect)
+			return nil, err
 		}
-		if lc.MaxReExecs == 0 {
-			lc.MaxReExecs = 1
-		}
-		c.liveCfg = lc
-		c.violation = predicate.Not(lc.Predicate)
-		c.ld = livedetect.New(cfg.N)
 		c.detMeter = cfg.Reg.Counter("predctl_live_detections_total")
-		c.detByNode = make([]int, cfg.N)
 	}
 	if cfg.HTTPAddr != "" || cfg.HTTPListener != nil {
 		insp, err := obs.ServeIntrospection(obs.IntrospectionConfig{
@@ -258,6 +224,22 @@ func NewCoordinator(cfg CoordConfig) (*Coordinator, error) {
 	c.wg.Add(1)
 	go c.acceptLoop(c.handleConn)
 	return c, nil
+}
+
+// light turns live detection on for lc, its defaults filled in: the
+// checker, and the response policy the core applies to its verdicts.
+func (c *Coordinator) light(lc LiveConfig) error {
+	switch lc.OnDetect {
+	case "":
+		lc.OnDetect = OnDetectReExec
+	case OnDetectReExec, OnDetectNote:
+	default:
+		return fmt.Errorf("node: coordinator: unknown OnDetect mode %q", lc.OnDetect)
+	}
+	lc.MaxReExecs = cmp.Or(lc.MaxReExecs, 1)
+	c.ld = livedetect.New(c.n)
+	c.core.ld, c.core.live, c.violation = c.ld, lc, predicate.Not(lc.Predicate)
+	return nil
 }
 
 // HTTPURL returns the introspection server's base URL, or "" when the
@@ -280,19 +262,6 @@ func (c *Coordinator) Close() {
 	c.wg.Wait()
 }
 
-// session returns (creating if needed) the state for node id.
-func (c *Coordinator) session(id int) *nodeSession {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	st := c.sessions[id]
-	if st == nil {
-		st = &nodeSession{id: id}
-		c.sessions[id] = st
-		c.register(&st.inbound)
-	}
-	return st
-}
-
 // handleConn serves one accepted connection: the handshake — Resume to
 // continue a session, RelayHello for a relay uplink, or a Hello, which
 // is simply the stream's first frame — then sequence-gated ingest into
@@ -313,7 +282,7 @@ func (c *Coordinator) handleConn(raw net.Conn) {
 		return
 	}
 	conn.peer = "node " + strconv.Itoa(id)
-	st := c.session(id)
+	st := c.sessions[id]
 	frame := func(body []byte) error {
 		detected, err := c.ingest(st, conn, conn, body)
 		if detected {
@@ -343,7 +312,7 @@ func (c *Coordinator) handshake(in *inbound, conn *coordConn, fresh bool) {
 	defer in.ingestMu.Unlock()
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.dec.replay(conn, in.adoptLocked(conn, fresh, 0))
+	conn.send(c.core.dec.replay(in.adoptLocked(conn, fresh, 0))...)
 }
 
 // ingest is the one per-origin frame path, for a node's own connection
@@ -360,7 +329,7 @@ func (c *Coordinator) ingest(st *nodeSession, owner, answer *coordConn, body []b
 		return false, err
 	}
 	if h, ok := m.(wire.Hello); ok {
-		if decided, err := c.hello(st, owner, answer, seq, h.Inc); decided {
+		if decided, err := c.hello(st, owner, answer, seq, h); decided {
 			return false, err
 		}
 	}
@@ -375,120 +344,59 @@ func (c *Coordinator) countFrame(bodyLen int) {
 	c.rootBytes.Add(int64(bodyLen + 4))
 }
 
-// hello runs the Hello decision for node st, whose per-origin
-// incarnation record survives relay crashes: owner becomes the gate's,
-// and the answer is queued to answer, the connection the Hello came on
-// (a relay's uplink fans it out). It reports whether it decided: a
-// Hello of the incarnation on record is a resume replaying frame 1,
-// left to the gate. A first incarnation opens the session. A different
-// one is a relaunched process: it has no session to resume, its old
-// incarnation's stream state is void, and — until Commit — the cluster
-// restarts, even between the Shutdown broadcast and the last bye: the
-// "completed" execution is re-run, because refusing the relaunch would
-// strand the byes the dead incarnation never sent. After Commit the
-// staged capture is (being) assembled: the session is left untouched
-// and the relaunch told to stand down. The adoption, the answer and the
-// restart are one step under the session's ingestMu and the decision
-// lock, so the answer is ordered with every decision.
-func (c *Coordinator) hello(st *nodeSession, owner, answer *coordConn, seq, inc uint64) (decided bool, err error) {
+// hello takes node st's Hello to the core and reports whether it
+// decided (step). A new incarnation voids its predecessor's stream state
+// and makes owner the gate's; the answer goes to answer, the connection
+// the Hello came on (a relay's uplink fans it out). All of it is one
+// step under the session's ingestMu and the decision lock.
+func (c *Coordinator) hello(st *nodeSession, owner, answer *coordConn, seq uint64, h wire.Hello) (decided bool, err error) {
 	st.ingestMu.Lock()
 	defer st.ingestMu.Unlock()
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	st.mu.Lock()
-	known, rejoin := st.inc == inc, st.inc != 0
-	refused := rejoin && c.dec.committed
-	if !known && !refused {
-		st.inc = inc
-		st.discardEpochLocked(0)
-	}
-	st.mu.Unlock()
-	switch {
-	case known:
+	o := c.core.step(st.id, 0, h, c.sinceStart())
+	if o.known {
 		return false, nil
-	case refused:
-		return true, c.dec.refuse(answer)
 	}
-	st.adoptLocked(owner, true, seq)
-	if !rejoin {
-		if c.dec.epoch > 0 {
-			c.logf("coordinator: node %d joined late; catching up to epoch %d", st.id, c.dec.epoch)
-		}
-		c.dec.catchUp(answer)
-		return true, nil
+	if o.refused {
+		err = errRefused
+	} else {
+		st.mu.Lock()
+		st.discardEpochLocked(0)
+		st.mu.Unlock()
+		st.adoptLocked(owner, true, seq)
 	}
-	// The §8 controlled re-execution: the Restart reaches the relaunch
-	// with everyone else's, by the broadcast; the Detection broadcast it
-	// missed does not.
-	c.dec.detect(answer)
-	c.restarts++
-	e := c.dec.epoch + 1
-	c.logf("coordinator: node %d rejoined; restarting cluster at epoch %d", st.id, e)
-	c.annotateLocked(time.Since(c.start).Nanoseconds(), obs.EvEpochRestart, int64(st.id), int64(e))
-	c.decide(wire.Restart{Epoch: e})
-	return true, nil
+	c.carry(answer, o)
+	return true, err
 }
 
-// decide takes the decisions ms: it folds them into c.dec, then queues
-// them to every stream's connection, both in order. If they move the
-// epoch, the fold has voided a pending Shutdown (its byes can now never
-// come), and decide voids the abandoned execution's completion progress
-// with it. The caller holds c.mu from the check that made ms valid
-// through here, so every node sees the decisions in decision order.
-func (c *Coordinator) decide(ms ...wire.Msg) {
-	was := c.dec.epoch
-	for _, m := range ms {
-		c.dec.fold(m)
-	}
-	if c.dec.epoch != was {
-		c.newEpochLocked()
-	}
-	c.broadcast(ms...)
-}
+// errRefused ends the handshake of a relaunch that arrived after Commit.
+var errRefused = errors.New("rejoined after commit; refused")
 
-// newEpochLocked voids the completion progress of the execution the
-// cluster just left for c.dec.epoch, and re-arms the live checker at it:
-// the abandoned epoch's candidates must not seed a detection in the new
-// one. Caller holds c.mu.
-func (c *Coordinator) newEpochLocked() {
-	c.doneCount, c.byeCount = 0, 0
-	clear(c.doneSeen)
-	clear(c.byeSeen)
-	if c.ld != nil {
-		c.ld.Reset(c.dec.epoch)
+// carry queues what a core step decided, under c.mu: the reply to
+// answer, the connection its input came on, then the rest to every
+// stream — so every peer sees the decisions in decision order.
+func (c *Coordinator) carry(answer *coordConn, o out) {
+	answer.send(o.reply...)
+	if len(o.all) > 0 {
+		c.broadcast(o.all...)
 	}
 }
 
-// Annotate records a cluster-level instant event — a chaos injection,
-// an epoch bump — on the merged journal's timeline. Annotations use
-// Proc -1 (no logical process; the trace exporter renders them on a
-// cluster pseudo-row) and survive epoch discards: they describe the
-// run's real history, which controlled re-execution does not rewrite.
-func (c *Coordinator) Annotate(name string, a, b int64) {
-	c.AnnotateAt(time.Since(c.start).Nanoseconds(), name, a, b)
-}
+// sinceStart is now, relative to the run start: the core's clock.
+func (c *Coordinator) sinceStart() int64 { return time.Since(c.start).Nanoseconds() }
 
-// AnnotateAt is Annotate with an explicit timestamp (nanoseconds
-// relative to the run start) — for events whose schedule is known a
-// priori, like partition windows.
+// AnnotateAt records a cluster-level instant event — a chaos injection,
+// a partition window — at atNs relative to the run start.
 func (c *Coordinator) AnnotateAt(atNs int64, name string, a, b int64) {
 	c.mu.Lock()
-	c.annotateLocked(atNs, name, a, b)
+	c.core.annotate(atNs, name, a, b)
 	c.mu.Unlock()
-}
-
-// annotateLocked is AnnotateAt under the caller's c.mu.
-func (c *Coordinator) annotateLocked(atNs int64, name string, a, b int64) {
-	c.annots = append(c.annots, obs.Event{
-		At: atNs, Proc: -1,
-		Kind: obs.KindControl, Name: name, A: a, B: b,
-	})
 }
 
 // seal ends the run once Commit at epoch e is decided: the store is
 // sealed, then Wait is released. The ingest step that decided Commit
-// calls it after releasing c.mu — exactly once, since Commit is decided
-// once — so the directory is a complete, verifiable capture bundle the
+// calls it once, after releasing c.mu, so the bundle is complete the
 // moment the run result exists, and Status answers meanwhile. An append
 // that failed leaves the store unsealed: a manifest would bless a bundle
 // that is not the run.

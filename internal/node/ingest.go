@@ -14,17 +14,14 @@ import (
 // inbound stream (session.go) plus what it staged. Staged capture (ops,
 // events, candidates) belongs to the session's current epoch and is
 // discarded wholesale when an EpochMark announces a newer one, or a
-// relaunched node's Hello voids its dead incarnation's — the mechanism
-// that makes the final trace equal to a fault-free run of the final
-// epoch. The session lock, not the coordinator's, guards the hot ingest
-// path, preserving the no-global-serialization property the batched
-// ingest bench pins.
+// relaunched node's Hello voids its dead incarnation's. The session
+// lock, not the decision lock, guards the hot ingest path: no global
+// serialization, which the batched ingest bench pins.
 type nodeSession struct {
 	id int
 	inbound
 
 	// Under inbound.mu:
-	inc    uint64  // the process incarnation whose Hello opened the session; 0 before one
 	epoch  uint32  // the stream's current epoch (last EpochMark seen)
 	ops    procOps // staged by logical process at ingest
 	events []obs.Event
@@ -105,11 +102,8 @@ func (c *Coordinator) stageCapture(st *nodeSession, m wire.Msg, raw []byte) {
 // session lock (and in the trace store when one is configured; raw
 // carries the frame's wire body so the append needs no re-encode, nil
 // when the caller only has the decoded frame); only the rare
-// coordination frames (Done, Shutdown, EpochMark) take the decision
-// lock, and the Done or bye that completes the epoch decides there:
-// Shutdown, or Commit, which this call then seals. Done and bye count
-// toward completion only when the stream is at the cluster epoch: a Done
-// raced by a Restart belongs to a voided execution.
+// coordination frames (Done, Shutdown, EpochMark) take the decision lock
+// for a core step, and this call seals the Commit one decides.
 func (c *Coordinator) ingestStored(st *nodeSession, m wire.Msg, raw []byte) (detected bool) {
 	if c.ingestHook != nil {
 		c.ingestHook(st, m)
@@ -133,85 +127,34 @@ func (c *Coordinator) ingestStored(st *nodeSession, m wire.Msg, raw []byte) (det
 		for _, cand := range v.Cands {
 			detected = c.ingestCandidate(st, cand) || detected
 		}
-	case wire.EpochMark:
+	case wire.Done, wire.Shutdown, wire.EpochMark:
+		// Staging first — a newer EpochMark discards the stream's
+		// capture — then the decision, at the stream's epoch.
 		st.mu.Lock()
-		if v.Epoch > st.epoch {
+		if v, ok := m.(wire.EpochMark); ok && v.Epoch > st.epoch {
 			st.discardEpochLocked(v.Epoch)
 		}
+		e := st.epoch
 		st.mu.Unlock()
 		c.mu.Lock()
-		if v.Epoch > c.dec.epoch {
-			// A mark above our epoch means we are the one missing state —
-			// a restarted coordinator rebuilding from session replays.
-			// Adopt it (voiding a Shutdown pending for the epoch left) and
-			// recount completion from the replayed streams. Nothing is
-			// broadcast: the streams are already there.
-			c.dec.advance(v.Epoch)
-			c.newEpochLocked()
+		o := c.core.step(st.id, e, m, c.sinceStart())
+		if o.counted {
+			// The stream's frames reach here one at a time (the gate's
+			// ingestMu), so no capture frame slips between the count and
+			// the flag.
+			st.mu.Lock()
+			st.byed = true
+			st.mu.Unlock()
 		}
+		c.carry(nil, o)
 		c.mu.Unlock()
-	case wire.Done:
-		c.mu.Lock()
-		defer c.mu.Unlock()
-		if st.epochNow() != c.dec.epoch {
-			return false
-		}
-		// A node reports Done twice at its final epoch — once when its
-		// application finishes, once with the closing tallies in its bye
-		// phase — so later reports overwrite, only the first counts.
-		c.stats[st.id] = Stats{
-			Requests:    int(v.Requests),
-			Handoffs:    int(v.Handoffs),
-			CtlMessages: int(v.CtlMessages),
-		}
-		for _, ns := range v.Responses {
-			c.stats[st.id].Responses = append(c.stats[st.id].Responses, time.Duration(ns))
-		}
-		if !c.doneSeen[st.id] {
-			c.doneSeen[st.id] = true
-			if c.doneCount++; c.doneCount == c.n {
-				c.decide(wire.Shutdown{Epoch: c.dec.epoch})
-			}
-		}
-	case wire.Shutdown:
-		c.mu.Lock()
-		e := c.dec.epoch
-		if st.epochNow() != e || v.Epoch != e || c.byeSeen[st.id] {
-			c.mu.Unlock()
-			return false
-		}
-		c.byeSeen[st.id] = true
-		c.byeCount++
-		// The stream's frames reach here one at a time (the gate's
-		// ingestMu), so no capture frame slips between the count and the
-		// flag.
-		st.mu.Lock()
-		st.byed = true
-		st.mu.Unlock()
-		// A completed execution is voidable until Commit: a rejoin after
-		// the last bye restarts the cluster instead. After it no restart
-		// is possible and no mid-run verdict lands, parked nodes may
-		// exit, and Wait assembles the capture (and, with the checker
-		// lit, takes the closing verdict on it).
-		commit := c.byeCount == c.n && c.dec.shutdown
-		if commit {
-			c.decide(wire.Commit{})
-		}
-		c.mu.Unlock()
-		if commit {
+		if o.seal {
 			c.seal(e)
 		}
 	default:
 		c.logf("coordinator: node %d: unexpected %T", st.id, m)
 	}
 	return detected
-}
-
-// epochNow is the stream's epoch.
-func (s *nodeSession) epochNow() uint32 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.epoch
 }
 
 // ingestCandidate stages one candidate report and, when live detection
@@ -241,7 +184,7 @@ func (c *Coordinator) ingestCandidate(st *nodeSession, v wire.Candidate) bool {
 // listener. It returns the number of trace ops staged.
 func IngestBench(n int, journal *obs.Journal, bodies [][]byte) (int, error) {
 	return ingestBench(n, journal, bodies, func(c *Coordinator, m wire.Msg, body []byte) error {
-		c.ingestStored(c.session(0), m, body)
+		c.ingestStored(c.sessions[0], m, body)
 		return nil
 	})
 }

@@ -7,7 +7,6 @@ import (
 	"predctl/internal/deposet"
 	"predctl/internal/detect"
 	"predctl/internal/livedetect"
-	"predctl/internal/obs"
 	"predctl/internal/offline"
 	"predctl/internal/predicate"
 	"predctl/internal/wire"
@@ -94,7 +93,7 @@ func (r DetectionRecord) frame() wire.Detection {
 // the record prefers the checker's own triggering interval).
 func (c *Coordinator) fireDetection(witness int) {
 	c.mu.Lock()
-	e, committed := c.dec.epoch, c.dec.committed
+	e, committed := c.core.dec.epoch, c.core.dec.committed
 	c.mu.Unlock()
 	if committed || !c.ld.Pending(e) {
 		return // sealed, superseded by a restart, or already confirmed
@@ -112,7 +111,8 @@ func (c *Coordinator) fireDetection(witness int) {
 // and lands a found cut as a detection. The verdict and its strategy
 // are computed with no decision lock held, so a slow predicate holds up
 // no handshake and no decision; two ingest goroutines may compute one
-// epoch's verdict at once, and land keeps one. A not-found mid-run is
+// epoch's verdict at once, and the core's land keeps one, as one
+// decision under c.mu. A not-found mid-run is
 // not a verdict — the cut may lie beyond the current prefix, so the
 // trigger stays pending and later candidates retry on the grown
 // capture.
@@ -134,57 +134,18 @@ func (c *Coordinator) confirm(d *deposet.Deposet, e uint32, witness int, final b
 	// find one (¬B may be uncontrollable) downgrades the response to a
 	// plain uncontrolled re-execution, it does not suppress the
 	// detection.
-	if rel, err := liveStrategy(d, c.liveCfg.Predicate); err == nil {
+	if rel, err := liveStrategy(d, c.core.live.Predicate); err == nil {
 		rec.StrategyEdges = len(rel)
 	} else {
 		c.logf("coordinator: live detection: no control strategy: %v", err)
 	}
-	c.land(rec)
-}
-
-// land records the detection rec and takes the response it calls for,
-// as one decision under c.mu: it is the only writer of c.detections,
-// c.detByNode and c.reexecs. It revalidates first: a mid-run verdict
-// must still precede Commit and a final one follow it, and the checker,
-// which is armed for the cluster's epoch (newEpochLocked), must confirm
-// rec's — which fails if a restart voided it or a concurrent confirmer
-// won. A mid-run verdict that Commit overtook is dropped; Wait's closing
-// verdict takes over.
-//
-// In OnDetectReExec mode a mid-run detection gets the rejoin restart's
-// detection-triggered twin — the paper's active-debugging response,
-// driven automatically: void the epoch the violation was observed in,
-// announce the detection (Detection frame, so every node knows it now
-// runs under control) and order the §8 controlled re-execution (ReExec
-// frame, which nodes treat as a Restart).
-func (c *Coordinator) land(rec DetectionRecord) {
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.dec.committed != rec.Final || !c.ld.Confirm(rec.Epoch) {
-		return
+	o := c.core.land(rec, c.sinceStart())
+	c.carry(nil, o)
+	c.mu.Unlock()
+	if o.counted {
+		c.detMeter.Inc()
 	}
-	rec.ReExec = !rec.Final && c.liveCfg.OnDetect == OnDetectReExec && c.reexecs < c.liveCfg.MaxReExecs
-	if rec.ReExec {
-		c.reexecs++
-	}
-	c.detections = append(c.detections, rec)
-	if rec.Node >= 0 && rec.Node < len(c.detByNode) {
-		c.detByNode[rec.Node]++
-	}
-	c.detMeter.Inc()
-	// Stamped when the cut was found, not now: the strategy can take far
-	// longer than the detection did.
-	c.annotateLocked(rec.AtNs, obs.EvDetect, int64(rec.Node), int64(rec.Epoch))
-	c.logf("coordinator: live detection: possibly(¬B) confirmed at epoch %d (witness node %d, cut %v)",
-		rec.Epoch, rec.Node, rec.Cut)
-	if !rec.ReExec {
-		return
-	}
-	ne := rec.Epoch + 1
-	c.logf("coordinator: detection at epoch %d: controlled re-execution at epoch %d (%d strategy edges)",
-		rec.Epoch, ne, rec.StrategyEdges)
-	c.annotateLocked(time.Since(c.start).Nanoseconds(), obs.EvEpochReExec, int64(rec.Node), int64(ne))
-	c.decide(rec.frame(), wire.ReExec{Epoch: ne, Edges: uint32(rec.StrategyEdges)})
 }
 
 // liveStrategy synthesizes the control relation that keeps b true on d.

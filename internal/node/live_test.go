@@ -92,11 +92,10 @@ func TestLiveDetectionPlantedViolation(t *testing.T) {
 // believed again.
 func TestLiveCandidateEpochDiscard(t *testing.T) {
 	c := newCoordinator(2, nil, func(string, ...any) {})
-	c.ld = livedetect.New(2)
-	c.liveCfg = LiveConfig{Predicate: CSMutexPredicate(2), OnDetect: OnDetectNote, MaxReExecs: 1}
-	c.violation = predicate.Not(CSMutexPredicate(2))
-	c.detByNode = make([]int, 2)
-	st := c.session(0)
+	if err := c.light(LiveConfig{Predicate: CSMutexPredicate(2), OnDetect: OnDetectNote}); err != nil {
+		t.Fatal(err)
+	}
+	st := c.sessions[0]
 	cand := wire.Candidate{Proc: 0, LoIdx: 1, HiIdx: 2, Lo: []int32{1, 0}, Hi: []int32{2, 0}}
 	if c.ingestStored(st, wire.CandidateBatch{Cands: []wire.Candidate{cand}}, nil) {
 		t.Fatal("half a witness triggered the checker")
@@ -108,7 +107,7 @@ func TestLiveCandidateEpochDiscard(t *testing.T) {
 	// A restart decision moves the cluster (and checker) to epoch 1
 	// while the stream still runs epoch 0: its stragglers are stale.
 	c.mu.Lock()
-	c.decide(wire.Restart{Epoch: 1})
+	c.carry(nil, out{all: c.core.decide(wire.Restart{Epoch: 1})})
 	c.mu.Unlock()
 	if c.ingestStored(st, wire.Candidate{Proc: 1, LoIdx: 1, HiIdx: 2, Lo: []int32{0, 1}, Hi: []int32{0, 2}}, nil) {
 		t.Fatal("stale-epoch candidate triggered the checker")
@@ -253,7 +252,7 @@ func triggerLive(t *testing.T, c *Coordinator) {
 	for p := 0; p < c.n; p++ {
 		lo, hi := make([]int32, c.n), make([]int32, c.n)
 		lo[p], hi[p] = 1, 2
-		detected = c.ingestStored(c.session(p), wire.Candidate{Proc: int32(p), LoIdx: 1, HiIdx: 2, Lo: lo, Hi: hi}, nil)
+		detected = c.ingestStored(c.sessions[p], wire.Candidate{Proc: int32(p), LoIdx: 1, HiIdx: 2, Lo: lo, Hi: hi}, nil)
 	}
 	if !detected {
 		t.Fatalf("%d concurrent candidates did not trigger the checker", c.n)
@@ -319,19 +318,18 @@ func TestLiveStrategyIsFigure2OnDisjunction(t *testing.T) {
 		// The same prefix through the coordinator's mid-run verdict: the
 		// recorded detection carries that strategy's size.
 		c := newCoordinator(n, nil, func(string, ...any) {})
-		c.ld = livedetect.New(n)
-		c.liveCfg = LiveConfig{Predicate: CSMutexPredicate(n), OnDetect: OnDetectNote, MaxReExecs: 1}
-		c.violation = predicate.Not(CSMutexPredicate(n))
-		c.detByNode = make([]int, n)
+		if err := c.light(LiveConfig{Predicate: CSMutexPredicate(n), OnDetect: OnDetectNote}); err != nil {
+			t.Fatal(err)
+		}
 		for p, ops := range byProc {
-			c.ingestStored(c.session(p%n), wire.TraceOpBatch{Ops: ops}, nil)
+			c.ingestStored(c.sessions[p%n], wire.TraceOpBatch{Ops: ops}, nil)
 		}
 		triggerLive(t, c)
 		c.fireDetection(n - 1)
-		if len(c.detections) != 1 {
-			t.Fatalf("n=%d: %d detections recorded on a prefix where every app can be in its section", n, len(c.detections))
+		if len(c.core.detections) != 1 {
+			t.Fatalf("n=%d: %d detections recorded on a prefix where every app can be in its section", n, len(c.core.detections))
 		}
-		if got := c.detections[0].StrategyEdges; got != len(want.Relation) {
+		if got := c.core.detections[0].StrategyEdges; got != len(want.Relation) {
 			t.Errorf("n=%d: detection records %d strategy edges, Figure 2 gives %d", n, got, len(want.Relation))
 		}
 	}
@@ -400,7 +398,7 @@ func TestSlowVerdictBlocksNoHandshake(t *testing.T) {
 	// goroutines at once; the channel closes when all have returned.
 	verdict := func(k int) <-chan struct{} {
 		for p, ops := range roguePrefix(n, rounds) {
-			c.ingestStored(c.session(p%n), wire.TraceOpBatch{Ops: ops}, nil)
+			c.ingestStored(c.sessions[p%n], wire.TraceOpBatch{Ops: ops}, nil)
 		}
 		triggerLive(t, c)
 		var wg sync.WaitGroup
@@ -418,19 +416,18 @@ func TestSlowVerdictBlocksNoHandshake(t *testing.T) {
 	recorded := func() ([]DetectionRecord, int) {
 		c.mu.Lock()
 		defer c.mu.Unlock()
-		return slices.Clone(c.detections), c.reexecs
+		return slices.Clone(c.core.detections), c.core.reexecs
 	}
 
 	for id := 0; id < n; id++ {
 		helloNode(t, c.Addr(), n, id, 1)
 	}
 	for id, deadline := 0, time.Now().Add(10*time.Second); id < n; time.Sleep(time.Millisecond) {
-		st := c.session(id)
-		st.mu.Lock()
-		if st.inc == 1 {
+		c.mu.Lock()
+		if c.core.inc[id] == 1 {
 			id++
 		}
-		st.mu.Unlock()
+		c.mu.Unlock()
 		if time.Now().After(deadline) {
 			t.Fatalf("the root never took node %d's Hello", id)
 		}
@@ -472,7 +469,7 @@ func TestSlowVerdictBlocksNoHandshake(t *testing.T) {
 	// epoch 1 is held; the verdict then finds its epoch gone.
 	g = shut()
 	for p := 0; p < n; p++ {
-		c.ingestStored(c.session(p), wire.EpochMark{Epoch: 1}, nil)
+		c.ingestStored(c.sessions[p], wire.EpochMark{Epoch: 1}, nil)
 	}
 	done = verdict(1)
 	within(g.entered, "the epoch-1 verdict to evaluate B")
@@ -504,16 +501,16 @@ func TestSlowVerdictBlocksNoHandshake(t *testing.T) {
 	// Epoch 2: the run commits while the verdict on it is held.
 	g = shut()
 	for p := 0; p < n; p++ {
-		c.ingestStored(c.session(p), wire.EpochMark{Epoch: 2}, nil)
+		c.ingestStored(c.sessions[p], wire.EpochMark{Epoch: 2}, nil)
 	}
 	done = verdict(1)
 	within(g.entered, "the epoch-2 verdict to evaluate B")
 	for _, m := range []wire.Msg{wire.Done{}, wire.Shutdown{Epoch: 2}} {
 		for p := 0; p < n; p++ {
-			c.ingestStored(c.session(p), m, nil)
+			c.ingestStored(c.sessions[p], m, nil)
 		}
 	}
-	if !c.decisions().committed {
+	if !c.Status().Committed {
 		t.Fatal("the run did not commit while the verdict was held")
 	}
 	g.openUp()

@@ -53,7 +53,7 @@ type Relay struct {
 // RelayConfig configures one relay.
 type RelayConfig struct {
 	// Index identifies this relay (0..Relays-1); Relays is the tree's
-	// fan-in width, N the cluster size.
+	// fan-in width (at most N), N the cluster size.
 	Index  int
 	Relays int
 	N      int
@@ -74,7 +74,7 @@ type RelayConfig struct {
 // children. The synchronous uplink handshake is what guarantees every
 // child's ResumeAck carries the cluster's current epoch.
 func StartRelay(cfg RelayConfig) (*Relay, error) {
-	if cfg.N < 2 || cfg.Relays < 1 || cfg.Index < 0 || cfg.Index >= cfg.Relays {
+	if cfg.N < 2 || cfg.Relays < 1 || cfg.Relays > cfg.N || cfg.Index < 0 || cfg.Index >= cfg.Relays {
 		return nil, fmt.Errorf("node: relay %d/%d for n=%d: bad shape", cfg.Index, cfg.Relays, cfg.N)
 	}
 	r := &Relay{
@@ -182,7 +182,7 @@ func (r *Relay) handleChild(raw net.Conn) {
 		r.stage(int32(id), body)
 	} else {
 		r.cc.decMu.Lock()
-		r.cc.dec.replay(conn, ch.adoptLocked(conn, false, 0))
+		conn.send(r.cc.dec.replay(ch.adoptLocked(conn, false, 0))...)
 		r.cc.decMu.Unlock()
 	}
 	ch.ingestMu.Unlock()

@@ -666,6 +666,40 @@ func TestRelayFanInCountsOnlyRunOrigins(t *testing.T) {
 	}
 }
 
+// TestRelayTableBounded: a RelayHello's relay count comes off the
+// network, and every relay index is a session the root keeps for the
+// run. A hello claiming more relays than nodes is refused, so n+2 of
+// them at distinct indices leave at most n relay rows; StartRelay
+// refuses that shape before it dials.
+func TestRelayTableBounded(t *testing.T) {
+	const n = 3
+	c, err := NewCoordinator(CoordConfig{N: n, Addr: "127.0.0.1:0", Timeouts: testTimeouts(), Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	for i := 0; i < n+2; i++ {
+		conn, err := net.Dial("tcp", c.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		if err := wire.WriteFrame(conn, 0, wire.RelayHello{Relay: int32(i), Relays: 1 << 20, N: n}); err != nil {
+			t.Fatal(err)
+		}
+		// The answer — a ResumeAck, or the connection closed — comes once
+		// the root has handled the hello.
+		conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+		wire.ReadFrame(bufReader(conn))
+	}
+	if rows := len(c.Status().Relays); rows > n {
+		t.Fatalf("%d relay rows after %d hellos claiming 2^20 relays, want at most %d", rows, n+2, n)
+	}
+	if _, err := StartRelay(RelayConfig{Index: 0, Relays: n + 1, N: n, Upstream: c.Addr(), Addr: "127.0.0.1:0", Timeouts: testTimeouts()}); err == nil || !strings.Contains(err.Error(), "bad shape") {
+		t.Fatalf("StartRelay with %d relays for %d nodes: %v, want the bad shape refused", n+1, n, err)
+	}
+}
+
 // TestRelaySupersedeKeepsInnerOrder supersedes a child connection
 // mid-stream, over and over: one scripted child with a session log of
 // numbered frames dials, streams, and is cut off by its own successor —

@@ -27,13 +27,11 @@ type relaySession struct {
 func (c *Coordinator) relaySession(index int) *relaySession {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	rs := c.relays[index]
-	if rs == nil {
-		rs = &relaySession{index: index, origins: map[int]bool{}}
-		c.relays[index] = rs
-		c.register(&rs.inbound)
+	if c.relays[index] == nil {
+		c.relays[index] = &relaySession{index: index, origins: map[int]bool{}}
+		c.register(&c.relays[index].inbound)
 	}
-	return rs
+	return c.relays[index]
 }
 
 // handleRelay serves one relay uplink: RelayHello handshake (the
@@ -41,9 +39,11 @@ func (c *Coordinator) relaySession(index int) *relaySession {
 // decision replay is what the relay caches for its children), then
 // sequence-gated ingest of RelayBatch frames, each unpacked into
 // per-origin inner frames that flow through the very same gate-and-
-// stage path a direct node stream takes.
+// stage path a direct node stream takes. A tree has at most one relay
+// per node: a RelayHello claiming more is refused, since every index is
+// a session the root keeps for the run.
 func (c *Coordinator) handleRelay(conn *coordConn, h wire.RelayHello) {
-	if int(h.N) != c.n || h.Relay < 0 || h.Relays < 1 || h.Relay >= h.Relays {
+	if int(h.N) != c.n || h.Relay < 0 || h.Relays < 1 || h.Relay >= h.Relays || int(h.Relays) > c.n {
 		c.logf("coordinator: bad relay hello %#v", h)
 		return
 	}
@@ -99,7 +99,7 @@ func (c *Coordinator) unpackRelayed(rs *relaySession, uplink *coordConn, m wire.
 		// uplink. A duplicate — a relaunched relay acked Cum=0 and the
 		// child retransmitted its whole session log — is dropped by the
 		// origin's gate.
-		detected, err := c.ingest(c.session(origin), nil, uplink, f.Body)
+		detected, err := c.ingest(c.sessions[origin], nil, uplink, f.Body)
 		if err != nil {
 			c.logf("coordinator: relay %d: origin %d: %v", rs.index, origin, err)
 		}

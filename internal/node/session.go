@@ -28,30 +28,26 @@ import (
 //	                        Dones and byes are decided inside it
 //	nodeSession.ingestMu    one node stream's accept-and-stage; a
 //	                        handshake adopts the stream under it
-//	Coordinator.mu          the decision lock: c.dec, the session tables,
-//	                        the completion counts and the detections.
-//	                        A decision (decide) folds its frames and
-//	                        queues them to every owner under it, and a
-//	                        handshake adopts its connection and queues
-//	                        the replay under it, so every peer sees the
-//	                        decisions in decision order. No assembly,
-//	                        detection, strategy or store seal runs
-//	                        under it (a live verdict is computed before
-//	                        land takes it)
+//	Coordinator.mu          the decision lock: c.core (core.go) and the
+//	                        relay table. A core step, and the queueing
+//	                        of what it decided (carry), run under it, as
+//	                        does a handshake's adoption and replay, so
+//	                        every peer sees the decisions in decision
+//	                        order. No assembly, detection, strategy or
+//	                        store seal runs under it
 //	inbound.mu, endpoint.connMu
 //	                        a session's owner, sequence and staging; the
 //	                        accepted connections and the streams
 //	coordConn.wmu           one connection's queue
 //
-// c.dec is written only under c.mu, by decide and by an EpochMark
-// adoption, which broadcasts nothing; Status reads it there. The store,
-// the live checker and the journal lock internally and call nothing
-// back. A relay is the same shape one level down: a child's
-// inbound.ingestMu → the uplink client's decMu (its decision lock) →
-// inbound.mu / Relay.mu / endpoint.connMu → coordConn.wmu. The uplink's
-// mu, held across every uplink write, is taken under ingestMu (to
-// sequence a child frame onto the log) and never under decMu, so a fold
-// never waits behind a write.
+// The node session table is fixed when the coordinator is built and
+// needs no lock. The store, the live checker and the journal lock
+// internally and call nothing back. A relay is the same shape one level
+// down: a child's inbound.ingestMu → the uplink client's decMu (its
+// decision lock) → inbound.mu / Relay.mu / endpoint.connMu →
+// coordConn.wmu. The uplink's mu, held across every uplink write, is
+// taken under ingestMu (to sequence a child frame onto the log) and
+// never under decMu, so a fold never waits behind a write.
 
 // streamReadDeadline bounds one wait for the next frame of an accepted
 // stream. Generous: peers stream continuously while alive, and a wedged
@@ -179,7 +175,7 @@ type coordConn struct {
 // send queues ms behind everything sent to the connection before, and
 // starts the writer if none is running.
 func (c *coordConn) send(ms ...wire.Msg) {
-	if c == nil {
+	if c == nil || len(ms) == 0 {
 		return
 	}
 	c.wmu.Lock()
@@ -414,7 +410,7 @@ func (ep *endpoint) register(in *inbound) {
 
 // decisions is the run's terminal decision state as a handshake must
 // present it, folded from the decision frames: by the root from each
-// frame it decides (Coordinator.decide), by every client of the root
+// frame it decides (rootCore.decide), by every client of the root
 // from each frame it receives (a node's epoch loop and a relay's Resume
 // handshakes read the fold). A connection that was not attached when a
 // decision was broadcast learns it here.
@@ -459,48 +455,20 @@ func (d *decisions) fold(m wire.Msg) bool {
 	return true
 }
 
-// detect tells conn the run is under active debugging, if it is: a
-// planted rogue reverts to controlled behavior on it.
-func (d decisions) detect(conn *coordConn) {
-	if d.detection != nil {
-		conn.send(*d.detection)
-	}
-}
-
 // replay answers a resume handshake: the cumulative ack (whose epoch
 // covers any Restart or ReExec missed while disconnected), then the
 // decisions still in force, in decision order — so the peer can bye,
 // and exit if the run is sealed.
-func (d decisions) replay(conn *coordConn, cum uint64) {
-	conn.send(wire.ResumeAck{Cum: cum, Epoch: d.epoch})
-	d.detect(conn)
+func (d decisions) replay(cum uint64) []wire.Msg {
+	ms := []wire.Msg{wire.ResumeAck{Cum: cum, Epoch: d.epoch}}
+	if d.detection != nil {
+		ms = append(ms, *d.detection)
+	}
 	if d.shutdown {
-		conn.send(wire.Shutdown{Epoch: d.epoch})
+		ms = append(ms, wire.Shutdown{Epoch: d.epoch})
 	}
 	if d.committed {
-		conn.send(wire.Commit{})
+		ms = append(ms, wire.Commit{})
 	}
-}
-
-// catchUp answers a Hello that needs no restart decision: a node whose
-// first dial was held (a partition window) past a restart never heard
-// the broadcast and would run epoch 0 forever against peers at epoch e.
-// It has executed nothing, so the re-execution in flight stays valid;
-// it just starts late. A node at or past the epoch ignores the Restart.
-func (d decisions) catchUp(conn *coordConn) {
-	d.detect(conn)
-	if d.epoch > 0 {
-		conn.send(wire.Restart{Epoch: d.epoch})
-	}
-}
-
-// errRefused ends the handshake of a relaunch that arrived after Commit.
-var errRefused = errors.New("rejoined after commit; refused")
-
-// refuse turns away a relaunch that arrived after Commit: Shutdown then
-// Commit, the exit ramp a parked node takes. There is no run left to
-// restart.
-func (d decisions) refuse(conn *coordConn) error {
-	conn.send(wire.Shutdown{Epoch: d.epoch}, wire.Commit{})
-	return errRefused
+	return ms
 }

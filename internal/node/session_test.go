@@ -3,11 +3,10 @@ package node
 import (
 	"bufio"
 	"errors"
-	"fmt"
-	"math/rand"
 	"net"
 	"reflect"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -178,7 +177,7 @@ func TestHandshakeNotOvertakenByBroadcast(t *testing.T) {
 	}
 	defer conn.Close()
 
-	st := c.session(0)
+	st := c.sessions[0]
 	st.ingestMu.Lock()
 	if err := wire.WriteFrame(conn, 0, wire.Resume{From: 0, N: 2}); err != nil {
 		t.Fatal(err)
@@ -187,7 +186,7 @@ func TestHandshakeNotOvertakenByBroadcast(t *testing.T) {
 	// lock; too short a wait can only make the test pass vacuously.
 	time.Sleep(50 * time.Millisecond)
 	c.mu.Lock()
-	c.decide(wire.Shutdown{})
+	c.carry(nil, out{all: c.core.decide(wire.Shutdown{})})
 	c.mu.Unlock()
 	st.ingestMu.Unlock()
 
@@ -334,32 +333,18 @@ func TestRelayFoldNotBlockedByUplinkWrite(t *testing.T) {
 // ReExec or ResumeAck change nothing, and advancing the epoch voids a
 // pending Shutdown.
 func TestFoldInvertsReplay(t *testing.T) {
-	ep := testEndpoint(t)
 	det := &wire.Detection{Epoch: 1, Node: 1, AtNs: 7, Cut: []int64{3, 0, 4, 1}}
 	for epoch := uint32(0); epoch <= 2; epoch++ {
 		for _, shutdown := range []bool{false, true} {
 			for _, committed := range []bool{false, true} {
 				for _, detection := range []*wire.Detection{nil, det} {
 					d := decisions{epoch: epoch, shutdown: shutdown, committed: committed, detection: detection}
-					a, b := net.Pipe()
-					go func() {
-						conn := &coordConn{Conn: a, ep: ep}
-						d.replay(conn, 9)
-						conn.flush()
-						a.Close()
-					}()
 					var got decisions
-					br := bufReader(b)
-					for {
-						_, m, err := wire.ReadFrame(br)
-						if err != nil {
-							break
-						}
+					for _, m := range d.replay(9) {
 						if !got.fold(m) {
 							t.Fatalf("replay sent %T, not a decision", m)
 						}
 					}
-					b.Close()
 					if !reflect.DeepEqual(got, d) {
 						t.Fatalf("fold(replay(%+v)) = %+v", d, got)
 					}
@@ -385,20 +370,6 @@ func TestFoldInvertsReplay(t *testing.T) {
 			t.Errorf("folding %T%+v over a pending Shutdown: %+v, want %+v", m, m, got, want)
 		}
 	}
-}
-
-// testEndpoint is an endpoint for hand-built coordConns: it gives their
-// writers a timeout, a log and a WaitGroup.
-func testEndpoint(t *testing.T) *endpoint {
-	ep := newEndpoint("test", Timeouts{}.withDefaults(), t.Logf)
-	return &ep
-}
-
-// decisions returns the root's decisions, as a handshake replays them.
-func (c *Coordinator) decisions() decisions {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.dec
 }
 
 // rootScript drives a listener-free n-node coordinator frame by frame,
@@ -455,9 +426,16 @@ func (r *rootScript) send(id int, m wire.Msg) {
 	if id != 0 {
 		conn = nil
 	}
-	if _, err := r.c.ingest(r.c.session(id), conn, conn, wire.AppendBody(nil, r.seqs[id], m)); err != nil {
+	if _, err := r.c.ingest(r.c.sessions[id], conn, conn, wire.AppendBody(nil, r.seqs[id], m)); err != nil {
 		r.t.Fatalf("node %d: %T: %v", id, m, err)
 	}
+}
+
+// decisions returns the root's decisions, as a handshake replays them.
+func (r *rootScript) decisions() decisions {
+	r.c.mu.Lock()
+	defer r.c.mu.Unlock()
+	return r.c.core.dec
 }
 
 // all sends m from every node in turn.
@@ -490,7 +468,7 @@ func TestRootFoldsWhatItBroadcasts(t *testing.T) {
 				t.Fatalf("after %s: node 0 was sent %T, not a decision", step, m)
 			}
 		}
-		if root := r.c.decisions(); !reflect.DeepEqual(got, root) {
+		if root := r.decisions(); !reflect.DeepEqual(got, root) {
 			t.Fatalf("after %s: node 0 folded %+v, the root holds %+v", step, got, root)
 		}
 		if got != want {
@@ -531,138 +509,9 @@ func TestAdoptedEpochVoidsShutdown(t *testing.T) {
 	if want := []wire.Msg{wire.Shutdown{Epoch: 0}, wire.Shutdown{Epoch: 1}}; !reflect.DeepEqual(got, want) {
 		t.Fatalf("node 0 was sent %+v, want %+v", got, want)
 	}
-	if got, want := r.c.decisions(), (decisions{epoch: 1, shutdown: true}); got != want {
+	if got, want := r.decisions(), (decisions{epoch: 1, shutdown: true}); got != want {
 		t.Fatalf("the root holds %+v, want %+v", got, want)
 	}
-}
-
-// TestRootFoldsWhatItBroadcastsRandom is TestRootFoldsWhatItBroadcasts
-// over seeded random scripts at n = 2..3: first Hellos, relaunches,
-// Dones, byes (a straggler's among them), EpochMarks, and node 0
-// resuming on a fresh pipe. After every step node 0's fold of what it
-// was sent is the root's decisions; every Shutdown it was sent names
-// the root's epoch and follows every node's Done there; a Commit
-// follows every node's counted bye there; and once every node's Done
-// (bye) at the root's epoch is in, node 0 has that epoch's Shutdown
-// (Commit).
-func TestRootFoldsWhatItBroadcastsRandom(t *testing.T) {
-	const scripts, steps = 300, 60
-	commits, restarts := 0, 0
-	for seed := int64(0); seed < scripts; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		n := 2 + int(seed%2)
-		r := newRootScript(t, n)
-		incs := make([]uint64, n)    // each node's latest incarnation; 0 before its first Hello
-		streams := make([]uint32, n) // each node's stream epoch
-		// doneAt and byeAt hold the root's epoch at each node's last Done
-		// and bye that counts there, -1 for none.
-		doneAt, byeAt := make([]int64, n), make([]int64, n)
-		for i := range doneAt {
-			doneAt[i], byeAt[i] = -1, -1
-		}
-		var got decisions // node 0's fold
-		seen := 0         // frames of node 0's current pipe folded so far
-		step, what := 0, ""
-		fail := func(format string, args ...any) {
-			t.Helper()
-			t.Fatalf("seed %d, n=%d, step %d (%s): %s", seed, n, step, what, fmt.Sprintf(format, args...))
-		}
-		check := func() {
-			t.Helper()
-			frames := r.received()
-			root := r.c.decisions()
-			for _, m := range frames[seen:] {
-				if !got.fold(m) {
-					fail("node 0 was sent %T, not a decision", m)
-				}
-				switch v := m.(type) {
-				case wire.Shutdown:
-					if v.Epoch != root.epoch {
-						fail("node 0 was sent Shutdown{%d} at epoch %d", v.Epoch, root.epoch)
-					}
-					if i := slices.IndexFunc(doneAt, func(e int64) bool { return e != int64(root.epoch) }); i >= 0 {
-						fail("Shutdown{%d} before node %d's Done there", v.Epoch, i)
-					}
-				case wire.Commit:
-					if i := slices.IndexFunc(byeAt, func(e int64) bool { return e != int64(root.epoch) }); i >= 0 {
-						fail("Commit at epoch %d before node %d's bye there", root.epoch, i)
-					}
-				}
-			}
-			seen = len(frames)
-			if incs[0] == 0 {
-				return // node 0 has no stream to be sent anything on
-			}
-			if !reflect.DeepEqual(got, root) {
-				fail("node 0 folded %+v, the root holds %+v", got, root)
-			}
-			allAt := func(at []int64) bool {
-				return !slices.ContainsFunc(at, func(e int64) bool { return e != int64(root.epoch) })
-			}
-			if allAt(doneAt) && !got.shutdown {
-				fail("every Done at epoch %d is in, and node 0 has no Shutdown", root.epoch)
-			}
-			if allAt(byeAt) && !got.committed {
-				fail("every bye at epoch %d is in, and node 0 has no Commit", root.epoch)
-			}
-		}
-		for ; step < steps; step++ {
-			root := r.c.decisions()
-			id := rng.Intn(n)
-			switch k := rng.Intn(16); {
-			case k == 0 && incs[0] != 0:
-				what = "node 0 resumes"
-				r.dial()
-				seen = 0
-				r.c.handshake(&r.c.session(0).inbound, r.conn, false)
-			case incs[id] == 0 || k == 1:
-				what = fmt.Sprintf("node %d's Hello of incarnation %d", id, incs[id]+1)
-				incs[id]++
-				hello := wire.Hello{From: int32(id), N: int32(n), Inc: incs[id]}
-				if root.committed {
-					conn := r.conn
-					if id != 0 {
-						conn = nil
-					}
-					if _, err := r.c.ingest(r.c.session(id), conn, conn, wire.AppendBody(nil, 1, hello)); err != errRefused {
-						fail("a relaunch after Commit: %v, want it refused", err)
-					}
-					break
-				}
-				if incs[id] > 1 {
-					restarts++
-				}
-				r.send(id, hello)
-				streams[id], doneAt[id], byeAt[id] = 0, -1, -1
-			case k < 7:
-				what = fmt.Sprintf("node %d's Done at stream epoch %d", id, streams[id])
-				r.send(id, wire.Done{})
-				if streams[id] == root.epoch {
-					doneAt[id] = int64(root.epoch)
-				}
-			case k < 12:
-				// A node byes once the Shutdown of its stream's epoch is
-				// out; a straggler's bye names an epoch it is not at.
-				bye := wire.Shutdown{Epoch: streams[id] + 1}
-				if root.shutdown && streams[id] == root.epoch {
-					bye.Epoch = root.epoch
-					byeAt[id] = int64(root.epoch)
-				}
-				what = fmt.Sprintf("node %d's bye %+v at stream epoch %d", id, bye, streams[id])
-				r.send(id, bye)
-			default:
-				streams[id] = root.epoch
-				what = fmt.Sprintf("node %d's EpochMark{%d}", id, streams[id])
-				r.send(id, wire.EpochMark{Epoch: streams[id]})
-			}
-			check()
-			if root.committed {
-				commits++
-				break // the step after Commit was a refused relaunch or a resume
-			}
-		}
-	}
-	t.Logf("%d scripts of up to %d steps at n = 2..3: %d committed, %d relaunch restarts", scripts, steps, commits, restarts)
 }
 
 // sealGate is a store whose Seal waits until release is closed.
@@ -692,7 +541,7 @@ func TestStatusNotBlockedByDecision(t *testing.T) {
 	go func() {
 		for _, m := range []wire.Msg{wire.Done{}, wire.Shutdown{}} {
 			for id := 0; id < 2; id++ {
-				c.ingestStored(c.session(id), m, nil)
+				c.ingestStored(c.sessions[id], m, nil)
 			}
 		}
 	}()
@@ -710,6 +559,40 @@ func TestStatusNotBlockedByDecision(t *testing.T) {
 		}
 	case <-time.After(2 * time.Second):
 		t.Fatal("Status waited on the commit's store seal")
+	}
+}
+
+// TestStallReportSaysWhatWasDecided: Wait's timeout error tells a root
+// waiting for byes it has asked for (Shutdown decided) from nodes that
+// never got their Shutdown, and names the nodes it waits for.
+func TestStallReportSaysWhatWasDecided(t *testing.T) {
+	const n = 3
+	c := newCoordinator(n, nil, t.Logf)
+	seqs := make([]uint64, n)
+	send := func(id int, m wire.Msg) {
+		t.Helper()
+		seqs[id]++
+		if _, err := c.ingest(c.sessions[id], nil, nil, wire.AppendBody(nil, seqs[id], m)); err != nil {
+			t.Fatalf("node %d: %T: %v", id, m, err)
+		}
+	}
+	for id := 0; id < n; id++ {
+		send(id, wire.Hello{From: int32(id), N: n, Inc: 1})
+	}
+	send(0, wire.Done{})
+	send(1, wire.Done{})
+	if got := c.stallReport(); !strings.Contains(got, "2/3 done, shutdown decided=false, 0/3 byes") {
+		t.Fatalf("before the last Done: %q, want Shutdown not decided", got)
+	}
+	send(2, wire.Done{})
+	send(0, wire.Shutdown{})
+	send(1, wire.Shutdown{})
+	got := c.stallReport()
+	if !strings.Contains(got, "3/3 done, shutdown decided=true, 2/3 byes, commit decided=false; waiting for: node 2 [") {
+		t.Fatalf("after two byes: %q, want Shutdown decided, 2/3 byes, waiting for node 2", got)
+	}
+	if strings.Contains(got, "node 0") || strings.Contains(got, "node 1") || strings.Contains(got, "never seen") {
+		t.Fatalf("after two byes: %q names a node that is not waited for", got)
 	}
 }
 
@@ -799,11 +682,10 @@ func TestHelloAnswers(t *testing.T) {
 			hello := func(id int, inc uint64) *rawNode { return helloNode(t, addr, n, id, inc) }
 			// opened waits for the root to take incarnation inc of node id.
 			opened := func(id int, inc uint64) {
-				st := c.session(id)
 				for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
-					st.mu.Lock()
-					got := st.inc
-					st.mu.Unlock()
+					c.mu.Lock()
+					got := c.core.inc[id]
+					c.mu.Unlock()
 					if got == inc {
 						return
 					}
@@ -891,7 +773,7 @@ func TestHelloAnswersSurviveUplinkBreak(t *testing.T) {
 
 	// Hold the root's Hello decision until the uplink that carried the
 	// Hello is gone: its answer then goes to a dead connection.
-	st := c.session(2)
+	st := c.sessions[2]
 	st.ingestMu.Lock()
 	p2 := hello(2, 1)
 	forwarded(4)

@@ -235,7 +235,7 @@ func TestCloseLeavesNoWriter(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		stall(t, ln, func() *inbound { return &c.session(0).inbound })
+		stall(t, ln, func() *inbound { return &c.sessions[0].inbound })
 		closes(t, before, c.Close)
 	})
 	t.Run("relay", func(t *testing.T) {

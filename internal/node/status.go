@@ -2,7 +2,7 @@ package node
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -16,7 +16,7 @@ import (
 // snapshotted has no lag series (absence is the signal).
 func (c *Coordinator) refreshLag() {
 	now := time.Now()
-	for _, st := range c.sessionsSorted() {
+	for _, st := range c.sessions {
 		st.mu.Lock()
 		at := st.lastSnapAt
 		st.mu.Unlock()
@@ -31,18 +31,6 @@ func (c *Coordinator) refreshLag() {
 		c.live.Gauge("predctl_store_segments_total").Set(int64(segs))
 		c.live.Gauge("predctl_store_segment_bytes").Set(bytes)
 	}
-}
-
-// sessionsSorted snapshots the session table in node-id order.
-func (c *Coordinator) sessionsSorted() []*nodeSession {
-	c.mu.Lock()
-	sessions := make([]*nodeSession, 0, len(c.sessions))
-	for _, st := range c.sessions {
-		sessions = append(sessions, st)
-	}
-	c.mu.Unlock()
-	sort.Slice(sessions, func(i, j int) bool { return sessions[i].id < sessions[j].id })
-	return sessions
 }
 
 // CoordStatus is the coordinator's /statusz document: the cluster's
@@ -99,48 +87,44 @@ type CoordNodeStatus struct {
 	Metrics map[string]int64 `json:"metrics,omitempty"`
 }
 
-// Status assembles the live status document. Safe to call while the
-// run streams; it takes only brief per-session locks.
+// Status assembles the live status document, one row per attached
+// node. Safe to call while the run streams; it takes only brief locks.
 func (c *Coordinator) Status() CoordStatus {
 	now := time.Now()
 	c.mu.Lock()
+	r := &c.core
 	s := CoordStatus{
-		N: c.n, Epoch: c.dec.epoch, Restarts: c.restarts,
-		Shutdown: c.dec.shutdown, Committed: c.dec.committed,
-		Done: c.doneCount, Byes: c.byeCount,
+		N: c.n, Epoch: r.dec.epoch, Restarts: r.restarts,
+		Shutdown: r.dec.shutdown, Committed: r.dec.committed,
+		Done: r.doneCount, Byes: r.byeCount,
 		UptimeMs:   now.Sub(c.start).Milliseconds(),
 		Live:       c.ld != nil,
-		Detections: len(c.detections),
-		ReExecs:    c.reexecs,
+		Detections: len(r.detections),
+		ReExecs:    r.reexecs,
 	}
-	doneSeen := append([]bool(nil), c.doneSeen...)
-	byeSeen := append([]bool(nil), c.byeSeen...)
-	detByNode := append([]int(nil), c.detByNode...)
+	rows := make([]CoordNodeStatus, c.n)
+	for id := range rows {
+		rows[id] = CoordNodeStatus{Node: id, Done: r.doneSeen[id], Bye: r.byeSeen[id], Detections: r.detByNode[id]}
+	}
 	c.mu.Unlock()
 	if c.ld != nil {
 		s.LiveFired = c.ld.Fired()
 	}
-	for _, st := range c.sessionsSorted() {
+	for _, st := range c.sessions {
+		row := rows[st.id]
 		st.mu.Lock()
-		row := CoordNodeStatus{
-			Node: st.id, Attached: st.attached, Connected: st.owner != nil,
-			Epoch: st.epoch, LastSeq: st.lastSeq,
-			Candidates: st.cands, LagMs: -1,
-			Metrics: obs.SumByName(toObsPoints(st.lastSnap)),
-		}
+		row.Attached, row.Connected = st.attached, st.owner != nil
+		row.Epoch, row.LastSeq, row.Candidates, row.LagMs = st.epoch, st.lastSeq, st.cands, -1
+		row.Metrics = obs.SumByName(toObsPoints(st.lastSnap))
 		if !st.lastSnapAt.IsZero() {
 			// Read under the lock, not against now: a snapshot ingested
 			// since Status began would read negative — "none yet".
 			row.LagMs = float64(time.Since(st.lastSnapAt).Microseconds()) / 1e3
 		}
 		st.mu.Unlock()
-		if st.id >= 0 && st.id < len(doneSeen) {
-			row.Done, row.Bye = doneSeen[st.id], byeSeen[st.id]
+		if row.Attached {
+			s.Nodes = append(s.Nodes, row)
 		}
-		if st.id >= 0 && st.id < len(detByNode) {
-			row.Detections = detByNode[st.id]
-		}
-		s.Nodes = append(s.Nodes, row)
 	}
 	s.Relays = c.relayStatusRows()
 	if c.store != nil {
@@ -173,14 +157,13 @@ type CoordRelayStatus struct {
 // relayStatusRows snapshots the relay table in index order.
 func (c *Coordinator) relayStatusRows() []CoordRelayStatus {
 	c.mu.Lock()
-	relays := make([]*relaySession, 0, len(c.relays))
-	for _, rs := range c.relays {
-		relays = append(relays, rs)
-	}
+	relays := slices.Clone(c.relays)
 	c.mu.Unlock()
-	sort.Slice(relays, func(i, j int) bool { return relays[i].index < relays[j].index })
 	var rows []CoordRelayStatus
 	for _, rs := range relays {
+		if rs == nil {
+			continue
+		}
 		rs.mu.Lock()
 		row := CoordRelayStatus{
 			Relay: rs.index, Connected: rs.owner != nil, FanIn: len(rs.origins),
@@ -197,12 +180,14 @@ func (c *Coordinator) relayStatusRows() []CoordRelayStatus {
 }
 
 // stallReport says who an unfinished run is waiting for — what Wait's
-// timeout error carries: the completion counts, then every node that
-// has not both finished and byed, then every relay uplink.
+// timeout error carries: the completion counts and whether Shutdown and
+// Commit were decided, then every node that has not both finished and
+// byed, then every relay uplink.
 func (c *Coordinator) stallReport() string {
 	s := c.Status()
 	var b strings.Builder
-	fmt.Fprintf(&b, "epoch %d, %d/%d done, %d/%d byes; waiting for:", s.Epoch, s.Done, s.N, s.Byes, s.N)
+	fmt.Fprintf(&b, "epoch %d, %d/%d done, shutdown decided=%t, %d/%d byes, commit decided=%t; waiting for:",
+		s.Epoch, s.Done, s.N, s.Shutdown, s.Byes, s.N, s.Committed)
 	seen := make([]bool, s.N)
 	for _, r := range s.Nodes {
 		seen[r.Node] = true
