@@ -445,6 +445,33 @@ func TestCLIRejectsBadRounds(t *testing.T) {
 	}
 }
 
+// TestCLIRejectsBadBatching: a negative batch size or flush interval
+// is refused before anything binds, with a one-line error naming the
+// flag — not run silently with the default, as 0 asks for.
+func TestCLIRejectsBadBatching(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		flag string
+	}{
+		{[]string{"cluster", "-batch-items", "-3"}, "-batch-items "},
+		{[]string{"cluster", "-batch-interval", "-1ms"}, "-batch-interval "},
+		{[]string{"node", "-coord", "127.0.0.1:0", "-batch-items", "-3"}, "-batch-items "},
+		{[]string{"node", "-id", "-1", "-coord", "127.0.0.1:0", "-wait", "1ms", "-batch-interval", "-1ms"}, "-batch-interval "},
+	} {
+		begin := time.Now()
+		out, err := runCLI(t, tc.args...)
+		if err == nil || !strings.Contains(err.Error(), tc.flag) || strings.Contains(err.Error(), "\n") {
+			t.Errorf("%s: error %v, want one line naming %s", strings.Join(tc.args, " "), err, tc.flag)
+		}
+		if out != "" {
+			t.Errorf("%s printed %q before refusing", strings.Join(tc.args, " "), out)
+		}
+		if took := time.Since(begin); took > time.Second {
+			t.Errorf("%s: refused after %v", strings.Join(tc.args, " "), took)
+		}
+	}
+}
+
 // TestCLIRejectsBadFaults: a fault schedule that can never deliver (or
 // sever anything) is refused with a one-line error naming the flag,
 // before anything binds — at the cluster and at a lone node alike. A

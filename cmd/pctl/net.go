@@ -130,6 +130,18 @@ func batchFlags(fs *flag.FlagSet) *node.Batching {
 	return b
 }
 
+// checkBatching refuses a negative batching flag, which would otherwise
+// run silently with the default.
+func checkBatching(cmd string, b *node.Batching) error {
+	if b.MaxItems < 0 {
+		return fmt.Errorf("%s: -batch-items must not be negative, got %d", cmd, b.MaxItems)
+	}
+	if b.Interval < 0 {
+		return fmt.Errorf("%s: -batch-interval must not be negative, got %v", cmd, b.Interval)
+	}
+	return nil
+}
+
 // faultFlags registers the fault-injection shim's flags.
 func faultFlags(fs *flag.FlagSet) *node.Faults {
 	f := &node.Faults{}
@@ -253,6 +265,9 @@ func cmdCluster(args []string) error {
 	}
 	if *rounds < 1 {
 		return fmt.Errorf("cluster: -rounds must be at least 1, got %d", *rounds)
+	}
+	if err := checkBatching("cluster", batching); err != nil {
+		return err
 	}
 	live, err := liveConfig(*livePred, *onDetect, *maxReExecs, *n)
 	if err != nil {
@@ -388,6 +403,9 @@ func cmdNode(args []string) error {
 	}
 	if *rounds < 1 {
 		return fmt.Errorf("node: -rounds must be at least 1, got %d", *rounds)
+	}
+	if err := checkBatching("node", batching); err != nil {
+		return err
 	}
 
 	if *id < 0 {

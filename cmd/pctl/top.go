@@ -33,6 +33,12 @@ func cmdTop(args []string) error {
 	if fs.NArg() != 0 {
 		return errors.New("top takes no arguments; point -coord at a coordinator URL")
 	}
+	if *interval <= 0 {
+		return fmt.Errorf("top: -interval must be positive, got %v", *interval)
+	}
+	if *count < 0 {
+		return fmt.Errorf("top: -count must not be negative, got %d", *count)
+	}
 	base := strings.TrimSuffix(*coord, "/")
 	if !strings.Contains(base, "://") {
 		base = "http://" + base

@@ -133,3 +133,21 @@ func TestTopOnce(t *testing.T) {
 		t.Fatal("top against a dead coordinator should fail")
 	}
 }
+
+// TestTopRejectsBadFlags: time.Sleep(0) returns at once, so -interval 0
+// (or below) would poll /statusz in a tight loop, and a negative -count
+// names no number of frames. Each is refused with a one-line error
+// naming the flag, before any poll: the dead coordinator is never asked.
+func TestTopRejectsBadFlags(t *testing.T) {
+	for _, tc := range []struct{ flag, value string }{
+		{"-interval", "0"}, {"-interval", "-1s"}, {"-count", "-1"},
+	} {
+		out, err := runCLI(t, "top", "-coord", "127.0.0.1:1", tc.flag, tc.value)
+		if err == nil || !strings.Contains(err.Error(), tc.flag+" ") || strings.Contains(err.Error(), "\n") {
+			t.Errorf("top %s %s: error %v, want one line naming %s", tc.flag, tc.value, err, tc.flag)
+		}
+		if out != "" {
+			t.Errorf("top %s %s printed %q before refusing", tc.flag, tc.value, out)
+		}
+	}
+}

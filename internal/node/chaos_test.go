@@ -112,7 +112,7 @@ func TestDialCoordWaitsForSlowCoordinator(t *testing.T) {
 
 	opt := chaosTimeouts().withDefaults()
 	begin := time.Now()
-	cc, err := dialCoord(addr, 0, 2, Batching{}, newWireMeters(nil, "coord"), opt, nil, t.Logf)
+	cc, err := dialCoord(addr, 0, 2, newWireMeters(nil, "coord"), opt, nil, t.Logf)
 	if err != nil {
 		t.Fatalf("dialCoord gave up on a slow coordinator: %v", err)
 	}
@@ -147,7 +147,7 @@ func TestDialCoordDeadline(t *testing.T) {
 	opt.CoordDeadline = 100 * time.Millisecond
 	opt = opt.withDefaults()
 	begin := time.Now()
-	if _, err := dialCoord(addr, 0, 2, Batching{}, newWireMeters(nil, "coord"), opt, nil, t.Logf); err == nil {
+	if _, err := dialCoord(addr, 0, 2, newWireMeters(nil, "coord"), opt, nil, t.Logf); err == nil {
 		t.Fatal("dialCoord reached a dead address")
 	}
 	if waited := time.Since(begin); waited > 2*time.Second {
@@ -168,7 +168,7 @@ func TestCoordClientResumesAfterStreamBreak(t *testing.T) {
 	defer ln.Close()
 
 	opt := chaosTimeouts().withDefaults()
-	cc, err := dialCoord(ln.Addr().String(), 1, 3, Batching{}, newWireMeters(nil, "coord"), opt, nil, t.Logf)
+	cc, err := dialCoord(ln.Addr().String(), 1, 3, newWireMeters(nil, "coord"), opt, nil, t.Logf)
 	if err != nil {
 		t.Fatalf("dialCoord: %v", err)
 	}
@@ -252,7 +252,7 @@ func TestCloseDuringResume(t *testing.T) {
 	defer ln.Close()
 
 	opt := chaosTimeouts().withDefaults()
-	cc, err := dialCoord(ln.Addr().String(), 1, 3, Batching{}, newWireMeters(nil, "coord"), opt, nil, t.Logf)
+	cc, err := dialCoord(ln.Addr().String(), 1, 3, newWireMeters(nil, "coord"), opt, nil, t.Logf)
 	if err != nil {
 		t.Fatalf("dialCoord: %v", err)
 	}
@@ -378,6 +378,22 @@ func TestClusterCrashRestart(t *testing.T) {
 		if res.Deposet.Len(p) != free.Deposet.Len(p) {
 			t.Errorf("app process %d: crashed run captured %d events, fault-free %d",
 				p, res.Deposet.Len(p), free.Deposet.Len(p))
+		}
+	}
+
+	// Each node began the surviving epoch with its own restart marker,
+	// carried in that epoch's capture: exactly one on its controller's
+	// row, naming the epoch. The root's annotation (Proc -1) is another
+	// row and does not count.
+	for id := 0; id < n; id++ {
+		var marks []int64
+		for _, ev := range j.Events() {
+			if ev.Name == obs.EvEpochRestart && ev.Proc == n+id && ev.A == int64(id) {
+				marks = append(marks, ev.C)
+			}
+		}
+		if len(marks) != 1 || marks[0] != int64(res.Epoch) {
+			t.Errorf("node %d: restart markers for epochs %v in the merged journal, want exactly [%d]", id, marks, res.Epoch)
 		}
 	}
 

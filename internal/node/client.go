@@ -13,13 +13,14 @@ import (
 	"predctl/internal/wire"
 )
 
-// Batching is the size-or-interval flush policy for a node's
-// coordinator capture stream. Journal events and trace ops accumulate
-// on the node and are flushed as wire.JournalBatch / wire.TraceOpBatch
-// frames when MaxItems are pending or Interval elapses, whichever
-// comes first — hundreds of nodes each emitting thousands of capture
-// items must not mean one TCP frame (and one syscall at each end) per
-// item. Zero values take the defaults below.
+// Batching is the size-or-interval flush policy for a node's capture
+// (capture.go): the epoch's trace ops, journal events and candidates
+// accumulate on the node and are flushed as wire.TraceOpBatch /
+// JournalBatch / CandidateBatch frames when MaxItems are pending or
+// Interval elapses, whichever comes first — hundreds of nodes each
+// emitting thousands of capture items must not mean one TCP frame (and
+// one syscall at each end) per item. Zero values take the defaults
+// below.
 type Batching struct {
 	// MaxItems caps the items carried per batch frame and triggers an
 	// early flush when that many are pending. Default 128.
@@ -38,7 +39,7 @@ type Batching struct {
 }
 
 // withDefaults resolves unset fields to their defaults — the exact
-// policy a node's capture batcher runs.
+// policy a node's capture runs.
 func (b Batching) withDefaults() Batching {
 	if b.MaxItems <= 0 {
 		b.MaxItems = 128
@@ -52,10 +53,13 @@ func (b Batching) withDefaults() Batching {
 	return b
 }
 
-// coordClient is a node's stream to the coordinator: Hello, then trace
-// batches, forwarded journal events, candidates, Done and bye frames
-// out; the root's decisions — Shutdown, Restart, Commit — in, folded
-// into one decisions value.
+// coordClient is the resumable session to the coordinator that a node
+// and a relay's uplink both use: the node's Hello (a relay's
+// RelayHello), then capture and control frames out; the root's
+// decisions — Shutdown, Restart, Commit — in, folded into one
+// decisions value. It batches nothing: a node's capture (capture.go)
+// logs a whole pass and writes it with one writeLogged, and control
+// frames (Done, the Shutdown bye, EpochMark) are sent one at a time.
 //
 // The stream is a session, not a connection. Every sequenced frame is
 // retained in an in-memory session log (sent) for the life of the run,
@@ -68,21 +72,10 @@ func (b Batching) withDefaults() Batching {
 // kind drops the connection immediately — the invariant is that the
 // bytes on the wire are always a prefix of the log, so the
 // coordinator's cumulative-sequence dedup can never see a gap.
-//
-// Capture traffic is batched: journal events and candidates buffer in
-// pendJournal / pendCands and trace ops stay in the node's capture
-// until the flusher goroutine drains all three in one pass — on the
-// Batching policy for volume, at once when a candidate arrives (the
-// coordinator's live checker is waiting on it). A pass sequences its
-// frames onto the log and puts them on the wire with one vectored
-// write. Control frames (Done, Shutdown bye) are latency-relevant and
-// once-per-epoch, so they bypass the batcher and write through
-// immediately.
 type coordClient struct {
 	id, n int
 	addr  string
 	opt   Timeouts
-	batch Batching
 	wm    wireMeters
 	logf  func(string, ...any)
 	parts *partitions
@@ -109,34 +102,6 @@ type coordClient struct {
 	writes int
 	epoch  uint32
 
-	// flushMu serializes flush passes with epoch transitions, so no
-	// stale capture frame can land on the stream after the EpochMark
-	// that voids its epoch.
-	flushMu     sync.Mutex
-	pendMu      sync.Mutex
-	pendJournal []wire.JournalEvent
-	pendCands   []wire.Candidate
-
-	// The pending buffers are double-buffered: a pass swaps each for its
-	// emptied spare, encodes what it took, and keeps the cleared slice as
-	// the next pass's spare, so steady state grows nothing. The spares
-	// and take are flushMu-guarded.
-	spareJournal []wire.JournalEvent
-	spareCands   []wire.Candidate
-	spareOps     []wire.TraceOp
-
-	take      func(spare []wire.TraceOp) []wire.TraceOp // swaps out the node's capture
-	kick      chan struct{}                             // cap 1: a candidate is pending, or a size threshold was crossed
-	flushing  bool                                      // a flusher goroutine is running; flushMu-guarded
-	flushQuit chan struct{}
-	flushDone chan struct{}
-
-	// snap, when non-nil, dumps the node's registry for MetricsSnapshot
-	// streaming. Set once before the flusher starts; start anchors the
-	// snapshots' AtNs timestamps.
-	snap  func() []wire.MetricPoint
-	start time.Time
-
 	// Session-machinery hooks, set only by the relay's uplink (nil on a
 	// node's stream): mkResume replaces the Resume handshake frame, and
 	// fanOut sees every folded frame, under decMu. They let the relay
@@ -148,14 +113,13 @@ type coordClient struct {
 
 // newCoordClient builds a disconnected session; a node's dialCoord and
 // a relay's uplink each open it with their own handshake.
-func newCoordClient(addr string, id, n int, batch Batching, wm wireMeters, opt Timeouts, parts *partitions, logf func(string, ...any)) *coordClient {
+func newCoordClient(addr string, id, n int, wm wireMeters, opt Timeouts, parts *partitions, logf func(string, ...any)) *coordClient {
 	return &coordClient{
 		id: id, n: n, addr: addr,
-		opt: opt, batch: batch.withDefaults(), wm: wm, logf: logf, parts: parts,
+		opt: opt, wm: wm, logf: logf, parts: parts,
 		decCh:    make(chan struct{}, 1),
 		quit:     make(chan struct{}),
 		sessDone: make(chan struct{}),
-		kick:     make(chan struct{}, 1),
 	}
 }
 
@@ -167,8 +131,8 @@ func newCoordClient(addr string, id, n int, batch Batching, wm wireMeters, opt T
 // replays it like any frame, so a relay that dies holding it loses
 // nothing. Its Inc, drawn here once per process, is what tells the root
 // a relaunch from that replay.
-func dialCoord(addr string, id, n int, batch Batching, wm wireMeters, opt Timeouts, parts *partitions, logf func(string, ...any)) (*coordClient, error) {
-	cc := newCoordClient(addr, id, n, batch, wm, opt, parts, logf)
+func dialCoord(addr string, id, n int, wm wireMeters, opt Timeouts, parts *partitions, logf func(string, ...any)) (*coordClient, error) {
+	cc := newCoordClient(addr, id, n, wm, opt, parts, logf)
 	cc.logItems(wire.Hello{From: int32(id), N: int32(n), Inc: rand.Uint64() | 1}, 1)
 	conn, err := cc.dialOnce(cc.sent[0].B)
 	if err != nil {
@@ -466,106 +430,6 @@ func (cc *coordClient) writeLogged() {
 	cc.wrote = len(cc.sent)
 }
 
-// sendJournal forwards one journal event into the pending batch
-// (kicking the flusher at the size threshold). Nil-safe like the
-// journal itself so instrumentation sites need no guards.
-func (cc *coordClient) sendJournal(e obs.Event) {
-	if cc == nil {
-		return
-	}
-	we := wire.JournalEvent{
-		At: e.At, Proc: int32(e.Proc), Kind: uint8(e.Kind), Name: e.Name,
-		A: e.A, B: e.B, C: e.C, VC: e.VC,
-	}
-	cc.pendMu.Lock()
-	cc.pendJournal = append(cc.pendJournal, we)
-	full := len(cc.pendJournal) >= cc.batch.MaxItems
-	cc.pendMu.Unlock()
-	if full {
-		cc.kickFlush()
-	}
-}
-
-// sendCandidate forwards one monitor candidate into the pending batch
-// and kicks the flusher: the coordinator's live checker is waiting on
-// it, so it does not wait for the tick. The pass it starts carries
-// journal → ops → candidates, so the prefix the candidate probes is as
-// fresh as the candidate. Under load the kicks coalesce (the channel
-// holds one) and a pass carries whatever accumulated while the previous
-// one was on the wire, so candidates never mean a frame each.
-func (cc *coordClient) sendCandidate(v wire.Candidate) {
-	cc.pendMu.Lock()
-	cc.pendCands = append(cc.pendCands, v)
-	cc.pendMu.Unlock()
-	cc.kickFlush()
-}
-
-// kickFlush starts a flusher pass ahead of the interval tick.
-func (cc *coordClient) kickFlush() {
-	select {
-	case cc.kick <- struct{}{}:
-	default:
-	}
-}
-
-// ensureFlusher points the flusher at an epoch's capture, starting a
-// goroutine if none is running — at the first epoch, and again after a
-// bye-phase stopFlusher when a late restart re-executes the workload
-// from the parked state.
-func (cc *coordClient) ensureFlusher(take func(spare []wire.TraceOp) []wire.TraceOp) {
-	cc.flushMu.Lock()
-	defer cc.flushMu.Unlock()
-	cc.take = take
-	if cc.flushing {
-		return
-	}
-	cc.flushing = true
-	cc.flushQuit = make(chan struct{})
-	cc.flushDone = make(chan struct{})
-	go cc.flusher(cc.flushQuit, cc.flushDone)
-}
-
-func (cc *coordClient) flusher(quit, done chan struct{}) {
-	defer close(done)
-	tick := time.NewTicker(cc.batch.Interval)
-	defer tick.Stop()
-	passes := 0
-	for {
-		select {
-		case <-quit:
-			return
-		case <-cc.kick:
-		case <-tick.C:
-		}
-		cc.flush()
-		passes++
-		if cc.batch.SnapshotEvery > 0 && passes%cc.batch.SnapshotEvery == 0 {
-			cc.sendSnapshot()
-		}
-	}
-}
-
-// sendSnapshot sequences one cumulative metrics dump onto the capture
-// stream. Snapshots ride the session log like every capture frame, so
-// resume replay re-delivers them — harmless, since applying a full
-// cumulative dump is idempotent.
-func (cc *coordClient) sendSnapshot() {
-	if cc.snap == nil {
-		return
-	}
-	pts := cc.snap()
-	if len(pts) == 0 {
-		return
-	}
-	cc.mu.Lock()
-	e := cc.epoch
-	cc.mu.Unlock()
-	cc.send(wire.MetricsSnapshot{
-		Proc: int32(cc.id), Epoch: e,
-		AtNs: time.Since(cc.start).Nanoseconds(), Points: pts,
-	})
-}
-
 // toWirePoints converts a registry dump to its wire form for a
 // MetricsSnapshot frame.
 func toWirePoints(pts []obs.MetricPoint) []wire.MetricPoint {
@@ -591,98 +455,12 @@ func toObsPoints(pts []wire.MetricPoint) []obs.MetricPoint {
 	return out
 }
 
-// stopFlusher ends the flusher goroutine and drains everything still
-// pending, so the stream is complete before the final Done and bye. It
-// is idempotent and a no-op if ensureFlusher was never called. With
-// drain false (the crash path), pending capture is abandoned exactly
-// as a killed process would abandon it.
-func (cc *coordClient) stopFlusher(drain bool) {
-	cc.flushMu.Lock()
-	running := cc.flushing
-	cc.flushing = false
-	started := cc.take != nil
-	quit, done := cc.flushQuit, cc.flushDone
-	cc.flushMu.Unlock()
-	if running {
-		close(quit)
-		<-done
-	}
-	if started && drain {
-		cc.flush()
-		if cc.batch.SnapshotEvery > 0 {
-			// A closing snapshot, so even a run shorter than the snapshot
-			// cadence reports final per-node values.
-			cc.sendSnapshot()
-		}
-	}
-}
-
-// flush is one pass: it swaps out the pending journal events, the
-// node's captured trace ops and the pending candidates, sequences them
-// onto the session log as batch frames of at most MaxItems items each,
-// and puts the pass on the wire with one vectored write. Called from
-// the flusher goroutine and, once it has stopped, from stopFlusher.
-// flushMu orders whole passes against markEpoch's discard-and-mark.
-func (cc *coordClient) flush() {
-	cc.flushMu.Lock()
-	defer cc.flushMu.Unlock()
-	cc.pendMu.Lock()
-	events, cands := cc.pendJournal, cc.pendCands
-	cc.pendJournal, cc.pendCands = cc.spareJournal, cc.spareCands
-	cc.pendMu.Unlock()
-	logBatches(cc, events, func(b []wire.JournalEvent) wire.Msg { return wire.JournalBatch{Events: b} })
-	// Trace ops flush before candidates: a candidate can trigger the
-	// coordinator's live prefix confirmation, and the confirmable prefix
-	// only contains states whose ops are already staged — ops first
-	// keeps the prefix as fresh as the candidate that probes it.
-	if cc.take != nil {
-		ops := cc.take(cc.spareOps)
-		logBatches(cc, ops, func(b []wire.TraceOp) wire.Msg { return wire.TraceOpBatch{Ops: b} })
-		cc.spareOps = recycle(ops)
-	}
-	logBatches(cc, cands, func(b []wire.Candidate) wire.Msg { return wire.CandidateBatch{Cands: b} })
-	cc.writeLogged()
-	// Every frame above was encoded as it was logged, so nothing refers
-	// to the taken slices any more.
-	cc.spareJournal, cc.spareCands = recycle(events), recycle(cands)
-}
-
-// logBatches sequences items onto the session log as frames of at most
-// MaxItems each.
-func logBatches[T any](cc *coordClient, items []T, frame func([]T) wire.Msg) {
-	for len(items) > 0 {
-		n := min(len(items), cc.batch.MaxItems)
-		cc.logItems(frame(items[:n]), n)
-		items = items[n:]
-	}
-}
-
-// recycle empties a slice whose items a pass has encoded (or an epoch
-// has voided) for use as the next swap's spare. The items are cleared,
-// not just cut off: a recycled buffer must never show an old item — or
-// pin its clock — under a new length.
-func recycle[T any](s []T) []T {
-	clear(s)
-	return s[:0]
-}
-
-// markEpoch moves the stream to re-execution epoch e: everything the
-// abandoned epoch left pending (batched journal events, candidates,
-// undrained capture) is discarded, then an EpochMark is sequenced onto
-// the stream so the coordinator — live now or replaying the session
-// log after its own restart — discards that stream's staged capture at
-// exactly the same point. Holding flushMu across the transition
-// guarantees no old-epoch frame lands after the mark.
+// markEpoch moves the stream to re-execution epoch e: an EpochMark is
+// sequenced onto the stream so the coordinator — live now or replaying
+// the session log after its own restart — discards that stream's staged
+// capture at exactly the same point. The node stops the abandoned
+// epoch's capture first, so no frame of it follows the mark.
 func (cc *coordClient) markEpoch(e uint32) {
-	cc.flushMu.Lock()
-	defer cc.flushMu.Unlock()
-	cc.pendMu.Lock()
-	cc.pendJournal, cc.pendCands = recycle(cc.pendJournal), recycle(cc.pendCands)
-	cc.pendMu.Unlock()
-	if cc.take != nil {
-		// Drain and drop the dead epoch's capture.
-		cc.spareOps = recycle(cc.take(cc.spareOps))
-	}
 	cc.mu.Lock()
 	cc.epoch = e
 	cc.mu.Unlock()

@@ -134,13 +134,15 @@ type Coordinator struct {
 	rootBytes  atomic.Int64
 	rootConns  atomic.Int64
 
-	// sessions is the node session table, one per node id, fixed at
-	// construction: reading it takes no lock.
+	// sessions is the node session table, one per node id, and relays
+	// the relay session table, one per possible relay index (a tree has
+	// at most n relays); both are fixed at construction, so reading them
+	// takes no lock.
 	sessions []*nodeSession
+	relays   []*relaySession
 
-	mu     sync.Mutex      // the decision lock (session.go has the order)
-	core   rootCore        // every root decision and the state it reads
-	relays []*relaySession // by relay index, created by its first RelayHello
+	mu   sync.Mutex // the decision lock (session.go has the order)
+	core rootCore   // every root decision and the state it reads
 
 	// allByes is closed once Commit is decided and the store sealed:
 	// Wait's release.
@@ -177,6 +179,10 @@ func newCoordinator(n int, journal *obs.Journal, logf func(string, ...any)) *Coo
 	for id := range c.sessions {
 		c.sessions[id] = &nodeSession{id: id}
 		c.register(&c.sessions[id].inbound)
+	}
+	for i := range c.relays {
+		c.relays[i] = &relaySession{index: i, origins: map[int]bool{}}
+		c.register(&c.relays[i].inbound)
 	}
 	return c
 }

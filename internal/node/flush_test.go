@@ -42,7 +42,7 @@ func candidateToVerdict(res *Result, j *obs.Journal) (time.Duration, bool) {
 // run must still be confirmed mid-run, well inside 100 ms of the
 // candidate (where a candidate waits for a tick, this one waits for the
 // end of the run) — and must still drain and commit, since the closing
-// flush is stopFlusher's, not a tick's. The default-interval series before it
+// flush is the capture's stop, not a tick. The default-interval series before it
 // logs the latency percentiles a topology reads at this commit; the
 // bound is loose on purpose: this is a "no timer in the path" test, not
 // a benchmark.
@@ -206,13 +206,12 @@ func TestFlushOpsBeforeCandidates(t *testing.T) {
 	}
 }
 
-// looseClient is a coordClient that never connected: frames only ever
-// reach its session log, which is what the pass tests read back.
+// looseClient is a coordClient that never connected, with an epoch-0
+// capture on it: frames only ever reach the session log, which is what
+// the pass tests read back.
 func looseClient(b Batching) (*coordClient, *capture) {
-	cc := newCoordClient("", 0, 2, b, newWireMeters(nil, "coord"), Timeouts{}.withDefaults(), nil, func(string, ...any) {})
-	c := &capture{app: 0}
-	c.kick, c.kickAt = cc.kickFlush, cc.batch.MaxItems
-	return cc, c
+	cc := newCoordClient("", 0, 2, newWireMeters(nil, "coord"), Timeouts{}.withDefaults(), nil, func(string, ...any) {})
+	return cc, newCapture(cc, Config{Batching: b}, 0, time.Now())
 }
 
 // decodeLog decodes the session log, frame by frame, requiring the
@@ -246,7 +245,7 @@ func decodeLog(t *testing.T, cc *coordClient) []wire.Msg {
 func TestFlushReuseNeverAliases(t *testing.T) {
 	const perProc = 20000
 	cc, c := looseClient(Batching{MaxItems: 32, Interval: 100 * time.Microsecond, SnapshotEvery: -1})
-	cc.ensureFlusher(c.take)
+	c.start()
 	var wg sync.WaitGroup
 	for proc := int32(0); proc < 2; proc++ {
 		wg.Add(1)
@@ -254,15 +253,15 @@ func TestFlushReuseNeverAliases(t *testing.T) {
 			defer wg.Done()
 			for i := int64(1); i <= perProc; i++ {
 				c.append(wire.TraceOp{Op: wire.TraceSet, Proc: proc, Name: "x", Value: i})
-				cc.sendJournal(obs.Event{Proc: int(proc), Name: "e", A: i, VC: []int32{int32(i)}})
+				c.journal(obs.Event{Proc: int(proc), Name: "e", A: i, VC: []int32{int32(i)}})
 				if i%3 == 0 {
-					cc.sendCandidate(wire.Candidate{Proc: proc, HiIdx: i, Hi: []int32{int32(i)}})
+					c.candidate(wire.Candidate{Proc: proc, HiIdx: i, Hi: []int32{int32(i)}})
 				}
 			}
 		}()
 	}
 	wg.Wait()
-	cc.stopFlusher(true)
+	c.stop(true)
 
 	var ops, events, cands [2]int64
 	for _, m := range decodeLog(t, cc) {
@@ -297,67 +296,33 @@ func TestFlushReuseNeverAliases(t *testing.T) {
 	}
 }
 
-// allZero reports whether every element of s's whole backing array is
-// the zero value.
-func allZero[T any](s []T, isZero func(T) bool) bool {
-	for _, v := range s[:cap(s)] {
-		if !isZero(v) {
-			return false
-		}
-	}
-	return true
-}
-
-// TestFlushMarkEpochLeaksNothing: an epoch change with recycled buffers
-// in play. Old-epoch items sit in the pending buffers and (from an
-// earlier, larger pass) in the spares' backing arrays when markEpoch
-// voids the epoch; nothing of them may reach the log after the mark,
-// and nothing of them may survive in a recycled buffer.
+// TestFlushMarkEpochLeaksNothing: an epoch change with capture
+// pending. The old epoch's capture stops with ops, journal events and
+// candidates still pending, markEpoch voids the epoch, and a straggler
+// then appends to the stopped capture; nothing of the old epoch may
+// reach the log after the mark, while the new epoch's capture all does.
 func TestFlushMarkEpochLeaksNothing(t *testing.T) {
-	cc, c := looseClient(Batching{Interval: time.Hour, SnapshotEvery: -1})
-	cc.ensureFlusher(c.take)
-	defer cc.stopFlusher(false)
-	fill := func(epoch int64, items int) {
+	b := Batching{Interval: time.Hour, SnapshotEvery: -1}
+	cc, old := looseClient(b)
+	fill := func(c *capture, epoch int64, items int) {
 		for i := 0; i < items; i++ {
-			c.append(wire.TraceOp{Op: wire.TraceSet, Proc: 0, Name: "old", Value: epoch})
-			cc.pendMu.Lock()
-			cc.pendJournal = append(cc.pendJournal, wire.JournalEvent{Name: "old", C: epoch, VC: []int32{1}})
-			cc.pendCands = append(cc.pendCands, wire.Candidate{LoIdx: epoch, Hi: []int32{1}})
-			cc.pendMu.Unlock()
+			c.append(wire.TraceOp{Op: wire.TraceSet, Proc: 0, Name: "x", Value: epoch})
+			c.journal(obs.Event{Name: "x", C: epoch, VC: []int32{1}})
+			c.candidate(wire.Candidate{LoIdx: epoch, Hi: []int32{1}})
 		}
 	}
-	fill(0, 40)
-	cc.flush() // both buffers of each pair now exist
-	fill(0, 40)
-	cc.flush()
-	fill(0, 25) // pending at the epoch change
+	old.start()
+	fill(old, 0, 105) // the candidates kick passes as they go
+	old.stop(false)   // what is still pending dies with the epoch
 	before := len(decodeLog(t, cc))
 	cc.markEpoch(1)
+	fill(old, 0, 3) // stragglers: their kicks wake no flusher
+	old.stop(true)  // and a stopped capture stays stopped: no drain sends them
 
-	cc.flushMu.Lock()
-	cc.pendMu.Lock()
-	c.mu.Lock()
-	opZero := func(v wire.TraceOp) bool { return v == wire.TraceOp{} }
-	evZero := func(v wire.JournalEvent) bool { return v.Name == "" && v.VC == nil && v.C == 0 }
-	cdZero := func(v wire.Candidate) bool { return v.Hi == nil && v.LoIdx == 0 }
-	if !allZero(c.ops, opZero) || !allZero(cc.spareOps, opZero) {
-		t.Error("an old-epoch op survives in a recycled ops buffer")
-	}
-	if !allZero(cc.pendJournal, evZero) || !allZero(cc.spareJournal, evZero) {
-		t.Error("an old-epoch journal event survives in a recycled buffer")
-	}
-	if !allZero(cc.pendCands, cdZero) || !allZero(cc.spareCands, cdZero) {
-		t.Error("an old-epoch candidate survives in a recycled buffer")
-	}
-	if len(c.ops)+len(cc.pendJournal)+len(cc.pendCands) != 0 {
-		t.Error("markEpoch left items pending")
-	}
-	c.mu.Unlock()
-	cc.pendMu.Unlock()
-	cc.flushMu.Unlock()
-
-	fill(1, 7) // fewer than any earlier pass: a stale tail would show
-	cc.flush()
+	c := newCapture(cc, Config{Batching: b}, 1, time.Now())
+	c.start()
+	fill(c, 1, 7)
+	c.stop(true)
 	log := decodeLog(t, cc)
 	if mark, ok := log[before].(wire.EpochMark); !ok || mark.Epoch != 1 {
 		t.Fatalf("frame %d is %T, want EpochMark{1}", before+1, log[before])
@@ -401,22 +366,22 @@ func TestFlushMarkEpochLeaksNothing(t *testing.T) {
 func TestFlushSteadyStateReuse(t *testing.T) {
 	const burst = 100
 	cc, c := looseClient(Batching{Interval: time.Hour, SnapshotEvery: -1})
-	cc.take = c.take // no flusher goroutine: the test is the flusher
+	// No flusher goroutine: the test is the flusher.
 	vc := []int32{1, 2}
 	cycle := func() {
 		for i := 0; i < burst; i++ {
 			c.append(wire.TraceOp{Op: wire.TraceSet, Proc: 0, Name: "cs", Value: 1})
-			cc.sendJournal(obs.Event{Name: "e", VC: vc})
+			c.journal(obs.Event{Name: "e", VC: vc})
 		}
 		for i := 0; i < burst/10; i++ {
-			cc.sendCandidate(wire.Candidate{Lo: vc, Hi: vc})
+			c.candidate(wire.Candidate{Lo: vc, Hi: vc})
 		}
 		select {
-		case <-cc.kick: // what the flusher goroutine would wake on
+		case <-c.wake: // what the flusher goroutine would wake on
 		default:
 			t.Fatal("a burst with candidates left no kick pending")
 		}
-		cc.flush()
+		c.flush()
 		cc.mu.Lock()
 		for _, b := range cc.sent {
 			wire.PutBuffer(b)
@@ -434,7 +399,7 @@ func TestFlushSteadyStateReuse(t *testing.T) {
 		at := func(ops []wire.TraceOp, j []wire.JournalEvent, cd []wire.Candidate) arrays {
 			return arrays{unsafe.SliceData(ops), unsafe.SliceData(j), unsafe.SliceData(cd), cap(ops), cap(j), cap(cd)}
 		}
-		return [2]arrays{at(c.ops, cc.pendJournal, cc.pendCands), at(cc.spareOps, cc.spareJournal, cc.spareCands)}
+		return [2]arrays{at(c.ops, c.events, c.cands), at(c.spareOps, c.spareEvents, c.spareCands)}
 	}
 	for i := 0; i < 4; i++ {
 		cycle()
@@ -512,13 +477,13 @@ func (rc *rootConn) readSeqs(t *testing.T, want int) []uint64 {
 }
 
 // pendItems puts one pass's worth of journal events, ops and candidates
-// on cc: more than one frame of the first two.
-func pendItems(cc *coordClient, c *capture) {
-	for i := 0; i < cc.batch.MaxItems+5; i++ {
+// on c: more than one frame of the first two.
+func pendItems(c *capture) {
+	for i := 0; i < c.batch.MaxItems+5; i++ {
 		c.append(wire.TraceOp{Op: wire.TraceSet, Proc: 0, Name: "cs", Value: 1})
-		cc.sendJournal(obs.Event{Name: "e"})
+		c.journal(obs.Event{Name: "e"})
 	}
-	cc.sendCandidate(wire.Candidate{HiIdx: 1})
+	c.candidate(wire.Candidate{HiIdx: 1})
 }
 
 func (cc *coordClient) writeCount() int {
@@ -534,19 +499,17 @@ func (cc *coordClient) writeCount() int {
 func TestFlushPassIsOneWrite(t *testing.T) {
 	root := newFakeRoot(t)
 	opt := chaosTimeouts().withDefaults()
-	cc, err := dialCoord(root.ln.Addr().String(), 1, 3, Batching{Interval: time.Hour, SnapshotEvery: -1},
-		newWireMeters(nil, "coord"), opt, nil, t.Logf)
+	cc, err := dialCoord(root.ln.Addr().String(), 1, 3, newWireMeters(nil, "coord"), opt, nil, t.Logf)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cc.close()
-	c := &capture{app: 1}
-	cc.take = c.take
+	c := newCapture(cc, Config{ID: 1, Batching: Batching{Interval: time.Hour, SnapshotEvery: -1}}, 0, time.Now())
 	c1 := root.accept()
 
-	pendItems(cc, c)
+	pendItems(c)
 	frames, writes := cc.sentFrames(), cc.writeCount()
-	cc.flush()
+	c.flush()
 	if got := cc.sentFrames() - frames; got != 5 {
 		t.Fatalf("the pass logged %d frames, want 5 (2 journal, 2 ops, 1 candidates)", got)
 	}
@@ -584,11 +547,11 @@ func TestFlushPassIsOneWrite(t *testing.T) {
 }
 
 // TestFlushSeverMidPass drives a pass across a coordinator-stream sever
-// with the fault shim. The pass logs its journal frames, and then —
-// inside take, so mid-pass — the partition window opens, a control
-// frame finds the stream severed and drops it, the window heals and the
-// resume replays the log and installs a fresh connection; only then
-// does the pass log its ops and candidates and write. Every frame the
+// with the fault shim, interleaving at the session: the pass logs its
+// journal frames, and then — mid-pass — the partition window opens, a
+// control frame finds the stream severed and drops it, the window heals
+// and the resume replays the log and installs a fresh connection; only
+// then does the pass log its ops and candidates and write. Every frame the
 // pass logged before the install was delivered by the replay, so the
 // pass must write only the ones after it: the root sees every sequence
 // number exactly once, and the retransmit counter counts exactly the
@@ -600,13 +563,12 @@ func TestFlushSeverMidPass(t *testing.T) {
 	start := time.Now()
 	window := Partition{Start: 150 * time.Millisecond, Dur: 60 * time.Millisecond, A: []int{1}, B: []int{1}, Coord: true}
 	parts := newPartitions(Faults{Partitions: []Partition{window}}, start)
-	cc, err := dialCoord(root.ln.Addr().String(), 1, 3, Batching{Interval: time.Hour, SnapshotEvery: -1},
-		newWireMeters(reg, "coord"), opt, parts, t.Logf)
+	cc, err := dialCoord(root.ln.Addr().String(), 1, 3, newWireMeters(reg, "coord"), opt, parts, t.Logf)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cc.close()
-	c := &capture{app: 1}
+	c := newCapture(cc, Config{ID: 1, Batching: Batching{Interval: time.Hour, SnapshotEvery: -1}}, 0, start)
 	c1 := root.accept()
 
 	// Frames 2 and 3 go out on the healthy stream, behind the Hello.
@@ -616,32 +578,32 @@ func TestFlushSeverMidPass(t *testing.T) {
 		t.Fatalf("healthy stream carried %v", seqs)
 	}
 
-	var replayed int
-	resumed := make(chan *rootConn, 1)
-	cc.take = func(spare []wire.TraceOp) []wire.TraceOp {
-		// Mid-pass: the journal frames are logged, nothing is written.
-		time.Sleep(time.Until(start.Add(window.Start + 5*time.Millisecond)))
-		cc.send(wire.Done{Proc: 1}) // finds the stream severed, drops it
-		c2 := root.accept()         // the resume, once the window heals
-		replayed = int(cc.sentFrames()) - 3
-		if err := wire.WriteFrame(c2, 0, wire.ResumeAck{Cum: 3}); err != nil {
-			t.Error(err)
-		}
-		// Wait for the install, so the rest of the pass meets a live
-		// connection whose replay already covered the journal frames.
-		for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
-			cc.mu.Lock()
-			up := cc.conn != nil
-			cc.mu.Unlock()
-			if up || time.Now().After(deadline) {
-				break
-			}
-		}
-		resumed <- c2
-		return c.take(spare)
+	// The pass, split where the sever lands: flush's steps, in its order.
+	pendItems(c)
+	logBatches(c, c.events, func(b []wire.JournalEvent) wire.Msg { return wire.JournalBatch{Events: b} })
+
+	// Mid-pass: the journal frames are logged, nothing is written.
+	time.Sleep(time.Until(start.Add(window.Start + 5*time.Millisecond)))
+	cc.send(wire.Done{Proc: 1}) // finds the stream severed, drops it
+	c2 := root.accept()         // the resume, once the window heals
+	replayed := int(cc.sentFrames()) - 3
+	if err := wire.WriteFrame(c2, 0, wire.ResumeAck{Cum: 3}); err != nil {
+		t.Fatal(err)
 	}
-	pendItems(cc, c)
-	cc.flush() // 2 journal frames, [sever, Done, resume], 2 ops frames, 1 candidates frame
+	// Wait for the install, so the rest of the pass meets a live
+	// connection whose replay already covered the journal frames.
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		cc.mu.Lock()
+		up := cc.conn != nil
+		cc.mu.Unlock()
+		if up || time.Now().After(deadline) {
+			break
+		}
+	}
+
+	logBatches(c, c.ops, func(b []wire.TraceOp) wire.Msg { return wire.TraceOpBatch{Ops: b} })
+	logBatches(c, c.cands, func(b []wire.Candidate) wire.Msg { return wire.CandidateBatch{Cands: b} })
+	cc.writeLogged() // 2 journal frames, [sever, Done, resume], 2 ops frames, 1 candidates frame
 
 	total := int(cc.sentFrames())
 	if total != 1+2+2+1+2+1 {
@@ -651,7 +613,6 @@ func TestFlushSeverMidPass(t *testing.T) {
 	if extra := c1.readSeqs(t, 0); len(extra) != 0 {
 		t.Errorf("the severed connection still carried %v", extra)
 	}
-	c2 := <-resumed
 	seqs := c2.readSeqs(t, total-3)
 	for i, seq := range seqs {
 		if seq != uint64(i+4) {

@@ -199,7 +199,7 @@ func IngestRelayBench(n int, journal *obs.Journal, bodies [][]byte) (int, error)
 		if _, ok := m.(wire.RelayBatch); !ok {
 			return fmt.Errorf("node: relay ingest bench: %T, want RelayBatch", m)
 		}
-		c.unpackRelayed(c.relaySession(0), nil, m)
+		c.unpackRelayed(c.relays[0], nil, m)
 		return nil
 	})
 }

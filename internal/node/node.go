@@ -208,7 +208,7 @@ func (nd *node) since() int64 { return time.Since(nd.start).Nanoseconds() }
 func (nd *node) journalCtl(proc int, kind obs.Kind, name string, a, b, c int64, vc []int32) {
 	e := obs.Event{At: nd.since(), Proc: proc, Kind: kind, Name: name, A: a, B: b, C: c, VC: vc}
 	nd.journal.Append(e)
-	nd.cc.sendJournal(e)
+	nd.cap.journal(e)
 }
 
 // Run executes one node to completion: the application's Rounds
@@ -245,19 +245,10 @@ func Run(cfg Config) (*Stats, error) {
 		start = time.Now()
 	}
 	opt := cfg.Timeouts.withDefaults()
-	batch := cfg.Batching.withDefaults()
 	parts := newPartitions(cfg.Faults, start)
-	cwm := newWireMeters(cfg.Reg, "coord")
-	cc, err := dialCoord(cfg.Coord, cfg.ID, cfg.N, batch, cwm, opt, parts, logf)
+	cc, err := dialCoord(cfg.Coord, cfg.ID, cfg.N, newWireMeters(cfg.Reg, "coord"), opt, parts, logf)
 	if err != nil {
 		return nil, err
-	}
-	if cfg.Reg != nil && batch.SnapshotEvery > 0 {
-		// Set before the first ensureFlusher so the flusher goroutine
-		// observes it; the registry is epoch-independent, so one closure
-		// serves every re-execution.
-		cc.start = start
-		cc.snap = func() []wire.MetricPoint { return toWirePoints(cfg.Reg.Snapshot()) }
 	}
 	tr, err := NewTransport(TransportConfig{
 		ID: cfg.ID, N: cfg.N, Addrs: cfg.Addrs, Listener: cfg.Listener,
@@ -336,16 +327,16 @@ func Run(cfg Config) (*Stats, error) {
 		tr.Reset(d.epoch)
 		cc.markEpoch(d.epoch)
 		epoch = d.epoch
-		// After markEpoch, so the event lands in (and survives with) the
-		// fresh epoch rather than the discarded one.
-		journalRestart(cfg, cc, start, epoch)
 	}
 	for {
 		nd := newNodeState(cfg, epoch, tr, cc, start, logf)
-		// The capture's size trigger and the coordClient's interval tick
-		// together implement the size-or-interval flush policy.
-		nd.cap.kick, nd.cap.kickAt = cc.kickFlush, batch.MaxItems
-		cc.ensureFlusher(nd.cap.take)
+		nd.cap.start()
+		if epoch > 0 {
+			// The first event of a re-execution, in the fresh epoch's
+			// capture, so the merged journal (and the cluster trace
+			// exporter) can mark where the surviving execution began.
+			nd.journalCtl(nd.ctl, obs.KindControl, obs.EvEpochRestart, int64(cfg.ID), 0, int64(epoch), nil)
+		}
 		cur.Store(nd)
 		out := nd.runEpoch()
 		switch out.kind {
@@ -354,15 +345,17 @@ func Run(cfg Config) (*Stats, error) {
 			// flushed, no bye is sent. The coordinator keeps the session
 			// state and treats the relaunch's Hello as a rejoin.
 			tr.Close()
-			cc.stopFlusher(false)
+			nd.cap.stop(false)
 			cc.close()
 			return nil, ErrCrashed
 		case epochRestart:
 			logf("node %d: restarting at epoch %d (controlled re-execution)", cfg.ID, out.epoch)
+			// The abandoned epoch's capture stops before the mark that
+			// voids it, so none of it can follow the mark.
+			nd.cap.stop(false)
 			tr.Reset(out.epoch)
 			cc.markEpoch(out.epoch)
 			epoch = out.epoch
-			journalRestart(cfg, cc, start, out.epoch)
 		case epochShutdown:
 			tr.Close()
 			if !out.byed {
@@ -373,7 +366,7 @@ func Run(cfg Config) (*Stats, error) {
 				// the capture ended with it, and what the parked controller
 				// received since (a peer's last protocol message) would
 				// reach the root after the seal.
-				cc.stopFlusher(true)
+				nd.cap.stop(true)
 				cc.send(nd.doneFrame())
 				cc.send(wire.Shutdown{Epoch: nd.epoch})
 			}
@@ -388,21 +381,6 @@ func Run(cfg Config) (*Stats, error) {
 			return &s, nil
 		}
 	}
-}
-
-// journalRestart records the first event of a re-execution epoch —
-// locally and on the capture stream — so the merged journal (and the
-// cluster trace exporter) can mark where the surviving execution began.
-// Callers emit it after markEpoch: the event must belong to the fresh
-// epoch, not the discarded one.
-func journalRestart(cfg Config, cc *coordClient, start time.Time, e uint32) {
-	ev := obs.Event{
-		At: time.Since(start).Nanoseconds(), Proc: cfg.N + cfg.ID,
-		Kind: obs.KindControl, Name: obs.EvEpochRestart,
-		A: int64(cfg.ID), C: int64(e),
-	}
-	cfg.Journal.Append(ev)
-	cc.sendJournal(ev)
 }
 
 // NodeStatus is a node's /statusz document.
@@ -438,7 +416,7 @@ func newNodeState(cfg Config, epoch uint32, tr *Transport, cc *coordClient, star
 	return &node{
 		cfg: cfg, epoch: epoch, app: cfg.ID, ctl: cfg.N + cfg.ID,
 		tr: tr, cc: cc,
-		cap:       &capture{app: int32(cfg.ID)},
+		cap:       newCapture(cc, cfg, epoch, start),
 		clk:       newClock(cfg.N, cfg.ID),
 		rng:       rand.New(rand.NewSource(cfg.Seed + int64(cfg.ID)*7919)),
 		m:         newMeters(cfg.Reg),
@@ -503,7 +481,7 @@ func (nd *node) runEpoch() epochOutcome {
 			// straggler crash-rejoin can still restart the cluster and
 			// this node re-executes instead of having already left.
 			byed = true
-			nd.cc.stopFlusher(true)
+			nd.cap.stop(true)
 			nd.cc.send(nd.doneFrame())
 			nd.cc.send(wire.Shutdown{Epoch: nd.epoch})
 		}
@@ -712,7 +690,7 @@ func (nd *node) application() {
 		hiIdx := nd.cap.append(wire.TraceOp{Op: wire.TraceSet, Proc: int32(nd.app), Name: "cs", Value: 0})
 		hi := nd.clk.tick(nd.cfg.ID)
 		nd.journalCtl(nd.app, obs.KindSet, "cs", 0, 0, 0, nil)
-		nd.cc.sendCandidate(wire.Candidate{
+		nd.cap.candidate(wire.Candidate{
 			Proc: int32(nd.app), LoIdx: int64(loIdx), HiIdx: int64(hiIdx), Lo: lo, Hi: hi,
 		})
 		// The candidate's journal twin carries the real emission time;

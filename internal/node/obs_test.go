@@ -290,7 +290,7 @@ func TestClosingSnapshotPopulatesLiveRegistry(t *testing.T) {
 				Seed: 3, Timeouts: chaosTimeouts(), Listener: lns[i],
 				Reg:   reg.Child(obs.L("node", fmt.Sprint(i))),
 				Start: start,
-				// Only stopFlusher's closing snapshot can deliver metrics
+				// Only the capture's closing snapshot (stop) can deliver metrics
 				// at this cadence.
 				Batching: Batching{Interval: 50 * time.Millisecond, SnapshotEvery: 1 << 20},
 			})

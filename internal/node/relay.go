@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"net"
 	"strconv"
-	"sync"
 
 	"predctl/internal/obs"
 	"predctl/internal/wire"
@@ -44,10 +43,10 @@ type Relay struct {
 	// connection writes its own queue (session.go, coordConn).
 	cc *coordClient
 
-	// children holds each child's stream: the downstream mirror of the
-	// root's nodeSession, minus the staging.
-	mu       sync.Mutex
-	children map[int]*inbound
+	// children holds each node's stream by id, fixed at construction: the
+	// downstream mirror of the root's nodeSession, minus the staging.
+	// Reading it takes no lock.
+	children []*inbound
 }
 
 // RelayConfig configures one relay.
@@ -80,12 +79,16 @@ func StartRelay(cfg RelayConfig) (*Relay, error) {
 	r := &Relay{
 		endpoint: newEndpoint("relay "+strconv.Itoa(cfg.Index), cfg.Timeouts.withDefaults(), cfg.Logf),
 		cfg:      cfg,
-		children: map[int]*inbound{},
+		children: make([]*inbound, cfg.N),
+	}
+	for id := range r.children {
+		r.children[id] = &inbound{}
+		r.register(r.children[id])
 	}
 	if err := r.listen(cfg.Listener, cfg.Addr); err != nil {
 		return nil, err
 	}
-	cc := newCoordClient(cfg.Upstream, -(cfg.Index + 1), cfg.N, Batching{}, newWireMeters(cfg.Reg, "uplink"), r.opt, nil, r.logf)
+	cc := newCoordClient(cfg.Upstream, -(cfg.Index + 1), cfg.N, newWireMeters(cfg.Reg, "uplink"), r.opt, nil, r.logf)
 	cc.mkResume, cc.fanOut = r.mkResume, r.fanOut
 	r.cc = cc
 
@@ -139,19 +142,6 @@ func (r *Relay) fanOut(m wire.Msg) {
 	r.broadcast(m)
 }
 
-// child returns (creating if needed) the stream of node id.
-func (r *Relay) child(id int) *inbound {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	ch := r.children[id]
-	if ch == nil {
-		ch = &inbound{}
-		r.children[id] = ch
-		r.register(ch)
-	}
-	return ch
-}
-
 // handleChild serves one child connection: the handshake contract the
 // root implements — Resume continues with a cumulative ack and the
 // uplink's folded decisions replayed; Hello opens — then sequence-gated
@@ -173,7 +163,7 @@ func (r *Relay) handleChild(raw net.Conn) {
 		return
 	}
 	conn.peer = "node " + strconv.Itoa(id)
-	ch := r.child(id)
+	ch := r.children[id]
 	ch.ingestMu.Lock()
 	if fresh {
 		// Sequenced before ingestMu is released, so a successor

@@ -233,7 +233,7 @@ func (s *scripted) dial() {
 	}
 	opt := chaosTimeouts().withDefaults()
 	for i := 0; i < s.n; i++ {
-		cc, err := dialCoord(addr, i, s.n, Batching{}, newWireMeters(nil, "coord"), opt, nil, s.t.Logf)
+		cc, err := dialCoord(addr, i, s.n, newWireMeters(nil, "coord"), opt, nil, s.t.Logf)
 		if err != nil {
 			s.t.Fatalf("client %d: %v", i, err)
 		}
@@ -624,7 +624,7 @@ func TestRejoinHelloSurvivesRelayDeath(t *testing.T) {
 	before := up.sentFrames()
 	opt := chaosTimeouts()
 	opt.CoordDeadline = 30 * time.Second
-	cc, err := dialCoord(s.relay.Addr(), 1, n, Batching{}, newWireMeters(nil, "coord"), opt.withDefaults(), nil, t.Logf)
+	cc, err := dialCoord(s.relay.Addr(), 1, n, newWireMeters(nil, "coord"), opt.withDefaults(), nil, t.Logf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -660,7 +660,9 @@ func TestRelayFanInCountsOnlyRunOrigins(t *testing.T) {
 	c := newCoordinator(2, nil, t.Logf)
 	body := wire.AppendBody(nil, 1, wire.TraceOpBatch{Ops: []wire.TraceOp{{Op: wire.TraceStep, Proc: 0}}})
 	batch := wire.RelayBatch{Frames: []wire.RelayFrame{{Origin: 7, Body: body}, {Origin: -3, Body: body}, {Origin: 1, Body: body}}}
-	c.unpackRelayed(c.relaySession(0), nil, batch)
+	rs := c.relays[0]
+	rs.attached = true // as the uplink's RelayHello would: /statusz lists attached relays
+	c.unpackRelayed(rs, nil, batch)
 	if got := c.Status().Relays[0].FanIn; got != 1 {
 		t.Fatalf("fan-in %d, want 1: only origin 1 is in the run", got)
 	}

@@ -23,17 +23,6 @@ type relaySession struct {
 	lastAt  time.Time
 }
 
-// relaySession returns (creating if needed) the state for relay index.
-func (c *Coordinator) relaySession(index int) *relaySession {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.relays[index] == nil {
-		c.relays[index] = &relaySession{index: index, origins: map[int]bool{}}
-		c.register(&c.relays[index].inbound)
-	}
-	return c.relays[index]
-}
-
 // handleRelay serves one relay uplink: RelayHello handshake (the
 // relay-flavored Resume — the ack's Cum is the outer sequence, and the
 // decision replay is what the relay caches for its children), then
@@ -48,7 +37,7 @@ func (c *Coordinator) handleRelay(conn *coordConn, h wire.RelayHello) {
 		return
 	}
 	conn.peer = "relay " + strconv.Itoa(int(h.Relay))
-	rs := c.relaySession(int(h.Relay))
+	rs := c.relays[h.Relay]
 	// A fresh relay process (Resume unset) starts a new uplink session
 	// log, so the outer numbering resets; the per-origin inner sessions
 	// are untouched — the children kept their capture logs, and their

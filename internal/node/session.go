@@ -28,23 +28,23 @@ import (
 //	                        Dones and byes are decided inside it
 //	nodeSession.ingestMu    one node stream's accept-and-stage; a
 //	                        handshake adopts the stream under it
-//	Coordinator.mu          the decision lock: c.core (core.go) and the
-//	                        relay table. A core step, and the queueing
-//	                        of what it decided (carry), run under it, as
-//	                        does a handshake's adoption and replay, so
-//	                        every peer sees the decisions in decision
-//	                        order. No assembly, detection, strategy or
-//	                        store seal runs under it
+//	Coordinator.mu          the decision lock: c.core (core.go). A core
+//	                        step, and the queueing of what it decided
+//	                        (carry), run under it, as does a
+//	                        handshake's adoption and replay, so every
+//	                        peer sees the decisions in decision order.
+//	                        No assembly, detection, strategy or store
+//	                        seal runs under it
 //	inbound.mu, endpoint.connMu
 //	                        a session's owner, sequence and staging; the
 //	                        accepted connections and the streams
 //	coordConn.wmu           one connection's queue
 //
-// The node session table is fixed when the coordinator is built and
-// needs no lock. The store, the live checker and the journal lock
+// The node and relay session tables are fixed when the coordinator is
+// built and need no lock, as is a relay's child table. The store, the live checker and the journal lock
 // internally and call nothing back. A relay is the same shape one level
 // down: a child's inbound.ingestMu → the uplink client's decMu (its
-// decision lock) → inbound.mu / Relay.mu / endpoint.connMu →
+// decision lock) → inbound.mu / endpoint.connMu →
 // coordConn.wmu. The uplink's mu, held across every uplink write, is
 // taken under ingestMu (to sequence a child frame onto the log) and
 // never under decMu, so a fold never waits behind a write.

@@ -298,7 +298,7 @@ func TestRelayFoldNotBlockedByUplinkWrite(t *testing.T) {
 	// handler is about to block on the log.
 	dial(wire.Hello{From: 1, N: 2, Inc: 1})
 	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
-		ch := r.child(1)
+		ch := r.children[1]
 		ch.mu.Lock()
 		adopted := ch.owner != nil
 		ch.mu.Unlock()

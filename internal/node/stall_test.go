@@ -250,7 +250,7 @@ func TestCloseLeavesNoWriter(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		stall(t, ln, func() *inbound { return r.child(0) })
+		stall(t, ln, func() *inbound { return r.children[0] })
 		closes(t, before, r.Close)
 	})
 }

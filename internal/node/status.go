@@ -2,7 +2,6 @@ package node
 
 import (
 	"fmt"
-	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -154,17 +153,15 @@ type CoordRelayStatus struct {
 	LagMs float64 `json:"lag_ms"`
 }
 
-// relayStatusRows snapshots the relay table in index order.
+// relayStatusRows snapshots the attached relays in index order.
 func (c *Coordinator) relayStatusRows() []CoordRelayStatus {
-	c.mu.Lock()
-	relays := slices.Clone(c.relays)
-	c.mu.Unlock()
 	var rows []CoordRelayStatus
-	for _, rs := range relays {
-		if rs == nil {
+	for _, rs := range c.relays {
+		rs.mu.Lock()
+		if !rs.attached {
+			rs.mu.Unlock()
 			continue
 		}
-		rs.mu.Lock()
 		row := CoordRelayStatus{
 			Relay: rs.index, Connected: rs.owner != nil, FanIn: len(rs.origins),
 			Frames: rs.frames, Items: rs.items, LastSeq: rs.lastSeq,
@@ -182,7 +179,7 @@ func (c *Coordinator) relayStatusRows() []CoordRelayStatus {
 // stallReport says who an unfinished run is waiting for — what Wait's
 // timeout error carries: the completion counts and whether Shutdown and
 // Commit were decided, then every node that has not both finished and
-// byed, then every relay uplink.
+// byed, then every attached relay uplink.
 func (c *Coordinator) stallReport() string {
 	s := c.Status()
 	var b strings.Builder
