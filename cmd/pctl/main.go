@@ -411,19 +411,14 @@ func cmdTrace(args []string) error {
 		}
 	}
 	if *out != "" {
-		names := make([]string, 2*(*n))
-		for i := 0; i < *n; i++ {
-			names[i] = fmt.Sprintf("app%d", i)
-			names[*n+i] = fmt.Sprintf("ctl%d", i)
-		}
-		doc, err := obs.ChromeTrace(j, obs.ChromeTraceOptions{ProcNames: names})
+		doc, err := obs.ClusterTrace(j, obs.ClusterTraceOptions{N: *n, PerMicro: 1})
 		if err != nil {
 			return err
 		}
 		if err := os.WriteFile(*out, doc, 0o644); err != nil {
 			return err
 		}
-		fmt.Printf("wrote %s (%d trace events)\n", *out, j.Len())
+		fmt.Printf("wrote %s (%d journal events)\n", *out, j.Len())
 	}
 
 	proto := "scapegoat"

@@ -473,9 +473,11 @@ func TestCLIRejectsBadBatching(t *testing.T) {
 }
 
 // TestCLIRejectsBadFaults: a fault schedule that can never deliver (or
-// sever anything) is refused with a one-line error naming the flag,
-// before anything binds — at the cluster and at a lone node alike. A
-// -drop 1 cluster used to print nothing and stall for 150 s.
+// sever anything), and a negative think or critical-section time, are
+// refused with a one-line error naming the flag, before anything binds
+// — at the cluster and at a lone node alike. A -drop 1 cluster used to
+// print nothing and stall for 150 s; a negative -think or -cs ran as
+// zero.
 func TestCLIRejectsBadFaults(t *testing.T) {
 	for _, tc := range []struct {
 		args []string
@@ -485,6 +487,10 @@ func TestCLIRejectsBadFaults(t *testing.T) {
 		{[]string{"cluster", "-n", "3", "-delay", "-1ms"}, "delay -1ms"},
 		{[]string{"cluster", "-n", "3", "-partition", "start=1ms,dur=5ms,a=7"}, "partition 0: node 7"},
 		{[]string{"node", "-n", "2", "-addrs", "127.0.0.1:0,127.0.0.1:0", "-coord", "127.0.0.1:0", "-drop", "1"}, "drop 1"},
+		{[]string{"cluster", "-n", "2", "-rounds", "1", "-think", "-5ms"}, "think -5ms"},
+		{[]string{"cluster", "-n", "2", "-rounds", "1", "-cs", "-5ms"}, "cs -5ms"},
+		{[]string{"node", "-n", "2", "-addrs", "127.0.0.1:0,127.0.0.1:0", "-coord", "127.0.0.1:0", "-think", "-5ms"}, "think -5ms"},
+		{[]string{"node", "-n", "2", "-addrs", "127.0.0.1:0,127.0.0.1:0", "-coord", "127.0.0.1:0", "-cs", "-5ms"}, "cs -5ms"},
 	} {
 		begin := time.Now()
 		out, err := runCLI(t, tc.args...)

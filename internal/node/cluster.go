@@ -407,9 +407,9 @@ func RunCluster(cfg ClusterConfig) (*Result, error) {
 }
 
 // checkTargets rejects a scapegoat, relay count, crash schedule or
-// rogue list that names a node or relay the cluster does not have, and
-// a fault schedule the shim cannot run (Faults.check), before anything
-// is bound or started.
+// rogue list that names a node or relay the cluster does not have, a
+// negative think or critical-section time, and a fault schedule the
+// shim cannot run (Faults.check), before anything is bound or started.
 func checkTargets(cfg *ClusterConfig) error {
 	if cfg.Scapegoat < 0 || cfg.Scapegoat >= cfg.N {
 		return fmt.Errorf("node: scapegoat %d is not a node of %d", cfg.Scapegoat, cfg.N)
@@ -433,6 +433,9 @@ func checkTargets(cfg *ClusterConfig) error {
 		if r < 0 || r >= cfg.N {
 			return fmt.Errorf("node: rogue list targets node %d of %d", r, cfg.N)
 		}
+	}
+	if err := checkPace(cfg.Think, cfg.CS); err != nil {
+		return err
 	}
 	return cfg.Faults.check(cfg.N)
 }

@@ -236,6 +236,9 @@ func Run(cfg Config) (*Stats, error) {
 	if err := cfg.Faults.check(cfg.N); err != nil {
 		return nil, err
 	}
+	if err := checkPace(cfg.Think, cfg.CS); err != nil {
+		return nil, err
+	}
 	logf := cfg.Logf
 	if logf == nil {
 		logf = func(string, ...any) {}
@@ -710,6 +713,18 @@ func (nd *node) application() {
 		}
 	}
 	close(nd.appDone)
+}
+
+// checkPace refuses a negative think or critical-section time, which
+// would otherwise run as zero.
+func checkPace(think, cs time.Duration) error {
+	switch {
+	case think < 0:
+		return fmt.Errorf("node: think %v is negative", think)
+	case cs < 0:
+		return fmt.Errorf("node: cs %v is negative", cs)
+	}
+	return nil
 }
 
 // sleepThink sleeps a seeded-random think time in (Think/2, Think].

@@ -178,7 +178,7 @@ func (r *Relay) handleChild(raw net.Conn) {
 	ch.ingestMu.Unlock()
 	r.cc.writeLogged()
 	r.serve(conn, nil, func(body []byte) error {
-		_, seq, err := wire.PeekBody(body)
+		seq, err := wire.PeekBody(body)
 		if err != nil {
 			return err
 		}

@@ -450,7 +450,7 @@ func recordingRoot(t *testing.T, cap int) (addr string, arrivals <-chan arrival)
 				return
 			}
 			for _, f := range batch.Frames {
-				_, iseq, err := wire.PeekBody(f.Body)
+				iseq, err := wire.PeekBody(f.Body)
 				if err != nil {
 					t.Errorf("root: %v", err)
 					return

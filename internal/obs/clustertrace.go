@@ -1,28 +1,54 @@
 package obs
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
+	"slices"
 	"sort"
 )
 
-// clustertrace.go renders a coordinator's merged cluster journal as
-// Chrome trace_event JSON with the cluster's real topology: one trace
-// process (pid) per node, an "app" and a "ctl" thread row inside each,
-// and a synthetic "cluster" process for run-level annotations (chaos
-// injections, partition windows, epoch bumps). Where the single-run
-// exporter (chrome.go) pairs flows by kernel message sequence numbers,
-// nodes share no sequence space — so cross-node control messages are
-// paired causally: a send's vector clock is matched to the first event
-// on the target node whose clock dominates it, which is exactly the
-// first journaled instant after the receive. Wall-clock nanoseconds
-// (relative to the shared run start) map to trace microseconds.
+// clustertrace.go renders a Journal — simulated or cluster — as Chrome
+// trace_event JSON for chrome://tracing and Perfetto: one trace process
+// (pid) per node with an "app" and a "ctl" row, and a "cluster" process
+// for run-level annotations (chaos, partitions, epochs). Work, blocks
+// and critical sections are slices, control events instants, messages
+// flow arrows. A simulated message pairs by its kernel sequence number;
+// nodes share no sequence space, so a cross-node control message pairs
+// causally: its send's vector clock is matched to the first event on
+// the target node whose clock dominates it, which is exactly the first
+// journaled instant after the receive.
 
-// ClusterTraceOptions tunes the cluster export.
+// traceEvent is one trace_event record. Field order (and the struct
+// encoding of encoding/json) makes the output byte-deterministic for a
+// deterministic journal, which the golden tests pin.
+type traceEvent struct {
+	Name string         `json:"name"`
+	Ph   string         `json:"ph"`
+	Ts   int64          `json:"ts"`
+	Dur  int64          `json:"dur,omitempty"`
+	Pid  int            `json:"pid"`
+	Tid  int            `json:"tid"`
+	ID   int64          `json:"id,omitempty"`
+	Bp   string         `json:"bp,omitempty"`
+	S    string         `json:"s,omitempty"`
+	Args map[string]any `json:"args,omitempty"`
+}
+
+type chromeDoc struct {
+	TraceEvents     []traceEvent `json:"traceEvents"`
+	DisplayTimeUnit string       `json:"displayTimeUnit"`
+}
+
+// ClusterTraceOptions tunes the export.
 type ClusterTraceOptions struct {
-	// N is the node count (apps are processes 0..N-1, controllers
-	// N..2N-1). 0 infers it from the highest process index seen.
+	// N is the node count: apps are processes 0..N-1, controllers
+	// N..2N-1.
 	N int
+	// PerMicro is how many journal time units make one trace
+	// microsecond. 0 means 1000, the cluster's nanoseconds; the
+	// simulator's virtual time passes 1.
+	PerMicro int64
 }
 
 // vcStamp is one vector-clocked journal event on a node's controller
@@ -32,31 +58,30 @@ type vcStamp struct {
 	vc []int32
 }
 
-// ClusterTrace renders the merged journal as trace_event JSON. The
-// output is deterministic for a deterministic journal: events are
-// ordered by timestamp (stably, preserving the merge order of ties)
-// and flow ids are assigned in that order.
+// openSlice keys an interval that is open on one process: a block
+// awaiting its unblock, or a state variable awaiting its flip to zero.
+type openSlice struct {
+	proc int
+	kind Kind
+}
+
+// ClusterTrace renders the journal as trace_event JSON. The output is
+// deterministic for a deterministic journal: events are ordered by
+// timestamp (stably, preserving the merge order of ties) and flow ids
+// are assigned in that order.
 func ClusterTrace(j *Journal, opts ClusterTraceOptions) ([]byte, error) {
 	events := append([]Event(nil), j.Events()...)
 	sort.SliceStable(events, func(i, k int) bool { return events[i].At < events[k].At })
 
 	n := opts.N
-	if n == 0 {
-		maxProc := 0
-		for _, e := range events {
-			if e.Proc > maxProc {
-				maxProc = e.Proc
-			}
-		}
-		n = maxProc/2 + 1
-	}
 	if n < 1 {
 		return nil, fmt.Errorf("obs: cluster trace needs n ≥ 1, got %d", n)
 	}
-	const (
-		tidApp = 0
-		tidCtl = 1
-	)
+	per := opts.PerMicro
+	if per == 0 {
+		per = 1000
+	}
+	const tidApp, tidCtl = 0, 1
 	clusterPid := n // run-level annotation row
 
 	// row maps a logical process to its (pid, tid) cell; annotations
@@ -103,7 +128,7 @@ func ClusterTrace(j *Journal, opts ClusterTraceOptions) ([]byte, error) {
 
 	doc := chromeDoc{DisplayTimeUnit: "ms", TraceEvents: []traceEvent{}}
 	emit := func(e traceEvent) { doc.TraceEvents = append(doc.TraceEvents, e) }
-	us := func(ns int64) int64 { return ns / 1000 }
+	us := func(t int64) int64 { return t / per }
 
 	for pid := 0; pid < n; pid++ {
 		emit(traceEvent{Name: "process_name", Ph: "M", Pid: pid,
@@ -118,23 +143,51 @@ func ClusterTrace(j *Journal, opts ClusterTraceOptions) ([]byte, error) {
 	emit(traceEvent{Name: "thread_name", Ph: "M", Pid: clusterPid, Tid: tidApp,
 		Args: map[string]any{"name": "chaos / epochs"}})
 
-	// csOpen holds each app row's open critical-section entry.
-	csOpen := map[int]Event{}
+	// open holds each process's open block and critical-section entry,
+	// named as the slice it becomes.
+	open := map[openSlice]Event{}
+	closeSlice := func(k openSlice, end int64) {
+		if b, ok := open[k]; ok {
+			delete(open, k)
+			pid, tid := row(k.proc)
+			emit(traceEvent{Name: b.Name, Ph: "X",
+				Ts: us(b.At), Dur: us(end) - us(b.At), Pid: pid, Tid: tid})
+		}
+	}
+	// sent maps a simulated message's kernel sequence number to its
+	// flow id until the receive; a send the ring buffer dropped leaves
+	// its receive unpaired, and no arrow is drawn for it.
+	sent := map[int64]int64{}
 	flowID := int64(0)
 	for _, e := range events {
 		pid, tid := row(e.Proc)
 		switch e.Kind {
+		case KindSend:
+			flowID++
+			sent[e.B] = flowID
+			emit(traceEvent{Name: fmt.Sprintf("msg %d→%d", e.Proc, e.A), Ph: "s",
+				Ts: us(e.At), Pid: pid, Tid: tid, ID: flowID})
+		case KindRecv:
+			if id, ok := sent[e.B]; ok {
+				delete(sent, e.B)
+				emit(traceEvent{Name: fmt.Sprintf("msg %d→%d", e.A, e.Proc), Ph: "f", Bp: "e",
+					Ts: us(e.At), Pid: pid, Tid: tid, ID: id})
+			}
+		case KindBlock:
+			e.Name = "blocked on " + e.Name
+			open[openSlice{e.Proc, KindBlock}] = e
+		case KindUnblock:
+			closeSlice(openSlice{e.Proc, KindBlock}, e.At)
+		case KindWork:
+			emit(traceEvent{Name: "work", Ph: "X",
+				Ts: us(e.At), Dur: us(e.At+e.B) - us(e.At), Pid: pid, Tid: tid})
 		case KindSet:
 			// A state flip to non-zero opens a slice (the cs=1 false
 			// interval of ¬cs), back to zero closes it.
 			if e.A != 0 {
-				csOpen[e.Proc] = e
-				continue
-			}
-			if b, ok := csOpen[e.Proc]; ok {
-				delete(csOpen, e.Proc)
-				emit(traceEvent{Name: b.Name, Ph: "X",
-					Ts: us(b.At), Dur: us(e.At) - us(b.At), Pid: pid, Tid: tid})
+				open[openSlice{e.Proc, KindSet}] = e
+			} else {
+				closeSlice(openSlice{e.Proc, KindSet}, e.At)
 			}
 		case KindControl, KindMark:
 			scope := "t"
@@ -173,16 +226,18 @@ func ClusterTrace(j *Journal, opts ClusterTraceOptions) ([]byte, error) {
 			}
 		}
 	}
-	// Critical sections the run tore down while open degrade to
-	// instants (sorted for determinism).
-	open := make([]int, 0, len(csOpen))
-	for p := range csOpen {
-		open = append(open, p)
+	// Blocks and critical sections the run tore down while open
+	// degrade to instants (sorted for determinism).
+	keys := make([]openSlice, 0, len(open))
+	for k := range open {
+		keys = append(keys, k)
 	}
-	sort.Ints(open)
-	for _, p := range open {
-		b := csOpen[p]
-		pid, tid := row(p)
+	slices.SortFunc(keys, func(a, b openSlice) int {
+		return cmp.Or(cmp.Compare(a.proc, b.proc), cmp.Compare(a.kind, b.kind))
+	})
+	for _, k := range keys {
+		b := open[k]
+		pid, tid := row(k.proc)
 		emit(traceEvent{Name: b.Name + " (unclosed)", Ph: "i",
 			Ts: us(b.At), Pid: pid, Tid: tid, S: "t"})
 	}

@@ -3,12 +3,45 @@ package obs_test
 import (
 	"bytes"
 	"encoding/json"
+	"flag"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
+	"predctl/internal/kmutex"
 	"predctl/internal/obs"
 )
+
+var update = flag.Bool("update", false, "rewrite golden files")
+
+// instrumentedMutexRun is the fixed-seed simulated workload the sim
+// golden file pins: small enough to review by hand, large enough to
+// journal every event kind (sends, receives, blocks, work, predicate
+// flips, control annotations).
+func instrumentedMutexRun(t *testing.T) *obs.Journal {
+	t.Helper()
+	j := obs.NewJournal(0)
+	w := kmutex.Workload{
+		N: 3, Rounds: 2, ThinkMax: 200, CS: 20, Delay: 5,
+		Seed: 1998, Journal: j,
+	}
+	if _, _, err := kmutex.RunScapegoat(w, false); err != nil {
+		t.Fatal(err)
+	}
+	return j
+}
+
+// simTrace exports the simulated run the way `pctl trace -o` does:
+// three nodes, virtual time 1:1 onto trace microseconds.
+func simTrace(t *testing.T) []byte {
+	t.Helper()
+	doc, err := obs.ClusterTrace(instrumentedMutexRun(t), obs.ClusterTraceOptions{N: 3, PerMicro: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return doc
+}
 
 // clusterJournal hand-builds a deterministic two-node merged journal —
 // the shape a coordinator assembles from capture streams — exercising
@@ -164,5 +197,128 @@ func TestClusterTraceDeterministic(t *testing.T) {
 	}
 	if !bytes.Equal(a, b) {
 		t.Fatal("cluster trace export is not deterministic")
+	}
+}
+
+// TestChromeTraceGolden locks the export of a simulated run byte for
+// byte. Regenerate with:
+//
+//	go test ./internal/obs -run TestChromeTraceGolden -update
+func TestChromeTraceGolden(t *testing.T) {
+	doc := simTrace(t)
+	golden := filepath.Join("testdata", "chrome_kmutex_n3.json")
+	if *update {
+		if err := os.WriteFile(golden, doc, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("rewrote %s (%d bytes)", golden, len(doc))
+		return
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("%v (regenerate with -update)", err)
+	}
+	if !bytes.Equal(doc, want) {
+		t.Fatalf("Chrome trace drifted from %s (regenerate with -update if intended);\ngot %d bytes, want %d", golden, len(doc), len(want))
+	}
+}
+
+// TestChromeTraceWellFormed checks both journal shapes, the simulated
+// run and the cluster's merged journal, independently of the golden
+// bytes: the JSON parses, every flow finish has a start with its id,
+// every event sits on a node or the cluster row in an app or ctl
+// thread, and the simulated run keeps every message, work span and
+// block of its journal at its virtual time.
+func TestChromeTraceWellFormed(t *testing.T) {
+	sim := instrumentedMutexRun(t)
+	for _, tc := range []struct {
+		name string
+		j    *obs.Journal
+		opts obs.ClusterTraceOptions
+	}{
+		{"sim", sim, obs.ClusterTraceOptions{N: 3, PerMicro: 1}},
+		{"cluster", clusterJournal(), obs.ClusterTraceOptions{N: 2}},
+	} {
+		doc, err := obs.ClusterTrace(tc.j, tc.opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var parsed struct {
+			TraceEvents []struct {
+				Name string `json:"name"`
+				Ph   string `json:"ph"`
+				Ts   int64  `json:"ts"`
+				Dur  int64  `json:"dur"`
+				Pid  int    `json:"pid"`
+				Tid  int    `json:"tid"`
+				ID   int64  `json:"id"`
+			} `json:"traceEvents"`
+		}
+		if err := json.Unmarshal(doc, &parsed); err != nil {
+			t.Fatalf("%s: invalid JSON: %v", tc.name, err)
+		}
+		starts := map[int64]bool{}
+		drawn := map[string]int{}
+		var work [][2]int64
+		for _, e := range parsed.TraceEvents {
+			if e.Pid < 0 || e.Pid > tc.opts.N || e.Tid < 0 || e.Tid > 1 {
+				t.Errorf("%s: event %q on pid %d tid %d", tc.name, e.Name, e.Pid, e.Tid)
+			}
+			switch e.Ph {
+			case "s":
+				starts[e.ID] = true
+			case "f":
+				if !starts[e.ID] {
+					t.Errorf("%s: flow %d finishes with no start", tc.name, e.ID)
+				}
+				drawn["flow"]++
+			case "X":
+				drawn[e.Name]++
+				if e.Name == "work" {
+					work = append(work, [2]int64{e.Ts, e.Dur})
+				}
+			case "i":
+				if e.Name == "blocked on recv (unclosed)" {
+					drawn["blocked on recv"]++
+				}
+			}
+		}
+		if tc.j != sim {
+			continue
+		}
+		// Every send, block and work span the run journaled is drawn,
+		// each work span at its own virtual time.
+		want := map[string]int{}
+		var wantWork [][2]int64
+		for _, e := range sim.Events() {
+			switch e.Kind {
+			case obs.KindSend:
+				want["flow"]++
+			case obs.KindBlock:
+				want["blocked on recv"]++
+			case obs.KindWork:
+				wantWork = append(wantWork, [2]int64{e.At, e.B})
+			case obs.KindSet:
+				if e.A != 0 {
+					want["cs"]++
+				}
+			}
+		}
+		for _, name := range []string{"flow", "blocked on recv", "cs"} {
+			if want[name] == 0 || drawn[name] != want[name] {
+				t.Errorf("sim: %d %q, want %d (> 0)", drawn[name], name, want[name])
+			}
+		}
+		if len(wantWork) == 0 || !slices.Equal(work, wantWork) {
+			t.Errorf("sim: work slices (ts, dur) %v, journaled %v", work, wantWork)
+		}
+	}
+}
+
+// TestChromeTraceDeterministic: same seed, same bytes — the property
+// the sim golden file relies on.
+func TestChromeTraceDeterministic(t *testing.T) {
+	if !bytes.Equal(simTrace(t), simTrace(t)) {
+		t.Fatal("export is not deterministic across identical runs")
 	}
 }

@@ -10,9 +10,10 @@
 //
 //   - Run tracing (this file): the sim kernel appends structured events
 //     (send/recv/block/unblock/work/set/control) into a per-run
-//     ring-buffered Journal; chrome.go exports it as Chrome trace_event
-//     JSON for chrome://tracing / Perfetto, timeline.go as a
-//     human-readable timeline.
+//     ring-buffered Journal; clustertrace.go exports it, like a
+//     cluster's merged journal, as Chrome trace_event JSON for
+//     chrome://tracing / Perfetto, timeline.go as a human-readable
+//     timeline.
 //   - Protocol metrics (metrics.go): typed counters, histograms and
 //     gauges in a Registry, dumped in Prometheus text exposition
 //     format. The online controller, the

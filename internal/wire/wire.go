@@ -78,36 +78,6 @@ const (
 	kindSegmentRecord
 )
 
-// Exported kind aliases, for consumers that route raw frame bodies by
-// PeekBody without decoding them (the relay's forwarding path). The
-// wire values stay private to keep the encode/decode switch the single
-// owner of the numbering.
-const (
-	KindHello           = kindHello
-	KindLinkAck         = kindLinkAck
-	KindCtl             = kindCtl
-	KindApp             = kindApp
-	KindCandidate       = kindCandidate
-	KindJournalEvent    = kindJournalEvent
-	KindTrace           = kindTrace
-	KindDone            = kindDone
-	KindShutdown        = kindShutdown
-	KindJournalBatch    = kindJournalBatch
-	KindTraceOpBatch    = kindTraceOpBatch
-	KindCandidateBatch  = kindCandidateBatch
-	KindResume          = kindResume
-	KindResumeAck       = kindResumeAck
-	KindRestart         = kindRestart
-	KindEpochMark       = kindEpochMark
-	KindCommit          = kindCommit
-	KindMetricsSnapshot = kindMetricsSnapshot
-	KindDetection       = kindDetection
-	KindReExec          = kindReExec
-	KindRelayHello      = kindRelayHello
-	KindRelayBatch      = kindRelayBatch
-	KindSegmentRecord   = kindSegmentRecord
-)
-
 // CtlKind is a controller-to-controller handoff message kind, mirroring
 // online.MsgKind (req/ack/confirm/cancel) without importing it.
 type CtlKind uint8
@@ -980,21 +950,18 @@ func DecodeBody(body []byte) (seq uint64, m Msg, err error) {
 	return seq, m, nil
 }
 
-// PeekBody parses only the header of a frame body — version check,
-// kind, seq — without touching the payload. It is the relay's routing
-// read: a forwarded body is classified and re-framed by header alone,
-// and full decoding happens exactly once, at the root.
-func PeekBody(body []byte) (kind byte, seq uint64, err error) {
+// PeekBody is the relay's sequence read: it parses only the header of
+// a frame body — version check, kind, seq — and returns the seq, so a
+// forwarded body is re-framed without touching its payload and full
+// decoding happens exactly once, at the root.
+func PeekBody(body []byte) (seq uint64, err error) {
 	d := &dec{b: body}
 	if v := d.u8(); d.err == nil && v != Version {
-		return 0, 0, fmt.Errorf("%w: got %d, want %d", ErrVersion, v, Version)
+		return 0, fmt.Errorf("%w: got %d, want %d", ErrVersion, v, Version)
 	}
-	kind = d.u8()
+	d.u8() // kind
 	seq = d.uvarint()
-	if d.err != nil {
-		return 0, 0, d.err
-	}
-	return kind, seq, nil
+	return seq, d.err
 }
 
 // WriteFrame writes one complete frame to w.
