@@ -93,7 +93,7 @@ func loadTrace(path string) (*deposet.Deposet, control.Relation, error) {
 	return trace.Decode(f)
 }
 
-func loadPredicate(path string, n int) (*predicate.Disjunction, error) {
+func loadPredicate(path string, d *deposet.Deposet) (*predicate.Disjunction, error) {
 	if path == "" {
 		return nil, errors.New("-pred is required")
 	}
@@ -106,7 +106,7 @@ func loadPredicate(path string, n int) (*predicate.Disjunction, error) {
 	if err != nil {
 		return nil, err
 	}
-	return spec.Compile(n)
+	return spec.Compile(d)
 }
 
 func writeTrace(path string, d *deposet.Deposet, rel control.Relation) error {
@@ -225,7 +225,7 @@ func cmdDetect(args []string) error {
 	if err != nil {
 		return err
 	}
-	dj, err := loadPredicate(*predPath, d.NumProcs())
+	dj, err := loadPredicate(*predPath, d)
 	if err != nil {
 		return err
 	}
@@ -260,7 +260,7 @@ func cmdControl(args []string) error {
 	if err != nil {
 		return err
 	}
-	dj, err := loadPredicate(*predPath, d.NumProcs())
+	dj, err := loadPredicate(*predPath, d)
 	if err != nil {
 		return err
 	}
@@ -316,7 +316,7 @@ func cmdReplay(args []string) error {
 	fmt.Printf("replayed: %d events, %d messages, finished at t=%d\n",
 		res.Trace.Stats.Events, res.Trace.Stats.Messages, res.Trace.Stats.End)
 	if *predPath != "" {
-		dj, err := loadPredicate(*predPath, d.NumProcs())
+		dj, err := loadPredicate(*predPath, d)
 		if err != nil {
 			return err
 		}
@@ -343,7 +343,7 @@ func cmdSGSD(args []string) error {
 	if err != nil {
 		return err
 	}
-	dj, err := loadPredicate(*predPath, d.NumProcs())
+	dj, err := loadPredicate(*predPath, d)
 	if err != nil {
 		return err
 	}

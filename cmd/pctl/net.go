@@ -389,7 +389,6 @@ func cmdNode(args []string) error {
 	scapegoat := fs.Int("scapegoat", 0, "initial anti-token holder")
 	out := fs.String("o", "", "coordinator: write the captured trace here")
 	wait := fs.Duration("wait", 2*time.Minute, "coordinator: how long to wait for the cluster")
-	rejoin := fs.Bool("rejoin", false, "node: this is the relaunch of a crashed daemon — hold execution until the coordinator's restart decision")
 	rogue := fs.Bool("rogue", false, "node: enter critical sections without permission until a Detection/ReExec broadcast (plants a live-detectable violation)")
 	httpAddr := fs.String("http", "", "serve live introspection (/metrics /statusz /healthz, pprof) on this address")
 	faults := faultFlags(fs)
@@ -459,7 +458,7 @@ func cmdNode(args []string) error {
 		Scapegoat: *scapegoat, Broadcast: *broadcast,
 		Rounds: *rounds, Think: *think, CS: *cs,
 		Seed: *seed, Faults: *faults, Batching: *batching,
-		WaitRestart: *rejoin, Rogue: *rogue, HTTPAddr: *httpAddr,
+		Rogue: *rogue, HTTPAddr: *httpAddr,
 	})
 	if err != nil {
 		return err

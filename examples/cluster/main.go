@@ -71,7 +71,7 @@ func main() {
 	for i := 0; i < n; i++ {
 		spec.Locals = append(spec.Locals, trace.LocalSpec{P: i, Var: "cs", Op: "eq", Value: 0})
 	}
-	dj, err := spec.Compile(d.NumProcs())
+	dj, err := spec.Compile(d)
 	if err != nil {
 		log.Fatalf("predicate: %v", err)
 	}

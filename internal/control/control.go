@@ -189,7 +189,7 @@ func (x *Extended) Underlying() *deposet.Deposet { return x.d }
 // Edges returns the control relation. Callers must not modify it.
 func (x *Extended) Edges() Relation { return x.edges }
 
-// Interferes reports whether rel creates a causal cycle on d.
-func Interferes(d *deposet.Deposet, rel Relation) bool {
+// interferes reports whether rel creates a causal cycle on d.
+func interferes(d *deposet.Deposet, rel Relation) bool {
 	return errors.Is(Check(d, rel), ErrInterference)
 }

@@ -102,10 +102,10 @@ func TestInterferenceDetected(t *testing.T) {
 	if _, err := Extend(d, rel); err != ErrInterference {
 		t.Fatalf("err = %v, want ErrInterference", err)
 	}
-	if !Interferes(d, rel) {
-		t.Error("Interferes = false")
+	if !interferes(d, rel) {
+		t.Error("interferes = false")
 	}
-	if Interferes(d, rel[:1]) {
+	if interferes(d, rel[:1]) {
 		t.Error("single edge reported interfering")
 	}
 }

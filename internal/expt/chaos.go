@@ -184,10 +184,10 @@ func chaosIteration(rng *rand.Rand, it int, o ChaosOptions, b *ChaosBaseline) er
 	return nil
 }
 
-// MeasureChaos runs the soak until o.Duration has elapsed and the
+// measureChaos runs the soak until o.Duration has elapsed and the
 // crash/partition minimums are met. Any lost capture or invariant
 // violation fails the whole soak.
-func MeasureChaos(o ChaosOptions) (*ChaosBaseline, error) {
+func measureChaos(o ChaosOptions) (*ChaosBaseline, error) {
 	b := &ChaosBaseline{
 		Schema:     1,
 		GoVersion:  runtime.Version(),
@@ -229,7 +229,7 @@ func MeasureChaos(o ChaosOptions) (*ChaosBaseline, error) {
 
 // ChaosJSON renders a soak as the committed BENCH_chaos.json.
 func ChaosJSON(o ChaosOptions) ([]byte, string, error) {
-	b, err := MeasureChaos(o)
+	b, err := measureChaos(o)
 	if err != nil {
 		return nil, b.Verdict, err
 	}

@@ -60,28 +60,11 @@ type Probe struct {
 	n       int
 	checker int
 	vc      vclock.VC
-	m       monMeters
 
 	inTrue  bool
 	lo      vclock.VC
 	loIdx   int
 	emitted int // intervals reported so far
-}
-
-// monMeters is the monitor's resolved metric set (all nil without a
-// registry; the obs instruments are nil-safe).
-type monMeters struct {
-	candidates *obs.Counter
-	drops      *obs.Counter
-	detected   *obs.Gauge
-}
-
-func newMonMeters(reg *obs.Registry, labels []obs.Label) monMeters {
-	return monMeters{
-		candidates: reg.Counter("predctl_monitor_candidates_total", labels...),
-		drops:      reg.Counter("predctl_monitor_drops_total", labels...),
-		detected:   reg.Gauge("predctl_monitor_detected", labels...),
-	}
 }
 
 // tick advances the local clock component (one tick per probe event).
@@ -173,7 +156,6 @@ func (pr *Probe) emit(hiIdx int) {
 			VC: []int32(hi),
 		})
 	}
-	pr.m.candidates.Inc()
 	pr.p.Send(pr.checker, envelope{kind: kindCandidate, cand: livedetect.Interval{
 		Proc: pr.p.ID(), LoIdx: int64(loIdx), HiIdx: int64(hiIdx), Lo: pr.lo, Hi: hi,
 	}})
@@ -194,13 +176,6 @@ func (pr *Probe) Close() {
 // Detection is valid after the run completes; cfg.Trace also yields the
 // deposet (apps plus checker) for off-line cross-checking.
 func Run(cfg sim.Config, apps []func(*Probe)) (*sim.Trace, *Detection, error) {
-	return RunObs(cfg, nil, nil, apps)
-}
-
-// RunObs is Run with protocol metrics: candidate-interval emissions,
-// checker eliminations and the verdict are recorded into reg (carrying
-// labels) alongside any cfg.Journal tracing. A nil reg records nothing.
-func RunObs(cfg sim.Config, reg *obs.Registry, labels []obs.Label, apps []func(*Probe)) (*sim.Trace, *Detection, error) {
 	n := len(apps)
 	if cfg.Procs != 0 && cfg.Procs != n+1 {
 		return nil, nil, fmt.Errorf("monitor: Procs must be unset or %d", n+1)
@@ -210,13 +185,12 @@ func RunObs(cfg sim.Config, reg *obs.Registry, labels []obs.Label, apps []func(*
 	// candidates; FIFO channels give exactly that.
 	cfg.FIFO = true
 	chk := livedetect.New(n)
-	m := newMonMeters(reg, labels)
 	k := sim.New(cfg)
 	bodies := make([]func(*sim.Proc), n+1)
 	for i := 0; i < n; i++ {
 		i := i
 		bodies[i] = func(p *sim.Proc) {
-			pr := &Probe{p: p, n: n, checker: n, vc: vclock.New(n), m: m}
+			pr := &Probe{p: p, n: n, checker: n, vc: vclock.New(n)}
 			for q := range pr.vc {
 				pr.vc[q] = 0 // Fidge–Mattern convention: own component counts events
 			}
@@ -228,11 +202,6 @@ func RunObs(cfg sim.Config, reg *obs.Registry, labels []obs.Label, apps []func(*
 	tr, err := k.Run(bodies...)
 	det := &Detection{Intervals: chk.Witness()}
 	det.Found = det.Intervals != nil
-	_, dropped, _ := chk.Stats()
-	m.drops.Add(dropped)
-	if det.Found {
-		m.detected.Set(1)
-	}
 	return tr, det, err
 }
 

@@ -21,7 +21,7 @@ import (
 //
 // Each node appends deposet-building ops for its two logical processes
 // in their local event order and streams them to the coordinator in
-// wire.Trace batches; the coordinator stages them by logical process
+// wire.TraceOpBatch frames; the coordinator stages them by logical process
 // (procOps, below) and replays them through the one assembler
 // (livedetect.Assembler), matching sends to receives by the globally
 // unique TraceID minted at each send.

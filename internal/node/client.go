@@ -74,6 +74,7 @@ func (b Batching) withDefaults() Batching {
 // coordinator's cumulative-sequence dedup can never see a gap.
 type coordClient struct {
 	id, n int
+	inc   uint64 // the incarnation a node's Hello names (0 on a relay's uplink)
 	addr  string
 	opt   Timeouts
 	wm    wireMeters
@@ -133,7 +134,8 @@ func newCoordClient(addr string, id, n int, wm wireMeters, opt Timeouts, parts *
 // a relaunch from that replay.
 func dialCoord(addr string, id, n int, wm wireMeters, opt Timeouts, parts *partitions, logf func(string, ...any)) (*coordClient, error) {
 	cc := newCoordClient(addr, id, n, wm, opt, parts, logf)
-	cc.logItems(wire.Hello{From: int32(id), N: int32(n), Inc: rand.Uint64() | 1}, 1)
+	cc.inc = rand.Uint64() | 1
+	cc.logItems(wire.Hello{From: int32(id), N: int32(n), Inc: cc.inc}, 1)
 	conn, err := cc.dialOnce(cc.sent[0].B)
 	if err != nil {
 		return nil, fmt.Errorf("node %d: coordinator %s: %w", id, addr, err)

@@ -366,11 +366,6 @@ func RunCluster(cfg ClusterConfig) (*Result, error) {
 					return
 				}
 				nodeCfg.Listener = ln
-				// A relaunch is mid-epoch for the rest of the cluster: hold
-				// execution until the coordinator's restart decision arrives
-				// so the fresh incarnation never runs at a stale epoch
-				// against its peers' old link state.
-				nodeCfg.WaitRestart = true
 			}
 		}(i)
 	}

@@ -299,7 +299,7 @@ func (c *Coordinator) handleConn(raw net.Conn) {
 	if fresh {
 		err = frame(body)
 	} else {
-		c.handshake(&st.inbound, conn, false)
+		c.handshake(&st.inbound, conn, false, id)
 	}
 	if err != nil {
 		c.logf("coordinator: node %d: handshake: %v", id, err)
@@ -310,15 +310,16 @@ func (c *Coordinator) handleConn(raw net.Conn) {
 }
 
 // handshake adopts conn as in's owner and queues the decision replay
-// to it, as one step under the decision lock: a decision taken meanwhile
-// either reached the old owner and is in the replay, or follows the
+// to it, with the answers of the nodes in ids (rootCore.resume), as one
+// step under the decision lock: a decision taken meanwhile either
+// reached the old owner and is in the replay, or follows the
 // ResumeAck. fresh restarts the stream's numbering (adoptLocked).
-func (c *Coordinator) handshake(in *inbound, conn *coordConn, fresh bool) {
+func (c *Coordinator) handshake(in *inbound, conn *coordConn, fresh bool, ids ...int) {
 	in.ingestMu.Lock()
 	defer in.ingestMu.Unlock()
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	conn.send(c.core.dec.replay(in.adoptLocked(conn, fresh, 0))...)
+	conn.send(c.core.resume(in.adoptLocked(conn, fresh, 0), ids...)...)
 }
 
 // ingest is the one per-origin frame path, for a node's own connection
@@ -361,19 +362,16 @@ func (c *Coordinator) hello(st *nodeSession, owner, answer *coordConn, seq uint6
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	o := c.core.step(st.id, 0, h, c.sinceStart())
-	if o.known {
-		return false, nil
-	}
 	if o.refused {
 		err = errRefused
-	} else {
+	} else if !o.known {
 		st.mu.Lock()
 		st.discardEpochLocked(0)
 		st.mu.Unlock()
 		st.adoptLocked(owner, true, seq)
 	}
 	c.carry(answer, o)
-	return true, err
+	return !o.known, err
 }
 
 // errRefused ends the handshake of a relaunch that arrived after Commit.

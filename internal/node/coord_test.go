@@ -96,15 +96,18 @@ func runSynthNode(t *testing.T, addr string, i, n int) {
 	}})
 	send(wire.Done{Proc: int32(i), Requests: 1})
 
-	// Wait for the coordinator's Shutdown broadcast, then bye.
+	// Read the answer to the Hello, wait for the coordinator's Shutdown
+	// broadcast, then bye.
 	br := bufReader(conn)
 	conn.SetReadDeadline(time.Now().Add(10 * time.Second))
-	if _, m, err := wire.ReadFrame(br); err != nil {
-		t.Errorf("node %d: reading shutdown: %v", i, err)
-		return
-	} else if _, ok := m.(wire.Shutdown); !ok {
-		t.Errorf("node %d: got %T, want Shutdown", i, m)
-		return
+	for _, want := range []wire.Msg{wire.Restart{Inc: uint64(i) + 1}, wire.Shutdown{}} {
+		if _, m, err := wire.ReadFrame(br); err != nil {
+			t.Errorf("node %d: reading %T: %v", i, want, err)
+			return
+		} else if m != want {
+			t.Errorf("node %d: got %#v, want %#v", i, m, want)
+			return
+		}
 	}
 	send(wire.Shutdown{})
 

@@ -54,7 +54,7 @@ type rootCore struct {
 // came on, then all to every stream.
 type out struct {
 	reply, all []wire.Msg
-	known      bool // a Hello of the incarnation on record: a resume replaying frame 1, left to the gate
+	known      bool // a Hello of the incarnation on record: a resume replaying frame 1, answered and left to the gate
 	refused    bool // a relaunch after Commit, turned away by reply
 	counted    bool // a bye counted at the epoch (its stream's capture is closed), or a verdict recorded
 	seal       bool // Commit decided: seal the store and release Wait
@@ -70,13 +70,15 @@ func newRootCore(n int, logf func(string, ...any)) rootCore {
 // or bye counts only if streamEpoch, the stream's last EpochMark, is the
 // cluster epoch: one a Restart raced belongs to a voided execution.
 //
-// A Hello of the incarnation on record is a resume replaying frame 1,
-// left to the gate. A first incarnation opens the session, caught up on
-// a restart it missed. A different one is a relaunched process: until
+// Every Hello before Commit gets its answer on its own connection: a
+// Restart at the cluster epoch addressed to its incarnation. A first
+// incarnation opens the session. A different one is a relaunch: until
 // Commit the cluster restarts, even between the Shutdown and the last
 // bye, because refusing the relaunch would strand the byes the dead
 // incarnation never sent; after it, the relaunch takes the exit ramp of
-// a parked node, Shutdown then Commit.
+// a parked node, Shutdown then Commit. The incarnation on record's Hello
+// is a resume replaying frame 1 through a relaunched relay: answered
+// again, its frame left to the gate.
 func (r *rootCore) step(id int, streamEpoch uint32, m wire.Msg, atNs int64) (o out) {
 	switch v := m.(type) {
 	case wire.Hello:
@@ -87,6 +89,7 @@ func (r *rootCore) step(id int, streamEpoch uint32, m wire.Msg, atNs int64) (o o
 		case rejoin && r.dec.committed:
 			o.refused = true
 			o.reply = []wire.Msg{wire.Shutdown{Epoch: r.dec.epoch}, wire.Commit{}}
+			return o
 		default:
 			r.inc[id] = v.Inc
 			// The Detection broadcast it missed: a planted rogue reverts to
@@ -94,24 +97,20 @@ func (r *rootCore) step(id int, streamEpoch uint32, m wire.Msg, atNs int64) (o o
 			if r.dec.detection != nil {
 				o.reply = append(o.reply, *r.dec.detection)
 			}
-			if !rejoin {
-				// A node whose first dial was held (a partition window) past
-				// a restart has executed nothing: it joins the re-execution
-				// in flight late, or would run epoch 0 forever.
-				if r.dec.epoch > 0 {
-					r.logf("coordinator: node %d joined late; catching up to epoch %d", id, r.dec.epoch)
-					o.reply = append(o.reply, wire.Restart{Epoch: r.dec.epoch})
-				}
-				return o
+			if rejoin {
+				// The §8 controlled re-execution: everyone else's Restart.
+				r.restarts++
+				e := r.dec.epoch + 1
+				r.logf("coordinator: node %d rejoined; restarting cluster at epoch %d", id, e)
+				r.annotate(atNs, obs.EvEpochRestart, int64(id), int64(e))
+				o.all = r.decide(wire.Restart{Epoch: e})
+			} else if r.dec.epoch > 0 {
+				// A first dial held (a partition window) past a restart joins
+				// the re-execution in flight.
+				r.logf("coordinator: node %d joined late; starting it at epoch %d", id, r.dec.epoch)
 			}
-			// The §8 controlled re-execution: the Restart reaches the
-			// relaunch with everyone else's.
-			r.restarts++
-			e := r.dec.epoch + 1
-			r.logf("coordinator: node %d rejoined; restarting cluster at epoch %d", id, e)
-			r.annotate(atNs, obs.EvEpochRestart, int64(id), int64(e))
-			o.all = r.decide(wire.Restart{Epoch: e})
 		}
+		o.reply = append(o.reply, wire.Restart{Epoch: r.dec.epoch, Inc: r.inc[id]})
 	case wire.EpochMark:
 		// A mark above our epoch: we restarted, and the session replays
 		// carry state we lack. Adopt it, voiding a pending Shutdown and
@@ -144,6 +143,20 @@ func (r *rootCore) step(id int, streamEpoch uint32, m wire.Msg, atNs int64) (o o
 		}
 	}
 	return o
+}
+
+// resume is the replay for a handshake acked at cum, with the answers
+// of the nodes in ids (whose acked Hellos come no more): a node's Resume
+// names itself, a resumed relay uplink every node, and a fresh relay
+// none, as its children replay their Hellos from its ack of 0.
+func (r *rootCore) resume(cum uint64, ids ...int) []wire.Msg {
+	ms := r.dec.replay(cum)
+	for _, id := range ids {
+		if r.inc[id] != 0 {
+			ms = append(ms, wire.Restart{Epoch: r.dec.epoch, Inc: r.inc[id]})
+		}
+	}
+	return ms
 }
 
 // land takes a live verdict, found at rec.AtNs and landing at nowNs. It

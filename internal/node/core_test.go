@@ -70,7 +70,8 @@ func allAt(at []int64, e uint32) bool {
 
 // sameDecisions compares two decisions values, detections by value.
 func sameDecisions(a, b decisions) bool {
-	if a.epoch != b.epoch || a.shutdown != b.shutdown || a.committed != b.committed || (a.detection == nil) != (b.detection == nil) {
+	if a.epoch != b.epoch || a.shutdown != b.shutdown || a.committed != b.committed || (a.detection == nil) != (b.detection == nil) ||
+		!slices.Equal(a.answered, b.answered) {
 		return false
 	}
 	return a.detection == nil || a.detection.Epoch == b.detection.Epoch && a.detection.Node == b.detection.Node &&
@@ -150,12 +151,14 @@ func (m *coreModel) step() {
 			m.byeAt[id] = int64(e)
 		}
 	case wire.Hello:
-		// The incarnation on record decides nothing; a new one after
-		// Commit is refused; before it, a relaunch restarts the cluster
-		// at e+1 and a first join is caught up.
+		// The incarnation on record decides nothing but is answered again;
+		// a new one after Commit is refused; before it, a relaunch
+		// restarts the cluster at e+1 and is answered there, and a first
+		// join is answered at the cluster's epoch.
 		switch {
 		case v.Inc == on:
-			if !o.known || o.refused || o.counted || o.seal || o.reply != nil || o.all != nil {
+			if !o.known || o.refused || o.counted || o.seal || o.all != nil ||
+				!slices.Equal(o.reply, []wire.Msg{wire.Restart{Epoch: e, Inc: on}}) {
 				m.fail("the incarnation on record decided %+v", o)
 			}
 		case was.committed:
@@ -166,6 +169,9 @@ func (m *coreModel) step() {
 			if !slices.Equal(o.all, []wire.Msg{wire.Restart{Epoch: e + 1}}) {
 				m.fail("a relaunch decided %v, want Restart{%d}", o.all, e+1)
 			}
+			if len(o.reply) == 0 || o.reply[len(o.reply)-1] != (wire.Restart{Epoch: e + 1, Inc: v.Inc}) {
+				m.fail("a relaunch was answered %v, want its answer at epoch %d last", o.reply, e+1)
+			}
 			m.restarts++
 			m.streams[id] = 0
 		default:
@@ -173,7 +179,7 @@ func (m *coreModel) step() {
 			for _, f := range o.reply {
 				got.fold(f)
 			}
-			if !sameDecisions(got, decisions{epoch: e, detection: was.detection}) {
+			if !sameDecisions(got, decisions{epoch: e, detection: was.detection, answered: []uint64{v.Inc}}) {
 				m.fail("a first join was answered %v, want caught up to epoch %d", o.reply, e)
 			}
 			m.streams[id] = 0
@@ -226,7 +232,7 @@ func (m *coreModel) step() {
 	if r.dec.epoch != e {
 		m.confirmed = false
 	}
-	if was.committed && (o.all != nil || o.reply != nil && !o.refused) {
+	if was.committed && (o.all != nil || o.reply != nil && !o.refused && !o.known) {
 		m.fail("after Commit the core sent %+v", o)
 	}
 	if o.seal != slices.Contains(o.all, wire.Msg(wire.Commit{})) {
@@ -265,8 +271,10 @@ func (m *coreModel) step() {
 // follows every Done at its epoch, once; Commit follows that Shutdown and
 // every bye, once, and after it only refusals and no epoch move; the
 // epoch never goes back, and a relaunch's Restart and a mid-run verdict's
-// ReExec each move it to e+1; a Hello of the incarnation on record
-// decides nothing; and a resume replay folds to the root's decisions.
+// ReExec each move it to e+1; every Hello before Commit is answered
+// with a Restart addressed to its incarnation, and one of the
+// incarnation on record decides nothing else; and a resume replay folds
+// to the root's decisions.
 func TestRootCoreModel(t *testing.T) {
 	sequences, steps := 100_000, 16
 	if raceEnabled { // nothing here is concurrent: the detector only slows it

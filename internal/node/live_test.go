@@ -452,6 +452,9 @@ func TestSlowVerdictBlocksNoHandshake(t *testing.T) {
 	} else if _, ok := m.(wire.ResumeAck); !ok {
 		t.Fatalf("node 0's resume read %#v, want ResumeAck", m)
 	}
+	if m := node0.next(); m != (wire.Restart{Inc: 1}) {
+		t.Fatalf("node 0's resume read %#v after its ResumeAck, want its answer again", m)
+	}
 	g.openUp()
 	within(done, "the verdicts to land")
 	dets, reexecs := recorded()
@@ -480,8 +483,8 @@ func TestSlowVerdictBlocksNoHandshake(t *testing.T) {
 	} else if _, ok := m.(wire.Detection); !ok {
 		t.Fatalf("node 2's relaunch read %#v first, want the Detection it missed", m)
 	}
-	if m := relaunch.next(); !reflect.DeepEqual(m, wire.Restart{Epoch: 2}) {
-		t.Fatalf("node 2's relaunch read %#v, want Restart{2}", m)
+	if m := relaunch.next(); !reflect.DeepEqual(m, wire.Restart{Epoch: 2, Inc: 2}) {
+		t.Fatalf("node 2's relaunch read %#v, want its answer at epoch 2", m)
 	}
 	g.openUp()
 	within(done, "the voided verdict to return")

@@ -40,9 +40,9 @@ import (
 // channel: the in-process stand-in for kill -9. Everything stops
 // abruptly — no final flush, no bye, connections just close — so the
 // cluster observes exactly what a dead process would leave behind. The
-// harness (or an operator relaunching `pctl node`) starts a fresh Run,
-// whose Hello the coordinator recognizes as a rejoin and answers with
-// a controlled re-execution restart.
+// harness (or an operator relaunching `pctl node`) starts a fresh Run
+// with the same Config, whose Hello the coordinator recognizes as a
+// rejoin and answers with a controlled re-execution restart.
 var ErrCrashed = errors.New("node: crashed by injection")
 
 // Stats aggregates one node's run, mirroring online.Stats with
@@ -105,17 +105,6 @@ type Config struct {
 	// moment the coordinator's Detection/ReExec broadcast arrives, so a
 	// detection-triggered re-execution satisfies the invariants.
 	Rogue bool
-	// WaitRestart marks this Run as the relaunch of a crashed node: it
-	// holds off executing until the coordinator's restart decision
-	// arrives and starts directly at the fresh epoch. Without it a
-	// relaunch would execute at epoch 0 while the cluster is mid-epoch —
-	// and on the run's first crash the epochs collide: the relaunch's
-	// fresh mesh sequence space meets its peers' old per-peer receive
-	// state, so stale retransmits from the dead incarnation's
-	// conversations are delivered into the new one (a replayed handoff
-	// ack can grant a request it never answered) and the fresh frames
-	// are acknowledged as duplicates without being delivered.
-	WaitRestart bool
 }
 
 // meters is the node's metric set (nil-safe, like online's). Response
@@ -216,6 +205,10 @@ func (nd *node) journalCtl(proc int, kind obs.Kind, name string, a, b, c int64, 
 // for the rest of the cluster until the coordinator says Shutdown. It
 // returns the node's final tallies.
 //
+// Nothing runs before the coordinator answers this process's Hello, so
+// a first start and a relaunch (its Hello names a new incarnation) take
+// one path; a relaunch after Commit stands down with empty tallies.
+//
 // A Restart from the coordinator (another node crashed and relaunched)
 // triggers the paper's §8 controlled re-execution: the current
 // execution is abandoned wherever it stands, the mesh resets to the
@@ -285,105 +278,93 @@ func Run(cfg Config) (*Stats, error) {
 		logf("node %d: introspection at %s", cfg.ID, insp.URL())
 	}
 
-	epoch := uint32(0)
-	if cfg.WaitRestart {
-		// A relaunched process must not execute at epoch 0 — the cluster
-		// is mid-epoch and its peers' link state still names the dead
-		// incarnation. The coordinator always answers a pre-commit
-		// rejoin Hello with a restart, so wait for that decision and
-		// start clean at the fresh epoch.
-		deadline := time.After(opt.CoordDeadline)
-		d := cc.decisions()
-		for !d.committed && d.epoch == 0 {
+	// One loop over the incarnation's step (held, then start, restart,
+	// bye, leave): the loop does the I/O, and waits only when the step
+	// has nothing left to do.
+	s := incarnation{inc: cc.inc}
+	var nd *node // the running epoch; nil while held
+	var appDone chan struct{}
+	for {
+		next := s.step(cc.decisions())
+		switch {
+		case next == s:
 			select {
+			case <-appDone:
+				// App finished: report Done (responses are complete; the
+				// controller keeps serving handoffs, so message tallies grow
+				// until shutdown — and the flusher keeps streaming capture).
+				appDone = nil
+				cc.send(nd.doneFrame())
 			case <-cc.decCh:
-				d = cc.decisions()
 			case <-cc.sessDone:
-				tr.Close()
-				cc.close()
-				return nil, fmt.Errorf("node %d: coordinator session lost before the rejoin restart", cfg.ID)
-			case <-deadline:
-				// The hold's deadline, as every wait has one. A relay or
-				// stream that dies holding the rejoin Hello is healed by the
-				// resume replay (the Hello is frame 1 of the session log), not
-				// by this; an undecided hold this long means a root gone or
-				// wedged. Abandon the incarnation and relaunch: a fresh Hello
-				// at worst orders one redundant restart.
-				logf("node %d: no rejoin decision within %v; relaunching with a fresh hello", cfg.ID, opt.CoordDeadline)
-				tr.Close()
-				cc.close()
-				return nil, ErrCrashed
+				// Terminal session loss: no answer or Commit can come. A
+				// refused relaunch's ends behind the refusal: it stands down.
+				if nd != nil {
+					return nd.leave(s.phase == byed, opt.CoordDeadline), nil
+				}
+				if !cc.decisions().committed {
+					tr.Close()
+					cc.close()
+					return nil, fmt.Errorf("node %d: coordinator session lost before its Hello was answered", cfg.ID)
+				}
 			case <-cfg.Crash:
+				// kill -9 semantics: connections just die, nothing is
+				// flushed, no bye is sent. The coordinator keeps the session
+				// state and treats the relaunch's Hello as a rejoin.
+				if nd != nil {
+					nd.halt()
+				}
 				tr.Close()
 				cc.close()
 				return nil, ErrCrashed
 			}
-		}
-		if d.committed {
-			// Rejoined after the run was sealed: nothing to re-execute,
-			// nothing to contribute. Stand down.
+		case next.phase == running:
+			if nd != nil {
+				logf("node %d: restarting at epoch %d (controlled re-execution)", cfg.ID, next.epoch)
+				nd.halt()
+			}
+			if next.epoch > 0 {
+				tr.Reset(next.epoch)
+				cc.markEpoch(next.epoch)
+			}
+			nd = launch(cfg, next.epoch, tr, cc, start, logf)
+			appDone = nd.appDone
+			cur.Store(nd)
+		case next.phase == byed:
+			// The epoch is complete. After the bye the node PARKS, mesh up
+			// and session resident, until the Commit: a straggler's
+			// crash-rejoin can still restart it.
+			nd.bye()
+		default: // gone
+			if nd != nil {
+				return nd.leave(s.phase == byed, opt.CoordDeadline), nil
+			}
+			// Relaunched after the run was sealed: nothing to re-execute.
 			logf("node %d: rejoin refused (run committed); standing down", cfg.ID)
 			tr.Close()
 			cc.close()
 			return &Stats{}, nil
 		}
-		tr.Reset(d.epoch)
-		cc.markEpoch(d.epoch)
-		epoch = d.epoch
+		s = next
 	}
-	for {
-		nd := newNodeState(cfg, epoch, tr, cc, start, logf)
-		nd.cap.start()
-		if epoch > 0 {
-			// The first event of a re-execution, in the fresh epoch's
-			// capture, so the merged journal (and the cluster trace
-			// exporter) can mark where the surviving execution began.
-			nd.journalCtl(nd.ctl, obs.KindControl, obs.EvEpochRestart, int64(cfg.ID), 0, int64(epoch), nil)
-		}
-		cur.Store(nd)
-		out := nd.runEpoch()
-		switch out.kind {
-		case epochCrashed:
-			// kill -9 semantics: connections just die, nothing is
-			// flushed, no bye is sent. The coordinator keeps the session
-			// state and treats the relaunch's Hello as a rejoin.
-			tr.Close()
-			nd.cap.stop(false)
-			cc.close()
-			return nil, ErrCrashed
-		case epochRestart:
-			logf("node %d: restarting at epoch %d (controlled re-execution)", cfg.ID, out.epoch)
-			// The abandoned epoch's capture stops before the mark that
-			// voids it, so none of it can follow the mark.
-			nd.cap.stop(false)
-			tr.Reset(out.epoch)
-			cc.markEpoch(out.epoch)
-			epoch = out.epoch
-		case epochShutdown:
-			tr.Close()
-			if !out.byed {
-				// Terminal session loss before the bye phase: the bye
-				// dance is unreachable, but buffer the closing frames
-				// anyway — if the loss was close()-vs-teardown noise they
-				// still make it out. After a bye there is no second flush:
-				// the capture ended with it, and what the parked controller
-				// received since (a peer's last protocol message) would
-				// reach the root after the seal.
-				nd.cap.stop(true)
-				cc.send(nd.doneFrame())
-				cc.send(wire.Shutdown{Epoch: nd.epoch})
-			}
-			// A bye buffered behind a severed or broken stream must be
-			// delivered by resume before the session dies, or the
-			// coordinator waits for it forever.
-			cc.drain(opt.CoordDeadline)
-			cc.close()
-			nd.statsMu.Lock()
-			s := nd.stats
-			nd.statsMu.Unlock()
-			return &s, nil
-		}
+}
+
+// leave ends a started node's run: one that never byed (its session
+// lost, maybe to close()-vs-teardown noise) sends its closing frames
+// anyway; the workers stop, the mesh closes, and the session drains, so
+// that resume delivers a bye stuck behind a sever, then closes.
+func (nd *node) leave(byed bool, drain time.Duration) *Stats {
+	if !byed {
+		nd.bye()
 	}
+	nd.halt()
+	nd.tr.Close()
+	nd.cc.drain(drain)
+	nd.cc.close()
+	nd.statsMu.Lock()
+	defer nd.statsMu.Unlock()
+	s := nd.stats
+	return &s
 }
 
 // NodeStatus is a node's /statusz document.
@@ -414,9 +395,12 @@ func nodeStatus(cfg Config, nd *node, cc *coordClient) NodeStatus {
 	return s
 }
 
-// newNodeState builds one epoch's fresh execution state.
-func newNodeState(cfg Config, epoch uint32, tr *Transport, cc *coordClient, start time.Time, logf func(string, ...any)) *node {
-	return &node{
+// launch builds one epoch's fresh execution state and starts it: its
+// capture, then the controller and the application. A re-execution's
+// first event, in the fresh epoch's capture, marks where the surviving
+// execution began in the merged journal (and the cluster trace).
+func launch(cfg Config, epoch uint32, tr *Transport, cc *coordClient, start time.Time, logf func(string, ...any)) *node {
+	nd := &node{
 		cfg: cfg, epoch: epoch, app: cfg.ID, ctl: cfg.N + cfg.ID,
 		tr: tr, cc: cc,
 		cap:       newCapture(cc, cfg, epoch, start),
@@ -434,76 +418,31 @@ func newNodeState(cfg Config, epoch uint32, tr *Transport, cc *coordClient, star
 		appExited: make(chan struct{}),
 		appDone:   make(chan struct{}),
 	}
-}
-
-// epochOutcome is how one epoch's execution ended.
-type epochOutcome struct {
-	kind  int
-	epoch uint32 // the target epoch for epochRestart
-	// byed reports that the bye dance already ran inside the epoch: the
-	// final flush, final Done and Shutdown bye went out when the
-	// coordinator's Shutdown arrived, and the node then parked until the
-	// Commit. The caller must not send them again.
-	byed bool
-}
-
-const (
-	epochShutdown = iota // coordinator says the run is complete
-	epochRestart         // coordinator ordered a controlled re-execution
-	epochCrashed         // Config.Crash fired
-)
-
-// runEpoch drives one execution attempt to an outcome and joins both
-// worker goroutines before returning, so no stale append can land in
-// the capture after the caller discards it.
-func (nd *node) runEpoch() epochOutcome {
+	nd.cap.start()
+	if epoch > 0 {
+		nd.journalCtl(nd.ctl, obs.KindControl, obs.EvEpochRestart, int64(cfg.ID), 0, int64(epoch), nil)
+	}
 	go nd.controller()
 	go nd.application()
-	defer func() {
-		close(nd.abort)
-		close(nd.ctlQuit)
-		<-nd.ctlExited
-		<-nd.appExited
-	}()
-	appDone := nd.appDone
-	byed := false
-	for {
-		// The folded decisions are read on entry too: a wake consumed by
-		// the previous epoch may have carried this one's news.
-		switch d := nd.cc.decisions(); {
-		case d.committed:
-			// The coordinator sealed the run: every node's bye arrived.
-			return epochOutcome{kind: epochShutdown, byed: byed}
-		case d.epoch > nd.epoch:
-			return epochOutcome{kind: epochRestart, epoch: d.epoch}
-		case d.shutdown && d.epoch == nd.epoch && !byed:
-			// The coordinator believes this epoch is complete. Bye:
-			// final-flush the capture, send the complete tallies and the
-			// epoch-tagged bye — then PARK. The transport stays up and the
-			// session stays resident until the coordinator's Commit, so a
-			// straggler crash-rejoin can still restart the cluster and
-			// this node re-executes instead of having already left.
-			byed = true
-			nd.cap.stop(true)
-			nd.cc.send(nd.doneFrame())
-			nd.cc.send(wire.Shutdown{Epoch: nd.epoch})
-		}
-		select {
-		case <-appDone:
-			// App finished: report Done (responses are complete; the
-			// controller keeps serving handoffs, so message tallies grow
-			// until shutdown — and the flusher keeps streaming capture).
-			appDone = nil
-			nd.cc.send(nd.doneFrame())
-		case <-nd.cc.decCh:
-		case <-nd.cc.sessDone:
-			// Terminal session loss: the resume loop gave up. No Commit
-			// can arrive; exit with whatever this node has.
-			return epochOutcome{kind: epochShutdown, byed: byed}
-		case <-nd.cfg.Crash:
-			return epochOutcome{kind: epochCrashed}
-		}
-	}
+	return nd
+}
+
+// halt abandons the epoch: both workers stop and are joined, so no stale
+// append lands in the capture, which stops unflushed, before its mark.
+func (nd *node) halt() {
+	close(nd.abort)
+	close(nd.ctlQuit)
+	<-nd.ctlExited
+	<-nd.appExited
+	nd.cap.stop(false)
+}
+
+// bye is the epoch's bye phase: the final flush, the complete tallies
+// and the epoch-tagged Shutdown.
+func (nd *node) bye() {
+	nd.cap.stop(true)
+	nd.cc.send(nd.doneFrame())
+	nd.cc.send(wire.Shutdown{Epoch: nd.epoch})
 }
 
 // doneFrame snapshots the node's tallies as a wire.Done. At the first

@@ -36,7 +36,7 @@ func checkControlled(t *testing.T, d *deposet.Deposet, n int) {
 	for i := 0; i < n; i++ {
 		spec.Locals = append(spec.Locals, trace.LocalSpec{P: i, Var: "cs", Op: "eq", Value: 0})
 	}
-	dj, err := spec.Compile(d.NumProcs())
+	dj, err := spec.Compile(d)
 	if err != nil {
 		t.Fatalf("predicate: %v", err)
 	}
@@ -162,7 +162,7 @@ func TestClusterTraceReplay(t *testing.T) {
 	for i := 0; i < n; i++ {
 		spec.Locals = append(spec.Locals, trace.LocalSpec{P: i, Var: "cs", Op: "eq", Value: 0})
 	}
-	dj, err := spec.Compile(d.NumProcs())
+	dj, err := spec.Compile(d)
 	if err != nil {
 		t.Fatalf("predicate: %v", err)
 	}

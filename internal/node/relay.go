@@ -89,7 +89,7 @@ func StartRelay(cfg RelayConfig) (*Relay, error) {
 		return nil, err
 	}
 	cc := newCoordClient(cfg.Upstream, -(cfg.Index + 1), cfg.N, newWireMeters(cfg.Reg, "uplink"), r.opt, nil, r.logf)
-	cc.mkResume, cc.fanOut = r.mkResume, r.fanOut
+	cc.mkResume, cc.fanOut = r.mkResume, func(m wire.Msg) { fanOut(m, r.broadcast) }
 	r.cc = cc
 
 	// First contact runs the same resume path every later redial runs:
@@ -128,18 +128,18 @@ func (r *Relay) mkResume() wire.Msg {
 	}
 }
 
-// fanOut queues every root frame the uplink folds to the children,
-// under the uplink's decMu. The uplink's own ResumeAck past epoch 0
-// goes on as that epoch's Restart: a Restart, or a Hello's catch-up,
-// may have died with the broken uplink.
-func (r *Relay) fanOut(m wire.Msg) {
+// fanOut hands root frame m, as the uplink folds it under decMu, to a
+// relay's children by broadcast: m, but the uplink's ResumeAck past
+// epoch 0 as that epoch's Restart (one may have died with the broken
+// uplink), which answers no Hello.
+func fanOut(m wire.Msg, broadcast func(...wire.Msg)) {
 	if ack, ok := m.(wire.ResumeAck); ok {
 		if ack.Epoch == 0 {
 			return
 		}
 		m = wire.Restart{Epoch: ack.Epoch}
 	}
-	r.broadcast(m)
+	broadcast(m)
 }
 
 // handleChild serves one child connection: the handshake contract the

@@ -15,6 +15,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -646,6 +647,11 @@ func TestRejoinHelloSurvivesRelayDeath(t *testing.T) {
 	// and that connection forwards.
 	s.killRelay()
 	await("the rejoin restart", 5*time.Second, func(st CoordStatus) bool { return st.Restarts == 1 })
+	for deadline := time.Now().Add(5 * time.Second); !slices.Contains(cc.decisions().answered, cc.inc); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("the new incarnation never got its answer: it folded %+v", cc.decisions())
+		}
+	}
 	cc.markEpoch(1)
 	await("the new incarnation's EpochMark staged", 5*time.Second, func(st CoordStatus) bool {
 		return st.Nodes[1].Epoch == 1 && st.Nodes[1].LastSeq == cc.sentFrames()

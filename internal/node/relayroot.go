@@ -41,8 +41,13 @@ func (c *Coordinator) handleRelay(conn *coordConn, h wire.RelayHello) {
 	// A fresh relay process (Resume unset) starts a new uplink session
 	// log, so the outer numbering resets; the per-origin inner sessions
 	// are untouched — the children kept their capture logs, and their
-	// full replays dedup by inner sequence.
-	c.handshake(&rs.inbound, conn, !h.Resume)
+	// full replays dedup by inner sequence. A resumed uplink gets every
+	// Hello answer it may have lost with the replay.
+	var ids []int
+	for id := 0; h.Resume && id < c.n; id++ {
+		ids = append(ids, id)
+	}
+	c.handshake(&rs.inbound, conn, !h.Resume, ids...)
 	c.serve(conn, c.countFrame, func(body []byte) error {
 		seq, m, err := wire.DecodeBody(body)
 		if err != nil {

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"slices"
 	"sync"
 	"time"
 
@@ -41,13 +42,13 @@ import (
 //	coordConn.wmu           one connection's queue
 //
 // The node and relay session tables are fixed when the coordinator is
-// built and need no lock, as is a relay's child table. The store, the live checker and the journal lock
-// internally and call nothing back. A relay is the same shape one level
-// down: a child's inbound.ingestMu → the uplink client's decMu (its
-// decision lock) → inbound.mu / endpoint.connMu →
-// coordConn.wmu. The uplink's mu, held across every uplink write, is
-// taken under ingestMu (to sequence a child frame onto the log) and
-// never under decMu, so a fold never waits behind a write.
+// built and need no lock, as is a relay's child table. The store, the
+// live checker and the journal lock internally and call nothing back.
+// A relay is the same shape one level down: a child's inbound.ingestMu
+// → the uplink client's decMu (its decision lock) → inbound.mu /
+// endpoint.connMu → coordConn.wmu. The uplink's mu, held across every
+// uplink write, is taken under ingestMu (to sequence a child frame onto
+// the log) and never under decMu, so a fold never waits behind a write.
 
 // streamReadDeadline bounds one wait for the next frame of an accepted
 // stream. Generous: peers stream continuously while alive, and a wedged
@@ -419,6 +420,7 @@ type decisions struct {
 	shutdown  bool            // Shutdown broadcast for epoch, byes pending
 	committed bool            // Commit broadcast: the run is sealed
 	detection *wire.Detection // latest detection that drove a re-execution
+	answered  []uint64        // incarnations whose Hello answer a client folded (the root's re-answers: rootCore.resume)
 }
 
 // advance moves the state to epoch e if e is newer. A Shutdown pending
@@ -432,13 +434,17 @@ func (d *decisions) advance(e uint32) {
 // fold applies one decision frame — the inverse of replay, so a client
 // ends up holding what the root's handshakes would replay to it — and
 // reports whether m was one. Restart, ReExec and a ResumeAck only ever
-// advance the epoch; a Shutdown counts for the epoch it names, so one a
+// advance the epoch; a Restart that answers a Hello also records its
+// incarnation. A Shutdown counts for the epoch it names, so one a
 // restart raced past is void. A Detection puts the run under active
 // debugging: a planted rogue reverts to controlled behavior from here on.
 func (d *decisions) fold(m wire.Msg) bool {
 	switch v := m.(type) {
 	case wire.Restart:
 		d.advance(v.Epoch)
+		if v.Inc != 0 && !slices.Contains(d.answered, v.Inc) {
+			d.answered = append(d.answered, v.Inc)
+		}
 	case wire.ReExec:
 		d.advance(v.Epoch)
 	case wire.ResumeAck:
@@ -458,11 +464,15 @@ func (d *decisions) fold(m wire.Msg) bool {
 // replay answers a resume handshake: the cumulative ack (whose epoch
 // covers any Restart or ReExec missed while disconnected), then the
 // decisions still in force, in decision order — so the peer can bye,
-// and exit if the run is sealed.
+// and exit if the run is sealed — and every Hello answer folded, since
+// an acked Hello comes no more and its answer may have died.
 func (d decisions) replay(cum uint64) []wire.Msg {
 	ms := []wire.Msg{wire.ResumeAck{Cum: cum, Epoch: d.epoch}}
 	if d.detection != nil {
 		ms = append(ms, *d.detection)
+	}
+	for _, inc := range d.answered {
+		ms = append(ms, wire.Restart{Epoch: d.epoch, Inc: inc})
 	}
 	if d.shutdown {
 		ms = append(ms, wire.Shutdown{Epoch: d.epoch})
@@ -471,4 +481,40 @@ func (d decisions) replay(cum uint64) []wire.Msg {
 		ms = append(ms, wire.Commit{})
 	}
 	return ms
+}
+
+// incarnation is where one node process stands: held until the root
+// answers its Hello, then running an epoch, byed at it, and gone.
+type incarnation struct {
+	inc   uint64 // the incarnation its Hello named
+	phase phase
+	epoch uint32 // the epoch it runs, once started
+}
+
+type phase uint8
+
+const (
+	held phase = iota
+	running
+	byed // parked after its bye, until Commit
+	gone
+)
+
+// step is a node's whole reaction to the decisions d it has folded. A
+// held incarnation starts only on its own answer (never on another
+// node's Restart), at the epoch it has folded. Commit ends every phase,
+// a newer epoch restarts a started incarnation, and a Shutdown at its
+// epoch byes a running one. Run does what the phase entered says:
+// (re)start the workload, bye and park, or leave.
+func (s incarnation) step(d decisions) incarnation {
+	switch {
+	case s.phase == gone:
+	case d.committed:
+		s.phase = gone
+	case s.phase == held && slices.Contains(d.answered, s.inc), s.phase != held && d.epoch > s.epoch:
+		s.phase, s.epoch = running, d.epoch
+	case s.phase == running && d.shutdown && d.epoch == s.epoch:
+		s.phase = byed
+	}
+	return s
 }

@@ -236,7 +236,7 @@ func TestRelayHandshakeNotOvertakenByFanOut(t *testing.T) {
 	time.Sleep(50 * time.Millisecond)
 	// What fold does with the root's Shutdown, under the lock it holds.
 	r.cc.dec.shutdown = true
-	r.fanOut(wire.Shutdown{})
+	r.cc.fanOut(wire.Shutdown{})
 	r.cc.decMu.Unlock()
 
 	conn.SetReadDeadline(time.Now().Add(10 * time.Second))
@@ -339,6 +339,9 @@ func TestFoldInvertsReplay(t *testing.T) {
 			for _, committed := range []bool{false, true} {
 				for _, detection := range []*wire.Detection{nil, det} {
 					d := decisions{epoch: epoch, shutdown: shutdown, committed: committed, detection: detection}
+					if detection != nil {
+						d.answered = []uint64{5, 3}
+					}
 					var got decisions
 					for _, m := range d.replay(9) {
 						if !got.fold(m) {
@@ -353,6 +356,9 @@ func TestFoldInvertsReplay(t *testing.T) {
 						stale = append(stale, wire.Shutdown{Epoch: epoch - 1},
 							wire.Restart{Epoch: epoch - 1}, wire.ReExec{Epoch: epoch - 1}, wire.ResumeAck{Epoch: epoch - 1})
 					}
+					for _, inc := range d.answered {
+						stale = append(stale, wire.Restart{Epoch: epoch, Inc: inc})
+					}
 					for _, m := range stale {
 						got.fold(m)
 						if !reflect.DeepEqual(got, d) {
@@ -366,8 +372,57 @@ func TestFoldInvertsReplay(t *testing.T) {
 	for _, m := range []wire.Msg{wire.Restart{Epoch: 2}, wire.ReExec{Epoch: 2}, wire.ResumeAck{Epoch: 2}} {
 		got := decisions{epoch: 1, shutdown: true}
 		got.fold(m)
-		if want := (decisions{epoch: 2}); got != want {
+		if want := (decisions{epoch: 2}); !reflect.DeepEqual(got, want) {
 			t.Errorf("folding %T%+v over a pending Shutdown: %+v, want %+v", m, m, got, want)
+		}
+	}
+}
+
+// TestIncarnationStep: a node's step on its folded decisions. A held
+// incarnation starts only on its own answer, at the epoch it folded; a
+// Restart for everyone, a relay's resume ack fanned out as one, or
+// another incarnation's answer releases nothing. Commit stands a held
+// relaunch down and ends every other phase; a newer epoch restarts a
+// started incarnation, byed or not; a Shutdown at its epoch byes a
+// running one, once.
+func TestIncarnationStep(t *testing.T) {
+	fold := func(ms ...wire.Msg) decisions {
+		var d decisions
+		for _, m := range ms {
+			d.fold(m)
+		}
+		return d
+	}
+	held := incarnation{inc: 7}
+	for _, tc := range []struct {
+		name string
+		s    incarnation
+		d    decisions
+		want incarnation
+	}{
+		{"nothing folded", held, decisions{}, held},
+		{"another node's Restart", held, fold(wire.Restart{Epoch: 1}), held},
+		{"a relay's resume ack", held, fold(wire.ResumeAck{Epoch: 2}), held},
+		{"another incarnation's answer", held, fold(wire.Restart{Epoch: 1, Inc: 5}), held},
+		{"its answer", held, fold(wire.Restart{Epoch: 0, Inc: 7}), incarnation{inc: 7, phase: running}},
+		{"its answer, then a later Restart", held, fold(wire.Restart{Epoch: 1, Inc: 7}, wire.Restart{Epoch: 2}),
+			incarnation{inc: 7, phase: running, epoch: 2}},
+		{"the refusal", held, fold(wire.Shutdown{Epoch: 3}, wire.Commit{}), incarnation{inc: 7, phase: gone}},
+		{"a restart", incarnation{inc: 7, phase: running, epoch: 1}, fold(wire.Restart{Epoch: 2, Inc: 7}),
+			incarnation{inc: 7, phase: running, epoch: 2}},
+		{"a restart after the bye", incarnation{inc: 7, phase: byed, epoch: 1}, fold(wire.Restart{Epoch: 2, Inc: 7}),
+			incarnation{inc: 7, phase: running, epoch: 2}},
+		{"its Shutdown", incarnation{inc: 7, phase: running, epoch: 1}, fold(wire.Restart{Epoch: 1, Inc: 7}, wire.Shutdown{Epoch: 1}),
+			incarnation{inc: 7, phase: byed, epoch: 1}},
+		{"byed already", incarnation{inc: 7, phase: byed, epoch: 1}, fold(wire.Restart{Epoch: 1, Inc: 7}, wire.Shutdown{Epoch: 1}),
+			incarnation{inc: 7, phase: byed, epoch: 1}},
+		{"Commit", incarnation{inc: 7, phase: byed, epoch: 1}, fold(wire.Restart{Epoch: 1, Inc: 7}, wire.Commit{}),
+			incarnation{inc: 7, phase: gone, epoch: 1}},
+		{"gone", incarnation{inc: 7, phase: gone, epoch: 1}, fold(wire.Restart{Epoch: 3, Inc: 7}, wire.Commit{}),
+			incarnation{inc: 7, phase: gone, epoch: 1}},
+	} {
+		if got := tc.s.step(tc.d); got != tc.want {
+			t.Errorf("%s: step(%+v) from %+v = %+v, want %+v", tc.name, tc.d, tc.s, got, tc.want)
 		}
 	}
 }
@@ -457,22 +512,28 @@ func (r *rootScript) received() []wire.Msg {
 // TestRootFoldsWhatItBroadcasts: the root changes its decisions only by
 // the frames it broadcasts. After every step of a run with a rejoin
 // restart, folding everything node 0's stream received into a zero
-// decisions value gives the root's own.
+// decisions value gives the root's own, but for the answer to node 0's
+// Hello, which went to node 0 alone.
 func TestRootFoldsWhatItBroadcasts(t *testing.T) {
 	r := newRootScript(t, 2)
+	var got decisions
 	check := func(step string, want decisions) {
 		t.Helper()
-		var got decisions
 		for _, m := range r.received() {
 			if !got.fold(m) {
 				t.Fatalf("after %s: node 0 was sent %T, not a decision", step, m)
 			}
 		}
-		if root := r.decisions(); !reflect.DeepEqual(got, root) {
+		if !slices.Equal(got.answered, []uint64{1}) {
+			t.Fatalf("after %s: node 0 folded the answers %v, want its own, [1]", step, got.answered)
+		}
+		root, broadcast := r.decisions(), got
+		broadcast.answered = nil
+		if !reflect.DeepEqual(broadcast, root) {
 			t.Fatalf("after %s: node 0 folded %+v, the root holds %+v", step, got, root)
 		}
-		if got != want {
-			t.Fatalf("after %s: the root holds %+v, want %+v", step, got, want)
+		if !reflect.DeepEqual(root, want) {
+			t.Fatalf("after %s: the root holds %+v, want %+v", step, root, want)
 		}
 	}
 	r.send(0, wire.Hello{From: 0, N: 2, Inc: 1})
@@ -506,10 +567,10 @@ func TestAdoptedEpochVoidsShutdown(t *testing.T) {
 	r.send(1, wire.EpochMark{Epoch: 1})
 	r.all(wire.Done{})
 	got := r.received()
-	if want := []wire.Msg{wire.Shutdown{Epoch: 0}, wire.Shutdown{Epoch: 1}}; !reflect.DeepEqual(got, want) {
+	if want := []wire.Msg{wire.Restart{Epoch: 0, Inc: 1}, wire.Shutdown{Epoch: 0}, wire.Shutdown{Epoch: 1}}; !reflect.DeepEqual(got, want) {
 		t.Fatalf("node 0 was sent %+v, want %+v", got, want)
 	}
-	if got, want := r.decisions(), (decisions{epoch: 1, shutdown: true}); got != want {
+	if got, want := r.decisions(), (decisions{epoch: 1, shutdown: true}); !reflect.DeepEqual(got, want) {
 		t.Fatalf("the root holds %+v, want %+v", got, want)
 	}
 }
@@ -652,12 +713,13 @@ func (p *rawNode) until(want wire.Msg) {
 	}
 }
 
-// TestHelloAnswers: every answer to a Hello reaches the node first,
-// whether it dialed the root or one relay in front of it — the rejoin's
-// Restart by the broadcast, the catch-up Restart to a late first join,
-// and the refusal after Commit. The root alone decides each: behind a
-// relay, a relaunch at epoch 1 must read Restart{2}, not the Restart{1}
-// its own Hello is about to void.
+// TestHelloAnswers: every Hello gets an answer addressed to its
+// incarnation, and it is the first frame the node reads, whether it
+// dialed the root or one relay in front of it: a first join's at epoch
+// 0, a relaunch's at the epoch its Hello decided, a late first join's at
+// the cluster's epoch, and the refusal after Commit. The root alone
+// decides each: behind a relay, a relaunch at epoch 1 must read its
+// answer at 2, not the Restart{1} its own Hello is about to void.
 func TestHelloAnswers(t *testing.T) {
 	const n = 3
 	for _, tc := range []struct {
@@ -701,16 +763,17 @@ func TestHelloAnswers(t *testing.T) {
 				}
 			}
 
-			p0 := hello(0, 1)
-			hello(1, 1)
-			opened(0, 1)
-			opened(1, 1)
-			hello(1, 2)
-			first("node 0, after node 1's relaunch,", p0, wire.Restart{Epoch: 1})
-			p2 := hello(2, 1)
-			first("node 2's late first join", p2, wire.Restart{Epoch: 1})
-			p1 := hello(1, 3)
-			first("node 1's relaunch at epoch 1", p1, wire.Restart{Epoch: 2})
+			p0 := hello(0, 10)
+			first("node 0's first join", p0, wire.Restart{Epoch: 0, Inc: 10})
+			hello(1, 11)
+			opened(0, 10)
+			opened(1, 11)
+			first("node 1's relaunch", hello(1, 12), wire.Restart{Epoch: 1, Inc: 12})
+			p0.until(wire.Restart{Epoch: 1})
+			p2 := hello(2, 20)
+			first("node 2's late first join", p2, wire.Restart{Epoch: 1, Inc: 20})
+			p1 := hello(1, 13)
+			first("node 1's relaunch at epoch 1", p1, wire.Restart{Epoch: 2, Inc: 13})
 
 			live := []*rawNode{p0, p1, p2}
 			for _, p := range live {
@@ -724,7 +787,7 @@ func TestHelloAnswers(t *testing.T) {
 			for _, p := range live {
 				p.until(wire.Commit{})
 			}
-			late := hello(1, 4)
+			late := hello(1, 14)
 			first("node 1's relaunch after Commit", late, wire.Shutdown{Epoch: 2})
 			if m := late.next(); m != (wire.Commit{}) {
 				t.Fatalf("node 1's relaunch after Commit read %#v second, want Commit", m)
@@ -736,12 +799,14 @@ func TestHelloAnswers(t *testing.T) {
 	}
 }
 
-// TestHelloAnswersSurviveUplinkBreak: the root's catch-up answer to a
-// relayed late first join dies with the uplink that was to carry it,
-// and still reaches the node. The relay's resume acks the root's
-// epoch, which the relay already holds; that ack fans out as the
-// epoch's Restart, and the late joiner does not run at epoch 0 forever
-// against peers at epoch 1.
+// TestHelloAnswersSurviveUplinkBreak: the root's answer to a relayed
+// late first join dies with the uplink that was to carry it, and still
+// reaches the node. The relay's resume acks the root's epoch, which the
+// relay already holds; that ack fans out as the epoch's Restart, which
+// answers no one, and the root's resume replay re-sends every Hello
+// answer the uplink may have lost. The late joiner neither runs at
+// epoch 0 forever against peers at epoch 1 nor waits forever for its
+// answer.
 func TestHelloAnswersSurviveUplinkBreak(t *testing.T) {
 	const n = 3
 	c, err := NewCoordinator(CoordConfig{N: n, Addr: "127.0.0.1:0", Timeouts: testTimeouts(), Logf: t.Logf})
@@ -763,25 +828,21 @@ func TestHelloAnswersSurviveUplinkBreak(t *testing.T) {
 			}
 		}
 	}
-	p0 := hello(0, 1)
-	hello(1, 1)
+	p0 := hello(0, 10)
+	hello(1, 11)
 	forwarded(2)
-	hello(1, 2)
-	if m := p0.next(); m != (wire.Restart{Epoch: 1}) {
-		t.Fatalf("node 0 read %#v after node 1's relaunch, want Restart{1}", m)
-	}
+	hello(1, 12)
+	p0.until(wire.Restart{Epoch: 1})
 
 	// Hold the root's Hello decision until the uplink that carried the
 	// Hello is gone: its answer then goes to a dead connection.
 	st := c.sessions[2]
 	st.ingestMu.Lock()
-	p2 := hello(2, 1)
+	p2 := hello(2, 20)
 	forwarded(4)
 	r.cc.mu.Lock()
 	r.cc.conn.Close()
 	r.cc.mu.Unlock()
 	st.ingestMu.Unlock()
-	if m := p2.next(); m != (wire.Restart{Epoch: 1}) {
-		t.Fatalf("node 2's late first join read %#v first, want Restart{1}", m)
-	}
+	p2.until(wire.Restart{Epoch: 1, Inc: 20})
 }

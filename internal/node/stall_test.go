@@ -110,8 +110,8 @@ func TestStalledPeerDelaysOnlyItself(t *testing.T) {
 		}
 		resumeWithin(t, c.Addr(), n, 1)
 		relaunch := helloNode(t, c.Addr(), n, 2, 2)
-		if m := answersWithin(t, "node 2's relaunch", relaunch.conn); m != (wire.Restart{Epoch: 1}) {
-			t.Fatalf("node 2's relaunch read %#v, want Restart{1}", m)
+		if m := answersWithin(t, "node 2's relaunch", relaunch.conn); m != (wire.Restart{Epoch: 1, Inc: 2}) {
+			t.Fatalf("node 2's relaunch read %#v, want its answer at epoch 1", m)
 		}
 		statusWithin(t, c)
 	})

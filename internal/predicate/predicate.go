@@ -106,9 +106,9 @@ func LocalVarEq(p int, name string, v int) Expr {
 	})
 }
 
-// LocalVarTrue returns a local predicate of process p that holds when
+// localVarTrue returns a local predicate of process p that holds when
 // variable name is set and non-zero.
-func LocalVarTrue(p int, name string) Expr {
+func localVarTrue(p int, name string) Expr {
 	return Local(p, name, func(d *deposet.Deposet, k int) bool {
 		x, ok := d.Var(deposet.StateID{P: p, K: k}, name)
 		return ok && x != 0
@@ -124,9 +124,9 @@ func LocalAfter(p, k0 int) Expr {
 	})
 }
 
-// LocalBefore returns a local predicate of process p that holds strictly
+// localBefore returns a local predicate of process p that holds strictly
 // before state index k0 ("the event has not happened yet": before_y).
-func LocalBefore(p, k0 int) Expr {
+func localBefore(p, k0 int) Expr {
 	return Local(p, fmt.Sprintf("before%d", k0), func(_ *deposet.Deposet, k int) bool {
 		return k < k0
 	})

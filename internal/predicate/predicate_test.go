@@ -55,13 +55,13 @@ func TestEvalBasics(t *testing.T) {
 
 func TestVarPredicates(t *testing.T) {
 	d := twoProc(t)
-	if !LocalVarTrue(0, "x").Eval(d, deposet.Cut{2, 0}) {
+	if !localVarTrue(0, "x").Eval(d, deposet.Cut{2, 0}) {
 		t.Error("VarTrue at x=2 should hold")
 	}
-	if LocalVarTrue(0, "x").Eval(d, deposet.Cut{0, 0}) {
+	if localVarTrue(0, "x").Eval(d, deposet.Cut{0, 0}) {
 		t.Error("VarTrue at x=0 should not hold")
 	}
-	if LocalVarTrue(0, "missing").Eval(d, deposet.Cut{2, 0}) {
+	if localVarTrue(0, "missing").Eval(d, deposet.Cut{2, 0}) {
 		t.Error("VarTrue on unset var should not hold")
 	}
 	if LocalVarEq(0, "missing", 0).Eval(d, deposet.Cut{0, 0}) {
@@ -72,18 +72,18 @@ func TestVarPredicates(t *testing.T) {
 func TestAfterBefore(t *testing.T) {
 	d := twoProc(t)
 	after := LocalAfter(0, 2)
-	before := LocalBefore(1, 1)
+	before := localBefore(1, 1)
 	if after.Eval(d, deposet.Cut{1, 0}) || !after.Eval(d, deposet.Cut{2, 0}) {
 		t.Error("LocalAfter wrong")
 	}
 	if !before.Eval(d, deposet.Cut{0, 0}) || before.Eval(d, deposet.Cut{0, 1}) {
-		t.Error("LocalBefore wrong")
+		t.Error("localBefore wrong")
 	}
 }
 
 func TestStrings(t *testing.T) {
 	x := LocalVarEq(0, "x", 1)
-	y := LocalVarTrue(1, "y")
+	y := localVarTrue(1, "y")
 	cases := []struct {
 		e    Expr
 		want string

@@ -159,14 +159,14 @@ func New() (*Figure4, error) {
 
 	fg.E = deposet.StateID{P: 2, K: 2} // last unavailable state of P2
 	fg.F = deposet.StateID{P: 0, K: 1} // first unavailable state of P0
-	fg.EBeforeF = EBeforeFOn(d.NumProcs(), fg.E, fg.F)
+	fg.EBeforeF = eBeforeFOn(d.NumProcs(), fg.E, fg.F)
 	return fg, nil
 }
 
-// EBeforeFOn builds the ordering predicate after_e ∨ before_f over n
+// eBeforeFOn builds the ordering predicate after_e ∨ before_f over n
 // processes for arbitrary states e and f: "f is not entered until e has
 // been left". Processes other than e.P and f.P contribute no disjunct.
-func EBeforeFOn(n int, e, f deposet.StateID) *predicate.Disjunction {
+func eBeforeFOn(n int, e, f deposet.StateID) *predicate.Disjunction {
 	dj := predicate.NewDisjunction(n)
 	dj.Add(e.P, "after_e", func(_ *deposet.Deposet, k int) bool { return k > e.K })
 	dj.Add(f.P, "before_f", func(_ *deposet.Deposet, k int) bool { return k < f.K })

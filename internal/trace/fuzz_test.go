@@ -53,11 +53,15 @@ func FuzzDecodeDisjunction(f *testing.F) {
 	f.Add(`{"locals":[{"p":0,"vr":"ok","op":"eq","value":1}]}`)
 	f.Add(`{"locals":[]}{"locals":[]}`)
 	f.Add(`{"locals":[]} garbage`)
+	b := deposet.NewBuilder(3)
+	b.Let(0, "ok", 1)
+	b.Let(2, "x", 0)
+	d := b.MustBuild()
 	f.Fuzz(func(t *testing.T, s string) {
 		spec, err := DecodeDisjunction(strings.NewReader(s))
 		if err != nil {
 			return
 		}
-		spec.Compile(3) // must not panic; errors are fine
+		spec.Compile(d) // must not panic; errors are fine
 	})
 }

@@ -6,10 +6,13 @@ package trace
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"io"
 	"os"
+	"slices"
+	"strings"
 
 	"predctl/internal/control"
 	"predctl/internal/deposet"
@@ -180,27 +183,47 @@ func EncodeDisjunction(w io.Writer, s DisjunctionSpec) error {
 	return enc.Encode(s)
 }
 
-// Compile turns the spec into an evaluatable disjunction over n
+// Compile turns the spec into an evaluatable disjunction over d's
 // processes. A spec is bytes from disk: a local naming a process outside
-// [0, n), or a second local for one process, is an error naming the
-// process.
-func (s DisjunctionSpec) Compile(n int) (*predicate.Disjunction, error) {
+// d, a second local for one process, or a variable set on no state of
+// its process (a misspelt name would otherwise read as false
+// everywhere) is an error naming the process.
+func (s DisjunctionSpec) Compile(d *deposet.Deposet) (*predicate.Disjunction, error) {
+	n := d.NumProcs()
 	dj := predicate.NewDisjunction(n)
 	for _, l := range s.Locals {
-		cmp, err := compare(l.Op)
+		holds, err := compare(l.Op)
 		if err != nil {
 			return nil, err
+		}
+		if l.P >= 0 && l.P < n && !slices.Contains(varsSet(d, l.P), l.Var) {
+			return nil, fmt.Errorf("trace: predicate spec: variable %q is not set on process %d (set: %s)",
+				l.Var, l.P, cmp.Or(strings.Join(varsSet(d, l.P), ", "), "none"))
 		}
 		name := fmt.Sprintf("%s %s %d", l.Var, l.Op, l.Value)
 		err = dj.Set(l.P, name, func(d *deposet.Deposet, k int) bool {
 			v, ok := d.Var(deposet.StateID{P: l.P, K: k}, l.Var)
-			return ok && cmp(v, l.Value)
+			return ok && holds(v, l.Value)
 		})
 		if err != nil {
 			return nil, fmt.Errorf("trace: predicate spec: %w", err)
 		}
 	}
 	return dj, nil
+}
+
+// varsSet lists, sorted, the variables set on some state of process p.
+func varsSet(d *deposet.Deposet, p int) (set []string) {
+	for k := range d.Len(p) {
+		names, _, on := d.VarsAt(deposet.StateID{P: p, K: k})
+		for i, ok := range on {
+			if ok && !slices.Contains(set, names[i]) {
+				set = append(set, names[i])
+			}
+		}
+	}
+	slices.Sort(set)
+	return set
 }
 
 func compare(op string) (func(a, b int) bool, error) {

@@ -106,35 +106,67 @@ func TestPredicateSpec(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dj, err := spec2.Compile(2)
-	if err != nil {
-		t.Fatal(err)
-	}
 	b := deposet.NewBuilder(2)
 	b.Let(0, "cs", 0)
 	b.Let(1, "cs", 1)
 	b.Step(0)
 	b.Let(0, "cs", 1)
 	d := b.MustBuild()
+	dj, err := spec2.Compile(d)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !dj.Holds(d, 0, 0) || dj.Holds(d, 0, 1) || dj.Holds(d, 1, 0) {
 		t.Fatal("compiled predicate wrong")
 	}
 }
 
 func TestPredicateSpecErrors(t *testing.T) {
-	if _, err := (DisjunctionSpec{Locals: []LocalSpec{{P: 5}}}).Compile(2); err == nil {
+	b := deposet.NewBuilder(2)
+	b.Let(0, "ok", 1)
+	b.Let(1, "x", 0)
+	b.Let(1, "y", 0)
+	d := b.MustBuild()
+	if _, err := (DisjunctionSpec{Locals: []LocalSpec{{P: 5}}}).Compile(d); err == nil {
 		t.Error("bad process accepted")
 	}
-	if _, err := (DisjunctionSpec{Locals: []LocalSpec{{P: 0, Op: "weird"}}}).Compile(2); err == nil {
+	if _, err := (DisjunctionSpec{Locals: []LocalSpec{{P: 0, Var: "ok", Op: "weird"}}}).Compile(d); err == nil {
 		t.Error("bad op accepted")
 	}
 	// Two locals for one process: an error naming it, not Add's panic.
 	twice := DisjunctionSpec{Locals: []LocalSpec{{P: 1, Var: "x", Op: "true"}, {P: 1, Var: "y", Op: "true"}}}
-	if _, err := twice.Compile(2); err == nil || !strings.Contains(err.Error(), "process 1") {
+	if _, err := twice.Compile(d); err == nil || !strings.Contains(err.Error(), "process 1") {
 		t.Errorf("two locals on process 1: error %v, want one naming the process", err)
 	}
 	if _, err := DecodeDisjunction(strings.NewReader("{")); err == nil {
 		t.Error("malformed predicate accepted")
+	}
+}
+
+// TestPredicateSpecUnsetVariable: a local naming a variable its process
+// never sets — a misspelling — is refused with the names it does set,
+// instead of reading as false at every state; so is every local on a
+// trace with no variables.
+func TestPredicateSpecUnsetVariable(t *testing.T) {
+	b := deposet.NewBuilder(2)
+	b.Let(0, "ok", 1)
+	b.Let(0, "cs", 0)
+	b.Let(1, "ok", 0)
+	d := b.MustBuild()
+	typo := DisjunctionSpec{Locals: []LocalSpec{{P: 0, Var: "okk", Op: "eq", Value: 1}}}
+	_, err := typo.Compile(d)
+	if want := `variable "okk" is not set on process 0 (set: cs, ok)`; err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("misspelt variable: error %v, want one containing %q", err, want)
+	}
+	other := DisjunctionSpec{Locals: []LocalSpec{{P: 1, Var: "cs", Op: "eq"}}}
+	if _, err := other.Compile(d); err == nil || !strings.Contains(err.Error(), "(set: ok)") {
+		t.Errorf("a variable set only on another process: error %v", err)
+	}
+	bare := deposet.NewBuilder(2)
+	bare.Step(0)
+	_, err = typo.Compile(bare.MustBuild())
+	if want := `variable "okk" is not set on process 0 (set: none)`; err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("a trace with no variables: error %v, want one containing %q", err, want)
 	}
 }
 

@@ -285,9 +285,12 @@ type ResumeAck struct {
 // current execution, reset protocol and capture state, and re-run the
 // workload at Epoch. Broadcast when a crashed node rejoins; the paper's
 // §8 recovery path — the debugged computation is re-executed under
-// control rather than patched around the crash.
+// control rather than patched around the crash. With Inc set it answers
+// that incarnation's Hello, which starts only on its own answer; Inc is
+// an optional trailing field (omitted when zero), like Hello.Inc.
 type Restart struct {
 	Epoch uint32
+	Inc   uint64 // the incarnation whose Hello this answers; 0 for a broadcast
 }
 
 // EpochMark is a node's in-stream epoch boundary on the coordinator
@@ -563,6 +566,9 @@ func AppendBody(dst []byte, seq uint64, m Msg) []byte {
 		dst = appendUvarint(dst, uint64(v.Epoch))
 	case Restart:
 		dst = appendUvarint(dst, uint64(v.Epoch))
+		if v.Inc != 0 {
+			dst = appendUvarint(dst, v.Inc)
+		}
 	case EpochMark:
 		dst = appendUvarint(dst, uint64(v.Epoch))
 	case MetricsSnapshot:
@@ -707,6 +713,14 @@ func (d *dec) uvarint() uint64 {
 	return v
 }
 
+// trailing reads an optional trailing field, 0 where the body ends.
+func (d *dec) trailing() (v uint64) {
+	if d.err == nil && d.off < len(d.b) {
+		v = d.uvarint()
+	}
+	return v
+}
+
 func (d *dec) varint() int64 {
 	if d.err != nil {
 		return 0
@@ -781,11 +795,7 @@ func DecodeBody(body []byte) (seq uint64, m Msg, err error) {
 	seq = d.uvarint()
 	switch kind {
 	case kindHello:
-		v := Hello{From: d.i32(), N: d.i32()}
-		if d.off < len(d.b) {
-			v.Inc = d.uvarint()
-		}
-		m = v
+		m = Hello{From: d.i32(), N: d.i32(), Inc: d.trailing()}
 	case kindLinkAck:
 		m = LinkAck{Cum: d.uvarint()}
 	case kindCtl:
@@ -887,7 +897,7 @@ func DecodeBody(body []byte) (seq uint64, m Msg, err error) {
 	case kindResumeAck:
 		m = ResumeAck{Cum: d.uvarint(), Epoch: uint32(d.uvarint())}
 	case kindRestart:
-		m = Restart{Epoch: uint32(d.uvarint())}
+		m = Restart{Epoch: uint32(d.uvarint()), Inc: d.trailing()}
 	case kindEpochMark:
 		m = EpochMark{Epoch: uint32(d.uvarint())}
 	case kindMetricsSnapshot:

@@ -60,6 +60,7 @@ func sampleMsgs() []Msg {
 		ResumeAck{},
 		ResumeAck{Cum: 1<<50 + 3, Epoch: 9},
 		Restart{Epoch: 1},
+		Restart{Epoch: 2, Inc: 1<<40 | 1}, // the root's answer to one incarnation's Hello
 		EpochMark{Epoch: 12},
 		MetricsSnapshot{},
 		MetricsSnapshot{Proc: 7, Epoch: 3, AtNs: -12345, Points: []MetricPoint{
