@@ -70,8 +70,8 @@ type Deposet struct {
 
 	// sendMsg[p][e] / recvMsg[p][e] give the message index for event e of
 	// process p (1-based; index 0 unused), or -1.
-	sendMsg [][]int
-	recvMsg [][]int
+	sendMsg [][]int32
+	recvMsg [][]int32
 
 	// vars holds the interned, copy-on-write variable snapshots; nil when
 	// the computation carries no variables.
@@ -83,11 +83,11 @@ func (d *Deposet) Messages() []Message { return d.msgs }
 
 // SendAt returns the index into Messages of the message sent by event e of
 // process p, or -1.
-func (d *Deposet) SendAt(p, e int) int { return d.sendMsg[p][e] }
+func (d *Deposet) SendAt(p, e int) int { return int(d.sendMsg[p][e]) }
 
 // RecvAt returns the index into Messages of the message received by event
 // e of process p, or -1.
-func (d *Deposet) RecvAt(p, e int) int { return d.recvMsg[p][e] }
+func (d *Deposet) RecvAt(p, e int) int { return int(d.recvMsg[p][e]) }
 
 // Var returns the value of a state variable at s, if the computation
 // carries variables and the variable is set there.
@@ -121,9 +121,9 @@ func (d *Deposet) VarsAt(s StateID) (names []string, vals []int, set []bool) {
 type Builder struct {
 	n       int
 	lens    []int
-	msgs    []Message
-	sendMsg [][]int
-	recvMsg [][]int
+	msgs    []msgRow
+	sendMsg [][]int32 // as in Deposet
+	recvMsg [][]int32
 	// Variable updates: an append-only log per process, in state order
 	// (Let writes at the top state), over names interned at first Let.
 	nameID map[string]int32
@@ -131,6 +131,9 @@ type Builder struct {
 	lets   [][]letUpdate
 	err    error
 }
+
+// msgRow is a Message as the builder keeps it, in half the width.
+type msgRow struct{ fromP, sendEvent, toP, recvEvent int32 }
 
 // letUpdate is one Let: variable name (builder-interned id) takes value
 // val from state k on.
@@ -148,15 +151,15 @@ func NewBuilder(n int) *Builder {
 	b := &Builder{
 		n:       n,
 		lens:    make([]int, n),
-		sendMsg: make([][]int, n),
-		recvMsg: make([][]int, n),
+		sendMsg: make([][]int32, n),
+		recvMsg: make([][]int32, n),
 		nameID:  make(map[string]int32),
 		lets:    make([][]letUpdate, n),
 	}
 	for p := 0; p < n; p++ {
 		b.lens[p] = 1
-		b.sendMsg[p] = []int{-1} // event index 0 unused
-		b.recvMsg[p] = []int{-1}
+		b.sendMsg[p] = []int32{-1} // event index 0 unused
+		b.recvMsg[p] = []int32{-1}
 	}
 	return b
 }
@@ -169,19 +172,30 @@ func (b *Builder) checkProc(p int) {
 
 // Reserve sizes the builder for events[p] further events on each
 // process p, sends of them sends in all: replaying a capture of known
-// length then regrows nothing. It changes no behaviour.
+// length then regrows nothing. A table that must grow at least
+// doubles, so a computation reserved a slice at a time regrows each
+// table a logarithmic number of times. It changes no behaviour.
 func (b *Builder) Reserve(events []int, sends int) {
 	for p, k := range events {
-		b.sendMsg[p] = slices.Grow(b.sendMsg[p], k)
-		b.recvMsg[p] = slices.Grow(b.recvMsg[p], k)
+		b.sendMsg[p] = reserve(b.sendMsg[p], k)
+		b.recvMsg[p] = reserve(b.recvMsg[p], k)
 	}
-	b.msgs = slices.Grow(b.msgs, sends)
+	b.msgs = reserve(b.msgs, sends)
+}
+
+// reserve makes room in s for k more elements, at least doubling its
+// capacity when it must grow.
+func reserve[E any](s []E, k int) []E {
+	if cap(s)-len(s) >= k {
+		return s
+	}
+	return slices.Grow(s, max(k, cap(s)))
 }
 
 func (b *Builder) addEvent(p, send, recv int) StateID {
 	b.lens[p]++
-	b.sendMsg[p] = append(b.sendMsg[p], send)
-	b.recvMsg[p] = append(b.recvMsg[p], recv)
+	b.sendMsg[p] = append(b.sendMsg[p], int32(send))
+	b.recvMsg[p] = append(b.recvMsg[p], int32(recv))
 	return StateID{p, b.lens[p] - 1}
 }
 
@@ -199,7 +213,7 @@ type MsgHandle int
 func (b *Builder) Send(p int) (StateID, MsgHandle) {
 	b.checkProc(p)
 	id := len(b.msgs)
-	b.msgs = append(b.msgs, Message{FromP: p, SendEvent: b.lens[p], ToP: -1})
+	b.msgs = append(b.msgs, msgRow{fromP: int32(p), sendEvent: int32(b.lens[p]), toP: -1})
 	s := b.addEvent(p, id, -1)
 	return s, MsgHandle(id)
 }
@@ -212,16 +226,16 @@ func (b *Builder) Recv(p int, h MsgHandle) StateID {
 	switch {
 	case id < 0 || id >= len(b.msgs):
 		b.fail(fmt.Errorf("deposet: receive of unknown message %d", id))
-	case b.msgs[id].Received():
+	case b.msgs[id].toP >= 0:
 		b.fail(fmt.Errorf("deposet: message %d received twice", id))
-	case b.msgs[id].FromP == p:
+	case int(b.msgs[id].fromP) == p:
 		// Self-messages are legal in the model (s ⇝ t within a process)
 		// but pointless; allow them.
 	}
 	s := b.addEvent(p, -1, id)
 	if b.err == nil {
-		b.msgs[id].ToP = p
-		b.msgs[id].RecvEvent = b.lens[p] - 1
+		b.msgs[id].toP = int32(p)
+		b.msgs[id].recvEvent = int32(b.lens[p] - 1)
 	}
 	return s
 }
@@ -258,19 +272,52 @@ func (b *Builder) fail(err error) {
 
 // Build validates the computation and computes vector clocks. The builder
 // remains usable; Build may be called repeatedly as the computation grows.
-func (b *Builder) Build() (*Deposet, error) {
+// Messages are numbered in the order Send was called.
+func (b *Builder) Build() (*Deposet, error) { return b.build(false) }
+
+// BuildBySender is Build with the messages numbered by sender, then
+// send event, rather than in the order Send was called: builders fed
+// one computation in different interleavings of its processes build
+// the same deposet, numbering included.
+func (b *Builder) BuildBySender() (*Deposet, error) { return b.build(true) }
+
+func (b *Builder) build(bySender bool) (*Deposet, error) {
 	if b.err != nil {
 		return nil, b.err
 	}
+	var renum []int32 // message id → its number by sender; nil keeps call order
+	if bySender {
+		// A sender's sends are called in event order, so counting per
+		// sender places each.
+		next := make([]int32, b.n)
+		for _, m := range b.msgs {
+			next[m.fromP]++
+		}
+		at := int32(0)
+		for p, k := range next {
+			next[p], at = at, at+k
+		}
+		renum = make([]int32, len(b.msgs))
+		for i, m := range b.msgs {
+			renum[i] = next[m.fromP]
+			next[m.fromP]++
+		}
+	}
 	d := &Deposet{
 		Order:   Order{lens: append([]int(nil), b.lens...)},
-		msgs:    append([]Message(nil), b.msgs...),
-		sendMsg: make([][]int, b.n),
-		recvMsg: make([][]int, b.n),
+		msgs:    make([]Message, len(b.msgs)),
+		sendMsg: make([][]int32, b.n),
+		recvMsg: make([][]int32, b.n),
 	}
-	for p := 0; p < b.n; p++ {
-		d.sendMsg[p] = append([]int(nil), b.sendMsg[p]...)
-		d.recvMsg[p] = append([]int(nil), b.recvMsg[p]...)
+	for i, m := range b.msgs {
+		if renum != nil {
+			i = int(renum[i])
+		}
+		d.msgs[i] = Message{FromP: int(m.fromP), SendEvent: int(m.sendEvent), ToP: int(m.toP), RecvEvent: int(m.recvEvent)}
+	}
+	for p := range b.lens {
+		d.sendMsg[p] = renumber(b.sendMsg[p], renum)
+		d.recvMsg[p] = renumber(b.recvMsg[p], renum)
 	}
 	if err := d.computeClocks(); err != nil {
 		return nil, err
@@ -279,6 +326,18 @@ func (b *Builder) Build() (*Deposet, error) {
 		d.vars = varTableFromLog(b.names, b.lets, d.lens)
 	}
 	return d, nil
+}
+
+// renumber returns a copy of row, its message ids renumbered by renum
+// when it is not nil.
+func renumber(row, renum []int32) []int32 {
+	out := slices.Clone(row)
+	for e, id := range out {
+		if id >= 0 && renum != nil {
+			out[e] = renum[id]
+		}
+	}
+	return out
 }
 
 // MustBuild is Build that panics on error, for tests and examples.
@@ -318,7 +377,7 @@ func (d *Deposet) computeClocks() error {
 		for p := 0; p < n; p++ {
 			for done[p] < d.lens[p]-1 {
 				e := done[p] + 1 // next event
-				mi := d.recvMsg[p][e]
+				mi := int(d.recvMsg[p][e])
 				if mi >= 0 {
 					// The message carries the clock of the state before
 					// its send event: s = (FromP, SendEvent-1).

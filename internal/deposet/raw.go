@@ -55,12 +55,12 @@ func FromRaw(r Raw) (*Deposet, error) {
 	d := &Deposet{
 		Order:   Order{lens: append([]int(nil), r.Lens...)},
 		msgs:    append([]Message(nil), r.Msgs...),
-		sendMsg: make([][]int, n),
-		recvMsg: make([][]int, n),
+		sendMsg: make([][]int32, n),
+		recvMsg: make([][]int32, n),
 	}
 	for p := 0; p < n; p++ {
-		d.sendMsg[p] = make([]int, r.Lens[p])
-		d.recvMsg[p] = make([]int, r.Lens[p])
+		d.sendMsg[p] = make([]int32, r.Lens[p])
+		d.recvMsg[p] = make([]int32, r.Lens[p])
 		for e := range d.sendMsg[p] {
 			d.sendMsg[p][e] = -1
 			d.recvMsg[p][e] = -1
@@ -77,7 +77,7 @@ func FromRaw(r Raw) (*Deposet, error) {
 			return nil, fmt.Errorf("deposet: message %d: event (%d,%d) already has a role (D3)",
 				i, m.FromP, m.SendEvent)
 		}
-		d.sendMsg[m.FromP][m.SendEvent] = i
+		d.sendMsg[m.FromP][m.SendEvent] = int32(i)
 		if !m.Received() {
 			continue
 		}
@@ -91,7 +91,7 @@ func FromRaw(r Raw) (*Deposet, error) {
 			return nil, fmt.Errorf("deposet: message %d: event (%d,%d) already has a role (D3)",
 				i, m.ToP, m.RecvEvent)
 		}
-		d.recvMsg[m.ToP][m.RecvEvent] = i
+		d.recvMsg[m.ToP][m.RecvEvent] = int32(i)
 	}
 	if err := d.computeClocks(); err != nil {
 		return nil, err

@@ -15,8 +15,9 @@
 // no message between them), so the trigger is conservative: it can
 // miss cuts the trace admits, and its witness is a hint, not a
 // verdict. The confirming stage therefore re-decides on the captured
-// trace itself: AssemblePrefix replays the staged capture ops into the
-// largest causally closed prefix deposet and detect.PossiblyGeneral —
+// trace itself: an Assembler — the coordinator keeps one per epoch and
+// feeds it the capture ops as they are staged — builds the largest
+// causally closed prefix deposet, and detect.PossiblyGeneral —
 // which tabulates a regular ¬B per state and runs the Garg–Waldecker
 // fixpoint (detect.PossiblyTruth) on it, no lattice walk — either finds
 // a consistent cut or defers. A consistent cut of a prefix is a

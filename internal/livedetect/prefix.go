@@ -24,17 +24,21 @@ import (
 // says where.
 //
 // The assembler is resumable: Feed may be called again with the same
-// streams grown at their tails. The result is the computation a single
-// pass builds; only its message numbering (replay order) may differ.
+// streams grown at their tails, and the coordinator keeps one per
+// epoch, fed while the run runs, which its live confirm builds from
+// and its commit finishes. Build numbers messages by sender and send
+// event, so a capture fed in any number of slices builds the deposet a
+// single pass builds, to the byte.
 type Assembler struct {
-	b      *deposet.Builder
-	cursor []int
-	sends  map[uint64]deposet.MsgHandle // trace id of every replayed send
+	b       *deposet.Builder
+	cursor  []int
+	pending []int                        // Feed's per-process count, kept so a Feed allocates only to grow
+	sends   map[uint64]deposet.MsgHandle // trace id of every replayed send
 }
 
 // NewAssembler starts the assembly of an n-node capture.
 func NewAssembler(n int) *Assembler {
-	return &Assembler{b: deposet.NewBuilder(2 * n), cursor: make([]int, 2*n)}
+	return &Assembler{b: deposet.NewBuilder(2 * n), cursor: make([]int, 2*n), pending: make([]int, 2*n)}
 }
 
 // Feed advances every process as far as the streams allow. A later
@@ -46,7 +50,7 @@ func (a *Assembler) Feed(opsByProc [][]wire.TraceOp, strict bool) error {
 	}
 	// Count, then allocate: tables are sized by the ops staged, never by
 	// what an id off the wire claims.
-	pending, sends := make([]int, len(opsByProc)), 0
+	pending, sends := a.pending, 0
 	for p, ops := range opsByProc {
 		pending[p] = len(ops) - a.cursor[p]
 		for i := a.cursor[p]; i < len(ops); i++ {
@@ -108,12 +112,14 @@ func (a *Assembler) Feed(opsByProc [][]wire.TraceOp, strict bool) error {
 // Consumed reports how many ops of each stream have been replayed.
 func (a *Assembler) Consumed() []int { return a.cursor }
 
-// Build returns the deposet of everything replayed so far.
-func (a *Assembler) Build() (*deposet.Deposet, error) { return a.b.Build() }
+// Build returns the deposet of everything replayed so far, its
+// messages numbered by sender and send event.
+func (a *Assembler) Build() (*deposet.Deposet, error) { return a.b.BuildBySender() }
 
 // AssemblePrefix replays partially captured trace ops into the largest
 // causally closed prefix deposet they determine: one prefix Feed of a
-// fresh Assembler. consumed reports how many ops of each stream made it.
+// fresh Assembler, for a caller that keeps none across prefixes.
+// consumed reports how many ops of each stream made it.
 func AssemblePrefix(n int, opsByProc [][]wire.TraceOp) (*deposet.Deposet, []int, error) {
 	a := NewAssembler(n)
 	if err := a.Feed(opsByProc, false); err != nil {

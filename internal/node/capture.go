@@ -346,18 +346,21 @@ func toObsEvent(e wire.JournalEvent) obs.Event {
 }
 
 // appendTo merges the staged streams into byProc (one slot per logical
-// process). A process staged by one source only — every process of a
-// well-formed run — is handed over without a copy: staging is
-// append-only, so elements below a stream's length never change, and
-// the clipped capacity keeps a later append out of the stager's room.
-func (s *procOps) appendTo(byProc [][]wire.TraceOp) {
+// process) and reports whether a process already had ops there. A
+// process staged by one source only — every process of a well-formed
+// run — is handed over without a copy: staging is append-only, so
+// elements below a stream's length never change, and the clipped
+// capacity keeps a later append out of the stager's room.
+func (s *procOps) appendTo(byProc [][]wire.TraceOp) (mixed bool) {
 	for p, ops := range s.byProc {
 		if byProc[p] == nil {
 			byProc[p] = ops[:len(ops):len(ops)]
-		} else {
+		} else if len(ops) > 0 {
 			byProc[p] = append(byProc[p], ops...)
+			mixed = true
 		}
 	}
+	return mixed
 }
 
 // assemble replays a complete capture into its deposet: the strict mode

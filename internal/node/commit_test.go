@@ -11,9 +11,12 @@ import (
 	"slices"
 	"sort"
 	"strconv"
+	"strings"
 	"testing"
 	"time"
 
+	"predctl/internal/deposet"
+	"predctl/internal/livedetect"
 	"predctl/internal/obs"
 	"predctl/internal/store"
 	"predctl/internal/wire"
@@ -278,13 +281,62 @@ func TestAssembleAllocBound(t *testing.T) {
 	}
 }
 
-// TestMergeJournalIsStableSort checks the reference merge against the
-// definition: a stable sort by time of the streams' concatenation, on
-// streams with ties across and within them and with events out of
-// time order inside a stream.
+// TestAssembleChunkedAllocBound is TestAssembleAllocBound's twin for
+// an assembler fed the way the epoch's is, while the run runs: 20k ops
+// in 200 slices, then a strict finish and one build. The builder's
+// tables and the send map regrow as the slices come, but a table that
+// must grow at least doubles, so the objects allocated grow with the
+// doublings — a handful per table — and never with the slices.
+func TestAssembleChunkedAllocBound(t *testing.T) {
+	if raceEnabled {
+		// Instrumented, a slice's growth allocates about twice over;
+		// make bench-mem runs this bound without the detector.
+		t.Skip("allocation counts differ under the race detector")
+	}
+	const n = 4
+	streams := synthCapture(n, 20_000)
+	allocs := func(chunks int) float64 {
+		parts := make([][][]wire.TraceOp, chunks)
+		for k := range parts {
+			parts[k] = make([][]wire.TraceOp, 2*n)
+			for p, s := range streams {
+				parts[k][p] = s[:len(s)*(k+1)/chunks]
+			}
+		}
+		return testing.AllocsPerRun(3, func() {
+			a := livedetect.NewAssembler(n)
+			for k, part := range parts {
+				if err := a.Feed(part, k == chunks-1); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if _, err := a.Build(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	whole, twenty, chunked := allocs(1), allocs(20), allocs(200)
+	t.Logf("20k ops allocate %.0f objects in one slice, %.0f in 20, %.0f in 200", whole, twenty, chunked)
+	// Each process's send, receive and variable tables, the message
+	// table and the send map, doubling log2(200) times at most.
+	if limit := whole + (3*2*n+2)*8; chunked > limit {
+		t.Errorf("feeding 20k ops in 200 slices allocates %.0f objects, want at most %.0f", chunked, limit)
+	}
+	if chunked > twenty+90 {
+		t.Errorf("allocations grew from %.0f to %.0f objects with 10x the slices", twenty, chunked)
+	}
+}
+
+// TestMergeJournalIsStableSort checks the journal merge — the streams
+// sorted, then appended with the annotations merged in — against the
+// definition: a stable sort by time of the concatenation of the streams
+// and the annotations, on streams with ties across and within them,
+// events out of time order inside a stream, and annotations out of
+// order among themselves and at the streams' times, where they must
+// follow the stream events of their time.
 func TestMergeJournalIsStableSort(t *testing.T) {
 	r := rand.New(rand.NewSource(12))
-	for round := 0; round < 50; round++ {
+	for round := 0; round < 200; round++ {
 		streams := make([][]obs.Event, 1+r.Intn(6))
 		var want []obs.Event
 		for s := range streams {
@@ -295,9 +347,14 @@ func TestMergeJournalIsStableSort(t *testing.T) {
 			}
 			want = append(want, streams[s]...)
 		}
+		annots := make([]obs.Event, r.Intn(8))
+		for i := range annots {
+			annots[i] = obs.Event{At: int64(r.Intn(50)) - 2, Proc: -1, A: int64(i)}
+		}
+		want = append(want, annots...)
 		sort.SliceStable(want, func(i, j int) bool { return want[i].At < want[j].At })
 		j := obs.NewJournal(512)
-		mergeJournal(j, streams)
+		appendJournal(j, streams, sortJournal(streams), slices.Clone(annots))
 		got := j.Events()
 		for i := range got {
 			got[i].Seq = 0
@@ -306,7 +363,7 @@ func TestMergeJournalIsStableSort(t *testing.T) {
 			want = got
 		}
 		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("round %d: merged journal is not the stable sort of its streams", round)
+			t.Fatalf("round %d: merged journal is not the stable sort of its streams and annotations", round)
 		}
 	}
 }
@@ -393,7 +450,8 @@ func TestStoreFollowsEveryDiscard(t *testing.T) {
 		ram.mu.Lock()
 		e := ram.core.dec.epoch
 		ram.mu.Unlock()
-		want := ram.collect(e)
+		want := ram.collect(e, staged{})
+		want.gens = nil // the bundle has no sessions
 
 		dir := t.TempDir()
 		disk, err := store.Open(store.Config{Dir: dir, SegmentBytes: 128})
@@ -452,6 +510,160 @@ func TestStoreFollowsEveryDiscard(t *testing.T) {
 	check("EpochMark{2}", 4, n)
 	if segs < 4 {
 		t.Fatalf("the store rotated into %d segments, want the replay to cross several", segs)
+	}
+}
+
+// TestEpochAssemblerFollowsEveryDiscard drives a listener-free
+// coordinator through a relayed (nil-conn) frame script with assembler
+// passes between the frames, as the feeder runs them: first Hellos; a
+// relaunch Hello from node 1, whose new incarnation re-stages a longer
+// stream at epoch 0; EpochMark{1} from both; EpochMark{2} from node 0,
+// which moves it forward; then node 1's, an op node 1 stages on node
+// 0's process, and the byes. Two of the passes
+// read the cluster epoch before the frame ahead of them moved it on —
+// the feeder's race with a restart — and find the streams they fed
+// discarded under them, at the epoch they fed. After every pass the
+// assembler's prefix must encode to the bytes of a fresh prefix pass
+// over what is staged at its epoch, and Wait's deposet to those of a
+// batch assembly of the surviving capture.
+func TestEpochAssemblerFollowsEveryDiscard(t *testing.T) {
+	const n = 2
+	c := newCoordinator(n, nil, t.Logf)
+	seqs, minted := make([]uint64, n), uint64(0)
+	send := func(id int, m wire.Msg) {
+		t.Helper()
+		if _, ok := m.(wire.Hello); ok {
+			seqs[id] = 0 // a new process numbers its log afresh
+		}
+		seqs[id]++
+		if _, err := c.ingest(c.sessions[id], nil, nil, wire.AppendBody(nil, seqs[id], m)); err != nil {
+			t.Fatalf("node %d: %v", id, err)
+		}
+	}
+	// capture stages k rounds of node id's app asking its controller,
+	// which answers, each side setting phase to tag.
+	capture := func(id int, tag int64, k int) {
+		app, ctl := int32(id), int32(n+id)
+		var ops []wire.TraceOp
+		for ; k > 0; k-- {
+			minted += 2
+			ops = append(ops,
+				wire.TraceOp{Op: wire.TraceSend, Proc: app, MsgID: minted},
+				wire.TraceOp{Op: wire.TraceSet, Proc: app, Name: "phase", Value: tag},
+				wire.TraceOp{Op: wire.TraceRecv, Proc: app, MsgID: minted + 1},
+				wire.TraceOp{Op: wire.TraceRecv, Proc: ctl, MsgID: minted},
+				wire.TraceOp{Op: wire.TraceSend, Proc: ctl, MsgID: minted + 1},
+				wire.TraceOp{Op: wire.TraceSet, Proc: ctl, Name: "phase", Value: tag})
+		}
+		send(id, wire.TraceOpBatch{Ops: ops})
+	}
+	encode := func(d *deposet.Deposet) []byte { return encodeTrace(t, &Result{Deposet: d}) }
+	// pass runs an assembler pass that read the cluster epoch as e.
+	pass := func(step string, e uint32) {
+		t.Helper()
+		got, err := c.advance(e, false, true)
+		if err != nil {
+			t.Fatalf("%s: %v", step, err)
+		}
+		want, _, err := livedetect.AssemblePrefix(n, c.collect(e, staged{}).byProc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(encode(got), encode(want)) {
+			t.Fatalf("%s: the epoch-%d assembler built %d states, a fresh pass over its staging %d",
+				step, e, got.NumStates(), want.NumStates())
+		}
+	}
+
+	for id := 0; id < n; id++ {
+		send(id, wire.Hello{From: int32(id), N: n, Inc: 1})
+		capture(id, 1, 2)
+	}
+	pass("first Hellos", 0)
+	capture(0, 1, 1)
+	pass("more capture", 0)
+	send(1, wire.Hello{From: 1, N: n, Inc: 2}) // the cluster restarts at epoch 1
+	capture(1, 2, 4)
+	pass("relaunch, epoch read before it", 0)
+	pass("relaunch", 1)
+	for id := 0; id < n; id++ {
+		send(id, wire.EpochMark{Epoch: 1})
+		capture(id, 3, 2)
+	}
+	pass("EpochMark{1}", 1)
+	capture(1, 3, 1)
+	pass("more capture at epoch 1", 1)
+	send(0, wire.EpochMark{Epoch: 2}) // adopted: node 0 moves forward
+	capture(0, 4, 2)
+	pass("adopted EpochMark{2}, epoch read before it", 1)
+	pass("adopted EpochMark{2}", 2)
+	send(1, wire.EpochMark{Epoch: 2})
+	capture(1, 4, 3)
+	pass("EpochMark{2}", 2)
+	// An op node 1 stages on node 0's app makes that process a
+	// concatenation, whose middle node 0's next frame moves.
+	send(1, wire.TraceOpBatch{Ops: []wire.TraceOp{{Op: wire.TraceSet, Proc: 0, Name: "phase", Value: 4}}})
+	pass("a process staged by two nodes", 2)
+	capture(0, 4, 1)
+	pass("the first of them stages more", 2)
+	for _, m := range []wire.Msg{wire.Done{}, wire.Shutdown{Epoch: 2}} {
+		for id := 0; id < n; id++ {
+			send(id, m)
+		}
+	}
+	res, err := c.Wait(time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	survivors := c.collect(2, staged{}).byProc
+	for _, stream := range survivors {
+		for _, op := range stream {
+			if op.Op == wire.TraceSet && op.Value != 4 {
+				t.Fatalf("the final capture holds an op of phase %d, want only phase 4", op.Value)
+			}
+		}
+	}
+	want, err := assemble(n, survivors)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Epoch != 2 || !bytes.Equal(encode(res.Deposet), encode(want)) {
+		t.Fatalf("Wait: epoch %d, %d states; a batch assembly of the surviving capture has %d at epoch 2",
+			res.Epoch, res.Deposet.NumStates(), want.NumStates())
+	}
+}
+
+// TestDroppedOpsReportedOncePerEpoch: an op naming a process outside
+// the run is dropped at staging and reported once for its epoch, not
+// by every pass that snapshots the staging.
+func TestDroppedOpsReportedOncePerEpoch(t *testing.T) {
+	var sink logSink
+	c := newCoordinator(2, nil, sink.logf)
+	c.ingestStored(c.sessions[0], wire.TraceOpBatch{Ops: []wire.TraceOp{
+		{Op: wire.TraceStep, Proc: 0},
+		{Op: wire.TraceStep, Proc: 9},
+	}}, nil)
+	for i := 0; i < 2; i++ {
+		if _, err := c.advance(0, false, false); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, m := range []wire.Msg{wire.Done{}, wire.Shutdown{Epoch: 0}} {
+		for _, st := range c.sessions {
+			c.ingestStored(st, m, nil)
+		}
+	}
+	if _, err := c.Wait(time.Second); err != nil {
+		t.Fatal(err)
+	}
+	reports := 0
+	for _, l := range sink.lines {
+		if strings.Contains(l, "outside the run") {
+			reports++
+		}
+	}
+	if reports != 1 {
+		t.Fatalf("log %q, want the dropped op reported once", sink.lines)
 	}
 }
 

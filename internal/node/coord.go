@@ -118,6 +118,12 @@ type Coordinator struct {
 	violation predicate.Expr // ¬B, precomputed from Live.Predicate
 	detMeter  *obs.Counter
 
+	// asm is the cluster epoch's one assembler (commit.go); the feeder
+	// goroutine (feed) runs a pass on each kick, which stageCapture sends
+	// (nil kick: no feeder, as in the ingest benches).
+	asm  epochAsm
+	kick chan struct{}
+
 	// assemblies counts whole-capture assemblies on the commit path —
 	// Wait's, which the closing verdict reuses: one per committed run.
 	assemblies *obs.Counter
@@ -163,8 +169,9 @@ type spillStore interface {
 }
 
 // newCoordinator builds the listener-free coordinator — the session
-// table and the decision core — that NewCoordinator wires to a socket
-// and the ingest benches drive directly.
+// table, the decision core and the epoch assembler — that NewCoordinator
+// wires to a socket and the ingest benches drive directly. It starts no
+// feeder: ingest then times decode and staging alone.
 func newCoordinator(n int, journal *obs.Journal, logf func(string, ...any)) *Coordinator {
 	c := &Coordinator{
 		endpoint: newEndpoint("coordinator", Timeouts{}.withDefaults(), logf),
@@ -176,6 +183,7 @@ func newCoordinator(n int, journal *obs.Journal, logf func(string, ...any)) *Coo
 		allByes:  make(chan struct{}),
 	}
 	c.core = newRootCore(n, c.logf)
+	c.asm.fed = make([]uint64, n)
 	for id := range c.sessions {
 		c.sessions[id] = &nodeSession{id: id}
 		c.register(&c.sessions[id].inbound)
@@ -227,7 +235,9 @@ func NewCoordinator(cfg CoordConfig) (*Coordinator, error) {
 		}
 		c.insp = insp
 	}
-	c.wg.Add(1)
+	c.kick = make(chan struct{}, 1)
+	c.wg.Add(2)
+	go c.feed()
 	go c.acceptLoop(c.handleConn)
 	return c, nil
 }

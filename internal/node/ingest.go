@@ -23,6 +23,7 @@ type nodeSession struct {
 
 	// Under inbound.mu:
 	epoch  uint32  // the stream's current epoch (last EpochMark seen)
+	gen    uint64  // discards so far: staging is append-only between two
 	ops    procOps // staged by logical process at ingest
 	events []obs.Event
 	cands  int
@@ -51,6 +52,7 @@ type nodeSession struct {
 // s.mu.
 func (s *nodeSession) discardEpochLocked(e uint32) {
 	s.epoch = e
+	s.gen++
 	s.ops, s.events, s.cands = procOps{}, nil, 0
 	s.byed, s.late = false, 0
 }
@@ -62,7 +64,8 @@ func (s *nodeSession) discardEpochLocked(e uint32) {
 // re-encoded — the bytes are identical either way, which is what keeps
 // the sealed bundle byte-equal to in-RAM staging). The caller holds the
 // session's ingestMu, so the store sees each origin's frames in staging
-// order. A frame that follows the stream's counted bye is refused: the
+// order. Staging kicks the epoch assembler's feeder, when one runs. A
+// frame that follows the stream's counted bye is refused: the
 // capture ended there on the node's side too, and a straggler landing
 // after the seal would be in Wait's deposet but not under the manifest.
 //
@@ -84,6 +87,10 @@ func (c *Coordinator) stageCapture(st *nodeSession, m wire.Msg, raw []byte) {
 	}
 	stageFrame(c.n, m, &st.ops, &st.events)
 	st.mu.Unlock()
+	select {
+	case c.kick <- struct{}{}:
+	default: // a pass is already due, or no feeder runs (kick is nil)
+	}
 	if c.store == nil || c.spillFailed.Load() {
 		return
 	}

@@ -6,7 +6,6 @@ import (
 	"predctl/internal/control"
 	"predctl/internal/deposet"
 	"predctl/internal/detect"
-	"predctl/internal/livedetect"
 	"predctl/internal/offline"
 	"predctl/internal/predicate"
 	"predctl/internal/wire"
@@ -87,8 +86,8 @@ func (r DetectionRecord) frame() wire.Detection {
 }
 
 // fireDetection runs the confirming stage after the streaming checker
-// triggered: assemble the current epoch's staged capture into its
-// causally closed prefix and confirm on it. witness is the node whose
+// triggered: bring the epoch's assembler up to the staged capture, build
+// its causally closed prefix and confirm on it. witness is the node whose
 // frame carried the triggering candidate (display attribution only;
 // the record prefers the checker's own triggering interval).
 func (c *Coordinator) fireDetection(witness int) {
@@ -98,12 +97,13 @@ func (c *Coordinator) fireDetection(witness int) {
 	if committed || !c.ld.Pending(e) {
 		return // sealed, superseded by a restart, or already confirmed
 	}
-	d, _, err := livedetect.AssemblePrefix(c.n, c.collect(e).byProc)
+	d, err := c.advance(e, false, true)
 	if err != nil {
 		c.logf("coordinator: live confirm: %v", err)
-		return
 	}
-	c.confirm(d, e, witness, false)
+	if d != nil {
+		c.confirm(d, e, witness, false)
+	}
 }
 
 // confirm takes the verdict possibly(¬B) on d — epoch e's captured

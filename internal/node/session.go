@@ -36,6 +36,11 @@ import (
 //	                        peer sees the decisions in decision order.
 //	                        No assembly, detection, strategy or store
 //	                        seal runs under it
+//	epochAsm.mu             the epoch's assembler (commit.go): a feeder
+//	                        pass, a live confirm's prefix build, Wait's
+//	                        finish. Taken holding none of the above; it
+//	                        takes one session's inbound.mu at a time to
+//	                        snapshot the staging
 //	inbound.mu, endpoint.connMu
 //	                        a session's owner, sequence and staging; the
 //	                        accepted connections and the streams
