@@ -102,11 +102,11 @@ func loadPredicate(path string, d *deposet.Deposet) (*predicate.Disjunction, err
 		return nil, err
 	}
 	defer f.Close()
-	spec, err := trace.DecodeDisjunction(f)
+	locals, err := trace.DecodeDisjunction(f)
 	if err != nil {
 		return nil, err
 	}
-	return spec.Compile(d)
+	return predicate.VarDisjunction(d, locals)
 }
 
 func writeTrace(path string, d *deposet.Deposet, rel control.Relation) error {

@@ -130,6 +130,63 @@ func TestCLICluster(t *testing.T) {
 	}
 }
 
+// TestCLIPredOut pins the bytes `cluster -pred-o` writes for n = 3,
+// B = ∨ᵢ (csᵢ = 0): the file earlier builds wrote, byte for byte.
+func TestCLIPredOut(t *testing.T) {
+	predFile := filepath.Join(t.TempDir(), "pred.json")
+	if out, err := runCLI(t, "cluster", "-n", "3", "-rounds", "1", "-pred-o", predFile); err != nil {
+		t.Fatalf("cluster: %v\n%s", err, out)
+	}
+	got, err := os.ReadFile(predFile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = `{
+ "locals": [
+  {
+   "p": 0,
+   "var": "cs",
+   "op": "eq"
+  },
+  {
+   "p": 1,
+   "var": "cs",
+   "op": "eq"
+  },
+  {
+   "p": 2,
+   "var": "cs",
+   "op": "eq"
+  }
+ ]
+}
+`
+	if string(got) != want {
+		t.Errorf("-pred-o wrote\n%s\nwant\n%s", got, want)
+	}
+}
+
+// TestCLIPredOpTakesNoValue: op true reads "the variable is non-zero"
+// and has no value to compare with, so a local that gives it one is
+// refused, naming the local, rather than read as something it does not
+// say.
+func TestCLIPredOpTakesNoValue(t *testing.T) {
+	dir := t.TempDir()
+	tr, pred := filepath.Join(dir, "t.json"), filepath.Join(dir, "p.json")
+	if err := run([]string{"gen", "-n", "2", "-events", "6", "-o", tr}); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(pred, []byte(`{"locals":[{"p":0,"var":"ok","op":"true","value":3}]}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	want := `local "ok true 3" of process 0: op true takes no value`
+	for _, cmd := range []string{"detect", "control", "replay", "sgsd"} {
+		if err := run([]string{cmd, "-pred", pred, tr}); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: error %v, want one containing %q", cmd, err, want)
+		}
+	}
+}
+
 func TestCLIErrors(t *testing.T) {
 	if err := run(nil); err == nil {
 		t.Error("no args accepted")

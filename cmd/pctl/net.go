@@ -19,6 +19,7 @@ import (
 
 	"predctl/internal/node"
 	"predctl/internal/obs"
+	"predctl/internal/predicate"
 	"predctl/internal/store"
 	"predctl/internal/trace"
 )
@@ -204,16 +205,6 @@ func printDetections(res *node.Result) {
 	}
 }
 
-// csPredicate is the cluster workload's control predicate B = ∨ᵢ ¬csᵢ
-// as a spec over the captured 2n-process trace (apps are 0..n-1).
-func csPredicate(n int) trace.DisjunctionSpec {
-	var spec trace.DisjunctionSpec
-	for i := 0; i < n; i++ {
-		spec.Locals = append(spec.Locals, trace.LocalSpec{P: i, Var: "cs", Op: "eq", Value: 0})
-	}
-	return spec
-}
-
 // clusterInvariants runs the paper-bound checks on a networked run's
 // merged journal and metrics.
 func clusterInvariants(j *obs.Journal, reg *obs.Registry, delay time.Duration) error {
@@ -359,11 +350,14 @@ func cmdCluster(args []string) error {
 		fmt.Printf("wrote %s (merged cluster trace, %d journal events)\n", *traceOut, j.Len())
 	}
 	if *predOut != "" {
+		// B is a disjunction of variable locals on the apps, 0..n-1.
+		dj, _ := predicate.AsDisjunction(node.CSMutexPredicate(*n), *n)
+		locals, _ := dj.VarLocals()
 		f, err := os.Create(*predOut)
 		if err != nil {
 			return err
 		}
-		if err := trace.EncodeDisjunction(f, csPredicate(*n)); err != nil {
+		if err := trace.EncodeDisjunction(f, locals); err != nil {
 			f.Close()
 			return err
 		}

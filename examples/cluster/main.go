@@ -18,9 +18,9 @@ import (
 	"predctl/internal/detect"
 	"predctl/internal/node"
 	"predctl/internal/obs"
+	"predctl/internal/predicate"
 	"predctl/internal/replay"
 	"predctl/internal/sim"
-	"predctl/internal/trace"
 )
 
 func main() {
@@ -64,17 +64,10 @@ func main() {
 	}
 	fmt.Printf("invariants ok: %d checked\n", len(rep.Checked))
 
-	// B = ∨ᵢ ¬csᵢ over the application processes (0..n-1). The online
-	// controller enforced it live; the offline detector confirms no
-	// consistent cut of the captured run violates it.
-	spec := trace.DisjunctionSpec{}
-	for i := 0; i < n; i++ {
-		spec.Locals = append(spec.Locals, trace.LocalSpec{P: i, Var: "cs", Op: "eq", Value: 0})
-	}
-	dj, err := spec.Compile(d)
-	if err != nil {
-		log.Fatalf("predicate: %v", err)
-	}
+	// B = ∨ᵢ ¬csᵢ over the apps (0..n-1), a disjunction by construction.
+	// The online controller enforced it live; the offline detector
+	// confirms no consistent cut of the captured run violates it.
+	dj, _ := predicate.AsDisjunction(node.CSMutexPredicate(n), d.NumProcs())
 	if cut, bad := detect.PossiblyConjunctive(d, dj.Negate()); bad {
 		log.Fatalf("captured run violates B at %v", cut)
 	}

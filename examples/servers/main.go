@@ -26,7 +26,7 @@ func main() {
 	d := fg.C1
 
 	fmt.Println("=== Computation C1 (observed trace) ===")
-	drawAvailability(d)
+	drawAvailability(fg)
 
 	fmt.Println("\n--- Step 1: detect bug 1: \"all servers unavailable\" ---")
 	violations, _ := detect.AllViolations(d, fg.Avail.Expr())
@@ -101,17 +101,9 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	if _, bad := detect.PossiblyTruth(tr.D, func(p, k int) bool {
-		if p == 0 {
-			v, ok := tr.D.Var(deposet.StateID{P: 0, K: k}, "f")
-			return ok && v == 1
-		}
-		if p == 1 {
-			v, ok := tr.D.Var(deposet.StateID{P: 1, K: k}, "e")
-			return !ok || v == 0
-		}
-		return true
-	}); bad {
+	f := predicate.VarLocal{P: 0, Var: "f", Op: predicate.Eq, Value: 1}.Expr()
+	notE := predicate.VarLocal{P: 1, Var: "e", Op: predicate.Eq}.Expr()
+	if _, bad := detect.PossiblyGeneral(tr.D, predicate.And(f, notE)); bad {
 		log.Fatal("online control failed to order e before f")
 	}
 	fmt.Printf("on-line controller kept e before f in a fresh run (%d control messages)\n",
@@ -128,13 +120,12 @@ func report(d *deposet.Deposet, name string, bug *predicate.Conjunction) {
 }
 
 // drawAvailability renders each server's availability timeline.
-func drawAvailability(d *deposet.Deposet) {
-	for p := 0; p < d.NumProcs(); p++ {
+func drawAvailability(fg *scenario.Figure4) {
+	for p := 0; p < fg.C1.NumProcs(); p++ {
 		var sb strings.Builder
 		fmt.Fprintf(&sb, "  P%d: ", p)
-		for k := 0; k < d.Len(p); k++ {
-			v, _ := d.Var(deposet.StateID{P: p, K: k}, "avail")
-			if v == 1 {
+		for k := 0; k < fg.C1.Len(p); k++ {
+			if fg.Avail.Holds(fg.C1, p, k) {
 				sb.WriteString("──")
 			} else {
 				sb.WriteString("▓▓") // unavailable

@@ -1,6 +1,7 @@
 package detect
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -28,6 +29,11 @@ func line(t testing.TB, lens ...int) *deposet.Deposet {
 		}
 	}
 	return b.MustBuild()
+}
+
+// localAfter is the local of process p that holds from state k0 on.
+func localAfter(p, k0 int) predicate.Expr {
+	return predicate.Local(p, fmt.Sprintf("after%d", k0), func(_ *deposet.Deposet, k int) bool { return k >= k0 })
 }
 
 func TestPossiblyConjunctiveBasic(t *testing.T) {
@@ -240,8 +246,8 @@ func TestSGSDSimultaneousVsSingleStep(t *testing.T) {
 	b.Step(1)
 	b.Let(1, "y", 0)
 	d := b.MustBuild()
-	x := predicate.LocalVarEq(0, "x", 1)
-	y := predicate.LocalVarEq(1, "y", 1)
+	x := predicate.VarLocal{P: 0, Var: "x", Op: predicate.Eq, Value: 1}.Expr()
+	y := predicate.VarLocal{P: 1, Var: "y", Op: predicate.Eq, Value: 1}.Expr()
 	xor := predicate.Or(predicate.And(x, predicate.Not(y)), predicate.And(predicate.Not(x), y))
 
 	if seq, ok := sgsd(d, xor, true); !ok {
@@ -309,7 +315,7 @@ func TestFeasible(t *testing.T) {
 func TestAllViolations(t *testing.T) {
 	d := line(t, 2, 2)
 	// b false exactly where both processes are at state 1.
-	b := predicate.Not(predicate.And(predicate.LocalAfter(0, 1), predicate.LocalAfter(1, 1)))
+	b := predicate.Not(predicate.And(localAfter(0, 1), localAfter(1, 1)))
 	v, _ := AllViolations(d, b)
 	if len(v) != 1 || !v[0].Equal(deposet.Cut{1, 1}) {
 		t.Fatalf("violations = %v", v)

@@ -107,7 +107,7 @@ func TestSlicedMatchesExhaustiveProperty(t *testing.T) {
 // polarity, reports the first satisfying cut of the breadth-first walk.
 func TestNonRegularFallsBackExhaustive(t *testing.T) {
 	d := line(t, 3, 3)
-	b := xorExpr(predicate.LocalAfter(0, 1), predicate.LocalAfter(1, 1))
+	b := xorExpr(localAfter(0, 1), localAfter(1, 1))
 	for _, e := range []predicate.Expr{b, predicate.Not(b)} {
 		if _, ok := predicate.RegularTable(e, d); ok {
 			t.Fatalf("fixture %v must be non-regular", e)
@@ -147,7 +147,7 @@ func TestNonRegularFallsBackExhaustive(t *testing.T) {
 		b      predicate.Expr
 		sliced bool
 	}{
-		{"local", predicate.LocalAfter(0, 1), true},
+		{"local", localAfter(0, 1), true},
 		{"disjunction Expr()", dj.Expr(), true},
 		{"*Disjunction", dj, true},
 		{"¬conjunction Expr()", predicate.Not(cj.Expr()), true},

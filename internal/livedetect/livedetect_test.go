@@ -122,8 +122,8 @@ func TestAssemblePrefixStopsAtUnmatchedRecv(t *testing.T) {
 
 func TestConfirmPrefixDecidesViolation(t *testing.T) {
 	violation := predicate.And(
-		predicate.LocalVarEq(0, "cs", 1),
-		predicate.LocalVarEq(1, "cs", 1),
+		predicate.VarLocal{P: 0, Var: "cs", Op: predicate.Eq, Value: 1}.Expr(),
+		predicate.VarLocal{P: 1, Var: "cs", Op: predicate.Eq, Value: 1}.Expr(),
 	)
 	// Concurrent critical sections: no causality between the two app
 	// streams, so a cut with both cs=1 exists.

@@ -374,12 +374,10 @@ func TestMergeJournalIsStableSort(t *testing.T) {
 // are the same computation, run after run. A parked controller can
 // still receive a peer's last protocol message after its final flush;
 // flushing that op after Commit put it in Wait's deposet (collect reads
-// the live store) but not under the manifest — about 1 run in 150.
+// the live store) but not under the manifest — about 1 run in 150. One
+// pass is 60 runs; the race-detector soak repeats it with -count.
 func TestBundleEqualsWait(t *testing.T) {
-	runs := 300
-	if testing.Short() {
-		runs = 60
-	}
+	const runs = 60
 	root := t.TempDir()
 	for i := 0; i < runs; i++ {
 		dir := filepath.Join(root, strconv.Itoa(i))

@@ -44,7 +44,7 @@ const (
 func CSMutexPredicate(n int) predicate.Expr {
 	xs := make([]predicate.Expr, n)
 	for i := range xs {
-		xs[i] = predicate.LocalVarEq(i, "cs", 0)
+		xs[i] = predicate.VarLocal{P: i, Var: "cs", Op: predicate.Eq}.Expr()
 	}
 	return predicate.Or(xs...)
 }

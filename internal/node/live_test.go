@@ -278,12 +278,12 @@ func TestLiveStrategyIsFigure2OnDisjunction(t *testing.T) {
 
 		// B with counting locals: the work the strategy spends reading it.
 		evals := 0
+		b, _ := predicate.AsDisjunction(CSMutexPredicate(n), n)
 		xs := make([]predicate.Expr, n)
 		for i := range xs {
 			xs[i] = predicate.Local(i, "cs=0", func(d *deposet.Deposet, k int) bool {
 				evals++
-				v, ok := d.Var(deposet.StateID{P: i, K: k}, "cs")
-				return ok && v == 0
+				return b.Holds(d, i, k)
 			})
 		}
 		rel, err := liveStrategy(d, predicate.Or(xs...))
@@ -365,12 +365,12 @@ func (g *slowGate) openUp() { g.open.Do(func() { close(g.release) }) }
 func TestSlowVerdictBlocksNoHandshake(t *testing.T) {
 	const n, rounds = 3, 2
 	var gate atomic.Pointer[slowGate]
+	b, _ := predicate.AsDisjunction(CSMutexPredicate(n), n)
 	xs := make([]predicate.Expr, n)
 	for i := range xs {
 		xs[i] = predicate.Local(i, "cs=0", func(d *deposet.Deposet, k int) bool {
 			gate.Load().wait()
-			v, ok := d.Var(deposet.StateID{P: i, K: k}, "cs")
-			return ok && v == 0
+			return b.Holds(d, i, k)
 		})
 	}
 	c, err := NewCoordinator(CoordConfig{N: n, Addr: "127.0.0.1:0", Timeouts: testTimeouts(), Logf: t.Logf,

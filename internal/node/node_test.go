@@ -8,6 +8,7 @@ import (
 	"predctl/internal/deposet"
 	"predctl/internal/detect"
 	"predctl/internal/obs"
+	"predctl/internal/predicate"
 	"predctl/internal/replay"
 	"predctl/internal/sim"
 	"predctl/internal/trace"
@@ -32,13 +33,9 @@ func runTestCluster(t *testing.T, cfg ClusterConfig) (*Result, *obs.Journal, *ob
 // section (¬B = ∧ᵢ csᵢ must be impossible).
 func checkControlled(t *testing.T, d *deposet.Deposet, n int) {
 	t.Helper()
-	spec := trace.DisjunctionSpec{}
-	for i := 0; i < n; i++ {
-		spec.Locals = append(spec.Locals, trace.LocalSpec{P: i, Var: "cs", Op: "eq", Value: 0})
-	}
-	dj, err := spec.Compile(d)
-	if err != nil {
-		t.Fatalf("predicate: %v", err)
+	dj, ok := predicate.AsDisjunction(CSMutexPredicate(n), d.NumProcs())
+	if !ok {
+		t.Fatalf("%v is not a disjunction", CSMutexPredicate(n))
 	}
 	if cut, ok := detect.PossiblyConjunctive(d, dj.Negate()); ok {
 		t.Fatalf("captured trace violates B: all processes in CS at cut %v", cut)
@@ -158,13 +155,9 @@ func TestClusterTraceReplay(t *testing.T) {
 	if err != nil {
 		t.Fatalf("replay: %v", err)
 	}
-	spec := trace.DisjunctionSpec{}
-	for i := 0; i < n; i++ {
-		spec.Locals = append(spec.Locals, trace.LocalSpec{P: i, Var: "cs", Op: "eq", Value: 0})
-	}
-	dj, err := spec.Compile(d)
-	if err != nil {
-		t.Fatalf("predicate: %v", err)
+	dj, ok := predicate.AsDisjunction(CSMutexPredicate(n), d.NumProcs())
+	if !ok {
+		t.Fatalf("%v is not a disjunction", CSMutexPredicate(n))
 	}
 	if cut, ok := replay.VerifyDisjunction(rr, d, dj); !ok {
 		t.Fatalf("replayed run violates B at cut %v", cut)

@@ -401,8 +401,8 @@ func TestControlXORInfeasible(t *testing.T) {
 	b.Step(1)
 	b.Let(1, "y", 0)
 	d := b.MustBuild()
-	x := predicate.LocalVarEq(0, "x", 1)
-	y := predicate.LocalVarEq(1, "y", 1)
+	x := predicate.VarLocal{P: 0, Var: "x", Op: predicate.Eq, Value: 1}.Expr()
+	y := predicate.VarLocal{P: 1, Var: "y", Op: predicate.Eq, Value: 1}.Expr()
 	xor := predicate.Or(predicate.And(x, predicate.Not(y)), predicate.And(predicate.Not(x), y))
 	if _, _, err := ControlGeneral(d, xor); !errors.Is(err, ErrInfeasible) {
 		t.Fatalf("err = %v, want ErrInfeasible", err)

@@ -15,40 +15,36 @@ import (
 // otherwise; every other difference between the two forms follows.
 type form struct {
 	unit   bool
-	locals []LocalFn // indexed by process; nil means the constant unit
-	names  []string
+	locals []*localExpr // indexed by process; nil means the constant unit
 }
 
 func newForm(n int, unit bool) form {
-	return form{unit: unit, locals: make([]LocalFn, n), names: make([]string, n)}
+	return form{unit: unit, locals: make([]*localExpr, n)}
 }
 
-// Set sets the local predicate of process p, or reports why it cannot: p
-// out of range, or p already has one (two locals of one process are a
-// single local predicate and should be expressed as one).
-func (f *form) Set(p int, name string, fn LocalFn) error {
-	if p < 0 || p >= len(f.locals) {
-		return fmt.Errorf("predicate: process %d out of range [0,%d)", p, len(f.locals))
+// set sets x as its process's local, or reports why it cannot: the
+// process out of range, or it already has one (two locals of one process
+// are a single local predicate and should be expressed as one).
+func (f *form) set(x *localExpr) error {
+	if x.p < 0 || x.p >= len(f.locals) {
+		return fmt.Errorf("predicate: process %d out of range [0,%d)", x.p, len(f.locals))
 	}
-	if f.locals[p] != nil {
-		return fmt.Errorf("predicate: process %d already has a local predicate", p)
+	if f.locals[x.p] != nil {
+		return fmt.Errorf("predicate: process %d already has a local predicate", x.p)
 	}
-	f.locals[p], f.names[p] = fn, name
+	f.locals[x.p] = x
 	return nil
 }
 
-// add is Set for callers whose arguments are program text, not input.
+// add is set for callers whose arguments are program text, not input.
 func (f *form) add(p int, name string, fn LocalFn) {
-	if err := f.Set(p, name, fn); err != nil {
+	if err := f.set(&localExpr{p: p, name: name, fn: fn}); err != nil {
 		panic(err)
 	}
 }
 
 // NumProcs returns the number of processes the form ranges over.
 func (f *form) NumProcs() int { return len(f.locals) }
-
-// HasLocal reports whether process p contributes a local predicate.
-func (f *form) HasLocal(p int) bool { return f.locals[p] != nil }
 
 // Holds evaluates the local predicate of process p at state (p, k);
 // a process without one is constant false in a disjunction and constant
@@ -57,7 +53,7 @@ func (f *form) Holds(d *deposet.Deposet, p, k int) bool {
 	if f.locals[p] == nil {
 		return f.unit
 	}
-	return f.locals[p](d, k)
+	return f.locals[p].fn(d, k)
 }
 
 // Eval evaluates the form at global state g.
@@ -73,9 +69,9 @@ func (f *form) Eval(d *deposet.Deposet, g deposet.Cut) bool {
 // Expr returns the form as a general predicate expression.
 func (f *form) Expr() Expr {
 	var xs []Expr
-	for p, fn := range f.locals {
-		if fn != nil {
-			xs = append(xs, Local(p, f.names[p], fn))
+	for _, x := range f.locals {
+		if x != nil {
+			xs = append(xs, x)
 		}
 	}
 	if f.unit {
@@ -86,9 +82,9 @@ func (f *form) Expr() Expr {
 
 func (f *form) String() string {
 	var parts []string
-	for p, fn := range f.locals {
-		if fn != nil {
-			parts = append(parts, fmt.Sprintf("%s@P%d", f.names[p], p))
+	for _, x := range f.locals {
+		if x != nil {
+			parts = append(parts, x.String())
 		}
 	}
 	if len(parts) == 0 {
@@ -108,13 +104,13 @@ func (f *form) TruthTable(d *deposet.Deposet) *TruthTable {
 	for p := range lens {
 		lens[p] = d.Len(p)
 	}
-	t := NewTruthTable(lens)
-	for p, fn := range f.locals {
-		if fn == nil && !f.unit {
+	t := newTruthTable(lens)
+	for p, x := range f.locals {
+		if x == nil && !f.unit {
 			continue
 		}
 		for k := 0; k < lens[p]; k++ {
-			if fn == nil || fn(d, k) {
+			if x == nil || x.fn(d, k) {
 				t.Set(p, k, true)
 			}
 		}
@@ -146,14 +142,14 @@ func NewDisjunction(n int) *Disjunction { return &Disjunction{newForm(n, false)}
 func NewConjunction(n int) *Conjunction { return &Conjunction{newForm(n, true)} }
 
 // Add sets the local predicate (disjunct) of process p, and panics where
-// Set returns an error.
+// p is out of range or already has one.
 func (dj *Disjunction) Add(p int, name string, fn LocalFn) *Disjunction {
 	dj.add(p, name, fn)
 	return dj
 }
 
-// Add sets the conjunct of process p, and panics where Set returns an
-// error.
+// Add sets the conjunct of process p, and panics where p is out of range
+// or already has one.
 func (cj *Conjunction) Add(p int, name string, fn LocalFn) *Conjunction {
 	cj.add(p, name, fn)
 	return cj
@@ -174,7 +170,7 @@ func AsDisjunction(e Expr, n int) (*Disjunction, bool) {
 func (dj *Disjunction) collect(e Expr) bool {
 	switch x := e.(type) {
 	case *localExpr:
-		return dj.Set(x.p, x.name, x.fn) == nil
+		return dj.set(x) == nil
 	case *constExpr:
 		return !x.v
 	case *orExpr:
@@ -187,6 +183,20 @@ func (dj *Disjunction) collect(e Expr) bool {
 	default:
 		return false
 	}
+}
+
+// VarLocals returns dj's locals in process order; ok is false unless
+// every one of them is a variable local.
+func (dj *Disjunction) VarLocals() (ls []VarLocal, ok bool) {
+	for _, x := range dj.locals {
+		if x != nil {
+			if x.v == nil {
+				return nil, false
+			}
+			ls = append(ls, *x.v)
+		}
+	}
+	return ls, true
 }
 
 // DisjunctionFromTruth builds a disjunction directly from a truth table
@@ -207,12 +217,12 @@ func DisjunctionFromTruth(truth [][]bool) *Disjunction {
 // which is exactly "¬false". Used to hand B's complement to the detectors.
 func (dj *Disjunction) Negate() *Conjunction {
 	cj := NewConjunction(dj.NumProcs())
-	for p, fn := range dj.locals {
-		if fn == nil {
+	for p, x := range dj.locals {
+		if x == nil {
 			continue // ¬false = true = absent conjunct
 		}
-		cj.Add(p, "¬"+dj.names[p], func(d *deposet.Deposet, k int) bool {
-			return !fn(d, k)
+		cj.Add(p, "¬"+x.name, func(d *deposet.Deposet, k int) bool {
+			return !x.fn(d, k)
 		})
 	}
 	return cj

@@ -1,7 +1,10 @@
 package predicate
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -25,10 +28,15 @@ func twoProc(t testing.TB) *deposet.Deposet {
 	return b.MustBuild()
 }
 
+// varEq and varTrue are the variable locals "name eq v" and "name true"
+// of process p.
+func varEq(p int, name string, v int) Expr { return VarLocal{P: p, Var: name, Op: Eq, Value: v}.Expr() }
+func varTrue(p int, name string) Expr      { return VarLocal{P: p, Var: name, Op: True}.Expr() }
+
 func TestEvalBasics(t *testing.T) {
 	d := twoProc(t)
-	x1 := LocalVarEq(0, "x", 1)
-	y2 := LocalVarEq(1, "y", 2)
+	x1 := varEq(0, "x", 1)
+	y2 := varEq(1, "y", 2)
 	g := deposet.Cut{1, 2}
 	if !x1.Eval(d, g) || !y2.Eval(d, g) {
 		t.Fatal("local eval wrong")
@@ -36,7 +44,7 @@ func TestEvalBasics(t *testing.T) {
 	if !And(x1, y2).Eval(d, g) {
 		t.Error("and wrong")
 	}
-	if !Or(x1, LocalVarEq(1, "y", 9)).Eval(d, g) {
+	if !Or(x1, varEq(1, "y", 9)).Eval(d, g) {
 		t.Error("or wrong")
 	}
 	if Not(x1).Eval(d, g) {
@@ -55,26 +63,150 @@ func TestEvalBasics(t *testing.T) {
 
 func TestVarPredicates(t *testing.T) {
 	d := twoProc(t)
-	if !localVarTrue(0, "x").Eval(d, deposet.Cut{2, 0}) {
+	if !varTrue(0, "x").Eval(d, deposet.Cut{2, 0}) {
 		t.Error("VarTrue at x=2 should hold")
 	}
-	if localVarTrue(0, "x").Eval(d, deposet.Cut{0, 0}) {
+	if varTrue(0, "x").Eval(d, deposet.Cut{0, 0}) {
 		t.Error("VarTrue at x=0 should not hold")
 	}
-	if localVarTrue(0, "missing").Eval(d, deposet.Cut{2, 0}) {
+	if varTrue(0, "missing").Eval(d, deposet.Cut{2, 0}) {
 		t.Error("VarTrue on unset var should not hold")
 	}
-	if LocalVarEq(0, "missing", 0).Eval(d, deposet.Cut{0, 0}) {
+	if varEq(0, "missing", 0).Eval(d, deposet.Cut{0, 0}) {
 		t.Error("VarEq on unset var should not hold")
 	}
 }
 
+func TestOps(t *testing.T) {
+	cases := map[Op][3]bool{ // results for (1,2), (2,2), (3,2)
+		Eq: {false, true, false},
+		Ne: {true, false, true},
+		Lt: {true, false, false},
+		Le: {true, true, false},
+		Gt: {false, false, true},
+		Ge: {false, true, true},
+	}
+	for op, want := range cases {
+		for i, a := range []int{1, 2, 3} {
+			if ops[op].holds(a, 2) != want[i] {
+				t.Errorf("%s(%d,2) = %v", op, a, ops[op].holds(a, 2))
+			}
+		}
+	}
+	if !ops[True].holds(5, 0) || ops[True].holds(0, 0) || !ops[False].holds(0, 0) || ops[False].holds(5, 0) {
+		t.Error("true/false ops wrong")
+	}
+	// Every op reads back from its name, and nothing else reads as one.
+	for op := Eq; op <= False; op++ {
+		text, _ := op.MarshalText()
+		var back Op
+		if err := back.UnmarshalText(text); err != nil || back != op {
+			t.Errorf("%s: read back as %v, %v", op, back, err)
+		}
+	}
+	for _, bad := range []string{"", "weird", "EQ", "Op(0)"} {
+		var o Op
+		if err := o.UnmarshalText([]byte(bad)); err == nil || !strings.Contains(err.Error(), "eq ne lt le gt ge true false") {
+			t.Errorf("op %q: error %v, want one listing the ops", bad, err)
+		}
+	}
+}
+
+func TestVarDisjunctionErrors(t *testing.T) {
+	b := deposet.NewBuilder(2)
+	b.Let(0, "ok", 1)
+	b.Let(1, "x", 0)
+	b.Let(1, "y", 0)
+	d := b.MustBuild()
+	if _, err := VarDisjunction(d, []VarLocal{{P: 5, Var: "ok", Op: Eq}}); err == nil || !strings.Contains(err.Error(), "process 5") {
+		t.Errorf("bad process: error %v", err)
+	}
+	for _, op := range []Op{0, False + 1} {
+		if _, err := VarDisjunction(d, []VarLocal{{P: 0, Var: "ok", Op: op}}); err == nil || !strings.Contains(err.Error(), "unknown op") {
+			t.Errorf("op %d: error %v", op, err)
+		}
+	}
+	// Two locals for one process: an error naming it, not Add's panic.
+	twice := []VarLocal{{P: 1, Var: "x", Op: True}, {P: 1, Var: "y", Op: True}}
+	if _, err := VarDisjunction(d, twice); err == nil || !strings.Contains(err.Error(), "process 1") {
+		t.Errorf("two locals on process 1: error %v, want one naming the process", err)
+	}
+	// true and false take no value: one given would be ignored, so the
+	// local would mean something other than it says.
+	for _, op := range []Op{True, False} {
+		l := VarLocal{P: 1, Var: "x", Op: op, Value: 3}
+		want := fmt.Sprintf(`local "x %s 3" of process 1: op %s takes no value`, op, op)
+		if _, err := VarDisjunction(d, []VarLocal{l}); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s with a value: error %v, want one containing %q", op, err, want)
+		}
+	}
+}
+
+// TestVarDisjunctionUnsetVariable: a local naming a variable its process
+// never sets — a misspelling — is refused with the names it does set,
+// instead of reading as false at every state; so is every local on a
+// computation with no variables.
+func TestVarDisjunctionUnsetVariable(t *testing.T) {
+	b := deposet.NewBuilder(2)
+	b.Let(0, "ok", 1)
+	b.Let(0, "cs", 0)
+	b.Let(1, "ok", 0)
+	d := b.MustBuild()
+	typo := []VarLocal{{P: 0, Var: "okk", Op: Eq, Value: 1}}
+	_, err := VarDisjunction(d, typo)
+	if want := `variable "okk" is not set on process 0 (set: cs, ok)`; err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("misspelt variable: error %v, want one containing %q", err, want)
+	}
+	if _, err := VarDisjunction(d, []VarLocal{{P: 1, Var: "cs", Op: Eq}}); err == nil || !strings.Contains(err.Error(), "(set: ok)") {
+		t.Errorf("a variable set only on another process: error %v", err)
+	}
+	bare := deposet.NewBuilder(2)
+	bare.Step(0)
+	_, err = VarDisjunction(bare.MustBuild(), typo)
+	if want := `variable "okk" is not set on process 0 (set: none)`; err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("a computation with no variables: error %v, want one containing %q", err, want)
+	}
+}
+
+// TestVarLocals: a disjunction of variable locals gives them back in
+// process order, whether built by VarDisjunction or recognized by
+// AsDisjunction; one with an opaque local gives none.
+func TestVarLocals(t *testing.T) {
+	d := twoProc(t)
+	ls := []VarLocal{{P: 1, Var: "y", Op: Ge, Value: 1}, {P: 0, Var: "x", Op: False}}
+	dj, err := VarDisjunction(d, ls)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []VarLocal{ls[1], ls[0]}
+	if got, ok := dj.VarLocals(); !ok || !slices.Equal(got, want) {
+		t.Errorf("VarLocals = %v, %v; want %v", got, ok, want)
+	}
+	dj2, _ := AsDisjunction(Or(ls[0].Expr(), ls[1].Expr()), 2)
+	if got, ok := dj2.VarLocals(); !ok || !slices.Equal(got, want) || dj2.String() != dj.String() {
+		t.Errorf("recognized: %v, %v; %s", got, ok, dj2)
+	}
+	if _, ok := DisjunctionFromTruth([][]bool{{true}}).VarLocals(); ok {
+		t.Error("an opaque local read as a variable local")
+	}
+}
+
+// localAfter and localBefore are the locals of process p that hold from
+// state k0 on ("the event has happened": after_x in the paper's property
+// 3) and strictly before it ("it has not happened yet": before_y).
+func localAfter(p, k0 int) Expr {
+	return Local(p, fmt.Sprintf("after%d", k0), func(_ *deposet.Deposet, k int) bool { return k >= k0 })
+}
+func localBefore(p, k0 int) Expr {
+	return Local(p, fmt.Sprintf("before%d", k0), func(_ *deposet.Deposet, k int) bool { return k < k0 })
+}
+
 func TestAfterBefore(t *testing.T) {
 	d := twoProc(t)
-	after := LocalAfter(0, 2)
+	after := localAfter(0, 2)
 	before := localBefore(1, 1)
 	if after.Eval(d, deposet.Cut{1, 0}) || !after.Eval(d, deposet.Cut{2, 0}) {
-		t.Error("LocalAfter wrong")
+		t.Error("localAfter wrong")
 	}
 	if !before.Eval(d, deposet.Cut{0, 0}) || before.Eval(d, deposet.Cut{0, 1}) {
 		t.Error("localBefore wrong")
@@ -82,17 +214,17 @@ func TestAfterBefore(t *testing.T) {
 }
 
 func TestStrings(t *testing.T) {
-	x := LocalVarEq(0, "x", 1)
-	y := localVarTrue(1, "y")
+	x := varEq(0, "x", 1)
+	y := varTrue(1, "y")
 	cases := []struct {
 		e    Expr
 		want string
 	}{
-		{x, "x=1@P0"},
-		{y, "y@P1"},
-		{And(x, y), "(x=1@P0 ∧ y@P1)"},
-		{Or(x, y), "(x=1@P0 ∨ y@P1)"},
-		{Not(x), "¬x=1@P0"},
+		{x, "x eq 1@P0"},
+		{y, "y true 0@P1"},
+		{And(x, y), "(x eq 1@P0 ∧ y true 0@P1)"},
+		{Or(x, y), "(x eq 1@P0 ∨ y true 0@P1)"},
+		{Not(x), "¬x eq 1@P0"},
 		{And(), "true"},
 		{Or(), "false"},
 		{Const(true), "true"},
@@ -114,9 +246,6 @@ func TestDisjunction(t *testing.T) {
 	})
 	if dj.NumProcs() != 2 {
 		t.Error("NumProcs wrong")
-	}
-	if !dj.HasLocal(0) || dj.HasLocal(1) {
-		t.Error("HasLocal wrong")
 	}
 	if dj.Holds(d, 1, 0) {
 		t.Error("absent disjunct must be false")

@@ -195,7 +195,7 @@ func RegularTable(e Expr, d *deposet.Deposet) (t *TruthTable, ok bool) {
 	for p := range lens {
 		lens[p] = d.Len(p)
 	}
-	t = NewTruthTable(lens)
+	t = newTruthTable(lens)
 	if constFalse {
 		return t, true // all-false
 	}

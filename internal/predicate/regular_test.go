@@ -14,10 +14,10 @@ import (
 // cross-process disjunction is not min-closed.
 func TestIsRegular(t *testing.T) {
 	d := twoProc(t)
-	l0 := LocalVarEq(0, "x", 1)
-	l0b := LocalVarEq(0, "x", 2)
-	l1 := LocalVarEq(1, "y", 1)
-	l1b := LocalVarEq(1, "y", 2)
+	l0 := varEq(0, "x", 1)
+	l0b := varEq(0, "x", 2)
+	l1 := varEq(1, "y", 1)
+	l1b := varEq(1, "y", 2)
 	compiled := Compile(Or(l0, l0b), d) // or of bitExpr leaves, one process
 	after := func(_ *deposet.Deposet, k int) bool { return k >= 1 }
 	dj := NewDisjunction(2).Add(0, "a", after).Add(1, "b", after)
@@ -73,8 +73,8 @@ func TestIsRegular(t *testing.T) {
 // (and hence regular): the fragment is syntactic. Pin that choice.
 func TestIsRegularSyntacticNotSemantic(t *testing.T) {
 	d := twoProc(t)
-	l0 := LocalVarEq(0, "x", 1)
-	l1 := LocalVarEq(1, "y", 1)
+	l0 := varEq(0, "x", 1)
+	l1 := varEq(1, "y", 1)
 	if _, ok := RegularTable(Or(l0, l1, Const(true)), d); ok {
 		t.Fatal("multi-process Or must be rejected even when semantically constant")
 	}
@@ -85,9 +85,9 @@ func TestIsRegularSyntacticNotSemantic(t *testing.T) {
 // every cut of a small computation.
 func TestRegularTable(t *testing.T) {
 	d := twoProc(t)
-	l0 := LocalVarEq(0, "x", 1)
-	l0b := LocalVarEq(0, "x", 2)
-	l1 := LocalVarEq(1, "y", 1)
+	l0 := varEq(0, "x", 1)
+	l0b := varEq(0, "x", 2)
+	l1 := varEq(1, "y", 1)
 	exprs := []Expr{
 		And(l0, l1),
 		Not(Or(l0, l1)),
@@ -117,7 +117,7 @@ func TestRegularTable(t *testing.T) {
 
 func TestRegularTableRejectsNonRegular(t *testing.T) {
 	d := twoProc(t)
-	e := Or(LocalVarEq(0, "x", 1), LocalVarEq(1, "y", 1))
+	e := Or(varEq(0, "x", 1), varEq(1, "y", 1))
 	if tab, ok := RegularTable(e, d); ok || tab != nil {
 		t.Fatal("cross-process disjunction must be rejected")
 	}

@@ -16,9 +16,9 @@ type TruthTable struct {
 	bits []uint64
 }
 
-// NewTruthTable allocates an all-false table for a computation whose
+// newTruthTable allocates an all-false table for a computation whose
 // process p has lens[p] states.
-func NewTruthTable(lens []int) *TruthTable {
+func newTruthTable(lens []int) *TruthTable {
 	t := &TruthTable{lens: append([]int(nil), lens...), off: make([]int, len(lens))}
 	total := 0
 	for p, l := range lens {
@@ -47,7 +47,7 @@ func (t *TruthTable) Holds(p, k int) bool {
 
 // Invert returns a new table with every state's truth value negated.
 func (t *TruthTable) Invert() *TruthTable {
-	u := NewTruthTable(t.lens)
+	u := newTruthTable(t.lens)
 	for i, w := range t.bits {
 		u.bits[i] = ^w
 	}

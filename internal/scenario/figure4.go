@@ -42,7 +42,7 @@ func (fg *Figure4) Windows() []deposet.Interval {
 	var w []deposet.Interval
 	for p := 0; p < fg.C1.NumProcs(); p++ {
 		w = append(w, deposet.TruthIntervals(fg.C1, p, func(p, k int) bool {
-			return !fg.availAt(p, k)
+			return !fg.Avail.Holds(fg.C1, p, k)
 		})...)
 	}
 	return w
@@ -98,11 +98,6 @@ func (fg *Figure4) Derive() (c2, c3, c4 *Derived, err error) {
 	return c2, c3, c4, nil
 }
 
-func (fg *Figure4) availAt(p, k int) bool {
-	v, ok := fg.C1.Var(deposet.StateID{P: p, K: k}, "avail")
-	return ok && v == 1
-}
-
 // New builds the scenario.
 //
 // Server timelines (states left to right; U marks avail = 0):
@@ -148,13 +143,12 @@ func New() (*Figure4, error) {
 	}
 
 	fg := &Figure4{C1: d}
-	fg.Avail = predicate.NewDisjunction(3)
+	var avail []predicate.VarLocal
 	for p := 0; p < 3; p++ {
-		p := p
-		fg.Avail.Add(p, "avail", func(dd *deposet.Deposet, k int) bool {
-			v, ok := dd.Var(deposet.StateID{P: p, K: k}, "avail")
-			return ok && v == 1
-		})
+		avail = append(avail, predicate.VarLocal{P: p, Var: "avail", Op: predicate.Eq, Value: 1})
+	}
+	if fg.Avail, err = predicate.VarDisjunction(d, avail); err != nil {
+		return nil, err
 	}
 
 	fg.E = deposet.StateID{P: 2, K: 2} // last unavailable state of P2
@@ -213,13 +207,12 @@ func (fg *Figure4) Bug2On(underlying [][]int) *predicate.Conjunction {
 func (fg *Figure4) Bug1On(underlying [][]int) *predicate.Conjunction {
 	cj := predicate.NewConjunction(3)
 	for p := 0; p < 3; p++ {
-		p := p
 		cj.Add(p, "¬avail", func(_ *deposet.Deposet, k int) bool {
 			kk := k
 			if underlying != nil {
 				kk = underlying[p][k]
 			}
-			return !fg.availAt(p, kk)
+			return !fg.Avail.Holds(fg.C1, p, kk)
 		})
 	}
 	return cj

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"predctl/internal/deposet"
+	"predctl/internal/predicate"
 )
 
 // FuzzDecode ensures arbitrary input never panics the trace decoder and
@@ -43,8 +44,8 @@ func FuzzDecode(f *testing.F) {
 	})
 }
 
-// FuzzDecodeDisjunction ensures predicate specs never panic and compile
-// only with valid ops/processes.
+// FuzzDecodeDisjunction ensures predicate files never panic, decode or
+// build, and build only with valid ops, values and processes.
 func FuzzDecodeDisjunction(f *testing.F) {
 	f.Add(`{"locals":[{"p":0,"var":"x","op":"eq","value":1}]}`)
 	f.Add(`{"locals":[{"p":9,"var":"x","op":"weird"}]}`)
@@ -53,15 +54,16 @@ func FuzzDecodeDisjunction(f *testing.F) {
 	f.Add(`{"locals":[{"p":0,"vr":"ok","op":"eq","value":1}]}`)
 	f.Add(`{"locals":[]}{"locals":[]}`)
 	f.Add(`{"locals":[]} garbage`)
+	f.Add(`{"locals":[{"p":0,"var":"ok","op":"true","value":3}]}`)
 	b := deposet.NewBuilder(3)
 	b.Let(0, "ok", 1)
 	b.Let(2, "x", 0)
 	d := b.MustBuild()
 	f.Fuzz(func(t *testing.T, s string) {
-		spec, err := DecodeDisjunction(strings.NewReader(s))
+		locals, err := DecodeDisjunction(strings.NewReader(s))
 		if err != nil {
 			return
 		}
-		spec.Compile(d) // must not panic; errors are fine
+		predicate.VarDisjunction(d, locals) // must not panic; errors are fine
 	})
 }

@@ -1,18 +1,15 @@
 // Package trace serializes computations, control relations and
-// variable-based predicates to JSON, for the command-line tools: a trace
-// captured from one run (or another system) can be analyzed, controlled
-// and replayed offline.
+// predicate files (lists of predicate.VarLocal; their meaning is package
+// predicate's) to JSON, for the command-line tools: a trace captured from
+// one run (or another system) can be analyzed, controlled and replayed.
 package trace
 
 import (
 	"bytes"
-	"cmp"
 	"encoding/json"
 	"fmt"
 	"io"
 	"os"
-	"slices"
-	"strings"
 
 	"predctl/internal/control"
 	"predctl/internal/deposet"
@@ -146,104 +143,32 @@ func (f decoded) build() (*deposet.Deposet, control.Relation, error) {
 	return d, f.rel, nil
 }
 
-// LocalSpec describes one variable-based local predicate.
-type LocalSpec struct {
-	P     int    `json:"p"`
-	Var   string `json:"var"`
-	Op    string `json:"op"` // eq ne lt le gt ge true false
-	Value int    `json:"value,omitempty"`
+// disjunctionFile is a predicate file: B = l1 ∨ … ∨ ln over state
+// variables, one variable local each.
+type disjunctionFile struct {
+	Locals []predicate.VarLocal `json:"locals"`
 }
 
-// DisjunctionSpec describes B = l1 ∨ … ∨ ln over state variables.
-type DisjunctionSpec struct {
-	Locals []LocalSpec `json:"locals"`
-}
-
-// DecodeDisjunction reads a predicate spec: one JSON document, with
-// nothing but whitespace after it and no field the spec has no place for
-// (a misspelt "locals" would otherwise read as B = false).
-func DecodeDisjunction(r io.Reader) (DisjunctionSpec, error) {
-	var s DisjunctionSpec
+// DecodeDisjunction reads a predicate file's locals: one JSON document,
+// with nothing but whitespace after it and no field or op the file has no
+// place for (a misspelt "locals" would otherwise read as B = false).
+func DecodeDisjunction(r io.Reader) ([]predicate.VarLocal, error) {
+	var f disjunctionFile
 	data, err := io.ReadAll(r)
 	if err == nil {
 		dec := json.NewDecoder(bytes.NewReader(data))
 		dec.DisallowUnknownFields()
-		err = decodeOne(dec, data, &s)
+		err = decodeOne(dec, data, &f)
 	}
 	if err != nil {
-		return DisjunctionSpec{}, fmt.Errorf("trace: predicate: %w", err)
+		return nil, fmt.Errorf("trace: predicate: %w", err)
 	}
-	return s, nil
+	return f.Locals, nil
 }
 
-// EncodeDisjunction writes a predicate spec.
-func EncodeDisjunction(w io.Writer, s DisjunctionSpec) error {
+// EncodeDisjunction writes the predicate file of B = l1 ∨ … ∨ ln.
+func EncodeDisjunction(w io.Writer, locals []predicate.VarLocal) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", " ")
-	return enc.Encode(s)
-}
-
-// Compile turns the spec into an evaluatable disjunction over d's
-// processes. A spec is bytes from disk: a local naming a process outside
-// d, a second local for one process, or a variable set on no state of
-// its process (a misspelt name would otherwise read as false
-// everywhere) is an error naming the process.
-func (s DisjunctionSpec) Compile(d *deposet.Deposet) (*predicate.Disjunction, error) {
-	n := d.NumProcs()
-	dj := predicate.NewDisjunction(n)
-	for _, l := range s.Locals {
-		holds, err := compare(l.Op)
-		if err != nil {
-			return nil, err
-		}
-		if l.P >= 0 && l.P < n && !slices.Contains(varsSet(d, l.P), l.Var) {
-			return nil, fmt.Errorf("trace: predicate spec: variable %q is not set on process %d (set: %s)",
-				l.Var, l.P, cmp.Or(strings.Join(varsSet(d, l.P), ", "), "none"))
-		}
-		name := fmt.Sprintf("%s %s %d", l.Var, l.Op, l.Value)
-		err = dj.Set(l.P, name, func(d *deposet.Deposet, k int) bool {
-			v, ok := d.Var(deposet.StateID{P: l.P, K: k}, l.Var)
-			return ok && holds(v, l.Value)
-		})
-		if err != nil {
-			return nil, fmt.Errorf("trace: predicate spec: %w", err)
-		}
-	}
-	return dj, nil
-}
-
-// varsSet lists, sorted, the variables set on some state of process p.
-func varsSet(d *deposet.Deposet, p int) (set []string) {
-	for k := range d.Len(p) {
-		names, _, on := d.VarsAt(deposet.StateID{P: p, K: k})
-		for i, ok := range on {
-			if ok && !slices.Contains(set, names[i]) {
-				set = append(set, names[i])
-			}
-		}
-	}
-	slices.Sort(set)
-	return set
-}
-
-func compare(op string) (func(a, b int) bool, error) {
-	switch op {
-	case "eq":
-		return func(a, b int) bool { return a == b }, nil
-	case "ne":
-		return func(a, b int) bool { return a != b }, nil
-	case "lt":
-		return func(a, b int) bool { return a < b }, nil
-	case "le":
-		return func(a, b int) bool { return a <= b }, nil
-	case "gt":
-		return func(a, b int) bool { return a > b }, nil
-	case "ge":
-		return func(a, b int) bool { return a >= b }, nil
-	case "true":
-		return func(a, _ int) bool { return a != 0 }, nil
-	case "false":
-		return func(a, _ int) bool { return a == 0 }, nil
-	}
-	return nil, fmt.Errorf("trace: unknown op %q", op)
+	return enc.Encode(disjunctionFile{locals})
 }

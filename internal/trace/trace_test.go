@@ -93,16 +93,18 @@ func TestDecodeRejects(t *testing.T) {
 	}
 }
 
+// TestPredicateSpec: a predicate file reads back as the locals written,
+// and they mean what they say on a computation.
 func TestPredicateSpec(t *testing.T) {
-	spec := DisjunctionSpec{Locals: []LocalSpec{
-		{P: 0, Var: "cs", Op: "eq", Value: 0},
-		{P: 1, Var: "cs", Op: "false"},
-	}}
+	locals := []predicate.VarLocal{
+		{P: 0, Var: "cs", Op: predicate.Eq, Value: 0},
+		{P: 1, Var: "cs", Op: predicate.False},
+	}
 	var buf bytes.Buffer
-	if err := EncodeDisjunction(&buf, spec); err != nil {
+	if err := EncodeDisjunction(&buf, locals); err != nil {
 		t.Fatal(err)
 	}
-	spec2, err := DecodeDisjunction(&buf)
+	locals2, err := DecodeDisjunction(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,109 +114,39 @@ func TestPredicateSpec(t *testing.T) {
 	b.Step(0)
 	b.Let(0, "cs", 1)
 	d := b.MustBuild()
-	dj, err := spec2.Compile(d)
+	dj, err := predicate.VarDisjunction(d, locals2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !dj.Holds(d, 0, 0) || dj.Holds(d, 0, 1) || dj.Holds(d, 1, 0) {
 		t.Fatal("compiled predicate wrong")
 	}
-}
-
-func TestPredicateSpecErrors(t *testing.T) {
-	b := deposet.NewBuilder(2)
-	b.Let(0, "ok", 1)
-	b.Let(1, "x", 0)
-	b.Let(1, "y", 0)
-	d := b.MustBuild()
-	if _, err := (DisjunctionSpec{Locals: []LocalSpec{{P: 5}}}).Compile(d); err == nil {
-		t.Error("bad process accepted")
-	}
-	if _, err := (DisjunctionSpec{Locals: []LocalSpec{{P: 0, Var: "ok", Op: "weird"}}}).Compile(d); err == nil {
-		t.Error("bad op accepted")
-	}
-	// Two locals for one process: an error naming it, not Add's panic.
-	twice := DisjunctionSpec{Locals: []LocalSpec{{P: 1, Var: "x", Op: "true"}, {P: 1, Var: "y", Op: "true"}}}
-	if _, err := twice.Compile(d); err == nil || !strings.Contains(err.Error(), "process 1") {
-		t.Errorf("two locals on process 1: error %v, want one naming the process", err)
-	}
-	if _, err := DecodeDisjunction(strings.NewReader("{")); err == nil {
-		t.Error("malformed predicate accepted")
-	}
-}
-
-// TestPredicateSpecUnsetVariable: a local naming a variable its process
-// never sets — a misspelling — is refused with the names it does set,
-// instead of reading as false at every state; so is every local on a
-// trace with no variables.
-func TestPredicateSpecUnsetVariable(t *testing.T) {
-	b := deposet.NewBuilder(2)
-	b.Let(0, "ok", 1)
-	b.Let(0, "cs", 0)
-	b.Let(1, "ok", 0)
-	d := b.MustBuild()
-	typo := DisjunctionSpec{Locals: []LocalSpec{{P: 0, Var: "okk", Op: "eq", Value: 1}}}
-	_, err := typo.Compile(d)
-	if want := `variable "okk" is not set on process 0 (set: cs, ok)`; err == nil || !strings.Contains(err.Error(), want) {
-		t.Errorf("misspelt variable: error %v, want one containing %q", err, want)
-	}
-	other := DisjunctionSpec{Locals: []LocalSpec{{P: 1, Var: "cs", Op: "eq"}}}
-	if _, err := other.Compile(d); err == nil || !strings.Contains(err.Error(), "(set: ok)") {
-		t.Errorf("a variable set only on another process: error %v", err)
-	}
-	bare := deposet.NewBuilder(2)
-	bare.Step(0)
-	_, err = typo.Compile(bare.MustBuild())
-	if want := `variable "okk" is not set on process 0 (set: none)`; err == nil || !strings.Contains(err.Error(), want) {
-		t.Errorf("a trace with no variables: error %v, want one containing %q", err, want)
+	if got, want := dj.String(), "cs eq 0@P0 ∨ cs false 0@P1"; got != want {
+		t.Errorf("String = %q, want %q", got, want)
 	}
 }
 
 // TestPredicateSpecStrict checks that a typo in a predicate file, or a
-// file written twice, is an error naming the field or the offset, not an
-// empty predicate.
+// file written twice, is an error naming the field, the op or the
+// offset, not an empty predicate.
 func TestPredicateSpecStrict(t *testing.T) {
 	local := `{"p":0,"var":"ok","op":"eq","value":1}`
 	cases := map[string]string{
-		`{"local":[` + local + `]}`:                   `"local"`,
-		`{"locals":[{"p":0,"vr":"ok","op":"eq"}]}`:    `"vr"`,
-		`{"locals":[` + local + `]}{"locals":[]}`:     "offset 51",
-		`{"locals":[` + local + `]}` + "\n garbage\n": "offset 53",
+		`{"local":[` + local + `]}`:                    `"local"`,
+		`{"locals":[{"p":0,"vr":"ok","op":"eq"}]}`:     `"vr"`,
+		`{"locals":[{"p":0,"var":"ok","op":"weird"}]}`: `unknown op "weird"`,
+		`{"locals":[{"p":0,"var":"ok","op":1}]}`:       "op",
+		`{"locals":[` + local + `]}{"locals":[]}`:      "offset 51",
+		`{"locals":[` + local + `]}` + "\n garbage\n":  "offset 53",
+		`{`: "unexpected EOF",
 	}
 	for in, want := range cases {
 		if _, err := DecodeDisjunction(strings.NewReader(in)); err == nil || !strings.Contains(err.Error(), want) {
 			t.Errorf("%s: error %v, want one naming %s", in, err, want)
 		}
 	}
-	spec, err := DecodeDisjunction(strings.NewReader(`{"locals":[` + local + `]}` + "\n"))
-	if err != nil || len(spec.Locals) != 1 {
-		t.Errorf("one document and a newline: %+v, %v", spec, err)
-	}
-}
-
-func TestCompareOps(t *testing.T) {
-	cases := map[string][3]bool{ // results for (1,2), (2,2), (3,2)
-		"eq": {false, true, false},
-		"ne": {true, false, true},
-		"lt": {true, false, false},
-		"le": {true, true, false},
-		"gt": {false, false, true},
-		"ge": {false, true, true},
-	}
-	for op, want := range cases {
-		f, err := compare(op)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i, a := range []int{1, 2, 3} {
-			if f(a, 2) != want[i] {
-				t.Errorf("%s(%d,2) = %v", op, a, f(a, 2))
-			}
-		}
-	}
-	tr, _ := compare("true")
-	fa, _ := compare("false")
-	if !tr(5, 0) || tr(0, 0) || !fa(0, 0) || fa(5, 0) {
-		t.Error("true/false ops wrong")
+	locals, err := DecodeDisjunction(strings.NewReader(`{"locals":[` + local + `]}` + "\n"))
+	if err != nil || len(locals) != 1 {
+		t.Errorf("one document and a newline: %+v, %v", locals, err)
 	}
 }
