@@ -218,15 +218,15 @@ func TestCLIErrors(t *testing.T) {
 	if err := run([]string{"info", twice}); err == nil {
 		t.Error("doubly-written trace accepted")
 	}
-	// A predicate file with two locals for one process is an error naming
-	// the process on every command that reads one, and a missing -pred
-	// says so rather than failing to open "".
+	// A predicate file with two locals for one process is refused as such
+	// on every command that reads one, and a missing -pred says so rather
+	// than failing to open "".
 	single := filepath.Join(t.TempDir(), "once.json")
 	if err := os.WriteFile(single, once, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	dup := filepath.Join(t.TempDir(), "dup.json")
-	if err := os.WriteFile(dup, []byte(`{"locals":[{"p":0,"var":"a","op":"true"},{"p":0,"var":"b","op":"true"}]}`), 0o644); err != nil {
+	if err := os.WriteFile(dup, []byte(`{"locals":[{"p":0,"var":"ok","op":"true"},{"p":0,"var":"ok","op":"false"}]}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	// A misspelt key is an error naming it, not the empty predicate
@@ -241,8 +241,8 @@ func TestCLIErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, cmd := range []string{"detect", "control", "replay", "sgsd"} {
-		if err := run([]string{cmd, "-pred", dup, single}); err == nil || !strings.Contains(err.Error(), "process 0") {
-			t.Errorf("%s with two locals on process 0: error %v, want one naming the process", cmd, err)
+		if err := run([]string{cmd, "-pred", dup, single}); err == nil || !strings.Contains(err.Error(), "process 0 already has a local predicate") {
+			t.Errorf("%s with two locals on process 0: error %v, want the duplicate refused", cmd, err)
 		}
 		if err := run([]string{cmd, "-pred", typo, single}); err == nil || !strings.Contains(err.Error(), `"local"`) {
 			t.Errorf("%s with a misspelt key: error %v, want one naming it", cmd, err)

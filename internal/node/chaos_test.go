@@ -239,6 +239,50 @@ func TestCoordClientResumesAfterStreamBreak(t *testing.T) {
 	}
 }
 
+// TestCoordClientResumesAfterRetransmitFails: a resume whose
+// retransmit dies mid-write only drops the connection, and the session
+// resumes again instead of ending. The root stand-in acks the first
+// Resume with Cum = 0 and resets the connection while a multi-MB
+// backlog is being written; the second resume's replay must carry every
+// logged frame, 1..k, in order.
+func TestCoordClientResumesAfterRetransmitFails(t *testing.T) {
+	root := newFakeRoot(t)
+	cc, err := dialCoord(root.ln.Addr().String(), 1, 3, newWireMeters(nil, "coord"), chaosTimeouts().withDefaults(), nil, t.Logf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cc.close()
+	c1 := root.accept()
+
+	// Break the stream, and log more than the kernel buffers hold while
+	// it is down.
+	c1.Close()
+	for i := 0; i < 32; i++ {
+		cc.logItems(bulk, 1)
+	}
+	k := int(cc.sentFrames())
+	c2 := root.accept()
+	if err := wire.WriteFrame(c2, 0, wire.ResumeAck{}); err != nil {
+		t.Fatal(err)
+	}
+	stalls(t, &cc.out)
+	c2.Conn.(*net.TCPConn).SetLinger(0)
+	c2.Close()
+
+	c3 := root.accept()
+	if _, ok := c3.hello.(wire.Resume); !ok {
+		t.Fatalf("third handshake is %T, want Resume", c3.hello)
+	}
+	if err := wire.WriteFrame(c3, 0, wire.ResumeAck{}); err != nil {
+		t.Fatal(err)
+	}
+	for i, seq := range c3.readSeqs(t, k) {
+		if seq != uint64(i+1) {
+			t.Fatalf("replayed frame %d carries sequence %d", i+1, seq)
+		}
+	}
+}
+
 // TestCloseDuringResume: close must not wait on a resume it overtook.
 // The fake root accepts the Resume and holds the ResumeAck until close
 // has begun, then acks and keeps the connection open — a connection the

@@ -62,16 +62,14 @@ func (b Batching) withDefaults() Batching {
 // frames (Done, the Shutdown bye, EpochMark) are sent one at a time.
 //
 // The stream is a session, not a connection. Every sequenced frame is
-// retained in an in-memory session log (sent) for the life of the run,
+// retained in an in-memory session log (out) for the life of the run,
 // so a broken connection is never a truncated capture: the session
 // goroutine redials with capped exponential backoff, offers
 // wire.Resume{Epoch}, and retransmits everything past the
 // coordinator's ResumeAck.Cum. Because the log is never pruned, even a
 // coordinator that crashed and restarted with no session state
-// (Cum = 0) gets the complete stream replayed. A write error of any
-// kind drops the connection immediately — the invariant is that the
-// bytes on the wire are always a prefix of the log, so the
-// coordinator's cumulative-sequence dedup can never see a gap.
+// (Cum = 0) gets the complete stream replayed. The log is an outbox, so
+// the wire carries a prefix of it and logging never waits on a write.
 type coordClient struct {
 	id, n int
 	inc   uint64 // the incarnation a node's Hello names (0 on a relay's uplink)
@@ -82,26 +80,21 @@ type coordClient struct {
 	parts *partitions
 
 	// decMu guards dec: the root's decisions as this client has folded
-	// them (fold), the state the root's handshakes replay. decCh (cap 1)
-	// wakes the node's epoch loop after every fold. A relay's child
-	// handshakes read dec under decMu, its decision lock.
+	// them (fold), the state the root's handshakes replay; and epoch, the
+	// stream's last EpochMark, which a Resume offers. decCh (cap 1) wakes
+	// the node's epoch loop after every fold. A relay's child handshakes
+	// read dec under decMu, its decision lock.
 	decMu    sync.Mutex
 	dec      decisions
+	epoch    uint32
 	decCh    chan struct{}
 	quitOnce sync.Once
 	quit     chan struct{} // closed by close(): stop the session goroutine
 	sessDone chan struct{}
 
-	mu    sync.Mutex     // serializes stream writes; guards conn, sent, wrote, iov, iovW, writes, epoch
-	conn  net.Conn       // nil while disconnected (frames buffer in sent)
-	sent  []*wire.Buffer // session log: frame i carries seq i+1
-	wrote int            // sent[:wrote] went out on conn (written, or replayed by the resume that installed it)
-	iov   net.Buffers    // writeFrames' scratch: the frames of one vectored write
-	iovW  net.Buffers    // the header WriteTo consumes (a field, so taking its address allocates nothing)
-	// writes counts vectored writes issued — one per pass, one per
-	// retransmit chunk — for the tests that pin "one write per pass".
-	writes int
-	epoch  uint32
+	// out is the session log: frame i carries seq i+1. Its conn is nil
+	// while disconnected; what is logged meanwhile waits for the resume.
+	out outbox
 
 	// Session-machinery hooks, set only by the relay's uplink (nil on a
 	// node's stream): mkResume replaces the Resume handshake frame, and
@@ -115,13 +108,17 @@ type coordClient struct {
 // newCoordClient builds a disconnected session; a node's dialCoord and
 // a relay's uplink each open it with their own handshake.
 func newCoordClient(addr string, id, n int, wm wireMeters, opt Timeouts, parts *partitions, logf func(string, ...any)) *coordClient {
-	return &coordClient{
+	cc := &coordClient{
 		id: id, n: n, addr: addr,
 		opt: opt, wm: wm, logf: logf, parts: parts,
 		decCh:    make(chan struct{}, 1),
 		quit:     make(chan struct{}),
 		sessDone: make(chan struct{}),
 	}
+	cc.out = outbox{timeout: opt.WriteTimeout, bytes: wm.bytes, report: func(err error) {
+		logf("node %d: coordinator write: %v", id, err)
+	}}
+	return cc
 }
 
 // dialCoord connects to the coordinator, retrying with capped
@@ -136,11 +133,11 @@ func dialCoord(addr string, id, n int, wm wireMeters, opt Timeouts, parts *parti
 	cc := newCoordClient(addr, id, n, wm, opt, parts, logf)
 	cc.inc = rand.Uint64() | 1
 	cc.logItems(wire.Hello{From: int32(id), N: int32(n), Inc: cc.inc}, 1)
-	conn, err := cc.dialOnce(cc.sent[0].B)
+	conn, err := cc.dialOnce(cc.out.frames[0].B)
 	if err != nil {
 		return nil, fmt.Errorf("node %d: coordinator %s: %w", id, addr, err)
 	}
-	cc.conn, cc.wrote = conn, 1
+	cc.out.conn, cc.out.wrote = conn, 1
 	go cc.session(conn, bufReader(conn))
 	return cc, nil
 }
@@ -190,9 +187,9 @@ func (cc *coordClient) pause(d time.Duration) {
 
 // session is the stream's lifecycle goroutine: it reads the current
 // connection until it breaks, then resumes the session on a fresh one,
-// forever — until close() or a failed resume campaign. Only resume
-// failure is terminal: that is the hard, logged error that replaces
-// the old silent capture truncation.
+// forever — until close() or a failed resume. Only resume failure is
+// terminal: that is the hard, logged error that replaces the old silent
+// capture truncation.
 func (cc *coordClient) session(conn net.Conn, br *bufio.Reader) {
 	defer close(cc.sessDone)
 	for {
@@ -202,7 +199,12 @@ func (cc *coordClient) session(conn net.Conn, br *bufio.Reader) {
 			return
 		default:
 		}
-		cc.dropConn(conn)
+		cc.out.mu.Lock()
+		if cc.out.conn == conn {
+			cc.out.conn = nil
+		}
+		cc.out.mu.Unlock()
+		conn.Close()
 		var err error
 		conn, br, err = cc.resume()
 		if err != nil {
@@ -277,19 +279,17 @@ func (cc *coordClient) decisions() decisions {
 
 // resume re-establishes the session: dial, offer Resume{Epoch}, read
 // and fold ResumeAck (its epoch covers a Restart missed while
-// disconnected), retransmit everything past Cum, and install the
-// connection — the retransmit and the install happen under cc.mu, so
-// a concurrent pass cannot interleave a newer frame before the backlog
-// and the coordinator always sees a contiguous sequence. The replay
-// covers every frame logged so far, written or not, so installing the
-// connection also marks the whole log written: a pass that logged
-// frames before the install and writes after it must not send them a
-// second time. A resume that close overtook installs nothing: close
-// only drops the connection installed when it runs.
+// disconnected), install the connection with everything past Cum
+// unwritten, and retransmit that like any write, in log order. A
+// failed retransmit only drops the connection, so the session resumes
+// again. Terminal are a dial campaign that runs out, a failed or
+// unexpected handshake answer, and an ack of more frames than were
+// logged. A resume that close overtook installs nothing: close only
+// drops the connection installed when it runs.
 func (cc *coordClient) resume() (net.Conn, *bufio.Reader, error) {
-	cc.mu.Lock()
+	cc.decMu.Lock()
 	handshake := wire.Msg(wire.Resume{From: int32(cc.id), N: int32(cc.n), Epoch: cc.epoch})
-	cc.mu.Unlock()
+	cc.decMu.Unlock()
 	if cc.mkResume != nil {
 		handshake = cc.mkResume()
 	}
@@ -310,70 +310,30 @@ func (cc *coordClient) resume() (net.Conn, *bufio.Reader, error) {
 		return nil, nil, fmt.Errorf("resume handshake: got %T, want ResumeAck", m)
 	}
 	cc.fold(ack)
-	cc.mu.Lock()
-	defer cc.mu.Unlock()
+	o := &cc.out
+	o.mu.Lock()
 	select {
 	case <-cc.quit:
 		// close has begun and has already dropped whatever was installed:
 		// a connection installed now would outlive it.
+		o.mu.Unlock()
 		conn.Close()
 		return nil, nil, net.ErrClosed
 	default:
 	}
-	cum := ack.Cum
-	if cum > uint64(len(cc.sent)) {
+	if ack.Cum > uint64(len(o.frames)) {
+		o.mu.Unlock()
 		conn.Close()
-		return nil, nil, fmt.Errorf("resume: coordinator acked %d of %d frames", cum, len(cc.sent))
+		return nil, nil, fmt.Errorf("resume: coordinator acked %d of %d frames", ack.Cum, len(o.frames))
 	}
-	if err := cc.writeFrames(conn, cc.sent[cum:]); err != nil {
-		conn.Close()
-		return nil, nil, fmt.Errorf("resume retransmit: %w", err)
+	cc.wm.retx.Add(int64(len(o.frames)) - int64(ack.Cum))
+	o.conn, o.wrote = conn, int(ack.Cum)
+	claimed := o.claim()
+	o.mu.Unlock()
+	if claimed {
+		o.write()
 	}
-	if n := uint64(len(cc.sent)) - cum; n > 0 {
-		cc.wm.retx.Add(int64(n))
-	}
-	cc.conn, cc.wrote = conn, len(cc.sent)
 	return conn, br, nil
-}
-
-// writeChunk bounds one vectored write: a pass is far below it, and a
-// resume replay of a long log renews its write deadline every that-many
-// frames instead of staking the whole backlog on one.
-const writeChunk = 512
-
-// writeFrames puts frames on conn in order, one vectored write (writev
-// on a TCP connection) per writeChunk of them. Caller holds cc.mu.
-func (cc *coordClient) writeFrames(conn net.Conn, frames []*wire.Buffer) error {
-	for len(frames) > 0 {
-		n := min(len(frames), writeChunk)
-		cc.iov = cc.iov[:0]
-		bytes := 0
-		for _, b := range frames[:n] {
-			cc.iov = append(cc.iov, b.B)
-			bytes += len(b.B)
-		}
-		// WriteTo consumes the header it is called on; iov keeps the
-		// backing array for the next write.
-		cc.iovW = cc.iov
-		conn.SetWriteDeadline(time.Now().Add(cc.opt.WriteTimeout))
-		cc.writes++
-		if _, err := cc.iovW.WriteTo(conn); err != nil {
-			return err
-		}
-		cc.wm.bytes.Add(int64(bytes))
-		frames = frames[n:]
-	}
-	return nil
-}
-
-// dropConn closes conn and clears it if still installed.
-func (cc *coordClient) dropConn(conn net.Conn) {
-	cc.mu.Lock()
-	if cc.conn == conn {
-		cc.conn = nil
-	}
-	cc.mu.Unlock()
-	conn.Close()
 }
 
 // send writes one frame through the session log; a disconnected stream
@@ -390,46 +350,31 @@ func (cc *coordClient) send(m wire.Msg) {
 // so the caller's items are free for reuse when it returns.
 func (cc *coordClient) logItems(m wire.Msg, items int) {
 	b := wire.GetBuffer()
-	cc.mu.Lock()
-	seq := uint64(len(cc.sent)) + 1
-	b.B = wire.AppendFrame(b.B[:0], seq, m)
-	cc.sent = append(cc.sent, b)
+	cc.out.mu.Lock()
+	b.B = wire.AppendFrame(b.B[:0], uint64(len(cc.out.frames))+1, m)
+	cc.out.frames = append(cc.out.frames, b)
+	cc.out.mu.Unlock()
 	cc.wm.frames.Inc()
 	cc.wm.batch.Observe(int64(items))
-	cc.mu.Unlock()
 }
 
 // writeLogged puts every logged frame not yet on the wire there, in one
-// vectored write — whoever calls it, so the wire always carries a
-// prefix of the log. With the connection down, or severed by a
-// partition window, it writes nothing: the resume replay delivers the
-// whole log past the coordinator's ack, these frames included. Any
-// write error drops the connection, so the wire never carries a gapped
-// sequence.
+// vectored write on the caller's goroutine (a pass's candidates take no
+// goroutine hop) — or, while a write is in progress, leaves them to that
+// writer. With the connection down, or severed by a partition window,
+// the resume replay delivers them.
 func (cc *coordClient) writeLogged() {
-	cc.mu.Lock()
-	defer cc.mu.Unlock()
-	conn := cc.conn
-	if conn == nil {
-		return
+	o := &cc.out
+	o.mu.Lock()
+	if o.conn != nil && cc.parts.coordSevered(cc.id, time.Now()) {
+		o.conn.Close()
+		o.conn = nil
 	}
-	if cc.parts.coordSevered(cc.id, time.Now()) {
-		cc.conn = nil
-		conn.Close()
-		return
+	claimed := o.claim()
+	o.mu.Unlock()
+	if claimed {
+		o.write()
 	}
-	if cc.wrote == len(cc.sent) {
-		return
-	}
-	if err := cc.writeFrames(conn, cc.sent[cc.wrote:]); err != nil {
-		if !errors.Is(err, net.ErrClosed) {
-			cc.logf("node %d: coordinator write: %v", cc.id, err)
-		}
-		cc.conn = nil
-		conn.Close()
-		return
-	}
-	cc.wrote = len(cc.sent)
 }
 
 // toWirePoints converts a registry dump to its wire form for a
@@ -463,17 +408,17 @@ func toObsPoints(pts []wire.MetricPoint) []obs.MetricPoint {
 // capture at exactly the same point. The node stops the abandoned
 // epoch's capture first, so no frame of it follows the mark.
 func (cc *coordClient) markEpoch(e uint32) {
-	cc.mu.Lock()
+	cc.decMu.Lock()
 	cc.epoch = e
-	cc.mu.Unlock()
+	cc.decMu.Unlock()
 	cc.send(wire.EpochMark{Epoch: e})
 }
 
 // sentFrames reports the session log's length (frames ever sequenced).
 func (cc *coordClient) sentFrames() uint64 {
-	cc.mu.Lock()
-	defer cc.mu.Unlock()
-	return uint64(len(cc.sent))
+	cc.out.mu.Lock()
+	defer cc.out.mu.Unlock()
+	return uint64(len(cc.out.frames))
 }
 
 // healthy reports the session's liveness for /healthz: terminal session
@@ -487,20 +432,17 @@ func (cc *coordClient) healthy() error {
 	}
 }
 
-// drain blocks until the whole session log is on the wire or d
-// elapses. A live connection carries sent[:wrote] — writeLogged writes
-// through or drops the connection, and resume installs a connection
-// only after retransmitting the backlog — so waiting for a connection
-// with nothing unwritten after the last frame was sent is waiting for
-// that frame to be written. The shutdown path drains before close so a
-// bye buffered behind a partition window or a broken stream is
-// delivered by the resume machinery instead of dying with the session.
+// drain blocks until the whole session log is on the wire — a live
+// connection with nothing unwritten — or d elapses. The shutdown path
+// drains before close so a bye buffered behind a partition window or a
+// broken stream is delivered by the resume machinery instead of dying
+// with the session.
 func (cc *coordClient) drain(d time.Duration) {
 	deadline := time.Now().Add(d)
 	for time.Now().Before(deadline) {
-		cc.mu.Lock()
-		live := cc.conn != nil && cc.wrote == len(cc.sent)
-		cc.mu.Unlock()
+		cc.out.mu.Lock()
+		live := cc.out.conn != nil && cc.out.wrote == len(cc.out.frames)
+		cc.out.mu.Unlock()
 		if live {
 			return
 		}
@@ -519,20 +461,23 @@ func (cc *coordClient) drain(d time.Duration) {
 }
 
 // close ends the session: the goroutine stops, the connection drops,
-// and the session log's buffers return to the pool.
+// and once no writer holds the session log, its buffers return to the
+// pool.
 func (cc *coordClient) close() {
 	cc.quitOnce.Do(func() { close(cc.quit) })
-	cc.mu.Lock()
-	if cc.conn != nil {
-		cc.conn.Close()
-		cc.conn = nil
+	o := &cc.out
+	o.mu.Lock()
+	if o.conn != nil {
+		o.conn.Close()
+		o.conn = nil
 	}
-	cc.mu.Unlock()
+	o.mu.Unlock()
 	<-cc.sessDone
-	cc.mu.Lock()
-	for _, b := range cc.sent {
+	o.wait()
+	o.mu.Lock()
+	for _, b := range o.frames {
 		wire.PutBuffer(b)
 	}
-	cc.sent = nil
-	cc.mu.Unlock()
+	o.frames = nil
+	o.mu.Unlock()
 }

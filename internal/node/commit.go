@@ -201,7 +201,9 @@ func (c *Coordinator) Wait(timeout time.Duration) (*Result, error) {
 	// listener alive. The owner's Close (or the harness's deferred one)
 	// tears everything down.
 	for _, conn := range c.owners() {
-		conn.flush()
+		if conn != nil {
+			conn.out.wait()
+		}
 	}
 
 	// Commit is decided: the epoch no longer moves, and a mid-run

@@ -313,7 +313,7 @@ func (c *Coordinator) handleConn(raw net.Conn) {
 	}
 	if err != nil {
 		c.logf("coordinator: node %d: handshake: %v", id, err)
-		conn.flush()
+		conn.out.wait()
 		return
 	}
 	c.serve(conn, c.countFrame, frame)

@@ -218,10 +218,10 @@ func looseClient(b Batching) (*coordClient, *capture) {
 // sequence numbers 1..len.
 func decodeLog(t *testing.T, cc *coordClient) []wire.Msg {
 	t.Helper()
-	cc.mu.Lock()
-	defer cc.mu.Unlock()
+	cc.out.mu.Lock()
+	defer cc.out.mu.Unlock()
 	var out []wire.Msg
-	for i, b := range cc.sent {
+	for i, b := range cc.out.frames {
 		seq, m, err := wire.ReadFrame(bytes.NewReader(b.B))
 		if err != nil {
 			t.Fatalf("log frame %d: %v", i+1, err)
@@ -382,12 +382,12 @@ func TestFlushSteadyStateReuse(t *testing.T) {
 			t.Fatal("a burst with candidates left no kick pending")
 		}
 		c.flush()
-		cc.mu.Lock()
-		for _, b := range cc.sent {
+		cc.out.mu.Lock()
+		for _, b := range cc.out.frames {
 			wire.PutBuffer(b)
 		}
-		cc.sent = cc.sent[:0]
-		cc.mu.Unlock()
+		cc.out.frames = cc.out.frames[:0]
+		cc.out.mu.Unlock()
 	}
 	type arrays struct {
 		ops             *wire.TraceOp
@@ -487,15 +487,14 @@ func pendItems(c *capture) {
 }
 
 func (cc *coordClient) writeCount() int {
-	cc.mu.Lock()
-	defer cc.mu.Unlock()
-	return cc.writes
+	cc.out.mu.Lock()
+	defer cc.out.mu.Unlock()
+	return cc.out.writes
 }
 
 // TestFlushPassIsOneWrite: a pass that logs journal, ops and candidate
 // frames issues exactly one vectored write, and a resume replay of k
-// frames issues ⌈k / writeChunk⌉ — not one write per frame with the
-// stream lock held.
+// frames issues ⌈k / writeChunk⌉ — not one write per frame.
 func TestFlushPassIsOneWrite(t *testing.T) {
 	root := newFakeRoot(t)
 	opt := chaosTimeouts().withDefaults()
@@ -593,9 +592,9 @@ func TestFlushSeverMidPass(t *testing.T) {
 	// Wait for the install, so the rest of the pass meets a live
 	// connection whose replay already covered the journal frames.
 	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
-		cc.mu.Lock()
-		up := cc.conn != nil
-		cc.mu.Unlock()
+		cc.out.mu.Lock()
+		up := cc.out.conn != nil
+		cc.out.mu.Unlock()
 		if up || time.Now().After(deadline) {
 			break
 		}

@@ -632,9 +632,9 @@ func TestRejoinHelloSurvivesRelayDeath(t *testing.T) {
 	t.Cleanup(cc.close)
 	s.clients[1] = cc
 	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
-		up.mu.Lock()
-		forwarded := len(up.sent) > int(before) && up.wrote == len(up.sent)
-		up.mu.Unlock()
+		up.out.mu.Lock()
+		forwarded := len(up.out.frames) > int(before) && up.out.wrote == len(up.out.frames)
+		up.out.mu.Unlock()
 		if forwarded {
 			break
 		}

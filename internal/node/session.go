@@ -9,6 +9,7 @@ import (
 	"sync"
 	"time"
 
+	"predctl/internal/obs"
 	"predctl/internal/wire"
 )
 
@@ -21,8 +22,9 @@ import (
 // Relay.handleChild are role-specific glue over it.
 //
 // Lock inventory, root side, outermost first; a lock is only ever taken
-// while holding locks listed above it, and none is held while a frame is
-// on the wire — only a connection's writer writes, holding none:
+// while holding locks listed above it. No lock is held while a frame is
+// on the wire, at either end of a session: only an outbox's writer
+// writes (see outbox below), holding none:
 //
 //	relaySession.ingestMu   one uplink's accept-and-unpack, held across
 //	                        a whole RelayBatch, whose relayed Hellos,
@@ -44,16 +46,16 @@ import (
 //	inbound.mu, endpoint.connMu
 //	                        a session's owner, sequence and staging; the
 //	                        accepted connections and the streams
-//	coordConn.wmu           one connection's queue
+//	outbox.mu               one connection's frames; innermost
 //
 // The node and relay session tables are fixed when the coordinator is
 // built and need no lock, as is a relay's child table. The store, the
 // live checker and the journal lock internally and call nothing back.
 // A relay is the same shape one level down: a child's inbound.ingestMu
 // → the uplink client's decMu (its decision lock) → inbound.mu /
-// endpoint.connMu → coordConn.wmu. The uplink's mu, held across every
-// uplink write, is taken under ingestMu (to sequence a child frame onto
-// the log) and never under decMu, so a fold never waits behind a write.
+// endpoint.connMu → a child connection's outbox.mu. The uplink's own
+// outbox.mu is taken under ingestMu, to sequence a child frame onto the
+// log, so neither a fold nor another child's frames wait on a write.
 
 // streamReadDeadline bounds one wait for the next frame of an accepted
 // stream. Generous: peers stream continuously while alive, and a wedged
@@ -161,84 +163,133 @@ func (ep *endpoint) dropConns() {
 }
 
 // coordConn is one accepted stream connection. What the endpoint tells
-// the peer — handshake answers, decisions — is queued by send and
-// written, in order, by the connection's one writer, so no sender waits
-// on the peer: one that stops reading delays only its own connection.
-// A nil *coordConn owns a relayed origin's stream (its relay's uplink
-// carries what the root sends), or stands for an ingest bench's socket:
-// sending to it is a no-op.
+// the peer — handshake answers, decisions — goes into its outbox, so no
+// sender waits on the peer: one that stops reading delays only its own
+// connection. After a failed write the peer's resume handshake replays
+// the decisions. A nil *coordConn owns a relayed origin's stream (its
+// relay's uplink carries what the root sends), or stands for an ingest
+// bench's socket: sending to it is a no-op.
 type coordConn struct {
 	net.Conn
 	br   *bufio.Reader
 	peer string    // "node 3", "relay 0": for the log, once the handshake names it
-	ep   *endpoint // the owner: the writer's timeout, log and WaitGroup
+	ep   *endpoint // the owner: its WaitGroup counts the writer, its stop closes the connection under a stuck one
+	out  outbox
+}
 
-	wmu     sync.Mutex
-	out     []wire.Msg    // queued, not yet taken by the writer
-	writing chan struct{} // non-nil while a writer runs, closed as it exits
+// newConn wraps an accepted connection.
+func (ep *endpoint) newConn(raw net.Conn) *coordConn {
+	c := &coordConn{Conn: raw, br: bufReader(raw), ep: ep}
+	c.out = outbox{conn: raw, timeout: ep.opt.WriteTimeout, report: func(err error) {
+		ep.logf("%s: %s: write: %v", ep.who, c.peer, err)
+	}}
+	return c
 }
 
 // send queues ms behind everything sent to the connection before, and
-// starts the writer if none is running.
+// starts a writer if none is active.
 func (c *coordConn) send(ms ...wire.Msg) {
 	if c == nil || len(ms) == 0 {
 		return
 	}
-	c.wmu.Lock()
-	defer c.wmu.Unlock()
-	c.out = append(c.out, ms...)
-	if c.writing == nil {
-		c.writing = make(chan struct{})
+	c.out.mu.Lock()
+	defer c.out.mu.Unlock()
+	for _, m := range ms {
+		c.out.frames = append(c.out.frames, &wire.Buffer{B: wire.Marshal(0, m)})
+	}
+	if c.out.claim() {
 		c.ep.wg.Add(1)
-		go c.write(c.writing)
+		go func() {
+			defer c.ep.wg.Done()
+			c.out.write()
+		}()
 	}
 }
 
-// write is the connection's writer: it writes what is queued, in order,
-// one write per batch under the write deadline, until the queue is
-// empty. A failed write closes the connection: the peer's resume
-// handshake then replays the decisions, so a failed write becomes a
-// reconnect-and-catch-up, not a silently missed decision. The
-// endpoint's WaitGroup counts the writer, and its stop closes the
-// connection under a write stuck on a stalled peer.
-func (c *coordConn) write(done chan struct{}) {
-	defer c.ep.wg.Done()
-	defer close(done)
-	var buf []byte
-	for {
-		c.wmu.Lock()
-		ms := c.out
-		c.out = nil
-		if len(ms) == 0 {
-			c.writing = nil
-			c.wmu.Unlock()
-			return
+// outbox is the one writer of a session connection, at either end: an
+// accepted connection's queue and the session client's log. A writer
+// claims it, takes the connection and the unwritten frames under mu,
+// writes them with no lock held, and takes mu again to count them
+// written, or to drop the connection on an error, until none is left.
+// One writer at a time, in list order, and nothing more on a connection
+// a write failed on: the wire carries a prefix of the list. Frames stay
+// listed: the client's log is replayed from wherever a resume acks, and
+// an accepted connection's few decisions per epoch die with it.
+type outbox struct {
+	timeout time.Duration // per write
+	bytes   *obs.Counter  // bytes written; nil counts none
+	report  func(error)   // a write error, but not a closed connection's
+
+	mu      sync.Mutex
+	conn    net.Conn // nil while there is none: frames wait
+	frames  []*wire.Buffer
+	wrote   int           // frames[:wrote] are on conn
+	writing chan struct{} // non-nil while a writer is active, closed as it stops
+	writes  int           // vectored writes issued, for the tests that pin one per pass
+
+	iov, iovW net.Buffers // the writer's scratch; WriteTo consumes iovW
+}
+
+// writeChunk bounds one vectored write: a pass is far below it, and a
+// resume replay of a long log renews its write deadline every that-many
+// frames instead of staking the whole backlog on one.
+const writeChunk = 512
+
+// claim makes the caller the writer, which then runs write, if there is
+// a frame to write and no writer is active. Caller holds mu.
+func (o *outbox) claim() bool {
+	if o.writing != nil || o.conn == nil || o.wrote == len(o.frames) {
+		return false
+	}
+	o.writing = make(chan struct{})
+	return true
+}
+
+// write is the claimed writer: one vectored write (writev on TCP) per
+// writeChunk frames, until none is unwritten or there is no connection.
+// A write to a connection since replaced counts for nothing: whoever
+// replaced it set wrote for its successor.
+func (o *outbox) write() {
+	o.mu.Lock()
+	for o.conn != nil && o.wrote < len(o.frames) {
+		conn, frames := o.conn, o.frames[o.wrote:min(len(o.frames), o.wrote+writeChunk)]
+		o.writes++
+		o.mu.Unlock()
+		o.iov = o.iov[:0]
+		for _, b := range frames {
+			o.iov = append(o.iov, b.B)
 		}
-		c.wmu.Unlock()
-		buf = buf[:0]
-		for _, m := range ms {
-			buf = wire.AppendFrame(buf, 0, m)
-		}
-		c.SetWriteDeadline(time.Now().Add(c.ep.opt.WriteTimeout))
-		if _, err := c.Write(buf); err != nil {
+		o.iovW = o.iov
+		conn.SetWriteDeadline(time.Now().Add(o.timeout))
+		n, err := o.iovW.WriteTo(conn)
+		o.bytes.Add(n)
+		if err != nil {
+			conn.Close()
 			if !errors.Is(err, net.ErrClosed) {
-				c.ep.logf("%s: %s: write: %v", c.ep.who, c.peer, err)
+				o.report(err)
 			}
-			c.Close()
+		}
+		o.mu.Lock()
+		switch {
+		case o.conn != conn:
+		case err != nil:
+			o.conn = nil
+		default:
+			o.wrote += len(frames)
 		}
 	}
+	close(o.writing)
+	o.writing = nil
+	o.mu.Unlock()
 }
 
-// flush waits until what was queued so far is written, or failed: a
-// handler that ends its handshake closes its connection behind what it
-// sent, not ahead of it, and Wait returns with the Commit written.
-func (c *coordConn) flush() {
-	if c == nil {
-		return
-	}
-	c.wmu.Lock()
-	writing := c.writing
-	c.wmu.Unlock()
+// wait returns once no writer is active: a handler that ends its
+// handshake closes its connection behind what it sent, Wait returns
+// with the Commit written, and a closed client's log is free.
+func (o *outbox) wait() {
+	o.mu.Lock()
+	writing := o.writing
+	o.mu.Unlock()
 	if writing != nil {
 		<-writing
 	}
@@ -247,7 +298,7 @@ func (c *coordConn) flush() {
 // open wraps an accepted connection and reads its handshake frame, body
 // kept raw (a relay forwards a Hello verbatim).
 func (ep *endpoint) open(raw net.Conn) (conn *coordConn, body []byte, seq uint64, first wire.Msg, err error) {
-	conn = &coordConn{Conn: raw, br: bufReader(raw), ep: ep}
+	conn = ep.newConn(raw)
 	raw.SetReadDeadline(time.Now().Add(ep.opt.DialTimeout))
 	if body, err = wire.ReadRawBody(conn.br); err == nil {
 		seq, first, err = wire.DecodeBody(body)

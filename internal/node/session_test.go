@@ -7,7 +7,6 @@ import (
 	"reflect"
 	"slices"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -253,24 +252,15 @@ func TestRelayHandshakeNotOvertakenByFanOut(t *testing.T) {
 	}
 }
 
-// TestRelayFoldNotBlockedByUplinkWrite: a child handler that waits on
-// the uplink log — behind a write stuck on a slow root — must not hold
-// the uplink's decMu while it waits, or the relay stops folding the
-// root's decisions and no child hears them. The test holds the uplink's
-// mu as such a write would, opens a child whose Hello must be sequenced
-// onto the log, and requires the fold of a Shutdown to return and fan
-// out to an already resumed child.
+// TestRelayFoldNotBlockedByUplinkWrite: a child handler that logs
+// onto the uplink — behind a write stuck on a root that reads nothing —
+// must not hold the uplink's decMu while it does, or the relay stops
+// folding the root's decisions and no child hears them. With the
+// uplink write stalled, the test opens a child whose Hello must be
+// sequenced onto the log, and requires the fold of a Shutdown to return
+// and fan out to an already resumed child.
 func TestRelayFoldNotBlockedByUplinkWrite(t *testing.T) {
-	c, err := NewCoordinator(CoordConfig{N: 2, Addr: "127.0.0.1:0", Timeouts: testTimeouts(), Logf: t.Logf})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	r, err := StartRelay(RelayConfig{Index: 0, Relays: 1, N: 2, Upstream: c.Addr(), Addr: "127.0.0.1:0", Timeouts: testTimeouts(), Logf: t.Logf})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
+	r := stalledRelay(t)
 	dial := func(hs wire.Msg) net.Conn {
 		conn, err := net.Dial("tcp", r.Addr())
 		if err != nil {
@@ -282,7 +272,7 @@ func TestRelayFoldNotBlockedByUplinkWrite(t *testing.T) {
 		}
 		return conn
 	}
-	resumed := dial(wire.Resume{From: 0, N: 2})
+	resumed := dial(wire.Resume{From: 1, N: stalledRelayN})
 	resumed.SetReadDeadline(time.Now().Add(10 * time.Second))
 	br := bufReader(resumed)
 	if _, m, err := wire.ReadFrame(br); err != nil {
@@ -291,14 +281,11 @@ func TestRelayFoldNotBlockedByUplinkWrite(t *testing.T) {
 		t.Fatalf("handshake reply is %T, want ResumeAck", m)
 	}
 
-	r.cc.mu.Lock() // what a write stuck on the uplink holds
-	unlock := sync.OnceFunc(r.cc.mu.Unlock)
-	defer unlock()
 	// Adoption comes before the Hello is sequenced: once it shows, the
-	// handler is about to block on the log.
-	dial(wire.Hello{From: 1, N: 2, Inc: 1})
+	// handler is about to log onto the uplink.
+	dial(wire.Hello{From: 2, N: stalledRelayN, Inc: 1})
 	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
-		ch := r.children[1]
+		ch := r.children[2]
 		ch.mu.Lock()
 		adopted := ch.owner != nil
 		ch.mu.Unlock()
@@ -319,7 +306,6 @@ func TestRelayFoldNotBlockedByUplinkWrite(t *testing.T) {
 	case <-time.After(2 * time.Second):
 		t.Fatal("the fold waited behind the uplink write")
 	}
-	unlock()
 	if _, m, err := wire.ReadFrame(br); err != nil {
 		t.Fatal(err)
 	} else if _, ok := m.(wire.Shutdown); !ok {
@@ -450,7 +436,7 @@ func (r *rootScript) dial() {
 	a, b := net.Pipe()
 	r.t.Cleanup(func() { a.Close(); b.Close() })
 	got := make(chan []wire.Msg)
-	r.conn, r.got = &coordConn{Conn: a, ep: &r.c.endpoint}, got
+	r.conn, r.got = r.c.newConn(a), got
 	go func() {
 		var frames []wire.Msg
 		br := bufReader(b)
@@ -840,9 +826,9 @@ func TestHelloAnswersSurviveUplinkBreak(t *testing.T) {
 	st.ingestMu.Lock()
 	p2 := hello(2, 20)
 	forwarded(4)
-	r.cc.mu.Lock()
-	r.cc.conn.Close()
-	r.cc.mu.Unlock()
+	r.cc.out.mu.Lock()
+	r.cc.out.conn.Close()
+	r.cc.out.mu.Unlock()
 	st.ingestMu.Unlock()
 	p2.until(wire.Restart{Epoch: 1, Inc: 20})
 }

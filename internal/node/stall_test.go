@@ -10,9 +10,10 @@ import (
 	"predctl/internal/wire"
 )
 
-// stall_test.go pins what the per-connection write queue buys: a peer
-// that stops reading holds up its own connection and nothing else, and
-// tearing an endpoint down does not wait for it.
+// stall_test.go pins what the outbox buys: a peer that stops reading
+// holds up its own connection and nothing else, tearing an endpoint down
+// does not wait for it, and a session client's write stuck on such a
+// root holds up no one who logs behind it.
 
 // stallTimeouts gives every write a timeout far above what the tests
 // allow a handshake or a Close, so waiting one out shows.
@@ -201,9 +202,9 @@ func TestCloseLeavesNoWriter(t *testing.T) {
 			conn := s.owner
 			s.mu.Unlock()
 			if conn != nil {
-				conn.wmu.Lock()
-				writing := conn.writing != nil
-				conn.wmu.Unlock()
+				conn.out.mu.Lock()
+				writing := conn.out.writing != nil
+				conn.out.mu.Unlock()
 				if writing {
 					return
 				}
@@ -252,5 +253,137 @@ func TestCloseLeavesNoWriter(t *testing.T) {
 		}
 		stall(t, ln, func() *inbound { return r.children[0] })
 		closes(t, before, r.Close)
+	})
+}
+
+// bulk is a frame of half a MiB: 32 of them are more than the kernel
+// buffers between two loopback sockets hold.
+var bulk = wire.RelayBatch{Frames: []wire.RelayFrame{{Body: make([]byte, 512<<10)}}}
+
+// stalls waits until o's writer has been active for 100ms without
+// counting a frame written: its peer reads nothing, and the kernel
+// buffers are full.
+func stalls(t *testing.T, o *outbox) {
+	t.Helper()
+	wrote, since := -1, time.Now()
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		o.mu.Lock()
+		active, n := o.writing != nil, o.wrote
+		o.mu.Unlock()
+		switch {
+		case !active || n != wrote:
+			wrote, since = n, time.Now()
+		case time.Since(since) > 100*time.Millisecond:
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the write never stalled")
+		}
+	}
+}
+
+// stalledRelayN is the cluster size behind stalledRelay.
+const stalledRelayN = 3
+
+// stalledRelay starts a relay whose root stand-in answers the uplink's
+// handshake and then reads nothing, and has child 0 forward bulk frames
+// until the uplink write stalls. Children 1 and 2 are free to dial.
+func stalledRelay(t *testing.T) *Relay {
+	t.Helper()
+	root := newFakeRoot(t)
+	started := make(chan *Relay, 1)
+	go func() {
+		r, err := StartRelay(RelayConfig{Index: 0, Relays: 1, N: stalledRelayN, Upstream: root.ln.Addr().String(), Addr: "127.0.0.1:0", Timeouts: stallTimeouts(), Logf: t.Logf})
+		if err != nil {
+			t.Error(err)
+		}
+		started <- r
+	}()
+	if err := wire.WriteFrame(root.accept(), 0, wire.ResumeAck{}); err != nil {
+		t.Fatal(err)
+	}
+	r := <-started
+	if r == nil {
+		t.FailNow()
+	}
+	t.Cleanup(r.Close)
+	child := helloNode(t, r.Addr(), stalledRelayN, 0, 1)
+	sent := make(chan struct{})
+	go func() {
+		defer close(sent)
+		for seq := uint64(2); seq < 34 && wire.WriteFrame(child.conn, seq, bulk) == nil; seq++ {
+		}
+	}()
+	t.Cleanup(func() {
+		child.conn.Close()
+		<-sent
+	})
+	stalls(t, &r.cc.out)
+	return r
+}
+
+// TestStalledWriteBlocksNoSender: a session client's write stuck on a
+// root that reads nothing holds up no one who logs behind it. Within a
+// second, at a relay a second child's frames are still sequenced onto
+// the uplink log and a fold still lands, and at a node cc.send returns.
+func TestStalledWriteBlocksNoSender(t *testing.T) {
+	within := func(t *testing.T, what string, fn func()) {
+		t.Helper()
+		done := make(chan struct{})
+		go func() {
+			fn()
+			close(done)
+		}()
+		select {
+		case <-done:
+		case <-time.After(time.Second):
+			t.Fatalf("%s took over a second beside a stalled write", what)
+		}
+	}
+	t.Run("relay", func(t *testing.T) {
+		r := stalledRelay(t)
+		conn, err := net.Dial("tcp", r.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		within(t, "sequencing a second child's frames", func() {
+			before := r.cc.sentFrames()
+			for seq, m := range []wire.Msg{wire.Hello{From: 1, N: stalledRelayN, Inc: 1}, wire.Done{Proc: 1}, wire.Done{Proc: 1}} {
+				if err := wire.WriteFrame(conn, uint64(seq+1), m); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+			for r.cc.sentFrames() < before+3 {
+				time.Sleep(time.Millisecond)
+			}
+		})
+		within(t, "a fold", func() { r.cc.fold(wire.Shutdown{}) })
+		if !r.cc.decisions().shutdown {
+			t.Fatal("the fold did not land")
+		}
+	})
+	t.Run("node", func(t *testing.T) {
+		root := newFakeRoot(t)
+		cc, err := dialCoord(root.ln.Addr().String(), 1, 3, newWireMeters(nil, "coord"), stallTimeouts().withDefaults(), nil, t.Logf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		root.accept()
+		for i := 0; i < 32; i++ {
+			cc.logItems(bulk, 1)
+		}
+		wrote := make(chan struct{})
+		go func() {
+			cc.writeLogged()
+			close(wrote)
+		}()
+		defer func() {
+			cc.close()
+			<-wrote
+		}()
+		stalls(t, &cc.out)
+		within(t, "cc.send(Done)", func() { cc.send(wire.Done{Proc: 1}) })
 	})
 }
