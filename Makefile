@@ -25,7 +25,8 @@ check: build vet race
 # The session layer's concurrency tests, ten times over under the race
 # detector (CI's "session layer" step; .github/workflows/ci.yml says what
 # each covers): the sequence gate, relay forwarding and fold order, the
-# mesh transport, bundle ≡ Wait, the flush pass, the store's discards and
+# mesh transport (a Close cutting a link's dial short among them),
+# bundle ≡ Wait, the flush pass, the store's discards and
 # failed appends, handshake-vs-broadcast order, fold ≡ replay⁻¹, every
 # Hello's addressed answer (direct, relayed, past a broken uplink, from a
 # relaunched relay), the root's decision core against a random model,
@@ -55,7 +56,7 @@ loc:
 # The most `make loc` may total. A change that grows the code raises
 # this number in its own diff, where a reviewer sees it; one that shrinks
 # it lowers the number to its result.
-LOC_MAX := 19619
+LOC_MAX := 19693
 
 loc-check:
 	@total=$$($(MAKE) -s loc | awk '$$2 == "total" {print $$1}'); \

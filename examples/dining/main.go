@@ -77,17 +77,17 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// Verify on the trace: no consistent global state has every
-	// philosopher eating.
-	allEating := predctl.NewConjunction(tr.D.NumProcs())
-	for p := 0; p < philosophers; p++ {
-		p := p
-		allEating.Add(p, "eating", func(d *predctl.Computation, k int) bool {
-			v, ok := d.Var(predctl.StateID{P: p, K: k}, "thinking")
-			return ok && v == 0
-		})
+	// Verify on the trace: B holds in every consistent global state, so
+	// none has every philosopher eating.
+	thinking := make([]predctl.VarLocal, philosophers)
+	for p := range thinking {
+		thinking[p] = predctl.VarLocal{P: p, Var: "thinking", Op: predctl.True}
 	}
-	if cut, bad := predctl.Possibly(tr.D, allEating); bad {
+	B, err := predctl.VarDisjunction(tr.D, thinking)
+	if err != nil {
+		log.Fatal(err)
+	}
+	if cut, bad := predctl.Possibly(tr.D, B.Negate()); bad {
 		log.Fatalf("all philosophers eating at %v", cut)
 	}
 

@@ -33,13 +33,12 @@ func main() {
 	fmt.Printf("traced %d states, %d critical sections per process\n", d.NumStates(), 3)
 
 	// Specify: B = ¬cs0 ∨ ¬cs1, at most one process in its critical section.
-	B := predctl.NewDisjunction(2)
-	for p := 0; p < 2; p++ {
-		p := p
-		B.Add(p, "¬cs", func(dd *predctl.Computation, kk int) bool {
-			v, ok := dd.Var(predctl.StateID{P: p, K: kk}, "cs")
-			return !ok || v == 0
-		})
+	B, err := predctl.VarDisjunction(d, []predctl.VarLocal{
+		{P: 0, Var: "cs", Op: predctl.Eq, Value: 0},
+		{P: 1, Var: "cs", Op: predctl.Eq, Value: 0},
+	})
+	if err != nil {
+		log.Fatal(err)
 	}
 
 	// Detect: is the bug ¬B possible? (Garg–Waldecker detection.)

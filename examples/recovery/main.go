@@ -55,38 +55,34 @@ func main() {
 	// adjacent pair via the CNF extension through the facade's Control on
 	// the strongest single-disjunction form: "at most n-1 leaders" plus
 	// the pair that actually collided.
-	notLeader := func(p int) predctl.LocalFn {
-		return func(dd *predctl.Computation, k int) bool {
-			v, ok := dd.Var(predctl.StateID{P: p, K: k}, "leader")
-			return !ok || v == 0
+	notBoth := func(i, j int) *predctl.Disjunction { // ¬leader_i ∨ ¬leader_j
+		B, err := predctl.VarDisjunction(d, []predctl.VarLocal{
+			{P: i, Var: "leader", Op: predctl.Eq, Value: 0},
+			{P: j, Var: "leader", Op: predctl.Eq, Value: 0},
+		})
+		if err != nil {
+			log.Fatal(err)
 		}
+		return B
 	}
 	// Find the colliding pair in the log.
-	var collided [2]int
-	found := false
-	for i := 0; i < nodes && !found; i++ {
-		for j := i + 1; j < nodes && !found; j++ {
-			pair := predctl.NewConjunction(nodes)
-			pair.Add(i, "leader", leaderAt(i))
-			pair.Add(j, "leader", leaderAt(j))
-			if cut, ok := predctl.Possibly(d, pair); ok {
-				collided = [2]int{i, j}
-				found = true
+	var B *predctl.Disjunction
+	for i := 0; i < nodes && B == nil; i++ {
+		for j := i + 1; j < nodes && B == nil; j++ {
+			if cut, ok := predctl.Possibly(d, notBoth(i, j).Negate()); ok {
+				B = notBoth(i, j)
 				fmt.Printf("post-mortem: nodes %d and %d could lead simultaneously (e.g. at %v)\n",
 					i, j, cut)
 			}
 		}
 	}
-	if !found {
+	if B == nil {
 		fmt.Println("this log happens to be collision-free; rerun with another seed")
 		return
 	}
 
 	// Phase 3: synthesize the recovery controller for that pair and
 	// re-execute the logged computation under it.
-	B := predctl.NewDisjunction(nodes)
-	B.Add(collided[0], "¬leader", notLeader(collided[0]))
-	B.Add(collided[1], "¬leader", notLeader(collided[1]))
 	res, err := predctl.Control(d, B)
 	if err != nil {
 		log.Fatalf("control: %v", err)
@@ -105,11 +101,4 @@ func main() {
 	}
 	fmt.Println("controlled re-execution verified: the leadership collision cannot recur;")
 	fmt.Println("the system recovers past the failure with the same application events.")
-}
-
-func leaderAt(p int) predctl.LocalFn {
-	return func(dd *predctl.Computation, k int) bool {
-		v, ok := dd.Var(predctl.StateID{P: p, K: k}, "leader")
-		return ok && v == 1
-	}
 }

@@ -68,7 +68,7 @@ func Extend(d *deposet.Deposet, rel Relation) (*Extended, error) {
 	x := &Extended{Order: d.Blank(len(rel)), d: d, edges: append(Relation(nil), rel...)}
 	msgs := d.Messages()
 	err = schedule(d, incoming, func(p, e, recv int, in []Edge) {
-		v := x.Enter(deposet.StateID{P: p, K: e}, recv >= 0 || len(in) > 0)
+		v := x.Enter(p, recv >= 0 || len(in) > 0)
 		if recv >= 0 {
 			m := msgs[recv]
 			// Unlike in a plain deposet, the send event may carry

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"runtime"
 	"testing"
+	"unsafe"
 
 	"predctl/internal/vclock"
 )
@@ -94,5 +95,46 @@ func TestFromRawAllocBoundOnBadMessage(t *testing.T) {
 	}
 	if got := after.TotalAlloc - before.TotalAlloc; got >= 20<<20 {
 		t.Errorf("FromRaw allocated %d MiB before rejecting the message table, want under the 16 of its event tables plus the 4 of the anchor index", got>>20)
+	}
+}
+
+// TestBuildAfterTailAllocBound pins Build as a snapshot: on a builder of
+// ≈200k states carrying variables, a Build after 100 more events
+// allocates the message table it renumbers, page-rounded, and a few
+// words per process: nothing per state. Re-clocking the states or
+// laying out their snapshots again would cost megabytes.
+func TestBuildAfterTailAllocBound(t *testing.T) {
+	const procs = 8
+	r := rand.New(rand.NewSource(9))
+	b := RandomBuilder(r, DefaultGen(procs, 100_000))
+	for i := range 100_000 {
+		p := r.Intn(procs)
+		b.Step(p)
+		b.Let(p, "cs", i&1)
+	}
+	b.MustBuild()
+	for i := range 100 {
+		p := i % procs
+		_, h := b.Send(p)
+		b.Recv((p+1)%procs, h)
+		b.Let(p, "cs", i&1)
+	}
+	d, err := b.BuildBySender()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	d, err = b.BuildBySender()
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	msgs := len(d.Messages())
+	got, limit := after.TotalAlloc-before.TotalAlloc, uint64(msgs*(int(unsafe.Sizeof(Message{}))+4)+32<<10)
+	t.Logf("Build of %d states and %d messages allocated %d bytes", d.NumStates(), msgs, got)
+	if got > limit {
+		t.Errorf("Build of %d states and %d messages allocated %d bytes, want at most %d: the message table and its renumbering, and per process a few words",
+			d.NumStates(), msgs, got, limit)
 	}
 }

@@ -15,6 +15,12 @@
 // O(1), and provides consistent global states, the lattice of consistent
 // cuts, global sequences, and false-interval extraction — everything the
 // predicate-detection and predicate-control algorithms consume.
+//
+// A Builder clocks each state, and records its variables, as it is
+// appended, so Build is a snapshot, cheap to repeat as a computation
+// grows: the deposet shares the builder's append-only tables and is
+// immutable. FromRaw, whose messages come in any order, clocks in a
+// causal sweep with the same clock step.
 package deposet
 
 import (
@@ -62,16 +68,19 @@ type View interface {
 }
 
 // Deposet is an immutable distributed computation. Construct one with a
-// Builder; the zero value is not usable.
+// Builder or FromRaw; the zero value is not usable. A built deposet
+// shares the builder's tables, which the builder only appends past.
 type Deposet struct {
 	Order // causal precedence →: local order plus the messages' ⇝
 
 	msgs []Message // all messages, in send order
 
-	// sendMsg[p][e] / recvMsg[p][e] give the message index for event e of
-	// process p (1-based; index 0 unused), or -1.
+	// sendMsg[p][e] / recvMsg[p][e] give the id of the message of event e
+	// of process p (1-based; index 0 unused), or -1: its index in msgs,
+	// or renum's entry for it where renum is not nil.
 	sendMsg [][]int32
 	recvMsg [][]int32
+	renum   []int32
 
 	// vars holds the interned, copy-on-write variable snapshots; nil when
 	// the computation carries no variables.
@@ -83,11 +92,18 @@ func (d *Deposet) Messages() []Message { return d.msgs }
 
 // SendAt returns the index into Messages of the message sent by event e of
 // process p, or -1.
-func (d *Deposet) SendAt(p, e int) int { return int(d.sendMsg[p][e]) }
+func (d *Deposet) SendAt(p, e int) int { return d.msgIndex(d.sendMsg[p][e]) }
 
 // RecvAt returns the index into Messages of the message received by event
 // e of process p, or -1.
-func (d *Deposet) RecvAt(p, e int) int { return int(d.recvMsg[p][e]) }
+func (d *Deposet) RecvAt(p, e int) int { return d.msgIndex(d.recvMsg[p][e]) }
+
+func (d *Deposet) msgIndex(id int32) int {
+	if id >= 0 && d.renum != nil {
+		return int(d.renum[id])
+	}
+	return int(id)
+}
 
 // Var returns the value of a state variable at s, if the computation
 // carries variables and the variable is set there.
@@ -109,38 +125,29 @@ func (d *Deposet) VarsAt(s StateID) (names []string, vals []int, set []bool) {
 	if d.vars == nil {
 		return nil, nil, nil
 	}
-	if sn := d.vars.snaps[s.P][s.K]; sn != nil {
-		vals, set = sn.vals, sn.set
-	}
+	vals, set = d.vars.snapshot(d.vars.at(s.P, s.K))
 	return d.vars.names, vals, set
 }
 
-// A Builder assembles a deposet event by event. All methods panic on
+// A Builder assembles a deposet event by event, clocking each state and
+// recording its variables as it is appended (Recv takes the handle of an
+// earlier Send, so call order is causal). All methods panic on
 // out-of-range process indices; semantic errors (double receive, receive
-// of an unsent message, causal cycles) are reported by Build.
+// of an unsent message) are reported by Build.
 type Builder struct {
-	n       int
-	lens    []int
+	ord     Order // the states so far, clocked
 	msgs    []msgRow
-	sendMsg [][]int32 // as in Deposet
+	sendMsg [][]int32 // as in Deposet, by message handle
 	recvMsg [][]int32
-	// Variable updates: an append-only log per process, in state order
-	// (Let writes at the top state), over names interned at first Let.
-	nameID map[string]int32
-	names  []string
-	lets   [][]letUpdate
-	err    error
+	vars    *varTable // a row runs to the top state
+	// own[p]: p's top snapshot is neither the state below's nor published
+	// by a Build, so a Let may write it in place.
+	own []bool
+	err error
 }
 
 // msgRow is a Message as the builder keeps it, in half the width.
 type msgRow struct{ fromP, sendEvent, toP, recvEvent int32 }
-
-// letUpdate is one Let: variable name (builder-interned id) takes value
-// val from state k on.
-type letUpdate struct {
-	k, name int32
-	val     int
-}
 
 // NewBuilder starts a computation of n processes, each at its initial
 // state ⊥ (one state, no events).
@@ -149,15 +156,13 @@ func NewBuilder(n int) *Builder {
 		panic("deposet: need at least one process")
 	}
 	b := &Builder{
-		n:       n,
-		lens:    make([]int, n),
+		ord:     newOrder(slices.Repeat([]int{1}, n), n),
 		sendMsg: make([][]int32, n),
 		recvMsg: make([][]int32, n),
-		nameID:  make(map[string]int32),
-		lets:    make([][]letUpdate, n),
+		vars:    &varTable{snap: make([][]int32, n)},
+		own:     make([]bool, n),
 	}
 	for p := 0; p < n; p++ {
-		b.lens[p] = 1
 		b.sendMsg[p] = []int32{-1} // event index 0 unused
 		b.recvMsg[p] = []int32{-1}
 	}
@@ -165,8 +170,8 @@ func NewBuilder(n int) *Builder {
 }
 
 func (b *Builder) checkProc(p int) {
-	if p < 0 || p >= b.n {
-		panic(fmt.Sprintf("deposet: process %d out of range [0,%d)", p, b.n))
+	if p < 0 || p >= len(b.ord.lens) {
+		panic(fmt.Sprintf("deposet: process %d out of range [0,%d)", p, len(b.ord.lens)))
 	}
 }
 
@@ -179,8 +184,13 @@ func (b *Builder) Reserve(events []int, sends int) {
 	for p, k := range events {
 		b.sendMsg[p] = reserve(b.sendMsg[p], k)
 		b.recvMsg[p] = reserve(b.recvMsg[p], k)
+		b.ord.anchor[p] = reserve(b.ord.anchor[p], k)
+		if b.vars.snap[p] != nil {
+			b.vars.snap[p] = reserve(b.vars.snap[p], k)
+		}
 	}
 	b.msgs = reserve(b.msgs, sends)
+	b.ord.rows = reserve(b.ord.rows, sends*len(b.ord.lens)) // a row per receive
 }
 
 // reserve makes room in s for k more elements, at least doubling its
@@ -192,11 +202,23 @@ func reserve[E any](s []E, k int) []E {
 	return slices.Grow(s, max(k, cap(s)))
 }
 
+// addEvent appends an event to p, sending message send or receiving
+// message recv (-1: neither), and clocks the state it enters.
 func (b *Builder) addEvent(p, send, recv int) StateID {
-	b.lens[p]++
+	from := StateID{P: -1}
+	if recv >= 0 {
+		m := b.msgs[recv]
+		from = StateID{int(m.fromP), int(m.sendEvent) - 1}
+	}
+	b.ord.enter(p, from)
+	b.ord.lens[p]++
 	b.sendMsg[p] = append(b.sendMsg[p], int32(send))
 	b.recvMsg[p] = append(b.recvMsg[p], int32(recv))
-	return StateID{p, b.lens[p] - 1}
+	if t := b.vars; t.snap[p] != nil {
+		t.snap[p] = append(t.snap[p], t.snap[p][len(t.snap[p])-1])
+		b.own[p] = false
+	}
+	return StateID{p, b.ord.lens[p] - 1}
 }
 
 // Step appends a local event to process p and returns the new state.
@@ -213,7 +235,7 @@ type MsgHandle int
 func (b *Builder) Send(p int) (StateID, MsgHandle) {
 	b.checkProc(p)
 	id := len(b.msgs)
-	b.msgs = append(b.msgs, msgRow{fromP: int32(p), sendEvent: int32(b.lens[p]), toP: -1})
+	b.msgs = append(b.msgs, msgRow{fromP: int32(p), sendEvent: int32(b.ord.lens[p]), toP: -1})
 	s := b.addEvent(p, id, -1)
 	return s, MsgHandle(id)
 }
@@ -232,11 +254,12 @@ func (b *Builder) Recv(p int, h MsgHandle) StateID {
 		// Self-messages are legal in the model (s ⇝ t within a process)
 		// but pointless; allow them.
 	}
-	s := b.addEvent(p, -1, id)
-	if b.err == nil {
-		b.msgs[id].toP = int32(p)
-		b.msgs[id].recvEvent = int32(b.lens[p] - 1)
+	if b.err != nil {
+		return b.addEvent(p, -1, -1) // Build fails, so no clock matters
 	}
+	s := b.addEvent(p, -1, id)
+	b.msgs[id].toP = int32(p)
+	b.msgs[id].recvEvent = int32(s.K)
 	return s
 }
 
@@ -249,30 +272,18 @@ func (b *Builder) Transfer(p, q int) (send, recv StateID) {
 	return s, t
 }
 
-// Let sets variable name to value at the current top state of process p
-// and all later states (until overridden). Call it immediately after the
-// event that establishes the value; call before any event to set the value
-// at ⊥p.
-func (b *Builder) Let(p int, name string, value int) {
-	b.checkProc(p)
-	id, ok := b.nameID[name]
-	if !ok {
-		id = int32(len(b.names))
-		b.nameID[name] = id
-		b.names = append(b.names, name)
-	}
-	b.lets[p] = append(b.lets[p], letUpdate{k: int32(b.lens[p] - 1), name: id, val: value})
-}
-
 func (b *Builder) fail(err error) {
 	if b.err == nil {
 		b.err = err
 	}
 }
 
-// Build validates the computation and computes vector clocks. The builder
-// remains usable; Build may be called repeatedly as the computation grows.
-// Messages are numbered in the order Send was called.
+// Build returns the computation appended so far, or the first error
+// met. It is cheap to repeat as the computation grows: the deposet
+// shares the builder's clocks, event tables and snapshots, each
+// capacity-capped so later appends never show through, and copies only
+// the message table and a few words per process. Messages are numbered
+// in the order Send was called.
 func (b *Builder) Build() (*Deposet, error) { return b.build(false) }
 
 // BuildBySender is Build with the messages numbered by sender, then
@@ -285,11 +296,17 @@ func (b *Builder) build(bySender bool) (*Deposet, error) {
 	if b.err != nil {
 		return nil, b.err
 	}
-	var renum []int32 // message id → its number by sender; nil keeps call order
+	n := len(b.ord.lens)
+	d := &Deposet{
+		Order:   b.ord.snapshot(),
+		msgs:    make([]Message, len(b.msgs)),
+		sendMsg: make([][]int32, n),
+		recvMsg: make([][]int32, n),
+	}
 	if bySender {
 		// A sender's sends are called in event order, so counting per
 		// sender places each.
-		next := make([]int32, b.n)
+		next := make([]int32, n)
 		for _, m := range b.msgs {
 			next[m.fromP]++
 		}
@@ -297,47 +314,23 @@ func (b *Builder) build(bySender bool) (*Deposet, error) {
 		for p, k := range next {
 			next[p], at = at, at+k
 		}
-		renum = make([]int32, len(b.msgs))
+		d.renum = make([]int32, len(b.msgs))
 		for i, m := range b.msgs {
-			renum[i] = next[m.fromP]
+			d.renum[i] = next[m.fromP]
 			next[m.fromP]++
 		}
 	}
-	d := &Deposet{
-		Order:   Order{lens: append([]int(nil), b.lens...)},
-		msgs:    make([]Message, len(b.msgs)),
-		sendMsg: make([][]int32, b.n),
-		recvMsg: make([][]int32, b.n),
-	}
 	for i, m := range b.msgs {
-		if renum != nil {
-			i = int(renum[i])
-		}
-		d.msgs[i] = Message{FromP: int(m.fromP), SendEvent: int(m.sendEvent), ToP: int(m.toP), RecvEvent: int(m.recvEvent)}
+		d.msgs[d.msgIndex(int32(i))] = Message{FromP: int(m.fromP), SendEvent: int(m.sendEvent), ToP: int(m.toP), RecvEvent: int(m.recvEvent)}
 	}
-	for p := range b.lens {
-		d.sendMsg[p] = renumber(b.sendMsg[p], renum)
-		d.recvMsg[p] = renumber(b.recvMsg[p], renum)
+	for p := range n {
+		d.sendMsg[p] = slices.Clip(b.sendMsg[p])
+		d.recvMsg[p] = slices.Clip(b.recvMsg[p])
 	}
-	if err := d.computeClocks(); err != nil {
-		return nil, err
-	}
-	if len(b.names) > 0 {
-		d.vars = varTableFromLog(b.names, b.lets, d.lens)
+	if len(b.vars.names) > 0 {
+		d.vars = b.publishVars()
 	}
 	return d, nil
-}
-
-// renumber returns a copy of row, its message ids renumbered by renum
-// when it is not nil.
-func renumber(row, renum []int32) []int32 {
-	out := slices.Clone(row)
-	for e, id := range out {
-		if id >= 0 && renum != nil {
-			out[e] = renum[id]
-		}
-	}
-	return out
 }
 
 // MustBuild is Build that panics on error, for tests and examples.
@@ -353,14 +346,11 @@ func (b *Builder) MustBuild() *Deposet {
 // cyclic (the structure is not a valid deposet).
 var ErrCyclic = errors.New("deposet: causal precedence is cyclic")
 
-// computeClocks clocks every state, processing events in a
-// causality-respecting order; it fails with ErrCyclic if none exists.
-// Only a receive changes a state's clock beyond its own component, so
-// only the n ⊥ states and the states receives enter get a row (copy the
-// predecessor's, merge the sender's), and the rows are sized once, up
-// front: the construction performs no per-event allocation. They are
-// allocated here and not by the caller, so FromRaw has rejected a bad
-// message table before paying for them.
+// computeClocks clocks FromRaw's deposet with the Builder's clock step,
+// entering the states in a causality-respecting order; it fails with
+// ErrCyclic if none exists. The rows (one per ⊥ and per receive) are
+// sized once, here, so FromRaw has rejected a bad message table before
+// paying for them.
 func (d *Deposet) computeClocks() error {
 	n := len(d.lens)
 	rows := n // one per ⊥, one per receive
@@ -377,21 +367,16 @@ func (d *Deposet) computeClocks() error {
 		for p := 0; p < n; p++ {
 			for done[p] < d.lens[p]-1 {
 				e := done[p] + 1 // next event
-				mi := int(d.recvMsg[p][e])
-				if mi >= 0 {
+				from := StateID{P: -1}
+				if mi := d.RecvAt(p, e); mi >= 0 {
 					// The message carries the clock of the state before
-					// its send event: s = (FromP, SendEvent-1).
-					if m := d.msgs[mi]; m.SendEvent-1 > done[m.FromP] {
+					// its send event.
+					m := d.msgs[mi]
+					if from = (StateID{m.FromP, m.SendEvent - 1}); from.K > done[from.P] {
 						break // sender state not clocked yet
 					}
 				}
-				if row := d.Enter(StateID{p, e}, mi >= 0); row != nil {
-					m := d.msgs[mi]
-					row.Merge(d.Deps(StateID{m.FromP, m.SendEvent - 1}))
-					// The sender's row is its anchor's, whose own
-					// component may be below the sending state's.
-					row[m.FromP] = max(row[m.FromP], int32(m.SendEvent-1))
-				}
+				d.enter(p, from)
 				done[p] = e
 				remaining--
 				progress = true

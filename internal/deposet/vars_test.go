@@ -114,8 +114,8 @@ func TestVarTableFromLogMatchesMapReference(t *testing.T) {
 	}
 }
 
-// TestBuildVarTableAllocBound pins the slab construction: the number of
-// allocations of a Build does not grow with the number of Lets.
+// TestBuildVarTableAllocBound pins that the number of allocations of a
+// Build does not grow with the number of Lets.
 func TestBuildVarTableAllocBound(t *testing.T) {
 	build := func(lets int) float64 {
 		b := NewBuilder(4)

@@ -198,7 +198,9 @@ func encode(t *testing.T, d *deposet.Deposet) []byte {
 // arrive before their sends — and requires the final deposet to encode
 // to the bytes a single strict pass over the whole capture gives, with
 // every op consumed: the messages are numbered alike whatever order
-// they were replayed in.
+// they were replayed in. Each slice's build must encode as a one-shot
+// prefix assembly of that slice does, and still encode so once the
+// assembler has grown past it.
 func TestAssemblerResumes(t *testing.T) {
 	for seed := int64(0); seed < 40; seed++ {
 		r := rand.New(rand.NewSource(seed))
@@ -216,6 +218,8 @@ func TestAssemblerResumes(t *testing.T) {
 
 		inc := NewAssembler(n)
 		fed := make([]int, 2*n)
+		var builds []*deposet.Deposet
+		var bytesAt [][]byte
 		for step := 0; step < 6; step++ {
 			part := make([][]wire.TraceOp, 2*n)
 			for p, ops := range full {
@@ -225,9 +229,18 @@ func TestAssemblerResumes(t *testing.T) {
 			if err := inc.Feed(part, false); err != nil {
 				t.Fatalf("seed %d step %d: %v", seed, step, err)
 			}
-			if _, err := inc.Build(); err != nil {
+			d, err := inc.Build()
+			if err != nil {
 				t.Fatalf("seed %d step %d: prefix build: %v", seed, step, err)
 			}
+			one, _, err := AssemblePrefix(n, part)
+			if err != nil {
+				t.Fatalf("seed %d step %d: %v", seed, step, err)
+			}
+			if !bytes.Equal(encode(t, d), encode(t, one)) {
+				t.Fatalf("seed %d step %d: prefix build encodes to other bytes than a one-shot prefix assembly", seed, step)
+			}
+			builds, bytesAt = append(builds, d), append(bytesAt, encode(t, d))
 		}
 		if err := inc.Feed(full, true); err != nil {
 			t.Fatalf("seed %d: closing strict feed: %v", seed, err)
@@ -243,6 +256,11 @@ func TestAssemblerResumes(t *testing.T) {
 		}
 		if !bytes.Equal(encode(t, got), encode(t, want)) {
 			t.Fatalf("seed %d: incremental assembly encodes to other bytes than the single pass", seed)
+		}
+		for step, d := range builds {
+			if !bytes.Equal(encode(t, d), bytesAt[step]) {
+				t.Fatalf("seed %d: the build of step %d changed as the assembler grew", seed, step)
+			}
 		}
 	}
 }

@@ -26,9 +26,11 @@ import (
 // The assembler is resumable: Feed may be called again with the same
 // streams grown at their tails, and the coordinator keeps one per
 // epoch, fed while the run runs, which its live confirm builds from
-// and its commit finishes. Build numbers messages by sender and send
-// event, so a capture fed in any number of slices builds the deposet a
-// single pass builds, to the byte.
+// and its commit finishes. Feed clocks every state it replays, so
+// Build only snapshots what was fed: its cost does not grow with the
+// prefix. Build numbers messages by sender and send event, so a
+// capture fed in any number of slices builds the deposet a single pass
+// builds, to the byte, and an earlier build is unchanged by later feeds.
 type Assembler struct {
 	b       *deposet.Builder
 	cursor  []int
@@ -113,7 +115,8 @@ func (a *Assembler) Feed(opsByProc [][]wire.TraceOp, strict bool) error {
 func (a *Assembler) Consumed() []int { return a.cursor }
 
 // Build returns the deposet of everything replayed so far, its
-// messages numbered by sender and send event.
+// messages numbered by sender and send event: a snapshot, cheap to
+// repeat.
 func (a *Assembler) Build() (*deposet.Deposet, error) { return a.b.BuildBySender() }
 
 // AssemblePrefix replays partially captured trace ops into the largest

@@ -2,6 +2,7 @@ package node
 
 import (
 	"bufio"
+	"context"
 	"errors"
 	"fmt"
 	"math/rand/v2"
@@ -166,7 +167,7 @@ func (cc *coordClient) dialOnce(handshake []byte) (net.Conn, error) {
 			cc.pause(backoffDelay(cc.opt, 0))
 			continue
 		}
-		conn, err := dialHandshake(cc.addr, handshake, cc.opt)
+		conn, err := dialHandshake(context.Background(), cc.addr, handshake, cc.opt)
 		if err != nil {
 			lastErr = err
 			cc.pause(backoffDelay(cc.opt, fails))

@@ -57,7 +57,8 @@ func (c *Coordinator) collect(e uint32, into staged) staged {
 // epochAsm is the root's one assembler: the cluster epoch's capture,
 // fed while the run runs (the feeder, feed), built into a prefix by the
 // live confirm and finished by Wait. A pass collects staging and feeds
-// only what the assembler has not seen.
+// only what the assembler has not seen; the feed clocks it, so a build
+// is a snapshot whatever the prefix's length.
 type epochAsm struct {
 	mu    sync.Mutex
 	a     *livedetect.Assembler // nil before the first pass

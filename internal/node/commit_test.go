@@ -317,12 +317,14 @@ func TestAssembleChunkedAllocBound(t *testing.T) {
 	}
 	whole, twenty, chunked := allocs(1), allocs(20), allocs(200)
 	t.Logf("20k ops allocate %.0f objects in one slice, %.0f in 20, %.0f in 200", whole, twenty, chunked)
-	// Each process's send, receive and variable tables, the message
-	// table and the send map, doubling log2(200) times at most.
-	if limit := whole + (3*2*n+2)*8; chunked > limit {
+	// Each process's send, receive and clock-anchor tables, each app's
+	// snapshot row, and the message table, clock rows, snapshot values
+	// and flags and the send map, doubling log2(200) times at most.
+	tables := 3*2*n + n + 5
+	if limit := whole + float64(tables*8); chunked > limit {
 		t.Errorf("feeding 20k ops in 200 slices allocates %.0f objects, want at most %.0f", chunked, limit)
 	}
-	if chunked > twenty+90 {
+	if chunked > twenty+float64(tables*7/2) {
 		t.Errorf("allocations grew from %.0f to %.0f objects with 10x the slices", twenty, chunked)
 	}
 }

@@ -2,6 +2,7 @@ package node
 
 import (
 	"bufio"
+	"context"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -61,7 +62,8 @@ type link struct {
 	ackCum   uint64 // highest cumulative ack to announce (+1, so 0 = none)
 	ackEpoch uint32
 
-	done chan struct{}
+	ctx  context.Context // canceled by close, cutting short a dial in progress
+	stop context.CancelFunc
 	wg   sync.WaitGroup
 
 	// Writer-goroutine-owned scratch: frame bytes are copied out of the
@@ -71,8 +73,9 @@ type link struct {
 	marks []int // end offset of each frame within wbuf
 	abuf  []byte
 
-	connMu    sync.Mutex // guards conn and the redial backoff state
+	connMu    sync.Mutex // guards conn, connGen and the redial backoff state; never held across a dial or write
 	conn      net.Conn
+	connGen   uint64 // bumped by every drop: a dial that spans one installs nothing
 	connEpoch uint32 // the epoch conn handshook at; writes must match it
 	dialFails int
 	nextDial  time.Time
@@ -158,10 +161,11 @@ func backoffDelay(opt Timeouts, fails int) time.Duration {
 }
 
 // dialHandshake is one connection attempt, shared by the mesh links and
-// the coordinator stream (each paces its own retries): dial, disable
-// Nagle, write the encoded handshake frame under the write deadline.
-func dialHandshake(addr string, frame []byte, opt Timeouts) (net.Conn, error) {
-	c, err := net.DialTimeout("tcp", addr, opt.DialTimeout)
+// the coordinator stream (each paces its own retries): dial until ctx is
+// done, disable Nagle, write the encoded handshake frame under the write
+// deadline.
+func dialHandshake(ctx context.Context, addr string, frame []byte, opt Timeouts) (net.Conn, error) {
+	c, err := (&net.Dialer{Timeout: opt.DialTimeout}).DialContext(ctx, "tcp", addr)
 	if err != nil {
 		return nil, err
 	}
@@ -187,8 +191,8 @@ func newLink(from, to, n int, addr string, faults Faults, parts *partitions, epo
 		wm:       wm,
 		sendFlag: make(chan struct{}, 1),
 		ackFlag:  make(chan struct{}, 1),
-		done:     make(chan struct{}),
 	}
+	l.ctx, l.stop = context.WithCancel(context.Background())
 	l.wg.Add(1)
 	go l.writer()
 	return l
@@ -274,11 +278,8 @@ func (l *link) reset(e uint32) {
 	l.ackCum = 0
 	l.ackEpoch = e
 	l.ackMu.Unlock()
+	l.dropConn()
 	l.connMu.Lock()
-	if l.conn != nil {
-		l.conn.Close()
-		l.conn = nil
-	}
 	l.dialFails = 0
 	l.nextDial = time.Time{}
 	l.connMu.Unlock()
@@ -286,11 +287,7 @@ func (l *link) reset(e uint32) {
 
 // close stops the writer and drops the connection.
 func (l *link) close() {
-	select {
-	case <-l.done:
-	default:
-		close(l.done)
-	}
+	l.stop()
 	l.dropConn()
 	l.wg.Wait()
 	l.mu.Lock()
@@ -303,6 +300,7 @@ func (l *link) close() {
 
 func (l *link) dropConn() {
 	l.connMu.Lock()
+	l.connGen++
 	if l.conn != nil {
 		l.conn.Close()
 		l.conn = nil
@@ -336,7 +334,7 @@ func (l *link) writer() {
 	}
 	for {
 		select {
-		case <-l.done:
+		case <-l.ctx.Done():
 			return
 		case <-l.sendFlag:
 			l.flush(false)
@@ -413,7 +411,7 @@ func (l *link) flush(retransmit bool) {
 		d := l.faults.next()
 		if d.delay > 0 {
 			select {
-			case <-l.done:
+			case <-l.ctx.Done():
 				return
 			case <-time.After(d.delay):
 			}
@@ -451,7 +449,7 @@ func (l *link) writeFrame(buf []byte, epoch uint32) {
 	conn.SetWriteDeadline(time.Now().Add(l.opt.WriteTimeout))
 	if _, err := conn.Write(buf); err != nil {
 		select {
-		case <-l.done: // teardown closes conns under the writer; quiet
+		case <-l.ctx.Done(): // teardown closes conns under the writer; quiet
 		default:
 			l.logf("node %d: link to %d: write: %v", l.from, l.to, err)
 		}
@@ -468,25 +466,21 @@ func (l *link) writeFrame(buf []byte, epoch uint32) {
 // handshake frame is Hello at epoch 0 and Resume{Epoch} after any
 // controlled re-execution restart: the acceptor rejects mismatched
 // epochs, so a stale peer cannot feed frames from a discarded execution
-// into the new one.
+// into the new one. The dial runs with no lock held, and a drop, reset
+// or close that lands during it wins: the new connection is closed, not
+// installed.
 func (l *link) ensureConn(epoch uint32) net.Conn {
 	l.connMu.Lock()
-	defer l.connMu.Unlock()
-	if l.conn != nil {
-		if l.connEpoch == epoch {
-			return l.conn
-		}
+	if l.conn != nil && l.connEpoch != epoch {
 		l.conn.Close()
 		l.conn = nil
 	}
-	if l.epoch.Load() != epoch {
-		return nil
-	}
-	if time.Now().Before(l.nextDial) {
-		return nil
-	}
-	if l.parts.meshSevered(l.from, l.to, time.Now()) {
-		return nil
+	conn, gen := l.conn, l.connGen
+	dial := conn == nil && l.epoch.Load() == epoch && !time.Now().Before(l.nextDial) &&
+		!l.parts.meshSevered(l.from, l.to, time.Now())
+	l.connMu.Unlock()
+	if !dial {
+		return conn
 	}
 	// The unacknowledged tail is replayed by the next RTO pass, and the
 	// peer's dedup makes the replay harmless. A rejected epoch (peer not
@@ -496,12 +490,18 @@ func (l *link) ensureConn(epoch uint32) net.Conn {
 	if epoch > 0 {
 		hs = wire.Resume{From: int32(l.from), N: int32(l.n), Epoch: epoch}
 	}
-	c, err := dialHandshake(l.addr, wire.Marshal(0, hs), l.opt)
-	if err != nil {
+	c, err := dialHandshake(l.ctx, l.addr, wire.Marshal(0, hs), l.opt)
+	l.connMu.Lock()
+	defer l.connMu.Unlock()
+	switch {
+	case err != nil:
 		l.nextDial = time.Now().Add(backoffDelay(l.opt, l.dialFails))
 		if l.dialFails < 30 {
 			l.dialFails++
 		}
+		return nil
+	case gen != l.connGen:
+		c.Close()
 		return nil
 	}
 	l.dialFails = 0

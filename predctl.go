@@ -75,6 +75,24 @@ type (
 	Conjunction = predicate.Conjunction
 	// LocalFn is the truth of a local predicate at a state index.
 	LocalFn = predicate.LocalFn
+	// VarLocal is the local predicate "Var Op Value" over a state
+	// variable of process P, false where Var is unset.
+	VarLocal = predicate.VarLocal
+	// Op compares a state variable with a VarLocal's value.
+	Op = predicate.Op
+)
+
+// The ops of a VarLocal. True and False compare the variable with 0 and
+// take no value.
+const (
+	Eq    = predicate.Eq
+	Ne    = predicate.Ne
+	Lt    = predicate.Lt
+	Le    = predicate.Le
+	Gt    = predicate.Gt
+	Ge    = predicate.Ge
+	True  = predicate.True
+	False = predicate.False
 )
 
 // Predicate constructors (see the predicate package for more).
@@ -84,6 +102,9 @@ var (
 	Not   = predicate.Not
 	Local = predicate.Local
 	Const = predicate.Const
+	// VarDisjunction builds l1 ∨ … ∨ lk from VarLocals, refusing one
+	// whose variable is set on no state of its process.
+	VarDisjunction = predicate.VarDisjunction
 )
 
 // NewDisjunction starts an empty disjunctive predicate over n processes.
