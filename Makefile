@@ -32,10 +32,11 @@ check: build vet race
 # relaunched relay), the root's decision core against a random model,
 # the control plane's exhaustive explorer and its pasted early-epoch
 # race, a stalled peer or root, a failed retransmit, Close, the relay
-# table's bound, and the epoch assembler's feeder racing ingest (its
+# table's bound, the epoch assembler's feeder racing ingest (its
 # discards, and Wait's deposet equal to the bundle's, flat, relayed and
-# lit). Minutes.
-RACE_SESSION := Inbound|RelayForward|RelayFoldNotBlocked|Supersede|RejoinHelloSurvivesRelayDeath|TransportHandshake|TransportReset|TransportClose|BundleEqualsWait|CandidateDoesNotWaitForTick|TestFlush|StoreFollowsEveryDiscard|FailedAppendStopsTheStore|HandshakeNotOvertaken|FoldInvertsReplay|RootFoldsWhatItBroadcasts|StatusNotBlockedByDecision|AdoptedEpochVoidsShutdown|CloseDuringResume|HelloAnswers|FanInCountsOnlyRunOrigins|SlowVerdictBlocksNoHandshake|StalledPeerDelaysOnlyItself|StalledWriteBlocksNoSender|ResumesAfterRetransmitFails|CloseLeavesNoWriter|RootCoreModel|RelayTableBounded|IncarnationStep|ExploreControlPlane|EarlyEpochRace|EpochAssemblerFollowsEveryDiscard|CommitPathEquivalence|LiveRunAssemblesOnce
+# lit), the interval stream it derives following every discard, and a
+# stray candidate frame dropped, direct and relayed. Minutes.
+RACE_SESSION := Inbound|RelayForward|RelayFoldNotBlocked|Supersede|RejoinHelloSurvivesRelayDeath|TransportHandshake|TransportReset|TransportClose|BundleEqualsWait|CandidateDoesNotWaitForTick|TestFlush|StoreFollowsEveryDiscard|FailedAppendStopsTheStore|HandshakeNotOvertaken|FoldInvertsReplay|RootFoldsWhatItBroadcasts|StatusNotBlockedByDecision|AdoptedEpochVoidsShutdown|CloseDuringResume|HelloAnswers|FanInCountsOnlyRunOrigins|SlowVerdictBlocksNoHandshake|StalledPeerDelaysOnlyItself|StalledWriteBlocksNoSender|ResumesAfterRetransmitFails|CloseLeavesNoWriter|RootCoreModel|RelayTableBounded|IncarnationStep|ExploreControlPlane|EarlyEpochRace|EpochAssemblerFollowsEveryDiscard|CommitPathEquivalence|LiveRunAssemblesOnce|LiveStreamFollowsEveryDiscard|StrayCandidateBatch
 
 race-session:
 	$(GO) test -race -count=10 -run '$(RACE_SESSION)' ./internal/node
@@ -56,7 +57,7 @@ loc:
 # The most `make loc` may total. A change that grows the code raises
 # this number in its own diff, where a reviewer sees it; one that shrinks
 # it lowers the number to its result.
-LOC_MAX := 19693
+LOC_MAX := 19895
 
 loc-check:
 	@total=$$($(MAKE) -s loc | awk '$$2 == "total" {print $$1}'); \

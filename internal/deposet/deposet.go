@@ -27,6 +27,8 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+
+	"predctl/internal/vclock"
 )
 
 // StateID identifies a local state: process P, state index K (0 = ⊥).
@@ -108,10 +110,31 @@ func (d *Deposet) msgIndex(id int32) int {
 // Var returns the value of a state variable at s, if the computation
 // carries variables and the variable is set there.
 func (d *Deposet) Var(s StateID, name string) (int, bool) {
+	slot, ok := d.VarSlot(name)
+	if !ok {
+		return 0, false
+	}
+	return d.VarBySlot(s, slot)
+}
+
+// VarSlot returns the slot of variable name in d's snapshots, for
+// VarBySlot: a reader of one variable at many states resolves its name
+// once. ok is false when no state of d sets it.
+func (d *Deposet) VarSlot(name string) (slot int, ok bool) {
 	if d.vars == nil {
 		return 0, false
 	}
-	return d.vars.lookup(s.P, s.K, name)
+	slot, ok = d.vars.index[name]
+	return slot, ok
+}
+
+// VarBySlot is Var with the name resolved by d's VarSlot.
+func (d *Deposet) VarBySlot(s StateID, slot int) (int, bool) {
+	vals, set := d.vars.snapshot(d.vars.at(s.P, s.K))
+	if set == nil || !set[slot] {
+		return 0, false
+	}
+	return vals[slot], true
 }
 
 // HasVars reports whether the computation carries state variables.
@@ -262,6 +285,13 @@ func (b *Builder) Recv(p int, h MsgHandle) StateID {
 	b.msgs[id].recvEvent = int32(s.K)
 	return s
 }
+
+// Top returns the index of process p's top state: the state a Let sets.
+func (b *Builder) Top(p int) int { return b.ord.lens[p] - 1 }
+
+// Deps returns appended state s's clock row, as Order.Deps does: final
+// once s is appended, and never written again.
+func (b *Builder) Deps(s StateID) vclock.VC { return b.ord.Deps(s) }
 
 // Transfer is Send on p immediately followed by Recv on q: a convenience
 // for the common "message from p's current point to q's current point"

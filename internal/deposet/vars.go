@@ -59,19 +59,6 @@ func (t *varTable) push(from int32) int32 {
 	return i
 }
 
-// lookup returns the value of name at state (p, k), if set there.
-func (t *varTable) lookup(p, k int, name string) (int, bool) {
-	slot, ok := t.index[name]
-	if !ok {
-		return 0, false
-	}
-	vals, set := t.snapshot(t.at(p, k))
-	if set == nil || !set[slot] {
-		return 0, false
-	}
-	return vals[slot], true
-}
-
 // equalMap reports whether snapshot i represents exactly the variable
 // bindings of m under the table's interning.
 func (t *varTable) equalMap(i int32, m map[string]int) bool {

@@ -1,226 +1,284 @@
-// Package livedetect is the coordinator's incremental online checker:
-// it watches the candidate stream as wire.Candidate frames arrive and
-// decides possibly(¬B) *during* the run, closing the paper's active
-// debugging loop (detect a suspect global state, then control a
-// re-execution through it) without waiting for the run to finish.
+// Package livedetect is the coordinator's online checker: it decides
+// possibly(¬B) during the run, over the computation the root assembles,
+// closing the paper's active debugging loop without waiting for the run
+// to finish (DESIGN.md "Live detection" has the design).
 //
-// Detection is two-stage. The streaming stage is the Garg–Waldecker
-// weak-conjunction checker of internal/monitor lifted to the cluster:
-// one queue of candidate intervals per node, the elimination loop
-// dropping any interval that wholly precedes another queue's front,
-// a trigger when the fronts are pairwise overlappable. The candidate
-// vector clocks are node-level, and the node-shared clock induces
-// causality the captured computation does not have (an app event and a
-// later controller send on the same node are clock-ordered even with
-// no message between them), so the trigger is conservative: it can
-// miss cuts the trace admits, and its witness is a hint, not a
-// verdict. The confirming stage therefore re-decides on the captured
-// trace itself: an Assembler — the coordinator keeps one per epoch and
-// feeds it the capture ops as they are staged — builds the largest
-// causally closed prefix deposet, and detect.PossiblyGeneral —
-// which tabulates a regular ¬B per state and runs the Garg–Waldecker
-// fixpoint (detect.PossiblyTruth) on it, no lattice walk — either finds
-// a consistent cut or defers. A consistent cut of a prefix is a
-// consistent cut of the full computation (consistency only constrains
-// the causal past), so a confirmed detection is sound mid-run; and
-// because the final prefix is the whole trace, the coordinator's
-// closing verdict on the committed capture makes the live verdict
-// coincide exactly with the offline one.
+// When B is a disjunction of variable locals (Locals), ¬B is a
+// conjunction, and the root's Assembler derives each conjunct's
+// true-intervals as it appends the states, with the computation's own
+// clocks. The Checker runs the Garg–Waldecker
+// weak-conjunction algorithm on them, and with exact clocks its
+// trigger is the verdict, at the least cut where ¬B holds (Verdict):
+// the cut detect.PossiblyGeneral finds on the whole computation. A
+// mid-run trigger uses only closed intervals, whose states are final;
+// at commit the strict Feed closes the rest, and the checker's state is
+// the closing verdict. Any other ¬B is confirmed on a built prefix
+// (ConfirmPrefix is that confirm for a caller that keeps no
+// assembler): a consistent cut of a prefix is one of every extension.
 //
-// The coordinator computes each verdict with no decision lock held and
-// lands it as one decision; Confirm is the step that keeps one verdict
-// per epoch when two confirmers race.
-//
-// The checker is epoch-aware (offers tagged with a superseded epoch
-// are discarded, Reset re-arms it for the re-execution) and
-// resume-safe (per-process interval indices only move forward, so a
-// session-resume replay of a candidate frame is a no-op even if it
-// slips past the coordinator's sequence dedup).
+// The checker is epoch-aware: offers of a superseded epoch are dropped,
+// Reset re-arms it for a re-execution, Restart empties it when the
+// stream its intervals come from starts over, and Confirm keeps one
+// detection per epoch.
 package livedetect
 
-import "sync"
+import (
+	"sync"
 
-// Interval is one maximal true-interval of a node's local predicate
-// component of ¬B (a wire.Candidate): endpoints as node-level vector
-// clocks plus the traced state indices of the app process.
+	"predctl/internal/deposet"
+	"predctl/internal/predicate"
+)
+
+// Interval is one true-interval of a process's local conjunct of ¬B:
+// the states LoIdx..HiIdx of process Proc, both inclusive, and the
+// vector clocks of those two states. The checker's precedence test is
+// that of any Fidge–Mattern clocks over the intervals' processes —
+// internal/monitor feeds it runtime clocks — and reads of Lo every
+// component but Proc's own, of Hi only that one. The root's assembler
+// feeds the captured computation's own clocks, which number a process's
+// states: its Lo is the builder's row for state LoIdx (deposet
+// Order.Deps, whose own component may lag), and its Hi is nil, the
+// component read being HiIdx.
 type Interval struct {
 	Proc         int
 	LoIdx, HiIdx int64
 	Lo, Hi       []int32
 }
 
-// Checker is the streaming GW stage. All methods are safe for
-// concurrent use; the coordinator calls Offer from per-connection
-// ingest goroutines.
+// Checker is the streaming Garg–Waldecker stage. All methods are safe
+// for concurrent use.
 type Checker struct {
-	mu        sync.Mutex
-	n         int
-	epoch     uint32
-	queues    [][]Interval
-	lastHi    []int64 // per-proc newest accepted HiIdx (replay dedup)
-	triggered bool    // GW fronts pairwise overlappable, awaiting prefix confirmation
-	confirmed bool    // prefix-confirmed detection recorded for this epoch
-	witness   []Interval
-	trig      Interval // the offered interval that completed the witness
-	trigSet   bool
+	mu    sync.Mutex
+	procs []int // the processes a witness needs an interval of
+	epoch uint32
+	// queues[p][heads[p]:] is p's queue: a dropped front only moves the
+	// head, and Offer reuses the room before the head, so a queue that
+	// drains and refills allocates nothing.
+	queues [][]Interval
+	heads  []int
+	lastHi []int64    // per-proc newest accepted HiIdx (replay dedup)
+	wit    []Interval // the GW fronts at the trigger; nil before one
+	trig   Interval   // the offered interval that completed the witness
+	fired  bool       // a detection was confirmed at this epoch
 
 	offered, droppedN, staleN int64
 }
 
-// New returns a checker for an n-node cluster, armed for epoch 0.
+// New returns a checker over n processes whose witness needs an
+// interval of each, armed for epoch 0.
 func New(n int) *Checker {
-	c := &Checker{n: n}
-	c.reset(0)
+	procs := make([]int, n)
+	for p := range procs {
+		procs[p] = p
+	}
+	return newChecker(n, procs)
+}
+
+// NewFor returns a checker for the ¬B whose B has the given locals (by
+// process, as Locals returns them): a witness needs an interval of
+// every process with a local, none of one without.
+func NewFor(locals []*predicate.VarLocal) *Checker {
+	var procs []int
+	for p, l := range locals {
+		if l != nil {
+			procs = append(procs, p)
+		}
+	}
+	return newChecker(len(locals), procs)
+}
+
+func newChecker(n int, procs []int) *Checker {
+	c := &Checker{procs: procs, queues: make([][]Interval, n), heads: make([]int, n), lastHi: make([]int64, n)}
+	c.restart()
 	return c
 }
 
-func (c *Checker) reset(epoch uint32) {
-	c.epoch = epoch
-	c.queues = make([][]Interval, c.n)
-	c.lastHi = make([]int64, c.n)
-	for p := range c.lastHi {
-		c.lastHi[p] = -1 // an interval may end at state 0
+// Locals recognizes a B whose violation the assembler derives
+// intervals for: l₁ ∨ … ∨ lₖ over variable locals (predicate.AsDisjunction,
+// then VarLocals) on procs processes, at least one of them. It returns
+// each process's local, nil where B has none.
+func Locals(b predicate.Expr, procs int) ([]*predicate.VarLocal, bool) {
+	dj, ok := predicate.AsDisjunction(b, procs)
+	if !ok {
+		return nil, false
 	}
-	c.triggered = false
-	c.confirmed = false
-	c.witness = nil
-	c.trig = Interval{}
-	c.trigSet = false
+	ls, ok := dj.VarLocals()
+	if !ok || len(ls) == 0 {
+		return nil, false
+	}
+	locals := make([]*predicate.VarLocal, procs)
+	for i := range ls {
+		locals[ls[i].P] = &ls[i]
+	}
+	return locals, true
 }
 
-// Reset discards every queued interval and re-arms the checker for
-// epoch: the abandoned epoch's candidates must not seed a detection in
-// the re-execution, mirroring the coordinator's capture discard.
+// restart empties the queues and the witness for a new stream. Caller
+// holds c.mu (or owns c).
+func (c *Checker) restart() {
+	for p := range c.queues {
+		c.queues[p], c.heads[p] = c.queues[p][:0], 0
+		c.lastHi[p] = -1 // an interval may end at state 0
+	}
+	c.wit, c.trig = nil, Interval{}
+}
+
+// Reset re-arms the checker for epoch: the abandoned epoch's intervals
+// must not seed a detection in the re-execution, mirroring the
+// coordinator's capture discard.
 func (c *Checker) Reset(epoch uint32) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.reset(epoch)
+	c.epoch, c.fired = epoch, false
+	c.restart()
 }
 
-// Offer feeds one candidate interval ingested at stream epoch `epoch`.
-// It returns true when the caller should run (or re-run) the prefix
-// confirmation: either this interval just made the GW fronts pairwise
-// overlappable, or a trigger is still pending confirmation and new
-// evidence has arrived. Stale-epoch offers and replays are dropped.
+// Restart voids every interval offered at epoch so far, when the stream
+// they were derived from starts over (the assembler's capture was
+// discarded under it), so they never seed a detection. A detection
+// already confirmed at epoch stands; at another epoch Restart does
+// nothing.
+func (c *Checker) Restart(epoch uint32) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.epoch == epoch {
+		c.restart()
+	}
+}
+
+// Offer feeds one interval of stream epoch `epoch` and reports whether
+// the checker has a witness: the fronts of every constrained process
+// are pairwise overlappable. Stale-epoch offers and replays are
+// dropped; once triggered, the checker only counts offers.
 func (c *Checker) Offer(epoch uint32, iv Interval) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if epoch != c.epoch || iv.Proc < 0 || iv.Proc >= c.n {
-		c.staleN++
-		return false
-	}
-	if iv.HiIdx <= c.lastHi[iv.Proc] {
-		c.staleN++ // session-resume replay (or reordered duplicate)
+	if epoch != c.epoch || iv.Proc < 0 || iv.Proc >= len(c.queues) || iv.HiIdx <= c.lastHi[iv.Proc] {
+		c.staleN++ // stale epoch, or a replayed or reordered duplicate
 		return false
 	}
 	c.lastHi[iv.Proc] = iv.HiIdx
 	c.offered++
-	if c.confirmed {
-		return false
+	if c.wit != nil {
+		return true
 	}
-	if c.triggered {
-		return true // retry confirmation on the grown prefix
+	q, h := c.queues[iv.Proc], c.heads[iv.Proc]
+	if len(q) == cap(q) && h > 0 {
+		q, c.heads[iv.Proc] = q[:copy(q, q[h:])], 0
 	}
-	c.queues[iv.Proc] = append(c.queues[iv.Proc], iv)
-	c.advance()
-	if c.triggered && !c.trigSet {
-		c.trig, c.trigSet = iv, true // this offer completed the witness
+	c.queues[iv.Proc] = append(q, iv)
+	if c.advance() {
+		c.trig = iv // this offer completed the witness
 	}
-	return c.triggered
+	return c.wit != nil
 }
 
 // advance runs the GW elimination loop, the one copy internal/monitor's
 // sim checker and the coordinator both feed: drop any front interval
-// that wholly precedes another queue's front; trigger when every queue
-// is non-empty and no drop applies. Caller holds c.mu.
-func (c *Checker) advance() {
+// that wholly precedes another queue's front; trigger when every
+// constrained queue is non-empty and no drop applies. It reports a
+// trigger. Caller holds c.mu.
+func (c *Checker) advance() bool {
 	for {
-		for i := 0; i < c.n; i++ {
-			if len(c.queues[i]) == 0 {
-				return // need more candidates before a verdict
+		for _, p := range c.procs {
+			if c.heads[p] == len(c.queues[p]) {
+				return false // need more intervals before a verdict
 			}
 		}
 		dropped := false
-		for i := 0; i < c.n && !dropped; i++ {
-			for j := 0; j < c.n; j++ {
+		for _, i := range c.procs {
+			for _, j := range c.procs {
 				if i == j {
 					continue
 				}
-				lo, hi := c.queues[j][0].Lo, c.queues[i][0].Hi
-				if i >= len(lo) || i >= len(hi) {
-					continue // malformed clock; never grounds a drop
-				}
+				lo := c.queues[j][c.heads[j]].Lo
+				end, ok := c.queues[i][c.heads[i]].end()
 				// Iᵢ wholly precedes Iⱼ: Iᵢ's last state causally
-				// precedes Iⱼ's first.
-				if lo[i] >= hi[i] {
-					c.queues[i] = c.queues[i][1:]
+				// precedes Iⱼ's first. A malformed clock grounds no drop.
+				if ok && i < len(lo) && int64(lo[i]) >= end {
+					c.heads[i]++
 					c.droppedN++
 					dropped = true
 					break
 				}
 			}
+			if dropped {
+				break
+			}
 		}
 		if !dropped {
-			c.triggered = true
-			c.witness = make([]Interval, c.n)
-			for i := 0; i < c.n; i++ {
-				c.witness[i] = c.queues[i][0]
+			c.wit = make([]Interval, len(c.procs))
+			for k, p := range c.procs {
+				c.wit[k] = c.queues[p][c.heads[p]]
 			}
-			return
+			return true
 		}
 	}
 }
 
-// Pending reports whether a trigger for epoch awaits confirmation.
-func (c *Checker) Pending(epoch uint32) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.epoch == epoch && c.triggered && !c.confirmed
+// end returns iv's clock component of its own process at its last
+// state, and false for a malformed Hi.
+func (iv *Interval) end() (int64, bool) {
+	if iv.Hi == nil {
+		return iv.HiIdx, true
+	}
+	if iv.Proc < len(iv.Hi) {
+		return int64(iv.Hi[iv.Proc]), true
+	}
+	return 0, false
 }
 
-// Confirm records that the prefix check validated the epoch's trigger.
-// It returns false when the epoch moved on or the detection was
-// already confirmed (a concurrent confirmer won the race).
+// Verdict returns the trigger at epoch — the least consistent cut
+// through the witness fronts' first states, and the interval whose
+// offer completed the witness — unless there is none or a detection was
+// already confirmed there. With the computation's own clocks the cut is
+// the least one where ¬B holds.
+func (c *Checker) Verdict(epoch uint32) (deposet.Cut, Interval, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.epoch != epoch || c.wit == nil || c.fired {
+		return nil, Interval{}, false
+	}
+	// A front's first state requires, of each other process q, the
+	// state after the last one its clock says precedes it.
+	cut := make(deposet.Cut, len(c.queues))
+	for _, w := range c.wit {
+		for q, k := range w.Lo {
+			k++
+			if q == w.Proc {
+				k = int32(w.LoIdx)
+			}
+			cut[q] = max(cut[q], int(k))
+		}
+	}
+	return cut, c.trig, true
+}
+
+// Confirm records a detection at epoch. It returns false when the epoch
+// moved on or already has its detection.
 func (c *Checker) Confirm(epoch uint32) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.epoch != epoch || c.confirmed {
+	if c.epoch != epoch || c.fired {
 		return false
 	}
-	c.confirmed = true
+	c.fired = true
 	return true
-}
-
-// Epoch returns the epoch the checker is armed for.
-func (c *Checker) Epoch() uint32 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.epoch
 }
 
 // Fired reports whether this epoch has a confirmed detection.
 func (c *Checker) Fired() bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.confirmed
+	return c.fired
 }
 
-// Trigger returns the interval whose arrival completed the GW witness,
-// and whether one exists (none before a trigger: a closing verdict may
-// find a cut the streaming stage never saw). The
-// coordinator uses it to attribute detection latency to the candidate
-// send that made the violation observable.
-func (c *Checker) Trigger() (Interval, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.trig, c.trigSet
-}
-
-// Witness returns the GW front at trigger time (nil before a trigger).
+// Witness returns the GW fronts at the trigger, one per constrained
+// process (nil before a trigger).
 func (c *Checker) Witness() []Interval {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.witness
+	return c.wit
 }
 
 // Depth returns the total number of queued intervals.
@@ -228,8 +286,8 @@ func (c *Checker) Depth() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	d := 0
-	for _, q := range c.queues {
-		d += len(q)
+	for p, q := range c.queues {
+		d += len(q) - c.heads[p]
 	}
 	return d
 }

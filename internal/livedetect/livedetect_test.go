@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"predctl/internal/deposet"
+	"predctl/internal/detect"
 	"predctl/internal/predicate"
 	"predctl/internal/trace"
 	"predctl/internal/wire"
@@ -26,18 +27,62 @@ func TestCheckerTriggersOnConcurrentIntervals(t *testing.T) {
 	if !c.Offer(0, iv(1, 1, 2, []int32{0, 1}, []int32{0, 2})) {
 		t.Fatal("pairwise overlappable fronts must trigger")
 	}
-	if !c.Pending(0) {
-		t.Fatal("trigger must be pending confirmation")
+	cut, trig, ok := c.Verdict(0)
+	if !ok || trig.Proc != 1 {
+		t.Fatalf("verdict %v by %+v, %t: want one triggered by proc 1", cut, trig, ok)
+	}
+	// Each front's first state requires the other's state after the
+	// last one its clock names: none here, so the cut is the two lows.
+	if want := (deposet.Cut{1, 1}); !cut.Equal(want) {
+		t.Fatalf("verdict cut %v, want %v", cut, want)
 	}
 	w := c.Witness()
 	if len(w) != 2 || w[0].Proc != 0 || w[1].Proc != 1 {
 		t.Fatalf("witness = %+v", w)
+	}
+	if c.Confirm(1) {
+		t.Fatal("a verdict of another epoch confirmed")
 	}
 	if !c.Confirm(0) || c.Confirm(0) {
 		t.Fatal("confirm must succeed exactly once")
 	}
 	if !c.Fired() {
 		t.Fatal("confirmed detection must report Fired")
+	}
+	if _, _, ok := c.Verdict(0); ok {
+		t.Fatal("a confirmed epoch still offers its verdict")
+	}
+}
+
+// TestCheckerRestartVoidsTheStream: a stream that starts over within
+// its epoch takes its queued intervals and its trigger with it; a
+// detection confirmed before the restart stands, and the epoch
+// confirms no second one.
+func TestCheckerRestartVoidsTheStream(t *testing.T) {
+	c := New(2)
+	c.Offer(0, iv(0, 1, 2, []int32{1, 0}, []int32{2, 0}))
+	c.Offer(0, iv(1, 1, 2, []int32{0, 1}, []int32{0, 2}))
+	c.Restart(0)
+	if _, _, ok := c.Verdict(0); ok || c.Depth() != 0 || c.Witness() != nil {
+		t.Fatalf("restart left depth %d, witness %v, or a verdict", c.Depth(), c.Witness())
+	}
+	// The same indices are new again on the restarted stream.
+	c.Offer(0, iv(0, 1, 2, []int32{1, 0}, []int32{2, 0}))
+	if !c.Offer(0, iv(1, 1, 2, []int32{0, 1}, []int32{0, 2})) {
+		t.Fatal("the restarted stream does not trigger on the same intervals")
+	}
+	if !c.Confirm(0) {
+		t.Fatal("the restarted stream's verdict did not confirm")
+	}
+	c.Restart(0)
+	c.Offer(0, iv(0, 1, 2, []int32{1, 0}, []int32{2, 0}))
+	c.Offer(0, iv(1, 1, 2, []int32{0, 1}, []int32{0, 2}))
+	if _, _, ok := c.Verdict(0); ok || !c.Fired() {
+		t.Fatal("a restart revoked the epoch's detection or armed a second one")
+	}
+	c.Restart(3) // not the armed epoch: nothing happens
+	if !c.Fired() {
+		t.Fatal("a restart at another epoch touched this one")
 	}
 }
 
@@ -66,8 +111,8 @@ func TestCheckerEpochDiscardAndReplayDedup(t *testing.T) {
 		t.Fatalf("replayed offer duplicated the queue: depth = %d", c.Depth())
 	}
 	c.Reset(1)
-	if c.Depth() != 0 || c.Epoch() != 1 {
-		t.Fatalf("reset left depth=%d epoch=%d", c.Depth(), c.Epoch())
+	if c.Depth() != 0 {
+		t.Fatalf("reset left depth=%d", c.Depth())
 	}
 	// Stale-epoch offers (the abandoned execution's stragglers) are dropped...
 	if c.Offer(0, iv(1, 1, 2, []int32{0, 1}, []int32{0, 2})) || c.Depth() != 0 {
@@ -149,7 +194,9 @@ func TestConfirmPrefixDecidesViolation(t *testing.T) {
 
 // randomCapture builds a causally consistent capture of 2n processes:
 // ops are dealt out along one global linearization, so every receive's
-// send precedes it somewhere in the streams. Some sends stay in flight.
+// send precedes it somewhere in the streams. Some sends stay in flight;
+// a process sets cs with its states' Sets, and cs or x with Lets at its
+// top state.
 func randomCapture(r *rand.Rand, n, ops int) [][]wire.TraceOp {
 	streams := make([][]wire.TraceOp, 2*n)
 	for p := range streams {
@@ -176,6 +223,10 @@ func randomCapture(r *rand.Rand, n, ops int) [][]wire.TraceOp {
 			inFlight = append(inFlight[:k], inFlight[k+1:]...)
 		case x < 8:
 			streams[p] = append(streams[p], set(p, r.Intn(2)))
+		case x < 9:
+			// A Let at the top state: it may undo what the state's Set did.
+			name := []string{"cs", "x"}[r.Intn(2)]
+			streams[p] = append(streams[p], wire.TraceOp{Op: wire.TraceLet, Proc: int32(p), Name: name, Value: int64(r.Intn(3))})
 		default:
 			streams[p] = append(streams[p], wire.TraceOp{Op: wire.TraceStep, Proc: int32(p)})
 		}
@@ -300,5 +351,89 @@ func TestAssemblerErrors(t *testing.T) {
 	_, _, err := AssemblePrefix(1, [][]wire.TraceOp{{send(0, 5), send(0, 5)}, {}})
 	if want := "livedetect: prefix: duplicate trace id 0x5"; err == nil || err.Error() != want {
 		t.Errorf("AssemblePrefix: error %v, want %q", err, want)
+	}
+}
+
+// TestDerivedVerdictEqualsPossiblyGeneral is the derived stream's
+// equivalence property: over random captures — Sets of cs, Lets of cs
+// and x at top states, a B with a variable local on a random subset of
+// the processes and none on the rest — an assembler fed the capture in
+// random prefixes, deriving ¬B's intervals into a checker, ends with
+// the verdict and the cut detect.PossiblyGeneral(d, ¬B) finds on the
+// assembled deposet, intervals still open at the end closed by the
+// strict feed; and a trigger already there on a prefix names that cut
+// too, for the least cut where ¬B holds lies in every prefix that
+// shows one.
+func TestDerivedVerdictEqualsPossiblyGeneral(t *testing.T) {
+	ops := []predicate.Op{predicate.Eq, predicate.Ne, predicate.Lt, predicate.Ge, predicate.True, predicate.False}
+	found, early := 0, 0
+	for seed := int64(0); seed < 400; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		n := 1 + r.Intn(3)
+		full := randomCapture(r, n, 10+r.Intn(150))
+		var xs []predicate.Expr
+		for p, none := 0, r.Intn(2*n); p < 2*n; p++ {
+			if p == none || r.Intn(3) == 0 {
+				continue // no local: ¬B leaves p unconstrained
+			}
+			l := predicate.VarLocal{P: p, Var: []string{"cs", "x"}[r.Intn(4)/3], Op: ops[r.Intn(len(ops))]}
+			if l.Op != predicate.True && l.Op != predicate.False {
+				l.Value = r.Intn(2)
+			}
+			xs = append(xs, l.Expr())
+		}
+		if len(xs) == 0 {
+			xs = append(xs, predicate.VarLocal{P: r.Intn(2 * n), Var: "cs", Op: predicate.Eq}.Expr())
+		}
+		b := predicate.Or(xs...)
+		locals, ok := Locals(b, 2*n)
+		if !ok {
+			t.Fatalf("seed %d: %v not recognised as a disjunction of variable locals", seed, b)
+		}
+		chk := NewFor(locals)
+		a := NewAssembler(n)
+		a.Derive(locals, func(iv Interval) { chk.Offer(0, iv) })
+		var mid deposet.Cut
+		fed := make([]int, 2*n)
+		for step := 0; step < 5; step++ {
+			part := make([][]wire.TraceOp, 2*n)
+			for p, ops := range full {
+				fed[p] += r.Intn(len(ops) - fed[p] + 1)
+				part[p] = ops[:fed[p]]
+			}
+			if err := a.Feed(part, false); err != nil {
+				t.Fatalf("seed %d: %v", seed, err)
+			}
+			if cut, _, ok := chk.Verdict(0); ok && mid == nil {
+				mid = cut
+			}
+		}
+		if err := a.Feed(full, true); err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		d, err := a.Build()
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		want, wantOK := detect.PossiblyGeneral(d, predicate.Not(b))
+		cut, _, ok := chk.Verdict(0)
+		if ok != wantOK || ok && !cut.Equal(want) {
+			t.Fatalf("seed %d, ¬(%v): derived verdict %t at %v, PossiblyGeneral %t at %v", seed, b, ok, cut, wantOK, want)
+		}
+		if mid != nil && !mid.Equal(want) {
+			t.Fatalf("seed %d, ¬(%v): a prefix's trigger found %v, the least cut is %v", seed, b, mid, want)
+		}
+		if ok {
+			found++
+		}
+		if mid != nil {
+			early++
+		}
+	}
+	t.Logf("%d of 400 captures violate, %d of them on a prefix", found, early)
+	// Both verdicts, and triggers on a prefix, must be common enough for
+	// the property to say something.
+	if found < 50 || found > 350 || early < 20 {
+		t.Fatalf("%d of 400 captures violate, %d of them on a prefix: the generator no longer exercises both verdicts", found, early)
 	}
 }

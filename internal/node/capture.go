@@ -27,16 +27,17 @@ import (
 // unique TraceID minted at each send.
 
 // capture is one epoch's pending capture on a node — the trace ops the
-// app and controller goroutines append, the journal events they
-// forward, the monitor's candidates — and the flusher that drains all
-// three onto the coordinator session in one pass. Per-process op order
-// is each goroutine's own program order, which is exactly the
-// per-process event order the deposet needs.
+// app and controller goroutines append and the journal events they
+// forward — and the flusher that drains both onto the coordinator
+// session in one pass. Per-process op order is each goroutine's own
+// program order, which is exactly the per-process event order the
+// deposet needs.
 //
-// A pass is due when MaxItems ops or journal events are pending, when a
-// candidate arrives (the coordinator's live checker is waiting on it),
-// and at every Interval tick; every SnapshotEvery-th pass also sends a
-// metrics snapshot. A re-execution builds a fresh capture and stops the
+// A pass is due when MaxItems ops or journal events are pending, when
+// the application leaves its critical section (wakeFlusher: the root's
+// live checker derives the closed interval from that Set), and at every
+// Interval tick; every SnapshotEvery-th pass also sends a metrics
+// snapshot. A re-execution builds a fresh capture and stops the
 // old one before the session's EpochMark, so nothing of an abandoned
 // epoch can follow the mark that voids it: what it left pending dies
 // with it.
@@ -51,7 +52,6 @@ type capture struct {
 	app      int32 // the application's logical process; every other op is the controller's
 	ops      []wire.TraceOp
 	events   []wire.JournalEvent
-	cands    []wire.Candidate
 	appState int    // app-process traced state index (0 = ⊥)
 	nextMsg  uint64 // per-node message counter for TraceIDs
 
@@ -61,7 +61,6 @@ type capture struct {
 	// belong to the one flusher: the goroutine start runs, then stop.
 	spareOps    []wire.TraceOp
 	spareEvents []wire.JournalEvent
-	spareCands  []wire.Candidate
 
 	wake     chan struct{} // cap 1: a pass is due ahead of the tick
 	quit     chan struct{} // closed by stop
@@ -125,19 +124,10 @@ func (c *capture) journal(e obs.Event) {
 	}
 }
 
-// candidate buffers one monitor candidate and kicks a pass: the
-// coordinator's live checker is waiting on it, so it does not wait for
-// the tick. Under load the kicks coalesce (the channel holds one) and a
-// pass carries whatever accumulated while the previous one was on the
-// wire, so candidates never mean a frame each.
-func (c *capture) candidate(v wire.Candidate) {
-	c.mu.Lock()
-	c.cands = append(c.cands, v)
-	c.mu.Unlock()
-	c.wakeFlusher()
-}
-
-// wakeFlusher starts a pass ahead of the interval tick.
+// wakeFlusher starts a pass ahead of the interval tick. Under load the
+// kicks coalesce (the channel holds one) and a pass carries whatever
+// accumulated while the previous one was on the wire, so a kick never
+// means a frame.
 func (c *capture) wakeFlusher() {
 	select {
 	case c.wake <- struct{}{}:
@@ -184,26 +174,21 @@ func (c *capture) stop(drain bool) {
 	})
 }
 
-// flush is one pass: it swaps out the pending journal events, trace ops
-// and candidates at once, sequences them onto the session log as batch
-// frames of at most MaxItems items each, and puts the pass on the wire
-// with one vectored write.
+// flush is one pass: it swaps out the pending journal events and trace
+// ops at once, sequences them onto the session log as batch frames of
+// at most MaxItems items each, and puts the pass on the wire with one
+// vectored write.
 func (c *capture) flush() {
 	c.mu.Lock()
-	events, ops, cands := c.events, c.ops, c.cands
-	c.events, c.ops, c.cands = c.spareEvents, c.spareOps, c.spareCands
+	events, ops := c.events, c.ops
+	c.events, c.ops = c.spareEvents, c.spareOps
 	c.mu.Unlock()
 	logBatches(c, events, func(b []wire.JournalEvent) wire.Msg { return wire.JournalBatch{Events: b} })
-	// Trace ops flush before candidates: a candidate can trigger the
-	// coordinator's live prefix confirmation, and the confirmable prefix
-	// only contains states whose ops are already staged — ops first
-	// keeps the prefix as fresh as the candidate that probes it.
 	logBatches(c, ops, func(b []wire.TraceOp) wire.Msg { return wire.TraceOpBatch{Ops: b} })
-	logBatches(c, cands, func(b []wire.Candidate) wire.Msg { return wire.CandidateBatch{Cands: b} })
 	c.cc.writeLogged()
 	// Every frame above was encoded as it was logged, so nothing refers
 	// to the taken slices any more.
-	c.spareEvents, c.spareOps, c.spareCands = recycle(events), recycle(ops), recycle(cands)
+	c.spareEvents, c.spareOps = recycle(events), recycle(ops)
 }
 
 // logBatches sequences items onto the session log as frames of at most

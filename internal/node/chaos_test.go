@@ -195,7 +195,7 @@ func TestCoordClientResumesAfterStreamBreak(t *testing.T) {
 
 	// Break the stream, then queue a frame while disconnected.
 	c1.Close()
-	cc.send(wire.Candidate{Proc: 1, LoIdx: 2, HiIdx: 3})
+	cc.send(wire.Done{Proc: 1, Requests: 5})
 
 	// The client must come back with Resume{Epoch:0}.
 	c2, err := ln.Accept()

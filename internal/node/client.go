@@ -15,10 +15,9 @@ import (
 )
 
 // Batching is the size-or-interval flush policy for a node's capture
-// (capture.go): the epoch's trace ops, journal events and candidates
-// accumulate on the node and are flushed as wire.TraceOpBatch /
-// JournalBatch / CandidateBatch frames when MaxItems are pending or
-// Interval elapses, whichever comes first — hundreds of nodes each
+// (capture.go): the epoch's trace ops and journal events accumulate on
+// the node and are flushed as wire.TraceOpBatch / JournalBatch frames
+// when MaxItems are pending or Interval elapses, whichever comes first — hundreds of nodes each
 // emitting thousands of capture items must not mean one TCP frame (and
 // one syscall at each end) per item. Zero values take the defaults
 // below.
@@ -28,8 +27,9 @@ type Batching struct {
 	MaxItems int
 	// Interval is the flush period for capture volume (trace ops, journal
 	// events) while below MaxItems. Nothing anyone waits on waits for it:
-	// a candidate kicks the flusher, and Done, bye and EpochMark write
-	// through. Default 2ms.
+	// leaving a critical section kicks the flusher (the root's live
+	// checker derives the interval it closes), and Done, bye and
+	// EpochMark write through. Default 2ms.
 	Interval time.Duration
 	// SnapshotEvery emits a wire.MetricsSnapshot (a cumulative dump of
 	// the node's registry) every that-many flusher passes, riding the
@@ -360,7 +360,7 @@ func (cc *coordClient) logItems(m wire.Msg, items int) {
 }
 
 // writeLogged puts every logged frame not yet on the wire there, in one
-// vectored write on the caller's goroutine (a pass's candidates take no
+// vectored write on the caller's goroutine (a kicked pass takes no
 // goroutine hop) — or, while a write is in progress, leaves them to that
 // writer. With the connection down, or severed by a partition window,
 // the resume replay delivers them.

@@ -41,7 +41,8 @@ type ClusterConfig struct {
 	// Batching is every node's capture-stream flush policy.
 	Batching Batching
 	// Journal receives the coordinator's merged cluster journal (nodes'
-	// control events and candidates). May be nil.
+	// control events, their monitor.candidate twins among them). May be
+	// nil.
 	Journal *obs.Journal
 	Reg     *obs.Registry
 	Logf    func(string, ...any)
@@ -122,7 +123,7 @@ func clusterLaunchGap(n int) time.Duration {
 
 // RunCluster executes the anti-token (n−1)-mutex workload on a cluster
 // of TCP node daemons and returns the coordinator's view: the captured
-// deposet trace, per-node tallies, and candidate count.
+// deposet trace, per-node tallies, and candidate-twin count.
 func RunCluster(cfg ClusterConfig) (*Result, error) {
 	if cfg.N < 2 {
 		return nil, fmt.Errorf("node: cluster needs n ≥ 2, got %d", cfg.N)

@@ -55,10 +55,11 @@ func (c *Coordinator) collect(e uint32, into staged) staged {
 }
 
 // epochAsm is the root's one assembler: the cluster epoch's capture,
-// fed while the run runs (the feeder, feed), built into a prefix by the
-// live confirm and finished by Wait. A pass collects staging and feeds
+// fed while the run runs (the feeder, feed), built into a prefix for a
+// live verdict and finished by Wait. A pass collects staging and feeds
 // only what the assembler has not seen; the feed clocks it, so a build
-// is a snapshot whatever the prefix's length.
+// is a snapshot whatever the prefix's length. With the checker lit and
+// B's locals known, the feed also derives ¬B's intervals into it.
 type epochAsm struct {
 	mu    sync.Mutex
 	a     *livedetect.Assembler // nil before the first pass
@@ -67,24 +68,20 @@ type epochAsm struct {
 	// discard leaves a stream that no longer extends the one fed, even at
 	// the same epoch (a relaunch Hello discards to epoch 0), and so does
 	// a second session's staging of a process, whose concatenation the
-	// first one's growth changes in the middle: either starts a over.
+	// first one's growth changes in the middle: either starts a over,
+	// and the checker's stream with it.
 	fed    []uint64
 	snap   staged // a pass's snapshot, its slices reused
 	err    error  // a failed feed: the epoch's capture does not assemble
 	warned bool   // dropped ops reported at epoch
 }
 
-// advance brings the epoch's assembler up to what the sessions have
-// staged at epoch e, strictly when the capture is complete, and builds
-// it when build: the feeder's pass does neither, the live confirm
-// builds a prefix, Wait does both. It returns no deposet and no error
-// when e is older than the epoch already fed: whoever read e was
-// overtaken by a restart. Only the assembler's lock is held; the
-// verdict on what it returns runs with none.
-func (c *Coordinator) advance(e uint32, strict, build bool) (*deposet.Deposet, error) {
+// feedLocked brings the epoch's assembler up to what the sessions have
+// staged at epoch e, strictly when the capture is complete. It returns
+// no assembler and no error when e is older than the epoch already fed:
+// whoever read e was overtaken by a restart. Caller holds c.asm.mu.
+func (c *Coordinator) feedLocked(e uint32, strict bool) (*livedetect.Assembler, error) {
 	x := &c.asm
-	x.mu.Lock()
-	defer x.mu.Unlock()
 	if x.a != nil && e < x.epoch {
 		return nil, nil
 	}
@@ -99,6 +96,10 @@ func (c *Coordinator) advance(e uint32, strict, build bool) (*deposet.Deposet, e
 	}
 	if !extends {
 		x.a, x.err = livedetect.NewAssembler(c.n), nil
+		if c.locals != nil {
+			c.ld.Restart(e)
+			x.a.Derive(c.locals, func(iv livedetect.Interval) { c.ld.Offer(e, iv) })
+		}
 	}
 	if x.snap.dropped > 0 && !x.warned {
 		x.warned = true
@@ -107,16 +108,14 @@ func (c *Coordinator) advance(e uint32, strict, build bool) (*deposet.Deposet, e
 	if x.err == nil {
 		x.err = x.a.Feed(x.snap.byProc, strict)
 	}
-	if x.err != nil || !build {
-		return nil, x.err
-	}
-	return x.a.Build()
+	return x.a, x.err
 }
 
 // feed is the epoch assembler's feeder: one pass per kick from
 // stageCapture, the kicks that land during a pass coalescing into one
-// more, so Wait and the live confirm find the capture fed up to the last
-// frame before it. It stops at Commit, whose tail Wait feeds.
+// more, so Wait finds the capture fed up to the last frame before it.
+// With the checker lit, a pass takes the mid-run verdict it owes. The
+// feeder stops at Commit, whose tail Wait feeds.
 func (c *Coordinator) feed() {
 	defer c.wg.Done()
 	for {
@@ -130,8 +129,35 @@ func (c *Coordinator) feed() {
 		c.mu.Lock()
 		e := c.core.dec.epoch
 		c.mu.Unlock()
-		c.advance(e, false, false) // a failed feed is the epoch's; Wait reports it
+		c.pass(e)
 	}
+}
+
+// pass is one feeder pass, at epoch e: the feed, then, with the checker
+// lit, the mid-run verdict it owes. A confirm on the fed prefix follows
+// only a feed that replayed an op: on the prefix the last one read it
+// would find what that one found. A failed feed is the epoch's; Wait
+// reports it.
+func (c *Coordinator) pass(e uint32) {
+	c.asm.mu.Lock()
+	defer c.asm.mu.Unlock()
+	prev, fed := c.asm.a, c.asm.replayed()
+	a, err := c.feedLocked(e, false)
+	if a == nil || err != nil || c.ld == nil || c.locals == nil && a == prev && c.asm.replayed() == fed {
+		return
+	}
+	c.verdictLocked(e, a, nil, false)
+}
+
+// replayed returns how many ops the assembler has replayed.
+func (x *epochAsm) replayed() int {
+	k := 0
+	if x.a != nil {
+		for _, ops := range x.a.Consumed() {
+			k += ops
+		}
+	}
+	return k
 }
 
 // journalRef is one journal event by its time, stream and index.
@@ -181,10 +207,11 @@ func appendJournal(j *obs.Journal, streams [][]obs.Event, order []journalRef, an
 
 // Wait blocks until every node's capture stream completed (or timeout),
 // then finishes the epoch's assembler — a strict feed of what the
-// feeder has not fed yet, then the build — and merges the sessions'
-// journals. With the checker lit and no detection confirmed for the
-// final epoch, it takes the closing verdict on the deposet it built,
-// before it snapshots the detections.
+// feeder has not fed yet, which closes every interval still open, then
+// the build — and merges the sessions' journals. With the checker lit
+// and no detection confirmed for the final epoch, it takes the closing
+// verdict — the derived stream's trigger, or a confirm on the deposet it
+// built — before it snapshots the detections.
 func (c *Coordinator) Wait(timeout time.Duration) (*Result, error) {
 	select {
 	case <-c.allByes:
@@ -211,49 +238,46 @@ func (c *Coordinator) Wait(timeout time.Duration) (*Result, error) {
 	// verdict that lost the race to Commit is dropped, so only the
 	// closing verdict below still adds a detection.
 	c.mu.Lock()
-	epoch := c.core.dec.epoch
+	epoch, annots := c.core.dec.epoch, slices.Clone(c.core.annots)
 	c.mu.Unlock()
 	// Every bye was counted at the cluster epoch, so every session is at
 	// it and the epoch filter selects the whole final capture.
 	got := c.collect(epoch, staged{})
-	// The journal streams are sorted beside the finish, with which they
-	// share no data. With the checker lit only the append waits, for the
-	// closing verdict, whose annotation it carries in time order.
-	verdict, merged := make(chan struct{}), make(chan struct{})
+	// The journal streams are sorted and merged beside the finish, with
+	// which they share no data, with the annotations recorded so far.
+	merged := make(chan struct{})
 	go func() {
 		defer close(merged)
-		order := sortJournal(got.journal)
-		<-verdict
-		c.mu.Lock()
-		annots := slices.Clone(c.core.annots)
-		c.mu.Unlock()
-		appendJournal(c.journal, got.journal, order, annots)
+		appendJournal(c.journal, got.journal, sortJournal(got.journal), annots)
 	}()
-	if c.ld == nil {
-		close(verdict)
-	}
 	c.assemblies.Inc()
-	d, err := c.advance(epoch, true, true)
+	c.asm.mu.Lock()
+	a, err := c.feedLocked(epoch, true)
+	var d *deposet.Deposet
+	if err == nil {
+		d, err = a.Build()
+	}
 	if err != nil {
 		err = fmt.Errorf("node: assemble: %w", err)
+	} else if c.ld != nil {
+		// The closing verdict, when the final epoch has no detection yet:
+		// the live verdict then coincides exactly with the offline
+		// decision on the assembled trace.
+		c.verdictLocked(epoch, a, d, true)
 	}
-	if c.ld != nil {
-		// The closing verdict, when the final epoch has no confirmed
-		// detection: the live verdict then coincides exactly with the
-		// offline decision on the assembled trace — the streaming stage's
-		// conservatism (node-level clocks over-approximate causality) can
-		// cost immediacy, never a detection.
-		if err == nil && !c.ld.Fired() {
-			c.confirm(d, epoch, -1, true)
-		}
-		close(verdict)
-	}
+	c.asm.mu.Unlock()
 	<-merged
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	// What was annotated since — the closing verdict's detection — is
+	// stamped after every capture event, which all precede Commit, so it
+	// goes last.
+	for _, a := range c.core.annots[len(annots):] {
+		c.journal.Append(a)
+	}
 	if err != nil {
 		return nil, err
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	return &Result{
 		Deposet:    d,
 		Stats:      slices.Clone(c.core.stats),

@@ -24,7 +24,8 @@ type CoordConfig struct {
 	Addr     string       // listen address (ignored when Listener is set)
 	Listener net.Listener // optional pre-bound listener
 	// Journal receives the merged cluster journal: every control event
-	// forwarded by every node, plus candidate reports. May be nil.
+	// forwarded by every node, the monitor.candidate twins among them.
+	// May be nil.
 	Journal  *obs.Journal
 	Reg      *obs.Registry
 	Timeouts Timeouts
@@ -57,8 +58,9 @@ type Result struct {
 	Deposet *deposet.Deposet
 	// Stats holds each node's final tallies.
 	Stats []Stats
-	// Candidates counts monitor candidate reports staged for the final
-	// epoch (discarded epochs' reports are not included).
+	// Candidates counts the monitor.candidate journal twins staged for
+	// the final epoch, one per critical section a node left (discarded
+	// epochs' are not included).
 	Candidates int
 	// Epoch is the re-execution epoch the run completed at: 0 for a
 	// fault-free run, +1 per controlled re-execution restart.
@@ -71,9 +73,9 @@ type Result struct {
 	// detection was off or nothing fired.
 	Detections []DetectionRecord
 	// LiveFired reports whether the live checker confirmed possibly(¬B)
-	// for the final epoch. Because commit runs a closing confirmation
-	// pass over the complete final-epoch capture, this coincides exactly
-	// with the offline detect.PossiblyGeneral verdict on Deposet.
+	// for the final epoch. Because commit takes a closing verdict over
+	// the complete final-epoch capture, this coincides exactly with the
+	// offline detect.PossiblyGeneral verdict on Deposet.
 	LiveFired bool
 	// ReExecs counts detection-triggered controlled re-executions
 	// (disjoint from Restarts, which counts crash recoveries).
@@ -100,7 +102,7 @@ type Coordinator struct {
 	endpoint // the shared session layer's half: listener, connections, streams
 	n        int
 	journal  *obs.Journal
-	cands    *obs.Counter
+	cands    *obs.Counter // the monitor.candidate journal twins staged
 	start    time.Time
 
 	// live is the merged cluster registry: every node's streamed
@@ -110,17 +112,21 @@ type Coordinator struct {
 	live *obs.Registry
 	insp *obs.Introspection
 
-	// Live online detection (nil ld when CoordConfig.Live is off):
-	// every ingested candidate feeds ld; a trigger runs the prefix
-	// verdict off the decision lock, and the core's land records a found
-	// cut and takes the OnDetect response as one decision.
+	// Live online detection (nil ld when CoordConfig.Live is off): the
+	// epoch assembler derives ¬B's intervals into ld as it feeds, when
+	// locals (B's, by process) say it can, or confirms on the fed prefix
+	// when it cannot (locals nil); the verdict is taken off the decision
+	// lock, and the core's land records a found cut and takes the
+	// OnDetect response as one decision.
 	ld        *livedetect.Checker
+	locals    []*predicate.VarLocal
 	violation predicate.Expr // ¬B, precomputed from Live.Predicate
 	detMeter  *obs.Counter
 
 	// asm is the cluster epoch's one assembler (commit.go); the feeder
 	// goroutine (feed) runs a pass on each kick, which stageCapture sends
-	// (nil kick: no feeder, as in the ingest benches).
+	// (nil kick: no feeder, as in the ingest benches), and takes the
+	// mid-run live verdict the pass owes.
 	asm  epochAsm
 	kick chan struct{}
 
@@ -153,10 +159,6 @@ type Coordinator struct {
 	// allByes is closed once Commit is decided and the store sealed:
 	// Wait's release.
 	allByes chan struct{}
-
-	// ingestHook, when a test sets it (before any stream attaches), sees
-	// every frame as ingestStored is about to fold it in.
-	ingestHook func(st *nodeSession, m wire.Msg)
 }
 
 // spillStore is what the coordinator uses of the trace store
@@ -253,7 +255,10 @@ func (c *Coordinator) light(lc LiveConfig) error {
 		return fmt.Errorf("node: coordinator: unknown OnDetect mode %q", lc.OnDetect)
 	}
 	lc.MaxReExecs = cmp.Or(lc.MaxReExecs, 1)
-	c.ld = livedetect.New(c.n)
+	// Without locals the checker is offered nothing: it keeps one
+	// verdict per epoch.
+	c.locals, _ = livedetect.Locals(lc.Predicate, 2*c.n)
+	c.ld = livedetect.NewFor(c.locals)
 	c.core.ld, c.core.live, c.violation = c.ld, lc, predicate.Not(lc.Predicate)
 	return nil
 }
@@ -299,13 +304,7 @@ func (c *Coordinator) handleConn(raw net.Conn) {
 	}
 	conn.peer = "node " + strconv.Itoa(id)
 	st := c.sessions[id]
-	frame := func(body []byte) error {
-		detected, err := c.ingest(st, conn, conn, body)
-		if detected {
-			c.fireDetection(id)
-		}
-		return err
-	}
+	frame := func(body []byte) error { return c.ingest(st, conn, conn, body) }
 	if fresh {
 		err = frame(body)
 	} else {
@@ -337,21 +336,18 @@ func (c *Coordinator) handshake(in *inbound, conn *coordConn, fresh bool, ids ..
 // relayed), answer the connection the frame came on. A Hello goes to
 // the Hello decision, which takes it unless it names the incarnation
 // already on record — a resume replaying frame 1 — and everything else
-// goes through the session's gate into ingestStored. It reports whether
-// the live checker triggered: the caller runs the verdict once its own
-// locks are released.
-func (c *Coordinator) ingest(st *nodeSession, owner, answer *coordConn, body []byte) (detected bool, err error) {
+// goes through the session's gate into ingestStored.
+func (c *Coordinator) ingest(st *nodeSession, owner, answer *coordConn, body []byte) error {
 	seq, m, err := wire.DecodeBody(body)
 	if err != nil {
-		return false, err
+		return err
 	}
 	if h, ok := m.(wire.Hello); ok {
 		if decided, err := c.hello(st, owner, answer, seq, h); decided {
-			return false, err
+			return err
 		}
 	}
-	err = st.deliver(owner, seq, func() { detected = c.ingestStored(st, m, body) })
-	return detected, err
+	return st.deliver(owner, seq, func() { c.ingestStored(st, m, body) })
 }
 
 // countFrame is the root's ingest accounting: one frame and its bytes

@@ -90,9 +90,14 @@ func runSynthNode(t *testing.T, addr string, i, n int) {
 		}})
 	}
 	send(wire.JournalEvent{At: int64(i), Proc: int32(i), Kind: uint8(obs.KindSet), Name: "synth.single", A: 1})
+	// Two critical-section exits' journal twins, and a stray candidate
+	// frame, which the root reads and drops.
+	send(wire.JournalBatch{Events: []wire.JournalEvent{
+		{At: int64(i), Proc: int32(i), Kind: uint8(obs.KindControl), Name: obs.EvCandidate, A: 3, B: 4},
+		{At: int64(i), Proc: int32(i), Kind: uint8(obs.KindControl), Name: obs.EvCandidate, A: 4, B: 5},
+	}})
 	send(wire.CandidateBatch{Cands: []wire.Candidate{
 		{Proc: int32(i), LoIdx: 3, HiIdx: 4, Lo: []int32{1}, Hi: []int32{2}},
-		{Proc: int32(i), LoIdx: 4, HiIdx: 5, Lo: []int32{2}, Hi: []int32{3}},
 	}})
 	send(wire.Done{Proc: int32(i), Requests: 1})
 
@@ -161,15 +166,14 @@ func TestCoordinatorConcurrentBatchIngest(t *testing.T) {
 			t.Errorf("node %d: stats not ingested: %+v", i, res.Stats[i])
 		}
 	}
-	// Each node's CandidateBatch carried 2 reports.
+	// Each node journaled 2 candidate twins; its stray CandidateBatch
+	// counts for nothing.
 	if res.Candidates != 2*n {
-		t.Errorf("ingested %d candidates, want %d", res.Candidates, 2*n)
+		t.Errorf("staged %d candidate twins, want %d", res.Candidates, 2*n)
 	}
 	// Journal completeness: each node sent 5 batch events (one per op
-	// chunk) + 1 single event. Candidate reports no longer synthesize
-	// journal events coordinator-side — real nodes journal their own
-	// monitor.candidate twin with an actual emission timestamp.
-	want := n * 6
+	// chunk), 1 single event and 2 twins.
+	want := n * 8
 	if j.Len() != want {
 		t.Errorf("merged journal has %d events, want %d", j.Len(), want)
 	}

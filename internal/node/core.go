@@ -163,8 +163,8 @@ func (r *rootCore) resume(cum uint64, ids ...int) []wire.Msg {
 // revalidates first: a mid-run verdict must still precede Commit and a
 // final one follow it, and the checker, armed for the cluster's epoch
 // (newEpoch), must confirm rec's — which fails if a restart voided it or
-// a concurrent confirmer won. A mid-run verdict that Commit overtook is
-// dropped; Wait's closing verdict takes over.
+// the epoch already has its detection. A mid-run verdict that Commit
+// overtook is dropped; Wait's closing verdict takes over.
 //
 // In OnDetectReExec mode a mid-run detection gets the paper's
 // active-debugging response, the rejoin restart's twin: Detection (every
@@ -213,7 +213,7 @@ func (r *rootCore) decide(ms ...wire.Msg) []wire.Msg {
 
 // newEpoch voids the completion progress of the execution the cluster
 // just left for dec.epoch, and re-arms the live checker at it: the
-// abandoned epoch's candidates must not seed a detection in the new one.
+// abandoned epoch's intervals must not seed a detection in the new one.
 func (r *rootCore) newEpoch() {
 	r.doneCount, r.byeCount = 0, 0
 	clear(r.doneSeen)

@@ -14,14 +14,15 @@ import (
 	"predctl/internal/wire"
 )
 
-// flush_test.go: the capture stream's flush pass — a candidate kicks
-// it, it carries journal → ops → candidates, it is one write, its
-// buffers are reused — and the resume replay it shares the wire with.
+// flush_test.go: the capture stream's flush pass — an application
+// leaving its critical section kicks it, it carries journal → ops, it
+// is one write, its buffers are reused — and the resume replay it
+// shares the wire with.
 
 // candidateToVerdict joins a run's first mid-run detection to the
-// journal twin of the candidate that completed its witness, as the
-// benchmark's live-loop does: the time from that candidate leaving its
-// node to the coordinator's confirmed verdict.
+// journal twin of the interval that completed its witness, as the
+// benchmark's live-loop does: the time from the critical-section exit
+// that closed it to the coordinator's verdict.
 func candidateToVerdict(res *Result, j *obs.Journal) (time.Duration, bool) {
 	for _, det := range res.Detections {
 		if det.Final {
@@ -36,55 +37,37 @@ func candidateToVerdict(res *Result, j *obs.Journal) (time.Duration, bool) {
 	return 0, false
 }
 
-// TestCandidateDoesNotWaitForTick: no timer sits between a witness
-// candidate and its verdict, at a node or at a relay. With the flush
-// interval at five seconds (a relay writes through) a planted-rogue
-// run must still be confirmed mid-run, well inside 100 ms of the
-// candidate (where a candidate waits for a tick, this one waits for the
-// end of the run) — and must still drain and commit, since the closing
-// flush is the capture's stop, not a tick. The default-interval series before it
-// logs the latency percentiles a topology reads at this commit; the
-// bound is loose on purpose: this is a "no timer in the path" test, not
-// a benchmark.
+// TestCandidateDoesNotWaitForTick: no timer sits between the Set that
+// closes a witness interval and its verdict, at a node or at a relay.
+// With the flush interval at five seconds (a relay writes through) a
+// planted-rogue run must still be detected mid-run, well inside 100 ms
+// of the critical-section exit (where the exit waits for a tick, this
+// one waits for the end of the run) — and must still drain and commit,
+// since the closing flush is the capture's stop, not a tick. The bound
+// is loose on purpose: this is a "no timer in the path" test, not a
+// benchmark.
 func TestCandidateDoesNotWaitForTick(t *testing.T) {
 	for _, tc := range []struct {
 		name      string
 		n, relays int
 	}{{"flat", 3, 0}, {"relays2", 4, 2}} {
 		t.Run(tc.name, func(t *testing.T) {
-			run := func(seed int64, rounds int, b Batching) (*Result, *obs.Journal) {
-				j := obs.NewJournal(0)
-				res, err := RunCluster(ClusterConfig{
-					N: tc.n, Rounds: rounds, Think: time.Millisecond, CS: time.Millisecond,
-					Seed: seed, Rogues: []int{1}, Relays: tc.relays, Timeouts: testTimeouts(),
-					Batching: b, Journal: j,
-					Live: LiveConfig{Predicate: CSMutexPredicate(tc.n), OnDetect: OnDetectNote},
-				})
-				if err != nil {
-					t.Fatalf("seed %d: %v", seed, err)
-				}
-				return res, j
-			}
-
-			var lats []time.Duration
-			for seed := int64(1); seed <= 24; seed++ {
-				res, j := run(seed, 16, Batching{SnapshotEvery: -1})
-				if lat, ok := candidateToVerdict(res, j); ok {
-					lats = append(lats, lat)
-				}
-			}
-			slices.Sort(lats)
-			if len(lats) > 0 {
-				t.Logf("default interval, n=%d relays=%d: candidate → verdict p50 %v, p90 %v (%d of 24 runs detected mid-run)",
-					tc.n, tc.relays, lats[len(lats)/2], lats[len(lats)*9/10], len(lats))
-			}
-
-			start := time.Now()
-			// MaxItems out of reach too, so nothing but a candidate can start
-			// a pass before the bye's; and a run long enough (≈200 ms) that
-			// a witness left waiting for that one breaks the bound.
+			// MaxItems out of reach too, so nothing but a critical-section
+			// exit can start a pass before the bye's; and a run long enough
+			// (≈200 ms) that a witness left waiting for that one breaks the
+			// bound.
 			const rounds = 80
-			res, j := run(7, rounds, Batching{MaxItems: 1 << 16, Interval: 5 * time.Second, SnapshotEvery: -1})
+			j := obs.NewJournal(0)
+			start := time.Now()
+			res, err := RunCluster(ClusterConfig{
+				N: tc.n, Rounds: rounds, Think: time.Millisecond, CS: time.Millisecond,
+				Seed: 7, Rogues: []int{1}, Relays: tc.relays, Timeouts: testTimeouts(),
+				Batching: Batching{MaxItems: 1 << 16, Interval: 5 * time.Second, SnapshotEvery: -1}, Journal: j,
+				Live: LiveConfig{Predicate: CSMutexPredicate(tc.n), OnDetect: OnDetectNote},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
 			if wall := time.Since(start); wall > 4*time.Second {
 				t.Errorf("the run took %v: something waited for the 5 s tick", wall)
 			}
@@ -93,14 +76,14 @@ func TestCandidateDoesNotWaitForTick(t *testing.T) {
 				t.Fatalf("no mid-run detection with the tick out of reach (detections: %+v)", res.Detections)
 			}
 			if lat > 100*time.Millisecond {
-				t.Errorf("candidate → verdict took %v, want under 100ms", lat)
+				t.Errorf("exit → verdict took %v, want under 100ms", lat)
 			}
-			t.Logf("5 s interval: candidate → verdict %v", lat)
-			// Drained and committed: every candidate and every state of the
-			// run arrived (a rogue round is 2 states, a controlled one 8),
-			// and the closing verdict agrees with the mid-run one.
+			t.Logf("5 s interval: exit → verdict %v", lat)
+			// Drained and committed: every journal twin and every state of
+			// the run arrived (a rogue round is 2 states, a controlled one
+			// 8), and the closing verdict agrees with the mid-run one.
 			if want := tc.n * rounds; res.Candidates != want {
-				t.Errorf("%d candidates staged, want %d", res.Candidates, want)
+				t.Errorf("%d candidate twins staged, want %d", res.Candidates, want)
 			}
 			if got, min := res.Deposet.NumStates(), (8*(tc.n-1)+2)*rounds; got < min {
 				t.Errorf("%d states captured, want at least %d", got, min)
@@ -109,100 +92,6 @@ func TestCandidateDoesNotWaitForTick(t *testing.T) {
 				t.Error("the committed run's live verdict did not fire")
 			}
 		})
-	}
-}
-
-// hookedCluster is RunCluster's fault-free flat core with a test's
-// ingest hook installed before any node dials.
-func hookedCluster(t *testing.T, cfg ClusterConfig, hook func(*nodeSession, wire.Msg)) *Result {
-	t.Helper()
-	listeners := make([]net.Listener, cfg.N)
-	addrs := make([]string, cfg.N)
-	for i := range listeners {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		listeners[i], addrs[i] = ln, ln.Addr().String()
-	}
-	start := time.Now()
-	coord, err := NewCoordinator(CoordConfig{
-		N: cfg.N, Addr: "127.0.0.1:0", Timeouts: cfg.Timeouts, Start: start,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer coord.Close()
-	coord.ingestHook = hook
-	var wg sync.WaitGroup
-	for i := 0; i < cfg.N; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			if _, err := Run(Config{
-				ID: i, N: cfg.N, Addrs: addrs, Coord: coord.Addr(), Listener: listeners[i],
-				Rounds: cfg.Rounds, Think: cfg.Think, CS: cfg.CS, Seed: cfg.Seed,
-				Timeouts: cfg.Timeouts, Batching: cfg.Batching, Start: start,
-			}); err != nil {
-				t.Errorf("node %d: %v", i, err)
-			}
-		}(i)
-	}
-	res, err := coord.Wait(30 * time.Second)
-	wg.Wait()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return res
-}
-
-// TestFlushOpsBeforeCandidates: the pass order survives the kick. A
-// candidate probes the prefix up to its HiIdx, so when one reaches root
-// ingest the states it names must already be staged for its process —
-// whether the pass that carried it was started by the tick, by the size
-// threshold or by the candidate itself.
-func TestFlushOpsBeforeCandidates(t *testing.T) {
-	const n, rounds, runs = 3, 4, 200
-	var mu sync.Mutex // streams ingest concurrently
-	checked := 0
-	hook := func(st *nodeSession, m wire.Msg) {
-		var cands []wire.Candidate
-		switch v := m.(type) {
-		case wire.Candidate:
-			cands = []wire.Candidate{v}
-		case wire.CandidateBatch:
-			cands = v.Cands
-		}
-		for _, c := range cands {
-			st.mu.Lock()
-			staged := int64(0)
-			if int(c.Proc) < len(st.ops.byProc) {
-				for _, op := range st.ops.byProc[c.Proc] {
-					if op.Op != wire.TraceInit && op.Op != wire.TraceLet {
-						staged++
-					}
-				}
-			}
-			st.mu.Unlock()
-			if c.HiIdx > staged {
-				t.Errorf("node %d: candidate up to state %d ingested with %d states staged", st.id, c.HiIdx, staged)
-			}
-			mu.Lock()
-			checked++
-			mu.Unlock()
-		}
-	}
-	for i := 0; i < runs && !t.Failed(); i++ {
-		res := hookedCluster(t, ClusterConfig{
-			N: n, Rounds: rounds, Think: 200 * time.Microsecond, CS: 100 * time.Microsecond,
-			Seed: int64(i), Timeouts: testTimeouts(), Batching: Batching{SnapshotEvery: -1},
-		}, hook)
-		if res.Candidates != n*rounds {
-			t.Fatalf("run %d: %d candidates, want %d", i, res.Candidates, n*rounds)
-		}
-	}
-	if want := runs * n * rounds; !t.Failed() && checked != want {
-		t.Errorf("the hook saw %d candidates, want %d", checked, want)
 	}
 }
 
@@ -236,10 +125,10 @@ func decodeLog(t *testing.T, cc *coordClient) []wire.Msg {
 
 // TestFlushReuseNeverAliases: the swapped-out buffers go back into
 // service the moment a pass ends, so a pass must have encoded every item
-// it took before then. An app and a controller goroutine append ops,
-// journal events and candidates numbered in order while the flusher is
-// kicked continuously (every candidate, plus the size threshold, plus a
-// fast tick); the decoded session log must hold exactly the appended
+// it took before then. An app and a controller goroutine append ops
+// and journal events numbered in order while the flusher is kicked
+// continuously (every third item, plus the size threshold, plus a fast
+// tick); the decoded session log must hold exactly the appended
 // sequence per process, in order — an item overwritten before it was
 // encoded, or encoded twice from a recycled slice, breaks the count.
 func TestFlushReuseNeverAliases(t *testing.T) {
@@ -255,7 +144,7 @@ func TestFlushReuseNeverAliases(t *testing.T) {
 				c.append(wire.TraceOp{Op: wire.TraceSet, Proc: proc, Name: "x", Value: i})
 				c.journal(obs.Event{Proc: int(proc), Name: "e", A: i, VC: []int32{int32(i)}})
 				if i%3 == 0 {
-					c.candidate(wire.Candidate{Proc: proc, HiIdx: i, Hi: []int32{int32(i)}})
+					c.wakeFlusher()
 				}
 			}
 		}()
@@ -263,7 +152,7 @@ func TestFlushReuseNeverAliases(t *testing.T) {
 	wg.Wait()
 	c.stop(true)
 
-	var ops, events, cands [2]int64
+	var ops, events [2]int64
 	for _, m := range decodeLog(t, cc) {
 		switch v := m.(type) {
 		case wire.TraceOpBatch:
@@ -278,27 +167,20 @@ func TestFlushReuseNeverAliases(t *testing.T) {
 					t.Fatalf("process %d: journal event %d decoded as %+v", e.Proc, events[e.Proc], e)
 				}
 			}
-		case wire.CandidateBatch:
-			for _, cd := range v.Cands {
-				if cands[cd.Proc] += 3; cd.HiIdx != cands[cd.Proc] || len(cd.Hi) != 1 {
-					t.Fatalf("process %d: candidate decoded as %+v, want HiIdx %d", cd.Proc, cd, cands[cd.Proc])
-				}
-			}
 		default:
 			t.Fatalf("unexpected %T on the log", m)
 		}
 	}
 	for p := 0; p < 2; p++ {
-		if ops[p] != perProc || events[p] != perProc || cands[p] != perProc/3*3 {
-			t.Errorf("process %d: log holds %d ops, %d events, candidates to %d; want %d, %d, %d",
-				p, ops[p], events[p], cands[p], perProc, perProc, perProc/3*3)
+		if ops[p] != perProc || events[p] != perProc {
+			t.Errorf("process %d: log holds %d ops, %d events; want %d of each", p, ops[p], events[p], perProc)
 		}
 	}
 }
 
 // TestFlushMarkEpochLeaksNothing: an epoch change with capture
-// pending. The old epoch's capture stops with ops, journal events and
-// candidates still pending, markEpoch voids the epoch, and a straggler
+// pending. The old epoch's capture stops with ops and journal events
+// still pending, markEpoch voids the epoch, and a straggler
 // then appends to the stopped capture; nothing of the old epoch may
 // reach the log after the mark, while the new epoch's capture all does.
 func TestFlushMarkEpochLeaksNothing(t *testing.T) {
@@ -308,11 +190,11 @@ func TestFlushMarkEpochLeaksNothing(t *testing.T) {
 		for i := 0; i < items; i++ {
 			c.append(wire.TraceOp{Op: wire.TraceSet, Proc: 0, Name: "x", Value: epoch})
 			c.journal(obs.Event{Name: "x", C: epoch, VC: []int32{1}})
-			c.candidate(wire.Candidate{LoIdx: epoch, Hi: []int32{1}})
+			c.wakeFlusher()
 		}
 	}
 	old.start()
-	fill(old, 0, 105) // the candidates kick passes as they go
+	fill(old, 0, 105) // kicking passes as they go
 	old.stop(false)   // what is still pending dies with the epoch
 	before := len(decodeLog(t, cc))
 	cc.markEpoch(1)
@@ -342,24 +224,18 @@ func TestFlushMarkEpochLeaksNothing(t *testing.T) {
 					t.Errorf("journal event of epoch %d after the mark", e.C)
 				}
 			}
-		case wire.CandidateBatch:
-			for _, cd := range v.Cands {
-				if items++; cd.LoIdx != 1 {
-					t.Errorf("candidate of epoch %d after the mark", cd.LoIdx)
-				}
-			}
 		default:
 			t.Errorf("unexpected %T after the mark", m)
 		}
 	}
-	if items != 3*7 {
-		t.Errorf("%d items after the mark, want %d", items, 3*7)
+	if items != 2*7 {
+		t.Errorf("%d items after the mark, want %d", items, 2*7)
 	}
 }
 
 // TestFlushSteadyStateReuse: after warm-up a pass grows nothing. Over
-// 1,000 append → kick → flush cycles at a fixed burst size the ops,
-// journal and candidate buffers must stay the two arrays per kind the
+// 1,000 append → kick → flush cycles at a fixed burst size the ops and
+// journal buffers must stay the two arrays per kind the
 // warm-up left, and the cycle itself — take, encode, log, recycle —
 // must allocate nothing that scales with the burst (the log is emptied
 // into the pool between cycles, as a real run's buffers come out of it).
@@ -373,13 +249,11 @@ func TestFlushSteadyStateReuse(t *testing.T) {
 			c.append(wire.TraceOp{Op: wire.TraceSet, Proc: 0, Name: "cs", Value: 1})
 			c.journal(obs.Event{Name: "e", VC: vc})
 		}
-		for i := 0; i < burst/10; i++ {
-			c.candidate(wire.Candidate{Lo: vc, Hi: vc})
-		}
+		c.wakeFlusher() // the critical-section exit's kick
 		select {
 		case <-c.wake: // what the flusher goroutine would wake on
 		default:
-			t.Fatal("a burst with candidates left no kick pending")
+			t.Fatal("a kicked burst left no kick pending")
 		}
 		c.flush()
 		cc.out.mu.Lock()
@@ -390,16 +264,15 @@ func TestFlushSteadyStateReuse(t *testing.T) {
 		cc.out.mu.Unlock()
 	}
 	type arrays struct {
-		ops             *wire.TraceOp
-		journal         *wire.JournalEvent
-		cands           *wire.Candidate
-		nOps, nJ, nCand int
+		ops      *wire.TraceOp
+		journal  *wire.JournalEvent
+		nOps, nJ int
 	}
 	snapshot := func() [2]arrays {
-		at := func(ops []wire.TraceOp, j []wire.JournalEvent, cd []wire.Candidate) arrays {
-			return arrays{unsafe.SliceData(ops), unsafe.SliceData(j), unsafe.SliceData(cd), cap(ops), cap(j), cap(cd)}
+		at := func(ops []wire.TraceOp, j []wire.JournalEvent) arrays {
+			return arrays{unsafe.SliceData(ops), unsafe.SliceData(j), cap(ops), cap(j)}
 		}
-		return [2]arrays{at(c.ops, c.events, c.cands), at(c.spareOps, c.spareEvents, c.spareCands)}
+		return [2]arrays{at(c.ops, c.events), at(c.spareOps, c.spareEvents)}
 	}
 	for i := 0; i < 4; i++ {
 		cycle()
@@ -411,10 +284,10 @@ func TestFlushSteadyStateReuse(t *testing.T) {
 	if got := snapshot(); got != warm {
 		t.Errorf("the pass buffers moved or grew over 1,000 cycles:\n was %+v\n now %+v", warm, got)
 	}
-	// What is left is one boxed wire.Msg per frame logged (journal, ops,
-	// candidates); a buffer regrown from nil would be a fourth.
-	if allocs := testing.AllocsPerRun(200, cycle); allocs > 3 && !raceEnabled {
-		t.Errorf("a steady-state cycle allocates %.1f times, want at most 3 (one per frame)", allocs)
+	// What is left is one boxed wire.Msg per frame logged (journal,
+	// ops); a buffer regrown from nil would be a third.
+	if allocs := testing.AllocsPerRun(200, cycle); allocs > 2 && !raceEnabled {
+		t.Errorf("a steady-state cycle allocates %.1f times, want at most 2 (one per frame)", allocs)
 	}
 }
 
@@ -476,14 +349,13 @@ func (rc *rootConn) readSeqs(t *testing.T, want int) []uint64 {
 	return seqs
 }
 
-// pendItems puts one pass's worth of journal events, ops and candidates
-// on c: more than one frame of the first two.
+// pendItems puts one pass's worth of journal events and ops on c: more
+// than one frame of each.
 func pendItems(c *capture) {
 	for i := 0; i < c.batch.MaxItems+5; i++ {
 		c.append(wire.TraceOp{Op: wire.TraceSet, Proc: 0, Name: "cs", Value: 1})
 		c.journal(obs.Event{Name: "e"})
 	}
-	c.candidate(wire.Candidate{HiIdx: 1})
 }
 
 func (cc *coordClient) writeCount() int {
@@ -492,8 +364,8 @@ func (cc *coordClient) writeCount() int {
 	return cc.out.writes
 }
 
-// TestFlushPassIsOneWrite: a pass that logs journal, ops and candidate
-// frames issues exactly one vectored write, and a resume replay of k
+// TestFlushPassIsOneWrite: a pass that logs journal and ops frames
+// issues exactly one vectored write, and a resume replay of k
 // frames issues ⌈k / writeChunk⌉ — not one write per frame.
 func TestFlushPassIsOneWrite(t *testing.T) {
 	root := newFakeRoot(t)
@@ -509,13 +381,13 @@ func TestFlushPassIsOneWrite(t *testing.T) {
 	pendItems(c)
 	frames, writes := cc.sentFrames(), cc.writeCount()
 	c.flush()
-	if got := cc.sentFrames() - frames; got != 5 {
-		t.Fatalf("the pass logged %d frames, want 5 (2 journal, 2 ops, 1 candidates)", got)
+	if got := cc.sentFrames() - frames; got != 4 {
+		t.Fatalf("the pass logged %d frames, want 4 (2 journal, 2 ops)", got)
 	}
 	if got := cc.writeCount() - writes; got != 1 {
 		t.Errorf("the pass issued %d writes, want 1", got)
 	}
-	if seqs := c1.readSeqs(t, 5); !slices.Equal(seqs, []uint64{2, 3, 4, 5, 6}) { // behind the Hello, frame 1
+	if seqs := c1.readSeqs(t, 4); !slices.Equal(seqs, []uint64{2, 3, 4, 5}) { // behind the Hello, frame 1
 		t.Errorf("the root read sequences %v", seqs)
 	}
 
@@ -550,7 +422,7 @@ func TestFlushPassIsOneWrite(t *testing.T) {
 // journal frames, and then — mid-pass — the partition window opens, a
 // control frame finds the stream severed and drops it, the window heals
 // and the resume replays the log and installs a fresh connection; only
-// then does the pass log its ops and candidates and write. Every frame the
+// then does the pass log its ops and write. Every frame the
 // pass logged before the install was delivered by the replay, so the
 // pass must write only the ones after it: the root sees every sequence
 // number exactly once, and the retransmit counter counts exactly the
@@ -601,12 +473,11 @@ func TestFlushSeverMidPass(t *testing.T) {
 	}
 
 	logBatches(c, c.ops, func(b []wire.TraceOp) wire.Msg { return wire.TraceOpBatch{Ops: b} })
-	logBatches(c, c.cands, func(b []wire.Candidate) wire.Msg { return wire.CandidateBatch{Cands: b} })
-	cc.writeLogged() // 2 journal frames, [sever, Done, resume], 2 ops frames, 1 candidates frame
+	cc.writeLogged() // 2 journal frames, [sever, Done, resume], 2 ops frames
 
 	total := int(cc.sentFrames())
-	if total != 1+2+2+1+2+1 {
-		t.Fatalf("the log holds %d frames, want 9", total)
+	if total != 1+2+2+1+2 {
+		t.Fatalf("the log holds %d frames, want 8", total)
 	}
 	// The old connection carried nothing new before it was dropped.
 	if extra := c1.readSeqs(t, 0); len(extra) != 0 {

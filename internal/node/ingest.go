@@ -5,14 +5,13 @@ import (
 	"strconv"
 	"time"
 
-	"predctl/internal/livedetect"
 	"predctl/internal/obs"
 	"predctl/internal/wire"
 )
 
 // nodeSession is the coordinator's per-node-id stream state: the
-// inbound stream (session.go) plus what it staged. Staged capture (ops,
-// events, candidates) belongs to the session's current epoch and is
+// inbound stream (session.go) plus what it staged. Staged capture (ops
+// and journal events) belongs to the session's current epoch and is
 // discarded wholesale when an EpochMark announces a newer one, or a
 // relaunched node's Hello voids its dead incarnation's. The session
 // lock, not the decision lock, guards the hot ingest path: no global
@@ -26,7 +25,7 @@ type nodeSession struct {
 	gen    uint64  // discards so far: staging is append-only between two
 	ops    procOps // staged by logical process at ingest
 	events []obs.Event
-	cands  int
+	cands  int // monitor.candidate journal twins among events
 	// byed: the stream's bye was counted at the cluster epoch, so its
 	// capture is closed — what Commit seals is what Wait assembles.
 	// late counts the capture frames refused since.
@@ -85,8 +84,19 @@ func (c *Coordinator) stageCapture(st *nodeSession, m wire.Msg, raw []byte) {
 		}
 		return
 	}
+	staged := len(st.events)
 	stageFrame(c.n, m, &st.ops, &st.events)
+	twins := 0
+	for i := staged; i < len(st.events); i++ {
+		if st.events[i].Name == obs.EvCandidate {
+			twins++
+		}
+	}
+	st.cands += twins
 	st.mu.Unlock()
+	if twins > 0 {
+		c.cands.Add(int64(twins))
+	}
 	select {
 	case c.kick <- struct{}{}:
 	default: // a pass is already due, or no feeder runs (kick is nil)
@@ -103,18 +113,14 @@ func (c *Coordinator) stageCapture(st *nodeSession, m wire.Msg, raw []byte) {
 }
 
 // ingestStored folds one frame from a node's stream into the
-// coordinator state and reports whether the live checker triggered: the
-// caller owes the prefix verdict once its locks are released. Trace
-// traffic — the volume — lands in the session's own staging under the
-// session lock (and in the trace store when one is configured; raw
-// carries the frame's wire body so the append needs no re-encode, nil
-// when the caller only has the decoded frame); only the rare
-// coordination frames (Done, Shutdown, EpochMark) take the decision lock
-// for a core step, and this call seals the Commit one decides.
-func (c *Coordinator) ingestStored(st *nodeSession, m wire.Msg, raw []byte) (detected bool) {
-	if c.ingestHook != nil {
-		c.ingestHook(st, m)
-	}
+// coordinator state. Trace traffic — the volume — lands in the session's
+// own staging under the session lock (and in the trace store when one
+// is configured; raw carries the frame's wire body so the append needs
+// no re-encode, nil when the caller only has the decoded frame); only
+// the rare coordination frames (Done, Shutdown, EpochMark) take the
+// decision lock for a core step, and this call seals the Commit one
+// decides.
+func (c *Coordinator) ingestStored(st *nodeSession, m wire.Msg, raw []byte) {
 	switch v := m.(type) {
 	case wire.Trace, wire.TraceOpBatch, wire.JournalEvent, wire.JournalBatch:
 		c.stageCapture(st, m, raw)
@@ -128,12 +134,9 @@ func (c *Coordinator) ingestStored(st *nodeSession, m wire.Msg, raw []byte) (det
 		// idempotent; the node label scopes series from nodes that
 		// don't already label themselves.
 		c.live.ApplySnapshot(toObsPoints(v.Points), obs.L("node", strconv.Itoa(st.id)))
-	case wire.Candidate:
-		return c.ingestCandidate(st, v)
-	case wire.CandidateBatch:
-		for _, cand := range v.Cands {
-			detected = c.ingestCandidate(st, cand) || detected
-		}
+	case wire.Candidate, wire.CandidateBatch:
+		// No node sends one any more: the root derives the intervals
+		// from the capture. A stray one is read and dropped.
 	case wire.Done, wire.Shutdown, wire.EpochMark:
 		// Staging first — a newer EpochMark discards the stream's
 		// capture — then the decision, at the stream's epoch.
@@ -161,27 +164,6 @@ func (c *Coordinator) ingestStored(st *nodeSession, m wire.Msg, raw []byte) (det
 	default:
 		c.logf("coordinator: node %d: unexpected %T", st.id, m)
 	}
-	return detected
-}
-
-// ingestCandidate stages one candidate report and, when live detection
-// is on, offers it to the incremental checker at the stream's epoch (so
-// an abandoned execution's stragglers are discarded, not believed). It
-// reports whether the caller owes a prefix-confirmation pass. The
-// candidate's journal event is emitted node-side (with a real
-// timestamp) rather than synthesized here.
-func (c *Coordinator) ingestCandidate(st *nodeSession, v wire.Candidate) bool {
-	c.cands.Inc()
-	st.mu.Lock()
-	st.cands++
-	e := st.epoch
-	st.mu.Unlock()
-	if c.ld == nil {
-		return false
-	}
-	return c.ld.Offer(e, livedetect.Interval{
-		Proc: int(v.Proc), LoIdx: v.LoIdx, HiIdx: v.HiIdx, Lo: v.Lo, Hi: v.Hi,
-	})
 }
 
 // IngestBench replays pre-encoded frame bodies through the

@@ -1,20 +1,20 @@
 package node
 
 import (
-	"time"
-
 	"predctl/internal/control"
 	"predctl/internal/deposet"
 	"predctl/internal/detect"
+	"predctl/internal/livedetect"
 	"predctl/internal/offline"
 	"predctl/internal/predicate"
 	"predctl/internal/wire"
 )
 
 // LiveConfig parameterizes the live online-detection subsystem: the
-// coordinator feeds every ingested candidate to an incremental checker
-// (internal/livedetect) and, on a confirmed detection, closes the
-// paper's active-debugging loop without waiting for the run to end.
+// coordinator decides possibly(¬B) over the capture as its epoch
+// assembler appends it (internal/livedetect) and, on a detection,
+// closes the paper's active-debugging loop without waiting for the run
+// to end.
 type LiveConfig struct {
 	// Predicate is the good-state invariant B; the checker watches for
 	// possibly(¬B). Nil disables live detection entirely.
@@ -55,8 +55,9 @@ func CSMutexPredicate(n int) predicate.Expr {
 type DetectionRecord struct {
 	// Epoch is the execution epoch the detection fired in.
 	Epoch uint32 `json:"epoch"`
-	// Node is the node whose candidate completed the streaming witness,
-	// or -1 when only Wait's closing verdict found the cut.
+	// Node is the node whose process's interval completed the streaming
+	// witness, or -1 for a verdict confirmed on a built prefix (a ¬B the
+	// root derives no intervals for).
 	Node int `json:"node"`
 	// AtNs is when the consistent cut was found, relative to the run
 	// start (before the strategy is computed).
@@ -64,9 +65,10 @@ type DetectionRecord struct {
 	// Cut is the confirmed consistent cut — one consumed-state index per
 	// logical process (apps 0..n-1, controllers n..2n-1).
 	Cut []int64 `json:"cut"`
-	// WitnessHiIdx is the last traced app-state index of the triggering
-	// candidate interval (latency attribution joins it with the node's
-	// monitor.candidate journal event).
+	// WitnessHiIdx is one past the last state of the triggering
+	// interval: the traced index of the state whose Set closed it, which
+	// latency attribution joins with the HiIdx of the node's
+	// monitor.candidate journal twin.
 	WitnessHiIdx int64 `json:"witness_hi_idx"`
 	// StrategyEdges counts the added synchronization edges of the
 	// control strategy computed on the confirmed prefix (0 when the
@@ -85,60 +87,50 @@ func (r DetectionRecord) frame() wire.Detection {
 	return wire.Detection{Epoch: r.Epoch, Node: int32(r.Node), AtNs: r.AtNs, Cut: r.Cut}
 }
 
-// fireDetection runs the confirming stage after the streaming checker
-// triggered: bring the epoch's assembler up to the staged capture, build
-// its causally closed prefix and confirm on it. witness is the node whose
-// frame carried the triggering candidate (display attribution only;
-// the record prefers the checker's own triggering interval).
-func (c *Coordinator) fireDetection(witness int) {
-	c.mu.Lock()
-	e, committed := c.core.dec.epoch, c.core.dec.committed
-	c.mu.Unlock()
-	if committed || !c.ld.Pending(e) {
-		return // sealed, superseded by a restart, or already confirmed
-	}
-	d, err := c.advance(e, false, true)
-	if err != nil {
-		c.logf("coordinator: live confirm: %v", err)
-	}
-	if d != nil {
-		c.confirm(d, e, witness, false)
-	}
-}
-
-// confirm takes the verdict possibly(¬B) on d — epoch e's captured
-// prefix, or with final the whole committed capture Wait assembled —
-// and lands a found cut as a detection. The verdict and its strategy
-// are computed with no decision lock held, so a slow predicate holds up
-// no handshake and no decision; two ingest goroutines may compute one
-// epoch's verdict at once, and the core's land keeps one, as one
-// decision under c.mu. A not-found mid-run is
-// not a verdict — the cut may lie beyond the current prefix, so the
-// trigger stays pending and later candidates retry on the grown
-// capture.
-func (c *Coordinator) confirm(d *deposet.Deposet, e uint32, witness int, final bool) {
-	cut, found := detect.PossiblyGeneral(d, c.violation)
-	if !found {
+// verdictLocked takes the live verdict a feed of epoch e's assembler a
+// owes: the trigger the derived stream may have reached, or, for a ¬B
+// the root derives no intervals for, a confirm on the fed prefix. With
+// final it is the closing verdict on d, the whole committed capture.
+// The caller holds the assembler's lock, so no restart of the stream
+// comes between the intervals and the verdict on them; the decision
+// lock is not held.
+func (c *Coordinator) verdictLocked(e uint32, a *livedetect.Assembler, d *deposet.Deposet, final bool) {
+	rec := DetectionRecord{Epoch: e, Node: -1, Final: final}
+	if c.locals != nil {
+		cut, trig, ok := c.ld.Verdict(e)
+		if !ok {
+			return
+		}
+		rec.AtNs, rec.Cut = c.sinceStart(), cutToInt64(cut)
+		rec.Node, rec.WitnessHiIdx = trig.Proc%c.n, trig.HiIdx+1
+	} else if c.ld.Fired() {
 		return
 	}
-	rec := DetectionRecord{
-		Epoch: e, Node: witness, AtNs: time.Since(c.start).Nanoseconds(),
-		Cut: cutToInt64(cut), Final: final,
+	if d == nil {
+		var err error
+		if d, err = a.Build(); err != nil {
+			c.logf("coordinator: live verdict: %v", err)
+			return
+		}
 	}
-	if iv, ok := c.ld.Trigger(); ok {
-		rec.Node, rec.WitnessHiIdx = iv.Proc, iv.HiIdx
+	if c.locals == nil {
+		cut, found := detect.PossiblyGeneral(d, c.violation)
+		if !found || !final && !c.settled(d, cut) {
+			return
+		}
+		rec.AtNs, rec.Cut = c.sinceStart(), cutToInt64(cut)
 	}
 	// The active-debugging payload: §4's off-line control algorithm on
-	// the confirmed prefix yields the synchronization strategy the
-	// controlled re-execution would drive the run through. Failure to
-	// find one (¬B may be uncontrollable) downgrades the response to a
-	// plain uncontrolled re-execution, it does not suppress the
-	// detection.
+	// the prefix yields the synchronization strategy the controlled
+	// re-execution would drive the run through. Failure to find one (¬B
+	// may be uncontrollable) downgrades the response to a plain
+	// uncontrolled re-execution, it does not suppress the detection.
 	if rel, err := liveStrategy(d, c.core.live.Predicate); err == nil {
 		rec.StrategyEdges = len(rel)
 	} else {
 		c.logf("coordinator: live detection: no control strategy: %v", err)
 	}
+	// The core's land revalidates the verdict, as one decision.
 	c.mu.Lock()
 	o := c.core.land(rec, c.sinceStart())
 	c.carry(nil, o)
@@ -146,6 +138,20 @@ func (c *Coordinator) confirm(d *deposet.Deposet, e uint32, witness int, final b
 	if o.counted {
 		c.detMeter.Inc()
 	}
+}
+
+// settled reports whether ¬B's truth at cut of the prefix d is final:
+// cut selects no app's top state. Every state below a top is final, but
+// an app's top state — the only kind the capture sets variables on — may
+// still take a Let, or its Init, so a cut through one is no verdict yet;
+// a later pass or the closing verdict decides.
+func (c *Coordinator) settled(d *deposet.Deposet, cut deposet.Cut) bool {
+	for p := range c.n {
+		if d.IsTop(deposet.StateID{P: p, K: cut[p]}) {
+			return false
+		}
+	}
+	return true
 }
 
 // liveStrategy synthesizes the control relation that keeps b true on d.

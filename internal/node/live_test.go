@@ -84,58 +84,176 @@ func TestLiveDetectionPlantedViolation(t *testing.T) {
 	}
 }
 
-// TestLiveCandidateEpochDiscard pins the checker's epoch discipline at
-// the ingest layer: a restart bumps the checker past the stream, the
-// abandoned epoch's straggler candidates are dropped (they must not
-// seed a detection in the re-execution), the EpochMark zeroes the
-// session's bare candidate counter, and fresh-epoch candidates are
-// believed again.
-func TestLiveCandidateEpochDiscard(t *testing.T) {
-	c := newCoordinator(2, nil, func(string, ...any) {})
+// TestLiveStreamFollowsEveryDiscard: the derived interval stream
+// starts over with the epoch assembler. Between the frames of a run
+// whose capture is discarded under it — a relaunch that voids node 0's
+// epoch-0 interval, a process two nodes stage, whose concatenation node
+// 0's next frame changes in the middle — a feeder pass must leave the
+// checker holding exactly what a fresh derivation over the staging
+// holds, and land the detection, once there is one, at the cut that
+// derivation finds: an interval of a voided stream never completes a
+// witness nor names a cut.
+func TestLiveStreamFollowsEveryDiscard(t *testing.T) {
+	const n = 2
+	c := newCoordinator(n, nil, t.Logf)
+	if err := c.light(LiveConfig{Predicate: CSMutexPredicate(n), OnDetect: OnDetectNote}); err != nil {
+		t.Fatal(err)
+	}
+	seqs := make([]uint64, n)
+	send := func(id int, m wire.Msg) {
+		t.Helper()
+		if _, ok := m.(wire.Hello); ok {
+			seqs[id] = 0
+		}
+		seqs[id]++
+		if err := c.ingest(c.sessions[id], nil, nil, wire.AppendBody(nil, seqs[id], m)); err != nil {
+			t.Fatalf("node %d: %v", id, err)
+		}
+	}
+	stage := func(id int, ops ...wire.TraceOp) { send(id, wire.TraceOpBatch{Ops: ops}) }
+	initOp := func(p int32) wire.TraceOp { return wire.TraceOp{Op: wire.TraceInit, Proc: p, Name: "cs"} }
+	cs := func(p int32, v int64) wire.TraceOp {
+		return wire.TraceOp{Op: wire.TraceSet, Proc: p, Name: "cs", Value: v}
+	}
+	step := wire.TraceOp{Op: wire.TraceStep, Proc: 0}
+	detections := func() []DetectionRecord {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		return slices.Clone(c.core.detections)
+	}
+	// pass runs a feeder pass that read the cluster epoch as e, then
+	// derives the staging at e afresh and compares.
+	pass := func(what string, e uint32) {
+		t.Helper()
+		c.pass(e)
+		fresh := livedetect.NewFor(c.locals)
+		a := livedetect.NewAssembler(n)
+		a.Derive(c.locals, func(iv livedetect.Interval) { fresh.Offer(0, iv) })
+		if err := a.Feed(c.collect(e, staged{}).byProc, false); err != nil {
+			t.Fatal(err)
+		}
+		if c.core.dec.epoch != e {
+			return // a pass the restart overtook: the checker is past e
+		}
+		if got, want := c.ld.Depth(), fresh.Depth(); got != want {
+			t.Fatalf("%s: the checker holds %d intervals, a fresh derivation %d", what, got, want)
+		}
+		var at []DetectionRecord
+		for _, d := range detections() {
+			if d.Epoch == e {
+				at = append(at, d)
+			}
+		}
+		cut, _, ok := fresh.Verdict(0)
+		if len(at) != 0 != ok || ok && (len(at) != 1 || !slices.Equal(at[0].Cut, cutToInt64(cut))) {
+			t.Fatalf("%s: detections at epoch %d %+v; a fresh derivation finds %t at %v", what, e, at, ok, cut)
+		}
+	}
+
+	for id := 0; id < n; id++ {
+		send(id, wire.Hello{From: int32(id), N: n, Inc: 1})
+	}
+	stage(0, initOp(0), cs(0, 1), cs(0, 0))
+	pass("node 0's interval", 0)
+	send(0, wire.Hello{From: 0, N: n, Inc: 2}) // the cluster restarts at epoch 1
+	stage(1, initOp(1), cs(1, 1), cs(1, 0))    // staged before node 1's mark: voided by it
+	pass("relaunch, epoch read before it", 0)
+	for id := 0; id < n; id++ {
+		send(id, wire.EpochMark{Epoch: 1})
+	}
+	stage(1, initOp(1), cs(1, 1), cs(1, 0))
+	pass("node 1's interval, node 0's voided", 1)
+	for id := 0; id < n; id++ {
+		send(id, wire.EpochMark{Epoch: 2}) // adopted: the cluster moves on
+	}
+	// Node 1 stages node 0's critical section behind node 0's own Init:
+	// a concatenation, whose middle node 0's next frame moves.
+	stage(0, initOp(0))
+	stage(1, cs(0, 1), cs(0, 0))
+	pass("a process staged by two nodes", 2)
+	stage(0, step, step)
+	pass("the first of them stages more", 2)
+	stage(1, initOp(1), cs(1, 1), cs(1, 0))
+	pass("node 1's interval", 2)
+	if len(detections()) != 1 {
+		t.Fatal("no detection once both apps' intervals are staged")
+	}
+	for _, m := range []wire.Msg{wire.Done{}, wire.Shutdown{Epoch: 2}} {
+		for id := 0; id < n; id++ {
+			send(id, m)
+		}
+	}
+	res, err := c.Wait(time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, _ := detect.PossiblyGeneral(res.Deposet, predicate.Not(CSMutexPredicate(n)))
+	if !res.LiveFired || len(res.Detections) != 1 || !slices.Equal(res.Detections[0].Cut, cutToInt64(want)) {
+		t.Fatalf("Wait: fired %t, detections %+v; the offline cut is %v", res.LiveFired, res.Detections, want)
+	}
+}
+
+// TestStrayCandidateBatchDropped: no node sends a Candidate or a
+// CandidateBatch any more, and the root reads one that arrives and drops
+// it: nothing staged, offered to the checker, or counted.
+func TestStrayCandidateBatchDropped(t *testing.T) {
+	c := newCoordinator(2, nil, t.Logf)
 	if err := c.light(LiveConfig{Predicate: CSMutexPredicate(2), OnDetect: OnDetectNote}); err != nil {
 		t.Fatal(err)
 	}
 	st := c.sessions[0]
-	cand := wire.Candidate{Proc: 0, LoIdx: 1, HiIdx: 2, Lo: []int32{1, 0}, Hi: []int32{2, 0}}
-	if c.ingestStored(st, wire.CandidateBatch{Cands: []wire.Candidate{cand}}, nil) {
-		t.Fatal("half a witness triggered the checker")
+	cands := []wire.Candidate{
+		{Proc: 0, LoIdx: 1, HiIdx: 2, Lo: []int32{1, 0}, Hi: []int32{2, 0}},
+		{Proc: 1, LoIdx: 1, HiIdx: 2, Lo: []int32{0, 1}, Hi: []int32{0, 2}},
 	}
-	if st.cands != 1 || c.ld.Depth() != 1 {
-		t.Fatalf("staged cands=%d depth=%d, want 1 and 1", st.cands, c.ld.Depth())
-	}
+	c.ingestStored(st, wire.CandidateBatch{Cands: cands}, nil)
+	c.ingestStored(st, cands[0], nil)
+	c.pass(0)
+	checkNothingStaged(t, c)
+}
 
-	// A restart decision moves the cluster (and checker) to epoch 1
-	// while the stream still runs epoch 0: its stragglers are stale.
-	c.mu.Lock()
-	c.carry(nil, out{all: c.core.decide(wire.Restart{Epoch: 1})})
-	c.mu.Unlock()
-	if c.ingestStored(st, wire.Candidate{Proc: 1, LoIdx: 1, HiIdx: 2, Lo: []int32{0, 1}, Hi: []int32{0, 2}}, nil) {
-		t.Fatal("stale-epoch candidate triggered the checker")
+// TestStrayCandidateBatchRelayedDropped is TestStrayCandidateBatchDropped
+// behind a relay: a CandidateBatch forwarded in a RelayBatch is read and
+// dropped by the origin's session, after the gate.
+func TestStrayCandidateBatchRelayedDropped(t *testing.T) {
+	c := newCoordinator(2, nil, t.Logf)
+	if err := c.light(LiveConfig{Predicate: CSMutexPredicate(2), OnDetect: OnDetectNote}); err != nil {
+		t.Fatal(err)
 	}
-	if c.ld.Depth() != 0 {
-		t.Fatalf("stale-epoch candidate leaked into the checker (depth %d)", c.ld.Depth())
+	batch := wire.CandidateBatch{Cands: []wire.Candidate{
+		{Proc: 0, LoIdx: 1, HiIdx: 2, Lo: []int32{1, 0}, Hi: []int32{2, 0}},
+		{Proc: 1, LoIdx: 1, HiIdx: 2, Lo: []int32{0, 1}, Hi: []int32{0, 2}},
+	}}
+	c.unpackRelayed(c.relays[0], nil, wire.RelayBatch{Frames: []wire.RelayFrame{
+		{Origin: 0, Body: wire.AppendBody(nil, 1, wire.Hello{From: 0, N: 2, Inc: 1})},
+		{Origin: 0, Body: wire.AppendBody(nil, 2, batch)},
+		{Origin: 1, Body: wire.AppendBody(nil, 1, wire.Hello{From: 1, N: 2, Inc: 1})},
+		{Origin: 1, Body: wire.AppendBody(nil, 2, batch)},
+	}})
+	if got := c.sessions[0].lastSeq; got != 2 {
+		t.Fatalf("origin 0's gate is at %d, want 2: the frame was not read", got)
 	}
-	if _, _, stale := c.ld.Stats(); stale != 1 {
-		t.Fatalf("stale counter = %d, want 1", stale)
-	}
+	c.pass(0)
+	checkNothingStaged(t, c)
+}
 
-	// The stream's EpochMark discards its staging — including the bare
-	// candidate counter — and re-arms it for the new epoch.
-	c.ingestStored(st, wire.EpochMark{Epoch: 1}, nil)
-	if st.cands != 0 {
-		t.Fatalf("EpochMark left st.cands = %d, want 0", st.cands)
+// checkNothingStaged requires c to have staged, offered and counted
+// nothing.
+func checkNothingStaged(t *testing.T, c *Coordinator) {
+	t.Helper()
+	for _, st := range c.sessions {
+		st.mu.Lock()
+		staged, events, cands := st.ops.staged, len(st.events), st.cands
+		st.mu.Unlock()
+		if staged != 0 || events != 0 || cands != 0 {
+			t.Errorf("node %d staged %d ops, %d journal events, %d candidate twins; want none", st.id, staged, events, cands)
+		}
 	}
-	if st.epoch != 1 {
-		t.Fatalf("EpochMark left stream epoch %d, want 1", st.epoch)
+	if offered, _, stale := c.ld.Stats(); offered != 0 || stale != 0 || c.ld.Depth() != 0 {
+		t.Errorf("the checker was offered %d intervals (%d stale, %d queued), want none", offered, stale, c.ld.Depth())
 	}
-	// Fresh-epoch candidates count and are believed: a concurrent pair
-	// completes the GW witness and demands confirmation.
-	c.ingestStored(st, wire.CandidateBatch{Cands: []wire.Candidate{cand}}, nil)
-	if !c.ingestStored(st, wire.Candidate{Proc: 1, LoIdx: 1, HiIdx: 2, Lo: []int32{0, 1}, Hi: []int32{0, 2}}, nil) {
-		t.Fatal("fresh-epoch witness did not trigger the checker")
-	}
-	if st.cands != 2 {
-		t.Fatalf("fresh-epoch cands = %d, want 2", st.cands)
+	if len(c.core.detections) != 0 {
+		t.Errorf("detections %+v from stray candidates", c.core.detections)
 	}
 }
 
@@ -169,7 +287,7 @@ func TestLiveVerdictMatchesOffline(t *testing.T) {
 		}
 		// Every 5th run crashes a node (a controlled re-execution
 		// restart resets the checker); every 7th severs a coordinator
-		// stream (the resume replay re-offers candidate frames).
+		// stream (the resume replay re-sends capture frames).
 		if seed%5 == 2 {
 			cfg.Crashes = []Crash{{At: 2 * time.Millisecond, Node: (seed + 1) % n, Down: 2 * time.Millisecond}}
 		}
@@ -181,8 +299,8 @@ func TestLiveVerdictMatchesOffline(t *testing.T) {
 			cfg.Faults.Seed = int64(seed)
 		}
 		// A third of the runs go through a 2-level aggregation tree —
-		// the live checker must reach the same verdict when candidates
-		// arrive forwarded through relays — and some of those also
+		// the live checker must reach the same verdict when the capture
+		// arrives forwarded through relays — and some of those also
 		// kill a relay mid-run (heals like a stream sever, no restart).
 		if seed%3 == 0 {
 			cfg.Relays = 2
@@ -192,10 +310,17 @@ func TestLiveVerdictMatchesOffline(t *testing.T) {
 		}
 		t.Run(fmt.Sprintf("seed%03d", seed), func(t *testing.T) {
 			res, _, _ := runTestCluster(t, cfg)
-			_, offline := detect.PossiblyGeneral(res.Deposet, violation)
+			cut, offline := detect.PossiblyGeneral(res.Deposet, violation)
 			if res.LiveFired != offline {
 				t.Errorf("seed %d (rogues %v, epoch %d): live verdict %v, offline %v",
 					seed, cfg.Rogues, res.Epoch, res.LiveFired, offline)
+			}
+			// The final epoch's detection, mid-run or closing, names the
+			// least cut where ¬B holds: the one offline detection finds.
+			for _, det := range res.Detections {
+				if det.Epoch == res.Epoch && !slices.Equal(det.Cut, cutToInt64(cut)) {
+					t.Errorf("seed %d: the final epoch's detection (final %t) cut %v, offline %v", seed, det.Final, det.Cut, cut)
+				}
 			}
 		})
 	}
@@ -241,22 +366,6 @@ func roguePrefix(n, rounds int) [][]wire.TraceOp {
 	last := 2*n - 2 // a controller that has not yet seen its app's final nowTrue
 	byProc[last] = byProc[last][:len(byProc[last])-1]
 	return byProc
-}
-
-// triggerLive offers one candidate per node of c, pairwise concurrent,
-// so the streaming checker triggers on the last, which obligates the
-// mid-run verdict (fireDetection) on what c has staged.
-func triggerLive(t *testing.T, c *Coordinator) {
-	t.Helper()
-	detected := false
-	for p := 0; p < c.n; p++ {
-		lo, hi := make([]int32, c.n), make([]int32, c.n)
-		lo[p], hi[p] = 1, 2
-		detected = c.ingestStored(c.sessions[p], wire.Candidate{Proc: int32(p), LoIdx: 1, HiIdx: 2, Lo: lo, Hi: hi}, nil)
-	}
-	if !detected {
-		t.Fatalf("%d concurrent candidates did not trigger the checker", c.n)
-	}
 }
 
 // TestLiveStrategyIsFigure2OnDisjunction: the strategy a confirmed live
@@ -324,14 +433,61 @@ func TestLiveStrategyIsFigure2OnDisjunction(t *testing.T) {
 		for p, ops := range byProc {
 			c.ingestStored(c.sessions[p%n], wire.TraceOpBatch{Ops: ops}, nil)
 		}
-		triggerLive(t, c)
-		c.fireDetection(n - 1)
+		c.pass(0)
 		if len(c.core.detections) != 1 {
 			t.Fatalf("n=%d: %d detections recorded on a prefix where every app can be in its section", n, len(c.core.detections))
 		}
 		if got := c.core.detections[0].StrategyEdges; got != len(want.Relation) {
 			t.Errorf("n=%d: detection records %d strategy edges, Figure 2 gives %d", n, got, len(want.Relation))
 		}
+	}
+}
+
+// TestConfirmWaitsForSettledStates: for a B the root derives no
+// intervals for, the confirm on a fed prefix lands only a cut whose
+// states ¬B reads are final. With only node 0's capture staged, every
+// other app sits at its ⊥ with cs not yet set — the Init is still on its
+// way — where ¬(cs = 0) reads true: a cut through those top states is no
+// verdict, and none may land until the rest of the capture is fed. A
+// pass that replays nothing new takes no confirm.
+func TestConfirmWaitsForSettledStates(t *testing.T) {
+	const n, rounds = 3, 2
+	b, _ := predicate.AsDisjunction(CSMutexPredicate(n), n)
+	xs := make([]predicate.Expr, n)
+	var reads atomic.Int64
+	for i := range xs {
+		xs[i] = predicate.Local(i, "cs=0", func(d *deposet.Deposet, k int) bool {
+			reads.Add(1)
+			return b.Holds(d, i, k)
+		})
+	}
+	c := newCoordinator(n, nil, t.Logf)
+	if err := c.light(LiveConfig{Predicate: predicate.Or(xs...), OnDetect: OnDetectNote}); err != nil {
+		t.Fatal(err)
+	}
+	if c.locals != nil {
+		t.Fatal("opaque locals taken for variable ones")
+	}
+	byProc := roguePrefix(n, rounds)
+	stage := func(ps ...int) {
+		for _, p := range ps {
+			c.ingestStored(c.sessions[p%n], wire.TraceOpBatch{Ops: byProc[p]}, nil)
+		}
+	}
+	stage(0, n)
+	c.pass(0)
+	if len(c.core.detections) != 0 {
+		t.Fatalf("a cut through apps whose Init is not staged landed: %+v", c.core.detections)
+	}
+	before := reads.Load()
+	c.pass(0)
+	if before == 0 || reads.Load() != before {
+		t.Fatalf("B read %d times by the first confirm, %d more by a pass that replayed nothing", before, reads.Load()-before)
+	}
+	stage(1, 2, n+1, n+2)
+	c.pass(0)
+	if len(c.core.detections) != 1 {
+		t.Fatalf("no detection once every app's capture is staged: %+v", c.core.detections)
 	}
 }
 
@@ -353,11 +509,12 @@ func (g *slowGate) wait() {
 
 func (g *slowGate) openUp() { g.open.Do(func() { close(g.release) }) }
 
-// TestSlowVerdictBlocksNoHandshake: the live verdict — prefix assembly,
-// possibly(¬B), the strategy — runs with no decision lock held, so a
-// predicate that takes its time holds up neither a node's resume
-// handshake nor a relaunch's restart decision. The verdict then lands
-// as one decision, revalidated: two confirmers of one trigger record
+// TestSlowVerdictBlocksNoHandshake: the live verdict a pass owes — for
+// a B over opaque locals, possibly(¬B) on the fed prefix, then the
+// strategy — runs with no decision lock held, so a predicate that takes
+// its time holds up neither a node's resume handshake nor a relaunch's
+// restart decision. The verdict then lands as one decision,
+// revalidated: the feeder's pass and two more over one prefix record
 // exactly one detection, a verdict on an epoch a restart voided
 // meanwhile records nothing and broadcasts no ReExec, and one that
 // Commit overtook records nothing either — Wait's closing verdict
@@ -393,20 +550,22 @@ func TestSlowVerdictBlocksNoHandshake(t *testing.T) {
 			t.Fatalf("timed out waiting for %s", what)
 		}
 	}
-	// verdict stages the rogue prefix at the current epoch, triggers the
-	// checker on it and runs the mid-run verdict from k ingest
-	// goroutines at once; the channel closes when all have returned.
+	// verdict stages the rogue prefix at the current epoch, which kicks
+	// the feeder, and runs k more passes at once; the channel closes
+	// when those have returned.
 	verdict := func(k int) <-chan struct{} {
 		for p, ops := range roguePrefix(n, rounds) {
 			c.ingestStored(c.sessions[p%n], wire.TraceOpBatch{Ops: ops}, nil)
 		}
-		triggerLive(t, c)
+		c.mu.Lock()
+		e := c.core.dec.epoch
+		c.mu.Unlock()
 		var wg sync.WaitGroup
 		for w := 0; w < k; w++ {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				c.fireDetection(w)
+				c.pass(e)
 			}()
 		}
 		done := make(chan struct{})
@@ -433,7 +592,8 @@ func TestSlowVerdictBlocksNoHandshake(t *testing.T) {
 		}
 	}
 
-	// Epoch 0: two confirmers hold the verdict while node 0 resumes.
+	// Epoch 0: the feeder's pass and two more hold the verdict while
+	// node 0 resumes.
 	g := shut()
 	done := verdict(2)
 	within(g.entered, "the verdict to evaluate B")
@@ -459,7 +619,7 @@ func TestSlowVerdictBlocksNoHandshake(t *testing.T) {
 	within(done, "the verdicts to land")
 	dets, reexecs := recorded()
 	if len(dets) != 1 || dets[0].Epoch != 0 || !dets[0].ReExec || reexecs != 1 {
-		t.Fatalf("after two confirmers at epoch 0: detections %+v, %d re-executions; want one that re-executes", dets, reexecs)
+		t.Fatalf("after three passes at epoch 0: detections %+v, %d re-executions; want one that re-executes", dets, reexecs)
 	}
 	if m := node0.next(); !reflect.DeepEqual(m, dets[0].frame()) {
 		t.Fatalf("node 0 read %#v after the verdict, want its Detection %#v", m, dets[0].frame())

@@ -99,9 +99,9 @@ type Config struct {
 	// the application enters its critical sections without the
 	// mayFalse/grant handshake (and never reports NowTrue), so its
 	// controller believes the local predicate stayed true while the CS
-	// overlaps everyone else's. The candidate stream still reports the
-	// false-intervals faithfully — the monitor observes the application,
-	// it does not police it. A rogue reverts to controlled behavior the
+	// overlaps everyone else's. The capture still records its critical
+	// sections faithfully — it observes the application, it does not
+	// police it. A rogue reverts to controlled behavior the
 	// moment the coordinator's Detection/ReExec broadcast arrives, so a
 	// detection-triggered re-execution satisfies the invariants.
 	Rogue bool
@@ -626,16 +626,16 @@ func (nd *node) application() {
 
 		// Critical section: cs=1 is the false-interval of ¬cs.
 		loIdx := nd.cap.append(wire.TraceOp{Op: wire.TraceSet, Proc: int32(nd.app), Name: "cs", Value: 1})
-		lo := nd.clk.tick(nd.cfg.ID)
+		nd.clk.tick(nd.cfg.ID)
 		nd.journalCtl(nd.app, obs.KindSet, "cs", 1, 0, 0, nil)
 		time.Sleep(nd.cfg.CS)
 		hiIdx := nd.cap.append(wire.TraceOp{Op: wire.TraceSet, Proc: int32(nd.app), Name: "cs", Value: 0})
 		hi := nd.clk.tick(nd.cfg.ID)
 		nd.journalCtl(nd.app, obs.KindSet, "cs", 0, 0, 0, nil)
-		nd.cap.candidate(wire.Candidate{
-			Proc: int32(nd.app), LoIdx: int64(loIdx), HiIdx: int64(hiIdx), Lo: lo, Hi: hi,
-		})
-		// The candidate's journal twin carries the real emission time;
+		// The root's live checker derives the closed interval from this
+		// Set: it does not wait for the tick.
+		nd.cap.wakeFlusher()
+		// The interval's journal twin carries the real time it closed;
 		// detection-latency measurement joins it (by state indices)
 		// against the coordinator's detect.fired timestamp.
 		nd.journalCtl(nd.app, obs.KindControl, obs.EvCandidate, int64(loIdx), int64(hiIdx), 0, hi)

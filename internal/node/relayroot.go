@@ -53,27 +53,20 @@ func (c *Coordinator) handleRelay(conn *coordConn, h wire.RelayHello) {
 		if err != nil {
 			return err
 		}
-		// The gate is held across the whole unpack — a superseding uplink
-		// must not interleave its batches' inner frames with this one's —
-		// and the verdicts the inner frames triggered run after its release.
-		var witnesses []int
-		err = rs.deliver(conn, seq, func() { witnesses = c.unpackRelayed(rs, conn, m) })
-		for _, w := range witnesses {
-			c.fireDetection(w)
-		}
-		return err
+		// The gate is held across the whole unpack: a superseding uplink
+		// must not interleave its batches' inner frames with this one's.
+		return rs.deliver(conn, seq, func() { c.unpackRelayed(rs, conn, m) })
 	})
 }
 
 // unpackRelayed folds one accepted uplink frame, delivered on uplink,
-// into the origins' sessions, returning the origins whose frames
-// triggered the live checker. Caller holds rs.ingestMu: it is deliver's
+// into the origins' sessions. Caller holds rs.ingestMu: it is deliver's
 // staging step.
-func (c *Coordinator) unpackRelayed(rs *relaySession, uplink *coordConn, m wire.Msg) (witnesses []int) {
+func (c *Coordinator) unpackRelayed(rs *relaySession, uplink *coordConn, m wire.Msg) {
 	batch, ok := m.(wire.RelayBatch)
 	if !ok {
 		c.logf("coordinator: relay %d: unexpected %T", rs.index, m)
-		return nil
+		return
 	}
 	rs.mu.Lock()
 	rs.frames++
@@ -93,13 +86,8 @@ func (c *Coordinator) unpackRelayed(rs *relaySession, uplink *coordConn, m wire.
 		// uplink. A duplicate — a relaunched relay acked Cum=0 and the
 		// child retransmitted its whole session log — is dropped by the
 		// origin's gate.
-		detected, err := c.ingest(c.sessions[origin], nil, uplink, f.Body)
-		if err != nil {
+		if err := c.ingest(c.sessions[origin], nil, uplink, f.Body); err != nil {
 			c.logf("coordinator: relay %d: origin %d: %v", rs.index, origin, err)
 		}
-		if detected {
-			witnesses = append(witnesses, origin)
-		}
 	}
-	return witnesses
 }

@@ -467,7 +467,7 @@ func (r *rootScript) send(id int, m wire.Msg) {
 	if id != 0 {
 		conn = nil
 	}
-	if _, err := r.c.ingest(r.c.sessions[id], conn, conn, wire.AppendBody(nil, r.seqs[id], m)); err != nil {
+	if err := r.c.ingest(r.c.sessions[id], conn, conn, wire.AppendBody(nil, r.seqs[id], m)); err != nil {
 		r.t.Fatalf("node %d: %T: %v", id, m, err)
 	}
 }
@@ -619,7 +619,7 @@ func TestStallReportSaysWhatWasDecided(t *testing.T) {
 	send := func(id int, m wire.Msg) {
 		t.Helper()
 		seqs[id]++
-		if _, err := c.ingest(c.sessions[id], nil, nil, wire.AppendBody(nil, seqs[id], m)); err != nil {
+		if err := c.ingest(c.sessions[id], nil, nil, wire.AppendBody(nil, seqs[id], m)); err != nil {
 			t.Fatalf("node %d: %T: %v", id, m, err)
 		}
 	}

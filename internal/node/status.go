@@ -71,9 +71,9 @@ type CoordNodeStatus struct {
 	Connected  bool   `json:"connected"`
 	Epoch      uint32 `json:"epoch"` // the stream's epoch (last EpochMark)
 	LastSeq    uint64 `json:"last_seq"`
-	Candidates int    `json:"candidates"`
+	Candidates int    `json:"candidates"` // monitor.candidate journal twins staged
 	// Detections counts confirmed live detections whose streaming
-	// witness this node's candidate completed.
+	// witness this node's interval completed.
 	Detections int  `json:"detections"`
 	Done       bool `json:"done"`
 	Bye        bool `json:"bye"`

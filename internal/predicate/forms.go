@@ -106,11 +106,15 @@ func (f *form) TruthTable(d *deposet.Deposet) *TruthTable {
 	}
 	t := newTruthTable(lens)
 	for p, x := range f.locals {
-		if x == nil && !f.unit {
+		if x == nil {
+			for k := 0; f.unit && k < lens[p]; k++ {
+				t.Set(p, k, true)
+			}
 			continue
 		}
+		holds := x.on(d)
 		for k := 0; k < lens[p]; k++ {
-			if x == nil || x.fn(d, k) {
+			if holds(k) {
 				t.Set(p, k, true)
 			}
 		}

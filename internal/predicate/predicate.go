@@ -182,11 +182,31 @@ func (l VarLocal) leaf() (*localExpr, error) {
 	if (l.Op == True || l.Op == False) && l.Value != 0 {
 		return nil, fmt.Errorf("predicate: local %q of process %d: op %s takes no value", l, l.P, l.Op)
 	}
-	holds := ops[l.Op].holds
 	return &localExpr{p: l.P, name: l.String(), v: &l, fn: func(d *deposet.Deposet, k int) bool {
 		x, ok := d.Var(deposet.StateID{P: l.P, K: k}, l.Var)
-		return ok && holds(x, l.Value)
+		return ok && l.Holds(x)
 	}}, nil
+}
+
+// Holds reports whether l holds at a state where Var is set to x.
+func (l VarLocal) Holds(x int) bool { return ops[l.Op].holds(x, l.Value) }
+
+// on returns e's truth at the states of its process of d. A variable
+// local resolves its variable's slot in d once, not per state: the
+// slot belongs to d, so it is resolved per call, never kept in e, which
+// two readers of two computations may evaluate at once.
+func (e *localExpr) on(d *deposet.Deposet) func(k int) bool {
+	if e.v == nil {
+		return func(k int) bool { return e.fn(d, k) }
+	}
+	slot, ok := d.VarSlot(e.v.Var)
+	if !ok {
+		return func(int) bool { return false }
+	}
+	return func(k int) bool {
+		x, ok := d.VarBySlot(deposet.StateID{P: e.p, K: k}, slot)
+		return ok && e.v.Holds(x)
+	}
 }
 
 // VarDisjunction builds l1 ∨ … ∨ lk over d's processes. The locals are

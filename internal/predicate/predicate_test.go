@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -466,4 +467,58 @@ func TestNegateSkipsMissingLocals(t *testing.T) {
 	if !cj.Holds(d, 0, 0) {
 		t.Error("¬never should hold")
 	}
+}
+
+// TestVarLocalOnTwoDeposetsAtOnce: a variable local finds its
+// variable's slot once per computation it reads, never keeping it in the
+// predicate, so one predicate evaluated on two computations at once —
+// their variable in different slots — reads each right. Run it under
+// -race: a slot cached in the shared local would be a racy write, and a
+// wrong one reads the other variable.
+func TestVarLocalOnTwoDeposetsAtOnce(t *testing.T) {
+	build := func(phase int, others ...string) *deposet.Deposet {
+		b := deposet.NewBuilder(2)
+		for i, name := range others {
+			b.Let(0, name, 7+i) // sorted before or after cs: cs moves slot
+		}
+		for k := 0; k < 200; k++ {
+			b.Step(0)
+			b.Let(0, "cs", (k+phase)%3)
+			b.Step(1)
+		}
+		return b.MustBuild()
+	}
+	ds := []*deposet.Deposet{build(0, "a", "b"), build(1, "x", "y", "z")}
+	b := Or(VarLocal{P: 0, Var: "cs", Op: Eq}.Expr(), VarLocal{P: 1, Var: "cs", Op: True}.Expr())
+	want := make([][]bool, len(ds))
+	for i, d := range ds {
+		tab, ok := RegularTable(Not(b), d)
+		if !ok {
+			t.Fatal("¬B is not regular")
+		}
+		for k := 0; k < d.Len(0); k++ {
+			x, set := d.Var(deposet.StateID{P: 0, K: k}, "cs")
+			if tab.Holds(0, k) != (!set || x != 0) {
+				t.Fatalf("computation %d, state %d: ¬(cs = 0) reads %t at cs = %d", i, k, tab.Holds(0, k), x)
+			}
+			want[i] = append(want[i], tab.Holds(0, k))
+		}
+	}
+	var wg sync.WaitGroup
+	for i := range ds {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for range 50 {
+				tab, _ := RegularTable(Not(b), ds[i])
+				for k, w := range want[i] {
+					if tab.Holds(0, k) != w {
+						t.Errorf("computation %d, state %d: read %t beside the other computation, %t alone", i, k, !w, w)
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

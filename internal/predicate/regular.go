@@ -209,12 +209,14 @@ func RegularTable(e Expr, d *deposet.Deposet) (t *TruthTable, ok bool) {
 		if c.p < 0 || c.p >= n {
 			return nil, false
 		}
+		// A bare local reads its process's state directly; any other
+		// clause is evaluated at a cut that varies only at c.p.
+		holds := func(k int) bool { g[c.p] = k; return c.e.Eval(d, g) }
+		if x, ok := c.e.(*localExpr); ok {
+			holds = x.on(d)
+		}
 		for k := 0; k < lens[c.p]; k++ {
-			if !t.Holds(c.p, k) {
-				continue
-			}
-			g[c.p] = k
-			if c.e.Eval(d, g) == c.neg {
+			if t.Holds(c.p, k) && holds(k) == c.neg {
 				t.Set(c.p, k, false)
 			}
 		}

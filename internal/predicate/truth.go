@@ -81,8 +81,9 @@ func Compile(e Expr, d *deposet.Deposet) Expr {
 	case *localExpr:
 		l := d.Len(x.p)
 		bits := make([]uint64, (l+63)/64)
+		holds := x.on(d)
 		for k := 0; k < l; k++ {
-			if x.fn(d, k) {
+			if holds(k) {
 				bits[k>>6] |= 1 << (k & 63)
 			}
 		}

@@ -149,7 +149,9 @@ type App struct {
 // Candidate reports one maximal true-interval of a node's local
 // predicate to the coordinator (the Garg–Waldecker candidate of
 // internal/monitor, §4 of the paper): interval endpoints as vector
-// clocks plus traced state indices.
+// clocks plus traced state indices. No node sends one since the root
+// derives the intervals from the trace it assembles; the kind still
+// decodes, and the root reads it and drops it.
 type Candidate struct {
 	Proc   int32
 	LoIdx  int64
@@ -220,11 +222,9 @@ type TraceOpBatch struct {
 	Ops []TraceOp
 }
 
-// CandidateBatch carries many monitor candidate reports in one frame —
-// like JournalBatch, flushed by the node's capture batcher. The
-// coordinator's live checker consumes candidates as they arrive, so a
-// candidate starts a flush pass instead of waiting for the next one;
-// the batch holds those that gathered while the last pass was written.
+// CandidateBatch carries many Candidate reports in one frame, like
+// JournalBatch. No node sends one any more; it decodes, and the root
+// drops it, as it drops a Candidate.
 type CandidateBatch struct {
 	Cands []Candidate
 }
