@@ -30,20 +30,20 @@ check: build vet race
 # failed appends, handshake-vs-broadcast order, fold ≡ replay⁻¹, every
 # Hello's addressed answer (direct, relayed, past a broken uplink, from a
 # relaunched relay), the root's decision core against a random model,
-# the control plane's exhaustive explorer and its pasted early-epoch
-# race, a stalled peer or root, a failed retransmit, Close, the relay
+# the control plane's exhaustive explorer and its pasted races (the
+# early-epoch one, and a dead incarnation's late Hello or Resume), a stalled peer or root, a failed retransmit, Close, the relay
 # table's bound, the epoch assembler's feeder racing ingest (its
 # discards, and Wait's deposet equal to the bundle's, flat, relayed and
 # lit), the interval stream it derives following every discard, and a
 # stray candidate frame dropped, direct and relayed. Minutes.
-RACE_SESSION := Inbound|RelayForward|RelayFoldNotBlocked|Supersede|RejoinHelloSurvivesRelayDeath|TransportHandshake|TransportReset|TransportClose|BundleEqualsWait|CandidateDoesNotWaitForTick|TestFlush|StoreFollowsEveryDiscard|FailedAppendStopsTheStore|HandshakeNotOvertaken|FoldInvertsReplay|RootFoldsWhatItBroadcasts|StatusNotBlockedByDecision|AdoptedEpochVoidsShutdown|CloseDuringResume|HelloAnswers|FanInCountsOnlyRunOrigins|SlowVerdictBlocksNoHandshake|StalledPeerDelaysOnlyItself|StalledWriteBlocksNoSender|ResumesAfterRetransmitFails|CloseLeavesNoWriter|RootCoreModel|RelayTableBounded|IncarnationStep|ExploreControlPlane|EarlyEpochRace|EpochAssemblerFollowsEveryDiscard|CommitPathEquivalence|LiveRunAssemblesOnce|LiveStreamFollowsEveryDiscard|StrayCandidateBatch
+RACE_SESSION := Inbound|RelayForward|RelayFoldNotBlocked|Supersede|RejoinHelloSurvivesRelayDeath|TransportHandshake|TransportReset|TransportClose|BundleEqualsWait|CandidateDoesNotWaitForTick|TestFlush|StoreFollowsEveryDiscard|FailedAppendStopsTheStore|HandshakeNotOvertaken|FoldInvertsReplay|RootFoldsWhatItBroadcasts|StatusNotBlockedByDecision|AdoptedEpochVoidsShutdown|CloseDuringResume|HelloAnswers|FanInCountsOnlyRunOrigins|SlowVerdictBlocksNoHandshake|StalledPeerDelaysOnlyItself|StalledWriteBlocksNoSender|ResumesAfterRetransmitFails|CloseLeavesNoWriter|RootCoreModel|RelayTableBounded|IncarnationStep|ExploreControlPlane|EarlyEpochRace|StaleIncarnationRaces|EpochAssemblerFollowsEveryDiscard|CommitPathEquivalence|LiveRunAssemblesOnce|LiveStreamFollowsEveryDiscard|StrayCandidateBatch
 
 race-session:
 	$(GO) test -race -count=10 -run '$(RACE_SESSION)' ./internal/node
 
 # The control plane's explorer (internal/node/explore_test.go) at its
 # larger bound: more relaunches and severs, n = 3 behind a relay. Tier-1
-# runs the smaller bound in well under 2 s; this one takes minutes.
+# runs the smaller bound in well under 2 s; this one takes a minute or so.
 explore-wide:
 	$(GO) test -run 'TestExploreControlPlane$$' -count=1 -timeout 1200s ./internal/node -explore-wide
 
@@ -57,7 +57,7 @@ loc:
 # The most `make loc` may total. A change that grows the code raises
 # this number in its own diff, where a reviewer sees it; one that shrinks
 # it lowers the number to its result.
-LOC_MAX := 19895
+LOC_MAX := 19832
 
 loc-check:
 	@total=$$($(MAKE) -s loc | awk '$$2 == "total" {print $$1}'); \

@@ -359,8 +359,9 @@ func BenchmarkMonitorDetection(b *testing.B) {
 			p := pr.P()
 			for r := 0; r < 20; r++ {
 				p.Work(sim.Time(1 + p.Rand().Intn(5)))
-				pr.SetLocal(r%2 == 0)
-				pr.Step()
+				q := 1 - r%2
+				p.Set("q", q)
+				pr.SetLocal(q == 1)
 			}
 			pr.SetLocal(true)
 		}

@@ -31,14 +31,14 @@ import (
 
 // Interval is one true-interval of a process's local conjunct of ¬B:
 // the states LoIdx..HiIdx of process Proc, both inclusive, and the
-// vector clocks of those two states. The checker's precedence test is
-// that of any Fidge–Mattern clocks over the intervals' processes —
-// internal/monitor feeds it runtime clocks — and reads of Lo every
-// component but Proc's own, of Hi only that one. The root's assembler
-// feeds the captured computation's own clocks, which number a process's
-// states: its Lo is the builder's row for state LoIdx (deposet
-// Order.Deps, whose own component may lag), and its Hi is nil, the
-// component read being HiIdx.
+// vector clocks of those two states. The checker's precedence test
+// reads of Lo every component but Proc's own, of Hi only that one.
+// Both producers — the root's assembler and internal/monitor's probes —
+// feed the computation's own clocks, which number a process's states:
+// Lo is the builder's row for state LoIdx (deposet Order.Deps, whose
+// own component may lag), and Hi is nil, the component read being
+// HiIdx. Only the bench's stage replay and the reference tests set Hi,
+// to a Fidge–Mattern clock of the last state.
 type Interval struct {
 	Proc         int
 	LoIdx, HiIdx int64
@@ -174,7 +174,7 @@ func (c *Checker) Offer(epoch uint32, iv Interval) bool {
 }
 
 // advance runs the GW elimination loop, the one copy internal/monitor's
-// sim checker and the coordinator both feed: drop any front interval
+// sim checker and the root both feed: drop any front interval
 // that wholly precedes another queue's front; trigger when every
 // constrained queue is non-empty and no drop applies. It reports a
 // trigger. Caller holds c.mu.

@@ -8,6 +8,7 @@ import (
 	"math/rand/v2"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"predctl/internal/obs"
@@ -122,6 +123,23 @@ func newCoordClient(addr string, id, n int, wm wireMeters, opt Timeouts, parts *
 	return cc
 }
 
+var lastLaunch atomic.Int64 // the microsecond of the latest launchStamp
+
+// launchStamp draws a node incarnation: the wall-clock microsecond it
+// starts at in the high bits, strictly growing within a process, so the
+// root can order a relaunch after its predecessor (rootCore.step), and
+// ten random bits below, a tiebreak between processes that start in the
+// same microsecond. Never 0; it overflows in the year 2540.
+func launchStamp() uint64 {
+	for {
+		last := lastLaunch.Load()
+		us := max(time.Now().UnixMicro(), last+1)
+		if lastLaunch.CompareAndSwap(last, us) {
+			return uint64(us)<<10 | rand.Uint64()&(1<<10-1)
+		}
+	}
+}
+
 // dialCoord connects to the coordinator, retrying with capped
 // exponential backoff (the same policy as mesh redials) until
 // opt.CoordDeadline, so a coordinator that is slow to come up — or
@@ -129,10 +147,10 @@ func newCoordClient(addr string, id, n int, wm wireMeters, opt Timeouts, parts *
 // 1 of the session log, written as the first dial's handshake: a resume
 // replays it like any frame, so a relay that dies holding it loses
 // nothing. Its Inc, drawn here once per process, is what tells the root
-// a relaunch from that replay.
+// a relaunch from that replay, and orders it after its predecessor.
 func dialCoord(addr string, id, n int, wm wireMeters, opt Timeouts, parts *partitions, logf func(string, ...any)) (*coordClient, error) {
 	cc := newCoordClient(addr, id, n, wm, opt, parts, logf)
-	cc.inc = rand.Uint64() | 1
+	cc.inc = launchStamp()
 	cc.logItems(wire.Hello{From: int32(id), N: int32(n), Inc: cc.inc}, 1)
 	conn, err := cc.dialOnce(cc.out.frames[0].B)
 	if err != nil {

@@ -380,8 +380,9 @@ func (c *Coordinator) hello(st *nodeSession, owner, answer *coordConn, seq uint6
 	return !o.known, err
 }
 
-// errRefused ends the handshake of a relaunch that arrived after Commit.
-var errRefused = errors.New("rejoined after commit; refused")
+// errRefused ends the handshake of a relaunch that arrived after Commit,
+// or of a Hello that arrived after its successor's.
+var errRefused = errors.New("relaunched after commit, or superseded; refused")
 
 // carry queues what a core step decided, under c.mu: the reply to
 // answer, the connection its input came on, then the rest to every

@@ -55,7 +55,7 @@ type rootCore struct {
 type out struct {
 	reply, all []wire.Msg
 	known      bool // a Hello of the incarnation on record: a resume replaying frame 1, answered and left to the gate
-	refused    bool // a relaunch after Commit, turned away by reply
+	refused    bool // a relaunch after Commit, turned away by reply, or a dead predecessor's Hello, by silence
 	counted    bool // a bye counted at the epoch (its stream's capture is closed), or a verdict recorded
 	seal       bool // Commit decided: seal the store and release Wait
 }
@@ -72,13 +72,18 @@ func newRootCore(n int, logf func(string, ...any)) rootCore {
 //
 // Every Hello before Commit gets its answer on its own connection: a
 // Restart at the cluster epoch addressed to its incarnation. A first
-// incarnation opens the session. A different one is a relaunch: until
+// incarnation opens the session. A higher one is a relaunch: until
 // Commit the cluster restarts, even between the Shutdown and the last
 // bye, because refusing the relaunch would strand the byes the dead
 // incarnation never sent; after it, the relaunch takes the exit ramp of
 // a parked node, Shutdown then Commit. The incarnation on record's Hello
 // is a resume replaying frame 1 through a relaunched relay: answered
-// again, its frame left to the gate.
+// again, its frame left to the gate. A lower one is a dead
+// predecessor's, overtaken by its successor's: neither adopted nor
+// answered, since an answer on a relay's uplink reaches every child.
+// Incarnations are launch stamps (launchStamp), so the order rests on
+// one assumption: a node's clock does not go back across one
+// relaunch's downtime.
 func (r *rootCore) step(id int, streamEpoch uint32, m wire.Msg, atNs int64) (o out) {
 	switch v := m.(type) {
 	case wire.Hello:
@@ -86,6 +91,9 @@ func (r *rootCore) step(id int, streamEpoch uint32, m wire.Msg, atNs int64) (o o
 		switch {
 		case r.inc[id] == v.Inc:
 			o.known = true
+		case v.Inc < r.inc[id]:
+			o.refused = true // a direct connection ends its handshake
+			return o
 		case rejoin && r.dec.committed:
 			o.refused = true
 			o.reply = []wire.Msg{wire.Shutdown{Epoch: r.dec.epoch}, wire.Commit{}}

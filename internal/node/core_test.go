@@ -28,7 +28,7 @@ type coreModel struct {
 	shutdownAt    uint64    // bit e: a Shutdown was sent at epoch e (< 64: one step moves it by 1 at most)
 	confirmed     bool      // a verdict landed at the current epoch
 
-	steps, restarts, reexecs int
+	steps, restarts, reexecs, stale int
 	// The step's input, for a failure's message: node id's frame in, or
 	// a verdict when in is nil.
 	id      int
@@ -111,6 +111,8 @@ func (m *coreModel) step() {
 		m.in = wire.Shutdown{Epoch: m.streams[id] + uint32(m.rng.Intn(2))}
 	case k == 4: // a mark above the root's epoch: a restarted root adopts it
 		m.in = wire.EpochMark{Epoch: e + 1}
+	case k == 5 && on > 1: // a dead predecessor's Hello, overtaken by its successor's
+		m.in = wire.Hello{From: int32(id), N: int32(m.n), Inc: 1 + uint64(m.rng.Int63n(int64(on-1)))}
 	case m.streams[id] != e:
 		m.in = wire.EpochMark{Epoch: e}
 	case m.doneAt[id] != int64(e) || !was.shutdown || m.byeAt[id] == int64(e):
@@ -152,10 +154,16 @@ func (m *coreModel) step() {
 		}
 	case wire.Hello:
 		// The incarnation on record decides nothing but is answered again;
-		// a new one after Commit is refused; before it, a relaunch
-		// restarts the cluster at e+1 and is answered there, and a first
-		// join is answered at the cluster's epoch.
+		// a predecessor's is neither adopted nor answered; a new one after
+		// Commit is refused; before it, a relaunch restarts the cluster at
+		// e+1 and is answered there, and a first join is answered at the
+		// cluster's epoch.
 		switch {
+		case v.Inc < on:
+			if !o.refused || o.known || o.counted || o.seal || o.reply != nil || o.all != nil || r.inc[id] != on {
+				m.fail("a predecessor's Hello decided %+v, and the core holds incarnation %d; want it refused, unanswered", o, r.inc[id])
+			}
+			m.stale++
 		case v.Inc == on:
 			if !o.known || o.refused || o.counted || o.seal || o.all != nil ||
 				!slices.Equal(o.reply, []wire.Msg{wire.Restart{Epoch: e, Inc: on}}) {
@@ -262,7 +270,8 @@ func (m *coreModel) step() {
 
 // TestRootCoreModel drives the root's decision core directly — no
 // coordinator, no connection — with random sequences at n = 2..4 of
-// first Hellos, relaunches, a resume's replayed Hello, Dones, byes
+// first Hellos, relaunches, a resume's replayed Hello, a dead
+// predecessor's Hello arriving after its successor's, Dones, byes
 // (stragglers and early ones among them), EpochMarks (one above the
 // root's epoch among them) and live verdicts, mid-run and closing, at
 // the root's epoch or a voided one. After every step it checks the
@@ -272,16 +281,16 @@ func (m *coreModel) step() {
 // every bye, once, and after it only refusals and no epoch move; the
 // epoch never goes back, and a relaunch's Restart and a mid-run verdict's
 // ReExec each move it to e+1; every Hello before Commit is answered
-// with a Restart addressed to its incarnation, and one of the
-// incarnation on record decides nothing else; and a resume replay folds
-// to the root's decisions.
+// with a Restart addressed to its incarnation, one of the incarnation
+// on record decides nothing else, and a predecessor's is neither adopted
+// nor answered; and a resume replay folds to the root's decisions.
 func TestRootCoreModel(t *testing.T) {
 	sequences, steps := 100_000, 16
 	if raceEnabled { // nothing here is concurrent: the detector only slows it
 		sequences = 10_000
 	}
 	rng := rand.New(rand.NewSource(43))
-	var total, commits, restarts, reexecs int
+	var total, commits, restarts, reexecs, stale int
 	for seq := 0; seq < sequences; seq++ {
 		m := newCoreModel(t, rng, 2+seq%3)
 		for range steps {
@@ -290,12 +299,13 @@ func TestRootCoreModel(t *testing.T) {
 		total += m.steps
 		restarts += m.restarts
 		reexecs += m.reexecs
+		stale += m.stale
 		if m.core.dec.committed {
 			commits++
 		}
 	}
-	t.Logf("%d sequences, %d steps at n = 2..4: %d committed, %d relaunch restarts, %d re-executions", sequences, total, commits, restarts, reexecs)
-	if commits < sequences/10 || restarts < sequences/10 || reexecs < sequences/100 {
-		t.Fatalf("the sequences hardly reach the decisions under test: %d commits, %d restarts, %d re-executions", commits, restarts, reexecs)
+	t.Logf("%d sequences, %d steps at n = 2..4: %d committed, %d relaunch restarts, %d re-executions, %d predecessors' Hellos", sequences, total, commits, restarts, reexecs, stale)
+	if commits < sequences/10 || restarts < sequences/10 || reexecs < sequences/100 || stale < sequences/100 {
+		t.Fatalf("the sequences hardly reach the decisions under test: %d commits, %d restarts, %d re-executions, %d predecessors' Hellos", commits, restarts, reexecs, stale)
 	}
 }

@@ -39,10 +39,13 @@ import (
 // connection breaks and resumes; the resume replays decisions.replay).
 // A broken connection loses what was in flight to the client, and what a
 // killed relay had not read; what a client wrote before it closed is
-// still delivered. A connection is severed, and a process relaunched,
-// only once the server took its handshake: a sever is an idle timeout
-// and a relaunch waits out a downtime, each far longer than one frame's
-// trip.
+// still delivered. A process may be relaunched while its handshake is
+// still in flight, so a dead incarnation's Hello or Resume can reach a
+// server after its successor's. A connection is severed only once the
+// server took its handshake: a sever is an idle timeout, far longer
+// than one frame's trip. A server that hands a stream to a new
+// connection closes the old one (inbound.adoptLocked), and a live node
+// whose connection is closed so redials and resumes.
 //
 // The model's bound is explicit and small on purpose: a control problem
 // over an unbounded asynchronous system is not decidable in general.
@@ -99,12 +102,14 @@ type xconn struct {
 // xsess is a server's stream state for one client: the gate's owner
 // connection (-1: none, or a relayed origin), its last sequence, and at
 // the root the stream's epoch. At the relay, inc is the incarnation
-// whose log the sequence counts.
+// whose log the sequence counts, and hello that of the last Hello
+// handshake it took (Relay.incs).
 type xsess struct {
 	owner   int
 	lastSeq uint64
 	epoch   uint32
 	inc     uint64
+	hello   uint64
 }
 
 // xclient is the client half of a session (coordClient): its log, the
@@ -362,13 +367,13 @@ func (x *xstate) enabled(b xbound) (ts []xtrans) {
 	for i := range x.nodes {
 		nd := &x.nodes[i]
 		cn := &x.conns[nd.conn]
-		if nd.s.phase == gone || !cn.opened || cn.ended {
+		if nd.s.phase == gone || cn.ended {
 			continue
 		}
 		if x.relaunches < b.relaunches {
 			ts = append(ts, xtrans{'r', i})
 		}
-		if x.severs < b.severs && !cn.closed {
+		if x.severs < b.severs && cn.opened && !cn.closed {
 			ts = append(ts, xtrans{'x', i})
 		}
 	}
@@ -610,6 +615,7 @@ func (x *xstate) rootTakes(c int, f xframe) error {
 			if !h.Resume {
 				x.uplink.lastSeq = 0
 			}
+			x.supersede(x.uplink.owner, c)
 			x.uplink.owner = c
 			var ids []int
 			if h.Resume {
@@ -621,6 +627,7 @@ func (x *xstate) rootTakes(c int, f xframe) error {
 			return nil
 		case wire.Resume:
 			st := &x.sess[h.From]
+			x.supersede(st.owner, c)
 			st.owner = c
 			x.push(c, x.root.resume(st.lastSeq, int(h.From))...)
 			return nil
@@ -639,6 +646,20 @@ func (x *xstate) rootTakes(c int, f xframe) error {
 		return x.rootIngest(f.origin, -1, c, xframe{m: f.m, seq: f.inner})
 	}
 	return x.rootIngest(cn.client, c, c, f)
+}
+
+// supersede closes connection c as connection by takes its stream
+// (inbound.adoptLocked): what is in flight on c either way is lost. A
+// live node whose current connection c was redials and resumes.
+func (x *xstate) supersede(c, by int) {
+	if c < 0 || c == by {
+		return
+	}
+	cn := &x.conns[c]
+	cn.up, cn.down, cn.closed = nil, nil, true
+	if i := cn.client; i >= 0 && x.nodes[i].conn == c && x.nodes[i].s.phase != gone {
+		x.resume(i)
+	}
 }
 
 // gate is inbound.deliver's check for a frame seq off connection c: a
@@ -673,6 +694,7 @@ func (x *xstate) rootIngest(id, owner, answer int, f xframe) error {
 		}
 		if !o.known {
 			x.decided[h.Inc-1] = int64(x.root.dec.epoch)
+			x.supersede(st.owner, owner)
 			st.epoch, st.owner, st.lastSeq = 0, owner, f.seq
 			x.carry(answer, o)
 			return nil
@@ -708,11 +730,18 @@ func (x *xstate) relayTakes(c int, f xframe) error {
 	ch := &rl.children[id]
 	if !cn.opened {
 		cn.opened = true
-		switch f.m.(type) {
+		switch h := f.m.(type) {
 		case wire.Hello:
-			ch.owner, ch.lastSeq, ch.inc = c, f.seq, f.m.(wire.Hello).Inc
+			if h.Inc < ch.hello {
+				// A dead predecessor's Hello: refused, the connection closes.
+				cn.up, cn.ended = nil, true
+				return nil
+			}
+			x.supersede(ch.owner, c)
+			ch.owner, ch.lastSeq, ch.inc, ch.hello = c, f.seq, h.Inc, h.Inc
 			x.forward(id, f)
 		case wire.Resume:
+			x.supersede(ch.owner, c)
 			ch.owner, ch.inc = c, cn.inc
 			x.push(c, rl.dec.replay(ch.lastSeq)...)
 		}
@@ -807,7 +836,7 @@ func (x *xstate) encode(bd xbound, b []byte) []byte {
 			e.u(a)
 		}
 	}
-	sess := func(s xsess) { conn(s.owner); e.u(s.lastSeq); e.u(uint64(s.epoch)); e.u(s.inc) }
+	sess := func(s xsess) { conn(s.owner); e.u(s.lastSeq); e.u(uint64(s.epoch)); e.u(s.inc); e.u(s.hello) }
 	frame := func(f xframe) {
 		e.b = wire.AppendBody(e.b, f.seq, f.m)
 		e.u(uint64(f.origin))
@@ -1044,7 +1073,7 @@ func minimal(b xbound, trail []xtrans) []xtrans {
 // exploreBounds is what tier-1 explores, in under 2 s: flat and
 // one-relay trees at n = 2 and 3, node relaunches, one sever, one relay
 // relaunch. With -explore-wide it adds the larger bound CI explores,
-// ≈10⁷ states in a minute or two: two relaunches (with a sever, flat),
+// ≈4·10⁶ states in half a minute: two relaunches (with a sever, flat),
 // two relaunches or two severs behind a relay, and three nodes with two
 // relaunches, or a sever behind a relay. A relaunch beside a relay
 // relaunch, or three relayed nodes with a relaunch, is past 10⁷ states.
@@ -1136,14 +1165,7 @@ func TestExploreFindsPlantedFaults(t *testing.T) {
 // uplink. The parent's hold lets it start at epoch 1, an epoch its Hello
 // is about to void. Held for its own answer, it does not start.
 func TestEarlyEpochRace(t *testing.T) {
-	var race []xtrans
-	for _, k := range strings.Fields("u0 d0 u1 u0 d0 d1 u1 u0 u2 u0 d0 d2 u2 u0 d0 r0 u3 r0 u4 u0 d0 d4") {
-		var mv xtrans
-		if _, err := fmt.Sscanf(k, "%c%d", &mv.kind, &mv.arg); err != nil {
-			t.Fatal(err)
-		}
-		race = append(race, mv)
-	}
+	race := moves(t, "u0 d0 u1 u0 d0 d1 u1 u0 u2 u0 d0 d2 u2 u0 d0 r0 u3 r0 u4 u0 d0 d4")
 	parent := xbound{n: 2, relay: true, relaunches: 2, release: anyEpoch}
 	if labels, err := rerun(parent, race); len(labels) != len(race) || err == nil || !strings.Contains(err.Error(), "invariant 1") {
 		t.Fatalf("under the parent's hold, %d of %d moves ran and ended in %v; want invariant 1 at the last", len(labels), len(race), err)
@@ -1153,5 +1175,71 @@ func TestEarlyEpochRace(t *testing.T) {
 	labels, err := rerun(fixed, race)
 	if len(labels) != len(race) || err != nil {
 		t.Fatalf("held for its answer, %d of %d moves ran and ended in %v; want all, and no invariant failing", len(labels), len(race), err)
+	}
+}
+
+// moves parses a move sequence as label prints it: kind, then argument.
+func moves(t *testing.T, seq string) []xtrans {
+	t.Helper()
+	var ms []xtrans
+	for _, k := range strings.Fields(seq) {
+		var mv xtrans
+		if _, err := fmt.Sscanf(k, "%c%d", &mv.kind, &mv.arg); err != nil {
+			t.Fatal(err)
+		}
+		ms = append(ms, mv)
+	}
+	return ms
+}
+
+// TestStaleIncarnationRaces are the relaunch races the explorer found
+// once a node could be relaunched with its handshake still in flight
+// (flat, n = 2), each a minimal sequence up to the late handshake of a
+// dead incarnation, after which every continuation must hold the five
+// invariants.
+//
+// A late Hello: node 0 is relaunched twice, quickly; its third
+// incarnation's Hello reaches the root first and restarts the cluster,
+// and then its second incarnation's arrives. Adopted as the newer one, it
+// restarted the cluster again for a process that is gone, the live
+// incarnation's frames were refused, and the run never committed
+// (invariant 5, five moves later). Launch stamps order the two: the late
+// Hello is neither adopted nor answered.
+//
+// A late Resume: node 0's connection breaks, and the process is
+// relaunched before the root takes its Resume. The Resume names no
+// incarnation, so the root adopts it and closes the live incarnation's
+// connection, which redials and resumes, taking its stream back.
+func TestStaleIncarnationRaces(t *testing.T) {
+	for _, tc := range []struct {
+		name, race string
+		b          xbound
+		late       int // the moves up to the dead incarnation's handshake taken
+	}{
+		{"hello", "u0 d0 u0 u1 d1 u1 d0 u0 d1 r0 r0 u3 u1 d1 u1 u1 u2 d1 u1 u1 d3 u3", xbound{n: 2, relaunches: 2}, 17},
+		{"resume", "u0 d0 u0 u1 d1 u1 d0 u0 d1 x0 r0 u3 u1 d1 u1 u1 u2 d3 u3", xbound{n: 2, relaunches: 1, severs: 1}, 17},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			race := moves(t, tc.race)[:tc.late]
+			labels, err := rerun(tc.b, race)
+			if len(labels) != len(race) || err != nil {
+				t.Fatalf("%d of %d moves ran and ended in %v; want all, and no invariant failing:\n  %s", len(labels), len(race), err, strings.Join(labels, "\n  "))
+			}
+			x := newXState(tc.b)
+			for _, mv := range race {
+				y := x.clone()
+				if err := y.apply(tc.b, mv); err != nil {
+					t.Fatal(err)
+				}
+				x = y
+			}
+			e := &explorer{b: tc.b, seed: maphash.MakeSeed(), visited: map[uint64]uint64{}}
+			e.dfs(x, 0)
+			if e.fail != nil {
+				labels, _ := rerun(tc.b, append(race, e.trail...))
+				t.Fatalf("%v after %d states:\n  %s", e.fail, len(e.visited), strings.Join(labels, "\n  "))
+			}
+			t.Logf("%d states reachable past the late handshake, every one holding the invariants", len(e.visited))
+		})
 	}
 }

@@ -29,9 +29,10 @@ import (
 // — Hellos included, since a node's Hello is frame 1 of its log — and
 // the root's per-origin inner-sequence dedup absorbs the overlap.
 //
-// The relay has no policy: it forwards every frame it accepts, in
-// order, and the root alone decides rejoins, epoch discards and
-// snapshots.
+// The relay has no policy but to refuse a child's Hello below the last
+// incarnation it took, a dead predecessor's: it forwards every frame it
+// accepts, in order, and the root alone decides rejoins, epoch discards
+// and snapshots.
 type Relay struct {
 	endpoint // the shared session layer's half: listener, connections, streams
 	cfg      RelayConfig
@@ -47,6 +48,7 @@ type Relay struct {
 	// downstream mirror of the root's nodeSession, minus the staging.
 	// Reading it takes no lock.
 	children []*inbound
+	incs     []uint64 // the incarnation of each child's last Hello handshake; under its ingestMu
 }
 
 // RelayConfig configures one relay.
@@ -80,6 +82,7 @@ func StartRelay(cfg RelayConfig) (*Relay, error) {
 		endpoint: newEndpoint("relay "+strconv.Itoa(cfg.Index), cfg.Timeouts.withDefaults(), cfg.Logf),
 		cfg:      cfg,
 		children: make([]*inbound, cfg.N),
+		incs:     make([]uint64, cfg.N),
 	}
 	for id := range r.children {
 		r.children[id] = &inbound{}
@@ -165,7 +168,13 @@ func (r *Relay) handleChild(raw net.Conn) {
 	conn.peer = "node " + strconv.Itoa(id)
 	ch := r.children[id]
 	ch.ingestMu.Lock()
+	if h, ok := first.(wire.Hello); ok && h.Inc < r.incs[id] {
+		ch.ingestMu.Unlock()
+		r.logf("relay %d: node %d: incarnation %d's Hello after a later one's; refused", r.cfg.Index, id, h.Inc)
+		return
+	}
 	if fresh {
+		r.incs[id] = first.(wire.Hello).Inc
 		// Sequenced before ingestMu is released, so a successor
 		// connection's frames queue behind it.
 		ch.adoptLocked(conn, true, seq)

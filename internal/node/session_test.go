@@ -3,6 +3,7 @@ package node
 import (
 	"bufio"
 	"errors"
+	"io"
 	"net"
 	"reflect"
 	"slices"
@@ -703,7 +704,9 @@ func (p *rawNode) until(want wire.Msg) {
 // incarnation, and it is the first frame the node reads, whether it
 // dialed the root or one relay in front of it: a first join's at epoch
 // 0, a relaunch's at the epoch its Hello decided, a late first join's at
-// the cluster's epoch, and the refusal after Commit. The root alone
+// the cluster's epoch, and the refusal after Commit; a dead
+// predecessor's Hello, after its successor's, is not answered, and its
+// connection is closed. The root alone
 // decides each: behind a relay, a relaunch at epoch 1 must read its
 // answer at 2, not the Restart{1} its own Hello is about to void.
 func TestHelloAnswers(t *testing.T) {
@@ -760,6 +763,11 @@ func TestHelloAnswers(t *testing.T) {
 			first("node 2's late first join", p2, wire.Restart{Epoch: 1, Inc: 20})
 			p1 := hello(1, 13)
 			first("node 1's relaunch at epoch 1", p1, wire.Restart{Epoch: 2, Inc: 13})
+			stale := hello(1, 12)
+			stale.conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+			if _, m, err := wire.ReadFrame(stale.br); !errors.Is(err, io.EOF) {
+				t.Fatalf("node 1's dead incarnation 12, after 13, read %#v (%v); want its connection closed unanswered", m, err)
+			}
 
 			live := []*rawNode{p0, p1, p2}
 			for _, p := range live {

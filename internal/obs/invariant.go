@@ -39,9 +39,11 @@ const (
 	EvEpochRestart = "epoch.restart"
 	// EvChaosCrash marks an injected crash; A is the crashed node.
 	EvChaosCrash = "chaos.crash"
-	// EvCandidate marks a node flushing a candidate interval to the
-	// coordinator's live checker; A and B are the interval's first and
-	// last traced state indices.
+	// EvCandidate is the journal twin of a closed interval of a local
+	// conjunct, a node's (VC its node-level clock) or one a simulated
+	// monitor probe sends its checker; A and B are the interval's first
+	// and last traced state indices. The root's live checker reads the
+	// intervals it derives from the assembled trace, not these.
 	EvCandidate = "monitor.candidate"
 	// EvDetect marks a live possibly(¬B) detection confirmed on the
 	// captured prefix; A is the node whose candidate completed the
@@ -253,26 +255,6 @@ func ChainLength(j *Journal) int64 {
 		}
 	}
 	return n
-}
-
-// BlockedTime sums, per process, the virtual time spent between each
-// KindBlock and its matching KindUnblock — the "blocked virtual time"
-// protocol metric, derived from the journal rather than recorded twice.
-func BlockedTime(j *Journal) map[int]int64 {
-	out := map[int]int64{}
-	open := map[int]int64{}
-	for _, e := range j.Events() {
-		switch e.Kind {
-		case KindBlock:
-			open[e.Proc] = e.At
-		case KindUnblock:
-			if t, ok := open[e.Proc]; ok {
-				out[e.Proc] += e.At - t
-				delete(open, e.Proc)
-			}
-		}
-	}
-	return out
 }
 
 // tail returns the last n events of j (nil journal → nil).

@@ -260,19 +260,6 @@ func TestCheckOfflineEdges(t *testing.T) {
 	}
 }
 
-func TestBlockedTime(t *testing.T) {
-	j := NewJournal(0)
-	j.Append(Event{At: 10, Proc: 0, Kind: KindBlock, Name: "recv"})
-	j.Append(Event{At: 25, Proc: 0, Kind: KindUnblock})
-	j.Append(Event{At: 30, Proc: 1, Kind: KindBlock, Name: "recv"})
-	j.Append(Event{At: 31, Proc: 1, Kind: KindUnblock})
-	j.Append(Event{At: 40, Proc: 0, Kind: KindBlock, Name: "recv"}) // never unblocked
-	bt := BlockedTime(j)
-	if bt[0] != 15 || bt[1] != 1 {
-		t.Fatalf("BlockedTime = %v", bt)
-	}
-}
-
 func TestTimeline(t *testing.T) {
 	j := NewJournal(0)
 	j.Append(Event{At: 1, Proc: 0, Kind: KindSend, A: 1, B: 0})

@@ -30,6 +30,7 @@ import (
 
 	"predctl/internal/deposet"
 	"predctl/internal/obs"
+	"predctl/internal/vclock"
 )
 
 // Time is virtual time, in abstract units.
@@ -620,4 +621,14 @@ func (p *Proc) StateIndex() int {
 		return -1
 	}
 	return len(p.k.times[p.id]) - 1
+}
+
+// Deps returns the clock row of the process's current traced state
+// (deposet.Builder.Deps; its own component may lag, the state's index
+// is StateIndex), shared with the trace: do not modify it. Nil untraced.
+func (p *Proc) Deps() vclock.VC {
+	if p.k.builder == nil {
+		return nil
+	}
+	return p.k.builder.Deps(deposet.StateID{P: p.id, K: p.StateIndex()})
 }

@@ -136,8 +136,9 @@ type Ctl struct {
 }
 
 // App is an application-level message between controlled processes,
-// with the piggybacked vector clock the monitor-style online detection
-// needs and the TraceID that binds it into the captured deposet.
+// with a piggybacked vector clock and the TraceID that binds it into
+// the captured deposet. No runtime code produces one: the decoder
+// stays for the golden corpus.
 type App struct {
 	From    int32
 	To      int32
@@ -147,11 +148,11 @@ type App struct {
 }
 
 // Candidate reports one maximal true-interval of a node's local
-// predicate to the coordinator (the Garg–Waldecker candidate of
-// internal/monitor, §4 of the paper): interval endpoints as vector
-// clocks plus traced state indices. No node sends one since the root
-// derives the intervals from the trace it assembles; the kind still
-// decodes, and the root reads it and drops it.
+// predicate to the coordinator (a Garg–Waldecker candidate, §4 of the
+// paper): interval endpoints as vector clocks plus traced state
+// indices. No runtime code produces one: the root derives the intervals
+// from the trace it assembles. The decoder stays for the golden corpus,
+// and the root reads a stray one and drops it.
 type Candidate struct {
 	Proc   int32
 	LoIdx  int64
@@ -223,8 +224,9 @@ type TraceOpBatch struct {
 }
 
 // CandidateBatch carries many Candidate reports in one frame, like
-// JournalBatch. No node sends one any more; it decodes, and the root
-// drops it, as it drops a Candidate.
+// JournalBatch. No runtime code produces one; the decoder stays for the
+// golden corpus, and the root drops a stray one, as it drops a
+// Candidate.
 type CandidateBatch struct {
 	Cands []Candidate
 }

@@ -243,8 +243,9 @@ var (
 
 // On-line observation (the detect side of the live cycle).
 type (
-	// Probe carries a runtime vector clock and reports local-predicate
-	// intervals to the monitor's checker process.
+	// Probe is a monitored process's handle: it reports the intervals
+	// of its local predicate, with the run's own clocks, to the
+	// monitor's checker process.
 	Probe = monitor.Probe
 	// Detection is the monitor checker's verdict.
 	Detection = monitor.Detection
